@@ -20,7 +20,7 @@ BENCH_LABEL ?= pr10
 # uploads it next to the benchmark numbers.
 TRACE_OUT  ?= /tmp/drybell-obs-trace.json
 
-.PHONY: build test verify vet bench bench-smoke bench-gate obs-smoke remote-smoke chaos-smoke incremental-smoke
+.PHONY: build test verify vet loc bench bench-smoke obs-smoke remote-smoke chaos-smoke incremental-smoke
 
 build:
 	go build ./...
@@ -38,6 +38,12 @@ verify: build
 # ctxflow, dfspath, lockcheck, voteenc). Exits non-zero on any finding.
 vet:
 	go run ./tools/drybellvet ./...
+
+# The root module's non-test Go line count — the number simplicity PRs and
+# ROADMAP quote. One command, so two people cannot measure it differently:
+# bench/ is its own module and .bench_build/ is its build directory.
+loc:
+	@find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' -not -path './bench/*' | xargs cat | wc -l
 
 bench:
 	go test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . \
@@ -71,19 +77,6 @@ remote-smoke:
 # training cannot drift from "pure latency optimization" semantics.
 incremental-smoke:
 	./scripts/incremental_smoke.sh
-
-# Bench-regression gate: re-run the perf-critical benchmarks (fastest of
-# $(BENCHCOUNT) observations) and fail if any regresses more than 25%
-# against the committed BENCH_pr*.json trajectory. CI runs this on every
-# PR; tools/benchdiff is the checker. The benchtime is time-based, not
-# -benchtime=1x: a single iteration of a fast serving benchmark is
-# dominated by one-time warmup (cache fill, the first micro-batch window)
-# and reads as a >10x fake regression against the steady-state baseline.
-# 0.3s gives fast benchmarks thousands of iterations while the slow
-# pipeline benchmarks still run just once.
-bench-gate:
-	$(MAKE) bench BENCHTIME=0.3s BENCH_OUT=/tmp/drybell-bench-gate.json BENCH_LABEL=gate
-	go run ./tools/benchdiff -current /tmp/drybell-bench-gate.json BENCH_pr*.json
 
 # Overload-and-faults smoke: a real serve process driven past saturation by
 # the open-loop generator through a fault-injecting transport. Fails unless

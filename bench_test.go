@@ -459,42 +459,34 @@ func BenchmarkServeLabel(b *testing.B) {
 	b.ReportMetric(m.Label.P99Ms, "p99-ms")
 }
 
-// --- Scalar vs vectorized LF execution: the two evaluation paths every
-// template supports (Vote per record vs VoteBatch per shard/batch). These
-// are the numbers behind the batch path's existence.
+// --- LF execution: the fused vote job every pipeline run goes through.
 
 // BenchmarkExecuteLFs runs the full topic LF set over a staged corpus
-// through the batch executor, once record-at-a-time and once through the
-// vectorized MapBatch path.
+// through the batch executor. The single sub-benchmark keeps the name the
+// recorded BENCH_pr*.json trajectory uses.
 func BenchmarkExecuteLFs(b *testing.B) {
 	docs := benchDocs(b, 2000)
 	recs, err := corpus.MarshalDocuments(docs)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, mode := range []struct {
-		name    string
-		noBatch bool
-	}{{"Batch", false}, {"Scalar", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			fs := dfs.NewMem()
-			if err := lf.Stage[*corpus.Document](fs, "in/docs", recs, 8); err != nil {
+	b.Run("Batch", func(b *testing.B) {
+		fs := dfs.NewMem()
+		if err := lf.Stage[*corpus.Document](fs, "in/docs", recs, 8); err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e := &lf.Executor[*corpus.Document]{
+				FS: fs, InputBase: "in/docs", OutputPrefix: "labels",
+				Decode: corpus.UnmarshalDocument, Parallelism: 4,
+			}
+			if _, _, err := e.Execute(apps.TopicLFs(nil, 0, 21)); err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				e := &lf.Executor[*corpus.Document]{
-					FS: fs, InputBase: "in/docs", OutputPrefix: "labels",
-					Decode: corpus.UnmarshalDocument, Parallelism: 4,
-					NoBatch: mode.noBatch,
-				}
-				if _, _, err := e.Execute(apps.TopicLFs(nil, 0, 21)); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(len(docs))*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
-		})
-	}
+		}
+		b.ReportMetric(float64(len(docs))*float64(b.N)/b.Elapsed().Seconds(), "docs/s")
+	})
 }
 
 // BenchmarkExecuteLFsRemote prices the multi-node transport: the same
@@ -515,7 +507,7 @@ func BenchmarkExecuteLFsRemote(b *testing.B) {
 	}
 	runners := apps.TopicLFs(nil, 0, 21)
 	jobs := remote.NewRegistry()
-	if err := lf.RegisterVoteJobs(jobs, runners, corpus.UnmarshalDocument, false); err != nil {
+	if err := lf.RegisterVoteJobs(jobs, runners, corpus.UnmarshalDocument); err != nil {
 		b.Fatal(err)
 	}
 	pool, err := remote.NewPool(remote.PoolOptions{FS: fs, Slots: 4})

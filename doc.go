@@ -10,7 +10,11 @@
 // runnable entry points live under cmd/ and examples/, and the root
 // package holds only the benchmark harness (bench_test.go).
 //
-// Labeling functions execute on a coordinator/worker MapReduce runtime
+// Labeling functions execute as one fused map-only job (internal/lf) whose
+// votes land in a single columnar artifact; the paper's independent
+// per-function executables (§5.4) are that same job run over a one-function
+// set, each invocation merging its column into the shared artifact
+// (cmd/lfrun). The job runs on a coordinator/worker MapReduce runtime
 // (internal/mapreduce) with per-task retry budgets, speculative
 // re-execution of stragglers, and DFS-checkpointed task manifests. Two
 // pipeline options surface the failure model: WithRetries sets the

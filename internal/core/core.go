@@ -192,8 +192,7 @@ func (c Config[T]) InputBase() string { return path.Join(c.WorkDir, "input/examp
 func (c Config[T]) LabelsOutputBase() string { return path.Join(c.WorkDir, "output/problabels") }
 
 // VotesPrefix is the DFS prefix of vote state: ExecuteLFs maintains the
-// columnar vote artifact at "<prefix>/votes", and legacy per-function
-// recordio shard sets at "<prefix>/<lf-name>" remain loadable.
+// columnar vote artifact (and its generation chain) at "<prefix>/votes".
 func (c Config[T]) VotesPrefix() string { return path.Join(c.WorkDir, "labels") }
 
 // Result is the output of a pipeline run.
@@ -468,8 +467,8 @@ func ExecuteLFs[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]) (*
 
 // LoadMatrix reassembles the label matrix from vote state a previous
 // ExecuteLFs left on the filesystem, without re-running anything. Column j
-// holds the votes of names[j]. The columnar artifact is preferred; legacy
-// per-function shard layouts load through the compatibility reader.
+// holds the votes of names[j], read from the columnar artifact or its
+// generation chain; a name with no stored column is an error.
 func LoadMatrix[T any](cfg Config[T], names []string) (*labelmodel.Matrix, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 )
@@ -177,22 +179,32 @@ func TestFigure6AndEventsShapes(t *testing.T) {
 	}
 }
 
+// finitePositive is the structural check on a measured rate: the experiment
+// ran and divided by a real duration. How large the rate is — and every
+// ratio between two of them — is wall clock, which tier-1 must not assert
+// on a loaded host; bench/ owns timing.
+func finitePositive(v float64) bool { return v > 0 && !math.IsInf(v, 1) } // NaN > 0 is false
+
 func TestP1Shape(t *testing.T) {
 	res, err := P1(quickCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Shape: sampling-free advances optimization faster per step than the
-	// sampler (paper: 2x). Margins are modest because our Go Gibbs is far
-	// faster than the original Python sampler.
-	if res.Speedup <= 1 {
-		t.Errorf("speedup = %.2f, want > 1", res.Speedup)
+	for name, v := range map[string]float64{
+		"sampling-free steps/s":    res.SamplingFreeStepsPerSec,
+		"sampling-free examples/s": res.SamplingFreeExamplesPerSec,
+		"gibbs examples/s":         res.GibbsExamplesPerSec,
+		"speedup":                  res.Speedup,
+	} {
+		if !finitePositive(v) {
+			t.Errorf("%s = %v, want finite and positive", name, v)
+		}
 	}
-	if res.SamplingFreeStepsPerSec < 100 {
-		t.Errorf("sampling-free %.0f steps/s, paper claims >100", res.SamplingFreeStepsPerSec)
-	}
-	if !strings.Contains(res.Report(), "speedup") {
-		t.Error("report malformed")
+	report := res.Report()
+	for _, line := range []string{"sampling-free:", "gibbs sampler:", "speedup per gradient step:"} {
+		if !strings.Contains(report, line) {
+			t.Errorf("report lacks %q:\n%s", line, report)
+		}
 	}
 }
 
@@ -203,15 +215,22 @@ func TestP2Shape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// On multi-core hosts parallelism should help; on single-core it must
-	// at least not collapse (goroutine overhead stays small).
-	if res.PerParallelism[4] < res.PerParallelism[1]*0.7 {
-		t.Errorf("parallelism regression: %v", res.PerParallelism)
+	if res.Examples != cfg.TopicDocs || res.CPUs <= 0 {
+		t.Errorf("examples = %d, CPUs = %d", res.Examples, res.CPUs)
 	}
-	if res.ProjectedMinutesFor6M <= 0 {
-		t.Error("projection missing")
+	report := res.Report()
+	for _, par := range []int{1, 2, 4, 8} {
+		if !finitePositive(res.PerParallelism[par]) {
+			t.Errorf("parallelism %d rate = %v, want finite and positive", par, res.PerParallelism[par])
+		}
+		if line := fmt.Sprintf("parallelism %d:", par); !strings.Contains(report, line) {
+			t.Errorf("report lacks %q:\n%s", line, report)
+		}
 	}
-	if !strings.Contains(res.Report(), "6.5M") {
-		t.Error("report malformed")
+	if !finitePositive(res.ProjectedMinutesFor6M) {
+		t.Errorf("projection = %v, want finite and positive", res.ProjectedMinutesFor6M)
+	}
+	if !strings.Contains(report, "6.5M") {
+		t.Errorf("report lacks the 6.5M projection:\n%s", report)
 	}
 }

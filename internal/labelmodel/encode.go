@@ -3,11 +3,11 @@ package labelmodel
 import "fmt"
 
 // This file is the checked vote encoder: the only place a Label may legally
-// become a persisted byte. Vote shards, recordio vote records, and
-// checkpointed map output all store one byte per vote and readers reject
-// anything outside {-1, 0, +1}, so an unchecked byte(label) cast elsewhere
-// can truncate a corrupt value into a different legal-looking vote and ship
-// it silently. The drybellvet voteenc analyzer flags every raw conversion
+// become a persisted byte. Vote shards and checkpointed map output store
+// one byte per vote and readers reject anything outside {-1, 0, +1}, so an
+// unchecked byte(label) cast elsewhere can truncate a corrupt value into a
+// different legal-looking vote and ship it silently. The drybellvet voteenc
+// analyzer flags every raw conversion
 // from Label to an integer type; the casts below carry its
 // //drybellvet:rawvote allowlist marker because they sit behind the checks.
 

@@ -397,66 +397,4 @@ func TestL2ShrinksParameters(t *testing.T) {
 	}
 }
 
-func TestCategoricalRecovery(t *testing.T) {
-	acc := []float64{0.9, 0.75, 0.6}
-	prop := []float64{0.7, 0.6, 0.5}
-	cm, gold, err := SynthesizeCategorical(3000, 4, acc, prop, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	model, err := TrainCategorical(cm, Options{Steps: 1200, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	est := model.Accuracies()
-	if !(est[0] > est[1] && est[1] > est[2]) {
-		t.Errorf("categorical accuracy ordering violated: %v", est)
-	}
-	// Posterior argmax accuracy must beat the best single LF's accuracy.
-	posts := model.Posteriors(cm)
-	correct := 0
-	for i, p := range posts {
-		best, bestC := -1.0, 0
-		for c, v := range p {
-			if v > best {
-				best, bestC = v, c+1
-			}
-		}
-		if bestC == gold[i] {
-			correct++
-		}
-	}
-	rate := float64(correct) / float64(len(gold))
-	if rate < 0.62 {
-		t.Errorf("categorical posterior accuracy %.3f, want ≥ 0.62", rate)
-	}
-	// Posteriors are distributions.
-	for i, p := range posts {
-		sum := 0.0
-		for _, v := range p {
-			if v < 0 || v > 1 {
-				t.Fatalf("posterior[%d] out of range: %v", i, p)
-			}
-			sum += v
-		}
-		if !almost(sum, 1, 1e-9) {
-			t.Fatalf("posterior[%d] sums to %v", i, sum)
-		}
-	}
-}
-
-func TestCategoricalMatrixValidation(t *testing.T) {
-	cm := NewCatMatrix(2, 2, 3)
-	cm.Set(0, 0, 3)
-	if cm.At(0, 0) != 3 {
-		t.Error("Set/At wrong")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("out-of-range vote accepted")
-		}
-	}()
-	cm.Set(0, 0, 4)
-}
-
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }

@@ -3,7 +3,6 @@ package lf
 import (
 	"context"
 	"fmt"
-	"iter"
 	"path"
 	"strings"
 	"time"
@@ -16,12 +15,18 @@ import (
 )
 
 // Executor runs a set of labeling functions over a DFS-staged corpus and
-// assembles the label matrix. One MapReduce job per function, exactly as
-// DryBell runs one binary per function (§5.4); jobs run map-only so votes
-// stay aligned with input records. The assembled matrix is persisted as a
-// single columnar vote artifact (see WriteVotes) rather than one recordio
-// shard set per function, and LoadMatrix restores it — or a legacy per-
-// function layout — without re-running anything.
+// assembles the label matrix. Every Execute is one fused map-only job: each
+// task decodes its input shard once, evaluates the whole function set over
+// the decoded records, and emits one packed vote row per record, so votes
+// stay aligned with input records. The assembled matrix is merged into the
+// single columnar vote artifact (see WriteVotes, publishVotes), and
+// LoadMatrix restores it without re-running anything.
+//
+// DryBell's deployment shape — one independent executable per labeling
+// function, sharing data through the filesystem (§5.4) — is this same engine
+// invoked once per function: a single-function Execute runs the fused job
+// over a one-function set and merges its column next to the columns earlier
+// invocations left in the artifact (see cmd/lfrun).
 //
 // The executor consumes public-API lf.LF values and discovers their
 // capabilities by interface: NodeLocal functions get one instance per map
@@ -30,13 +35,12 @@ import (
 // engine's batch path, and CorpusFitter functions get a first streaming
 // pass over the staged corpus before their vote job launches.
 type Executor[T any] struct {
-	// FS holds the staged input and receives per-function vote shards.
+	// FS holds the staged input and receives the vote artifact.
 	FS dfs.FS
 	// InputBase is the staged corpus (see Stage).
 	InputBase string
 	// OutputPrefix locates vote output: the columnar artifact lives at
-	// "<prefix>/votes", and legacy per-function recordio shard sets at
-	// "<prefix>/<lf-name>" remain readable by LoadMatrix.
+	// "<prefix>/votes".
 	OutputPrefix string
 	// Decode parses one input record.
 	Decode func([]byte) (T, error)
@@ -71,17 +75,6 @@ type Executor[T any] struct {
 	// an out-of-process worker knows which functions to run. Nil keeps
 	// execution in-process.
 	Workers []mapreduce.Worker
-	// NoBatch forces record-at-a-time evaluation even for functions that
-	// implement BatchVoter — the scalar baseline for benchmarks and debug.
-	NoBatch bool
-	// PerLFJobs restores the paper's literal deployment shape: one
-	// MapReduce job per labeling function (§5.4), each decoding the staged
-	// corpus itself. The default fused mode runs all functions in a single
-	// map-only job — each record is decoded once instead of once per
-	// function, and every task emits finished columnar vote rows — which is
-	// several times cheaper in-process while producing the identical
-	// matrix, report counters, and per-task lifecycle behaviour.
-	PerLFJobs bool
 }
 
 // LFReport describes one labeling function's execution.
@@ -142,9 +135,7 @@ func (e *Executor[T]) ExecuteContext(ctx context.Context, lfs []lfapi.LF[T]) (*l
 	if err := lfapi.ValidateNames(lfs); err != nil {
 		return nil, nil, err
 	}
-	ctx, span := obs.StartSpan(ctx, "lf.execute",
-		obs.Int("functions", len(lfs)),
-		obs.Bool("fused", !e.PerLFJobs))
+	ctx, span := obs.StartSpan(ctx, "lf.execute", obs.Int("functions", len(lfs)))
 	mx, report, err := e.execute(ctx, lfs)
 	if report != nil {
 		span.SetAttr(
@@ -158,16 +149,13 @@ func (e *Executor[T]) ExecuteContext(ctx context.Context, lfs []lfapi.LF[T]) (*l
 	return mx, report, err
 }
 
-// execute dispatches a validated function set to the resume fast path or one
-// of the two execution modes.
+// execute dispatches a validated function set to the resume fast path or
+// the fused job.
 func (e *Executor[T]) execute(ctx context.Context, lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, error) {
 	if e.Resume {
 		if mx, report, ok := e.resumeFromVotes(lfs); ok {
 			return mx, report, nil
 		}
-	}
-	if e.PerLFJobs {
-		return e.executePerLF(ctx, lfs)
 	}
 	return e.executeFused(ctx, lfs)
 }
@@ -401,7 +389,7 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 		Name:           "lf-votes",
 		FS:             e.FS,
 		InputBase:      inputBase,
-		Mapper:         &fusedTask[T]{ctx: ctx, lfs: lfs, decode: e.Decode, noBatch: e.NoBatch},
+		Mapper:         &fusedTask[T]{ctx: ctx, lfs: lfs, decode: e.Decode},
 		CollectOutput:  true,
 		Parallelism:    e.Parallelism,
 		Workers:        e.Workers,
@@ -468,121 +456,6 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 	}
 	report.Duration = time.Since(start)
 	return matrix, report, names, nsh, nil
-}
-
-// executePerLF is the one-job-per-function mode (Executor.PerLFJobs).
-func (e *Executor[T]) executePerLF(ctx context.Context, lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, error) {
-	start := time.Now() //drybellvet:wallclock — report durations only, never persisted votes
-	report := &Report{PerLF: make([]LFReport, len(lfs))}
-	var matrix *labelmodel.Matrix
-	names := make([]string, len(lfs))
-	shardCount := 0
-
-	for j, f := range lfs {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("lf: execute: %w", err)
-		}
-		meta := f.LFMeta()
-		names[j] = meta.Name
-		jobStart := time.Now() //drybellvet:wallclock — per-job duration for the report
-
-		// Two-pass functions (AggregateFunc) fit their corpus-level
-		// statistics from the staged input before the vote job launches.
-		passes := 1
-		if fitter, ok := f.(lfapi.CorpusFitter[T]); ok && !fitter.Fitted() {
-			_, fitSpan := obs.StartSpan(ctx, "lf.fit "+meta.Name)
-			err := fitter.FitCorpus(ctx, e.corpus())
-			fitSpan.EndErr(err)
-			if err != nil {
-				return nil, nil, fmt.Errorf("lf: fit %s: %w", meta.Name, err)
-			}
-			passes = 2
-		}
-
-		// The job collects its votes in memory instead of committing a
-		// per-function recordio shard set: each function's column is merged
-		// into the one columnar artifact right after its job (see
-		// publishVotes below), so a vote persists as one byte instead of a
-		// framed record written and re-read per function.
-		res, err := mapreduce.RunContext(ctx, mapreduce.Job{
-			Name:           "lf-" + meta.Name,
-			FS:             e.FS,
-			InputBase:      e.InputBase,
-			Mapper:         e.mapperFor(ctx, f),
-			CollectOutput:  true,
-			Parallelism:    e.Parallelism,
-			Workers:        e.Workers,
-			Code:           PerLFVoteCode(meta.Name),
-			MaxAttempts:    e.MaxAttempts,
-			StragglerAfter: e.StragglerAfter,
-			Resume:         e.Resume,
-			ScratchBase:    path.Join(e.scratch(), meta.Name),
-			ResumeKey:      resumeKeyFor(names[j : j+1]),
-			FailureHook:    e.FailureHook,
-		})
-		if err != nil {
-			return nil, nil, fmt.Errorf("lf: execute %s: %w", meta.Name, err)
-		}
-		report.TaskAttempts += res.Attempts
-		report.TasksResumed += res.SkippedTasks
-		report.SpeculativeAttempts += res.SpeculativeAttempts
-		total := 0
-		for _, shard := range res.MapOutputs {
-			total += len(shard)
-		}
-		if total == 0 {
-			return nil, nil, fmt.Errorf("lf: staged corpus at %s is empty", e.InputBase)
-		}
-		if matrix == nil {
-			matrix = labelmodel.NewMatrix(total, len(lfs))
-			report.Examples = total
-			shardCount = len(res.MapOutputs)
-		} else if total != report.Examples {
-			return nil, nil, fmt.Errorf("lf: %s produced %d votes, earlier functions produced %d",
-				meta.Name, total, report.Examples)
-		}
-		// Input shard s holds records s, s+N, s+2N, …: the map-only layout
-		// that restores staging order.
-		n := len(res.MapOutputs)
-		for s, shard := range res.MapOutputs {
-			for r, rec := range shard {
-				v, err := decodeVote(meta.Name, rec)
-				if err != nil {
-					return nil, nil, fmt.Errorf("lf: execute %s: shard %d record %d: %w", meta.Name, s, r, err)
-				}
-				idx := s + r*n
-				if idx >= total {
-					return nil, nil, fmt.Errorf("lf: %s: shard layout inconsistent (index %d of %d)", meta.Name, idx, total)
-				}
-				matrix.Set(idx, j, v)
-			}
-		}
-		// Per-function durability, matching the paper's independent-job
-		// deployment: this function's column is merged into the artifact as
-		// soon as its job finishes, so a later function's failure (or a
-		// crash) loses only the unfinished work. Incrementally re-merging a
-		// growing artifact is O(n²·m) across a run — the deliberate price
-		// of per-function durability in this fidelity mode; the default
-		// fused mode publishes once.
-		col := labelmodel.NewMatrix(total, 1)
-		for i := 0; i < total; i++ {
-			col.Set(i, 0, matrix.At(i, j))
-		}
-		if err := publishVotes(e.FS, e.votesBase(), col, names[j:j+1], shardCount); err != nil {
-			return nil, nil, err
-		}
-		report.PerLF[j] = LFReport{
-			Name: meta.Name, Category: meta.Category, Servable: meta.Servable,
-			Duration:             time.Since(jobStart),
-			Positives:            res.Counters[voteCounterKey(meta.Name, "positive")],
-			Negatives:            res.Counters[voteCounterKey(meta.Name, "negative")],
-			Abstains:             res.Counters[voteCounterKey(meta.Name, "abstain")],
-			ModelServersLaunched: res.Counters["model-servers-launched"],
-			CorpusPasses:         passes,
-		}
-	}
-	report.Duration = time.Since(start)
-	return matrix, report, nil
 }
 
 // publishVotes merges freshly executed votes into the columnar artifact and
@@ -714,25 +587,6 @@ func mergeVotesAt(old *labelmodel.Matrix, oldNames []string, mx *labelmodel.Matr
 // votesBase is the DFS base of the columnar vote artifact.
 func (e *Executor[T]) votesBase() string { return path.Join(e.OutputPrefix, "votes") }
 
-// mapperFor adapts one labeling function to the MapReduce engine, choosing
-// the batch-capable adapter when the function vectorizes and batching is
-// not disabled.
-func (e *Executor[T]) mapperFor(ctx context.Context, f lfapi.LF[T]) mapreduce.Mapper {
-	return voteMapper(ctx, f, e.Decode, e.NoBatch)
-}
-
-// voteMapper is mapperFor detached from the Executor, so worker-side job
-// code (RegisterVoteJobs) builds the identical adapter.
-func voteMapper[T any](ctx context.Context, f lfapi.LF[T], decode func([]byte) (T, error), noBatch bool) mapreduce.Mapper {
-	task := lfTask[T]{ctx: ctx, f: f, decode: decode}
-	if !noBatch {
-		if _, ok := f.(lfapi.BatchVoter[T]); ok {
-			return &lfBatchTask[T]{task}
-		}
-	}
-	return &task
-}
-
 // attemptCtx prefers the engine's per-attempt context over the run context:
 // votes evaluated under it stop promptly when the coordinator cancels a
 // losing speculative attempt, freeing the worker. The attempt context is a
@@ -746,89 +600,19 @@ func attemptCtx(tctx *mapreduce.TaskContext, run context.Context) context.Contex
 	return run
 }
 
-// lfTask adapts one labeling function to a MapReduce mapper, one vote per
-// record. Per task (simulated compute node) it derives a NodeLocal instance
-// and brackets it with the function's Lifecycle — the paper's "launch a
-// model server on each node in Setup, stop it in Teardown".
-type lfTask[T any] struct {
-	ctx    context.Context
-	f      lfapi.LF[T]
-	decode func([]byte) (T, error)
-}
-
-// instance returns this task's per-node function instance.
-func (m *lfTask[T]) instance(tctx *mapreduce.TaskContext) lfapi.LF[T] {
-	return tctx.State().(lfapi.LF[T])
-}
-
-// Setup implements mapreduce.Mapper.
-func (m *lfTask[T]) Setup(tctx *mapreduce.TaskContext) error {
-	inst := m.f
-	if nl, ok := m.f.(lfapi.NodeLocal[T]); ok {
-		inst = nl.ForNode()
-	}
-	if lc, ok := inst.(lfapi.Lifecycle); ok {
-		if err := lc.Setup(m.ctx); err != nil {
-			return fmt.Errorf("lf %s: setup: %w", m.f.LFMeta().Name, err)
-		}
-	}
-	if owner, ok := inst.(interface{ OwnsModelServer() bool }); ok && owner.OwnsModelServer() {
-		tctx.Counters.Inc("model-servers-launched", 1)
-	}
-	tctx.SetState(inst)
-	return nil
-}
-
-// Map implements mapreduce.Mapper.
-func (m *lfTask[T]) Map(tctx *mapreduce.TaskContext, rec []byte, emit mapreduce.Emitter) error {
-	name := m.f.LFMeta().Name
-	x, err := m.decode(rec)
-	if err != nil {
-		return fmt.Errorf("lf %s: %w", name, err)
-	}
-	v, err := m.instance(tctx).Vote(attemptCtx(tctx, m.ctx), x)
-	if err != nil {
-		return err
-	}
-	if !v.Valid() {
-		return fmt.Errorf("lf %s: invalid vote %d", name, v)
-	}
-	countVote(tctx, name, v)
-	b, err := encodeVote(v)
-	if err != nil {
-		return fmt.Errorf("lf %s: %w", name, err)
-	}
-	emit("", b)
-	return nil
-}
-
-// Teardown implements mapreduce.Mapper.
-func (m *lfTask[T]) Teardown(tctx *mapreduce.TaskContext) error {
-	inst, ok := tctx.State().(lfapi.LF[T])
-	if !ok {
-		return nil // Setup never ran
-	}
-	if lc, ok := inst.(lfapi.Lifecycle); ok {
-		if err := lc.Teardown(m.ctx); err != nil {
-			return fmt.Errorf("lf %s: teardown: %w", m.f.LFMeta().Name, err)
-		}
-	}
-	return nil
-}
-
 // fusedTask evaluates the whole labeling-function set inside one map task:
 // records are decoded once, every function votes over the decoded slice
 // (through its vectorized VoteBatch when available), and the task emits one
 // packed n-byte vote row per record — the columnar layout the vote artifact
-// and the matrix assembly consume directly. Per-node semantics match the
-// per-function jobs exactly: each task derives NodeLocal instances and
-// brackets them with Lifecycle, so e.g. one NLP model server still launches
-// per simulated compute node.
+// and the matrix assembly consume directly. Per task (simulated compute
+// node) it derives a NodeLocal instance of every function and brackets it
+// with the function's Lifecycle — the paper's "launch a model server on each
+// node in Setup, stop it in Teardown" — so one NLP model server launches per
+// compute node.
 type fusedTask[T any] struct {
-	ctx     context.Context
-	lfs     []lfapi.LF[T]
-	decode  func([]byte) (T, error)
-	noBatch bool
+	ctx    context.Context
+	lfs    []lfapi.LF[T]
+	decode func([]byte) (T, error)
 }
 
 // fusedState is the per-task state: one instance per function, plus how
@@ -893,13 +677,7 @@ func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, e
 	rows := make([]byte, len(records)*n)
 	for j, inst := range st.instances {
 		meta := m.lfs[j].LFMeta()
-		var votes []labelmodel.Label
-		var err error
-		if m.noBatch {
-			votes, err = scalarVotes(ctx, meta.Name, inst, xs)
-		} else {
-			votes, err = lfapi.VoteAll(ctx, inst, xs)
-		}
+		votes, err := lfapi.VoteAll(ctx, inst, xs)
 		if err != nil {
 			return err
 		}
@@ -948,223 +726,32 @@ func (m *fusedTask[T]) Teardown(tctx *mapreduce.TaskContext) error {
 	return firstErr
 }
 
-// scalarVotes forces record-at-a-time evaluation (the NoBatch baseline),
-// with the same validation VoteAll applies.
-func scalarVotes[T any](ctx context.Context, name string, f lfapi.LF[T], xs []T) ([]labelmodel.Label, error) {
-	votes := make([]labelmodel.Label, len(xs))
-	for i, x := range xs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("lf %s: %w", name, err)
-		}
-		v, err := f.Vote(ctx, x)
-		if err != nil {
-			return nil, err
-		}
-		if !v.Valid() {
-			return nil, fmt.Errorf("lf %s: invalid vote %d", name, v)
-		}
-		votes[i] = v
-	}
-	return votes, nil
-}
-
-// lfBatchTask is the vectorized adapter: the engine hands each task's
-// records over in one MapBatch call, and the function scores them through
-// its VoteBatch in a single invocation.
-type lfBatchTask[T any] struct {
-	lfTask[T]
-}
-
-// MapBatch implements mapreduce.BatchMapper.
-func (m *lfBatchTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, emit mapreduce.Emitter) error {
-	name := m.f.LFMeta().Name
-	ctx := attemptCtx(tctx, m.ctx)
-	xs := make([]T, len(records))
-	for i, rec := range records {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		x, err := m.decode(rec)
-		if err != nil {
-			return fmt.Errorf("lf %s: %w", name, err)
-		}
-		xs[i] = x
-	}
-	votes, err := lfapi.VoteAll(ctx, m.instance(tctx), xs)
-	if err != nil {
-		return err
-	}
-	for _, v := range votes {
-		countVote(tctx, name, v)
-		b, err := encodeVote(v)
-		if err != nil {
-			return fmt.Errorf("lf %s: %w", name, err)
-		}
-		emit("", b)
-	}
-	return nil
-}
-
 // LoadMatrix assembles the label matrix from vote state already on the DFS
 // — the output of an earlier Execute run — without re-executing anything.
 // Column j holds the votes of names[j]. This is how a caller resumes a
 // pipeline from persisted state: labeling functions share data via the
 // filesystem, so their outputs outlive the process that ran them.
 //
-// The columnar vote artifact is tried first; a filesystem carrying only the
-// legacy layout (one recordio shard set per function under
-// "<prefix>/<lf-name>", what Execute wrote before the columnar format)
-// still loads through the compatibility path below.
+// A name the artifact has no column for (a typo, or a function never run
+// against this root) is an error naming the column and listing the stored
+// ones; a root with no columnar artifact at all says so.
 func (e *Executor[T]) LoadMatrix(names []string) (*labelmodel.Matrix, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lf: no labeling function names to load")
 	}
+	base := e.votesBase()
 	// Generations first: once any delta has been published, the flat
 	// artifact alone is stale, and the compacted view of the chain is the
 	// corpus's current matrix.
-	if HasGenerations(e.FS, e.votesBase()) {
-		mx, _, err := ReadVersioned(e.FS, e.votesBase(), names)
+	if HasGenerations(e.FS, base) {
+		mx, _, err := ReadVersioned(e.FS, base, names)
 		return mx, err
 	}
-	if HasVotes(e.FS, e.votesBase()) {
-		stored, err := VoteNames(e.FS, e.votesBase())
-		if err != nil {
-			return nil, err
-		}
-		have := make(map[string]bool, len(stored))
-		for _, name := range stored {
-			have[name] = true
-		}
-		var missing []string
-		for _, name := range names {
-			if !have[name] {
-				missing = append(missing, name)
-			}
-		}
-		if len(missing) == 0 {
-			mx, _, err := ReadVotes(e.FS, e.votesBase(), names)
-			return mx, err
-		}
-		if len(missing) < len(names) {
-			// Mixed state: some columns live in the artifact, the rest in
-			// legacy per-function shard sets written by an older binary
-			// against the same root. Serve both.
-			return e.loadMixed(names, have)
-		}
-		// None of the requested functions are in the artifact (it belongs
-		// to a different set); fall through to the legacy layout.
+	if !HasVotes(e.FS, base) {
+		return nil, fmt.Errorf("lf: no vote artifact at %s (run Execute against this root first)", base)
 	}
-	var matrix *labelmodel.Matrix
-	for j, name := range names {
-		votes, err := e.loadVotes(name, path.Join(e.OutputPrefix, name))
-		if err != nil {
-			return nil, err
-		}
-		if matrix == nil {
-			matrix = labelmodel.NewMatrix(len(votes), len(names))
-		} else if len(votes) != matrix.NumExamples() {
-			return nil, fmt.Errorf("lf: %s has %d votes on the DFS, earlier functions have %d",
-				name, len(votes), matrix.NumExamples())
-		}
-		for i, v := range votes {
-			matrix.Set(i, j, v)
-		}
-	}
-	return matrix, nil
-}
-
-// loadMixed assembles a matrix whose columns are split between the columnar
-// artifact (names in have) and legacy per-function shard sets.
-func (e *Executor[T]) loadMixed(names []string, have map[string]bool) (*labelmodel.Matrix, error) {
-	var present []string
-	for _, name := range names {
-		if have[name] {
-			present = append(present, name)
-		}
-	}
-	cmx, _, err := ReadVotes(e.FS, e.votesBase(), present)
-	if err != nil {
-		return nil, err
-	}
-	matrix := labelmodel.NewMatrix(cmx.NumExamples(), len(names))
-	k := 0
-	for j, name := range names {
-		if have[name] {
-			for i := 0; i < matrix.NumExamples(); i++ {
-				matrix.Set(i, j, cmx.At(i, k))
-			}
-			k++
-			continue
-		}
-		votes, err := e.loadVotes(name, path.Join(e.OutputPrefix, name))
-		if err != nil {
-			return nil, err
-		}
-		if len(votes) != matrix.NumExamples() {
-			return nil, fmt.Errorf("lf: %s has %d legacy votes on the DFS, the vote artifact has %d examples",
-				name, len(votes), matrix.NumExamples())
-		}
-		for i, v := range votes {
-			matrix.Set(i, j, v)
-		}
-	}
-	return matrix, nil
-}
-
-// corpus streams the staged input back as decoded examples — the first pass
-// of two-pass functions. Iteration order is per-shard, not the original
-// staging order, which aggregation cannot observe.
-func (e *Executor[T]) corpus() iter.Seq2[T, error] {
-	return corpusSeq(e.FS, e.InputBase, e.Decode)
-}
-
-// loadVotes reads a function's sharded output back into input-record order.
-// Map-only jobs write output shard i from input shard i, and WriteInput
-// staged record k into shard k%n at position k/n, so the original index of
-// the r-th record of shard s is s + r·n.
-func (e *Executor[T]) loadVotes(name, base string) ([]labelmodel.Label, error) {
-	shards, err := dfs.ListShards(e.FS, base)
-	if err != nil {
-		return nil, fmt.Errorf("lf: load votes for %s: %w", name, err)
-	}
-	n := len(shards)
-	perShard := make([][]labelmodel.Label, n)
-	total := 0
-	for s, shard := range shards {
-		data, err := e.FS.ReadFile(shard)
-		if err != nil {
-			return nil, fmt.Errorf("lf: load votes for %s: %w", name, err)
-		}
-		recs, err := readAllRecords(data)
-		if err != nil {
-			return nil, fmt.Errorf("lf: load votes for %s: shard %s: %w", name, shard, err)
-		}
-		votes := make([]labelmodel.Label, len(recs))
-		for r, rec := range recs {
-			v, err := decodeVote(name, rec)
-			if err != nil {
-				return nil, fmt.Errorf("shard %s record %d: %w", shard, r, err)
-			}
-			votes[r] = v
-		}
-		perShard[s] = votes
-		total += len(votes)
-	}
-	out := make([]labelmodel.Label, total)
-	for s, votes := range perShard {
-		for r, v := range votes {
-			idx := s + r*n
-			if idx >= total {
-				return nil, fmt.Errorf("lf: %s: shard layout inconsistent (index %d of %d)", name, idx, total)
-			}
-			out[idx] = v
-		}
-	}
-	return out, nil
-}
-
-func countVote(ctx *mapreduce.TaskContext, name string, v labelmodel.Label) {
-	ctx.Counters.Inc(voteCounterKey(name, v.String()), 1)
+	mx, _, err := ReadVotes(e.FS, base, names)
+	return mx, err
 }
 
 // Counter names use "/"-separated segments by convention but are names in a
@@ -1176,29 +763,4 @@ func voteCounterKey(name, kind string) string {
 
 func serverCounterKey(name string) string {
 	return "model-servers-launched/" + name //drybellvet:notapath — counter name, not a DFS key
-}
-
-// encodeVote is the one-byte record encoding of a vote, routed through the
-// checked encoder so a corrupt Label can never be persisted as a
-// legal-looking byte.
-func encodeVote(v labelmodel.Label) ([]byte, error) {
-	b, err := labelmodel.VoteByte(v)
-	if err != nil {
-		return nil, err
-	}
-	return []byte{b}, nil
-}
-
-// decodeVote parses one stored vote byte, rejecting anything outside the
-// three legal values and naming the labeling function in every error —
-// corrupt shards must say whose output is bad.
-func decodeVote(name string, rec []byte) (labelmodel.Label, error) {
-	if len(rec) != 1 {
-		return 0, fmt.Errorf("lf %s: vote record has %d bytes, want 1", name, len(rec))
-	}
-	v := labelmodel.Label(int8(rec[0]))
-	if !v.Valid() {
-		return 0, fmt.Errorf("lf %s: stored vote byte %d out of range (want -1, 0, or +1)", name, int8(rec[0]))
-	}
-	return v, nil
 }

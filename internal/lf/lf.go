@@ -1,22 +1,21 @@
 // Package lf is the batch execution engine behind the public labeling-
-// function API (repro/pkg/drybell/lf): it adapts lf.LF values to MapReduce
-// jobs over the distributed filesystem. Each labeling function executes as
-// its own job writing votes to "labels/<name>" — "labeling functions are
-// independent executables that use a distributed filesystem to share data"
-// (§5.4) — and the Executor assembles the per-function outputs into the
-// label matrix Λ.
+// function API (repro/pkg/drybell/lf): it adapts lf.LF values to one fused
+// map-only MapReduce job over the distributed filesystem and assembles the
+// votes into the label matrix Λ, persisted as one columnar vote artifact at
+// "labels/votes".
+//
+// The paper's loose coupling — "labeling functions are independent
+// executables that use a distributed filesystem to share data" (§5.4) —
+// needs no second engine: an independent executable is an Execute over a
+// one-function set, and each invocation merges its column into the shared
+// artifact alongside the columns earlier invocations wrote (publishVotes;
+// cmd/lfrun is that executable).
 //
 // The authoring surface (templates, combinators, sets, analysis) lives in
-// the public package; this package owns only execution. The legacy Runner
-// types below predate the public API and remain as thin conversion shims
-// for one release.
+// the public package; this package owns only execution.
 package lf
 
-import (
-	"repro/internal/labelmodel"
-	"repro/internal/nlp"
-	lfapi "repro/pkg/drybell/lf"
-)
+import lfapi "repro/pkg/drybell/lf"
 
 // Meta describes one labeling function. It is the public API's Meta.
 type Meta = lfapi.Meta
@@ -31,63 +30,3 @@ const (
 	ModelBased       = lfapi.ModelBased
 	GraphBased       = lfapi.GraphBased
 )
-
-// Runner is the pre-SDK labeling-function shape: metadata plus a conversion
-// to the public API value both engines execute.
-//
-// Deprecated: author functions with repro/pkg/drybell/lf templates instead;
-// Runner remains only so code written against the old aliases keeps
-// compiling for one release.
-type Runner[T any] interface {
-	// LFMeta returns the function's metadata.
-	LFMeta() Meta
-	// LF converts the runner to its public-API equivalent.
-	LF() lfapi.LF[T]
-}
-
-// Func is the legacy default-pipeline template.
-//
-// Deprecated: use repro/pkg/drybell/lf.Func (field Fn).
-type Func[T any] struct {
-	Meta Meta
-	// Vote inspects one example and returns a vote or abstains.
-	Vote func(T) labelmodel.Label
-}
-
-// LFMeta implements Runner.
-func (f Func[T]) LFMeta() Meta { return f.Meta }
-
-// LF implements Runner.
-func (f Func[T]) LF() lfapi.LF[T] { return &lfapi.Func[T]{Meta: f.Meta, Fn: f.Vote} }
-
-// NLPFunc is the legacy model-server template.
-//
-// Deprecated: use repro/pkg/drybell/lf.NLPFunc.
-type NLPFunc[T any] struct {
-	Meta Meta
-	// NewServer constructs the model server launched on each compute node.
-	NewServer func() *nlp.Server
-	// GetText selects the text to send to the NLP models.
-	GetText func(T) string
-	// GetValue computes the vote from the example and the NLP annotations.
-	GetValue func(T, *nlp.Result) labelmodel.Label
-}
-
-// LFMeta implements Runner.
-func (f NLPFunc[T]) LFMeta() Meta { return f.Meta }
-
-// LF implements Runner.
-func (f NLPFunc[T]) LF() lfapi.LF[T] {
-	return &lfapi.NLPFunc[T]{Meta: f.Meta, NewServer: f.NewServer, GetText: f.GetText, GetValue: f.GetValue}
-}
-
-// FromRunners converts legacy runners to public-API labeling functions.
-//
-// Deprecated: migrate call sites to repro/pkg/drybell/lf values directly.
-func FromRunners[T any](runners []Runner[T]) []lfapi.LF[T] {
-	out := make([]lfapi.LF[T], len(runners))
-	for i, r := range runners {
-		out[i] = r.LF()
-	}
-	return out
-}

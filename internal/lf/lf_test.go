@@ -131,40 +131,6 @@ func TestExecuteOrderInvariantToShardCount(t *testing.T) {
 	}
 }
 
-// TestScalarAndBatchPathsAgree runs the same staged corpus through the
-// vectorized MapBatch path and the record-at-a-time path and requires
-// identical matrices and vote counters.
-func TestScalarAndBatchPathsAgree(t *testing.T) {
-	docs := testDocs()
-	run := func(noBatch bool) (*labelmodel.Matrix, *Report) {
-		fs := dfs.NewMem()
-		stageDocs(t, fs, docs, 3)
-		e := docExecutor(fs)
-		e.NoBatch = noBatch
-		mx, rep, err := e.Execute([]lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return mx, rep
-	}
-	bmx, brep := run(false)
-	smx, srep := run(true)
-	for i := 0; i < bmx.NumExamples(); i++ {
-		for j := 0; j < bmx.NumFuncs(); j++ {
-			if bmx.At(i, j) != smx.At(i, j) {
-				t.Fatalf("batch and scalar disagree at (%d,%d): %v vs %v", i, j, bmx.At(i, j), smx.At(i, j))
-			}
-		}
-	}
-	for j := range brep.PerLF {
-		if brep.PerLF[j].Positives != srep.PerLF[j].Positives ||
-			brep.PerLF[j].Negatives != srep.PerLF[j].Negatives ||
-			brep.PerLF[j].Abstains != srep.PerLF[j].Abstains {
-			t.Fatalf("vote counters diverge for %s: %+v vs %+v", brep.PerLF[j].Name, brep.PerLF[j], srep.PerLF[j])
-		}
-	}
-}
-
 func TestNLPServerLaunchedPerTask(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 3)
@@ -318,69 +284,6 @@ func TestLoadMatrixResumesFromDFS(t *testing.T) {
 				t.Fatalf("resumed matrix differs at (%d,%d)", i, j)
 			}
 		}
-	}
-}
-
-// TestLegacyRunnerConversion proves the deprecated Runner aliases still
-// execute through the new engine.
-func TestLegacyRunnerConversion(t *testing.T) {
-	legacy := Func[*corpus.Document]{
-		Meta: Meta{Name: "legacy_gossip", Category: ContentHeuristic, Servable: true},
-		Vote: func(d *corpus.Document) labelmodel.Label {
-			if strings.Contains(d.Body, "gossip") {
-				return labelmodel.Positive
-			}
-			return labelmodel.Abstain
-		},
-	}
-	fs := dfs.NewMem()
-	stageDocs(t, fs, testDocs(), 2)
-	mx, _, err := docExecutor(fs).Execute(FromRunners([]Runner[*corpus.Document]{legacy}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mx.At(0, 0) != labelmodel.Positive || mx.At(1, 0) != labelmodel.Abstain {
-		t.Error("legacy runner votes wrong through conversion")
-	}
-	// Legacy NLPFunc converts too, and runs per-node servers.
-	legacyNLP := NLPFunc[*corpus.Document]{
-		Meta:      Meta{Name: "legacy_ner", Category: ModelBased},
-		NewServer: func() *nlp.Server { return nlp.NewServer(0, 1) },
-		GetText:   func(d *corpus.Document) string { return d.Text() },
-		GetValue: func(_ *corpus.Document, res *nlp.Result) labelmodel.Label {
-			if len(res.People()) == 0 {
-				return labelmodel.Negative
-			}
-			return labelmodel.Abstain
-		},
-	}
-	_, rep, err := docExecutor(fs).Execute(FromRunners([]Runner[*corpus.Document]{legacyNLP}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.PerLF[0].ModelServersLaunched != 2 {
-		t.Errorf("legacy NLP servers launched = %d, want 2", rep.PerLF[0].ModelServersLaunched)
-	}
-}
-
-func TestVoteEncodingRoundTrip(t *testing.T) {
-	for _, v := range []labelmodel.Label{labelmodel.Negative, labelmodel.Abstain, labelmodel.Positive} {
-		enc, err := encodeVote(v)
-		if err != nil {
-			t.Fatalf("encodeVote(%v): %v", v, err)
-		}
-		got, err := decodeVote("x", enc)
-		if err != nil || got != v {
-			t.Errorf("round trip %v: %v, %v", v, got, err)
-		}
-	}
-	if _, err := decodeVote("lfname", []byte{7}); err == nil {
-		t.Error("out-of-range stored vote accepted")
-	} else if !strings.Contains(err.Error(), "lfname") {
-		t.Errorf("decode error does not name the function: %v", err)
-	}
-	if _, err := decodeVote("lfname", []byte{1, 2}); err == nil {
-		t.Error("long record accepted")
 	}
 }
 

@@ -1,6 +1,7 @@
 package lf
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"iter"
@@ -9,12 +10,13 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/remote"
+	"repro/internal/recordio"
 	lfapi "repro/pkg/drybell/lf"
 )
 
 // This file is the labeling-function side of the remote-worker deployment
 // contract. The coordinator stamps a code key into every vote job
-// (Job.Code); a worker process registers the matching implementations via
+// (Job.Code); a worker process registers the matching implementation via
 // RegisterVoteJobs and resolves the key at lease time. The key embeds the
 // ordered function-set names, so a worker built from a different set — or
 // the same set in a different order, which would scramble the columnar row
@@ -27,56 +29,30 @@ func FusedVoteCode(names []string) string {
 	return "lf-votes:" + strings.Join(names, "\x1f")
 }
 
-// PerLFVoteCode is the job-code key for one function's standalone vote job
-// (Executor.PerLFJobs mode).
-func PerLFVoteCode(name string) string {
-	return "lf-vote:" + name
-}
-
-// RegisterVoteJobs registers every vote job a coordinator can dispatch for
-// this labeling-function set: the fused all-functions job plus one per-LF
-// job, under the same code keys the Executor stamps. lfs must be the same
-// functions in the same order as the coordinator's set — the fused key
-// enforces this by construction. decode and noBatch must likewise match
-// the coordinator's Executor configuration.
+// RegisterVoteJobs registers the vote job a coordinator dispatches for this
+// labeling-function set, under the code key the Executor stamps: one key per
+// function set. lfs must be the same functions in the same order as the
+// coordinator's set — the key enforces this by construction — and decode
+// must likewise match the coordinator's Executor configuration.
 //
 // Functions needing a corpus-level fit pass (lfapi.CorpusFitter) fit
 // lazily inside Build, streaming the staged corpus through the worker's
 // filesystem — over the coordinator's DFS gateway in a real deployment —
 // so a remote worker reproduces the two-pass shape of §5.1 without any
 // coordinator-side state shipping.
-func RegisterVoteJobs[T any](reg *remote.Registry, lfs []lfapi.LF[T], decode func([]byte) (T, error), noBatch bool) error {
+func RegisterVoteJobs[T any](reg *remote.Registry, lfs []lfapi.LF[T], decode func([]byte) (T, error)) error {
 	names := make([]string, len(lfs))
 	for j, f := range lfs {
 		names[j] = f.LFMeta().Name
 	}
-	fused := remote.JobCode{
+	return reg.Register(FusedVoteCode(names), remote.JobCode{
 		Build: func(ctx context.Context, fs dfs.FS, inputBase string) (mapreduce.Mapper, mapreduce.Reducer, error) {
 			if err := fitAll(ctx, lfs, fs, inputBase, decode); err != nil {
 				return nil, nil, err
 			}
-			return &fusedTask[T]{ctx: ctx, lfs: lfs, decode: decode, noBatch: noBatch}, nil, nil
+			return &fusedTask[T]{ctx: ctx, lfs: lfs, decode: decode}, nil, nil
 		},
-	}
-	if err := reg.Register(FusedVoteCode(names), fused); err != nil {
-		return err
-	}
-	for _, f := range lfs {
-		f := f
-		meta := f.LFMeta()
-		code := remote.JobCode{
-			Build: func(ctx context.Context, fs dfs.FS, inputBase string) (mapreduce.Mapper, mapreduce.Reducer, error) {
-				if err := fitAll(ctx, []lfapi.LF[T]{f}, fs, inputBase, decode); err != nil {
-					return nil, nil, err
-				}
-				return voteMapper(ctx, f, decode, noBatch), nil, nil
-			},
-		}
-		if err := reg.Register(PerLFVoteCode(meta.Name), code); err != nil {
-			return err
-		}
-	}
-	return nil
+	})
 }
 
 // fitAll runs the corpus-fit pass for every unfitted CorpusFitter in lfs
@@ -95,8 +71,10 @@ func fitAll[T any](ctx context.Context, lfs []lfapi.LF[T], fs dfs.FS, inputBase 
 }
 
 // corpusSeq streams the decoded staged corpus at inputBase, shard by
-// shard, in record order. Shared by the coordinator's Executor.corpus and
-// worker-side fit passes.
+// shard, in record order — the first pass of two-pass functions, shared by
+// the coordinator's fit (runFused) and worker-side fit passes. Iteration
+// order is per-shard, not the original staging order, which aggregation
+// cannot observe.
 func corpusSeq[T any](fs dfs.FS, inputBase string, decode func([]byte) (T, error)) iter.Seq2[T, error] {
 	return func(yield func(T, error) bool) {
 		var zero T
@@ -111,7 +89,7 @@ func corpusSeq[T any](fs dfs.FS, inputBase string, decode func([]byte) (T, error
 				yield(zero, err)
 				return
 			}
-			recs, err := readAllRecords(data)
+			recs, err := recordio.ReadAll(bytes.NewReader(data))
 			if err != nil {
 				yield(zero, fmt.Errorf("shard %s: %w", shard, err))
 				return

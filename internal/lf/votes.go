@@ -1,17 +1,16 @@
 // Columnar vote artifact: the label matrix Λ persisted as one sharded,
-// byte-per-vote file set instead of one recordio shard set per labeling
-// function.
+// byte-per-vote file set — the only layout votes are written in or read
+// from.
 //
-// The executor used to write each function's votes as recordio records (12
-// bytes of framing per 1-byte vote) under "<prefix>/<lf-name>", then read
-// and decode every shard back to assemble the matrix. The columnar artifact
-// stores the whole matrix once under "<prefix>/votes": shard s holds the
-// vote rows of examples s, s+N, s+2N, … (the same round-robin layout as the
-// staged input), each row exactly n bytes, one byte per vote, with a CRC32
-// over the payload. A JSON meta file records the labeling-function names in
-// column order, so a resumed pipeline can select and reorder columns by
-// name. Readers copy votes straight into the matrix — no per-record
-// allocation or framing — and writers rent shard buffers from a pool.
+// The artifact stores the whole matrix once under "<prefix>/votes": shard s
+// holds the vote rows of examples s, s+N, s+2N, … (the same round-robin
+// layout as the staged input), each row exactly n bytes, one byte per vote,
+// with a CRC32 over the payload. A JSON meta file records the
+// labeling-function names in column order, so a resumed pipeline can select
+// and reorder columns by name. Readers copy votes straight into the matrix —
+// no per-record allocation or framing (a recordio record per vote would
+// spend 12 bytes of framing on each 1-byte vote) — and writers rent shard
+// buffers from a pool.
 package lf
 
 import (

@@ -10,10 +10,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/apps"
 	"repro/internal/corpus"
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
-	"repro/internal/mapreduce"
 	"repro/internal/recordio"
 	lfapi "repro/pkg/drybell/lf"
 )
@@ -190,94 +190,223 @@ func TestExecuteMergesAcrossInvocations(t *testing.T) {
 	}
 }
 
-// TestLoadMatrixLegacyLayout: a filesystem holding only the pre-columnar
-// per-LF recordio shard sets must still load, bit for bit.
-func TestLoadMatrixLegacyLayout(t *testing.T) {
-	fs := dfs.NewMem()
-	votesA := []labelmodel.Label{labelmodel.Positive, labelmodel.Abstain, labelmodel.Negative, labelmodel.Abstain, labelmodel.Positive}
-	votesB := []labelmodel.Label{labelmodel.Abstain, labelmodel.Negative, labelmodel.Negative, labelmodel.Positive, labelmodel.Abstain}
-	writeLegacy := func(name string, votes []labelmodel.Label) {
-		recs := make([][]byte, len(votes))
-		for i, v := range votes {
-			rec, err := encodeVote(v)
-			if err != nil {
-				t.Fatalf("encodeVote(%v): %v", v, err)
-			}
-			recs[i] = rec
-		}
-		if err := mapreduce.WriteInput(fs, "labels/"+name, recs, 2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	writeLegacy("alpha", votesA)
-	writeLegacy("beta", votesB)
-
-	mx, err := docExecutor(fs).LoadMatrix([]string{"alpha", "beta"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range votesA {
-		if mx.At(i, 0) != votesA[i] || mx.At(i, 1) != votesB[i] {
-			t.Fatalf("legacy row %d = [%d %d], want [%d %d]",
-				i, mx.At(i, 0), mx.At(i, 1), votesA[i], votesB[i])
-		}
-	}
-}
-
-// TestLegacyVoteShardRejectsBadByte: the compatibility reader keeps the
-// defensive decoding of the old format.
-func TestLegacyVoteShardRejectsBadByte(t *testing.T) {
-	fs := dfs.NewMem()
-	var buf bytes.Buffer
-	if err := recordio.WriteAll(&buf, [][]byte{{0x7}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := dfs.PublishShard(fs, "labels/bad", 0, 1, buf.Bytes()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := docExecutor(fs).LoadMatrix([]string{"bad"}); err == nil ||
-		!strings.Contains(err.Error(), "out of range") {
-		t.Fatalf("legacy bad vote error = %v", err)
-	}
-}
-
-// TestFusedMatchesPerLFJobs: the fused single-job mode and the paper's
-// one-job-per-function mode must produce identical matrices, counters, and
-// model-server launch counts.
-func TestFusedMatchesPerLFJobs(t *testing.T) {
-	docs := testDocs()
-	run := func(perLF bool) (*labelmodel.Matrix, *Report) {
-		fs := dfs.NewMem()
-		stageDocs(t, fs, docs, 3)
-		e := docExecutor(fs)
-		e.PerLFJobs = perLF
-		mx, rep, err := e.Execute([]lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
+// oracleVotes is the test-only reference the engine is held to: it never
+// touches the DFS, MapReduce, or the executor. It decodes the marshaled
+// documents itself, fits two-pass functions from the decoded slice, and
+// calls each function's Vote once per document in input order through one
+// per-node instance.
+func oracleVotes(t *testing.T, lfs []lfapi.LF[*corpus.Document], records [][]byte) *labelmodel.Matrix {
+	t.Helper()
+	ctx := context.Background()
+	docs := make([]*corpus.Document, len(records))
+	for i, rec := range records {
+		d, err := corpus.UnmarshalDocument(rec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return mx, rep
+		docs[i] = d
 	}
-	fmx, frep := run(false)
-	pmx, prep := run(true)
-	if fmx.NumExamples() != pmx.NumExamples() || fmx.NumFuncs() != pmx.NumFuncs() {
-		t.Fatalf("fused %d×%d vs per-LF %d×%d", fmx.NumExamples(), fmx.NumFuncs(), pmx.NumExamples(), pmx.NumFuncs())
-	}
-	for i := 0; i < fmx.NumExamples(); i++ {
-		for j := 0; j < fmx.NumFuncs(); j++ {
-			if fmx.At(i, j) != pmx.At(i, j) {
-				t.Fatalf("modes disagree at (%d,%d): %v vs %v", i, j, fmx.At(i, j), pmx.At(i, j))
+	mx := labelmodel.NewMatrix(len(docs), len(lfs))
+	for j, f := range lfs {
+		if fitter, ok := f.(lfapi.CorpusFitter[*corpus.Document]); ok {
+			err := fitter.FitCorpus(ctx, func(yield func(*corpus.Document, error) bool) {
+				for _, d := range docs {
+					if !yield(d, nil) {
+						return
+					}
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		inst := f
+		if nl, ok := f.(lfapi.NodeLocal[*corpus.Document]); ok {
+			inst = nl.ForNode()
+		}
+		lc, hasLifecycle := inst.(lfapi.Lifecycle)
+		if hasLifecycle {
+			if err := lc.Setup(ctx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i, d := range docs {
+			v, err := inst.Vote(ctx, d)
+			if err != nil {
+				t.Fatalf("%s: doc %d: %v", f.LFMeta().Name, i, err)
+			}
+			mx.Set(i, j, v)
+		}
+		if hasLifecycle {
+			if err := lc.Teardown(ctx); err != nil {
+				t.Fatal(err)
 			}
 		}
 	}
-	for j := range frep.PerLF {
-		f, p := frep.PerLF[j], prep.PerLF[j]
-		if f.Positives != p.Positives || f.Negatives != p.Negatives || f.Abstains != p.Abstains {
-			t.Errorf("%s: counters diverge between modes: %+v vs %+v", f.Name, f, p)
+	return mx
+}
+
+// TestFusedMatchesDirectVoteOracle: over the full topic-classification
+// function set, at several shard counts, the fused job must reproduce the
+// oracle's matrix vote for vote, report per-function counters that tally
+// with it, and launch exactly one model server per map task for each NLP
+// function (none for the others).
+func TestFusedMatchesDirectVoteOracle(t *testing.T) {
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 240, PositiveRate: 0.1, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := corpus.MarshalDocuments(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every run gets a fresh set: two-pass functions keep their fitted state.
+	newSet := func() []lfapi.LF[*corpus.Document] { return apps.TopicLFs(nil, 0.1, 7) }
+	want := oracleVotes(t, newSet(), records)
+
+	for _, shards := range []int{1, 3, 8} {
+		fs := dfs.NewMem()
+		stageDocs(t, fs, docs, shards)
+		lfs := newSet()
+		got, rep, err := docExecutor(fs).Execute(lfs)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
-		if f.ModelServersLaunched != p.ModelServersLaunched {
-			t.Errorf("%s: model servers launched %d (fused) vs %d (per-LF)",
-				f.Name, f.ModelServersLaunched, p.ModelServersLaunched)
+		if got.NumExamples() != want.NumExamples() || got.NumFuncs() != want.NumFuncs() {
+			t.Fatalf("shards=%d: engine %d×%d vs oracle %d×%d", shards,
+				got.NumExamples(), got.NumFuncs(), want.NumExamples(), want.NumFuncs())
 		}
+		for j, f := range lfs {
+			name := f.LFMeta().Name
+			var pos, neg, abs int64
+			for i := 0; i < want.NumExamples(); i++ {
+				if got.At(i, j) != want.At(i, j) {
+					t.Fatalf("shards=%d: %s disagrees with the oracle at doc %d: %v vs %v",
+						shards, name, i, got.At(i, j), want.At(i, j))
+				}
+				switch want.At(i, j) {
+				case labelmodel.Positive:
+					pos++
+				case labelmodel.Negative:
+					neg++
+				default:
+					abs++
+				}
+			}
+			r := rep.PerLF[j]
+			if r.Name != name || r.Positives != pos || r.Negatives != neg || r.Abstains != abs {
+				t.Errorf("shards=%d: %s reports +%d/-%d/0:%d, oracle tallies +%d/-%d/0:%d",
+					shards, name, r.Positives, r.Negatives, r.Abstains, pos, neg, abs)
+			}
+			wantServers := int64(0)
+			if _, isNLP := f.(*lfapi.NLPFunc[*corpus.Document]); isNLP {
+				wantServers = int64(shards)
+			}
+			if r.ModelServersLaunched != wantServers {
+				t.Errorf("shards=%d: %s launched %d model servers, want %d",
+					shards, name, r.ModelServersLaunched, wantServers)
+			}
+		}
+	}
+}
+
+// TestFailedInvocationKeepsEarlierColumns: functions run as independent
+// invocations against one root (the lfrun deployment shape); when a later
+// invocation fails on an invalid vote, the column an earlier one published
+// is still durable and loads.
+func TestFailedInvocationKeepsEarlierColumns(t *testing.T) {
+	fs := dfs.NewMem()
+	stageDocs(t, fs, testDocs(), 2)
+	if _, _, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{keywordLF()}); err != nil {
+		t.Fatal(err)
+	}
+	bad := lfapi.New(Meta{Name: "explodes"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Label(9) })
+	e := docExecutor(fs)
+	e.MaxAttempts = 1
+	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{bad}); err == nil {
+		t.Fatal("invalid vote not surfaced")
+	}
+	names, err := VoteNames(fs, "labels/votes")
+	if err != nil || len(names) != 1 || names[0] != "keyword_gossip" {
+		t.Fatalf("artifact columns after the failed invocation = %v, %v", names, err)
+	}
+	mx, err := docExecutor(fs).LoadMatrix([]string{"keyword_gossip"})
+	if err != nil {
+		t.Fatalf("first invocation's votes lost to the later failure: %v", err)
+	}
+	if mx.At(0, 0) != labelmodel.Positive {
+		t.Errorf("persisted vote wrong: %d", mx.At(0, 0))
+	}
+}
+
+// TestLoadMatrixNamesWhatIsMissing: a name the artifact has no column for
+// must be reported as exactly that, with the stored columns listed — and a
+// root carrying only per-function recordio shard sets must be reported as
+// having no vote artifact. Neither may surface as a shard-listing error, a
+// panic, or a partial matrix.
+func TestLoadMatrixNamesWhatIsMissing(t *testing.T) {
+	recordioVotes := func(t *testing.T, fs dfs.FS, name string) {
+		var buf bytes.Buffer
+		if err := recordio.WriteAll(&buf, [][]byte{{1}, {0}, {0xff}}); err != nil {
+			t.Fatal(err)
+		}
+		if err := dfs.PublishShard(fs, "labels/"+name, 0, 1, buf.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	executeKeyword := func(t *testing.T, fs dfs.FS) {
+		stageDocs(t, fs, testDocs(), 2)
+		if _, _, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{keywordLF()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tc := range []struct {
+		name    string
+		prepare func(t *testing.T, fs dfs.FS)
+		request []string
+		want    []string
+	}{
+		{
+			name:    "typo next to a stored column",
+			prepare: executeKeyword,
+			request: []string{"keyword_gossip", "keyword_gosip"},
+			want:    []string{`no column for "keyword_gosip"`, "stored: [keyword_gossip]"},
+		},
+		{
+			name: "function never run, recordio shards under its name",
+			prepare: func(t *testing.T, fs dfs.FS) {
+				executeKeyword(t, fs)
+				recordioVotes(t, fs, "old_lf")
+			},
+			request: []string{"old_lf"},
+			want:    []string{`no column for "old_lf"`, "stored: [keyword_gossip]"},
+		},
+		{
+			name: "root with only per-function recordio shard sets",
+			prepare: func(t *testing.T, fs dfs.FS) {
+				recordioVotes(t, fs, "alpha")
+				recordioVotes(t, fs, "beta")
+			},
+			request: []string{"alpha", "beta"},
+			want:    []string{"no vote artifact", "labels/votes"},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := dfs.NewMem()
+			tc.prepare(t, fs)
+			mx, err := docExecutor(fs).LoadMatrix(tc.request)
+			if err == nil {
+				t.Fatalf("loaded a %d×%d matrix for %v", mx.NumExamples(), mx.NumFuncs(), tc.request)
+			}
+			if mx != nil {
+				t.Errorf("partial matrix returned alongside error %v", err)
+			}
+			for _, frag := range tc.want {
+				if !strings.Contains(err.Error(), frag) {
+					t.Errorf("error %q does not contain %q", err, frag)
+				}
+			}
+		})
 	}
 }
 
@@ -298,53 +427,6 @@ func TestReadVotesDuplicateNames(t *testing.T) {
 			t.Fatalf("row %d: duplicated selection [%d %d %d], want [%d %d %d]",
 				i, got.At(i, 0), got.At(i, 1), got.At(i, 2), mx.At(i, 1), mx.At(i, 1), mx.At(i, 0))
 		}
-	}
-}
-
-// TestLoadMatrixMixedLayout: columns split between the columnar artifact
-// and legacy per-function shard sets (an old root upgraded mid-stream)
-// must load together.
-func TestLoadMatrixMixedLayout(t *testing.T) {
-	fs := dfs.NewMem()
-	stageDocs(t, fs, testDocs(), 2)
-	// Legacy shards for "old_lf", as the previous binary would have left.
-	legacy := []labelmodel.Label{labelmodel.Negative, labelmodel.Positive, labelmodel.Abstain, labelmodel.Positive, labelmodel.Negative}
-	recs := make([][]byte, len(legacy))
-	for i, v := range legacy {
-		rec, err := encodeVote(v)
-		if err != nil {
-			t.Fatalf("encodeVote(%v): %v", v, err)
-		}
-		recs[i] = rec
-	}
-	if err := mapreduce.WriteInput(fs, "labels/old_lf", recs, 2); err != nil {
-		t.Fatal(err)
-	}
-	// A fresh Execute writes the columnar artifact for the new function.
-	mx, _, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{keywordLF()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := docExecutor(fs).LoadMatrix([]string{"old_lf", "keyword_gossip"})
-	if err != nil {
-		t.Fatalf("mixed-layout load: %v", err)
-	}
-	for i := range legacy {
-		if loaded.At(i, 0) != legacy[i] {
-			t.Fatalf("legacy column row %d = %d, want %d", i, loaded.At(i, 0), legacy[i])
-		}
-		if loaded.At(i, 1) != mx.At(i, 0) {
-			t.Fatalf("columnar column row %d = %d, want %d", i, loaded.At(i, 1), mx.At(i, 0))
-		}
-	}
-	// A request for only legacy names must also work while the artifact
-	// exists for an unrelated set.
-	legacyOnly, err := docExecutor(fs).LoadMatrix([]string{"old_lf"})
-	if err != nil {
-		t.Fatalf("legacy-only load with artifact present: %v", err)
-	}
-	if legacyOnly.At(1, 0) != labelmodel.Positive {
-		t.Fatalf("legacy-only column wrong: %d", legacyOnly.At(1, 0))
 	}
 }
 
@@ -424,28 +506,6 @@ func TestPublishVotesConcurrentWriters(t *testing.T) {
 	}
 	if len(names) != writers {
 		t.Fatalf("artifact holds %d columns after %d concurrent writers: %v", len(names), writers, names)
-	}
-}
-
-// TestPerLFJobsPersistIncrementally: in per-LF mode a later function's
-// failure must not lose the votes of functions that already completed.
-func TestPerLFJobsPersistIncrementally(t *testing.T) {
-	fs := dfs.NewMem()
-	stageDocs(t, fs, testDocs(), 2)
-	bad := lfapi.New(Meta{Name: "explodes"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Label(9) })
-	e := docExecutor(fs)
-	e.PerLFJobs = true
-	e.MaxAttempts = 1
-	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{keywordLF(), bad}); err == nil {
-		t.Fatal("invalid vote not surfaced")
-	}
-	// The first function's column is already durable on the DFS.
-	mx, err := docExecutor(fs).LoadMatrix([]string{"keyword_gossip"})
-	if err != nil {
-		t.Fatalf("first LF's votes not persisted before the failure: %v", err)
-	}
-	if mx.At(0, 0) != labelmodel.Positive {
-		t.Errorf("persisted vote wrong: %d", mx.At(0, 0))
 	}
 }
 

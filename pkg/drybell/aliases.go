@@ -83,7 +83,7 @@ func NewMemFS() FS { return dfs.NewMem() }
 func NewDiskFS(dir string) (FS, error) { return dfs.NewDisk(dir) }
 
 // ListShards returns the complete, ordered shard set committed under base
-// (e.g. a VotesPath or LabelsPath), erroring on missing or inconsistent
+// (e.g. a LabelsPath), erroring on missing or inconsistent
 // shards so a partially written output is never consumed.
 func ListShards(fs FS, base string) ([]string, error) { return dfs.ListShards(fs, base) }
 
@@ -104,29 +104,3 @@ func LogicalORPosteriors(mx *Matrix) []float64 { return labelmodel.LogicalORPost
 
 // HardLabels thresholds probabilistic labels at 1/2 into votes.
 func HardLabels(posteriors []float64) []Label { return labelmodel.HardLabels(posteriors) }
-
-// ---------------------------------------------------------------------------
-// Legacy aliases, kept for one release.
-
-// Runner is the pre-lf-package labeling-function interface.
-//
-// Deprecated: author functions against repro/pkg/drybell/lf and pass
-// []drybell.LF[T]; convert stragglers with FromRunners.
-type Runner[T any] = internallf.Runner[T]
-
-// Func is the legacy default-pipeline template (field Vote).
-//
-// Deprecated: use repro/pkg/drybell/lf.Func (field Fn), which also serves
-// the online labeling path.
-type Func[T any] = internallf.Func[T]
-
-// NLPFunc is the legacy model-server template.
-//
-// Deprecated: use repro/pkg/drybell/lf.NLPFunc.
-type NLPFunc[T any] = internallf.NLPFunc[T]
-
-// FromRunners converts legacy runners into the labeling functions the
-// pipeline executes.
-//
-// Deprecated: migrate call sites to repro/pkg/drybell/lf values directly.
-func FromRunners[T any](runners []Runner[T]) []LF[T] { return internallf.FromRunners(runners) }

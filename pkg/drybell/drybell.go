@@ -182,12 +182,6 @@ func (p *Pipeline[T]) LabelsPath() string { return p.cfg.LabelsOutputBase() }
 // byte-per-vote matrix, with a ".meta" sidecar naming the columns.
 func (p *Pipeline[T]) VotesBase() string { return path.Join(p.cfg.VotesPrefix(), "votes") }
 
-// VotesPath returns the legacy per-function vote base path
-// ("<prefix>/<name>"). Current pipelines persist all votes in the single
-// columnar artifact at VotesBase; this path only locates shard sets written
-// by older runs, which LoadMatrix still reads.
-func (p *Pipeline[T]) VotesPath(name string) string { return path.Join(p.cfg.VotesPrefix(), name) }
-
 // Run executes all four stages: stage the source, execute the labeling
 // functions (analyzing the resulting matrix for the development loop),
 // denoise their votes, and persist the probabilistic labels. The function
@@ -253,10 +247,9 @@ func (p *Pipeline[T]) Analyze(matrix *Matrix, metas []Meta) (*Analysis, error) {
 
 // LoadMatrix reassembles the label matrix from vote state that an earlier
 // ExecuteLFs left on the filesystem, without re-running anything. Column j
-// holds the votes of names[j]. The columnar artifact at VotesBase is read
-// when present (selecting and reordering columns by name); filesystems
-// holding only the legacy per-function shard sets load through the
-// compatibility reader.
+// holds the votes of names[j], selected and reordered by name from the
+// columnar artifact at VotesBase (or its generation chain). A name the
+// artifact has no column for is an error listing the stored columns.
 func (p *Pipeline[T]) LoadMatrix(names []string) (*Matrix, error) {
 	return core.LoadMatrix(p.cfg, names)
 }

@@ -521,26 +521,3 @@ func TestDuplicateLFNamesFailBeforeStaging(t *testing.T) {
 		t.Error("corpus was staged despite invalid LF set")
 	}
 }
-
-// TestDeprecatedAliasesStillRun keeps the one-release compatibility
-// promise: the old Func/Runner shapes convert and execute.
-func TestDeprecatedAliasesStillRun(t *testing.T) {
-	legacy := drybell.Func[doc]{
-		Meta: drybell.Meta{Name: "legacy_kw", Category: drybell.ContentHeuristic, Servable: true},
-		Vote: func(d doc) drybell.Label {
-			if strings.Contains(d.Text, "gossip") {
-				return drybell.Positive
-			}
-			return drybell.Abstain
-		},
-	}
-	p := newPipeline(t)
-	res, err := p.Run(context.Background(), drybell.SliceSource(makeDocs(60)),
-		drybell.FromRunners([]drybell.Runner[doc]{legacy}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.LFReport.PerLF[0].Name != "legacy_kw" || res.LFReport.PerLF[0].Positives == 0 {
-		t.Errorf("legacy LF report = %+v", res.LFReport.PerLF[0])
-	}
-}

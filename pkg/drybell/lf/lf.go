@@ -64,8 +64,8 @@ const (
 
 // Meta describes one labeling function.
 type Meta struct {
-	// Name is unique within an application; it names the function's DFS
-	// output ("labels/<name>") and its column in analysis reports.
+	// Name is unique within an application; it names the function's column
+	// in the vote artifact ("labels/votes") and in analysis reports.
 	Name string
 	// Category is the Figure 2 bucket.
 	Category Category
@@ -203,8 +203,8 @@ func VoteAll[T any](ctx context.Context, f LF[T], xs []T) ([]Label, error) {
 }
 
 // ValidateNames checks that the set is non-empty and every function has a
-// unique, non-empty name. Duplicate names would silently overwrite each
-// other's vote shards at "labels/<name>" on the distributed filesystem.
+// unique, non-empty name. Duplicate names would claim the same column of
+// the vote artifact at "labels/votes" on the distributed filesystem.
 func ValidateNames[T any](lfs []LF[T]) error {
 	if len(lfs) == 0 {
 		return fmt.Errorf("lf: no labeling functions")

@@ -87,8 +87,8 @@ func WithRemoteWorkers(pool *RemotePool) Option {
 	}}
 }
 
-// RegisterRemoteLFs registers the vote jobs for the labeling-function set
-// into a worker's job registry, under the same code keys the coordinator
+// RegisterRemoteLFs registers the vote job for the labeling-function set
+// into a worker's job registry, under the same code key the coordinator
 // stamps into dispatched tasks. The set must match the coordinator's —
 // same functions, same order (the order fixes the vote matrix's column
 // layout, so the code key embeds it) — and decode must be the same codec
@@ -101,7 +101,7 @@ func RegisterRemoteLFs[T any](reg *RemoteRegistry, lfs []lf.LF[T], decode func([
 	if decode == nil {
 		return fmt.Errorf("drybell: RegisterRemoteLFs requires a decode function")
 	}
-	return internallf.RegisterVoteJobs(reg, lfs, decode, false)
+	return internallf.RegisterVoteJobs(reg, lfs, decode)
 }
 
 // RemoteWorkerOptions configures RunRemoteWorker.
