@@ -20,7 +20,7 @@ BENCH_LABEL ?= pr10
 # uploads it next to the benchmark numbers.
 TRACE_OUT  ?= /tmp/drybell-obs-trace.json
 
-.PHONY: build test verify vet loc bench bench-smoke obs-smoke remote-smoke chaos-smoke incremental-smoke
+.PHONY: build test verify vet loc bench bench-check bench-smoke obs-smoke remote-smoke chaos-smoke incremental-smoke
 
 build:
 	go build ./...
@@ -32,6 +32,7 @@ verify: build
 	test -z "$$(gofmt -l .)"
 	go vet ./...
 	$(MAKE) vet
+	$(MAKE) bench-check
 	go test ./...
 
 # Repo-specific invariants: the drybellvet analyzer suite (determinism,
@@ -44,6 +45,18 @@ vet:
 # bench/ is its own module and .bench_build/ is its build directory.
 loc:
 	@find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' -not -path './bench/*' | xargs cat | wc -l
+
+# bench/ is a nested module (bench/go.mod replaces repro => ../), so
+# `go build ./...` and `go test ./...` at the root never compile it — yet it
+# calls into internal/lf, internal/core and pkg/drybell. Vet and test it with
+# the environment bench/run.sh builds it in: caches under .bench_build/, no
+# toolchain download, no module proxy, no user go env.
+BENCH_BUILD := $(CURDIR)/.bench_build
+bench-check:
+	mkdir -p $(BENCH_BUILD)/tmp
+	env GOCACHE=$(BENCH_BUILD)/gocache GOPATH=$(BENCH_BUILD)/gopath GOTMPDIR=$(BENCH_BUILD)/tmp \
+		XDG_CONFIG_HOME=$(BENCH_BUILD)/config GOTOOLCHAIN=local GOPROXY=off GOENV=off \
+		sh -c 'go -C bench vet ./... && go -C bench test ./...'
 
 bench:
 	go test -run '^$$' -bench '$(BENCH)' -benchmem -benchtime=$(BENCHTIME) -count=$(BENCHCOUNT) . \

@@ -8,14 +8,12 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"path"
 
 	"repro/internal/dfs"
 	"repro/internal/lf"
 	"repro/internal/mapreduce"
-	"repro/internal/recordio"
 )
 
 // Compact folds the corpus delta ledger and the vote generation chain into
@@ -27,8 +25,10 @@ import (
 // Compact requires the vote store to be caught up with the corpus ledger
 // (every staged delta executed, e.g. by IncrementalRun); otherwise the
 // pending deltas' votes would be lost. It replays the deltas over the staged
-// records with the vote layer's exact semantics: later generations supersede
-// row ranges, tombstones drop rows unless a later generation rewrites them.
+// records with the vote layer's exact semantics — the same lf.Chain folds
+// both ledgers: later generations supersede row ranges, tombstones drop rows
+// unless a later generation rewrites them. A ledger whose tombstones cover
+// every row is refused (lf.ErrAllTombstoned) with the filesystem untouched.
 //
 // A crash mid-compaction leaves at worst a folded corpus ledger with the vote
 // chain still standing, which loads correctly and is repaired by running
@@ -56,44 +56,40 @@ func Compact[T any](cfg Config[T]) error {
 		return fmt.Errorf("drybell: compact: corpus ledger has %d generations but only %d executed; run IncrementalRun first", len(gens), executed)
 	}
 
-	records, err := readStagedRecords(cfg.FS, cfg.InputBase())
+	records, err := mapreduce.ReadStaged(cfg.FS, cfg.InputBase())
 	if err != nil {
 		return fmt.Errorf("drybell: compact: read base corpus: %w", err)
 	}
-	live := make([]bool, len(records))
-	for i := range live {
-		live[i] = true
+	// The ledger folds by the vote store's own rule (lf.Chain), so the
+	// restaged corpus and the folded votes keep exactly the same rows — and a
+	// fold with nothing left is refused before anything is rewritten.
+	chain, err := foldCorpus(len(records), gens)
+	if err != nil {
+		return err
 	}
+	if chain.Live() == 0 {
+		return fmt.Errorf("drybell: compact: %w (%d rows staged)", lf.ErrAllTombstoned, chain.Rows)
+	}
+	records = append(records, make([][]byte, chain.Rows-len(records))...)
 	for _, g := range gens {
-		if g.Records > 0 {
-			drecs, err := readStagedRecords(cfg.FS, cfg.deltaInputBase(g.Gen))
-			if err != nil {
-				return fmt.Errorf("drybell: compact: read delta generation %d: %w", g.Gen, err)
-			}
-			if len(drecs) != g.Records {
-				return fmt.Errorf("drybell: compact: delta generation %d staged %d records, manifest says %d", g.Gen, len(drecs), g.Records)
-			}
-			if end := g.StartRow + len(drecs); end > len(records) {
-				records = append(records, make([][]byte, end-len(records))...)
-				live = append(live, make([]bool, end-len(live))...)
-			}
-			for i, rec := range drecs {
-				records[g.StartRow+i] = rec
-				live[g.StartRow+i] = true
-			}
+		if g.Records == 0 {
+			continue
 		}
-		for _, row := range g.Deleted {
-			if row >= 0 && row < len(live) {
-				live[row] = false
-			}
+		drecs, err := mapreduce.ReadStaged(cfg.FS, cfg.deltaInputBase(g.Gen))
+		if err != nil {
+			return fmt.Errorf("drybell: compact: read delta generation %d: %w", g.Gen, err)
 		}
+		if len(drecs) != g.Records {
+			return fmt.Errorf("drybell: compact: delta generation %d staged %d records, manifest says %d", g.Gen, len(drecs), g.Records)
+		}
+		copy(records[g.StartRow:], drecs)
 	}
 	w, err := mapreduce.NewInputWriter(cfg.FS, cfg.InputBase(), cfg.Shards)
 	if err != nil {
 		return err
 	}
 	for i, rec := range records {
-		if !live[i] {
+		if chain.Tombstoned(i) {
 			continue
 		}
 		if err := w.Append(rec); err != nil {
@@ -125,39 +121,4 @@ func Compact[T any](cfg Config[T]) error {
 		_ = cfg.FS.Remove(cfg.deltaInputBase(g.Gen) + ".count")
 	}
 	return lf.CompactGenerations(cfg.FS, votesBase, cfg.Shards)
-}
-
-// readStagedRecords reads a staged shard set back in staging order: record k
-// is the k/n-th record of shard k%n (the InputWriter round-robin layout).
-func readStagedRecords(fs dfs.FS, base string) ([][]byte, error) {
-	shards, err := dfs.ListShards(fs, base)
-	if err != nil {
-		return nil, err
-	}
-	n := len(shards)
-	perShard := make([][][]byte, n)
-	total := 0
-	for s, shard := range shards {
-		data, err := fs.ReadFile(shard)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := recordio.ReadAll(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("shard %s: %w", shard, err)
-		}
-		perShard[s] = recs
-		total += len(recs)
-	}
-	out := make([][]byte, total)
-	for s, recs := range perShard {
-		for r, rec := range recs {
-			idx := s + r*n
-			if idx >= total {
-				return nil, fmt.Errorf("staged shards at %s are inconsistent (index %d of %d)", base, idx, total)
-			}
-			out[idx] = rec
-		}
-	}
-	return out, nil
 }

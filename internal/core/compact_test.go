@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"path"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dfs"
 	"repro/internal/lf"
+	"repro/internal/mapreduce"
 )
 
 // TestCompactRestoresFlatState is the compaction contract: after appends,
@@ -138,5 +140,45 @@ func compareShards(t *testing.T, a, b dfs.FS, base, what string) {
 		if !bytes.Equal(ad, bd) {
 			t.Errorf("%s shard %s is not byte-identical to the cold run's", what, as[i])
 		}
+	}
+}
+
+// TestCompactRefusesAllTombstoned: when the ledger's tombstones cover every
+// staged row there is nothing to compact to. Compact used to restage an empty
+// corpus, drop the ledger and then panic folding the votes; it must refuse up
+// front and leave the filesystem as it found it.
+func TestCompactRefusesAllTombstoned(t *testing.T) {
+	ctx := context.Background()
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 120, PositiveRate: 0.05, Seed: 47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := dfs.NewMem()
+	cfg := topicConfig(fs)
+	cfg.WorkDir = "drybell" // pin the default so InputBase below resolves
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	if _, err := Run(cfg, docs, lfs); err != nil {
+		t.Fatal(err)
+	}
+	everyRow := make([]int, len(docs))
+	for i := range everyRow {
+		everyRow[i] = i
+	}
+	if _, err := StageDelta(ctx, cfg, nil, everyRow); err != nil {
+		t.Fatal(err)
+	}
+	// The delta executes (its generation is published), then loading the
+	// empty view fails — an error, not a panic.
+	if _, err := IncrementalRun(ctx, cfg, lfs, nil); !errors.Is(err, lf.ErrAllTombstoned) {
+		t.Fatalf("IncrementalRun = %v, want ErrAllTombstoned", err)
+	}
+	if err := Compact(cfg); !errors.Is(err, lf.ErrAllTombstoned) {
+		t.Fatalf("Compact = %v, want ErrAllTombstoned", err)
+	}
+	if gens, err := CorpusGenerations(cfg); err != nil || len(gens) != 1 {
+		t.Errorf("refused Compact changed the corpus ledger: %+v, %v", gens, err)
+	}
+	if n, err := mapreduce.CountRecords(fs, cfg.InputBase()); err != nil || n != len(docs) {
+		t.Errorf("refused Compact restaged the corpus: %d records, %v", n, err)
 	}
 }

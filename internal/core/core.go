@@ -22,7 +22,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/binary"
 	"fmt"
@@ -38,7 +37,6 @@ import (
 	"repro/internal/lf"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
-	"repro/internal/recordio"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -293,12 +291,8 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 	var n int
 	stageResumed := false
 	if cfg.Resume {
-		// The cheap path is the count sidecar staging wrote (validated
-		// against the committed shards by Stat); a corpus staged by an older
-		// binary without one still resumes via the full scan.
-		if staged, serr := mapreduce.ReadStagedCount(cfg.FS, cfg.InputBase()); serr == nil {
-			n, stageResumed = staged, true
-		} else if staged, serr := mapreduce.CountRecords(cfg.FS, cfg.InputBase()); serr == nil && staged > 0 {
+		// An empty shard set is not a committed corpus: stage over it.
+		if staged, serr := mapreduce.StagedCount(cfg.FS, cfg.InputBase()); serr == nil && staged > 0 {
 			n, stageResumed = staged, true
 		}
 	}
@@ -465,10 +459,10 @@ func ExecuteLFs[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]) (*
 	return mx, report, err
 }
 
-// LoadMatrix reassembles the label matrix from vote state a previous
-// ExecuteLFs left on the filesystem, without re-running anything. Column j
-// holds the votes of names[j], read from the columnar artifact or its
-// generation chain; a name with no stored column is an error.
+// LoadMatrix reassembles the label matrix from vote state earlier runs left
+// on the filesystem, without re-running anything. Column j holds the votes of
+// names[j], read in one scan over the vote store — the columnar artifact and
+// every generation over it; a name with no stored column is an error.
 func LoadMatrix[T any](cfg Config[T], names []string) (*labelmodel.Matrix, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
@@ -566,37 +560,16 @@ func WriteLabels(fs dfs.FS, base string, labels []float64, shards int) error {
 
 // ReadLabels loads labels persisted by WriteLabels, restoring input order.
 func ReadLabels(fs dfs.FS, base string) ([]float64, error) {
-	shards, err := dfs.ListShards(fs, base)
+	recs, err := mapreduce.ReadStaged(fs, base)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("drybell: read labels: %w", err)
 	}
-	n := len(shards)
-	perShard := make([][][]byte, n)
-	total := 0
-	for s, shard := range shards {
-		data, err := fs.ReadFile(shard)
-		if err != nil {
-			return nil, err
+	out := make([]float64, len(recs))
+	for i, rec := range recs {
+		if len(rec) != 8 {
+			return nil, fmt.Errorf("drybell: label record has %d bytes", len(rec))
 		}
-		recs, err := recordio.ReadAll(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("drybell: labels shard %s: %w", shard, err)
-		}
-		perShard[s] = recs
-		total += len(recs)
-	}
-	out := make([]float64, total)
-	for s, recs := range perShard {
-		for r, rec := range recs {
-			if len(rec) != 8 {
-				return nil, fmt.Errorf("drybell: label record has %d bytes", len(rec))
-			}
-			idx := s + r*n
-			if idx >= total {
-				return nil, fmt.Errorf("drybell: label shard layout inconsistent")
-			}
-			out[idx] = math.Float64frombits(binary.LittleEndian.Uint64(rec))
-		}
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec))
 	}
 	return out, nil
 }

@@ -21,6 +21,7 @@ import (
 	"path"
 	"time"
 
+	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	"repro/internal/lf"
 	"repro/internal/mapreduce"
@@ -74,9 +75,14 @@ func CorpusGenerations[T any](cfg Config[T]) ([]CorpusGeneration, error) {
 
 func readCorpusManifest[T any](cfg Config[T]) ([]CorpusGeneration, error) {
 	raw, err := cfg.FS.ReadFile(cfg.CorpusManifestPath())
-	if err != nil {
-		// No manifest: no deltas have been staged yet.
+	if dfs.IsNotExist(err) {
+		// No manifest: no deltas have been staged yet. Only absence means
+		// that — a failed read taken for "no deltas" would restart the ledger
+		// at generation 1 and supersede the deltas already staged.
 		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("drybell: read corpus manifest: %w", err)
 	}
 	var m corpusManifest
 	if err := json.Unmarshal(raw, &m); err != nil {
@@ -118,23 +124,30 @@ func CorpusTotalRows[T any](cfg Config[T]) (int, error) {
 }
 
 func corpusTotalRows[T any](cfg Config[T]) (int, error) {
-	base, err := mapreduce.ReadStagedCount(cfg.FS, cfg.InputBase())
+	base, err := mapreduce.StagedCount(cfg.FS, cfg.InputBase())
 	if err != nil {
-		if base, err = mapreduce.CountRecords(cfg.FS, cfg.InputBase()); err != nil {
-			return 0, fmt.Errorf("drybell: no staged base corpus at %s: %w", cfg.InputBase(), err)
-		}
+		return 0, fmt.Errorf("drybell: no staged base corpus at %s: %w", cfg.InputBase(), err)
 	}
 	gens, err := readCorpusManifest(cfg)
 	if err != nil {
 		return 0, err
 	}
-	total := base
+	chain, err := foldCorpus(base, gens)
+	return chain.Rows, err
+}
+
+// foldCorpus folds the corpus ledger over a base corpus of baseRows rows by
+// the vote store's chain rule (lf.Chain.Apply): corpus delta n and vote
+// generation n cover the same rows, so one rule decides for both ledgers how
+// many rows the chain holds and which are tombstoned.
+func foldCorpus(baseRows int, gens []CorpusGeneration) (lf.Chain, error) {
+	chain := lf.Chain{Rows: baseRows}
 	for _, g := range gens {
-		if end := g.StartRow + g.Records; end > total {
-			total = end
+		if _, err := chain.Apply(g.Gen, g.StartRow, g.Records, g.Deleted); err != nil {
+			return chain, fmt.Errorf("drybell: corpus ledger: %w", err)
 		}
 	}
-	return total, nil
+	return chain, nil
 }
 
 // StageDelta stages a corpus delta — new documents appended after the rows
@@ -317,9 +330,6 @@ func IncrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState) (*IncrementalResult, error) {
 	exec := cfg.executor()
 	votesBase := path.Join(cfg.VotesPrefix(), "votes")
-	if !lf.HasVotes(cfg.FS, votesBase) && !lf.HasGenerations(cfg.FS, votesBase) {
-		return nil, fmt.Errorf("drybell: incremental run needs a completed base run (no vote artifact at %s)", votesBase)
-	}
 	gens, err := readCorpusManifest(cfg)
 	if err != nil {
 		return nil, err
@@ -327,6 +337,13 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	executed, err := lf.LatestGeneration(cfg.FS, votesBase)
 	if err != nil {
 		return nil, err
+	}
+	if executed == 0 && !lf.HasVotes(cfg.FS, votesBase) {
+		return nil, fmt.Errorf("drybell: incremental run needs a completed base run (no vote artifact at %s)", votesBase)
+	}
+	baseRows, err := mapreduce.StagedCount(cfg.FS, cfg.InputBase())
+	if err != nil {
+		return nil, fmt.Errorf("drybell: no staged base corpus at %s: %w", cfg.InputBase(), err)
 	}
 
 	res := &IncrementalResult{}
@@ -336,21 +353,16 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	// staged before the delta) and deletions reshape already-compacted rows,
 	// so they drop training to the α-only warm start.
 	appendOnly := true
-	baseRows, err := mapreduce.ReadStagedCount(cfg.FS, cfg.InputBase())
-	if err != nil {
-		if baseRows, err = mapreduce.CountRecords(cfg.FS, cfg.InputBase()); err != nil {
-			return nil, fmt.Errorf("drybell: no staged base corpus at %s: %w", cfg.InputBase(), err)
-		}
-	}
-	totalSoFar := baseRows
+	chain := lf.Chain{Rows: baseRows}
 	now := time.Now() //drybellvet:wallclock — staleness metric only, never in artifacts
 	for _, g := range gens {
-		pending := g.Gen > executed
-		if pending && (len(g.Deleted) > 0 || g.StartRow < totalSoFar) {
-			appendOnly = false
+		appended, err := chain.Apply(g.Gen, g.StartRow, g.Records, g.Deleted)
+		if err != nil {
+			return nil, fmt.Errorf("drybell: corpus ledger: %w", err)
 		}
-		if end := g.StartRow + g.Records; end > totalSoFar {
-			totalSoFar = end
+		pending := g.Gen > executed
+		if pending && !appended {
+			appendOnly = false
 		}
 		if !pending {
 			continue
@@ -374,12 +386,7 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 		res.DeltaTaskAttempts += report.TaskAttempts
 	}
 
-	names := make([]string, len(lfs))
-	//drybellvet:tightloop — bounded by the function set, in-memory name collection
-	for j, f := range lfs {
-		names[j] = f.LFMeta().Name
-	}
-	mx, err := exec.LoadMatrix(names)
+	mx, err := exec.LoadMatrix(lfapi.Names(lfs))
 	if err != nil {
 		return nil, err
 	}

@@ -2,13 +2,16 @@ package core
 
 import (
 	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/corpus"
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
+	lfapi "repro/pkg/drybell/lf"
 )
 
 func maxDiff(a, b []float64) float64 {
@@ -161,5 +164,85 @@ func TestIncrementalRunCaughtUpAndDeletions(t *testing.T) {
 	// A delta with nothing in it is rejected at staging.
 	if _, err := StageDelta(context.Background(), cfg, nil, nil); err == nil {
 		t.Fatal("empty delta staged")
+	}
+}
+
+// TestStageDeltaSurvivesManifestReadFault: a transient read fault on the
+// corpus manifest used to read as "no deltas staged", so the next StageDelta
+// restarted the ledger at generation 1, row 300, and silently superseded the
+// delta already staged there. Only a missing manifest means an empty ledger;
+// any other read error must stop the staging.
+func TestStageDeltaSurvivesManifestReadFault(t *testing.T) {
+	ctx := context.Background()
+	full, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 320, PositiveRate: 0.05, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ffs := dfs.NewFaultFS(dfs.NewMem(), 1)
+	cfg := topicConfig(ffs)
+	if _, err := StageExamples(ctx, cfg, Examples(full[:300])); err != nil {
+		t.Fatal(err)
+	}
+	if g, err := StageDelta(ctx, cfg, Examples(full[300:310]), nil); err != nil || g.Gen != 1 || g.StartRow != 300 {
+		t.Fatalf("first delta = %+v, %v", g, err)
+	}
+
+	ffs.FailNext(dfs.OpRead, "_corpus.json", 1)
+	if g, err := StageDelta(ctx, cfg, Examples(full[310:]), nil); err == nil {
+		t.Fatalf("staged %+v through a failed manifest read", g)
+	} else if !errors.Is(err, dfs.ErrInjected) {
+		t.Fatalf("staging failed with %v, want the injected read fault", err)
+	}
+	gens, err := CorpusGenerations(cfg)
+	if err != nil || len(gens) != 1 || gens[0].StartRow != 300 || gens[0].Records != 10 {
+		t.Fatalf("ledger after the fault = %+v, %v; want the first delta untouched", gens, err)
+	}
+
+	g, err := StageDelta(ctx, cfg, Examples(full[310:]), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Gen != 2 || g.StartRow != 310 {
+		t.Fatalf("retried delta = %+v, want generation 2 at row 310", g)
+	}
+}
+
+// TestIncrementalRunRejectsTruncatedManifest: a torn vote-generation manifest
+// must stop the run with an error naming the manifest, not train on the stale
+// flat artifact.
+func TestIncrementalRunRejectsTruncatedManifest(t *testing.T) {
+	ctx := context.Background()
+	full, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 330, PositiveRate: 0.05, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := dfs.NewMem()
+	cfg := topicConfig(fs)
+	cfg.WorkDir = "drybell"
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	if _, err := Run(cfg, full[:300], lfs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := StageDelta(ctx, cfg, Examples(full[300:]), nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := IncrementalRun(ctx, cfg, lfs, nil); err != nil {
+		t.Fatal(err)
+	}
+	key := "drybell/labels/votes/_gen/00001"
+	raw, err := fs.ReadFile(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(key, raw[:len(raw)/2]); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := IncrementalRun(ctx, cfg, lfs, nil); err == nil {
+		t.Fatalf("ran over a truncated manifest: %d rows", res.Matrix.NumExamples())
+	} else if !strings.Contains(err.Error(), key) {
+		t.Fatalf("error does not name the manifest %s: %v", key, err)
+	}
+	if _, err := LoadMatrix(cfg, lfapi.Names(lfs)); err == nil || !strings.Contains(err.Error(), key) {
+		t.Fatalf("LoadMatrix over a truncated manifest = %v, want an error naming %s", err, key)
 	}
 }

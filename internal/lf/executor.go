@@ -225,11 +225,6 @@ func (e *Executor[T]) ExecuteDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 }
 
 func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Delta, gen int) (*labelmodel.Matrix, *Report, error) {
-	names := make([]string, len(lfs))
-	//drybellvet:tightloop — bounded by the function set, in-memory name collection
-	for j, f := range lfs {
-		names[j] = f.LFMeta().Name
-	}
 	var matrix *labelmodel.Matrix
 	report := &Report{PerLF: make([]LFReport, len(lfs))}
 	nsh := 1
@@ -254,7 +249,7 @@ func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 			return nil, nil, err
 		}
 	}
-	meta := GenerationMeta{Gen: gen, Names: names, StartRow: d.StartRow, Shards: nsh, Deleted: d.Deleted}
+	meta := GenerationMeta{Gen: gen, Names: lfapi.Names(lfs), StartRow: d.StartRow, Shards: nsh, Deleted: d.Deleted}
 	if err := WriteGeneration(e.FS, e.votesBase(), meta, matrix); err != nil {
 		return nil, nil, err
 	}
@@ -268,37 +263,22 @@ func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 // different — falls through to task-level execution (whose own manifests
 // then skip committed work).
 func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, bool) {
-	base := e.votesBase()
-	if !HasVotes(e.FS, base) {
-		return nil, nil, false
-	}
-	stored, err := VoteNames(e.FS, base)
+	plan, err := planVotes(e.FS, e.votesBase(), false, lfapi.Names(lfs))
 	if err != nil {
 		return nil, nil, false
 	}
-	have := make(map[string]bool, len(stored))
-	for _, name := range stored {
-		have[name] = true
-	}
-	names := make([]string, len(lfs))
-	for j, f := range lfs {
-		names[j] = f.LFMeta().Name
-		if !have[names[j]] {
+	staged := e.KnownExamples
+	if staged <= 0 {
+		if staged, err = mapreduce.StagedCount(e.FS, e.InputBase); err != nil {
 			return nil, nil, false
 		}
 	}
-	staged := e.KnownExamples
-	if staged <= 0 {
-		var err error
-		if staged, err = mapreduce.ReadStagedCount(e.FS, e.InputBase); err != nil {
-			if staged, err = mapreduce.CountRecords(e.FS, e.InputBase); err != nil {
-				return nil, nil, false
-			}
-		}
+	if plan.chain.Rows != staged {
+		return nil, nil, false
 	}
 	start := time.Now() //drybellvet:wallclock — times the resume load for the report only
-	mx, _, err := ReadVotes(e.FS, base, names)
-	if err != nil || mx.NumExamples() != staged {
+	mx, _, err := plan.read(e.FS)
+	if err != nil {
 		return nil, nil, false
 	}
 	// The report is reconstructed from the matrix itself; per-node detail
@@ -463,37 +443,28 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 // loose coupling, where each labeling function can run as its own process
 // and later runs add votes alongside earlier ones (see cmd/lfrun). The
 // filesystem has atomic renames but no compare-and-swap, so a concurrent
-// writer between our read and our write could make its columns vanish;
-// after each write the meta is re-read and the merge retried until every
-// column that was visible survives together with ours.
+// writer between our read and our write could make its columns vanish. Two
+// checks narrow that window (closing it needs a lock or CAS in dfs.FS): the
+// artifact must still carry the write generation the merge started from just
+// before it is overwritten, and is scanned again just after — the merge is
+// redone until every column that was visible survives together with ours.
 func publishVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) error {
-	const attempts = 4
+	const attempts = 8
 	for try := 0; try < attempts; try++ {
-		merged, mergedNames := mergeVotes(fs, base, mx, names)
+		merged, mergedNames, basis := mergeVotes(fs, base, mx, names)
+		if cur, _ := readVotesMeta(fs, base); cur.generation() != basis {
+			continue // someone published since we read: our merge is stale
+		}
 		if err := WriteVotes(fs, base, merged, mergedNames, shards); err != nil {
 			return err
 		}
 		// Verify the full artifact, not just the meta: interleaved shard
 		// renames from a concurrent writer leave a mixed-generation set,
-		// which the integrity check detects — treat that like lost columns
-		// and merge again. Whoever verifies last converges the artifact to
-		// the union.
-		after, err := VerifyVotes(fs, base)
-		if err != nil {
-			continue
-		}
-		have := make(map[string]bool, len(after))
-		for _, name := range after {
-			have[name] = true
-		}
-		lost := false
-		for _, name := range mergedNames {
-			if !have[name] {
-				lost = true
-				break
-			}
-		}
-		if !lost {
+		// which the scan's integrity checks detect — treat that like lost
+		// columns and merge again. Whoever verifies last converges the
+		// artifact to the union.
+		after, err := planVotes(fs, base, false, mergedNames)
+		if err == nil && after.scan(fs, nil) == nil {
 			return nil
 		}
 	}
@@ -501,87 +472,62 @@ func publishVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string,
 }
 
 // mergeVotes combines freshly executed votes with an existing columnar
-// artifact: existing columns keep their position (same-named columns are
-// replaced by the fresh votes), new columns append in execution order. An
-// absent, unreadable, or different-corpus artifact (example count mismatch)
-// is simply superseded by the fresh votes.
-func mergeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string) (*labelmodel.Matrix, []string) {
-	if !HasVotes(fs, base) {
-		return mx, names
-	}
-	// Common case first, from the meta alone: the fresh run covers every
-	// stored column (e.g. re-running the standard whole-set pipeline), so
-	// nothing of the old artifact survives and its shards need not even be
-	// read.
-	oldNames, err := VoteNames(fs, base)
-	if err != nil {
-		return mx, names
-	}
-	freshSet := make(map[string]bool, len(names))
-	for _, name := range names {
-		freshSet[name] = true
-	}
-	allCovered := true
-	for _, name := range oldNames {
-		if !freshSet[name] {
-			allCovered = false
+// artifact: the old artifact is planned and scanned into a view wide enough
+// for both, then the fresh matrix applies over it as the newest segment —
+// existing columns keep their position (same-named columns are replaced by
+// the fresh votes), new columns append in execution order. It also returns
+// the write generation it merged from (0 for no artifact). An absent,
+// unreadable, or different-corpus artifact (example count mismatch) is
+// simply superseded by the fresh votes — but a failed scan is most often a
+// concurrent writer between its first shard rename and its meta write, and
+// superseding then drops every column but ours, so the read backs off and
+// starts over a few times (≈6 ms in all) before the artifact is written off.
+func mergeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string) (*labelmodel.Matrix, []string, uint64) {
+	var basis uint64
+	for read := 0; read < 6; read++ {
+		if read > 0 {
+			time.Sleep(100 * time.Microsecond << read)
+		}
+		old, err := planVotes(fs, base, false, nil)
+		if err != nil {
 			break
 		}
-	}
-	if allCovered {
-		return mx, names
-	}
-	old, _, err := ReadVotes(fs, base, nil)
-	if err != nil || old.NumExamples() != mx.NumExamples() {
-		return mx, names
-	}
-	return mergeVotesAt(old, oldNames, mx, names, 0)
-}
-
-// mergeVotesAt is the row-range merge shared by whole-artifact publication
-// (mergeVotes, startRow 0) and generation layering (ReadVersioned): fresh
-// votes covering rows [startRow, startRow+k) of the view supersede the old
-// matrix column-wise — columns the fresh matrix carries are overwritten
-// inside the range, columns it lacks keep their old votes — while rows
-// outside the range pass through unchanged and the view grows to cover
-// appended rows. New columns join the union after the existing ones,
-// Abstain-filled wherever they never voted. old may be nil (empty view).
-func mergeVotesAt(old *labelmodel.Matrix, oldNames []string, mx *labelmodel.Matrix, names []string, startRow int) (*labelmodel.Matrix, []string) {
-	oldRows := 0
-	if old != nil {
-		oldRows = old.NumExamples()
-	}
-	total := oldRows
-	if end := startRow + mx.NumExamples(); end > total {
-		total = end
-	}
-	oldIdx := make(map[string]int, len(oldNames))
-	for j, name := range oldNames {
-		oldIdx[name] = j
-	}
-	mergedNames := append([]string(nil), oldNames...)
-	fresh := make(map[string]int, len(names))
-	for j, name := range names {
-		fresh[name] = j
-		if _, ok := oldIdx[name]; !ok {
-			mergedNames = append(mergedNames, name)
+		basis = old.segments[0].meta.generation()
+		if old.chain.Rows != mx.NumExamples() {
+			break
 		}
-	}
-	merged := labelmodel.NewMatrix(total, len(mergedNames))
-	end := startRow + mx.NumExamples()
-	for k, name := range mergedNames {
-		fj, inFresh := fresh[name]
-		oj, inOld := oldIdx[name]
-		for i := 0; i < total; i++ {
-			switch {
-			case inFresh && i >= startRow && i < end:
-				merged.Set(i, k, mx.At(i-startRow, fj))
-			case inOld && i < oldRows:
-				merged.Set(i, k, old.At(i, oj))
+		mergedNames := append([]string(nil), old.names...)
+		col := make(map[string]int, len(old.names)+len(names))
+		for j, name := range old.names {
+			col[name] = j
+		}
+		dst := make([]int, len(names)) // dst[j] is the merged column of fresh column j
+		for j, name := range names {
+			if _, ok := col[name]; !ok {
+				col[name] = len(mergedNames)
+				mergedNames = append(mergedNames, name)
+			}
+			dst[j] = col[name]
+		}
+		// Common case, from the meta alone: the fresh run covers every stored
+		// column (e.g. re-running the standard whole-set pipeline), so nothing
+		// of the old artifact survives and its shards need not even be read.
+		if len(mergedNames) == len(names) {
+			break
+		}
+		merged := labelmodel.NewMatrix(mx.NumExamples(), len(mergedNames))
+		if err := old.scan(fs, merged); err != nil {
+			continue
+		}
+		for i := 0; i < mx.NumExamples(); i++ {
+			row := merged.Row(i)
+			for j, v := range mx.Row(i) {
+				row[dst[j]] = v
 			}
 		}
+		return merged, mergedNames, basis
 	}
-	return merged, mergedNames
+	return mx, names, basis
 }
 
 // votesBase is the DFS base of the columnar vote artifact.
@@ -727,30 +673,19 @@ func (m *fusedTask[T]) Teardown(tctx *mapreduce.TaskContext) error {
 }
 
 // LoadMatrix assembles the label matrix from vote state already on the DFS
-// — the output of an earlier Execute run — without re-executing anything.
-// Column j holds the votes of names[j]. This is how a caller resumes a
-// pipeline from persisted state: labeling functions share data via the
-// filesystem, so their outputs outlive the process that ran them.
-//
-// A name the artifact has no column for (a typo, or a function never run
-// against this root) is an error naming the column and listing the stored
-// ones; a root with no columnar artifact at all says so.
+// — the output of earlier Execute and ExecuteDelta runs — without
+// re-executing anything; column j holds the votes of names[j]. This is how a
+// caller resumes a pipeline from persisted state: labeling functions share
+// data via the filesystem, so their outputs outlive the process that ran
+// them. It is the store's one read over the whole chain (readVotes). A
+// corrupt manifest or shard fails the load, never shortens it; a name with
+// no stored column (a typo, a function never run against this root) is an
+// error listing the stored ones; a root with no vote state at all says so.
 func (e *Executor[T]) LoadMatrix(names []string) (*labelmodel.Matrix, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lf: no labeling function names to load")
 	}
-	base := e.votesBase()
-	// Generations first: once any delta has been published, the flat
-	// artifact alone is stale, and the compacted view of the chain is the
-	// corpus's current matrix.
-	if HasGenerations(e.FS, base) {
-		mx, _, err := ReadVersioned(e.FS, base, names)
-		return mx, err
-	}
-	if !HasVotes(e.FS, base) {
-		return nil, fmt.Errorf("lf: no vote artifact at %s (run Execute against this root first)", base)
-	}
-	mx, _, err := ReadVotes(e.FS, base, names)
+	mx, _, err := readVotes(e.FS, e.votesBase(), true, names)
 	return mx, err
 }
 

@@ -10,15 +10,18 @@
 // absent; the data segment commits before its manifest, so a visible
 // manifest always has readable data.
 //
-// Readers assemble the compacted view of the chain: the legacy flat
-// artifact (when present) is the base layer, generations apply in ascending
-// order with later row ranges superseding earlier ones column-wise, and
-// tombstoned rows are dropped with the remaining rows shifted down. A
-// filesystem carrying only the flat artifact reads exactly as before.
+// The store is read one way (votes.go: planVotes, then one scan): the flat
+// artifact is the segment at row 0, generations follow in ascending order,
+// Chain folds their row ranges and tombstones, the view is allocated once at
+// live rows × requested columns, and each segment streams into it oldest
+// first — so later row ranges supersede earlier ones column-wise and
+// tombstoned rows never materialize. A store carrying only the flat artifact
+// is the one-segment case of the same read.
 package lf
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"path"
@@ -33,7 +36,7 @@ import (
 // GenerationMeta is the manifest of one vote generation.
 type GenerationMeta struct {
 	// Gen is the generation number, 1-based and strictly increasing; the
-	// legacy flat artifact is implicitly generation 0.
+	// flat artifact is implicitly generation 0.
 	Gen int `json:"gen"`
 	// Names lists this generation's labeling functions in column order.
 	Names []string `json:"names"`
@@ -131,13 +134,6 @@ func WriteGeneration(fs dfs.FS, base string, meta GenerationMeta, mx *labelmodel
 	return nil
 }
 
-// HasGenerations reports whether any vote generation has been published over
-// the artifact at base.
-func HasGenerations(fs dfs.FS, base string) bool {
-	gens, err := ListGenerations(fs, base)
-	return err == nil && len(gens) > 0
-}
-
 // LatestGeneration returns the highest published generation number, or 0
 // when only the flat artifact (or nothing) exists.
 func LatestGeneration(fs dfs.FS, base string) (int, error) {
@@ -207,97 +203,61 @@ func ListGenerations(fs dfs.FS, base string) ([]GenerationMeta, error) {
 	return gens, nil
 }
 
-// ReadVersioned assembles the compacted view of the generation chain at
-// base: the flat artifact (generation 0) layered under every published
-// generation in ascending order. Later generations supersede earlier rows in
-// their row range column-wise — columns they carry are overwritten, columns
-// they don't keep the older votes — and tombstoned rows are dropped from the
-// result with subsequent rows shifted down. Column selection follows
-// ReadVotes: nil names returns the column union in first-seen order.
-//
-// With no generations published this is exactly ReadVotes on the flat
-// artifact, so pre-versioning filesystems read unchanged.
-func ReadVersioned(fs dfs.FS, base string, names []string) (*labelmodel.Matrix, []string, error) {
-	gens, err := ListGenerations(fs, base)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(gens) == 0 {
-		return ReadVotes(fs, base, names)
-	}
+// ErrAllTombstoned is the cause reported when a chain's tombstones cover
+// every row it holds: there is no view to read and nothing to compact to.
+var ErrAllTombstoned = errors.New("every row is tombstoned")
 
-	var view *labelmodel.Matrix
-	var union []string
-	total := 0
-	if HasVotes(fs, base) {
-		mx, lnames, err := ReadVotes(fs, base, nil)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lf: versioned votes at %s: base artifact: %w", base, err)
-		}
-		view, union = mx, lnames
-		total = mx.NumExamples()
-	}
-	deleted := make(map[int]bool)
-	for _, g := range gens {
-		if g.StartRow > total {
-			return nil, nil, fmt.Errorf("lf: vote generation %d at %s starts at row %d, beyond the %d rows covered by earlier generations",
-				g.Gen, base, g.StartRow, total)
-		}
-		if g.Rows > 0 {
-			mx, gnames, err := ReadVotes(fs, genDataBase(base, g.Gen), nil)
-			if err != nil {
-				return nil, nil, fmt.Errorf("lf: vote generation %d at %s: data segment: %w", g.Gen, base, err)
-			}
-			if mx.NumExamples() != g.Rows {
-				return nil, nil, fmt.Errorf("lf: vote generation %d at %s holds %d rows, manifest says %d",
-					g.Gen, base, mx.NumExamples(), g.Rows)
-			}
-			view, union = mergeVotesAt(view, union, mx, gnames, g.StartRow)
-			total = view.NumExamples()
-			// Rows this generation writes clear earlier tombstones (a
-			// rewritten doc supersedes its own deletion); its own tombstones
-			// apply after.
-			for i := g.StartRow; i < g.StartRow+g.Rows; i++ {
-				delete(deleted, i)
-			}
-		}
-		for _, d := range g.Deleted {
-			if d >= total {
-				return nil, nil, fmt.Errorf("lf: vote generation %d at %s tombstones row %d, beyond the %d rows covered",
-					g.Gen, base, d, total)
-			}
-			deleted[d] = true
-		}
-	}
-	if view == nil {
-		return nil, nil, fmt.Errorf("lf: versioned votes at %s carry no vote rows (tombstones only)", base)
-	}
+// Chain is the running state of a generation chain — vote generations over
+// the flat artifact, or corpus deltas over the staged base corpus, which
+// advance in lockstep. Start it at the base's row count (the zero Chain is
+// an empty base) and Apply the entries in ascending generation order.
+type Chain struct {
+	// Rows is the number of absolute rows (staging order, before tombstone
+	// compaction) covered so far; the next append starts here.
+	Rows  int
+	tombs map[int]struct{}
+}
 
-	if len(deleted) > 0 {
-		live := make([]int, 0, total-len(deleted))
-		for i := 0; i < total; i++ {
-			if !deleted[i] {
-				live = append(live, i)
-			}
+// Apply is the chain rule's one implementation. Rows [startRow,
+// startRow+rows) supersede what earlier generations put there — clearing any
+// tombstone on them, since a rewritten row supersedes its own deletion — and
+// extend the chain when they reach past its end; the generation's own
+// tombstones apply after. A generation may not start beyond the rows covered
+// so far (a gap is a staging bug, never padded) nor tombstone a row the chain
+// does not hold. appended reports a pure append: rows starting exactly at the
+// chain's end and no tombstones, so everything before them survives verbatim.
+func (c *Chain) Apply(gen, startRow, rows int, deleted []int) (appended bool, err error) {
+	if startRow < 0 || startRow > c.Rows {
+		return false, fmt.Errorf("generation %d starts at row %d, beyond the %d rows covered by earlier generations",
+			gen, startRow, c.Rows)
+	}
+	appended = startRow == c.Rows && len(deleted) == 0
+	//drybellvet:ordered — deletes only; the surviving set is the same in any order
+	for d := range c.tombs {
+		if d >= startRow && d < startRow+rows {
+			delete(c.tombs, d)
 		}
-		view = view.SubsetRows(live)
 	}
-	if names == nil {
-		return view, union, nil
-	}
-	colOf := make(map[string]int, len(union))
-	for j, n := range union {
-		colOf[n] = j
-	}
-	sel := make([]int, len(names))
-	for j, n := range names {
-		c, ok := colOf[n]
-		if !ok {
-			return nil, nil, fmt.Errorf("lf: versioned votes at %s have no column for %q (stored: %v)", base, n, union)
+	c.Rows = max(c.Rows, startRow+rows)
+	for _, d := range deleted {
+		if d < 0 || d >= c.Rows {
+			return false, fmt.Errorf("generation %d tombstones row %d, beyond the %d rows covered", gen, d, c.Rows)
 		}
-		sel[j] = c
+		if c.tombs == nil {
+			c.tombs = make(map[int]struct{})
+		}
+		c.tombs[d] = struct{}{}
 	}
-	return view.SubsetColumns(sel), names, nil
+	return appended, nil
+}
+
+// Live is the number of rows the compacted view holds.
+func (c *Chain) Live() int { return c.Rows - len(c.tombs) }
+
+// Tombstoned reports whether absolute row i is dropped from the view.
+func (c *Chain) Tombstoned(i int) bool {
+	_, dead := c.tombs[i]
+	return dead
 }
 
 // CompactGenerations folds the generation chain back into one flat columnar
@@ -305,7 +265,8 @@ func ReadVersioned(fs dfs.FS, base string, names []string) (*labelmodel.Matrix, 
 // and removes the folded generation files. The resulting artifact is
 // byte-identical to what a from-scratch run over the same (compacted) corpus
 // would publish with the same shard count, because the artifact's write
-// generation is content-derived.
+// generation is content-derived. A chain whose tombstones cover every row is
+// refused (ErrAllTombstoned) with the store untouched.
 //
 // Tombstoned rows are dropped in the fold, so after compaction row indices
 // are the post-compaction staging order; callers that track absolute row
@@ -318,7 +279,7 @@ func CompactGenerations(fs dfs.FS, base string, shards int) error {
 	if len(gens) == 0 {
 		return nil
 	}
-	mx, names, err := ReadVersioned(fs, base, nil)
+	mx, names, err := readVotes(fs, base, true, nil)
 	if err != nil {
 		return err
 	}

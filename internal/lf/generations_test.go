@@ -36,7 +36,7 @@ func TestGenerationAppendExtendsLegacyArtifact(t *testing.T) {
 	}
 	delta := writeGen(t, fs, "labels/votes", 1, 50, 10, names, nil, 2)
 
-	got, gotNames, err := ReadVersioned(fs, "labels/votes", nil)
+	got, gotNames, err := readVotes(fs, "labels/votes", true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestGenerationSupersedeOrder(t *testing.T) {
 	g1 := writeGen(t, fs, "labels/votes", 1, 5, 10, names, nil, 4)
 	g2 := writeGen(t, fs, "labels/votes", 2, 10, 8, names, nil, 5)
 
-	got, _, err := ReadVersioned(fs, "labels/votes", nil)
+	got, _, err := readVotes(fs, "labels/votes", true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestGenerationTombstones(t *testing.T) {
 	// Gen 1 appends rows 10..12 and tombstones rows 3 and 7.
 	g1 := writeGen(t, fs, "labels/votes", 1, 10, 3, names, []int{3, 7}, 7)
 
-	got, _, err := ReadVersioned(fs, "labels/votes", nil)
+	got, _, err := readVotes(fs, "labels/votes", true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGenerationTombstones(t *testing.T) {
 
 	// Gen 2 rewrites rows 7..8: the tombstone on row 7 is cleared.
 	g2 := writeGen(t, fs, "labels/votes", 2, 7, 2, names, nil, 8)
-	got, _, err = ReadVersioned(fs, "labels/votes", nil)
+	got, _, err = readVotes(fs, "labels/votes", true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestGenerationCorruptManifestRejected(t *testing.T) {
 	if err := fs.WriteFile(key, tampered); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadVersioned(fs, "labels/votes", nil); err == nil {
+	if _, _, err := readVotes(fs, "labels/votes", true, nil); err == nil {
 		t.Fatal("tampered manifest accepted")
 	} else if !strings.Contains(err.Error(), "corrupt") || !strings.Contains(err.Error(), key) {
 		t.Fatalf("tampered manifest error not descriptive: %v", err)
@@ -186,7 +186,7 @@ func TestGenerationCorruptManifestRejected(t *testing.T) {
 	if err := fs.WriteFile(key, raw[:len(raw)/2]); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadVersioned(fs, "labels/votes", nil); err == nil {
+	if _, _, err := readVotes(fs, "labels/votes", true, nil); err == nil {
 		t.Fatal("truncated manifest accepted")
 	} else if !strings.Contains(err.Error(), "corrupt") {
 		t.Fatalf("truncated manifest error not descriptive: %v", err)
@@ -196,13 +196,13 @@ func TestGenerationCorruptManifestRejected(t *testing.T) {
 	if err := fs.WriteFile(key, raw); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ReadVersioned(fs, "labels/votes", nil); err != nil {
+	if _, _, err := readVotes(fs, "labels/votes", true, nil); err != nil {
 		t.Fatalf("restored manifest still rejected: %v", err)
 	}
 }
 
 // TestGenerationLegacyFallback pins that a filesystem carrying only the flat
-// pre-versioning artifact reads through ReadVersioned unchanged.
+// pre-versioning artifact reads through the chain reader unchanged.
 func TestGenerationLegacyFallback(t *testing.T) {
 	fs := dfs.NewMem()
 	names := []string{"x", "y", "z"}
@@ -213,7 +213,7 @@ func TestGenerationLegacyFallback(t *testing.T) {
 	if HasGenerations(fs, "labels/votes") {
 		t.Fatal("legacy artifact misdetected as versioned")
 	}
-	got, gotNames, err := ReadVersioned(fs, "labels/votes", []string{"z", "x"})
+	got, gotNames, err := readVotes(fs, "labels/votes", true, []string{"z", "x"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +238,7 @@ func TestGenerationColumnUnion(t *testing.T) {
 	}
 	g1 := writeGen(t, fs, "labels/votes", 1, 8, 2, []string{"b", "c"}, nil, 13)
 
-	got, gotNames, err := ReadVersioned(fs, "labels/votes", nil)
+	got, gotNames, err := readVotes(fs, "labels/votes", true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +275,7 @@ func TestCompactGenerations(t *testing.T) {
 	writeGen(t, fs, "labels/votes", 1, 40, 6, names, []int{2}, 15)
 	writeGen(t, fs, "labels/votes", 2, 46, 4, names, nil, 16)
 
-	want, wantNames, err := ReadVersioned(fs, "labels/votes", nil)
+	want, wantNames, err := readVotes(fs, "labels/votes", true, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +337,7 @@ func TestGenerationGapRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeGen(t, fs, "labels/votes", 1, 9, 2, names, nil, 18)
-	if _, _, err := ReadVersioned(fs, "labels/votes", nil); err == nil {
+	if _, _, err := readVotes(fs, "labels/votes", true, nil); err == nil {
 		t.Fatal("gapped generation accepted")
 	} else if !strings.Contains(err.Error(), "starts at row") {
 		t.Fatalf("gap error not descriptive: %v", err)

@@ -1,7 +1,6 @@
 package lf
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"iter"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/remote"
-	"repro/internal/recordio"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -78,32 +76,21 @@ func fitAll[T any](ctx context.Context, lfs []lfapi.LF[T], fs dfs.FS, inputBase 
 func corpusSeq[T any](fs dfs.FS, inputBase string, decode func([]byte) (T, error)) iter.Seq2[T, error] {
 	return func(yield func(T, error) bool) {
 		var zero T
-		shards, err := dfs.ListShards(fs, inputBase)
-		if err != nil {
-			yield(zero, err)
-			return
-		}
-		for _, shard := range shards {
-			data, err := fs.ReadFile(shard)
-			if err != nil {
-				yield(zero, err)
-				return
-			}
-			recs, err := recordio.ReadAll(bytes.NewReader(data))
-			if err != nil {
-				yield(zero, fmt.Errorf("shard %s: %w", shard, err))
-				return
-			}
+		err := mapreduce.EachShard(fs, inputBase, func(_, _ int, recs [][]byte) bool {
 			for _, rec := range recs {
 				x, err := decode(rec)
 				if err != nil {
 					yield(zero, err)
-					return
+					return false
 				}
 				if !yield(x, nil) {
-					return
+					return false
 				}
 			}
+			return true
+		})
+		if err != nil {
+			yield(zero, err)
 		}
 	}
 }

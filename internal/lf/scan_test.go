@@ -1,0 +1,410 @@
+package lf
+
+import (
+	"encoding/binary"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"hash/crc32"
+	"math/rand"
+	"runtime"
+	"strings"
+	"testing"
+
+	"repro/internal/corpus"
+	"repro/internal/dfs"
+	"repro/internal/labelmodel"
+)
+
+const storeBase = "labels/votes"
+
+func sameMatrix(t *testing.T, what string, got, want *labelmodel.Matrix) {
+	t.Helper()
+	if got.NumExamples() != want.NumExamples() || got.NumFuncs() != want.NumFuncs() {
+		t.Fatalf("%s: %d×%d, oracle %d×%d", what, got.NumExamples(), got.NumFuncs(), want.NumExamples(), want.NumFuncs())
+	}
+	for i := 0; i < want.NumExamples(); i++ {
+		for j := 0; j < want.NumFuncs(); j++ {
+			if got.At(i, j) != want.At(i, j) {
+				t.Fatalf("%s: vote [%d,%d] = %d, oracle %d", what, i, j, got.At(i, j), want.At(i, j))
+			}
+		}
+	}
+}
+
+// randomColumns draws a non-empty subset of the column pool in random order.
+func randomColumns(rng *rand.Rand, pool []string) []string {
+	perm := rng.Perm(len(pool))
+	cols := make([]string, 1+rng.Intn(len(pool)))
+	for j := range cols {
+		cols[j] = pool[perm[j]]
+	}
+	return cols
+}
+
+// writeRandomChain publishes a random store at storeBase — an optional flat
+// base, then 1–8 generations of appends, rewrites, tombstones and
+// deletion-only entries over random column subsets and shard counts — that
+// always keeps at least one live row.
+func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS) {
+	t.Helper()
+	pool := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
+	total := 0
+	dead := map[int]bool{}
+	if rng.Intn(4) > 0 {
+		total = 1 + rng.Intn(30)
+		cols := randomColumns(rng, pool)
+		if err := WriteVotes(fs, storeBase, randomVotes(t, total, len(cols), rng.Int63()), cols, 1+rng.Intn(5)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for gen, gens := 1, 1+rng.Intn(8); gen <= gens; gen++ {
+		meta := GenerationMeta{Gen: gen, Names: randomColumns(rng, pool), Shards: 1 + rng.Intn(4)}
+		rows := 1 + rng.Intn(10)
+		switch kind := rng.Intn(4); {
+		case total == 0 || kind == 0: // append
+			meta.StartRow = total
+		case kind == 1: // deletions only
+			meta.StartRow, rows = total, 0
+		default: // rewrite, possibly running past the end
+			meta.StartRow = rng.Intn(total)
+		}
+		for i := meta.StartRow; i < meta.StartRow+rows; i++ {
+			delete(dead, i)
+		}
+		total = max(total, meta.StartRow+rows)
+		if rows == 0 || rng.Intn(2) == 0 {
+			for _, d := range rng.Perm(total)[:rng.Intn(min(total, 4)+1)] {
+				if len(dead) < total-1 || dead[d] {
+					meta.Deleted = append(meta.Deleted, d)
+					dead[d] = true
+				}
+			}
+		}
+		var mx *labelmodel.Matrix
+		if rows > 0 {
+			mx = randomVotes(t, rows, len(meta.Names), rng.Int63())
+		} else if len(meta.Deleted) == 0 {
+			continue // nothing to publish; generation numbers may skip
+		}
+		if err := WriteGeneration(fs, storeBase, meta, mx); err != nil {
+			t.Fatalf("generation %d: %v", gen, err)
+		}
+	}
+}
+
+// TestScanMatchesOracleOnGeneratedChains: over seeded random stores and
+// random column projections (subsets, reorderings, duplicates), the one
+// reader returns exactly what the old per-generation re-merge returned,
+// VerifyVotes accepts the store, and compacting it leaves a flat artifact
+// that reads back as the same view.
+func TestScanMatchesOracleOnGeneratedChains(t *testing.T) {
+	for seed := int64(1); seed <= 150; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		fs := dfs.NewMem()
+		writeRandomChain(t, rng, fs)
+		what := fmt.Sprintf("seed %d", seed)
+
+		full, union, err := oracleReadVersioned(fs, storeBase, nil)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", what, err)
+		}
+		var names []string
+		if rng.Intn(3) > 0 {
+			names = make([]string, 1+rng.Intn(6))
+			for j := range names {
+				names[j] = union[rng.Intn(len(union))]
+			}
+		}
+		want, wantNames, err := oracleReadVersioned(fs, storeBase, names)
+		if err != nil {
+			t.Fatalf("%s: oracle: %v", what, err)
+		}
+		got, gotNames, err := readVotes(fs, storeBase, true, names)
+		if err != nil {
+			t.Fatalf("%s: readVotes(%v): %v", what, names, err)
+		}
+		if fmt.Sprint(gotNames) != fmt.Sprint(wantNames) {
+			t.Fatalf("%s: names %v, oracle %v", what, gotNames, wantNames)
+		}
+		sameMatrix(t, what+" projected", got, want)
+
+		stored, err := VerifyVotes(fs, storeBase)
+		if err != nil || fmt.Sprint(stored) != fmt.Sprint(union) {
+			t.Fatalf("%s: VerifyVotes = %v, %v; oracle union %v", what, stored, err, union)
+		}
+
+		if err := CompactGenerations(fs, storeBase, 1+rng.Intn(5)); err != nil {
+			t.Fatalf("%s: compact: %v", what, err)
+		}
+		flat, flatNames, err := ReadVotes(fs, storeBase, nil)
+		if err != nil {
+			t.Fatalf("%s: read compacted: %v", what, err)
+		}
+		if fmt.Sprint(flatNames) != fmt.Sprint(union) {
+			t.Fatalf("%s: compacted names %v, oracle %v", what, flatNames, union)
+		}
+		sameMatrix(t, what+" compacted", flat, full)
+	}
+}
+
+// rewriteManifest applies edit to generation gen's manifest and re-seals it
+// with a valid checksum, so the edit reaches the checks behind the CRC.
+func rewriteManifest(t *testing.T, fs dfs.FS, gen int, edit func(*GenerationMeta)) {
+	t.Helper()
+	key := genManifestPath(storeBase, gen)
+	raw, err := fs.ReadFile(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta GenerationMeta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	edit(&meta)
+	if meta.CRC, err = manifestCRC(meta); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(key, raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteShard applies edit to a stored shard and re-seals its payload
+// checksum, so the edit reaches the checks behind the CRC.
+func rewriteShard(t *testing.T, fs dfs.FS, shard string, edit func(data []byte) []byte) {
+	t.Helper()
+	data, err := fs.ReadFile(shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data = edit(data)
+	binary.LittleEndian.PutUint32(data[12:16], crc32.ChecksumIEEE(data[voteShardHeaderSize:]))
+	if err := fs.WriteFile(shard, data); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func rewriteMeta(t *testing.T, fs dfs.FS, base string, edit func(*votesMeta)) {
+	t.Helper()
+	raw, err := fs.ReadFile(votesMetaPath(base))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta votesMeta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	edit(&meta)
+	if raw, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(votesMetaPath(base), raw); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEveryStoredByteCheckStillFires is the check-by-check table of the one
+// reader: each stored-byte verification the seven readers performed between
+// them is tripped by one damaged store, and must reject it through every
+// entry point that scans the whole store — LoadMatrix, VerifyVotes and
+// CompactGenerations (which must then leave the chain standing).
+func TestEveryStoredByteCheckStillFires(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	flatShard := dfs.ShardPath(storeBase, 1, 4)
+	genShard := dfs.ShardPath(genDataBase(storeBase, 1), 2, 3)
+	corrupt := func(path string, offset int) func(*testing.T, *dfs.Mem) {
+		return func(t *testing.T, fs *dfs.Mem) {
+			if err := fs.Corrupt(path, offset); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for _, tc := range []struct {
+		check  string
+		damage func(t *testing.T, fs *dfs.Mem)
+		want   string
+	}{
+		// One flipped byte.
+		{"shard CRC (flat payload byte)", corrupt(flatShard, voteShardHeaderSize+2), "checksum mismatch"},
+		{"shard magic (generation shard header)", corrupt(genShard, 1), "bad magic"},
+		{"shard columns (generation shard header)", corrupt(genShard, 4), "columns, meta says"},
+		{"shard write generation", corrupt(flatShard, 17), "another write generation"},
+		{"votes.meta unreadable", corrupt(votesMetaPath(storeBase), 0), "decode votes meta"},
+		{"manifest CRC (flipped byte)", corrupt(genManifestPath(storeBase, 2), 10), "is corrupt"},
+		// Edits re-sealed behind their checksum.
+		{"meta degenerate", func(t *testing.T, fs *dfs.Mem) {
+			rewriteMeta(t, fs, storeBase, func(m *votesMeta) { m.Shards = 0 })
+		}, "is degenerate"},
+		{"meta shard count", func(t *testing.T, fs *dfs.Mem) {
+			rewriteMeta(t, fs, genDataBase(storeBase, 1), func(m *votesMeta) { m.Shards = 2 })
+		}, "shards on filesystem, meta says 2"},
+		{"meta row total", func(t *testing.T, fs *dfs.Mem) {
+			rewriteMeta(t, fs, storeBase, func(m *votesMeta) { m.Examples = 41 })
+		}, "hold 40 rows, meta says 41"},
+		{"shard payload size", func(t *testing.T, fs *dfs.Mem) {
+			rewriteShard(t, fs, flatShard, func(d []byte) []byte { return d[:len(d)-1] })
+		}, "payload is"},
+		{"vote byte range", func(t *testing.T, fs *dfs.Mem) {
+			rewriteShard(t, fs, genShard, func(d []byte) []byte { d[voteShardHeaderSize+1] = 5; return d })
+		}, "stored vote byte 5 out of range"},
+		{"manifest key", func(t *testing.T, fs *dfs.Mem) {
+			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.Gen = 3 })
+		}, "claims generation 3"},
+		{"manifest degenerate", func(t *testing.T, fs *dfs.Mem) {
+			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.Shards = 0 })
+		}, "is degenerate"},
+		{"generation gap", func(t *testing.T, fs *dfs.Mem) {
+			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.StartRow = 60 })
+		}, "starts at row 60"},
+		{"tombstone range", func(t *testing.T, fs *dfs.Mem) {
+			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.Deleted = []int{99} })
+		}, "tombstones row 99"},
+		{"manifest rows vs segment", func(t *testing.T, fs *dfs.Mem) {
+			rewriteManifest(t, fs, 1, func(m *GenerationMeta) { m.Rows = 7 })
+		}, "holds 9 rows, manifest says 7"},
+	} {
+		t.Run(tc.check, func(t *testing.T) {
+			fs := dfs.NewMem()
+			if err := WriteVotes(fs, storeBase, randomVotes(t, 40, 3, 1), names, 4); err != nil {
+				t.Fatal(err)
+			}
+			writeGen(t, fs, storeBase, 1, 40, 9, names, []int{3}, 2)
+			writeGen(t, fs, storeBase, 2, 45, 8, names, nil, 3)
+			if _, err := VerifyVotes(fs, storeBase); err != nil {
+				t.Fatalf("intact store rejected: %v", err)
+			}
+			tc.damage(t, fs)
+
+			_, loadErr := docExecutor(fs).LoadMatrix(names)
+			_, verifyErr := VerifyVotes(fs, storeBase)
+			compactErr := CompactGenerations(fs, storeBase, 4)
+			for entry, err := range map[string]error{"LoadMatrix": loadErr, "VerifyVotes": verifyErr, "CompactGenerations": compactErr} {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s = %v, want an error containing %q", entry, err, tc.want)
+				}
+			}
+			if keys, err := fs.List(genDir(storeBase) + "/"); err != nil || len(keys) == 0 {
+				t.Errorf("refused compaction still removed the chain (%v, %v)", keys, err)
+			}
+		})
+	}
+}
+
+// TestLoadMatrixRejectsTruncatedManifest: a torn generation manifest used to
+// read as "no chain", so LoadMatrix returned the stale 10-row flat artifact
+// of a 14-row store without a word. It must fail naming the manifest.
+func TestLoadMatrixRejectsTruncatedManifest(t *testing.T) {
+	fs := dfs.NewMem()
+	names := []string{"a", "b"}
+	if err := WriteVotes(fs, storeBase, randomVotes(t, 10, 2, 1), names, 2); err != nil {
+		t.Fatal(err)
+	}
+	writeGen(t, fs, storeBase, 1, 10, 4, names, nil, 2)
+	key := genManifestPath(storeBase, 1)
+	raw, err := fs.ReadFile(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(key, raw[:len(raw)/2]); err != nil {
+		t.Fatal(err)
+	}
+	mx, err := docExecutor(fs).LoadMatrix(names)
+	if err == nil {
+		t.Fatalf("loaded %d rows past a truncated manifest", mx.NumExamples())
+	}
+	if !strings.Contains(err.Error(), key) {
+		t.Fatalf("error does not name the manifest %s: %v", key, err)
+	}
+}
+
+// TestAllRowsTombstonedIsAnError: a chain whose tombstones cover every row
+// used to panic inside the reader (a 0-row matrix). The plan knows the live
+// count before allocating: reads and compaction refuse, and compaction
+// leaves the store as it found it.
+func TestAllRowsTombstonedIsAnError(t *testing.T) {
+	fs := dfs.NewMem()
+	names := []string{"a"}
+	if err := WriteVotes(fs, storeBase, randomVotes(t, 3, 1, 1), names, 2); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteGeneration(fs, storeBase, GenerationMeta{Gen: 1, Names: names, StartRow: 3, Shards: 1, Deleted: []int{0, 1, 2}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := docExecutor(fs).LoadMatrix(names); !errors.Is(err, ErrAllTombstoned) {
+		t.Fatalf("LoadMatrix = %v, want ErrAllTombstoned", err)
+	}
+	if err := CompactGenerations(fs, storeBase, 2); !errors.Is(err, ErrAllTombstoned) {
+		t.Fatalf("CompactGenerations = %v, want ErrAllTombstoned", err)
+	}
+	if !HasGenerations(fs, storeBase) {
+		t.Error("refused compaction removed the chain")
+	}
+	if mx, _, err := ReadVotes(fs, storeBase, nil); err != nil || mx.NumExamples() != 3 {
+		t.Errorf("refused compaction disturbed the flat artifact: %v", err)
+	}
+}
+
+// TestLoadMatrixAllocatesTheViewOnce: reading an 8-generation chain must
+// cost about the bytes it has to touch — the stored shards it reads and the
+// final view it returns — not one full-width view per generation, and the
+// result must hold only live rows and requested columns.
+func TestLoadMatrixAllocatesTheViewOnce(t *testing.T) {
+	fs := dfs.NewMem()
+	all := make([]string, 40)
+	for j := range all {
+		all[j] = fmt.Sprintf("lf%02d", j)
+	}
+	rows := 4000
+	if err := WriteVotes(fs, storeBase, randomVotes(t, rows, len(all), 1), all, 4); err != nil {
+		t.Fatal(err)
+	}
+	bases := []string{storeBase}
+	for gen := 1; gen <= 8; gen++ {
+		writeGen(t, fs, storeBase, gen, rows, 100, all, []int{gen, 1000 + gen}, int64(gen+1))
+		bases = append(bases, genDataBase(storeBase, gen))
+		rows += 100
+	}
+	stored := int64(0)
+	for _, base := range bases {
+		shards, err := dfs.ListShards(fs, base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shard := range shards {
+			size, err := fs.Stat(shard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stored += size
+		}
+	}
+	want := all[10:30]
+	e := &Executor[*corpus.Document]{FS: fs, OutputPrefix: "labels"}
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	mx, err := e.LoadMatrix(want)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := rows - 16
+	if mx.NumExamples() != live || mx.NumFuncs() != len(want) {
+		t.Fatalf("view is %d×%d, want %d live rows × %d requested columns", mx.NumExamples(), mx.NumFuncs(), live, len(want))
+	}
+	view := int64(live * len(want))
+	if got, bound := int64(after.TotalAlloc-before.TotalAlloc), 2*(view+stored); got > bound {
+		t.Errorf("LoadMatrix allocated %d bytes for a %d-byte view over %d stored bytes (bound %d): the view is being rebuilt per generation",
+			got, view, stored, bound)
+	}
+	oracle, _, err := oracleReadVersioned(fs, storeBase, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameMatrix(t, "8-generation chain", mx, oracle)
+}

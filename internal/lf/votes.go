@@ -1,16 +1,25 @@
 // Columnar vote artifact: the label matrix Λ persisted as one sharded,
 // byte-per-vote file set — the only layout votes are written in or read
-// from.
+// from — and the one reader of the vote store.
 //
 // The artifact stores the whole matrix once under "<prefix>/votes": shard s
 // holds the vote rows of examples s, s+N, s+2N, … (the same round-robin
 // layout as the staged input), each row exactly n bytes, one byte per vote,
 // with a CRC32 over the payload. A JSON meta file records the
-// labeling-function names in column order, so a resumed pipeline can select
-// and reorder columns by name. Readers copy votes straight into the matrix —
-// no per-record allocation or framing (a recordio record per vote would
-// spend 12 bytes of framing on each 1-byte vote) — and writers rent shard
-// buffers from a pool.
+// labeling-function names in column order, so a reader can select and
+// reorder columns by name. Writers rent shard buffers from a pool.
+//
+// Every read of the store — the flat artifact alone (ReadVotes, the resume
+// fast path, the publish merge) or with the generation chain over it
+// (LoadMatrix, VerifyVotes, CompactGenerations; see generations.go) — is the
+// same two steps. planVotes builds a plan from metadata alone: the segment
+// list, the column union, the rows the chain covers and its final tombstone
+// set, and which stored column feeds which requested column. scan then
+// streams each segment's shards once through every stored-byte check and
+// copies votes straight from the shard payload into the view, which is
+// allocated once at its final size — no per-record allocation or framing (a
+// recordio record per vote would spend 12 bytes of framing on each 1-byte
+// vote), no intermediate matrix per segment.
 package lf
 
 import (
@@ -44,6 +53,14 @@ type votesMeta struct {
 	// writers (per-shard renames are individually atomic, the set is not)
 	// is detected at read time instead of silently mixing columns.
 	Generation uint64 `json:"generation"`
+}
+
+// generation is the artifact's write generation, 0 for no artifact.
+func (m *votesMeta) generation() uint64 {
+	if m == nil {
+		return 0
+	}
+	return m.Generation
 }
 
 // votesMetaPath returns the meta sidecar path for a votes base.
@@ -146,64 +163,26 @@ func voteGeneration(mx *labelmodel.Matrix, names []string, shards int) uint64 {
 	return h.Sum64()
 }
 
-// HasVotes reports whether a columnar vote artifact exists at base.
+// HasVotes reports whether a flat columnar vote artifact exists at base.
 func HasVotes(fs dfs.FS, base string) bool {
 	_, err := fs.Stat(votesMetaPath(base))
 	return err == nil
 }
 
-// VoteNames returns the labeling-function names of the artifact at base, in
-// column order.
-func VoteNames(fs dfs.FS, base string) ([]string, error) {
-	meta, err := readVotesMeta(fs, base)
-	if err != nil {
-		return nil, err
-	}
-	return meta.Names, nil
-}
-
-// VerifyVotes checks the artifact's integrity — meta, shard headers,
-// write-generation coherence, checksums, row accounting — without
-// materializing the matrix, and returns the stored column names. It is the
-// cheap read half of the publish verification loop.
-func VerifyVotes(fs dfs.FS, base string) ([]string, error) {
-	meta, err := readVotesMeta(fs, base)
-	if err != nil {
-		return nil, err
-	}
-	shards, err := dfs.ListShards(fs, base)
-	if err != nil {
-		return nil, fmt.Errorf("lf: list vote shards: %w", err)
-	}
-	if len(shards) != meta.Shards {
-		return nil, fmt.Errorf("lf: votes at %s: %d shards on filesystem, meta says %d", base, len(shards), meta.Shards)
-	}
-	total := 0
-	for _, shard := range shards {
-		data, err := fs.ReadFile(shard)
-		if err != nil {
-			return nil, fmt.Errorf("lf: read votes shard: %w", err)
-		}
-		rows, err := checkVoteShard(shard, data, len(meta.Names), meta.Generation)
-		if err != nil {
-			return nil, err
-		}
-		total += rows
-	}
-	if total != meta.Examples {
-		return nil, fmt.Errorf("lf: votes at %s hold %d rows, meta says %d", base, total, meta.Examples)
-	}
-	return meta.Names, nil
-}
-
+// readVotesMeta reads and validates the meta sidecar of the shard set at
+// base. A missing sidecar is (nil, nil) — "no artifact here" — so that only
+// absence, never a failed or corrupt read, can be taken for an empty store.
 func readVotesMeta(fs dfs.FS, base string) (*votesMeta, error) {
 	raw, err := fs.ReadFile(votesMetaPath(base))
+	if dfs.IsNotExist(err) {
+		return nil, nil
+	}
 	if err != nil {
 		return nil, fmt.Errorf("lf: read votes meta: %w", err)
 	}
 	var meta votesMeta
 	if err := json.Unmarshal(raw, &meta); err != nil {
-		return nil, fmt.Errorf("lf: decode votes meta: %w", err)
+		return nil, fmt.Errorf("lf: decode votes meta at %s: %w", base, err)
 	}
 	if meta.Shards <= 0 || meta.Examples < 0 || len(meta.Names) == 0 {
 		return nil, fmt.Errorf("lf: votes meta at %s is degenerate (%d shards, %d examples, %d names)",
@@ -212,79 +191,233 @@ func readVotesMeta(fs dfs.FS, base string) (*votesMeta, error) {
 	return &meta, nil
 }
 
-// ReadVotes loads a columnar vote artifact. When names is nil the full
-// matrix is returned in stored column order; otherwise column j of the
-// result holds the votes of names[j], selecting and reordering columns of
-// the artifact (an unknown name is an error). Votes are copied directly
-// from shard payloads into the matrix.
-func ReadVotes(fs dfs.FS, base string, names []string) (*labelmodel.Matrix, []string, error) {
-	meta, err := readVotesMeta(fs, base)
+// voteSegment is one stored shard set — the flat artifact or a generation's
+// data segment — and where its rows land in the store's absolute
+// (staging-order) row space.
+type voteSegment struct {
+	base     string
+	meta     *votesMeta
+	startRow int
+	// cols pairs each wanted stored column with the view column it feeds; a
+	// name requested twice gets two pairs, so every view column is written.
+	cols []colPair
+}
+
+type colPair struct{ src, dst int }
+
+// votePlan is what a read of the vote store will do, decided from metadata
+// alone (sidecars and generation manifests) before any shard is opened.
+type votePlan struct {
+	base string
+	// segments stream oldest first, so a later segment's votes supersede an
+	// earlier one's wherever their rows and columns overlap.
+	segments []voteSegment
+	// chain holds the absolute row count and the final tombstone set.
+	chain Chain
+	// names are the view's columns: the requested names, or the stored
+	// column union in first-seen order.
+	names []string
+}
+
+// planVotes plans a read of the store at base: the flat artifact as the
+// segment at row 0 and, with wholeChain, every published generation over it
+// in ascending order. names selects and orders the view's columns (an unknown
+// name is an error); nil selects the stored column union. A store with
+// nothing in it is an error.
+func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePlan, error) {
+	p := &votePlan{base: base, names: names}
+	flat, err := readVotesMeta(fs, base)
+	if err != nil {
+		return nil, err
+	}
+	if flat != nil {
+		p.segments = append(p.segments, voteSegment{base: base, meta: flat})
+		p.chain.Rows = flat.Examples
+	}
+	var gens []GenerationMeta
+	if wholeChain {
+		if gens, err = ListGenerations(fs, base); err != nil {
+			return nil, err
+		}
+	}
+	for _, g := range gens {
+		if _, err := p.chain.Apply(g.Gen, g.StartRow, g.Rows, g.Deleted); err != nil {
+			return nil, fmt.Errorf("lf: votes at %s: %w", base, err)
+		}
+		if g.Rows == 0 {
+			continue // deletions only: tombstones in the manifest, no data segment
+		}
+		meta, err := readVotesMeta(fs, genDataBase(base, g.Gen))
+		if err != nil {
+			return nil, fmt.Errorf("lf: vote generation %d at %s: data segment: %w", g.Gen, base, err)
+		}
+		if meta == nil {
+			return nil, fmt.Errorf("lf: vote generation %d at %s: data segment is missing", g.Gen, base)
+		}
+		if meta.Examples != g.Rows {
+			return nil, fmt.Errorf("lf: vote generation %d at %s holds %d rows, manifest says %d",
+				g.Gen, base, meta.Examples, g.Rows)
+		}
+		p.segments = append(p.segments, voteSegment{base: genDataBase(base, g.Gen), meta: meta, startRow: g.StartRow})
+	}
+	if len(p.segments) == 0 {
+		return nil, fmt.Errorf("lf: no vote artifact at %s (run Execute against this root first)", base)
+	}
+
+	var union []string
+	stored := make(map[string]bool)
+	for _, seg := range p.segments {
+		for _, name := range seg.meta.Names {
+			if !stored[name] {
+				stored[name] = true
+				union = append(union, name)
+			}
+		}
+	}
+	if names == nil {
+		p.names = union
+	}
+	dsts := make(map[string][]int, len(p.names))
+	for dst, name := range p.names {
+		if !stored[name] {
+			return nil, fmt.Errorf("lf: votes at %s have no column for %q (stored: %v)", base, name, union)
+		}
+		dsts[name] = append(dsts[name], dst)
+	}
+	for s := range p.segments {
+		seg := &p.segments[s]
+		for src, name := range seg.meta.Names {
+			for _, dst := range dsts[name] {
+				seg.cols = append(seg.cols, colPair{src, dst})
+			}
+		}
+	}
+	return p, nil
+}
+
+// read materializes the planned view in one allocation at its final size —
+// live rows × requested columns — filled by one scan. Tombstoned rows and
+// unrequested columns are never materialized; cells no segment votes on stay
+// Abstain.
+func (p *votePlan) read(fs dfs.FS) (*labelmodel.Matrix, []string, error) {
+	if p.chain.Live() == 0 {
+		return nil, nil, fmt.Errorf("lf: votes at %s: %w (%d rows stored)", p.base, ErrAllTombstoned, p.chain.Rows)
+	}
+	view := labelmodel.NewMatrix(p.chain.Live(), len(p.names))
+	if err := p.scan(fs, view); err != nil {
+		return nil, nil, err
+	}
+	return view, p.names, nil
+}
+
+// scan is the one loop over stored vote shards. It streams every planned
+// segment, oldest first, through every stored-byte check — shard count
+// against the sidecar, header, write generation, payload size and checksum
+// (checkVoteShard), vote-byte range, row accounting — and copies each live
+// row's planned columns straight from the shard payload into its view row. A
+// nil view verifies without materializing anything; a non-nil one must have a
+// row per live row of the chain and a column per planned column.
+func (p *votePlan) scan(fs dfs.FS, view *labelmodel.Matrix) error {
+	// viewRow[i] is the view row of absolute row i, -1 once tombstoned; nil
+	// means no tombstones, absolute rows are view rows.
+	var viewRow []int
+	if view != nil && p.chain.Live() < p.chain.Rows {
+		viewRow = make([]int, p.chain.Rows)
+		next := 0
+		for i := range viewRow {
+			viewRow[i] = -1
+			if !p.chain.Tombstoned(i) {
+				viewRow[i] = next
+				next++
+			}
+		}
+	}
+	for _, seg := range p.segments {
+		meta := seg.meta
+		shards, err := dfs.ListShards(fs, seg.base)
+		if err != nil {
+			return fmt.Errorf("lf: list vote shards: %w", err)
+		}
+		if len(shards) != meta.Shards {
+			return fmt.Errorf("lf: votes at %s: %d shards on filesystem, meta says %d", seg.base, len(shards), meta.Shards)
+		}
+		stored := len(meta.Names)
+		total := 0
+		for s, shard := range shards {
+			data, err := fs.ReadFile(shard)
+			if err != nil {
+				return fmt.Errorf("lf: read votes shard: %w", err)
+			}
+			rows, err := checkVoteShard(shard, data, stored, meta.Generation)
+			if err != nil {
+				return err
+			}
+			total += rows
+			payload := data[voteShardHeaderSize:]
+			for k := 0; k < rows; k++ {
+				i := s + k*meta.Shards
+				if i >= meta.Examples {
+					return fmt.Errorf("lf: votes shard %s: row %d maps past %d examples", shard, k, meta.Examples)
+				}
+				rec := payload[k*stored : (k+1)*stored]
+				for src, b := range rec {
+					if !labelmodel.Label(int8(b)).Valid() {
+						return fmt.Errorf("lf: votes shard %s: stored vote byte %d out of range for %q",
+							shard, int8(b), meta.Names[src])
+					}
+				}
+				if view == nil {
+					continue
+				}
+				r := seg.startRow + i
+				if viewRow != nil {
+					if r = viewRow[r]; r < 0 {
+						continue
+					}
+				}
+				row := view.Row(r)
+				for _, c := range seg.cols {
+					row[c.dst] = labelmodel.Label(int8(rec[c.src]))
+				}
+			}
+		}
+		if total != meta.Examples {
+			return fmt.Errorf("lf: votes at %s hold %d rows, meta says %d", seg.base, total, meta.Examples)
+		}
+	}
+	return nil
+}
+
+// readVotes is the store's one read. Over the whole chain it returns the
+// compacted view: later generations supersede earlier rows in their row range
+// column-wise — columns they carry are overwritten, columns they don't keep
+// the older votes — and tombstoned rows are absent, later rows shifted down.
+func readVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*labelmodel.Matrix, []string, error) {
+	p, err := planVotes(fs, base, wholeChain, names)
 	if err != nil {
 		return nil, nil, err
 	}
-	stored := len(meta.Names)
-	if names == nil {
-		names = meta.Names
-	}
-	// srcOf[dst] is the stored column feeding result column dst; mapping by
-	// destination keeps duplicate requested names well-defined (each output
-	// column is written on every row).
-	byName := make(map[string]int, stored)
-	for i, name := range meta.Names {
-		byName[name] = i
-	}
-	srcOf := make([]int, len(names))
-	for dst, name := range names {
-		src, ok := byName[name]
-		if !ok {
-			return nil, nil, fmt.Errorf("lf: votes at %s have no column for %q (stored: %v)", base, name, meta.Names)
-		}
-		srcOf[dst] = src
-	}
+	return p.read(fs)
+}
 
-	mx := labelmodel.NewMatrix(meta.Examples, len(names))
-	rowBuf := make([]labelmodel.Label, len(names))
-	shards, err := dfs.ListShards(fs, base)
+// ReadVotes loads the flat columnar artifact at base — a one-segment plan,
+// whatever generations stand over it. When names is nil the full matrix is
+// returned in stored column order; otherwise column j of the result holds
+// the votes of names[j], selecting and reordering columns of the artifact
+// (an unknown name is an error).
+func ReadVotes(fs dfs.FS, base string, names []string) (*labelmodel.Matrix, []string, error) {
+	return readVotes(fs, base, false, names)
+}
+
+// VerifyVotes checks the integrity of the whole store at base — the flat
+// artifact and every generation over it, by the same plan and scan as a read
+// — without materializing the matrix, and returns the stored column union.
+func VerifyVotes(fs dfs.FS, base string) ([]string, error) {
+	p, err := planVotes(fs, base, true, nil)
 	if err != nil {
-		return nil, nil, fmt.Errorf("lf: list vote shards: %w", err)
+		return nil, err
 	}
-	if len(shards) != meta.Shards {
-		return nil, nil, fmt.Errorf("lf: votes at %s: %d shards on filesystem, meta says %d", base, len(shards), meta.Shards)
-	}
-	total := 0
-	for s, shard := range shards {
-		data, err := fs.ReadFile(shard)
-		if err != nil {
-			return nil, nil, fmt.Errorf("lf: read votes shard: %w", err)
-		}
-		rows, err := checkVoteShard(shard, data, stored, meta.Generation)
-		if err != nil {
-			return nil, nil, err
-		}
-		payload := data[voteShardHeaderSize:]
-		for k := 0; k < rows; k++ {
-			i := s + k*meta.Shards
-			if i >= meta.Examples {
-				return nil, nil, fmt.Errorf("lf: votes shard %s: row %d maps past %d examples", shard, k, meta.Examples)
-			}
-			rec := payload[k*stored : (k+1)*stored]
-			for dst, src := range srcOf {
-				b := rec[src]
-				v := labelmodel.Label(int8(b))
-				if !v.Valid() {
-					return nil, nil, fmt.Errorf("lf: votes shard %s: stored vote byte %d out of range for %q",
-						shard, int8(b), meta.Names[src])
-				}
-				rowBuf[dst] = v
-			}
-			mx.SetRow(i, rowBuf)
-		}
-		total += rows
-	}
-	if total != meta.Examples {
-		return nil, nil, fmt.Errorf("lf: votes at %s hold %d rows, meta says %d", base, total, meta.Examples)
-	}
-	return mx, names, nil
+	return p.names, p.scan(fs, nil)
 }
 
 // checkVoteShard validates a shard's header, generation, and checksum,

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/apps"
@@ -434,20 +435,20 @@ func TestReadVotesDuplicateNames(t *testing.T) {
 type lifecycleLF struct {
 	lfapi.LF[*corpus.Document]
 	fail      bool
-	setups    *int
-	teardowns *int
+	setups    *atomic.Int64
+	teardowns *atomic.Int64
 }
 
 func (l *lifecycleLF) Setup(context.Context) error {
 	if l.fail {
 		return errors.New("injected setup failure")
 	}
-	*l.setups++
+	l.setups.Add(1)
 	return nil
 }
 
 func (l *lifecycleLF) Teardown(context.Context) error {
-	*l.teardowns++
+	l.teardowns.Add(1)
 	return nil
 }
 
@@ -457,7 +458,8 @@ func (l *lifecycleLF) Teardown(context.Context) error {
 func TestFusedSetupFailureTearsDownEarlierLFs(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 2)
-	var setups, teardowns int
+	// Two map tasks run the set concurrently, so the counters are atomic.
+	var setups, teardowns atomic.Int64
 	ok := &lifecycleLF{LF: keywordLF(), setups: &setups, teardowns: &teardowns}
 	bad := &lifecycleLF{
 		LF:   lfapi.New(Meta{Name: "doomed"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Abstain }),
@@ -468,11 +470,11 @@ func TestFusedSetupFailureTearsDownEarlierLFs(t *testing.T) {
 	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{ok, bad}); err == nil {
 		t.Fatal("setup failure not surfaced")
 	}
-	if setups == 0 {
+	if setups.Load() == 0 {
 		t.Fatal("test wiring broken: first LF never set up")
 	}
-	if teardowns != setups {
-		t.Errorf("%d setups but %d teardowns: instances leaked", setups, teardowns)
+	if teardowns.Load() != setups.Load() {
+		t.Errorf("%d setups but %d teardowns: instances leaked", setups.Load(), teardowns.Load())
 	}
 }
 

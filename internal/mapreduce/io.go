@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 
 	"repro/internal/dfs"
 	"repro/internal/recordio"
@@ -76,7 +75,7 @@ type stagedCount struct {
 }
 
 // Commit flushes and atomically publishes all n shards, then records the
-// staged record count in a sidecar (see ReadStagedCount) so later runs can
+// staged record count in a sidecar (see StagedCount) so later runs can
 // learn the corpus size without re-scanning every shard.
 func (w *InputWriter) Commit() error {
 	sizes := make([]int64, w.n)
@@ -96,75 +95,100 @@ func (w *InputWriter) Commit() error {
 	return w.fs.WriteFile(w.base+".count", data)
 }
 
-// ReadStagedCount returns the record count an InputWriter.Commit recorded
-// for the staged corpus at base, after verifying the sidecar still matches
-// the committed shard set (shard count and per-shard sizes, via Stat).
-// Callers fall back to CountRecords — a full scan — when the sidecar is
-// absent, stale, or was never written (older runs, WriteInput stagings).
-func ReadStagedCount(fs dfs.FS, base string) (int, error) {
+// StagedCount returns the record count of the staged shard set at base. The
+// cheap path is the sidecar InputWriter.Commit recorded, trusted only while
+// it still matches the committed shards (shard count and per-shard sizes,
+// via Stat); when it is absent, stale, or was never written (WriteInput
+// stagings) the shards are scanned instead (CountRecords).
+func StagedCount(fs dfs.FS, base string) (int, error) {
+	if n, ok := sidecarCount(fs, base); ok {
+		return n, nil
+	}
+	return CountRecords(fs, base)
+}
+
+func sidecarCount(fs dfs.FS, base string) (int, bool) {
 	data, err := fs.ReadFile(base + ".count")
 	if err != nil {
-		return 0, err
+		return 0, false
 	}
 	var sc stagedCount
 	if err := json.Unmarshal(data, &sc); err != nil || sc.Records <= 0 || len(sc.Sizes) == 0 {
-		return 0, fmt.Errorf("mapreduce: corrupt staged count at %s.count", base)
+		return 0, false
 	}
 	for i, want := range sc.Sizes {
-		got, err := fs.Stat(dfs.ShardPath(base, i, len(sc.Sizes)))
-		if err != nil || got != want {
-			return 0, fmt.Errorf("mapreduce: staged count at %s.count does not match the committed shards", base)
+		if got, err := fs.Stat(dfs.ShardPath(base, i, len(sc.Sizes))); err != nil || got != want {
+			return 0, false
 		}
 	}
-	return sc.Records, nil
+	return sc.Records, true
+}
+
+// EachShard reads and decodes the committed shard set at base, handing visit
+// shard s of n and its records in shard order until visit returns false.
+func EachShard(fs dfs.FS, base string, visit func(s, n int, recs [][]byte) bool) error {
+	shards, err := dfs.ListShards(fs, base)
+	if err != nil {
+		return err
+	}
+	for s, shard := range shards {
+		data, err := fs.ReadFile(shard)
+		if err != nil {
+			return err
+		}
+		recs, err := recordio.ReadAll(bytes.NewReader(data))
+		if err != nil {
+			return fmt.Errorf("mapreduce: shard %s: %w", shard, err)
+		}
+		if !visit(s, len(shards), recs) {
+			break
+		}
+	}
+	return nil
 }
 
 // ReadOutput reads and concatenates all records from the committed shard set
 // at base, in shard order then record order.
 func ReadOutput(fs dfs.FS, base string) ([][]byte, error) {
-	shards, err := dfs.ListShards(fs, base)
-	if err != nil {
-		return nil, err
-	}
 	var out [][]byte
-	for _, s := range shards {
-		data, err := fs.ReadFile(s)
-		if err != nil {
-			return nil, err
-		}
-		recs, err := recordio.ReadAll(bytes.NewReader(data))
-		if err != nil {
-			return nil, fmt.Errorf("mapreduce: shard %s: %w", s, err)
-		}
+	err := EachShard(fs, base, func(_, _ int, recs [][]byte) bool {
 		out = append(out, recs...)
-	}
-	return out, nil
+		return true
+	})
+	return out, err
 }
 
-// CountRecords returns the total number of records in the shard set at base
-// without retaining them.
-func CountRecords(fs dfs.FS, base string) (int, error) {
-	shards, err := dfs.ListShards(fs, base)
-	if err != nil {
-		return 0, err
-	}
+// ReadStaged reads a round-robin staged shard set (WriteInput, InputWriter)
+// back in staging order: record k is the k/n-th record of shard k%n.
+func ReadStaged(fs dfs.FS, base string) ([][]byte, error) {
+	var out [][]byte
 	total := 0
-	for _, s := range shards {
-		data, err := fs.ReadFile(s)
-		if err != nil {
-			return 0, err
-		}
-		r := recordio.NewReader(bytes.NewReader(data))
-		for {
-			_, err := r.Next()
-			if err == io.EOF {
-				break
+	err := EachShard(fs, base, func(s, n int, recs [][]byte) bool {
+		total += len(recs)
+		for r, rec := range recs {
+			k := s + r*n
+			if k >= len(out) {
+				out = append(out, make([][]byte, k+1-len(out))...)
 			}
-			if err != nil {
-				return 0, fmt.Errorf("mapreduce: shard %s: %w", s, err)
-			}
+			out[k] = rec
 		}
-		total += r.Count()
+		return true
+	})
+	// Distinct slots for total records: a highest slot past total-1 means a
+	// shard is longer or shorter than round-robin staging made it.
+	if err == nil && len(out) != total {
+		err = fmt.Errorf("mapreduce: staged shards at %s are inconsistent (%d records, highest index %d)", base, total, len(out)-1)
 	}
-	return total, nil
+	return out, err
+}
+
+// CountRecords returns the total number of records in the shard set at base,
+// holding one decoded shard at a time.
+func CountRecords(fs dfs.FS, base string) (int, error) {
+	total := 0
+	err := EachShard(fs, base, func(_, _ int, recs [][]byte) bool {
+		total += len(recs)
+		return true
+	})
+	return total, err
 }

@@ -11,6 +11,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/dfs"
+	"repro/internal/recordio"
 )
 
 func stageWords(t *testing.T, fs dfs.FS, base string, words []string, shards int) {
@@ -361,6 +362,60 @@ func TestCountRecords(t *testing.T) {
 	n, err := CountRecords(fs, "in/w")
 	if err != nil || n != 5 {
 		t.Errorf("CountRecords = %d, %v", n, err)
+	}
+}
+
+// TestStagedCountAndOrder: StagedCount trusts the sidecar only while it
+// matches the committed shards and scans otherwise, and ReadStaged restores
+// staging order from the round-robin layout — refusing a shard set that
+// round-robin staging could not have produced.
+func TestStagedCountAndOrder(t *testing.T) {
+	fs := dfs.NewMem()
+	words := []string{"a", "b", "c", "d", "e", "f", "g"}
+	w, err := NewInputWriter(fs, "in/w", 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, word := range words {
+		if err := w.Append([]byte(word)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := StagedCount(fs, "in/w"); err != nil || n != 7 {
+		t.Fatalf("StagedCount = %d, %v", n, err)
+	}
+	recs, err := ReadStaged(fs, "in/w")
+	if err != nil || strings.Join(recordsToStrings(recs), "") != "abcdefg" {
+		t.Fatalf("ReadStaged = %q, %v", recordsToStrings(recs), err)
+	}
+
+	// Restage fewer records without refreshing the sidecar: the stale count
+	// (7) must lose to a scan of what is actually committed (5).
+	stageWords(t, fs, "in/w", words[:5], 3)
+	if n, err := StagedCount(fs, "in/w"); err != nil || n != 5 {
+		t.Fatalf("StagedCount over a stale sidecar = %d, %v; want 5 from the scan", n, err)
+	}
+
+	// Shard 0 of 2 holding one record while shard 1 holds three is not a
+	// round-robin layout.
+	var one, three bytes.Buffer
+	if err := recordio.WriteAll(&one, [][]byte{[]byte("x")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := recordio.WriteAll(&three, [][]byte{[]byte("p"), []byte("q"), []byte("r")}); err != nil {
+		t.Fatal(err)
+	}
+	if err := dfs.PublishShard(fs, "in/bad", 0, 2, one.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if err := dfs.PublishShard(fs, "in/bad", 1, 2, three.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadStaged(fs, "in/bad"); err == nil || !strings.Contains(err.Error(), "inconsistent") {
+		t.Fatalf("ReadStaged over a non-round-robin set = %v", err)
 	}
 }
 

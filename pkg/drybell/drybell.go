@@ -245,11 +245,13 @@ func (p *Pipeline[T]) Analyze(matrix *Matrix, metas []Meta) (*Analysis, error) {
 	return analysis, err
 }
 
-// LoadMatrix reassembles the label matrix from vote state that an earlier
-// ExecuteLFs left on the filesystem, without re-running anything. Column j
-// holds the votes of names[j], selected and reordered by name from the
-// columnar artifact at VotesBase (or its generation chain). A name the
-// artifact has no column for is an error listing the stored columns.
+// LoadMatrix reassembles the label matrix from vote state that earlier runs
+// left on the filesystem, without re-running anything. Column j holds the
+// votes of names[j], selected and reordered by name in one scan over the
+// vote store at VotesBase: the columnar artifact and every generation
+// IncrementalRun published over it, with tombstoned rows dropped. A name the
+// store has no column for is an error listing the stored columns, and a
+// corrupt manifest or shard fails the load rather than being skipped.
 func (p *Pipeline[T]) LoadMatrix(names []string) (*Matrix, error) {
 	return core.LoadMatrix(p.cfg, names)
 }
