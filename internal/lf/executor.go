@@ -10,6 +10,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	"repro/internal/mapreduce"
+	"repro/internal/nlp"
 	"repro/internal/obs"
 	lfapi "repro/pkg/drybell/lf"
 )
@@ -30,10 +31,11 @@ import (
 //
 // The executor consumes public-API lf.LF values and discovers their
 // capabilities by interface: NodeLocal functions get one instance per map
-// task (the per-compute-node model server of §5.1), Lifecycle brackets each
-// task, BatchVoter functions score a whole shard per call through the
-// engine's batch path, and CorpusFitter functions get a first streaming
-// pass over the staged corpus before their vote job launches.
+// task, Annotatable instances share the task's one NLP model server (the
+// per-compute-node server of §5.1) and one annotation per distinct text,
+// Lifecycle brackets each task, BatchVoter functions score a whole shard per
+// call through the engine's batch path, and CorpusFitter functions get a
+// first streaming pass over the staged corpus before their vote job launches.
 type Executor[T any] struct {
 	// FS holds the staged input and receives the vote artifact.
 	FS dfs.FS
@@ -86,9 +88,6 @@ type LFReport struct {
 	Positives, Negatives, Abstains int64
 	// Duration of the function's MapReduce job (including a fit pass).
 	Duration time.Duration
-	// ModelServersLaunched counts per-node model-server launches (zero for
-	// default-pipeline functions).
-	ModelServersLaunched int64
 	// CorpusPasses is 2 for two-pass (aggregation-based) functions that
 	// needed a fit pass, 1 otherwise.
 	CorpusPasses int
@@ -109,6 +108,11 @@ type Report struct {
 	TasksResumed int
 	// SpeculativeAttempts counts straggler-triggered speculative launches.
 	SpeculativeAttempts int
+	// ModelServersLaunched counts the map tasks that launched an NLP model
+	// server for the function set — one per task when the set has NLP
+	// functions and no injected annotator, zero otherwise. Like every job
+	// counter it tallies each task's winning attempt only.
+	ModelServersLaunched int64
 	// ResumedFromVotes is true when the whole execution was skipped because
 	// a completed vote artifact already covered every requested function.
 	ResumedFromVotes bool
@@ -281,7 +285,7 @@ func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*labelmodel.Matrix, *R
 	if err != nil {
 		return nil, nil, false
 	}
-	// The report is reconstructed from the matrix itself; per-node detail
+	// The report is reconstructed from the matrix itself; execution detail
 	// (model-server launches, corpus passes) belongs to the run that
 	// actually executed.
 	report := &Report{
@@ -388,6 +392,7 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 	report.TaskAttempts = res.Attempts
 	report.TasksResumed = res.SkippedTasks
 	report.SpeculativeAttempts = res.SpeculativeAttempts
+	report.ModelServersLaunched = res.Counters[serverCounter]
 	total := 0
 	for _, shard := range res.MapOutputs {
 		total += len(shard)
@@ -426,12 +431,11 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 		// The functions share one fused pass; each reports its wall time.
 		report.PerLF[j] = LFReport{
 			Name: meta.Name, Category: meta.Category, Servable: meta.Servable,
-			Duration:             dur,
-			Positives:            res.Counters[voteCounterKey(meta.Name, "positive")],
-			Negatives:            res.Counters[voteCounterKey(meta.Name, "negative")],
-			Abstains:             res.Counters[voteCounterKey(meta.Name, "abstain")],
-			ModelServersLaunched: res.Counters[serverCounterKey(meta.Name)],
-			CorpusPasses:         passes[j],
+			Duration:     dur,
+			Positives:    res.Counters[voteCounterKey(meta.Name, "positive")],
+			Negatives:    res.Counters[voteCounterKey(meta.Name, "negative")],
+			Abstains:     res.Counters[voteCounterKey(meta.Name, "abstain")],
+			CorpusPasses: passes[j],
 		}
 	}
 	report.Duration = time.Since(start)
@@ -551,34 +555,74 @@ func attemptCtx(tctx *mapreduce.TaskContext, run context.Context) context.Contex
 // (through its vectorized VoteBatch when available), and the task emits one
 // packed n-byte vote row per record — the columnar layout the vote artifact
 // and the matrix assembly consume directly. Per task (simulated compute
-// node) it derives a NodeLocal instance of every function and brackets it
-// with the function's Lifecycle — the paper's "launch a model server on each
-// node in Setup, stop it in Teardown" — so one NLP model server launches per
-// compute node.
+// node) it derives a NodeLocal instance of every function, resolves the
+// set's one NLP service the way the online Evaluator does — the paper's
+// "launch a model server on each node in Setup, stop it in Teardown" — and
+// puts a task-private memo in front of it, so each distinct text is
+// annotated once however many functions ask.
 type fusedTask[T any] struct {
 	ctx    context.Context
 	lfs    []lfapi.LF[T]
 	decode func([]byte) (T, error)
 }
 
-// fusedState is the per-task state: one instance per function, plus how
-// many completed Setup (for teardown after a mid-setup failure).
+// fusedState is the per-task state: the instance of every function that
+// completed Setup (all of them, unless Setup failed midway) and the task's
+// NLP service.
 type fusedState[T any] struct {
 	instances []lfapi.LF[T]
-	started   int
+	memo      *annotationMemo // nil when the set has no NLP functions
+	stop      func()          // stops the model server this task launched; nil when it launched none
+}
+
+// annotationMemo is one map task's view of its NLP service: the annotations
+// of the batch being mapped, keyed on the annotated text (MapBatch starts
+// each batch with an empty map). It belongs to one task attempt, which votes
+// on one goroutine, so it takes no lock; a retried or speculative attempt
+// builds its own. Errors are not remembered.
+type annotationMemo struct {
+	inner nlp.Annotator
+	seen  map[string]*nlp.Result
+}
+
+func (m *annotationMemo) Annotate(text string) (*nlp.Result, error) {
+	if res, ok := m.seen[text]; ok {
+		return res, nil
+	}
+	res, err := m.inner.Annotate(text)
+	if err != nil {
+		return nil, err
+	}
+	m.seen[text] = res
+	return res, nil
 }
 
 // Setup implements mapreduce.Mapper. The engine does not call Teardown
-// after a failed Setup, so a mid-set failure tears down the instances that
-// already started before returning — otherwise their model servers would
-// leak once per task attempt.
+// after a failed Setup, so a mid-set failure tears down what already
+// started before returning — otherwise the task's model server would leak
+// once per task attempt.
 func (m *fusedTask[T]) Setup(tctx *mapreduce.TaskContext) error {
-	st := &fusedState[T]{instances: make([]lfapi.LF[T], len(m.lfs))}
+	st := &fusedState[T]{instances: make([]lfapi.LF[T], 0, len(m.lfs))}
 	tctx.SetState(st)
-	for j, f := range m.lfs {
+	ann, stop, err := lfapi.ResolveAnnotator(m.lfs)
+	if err != nil {
+		return err
+	}
+	if st.stop = stop; stop != nil {
+		tctx.Counters.Inc(serverCounter, 1)
+	}
+	if ann != nil {
+		st.memo = &annotationMemo{inner: ann}
+	}
+	for _, f := range m.lfs {
 		inst := f
 		if nl, ok := f.(lfapi.NodeLocal[T]); ok {
 			inst = nl.ForNode()
+			// Only the task's own instance takes the task's memo; f itself is
+			// shared with every other task.
+			if a, ok := inst.(lfapi.Annotatable); ok && st.memo != nil {
+				a.SetAnnotator(st.memo)
+			}
 		}
 		if lc, ok := inst.(lfapi.Lifecycle); ok {
 			if err := lc.Setup(m.ctx); err != nil {
@@ -589,11 +633,7 @@ func (m *fusedTask[T]) Setup(tctx *mapreduce.TaskContext) error {
 				return err
 			}
 		}
-		if owner, ok := inst.(interface{ OwnsModelServer() bool }); ok && owner.OwnsModelServer() {
-			tctx.Counters.Inc(serverCounterKey(f.LFMeta().Name), 1)
-		}
-		st.instances[j] = inst
-		st.started = j + 1
+		st.instances = append(st.instances, inst)
 	}
 	return nil
 }
@@ -607,6 +647,9 @@ func (m *fusedTask[T]) Map(tctx *mapreduce.TaskContext, rec []byte, emit mapredu
 // MapBatch implements mapreduce.BatchMapper.
 func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, emit mapreduce.Emitter) error {
 	st := tctx.State().(*fusedState[T])
+	if st.memo != nil {
+		st.memo.seen = make(map[string]*nlp.Result, len(records))
+	}
 	ctx := attemptCtx(tctx, m.ctx)
 	xs := make([]T, len(records))
 	for i, rec := range records {
@@ -662,12 +705,15 @@ func (m *fusedTask[T]) Teardown(tctx *mapreduce.TaskContext) error {
 		return nil // Setup never ran
 	}
 	var firstErr error
-	for j, inst := range st.instances[:st.started] {
+	for j, inst := range st.instances {
 		if lc, ok := inst.(lfapi.Lifecycle); ok {
 			if err := lc.Teardown(m.ctx); err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("lf %s: teardown: %w", m.lfs[j].LFMeta().Name, err)
 			}
 		}
+	}
+	if st.stop != nil {
+		st.stop()
 	}
 	return firstErr
 }
@@ -696,6 +742,5 @@ func voteCounterKey(name, kind string) string {
 	return "votes/" + name + "/" + kind //drybellvet:notapath — counter name, not a DFS key
 }
 
-func serverCounterKey(name string) string {
-	return "model-servers-launched/" + name //drybellvet:notapath — counter name, not a DFS key
-}
+// serverCounter counts the map tasks that launched a model server.
+const serverCounter = "model-servers-launched"

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/corpus"
@@ -66,6 +67,75 @@ func nerLF() lfapi.LF[*corpus.Document] {
 			return labelmodel.Abstain
 		},
 	}
+}
+
+func topicLF() lfapi.LF[*corpus.Document] {
+	return &lfapi.NLPFunc[*corpus.Document]{
+		Meta:      Meta{Name: "topic_finance", Category: ModelBased, Servable: false},
+		NewServer: func() *nlp.Server { return nlp.NewServer(0, 1) },
+		GetText:   func(d *corpus.Document) string { return d.Text() },
+		GetValue: func(_ *corpus.Document, res *nlp.Result) labelmodel.Label {
+			if res.TopTopic() == nlp.TopicFinance {
+				return labelmodel.Negative
+			}
+			return labelmodel.Abstain
+		},
+	}
+}
+
+// serverLog records every model server the NewServer hooks it wraps build,
+// so a test can count launches, annotations and leaks after a run.
+type serverLog struct {
+	mu      sync.Mutex
+	servers []*nlp.Server
+}
+
+// watch rewires the NLP functions among fs to log the servers they build.
+func (l *serverLog) watch(fs ...lfapi.LF[*corpus.Document]) {
+	for _, f := range fs {
+		if n, ok := f.(*lfapi.NLPFunc[*corpus.Document]); ok {
+			build := n.NewServer
+			n.NewServer = func() *nlp.Server {
+				srv := build()
+				l.mu.Lock()
+				l.servers = append(l.servers, srv)
+				l.mu.Unlock()
+				return srv
+			}
+		}
+	}
+}
+
+// tally returns how many servers were built, how many are still running, and
+// the annotations they served in all.
+func (l *serverLog) tally() (built, running int, calls int64) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, srv := range l.servers {
+		if srv.Launched() {
+			running++
+		}
+		calls += srv.Calls()
+	}
+	return len(l.servers), running, calls
+}
+
+// distinctTextsPerTask is how many annotations a run over docs staged into
+// the given number of shards needs at least: one per distinct text per task.
+func distinctTextsPerTask(docs []*corpus.Document, shards int) int64 {
+	seen := make([]map[string]bool, shards)
+	var n int64
+	for i, d := range docs {
+		s := i % shards
+		if seen[s] == nil {
+			seen[s] = map[string]bool{}
+		}
+		if !seen[s][d.Text()] {
+			seen[s][d.Text()] = true
+			n++
+		}
+	}
+	return n
 }
 
 func TestExecuteAssemblesMatrixInInputOrder(t *testing.T) {
@@ -131,16 +201,30 @@ func TestExecuteOrderInvariantToShardCount(t *testing.T) {
 	}
 }
 
+// TestNLPServerLaunchedPerTask: a set with several NLP functions launches one
+// model server per map task — not one per function — stops every one of
+// them, and annotates each document once for the whole set.
 func TestNLPServerLaunchedPerTask(t *testing.T) {
 	fs := dfs.NewMem()
-	stageDocs(t, fs, testDocs(), 3)
-	_, rep, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{nerLF()})
+	docs := testDocs()
+	stageDocs(t, fs, docs, 3)
+	lfs := []lfapi.LF[*corpus.Document]{nerLF(), keywordLF(), topicLF()}
+	var log serverLog
+	log.watch(lfs...)
+	_, rep, err := docExecutor(fs).Execute(lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.PerLF[0].ModelServersLaunched != 3 {
-		t.Errorf("model servers launched = %d, want 3 (one per map task)",
-			rep.PerLF[0].ModelServersLaunched)
+	built, running, calls := log.tally()
+	if rep.ModelServersLaunched != 3 || built != 3 {
+		t.Errorf("model servers launched = %d reported, %d built, want 3 (one per map task)",
+			rep.ModelServersLaunched, built)
+	}
+	if running != 0 {
+		t.Errorf("%d model servers still running after the job", running)
+	}
+	if want := distinctTextsPerTask(docs, 3); calls != want {
+		t.Errorf("%d annotations for %d documents under 2 NLP functions, want %d (one per document)", calls, len(docs), want)
 	}
 }
 

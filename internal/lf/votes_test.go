@@ -15,6 +15,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
+	"repro/internal/nlp"
 	"repro/internal/recordio"
 	lfapi "repro/pkg/drybell/lf"
 )
@@ -250,8 +251,8 @@ func oracleVotes(t *testing.T, lfs []lfapi.LF[*corpus.Document], records [][]byt
 // TestFusedMatchesDirectVoteOracle: over the full topic-classification
 // function set, at several shard counts, the fused job must reproduce the
 // oracle's matrix vote for vote, report per-function counters that tally
-// with it, and launch exactly one model server per map task for each NLP
-// function (none for the others).
+// with it, launch exactly one model server per map task for the set's five
+// NLP functions together, and annotate each document once.
 func TestFusedMatchesDirectVoteOracle(t *testing.T) {
 	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 240, PositiveRate: 0.1, Seed: 9})
 	if err != nil {
@@ -269,9 +270,19 @@ func TestFusedMatchesDirectVoteOracle(t *testing.T) {
 		fs := dfs.NewMem()
 		stageDocs(t, fs, docs, shards)
 		lfs := newSet()
+		var log serverLog
+		log.watch(lfs...)
 		got, rep, err := docExecutor(fs).Execute(lfs)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
+		}
+		built, running, calls := log.tally()
+		if rep.ModelServersLaunched != int64(shards) || built != shards || running != 0 {
+			t.Errorf("shards=%d: %d model servers reported, %d built, %d left running; want one per task, all stopped",
+				shards, rep.ModelServersLaunched, built, running)
+		}
+		if want := distinctTextsPerTask(docs, shards); calls != want {
+			t.Errorf("shards=%d: %d annotations, want %d (one per document per task)", shards, calls, want)
 		}
 		if got.NumExamples() != want.NumExamples() || got.NumFuncs() != want.NumFuncs() {
 			t.Fatalf("shards=%d: engine %d×%d vs oracle %d×%d", shards,
@@ -299,15 +310,150 @@ func TestFusedMatchesDirectVoteOracle(t *testing.T) {
 				t.Errorf("shards=%d: %s reports +%d/-%d/0:%d, oracle tallies +%d/-%d/0:%d",
 					shards, name, r.Positives, r.Negatives, r.Abstains, pos, neg, abs)
 			}
-			wantServers := int64(0)
-			if _, isNLP := f.(*lfapi.NLPFunc[*corpus.Document]); isNLP {
-				wantServers = int64(shards)
+		}
+	}
+}
+
+// mixedNLPSet is a function set that reaches the NLP service every way a
+// set can: a plain heuristic, a bare NLPFunc, and Invert / All / FirstOf
+// combinators over NLPFuncs. Every model server the set builds is logged.
+func mixedNLPSet(t *testing.T, log *serverLog) []lfapi.LF[*corpus.Document] {
+	t.Helper()
+	nlpLF := func(name string, vote func(*nlp.Result) labelmodel.Label) lfapi.LF[*corpus.Document] {
+		f := &lfapi.NLPFunc[*corpus.Document]{
+			Meta:      Meta{Name: name, Category: ModelBased},
+			NewServer: func() *nlp.Server { return nlp.NewServer(0.2, 5) },
+			GetText:   func(d *corpus.Document) string { return d.Text() },
+			GetValue:  func(_ *corpus.Document, res *nlp.Result) labelmodel.Label { return vote(res) },
+		}
+		log.watch(f)
+		return f
+	}
+	when := func(cond func(*nlp.Result) bool, v labelmodel.Label) func(*nlp.Result) labelmodel.Label {
+		return func(res *nlp.Result) labelmodel.Label {
+			if cond(res) {
+				return v
 			}
-			if r.ModelServersLaunched != wantServers {
-				t.Errorf("shards=%d: %s launched %d model servers, want %d",
-					shards, name, r.ModelServersLaunched, wantServers)
+			return labelmodel.Abstain
+		}
+	}
+	noPerson := nlpLF("no_person", when(func(r *nlp.Result) bool { return len(r.People()) == 0 }, labelmodel.Negative))
+	entertainment := nlpLF("entertainment", when(func(r *nlp.Result) bool { return r.TopTopic() == nlp.TopicEntertainment }, labelmodel.Positive))
+	hasPerson := nlpLF("has_person", when(func(r *nlp.Result) bool { return len(r.People()) > 0 }, labelmodel.Positive))
+	upbeat := nlpLF("upbeat", when(func(r *nlp.Result) bool { return r.Sentiment > 0 }, labelmodel.Positive))
+	finance := nlpLF("finance", when(func(r *nlp.Result) bool { return r.TopTopic() == nlp.TopicFinance }, labelmodel.Negative))
+	all, err := lfapi.All(Meta{Name: "person_and_entertainment"}, hasPerson, entertainment)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := lfapi.FirstOf(Meta{Name: "gossip_else_finance"}, keywordLF(), finance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []lfapi.LF[*corpus.Document]{keywordLF(), noPerson, lfapi.Invert(upbeat), all, first}
+}
+
+// TestFusedSharesOneNLPServiceAcrossSet: whether the NLP functions sit bare
+// in the set or inside combinators, the fused job votes exactly as the
+// direct-Vote oracle (where every function runs its own server), on one
+// model server per task and one annotation per document. With an annotator
+// injected into the base set by the caller, that annotator stays the one
+// consulted — once per document per task — and the job launches and stops
+// nothing.
+func TestFusedSharesOneNLPServiceAcrossSet(t *testing.T) {
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 150, PositiveRate: 0.2, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	records, err := corpus.MarshalDocuments(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := oracleVotes(t, mixedNLPSet(t, new(serverLog)), records)
+	sameVotes := func(label string, got *labelmodel.Matrix) {
+		t.Helper()
+		for i := 0; i < want.NumExamples(); i++ {
+			for j := 0; j < want.NumFuncs(); j++ {
+				if got.At(i, j) != want.At(i, j) {
+					t.Fatalf("%s: column %d disagrees with the oracle at doc %d: %v vs %v", label, j, i, got.At(i, j), want.At(i, j))
+				}
 			}
 		}
+	}
+	const shards = 4
+	annotations := distinctTextsPerTask(docs, shards)
+
+	fs := dfs.NewMem()
+	stageDocs(t, fs, docs, shards)
+	var log serverLog
+	got, rep, err := docExecutor(fs).Execute(mixedNLPSet(t, &log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVotes("own servers", got)
+	if built, running, calls := log.tally(); built != shards || running != 0 || calls != annotations || rep.ModelServersLaunched != shards {
+		t.Errorf("own servers: %d built (%d reported), %d left running, %d annotations; want %d, 0, %d",
+			built, rep.ModelServersLaunched, running, calls, shards, annotations)
+	}
+
+	theirs := nlp.NewServer(0.2, 5)
+	if err := theirs.Launch(); err != nil {
+		t.Fatal(err)
+	}
+	defer theirs.Stop()
+	cache, err := nlp.NewCache(theirs, 4*len(docs))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var injectedLog serverLog
+	injected := mixedNLPSet(t, &injectedLog)
+	for _, f := range injected {
+		if a, ok := f.(lfapi.Annotatable); ok {
+			a.SetAnnotator(cache)
+		}
+	}
+	fs = dfs.NewMem()
+	stageDocs(t, fs, docs, shards)
+	got, rep, err = docExecutor(fs).Execute(injected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameVotes("injected cache", got)
+	if built, _, _ := injectedLog.tally(); built != 0 || rep.ModelServersLaunched != 0 || !theirs.Launched() {
+		t.Errorf("injected cache: %d servers built, %d reported, caller's server running %v; want 0, 0, true",
+			built, rep.ModelServersLaunched, theirs.Launched())
+	}
+	if asked := cache.Hits() + cache.Misses(); asked != annotations {
+		t.Errorf("injected cache was asked %d times, want %d (once per document per task)", asked, annotations)
+	}
+}
+
+// flakyAnnotator fails its first call and answers afterwards.
+type flakyAnnotator struct{ calls int }
+
+func (a *flakyAnnotator) Annotate(string) (*nlp.Result, error) {
+	a.calls++
+	if a.calls == 1 {
+		return nil, errors.New("model server hiccup")
+	}
+	return &nlp.Result{}, nil
+}
+
+// TestAnnotationMemoDoesNotRememberErrors: a failed annotation is asked
+// again, a successful one is not.
+func TestAnnotationMemoDoesNotRememberErrors(t *testing.T) {
+	inner := &flakyAnnotator{}
+	memo := &annotationMemo{inner: inner, seen: map[string]*nlp.Result{}}
+	if _, err := memo.Annotate("text"); err == nil {
+		t.Fatal("inner error swallowed")
+	}
+	first, err := memo.Annotate("text")
+	if err != nil {
+		t.Fatalf("error remembered: %v", err)
+	}
+	again, err := memo.Annotate("text")
+	if err != nil || again != first || inner.calls != 2 {
+		t.Errorf("repeat lookup: result reused %v, err %v, %d inner calls (want 2)", again == first, err, inner.calls)
 	}
 }
 
@@ -454,21 +600,28 @@ func (l *lifecycleLF) Teardown(context.Context) error {
 
 // TestFusedSetupFailureTearsDownEarlierLFs: when a later function's Setup
 // fails, the functions already set up in the same fused task must be torn
-// down (the engine does not call Teardown after a failed Setup).
+// down and the task's model server stopped (the engine does not call
+// Teardown after a failed Setup).
 func TestFusedSetupFailureTearsDownEarlierLFs(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 2)
 	// Two map tasks run the set concurrently, so the counters are atomic.
 	var setups, teardowns atomic.Int64
 	ok := &lifecycleLF{LF: keywordLF(), setups: &setups, teardowns: &teardowns}
+	ner := nerLF()
+	var log serverLog
+	log.watch(ner)
 	bad := &lifecycleLF{
 		LF:   lfapi.New(Meta{Name: "doomed"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Abstain }),
 		fail: true, setups: &setups, teardowns: &teardowns,
 	}
 	e := docExecutor(fs)
 	e.MaxAttempts = 1
-	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{ok, bad}); err == nil {
+	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{ner, ok, bad}); err == nil {
 		t.Fatal("setup failure not surfaced")
+	}
+	if built, running, _ := log.tally(); built == 0 || running != 0 {
+		t.Errorf("%d model servers launched, %d still running after the failed setups", built, running)
 	}
 	if setups.Load() == 0 {
 		t.Fatal("test wiring broken: first LF never set up")

@@ -19,11 +19,9 @@ var _ Annotator = (*Server)(nil)
 
 // Cache memoizes Annotate calls in an LRU keyed on the annotated text. Safe
 // for concurrent use. Racing misses on the same text may both consult the
-// inner annotator, and for a stochastic annotator (NER with a nonzero miss
-// rate) the answers can differ — whichever Add lands last is what later
-// lookups see. The cache therefore pins one annotation per text for its
-// residency, which is the serving-side contract we want: repeated traffic
-// gets a consistent answer without re-running the models.
+// inner annotator; the models are pure functions of the text (NER misses
+// included, see NER), so both get the same answer and only the work is
+// repeated.
 type Cache struct {
 	inner Annotator
 	lru   *lru.Cache[string, *Result]

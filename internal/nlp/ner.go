@@ -2,7 +2,6 @@ package nlp
 
 import (
 	"encoding/binary"
-	"hash/fnv"
 	"strings"
 )
 
@@ -53,28 +52,37 @@ type NER struct {
 	// simulating model recall < 1. Zero means perfect gazetteer recall.
 	MissRate float64
 
-	seed    int64
-	bigrams map[string]EntityType // write-once in NewNER, immutable after; lock-free reads are safe
+	seedHash uint64 // FNV-1a of the seed's 8 little-endian bytes
+	// byFirst indexes the gazetteers on each name's first token, so the scan
+	// does one lookup per word and builds no candidate strings. Write-once in
+	// NewNER, immutable after; lock-free reads are safe.
+	byFirst map[string][]gazEntry
+}
+
+// gazEntry is one gazetteer name of one or two tokens.
+type gazEntry struct {
+	name   string // the full normalized name, as emitted
+	second string // its second token; "" for a one-token name
+	typ    EntityType
 }
 
 // NewNER builds the recognizer over the package gazetteers.
 func NewNER(missRate float64, seed int64) *NER {
-	n := &NER{
-		MissRate: missRate,
-		seed:     seed,
-		bigrams:  make(map[string]EntityType),
-	}
-	for _, p := range CelebrityNames {
-		n.bigrams[p] = EntityPerson
-	}
-	for _, p := range OtherPersonNames {
-		n.bigrams[p] = EntityPerson
-	}
-	for _, o := range OrgNames {
-		n.bigrams[o] = EntityOrg
-	}
-	for _, pl := range PlaceNames {
-		n.bigrams[pl] = EntityPlace
+	le := binary.LittleEndian.AppendUint64(nil, uint64(seed))
+	n := &NER{MissRate: missRate, seedHash: fnv1a(fnvOffset64, string(le)), byFirst: make(map[string][]gazEntry)}
+	for _, g := range []struct {
+		names []string
+		typ   EntityType
+	}{
+		{CelebrityNames, EntityPerson},
+		{OtherPersonNames, EntityPerson},
+		{OrgNames, EntityOrg},
+		{PlaceNames, EntityPlace},
+	} {
+		for _, name := range g.names {
+			first, second, _ := strings.Cut(name, " ")
+			n.byFirst[first] = append(n.byFirst[first], gazEntry{name: name, second: second, typ: g.typ})
+		}
 	}
 	return n
 }
@@ -82,31 +90,42 @@ func NewNER(missRate float64, seed int64) *NER {
 // Recognize returns the entities found in text. Multi-word gazetteer entries
 // are matched over adjacent token windows (the gazetteers use one- and
 // two-token names).
-func (n *NER) Recognize(text string) []Entity {
-	words := Words(text)
+func (n *NER) Recognize(text string) []Entity { return n.recognize(text, Words(text)) }
+
+// recognize is Recognize over text's already-computed Words. At each word a
+// two-token name wins over a one-token name; each name is emitted once.
+func (n *NER) recognize(text string, words []string) []Entity {
 	var out []Entity
-	seen := map[string]bool{}
-	emit := func(name string, typ EntityType) {
-		if seen[name] {
-			return
+	var doc uint64 // FNV-1a of seed ‖ text ‖ 0, hashed at the first mention
+	for i, w := range words {
+		var match *gazEntry
+		entries := n.byFirst[w]
+		for k := range entries {
+			e := &entries[k]
+			if e.second == "" {
+				if match == nil {
+					match = e
+				}
+			} else if i+1 < len(words) && e.second == words[i+1] {
+				match = e
+				break
+			}
 		}
-		if n.MissRate > 0 && missFraction(n.seed, text, name) < n.MissRate {
-			return
+		if match == nil || ContainsName(out, match.name) {
+			continue
 		}
-		seen[name] = true
-		out = append(out, Entity{Text: name, Type: typ, Confidence: 0.9})
-	}
-	for i := 0; i < len(words); i++ {
-		if i+1 < len(words) {
-			pair := words[i] + " " + words[i+1]
-			if typ, ok := n.bigrams[pair]; ok {
-				emit(pair, typ)
+		// A miss is a uniform draw in [0,1) from FNV-1a(seed ‖ text ‖ 0 ‖ name):
+		// the same mention in the same document under the same seed always
+		// draws the same number, whatever was recognized before it.
+		if n.MissRate > 0 {
+			if doc == 0 {
+				doc = fnv1a(n.seedHash, text) * fnvPrime64 // the 0 byte: h ^ 0 == h
+			}
+			if float64(fnv1a(doc, match.name)>>11)/float64(1<<53) < n.MissRate {
 				continue
 			}
 		}
-		if typ, ok := n.bigrams[words[i]]; ok {
-			emit(words[i], typ)
-		}
+		out = append(out, Entity{Text: match.name, Type: match.typ, Confidence: 0.9})
 	}
 	return out
 }
@@ -133,16 +152,13 @@ func ContainsName(entities []Entity, name string) bool {
 	return false
 }
 
-// missFraction maps (seed, text, mention) to a deterministic uniform fraction
-// in [0,1): the same mention in the same document under the same seed always
-// draws the same number, regardless of what was recognized before it.
-func missFraction(seed int64, text, name string) float64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(seed))
-	h.Write(b[:])
-	h.Write([]byte(text))
-	h.Write([]byte{0})
-	h.Write([]byte(name))
-	return float64(h.Sum64()>>11) / float64(1<<53)
+// fnv1a folds s into the FNV-1a state h exactly as hash/fnv.New64a would,
+// written out so that hashing a document copies and allocates nothing.
+func fnv1a(h uint64, s string) uint64 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
+	}
+	return h
 }
+
+const fnvOffset64, fnvPrime64 = 14695981039346656037, 1099511628211

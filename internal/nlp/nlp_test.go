@@ -1,11 +1,293 @@
 package nlp
 
 import (
+	"encoding/binary"
+	"hash/fnv"
+	"math/rand"
+	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
+	"unicode"
 )
+
+// Token and Tokenize are the tokenizer Words was derived from, kept as the
+// reference FuzzWords holds it to: a rune-at-a-time scan that lower-cases
+// every token and records offsets nothing outside the tests ever read.
+type Token struct {
+	// Text is the lower-cased token text.
+	Text string
+	// Start and End are byte offsets into the original string.
+	Start, End int
+	// Capitalized records whether the original token began with an
+	// upper-case letter.
+	Capitalized bool
+}
+
+func Tokenize(text string) []Token {
+	var tokens []Token
+	start := -1
+	cap := false
+	flush := func(end int) {
+		if start >= 0 {
+			tokens = append(tokens, Token{
+				Text:        strings.ToLower(text[start:end]),
+				Start:       start,
+				End:         end,
+				Capitalized: cap,
+			})
+			start = -1
+		}
+	}
+	for i, r := range text {
+		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
+			if start < 0 {
+				start = i
+				cap = unicode.IsUpper(r)
+			}
+			continue
+		}
+		flush(i)
+	}
+	flush(len(text))
+	return tokens
+}
+
+// FuzzWords: on arbitrary bytes Words returns exactly the reference
+// tokenizer's token texts. The seeds run under plain `go test`.
+func FuzzWords(f *testing.F) {
+	for _, seed := range []string{
+		"", "...!!!", "Ava Stone's premiere, 2024!", "snake_case _x_ __ 9lives",
+		"MiXeD CASE ÉCOLE Ǆemal ǅ ǆ İstanbul ẞ", "naïve café ümlaut 東京 タワー ١٢٣ ४२",
+		"bad\xffutf8 \xc3( \xe2\x82 tail\xf0\x9f", "a\x00b\tc\nd\u00a0e\u2003f", "x",
+		"Ünïcode_and_ASCII_Mixed9 K\u212a \u2160\u2161 ﬁn",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		got := Words(text)
+		toks := Tokenize(text)
+		if len(got) != len(toks) {
+			t.Fatalf("Words(%q) = %q, reference tokens %v", text, got, toks)
+		}
+		for i, tok := range toks {
+			if got[i] != tok.Text {
+				t.Fatalf("Words(%q)[%d] = %q, reference %q", text, i, got[i], tok.Text)
+			}
+		}
+	})
+}
+
+// generatedText draws a document-like text over the gazetteers, the topic and
+// sentiment lexicons, filler and punctuation, in mixed case.
+func generatedText(rng *rand.Rand, words int) string {
+	pools := [][]string{CelebrityNames, OtherPersonNames, UnknownPersonNames, OrgNames, PlaceNames,
+		{"the", "a", "of", "Update", "note", "brief", "2024", "said", "x_y"},
+		{"amazing", "scandal", "superb", "fraud", "Stunning", "recall"}}
+	for _, topic := range AllTopics {
+		pools = append(pools, TopicVocab[topic])
+	}
+	var b strings.Builder
+	for i := 0; i < words; i++ {
+		pool := pools[rng.Intn(len(pools))]
+		w := pool[rng.Intn(len(pool))]
+		if rng.Intn(4) == 0 {
+			w = strings.ToUpper(w[:1]) + w[1:]
+		}
+		b.WriteString(w)
+		b.WriteString([]string{" ", " ", " ", ", ", ". ", "'s ", " — "}[rng.Intn(7)])
+	}
+	return b.String()
+}
+
+// TestAnnotateMatchesModels: the tokenize-once Annotate equals running the
+// three public models on the text, field for field.
+func TestAnnotateMatchesModels(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, missRate := range []float64{0, 0.3} {
+		s := NewServer(missRate, 11)
+		if err := s.Launch(); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 300; i++ {
+			text := generatedText(rng, rng.Intn(60))
+			res, err := s.Annotate(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := &Result{
+				Entities:  s.ner.Recognize(text),
+				Topics:    s.topic.Classify(text),
+				Sentiment: ScoreSentiment(text),
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("Annotate(%q) = %+v, models say %+v", text, res, want)
+			}
+		}
+	}
+}
+
+// TestModelsMatchReference holds the indexed NER scan, the array-counted
+// topic scorer and the inlined miss hash to the straightforward versions
+// they replaced: pair-then-single map lookups with a seen set, a map of
+// counts sorted with sort.Slice, and hash/fnv.
+func TestModelsMatchReference(t *testing.T) {
+	names := map[string]EntityType{}
+	for _, p := range CelebrityNames {
+		names[p] = EntityPerson
+	}
+	for _, p := range OtherPersonNames {
+		names[p] = EntityPerson
+	}
+	for _, o := range OrgNames {
+		names[o] = EntityOrg
+	}
+	for _, pl := range PlaceNames {
+		names[pl] = EntityPlace
+	}
+	refMiss := func(seed int64, text, name string) float64 {
+		h := fnv.New64a()
+		var b [8]byte
+		binary.LittleEndian.PutUint64(b[:], uint64(seed))
+		h.Write(b[:])
+		h.Write([]byte(text))
+		h.Write([]byte{0})
+		h.Write([]byte(name))
+		return float64(h.Sum64()>>11) / float64(1<<53)
+	}
+	refRecognize := func(n *NER, seed int64, text string) []Entity {
+		words := Words(text)
+		var out []Entity
+		seen := map[string]bool{}
+		emit := func(name string, typ EntityType) {
+			if seen[name] || n.MissRate > 0 && refMiss(seed, text, name) < n.MissRate {
+				return
+			}
+			seen[name] = true
+			out = append(out, Entity{Text: name, Type: typ, Confidence: 0.9})
+		}
+		for i := range words {
+			if i+1 < len(words) {
+				pair := words[i] + " " + words[i+1]
+				if typ, ok := names[pair]; ok {
+					emit(pair, typ)
+					continue
+				}
+			}
+			if typ, ok := names[words[i]]; ok {
+				emit(words[i], typ)
+			}
+		}
+		return out
+	}
+	refClassify := func(text string) []TopicScore {
+		counts := map[string]float64{}
+		total := 0.0
+		for _, w := range Words(text) {
+			for topic, vocab := range TopicVocab {
+				for _, v := range vocab {
+					if v == w {
+						counts[topic]++
+						total++
+					}
+				}
+			}
+		}
+		if total == 0 {
+			return nil
+		}
+		var out []TopicScore
+		for topic, c := range counts {
+			out = append(out, TopicScore{Topic: topic, Score: c / total})
+		}
+		sort.Slice(out, func(a, b int) bool {
+			if out[a].Score != out[b].Score {
+				return out[a].Score > out[b].Score
+			}
+			return out[a].Topic < out[b].Topic
+		})
+		return out
+	}
+	if len(TopicVocab) != len(AllTopics) {
+		t.Fatalf("TopicVocab has %d topics, AllTopics %d", len(TopicVocab), len(AllTopics))
+	}
+	rng := rand.New(rand.NewSource(6))
+	tm := NewTopicModel()
+	for _, seed := range []int64{0, 1, -7, 1 << 40} {
+		ner := NewNER(0.4, seed)
+		for i := 0; i < 200; i++ {
+			text := generatedText(rng, rng.Intn(50))
+			if got, want := ner.Recognize(text), refRecognize(ner, seed, text); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: Recognize(%q) = %v, reference %v", seed, text, got, want)
+			}
+			if got, want := tm.Classify(text), refClassify(text); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Classify(%q) = %v, reference %v", text, got, want)
+			}
+		}
+	}
+}
+
+// fixedDocument is the generated text the allocation ceilings and the
+// benchmarks share (~120 words, like a topic-corpus document).
+var fixedDocument = generatedText(rand.New(rand.NewSource(42)), 120)
+
+// TestAllocationCeilings catches an allocation regression on the annotate
+// path without the repository benchmark: Words allocates its result slice
+// plus one string per token that needed lower-casing, and Annotate adds the
+// Result and its entity and topic slices on top.
+func TestAllocationCeilings(t *testing.T) {
+	upper := 0
+	for _, tok := range Tokenize(fixedDocument) {
+		if tok.Capitalized {
+			upper++
+		}
+	}
+	words := testing.AllocsPerRun(50, func() { Words(fixedDocument) })
+	if ceiling := float64(upper + 2); words > ceiling {
+		t.Errorf("Words: %.0f allocs per run, ceiling %.0f (%d capitalized tokens)", words, ceiling, upper)
+	}
+	s := NewServer(0.1, 1)
+	if err := s.Launch(); err != nil {
+		t.Fatal(err)
+	}
+	annotate := testing.AllocsPerRun(50, func() {
+		if _, err := s.Annotate(fixedDocument); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if ceiling := words + 12; annotate > ceiling {
+		t.Errorf("Annotate: %.0f allocs per run, ceiling %.0f", annotate, ceiling)
+	}
+}
+
+var benchSink int
+
+func BenchmarkWords(b *testing.B) {
+	b.ReportAllocs()
+	b.SetBytes(int64(len(fixedDocument)))
+	for i := 0; i < b.N; i++ {
+		benchSink += len(Words(fixedDocument))
+	}
+}
+
+func BenchmarkAnnotate(b *testing.B) {
+	s := NewServer(0.1, 1)
+	if err := s.Launch(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.SetBytes(int64(len(fixedDocument)))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := s.Annotate(fixedDocument)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += len(res.Entities)
+	}
+}
 
 func TestTokenizeBasics(t *testing.T) {
 	toks := Tokenize("Ava Stone's premiere, 2024!")

@@ -18,9 +18,12 @@ var negativeWords = map[string]bool{
 
 // ScoreSentiment returns a score in [-1, 1]: (pos − neg) / (pos + neg),
 // or 0 for neutral text.
-func ScoreSentiment(text string) float64 {
+func ScoreSentiment(text string) float64 { return scoreSentiment(Words(text)) }
+
+// scoreSentiment is ScoreSentiment over a text's already-computed Words.
+func scoreSentiment(words []string) float64 {
 	pos, neg := 0, 0
-	for _, w := range Words(text) {
+	for _, w := range words {
 		if positiveWords[w] {
 			pos++
 		}

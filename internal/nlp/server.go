@@ -83,7 +83,8 @@ func (s *Server) Launched() bool {
 // Calls returns the number of Annotate calls served.
 func (s *Server) Calls() int64 { return s.calls.Load() }
 
-// Annotate runs all models over the text.
+// Annotate runs all models over the text, tokenizing it once: every model
+// reads the same Words.
 func (s *Server) Annotate(text string) (*Result, error) {
 	if !s.Launched() {
 		return nil, ErrNotLaunched
@@ -92,9 +93,10 @@ func (s *Server) Annotate(text string) (*Result, error) {
 		time.Sleep(s.CallLatency)
 	}
 	s.calls.Add(1)
+	words := Words(text)
 	return &Result{
-		Entities:  s.ner.Recognize(text),
-		Topics:    s.topic.Classify(text),
-		Sentiment: ScoreSentiment(text),
+		Entities:  s.ner.recognize(text, words),
+		Topics:    s.topic.classify(words),
+		Sentiment: scoreSentiment(words),
 	}, nil
 }

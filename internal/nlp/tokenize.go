@@ -14,58 +14,58 @@ package nlp
 import (
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
-// Token is one normalized token with its source offset.
-type Token struct {
-	// Text is the lower-cased token text.
-	Text string
-	// Start and End are byte offsets into the original string.
-	Start, End int
-	// Capitalized records whether the original token began with an
-	// upper-case letter (a cue for the NER model).
-	Capitalized bool
-}
-
-// Tokenize splits text into word tokens, lower-casing and recording
-// capitalization. Punctuation separates tokens and is dropped.
-func Tokenize(text string) []Token {
-	var tokens []Token
-	start := -1
-	cap := false
-	flush := func(end int) {
-		if start >= 0 {
-			tokens = append(tokens, Token{
-				Text:        strings.ToLower(text[start:end]),
-				Start:       start,
-				End:         end,
-				Capitalized: cap,
-			})
-			start = -1
-		}
-	}
-	for i, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) || r == '_' {
-			if start < 0 {
-				start = i
-				cap = unicode.IsUpper(r)
-			}
-			continue
-		}
-		flush(i)
-	}
-	flush(len(text))
-	return tokens
-}
-
-// Words returns just the normalized token strings.
+// Words splits text into normalized word tokens: maximal runs of letters,
+// digits and '_', lower-cased. Everything else — punctuation, whitespace,
+// invalid UTF-8 — separates tokens and is dropped. It is the package's one
+// tokenizer; every model consumes its output.
+//
+// A token made only of lower-case ASCII letters, digits and '_' (most of any
+// corpus) is a substring of text, not a copy; only a token holding an
+// upper-case or non-ASCII rune goes through strings.ToLower.
 func Words(text string) []string {
-	toks := Tokenize(text)
-	out := make([]string, len(toks))
-	for i, t := range toks {
-		out[i] = t.Text
+	words := make([]string, 0, len(text)/6+1)
+	start := -1    // byte offset of the open token, -1 between tokens
+	plain := false // the open token needs no lower-casing so far
+	flush := func(end int) {
+		if tok := text[start:end]; plain {
+			words = append(words, tok)
+		} else {
+			words = append(words, strings.ToLower(tok))
+		}
+		start = -1
 	}
-	return out
+	for i := 0; i < len(text); {
+		c, size := text[i], 1
+		word, lower := false, false
+		switch {
+		case 'a' <= c && c <= 'z', '0' <= c && c <= '9', c == '_':
+			word, lower = true, true
+		case 'A' <= c && c <= 'Z':
+			word = true
+		case c >= utf8.RuneSelf:
+			var r rune
+			r, size = utf8.DecodeRuneInString(text[i:])
+			word = unicode.IsLetter(r) || unicode.IsDigit(r)
+		}
+		switch {
+		case !word:
+			if start >= 0 {
+				flush(i)
+			}
+		case start < 0:
+			start, plain = i, lower
+		case !lower:
+			plain = false
+		}
+		i += size
+	}
+	if start >= 0 {
+		flush(len(text))
+	}
+	return words
 }
 
 // Bigrams returns adjacent token pairs joined by '_', used by the feature

@@ -1,9 +1,5 @@
 package nlp
 
-import (
-	"sort"
-)
-
 // Coarse semantic categories produced by the topic model. The paper's topic
 // model "output semantic categorizations far too coarse-grained for the
 // targeted task at hand, but which nonetheless could be used as effective
@@ -20,7 +16,7 @@ const (
 )
 
 // AllTopics lists every coarse category in a stable order.
-var AllTopics = []string{
+var AllTopics = [...]string{
 	TopicEntertainment, TopicSports, TopicTechnology, TopicFinance,
 	TopicHealth, TopicTravel, TopicFood, TopicShopping,
 }
@@ -71,15 +67,15 @@ var TopicVocab = map[string][]string{
 // for the internally maintained semantic-categorization model. It is
 // stateless and safe for concurrent use.
 type TopicModel struct {
-	wordTopics map[string][]string
+	wordTopics map[string][]int // cue word → indices into AllTopics
 }
 
 // NewTopicModel builds the scorer from TopicVocab.
 func NewTopicModel() *TopicModel {
-	m := &TopicModel{wordTopics: make(map[string][]string)}
-	for topic, words := range TopicVocab {
-		for _, w := range words {
-			m.wordTopics[w] = append(m.wordTopics[w], topic)
+	m := &TopicModel{wordTopics: make(map[string][]int)}
+	for t, topic := range AllTopics {
+		for _, w := range TopicVocab[topic] {
+			m.wordTopics[w] = append(m.wordTopics[w], t)
 		}
 	}
 	return m
@@ -93,28 +89,39 @@ type TopicScore struct {
 
 // Classify scores text against every coarse category and returns the
 // categories sorted by descending score. Texts with no cue words return nil.
-func (m *TopicModel) Classify(text string) []TopicScore {
-	counts := map[string]float64{}
-	total := 0.0
-	for _, w := range Words(text) {
-		for _, topic := range m.wordTopics[w] {
-			counts[topic]++
+func (m *TopicModel) Classify(text string) []TopicScore { return m.classify(Words(text)) }
+
+// classify is Classify over a text's already-computed Words.
+func (m *TopicModel) classify(words []string) []TopicScore {
+	var counts [len(AllTopics)]float64
+	total, cued := 0.0, 0
+	for _, w := range words {
+		for _, t := range m.wordTopics[w] {
+			if counts[t] == 0 {
+				cued++
+			}
+			counts[t]++
 			total++
 		}
 	}
 	if total == 0 {
 		return nil
 	}
-	out := make([]TopicScore, 0, len(counts))
-	for topic, c := range counts {
-		out = append(out, TopicScore{Topic: topic, Score: c / total})
-	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a].Score != out[b].Score {
-			return out[a].Score > out[b].Score
+	out := make([]TopicScore, 0, cued)
+	for t, c := range counts {
+		if c == 0 {
+			continue
 		}
-		return out[a].Topic < out[b].Topic
-	})
+		// Insertion sort by descending score, then topic name: at most
+		// len(AllTopics) entries, and a total order since names are unique.
+		s := TopicScore{Topic: AllTopics[t], Score: c / total}
+		k := len(out)
+		out = append(out, s)
+		for ; k > 0 && (out[k-1].Score < s.Score || out[k-1].Score == s.Score && out[k-1].Topic > s.Topic); k-- {
+			out[k] = out[k-1]
+		}
+		out[k] = s
+	}
 	return out
 }
 

@@ -2,7 +2,6 @@ package lf
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"strings"
@@ -86,21 +85,9 @@ func (d *derived[T]) SetAnnotator(a nlp.Annotator) {
 	}
 }
 
-// NewAnnotator implements AnnotatorSource via the first member that can; a
-// member answering ErrNoAnnotator passes the question to the next one.
-func (d *derived[T]) NewAnnotator() (nlp.Annotator, error) {
-	for _, m := range d.members {
-		src, ok := m.(AnnotatorSource)
-		if !ok {
-			continue
-		}
-		ann, err := src.NewAnnotator()
-		if errors.Is(err, ErrNoAnnotator) {
-			continue
-		}
-		return ann, err
-	}
-	return nil, fmt.Errorf("lf %s: %w", d.meta.Name, ErrNoAnnotator)
+// NewAnnotator implements AnnotatorSource via the first member that can.
+func (d *derived[T]) NewAnnotator() (nlp.Annotator, func(), error) {
+	return ResolveAnnotator(d.members)
 }
 
 // FitCorpus implements CorpusFitter by fitting every member that needs it.

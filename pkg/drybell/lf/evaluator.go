@@ -2,7 +2,6 @@ package lf
 
 import (
 	"context"
-	"errors"
 	"fmt"
 
 	"repro/internal/labelmodel"
@@ -26,6 +25,7 @@ type Evaluator[T any] struct {
 	lfs   []LF[T]
 	metas []Meta
 	cache *nlp.Cache // nil when the set has no NLP functions
+	stop  func()     // stops the annotator the evaluator resolved; nil when there is none or it is the caller's
 }
 
 // NewEvaluator builds an evaluator over the set, validating name
@@ -40,33 +40,21 @@ func NewEvaluator[T any](lfs []LF[T], ann nlp.Annotator, cacheSize int) (*Evalua
 		cacheSize = DefaultAnnotationCacheSize
 	}
 
-	// Resolve the shared annotator: explicit override, else the first
-	// function that can supply one. Sets with no NLP functions need none —
-	// a source answering ErrNoAnnotator (e.g. a combinator over pure
-	// heuristics) just passes; only a failed launch aborts.
+	// The shared annotator: the caller's override (theirs to stop), else
+	// whatever the set resolves to — none for a set with no NLP functions.
+	e := &Evaluator[T]{lfs: append([]LF[T](nil), lfs...), metas: Metas(lfs)}
 	if ann == nil {
-		for _, f := range lfs {
-			src, ok := f.(AnnotatorSource)
-			if !ok {
-				continue
-			}
-			a, err := src.NewAnnotator()
-			if errors.Is(err, ErrNoAnnotator) {
-				continue
-			}
-			if err != nil {
-				return nil, err
-			}
-			ann = a
-			break
+		var err error
+		if ann, e.stop, err = ResolveAnnotator(lfs); err != nil {
+			return nil, err
 		}
 	}
-	e := &Evaluator[T]{lfs: append([]LF[T](nil), lfs...), metas: Metas(lfs)}
 	if ann != nil {
 		cache, ok := ann.(*nlp.Cache)
 		if !ok {
 			var err error
 			if cache, err = nlp.NewCache(ann, cacheSize); err != nil {
+				e.stopAnnotator()
 				return nil, err
 			}
 		}
@@ -83,8 +71,20 @@ func NewEvaluator[T any](lfs []LF[T], ann nlp.Annotator, cacheSize int) (*Evalua
 // Setup readies every function's lifecycle (no-op for those without one).
 func (e *Evaluator[T]) Setup(ctx context.Context) error { return SetupAll(ctx, e.lfs) }
 
-// Teardown releases function lifecycles.
-func (e *Evaluator[T]) Teardown(ctx context.Context) error { return TeardownAll(ctx, e.lfs) }
+// Teardown releases function lifecycles and stops the model server the
+// evaluator launched (never an annotator the caller supplied). The
+// evaluator's NLP functions cannot vote afterwards.
+func (e *Evaluator[T]) Teardown(ctx context.Context) error {
+	err := TeardownAll(ctx, e.lfs)
+	e.stopAnnotator()
+	return err
+}
+
+func (e *Evaluator[T]) stopAnnotator() {
+	if e.stop != nil {
+		e.stop()
+	}
+}
 
 // Len returns the number of functions.
 func (e *Evaluator[T]) Len() int { return len(e.lfs) }

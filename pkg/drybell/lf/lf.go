@@ -4,18 +4,17 @@
 // of class templates and a few combinators; the system owns execution. The
 // same LF values run on both engines:
 //
-//   - the batch executor (internal MapReduce jobs sharing data over the
-//     distributed filesystem, one job per function, §5.4), via
-//     drybell.Pipeline, and
+//   - the batch executor (one fused MapReduce job per run, sharing data
+//     over the distributed filesystem, §5.4), via drybell.Pipeline, and
 //   - the online serving path (pkg/drybell/serve's /v1/label), via a shared
 //     Evaluator.
 //
 // The paper's five template classes map to:
 //
 //   - Func: the default pipeline (LabelingFunction) — a pure heuristic.
-//   - NLPFunc: the model-server pipeline (NLPLabelingFunction) — launches an
-//     NLP model server per compute node offline, or consults one shared
-//     cached annotator online.
+//   - NLPFunc: the model-server pipeline (NLPLabelingFunction) — its set
+//     shares one NLP model server per compute node offline and one cached
+//     annotator online.
 //   - GraphFunc: the knowledge-graph pipeline — queries a kgraph.Client
 //     through an injected LRU cache.
 //   - ModelFunc: the model-based pipeline — thresholds an internal
@@ -31,7 +30,6 @@ package lf
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"sort"
@@ -77,8 +75,8 @@ type Meta struct {
 
 // LF is one labeling function over example type T: metadata plus a vote. It
 // is the single abstraction both execution engines consume — the batch
-// executor runs each LF as its own MapReduce job, the online serving path
-// evaluates the same values per request.
+// executor evaluates a whole set inside each map task of one fused job, the
+// online serving path evaluates the same values per request.
 //
 // Implementations may additionally implement BatchVoter (vectorized
 // scoring), Lifecycle (expensive resources), NodeLocal (per-compute-node
@@ -112,34 +110,48 @@ type Lifecycle interface {
 }
 
 // NodeLocal is implemented by labeling functions that maintain per-compute-
-// node state — the paper's NLPLabelingFunction launches a model server on
-// every node of its MapReduce job. The batch executor calls ForNode once per
-// task (simulated node) and runs Setup/Vote/Teardown on the returned
+// node state — the paper's NLPLabelingFunction reaches a model server
+// launched on every node of its MapReduce job. The batch executor calls
+// ForNode once per task (simulated node), injects the task's NLP service
+// into Annotatable instances, and runs Setup/Vote/Teardown on the returned
 // instance; the online path uses the base value directly (one node).
 type NodeLocal[T any] interface {
 	ForNode() LF[T]
 }
 
 // Annotatable is implemented by labeling functions that consult an NLP
-// annotator and accept an injected one — how the online serving path shares
-// a single cached model server across every NLP function in a set.
+// annotator and accept an injected one — how both engines share a single
+// model server across every NLP function in a set (see ResolveAnnotator).
 type Annotatable interface {
 	SetAnnotator(a nlp.Annotator)
 }
 
 // AnnotatorSource is implemented by labeling functions that can supply the
-// NLP service for their set (NLPFunc launches its configured model server).
-// The Evaluator asks each source in set order when no annotator was
-// injected; a source with nothing to offer (e.g. a combinator with no NLP
-// members) returns an error wrapping ErrNoAnnotator and the scan moves on.
+// NLP service for their set. NewAnnotator returns the service and the
+// function that stops it: NLPFunc launches its configured model server, or —
+// when a caller already injected an annotator — answers with that one and a
+// nil stop, because an injected service is its injector's to stop. A source
+// with nothing to offer (e.g. a combinator with no NLP members) returns a
+// nil annotator; an error is a failed launch.
 type AnnotatorSource interface {
-	NewAnnotator() (nlp.Annotator, error)
+	NewAnnotator() (ann nlp.Annotator, stop func(), err error)
 }
 
-// ErrNoAnnotator is returned (wrapped) by an AnnotatorSource that cannot
-// supply an annotator — a soft "ask elsewhere", distinct from a failed
-// model-server launch.
-var ErrNoAnnotator = errors.New("no annotator available")
+// ResolveAnnotator finds the one NLP service a function set shares — the
+// contract both engines hold: the online Evaluator resolves it once per set,
+// the batch executor once per map task. Sources are asked in set order and
+// the first that answers wins. A set with no NLP functions resolves to a nil
+// annotator; stop is nil when there is nothing for the caller to stop.
+func ResolveAnnotator[T any](lfs []LF[T]) (ann nlp.Annotator, stop func(), err error) {
+	for _, f := range lfs {
+		if src, ok := f.(AnnotatorSource); ok {
+			if ann, stop, err = src.NewAnnotator(); ann != nil || err != nil {
+				return ann, stop, err
+			}
+		}
+	}
+	return nil, nil, nil
+}
 
 // CorpusFitter is implemented by two-pass labeling functions whose votes
 // depend on corpus-level statistics (AggregateFunc). The batch executor

@@ -221,27 +221,41 @@ func TestNLPFuncSharedAnnotatorInjection(t *testing.T) {
 	if launches != 0 {
 		t.Errorf("injected annotator still launched %d own servers", launches)
 	}
-	if f.OwnsModelServer() {
-		t.Error("function claims to own a server after injection")
+	// An injected function offers its set the injected service, not a new
+	// server, and leaves stopping it to the injector.
+	ann, stop, err := f.NewAnnotator()
+	if err != nil || ann != nlp.Annotator(shared) || stop != nil || launches != 0 {
+		t.Errorf("NewAnnotator after injection = %v, stop set %v, err %v, %d launches; want the injected cache and nothing to stop",
+			ann, stop != nil, err, launches)
+	}
+	if err := f.Teardown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if !srv.Launched() {
+		t.Error("teardown stopped the injected annotator's server")
 	}
 	// Without injection, Setup launches and Teardown stops an owned server.
+	var owned *nlp.Server
 	own := &lf.NLPFunc[string]{
-		Meta:      lf.Meta{Name: "own"},
-		NewServer: func() *nlp.Server { return nlp.NewServer(0, 1) },
-		GetText:   func(s string) string { return s },
-		GetValue:  func(string, *nlp.Result) lf.Label { return lf.Abstain },
+		Meta: lf.Meta{Name: "own"},
+		NewServer: func() *nlp.Server {
+			owned = nlp.NewServer(0, 1)
+			return owned
+		},
+		GetText:  func(s string) string { return s },
+		GetValue: func(string, *nlp.Result) lf.Label { return lf.Abstain },
 	}
 	if err := own.Setup(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if !own.OwnsModelServer() {
-		t.Error("function does not own its launched server")
+	if owned == nil || !owned.Launched() {
+		t.Error("Setup did not launch the function's own server")
 	}
 	if err := own.Teardown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if own.OwnsModelServer() {
-		t.Error("server still owned after teardown")
+	if owned.Launched() {
+		t.Error("server still running after teardown")
 	}
 }
 

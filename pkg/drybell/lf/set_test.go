@@ -128,6 +128,75 @@ func TestEvaluatorSharesOneAnnotator(t *testing.T) {
 	}
 }
 
+// TestEvaluatorTeardownStopsOnlyItsOwnServer: the model server an evaluator
+// launched for its set stops with the evaluator; an annotator the caller
+// supplied — as an argument or injected into the functions beforehand — is
+// consulted, never replaced by a new launch, and never stopped.
+func TestEvaluatorTeardownStopsOnlyItsOwnServer(t *testing.T) {
+	ctx := context.Background()
+	var launched []*nlp.Server
+	newSet := func() []lf.LF[string] {
+		f := &lf.NLPFunc[string]{
+			Meta: lf.Meta{Name: "n", Category: lf.ModelBased},
+			NewServer: func() *nlp.Server {
+				launched = append(launched, nlp.NewServer(0, 1))
+				return launched[len(launched)-1]
+			},
+			GetText:  func(s string) string { return s },
+			GetValue: func(string, *nlp.Result) lf.Label { return lf.Abstain },
+		}
+		return []lf.LF[string]{lf.Invert[string](f)}
+	}
+
+	eval, err := lf.NewEvaluator(newSet(), nil, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := eval.Setup(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eval.VoteRow(ctx, "some text"); err != nil {
+		t.Fatal(err)
+	}
+	if len(launched) != 1 || !launched[0].Launched() {
+		t.Fatalf("evaluator launched %d servers, want 1 running", len(launched))
+	}
+	if err := eval.Teardown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if launched[0].Launched() {
+		t.Error("the evaluator's own model server is still running after Teardown")
+	}
+
+	theirs := nlp.NewServer(0, 1)
+	if err := theirs.Launch(); err != nil {
+		t.Fatal(err)
+	}
+	defer theirs.Stop()
+	injected := newSet()
+	injected[0].(lf.Annotatable).SetAnnotator(theirs)
+	for name, build := range map[string]func() (*lf.Evaluator[string], error){
+		"argument": func() (*lf.Evaluator[string], error) { return lf.NewEvaluator(newSet(), theirs, 8) },
+		"injected": func() (*lf.Evaluator[string], error) { return lf.NewEvaluator(injected, nil, 8) },
+	} {
+		eval, err := build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := theirs.Calls()
+		if _, err := eval.VoteRow(ctx, "text for "+name); err != nil {
+			t.Fatal(err)
+		}
+		if err := eval.Teardown(ctx); err != nil {
+			t.Fatal(err)
+		}
+		if theirs.Calls() != before+1 || len(launched) != 1 || !theirs.Launched() {
+			t.Errorf("%s: caller's server took %d calls (want 1), %d servers launched in all (want 1), still running %v",
+				name, theirs.Calls()-before, len(launched), theirs.Launched())
+		}
+	}
+}
+
 // TestEvaluatorRowMatchesMatrix: per-record rows and the vectorized matrix
 // must agree — the online and batch views of the same set.
 func TestEvaluatorRowMatchesMatrix(t *testing.T) {

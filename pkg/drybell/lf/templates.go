@@ -65,26 +65,28 @@ func (f *Func[T]) VoteBatch(ctx context.Context, xs []T) ([]Label, error) {
 // annotate, GetValue computes the vote from the example and the NLP result —
 // the two slots of the paper's NLPLabelingFunction example.
 //
-// Offline, the template is NodeLocal: the batch executor derives one
-// instance per map task, each launching its own model server in Setup and
-// stopping it in Teardown, because the NLP models are too expensive to run
-// anywhere but the labeling pipeline's compute nodes. Online, the serving
-// path injects one shared (cached) annotator into every NLP function of the
-// set via SetAnnotator.
+// The NLP models are too expensive to run more than once per document, so a
+// set of NLP functions shares one service, resolved by ResolveAnnotator and
+// injected with SetAnnotator: offline the batch executor launches one model
+// server per map task (compute node) and stops it in the task's teardown;
+// online the Evaluator puts one cached annotator in front of one server. A
+// function run on its own, outside an engine, launches its configured server
+// in Setup and stops it in Teardown.
 type NLPFunc[T any] struct {
 	Meta Meta
-	// NewServer constructs the model server launched on each compute node.
-	// Ignored when an annotator has been injected with SetAnnotator.
+	// NewServer constructs the model server the function's set launches on
+	// each compute node. Ignored once an annotator has been injected with
+	// SetAnnotator.
 	NewServer func() *nlp.Server
 	// GetText selects the text to send to the NLP models.
 	GetText func(T) string
 	// GetValue computes the vote from the example and the NLP annotations.
+	// The result may be shared with other functions: treat it as read-only.
 	GetValue func(T, *nlp.Result) Label
 
-	mu       sync.Mutex
-	ann      nlp.Annotator // guarded by mu
-	owned    *nlp.Server   // guarded by mu; server this instance launched (stopped in Teardown)
-	injected bool          // guarded by mu
+	mu    sync.Mutex
+	ann   nlp.Annotator // guarded by mu; injected, or the owned server
+	owned *nlp.Server   // guarded by mu; server this instance launched (stopped in Teardown)
 }
 
 // LFMeta implements LF.
@@ -101,17 +103,31 @@ func (f *NLPFunc[T]) SetAnnotator(a nlp.Annotator) {
 		f.owned = nil
 	}
 	f.ann = a
-	f.injected = a != nil
 }
 
-// NewAnnotator implements AnnotatorSource: it launches a fresh instance of
-// the configured model server and hands it to the caller, which owns its
-// lifetime. The serving path uses this to build the one annotator an LF set
-// shares.
-func (f *NLPFunc[T]) NewAnnotator() (nlp.Annotator, error) {
-	if f.NewServer == nil {
-		return nil, fmt.Errorf("lf %s: NLPFunc has no NewServer: %w", f.Meta.Name, ErrNoAnnotator)
+// NewAnnotator implements AnnotatorSource. A function holding an injected
+// annotator answers with it and a nil stop — the service belongs to whoever
+// injected it. Otherwise it launches a fresh instance of the configured
+// model server and hands it to the caller together with its Stop; with no
+// NewServer configured it has nothing to offer.
+func (f *NLPFunc[T]) NewAnnotator() (nlp.Annotator, func(), error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.ann != nil && f.owned == nil {
+		return f.ann, nil, nil
 	}
+	if f.NewServer == nil {
+		return nil, nil, nil
+	}
+	srv, err := f.launch()
+	if err != nil {
+		return nil, nil, err
+	}
+	return srv, srv.Stop, nil
+}
+
+// launch builds and launches one instance of the configured model server.
+func (f *NLPFunc[T]) launch() (*nlp.Server, error) {
 	srv := f.NewServer()
 	if srv == nil {
 		return nil, fmt.Errorf("lf %s: NewServer returned nil", f.Meta.Name)
@@ -133,12 +149,9 @@ func (f *NLPFunc[T]) annotator() (nlp.Annotator, error) {
 	if f.NewServer == nil {
 		return nil, fmt.Errorf("lf %s: NLPFunc has no NewServer and no injected annotator", f.Meta.Name)
 	}
-	srv := f.NewServer()
-	if srv == nil {
-		return nil, fmt.Errorf("lf %s: NewServer returned nil", f.Meta.Name)
-	}
-	if err := srv.Launch(); err != nil {
-		return nil, fmt.Errorf("lf %s: launch model server: %w", f.Meta.Name, err)
+	srv, err := f.launch()
+	if err != nil {
+		return nil, err
 	}
 	f.owned = srv
 	f.ann = srv
@@ -165,24 +178,16 @@ func (f *NLPFunc[T]) Teardown(context.Context) error {
 	return nil
 }
 
-// OwnsModelServer reports whether this instance launched (and owns) its
-// model server — the executor counts these as per-node server launches.
-func (f *NLPFunc[T]) OwnsModelServer() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.owned != nil
-}
-
-// ForNode implements NodeLocal: each compute node gets an instance with its
-// own model server, unless a shared annotator was injected, in which case
-// node instances share it.
+// ForNode implements NodeLocal: each compute node gets its own instance, so
+// the batch executor can inject the node's NLP service without touching the
+// base value other tasks share. An annotator injected into the base carries
+// over to the instance.
 func (f *NLPFunc[T]) ForNode() LF[T] {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	clone := &NLPFunc[T]{Meta: f.Meta, NewServer: f.NewServer, GetText: f.GetText, GetValue: f.GetValue}
-	if f.injected {
-		clone.ann = f.ann     //drybellvet:locked — freshly constructed clone, not yet shared
-		clone.injected = true //drybellvet:locked — freshly constructed clone, not yet shared
+	if f.owned == nil {
+		clone.ann = f.ann //drybellvet:locked — freshly constructed clone, not yet shared
 	}
 	return clone
 }
