@@ -462,8 +462,7 @@ func BenchmarkServeLabel(b *testing.B) {
 // --- LF execution: the fused vote job every pipeline run goes through.
 
 // BenchmarkExecuteLFs runs the full topic LF set over a staged corpus
-// through the batch executor. The single sub-benchmark keeps the name the
-// recorded BENCH_pr*.json trajectory uses.
+// through the batch executor, as its one sub-benchmark.
 func BenchmarkExecuteLFs(b *testing.B) {
 	docs := benchDocs(b, 2000)
 	recs, err := corpus.MarshalDocuments(docs)
@@ -602,8 +601,7 @@ func BenchmarkOnlineLabel(b *testing.B) {
 // generation publish, ExtendCompact warm training) must beat a cold full
 // rerun over the grown corpus by a wide margin — the target is >= 5x. The
 // Delta10pct sub-benchmark reports the measured "speedup" metric against a
-// wall-clock full rerun taken in the same process, so BENCH_pr10.json
-// records the claim next to the raw timings.
+// wall-clock full rerun taken in the same process, next to the raw timings.
 
 func incrementalBenchConfig(fs dfs.FS) core.Config[*corpus.Document] {
 	cfg := core.Config[*corpus.Document]{

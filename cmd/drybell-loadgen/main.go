@@ -22,7 +22,7 @@
 // overload the contract is "shed or answer", never "error".
 //
 //	drybell-loadgen -url http://localhost:8080 -multipliers 0.5,1,2 \
-//	    -duration 5s -out BENCH_pr9.json -require-sheds
+//	    -duration 5s -out loadgen.json -require-sheds
 package main
 
 import (

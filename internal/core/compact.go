@@ -9,7 +9,6 @@ package core
 
 import (
 	"fmt"
-	"path"
 
 	"repro/internal/dfs"
 	"repro/internal/lf"
@@ -38,7 +37,7 @@ func Compact[T any](cfg Config[T]) error {
 	if err != nil {
 		return err
 	}
-	votesBase := path.Join(cfg.VotesPrefix(), "votes")
+	votesBase := cfg.votesBase()
 	gens, err := readCorpusManifest(cfg)
 	if err != nil {
 		return err
@@ -46,7 +45,7 @@ func Compact[T any](cfg Config[T]) error {
 	if len(gens) == 0 {
 		// Nothing in the corpus ledger; fold any leftover vote chain (the
 		// crash-repair path) and be done.
-		return lf.CompactGenerations(cfg.FS, votesBase, cfg.Shards)
+		return resetLedgers(cfg, nil, true)
 	}
 	executed, err := lf.LatestGeneration(cfg.FS, votesBase)
 	if err != nil {
@@ -99,13 +98,24 @@ func Compact[T any](cfg Config[T]) error {
 	if err := w.Commit(); err != nil {
 		return fmt.Errorf("drybell: compact: restage corpus: %w", err)
 	}
+	return resetLedgers(cfg, gens, true)
+}
 
-	// Corpus ledger first, votes second: if we crash in between, the vote
-	// chain still stands over an empty ledger — reads stay correct and a
-	// Compact retry folds it — whereas folding votes first would reset the
-	// generation counter under a manifest that still lists deltas.
-	if err := cfg.FS.Remove(cfg.CorpusManifestPath()); err != nil {
-		return fmt.Errorf("drybell: compact: remove corpus manifest: %w", err)
+// resetLedgers empties the corpus delta ledger (whose entries are gens) and
+// the vote generation chain. Compact folds the chain into the flat artifact
+// on the way (foldVotes); staging a new base corpus drops it unread, since
+// the votes it holds are for a corpus about to be superseded.
+//
+// Corpus ledger first, votes second: if we crash in between, the vote chain
+// still stands over an empty ledger — reads stay correct and a Compact retry
+// folds it — whereas resetting votes first would reset the generation counter
+// under a manifest that still lists deltas. With nothing to reset, the vote
+// side costs one List.
+func resetLedgers[T any](cfg Config[T], gens []CorpusGeneration, foldVotes bool) error {
+	if len(gens) > 0 {
+		if err := cfg.FS.Remove(cfg.CorpusManifestPath()); err != nil {
+			return fmt.Errorf("drybell: remove corpus manifest: %w", err)
+		}
 	}
 	for _, g := range gens {
 		if g.Records == 0 {
@@ -120,5 +130,8 @@ func Compact[T any](cfg Config[T]) error {
 		}
 		_ = cfg.FS.Remove(cfg.deltaInputBase(g.Gen) + ".count")
 	}
-	return lf.CompactGenerations(cfg.FS, votesBase, cfg.Shards)
+	if foldVotes {
+		return lf.CompactGenerations(cfg.FS, cfg.votesBase(), cfg.Shards)
+	}
+	return lf.DropGenerations(cfg.FS, cfg.votesBase())
 }

@@ -14,11 +14,28 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// TestCompactRestoresFlatState is the compaction contract: after appends,
-// deletions, and Compact, the filesystem must be byte-identical to a fresh
-// base run staged over the compacted corpus — input shards and vote artifact
-// alike — with both ledgers empty and a new chain startable at generation 1.
+// TestCompactRestoresFlatState is the compaction contract, on the in-memory
+// filesystem and on a real on-disk root: after appends, deletions, and
+// Compact, the filesystem must be byte-identical to a fresh base run staged
+// over the compacted corpus — input shards, vote artifact and persisted
+// labels alike — with both ledgers empty and a new chain startable at
+// generation 1, while the incremental round executed only the delta.
 func TestCompactRestoresFlatState(t *testing.T) {
+	t.Run("mem", func(t *testing.T) {
+		testCompactRestoresFlatState(t, func() dfs.FS { return dfs.NewMem() })
+	})
+	t.Run("disk", func(t *testing.T) {
+		testCompactRestoresFlatState(t, func() dfs.FS {
+			fs, err := dfs.NewDisk(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			return fs
+		})
+	})
+}
+
+func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	ctx := context.Background()
 	full, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 680, PositiveRate: 0.05, Seed: 37})
 	if err != nil {
@@ -26,7 +43,7 @@ func TestCompactRestoresFlatState(t *testing.T) {
 	}
 	base, delta, next := full[:600], full[600:660], full[660:]
 
-	fs := dfs.NewMem()
+	fs := newFS()
 	cfg := topicConfig(fs)
 	cfg.WorkDir = "drybell" // pin the default so path helpers below resolve
 	cfg.Trainer = TrainerSamplingFreeFast
@@ -43,8 +60,13 @@ func TestCompactRestoresFlatState(t *testing.T) {
 	if err := Compact(cfg); err == nil {
 		t.Fatal("Compact folded a pending, unexecuted delta")
 	}
-	if _, err := IncrementalRun(ctx, cfg, lfs, nil); err != nil {
+	inc, err := IncrementalRun(ctx, cfg, lfs, nil)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if inc.DeltaExamples != len(delta) || len(inc.Generations) != 1 || inc.Generations[0] != 1 {
+		t.Fatalf("incremental round executed %d documents as generations %v, want the %d delta documents as [1]",
+			inc.DeltaExamples, inc.Generations, len(delta))
 	}
 	if err := Compact(cfg); err != nil {
 		t.Fatalf("Compact: %v", err)
@@ -70,7 +92,7 @@ func TestCompactRestoresFlatState(t *testing.T) {
 			compacted = append(compacted, d)
 		}
 	}
-	coldFS := dfs.NewMem()
+	coldFS := newFS()
 	coldCfg := topicConfig(coldFS)
 	coldCfg.WorkDir = "drybell"
 	coldCfg.Trainer = TrainerSamplingFreeFast
@@ -79,6 +101,7 @@ func TestCompactRestoresFlatState(t *testing.T) {
 	}
 	compareShards(t, fs, coldFS, cfg.InputBase(), "input")
 	compareShards(t, fs, coldFS, votesBase, "votes")
+	compareShards(t, fs, coldFS, cfg.LabelsOutputBase(), "labels")
 	a, errA := fs.ReadFile(votesBase + ".meta")
 	b, errB := coldFS.ReadFile(votesBase + ".meta")
 	if errA != nil || errB != nil || !bytes.Equal(a, b) {
@@ -93,7 +116,7 @@ func TestCompactRestoresFlatState(t *testing.T) {
 	if g.Gen != 1 || g.StartRow != 658 {
 		t.Fatalf("post-compaction delta = %+v, want gen 1 at row 658", g)
 	}
-	inc, err := IncrementalRun(ctx, cfg, lfs, nil)
+	inc, err = IncrementalRun(ctx, cfg, lfs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

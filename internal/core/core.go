@@ -4,7 +4,7 @@
 // trainers into the four-stage flow of Figure 4:
 //
 //  1. stage unlabeled examples on the distributed filesystem,
-//  2. execute each labeling function as its own MapReduce job,
+//  2. execute the labeling-function set as one fused map-only MapReduce job,
 //  3. combine the votes with the generative model into probabilistic
 //     training labels (persisted back to the filesystem),
 //  4. train a servable discriminative model on those labels and stage it
@@ -183,6 +183,17 @@ func (c Config[T]) recordStageMetrics(ev StageEvent) {
 	}
 }
 
+// emitter returns the sink a run's stage events go to: the metrics registry,
+// then the caller's hook if there is one.
+func (c Config[T]) emitter(hook StageHook) func(StageEvent) {
+	return func(ev StageEvent) {
+		c.recordStageMetrics(ev)
+		if hook != nil {
+			hook(ev)
+		}
+	}
+}
+
 // InputBase is the DFS base path of the staged corpus.
 func (c Config[T]) InputBase() string { return path.Join(c.WorkDir, "input/examples") }
 
@@ -192,6 +203,9 @@ func (c Config[T]) LabelsOutputBase() string { return path.Join(c.WorkDir, "outp
 // VotesPrefix is the DFS prefix of vote state: ExecuteLFs maintains the
 // columnar vote artifact (and its generation chain) at "<prefix>/votes".
 func (c Config[T]) VotesPrefix() string { return path.Join(c.WorkDir, "labels") }
+
+// votesBase is the DFS base of the columnar vote artifact under VotesPrefix.
+func (c Config[T]) votesBase() string { return path.Join(c.VotesPrefix(), "votes") }
 
 // Result is the output of a pipeline run.
 type Result struct {
@@ -275,12 +289,7 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 	if err := lfapi.ValidateNames(lfs); err != nil {
 		return nil, fmt.Errorf("drybell: %w", err)
 	}
-	emit := func(ev StageEvent) {
-		cfg.recordStageMetrics(ev)
-		if hook != nil {
-			hook(ev)
-		}
-	}
+	emit := cfg.emitter(hook)
 	res := &Result{}
 
 	// Stage 1: write the corpus to the distributed filesystem. A resuming
@@ -330,32 +339,49 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 		return nil, fmt.Errorf("drybell: analyze labeling functions: %w", err)
 	}
 
-	// Stage 3: denoise with the generative model.
+	// Stages 3 and 4, with the trainer the registry holds under cfg.Trainer
+	// (nil for an unknown name, which Denoise's error then lists).
+	train, _ := LookupTrainer(cfg.Trainer)
+	if err := denoiseAndPersist(ctx, cfg, res, cfg.Trainer, train, emit); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// denoiseAndPersist is stages 3 and 4 — train the generative model on
+// res.Matrix, turn it into probabilistic labels, persist them for the
+// production ML systems — filling in res. It is the one train→persist tail:
+// a batch run passes the registry's trainer, an incremental round a closure
+// that warm-starts from its previous state, and both emit the same spans,
+// stage events and stage metrics.
+func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, name Trainer, train TrainerFunc, emit func(StageEvent)) error {
 	t2 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
-	res.Model, res.Posteriors, err = Denoise(ctx, cfg.Trainer, res.Matrix, cfg.LabelModel)
+	var err error
+	res.Model, res.Posteriors, err = denoise(ctx, name, train, res.Matrix, cfg.LabelModel)
 	emit(StageEvent{Stage: StageDenoise, Start: t2, Duration: time.Since(t2), Examples: len(res.Posteriors), Err: err})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.Timings.TrainLabelModel = time.Since(t2)
 
-	// Stage 4: persist probabilistic labels for the production ML systems.
 	t3 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
 	res.LabelsPath = cfg.LabelsOutputBase()
 	err = PersistLabels(ctx, cfg.FS, res.LabelsPath, res.Posteriors, cfg.Shards)
 	emit(StageEvent{Stage: StagePersist, Start: t3, Duration: time.Since(t3), Examples: len(res.Posteriors), LabelsPath: res.LabelsPath, Err: err})
 	if err != nil {
-		return nil, err
+		return err
 	}
 	res.Timings.Persist = time.Since(t3)
-	return res, nil
+	return nil
 }
 
 // StageExamples encodes a streaming example source onto the distributed
 // filesystem as the pipeline's sharded input (stage 1), returning the number
 // of examples staged. The source is consumed exactly once and never
 // materialized as a slice. An empty source is an error, and nothing is
-// committed for it.
+// committed for it. Staging a base corpus supersedes whatever stood over the
+// previous one: the corpus delta ledger and the vote generation chain are
+// reset before the new shards commit.
 func StageExamples[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error]) (int, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
@@ -364,8 +390,13 @@ func StageExamples[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, e
 	if src == nil {
 		return 0, fmt.Errorf("drybell: nil example source")
 	}
-	i := 0
-	records := func(yield func([]byte, error) bool) {
+	return StageRecords(ctx, cfg, encoded(cfg, src))
+}
+
+// encoded adapts an example source to the record source staging consumes.
+func encoded[T any](cfg Config[T], src iter.Seq2[T, error]) iter.Seq2[[]byte, error] {
+	return func(yield func([]byte, error) bool) {
+		i := 0
 		for x, err := range src {
 			if err != nil {
 				yield(nil, fmt.Errorf("drybell: example source: %w", err))
@@ -382,7 +413,6 @@ func StageExamples[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, e
 			i++
 		}
 	}
-	return StageRecords(ctx, cfg, records)
 }
 
 // StageRecords stages already-encoded records directly, skipping the codec —
@@ -398,14 +428,22 @@ func StageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byt
 		return 0, fmt.Errorf("drybell: nil record source")
 	}
 	_, span := obs.StartSpan(ctx, "stage.input")
-	n, err := stageRecords(ctx, cfg, src)
+	n, err := stageRecords(ctx, cfg, src, 0)
 	span.SetAttr(obs.Int("examples", n))
 	span.EndErr(err)
 	return n, err
 }
 
-func stageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byte, error]) (int, error) {
-	w, err := mapreduce.NewInputWriter(cfg.FS, cfg.InputBase(), cfg.Shards)
+// stageRecords is the one staging loop: it writes src as the sharded input of
+// corpus generation gen — 0 is the base corpus, n ≥ 1 the n-th delta, staged
+// exactly like a small base under its own input base, so the execution layer
+// consumes both through one staging contract.
+func stageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byte, error], gen int) (int, error) {
+	base := cfg.InputBase()
+	if gen > 0 {
+		base = cfg.deltaInputBase(gen)
+	}
+	w, err := mapreduce.NewInputWriter(cfg.FS, base, cfg.Shards)
 	if err != nil {
 		return 0, err
 	}
@@ -425,16 +463,30 @@ func stageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byt
 	if w.Count() == 0 {
 		return 0, fmt.Errorf("drybell: no examples")
 	}
+	if gen == 0 {
+		// A new generation 0 supersedes every generation layered over the
+		// old one. Reset the ledgers before the new shards commit, so a
+		// crash leaves the old base or the new base without deltas — never
+		// a new base under the old base's deltas.
+		gens, err := readCorpusManifest(cfg)
+		if err != nil {
+			return 0, err
+		}
+		if err := resetLedgers(cfg, gens, false); err != nil {
+			return 0, err
+		}
+	}
 	if err := w.Commit(); err != nil {
 		return 0, fmt.Errorf("drybell: stage input: %w", err)
 	}
 	return w.Count(), nil
 }
 
-// ExecuteLFs runs every labeling function as its own MapReduce job over the
-// staged corpus (stage 2) and assembles the label matrix. It requires a
-// prior StageExamples with the same FS and WorkDir — possibly from another
-// process, since the staged corpus lives on the filesystem.
+// ExecuteLFs runs the labeling-function set as one fused map-only MapReduce
+// job over the staged corpus (stage 2) — each task decodes its input shard
+// once and evaluates every function over it — and assembles the label matrix.
+// It requires a prior StageExamples with the same FS and WorkDir — possibly
+// from another process, since the staged corpus lives on the filesystem.
 func ExecuteLFs[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]) (*labelmodel.Matrix, *lf.Report, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
@@ -494,25 +546,31 @@ func Denoise(ctx context.Context, trainer Trainer, matrix *labelmodel.Matrix, op
 	if trainer == "" {
 		trainer = TrainerSamplingFree
 	}
-	_, span := obs.StartSpan(ctx, "stage.denoise", obs.String("trainer", string(trainer)))
-	fn, ok := LookupTrainer(trainer)
-	if !ok {
-		err := fmt.Errorf("drybell: unknown trainer %q (registered: %s)", trainer, trainerList())
-		span.EndErr(err)
-		return nil, nil, err
-	}
-	if err := ctx.Err(); err != nil {
-		err = fmt.Errorf("drybell: train label model: %w", err)
-		span.EndErr(err)
-		return nil, nil, err
-	}
-	lm, err := fn(matrix, opts)
+	train, _ := LookupTrainer(trainer)
+	return denoise(ctx, trainer, train, matrix, opts)
+}
+
+// denoise is stage 3 with the trainer as a value; a nil train is a name the
+// registry does not hold.
+func denoise(ctx context.Context, name Trainer, train TrainerFunc, matrix *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
+	_, span := obs.StartSpan(ctx, "stage.denoise", obs.String("trainer", string(name)))
+	lm, err := func() (*labelmodel.Model, error) {
+		if train == nil {
+			return nil, fmt.Errorf("drybell: unknown trainer %q (registered: %s)", name, trainerList())
+		}
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("drybell: train label model: %w", err)
+		}
+		lm, err := train(matrix, opts)
+		if err != nil {
+			return nil, fmt.Errorf("drybell: train label model: %w", err)
+		}
+		return lm, nil
+	}()
+	span.EndErr(err)
 	if err != nil {
-		err = fmt.Errorf("drybell: train label model: %w", err)
-		span.EndErr(err)
 		return nil, nil, err
 	}
-	span.End()
 	return lm, lm.Posteriors(matrix), nil
 }
 

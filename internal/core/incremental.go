@@ -210,10 +210,7 @@ func stageDelta[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, erro
 		StagedAtUnix: time.Now().Unix(), //drybellvet:wallclock — staleness bookkeeping, never in artifacts
 	}
 	if src != nil {
-		// Stage the delta's shards exactly like a base corpus, under the
-		// delta's own input base, so the execution layer consumes them
-		// through the unchanged staging contract.
-		n, err := stageAt(ctx, cfg, src, cfg.deltaInputBase(g.Gen))
+		n, err := stageRecords(ctx, cfg, encoded(cfg, src), g.Gen)
 		if err != nil {
 			return CorpusGeneration{}, err
 		}
@@ -223,39 +220,6 @@ func stageDelta[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, erro
 		return CorpusGeneration{}, err
 	}
 	return g, nil
-}
-
-// stageAt stages an example source at an explicit input base (stageRecords
-// always writes to cfg.InputBase()).
-func stageAt[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], base string) (int, error) {
-	w, err := mapreduce.NewInputWriter(cfg.FS, base, cfg.Shards)
-	if err != nil {
-		return 0, err
-	}
-	i := 0
-	for x, err := range src {
-		if err != nil {
-			return 0, fmt.Errorf("drybell: delta source: %w", err)
-		}
-		if err := ctx.Err(); err != nil {
-			return 0, fmt.Errorf("drybell: stage delta: %w", err)
-		}
-		rec, err := cfg.Encode(x)
-		if err != nil {
-			return 0, fmt.Errorf("drybell: encode delta example %d: %w", i, err)
-		}
-		if err := w.Append(rec); err != nil {
-			return 0, fmt.Errorf("drybell: stage delta: %w", err)
-		}
-		i++
-	}
-	if w.Count() == 0 {
-		return 0, fmt.Errorf("drybell: delta staged no examples")
-	}
-	if err := w.Commit(); err != nil {
-		return 0, fmt.Errorf("drybell: stage delta: %w", err)
-	}
-	return w.Count(), nil
 }
 
 // IncrementalResult is the output of one IncrementalRun.
@@ -280,8 +244,10 @@ type IncrementalResult struct {
 	// WarmIterations is the Newton iteration count of the warm-start
 	// training run.
 	WarmIterations int
-	// WarmStarted reports whether training resumed from a previous state
-	// (false on the α-less first run).
+	// WarmStarted reports that a previous training state was supplied (false
+	// on the first run and after a cold start) — not that work was saved: a
+	// round over rewritten or deleted rows is WarmStarted and still pays a
+	// full compaction.
 	WarmStarted bool
 	// StalenessSeconds is the age of the oldest pending delta at run start —
 	// how far behind the corpus the labels were before this run.
@@ -304,6 +270,12 @@ type IncrementalResult struct {
 // run, or after a process restart without persisted state): training still
 // covers the full view, only the warm start's compaction reuse is lost.
 func IncrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState) (*IncrementalResult, error) {
+	return incrementalObserved(ctx, cfg, lfs, prev, nil)
+}
+
+// incrementalObserved is IncrementalRun with a per-stage observer, as
+// RunObserved is to Run.
+func incrementalObserved[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState, hook StageHook) (*IncrementalResult, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
@@ -314,7 +286,7 @@ func IncrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	ctx = cfg.ObsContext(ctx)
 	ctx, span := obs.StartSpan(ctx, "pipeline.incremental",
 		obs.String("workdir", cfg.WorkDir), obs.Int("functions", len(lfs)))
-	res, err := incrementalRun(ctx, cfg, lfs, prev)
+	res, err := incrementalRun(ctx, cfg, lfs, prev, cfg.emitter(hook))
 	if res != nil {
 		span.SetAttr(
 			obs.Int("delta_examples", res.DeltaExamples),
@@ -327,9 +299,9 @@ func IncrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	return res, err
 }
 
-func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState) (*IncrementalResult, error) {
+func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState, emit func(StageEvent)) (*IncrementalResult, error) {
 	exec := cfg.executor()
-	votesBase := path.Join(cfg.VotesPrefix(), "votes")
+	votesBase := cfg.votesBase()
 	gens, err := readCorpusManifest(cfg)
 	if err != nil {
 		return nil, err
@@ -351,7 +323,7 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	// then does the previous compaction's prefix survive verbatim, making the
 	// O(delta) ExtendCompact path safe. Rewrites (StartRow inside the rows
 	// staged before the delta) and deletions reshape already-compacted rows,
-	// so they drop training to the α-only warm start.
+	// so the round recompacts the whole view.
 	appendOnly := true
 	chain := lf.Chain{Rows: baseRows}
 	now := time.Now() //drybellvet:wallclock — staleness metric only, never in artifacts
@@ -390,27 +362,27 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	if err != nil {
 		return nil, err
 	}
-	res.Matrix = mx
 
 	if prev != nil && prev.Compact != nil && !appendOnly {
-		// Keep the α warm start but drop the compaction: the view's rows
-		// shifted or changed under it.
+		// Drop the compaction: the view's rows shifted or changed under it.
+		// Alpha rides along for inspection only — it never seeds the
+		// optimizer — so this round pays a full compaction and saves nothing.
 		prev = &labelmodel.TrainState{Alpha: prev.Alpha, Iterations: prev.Iterations}
 	}
-	model, state, err := labelmodel.TrainSamplingFreeFastWarm(mx, cfg.LabelModel, prev)
-	if err != nil {
-		return nil, fmt.Errorf("drybell: warm-start train: %w", err)
+	// The batch run's train→persist tail, with the warm-starting fast trainer
+	// as the trainer value (so no Analyze: two O(m·n) passes per round).
+	out := &Result{Matrix: mx}
+	train := func(mx *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, error) {
+		model, state, err := labelmodel.TrainSamplingFreeFastWarm(mx, opts, prev)
+		res.State = state
+		return model, err
 	}
-	res.Model = model
-	res.State = state
-	res.WarmIterations = state.Iterations
-	res.WarmStarted = prev != nil && len(prev.Alpha) > 0
-	res.Posteriors = model.Posteriors(mx)
-
-	res.LabelsPath = cfg.LabelsOutputBase()
-	if err := PersistLabels(ctx, cfg.FS, res.LabelsPath, res.Posteriors, cfg.Shards); err != nil {
+	if err := denoiseAndPersist(ctx, cfg, out, TrainerSamplingFreeFast, train, emit); err != nil {
 		return nil, err
 	}
+	res.Matrix, res.Model, res.Posteriors, res.LabelsPath = out.Matrix, out.Model, out.Posteriors, out.LabelsPath
+	res.WarmIterations = res.State.Iterations
+	res.WarmStarted = prev != nil && len(prev.Alpha) > 0
 
 	if cfg.Obs != nil && cfg.Obs.Metrics != nil {
 		reg := cfg.Obs.Metrics

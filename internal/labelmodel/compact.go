@@ -221,20 +221,63 @@ func (mx *Matrix) Compact() *CompactMatrix {
 	return c
 }
 
+// compactChecked is ExtendCompact started from an empty compaction: every row
+// of mx is an appended row.
 func (mx *Matrix) compactChecked() (*CompactMatrix, error) {
+	return ExtendCompact(&CompactMatrix{n: mx.n}, mx)
+}
+
+// ExtendCompact compacts only the appended rows of mx — rows
+// [prev.NumExamples(), mx.NumExamples()) — against the distinct-row table of
+// prev, returning a new CompactMatrix over the whole of mx. prev is not
+// mutated and remains valid. Distinct rows keep first-seen order, so the
+// result equals a from-scratch Compact of mx field for field.
+//
+// The caller guarantees that rows [0, prev.NumExamples()) of mx are
+// byte-identical to the matrix prev was compacted from; ExtendCompact cannot
+// verify this without re-scanning the prefix, which would cost exactly the
+// full compaction it exists to avoid. Corpora with deleted or rewritten rows
+// must re-Compact from scratch (see TrainSamplingFreeFastWarm's nil-Compact
+// path).
+//
+// Cost: O(U·n) to rebuild the key table from prev's distinct rows and to
+// aggregate the per-LF counts, plus O(k·n) over the k appended rows, instead
+// of O(m·n) over everything.
+func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
+	if prev == nil {
+		return nil, fmt.Errorf("labelmodel: ExtendCompact with nil previous compaction")
+	}
+	if mx == nil {
+		return nil, fmt.Errorf("labelmodel: ExtendCompact with nil matrix")
+	}
+	if mx.n != prev.n {
+		return nil, fmt.Errorf("labelmodel: ExtendCompact: matrix has %d labeling functions, previous compaction has %d", mx.n, prev.n)
+	}
+	if mx.m < prev.m {
+		return nil, fmt.Errorf("labelmodel: ExtendCompact: matrix has %d rows, fewer than the %d already compacted (deletions require a full re-Compact)", mx.m, prev.m)
+	}
 	if mx.n > 1<<16 {
 		return nil, fmt.Errorf("labelmodel: Compact supports at most %d labeling functions, got %d", 1<<16, mx.n)
 	}
+	// Copy what the appended rows grow — sharing backing arrays would corrupt
+	// prev for its other holders (the last training run's state). Start drops
+	// its U+1'th sentinel entry while rows append and gets it back at the end.
+	u := len(prev.Mult)
 	c := &CompactMatrix{
 		m:             mx.m,
 		n:             mx.n,
+		Mult:          append([]int32(nil), prev.Mult...),
+		Start:         append([]int32(nil), prev.Start[:u]...),
+		PosEnd:        append([]int32(nil), prev.PosEnd...),
+		Cols:          append([]uint16(nil), prev.Cols...),
 		RowOf:         make([]int32, mx.m),
 		Voted:         make([]int64, mx.n),
 		MajorityAgree: make([]int64, mx.n),
 	}
+	copy(c.RowOf, prev.RowOf)
 	// Column lists are packed the moment a fresh row pattern is seen, so
-	// the whole compaction is one pass over the matrix plus O(U·n̄) work on
-	// first encounters only.
+	// the whole compaction is one pass over the appended rows plus O(U·n̄)
+	// work on first encounters only.
 	appendCols := func(row []Label) {
 		c.Start = append(c.Start, int32(len(c.Cols)))
 		for j, v := range row {
@@ -253,9 +296,21 @@ func (mx *Matrix) compactChecked() (*CompactMatrix, error) {
 		// Open-addressed table instead of a Go map: row deduplication is the
 		// whole cost of Compact, and the custom probe loop is several times
 		// faster than map inserts on this hot path.
-		tab := newRowTable(mx.m)
+		tab := newRowTable(u + mx.m - prev.m)
 		defer tab.release()
-		for i := 0; i < mx.m; i++ {
+		// Seed the table from the previous distinct rows so appended
+		// duplicates of known patterns resolve to their existing indices.
+		for r := 0; r < u; r++ {
+			var key uint64
+			for _, j := range prev.Cols[prev.Start[r]:prev.PosEnd[r]] {
+				key |= 1 << (2 * uint(j))
+			}
+			for _, j := range prev.Cols[prev.PosEnd[r]:prev.Start[r+1]] {
+				key |= 3 << (2 * uint(j))
+			}
+			tab.insert(key, int32(r))
+		}
+		for i := prev.m; i < mx.m; i++ {
 			var key, bad uint64
 			row := mx.data[i*mx.n : (i+1)*mx.n]
 			// Two bits per vote: abstain → 0, positive → 1, negative → 3,
@@ -285,8 +340,14 @@ func (mx *Matrix) compactChecked() (*CompactMatrix, error) {
 		}
 	} else {
 		buf := make([]byte, mx.n)
-		seen := make(map[string]int32, mx.m/4+16)
-		for i := 0; i < mx.m; i++ {
+		seen := make(map[string]int32, u+(mx.m-prev.m)/4+16)
+		for r := 0; r < u; r++ {
+			if err := EncodeVotes(buf, prev.RowVotes(r)); err != nil {
+				return nil, fmt.Errorf("labelmodel: previous compaction row %d: %w", r, err)
+			}
+			seen[string(buf)] = int32(r)
+		}
+		for i := prev.m; i < mx.m; i++ {
 			row := mx.data[i*mx.n : (i+1)*mx.n]
 			if err := EncodeVotes(buf, row); err != nil {
 				return nil, fmt.Errorf("labelmodel: row %d: %w", i, err)
@@ -302,12 +363,12 @@ func (mx *Matrix) compactChecked() (*CompactMatrix, error) {
 			c.RowOf[i] = r
 		}
 	}
-	u := len(c.Mult)
 	c.Start = append(c.Start, int32(len(c.Cols)))
 
 	// Per-LF vote and majority-agreement counts aggregate over distinct
-	// rows and multiplicities.
-	for r := 0; r < u; r++ {
+	// rows and multiplicities — integer sums, so the result does not depend
+	// on how many Extend steps built the compaction.
+	for r := range c.Mult {
 		mult := int64(c.Mult[r])
 		pos := c.Cols[c.Start[r]:c.PosEnd[r]]
 		neg := c.Cols[c.PosEnd[r]:c.Start[r+1]]

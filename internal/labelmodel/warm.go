@@ -28,163 +28,6 @@ type TrainState struct {
 	Iterations int
 }
 
-// ExtendCompact compacts only the appended rows of mx — rows
-// [prev.NumExamples(), mx.NumExamples()) — against the distinct-row table of
-// prev, returning a new CompactMatrix over the whole of mx. prev is not
-// mutated and remains valid.
-//
-// The caller guarantees that rows [0, prev.NumExamples()) of mx are
-// byte-identical to the matrix prev was compacted from; ExtendCompact cannot
-// verify this without re-scanning the prefix, which would cost exactly the
-// full compaction it exists to avoid. Corpora with deleted or rewritten rows
-// must re-Compact from scratch (see TrainSamplingFreeFastWarm's nil-Compact
-// path).
-//
-// Cost: O(U·n) to rebuild the key table from prev's distinct rows plus
-// O(k·n) over the k appended rows, instead of O(m·n) over everything.
-func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
-	if prev == nil {
-		return nil, fmt.Errorf("labelmodel: ExtendCompact with nil previous compaction")
-	}
-	if mx == nil {
-		return nil, fmt.Errorf("labelmodel: ExtendCompact with nil matrix")
-	}
-	if mx.n != prev.n {
-		return nil, fmt.Errorf("labelmodel: ExtendCompact: matrix has %d labeling functions, previous compaction has %d", mx.n, prev.n)
-	}
-	if mx.m < prev.m {
-		return nil, fmt.Errorf("labelmodel: ExtendCompact: matrix has %d rows, fewer than the %d already compacted (deletions require a full re-Compact)", mx.m, prev.m)
-	}
-
-	// Deep-copy the previous compaction: Mult, Voted, and MajorityAgree are
-	// incremented in place, and the packed column slices are appended to, so
-	// sharing backing arrays would corrupt prev for its other holders (the
-	// last training run's state).
-	c := &CompactMatrix{
-		m:             mx.m,
-		n:             mx.n,
-		Mult:          append([]int32(nil), prev.Mult...),
-		Start:         append([]int32(nil), prev.Start...),
-		PosEnd:        append([]int32(nil), prev.PosEnd...),
-		Cols:          append([]uint16(nil), prev.Cols...),
-		RowOf:         make([]int32, mx.m),
-		Voted:         append([]int64(nil), prev.Voted...),
-		MajorityAgree: append([]int64(nil), prev.MajorityAgree...),
-	}
-	copy(c.RowOf, prev.RowOf)
-	// Start carries U+1 entries; drop the sentinel while appending rows and
-	// restore it at the end. ends[r] tracks each row's packed-segment end —
-	// Start[r+1] in the finished layout — which mid-build is not otherwise
-	// addressable for the youngest row once later rows append columns.
-	c.Start = c.Start[:len(c.Mult)]
-	ends := make([]int32, len(c.Mult), cap(c.Mult))
-	copy(ends, prev.Start[1:])
-
-	appendCols := func(row []Label) {
-		c.Start = append(c.Start, int32(len(c.Cols)))
-		for j, v := range row {
-			if v == Positive {
-				c.Cols = append(c.Cols, uint16(j))
-			}
-		}
-		c.PosEnd = append(c.PosEnd, int32(len(c.Cols)))
-		for j, v := range row {
-			if v == Negative {
-				c.Cols = append(c.Cols, uint16(j))
-			}
-		}
-		ends = append(ends, int32(len(c.Cols)))
-	}
-	// aggregate folds one appended example with distinct row r into the
-	// per-LF sufficient statistics — the same arithmetic compactChecked runs
-	// over (row, multiplicity) pairs at the end, applied incrementally.
-	aggregate := func(r int32) {
-		pos := c.Cols[c.Start[r]:c.PosEnd[r]]
-		neg := c.Cols[c.PosEnd[r]:ends[r]]
-		maj := len(pos) - len(neg)
-		for _, j := range pos {
-			c.Voted[j]++
-			if maj > 0 {
-				c.MajorityAgree[j]++
-			}
-		}
-		for _, j := range neg {
-			c.Voted[j]++
-			if maj < 0 {
-				c.MajorityAgree[j]++
-			}
-		}
-	}
-
-	if mx.n <= 32 {
-		tab := newRowTable(len(prev.Mult) + (mx.m - prev.m))
-		defer tab.release()
-		// Re-seed the table from the previous distinct rows so appended
-		// duplicates of known patterns resolve to their existing indices.
-		for r := range prev.Mult {
-			var key uint64
-			for _, j := range prev.Cols[prev.Start[r]:prev.PosEnd[r]] {
-				key |= 1 << (2 * uint(j))
-			}
-			for _, j := range prev.Cols[prev.PosEnd[r]:prev.Start[r+1]] {
-				key |= 3 << (2 * uint(j))
-			}
-			tab.insert(key, int32(r))
-		}
-		for i := prev.m; i < mx.m; i++ {
-			var key, bad uint64
-			row := mx.data[i*mx.n : (i+1)*mx.n]
-			for j, v := range row {
-				code := voteCode[uint8(v)] //drybellvet:rawvote — indexing the encoder's table
-				bad |= code
-				key |= (code & 3) << (2 * uint(j))
-			}
-			if bad&voteBad != 0 {
-				for j, v := range row {
-					if v < Negative || v > Positive {
-						return nil, fmt.Errorf("labelmodel: invalid label %d at row %d column %d", v, i, j)
-					}
-				}
-			}
-			r, fresh := tab.insert(key, int32(len(c.Mult)))
-			if fresh {
-				c.Mult = append(c.Mult, 0)
-				appendCols(row)
-			}
-			c.Mult[r]++
-			c.RowOf[i] = r
-			aggregate(r)
-		}
-	} else {
-		buf := make([]byte, mx.n)
-		seen := make(map[string]int32, len(prev.Mult)+(mx.m-prev.m)/4+16)
-		for r := range prev.Mult {
-			if err := EncodeVotes(buf, prev.RowVotes(r)); err != nil {
-				return nil, fmt.Errorf("labelmodel: previous compaction row %d: %w", r, err)
-			}
-			seen[string(buf)] = int32(r)
-		}
-		for i := prev.m; i < mx.m; i++ {
-			row := mx.data[i*mx.n : (i+1)*mx.n]
-			if err := EncodeVotes(buf, row); err != nil {
-				return nil, fmt.Errorf("labelmodel: row %d: %w", i, err)
-			}
-			r, ok := seen[string(buf)]
-			if !ok {
-				r = int32(len(c.Mult))
-				seen[string(buf)] = r
-				c.Mult = append(c.Mult, 0)
-				appendCols(row)
-			}
-			c.Mult[r]++
-			c.RowOf[i] = r
-			aggregate(r)
-		}
-	}
-	c.Start = append(c.Start, int32(len(c.Cols)))
-	return c, nil
-}
-
 // TrainSamplingFreeFastWarm is TrainSamplingFreeFast with a warm start:
 // when the corpus only grew, it re-compacts just the appended rows against
 // the previous run's compaction (ExtendCompact) instead of re-scanning the

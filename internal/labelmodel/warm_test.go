@@ -1,6 +1,10 @@
 package labelmodel
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -252,5 +256,104 @@ func TestWarmStartWithoutCompactFallsBack(t *testing.T) {
 	}
 	if warmState.Compact == nil {
 		t.Error("alpha-only warm start should produce a fresh compaction for the next round")
+	}
+}
+
+// randomVotes draws an m×n matrix whose rows repeat (a small pool of patterns,
+// each with an occasional flipped cell), so every compaction has both fresh
+// and already-seen rows at any split point.
+func randomVotes(m, n int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	pool := make([][]Label, 12)
+	for p := range pool {
+		pool[p] = make([]Label, n)
+		for j := range pool[p] {
+			pool[p][j] = Label(rng.Intn(3) - 1)
+		}
+	}
+	mx := NewMatrix(m, n)
+	for i := 0; i < m; i++ {
+		row := append([]Label(nil), pool[rng.Intn(len(pool))]...)
+		if rng.Intn(4) == 0 {
+			row[rng.Intn(n)] = Label(rng.Intn(3) - 1)
+		}
+		mx.SetRow(i, row)
+	}
+	return mx
+}
+
+// prefix copies the first k rows of mx into their own matrix.
+func prefix(mx *Matrix, k int) *Matrix {
+	p := NewMatrix(k, mx.NumFuncs())
+	for i := 0; i < k; i++ {
+		p.SetRow(i, mx.Row(i))
+	}
+	return p
+}
+
+// requireSameCompact compares two compactions field for field.
+func requireSameCompact(t *testing.T, what string, got, want *CompactMatrix) {
+	t.Helper()
+	if got.m != want.m || got.n != want.n {
+		t.Fatalf("%s: shape %dx%d, want %dx%d", what, got.m, got.n, want.m, want.n)
+	}
+	for _, f := range []struct {
+		name string
+		same bool
+	}{
+		{"Mult", slices.Equal(got.Mult, want.Mult)},
+		{"Start", slices.Equal(got.Start, want.Start)},
+		{"PosEnd", slices.Equal(got.PosEnd, want.PosEnd)},
+		{"Cols", slices.Equal(got.Cols, want.Cols)},
+		{"RowOf", slices.Equal(got.RowOf, want.RowOf)},
+		{"Voted", slices.Equal(got.Voted, want.Voted)},
+		{"MajorityAgree", slices.Equal(got.MajorityAgree, want.MajorityAgree)},
+	} {
+		if !f.same {
+			t.Fatalf("%s: field %s differs", what, f.name)
+		}
+	}
+}
+
+// TestExtendCompactEverySplit: there is one compaction. At both key widths
+// (8 functions pack into a uint64 key, 40 take the string-key path) and at
+// every sampled split point — one row, and the whole matrix, included —
+// extending the prefix's compaction over the rest equals compacting
+// everything at once, field for field; the prefix's compaction is left as it
+// was; and an out-of-range vote among the appended rows is refused by row and
+// column.
+func TestExtendCompactEverySplit(t *testing.T) {
+	for _, n := range []int{8, 40} {
+		t.Run(fmt.Sprintf("lfs=%d", n), func(t *testing.T) {
+			const m = 240
+			mx := randomVotes(m, n, int64(100+n))
+			want := mx.Compact()
+			if want.NumUnique() >= m {
+				t.Fatalf("no repeated rows among %d (want a duplicate-heavy matrix)", m)
+			}
+			for _, k := range []int{1, 2, 7, 60, 119, 120, 200, m - 1, m} {
+				prev := prefix(mx, k).Compact()
+				before := prefix(mx, k).Compact()
+				got, err := ExtendCompact(prev, mx)
+				if err != nil {
+					t.Fatalf("split %d: %v", k, err)
+				}
+				requireSameCompact(t, fmt.Sprintf("split %d", k), got, want)
+				requireSameCompact(t, fmt.Sprintf("split %d: prev after extending", k), prev, before)
+			}
+
+			const k, badRow, badCol = 100, 170, 5
+			prev := prefix(mx, k).Compact()
+			mx.data[badRow*n+badCol] = 7 // bypass Set's validation, as a corrupt decode would
+			_, err := ExtendCompact(prev, mx)
+			if err == nil {
+				t.Fatal("ExtendCompact accepted an out-of-range vote in the appended rows")
+			}
+			for _, part := range []string{fmt.Sprintf("row %d", badRow), fmt.Sprintf("column %d", badCol)} {
+				if !strings.Contains(err.Error(), part) {
+					t.Errorf("error %q does not name %s", err, part)
+				}
+			}
+		})
 	}
 }

@@ -33,9 +33,8 @@ import (
 // capabilities by interface: NodeLocal functions get one instance per map
 // task, Annotatable instances share the task's one NLP model server (the
 // per-compute-node server of §5.1) and one annotation per distinct text,
-// Lifecycle brackets each task, BatchVoter functions score a whole shard per
-// call through the engine's batch path, and CorpusFitter functions get a
-// first streaming pass over the staged corpus before their vote job launches.
+// Lifecycle brackets each task, and CorpusFitter functions get a first
+// streaming pass over the staged corpus before their vote job launches.
 type Executor[T any] struct {
 	// FS holds the staged input and receives the vote artifact.
 	FS dfs.FS
@@ -342,10 +341,10 @@ func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*lab
 
 // runFused is the fused execution engine shared by full runs and delta runs:
 // one map-only job over inputBase in which each task decodes its shard once,
-// evaluates all functions over the decoded records (vectorized where they
-// support it), and emits one n-byte columnar vote row per record. It
-// assembles and returns the matrix without publishing it — full runs merge
-// it into the flat artifact, delta runs publish it as a generation.
+// evaluates all functions over the decoded records, and emits one n-byte
+// columnar vote row per record. It assembles and returns the matrix without
+// publishing it — full runs merge it into the flat artifact, delta runs
+// publish it as a generation.
 func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase, scratchBase string, generation int) (*labelmodel.Matrix, *Report, []string, int, error) {
 	start := time.Now() //drybellvet:wallclock — report durations only, never persisted votes
 	report := &Report{PerLF: make([]LFReport, len(lfs))}
@@ -552,14 +551,13 @@ func attemptCtx(tctx *mapreduce.TaskContext, run context.Context) context.Contex
 
 // fusedTask evaluates the whole labeling-function set inside one map task:
 // records are decoded once, every function votes over the decoded slice
-// (through its vectorized VoteBatch when available), and the task emits one
-// packed n-byte vote row per record — the columnar layout the vote artifact
-// and the matrix assembly consume directly. Per task (simulated compute
-// node) it derives a NodeLocal instance of every function, resolves the
-// set's one NLP service the way the online Evaluator does — the paper's
-// "launch a model server on each node in Setup, stop it in Teardown" — and
-// puts a task-private memo in front of it, so each distinct text is
-// annotated once however many functions ask.
+// (lfapi.VoteAll), and the task emits one packed n-byte vote row per record —
+// the columnar layout the vote artifact and the matrix assembly consume
+// directly. Per task (simulated compute node) it derives a NodeLocal instance
+// of every function, resolves the set's one NLP service the way the online
+// Evaluator does — the paper's "launch a model server on each node in Setup,
+// stop it in Teardown" — and puts a task-private memo in front of it, so each
+// distinct text is annotated once however many functions ask.
 type fusedTask[T any] struct {
 	ctx    context.Context
 	lfs    []lfapi.LF[T]

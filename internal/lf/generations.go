@@ -147,6 +147,17 @@ func LatestGeneration(fs dfs.FS, base string) (int, error) {
 	return gens[len(gens)-1].Gen, nil
 }
 
+// manifestGen parses a key under _gen/ as a manifest key. Manifest keys are
+// exactly the zero-padded generation number; everything else there (data
+// segment shards and their metas, in-flight .tmp manifests) is not a manifest.
+func manifestGen(name string) (int, bool) {
+	if strings.ContainsAny(name, "./-") {
+		return 0, false
+	}
+	gen, err := strconv.Atoi(name)
+	return gen, err == nil
+}
+
 // ListGenerations returns the published generation manifests in ascending
 // generation order, validating each manifest's checksum and its consistency
 // with its key. A corrupt manifest fails the whole listing — an incremental
@@ -159,15 +170,8 @@ func ListGenerations(fs dfs.FS, base string) ([]GenerationMeta, error) {
 	}
 	var gens []GenerationMeta
 	for _, key := range keys {
-		name := strings.TrimPrefix(key, prefix)
-		// Manifest keys are exactly the zero-padded generation number;
-		// everything else under _gen/ (data segment shards and their metas,
-		// in-flight .tmp manifests) is not a manifest.
-		if strings.ContainsAny(name, "./-") {
-			continue
-		}
-		wantGen, err := strconv.Atoi(name)
-		if err != nil {
+		wantGen, ok := manifestGen(strings.TrimPrefix(key, prefix))
+		if !ok {
 			continue
 		}
 		raw, err := fs.ReadFile(key)
@@ -287,17 +291,33 @@ func CompactGenerations(fs dfs.FS, base string, shards int) error {
 		return fmt.Errorf("lf: compact vote generations at %s: %w", base, err)
 	}
 	// The flat artifact now carries the whole view; drop the folded chain.
-	// Remove manifests first so a crash mid-cleanup leaves orphaned data
-	// segments (ignored by readers) rather than manifests with missing data.
-	for _, g := range gens {
-		if err := fs.Remove(genManifestPath(base, g.Gen)); err != nil {
-			return fmt.Errorf("lf: compact vote generations at %s: remove manifest %d: %w", base, g.Gen, err)
+	return DropGenerations(fs, base)
+}
+
+// DropGenerations removes the generation chain over the flat artifact at base
+// without reading it, leaving the flat artifact as the whole store: what
+// CompactGenerations does once the chain is folded, and what staging a new
+// base corpus does to the chain over the old one. Manifests go first, so a
+// crash mid-way leaves orphaned data segments (ignored by readers) rather
+// than manifests with missing data. A store with no chain costs one List.
+func DropGenerations(fs dfs.FS, base string) error {
+	prefix := genDir(base) + "/" //drybellvet:notapath — List prefix; the trailing "/" is significant
+	keys, err := fs.List(prefix)
+	if err != nil {
+		return fmt.Errorf("lf: list vote generations at %s: %w", base, err)
+	}
+	var data []string
+	for _, key := range keys {
+		if _, ok := manifestGen(strings.TrimPrefix(key, prefix)); !ok {
+			data = append(data, key)
+			continue
+		}
+		if err := fs.Remove(key); err != nil {
+			return fmt.Errorf("lf: drop vote generations at %s: %w", base, err)
 		}
 	}
-	if keys, err := fs.List(genDir(base) + "/"); err == nil { //drybellvet:notapath — List prefix; the trailing "/" is significant
-		for _, key := range keys {
-			_ = fs.Remove(key)
-		}
+	for _, key := range data {
+		_ = fs.Remove(key) // orphaned segments are never read
 	}
 	return nil
 }

@@ -95,8 +95,9 @@ func (MapFunc) Teardown(*TaskContext) error { return nil }
 
 // BatchMapper is an optional Mapper extension. When a job's Mapper
 // implements it, the engine delivers each task's records as one MapBatch
-// call instead of one Map call per record, letting vectorized user code
-// amortize per-record overhead (e.g. a labeling function's VoteBatch).
+// call instead of one Map call per record, letting user code amortize
+// per-record overhead (the fused vote task decodes a shard once and keeps one
+// annotation memo per batch).
 // Emissions must be equivalent to mapping each record in order; Setup and
 // Teardown still bracket the call.
 type BatchMapper interface {

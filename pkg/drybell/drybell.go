@@ -6,7 +6,8 @@
 // unlabeled examples:
 //
 //  1. Stage the corpus onto the distributed filesystem,
-//  2. ExecuteLFs: run each labeling function as its own MapReduce job,
+//  2. ExecuteLFs: run the labeling-function set as one fused map-only
+//     MapReduce job,
 //  3. Denoise the votes into probabilistic labels with a generative model,
 //  4. Persist the labels for the production training systems.
 //
@@ -80,9 +81,10 @@
 // warm-starts from the previous run's state (carried by the Pipeline, or
 // dropped with WithColdStart); and the refreshed labels are persisted over
 // the full corpus. WithCorpusDelta and WithCorpusRewrite stage deltas inline
-// with a run. Warm-start results match a cold full retrain within 1e-3 on
-// the model with identical hard labels — incremental is a latency
-// optimization, never a quality trade.
+// with a run. A warm-started round equals a cold full retrain exactly —
+// incremental is a latency optimization, never a quality trade. Running a
+// new base corpus (Run, Stage) over a root that holds a delta chain starts
+// over: both ledgers are reset before the new corpus commits.
 package drybell
 
 import (
@@ -190,13 +192,19 @@ func (p *Pipeline[T]) VotesBase() string { return path.Join(p.cfg.VotesPrefix(),
 // errors.Is(err, ctx.Err()); see the package comment for how deep into each
 // stage cancellation reaches.
 func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Result, error) {
+	p.warm = nil // describes the corpus this run replaces
 	return core.RunObserved(ctx, p.cfg, src, lfs, p.hook)
 }
 
 // Stage consumes the source once, encoding each example onto the filesystem
 // as the pipeline's sharded input (stage 1). The corpus never needs to fit
-// in one slice. It returns the number of examples staged.
+// in one slice. It returns the number of examples staged. A staged base
+// corpus supersedes whatever stood over the previous one: the corpus delta
+// ledger and the vote generation chain are reset before the new shards
+// commit, so the next StageDelta starts a new chain at generation 1.
 func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
+	p.warm = nil // describes the corpus this staging replaces
+
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
 	n, err := core.StageExamples(p.cfg.ObsContext(ctx), p.cfg, src)
 	p.emit(StageEvent{Stage: StageStage, Start: start, Duration: time.Since(start), Examples: n, Err: err})
@@ -208,16 +216,20 @@ func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
 // in the pipeline's record format — e.g. a validated JSONL dump — to avoid
 // a decode/re-encode round-trip per record.
 func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) (int, error) {
+	p.warm = nil // describes the corpus this staging replaces
+
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
 	n, err := core.StageRecords(p.cfg.ObsContext(ctx), p.cfg, records)
 	p.emit(StageEvent{Stage: StageStage, Start: start, Duration: time.Since(start), Examples: n, Err: err})
 	return n, err
 }
 
-// ExecuteLFs runs every labeling function as its own MapReduce job over the
-// staged corpus (stage 2) and assembles the label matrix, column j holding
-// runner j's votes in input order. The corpus may have been staged by an
-// earlier run or another process sharing the filesystem.
+// ExecuteLFs runs the labeling-function set as one fused map-only MapReduce
+// job over the staged corpus (stage 2) — each task decodes its input shard
+// once and evaluates every function over it — and assembles the label
+// matrix, column j holding function j's votes in input order. The corpus may
+// have been staged by an earlier run or another process sharing the
+// filesystem.
 func (p *Pipeline[T]) ExecuteLFs(ctx context.Context, lfs []LF[T]) (*Matrix, *Report, error) {
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
 	matrix, report, err := core.ExecuteLFs(ctx, p.cfg, lfs)

@@ -59,8 +59,9 @@ func WithCorpusDelta[T any](src Source[T], deleted ...int) IncrementalOption {
 
 // WithCorpusRewrite stages changed documents: src's documents supersede rows
 // [startRow, startRow+n) of the staging order. A rewrite invalidates the
-// warm start's compaction prefix, so the run falls back to the α-only warm
-// start (still far warmer than a cold restart).
+// warm start's compaction prefix — the one thing a warm start saves — so the
+// run recompacts the whole view, at a cold run's cost, and reports
+// WarmStarted all the same (a previous state was supplied).
 func WithCorpusRewrite[T any](src Source[T], startRow int) IncrementalOption {
 	return IncrementalOption{f: func(s *incrementalSettings) {
 		if src == nil {

@@ -146,3 +146,122 @@ func TestIncrementalRunRewrite(t *testing.T) {
 		t.Fatal("rows outside the rewrite changed labels")
 	}
 }
+
+// TestRestageOverExecutedChain: a base run over a root that holds an executed
+// delta chain starts over — staging the new base resets the corpus ledger and
+// the vote generation chain, so the store holds the new base's votes and
+// nothing else. (The old chain used to stay standing over the new base:
+// LoadMatrix overwrote rows 500–549 with the stale generation, or, over a
+// shorter base, failed with "generation 1 starts at row 500, beyond the 300
+// rows covered".) Through Run and through Stage + ExecuteLFs, with a second
+// corpus longer and shorter than the old chain.
+func TestRestageOverExecutedChain(t *testing.T) {
+	ctx := context.Background()
+	lfs := testRunners()
+	names := make([]string, len(lfs))
+	for j, f := range lfs {
+		names[j] = f.LFMeta().Name
+	}
+	// A second corpus whose votes differ from makeDocs' row for row.
+	otherDocs := func(n int) []doc {
+		docs := makeDocs(n)
+		for i := range docs {
+			docs[i].Text = "plain report on infrastructure"
+			if i%2 == 0 {
+				docs[i].Text = "celebrity gossip, no carpet"
+			}
+		}
+		return docs
+	}
+	for _, tc := range []struct {
+		name   string
+		second int
+		staged bool
+	}{
+		{"run/longer", 600, false},
+		{"run/shorter", 300, false},
+		{"stages/longer", 600, true},
+		{"stages/shorter", 300, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			full := makeDocs(550)
+			p := newPipeline(t)
+			if _, err := p.Run(ctx, drybell.SliceSource(full[:500]), lfs); err != nil {
+				t.Fatalf("base Run: %v", err)
+			}
+			if _, err := p.IncrementalRun(ctx, lfs, drybell.WithCorpusDelta(drybell.SliceSource(full[500:]))); err != nil {
+				t.Fatalf("IncrementalRun: %v", err)
+			}
+
+			second := otherDocs(tc.second)
+			var want *drybell.Matrix
+			if tc.staged {
+				if _, err := p.Stage(ctx, drybell.SliceSource(second)); err != nil {
+					t.Fatalf("Stage: %v", err)
+				}
+				mx, _, err := p.ExecuteLFs(ctx, lfs)
+				if err != nil {
+					t.Fatalf("ExecuteLFs: %v", err)
+				}
+				want = mx
+			} else {
+				res, err := p.Run(ctx, drybell.SliceSource(second), lfs)
+				if err != nil {
+					t.Fatalf("second Run: %v", err)
+				}
+				want = res.Matrix
+			}
+
+			got, err := p.LoadMatrix(names)
+			if err != nil {
+				t.Fatalf("LoadMatrix after the second base: %v", err)
+			}
+			if got.NumExamples() != tc.second || got.NumFuncs() != len(lfs) {
+				t.Fatalf("LoadMatrix is %d×%d, want %d×%d", got.NumExamples(), got.NumFuncs(), tc.second, len(lfs))
+			}
+			for i := 0; i < tc.second; i++ {
+				for j := range lfs {
+					if got.At(i, j) != want.At(i, j) {
+						t.Fatalf("LoadMatrix[%d,%d] = %v, the second base voted %v", i, j, got.At(i, j), want.At(i, j))
+					}
+				}
+			}
+			if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 0 {
+				t.Errorf("corpus ledger after the second base: %+v, %v; want empty", gens, err)
+			}
+			if g, err := p.ExecutedGeneration(); err != nil || g != 0 {
+				t.Errorf("executed generation after the second base = %d, %v; want 0", g, err)
+			}
+
+			// The new base starts a new chain at generation 1.
+			next := makeDocs(40)
+			g, err := p.StageDelta(ctx, drybell.SliceSource(next))
+			if err != nil {
+				t.Fatalf("StageDelta: %v", err)
+			}
+			if g.Gen != 1 || g.StartRow != tc.second {
+				t.Fatalf("delta over the second base = %+v, want generation 1 at row %d", g, tc.second)
+			}
+			inc, err := p.IncrementalRun(ctx, lfs)
+			if err != nil {
+				t.Fatalf("IncrementalRun over the second base: %v", err)
+			}
+			if len(inc.Generations) != 1 || inc.Generations[0] != 1 || inc.Matrix.NumExamples() != tc.second+len(next) {
+				t.Fatalf("published %v over %d rows, want [1] over %d", inc.Generations, inc.Matrix.NumExamples(), tc.second+len(next))
+			}
+			// The warm-start state the Pipeline carried from the old chain
+			// describes rows that are gone: the round must train as a cold run
+			// over the new corpus does.
+			cold, err := newPipeline(t, drybell.WithTrainer(drybell.TrainerSamplingFreeFast)).
+				Run(ctx, drybell.SliceSource(append(second, next...)), testRunners())
+			if err != nil {
+				t.Fatalf("cold Run: %v", err)
+			}
+			for i := range cold.Posteriors {
+				if inc.Posteriors[i] != cold.Posteriors[i] {
+					t.Fatalf("posterior %d: incremental %g, cold %g", i, inc.Posteriors[i], cold.Posteriors[i])
+				}
+			}
+		})
+	}
+}

@@ -19,7 +19,7 @@ func Threshold[T any](meta Meta, score func(T) float64, positiveAbove, negativeB
 
 // derived is a labeling function computed from member functions' votes. It
 // forwards every engine capability — lifecycle, annotator injection,
-// corpus fitting, per-node instancing, batch voting — to its members, so a
+// corpus fitting, per-node instancing — to its members, so a
 // combined function runs anywhere its members do.
 type derived[T any] struct {
 	meta    Meta
@@ -43,31 +43,6 @@ func (d *derived[T]) Vote(ctx context.Context, x T) (Label, error) {
 	}
 	v := d.combine(votes)
 	return v, checkVote(d.meta, v)
-}
-
-// VoteBatch implements BatchVoter: each member votes the batch (vectorized
-// when it can), then the columns are combined row-wise.
-func (d *derived[T]) VoteBatch(ctx context.Context, xs []T) ([]Label, error) {
-	cols := make([][]Label, len(d.members))
-	for i, m := range d.members {
-		votes, err := VoteAll(ctx, m, xs)
-		if err != nil {
-			return nil, fmt.Errorf("lf %s: member %s: %w", d.meta.Name, m.LFMeta().Name, err)
-		}
-		cols[i] = votes
-	}
-	out := make([]Label, len(xs))
-	row := make([]Label, len(d.members))
-	for r := range xs {
-		for c := range cols {
-			row[c] = cols[c][r]
-		}
-		out[r] = d.combine(row)
-		if err := checkVote(d.meta, out[r]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
 }
 
 // Setup implements Lifecycle by setting up every member that has one.

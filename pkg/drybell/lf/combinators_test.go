@@ -114,8 +114,8 @@ func TestEnsembleMetaDerivation(t *testing.T) {
 	}
 }
 
-// TestCombinatorBatchEquivalence: combined functions vectorize too, and the
-// batch path must agree with scalar votes.
+// TestCombinatorBatchEquivalence: VoteAll over a combined function must agree
+// with its scalar votes.
 func TestCombinatorBatchEquivalence(t *testing.T) {
 	even := lf.New(lf.Meta{Name: "even"}, func(x int) lf.Label {
 		if x%2 == 0 {

@@ -122,9 +122,8 @@ func (e *Evaluator[T]) VoteRow(ctx context.Context, x T) ([]Label, error) {
 	return votes, nil
 }
 
-// VoteMatrix evaluates every function against a batch of examples,
-// column-by-column through the vectorized VoteBatch path where functions
-// implement it. Row i holds example i's votes in function order.
+// VoteMatrix evaluates every function against a batch of examples, one
+// column (VoteAll) at a time. Row i holds example i's votes in function order.
 func (e *Evaluator[T]) VoteMatrix(ctx context.Context, xs []T) (*labelmodel.Matrix, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("lf: VoteMatrix over no examples")

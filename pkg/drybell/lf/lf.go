@@ -78,11 +78,10 @@ type Meta struct {
 // executor evaluates a whole set inside each map task of one fused job, the
 // online serving path evaluates the same values per request.
 //
-// Implementations may additionally implement BatchVoter (vectorized
-// scoring), Lifecycle (expensive resources), NodeLocal (per-compute-node
-// state), CorpusFitter (two-pass corpus statistics), and Annotatable
-// (injected shared NLP service); engines discover these capabilities by
-// interface assertion.
+// Implementations may additionally implement Lifecycle (expensive
+// resources), NodeLocal (per-compute-node state), CorpusFitter (two-pass
+// corpus statistics), and Annotatable (injected shared NLP service); engines
+// discover these capabilities by interface assertion.
 type LF[T any] interface {
 	// LFMeta returns the function's metadata.
 	LFMeta() Meta
@@ -90,14 +89,6 @@ type LF[T any] interface {
 	// return only valid labels; an error marks the example unlabelable by
 	// this function and fails the surrounding evaluation.
 	Vote(ctx context.Context, x T) (Label, error)
-}
-
-// BatchVoter is the optional vectorized extension of LF: VoteBatch scores
-// many examples in one call, letting engines amortize per-call overhead
-// (and implementations share per-batch work). It must be equivalent to
-// calling Vote on each example in order.
-type BatchVoter[T any] interface {
-	VoteBatch(ctx context.Context, xs []T) ([]Label, error)
 }
 
 // Lifecycle is implemented by labeling functions holding expensive
@@ -176,27 +167,11 @@ func checkVote(meta Meta, v Label) error {
 // between context checks.
 const batchCtxStride = 256
 
-// VoteAll evaluates one labeling function over many examples, preferring
-// the vectorized VoteBatch when the function implements BatchVoter and
-// falling back to a scalar loop otherwise. It is the shared execution
-// primitive of the batch executor's map tasks and the online batch path.
+// VoteAll evaluates one labeling function over many examples, in order — the
+// one vote loop behind the batch executor's map tasks, Evaluator.VoteMatrix
+// and the online batch path.
 func VoteAll[T any](ctx context.Context, f LF[T], xs []T) ([]Label, error) {
 	meta := f.LFMeta()
-	if bv, ok := f.(BatchVoter[T]); ok {
-		votes, err := bv.VoteBatch(ctx, xs)
-		if err != nil {
-			return nil, err
-		}
-		if len(votes) != len(xs) {
-			return nil, fmt.Errorf("lf %s: VoteBatch returned %d votes for %d examples", meta.Name, len(votes), len(xs))
-		}
-		for _, v := range votes {
-			if err := checkVote(meta, v); err != nil {
-				return nil, err
-			}
-		}
-		return votes, nil
-	}
 	votes := make([]Label, len(xs))
 	for i, x := range xs {
 		if err := ctx.Err(); err != nil {

@@ -81,17 +81,13 @@ func templateLFs() map[string]lf.LF[*corpus.Document] {
 }
 
 // TestVoteBatchMatchesScalar is the equivalence contract: for every
-// template, VoteBatch over the corpus must equal Vote per record.
+// template, VoteAll over the corpus must equal Vote per record.
 func TestVoteBatchMatchesScalar(t *testing.T) {
 	docs := testDocs()
 	for name, f := range templateLFs() {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
-			bv, ok := f.(lf.BatchVoter[*corpus.Document])
-			if !ok {
-				t.Fatalf("%s does not implement BatchVoter", name)
-			}
-			batch, err := bv.VoteBatch(ctx, docs)
+			batch, err := lf.VoteAll(ctx, f, docs)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -40,24 +40,6 @@ func (f *Func[T]) Vote(_ context.Context, x T) (Label, error) {
 	return v, checkVote(f.Meta, v)
 }
 
-// VoteBatch implements BatchVoter.
-func (f *Func[T]) VoteBatch(ctx context.Context, xs []T) ([]Label, error) {
-	if f.Fn == nil {
-		return nil, fmt.Errorf("lf %s: Func has no Fn", f.Meta.Name)
-	}
-	votes := make([]Label, len(xs))
-	for i, x := range xs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("lf %s: %w", f.Meta.Name, err)
-		}
-		votes[i] = f.Fn(x)
-		if err := checkVote(f.Meta, votes[i]); err != nil {
-			return nil, err
-		}
-	}
-	return votes, nil
-}
-
 // ---------------------------------------------------------------------------
 // NLPFunc — the model-server pipeline (paper §5.1: NLPLabelingFunction).
 
@@ -192,15 +174,6 @@ func (f *NLPFunc[T]) ForNode() LF[T] {
 	return clone
 }
 
-func (f *NLPFunc[T]) voteWith(ann nlp.Annotator, x T) (Label, error) {
-	res, err := ann.Annotate(f.GetText(x))
-	if err != nil {
-		return 0, fmt.Errorf("lf %s: annotate: %w", f.Meta.Name, err)
-	}
-	v := f.GetValue(x, res)
-	return v, checkVote(f.Meta, v)
-}
-
 // Vote implements LF.
 func (f *NLPFunc[T]) Vote(_ context.Context, x T) (Label, error) {
 	if f.GetText == nil || f.GetValue == nil {
@@ -210,29 +183,12 @@ func (f *NLPFunc[T]) Vote(_ context.Context, x T) (Label, error) {
 	if err != nil {
 		return 0, err
 	}
-	return f.voteWith(ann, x)
-}
-
-// VoteBatch implements BatchVoter: the annotator is resolved once for the
-// whole batch.
-func (f *NLPFunc[T]) VoteBatch(ctx context.Context, xs []T) ([]Label, error) {
-	if f.GetText == nil || f.GetValue == nil {
-		return nil, fmt.Errorf("lf %s: NLPFunc needs GetText and GetValue", f.Meta.Name)
-	}
-	ann, err := f.annotator()
+	res, err := ann.Annotate(f.GetText(x))
 	if err != nil {
-		return nil, err
+		return 0, fmt.Errorf("lf %s: annotate: %w", f.Meta.Name, err)
 	}
-	votes := make([]Label, len(xs))
-	for i, x := range xs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("lf %s: %w", f.Meta.Name, err)
-		}
-		if votes[i], err = f.voteWith(ann, x); err != nil {
-			return nil, err
-		}
-	}
-	return votes, nil
+	v := f.GetValue(x, res)
+	return v, checkVote(f.Meta, v)
 }
 
 // ---------------------------------------------------------------------------
@@ -321,27 +277,6 @@ func (f *GraphFunc[T]) Vote(_ context.Context, x T) (Label, error) {
 	return v, checkVote(f.Meta, v)
 }
 
-// VoteBatch implements BatchVoter.
-func (f *GraphFunc[T]) VoteBatch(ctx context.Context, xs []T) ([]Label, error) {
-	if f.Query == nil {
-		return nil, fmt.Errorf("lf %s: GraphFunc has no Query", f.Meta.Name)
-	}
-	if err := f.initClient(); err != nil {
-		return nil, err
-	}
-	votes := make([]Label, len(xs))
-	for i, x := range xs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("lf %s: %w", f.Meta.Name, err)
-		}
-		votes[i] = f.Query(f.client, x)
-		if err := checkVote(f.Meta, votes[i]); err != nil {
-			return nil, err
-		}
-	}
-	return votes, nil
-}
-
 // ---------------------------------------------------------------------------
 // ModelFunc — the model-based pipeline.
 
@@ -403,21 +338,6 @@ func (f *ModelFunc[T]) Vote(_ context.Context, x T) (Label, error) {
 		return 0, err
 	}
 	return f.vote(x), nil
-}
-
-// VoteBatch implements BatchVoter.
-func (f *ModelFunc[T]) VoteBatch(ctx context.Context, xs []T) ([]Label, error) {
-	if err := f.check(); err != nil {
-		return nil, err
-	}
-	votes := make([]Label, len(xs))
-	for i, x := range xs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("lf %s: %w", f.Meta.Name, err)
-		}
-		votes[i] = f.vote(x)
-	}
-	return votes, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -523,7 +443,8 @@ func (f *AggregateFunc[T]) Summary() (Summary, bool) {
 	return *f.summary, true
 }
 
-func (f *AggregateFunc[T]) voteOne(x T) (Label, error) {
+// Vote implements LF.
+func (f *AggregateFunc[T]) Vote(_ context.Context, x T) (Label, error) {
 	f.mu.RLock()
 	s := f.summary
 	f.mu.RUnlock()
@@ -535,24 +456,4 @@ func (f *AggregateFunc[T]) voteOne(x T) (Label, error) {
 	}
 	v := f.VoteWith(x, f.Extract(x), *s)
 	return v, checkVote(f.Meta, v)
-}
-
-// Vote implements LF.
-func (f *AggregateFunc[T]) Vote(_ context.Context, x T) (Label, error) {
-	return f.voteOne(x)
-}
-
-// VoteBatch implements BatchVoter.
-func (f *AggregateFunc[T]) VoteBatch(ctx context.Context, xs []T) ([]Label, error) {
-	votes := make([]Label, len(xs))
-	var err error
-	for i, x := range xs {
-		if cerr := ctx.Err(); cerr != nil {
-			return nil, fmt.Errorf("lf %s: %w", f.Meta.Name, cerr)
-		}
-		if votes[i], err = f.voteOne(x); err != nil {
-			return nil, err
-		}
-	}
-	return votes, nil
 }

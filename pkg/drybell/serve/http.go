@@ -26,7 +26,7 @@ const DeadlineHeader = "X-Request-Deadline"
 //	GET  /healthz         liveness plus the live model version
 //	POST /v1/predict      body: one record (e.g. a corpus.Document JSON)
 //	POST /v1/label        body: one record; runs the labeling functions online
-//	POST /v1/label/batch  body: JSON array of records; vectorized labeling
+//	POST /v1/label/batch  body: JSON array of records; column-at-a-time labeling
 //	GET  /v1/metrics      counters, latency quantiles, batch histogram, cache
 //	POST /v1/promote      body: {"version": N}; hot-swaps a staged version live
 //	POST /v1/reload       re-reads the registry (promotions from other processes)

@@ -132,10 +132,10 @@ func (l *labeler[T]) label(ctx context.Context, x T) (LabelResult, error) {
 	return l.result(votes, degraded), nil
 }
 
-// labelBatch evaluates many records through the vectorized VoteBatch path,
-// one column (labeling function) at a time, with the same per-column
-// breaker discipline as label: an unhealthy annotator turns NLP columns
-// into abstain columns rather than failing the whole batch.
+// labelBatch evaluates many records one column (labeling function) at a
+// time, with the same per-column breaker discipline as label: an unhealthy
+// annotator turns NLP columns into abstain columns rather than failing the
+// whole batch.
 func (l *labeler[T]) labelBatch(ctx context.Context, xs []T) ([]LabelResult, error) {
 	var mx *labelmodel.Matrix
 	var degraded bool

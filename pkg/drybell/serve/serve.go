@@ -366,10 +366,9 @@ func (s *Server[T]) Label(ctx context.Context, rec T) (LabelResult, error) {
 	return res, err
 }
 
-// LabelBatch labels many records in one call through the labeling
-// functions' vectorized VoteBatch path — one column at a time instead of
-// one record at a time, amortizing per-call overhead the way the batch
-// executor's map tasks do.
+// LabelBatch labels many records in one call — one column (labeling function)
+// at a time instead of one record at a time, the way the batch executor's map
+// tasks do.
 func (s *Server[T]) LabelBatch(ctx context.Context, recs []T) ([]LabelResult, error) {
 	if s.labeler == nil {
 		return nil, ErrNoLabeler
