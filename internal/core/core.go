@@ -30,6 +30,8 @@ import (
 	"path"
 	"runtime"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/dfs"
@@ -68,7 +70,8 @@ type Config[T any] struct {
 	FS dfs.FS
 	// WorkDir prefixes all pipeline paths on FS. Default "drybell".
 	WorkDir string
-	// Encode/Decode convert examples to records. Required.
+	// Encode/Decode convert examples to records. Required. Each is called
+	// from up to Parallelism goroutines at once (staging, map tasks).
 	Encode func(T) ([]byte, error)
 	Decode func([]byte) (T, error)
 	// Shards is the input sharding. Default 8.
@@ -393,25 +396,92 @@ func StageExamples[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, e
 	return StageRecords(ctx, cfg, encoded(cfg, src))
 }
 
+// encodeChunk is how many examples one encoding goroutine takes at a time:
+// enough that handing a chunk over costs nothing next to encoding it, few
+// enough that the chunks in flight stay small and a small delta is one chunk.
+const encodeChunk = 512
+
+// encodeJob is one chunk of examples on its way to being records: once done
+// is closed, recs holds the records before err, the chunk's first failure.
+type encodeJob struct {
+	recs [][]byte
+	err  error
+	done chan struct{}
+}
+
 // encoded adapts an example source to the record source staging consumes.
+// The source is pulled on the consumer's goroutine, cfg.Encode runs on up to
+// cfg.Parallelism (defaults applied) others, a chunk each, and the consumer
+// sees what a serial encoder would show it: records in source order, ended by
+// the first failure in that order. At most Parallelism+1 chunks exist at
+// once, and every encoder has returned by the time the iteration does.
 func encoded[T any](cfg Config[T], src iter.Seq2[T, error]) iter.Seq2[[]byte, error] {
 	return func(yield func([]byte, error) bool) {
-		i := 0
+		var (
+			encoders sync.WaitGroup
+			stop     atomic.Bool
+			inflight []*encodeJob // oldest first
+		)
+		defer encoders.Wait()
+		defer stop.Store(true)
+		start := func(first int, xs []T) {
+			j := &encodeJob{recs: make([][]byte, 0, len(xs)), done: make(chan struct{})}
+			inflight = append(inflight, j)
+			encoders.Add(1)
+			go func() {
+				defer encoders.Done()
+				defer close(j.done)
+				for i := 0; i < len(xs) && !stop.Load(); i++ {
+					rec, err := cfg.Encode(xs[i])
+					if err != nil {
+						j.err = fmt.Errorf("drybell: encode example %d: %w", first+i, err)
+						return
+					}
+					j.recs = append(j.recs, rec)
+				}
+			}()
+		}
+		// deliver hands the consumer the oldest chunks until only keep are
+		// in flight; false ends the iteration.
+		deliver := func(keep int) bool {
+			for ; len(inflight) > keep; inflight = inflight[1:] {
+				j := inflight[0]
+				<-j.done
+				for _, rec := range j.recs {
+					if !yield(rec, nil) {
+						return false
+					}
+				}
+				if j.err != nil {
+					yield(nil, j.err)
+					return false
+				}
+			}
+			return true
+		}
+		n := 0
+		xs := make([]T, 0, encodeChunk)
 		for x, err := range src {
 			if err != nil {
-				yield(nil, fmt.Errorf("drybell: example source: %w", err))
+				// Everything before the failure goes first: an example that
+				// does not encode precedes it in source order, so wins.
+				start(n-len(xs), xs)
+				if deliver(0) {
+					yield(nil, fmt.Errorf("drybell: example source: %w", err))
+				}
 				return
 			}
-			rec, err := cfg.Encode(x)
-			if err != nil {
-				yield(nil, fmt.Errorf("drybell: encode example %d: %w", i, err))
-				return
+			xs = append(xs, x)
+			if n++; len(xs) == encodeChunk {
+				if !deliver(cfg.Parallelism - 1) {
+					return
+				}
+				start(n-len(xs), xs)
+				xs = make([]T, 0, encodeChunk)
 			}
-			if !yield(rec, nil) {
-				return
-			}
-			i++
 		}
+		start(n-len(xs), xs)
+		deliver(0)
 	}
 }
 

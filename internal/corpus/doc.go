@@ -14,6 +14,11 @@
 //     vectors) is noisier but cheap, and includes "subtle" vocabulary no
 //     labeling function covers, giving the discriminative model headroom to
 //     generalize beyond the generative model (Table 2).
+//
+// JSON is both the record format (what staging writes and map tasks read)
+// and the wire format (a /v1/label request body is one record), with
+// encoding/json as its reference: Marshal and Unmarshal* are fast paths that
+// produce and accept what it does and defer to it otherwise (codec.go).
 package corpus
 
 import (
@@ -54,11 +59,25 @@ type CrawlerStats struct {
 // (mirrors the paper's StrCat(x.title, " ", x.body)).
 func (d *Document) Text() string { return d.Title + " " + d.Body }
 
-// Marshal encodes the document as a recordio payload.
-func (d *Document) Marshal() ([]byte, error) { return json.Marshal(d) }
+// Marshal encodes the document as a recordio payload, as json.Marshal would.
+func (d *Document) Marshal() ([]byte, error) {
+	if d == nil || !finite(d.Crawler.EngagementScore, d.Crawler.DomainAuthority) {
+		return json.Marshal(d)
+	}
+	return marshal(func(b []byte) []byte { return appendDocument(b, d) }), nil
+}
 
-// UnmarshalDocument decodes a recordio payload.
+// UnmarshalDocument decodes a recordio payload or a request body.
 func UnmarshalDocument(data []byte) (*Document, error) {
+	if d, ok := scanDocument(data); ok {
+		return d, nil
+	}
+	return unmarshalDocumentJSON(data)
+}
+
+// unmarshalDocumentJSON is the reference decoder, and the path of every
+// payload scanDocument declines.
+func unmarshalDocumentJSON(data []byte) (*Document, error) {
 	var d Document
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("corpus: decode document: %w", err)

@@ -112,13 +112,31 @@ func GenerateEvents(spec EventsSpec) ([]*Event, error) {
 	return events, nil
 }
 
-// Marshal encodes the event as a recordio payload.
-func (e *Event) Marshal() ([]byte, error) { return json.Marshal(e) }
+// Marshal encodes the event as a recordio payload, as json.Marshal would.
+func (e *Event) Marshal() ([]byte, error) {
+	if e == nil || !finite(e.Servable...) || !finite(e.AggStats...) || !finite(e.GraphScores...) {
+		return json.Marshal(e)
+	}
+	return marshal(func(b []byte) []byte { return appendEvent(b, e) }), nil
+}
 
-// UnmarshalEvent decodes a recordio payload.
+// UnmarshalEvent decodes a recordio payload. An event whose vectors are not
+// of the task's dimensions is an error.
 func UnmarshalEvent(data []byte) (*Event, error) {
+	if e, ok := scanEvent(data); ok {
+		return e, nil
+	}
+	return unmarshalEventJSON(data)
+}
+
+// unmarshalEventJSON is the reference decoder, and the path of every payload
+// scanEvent declines.
+func unmarshalEventJSON(data []byte) (*Event, error) {
 	var e Event
 	if err := json.Unmarshal(data, &e); err != nil {
+		return nil, fmt.Errorf("corpus: decode event: %w", err)
+	}
+	if err := checkEventDims(&e); err != nil {
 		return nil, fmt.Errorf("corpus: decode event: %w", err)
 	}
 	return &e, nil

@@ -642,6 +642,10 @@ func (m *fusedTask[T]) Map(tctx *mapreduce.TaskContext, rec []byte, emit mapredu
 	return m.MapBatch(tctx, [][]byte{rec}, emit)
 }
 
+// decodeCtxStride is how many records MapBatch decodes between context
+// checks: the stride lfapi.VoteAll votes with (its batchCtxStride).
+const decodeCtxStride = 256
+
 // MapBatch implements mapreduce.BatchMapper.
 func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, emit mapreduce.Emitter) error {
 	st := tctx.State().(*fusedState[T])
@@ -651,8 +655,10 @@ func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, e
 	ctx := attemptCtx(tctx, m.ctx)
 	xs := make([]T, len(records))
 	for i, rec := range records {
-		if err := ctx.Err(); err != nil {
-			return err
+		if i%decodeCtxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
 		}
 		x, err := m.decode(rec)
 		if err != nil {

@@ -163,8 +163,9 @@ func checkVote(meta Meta, v Label) error {
 	return nil
 }
 
-// batchCtxStride bounds how many records a streaming corpus pass processes
-// between context checks.
+// batchCtxStride bounds how many records a pass over many examples (a corpus
+// fit, one function's column of votes) processes between context checks: Err
+// takes a lock, and per record per function that was 7% of a 140-function run.
 const batchCtxStride = 256
 
 // VoteAll evaluates one labeling function over many examples, in order — the
@@ -174,8 +175,10 @@ func VoteAll[T any](ctx context.Context, f LF[T], xs []T) ([]Label, error) {
 	meta := f.LFMeta()
 	votes := make([]Label, len(xs))
 	for i, x := range xs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("lf %s: %w", meta.Name, err)
+		if i%batchCtxStride == 0 {
+			if err := ctx.Err(); err != nil {
+				return nil, fmt.Errorf("lf %s: %w", meta.Name, err)
+			}
 		}
 		v, err := f.Vote(ctx, x)
 		if err != nil {

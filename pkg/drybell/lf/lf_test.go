@@ -2,6 +2,7 @@ package lf_test
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 
@@ -109,6 +110,33 @@ func TestVoteBatchMatchesScalar(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestVoteAllSurfacesCancellationWithinOneStride: VoteAll polls the context
+// every batchCtxStride (256) examples, not every example, so a cancellation
+// from inside a vote is reported at the next poll — and no later.
+func TestVoteAllSurfacesCancellationWithinOneStride(t *testing.T) {
+	const stride, cancelAt = 256, 10
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	calls := 0
+	f := lf.New(lf.Meta{Name: "saboteur"}, func(x int) lf.Label {
+		if calls++; x == cancelAt {
+			cancel()
+		}
+		return lf.Abstain
+	})
+	xs := make([]int, 3*stride)
+	for i := range xs {
+		xs[i] = i
+	}
+	votes, err := lf.VoteAll(ctx, f, xs)
+	if !errors.Is(err, context.Canceled) || votes != nil || !strings.Contains(err.Error(), "saboteur") {
+		t.Fatalf("VoteAll after cancellation: %v votes, error %v", len(votes), err)
+	}
+	if calls <= cancelAt || calls > stride {
+		t.Errorf("VoteAll voted on %d examples after a cancellation at example %d; want the error within one stride of %d", calls, cancelAt, stride)
 	}
 }
 

@@ -51,7 +51,10 @@ func (s *settings) fail(err error) {
 }
 
 // WithCodec sets the required example codec. The type parameter is inferred
-// from the two functions and must match the Pipeline's example type.
+// from the two functions and must match the Pipeline's example type. Both
+// functions must be safe to call from several goroutines at once: staging
+// encodes chunks of the corpus concurrently (up to WithParallelism at a
+// time), as map tasks have always decoded their shards concurrently.
 func WithCodec[T any](encode func(T) ([]byte, error), decode func([]byte) (T, error)) Option {
 	return Option{f: func(s *settings) {
 		if encode == nil || decode == nil {
