@@ -13,6 +13,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/lf"
 	"repro/internal/mapreduce"
+	"repro/internal/recordio"
 )
 
 // Compact folds the corpus delta ledger and the vote generation chain into
@@ -33,41 +34,51 @@ import (
 // chain still standing, which loads correctly and is repaired by running
 // Compact again.
 func Compact[T any](cfg Config[T]) error {
+	_, err := CompactCarried(cfg, nil)
+	return err
+}
+
+// CompactCarried is Compact for a caller carrying the last round's view of
+// the vote store (IncrementalResult.View, or nil): the vote chain folds from
+// that view instead of being read back whenever the view holds exactly what
+// the chain holds (lf.CompactView). It returns the view to carry on with —
+// the same rows, at the watermark of the flat artifact just written.
+func CompactCarried[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
-		return err
+		return nil, err
 	}
 	votesBase := cfg.votesBase()
 	gens, err := readCorpusManifest(cfg)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(gens) == 0 {
 		// Nothing in the corpus ledger; fold any leftover vote chain (the
 		// crash-repair path) and be done.
-		return resetLedgers(cfg, nil, true)
+		return lf.CompactView(cfg.FS, votesBase, cfg.Shards, view)
 	}
 	executed, err := lf.LatestGeneration(cfg.FS, votesBase)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if executed < len(gens) {
-		return fmt.Errorf("drybell: compact: corpus ledger has %d generations but only %d executed; run IncrementalRun first", len(gens), executed)
+		return nil, fmt.Errorf("drybell: compact: corpus ledger has %d generations but only %d executed; run IncrementalRun first", len(gens), executed)
 	}
 
 	records, err := mapreduce.ReadStaged(cfg.FS, cfg.InputBase())
 	if err != nil {
-		return fmt.Errorf("drybell: compact: read base corpus: %w", err)
+		return nil, fmt.Errorf("drybell: compact: read base corpus: %w", err)
 	}
 	// The ledger folds by the vote store's own rule (lf.Chain), so the
 	// restaged corpus and the folded votes keep exactly the same rows — and a
 	// fold with nothing left is refused before anything is rewritten.
 	chain, err := foldCorpus(len(records), gens)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if chain.Live() == 0 {
-		return fmt.Errorf("drybell: compact: %w (%d rows staged)", lf.ErrAllTombstoned, chain.Rows)
+		return nil, fmt.Errorf("drybell: compact: %w (%d rows staged)", lf.ErrAllTombstoned, chain.Rows)
 	}
 	records = append(records, make([][]byte, chain.Rows-len(records))...)
 	for _, g := range gens {
@@ -76,42 +87,46 @@ func Compact[T any](cfg Config[T]) error {
 		}
 		drecs, err := mapreduce.ReadStaged(cfg.FS, cfg.deltaInputBase(g.Gen))
 		if err != nil {
-			return fmt.Errorf("drybell: compact: read delta generation %d: %w", g.Gen, err)
+			return nil, fmt.Errorf("drybell: compact: read delta generation %d: %w", g.Gen, err)
 		}
 		if len(drecs) != g.Records {
-			return fmt.Errorf("drybell: compact: delta generation %d staged %d records, manifest says %d", g.Gen, len(drecs), g.Records)
+			return nil, fmt.Errorf("drybell: compact: delta generation %d staged %d records, manifest says %d", g.Gen, len(drecs), g.Records)
 		}
 		copy(records[g.StartRow:], drecs)
 	}
 	w, err := mapreduce.NewInputWriter(cfg.FS, cfg.InputBase(), cfg.Shards)
 	if err != nil {
-		return err
+		return nil, err
 	}
+	// The restaged shards hold what was just read, less the tombstoned rows:
+	// size their buffers once instead of doubling up to it.
+	w.Grow(recordio.EncodedSize(records))
 	for i, rec := range records {
 		if chain.Tombstoned(i) {
 			continue
 		}
 		if err := w.Append(rec); err != nil {
-			return fmt.Errorf("drybell: compact: restage corpus: %w", err)
+			return nil, fmt.Errorf("drybell: compact: restage corpus: %w", err)
 		}
 	}
 	if err := w.Commit(); err != nil {
-		return fmt.Errorf("drybell: compact: restage corpus: %w", err)
+		return nil, fmt.Errorf("drybell: compact: restage corpus: %w", err)
 	}
-	return resetLedgers(cfg, gens, true)
+	if err := resetCorpusLedger(cfg, gens); err != nil {
+		return nil, err
+	}
+	return lf.CompactView(cfg.FS, votesBase, cfg.Shards, view)
 }
 
-// resetLedgers empties the corpus delta ledger (whose entries are gens) and
-// the vote generation chain. Compact folds the chain into the flat artifact
-// on the way (foldVotes); staging a new base corpus drops it unread, since
-// the votes it holds are for a corpus about to be superseded.
-//
-// Corpus ledger first, votes second: if we crash in between, the vote chain
-// still stands over an empty ledger — reads stay correct and a Compact retry
-// folds it — whereas resetting votes first would reset the generation counter
-// under a manifest that still lists deltas. With nothing to reset, the vote
-// side costs one List.
-func resetLedgers[T any](cfg Config[T], gens []CorpusGeneration, foldVotes bool) error {
+// resetCorpusLedger empties the corpus delta ledger, whose entries are gens.
+// Its callers reset the vote generation chain next — Compact folds it into
+// the flat artifact, staging a new base corpus drops it unread, since the
+// votes it holds are for a corpus about to be superseded — and in that order:
+// if we crash in between, the vote chain still stands over an empty ledger —
+// reads stay correct and a Compact retry folds it — whereas resetting votes
+// first would reset the generation counter under a manifest that still lists
+// deltas.
+func resetCorpusLedger[T any](cfg Config[T], gens []CorpusGeneration) error {
 	if len(gens) > 0 {
 		if err := cfg.FS.Remove(cfg.CorpusManifestPath()); err != nil {
 			return fmt.Errorf("drybell: remove corpus manifest: %w", err)
@@ -130,8 +145,5 @@ func resetLedgers[T any](cfg Config[T], gens []CorpusGeneration, foldVotes bool)
 		}
 		_ = cfg.FS.Remove(cfg.deltaInputBase(g.Gen) + ".count")
 	}
-	if foldVotes {
-		return lf.CompactGenerations(cfg.FS, cfg.votesBase(), cfg.Shards)
-	}
-	return lf.DropGenerations(cfg.FS, cfg.votesBase())
+	return nil
 }

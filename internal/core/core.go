@@ -345,22 +345,41 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 	// Stages 3 and 4, with the trainer the registry holds under cfg.Trainer
 	// (nil for an unknown name, which Denoise's error then lists).
 	train, _ := LookupTrainer(cfg.Trainer)
-	if err := denoiseAndPersist(ctx, cfg, res, cfg.Trainer, train, emit); err != nil {
+	if err := denoiseAndPersist(ctx, cfg, res, cfg.Trainer, fitDense(train), emit); err != nil {
 		return nil, err
 	}
 	return res, nil
+}
+
+// fitFunc is stage 3 as a value: train the generative model on the matrix and
+// turn it into one probabilistic label per row.
+type fitFunc func(*labelmodel.Matrix, labelmodel.Options) (*labelmodel.Model, []float64, error)
+
+// fitDense is a registry trainer as a fitFunc, scoring every row of the
+// matrix; a nil trainer (a name the registry does not hold) stays nil.
+func fitDense(train TrainerFunc) fitFunc {
+	if train == nil {
+		return nil
+	}
+	return func(mx *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
+		lm, err := train(mx, opts)
+		if err != nil {
+			return nil, nil, err
+		}
+		return lm, lm.Posteriors(mx), nil
+	}
 }
 
 // denoiseAndPersist is stages 3 and 4 — train the generative model on
 // res.Matrix, turn it into probabilistic labels, persist them for the
 // production ML systems — filling in res. It is the one train→persist tail:
 // a batch run passes the registry's trainer, an incremental round a closure
-// that warm-starts from its previous state, and both emit the same spans,
-// stage events and stage metrics.
-func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, name Trainer, train TrainerFunc, emit func(StageEvent)) error {
+// that warm-starts from its previous state and scores the compaction it
+// trained on, and both emit the same spans, stage events and stage metrics.
+func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, name Trainer, fit fitFunc, emit func(StageEvent)) error {
 	t2 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
 	var err error
-	res.Model, res.Posteriors, err = denoise(ctx, name, train, res.Matrix, cfg.LabelModel)
+	res.Model, res.Posteriors, err = denoise(ctx, name, fit, res.Matrix, cfg.LabelModel)
 	emit(StageEvent{Stage: StageDenoise, Start: t2, Duration: time.Since(t2), Examples: len(res.Posteriors), Err: err})
 	if err != nil {
 		return err
@@ -542,7 +561,10 @@ func stageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byt
 		if err != nil {
 			return 0, err
 		}
-		if err := resetLedgers(cfg, gens, false); err != nil {
+		if err := resetCorpusLedger(cfg, gens); err != nil {
+			return 0, err
+		}
+		if err := lf.DropGenerations(cfg.FS, cfg.votesBase()); err != nil {
 			return 0, err
 		}
 	}
@@ -617,31 +639,28 @@ func Denoise(ctx context.Context, trainer Trainer, matrix *labelmodel.Matrix, op
 		trainer = TrainerSamplingFree
 	}
 	train, _ := LookupTrainer(trainer)
-	return denoise(ctx, trainer, train, matrix, opts)
+	return denoise(ctx, trainer, fitDense(train), matrix, opts)
 }
 
-// denoise is stage 3 with the trainer as a value; a nil train is a name the
+// denoise is stage 3 with the trainer as a value; a nil fit is a name the
 // registry does not hold.
-func denoise(ctx context.Context, name Trainer, train TrainerFunc, matrix *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
+func denoise(ctx context.Context, name Trainer, fit fitFunc, matrix *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
 	_, span := obs.StartSpan(ctx, "stage.denoise", obs.String("trainer", string(name)))
-	lm, err := func() (*labelmodel.Model, error) {
-		if train == nil {
-			return nil, fmt.Errorf("drybell: unknown trainer %q (registered: %s)", name, trainerList())
+	lm, posteriors, err := func() (*labelmodel.Model, []float64, error) {
+		if fit == nil {
+			return nil, nil, fmt.Errorf("drybell: unknown trainer %q (registered: %s)", name, trainerList())
 		}
 		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("drybell: train label model: %w", err)
+			return nil, nil, fmt.Errorf("drybell: train label model: %w", err)
 		}
-		lm, err := train(matrix, opts)
+		lm, posteriors, err := fit(matrix, opts)
 		if err != nil {
-			return nil, fmt.Errorf("drybell: train label model: %w", err)
+			return nil, nil, fmt.Errorf("drybell: train label model: %w", err)
 		}
-		return lm, nil
+		return lm, posteriors, nil
 	}()
 	span.EndErr(err)
-	if err != nil {
-		return nil, nil, err
-	}
-	return lm, lm.Posteriors(matrix), nil
+	return lm, posteriors, err
 }
 
 func trainerList() string {
@@ -675,13 +694,13 @@ func PersistLabels(ctx context.Context, fs dfs.FS, base string, labels []float64
 // little-endian float64, the hand-off format to the training systems.
 func WriteLabels(fs dfs.FS, base string, labels []float64, shards int) error {
 	records := make([][]byte, len(labels))
+	slab := make([]byte, 8*len(labels)) // one allocation, not one per label
 	for i, p := range labels {
 		if p < 0 || p > 1 || math.IsNaN(p) {
 			return fmt.Errorf("drybell: label %d = %v out of [0,1]", i, p)
 		}
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], math.Float64bits(p))
-		records[i] = buf[:]
+		records[i] = slab[8*i : 8*i+8 : 8*i+8]
+		binary.LittleEndian.PutUint64(records[i], math.Float64bits(p))
 	}
 	return mapreduce.WriteInput(fs, base, records, shards)
 }

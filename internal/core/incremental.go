@@ -232,6 +232,17 @@ type IncrementalResult struct {
 	Posteriors []float64
 	// State feeds the next IncrementalRun's warm start.
 	State *labelmodel.TrainState
+	// View is Matrix with the watermark of what it merged from the vote
+	// store; carried into the next round (IncrementalRunCarried) it makes
+	// that round read only the generations published since.
+	View *lf.View
+	// ViewRebuilt is why this round read the whole vote store instead of
+	// carrying the previous round's view forward (one of lf's Rebuilt*
+	// reasons); empty when only the newer generations were read.
+	ViewRebuilt string
+	// SegmentsScanned and RowsScanned count the stored vote segments and rows
+	// the round streamed to bring the view up to date.
+	SegmentsScanned, RowsScanned int
 	// Generations lists the vote generations published by this run, in
 	// order. Empty means the vote store was already caught up (the run
 	// retrained only if Retrained is set).
@@ -269,13 +280,38 @@ type IncrementalResult struct {
 // see labelmodel's equivalence tests). prev may be nil (first incremental
 // run, or after a process restart without persisted state): training still
 // covers the full view, only the warm start's compaction reuse is lost.
+//
+// A prev handed in here comes without the view it was trained on, so it is
+// the caller's word that its compaction covers the store's rows as executed
+// so far, in lfs' column order; IncrementalRunCarried is the form that checks.
 func IncrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState) (*IncrementalResult, error) {
+	return incrementalObserved(ctx, cfg, lfs, &Carried{State: prev}, nil)
+}
+
+// Carried is what an incremental round leaves for the next: the training
+// state and the view of the vote store it was trained on (IncrementalResult's
+// State and View). They go together: the state's compaction is of the view's
+// rows.
+type Carried struct {
+	State *labelmodel.TrainState
+	View  *lf.View
+}
+
+// IncrementalRunCarried is IncrementalRun for a caller that keeps the previous
+// round's result (nil to start cold). The round then costs delta work plus
+// train and persist — it reads only the vote generations published since the
+// view's watermark and compacts only their rows — whenever the store merely
+// grew at its end under the same functions in the same order. On anything
+// else (lf.LoadView's rebuild reasons) it reads the store and compacts the
+// view from scratch, as a round without state does; the result is the same
+// either way, bit for bit.
+func IncrementalRunCarried[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *Carried) (*IncrementalResult, error) {
 	return incrementalObserved(ctx, cfg, lfs, prev, nil)
 }
 
 // incrementalObserved is IncrementalRun with a per-stage observer, as
 // RunObserved is to Run.
-func incrementalObserved[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState, hook StageHook) (*IncrementalResult, error) {
+func incrementalObserved[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *Carried, hook StageHook) (*IncrementalResult, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
@@ -286,22 +322,29 @@ func incrementalObserved[T any](ctx context.Context, cfg Config[T], lfs []lfapi.
 	ctx = cfg.ObsContext(ctx)
 	ctx, span := obs.StartSpan(ctx, "pipeline.incremental",
 		obs.String("workdir", cfg.WorkDir), obs.Int("functions", len(lfs)))
-	res, err := incrementalRun(ctx, cfg, lfs, prev, cfg.emitter(hook))
+	if prev == nil {
+		prev = &Carried{}
+	}
+	res, err := incrementalRun(ctx, cfg, lfs, prev.State, prev.View, cfg.emitter(hook))
 	if res != nil {
 		span.SetAttr(
 			obs.Int("delta_examples", res.DeltaExamples),
 			obs.Int("delta_task_attempts", res.DeltaTaskAttempts),
 			obs.Int("generations", len(res.Generations)),
 			obs.Int("warm_iterations", res.WarmIterations),
-			obs.Bool("warm_started", res.WarmStarted))
+			obs.Bool("warm_started", res.WarmStarted),
+			obs.Bool("view_carried", res.ViewRebuilt == ""),
+			obs.Int("segments_scanned", res.SegmentsScanned),
+			obs.Int("rows_scanned", res.RowsScanned))
 	}
 	span.EndErr(err)
 	return res, err
 }
 
-func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState, emit func(StageEvent)) (*IncrementalResult, error) {
+func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState, view *lf.View, emit func(StageEvent)) (*IncrementalResult, error) {
 	exec := cfg.executor()
 	votesBase := cfg.votesBase()
+	names := lfapi.Names(lfs)
 	gens, err := readCorpusManifest(cfg)
 	if err != nil {
 		return nil, err
@@ -319,24 +362,28 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	}
 
 	res := &IncrementalResult{}
-	// appendOnly tracks whether every pending delta purely appends rows: only
-	// then does the previous compaction's prefix survive verbatim, making the
-	// O(delta) ExtendCompact path safe. Rewrites (StartRow inside the rows
-	// staged before the delta) and deletions reshape already-compacted rows,
-	// so the round recompacts the whole view.
-	appendOnly := true
-	chain := lf.Chain{Rows: baseRows}
+	// A compaction handed in without its view is taken to cover the store as
+	// it stands before this round executes anything: read that view now, so
+	// that one rule — did the view only grow — decides below whether the
+	// compaction's prefix survived. A store that does not read is left to
+	// the load after execution to report (the pending deltas may mend it).
+	preloaded := view == nil && prev != nil && prev.Compact != nil
+	if preloaded {
+		var read lf.ViewRead
+		view, read, _ = lf.LoadView(cfg.FS, votesBase, names, nil)
+		res.SegmentsScanned, res.RowsScanned = read.Segments, read.Rows
+	}
+	compactedRows := 0
+	if view != nil {
+		compactedRows = view.Matrix.NumExamples()
+	}
+
+	if _, err := foldCorpus(baseRows, gens); err != nil {
+		return nil, err
+	}
 	now := time.Now() //drybellvet:wallclock — staleness metric only, never in artifacts
 	for _, g := range gens {
-		appended, err := chain.Apply(g.Gen, g.StartRow, g.Records, g.Deleted)
-		if err != nil {
-			return nil, fmt.Errorf("drybell: corpus ledger: %w", err)
-		}
-		pending := g.Gen > executed
-		if pending && !appended {
-			appendOnly = false
-		}
-		if !pending {
+		if g.Gen <= executed {
 			continue
 		}
 		if age := now.Unix() - g.StagedAtUnix; float64(age) > res.StalenessSeconds {
@@ -358,26 +405,37 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 		res.DeltaTaskAttempts += report.TaskAttempts
 	}
 
-	mx, err := exec.LoadMatrix(lfapi.Names(lfs))
+	view, read, err := lf.LoadView(cfg.FS, votesBase, names, view)
 	if err != nil {
 		return nil, err
 	}
+	res.View, res.ViewRebuilt = view, read.Rebuilt
+	res.SegmentsScanned += read.Segments
+	res.RowsScanned += read.Rows
+	if preloaded {
+		res.ViewRebuilt = lf.RebuiltNoState
+	}
 
-	if prev != nil && prev.Compact != nil && !appendOnly {
-		// Drop the compaction: the view's rows shifted or changed under it.
-		// Alpha rides along for inspection only — it never seeds the
-		// optimizer — so this round pays a full compaction and saves nothing.
+	if prev != nil && prev.Compact != nil && (read.Rebuilt != "" || prev.Compact.NumExamples() != compactedRows) {
+		// Drop the compaction: the view's rows shifted or changed under it,
+		// or it never was this view's. Alpha rides along for inspection only
+		// — it never seeds the optimizer — so this round pays a full
+		// compaction and saves nothing.
 		prev = &labelmodel.TrainState{Alpha: prev.Alpha, Iterations: prev.Iterations}
 	}
 	// The batch run's train→persist tail, with the warm-starting fast trainer
-	// as the trainer value (so no Analyze: two O(m·n) passes per round).
-	out := &Result{Matrix: mx}
-	train := func(mx *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, error) {
+	// as the trainer value (so no Analyze: two O(m·n) passes per round) and
+	// the labels scored once per distinct row of the compaction it trained on.
+	out := &Result{Matrix: view.Matrix}
+	fit := func(mx *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
 		model, state, err := labelmodel.TrainSamplingFreeFastWarm(mx, opts, prev)
+		if err != nil {
+			return nil, nil, err
+		}
 		res.State = state
-		return model, err
+		return model, model.CompactPosteriors(state.Compact), nil
 	}
-	if err := denoiseAndPersist(ctx, cfg, out, TrainerSamplingFreeFast, train, emit); err != nil {
+	if err := denoiseAndPersist(ctx, cfg, out, TrainerSamplingFreeFast, fit, emit); err != nil {
 		return nil, err
 	}
 	res.Matrix, res.Model, res.Posteriors, res.LabelsPath = out.Matrix, out.Model, out.Posteriors, out.LabelsPath
@@ -396,6 +454,11 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 			"Age of the oldest pending corpus delta when the last incremental run started.").Set(res.StalenessSeconds)
 		reg.Gauge("pipeline_incremental_warm_iterations",
 			"Newton iterations spent by the last warm-start training run.").Set(float64(res.WarmIterations))
+		if res.ViewRebuilt != "" {
+			reg.Counter("pipeline_incremental_view_rebuilds_total",
+				"Incremental runs that re-read the whole vote store instead of carrying the previous round's view, by reason.",
+				obs.Label{Key: "reason", Value: res.ViewRebuilt}).Inc()
+		}
 	}
 	return res, nil
 }

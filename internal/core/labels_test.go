@@ -140,3 +140,25 @@ func TestReadLabelsRejectsCorruptShard(t *testing.T) {
 		t.Fatal("ReadLabels succeeded on corrupt shard, want error")
 	}
 }
+
+// TestWriteLabelsAllocationCeiling: persisting labels costs a fixed number of
+// allocations per shard — the record slab, the per-shard record lists and
+// encode buffers, what the filesystem copies — not one per label (50k a
+// persist on the repo benchmark's workloads, once).
+func TestWriteLabelsAllocationCeiling(t *testing.T) {
+	const shards = 8
+	fs := dfs.NewMem()
+	allocs := map[int]float64{}
+	for _, n := range []int{2_000, 20_000} {
+		labels := seqLabels(n)
+		allocs[n] = testing.AllocsPerRun(5, func() {
+			if err := WriteLabels(fs, "out/labels", labels, shards); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if allocs[20_000] > allocs[2_000]+shards || allocs[20_000] > 20*shards {
+		t.Errorf("WriteLabels made %.0f allocations for 2k labels and %.0f for 20k over %d shards; want a per-shard constant",
+			allocs[2_000], allocs[20_000], shards)
+	}
+}

@@ -110,6 +110,9 @@ func WriteSharded(fs FS, base string, records [][]byte, n int, encode func([][]b
 		return fmt.Errorf("dfs: WriteSharded with %d shards", n)
 	}
 	buckets := make([][][]byte, n)
+	for s := range buckets {
+		buckets[s] = make([][]byte, 0, (len(records)+n-1)/n)
+	}
 	for i, rec := range records {
 		s := i % n
 		buckets[s] = append(buckets[s], rec)

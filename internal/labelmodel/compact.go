@@ -2,6 +2,7 @@ package labelmodel
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -48,6 +49,10 @@ type CompactMatrix struct {
 	// majority-vote baseline, aggregated here because the packing pass
 	// already touches every distinct row.
 	MajorityAgree []int64
+
+	// index finds a distinct row from its packed column lists (see lookup),
+	// so an extension dedups appended rows without rebuilding anything.
+	index []uint64
 }
 
 // NumUnique returns U, the number of distinct vote rows.
@@ -206,13 +211,80 @@ func (t *rowTable) grow() {
 	}
 }
 
+// The row index is an open-addressed table over the distinct rows: slot
+// entries hold a 32-bit tag of the row's hash above the row's index plus one,
+// so the zero entry is an empty slot and a probe touches Cols only for a row
+// whose tag matches. It travels with the compaction (CompactMatrix.index), so
+// extending one hashes the appended rows and nothing else. It starts at
+// rowIndexMinSlots and doubles once distinct rows fill seven tenths of it.
+const rowIndexMinSlots = 1024
+
+// hashCols is the row index's hash of a distinct row: its positive columns,
+// then its negative ones, with the split between them mixed in.
+func hashCols(pos, neg []uint16) uint32 {
+	const mul = 0x9E3779B97F4A7C15
+	h := uint64(len(pos))
+	for _, j := range pos {
+		h = (h ^ uint64(j)) * mul
+		h ^= h >> 29
+	}
+	h = (h ^ uint64(len(neg))<<16) * mul
+	for _, j := range neg {
+		h = (h ^ uint64(j)) * mul
+		h ^= h >> 29
+	}
+	h *= mul
+	return uint32(h >> 32)
+}
+
+// lookup finds the distinct row whose packed lists are pos and neg. It
+// returns the row, or -1 and the empty slot where the row's entry belongs.
+func (c *CompactMatrix) lookup(tag uint32, pos, neg []uint16) (row int32, slot uint32) {
+	mask := uint32(len(c.index) - 1)
+	for slot = tag & mask; ; slot = (slot + 1) & mask {
+		e := c.index[slot]
+		if e == 0 {
+			return -1, slot
+		}
+		if uint32(e>>32) != tag {
+			continue
+		}
+		r := int32(uint32(e)) - 1
+		start, mid, end := c.Start[r], c.PosEnd[r], c.Start[r+1]
+		if int(mid-start) == len(pos) && int(end-mid) == len(neg) &&
+			slices.Equal(c.Cols[start:mid], pos) && slices.Equal(c.Cols[mid:end], neg) {
+			return r, slot
+		}
+	}
+}
+
+// growIndex doubles the table, moving entries in slot order: the layout stays
+// a function of the distinct rows in first-seen order alone, whether one
+// Compact or any number of extensions built it.
+func (c *CompactMatrix) growIndex() {
+	old := c.index
+	c.index = make([]uint64, 2*len(old))
+	mask := uint32(len(c.index) - 1)
+	for _, e := range old {
+		if e == 0 {
+			continue
+		}
+		slot := uint32(e>>32) & mask
+		for c.index[slot] != 0 {
+			slot = (slot + 1) & mask
+		}
+		c.index[slot] = e
+	}
+}
+
 // Compact deduplicates the matrix's rows. Matrices with up to 32 labeling
 // functions pack each row into one uint64 key (two bits per vote); wider
-// matrices fall back to string keys. Cost is one O(m·n) pass; every training
-// pass over the result is O(U·n) instead. Compact panics on a matrix with
-// out-of-range votes (use Validate first for data of unknown provenance);
-// compactChecked is the error-returning form the trainers use, which folds
-// validation into the packing pass instead of re-scanning the matrix.
+// matrices key the row index by a hash of the row's packed column lists. Cost
+// is one O(m·n) pass; every training pass over the result is O(U·n) instead.
+// Compact panics on a matrix with out-of-range votes (use Validate first for
+// data of unknown provenance); compactChecked is the error-returning form the
+// trainers use, which folds validation into the packing pass instead of
+// re-scanning the matrix.
 func (mx *Matrix) Compact() *CompactMatrix {
 	c, err := mx.compactChecked()
 	if err != nil {
@@ -228,10 +300,10 @@ func (mx *Matrix) compactChecked() (*CompactMatrix, error) {
 }
 
 // ExtendCompact compacts only the appended rows of mx — rows
-// [prev.NumExamples(), mx.NumExamples()) — against the distinct-row table of
-// prev, returning a new CompactMatrix over the whole of mx. prev is not
-// mutated and remains valid. Distinct rows keep first-seen order, so the
-// result equals a from-scratch Compact of mx field for field.
+// [prev.NumExamples(), mx.NumExamples()) — against the distinct rows of prev,
+// returning a new CompactMatrix over the whole of mx. prev is not mutated and
+// remains valid, for any number of extensions. Distinct rows keep first-seen
+// order, so the result equals a from-scratch Compact of mx field for field.
 //
 // The caller guarantees that rows [0, prev.NumExamples()) of mx are
 // byte-identical to the matrix prev was compacted from; ExtendCompact cannot
@@ -240,9 +312,11 @@ func (mx *Matrix) compactChecked() (*CompactMatrix, error) {
 // must re-Compact from scratch (see TrainSamplingFreeFastWarm's nil-Compact
 // path).
 //
-// Cost: O(U·n) to rebuild the key table from prev's distinct rows and to
-// aggregate the per-LF counts, plus O(k·n) over the k appended rows, instead
-// of O(m·n) over everything.
+// Cost: one copy of prev's arrays and O(k·n) over the k appended rows, instead
+// of O(m·n) over everything. Past 32 functions no row of prev is hashed or
+// compared again: the row index is copied with the arrays. Up to 32 the
+// packed-key table is re-seeded from prev's distinct rows, one shift-or per
+// vote.
 func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("labelmodel: ExtendCompact with nil previous compaction")
@@ -259,40 +333,39 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 	if mx.n > 1<<16 {
 		return nil, fmt.Errorf("labelmodel: Compact supports at most %d labeling functions, got %d", 1<<16, mx.n)
 	}
-	// Copy what the appended rows grow — sharing backing arrays would corrupt
-	// prev for its other holders (the last training run's state). Start drops
-	// its U+1'th sentinel entry while rows append and gets it back at the end.
-	u := len(prev.Mult)
+	// Copy what the appended rows grow or bump — sharing backing arrays would
+	// corrupt prev for its other holders (the last training run's state).
+	// Start keeps its sentinel: Start[r+1] ends row r throughout.
+	u, n := len(prev.Mult), mx.n
 	c := &CompactMatrix{
 		m:             mx.m,
-		n:             mx.n,
-		Mult:          append([]int32(nil), prev.Mult...),
-		Start:         append([]int32(nil), prev.Start[:u]...),
-		PosEnd:        append([]int32(nil), prev.PosEnd...),
-		Cols:          append([]uint16(nil), prev.Cols...),
+		n:             n,
+		Mult:          slices.Clone(prev.Mult),
+		Start:         slices.Clone(prev.Start),
+		PosEnd:        slices.Clone(prev.PosEnd),
+		Cols:          slices.Clone(prev.Cols),
 		RowOf:         make([]int32, mx.m),
-		Voted:         make([]int64, mx.n),
-		MajorityAgree: make([]int64, mx.n),
+		Voted:         make([]int64, n),
+		MajorityAgree: make([]int64, n),
 	}
 	copy(c.RowOf, prev.RowOf)
+	if u == 0 {
+		c.Start = []int32{0}
+	}
 	// Column lists are packed the moment a fresh row pattern is seen, so
 	// the whole compaction is one pass over the appended rows plus O(U·n̄)
 	// work on first encounters only.
-	appendCols := func(row []Label) {
-		c.Start = append(c.Start, int32(len(c.Cols)))
-		for j, v := range row {
-			if v == Positive {
-				c.Cols = append(c.Cols, uint16(j))
-			}
-		}
+	appendRow := func(pos, neg []uint16) {
+		c.Mult = append(c.Mult, 0)
+		c.Cols = append(c.Cols, pos...)
 		c.PosEnd = append(c.PosEnd, int32(len(c.Cols)))
-		for j, v := range row {
-			if v == Negative {
-				c.Cols = append(c.Cols, uint16(j))
-			}
-		}
+		c.Cols = append(c.Cols, neg...)
+		c.Start = append(c.Start, int32(len(c.Cols)))
 	}
-	if mx.n <= 32 {
+	// lists holds one appended row's positive columns from 0 and its negative
+	// ones from n.
+	lists := make([]uint16, 2*n)
+	if n <= 32 {
 		// Open-addressed table instead of a Go map: row deduplication is the
 		// whole cost of Compact, and the custom probe loop is several times
 		// faster than map inserts on this hot path.
@@ -312,7 +385,7 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 		}
 		for i := prev.m; i < mx.m; i++ {
 			var key, bad uint64
-			row := mx.data[i*mx.n : (i+1)*mx.n]
+			row := mx.data[i*n : (i+1)*n]
 			// Two bits per vote: abstain → 0, positive → 1, negative → 3,
 			// via a lookup that tags out-of-range bytes with a sentinel bit
 			// — branch-free per element, one validity branch per row.
@@ -324,52 +397,77 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 				key |= (code & 3) << (2 * uint(j))
 			}
 			if bad&voteBad != 0 {
-				for j, v := range row {
-					if v < Negative || v > Positive {
-						return nil, fmt.Errorf("labelmodel: invalid label %d at row %d column %d", v, i, j)
-					}
-				}
+				return nil, invalidLabel(row, i)
 			}
 			r, fresh := tab.insert(key, int32(len(c.Mult)))
 			if fresh {
-				c.Mult = append(c.Mult, 0)
-				appendCols(row)
+				pos, neg := lists[:0], lists[n:n]
+				for j, v := range row {
+					switch v {
+					case Positive:
+						pos = append(pos, uint16(j))
+					case Negative:
+						neg = append(neg, uint16(j))
+					}
+				}
+				appendRow(pos, neg)
 			}
 			c.Mult[r]++
 			c.RowOf[i] = r
 		}
 	} else {
-		buf := make([]byte, mx.n)
-		seen := make(map[string]int32, u+(mx.m-prev.m)/4+16)
-		for r := 0; r < u; r++ {
-			if err := EncodeVotes(buf, prev.RowVotes(r)); err != nil {
-				return nil, fmt.Errorf("labelmodel: previous compaction row %d: %w", r, err)
-			}
-			seen[string(buf)] = int32(r)
+		c.index = slices.Clone(prev.index)
+		if u == 0 {
+			c.index = make([]uint64, rowIndexMinSlots)
 		}
 		for i := prev.m; i < mx.m; i++ {
-			row := mx.data[i*mx.n : (i+1)*mx.n]
-			if err := EncodeVotes(buf, row); err != nil {
-				return nil, fmt.Errorf("labelmodel: row %d: %w", i, err)
+			// Every column is stored to both lists and kept only where its
+			// vote advances that list's length — positive is code 1, negative
+			// code 3 — so the scan has no branch to mispredict on votes that
+			// are mostly, but unpredictably, abstains.
+			row := mx.data[i*n : (i+1)*n]
+			var np, nn int
+			var bad uint64
+			for j, v := range row {
+				code := voteCode[uint8(v)] //drybellvet:rawvote — indexing the encoder's table
+				bad |= code
+				lists[np], lists[n+nn] = uint16(j), uint16(j)
+				np += int(code & ^(code >> 1) & 1)
+				nn += int(code >> 1 & 1)
 			}
-			r, ok := seen[string(buf)]
-			if !ok {
+			if bad&voteBad != 0 {
+				return nil, invalidLabel(row, i)
+			}
+			pos, neg := lists[:np], lists[n:n+nn]
+			tag := hashCols(pos, neg)
+			r, slot := c.lookup(tag, pos, neg)
+			if r < 0 {
 				r = int32(len(c.Mult))
-				seen[string(buf)] = r
-				c.Mult = append(c.Mult, 0)
-				appendCols(row)
+				c.index[slot] = uint64(tag)<<32 | uint64(r+1)
+				appendRow(pos, neg)
+				if len(c.Mult)*10 >= len(c.index)*7 {
+					c.growIndex()
+				}
 			}
 			c.Mult[r]++
 			c.RowOf[i] = r
 		}
 	}
-	c.Start = append(c.Start, int32(len(c.Cols)))
 
-	// Per-LF vote and majority-agreement counts aggregate over distinct
-	// rows and multiplicities — integer sums, so the result does not depend
-	// on how many Extend steps built the compaction.
+	// Per-LF vote and majority-agreement counts aggregate over distinct rows
+	// and the multiplicities this call added to them, on top of prev's counts
+	// — integer sums, so the result does not depend on how many Extend steps
+	// built the compaction, and an extension visits only the rows it touched.
+	copy(c.Voted, prev.Voted)
+	copy(c.MajorityAgree, prev.MajorityAgree)
 	for r := range c.Mult {
 		mult := int64(c.Mult[r])
+		if r < u {
+			mult -= int64(prev.Mult[r])
+		}
+		if mult == 0 {
+			continue
+		}
 		pos := c.Cols[c.Start[r]:c.PosEnd[r]]
 		neg := c.Cols[c.PosEnd[r]:c.Start[r+1]]
 		maj := len(pos) - len(neg)
@@ -387,4 +485,14 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 		}
 	}
 	return c, nil
+}
+
+// invalidLabel names the first out-of-range vote in row i.
+func invalidLabel(row []Label, i int) error {
+	for j, v := range row {
+		if !v.Valid() {
+			return fmt.Errorf("labelmodel: invalid label %d at row %d column %d", v, i, j)
+		}
+	}
+	return nil
 }

@@ -1,7 +1,10 @@
 package labelmodel
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -172,6 +175,75 @@ func TestRowTableGrowth(t *testing.T) {
 		v, fresh := tab.insert(uint64(k)*2654435761, -2)
 		if fresh || v != int32(k) {
 			t.Fatalf("key %d lookup = (%d, %v), want (%d, false)", k, v, fresh, k)
+		}
+	}
+}
+
+// TestRowIndexGrows: past 32 functions the distinct rows are found through the
+// row index a compaction carries. With thousands of distinct rows it doubles
+// several times, and a compaction extended from either side of a doubling
+// must still be the cold one, index included.
+func TestRowIndexGrows(t *testing.T) {
+	mx := randomMatrix(t, 3000, 40, 0.3, 9)
+	want := mx.Compact()
+	if want.NumUnique() < 2900 || len(want.index) <= 2*rowIndexMinSlots {
+		t.Fatalf("%d distinct rows in %d slots: the index never grew twice", want.NumUnique(), len(want.index))
+	}
+	for _, k := range []int{1, 716, 717, 1433, 1434, 2999} {
+		prev := mx.SubsetRows(seq(k)).Compact()
+		got, err := ExtendCompact(prev, mx)
+		if err != nil {
+			t.Fatalf("split %d: %v", k, err)
+		}
+		requireSameCompact(t, fmt.Sprintf("split %d", k), got, want)
+	}
+	back := want.Reconstruct()
+	for i := 0; i < mx.NumExamples(); i++ {
+		if !slices.Equal(back.Row(i), mx.Row(i)) {
+			t.Fatalf("row %d does not survive the round trip", i)
+		}
+	}
+}
+
+// seq returns 0, 1, …, n-1.
+func seq(n int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	return out
+}
+
+// TestCompactPosteriorsMatchDense: scoring each distinct row once from its
+// packed lists gives, bit for bit, the labels the dense pass over every row
+// gives — at both compaction widths, for accuracies of either sign and zero,
+// with and without a class prior.
+func TestCompactPosteriorsMatchDense(t *testing.T) {
+	for _, tc := range []struct {
+		m, n  int
+		rate  float64
+		prior float64
+	}{
+		{3000, 8, 0.4, 0}, {3000, 8, 0.4, -1.25}, {2000, 140, 0.08, 0}, {2000, 140, 0.01, 0.75}, {1, 140, 1, 0}, {50, 33, 0, 0.3},
+	} {
+		mx := randomMatrix(t, tc.m, tc.n, tc.rate, int64(tc.n))
+		rng := rand.New(rand.NewSource(int64(tc.m + tc.n)))
+		model := &Model{Alpha: make([]float64, tc.n), Beta: make([]float64, tc.n), LogPriorOdds: tc.prior}
+		for j := range model.Alpha {
+			if j%7 != 3 { // every seventh accuracy stays exactly zero
+				model.Alpha[j] = rng.NormFloat64() * 1.5
+			}
+		}
+		want := model.Posteriors(mx)
+		got := model.CompactPosteriors(mx.Compact())
+		if len(got) != len(want) {
+			t.Fatalf("%d×%d: %d labels, want %d", tc.m, tc.n, len(got), len(want))
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%d×%d: label %d = %x (%g), dense %x (%g)", tc.m, tc.n, i,
+					math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
+			}
 		}
 	}
 }

@@ -45,6 +45,26 @@ func EncodeVotes(dst []byte, row []Label) error {
 	return nil
 }
 
+// DecodeVotes is EncodeVotes read backwards: it fills dst with the votes the
+// stored bytes src spell, in one table pass, and reports the index of the
+// first byte that is not a legal vote, or -1 when every one is.
+func DecodeVotes(dst []Label, src []byte) int {
+	var bad uint64
+	dst = dst[:len(src)]
+	for j, b := range src {
+		bad |= voteCode[b]
+		dst[j] = Label(b)
+	}
+	if bad&voteBad != 0 {
+		for j, b := range src {
+			if voteCode[b]&voteBad != 0 {
+				return j
+			}
+		}
+	}
+	return -1
+}
+
 // Fingerprint returns a deterministic FNV-1a digest of the matrix's
 // dimensions and every vote. Artifact writers fold it into their write
 // generation, so re-running a pipeline over the same corpus re-creates

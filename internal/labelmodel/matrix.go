@@ -66,6 +66,14 @@ func NewMatrix(m, n int) *Matrix {
 	return &Matrix{m: m, n: n, data: make([]Label, m*n)}
 }
 
+// Grown returns a matrix of mx's rows followed by k rows of abstains. mx keeps
+// its shape and stays valid; the two share mx's rows (and, capacity allowing,
+// its backing array), so neither may be written to in those rows, and only
+// the latest matrix grown from a chain of them may be grown again.
+func (mx *Matrix) Grown(k int) *Matrix {
+	return &Matrix{m: mx.m + k, n: mx.n, data: append(mx.data, make([]Label, k*mx.n)...)}
+}
+
 // NumExamples returns m.
 func (mx *Matrix) NumExamples() int { return mx.m }
 

@@ -91,6 +91,37 @@ func (m *Model) Posteriors(mx *Matrix) []float64 {
 	return out
 }
 
+// CompactPosteriors returns Posteriors of the matrix c compacts, computed once
+// per distinct row and scattered through RowOf. A row's positive and negative
+// column lists are walked merged in ascending column order, which adds the
+// same non-zero terms in the same order as PosteriorRow (an abstain adds
+// zero there), so the labels are bit-identical to the dense pass.
+func (m *Model) CompactPosteriors(c *CompactMatrix) []float64 {
+	if c.n != len(m.Alpha) {
+		panic(fmt.Sprintf("labelmodel: compaction has %d LFs, model has %d", c.n, len(m.Alpha)))
+	}
+	rows := make([]float64, c.NumUnique())
+	for r := range rows {
+		pos, neg := c.Cols[c.Start[r]:c.PosEnd[r]], c.Cols[c.PosEnd[r]:c.Start[r+1]]
+		logOdds := m.LogPriorOdds
+		for len(pos) > 0 || len(neg) > 0 {
+			if len(neg) == 0 || len(pos) > 0 && pos[0] < neg[0] {
+				logOdds += 2 * m.Alpha[pos[0]]
+				pos = pos[1:]
+			} else {
+				logOdds -= 2 * m.Alpha[neg[0]]
+				neg = neg[1:]
+			}
+		}
+		rows[r] = sigmoid(logOdds)
+	}
+	out := make([]float64, c.m)
+	for i, r := range c.RowOf {
+		out[i] = rows[r]
+	}
+	return out
+}
+
 // LogMarginalLikelihood returns log P(Λ) under the model (up to the constant
 // class-prior term for the uniform prior), the quantity all trainers
 // maximize. Exposed for convergence tests.

@@ -308,6 +308,7 @@ func requireSameCompact(t *testing.T, what string, got, want *CompactMatrix) {
 		{"RowOf", slices.Equal(got.RowOf, want.RowOf)},
 		{"Voted", slices.Equal(got.Voted, want.Voted)},
 		{"MajorityAgree", slices.Equal(got.MajorityAgree, want.MajorityAgree)},
+		{"index", slices.Equal(got.index, want.index)},
 	} {
 		if !f.same {
 			t.Fatalf("%s: field %s differs", what, f.name)
@@ -316,12 +317,14 @@ func requireSameCompact(t *testing.T, what string, got, want *CompactMatrix) {
 }
 
 // TestExtendCompactEverySplit: there is one compaction. At both key widths
-// (8 functions pack into a uint64 key, 40 take the string-key path) and at
-// every sampled split point — one row, and the whole matrix, included —
-// extending the prefix's compaction over the rest equals compacting
-// everything at once, field for field; the prefix's compaction is left as it
-// was; and an out-of-range vote among the appended rows is refused by row and
-// column.
+// (8 functions pack into a uint64 key, 40 go through the carried row index)
+// and at every sampled split point — one row, and the whole matrix, included
+// — extending the prefix's compaction over the rest equals compacting
+// everything at once, field for field; so does extending the same prefix a
+// second time (a round replayed from the previous state), by way of a
+// different intermediate matrix first; the prefix's compaction is left as it
+// was throughout; and an out-of-range vote among the appended rows is refused
+// by row and column.
 func TestExtendCompactEverySplit(t *testing.T) {
 	for _, n := range []int{8, 40} {
 		t.Run(fmt.Sprintf("lfs=%d", n), func(t *testing.T) {
@@ -340,6 +343,32 @@ func TestExtendCompactEverySplit(t *testing.T) {
 				}
 				requireSameCompact(t, fmt.Sprintf("split %d", k), got, want)
 				requireSameCompact(t, fmt.Sprintf("split %d: prev after extending", k), prev, before)
+
+				// Twice from the same prev: over other rows, which leave their
+				// own distinct rows behind if anything is shared, then over mx.
+				other := randomVotes(m, n, int64(200+n))
+				copy(other.data, mx.data[:k*n])
+				if _, err := ExtendCompact(prev, other); err != nil {
+					t.Fatalf("split %d: extending over other rows: %v", k, err)
+				}
+				again, err := ExtendCompact(prev, mx)
+				if err != nil {
+					t.Fatalf("split %d: second extension: %v", k, err)
+				}
+				requireSameCompact(t, fmt.Sprintf("split %d: second extension", k), again, want)
+				requireSameCompact(t, fmt.Sprintf("split %d: first extension after the second", k), got, want)
+				requireSameCompact(t, fmt.Sprintf("split %d: prev after extending twice", k), prev, before)
+				// Two steps give what one gives, row index included.
+				if k < m-1 {
+					step, err := ExtendCompact(prev, prefix(mx, k+(m-k)/2))
+					if err == nil {
+						step, err = ExtendCompact(step, mx)
+					}
+					if err != nil {
+						t.Fatalf("split %d: two-step extension: %v", k, err)
+					}
+					requireSameCompact(t, fmt.Sprintf("split %d: two-step extension", k), step, want)
+				}
 			}
 
 			const k, badRow, badCol = 100, 170, 5
@@ -355,5 +384,38 @@ func TestExtendCompactEverySplit(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+var extendSink *CompactMatrix
+
+// BenchmarkExtendCompact is one incremental round's compaction at the repo
+// benchmark's shape: 140 functions, 30k distinct rows carried from the
+// previous round, 500 rows appended. It must stay a matter of the appended
+// rows — a few large copies, no allocation per carried row.
+func BenchmarkExtendCompact(b *testing.B) {
+	const n, carried, appended = 140, 30_000, 500
+	rng := rand.New(rand.NewSource(1))
+	mx := NewMatrix(carried+appended, n)
+	for i := range mx.data {
+		if rng.Intn(12) == 0 { // sparse and all but surely distinct, like event votes
+			mx.data[i] = Label(1 - 2*rng.Intn(2))
+		}
+	}
+	for i := carried; i < carried+appended; i += 2 { // half the appended rows repeat carried ones
+		copy(mx.Row(i), mx.Row(rng.Intn(carried)))
+	}
+	prev := prefix(mx, carried).Compact()
+	if prev.NumUnique() != carried {
+		b.Fatalf("%d distinct rows among %d", prev.NumUnique(), carried)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c, err := ExtendCompact(prev, mx)
+		if err != nil {
+			b.Fatal(err)
+		}
+		extendSink = c
 	}
 }

@@ -276,22 +276,46 @@ func (c *Chain) Tombstoned(i int) bool {
 // are the post-compaction staging order; callers that track absolute row
 // positions (corpus manifests) must compact those in the same step.
 func CompactGenerations(fs dfs.FS, base string, shards int) error {
+	_, err := CompactView(fs, base, shards, nil)
+	return err
+}
+
+// CompactView is CompactGenerations for a reader carrying a view of the store
+// (LoadView). When view's watermark covers the whole chain and its columns
+// are the stored column union in order, the fold writes the view instead of
+// re-reading the chain it was merged from; otherwise the chain is read as
+// CompactGenerations reads it. It returns the folded store's view — the same
+// rows at the watermark of the flat artifact just written — or view itself
+// when there was no chain to fold.
+func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) {
 	gens, err := ListGenerations(fs, base)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if len(gens) == 0 {
-		return nil
+		return view, nil
 	}
-	mx, names, err := readVotes(fs, base, true, nil)
+	p, err := planVotes(fs, base, true, nil)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if err := WriteVotes(fs, base, mx, names, shards); err != nil {
-		return fmt.Errorf("lf: compact vote generations at %s: %w", base, err)
+	folded := &View{Names: p.names}
+	if view.staleFor(p) == "" && len(view.gens) == len(p.gens) {
+		folded.Matrix = view.Matrix
+	} else if folded.Matrix, _, err = p.read(fs); err != nil {
+		return nil, err
 	}
-	// The flat artifact now carries the whole view; drop the folded chain.
-	return DropGenerations(fs, base)
+	if err := WriteVotes(fs, base, folded.Matrix, folded.Names, shards); err != nil {
+		return nil, fmt.Errorf("lf: compact vote generations at %s: %w", base, err)
+	}
+	// The flat artifact now carries the whole view; drop the folded chain. The
+	// sidecar just written says what the view's watermark has become.
+	flat, err := readVotesMeta(fs, base)
+	if err != nil {
+		return nil, err
+	}
+	folded.flat = flat.generation()
+	return folded, DropGenerations(fs, base)
 }
 
 // DropGenerations removes the generation chain over the flat artifact at base

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -45,8 +46,10 @@ func randomColumns(rng *rand.Rand, pool []string) []string {
 // writeRandomChain publishes a random store at storeBase — an optional flat
 // base, then 1–8 generations of appends, rewrites, tombstones and
 // deletion-only entries over random column subsets and shard counts — that
-// always keeps at least one live row.
-func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS) {
+// always keeps at least one live row. appendOdds in 4 generations start at
+// the chain's end (the rest split between deletions only and rewrites), and
+// published runs after the flat base and after each generation commits.
+func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS, appendOdds int, published func()) {
 	t.Helper()
 	pool := []string{"c0", "c1", "c2", "c3", "c4", "c5"}
 	total := 0
@@ -57,14 +60,15 @@ func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS) {
 		if err := WriteVotes(fs, storeBase, randomVotes(t, total, len(cols), rng.Int63()), cols, 1+rng.Intn(5)); err != nil {
 			t.Fatal(err)
 		}
+		published()
 	}
 	for gen, gens := 1, 1+rng.Intn(8); gen <= gens; gen++ {
 		meta := GenerationMeta{Gen: gen, Names: randomColumns(rng, pool), Shards: 1 + rng.Intn(4)}
 		rows := 1 + rng.Intn(10)
 		switch kind := rng.Intn(4); {
-		case total == 0 || kind == 0: // append
+		case total == 0 || kind < appendOdds: // append
 			meta.StartRow = total
-		case kind == 1: // deletions only
+		case kind == appendOdds: // deletions only
 			meta.StartRow, rows = total, 0
 		default: // rewrite, possibly running past the end
 			meta.StartRow = rng.Intn(total)
@@ -90,6 +94,89 @@ func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS) {
 		if err := WriteGeneration(fs, storeBase, meta, mx); err != nil {
 			t.Fatalf("generation %d: %v", gen, err)
 		}
+		published()
+	}
+}
+
+// readCounter counts the files read through it.
+type readCounter struct {
+	dfs.FS
+	reads int
+}
+
+func (c *readCounter) ReadFile(path string) ([]byte, error) {
+	c.reads++
+	return c.FS.ReadFile(path)
+}
+
+// carrier follows a store the way a reader that keeps its view does. After
+// each publish it either looks — LoadView from the view it holds — or does
+// not, so that the next look finds generations a second writer published
+// behind its back. Whenever it looks, what it then holds must equal the view
+// rebuilt from the store, field for field, and a carried look must have
+// streamed only the rows published since the last one.
+type carrier struct {
+	t     *testing.T
+	what  string
+	rng   *rand.Rand // its own: looking must not change the chain generated
+	fs    dfs.FS
+	names []string
+	view  *View
+	// carried and rebuilt count the looks by outcome, over all chains.
+	carried, rebuilt *int
+}
+
+func (c *carrier) look() {
+	c.t.Helper()
+	got, read, err := LoadView(c.fs, storeBase, c.names, c.view)
+	if err != nil {
+		c.t.Fatalf("%s: carried LoadView: %v", c.what, err)
+	}
+	want, whole, err := LoadView(c.fs, storeBase, c.names, nil)
+	if err != nil || whole.Rebuilt != RebuiltNoState {
+		c.t.Fatalf("%s: rebuilding LoadView = %+v, %v", c.what, whole, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		c.t.Fatalf("%s: carried view (%+v) differs from the rebuilt one", c.what, read)
+	}
+	oracle, _, err := oracleReadVersioned(c.fs, storeBase, c.names)
+	if err != nil {
+		c.t.Fatalf("%s: oracle: %v", c.what, err)
+	}
+	sameMatrix(c.t, c.what+" carried", got.Matrix, oracle)
+	if read.Rebuilt != "" {
+		*c.rebuilt++
+		if read != whole && !(c.view == nil && read.Rebuilt == RebuiltNoState) {
+			// Any reason reads what a reader without state reads.
+			whole.Rebuilt = read.Rebuilt
+			if read != whole {
+				c.t.Fatalf("%s: rebuild read %+v, a fresh read %+v", c.what, read, whole)
+			}
+		}
+	} else {
+		*c.carried++
+		if grew := got.Matrix.NumExamples() - c.view.Matrix.NumExamples(); read.Rows != grew {
+			c.t.Fatalf("%s: carried look streamed %d rows for %d new ones", c.what, read.Rows, grew)
+		}
+	}
+	c.view = got
+}
+
+func (c *carrier) published() {
+	c.t.Helper()
+	if c.names == nil {
+		// Columns of the first segment are stored at every later prefix.
+		p, err := planVotes(c.fs, storeBase, true, nil)
+		if err != nil {
+			c.t.Fatalf("%s: %v", c.what, err)
+		}
+		c.names = p.names
+		if c.rng.Intn(2) == 0 {
+			c.names = randomColumns(c.rng, p.names)
+		}
+	}
+	if c.rng.Intn(3) > 0 {
+		c.look()
 	}
 }
 
@@ -97,13 +184,23 @@ func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS) {
 // random column projections (subsets, reorderings, duplicates), the one
 // reader returns exactly what the old per-generation re-merge returned,
 // VerifyVotes accepts the store, and compacting it leaves a flat artifact
-// that reads back as the same view.
+// that reads back as the same view. Along the way a carried view (carrier)
+// follows every chain generation by generation, through the compaction — which
+// folds from the view when it can, without reading a shard — and through an
+// append over the compacted store. The second batch of chains is append-heavy,
+// so that views are carried over several generations in a row.
 func TestScanMatchesOracleOnGeneratedChains(t *testing.T) {
-	for seed := int64(1); seed <= 150; seed++ {
+	var carried, rebuilt, foldedFromView int
+	for seed := int64(1); seed <= 230; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fs := dfs.NewMem()
-		writeRandomChain(t, rng, fs)
 		what := fmt.Sprintf("seed %d", seed)
+		appendOdds := 1
+		if seed > 150 {
+			appendOdds = 3
+		}
+		follow := &carrier{t: t, what: what, rng: rand.New(rand.NewSource(-seed)), fs: fs, carried: &carried, rebuilt: &rebuilt}
+		writeRandomChain(t, rng, fs, appendOdds, follow.published)
 
 		full, union, err := oracleReadVersioned(fs, storeBase, nil)
 		if err != nil {
@@ -134,8 +231,30 @@ func TestScanMatchesOracleOnGeneratedChains(t *testing.T) {
 			t.Fatalf("%s: VerifyVotes = %v, %v; oracle union %v", what, stored, err, union)
 		}
 
-		if err := CompactGenerations(fs, storeBase, 1+rng.Intn(5)); err != nil {
+		// Compact with the carrier's view caught up with the chain. It holds
+		// the stored union in order on about half the chains whose union the
+		// first segment already had; only then may the fold skip the re-read.
+		follow.look()
+		hadChain := HasGenerations(fs, storeBase)
+		counted := &readCounter{FS: fs}
+		folded, err := CompactView(counted, storeBase, 1+rng.Intn(5), follow.view)
+		if err != nil {
 			t.Fatalf("%s: compact: %v", what, err)
+		}
+		if hadChain && fmt.Sprint(follow.names) == fmt.Sprint(union) {
+			foldedFromView++
+			// Each manifest is read by the listing and by the plan, which
+			// also asks for every sidecar, and the flat sidecar written is
+			// read back; a shard is one read more.
+			metadata := 2 + 2*len(follow.view.gens)
+			for _, g := range follow.view.gens {
+				if g.data != 0 {
+					metadata++
+				}
+			}
+			if counted.reads != metadata {
+				t.Fatalf("%s: fold from a caught-up view of the stored columns made %d reads, the metadata is %d", what, counted.reads, metadata)
+			}
 		}
 		flat, flatNames, err := ReadVotes(fs, storeBase, nil)
 		if err != nil {
@@ -145,6 +264,24 @@ func TestScanMatchesOracleOnGeneratedChains(t *testing.T) {
 			t.Fatalf("%s: compacted names %v, oracle %v", what, flatNames, union)
 		}
 		sameMatrix(t, what+" compacted", flat, full)
+
+		// The folded view is the compacted store's view, and carries on.
+		follow.names, follow.view, follow.what = union, folded, what+" after compaction"
+		follow.look()
+		if follow.view != folded {
+			t.Fatalf("%s: the view CompactView returned was not carried over the store it wrote", what)
+		}
+		writeGen(t, fs, storeBase, 1, full.NumExamples(), 1+rng.Intn(5), randomColumns(rng, union), nil, rng.Int63())
+		before := carried
+		follow.look()
+		if carried != before+1 {
+			t.Fatalf("%s: an append over the compacted store rebuilt the folded view", what)
+		}
+	}
+	// The generator must keep exercising both outcomes, or the test has
+	// quietly stopped testing the carry.
+	if carried < 200 || rebuilt < 200 || foldedFromView < 10 {
+		t.Fatalf("%d carried looks, %d rebuilt, %d folds from the view: the generated chains no longer cover the carry", carried, rebuilt, foldedFromView)
 	}
 }
 
@@ -291,6 +428,87 @@ func TestEveryStoredByteCheckStillFires(t *testing.T) {
 				t.Errorf("refused compaction still removed the chain (%v, %v)", keys, err)
 			}
 		})
+	}
+}
+
+// TestCarriedViewChecksWhatItReads: a carried read is the same scan over fewer
+// segments, so damage in a generation published since the watermark is
+// refused with the error a whole-store read gives, the view held is left as
+// it was, and damage under the watermark — bytes the carried read does not
+// touch — turns the read into a rebuild only if the metadata shows it.
+func TestCarriedViewChecksWhatItReads(t *testing.T) {
+	names := []string{"a", "b", "c"}
+	newShard := dfs.ShardPath(genDataBase(storeBase, 2), 1, 3)
+	for _, tc := range []struct {
+		check  string
+		damage func(t *testing.T, fs *dfs.Mem)
+		want   string
+	}{
+		{"shard CRC", func(t *testing.T, fs *dfs.Mem) {
+			if err := fs.Corrupt(newShard, voteShardHeaderSize+2); err != nil {
+				t.Fatal(err)
+			}
+		}, "checksum mismatch"},
+		{"vote byte range", func(t *testing.T, fs *dfs.Mem) {
+			rewriteShard(t, fs, newShard, func(d []byte) []byte { d[voteShardHeaderSize+4] = 5; return d })
+		}, "stored vote byte 5 out of range for \"b\""},
+		{"meta shard count", func(t *testing.T, fs *dfs.Mem) {
+			rewriteMeta(t, fs, genDataBase(storeBase, 2), func(m *votesMeta) { m.Shards = 2 })
+		}, "shards on filesystem, meta says 2"},
+		{"manifest rows vs segment", func(t *testing.T, fs *dfs.Mem) {
+			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.Rows = 7 })
+		}, "holds 8 rows, manifest says 7"},
+	} {
+		t.Run(tc.check, func(t *testing.T) {
+			fs := dfs.NewMem()
+			if err := WriteVotes(fs, storeBase, randomVotes(t, 40, 3, 1), names, 4); err != nil {
+				t.Fatal(err)
+			}
+			writeGen(t, fs, storeBase, 1, 40, 9, names, nil, 2)
+			held, _, err := LoadView(fs, storeBase, names, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			snapshot := held.Matrix.SubsetColumns([]int{0, 1, 2})
+			writeGen(t, fs, storeBase, 2, 49, 8, names, nil, 3)
+			tc.damage(t, fs)
+
+			_, read, carriedErr := LoadView(fs, storeBase, names, held)
+			_, _, wholeErr := LoadView(fs, storeBase, names, nil)
+			for entry, err := range map[string]error{"carried": carriedErr, "whole": wholeErr} {
+				if err == nil || !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("%s read = %v, want an error containing %q", entry, err, tc.want)
+				}
+			}
+			if carriedErr != nil && read.Rebuilt != "" {
+				t.Errorf("the read of a grown store was not carried: %+v", read)
+			}
+			sameMatrix(t, "held view after a refused read", held.Matrix, snapshot)
+		})
+	}
+
+	// Under the watermark: a flipped payload byte in a merged segment is not
+	// read again; a re-sealed manifest is metadata, and rebuilds.
+	fs := dfs.NewMem()
+	if err := WriteVotes(fs, storeBase, randomVotes(t, 40, 3, 1), names, 4); err != nil {
+		t.Fatal(err)
+	}
+	writeGen(t, fs, storeBase, 1, 40, 9, names, nil, 2)
+	held, _, err := LoadView(fs, storeBase, names, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	writeGen(t, fs, storeBase, 2, 49, 8, names, nil, 3)
+	if err := fs.Corrupt(dfs.ShardPath(storeBase, 1, 4), voteShardHeaderSize+2); err != nil {
+		t.Fatal(err)
+	}
+	grown, read, err := LoadView(fs, storeBase, names, held)
+	if err != nil || read.Rebuilt != "" || read.Rows != 8 || grown.Matrix.NumExamples() != 57 {
+		t.Fatalf("carried read over an unread damaged byte = %+v, %v", read, err)
+	}
+	rewriteManifest(t, fs, 1, func(m *GenerationMeta) { m.Deleted = []int{3} })
+	if _, read, err := LoadView(fs, storeBase, names, grown); err == nil || read.Rebuilt != RebuiltChainChanged {
+		t.Fatalf("read over a changed merged manifest = %+v, %v; want a chain_changed rebuild that meets the damaged byte", read, err)
 	}
 }
 

@@ -217,6 +217,23 @@ type votePlan struct {
 	// names are the view's columns: the requested names, or the stored
 	// column union in first-seen order.
 	names []string
+	// flat is the flat artifact's write generation (0 without one) and gens
+	// the generations over it, in order: what a view read from this plan has
+	// merged (see View).
+	flat uint64
+	gens []planGen
+}
+
+// planGen is one generation of a plan: its identity in a watermark, what the
+// chain rule made of it, and where the plan's segments stood before it.
+type planGen struct {
+	genMark
+	// appended is Chain.Apply's report: rows at the chain's end and no
+	// tombstones, so every earlier view row survives verbatim.
+	appended bool
+	// rows is the generation's data segment size; firstSeg indexes that
+	// segment in the plan (the next generation's, when rows is zero).
+	rows, firstSeg int
 }
 
 // planVotes plans a read of the store at base: the flat artifact as the
@@ -233,6 +250,7 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 	if flat != nil {
 		p.segments = append(p.segments, voteSegment{base: base, meta: flat})
 		p.chain.Rows = flat.Examples
+		p.flat = flat.Generation
 	}
 	var gens []GenerationMeta
 	if wholeChain {
@@ -241,9 +259,11 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 		}
 	}
 	for _, g := range gens {
-		if _, err := p.chain.Apply(g.Gen, g.StartRow, g.Rows, g.Deleted); err != nil {
+		appended, err := p.chain.Apply(g.Gen, g.StartRow, g.Rows, g.Deleted)
+		if err != nil {
 			return nil, fmt.Errorf("lf: votes at %s: %w", base, err)
 		}
+		p.gens = append(p.gens, planGen{genMark{gen: g.Gen, crc: g.CRC}, appended, g.Rows, len(p.segments)})
 		if g.Rows == 0 {
 			continue // deletions only: tombstones in the manifest, no data segment
 		}
@@ -258,6 +278,7 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 			return nil, fmt.Errorf("lf: vote generation %d at %s holds %d rows, manifest says %d",
 				g.Gen, base, meta.Examples, g.Rows)
 		}
+		p.gens[len(p.gens)-1].data = meta.Generation
 		p.segments = append(p.segments, voteSegment{base: genDataBase(base, g.Gen), meta: meta, startRow: g.StartRow})
 	}
 	if len(p.segments) == 0 {
@@ -318,15 +339,28 @@ func (p *votePlan) read(fs dfs.FS) (*labelmodel.Matrix, []string, error) {
 // nil view verifies without materializing anything; a non-nil one must have a
 // row per live row of the chain and a column per planned column.
 func (p *votePlan) scan(fs dfs.FS, view *labelmodel.Matrix) error {
-	// viewRow[i] is the view row of absolute row i, -1 once tombstoned; nil
-	// means no tombstones, absolute rows are view rows.
+	// viewRow[i-lo] is the view row of absolute row i, -1 once tombstoned,
+	// for the rows at and past lo, where the earliest planned segment starts
+	// (a plan that starts after a watermark streams only the chain's tail);
+	// nil means no tombstones, absolute rows are view rows.
 	var viewRow []int
+	lo := 0
 	if view != nil && p.chain.Live() < p.chain.Rows {
-		viewRow = make([]int, p.chain.Rows)
-		next := 0
+		lo = p.chain.Rows
+		for _, seg := range p.segments {
+			lo = min(lo, seg.startRow)
+		}
+		next := lo
+		//drybellvet:ordered — counts only; the total is the same in any order
+		for d := range p.chain.tombs {
+			if d < lo {
+				next--
+			}
+		}
+		viewRow = make([]int, p.chain.Rows-lo)
 		for i := range viewRow {
 			viewRow[i] = -1
-			if !p.chain.Tombstoned(i) {
+			if !p.chain.Tombstoned(lo + i) {
 				viewRow[i] = next
 				next++
 			}
@@ -342,6 +376,13 @@ func (p *votePlan) scan(fs dfs.FS, view *labelmodel.Matrix) error {
 			return fmt.Errorf("lf: votes at %s: %d shards on filesystem, meta says %d", seg.base, len(shards), meta.Shards)
 		}
 		stored := len(meta.Names)
+		// The normal case — the view's columns are the segment's, in order —
+		// decodes a row in one table pass instead of a store per column pair.
+		identity := view != nil && stored == view.NumFuncs() && len(seg.cols) == stored
+		for j := 0; identity && j < stored; j++ {
+			identity = seg.cols[j] == colPair{j, j}
+		}
+		scratch := make([]labelmodel.Label, stored)
 		total := 0
 		for s, shard := range shards {
 			data, err := fs.ReadFile(shard)
@@ -359,25 +400,29 @@ func (p *votePlan) scan(fs dfs.FS, view *labelmodel.Matrix) error {
 				if i >= meta.Examples {
 					return fmt.Errorf("lf: votes shard %s: row %d maps past %d examples", shard, k, meta.Examples)
 				}
+				// Every stored row is range-checked, kept or not: a tombstoned
+				// or verify-only row decodes into scratch.
+				dst := scratch
+				r := -1
+				if view != nil {
+					r = seg.startRow + i
+					if viewRow != nil {
+						r = viewRow[r-lo]
+					}
+					if r >= 0 && identity {
+						dst = view.Row(r)
+					}
+				}
 				rec := payload[k*stored : (k+1)*stored]
-				for src, b := range rec {
-					if !labelmodel.Label(int8(b)).Valid() {
-						return fmt.Errorf("lf: votes shard %s: stored vote byte %d out of range for %q",
-							shard, int8(b), meta.Names[src])
+				if src := labelmodel.DecodeVotes(dst, rec); src >= 0 {
+					return fmt.Errorf("lf: votes shard %s: stored vote byte %d out of range for %q",
+						shard, int8(rec[src]), meta.Names[src])
+				}
+				if r >= 0 && !identity {
+					row := view.Row(r)
+					for _, c := range seg.cols {
+						row[c.dst] = scratch[c.src]
 					}
-				}
-				if view == nil {
-					continue
-				}
-				r := seg.startRow + i
-				if viewRow != nil {
-					if r = viewRow[r]; r < 0 {
-						continue
-					}
-				}
-				row := view.Row(r)
-				for _, c := range seg.cols {
-					row[c.dst] = labelmodel.Label(int8(rec[c.src]))
 				}
 			}
 		}

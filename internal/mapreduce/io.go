@@ -17,6 +17,7 @@ func WriteInput(fs dfs.FS, base string, records [][]byte, n int) error {
 	}
 	return dfs.WriteSharded(fs, base, records, n, func(recs [][]byte) ([]byte, error) {
 		var buf bytes.Buffer
+		buf.Grow(recordio.EncodedSize(recs))
 		if err := recordio.WriteAll(&buf, recs); err != nil {
 			return nil, err
 		}
@@ -50,6 +51,18 @@ func NewInputWriter(fs dfs.FS, base string, n int) (*InputWriter, error) {
 		w.writers[i] = recordio.NewWriter(&w.bufs[i])
 	}
 	return w, nil
+}
+
+// Grow tells the writer that about size more encoded bytes (recordio.EncodedSize
+// of the records to come) are on their way, so that each shard's buffer is
+// sized once for its share instead of doubling up to it.
+func (w *InputWriter) Grow(size int) {
+	// Round-robin shares differ by a record or so; the slack keeps the
+	// longest inside its buffer.
+	share := size/w.n + size/(32*w.n) + 4096
+	for i := range w.bufs {
+		w.bufs[i].Grow(share)
+	}
 }
 
 // Append adds one record to the stream.
@@ -125,7 +138,9 @@ func sidecarCount(fs dfs.FS, base string) (int, bool) {
 }
 
 // EachShard reads and decodes the committed shard set at base, handing visit
-// shard s of n and its records in shard order until visit returns false.
+// shard s of n and its records in shard order until visit returns false. The
+// records of a shard are checked and handed over in place (recordio.Split):
+// they share the one buffer the shard was read into.
 func EachShard(fs dfs.FS, base string, visit func(s, n int, recs [][]byte) bool) error {
 	shards, err := dfs.ListShards(fs, base)
 	if err != nil {
@@ -136,7 +151,7 @@ func EachShard(fs dfs.FS, base string, visit func(s, n int, recs [][]byte) bool)
 		if err != nil {
 			return err
 		}
-		recs, err := recordio.ReadAll(bytes.NewReader(data))
+		recs, err := recordio.Split(data)
 		if err != nil {
 			return fmt.Errorf("mapreduce: shard %s: %w", shard, err)
 		}

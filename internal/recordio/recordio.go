@@ -46,6 +46,9 @@ type Writer struct {
 	w     *bufio.Writer
 	n     int
 	bytes int64
+	// hdr is the frame header under construction: a field, because a local
+	// handed to the underlying writer escapes, one allocation a record.
+	hdr [headerSize]byte
 }
 
 // NewWriter returns a Writer emitting to w.
@@ -58,11 +61,11 @@ func (w *Writer) Write(payload []byte) error {
 	if len(payload) > MaxRecordSize {
 		return ErrTooLarge
 	}
-	var hdr [headerSize]byte
+	hdr := w.hdr[:]
 	copy(hdr[0:4], magic[:])
 	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(hdr[:]); err != nil {
+	if _, err := w.w.Write(hdr); err != nil {
 		return fmt.Errorf("recordio: write header: %w", err)
 	}
 	if _, err := w.w.Write(payload); err != nil {
@@ -134,6 +137,45 @@ func errCorruptFrom(err error) error {
 		return ErrCorrupt
 	}
 	return err
+}
+
+// EncodedSize is the size of the stream WriteAll makes of records.
+func EncodedSize(records [][]byte) int {
+	size := headerSize * len(records)
+	for _, rec := range records {
+		size += len(rec)
+	}
+	return size
+}
+
+// Split decodes every record of a whole encoded stream in place: the records
+// alias data instead of being copied out of it. Every frame passes the checks
+// Reader.Next applies — magic, length bound, checksum — and a damaged stream
+// is the same error.
+func Split(data []byte) ([][]byte, error) {
+	var out [][]byte
+	for len(data) > 0 {
+		if len(data) < headerSize {
+			return out, fmt.Errorf("recordio: truncated header after %d records: %w", len(out), ErrCorrupt)
+		}
+		if [4]byte(data[0:4]) != magic {
+			return out, fmt.Errorf("recordio: bad magic %q at record %d: %w", data[0:4], len(out), ErrCorrupt)
+		}
+		length := binary.LittleEndian.Uint32(data[4:8])
+		if length > MaxRecordSize {
+			return out, fmt.Errorf("recordio: frame length %d at record %d: %w", length, len(out), ErrTooLarge)
+		}
+		if int(length) > len(data)-headerSize {
+			return out, fmt.Errorf("recordio: truncated payload at record %d: %w", len(out), ErrCorrupt)
+		}
+		payload := data[headerSize : headerSize+int(length) : headerSize+int(length)]
+		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[8:12]) {
+			return out, fmt.Errorf("recordio: checksum mismatch at record %d: %w", len(out), ErrCorrupt)
+		}
+		out = append(out, payload)
+		data = data[headerSize+int(length):]
+	}
+	return out, nil
 }
 
 // ReadAll decodes every record from r until EOF.

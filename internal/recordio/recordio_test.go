@@ -150,3 +150,48 @@ func TestBytesAccounting(t *testing.T) {
 		t.Errorf("Bytes() = %d, buffer has %d", w.Bytes(), buf.Len())
 	}
 }
+
+// TestSplitMatchesReadAll holds the in-place decoder to the streaming one:
+// over an intact stream, the stream with each byte flipped in turn, the stream
+// cut at every length and a frame announcing more than MaxRecordSize, Split
+// returns the records ReadAll returns and fails with the error ReadAll fails
+// with — while copying nothing.
+func TestSplitMatchesReadAll(t *testing.T) {
+	records := [][]byte{[]byte("hello"), {}, []byte("a longer third record"), {0, 1, 2, 255}}
+	var buf bytes.Buffer
+	if err := WriteAll(&buf, records); err != nil {
+		t.Fatal(err)
+	}
+	intact := buf.Bytes()
+	streams := [][]byte{intact, nil, {'S', 'D', 'R', 'B', 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0}}
+	for i := range intact {
+		flipped := bytes.Clone(intact)
+		flipped[i] ^= 0x40
+		streams = append(streams, flipped, intact[:i])
+	}
+	for _, data := range streams {
+		want, wantErr := ReadAll(bytes.NewReader(data))
+		got, gotErr := Split(data)
+		if len(got) != len(want) {
+			t.Fatalf("stream %q: Split returned %d records, ReadAll %d", data, len(got), len(want))
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("stream %q: record %d = %q, ReadAll says %q", data, i, got[i], want[i])
+			}
+		}
+		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("stream %q: Split error %v, ReadAll error %v", data, gotErr, wantErr)
+		}
+		if errors.Is(gotErr, ErrCorrupt) != errors.Is(wantErr, ErrCorrupt) || errors.Is(gotErr, ErrTooLarge) != errors.Is(wantErr, ErrTooLarge) {
+			t.Fatalf("stream %q: Split error %v wraps other causes than %v", data, gotErr, wantErr)
+		}
+	}
+	got, err := Split(intact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &got[0][0] != &intact[headerSize] {
+		t.Error("Split copied the first record out of the stream")
+	}
+}

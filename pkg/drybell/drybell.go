@@ -77,14 +77,16 @@
 // or deleted documents as corpus generations, and IncrementalRun advances
 // the pipeline by exactly the pending deltas: labeling functions execute
 // only over the delta's shards, each delta publishing one generation into
-// the append-only versioned vote store under VotesBase; the label model
-// warm-starts from the previous run's state (carried by the Pipeline, or
-// dropped with WithColdStart); and the refreshed labels are persisted over
-// the full corpus. WithCorpusDelta and WithCorpusRewrite stage deltas inline
-// with a run. A warm-started round equals a cold full retrain exactly —
-// incremental is a latency optimization, never a quality trade. Running a
-// new base corpus (Run, Stage) over a root that holds a delta chain starts
-// over: both ledgers are reset before the new corpus commits.
+// the append-only versioned vote store under VotesBase; the Pipeline carries
+// the merged vote view and the label model's warm-start state from the
+// previous run (or drops them with WithColdStart), so a round over appended
+// documents reads and compacts only the new generations; and the refreshed
+// labels are persisted over the full corpus. WithCorpusDelta and
+// WithCorpusRewrite stage deltas inline with a run. A carried round equals a
+// cold full retrain exactly — incremental is a latency optimization, never a
+// quality trade. Running a new base corpus (Run, Stage) over a root that
+// holds a delta chain starts over: both ledgers are reset before the new
+// corpus commits.
 package drybell
 
 import (
@@ -94,7 +96,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/labelmodel"
 	"repro/internal/obs"
 	"repro/pkg/drybell/lf"
 )
@@ -103,13 +104,17 @@ import (
 // Construct it with New; the zero value is not usable. A Pipeline is
 // stateless between calls — all pipeline state lives on its filesystem — so
 // its methods are safe for sequential reuse and for resuming partial runs.
-// The single exception is the label model's warm-start state, which
-// IncrementalRun carries in memory between calls; losing it (a fresh
-// Pipeline) costs training time, never correctness.
+// The exceptions are two caches IncrementalRun carries in memory between
+// calls: the merged view of the vote store, with a watermark of exactly what
+// it merged, and the label model's warm-start state over that view. Both are
+// checked against the store before every use; losing them (a fresh Pipeline)
+// costs a re-read and a re-compaction, never correctness.
 type Pipeline[T any] struct {
 	cfg  core.Config[T]
 	hook StageHook
-	warm *labelmodel.TrainState
+	// carried is the last IncrementalRun's view and training state; nil
+	// after anything that replaces the corpus they describe.
+	carried *core.Carried
 }
 
 // New builds a Pipeline from functional options. WithCodec is required and
@@ -192,7 +197,7 @@ func (p *Pipeline[T]) VotesBase() string { return path.Join(p.cfg.VotesPrefix(),
 // errors.Is(err, ctx.Err()); see the package comment for how deep into each
 // stage cancellation reaches.
 func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Result, error) {
-	p.warm = nil // describes the corpus this run replaces
+	p.carried = nil // describes the corpus this run replaces
 	return core.RunObserved(ctx, p.cfg, src, lfs, p.hook)
 }
 
@@ -203,7 +208,7 @@ func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Res
 // ledger and the vote generation chain are reset before the new shards
 // commit, so the next StageDelta starts a new chain at generation 1.
 func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
-	p.warm = nil // describes the corpus this staging replaces
+	p.carried = nil // describes the corpus this staging replaces
 
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
 	n, err := core.StageExamples(p.cfg.ObsContext(ctx), p.cfg, src)
@@ -216,7 +221,7 @@ func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
 // in the pipeline's record format — e.g. a validated JSONL dump — to avoid
 // a decode/re-encode round-trip per record.
 func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) (int, error) {
-	p.warm = nil // describes the corpus this staging replaces
+	p.carried = nil // describes the corpus this staging replaces
 
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
 	n, err := core.StageRecords(p.cfg.ObsContext(ctx), p.cfg, records)

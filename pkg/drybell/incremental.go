@@ -76,9 +76,10 @@ func WithCorpusRewrite[T any](src Source[T], startRow int) IncrementalOption {
 	}}
 }
 
-// WithColdStart discards the Pipeline's carried warm-start state for this
-// run: training restarts from scratch, as a cold full retrain would. Use it
-// to re-anchor after many warm-started generations, or in equivalence tests.
+// WithColdStart discards the Pipeline's carried state — the vote view and the
+// warm-start state — for this run: the vote store is read and compacted in
+// full and training restarts from scratch, as a cold full retrain would. Use
+// it to re-anchor after many carried generations, or in equivalence tests.
 func WithColdStart() IncrementalOption {
 	return IncrementalOption{f: func(s *incrementalSettings) { s.cold = true }}
 }
@@ -125,10 +126,24 @@ func (p *Pipeline[T]) ExecutedGeneration() (int, error) {
 // IncrementalRun first). Afterwards the filesystem is indistinguishable from
 // a fresh base run over the compacted corpus: restaged input and the folded
 // vote artifact are byte-identical to that run's, and the next StageDelta
-// starts a new chain at generation 1. The Pipeline's warm-start state stays
-// valid — compaction changes the layout, never the view.
+// starts a new chain at generation 1.
+//
+// The Pipeline's carried state stays valid — compaction changes the layout,
+// never the view — and pays for the fold: when the carried view holds exactly
+// what the vote chain holds (the last IncrementalRun merged all of it, under
+// the stored columns in stored order) the flat artifact is written from it
+// instead of from a re-read of the chain, and the view's watermark moves to
+// the artifact just written, so the next round still reads only its delta.
 func (p *Pipeline[T]) Compact() error {
-	return core.Compact(p.cfg)
+	if p.carried == nil {
+		return core.Compact(p.cfg)
+	}
+	view, err := core.CompactCarried(p.cfg, p.carried.View)
+	if err != nil {
+		return err
+	}
+	p.carried.View = view
+	return nil
 }
 
 // IncrementalRun advances the pipeline by exactly the staged-but-unexecuted
@@ -139,12 +154,22 @@ func (p *Pipeline[T]) Compact() error {
 // labels are persisted over the full corpus. It requires a completed base
 // Run over the same filesystem and work directory.
 //
-// The Pipeline carries the warm-start state between IncrementalRun calls —
-// the one piece of Pipeline state that lives in memory rather than on the
-// filesystem. A fresh Pipeline (or WithColdStart) simply trains without the
-// warm start; results stay equivalent, only slower. Training always uses the
-// sampling-free fast trainer regardless of WithTrainer — warm starting is
-// its capability — and warm and cold runs produce the identical model.
+// The Pipeline carries two caches between IncrementalRun calls — the only
+// Pipeline state that lives in memory rather than on the filesystem: the
+// merged vote view, with a watermark of exactly what it merged (the flat
+// artifact's write generation and each folded generation's manifest), and the
+// label model's warm-start state over that view. A round first confirms from
+// the store's metadata that the watermark is a prefix of the generation chain
+// and that everything after it appends rows under the same functions in the
+// same order; it then reads only the newer generations, compacts only their
+// rows and scores each distinct vote row once. On anything else — a rewrite
+// or tombstone, another writer's flat artifact, a changed or reordered
+// function set — it rebuilds both from the store (IncrementalResult.ViewRebuilt
+// says why). A fresh Pipeline (or WithColdStart) is exactly equivalent, only
+// slower. Training always uses the sampling-free fast trainer regardless of
+// WithTrainer — warm starting is its capability — and warm and cold runs
+// produce the identical model. The result's Matrix is the carried view: read
+// it, do not write to it.
 func (p *Pipeline[T]) IncrementalRun(ctx context.Context, lfs []LF[T], opts ...IncrementalOption) (*IncrementalResult, error) {
 	s := &incrementalSettings{}
 	for _, o := range opts {
@@ -171,14 +196,14 @@ func (p *Pipeline[T]) IncrementalRun(ctx context.Context, lfs []LF[T], opts ...I
 			return nil, err
 		}
 	}
-	prev := p.warm
+	prev := p.carried
 	if s.cold {
 		prev = nil
 	}
-	res, err := core.IncrementalRun(ctx, p.cfg, lfs, prev)
+	res, err := core.IncrementalRunCarried(ctx, p.cfg, lfs, prev)
 	if err != nil {
 		return nil, err
 	}
-	p.warm = res.State
+	p.carried = &core.Carried{State: res.State, View: res.View}
 	return res, nil
 }
