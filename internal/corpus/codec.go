@@ -3,11 +3,11 @@ package corpus
 import (
 	"bytes"
 	"fmt"
-	"math"
 	"strconv"
-	"strings"
 	"sync"
 	"unicode/utf8"
+
+	"repro/internal/jsonenc"
 )
 
 // The record codec: the encoder and the scanner Document and Event need,
@@ -17,7 +17,9 @@ import (
 // The scanner accepts only the canonical shape — known keys, each at most
 // once, no whitespace, escape-free valid-UTF-8 strings, strict JSON numbers,
 // nothing after the closing brace — and decodes it to the value encoding/json
-// would; anything else it declines, and encoding/json decodes that.
+// would; anything else it declines, and encoding/json decodes that. The float
+// and string primitives are internal/jsonenc's, which the online wire encoders
+// in pkg/drybell/serve share.
 
 // encScratch recycles encoder scratch space, so Marshal allocates only the
 // slice it returns.
@@ -30,30 +32,20 @@ func marshal(appendRecord func([]byte) []byte) []byte {
 	return bytes.Clone(*bp)
 }
 
-// finite reports whether JSON can carry every value: no NaN, no ±Inf.
-func finite(fs ...float64) bool {
-	for _, f := range fs {
-		if !(math.Abs(f) <= math.MaxFloat64) {
-			return false
-		}
-	}
-	return true
-}
-
 func appendDocument(b []byte, d *Document) []byte {
-	b = appendString(append(b, `{"id":`...), d.ID)
-	b = appendString(append(b, `,"title":`...), d.Title)
-	b = appendString(append(b, `,"body":`...), d.Body)
-	b = appendString(append(b, `,"url":`...), d.URL)
-	b = appendString(append(b, `,"language":`...), d.Language)
+	b = jsonenc.AppendString(append(b, `{"id":`...), d.ID, true)
+	b = jsonenc.AppendString(append(b, `,"title":`...), d.Title, true)
+	b = jsonenc.AppendString(append(b, `,"body":`...), d.Body, true)
+	b = jsonenc.AppendString(append(b, `,"url":`...), d.URL, true)
+	b = jsonenc.AppendString(append(b, `,"language":`...), d.Language, true)
 	b = strconv.AppendBool(append(b, `,"gold":`...), d.Gold)
-	b = appendFloat(append(b, `,"crawler":{"engagement":`...), d.Crawler.EngagementScore)
-	b = appendFloat(append(b, `,"authority":`...), d.Crawler.DomainAuthority)
+	b = jsonenc.AppendFloat(append(b, `,"crawler":{"engagement":`...), d.Crawler.EngagementScore)
+	b = jsonenc.AppendFloat(append(b, `,"authority":`...), d.Crawler.DomainAuthority)
 	return append(b, "}}"...)
 }
 
 func appendEvent(b []byte, e *Event) []byte {
-	b = appendString(append(b, `{"id":`...), e.ID)
+	b = jsonenc.AppendString(append(b, `{"id":`...), e.ID, true)
 	b = appendFloats(append(b, `,"servable":`...), e.Servable)
 	b = appendFloats(append(b, `,"agg_stats":`...), e.AggStats)
 	b = appendFloats(append(b, `,"graph_scores":`...), e.GraphScores)
@@ -70,64 +62,9 @@ func appendFloats(b []byte, fs []float64) []byte {
 		if i > 0 {
 			b = append(b, ',')
 		}
-		b = appendFloat(b, f)
+		b = jsonenc.AppendFloat(b, f)
 	}
 	return append(b, ']')
-}
-
-// appendFloat formats a finite f as encoding/json does: ES6 number-to-string,
-// with the exponent cutoffs and the one-digit negative exponent of its
-// floatEncoder.
-func appendFloat(b []byte, f float64) []byte {
-	format := byte('f')
-	if abs := math.Abs(f); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
-		format = 'e'
-	}
-	b = strconv.AppendFloat(b, f, format, -1, 64)
-	if n := len(b); format == 'e' && n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
-		b[n-2] = b[n-1]
-		b = b[:n-1]
-	}
-	return b
-}
-
-const hexDigits = "0123456789abcdef"
-
-// appendString quotes s as encoding/json does with HTML escaping on: ", \ and
-// control characters escaped, <, > and & as \u00XX, invalid UTF-8 as \ufffd,
-// U+2028 and U+2029 as \u202X.
-func appendString(b []byte, s string) []byte {
-	b = append(b, '"')
-	start := 0
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c < utf8.RuneSelf {
-			if c >= 0x20 && c != '"' && c != '\\' && c != '<' && c != '>' && c != '&' {
-				i++
-				continue
-			}
-			b = append(b, s[start:i]...)
-			if k := strings.IndexByte("\"\\\b\f\n\r\t", c); k >= 0 {
-				b = append(b, '\\', "\"\\bfnrt"[k])
-			} else {
-				b = append(b, '\\', 'u', '0', '0', hexDigits[c>>4], hexDigits[c&0xF])
-			}
-			i++
-			start = i
-			continue
-		}
-		r, size := utf8.DecodeRuneInString(s[i:])
-		switch {
-		case r == utf8.RuneError && size == 1:
-			b = append(append(b, s[start:i]...), `\ufffd`...)
-			start = i + size
-		case r == '\u2028' || r == '\u2029':
-			b = append(append(b, s[start:i]...), '\\', 'u', '2', '0', '2', hexDigits[r&0xF])
-			start = i + size
-		}
-		i += size
-	}
-	return append(append(b, s[start:]...), '"')
 }
 
 // scanner is a cursor over one payload. ok turns false at the first departure

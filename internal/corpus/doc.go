@@ -24,6 +24,8 @@ package corpus
 import (
 	"encoding/json"
 	"fmt"
+
+	"repro/internal/jsonenc"
 )
 
 // Document is one content example (topic and product tasks).
@@ -61,7 +63,7 @@ func (d *Document) Text() string { return d.Title + " " + d.Body }
 
 // Marshal encodes the document as a recordio payload, as json.Marshal would.
 func (d *Document) Marshal() ([]byte, error) {
-	if d == nil || !finite(d.Crawler.EngagementScore, d.Crawler.DomainAuthority) {
+	if d == nil || !jsonenc.Finite(d.Crawler.EngagementScore, d.Crawler.DomainAuthority) {
 		return json.Marshal(d)
 	}
 	return marshal(func(b []byte) []byte { return appendDocument(b, d) }), nil

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"math/rand"
+
+	"repro/internal/jsonenc"
 )
 
 // Event is one real-time event (§3.3): the served model sees only the
@@ -114,7 +116,7 @@ func GenerateEvents(spec EventsSpec) ([]*Event, error) {
 
 // Marshal encodes the event as a recordio payload, as json.Marshal would.
 func (e *Event) Marshal() ([]byte, error) {
-	if e == nil || !finite(e.Servable...) || !finite(e.AggStats...) || !finite(e.GraphScores...) {
+	if e == nil || !jsonenc.Finite(e.Servable...) || !jsonenc.Finite(e.AggStats...) || !jsonenc.Finite(e.GraphScores...) {
 		return json.Marshal(e)
 	}
 	return marshal(func(b []byte) []byte { return appendEvent(b, e) }), nil

@@ -8,9 +8,9 @@ package features
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -113,11 +113,34 @@ func NewHasher(dim uint32) (*Hasher, error) {
 	return &Hasher{Dim: dim}, nil
 }
 
+// 32-bit FNV-1a, as hash/fnv computes it. Written out so that a hash can be
+// continued from any state: the features of a document are a prefix and a
+// token or two, and hashing them from the state after the prefix means no
+// feature string is ever built.
+const (
+	fnvOffset = 2166136261
+	fnvPrime  = 16777619
+)
+
+// fnvAdd continues the hash h over the bytes of s.
+func fnvAdd(h uint32, s string) uint32 {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint32(s[i])) * fnvPrime
+	}
+	return h
+}
+
+// The hash states after the feature prefixes of DocumentFeatures.
+var (
+	wordSeed   = fnvAdd(fnvOffset, "w:")
+	bigramSeed = fnvAdd(fnvOffset, "b:")
+	domainSeed = fnvAdd(fnvOffset, "d:")
+	langSeed   = fnvAdd(fnvOffset, "lang:")
+)
+
 // Index hashes a feature name to its coordinate.
 func (h *Hasher) Index(feature string) uint32 {
-	hash := fnv.New32a()
-	hash.Write([]byte(feature))
-	return hash.Sum32() & (h.Dim - 1)
+	return fnvAdd(fnvOffset, feature) & (h.Dim - 1)
 }
 
 // Vector builds a sparse vector from raw feature strings with count values,
@@ -176,9 +199,61 @@ func URLDomain(url string) string {
 	return s
 }
 
-// DocumentVector hashes a document's servable features.
+// docScratch is what DocumentVector needs besides the vector it returns.
+type docScratch struct {
+	words []string
+	idx   []uint32
+}
+
+var docScratchPool = sync.Pool{New: func() any { return new(docScratch) }}
+
+// DocumentVector hashes a document's servable features. The result is
+// Vector(DocumentFeatures(d, bigrams)) — that pair is the definition, and the
+// tests hold this to it — computed without the feature strings: each feature
+// is hashed from its prefix's state over the token bytes, the coordinates are
+// sorted and runs of equal ones counted.
 func (h *Hasher) DocumentVector(d *corpus.Document, bigrams bool) *SparseVector {
-	return h.Vector(DocumentFeatures(d, bigrams))
+	sc := docScratchPool.Get().(*docScratch)
+	// Title then body is the token stream of d.Text(): the space that joins
+	// them there separates tokens.
+	words := nlp.AppendWords(nlp.AppendWords(sc.words[:0], d.Title), d.Body)
+	mask := h.Dim - 1
+	idx := sc.idx[:0]
+	for _, w := range words {
+		idx = append(idx, fnvAdd(wordSeed, w)&mask)
+	}
+	if bigrams {
+		for i := 0; i+1 < len(words); i++ {
+			idx = append(idx, fnvAdd(fnvAdd(fnvAdd(bigramSeed, words[i]), "_"), words[i+1])&mask)
+		}
+	}
+	if dom := URLDomain(d.URL); dom != "" {
+		idx = append(idx, fnvAdd(domainSeed, dom)&mask)
+	}
+	idx = append(idx, fnvAdd(langSeed, d.Language)&mask)
+
+	slices.Sort(idx)
+	distinct := 1 // idx holds the language feature at least
+	for i := 1; i < len(idx); i++ {
+		if idx[i] != idx[i-1] {
+			distinct++
+		}
+	}
+	v := &SparseVector{Indices: make([]uint32, 0, distinct), Values: make([]float64, 0, distinct)}
+	for i := 0; i < len(idx); {
+		j := i + 1
+		for j < len(idx) && idx[j] == idx[i] {
+			j++
+		}
+		v.Indices = append(v.Indices, idx[i])
+		v.Values = append(v.Values, float64(j-i))
+		i = j
+	}
+
+	clear(words) // the tokens alias the document's text; do not keep it alive
+	sc.words, sc.idx = words, idx
+	docScratchPool.Put(sc)
+	return v
 }
 
 // DocumentVectors hashes a batch.

@@ -1,11 +1,15 @@
 package features
 
 import (
+	"hash/fnv"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/corpus"
+	"repro/internal/israce"
 )
 
 func TestNewHasherValidation(t *testing.T) {
@@ -146,5 +150,113 @@ func TestDocumentVectors(t *testing.T) {
 		if v.NNZ() == 0 {
 			t.Errorf("doc %d has empty feature vector", i)
 		}
+	}
+}
+
+// TestIndexIsFNV1a holds the written-out hash to hash/fnv, so that Vector —
+// the oracle of the next test — does not lean on the code it checks.
+func TestIndexIsFNV1a(t *testing.T) {
+	h, _ := NewHasher(1 << 16)
+	f := func(s string) bool {
+		ref := fnv.New32a()
+		ref.Write([]byte(s))
+		return h.Index(s) == ref.Sum32()&(h.Dim-1)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestDocumentVectorMatchesFeatureStrings holds the streaming featurizer to
+// its definition, Vector(DocumentFeatures(d, bigrams)), bit for bit.
+func TestDocumentVectorMatchesFeatureStrings(t *testing.T) {
+	docs, err := corpus.GenerateTopic(corpus.DefaultTopicSpec(2000, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	docs = append(docs,
+		&corpus.Document{},
+		&corpus.Document{Language: "en"},
+		&corpus.Document{Title: "", Body: "solo", URL: "https://a.example/x", Language: "en"},
+		&corpus.Document{Title: "solo", Body: "", URL: "a.example", Language: "de"},
+		&corpus.Document{Title: "Ava STONE", Body: "Ünïcödé ÉCLAIR naïve 東京 tower_7", URL: "http://x/", Language: "fr"},
+		&corpus.Document{Title: "twice twice", Body: "twice twice twice", URL: "://", Language: ""},
+		&corpus.Document{Title: "bad \xff utf8\xc3", Body: "--- ... !!!", URL: "https:///path", Language: "en"},
+	)
+	for _, dim := range []uint32{1 << 16, 1 << 8} {
+		h, _ := NewHasher(dim)
+		for _, bigrams := range []bool{true, false} {
+			for i, d := range docs {
+				want := h.Vector(DocumentFeatures(d, bigrams))
+				if got := h.DocumentVector(d, bigrams); !reflect.DeepEqual(got, want) {
+					t.Fatalf("dim %d bigrams %v doc %d (%q):\n got %v\nwant %v", dim, bigrams, i, d.Text(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDocumentVectorConcurrent: the pooled scratch is per call; vectors built
+// on many goroutines at once are the ones built alone.
+func TestDocumentVectorConcurrent(t *testing.T) {
+	docs, err := corpus.GenerateTopic(corpus.DefaultTopicSpec(200, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := NewHasher(1 << 12)
+	want := make([]*SparseVector, len(docs))
+	for i, d := range docs {
+		want[i] = h.Vector(DocumentFeatures(d, true))
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for k := range docs {
+				i := (k + g*25) % len(docs)
+				if got := h.DocumentVector(docs[i], true); !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("goroutine %d doc %d: got %v want %v", g, i, got, want[i])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestDocumentVectorAllocations: a vector is its struct and its two slices;
+// tokens and coordinates live in pooled scratch.
+func TestDocumentVectorAllocations(t *testing.T) {
+	if israce.Enabled {
+		t.Skip("sync.Pool drops items under the race detector")
+	}
+	docs, err := corpus.GenerateTopic(corpus.DefaultTopicSpec(8, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, _ := NewHasher(1 << 16)
+	h.DocumentVector(docs[0], true) // size the scratch
+	if got := testing.AllocsPerRun(100, func() {
+		for _, d := range docs {
+			h.DocumentVector(d, true)
+		}
+	}); got > 3*float64(len(docs)) {
+		t.Errorf("%v allocations for %d documents, ceiling 3 each", got, len(docs))
+	}
+}
+
+var sinkVector *SparseVector
+
+func BenchmarkDocumentVector(b *testing.B) {
+	docs, err := corpus.GenerateTopic(corpus.DefaultTopicSpec(256, 5))
+	if err != nil {
+		b.Fatal(err)
+	}
+	h, _ := NewHasher(1 << 16)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkVector = h.DocumentVector(docs[i%len(docs)], true)
 	}
 }

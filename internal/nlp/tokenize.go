@@ -26,7 +26,13 @@ import (
 // corpus) is a substring of text, not a copy; only a token holding an
 // upper-case or non-ASCII rune goes through strings.ToLower.
 func Words(text string) []string {
-	words := make([]string, 0, len(text)/6+1)
+	return AppendWords(make([]string, 0, len(text)/6+1), text)
+}
+
+// AppendWords appends the tokens of text to words and returns it: Words for a
+// caller that brings the slice, such as one tokenizing several fields of a
+// record into one token stream.
+func AppendWords(words []string, text string) []string {
 	start := -1    // byte offset of the open token, -1 between tokens
 	plain := false // the open token needs no lower-casing so far
 	flush := func(end int) {

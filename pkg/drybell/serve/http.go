@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"time"
@@ -56,7 +55,7 @@ func (s *Server[T]) decodeRecord(w http.ResponseWriter, r *http.Request) (T, boo
 		writeError(w, http.StatusNotImplemented, errors.New("serve: no record decoder configured"))
 		return zero, false
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return zero, false
@@ -122,7 +121,7 @@ func (s *Server[T]) handlePredict(w http.ResponseWriter, r *http.Request) {
 		writeRequestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, res, appendPredictResult)
 }
 
 func (s *Server[T]) handleLabel(w http.ResponseWriter, r *http.Request) {
@@ -140,34 +139,49 @@ func (s *Server[T]) handleLabel(w http.ResponseWriter, r *http.Request) {
 		writeRequestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, res, appendLabelResult)
 }
 
 // maxLabelBatch bounds one /v1/label/batch request; bigger corpora belong
 // on the batch pipeline.
 const maxLabelBatch = 1024
 
+// handleLabelBatch reads the body once and decodes its elements in place:
+// Config.Decode is handed sub-slices of the one request buffer, which is why
+// that buffer is never pooled. The body must be a JSON array and nothing
+// else: non-whitespace after the closing bracket is a 400, as the same bytes
+// after a /v1/label record are. A batch over maxLabelBatch is refused where
+// its first record too many starts, without reading the rest, so the refusal
+// names the limit and not the batch's size.
 func (s *Server[T]) handleLabelBatch(w http.ResponseWriter, r *http.Request) {
 	if s.cfg.Decode == nil {
 		writeError(w, http.StatusNotImplemented, errors.New("serve: no record decoder configured"))
 		return
 	}
-	var raw []json.RawMessage
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&raw); err != nil {
+	body, err := readBody(w, r)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decode batch: %w", err))
+		return
+	}
+	raw, over, ok := splitBatch(body, maxLabelBatch)
+	if !ok {
+		if raw, err = decodeBatch(body); err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Errorf("decode batch: %w", err))
+			return
+		}
+		over = len(raw) > maxLabelBatch
+	}
+	if over {
+		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: batch exceeds limit %d", maxLabelBatch))
 		return
 	}
 	if len(raw) == 0 {
 		writeError(w, http.StatusBadRequest, errors.New("serve: empty batch"))
 		return
 	}
-	if len(raw) > maxLabelBatch {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("serve: batch of %d exceeds limit %d", len(raw), maxLabelBatch))
-		return
-	}
 	recs := make([]T, len(raw))
-	for i, body := range raw {
-		rec, err := s.cfg.Decode(body)
+	for i, elem := range raw {
+		rec, err := s.cfg.Decode(elem)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("record %d: %w", i, err))
 			return
@@ -184,7 +198,7 @@ func (s *Server[T]) handleLabelBatch(w http.ResponseWriter, r *http.Request) {
 		writeRequestError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	writeResult(w, res, appendLabelResults)
 }
 
 func (s *Server[T]) handleMetrics(w http.ResponseWriter, r *http.Request) {
@@ -231,6 +245,9 @@ func statusFor(err error) int {
 	}
 }
 
+// writeJSON answers with v as encoding/json encodes it: the reference the
+// wire encoders of writeResult are held to, and the path for every value
+// they do not cover or decline.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

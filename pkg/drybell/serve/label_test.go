@@ -24,7 +24,7 @@ func docArtifact() *serving.Artifact {
 	}
 }
 
-func newDocServer(t *testing.T, runners []apps.DocLF, lm *labelmodel.Model) *serve.Server[*corpus.Document] {
+func newDocServer(t testing.TB, runners []apps.DocLF, lm *labelmodel.Model) *serve.Server[*corpus.Document] {
 	t.Helper()
 	reg, _ := serving.OpenFSRegistry(dfs.NewMem(), "serving")
 	if _, err := reg.Stage(docArtifact()); err != nil {

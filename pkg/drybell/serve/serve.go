@@ -14,7 +14,14 @@
 //   - /v1/label runs the registered labeling functions online against a
 //     single record and returns the label model's denoised posterior plus
 //     the per-LF votes. Expensive NLP model-server calls sit behind an LRU
-//     cache keyed on the annotated text.
+//     cache keyed on the annotated text. /v1/label/batch takes a JSON array
+//     of records — and nothing after it — and labels them a column at a
+//     time; its body is read once and Config.Decode is handed sub-slices of
+//     that one buffer, one per element.
+//
+// The answers of these three routes are written by encoders that know their
+// schema (wire.go), byte for byte what encoding/json writes; everything else
+// — errors, /healthz, /v1/metrics — is encoding/json itself.
 //
 // The registry is any serving.Catalog; with an FS-backed registry the
 // daemon's state survives restarts — a new Server recovers the promoted
@@ -71,8 +78,13 @@ type Config[T any] struct {
 	Registry serving.Catalog
 	Model    string
 
-	// Decode parses an HTTP request body into a record. Required for
-	// Handler; the programmatic Predict/Label paths work without it.
+	// Decode parses one record of an HTTP request body. Required for
+	// Handler; the programmatic Predict/Label paths work without it. For
+	// /v1/predict and /v1/label it is handed the request's body, for
+	// /v1/label/batch one sub-slice per array element of the one buffer the
+	// body was read into (capacity ends with the element). The server never
+	// reuses that buffer, so Decode may keep what it is given, but a slice
+	// kept from a batch keeps the whole body alive.
 	Decode func([]byte) (T, error)
 
 	// Featurize builds the servable feature extractor from the live
@@ -151,7 +163,8 @@ type Server[T any] struct {
 	// scratch pools scoreBatch's feature and score buffers.
 	scratch sync.Pool
 
-	reloadMu sync.Mutex // serializes Reload's read-compare-swap
+	reloadMu  sync.Mutex // serializes Reload's read-compare-swap
+	closeOnce sync.Once  // the labeler is torn down once, however often Close is called
 }
 
 type featUnit[T any] struct {
@@ -481,9 +494,22 @@ func (s *Server[T]) Metrics() Snapshot {
 	return snap
 }
 
-// Close drains the request path: new Predicts fail with ErrDraining, and
-// Close blocks until every accepted request has been answered.
-func (s *Server[T]) Close() { s.batcher.close() }
+// Close drains the request path — new Predicts fail with ErrDraining, and
+// Close blocks until every accepted request has been answered — and then
+// tears the labeler down: the labeling functions' lifecycles end and the NLP
+// model server the server launched for them stops, so Label cannot consult it
+// afterwards. A Config.Annotator is its owner's to stop. Close is safe to call
+// more than once.
+func (s *Server[T]) Close() {
+	s.batcher.close()
+	s.closeOnce.Do(func() {
+		if s.labeler != nil {
+			// The functions are going away with the server; a teardown error
+			// has no caller that could act on it.
+			_ = s.labeler.eval.Teardown(context.Background())
+		}
+	})
+}
 
 // DocumentFeaturizer is the standard Featurizer for content tasks: it
 // rebuilds the hashing extractor from the artifact's recorded dimension and
