@@ -72,9 +72,9 @@ func main() {
 	}
 
 	// 3. Build the pipeline and run it: stage to the distributed
-	//    filesystem, execute each labeling function as its own MapReduce
-	//    job, train the sampling-free generative model, persist
-	//    probabilistic labels.
+	//    filesystem, execute all labeling functions in one fused map-only
+	//    job (one task per shard), train the sampling-free generative
+	//    model, persist probabilistic labels.
 	p, err := drybell.New[*corpus.Document](
 		drybell.WithCodec(
 			func(d *corpus.Document) ([]byte, error) { return d.Marshal() },

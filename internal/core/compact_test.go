@@ -101,7 +101,7 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	}
 	compareShards(t, fs, coldFS, cfg.InputBase(), "input")
 	compareShards(t, fs, coldFS, votesBase, "votes")
-	compareShards(t, fs, coldFS, cfg.LabelsOutputBase(), "labels")
+	compareShards(t, fs, coldFS, cfg.LabelsBase(), "labels")
 	a, errA := fs.ReadFile(votesBase + ".meta")
 	b, errB := coldFS.ReadFile(votesBase + ".meta")
 	if errA != nil || errB != nil || !bytes.Equal(a, b) {

@@ -200,8 +200,8 @@ func (c Config[T]) emitter(hook StageHook) func(StageEvent) {
 // InputBase is the DFS base path of the staged corpus.
 func (c Config[T]) InputBase() string { return path.Join(c.WorkDir, "input/examples") }
 
-// LabelsOutputBase is the DFS base path of the persisted probabilistic labels.
-func (c Config[T]) LabelsOutputBase() string { return path.Join(c.WorkDir, "output/problabels") }
+// LabelsBase is the DFS base path of the persisted probabilistic labels.
+func (c Config[T]) LabelsBase() string { return path.Join(c.WorkDir, "output/problabels") }
 
 // VotesPrefix is the DFS prefix of vote state: ExecuteLFs maintains the
 // columnar vote artifact (and its generation chain) at "<prefix>/votes".
@@ -387,7 +387,7 @@ func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, n
 	res.Timings.TrainLabelModel = time.Since(t2)
 
 	t3 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
-	res.LabelsPath = cfg.LabelsOutputBase()
+	res.LabelsPath = cfg.LabelsBase()
 	err = PersistLabels(ctx, cfg.FS, res.LabelsPath, res.Posteriors, cfg.Shards)
 	emit(StageEvent{Stage: StagePersist, Start: t3, Duration: time.Since(t3), Examples: len(res.Posteriors), LabelsPath: res.LabelsPath, Err: err})
 	if err != nil {

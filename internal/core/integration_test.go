@@ -12,7 +12,7 @@ import (
 )
 
 // TestProductPipelineOnDiskDFS exercises the full product case study over a
-// real disk-backed distributed filesystem: stage, per-LF MapReduce jobs,
+// real disk-backed distributed filesystem: stage, the fused vote job,
 // generative model, persisted probabilistic labels, discriminative
 // training, serving-registry staging, and a rollback — every subsystem in
 // one flow.

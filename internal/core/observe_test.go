@@ -43,7 +43,7 @@ func TestDenoisePersistObservable(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := topicConfig(fs)
-			cfg.WorkDir = "drybell" // pin the default so LabelsOutputBase below resolves
+			cfg.WorkDir = "drybell" // pin the default so LabelsBase below resolves
 			cfg.Trainer = TrainerSamplingFreeFast
 			cfg.Obs = obs.NewObserver()
 			events := map[StageName]StageEvent{}
@@ -78,8 +78,8 @@ func TestDenoisePersistObservable(t *testing.T) {
 					t.Errorf("pipeline_stage_seconds{stage=%q} has %d observations, want 1", stage, h.Count())
 				}
 			}
-			if events[StagePersist].LabelsPath != cfg.LabelsOutputBase() {
-				t.Errorf("persist event names %q, want %q", events[StagePersist].LabelsPath, cfg.LabelsOutputBase())
+			if events[StagePersist].LabelsPath != cfg.LabelsBase() {
+				t.Errorf("persist event names %q, want %q", events[StagePersist].LabelsPath, cfg.LabelsBase())
 			}
 		})
 	}

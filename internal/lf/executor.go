@@ -247,7 +247,7 @@ func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 		// Per-generation scratch: delta jobs must never collide with the base
 		// run's checkpoints (same ResumeKey, different corpus).
 		scratch := path.Join(e.scratch(), fmt.Sprintf("gen-%05d", gen))
-		matrix, report, _, nsh, err = e.runFused(ctx, lfs, d.InputBase, scratch, gen)
+		matrix, report, _, nsh, err = e.runFused(ctx, lfs, d.InputBase, scratch)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -329,7 +329,7 @@ func resumeKeyFor(names []string) string {
 // executeFused runs every labeling function inside one map-only job (see
 // runFused) and merges the assembled votes into the columnar artifact.
 func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, error) {
-	matrix, report, names, nsh, err := e.runFused(ctx, lfs, e.InputBase, e.scratch(), 0)
+	matrix, report, names, nsh, err := e.runFused(ctx, lfs, e.InputBase, e.scratch())
 	if err != nil {
 		return nil, nil, err
 	}
@@ -345,7 +345,7 @@ func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*lab
 // columnar vote row per record. It assembles and returns the matrix without
 // publishing it — full runs merge it into the flat artifact, delta runs
 // publish it as a generation.
-func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase, scratchBase string, generation int) (*labelmodel.Matrix, *Report, []string, int, error) {
+func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase, scratchBase string) (*labelmodel.Matrix, *Report, []string, int, error) {
 	start := time.Now() //drybellvet:wallclock — report durations only, never persisted votes
 	report := &Report{PerLF: make([]LFReport, len(lfs))}
 	names := make([]string, len(lfs))
@@ -373,7 +373,6 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 		FS:             e.FS,
 		InputBase:      inputBase,
 		Mapper:         &fusedTask[T]{ctx: ctx, lfs: lfs, decode: e.Decode},
-		CollectOutput:  true,
 		Parallelism:    e.Parallelism,
 		Workers:        e.Workers,
 		Code:           FusedVoteCode(names),
@@ -383,7 +382,6 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 		ScratchBase:    scratchBase,
 		ResumeKey:      resumeKeyFor(names),
 		FailureHook:    e.FailureHook,
-		Generation:     generation,
 	})
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("lf: execute: %w", err)
@@ -697,7 +695,7 @@ func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, e
 	}
 	//drybellvet:tightloop — in-memory emit of rows already computed above
 	for i := range records {
-		emit("", rows[i*n:(i+1)*n])
+		emit(rows[i*n : (i+1)*n])
 	}
 	return nil
 }

@@ -44,11 +44,11 @@ func RegisterVoteJobs[T any](reg *remote.Registry, lfs []lfapi.LF[T], decode fun
 		names[j] = f.LFMeta().Name
 	}
 	return reg.Register(FusedVoteCode(names), remote.JobCode{
-		Build: func(ctx context.Context, fs dfs.FS, inputBase string) (mapreduce.Mapper, mapreduce.Reducer, error) {
+		Build: func(ctx context.Context, fs dfs.FS, inputBase string) (mapreduce.Mapper, error) {
 			if err := fitAll(ctx, lfs, fs, inputBase, decode); err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			return &fusedTask[T]{ctx: ctx, lfs: lfs, decode: decode}, nil, nil
+			return &fusedTask[T]{ctx: ctx, lfs: lfs, decode: decode}, nil
 		},
 	})
 }

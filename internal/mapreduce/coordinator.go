@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/dfs"
 	"repro/internal/obs"
 )
 
@@ -21,7 +20,6 @@ type taskState struct {
 	failures   int                        // guarded by mu; failed attempts, charged against the retry budget
 	done       bool                       // guarded by mu
 	result     *TaskResult                // guarded by mu; winning attempt
-	canonical  []string                   // guarded by mu; promoted output paths of the winner
 	cancels    map[int]context.CancelFunc // guarded by mu
 	speculated bool                       // guarded by mu
 	// pendingSpec marks the next launch as the speculative sibling so its
@@ -32,14 +30,9 @@ type taskState struct {
 	resumed     *manifest   // guarded by mu; non-nil when satisfied from a prior run's checkpoint
 }
 
-// promoteFn moves a winning attempt's committed output to its canonical
-// paths (atomic renames) and returns them. It runs under the task lock, so
-// exactly one attempt per task is ever promoted: first commit wins.
-type promoteFn func(t *taskState, res *TaskResult) ([]string, error)
-
 // coordinator schedules a job's tasks through a queue onto a worker pool,
 // enforcing per-task retry budgets, launching speculative attempts for
-// stragglers, promoting exactly one attempt's output per task, and
+// stragglers, accepting exactly one attempt's values per task, and
 // checkpointing completed tasks for resume.
 type coordinator struct {
 	job      *Job
@@ -53,9 +46,6 @@ type coordinator struct {
 	skipped     int
 
 	manifests map[string]*manifest
-
-	promotedMu sync.Mutex
-	promoted   []string // guarded by promotedMu; canonical paths promoted this run, for failure cleanup
 }
 
 func (c *coordinator) mergeCounters(m map[string]int64) {
@@ -76,17 +66,11 @@ func (c *coordinator) discard(res *TaskResult) {
 	}
 }
 
-func (c *coordinator) recordPromoted(paths []string) {
-	c.promotedMu.Lock()
-	c.promoted = append(c.promoted, paths...)
-	c.promotedMu.Unlock()
-}
-
-// runPhase drives one phase's tasks to completion: every non-resumed task is
+// run drives the job's tasks to completion: every non-resumed task is
 // queued, workers pull attempts, failures are retried within the budget, and
 // stragglers get one speculative sibling. It returns the first permanent
 // task failure, or a wrapped ctx error on cancellation.
-func (c *coordinator) runPhase(ctx context.Context, tasks []*taskState, promote promoteFn) error {
+func (c *coordinator) run(ctx context.Context, tasks []*taskState) error {
 	live := 0
 	for _, t := range tasks {
 		if t.resumed == nil { //drybellvet:locked — set only during single-threaded construction, before workers exist
@@ -96,7 +80,7 @@ func (c *coordinator) runPhase(ctx context.Context, tasks []*taskState, promote 
 	if live == 0 {
 		return nil
 	}
-	phaseCtx, cancel := context.WithCancel(ctx)
+	jobCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
 	// Each task enqueues at most 1 initial + MaxAttempts-1 retries + 1
@@ -111,17 +95,17 @@ func (c *coordinator) runPhase(ctx context.Context, tasks []*taskState, promote 
 		}
 	}
 	var errOnce sync.Once
-	var phaseErr error
+	var jobErr error
 	fail := func(err error) {
 		errOnce.Do(func() {
-			phaseErr = err
+			jobErr = err
 			cancel()
 		})
 	}
 	enqueue := func(t *taskState) {
 		select {
 		case queue <- t:
-		case <-phaseCtx.Done():
+		case <-jobCtx.Done():
 		}
 	}
 	for _, t := range tasks {
@@ -137,17 +121,17 @@ func (c *coordinator) runPhase(ctx context.Context, tasks []*taskState, promote 
 			defer wg.Done()
 			for {
 				select {
-				case <-phaseCtx.Done():
+				case <-jobCtx.Done():
 					return
 				case t := <-queue:
-					c.runAttempt(phaseCtx, w, t, promote, enqueue, fail, finish)
+					c.runAttempt(jobCtx, w, t, enqueue, fail, finish)
 				}
 			}
 		}(w)
 	}
 	select {
 	case <-allDone:
-	case <-phaseCtx.Done():
+	case <-jobCtx.Done():
 	}
 	cancel()
 	wg.Wait()
@@ -159,8 +143,8 @@ func (c *coordinator) runPhase(ctx context.Context, tasks []*taskState, promote 
 		}
 		t.mu.Unlock()
 	}
-	if phaseErr != nil {
-		return phaseErr
+	if jobErr != nil {
+		return jobErr
 	}
 	if err := ctx.Err(); err != nil {
 		return fmt.Errorf("mapreduce: %w", err)
@@ -170,8 +154,8 @@ func (c *coordinator) runPhase(ctx context.Context, tasks []*taskState, promote 
 
 // runAttempt executes one attempt of one task on the given worker and folds
 // the outcome back into the task's state.
-func (c *coordinator) runAttempt(phaseCtx context.Context, w Worker, t *taskState,
-	promote promoteFn, enqueue func(*taskState), fail func(error), finish func()) {
+func (c *coordinator) runAttempt(jobCtx context.Context, w Worker, t *taskState,
+	enqueue func(*taskState), fail func(error), finish func()) {
 	t.mu.Lock()
 	if t.done || t.failures >= c.job.MaxAttempts {
 		t.mu.Unlock()
@@ -182,7 +166,7 @@ func (c *coordinator) runAttempt(phaseCtx context.Context, w Worker, t *taskStat
 	spec.Attempt = t.launched
 	speculative := t.pendingSpec
 	t.pendingSpec = false
-	actx, acancel := context.WithCancel(phaseCtx)
+	actx, acancel := context.WithCancel(jobCtx)
 	t.cancels[spec.Attempt] = acancel
 	if c.job.StragglerAfter > 0 && t.timer == nil {
 		// Deadline-based straggler detection: if the task is still running
@@ -195,10 +179,10 @@ func (c *coordinator) runAttempt(phaseCtx context.Context, w Worker, t *taskStat
 	t.mu.Unlock()
 
 	c.attempts.Add(1)
-	// The span is a child of the job span phaseCtx carries; concurrent
+	// The span is a child of the job span jobCtx carries; concurrent
 	// attempts of one task become sibling spans distinguished by attempt
 	// number and outcome.
-	_, span := obs.StartSpan(phaseCtx, fmt.Sprintf("%s#%d", spec.TaskID(), spec.Attempt),
+	_, span := obs.StartSpan(jobCtx, fmt.Sprintf("%s#%d", spec.TaskID(), spec.Attempt),
 		obs.String("task", spec.TaskID()),
 		obs.Int("attempt", spec.Attempt),
 		obs.Bool("speculative", speculative))
@@ -226,8 +210,8 @@ func (c *coordinator) runAttempt(phaseCtx context.Context, w Worker, t *taskStat
 		// output: exactly one attempt per task — the winner — contributes
 		// counters, so a job's counters are deterministic under retries,
 		// speculation, and injected faults.
-		if phaseCtx.Err() != nil {
-			// Phase shutdown (cancellation or another task's permanent
+		if jobCtx.Err() != nil {
+			// Job shutdown (cancellation or another task's permanent
 			// failure) — not this task's fault; don't charge the budget.
 			span.SetAttr(obs.String("outcome", "canceled"))
 			span.EndErr(err)
@@ -252,13 +236,13 @@ func (c *coordinator) runAttempt(phaseCtx context.Context, w Worker, t *taskStat
 		enqueue(t)
 		return
 	}
-	canonical, perr := promote(t, res)
+	canonical, perr := c.promote(t, res)
 	if perr != nil {
 		// The attempt computed fine but its output could not be moved into
 		// place (e.g. an injected rename fault). Re-execute: output is
 		// deterministic, so a later attempt re-promotes the same bytes.
 		c.discard(res)
-		if phaseCtx.Err() != nil {
+		if jobCtx.Err() != nil {
 			span.SetAttr(obs.String("outcome", "canceled"))
 			span.EndErr(perr)
 			return
@@ -281,8 +265,6 @@ func (c *coordinator) runAttempt(phaseCtx context.Context, w Worker, t *taskStat
 	span.End()
 	t.done = true
 	t.result = res
-	t.canonical = canonical
-	c.recordPromoted(canonical)
 	if t.timer != nil {
 		t.timer.Stop()
 	}
@@ -298,7 +280,6 @@ func (c *coordinator) runAttempt(phaseCtx context.Context, w Worker, t *taskStat
 			Key:      c.key,
 			Task:     spec.TaskID(),
 			Index:    spec.Index,
-			Reduce:   spec.Kind == ReduceTask,
 			Records:  res.Records,
 			Paths:    canonical,
 			Counters: res.Counters,
@@ -329,8 +310,7 @@ func (c *coordinator) speculate(t *taskState, enqueue func(*taskState)) {
 // It runs during single-threaded task construction, before any worker
 // goroutine exists, so the task lock is not needed yet.
 func (c *coordinator) adoptManifest(t *taskState, m *manifest) {
-	t.resumed = m         //drybellvet:locked — single-threaded construction, before workers exist
-	t.canonical = m.Paths //drybellvet:locked — single-threaded construction, before workers exist
+	t.resumed = m //drybellvet:locked — single-threaded construction, before workers exist
 	c.skipped++
 	c.mergeCounters(m.Counters)
 }
@@ -350,80 +330,22 @@ func (c *coordinator) cleanupScratch(prefix string) {
 	}
 }
 
-// cleanupFailedRun restores the no-partial-output invariant for jobs running
-// without Resume: every canonical path promoted this run, plus the whole
-// scratch area, is removed so a failed job commits nothing a reader could
-// consume.
-func (c *coordinator) cleanupFailedRun() {
-	c.promotedMu.Lock()
-	promoted := c.promoted
-	c.promoted = nil
-	c.promotedMu.Unlock()
-	for _, p := range promoted {
-		_ = c.job.FS.Remove(p)
+// promote moves a winning attempt's checkpoint file, when the task wrote one
+// (Job.Resume), to the task's _tasks/ path and returns that path. It runs
+// under the task lock, so exactly one attempt per task is ever promoted:
+// first commit wins.
+func (c *coordinator) promote(t *taskState, res *TaskResult) ([]string, error) {
+	if !t.spec.Persist {
+		return nil, nil // values live in memory only
 	}
-	c.cleanupScratch("")
-}
-
-// promoteMapOnly returns the promotion function for map-only jobs: the
-// attempt's single output file becomes final output shard i — or, for
-// collecting jobs running with Resume, the task's checkpoint file.
-func (c *coordinator) promoteMapOnly(numShards int) promoteFn {
-	return func(t *taskState, res *TaskResult) ([]string, error) {
-		if c.job.CollectOutput && !t.spec.Persist {
-			return nil, nil // values live in memory only
-		}
-		// Job.Workers is an extension seam: a backend returning success
-		// without a committed file is a task failure, not a panic.
-		if len(res.Paths) != 1 {
-			return nil, fmt.Errorf("worker committed %d output files, want 1", len(res.Paths))
-		}
-		var target string
-		if c.job.CollectOutput {
-			target = taskOutputPath(c.scratch, res.TaskID)
-		} else {
-			target = dfs.ShardPath(c.job.OutputBase, t.spec.Index, numShards)
-		}
-		if err := c.job.FS.Rename(res.Paths[0], target); err != nil {
-			return nil, err
-		}
-		return []string{target}, nil
+	// Job.Workers is an extension seam: a backend returning success
+	// without a committed file is a task failure, not a panic.
+	if len(res.Paths) != 1 {
+		return nil, fmt.Errorf("worker committed %d checkpoint files, want 1", len(res.Paths))
 	}
-}
-
-// promoteShuffle returns the promotion function for map tasks of reducing
-// jobs: each partition file moves to its canonical shuffle path. A partially
-// promoted set from an earlier commit failure is simply overwritten — every
-// partition ends up from the single winning attempt.
-func (c *coordinator) promoteShuffle() promoteFn {
-	return func(t *taskState, res *TaskResult) ([]string, error) {
-		if len(res.Paths) != c.job.NumReducers {
-			return nil, fmt.Errorf("worker committed %d shuffle partitions, want %d",
-				len(res.Paths), c.job.NumReducers)
-		}
-		canonical := make([]string, len(res.Paths))
-		for r, p := range res.Paths {
-			target := shufflePath(c.scratch, t.spec.Index, r)
-			if err := c.job.FS.Rename(p, target); err != nil {
-				return nil, err
-			}
-			canonical[r] = target
-		}
-		return canonical, nil
+	target := taskOutputPath(c.scratch, t.spec.TaskID())
+	if err := c.job.FS.Rename(res.Paths[0], target); err != nil {
+		return nil, err
 	}
-}
-
-// promoteReduce returns the promotion function for reduce tasks: the
-// attempt's output becomes final output shard r.
-func (c *coordinator) promoteReduce() promoteFn {
-	return func(t *taskState, res *TaskResult) ([]string, error) {
-		if len(res.Paths) != 1 {
-			return nil, fmt.Errorf("worker committed %d output files, want 1", len(res.Paths))
-		}
-		target := dfs.ShardPath(c.job.OutputBase, t.spec.Index, c.job.NumReducers)
-		if err := c.job.FS.Rename(res.Paths[0], target); err != nil {
-			return nil, err
-		}
-		return []string{target}, nil
-	}
+	return []string{target}, nil
 }

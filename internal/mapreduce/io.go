@@ -27,8 +27,8 @@ func WriteInput(fs dfs.FS, base string, records [][]byte, n int) error {
 
 // InputWriter stages a record stream into n recordio shards without holding
 // the records in one slice: record k goes to shard k%n, the same round-robin
-// layout WriteInput produces, so map-only outputs restore input order the
-// usual way. The encoded shard payloads are buffered in memory until Commit
+// layout WriteInput produces, so per-shard task outputs restore input order
+// the usual way. The encoded shard payloads are buffered in memory until Commit
 // — the FS contract is whole-file writes — so peak memory is the encoded
 // corpus, not the decoded examples plus a record slice. Shards are committed
 // atomically by Commit; an abandoned writer leaves no visible files.
@@ -160,17 +160,6 @@ func EachShard(fs dfs.FS, base string, visit func(s, n int, recs [][]byte) bool)
 		}
 	}
 	return nil
-}
-
-// ReadOutput reads and concatenates all records from the committed shard set
-// at base, in shard order then record order.
-func ReadOutput(fs dfs.FS, base string) ([][]byte, error) {
-	var out [][]byte
-	err := EachShard(fs, base, func(_, _ int, recs [][]byte) bool {
-		out = append(out, recs...)
-		return true
-	})
-	return out, err
 }
 
 // ReadStaged reads a round-robin staged shard set (WriteInput, InputWriter)

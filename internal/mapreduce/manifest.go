@@ -11,24 +11,21 @@ import (
 )
 
 // manifest is the per-task checkpoint record the coordinator commits to the
-// DFS after promoting a task's output. A later run with Job.Resume set skips
-// every task whose manifest is present, keyed to the same job fingerprint,
-// and whose promoted outputs still exist — the paper's "re-run only what's
-// missing" recovery (§5.4).
+// DFS after promoting a task's values checkpoint. A later run with
+// Job.Resume set skips every task whose manifest is present, keyed to the
+// same job fingerprint, and whose promoted checkpoint still exists — the
+// paper's "re-run only what's missing" recovery (§5.4).
 type manifest struct {
 	// Key fingerprints the job configuration (see resumeKey); a manifest
 	// written by a logically different job is ignored.
 	Key string `json:"key"`
 	// Task is the task ID, e.g. "map-00003".
 	Task string `json:"task"`
-	// Index is the task index within its kind.
+	// Index is the task's input shard index.
 	Index int `json:"index"`
-	// Reduce marks reduce-task manifests.
-	Reduce bool `json:"reduce,omitempty"`
 	// Records is the number of input records the task processed.
 	Records int `json:"records"`
-	// Paths are the promoted (canonical) output paths: final output shards,
-	// shuffle partition files, or the collected-values checkpoint.
+	// Paths holds the promoted values checkpoint, _tasks/<task>.out.
 	Paths []string `json:"paths"`
 	// Counters are the winning attempt's counter increments, replayed into
 	// the job counters when the task is skipped on resume.
@@ -44,16 +41,10 @@ func manifestPath(scratch, taskID string) string {
 	return manifestDir(scratch) + taskID + ".json"
 }
 
-// taskOutputPath is where a CollectOutput job checkpoints a completed map
-// task's emitted values when running with Resume.
+// taskOutputPath is where a job running with Resume checkpoints a completed
+// task's emitted values.
 func taskOutputPath(scratch, taskID string) string {
 	return path.Join(scratch, "_tasks", taskID+".out")
-}
-
-// shufflePath is the canonical location of map task m's shuffle file for
-// reduce partition r.
-func shufflePath(scratch string, m, r int) string {
-	return fmt.Sprintf("%s/_shuffle/map-%05d.p%05d", scratch, m, r)
 }
 
 // writeManifest commits one task's checkpoint. Best-effort by design: a
@@ -103,13 +94,11 @@ func loadManifests(fs dfs.FS, scratch, key string) (map[string]*manifest, error)
 	return out, nil
 }
 
-// resumeKey fingerprints the parts of a job that determine its output
-// layout: a manifest is only trusted when name, input, output, sharding and
-// the caller's own key (e.g. the labeling-function set) all match.
+// resumeKey fingerprints the parts of a job that determine its output: a
+// manifest is only trusted when name, input, sharding and the caller's own
+// key (e.g. the labeling-function set) all match.
 func (job *Job) resumeKey(numInputShards int) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%s|%d|%d|%v|%s",
-		job.Name, job.InputBase, job.OutputBase, numInputShards,
-		job.NumReducers, job.CollectOutput, job.ResumeKey)
+	fmt.Fprintf(h, "%s|%s|%d|%s", job.Name, job.InputBase, numInputShards, job.ResumeKey)
 	return fmt.Sprintf("%016x", h.Sum64())
 }

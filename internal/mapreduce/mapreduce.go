@@ -1,15 +1,15 @@
 // Package mapreduce implements the distributed execution substrate that
-// Snorkel DryBell's labeling-function pipelines run on (paper §5.1, §5.4).
+// Snorkel DryBell's labeling-function pipelines run on (paper §5.1, §5.4):
+// labeling functions are independent map-style executables over sharded
+// files on a distributed filesystem.
 //
-// The runtime is a coordinator/worker architecture simulating a MapReduce
-// cluster inside one process: a coordinator schedules task attempts through
-// a queue onto a pool of Workers (the in-process pool is the first backend;
-// the Worker interface is the seam for out-of-process executors). Each
-// worker executes one map or reduce task against the simulated distributed
-// filesystem and commits its output under an attempt-scoped scratch path;
-// the coordinator promotes exactly one winning attempt per task to the
-// canonical output via atomic rename. The properties DryBell relies on are
-// preserved and extended:
+// Every job is map-only: shard → task → attempt → collected values. A
+// coordinator schedules one task per input shard through a queue onto a pool
+// of Workers (the in-process pool is the first backend; the Worker interface
+// is the seam for out-of-process executors). Each attempt reads its shard
+// from the simulated distributed filesystem, runs the Mapper over its
+// records, and returns the emitted values, which come back per shard in
+// Result.MapOutputs. The properties DryBell relies on are:
 //
 //   - per-task Setup/Teardown hooks, used to launch a model server on each
 //     "compute node" (the NLPLabelingFunction template),
@@ -20,16 +20,15 @@
 //     killed attempt never publishes partial output (attempt isolation),
 //   - deadline-based straggler detection with speculative re-execution —
 //     first commit wins,
-//   - stage-level checkpoint/resume: with Job.Resume, completed task
-//     manifests are recorded under the scratch area's _manifest/ directory,
-//     and a re-run skips every task whose committed output survives.
+//   - task-level checkpoint/resume: with Job.Resume, each task's values are
+//     written under an attempt-scoped path, the winner is promoted to
+//     _tasks/<task>.out by atomic rename, a manifest is recorded under
+//     _manifest/, and a re-run skips every task whose checkpoint survives.
 package mapreduce
 
 import (
-	"bytes"
 	"context"
 	"fmt"
-	"hash/fnv"
 	"runtime"
 	"sync"
 	"time"
@@ -39,9 +38,8 @@ import (
 	"repro/internal/recordio"
 )
 
-// Emitter receives key/value pairs from a map function or values from a
-// reduce function.
-type Emitter func(key string, value []byte)
+// Emitter receives the values a map function emits, in order.
+type Emitter func(value []byte)
 
 // TaskContext carries per-task state into user functions. One TaskContext
 // corresponds to one task attempt on one simulated compute node.
@@ -104,46 +102,20 @@ type BatchMapper interface {
 	MapBatch(ctx *TaskContext, records [][]byte, emit Emitter) error
 }
 
-// Reducer folds all values for a key into zero or more output records.
-// Values arrive in a deterministic order (by map task, then emission order).
-type Reducer interface {
-	Reduce(ctx *TaskContext, key string, values [][]byte, emit Emitter) error
-}
-
-// ReduceFunc adapts a plain function to Reducer.
-type ReduceFunc func(ctx *TaskContext, key string, values [][]byte, emit Emitter) error
-
-// Reduce implements Reducer.
-func (f ReduceFunc) Reduce(ctx *TaskContext, key string, values [][]byte, emit Emitter) error {
-	return f(ctx, key, values, emit)
-}
-
-// Job specifies one MapReduce execution.
+// Job specifies one map-only execution: one task per shard of InputBase,
+// whose emitted values come back in Result.MapOutputs.
 type Job struct {
 	// Name labels the job in errors and counters.
 	Name string
-	// FS is the filesystem holding input and receiving output.
+	// FS is the filesystem holding the input and the job's runtime area.
 	FS dfs.FS
 	// InputBase is the base path of the sharded recordio input.
 	InputBase string
-	// OutputBase is the base path for sharded recordio output.
-	OutputBase string
 	// Mapper is required.
 	Mapper Mapper
-	// Reducer is required unless NumReducers is zero (map-only mode).
-	Reducer Reducer
-	// NumReducers is the number of output partitions. Zero selects map-only
-	// mode: map emissions are written in input order, one output shard per
-	// input shard, and keys are ignored for partitioning.
-	NumReducers int
-	// CollectOutput, valid only in map-only mode, skips committing output
-	// shards and instead returns every task's emitted values in
-	// Result.MapOutputs. Callers that post-process map output before
-	// persisting it (e.g. the labeling-function executor assembling a
-	// columnar vote artifact across jobs) use this to avoid a write-and-
-	// reread round trip through the filesystem. With Resume, each task's
-	// values are additionally checkpointed to the scratch area so a resumed
-	// run recovers them without re-execution.
+	// CollectOutput is ignored: every job returns its values in
+	// Result.MapOutputs. It survives only until the benchmark's identity
+	// probe stops setting it.
 	CollectOutput bool
 	// Parallelism bounds concurrently running tasks; it simulates the number
 	// of compute nodes. Defaults to runtime.GOMAXPROCS(0), the number of
@@ -152,7 +124,7 @@ type Job struct {
 	// Workers optionally supplies the execution backend: one goroutine is
 	// run per Worker, each executing one task attempt at a time. When nil,
 	// an in-process pool of Parallelism workers is built from the job's
-	// Mapper/Reducer.
+	// Mapper.
 	Workers []Worker
 	// MaxAttempts bounds attempts per task before the job fails. Defaults to 3.
 	MaxAttempts int
@@ -162,16 +134,16 @@ type Job struct {
 	// canceled and its attempt-scoped output discarded). Zero disables
 	// speculation.
 	StragglerAfter time.Duration
-	// Resume enables stage-level checkpoint/resume: each completed task's
-	// manifest (output paths + counters) is recorded under the scratch
-	// area's _manifest/ directory, and a re-run of the same job skips every
-	// task whose manifest and committed output are still present,
-	// re-executing only what's missing. Result.SkippedTasks reports how many
-	// tasks were satisfied from checkpoints.
+	// Resume enables task-level checkpoint/resume: each completed task's
+	// values are checkpointed to the scratch area's _tasks/ directory and
+	// its manifest (checkpoint path + counters) to _manifest/, and a re-run
+	// of the same job skips every task whose manifest and checkpoint are
+	// still present, re-executing only what's missing. Result.SkippedTasks
+	// reports how many tasks were satisfied from checkpoints.
 	Resume bool
 	// ScratchBase overrides the DFS runtime area holding attempt-scoped
-	// output, shuffle files, and manifests. Defaults to OutputBase+".runtime"
-	// (or InputBase+".runtime" for collecting jobs with no output base).
+	// output, task checkpoints and manifests. Defaults to
+	// InputBase+".runtime".
 	ScratchBase string
 	// ResumeKey folds caller identity into the job fingerprint guarding
 	// manifests, so checkpoints written for a logically different job (e.g.
@@ -180,26 +152,20 @@ type Job struct {
 	// FailureHook, if set, is consulted at the start of every task attempt;
 	// returning an error fails that attempt. Used to inject worker crashes.
 	FailureHook func(taskID string, attempt int) error
-	// Code names the worker-side implementation of the job's user functions
-	// for out-of-process backends: it is stamped into every TaskSpec, and a
+	// Code names the worker-side implementation of the job's Mapper for
+	// out-of-process backends: it is stamped into every TaskSpec, and a
 	// remote worker resolves it in its job-code registry
-	// (internal/mapreduce/remote) to the Mapper/Reducer the task runs. The
-	// in-process pool carries its functions directly and ignores it.
+	// (internal/mapreduce/remote) to the Mapper the task runs. The
+	// in-process pool carries its Mapper directly and ignores it.
 	Code string
-	// Generation tags incremental (delta) jobs with the artifact generation
-	// their output will publish — zero for full batch runs. It is stamped
-	// into every TaskSpec, so out-of-process workers can attribute a task to
-	// the corpus delta that spawned it in logs and metrics.
-	Generation int
 }
 
 // Result reports a completed job.
 type Result struct {
 	// Counters holds the aggregated named counters.
 	Counters map[string]int64
-	// MapTasks and ReduceTasks count scheduled tasks (not attempts).
-	MapTasks    int
-	ReduceTasks int
+	// MapTasks counts scheduled tasks (not attempts): one per input shard.
+	MapTasks int
 	// Attempts counts task attempts launched by this run, including failed
 	// and speculative ones. Tasks skipped via Resume launch none.
 	Attempts int
@@ -208,11 +174,8 @@ type Result struct {
 	SkippedTasks int
 	// SpeculativeAttempts counts straggler-triggered speculative launches.
 	SpeculativeAttempts int
-	// OutputShards lists the committed output shard paths in order. Empty
-	// when the job ran with CollectOutput.
-	OutputShards []string
-	// MapOutputs holds, per input shard, the values emitted by its map task
-	// in emission order. Populated only when the job ran with CollectOutput.
+	// MapOutputs holds, per input shard, the values emitted by its task in
+	// emission order.
 	MapOutputs [][][]byte
 }
 
@@ -251,14 +214,6 @@ func (c *CounterSet) Snapshot() map[string]int64 {
 	return out
 }
 
-// kv is one shuffled pair tagged for deterministic ordering.
-type kv struct {
-	key     string
-	value   []byte
-	mapTask int
-	seq     int
-}
-
 // Run executes the job to completion and returns its result.
 func Run(job Job) (*Result, error) {
 	return RunContext(context.Background(), job)
@@ -291,20 +246,17 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 	if job.Mapper == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no mapper", job.Name)
 	}
-	if job.NumReducers > 0 && job.Reducer == nil {
-		return nil, fmt.Errorf("mapreduce: job %q has %d reducers but no Reducer", job.Name, job.NumReducers)
-	}
 	if job.FS == nil {
 		return nil, fmt.Errorf("mapreduce: job %q has no filesystem", job.Name)
-	}
-	if job.CollectOutput && job.NumReducers > 0 {
-		return nil, fmt.Errorf("mapreduce: job %q collects output but has %d reducers", job.Name, job.NumReducers)
 	}
 	if job.Parallelism <= 0 {
 		job.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	if job.MaxAttempts <= 0 {
 		job.MaxAttempts = 3
+	}
+	if job.ScratchBase == "" {
+		job.ScratchBase = job.InputBase + ".runtime"
 	}
 
 	inputShards, err := dfs.ListShards(job.FS, job.InputBase)
@@ -314,7 +266,7 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 
 	c := &coordinator{
 		job:      &job,
-		scratch:  job.scratchBase(),
+		scratch:  job.ScratchBase,
 		key:      job.resumeKey(len(inputShards)),
 		counters: NewCounterSet(),
 	}
@@ -331,133 +283,62 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 		c.manifests, _ = loadManifests(job.FS, c.scratch, c.key)
 	}
 
-	// ---- Build task states ----
-	mapTasks := make([]*taskState, len(inputShards))
+	tasks := make([]*taskState, len(inputShards))
 	//drybellvet:tightloop — in-memory task-spec construction, bounded by shard count
 	for i, shard := range inputShards {
 		t := &taskState{
 			spec: TaskSpec{
-				Job:         job.Name,
-				Kind:        MapTask,
-				Index:       i,
-				Inputs:      []string{shard},
-				InputBase:   job.InputBase,
-				Code:        job.Code,
-				NumReducers: job.NumReducers,
-				Scratch:     c.scratch,
-				Collect:     job.CollectOutput,
-				Persist:     job.CollectOutput && job.Resume,
-				Generation:  job.Generation,
+				Job:       job.Name,
+				Index:     i,
+				Input:     shard,
+				InputBase: job.InputBase,
+				Code:      job.Code,
+				Scratch:   c.scratch,
+				Persist:   job.Resume,
 			},
 			cancels: map[int]context.CancelFunc{},
 		}
 		if m, ok := c.manifests[t.spec.TaskID()]; ok {
 			c.adoptManifest(t, m)
 		}
-		mapTasks[i] = t
-	}
-	var reduceTasks []*taskState
-	if job.NumReducers > 0 {
-		reduceTasks = make([]*taskState, job.NumReducers)
-		//drybellvet:tightloop — in-memory task-spec construction, bounded by reducer count
-		for r := range reduceTasks {
-			inputs := make([]string, len(inputShards))
-			for m := range inputShards {
-				inputs[m] = shufflePath(c.scratch, m, r)
-			}
-			t := &taskState{
-				spec: TaskSpec{
-					Job:        job.Name,
-					Kind:       ReduceTask,
-					Index:      r,
-					Inputs:     inputs,
-					InputBase:  job.InputBase,
-					Code:       job.Code,
-					Scratch:    c.scratch,
-					Generation: job.Generation,
-				},
-				cancels: map[int]context.CancelFunc{},
-			}
-			if m, ok := c.manifests[t.spec.TaskID()]; ok {
-				c.adoptManifest(t, m)
-			}
-			reduceTasks[r] = t
-		}
+		tasks[i] = t
 	}
 
-	// ---- Map phase ----
-	// When every reduce task is already checkpointed the map phase is pure
-	// shuffle production nobody will read; skip it — but only if every map
-	// task is checkpointed too, so a map task whose manifest was lost still
-	// runs and contributes its counters (Result.Counters stays identical to
-	// a clean run's).
-	runMaps := job.NumReducers == 0 || !allResumed(reduceTasks) || !allResumed(mapTasks)
-	if runMaps {
-		promote := c.promoteMapOnly(len(inputShards))
-		if job.NumReducers > 0 {
-			promote = c.promoteShuffle()
+	if err := c.run(ctx, tasks); err != nil {
+		if !job.Resume {
+			c.cleanupScratch("")
 		}
-		if err := c.runPhase(ctx, mapTasks, promote); err != nil {
-			if !job.Resume {
-				c.cleanupFailedRun()
-			}
-			return nil, err
-		}
-	}
-
-	// ---- Reduce phase ----
-	if job.NumReducers > 0 {
-		if err := c.runPhase(ctx, reduceTasks, c.promoteReduce()); err != nil {
-			if !job.Resume {
-				c.cleanupFailedRun()
-			}
-			return nil, err
-		}
+		return nil, err
 	}
 
 	res := &Result{
 		MapTasks:            len(inputShards),
-		ReduceTasks:         job.NumReducers,
 		Attempts:            int(c.attempts.Load()),
 		SkippedTasks:        c.skipped,
 		SpeculativeAttempts: int(c.speculative.Load()),
+		MapOutputs:          make([][][]byte, len(tasks)),
 	}
-	if job.NumReducers > 0 {
-		//drybellvet:tightloop — shard-name formatting, bounded by reducer count
-		for r := range reduceTasks {
-			res.OutputShards = append(res.OutputShards,
-				dfs.ShardPath(job.OutputBase, r, job.NumReducers))
+	for i, t := range tasks {
+		if err := ctx.Err(); err != nil {
+			return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
 		}
-	} else if job.CollectOutput {
-		res.MapOutputs = make([][][]byte, len(mapTasks))
-		for i, t := range mapTasks {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
+		// The run has joined: no worker goroutine is left to race these
+		// reads.
+		if t.resumed != nil { //drybellvet:locked — post-join read; workers have exited
+			vals, err := readTaskOutput(job.FS, t.resumed.Paths) //drybellvet:locked — post-join read; workers have exited
+			if err != nil {
+				return nil, fmt.Errorf("mapreduce: job %q: resume task %s: %w", job.Name, t.spec.TaskID(), err)
 			}
-			// All phases have joined: no worker goroutine is left to race
-			// these reads.
-			if t.resumed != nil { //drybellvet:locked — post-join read; workers have exited
-				vals, err := readTaskOutput(job.FS, t.resumed.Paths) //drybellvet:locked — post-join read; workers have exited
-				if err != nil {
-					return nil, fmt.Errorf("mapreduce: job %q: resume task %s: %w", job.Name, t.spec.TaskID(), err)
-				}
-				res.MapOutputs[i] = vals
-				continue
-			}
-			res.MapOutputs[i] = t.result.Values //drybellvet:locked — post-join read; workers have exited
+			res.MapOutputs[i] = vals
+			continue
 		}
-	} else {
-		//drybellvet:tightloop — shard-name formatting, bounded by shard count
-		for i := range mapTasks {
-			res.OutputShards = append(res.OutputShards,
-				dfs.ShardPath(job.OutputBase, i, len(inputShards)))
-		}
+		res.MapOutputs[i] = t.result.Values //drybellvet:locked — post-join read; workers have exited
 	}
 	res.Counters = c.counters.Snapshot()
 
 	// A fresh job leaves no runtime files behind; a resumable one keeps its
-	// checkpoints (manifests, shuffle, collected task outputs) so the next
-	// run over the same state skips straight to completion.
+	// checkpoints (manifests, task values) so the next run over the same
+	// state skips straight to completion.
 	if job.Resume {
 		c.cleanupScratch("_attempts/")
 	} else {
@@ -466,29 +347,7 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 	return res, nil
 }
 
-// scratchBase resolves the job's runtime area.
-func (job *Job) scratchBase() string {
-	if job.ScratchBase != "" {
-		return job.ScratchBase
-	}
-	if job.OutputBase != "" {
-		return job.OutputBase + ".runtime"
-	}
-	return job.InputBase + ".runtime"
-}
-
-// allResumed reports whether every task in the phase was satisfied from a
-// checkpoint.
-func allResumed(tasks []*taskState) bool {
-	for _, t := range tasks {
-		if t.resumed == nil { //drybellvet:locked — called before workers launch or after they join
-			return false
-		}
-	}
-	return len(tasks) > 0
-}
-
-// readTaskOutput reloads a checkpointed CollectOutput task's values.
+// readTaskOutput reloads a checkpointed task's values.
 func readTaskOutput(fs dfs.FS, paths []string) ([][]byte, error) {
 	if len(paths) == 0 {
 		return nil, nil
@@ -497,11 +356,5 @@ func readTaskOutput(fs dfs.FS, paths []string) ([][]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return recordio.ReadAll(bytes.NewReader(data))
-}
-
-func partition(key string, n int) int {
-	h := fnv.New32a()
-	h.Write([]byte(key))
-	return int(h.Sum32() % uint32(n))
+	return recordio.Split(data)
 }

@@ -4,11 +4,9 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 	"sync"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/dfs"
 	"repro/internal/recordio"
@@ -25,60 +23,57 @@ func stageWords(t *testing.T, fs dfs.FS, base string, words []string, shards int
 	}
 }
 
-// wordCount is the canonical test job.
-func wordCountJob(fs dfs.FS, in, out string, reducers, parallelism int) Job {
-	return Job{
-		Name:      "wordcount",
-		FS:        fs,
-		InputBase: in, OutputBase: out,
-		NumReducers: reducers,
-		Parallelism: parallelism,
-		Mapper: MapFunc(func(ctx *TaskContext, rec []byte, emit Emitter) error {
-			ctx.Counters.Inc("records-in", 1)
-			emit(string(rec), []byte{1})
-			return nil
-		}),
-		Reducer: ReduceFunc(func(ctx *TaskContext, key string, values [][]byte, emit Emitter) error {
-			emit(key, []byte(fmt.Sprintf("%s=%d", key, len(values))))
-			return nil
-		}),
-	}
+// upperJob is the canonical test job, shaped like the fused vote job: one
+// task per shard, values collected in Result.MapOutputs. It counts its
+// records and emits each one upper-cased.
+func upperJob(fs dfs.FS, in string, parallelism int) Job {
+	return Job{Name: "upper", FS: fs, InputBase: in, Parallelism: parallelism, Mapper: upperMapper}
 }
 
-func runWordCount(t *testing.T, words []string, shards, reducers, parallelism int) map[string]int {
+var upperMapper = MapFunc(func(ctx *TaskContext, rec []byte, emit Emitter) error {
+	ctx.Counters.Inc("records-in", 1)
+	emit(bytes.ToUpper(rec))
+	return nil
+})
+
+// upperReference is upperJob's output computed sequentially: round-robin
+// staging puts record j in shard j%shards.
+func upperReference(words []string, shards int) [][][]byte {
+	want := make([][][]byte, shards)
+	for j, w := range words {
+		want[j%shards] = append(want[j%shards], []byte(strings.ToUpper(w)))
+	}
+	return want
+}
+
+// assertOutputs fails unless got holds exactly want's values, shard by shard.
+func assertOutputs(t *testing.T, got, want [][][]byte) {
 	t.Helper()
-	fs := dfs.NewMem()
-	stageWords(t, fs, "in/words", words, shards)
-	res, err := Run(wordCountJob(fs, "in/words", "out/counts", reducers, parallelism))
-	if err != nil {
-		t.Fatal(err)
+	if len(got) != len(want) {
+		t.Fatalf("MapOutputs for %d shards, want %d", len(got), len(want))
 	}
-	if got := res.Counters["records-in"]; got != int64(len(words)) {
-		t.Errorf("records-in counter = %d, want %d", got, len(words))
-	}
-	recs, err := ReadOutput(fs, "out/counts")
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[string]int{}
-	for _, r := range recs {
-		parts := strings.SplitN(string(r), "=", 2)
-		n, err := strconv.Atoi(parts[1])
-		if err != nil {
-			t.Fatal(err)
+	for s := range want {
+		if len(got[s]) != len(want[s]) {
+			t.Fatalf("shard %d: %d values, want %d", s, len(got[s]), len(want[s]))
 		}
-		counts[parts[0]] = n
+		for r := range want[s] {
+			if !bytes.Equal(got[s][r], want[s][r]) {
+				t.Fatalf("shard %d value %d = %q, want %q", s, r, got[s][r], want[s][r])
+			}
+		}
 	}
-	return counts
 }
 
-func TestWordCountCorrect(t *testing.T) {
-	words := []string{"a", "b", "a", "c", "a", "b"}
-	counts := runWordCount(t, words, 3, 2, 4)
-	want := map[string]int{"a": 3, "b": 2, "c": 1}
-	for k, v := range want {
-		if counts[k] != v {
-			t.Errorf("count[%q] = %d, want %d", k, counts[k], v)
+// onlyInput fails if anything but the staged input under in is on fs.
+func onlyInput(t *testing.T, fs dfs.FS, in string) {
+	t.Helper()
+	paths, err := fs.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range paths {
+		if !strings.HasPrefix(p, in+"-") {
+			t.Errorf("job left %s behind", p)
 		}
 	}
 }
@@ -88,67 +83,19 @@ func TestDeterministicAcrossParallelismAndShards(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		words = append(words, fmt.Sprintf("w%d", i%17))
 	}
-	base := runWordCount(t, words, 1, 1, 1)
-	for _, cfg := range []struct{ shards, reducers, par int }{
-		{4, 3, 8}, {7, 5, 2}, {10, 1, 16}, {3, 7, 3},
+	for _, cfg := range []struct{ shards, par int }{
+		{1, 1}, {4, 8}, {7, 2}, {10, 16}, {3, 3},
 	} {
-		got := runWordCount(t, words, cfg.shards, cfg.reducers, cfg.par)
-		if len(got) != len(base) {
-			t.Fatalf("cfg %+v: %d keys, want %d", cfg, len(got), len(base))
-		}
-		for k, v := range base {
-			if got[k] != v {
-				t.Errorf("cfg %+v: count[%q] = %d, want %d", cfg, k, got[k], v)
-			}
-		}
-	}
-}
-
-// Property: word counts equal a sequential reference for random inputs.
-func TestWordCountMatchesReferenceProperty(t *testing.T) {
-	f := func(ws []uint8, shards, reducers uint8) bool {
-		if len(ws) == 0 {
-			return true
-		}
-		words := make([]string, len(ws))
-		ref := map[string]int{}
-		for i, w := range ws {
-			words[i] = fmt.Sprintf("k%d", w%11)
-			ref[words[i]]++
-		}
 		fs := dfs.NewMem()
-		recs := make([][]byte, len(words))
-		for i, w := range words {
-			recs[i] = []byte(w)
-		}
-		if err := WriteInput(fs, "in/w", recs, int(shards%5)+1); err != nil {
-			return false
-		}
-		res, err := Run(wordCountJob(fs, "in/w", "out/c", int(reducers%4)+1, 4))
-		if err != nil || res == nil {
-			return false
-		}
-		out, err := ReadOutput(fs, "out/c")
+		stageWords(t, fs, "in/w", words, cfg.shards)
+		res, err := Run(upperJob(fs, "in/w", cfg.par))
 		if err != nil {
-			return false
+			t.Fatal(err)
 		}
-		got := map[string]int{}
-		for _, r := range out {
-			parts := strings.SplitN(string(r), "=", 2)
-			got[parts[0]], _ = strconv.Atoi(parts[1])
+		assertOutputs(t, res.MapOutputs, upperReference(words, cfg.shards))
+		if got := res.Counters["records-in"]; got != int64(len(words)) {
+			t.Errorf("cfg %+v: records-in = %d, want %d", cfg, got, len(words))
 		}
-		if len(got) != len(ref) {
-			return false
-		}
-		for k, v := range ref {
-			if got[k] != v {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -161,39 +108,26 @@ func TestMapOnlyPreservesOrder(t *testing.T) {
 	if err := WriteInput(fs, "in/r", recs, 5); err != nil {
 		t.Fatal(err)
 	}
-	job := Job{
-		Name: "upper", FS: fs, InputBase: "in/r", OutputBase: "out/r",
-		Parallelism: 8,
-		Mapper: MapFunc(func(_ *TaskContext, rec []byte, emit Emitter) error {
-			emit("", bytes.ToUpper(rec))
-			return nil
-		}),
-	}
-	res, err := Run(job)
+	res, err := Run(upperJob(fs, "in/r", 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.MapTasks != 5 || res.ReduceTasks != 0 {
-		t.Errorf("tasks = %d map, %d reduce", res.MapTasks, res.ReduceTasks)
+	if res.MapTasks != 5 {
+		t.Errorf("tasks = %d, want 5", res.MapTasks)
 	}
-	out, err := ReadOutput(fs, "out/r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 50 {
-		t.Fatalf("output records = %d, want 50", len(out))
-	}
-	// Map-only keeps shard alignment: output shard i mirrors input shard i.
-	// Round-robin staging puts record j in shard j%5, so reading shards in
-	// order yields records grouped by residue class, each in input order.
-	idx := 0
-	for s := 0; s < 5; s++ {
+	// Task i's values mirror input shard i, in record order. Round-robin
+	// staging puts record j in shard j%5, so each shard holds one residue
+	// class in input order.
+	for s, shard := range res.MapOutputs {
+		r := 0
 		for j := s; j < 50; j += 5 {
-			want := strings.ToUpper(fmt.Sprintf("r%03d", j))
-			if string(out[idx]) != want {
-				t.Fatalf("out[%d] = %q, want %q", idx, out[idx], want)
+			if want := strings.ToUpper(fmt.Sprintf("r%03d", j)); string(shard[r]) != want {
+				t.Fatalf("shard %d value %d = %q, want %q", s, r, shard[r], want)
 			}
-			idx++
+			r++
+		}
+		if len(shard) != r {
+			t.Fatalf("shard %d has %d values, want %d", s, len(shard), r)
 		}
 	}
 }
@@ -215,7 +149,7 @@ func TestSetupTeardownPerTask(t *testing.T) {
 			if ctx.State() != "server-handle" {
 				t.Error("state not visible in Map")
 			}
-			emit("", rec)
+			emit(rec)
 			return nil
 		},
 		teardown: func(*TaskContext) error {
@@ -225,7 +159,7 @@ func TestSetupTeardownPerTask(t *testing.T) {
 			return nil
 		},
 	}
-	if _, err := Run(Job{Name: "hooked", FS: fs, InputBase: "in/w", OutputBase: "out/w", Mapper: m, Parallelism: 2}); err != nil {
+	if _, err := Run(Job{Name: "hooked", FS: fs, InputBase: "in/w", Mapper: m, Parallelism: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if setups != 4 || teardowns != 4 {
@@ -247,10 +181,11 @@ func (h *hookedMapper) Teardown(c *TaskContext) error { return h.teardown(c) }
 
 func TestFailureInjectionRetriesAndSucceeds(t *testing.T) {
 	fs := dfs.NewMem()
-	stageWords(t, fs, "in/w", []string{"a", "a", "b"}, 2)
+	words := []string{"a", "a", "b"}
+	stageWords(t, fs, "in/w", words, 2)
 	var mu sync.Mutex
 	failed := map[string]int{}
-	job := wordCountJob(fs, "in/w", "out/w", 2, 4)
+	job := upperJob(fs, "in/w", 4)
 	job.MaxAttempts = 3
 	job.FailureHook = func(taskID string, attempt int) error {
 		mu.Lock()
@@ -265,29 +200,21 @@ func TestFailureInjectionRetriesAndSucceeds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(failed) != res.MapTasks+res.ReduceTasks {
-		t.Errorf("failed tasks = %d, want %d", len(failed), res.MapTasks+res.ReduceTasks)
+	if len(failed) != res.MapTasks {
+		t.Errorf("failed tasks = %d, want %d", len(failed), res.MapTasks)
 	}
-	// Exactly-once output despite retries.
-	out, err := ReadOutput(fs, "out/w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined := strings.Join(recordsToStrings(out), ",")
-	if !strings.Contains(joined, "a=2") || !strings.Contains(joined, "b=1") {
-		t.Errorf("output after retries = %v", joined)
-	}
-	// Only the winning attempt's counters are merged, and records must not
-	// be duplicated.
-	if len(out) != 2 {
-		t.Errorf("output records = %d, want 2", len(out))
+	// Exactly-once output despite retries: no value lost or duplicated, and
+	// only the winning attempt's counters are merged.
+	assertOutputs(t, res.MapOutputs, upperReference(words, 2))
+	if got := res.Counters["records-in"]; got != int64(len(words)) {
+		t.Errorf("records-in = %d, want %d", got, len(words))
 	}
 }
 
 func TestFailureExhaustsAttempts(t *testing.T) {
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", []string{"a"}, 1)
-	job := wordCountJob(fs, "in/w", "out/w", 1, 1)
+	job := upperJob(fs, "in/w", 1)
 	job.MaxAttempts = 2
 	job.FailureHook = func(taskID string, attempt int) error {
 		return errors.New("permanent failure")
@@ -295,17 +222,14 @@ func TestFailureExhaustsAttempts(t *testing.T) {
 	if _, err := Run(job); err == nil {
 		t.Fatal("job with permanent failures should fail")
 	}
-	// No partial output may be committed.
-	if _, err := dfs.ListShards(fs, "out/w"); err == nil {
-		t.Error("failed job committed output shards")
-	}
+	onlyInput(t, fs, "in/w")
 }
 
 func TestMapErrorPropagates(t *testing.T) {
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", []string{"boom"}, 1)
 	job := Job{
-		Name: "failing", FS: fs, InputBase: "in/w", OutputBase: "out/w",
+		Name: "failing", FS: fs, InputBase: "in/w",
 		MaxAttempts: 1,
 		Mapper: MapFunc(func(_ *TaskContext, rec []byte, _ Emitter) error {
 			return fmt.Errorf("bad record %q", rec)
@@ -322,9 +246,6 @@ func TestValidationErrors(t *testing.T) {
 		t.Error("job without mapper accepted")
 	}
 	m := MapFunc(func(*TaskContext, []byte, Emitter) error { return nil })
-	if _, err := Run(Job{Name: "x", FS: fs, Mapper: m, NumReducers: 2}); err == nil {
-		t.Error("reducers without Reducer accepted")
-	}
 	if _, err := Run(Job{Name: "x", Mapper: m}); err == nil {
 		t.Error("job without FS accepted")
 	}
@@ -419,14 +340,20 @@ func TestStagedCountAndOrder(t *testing.T) {
 	}
 }
 
-func TestReadOutputCorruptShard(t *testing.T) {
+// TestCorruptShardFailsTask: a damaged input shard fails its task with
+// recordio.ErrCorrupt on every attempt — and the job with it — and the
+// shard readers refuse it the same way.
+func TestCorruptShardFailsTask(t *testing.T) {
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", []string{"aaaa", "bbbb"}, 1)
 	if err := fs.Corrupt(dfs.ShardPath("in/w", 0, 1), 14); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadOutput(fs, "in/w"); err == nil {
-		t.Error("corrupt shard read without error")
+	if _, err := Run(upperJob(fs, "in/w", 1)); !errors.Is(err, recordio.ErrCorrupt) {
+		t.Errorf("job over a corrupt shard: err = %v, want ErrCorrupt", err)
+	}
+	if _, err := CountRecords(fs, "in/w"); !errors.Is(err, recordio.ErrCorrupt) {
+		t.Errorf("CountRecords over a corrupt shard: err = %v, want ErrCorrupt", err)
 	}
 }
 
@@ -454,7 +381,7 @@ func (m *batchUpper) MapBatch(_ *TaskContext, records [][]byte, emit Emitter) er
 	m.batchSize = append(m.batchSize, len(records))
 	m.mu.Unlock()
 	for _, rec := range records {
-		emit("", []byte(strings.ToUpper(string(rec))))
+		emit([]byte(strings.ToUpper(string(rec))))
 	}
 	return nil
 }
@@ -466,16 +393,9 @@ func TestBatchMapperGetsWholeShards(t *testing.T) {
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
 	stageWords(t, fs, "in/w", words, 3)
 	m := &batchUpper{}
-	res, err := Run(Job{
-		Name: "batch-upper", FS: fs,
-		InputBase: "in/w", OutputBase: "out/w",
-		Mapper: m, Parallelism: 2,
-	})
+	res, err := Run(Job{Name: "batch-upper", FS: fs, InputBase: "in/w", Mapper: m, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(res.OutputShards) != 3 {
-		t.Fatalf("output shards = %d", len(res.OutputShards))
 	}
 	if len(m.batchSize) != 3 {
 		t.Fatalf("MapBatch calls = %d, want one per shard", len(m.batchSize))
@@ -487,76 +407,22 @@ func TestBatchMapperGetsWholeShards(t *testing.T) {
 	if total != len(words) {
 		t.Fatalf("batched records = %d, want %d", total, len(words))
 	}
-	out, err := ReadOutput(fs, "out/w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := map[string]bool{}
-	for _, rec := range out {
-		got[string(rec)] = true
-	}
-	for _, w := range words {
-		if !got[strings.ToUpper(w)] {
-			t.Errorf("missing output for %q", w)
-		}
-	}
+	assertOutputs(t, res.MapOutputs, upperReference(words, 3))
 }
 
+// TestCollectOutputReturnsWithoutCommitting: a job without Resume returns
+// its values in memory and writes nothing to the filesystem.
 func TestCollectOutputReturnsWithoutCommitting(t *testing.T) {
 	fs := dfs.NewMem()
-	var recs [][]byte
+	var words []string
 	for i := 0; i < 30; i++ {
-		recs = append(recs, []byte(fmt.Sprintf("r%03d", i)))
+		words = append(words, fmt.Sprintf("r%03d", i))
 	}
-	if err := WriteInput(fs, "in/c", recs, 4); err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(Job{
-		Name: "collect", FS: fs, InputBase: "in/c", CollectOutput: true,
-		Parallelism: 8,
-		Mapper: MapFunc(func(_ *TaskContext, rec []byte, emit Emitter) error {
-			emit("", bytes.ToUpper(rec))
-			return nil
-		}),
-	})
+	stageWords(t, fs, "in/c", words, 4)
+	res, err := Run(upperJob(fs, "in/c", 8))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.OutputShards) != 0 {
-		t.Errorf("collect mode committed shards: %v", res.OutputShards)
-	}
-	if len(res.MapOutputs) != 4 {
-		t.Fatalf("MapOutputs for %d shards, want 4", len(res.MapOutputs))
-	}
-	// Per-shard outputs line up with the round-robin staging layout.
-	for s, shard := range res.MapOutputs {
-		want := 0
-		for j := s; j < 30; j += 4 {
-			if got := string(shard[want]); got != strings.ToUpper(fmt.Sprintf("r%03d", j)) {
-				t.Fatalf("shard %d output %d = %q", s, want, got)
-			}
-			want++
-		}
-		if len(shard) != want {
-			t.Fatalf("shard %d has %d outputs, want %d", s, len(shard), want)
-		}
-	}
-	// Nothing new appeared on the filesystem.
-	paths, err := fs.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range paths {
-		if !strings.HasPrefix(p, "in/c") {
-			t.Errorf("collect mode wrote %s", p)
-		}
-	}
-	// Collect with reducers is rejected up front.
-	if _, err := Run(Job{
-		Name: "bad", FS: fs, InputBase: "in/c", CollectOutput: true, NumReducers: 2,
-		Mapper:  MapFunc(func(_ *TaskContext, _ []byte, _ Emitter) error { return nil }),
-		Reducer: ReduceFunc(func(_ *TaskContext, _ string, _ [][]byte, _ Emitter) error { return nil }),
-	}); err == nil {
-		t.Error("CollectOutput with reducers accepted")
-	}
+	assertOutputs(t, res.MapOutputs, upperReference(words, 4))
+	onlyInput(t, fs, "in/c")
 }

@@ -18,8 +18,8 @@ import (
 
 // The DFS gateway serves the coordinator's filesystem to workers over HTTP,
 // making them genuinely shared-nothing: a worker process needs exactly one
-// address — its coordinator's — to read staged input, commit attempt-scoped
-// output, and exchange shuffle data. The surface mirrors dfs.FS one
+// address — its coordinator's — to read staged input and commit
+// attempt-scoped checkpoints. The surface mirrors dfs.FS one
 // endpoint per operation; a missing file is 404 plus a marker header so the
 // client can reconstruct dfs.ErrNotExist faithfully.
 

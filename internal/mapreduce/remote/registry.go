@@ -10,19 +10,18 @@ import (
 	"repro/internal/mapreduce"
 )
 
-// JobCode builds the user functions a worker runs for one code key. The
-// TaskSpec a worker leases carries only the key (mapreduce.Job.Code); the
-// code itself — the Mapper/Reducer, and everything they close over — lives
-// in the worker process, exactly as the paper's labeling functions are
-// binaries deployed to the cluster rather than data shipped with tasks.
+// JobCode builds the Mapper a worker runs for one code key. The TaskSpec a
+// worker leases carries only the key (mapreduce.Job.Code); the code itself —
+// the Mapper, and everything it closes over — lives in the worker process,
+// exactly as the paper's labeling functions are binaries deployed to the
+// cluster rather than data shipped with tasks.
 type JobCode struct {
-	// Build constructs the job's Mapper and (for reducing jobs) Reducer.
-	// It runs once per worker process per code key — the result is cached
-	// across tasks — against the coordinator's DFS gateway and the job's
-	// staged input base, so code that needs a whole-corpus pass before its
-	// first task (a labeling function's corpus-fit stage) can take it here.
-	// A map-only job may return a nil Reducer.
-	Build func(ctx context.Context, fs dfs.FS, inputBase string) (mapreduce.Mapper, mapreduce.Reducer, error)
+	// Build constructs the job's Mapper. It runs once per worker process per
+	// code key — the result is cached across tasks — against the
+	// coordinator's DFS gateway and the job's staged input base, so code
+	// that needs a whole-corpus pass before its first task (a labeling
+	// function's corpus-fit stage) can take it here.
+	Build func(ctx context.Context, fs dfs.FS, inputBase string) (mapreduce.Mapper, error)
 }
 
 // Registry maps code keys to worker-side job implementations. A worker

@@ -19,8 +19,9 @@
 //     expired gets 410 Gone for every later heartbeat or completion, so its
 //     output can never displace the promoted attempt's.
 //   - a minimal DFS gateway exposing the coordinator's dfs.FS, so workers
-//     are genuinely shared-nothing: all task input, attempt-scoped output,
-//     and shuffle data flows through the coordinator's filesystem.
+//     are genuinely shared-nothing: all task input and attempt-scoped
+//     checkpoints flow through the coordinator's filesystem, and a task's
+//     emitted values travel back in its completion report.
 //
 // Pool.Workers returns slot proxies implementing mapreduce.Worker, so a
 // remote job is just mapreduce.Job{Workers: pool.Workers(), Code: key}:

@@ -20,29 +20,22 @@ import (
 
 // --- fixtures ---
 
-// wordCountFuncs is the canonical test job's user functions, shared by the
-// in-process reference runs and the worker-side job code.
-func wordCountFuncs() (mapreduce.Mapper, mapreduce.Reducer) {
-	mapper := mapreduce.MapFunc(func(ctx *mapreduce.TaskContext, rec []byte, emit mapreduce.Emitter) error {
-		ctx.Counters.Inc("records-in", 1)
-		emit(string(rec), []byte{1})
-		return nil
-	})
-	reducer := mapreduce.ReduceFunc(func(ctx *mapreduce.TaskContext, key string, values [][]byte, emit mapreduce.Emitter) error {
-		emit(key, []byte(fmt.Sprintf("%s=%d", key, len(values))))
-		return nil
-	})
-	return mapper, reducer
-}
+// upperMapper is the canonical test job's Mapper, shared by the in-process
+// reference runs and the worker-side job code: it counts its records and
+// emits each one upper-cased.
+var upperMapper = mapreduce.MapFunc(func(ctx *mapreduce.TaskContext, rec []byte, emit mapreduce.Emitter) error {
+	ctx.Counters.Inc("records-in", 1)
+	emit(bytes.ToUpper(rec))
+	return nil
+})
 
-// testRegistry carries the wordcount code under the key remote jobs use.
+// testRegistry carries the upper code under the key remote jobs use.
 func testRegistry(t *testing.T) *Registry {
 	t.Helper()
 	reg := NewRegistry()
-	err := reg.Register("wordcount", JobCode{
-		Build: func(ctx context.Context, fs dfs.FS, inputBase string) (mapreduce.Mapper, mapreduce.Reducer, error) {
-			m, r := wordCountFuncs()
-			return m, r, nil
+	err := reg.Register("upper", JobCode{
+		Build: func(ctx context.Context, fs dfs.FS, inputBase string) (mapreduce.Mapper, error) {
+			return upperMapper, nil
 		},
 	})
 	if err != nil {
@@ -70,42 +63,40 @@ func testWords(n int) []string {
 	return words
 }
 
-// referenceOutput runs wordcount in-process on a fresh Mem FS and returns
-// the committed output bytes: the target every remote run must match.
-func referenceOutput(t *testing.T, words []string, shards, reducers int) ([][]byte, map[string]int64) {
+// reference runs the job in-process on a fresh Mem FS and returns its
+// values and counters: the target every remote run must match.
+func reference(t *testing.T, words []string, shards int) *mapreduce.Result {
 	t.Helper()
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", words, shards)
-	mapper, reducer := wordCountFuncs()
 	res, err := mapreduce.Run(mapreduce.Job{
-		Name: "wordcount", FS: fs,
-		InputBase: "in/w", OutputBase: "out/w",
-		NumReducers: reducers, Parallelism: 4,
-		Mapper: mapper, Reducer: reducer,
+		Name: "upper", FS: fs, InputBase: "in/w", Parallelism: 4, Mapper: upperMapper,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := mapreduce.ReadOutput(fs, "out/w")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out, res.Counters
+	return res
 }
 
-func assertSameOutput(t *testing.T, fs dfs.FS, base string, want [][]byte) {
+// assertSameResult fails unless got's values are byte-identical to want's,
+// shard by shard, and its counters equal want's.
+func assertSameResult(t *testing.T, got, want *mapreduce.Result) {
 	t.Helper()
-	got, err := mapreduce.ReadOutput(fs, base)
-	if err != nil {
-		t.Fatal(err)
+	if len(got.MapOutputs) != len(want.MapOutputs) {
+		t.Fatalf("MapOutputs for %d shards, want %d", len(got.MapOutputs), len(want.MapOutputs))
 	}
-	if len(got) != len(want) {
-		t.Fatalf("output records = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("output[%d] = %q, want %q", i, got[i], want[i])
+	for s := range want.MapOutputs {
+		if len(got.MapOutputs[s]) != len(want.MapOutputs[s]) {
+			t.Fatalf("shard %d: %d values, want %d", s, len(got.MapOutputs[s]), len(want.MapOutputs[s]))
 		}
+		for r := range want.MapOutputs[s] {
+			if !bytes.Equal(got.MapOutputs[s][r], want.MapOutputs[s][r]) {
+				t.Fatalf("shard %d value %d = %q, want %q", s, r, got.MapOutputs[s][r], want.MapOutputs[s][r])
+			}
+		}
+	}
+	if g, w := got.Counters["records-in"], want.Counters["records-in"]; g != w {
+		t.Errorf("records-in = %d, want %d", g, w)
 	}
 }
 
@@ -158,18 +149,19 @@ func startCluster(t *testing.T, opts PoolOptions, reg *Registry, hooks []WorkerH
 	return c
 }
 
-// remoteJob builds the wordcount job wired to the cluster's slot proxies.
-func remoteJob(fs dfs.FS, pool *Pool, reducers int) mapreduce.Job {
-	mapper, reducer := wordCountFuncs()
+// remoteJob builds the upper job wired to the cluster's slot proxies. Resume
+// is on, so every attempt also writes a checkpoint through the DFS gateway
+// that the coordinator promotes by rename — the commit path remote faults
+// must not corrupt.
+func remoteJob(fs dfs.FS, pool *Pool) mapreduce.Job {
 	return mapreduce.Job{
-		Name: "wordcount", FS: fs,
-		InputBase: "in/w", OutputBase: "out/w",
-		NumReducers: reducers,
-		// The coordinator still needs Mapper/Reducer for validation; the
-		// remote backend never calls them — workers resolve Code instead.
-		Mapper: mapper, Reducer: reducer,
+		Name: "upper", FS: fs, InputBase: "in/w",
+		// The coordinator still needs a Mapper for validation; the remote
+		// backend never calls it — workers resolve Code instead.
+		Mapper:  upperMapper,
 		Workers: pool.Workers(),
-		Code:    "wordcount",
+		Code:    "upper",
+		Resume:  true,
 	}
 }
 
@@ -217,43 +209,40 @@ func (c *fakeClock) Advance(d time.Duration) {
 
 // --- end-to-end: remote backend matches the in-process backend ---
 
-// TestRemoteWordCount is the backbone equivalence check: the same job on
-// the same input through two real worker processes over HTTP commits
-// byte-identical output — and identical counters — to the in-process pool.
-func TestRemoteWordCount(t *testing.T) {
+// TestRemoteMatchesInProcess is the backbone equivalence check: the same
+// job on the same input through two real worker processes over HTTP returns
+// byte-identical values — and identical counters — to the in-process pool.
+func TestRemoteMatchesInProcess(t *testing.T) {
 	words := testWords(120)
-	want, wantCounters := referenceOutput(t, words, 6, 4)
+	want := reference(t, words, 6)
 
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", words, 6)
 	c := startCluster(t, PoolOptions{FS: fs, Slots: 4}, testRegistry(t), []WorkerHooks{{}, {}})
 
-	res, err := mapreduce.Run(remoteJob(fs, c.pool, 4))
+	res, err := mapreduce.Run(remoteJob(fs, c.pool))
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameOutput(t, fs, "out/w", want)
-	if got, w := res.Counters["records-in"], wantCounters["records-in"]; got != w {
-		t.Errorf("records-in = %d, want %d", got, w)
-	}
+	assertSameResult(t, res, want)
 }
 
 // TestRemoteExactlyOnceUnderFaults crosses the process boundary with the
 // full fault battery: DFS faults on the coordinator's filesystem (which
 // every worker I/O traverses via the gateway), workers killed dead on
 // their first leases, and transient heartbeat partitions. The retry budget
-// and lease expiry must absorb all of it and still commit byte-identical
-// output.
+// and lease expiry must absorb all of it and still return byte-identical
+// values.
 func TestRemoteExactlyOnceUnderFaults(t *testing.T) {
 	words := testWords(120)
-	want, _ := referenceOutput(t, words, 6, 4)
+	want := reference(t, words, 6)
 
 	inner := dfs.NewMem()
 	fs := dfs.NewFaultFS(inner, 42)
 	stageWords(t, fs, "in/w", words, 6)
+	fs.FailProbPath(dfs.OpRead, "in/w-", 0.05)
 	fs.FailProbPath(dfs.OpWrite, "_attempts/", 0.05)
 	fs.FailProbPath(dfs.OpRename, "_attempts/", 0.05)
-	fs.FailProbPath(dfs.OpRead, "_shuffle/", 0.05)
 
 	// First two leases anywhere kill their worker dead; next two get
 	// their heartbeats dropped until the lease expires. Two extra healthy
@@ -276,7 +265,7 @@ func TestRemoteExactlyOnceUnderFaults(t *testing.T) {
 		LeaseTTL: 300 * time.Millisecond, SweepEvery: 50 * time.Millisecond,
 	}, testRegistry(t), hooks)
 
-	job := remoteJob(fs, c.pool, 4)
+	job := remoteJob(fs, c.pool)
 	job.MaxAttempts = 25
 	res, err := mapreduce.Run(job)
 	if err != nil {
@@ -285,20 +274,20 @@ func TestRemoteExactlyOnceUnderFaults(t *testing.T) {
 	if fs.Injected() == 0 {
 		t.Fatal("fault injection never fired; test is vacuous")
 	}
-	if res.Attempts <= res.MapTasks+res.ReduceTasks {
+	if res.Attempts <= res.MapTasks {
 		t.Errorf("attempts = %d with kills and partitions; want retries", res.Attempts)
 	}
-	assertSameOutput(t, fs, "out/w", want)
+	assertSameResult(t, res, want)
 }
 
 // TestRemoteStragglerSpeculation runs one deliberately slow worker process
 // against two fast ones: the coordinator's deadline speculation must race
 // a sibling attempt on a fast worker, commit its result first, and turn
 // the stalled worker into a zombie whose lease vanishes — across real
-// HTTP, with byte-identical output.
+// HTTP, with byte-identical values.
 func TestRemoteStragglerSpeculation(t *testing.T) {
 	words := testWords(120)
-	want, _ := referenceOutput(t, words, 6, 2)
+	want := reference(t, words, 6)
 
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", words, 6)
@@ -311,7 +300,7 @@ func TestRemoteStragglerSpeculation(t *testing.T) {
 		LeaseTTL: 400 * time.Millisecond, SweepEvery: 50 * time.Millisecond,
 	}, testRegistry(t), []WorkerHooks{slow, {}, {}})
 
-	job := remoteJob(fs, c.pool, 2)
+	job := remoteJob(fs, c.pool)
 	job.StragglerAfter = 150 * time.Millisecond
 	res, err := mapreduce.Run(job)
 	if err != nil {
@@ -320,7 +309,7 @@ func TestRemoteStragglerSpeculation(t *testing.T) {
 	if res.SpeculativeAttempts == 0 {
 		t.Error("no speculative attempts launched against a 1.2s straggler")
 	}
-	assertSameOutput(t, fs, "out/w", want)
+	assertSameResult(t, res, want)
 }
 
 // TestRemoteFaultFSGatewayTraversal proves gateway error fidelity under
@@ -470,7 +459,7 @@ func newLeaseHarness(t *testing.T) *leaseHarness {
 	slot := pool.Workers()[0]
 	go func() {
 		_, err := slot.RunTask(context.Background(), mapreduce.TaskSpec{
-			Job: "edge", Kind: mapreduce.MapTask, Index: 0, Attempt: 1,
+			Job: "edge", Index: 0, Attempt: 1,
 		})
 		h.outcome <- err
 	}()
@@ -560,7 +549,7 @@ func TestLeaseZombieCompleteLosesToPromotedAttempt(t *testing.T) {
 	slot := h.pool.Workers()[0]
 	go func() {
 		res, err := slot.RunTask(context.Background(), mapreduce.TaskSpec{
-			Job: "edge", Kind: mapreduce.MapTask, Index: 0, Attempt: 2,
+			Job: "edge", Index: 0, Attempt: 2,
 		})
 		if err != nil {
 			t.Errorf("retry dispatch: %v", err)
@@ -629,11 +618,11 @@ func TestLeaseWorkerReRegistrationFreshIdentity(t *testing.T) {
 
 // TestLeasePartitionedWorkerTaskRequeued: a worker that executes but never
 // heartbeats loses every lease; the retries land on a healthy worker and
-// the job still commits the reference output. The coordinator never needs
+// the job still returns the reference values. The coordinator never needs
 // to distinguish "dead" from "partitioned" — and cannot.
 func TestLeasePartitionedWorkerTaskRequeued(t *testing.T) {
 	words := testWords(60)
-	want, _ := referenceOutput(t, words, 3, 2)
+	want := reference(t, words, 3)
 
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", words, 3)
@@ -648,31 +637,30 @@ func TestLeasePartitionedWorkerTaskRequeued(t *testing.T) {
 		LeaseTTL: 300 * time.Millisecond, SweepEvery: 50 * time.Millisecond,
 	}, testRegistry(t), []WorkerHooks{partitioned, {}})
 
-	job := remoteJob(fs, c.pool, 2)
+	job := remoteJob(fs, c.pool)
 	job.MaxAttempts = 10
 	res, err := mapreduce.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Attempts <= res.MapTasks+res.ReduceTasks {
+	if res.Attempts <= res.MapTasks {
 		t.Error("partitioned worker cost no extra attempts; partition never bit")
 	}
-	assertSameOutput(t, fs, "out/w", want)
+	assertSameResult(t, res, want)
 }
 
 // TestRemoteResume: checkpoint/resume spans process boundaries — a first
-// remote run writes manifests through the gateway; a second run of the
-// same job skips every task.
+// remote run writes task checkpoints through the gateway; a second run of
+// the same job skips every task and returns the same values from them.
 func TestRemoteResume(t *testing.T) {
 	words := testWords(60)
-	want, _ := referenceOutput(t, words, 3, 2)
+	want := reference(t, words, 3)
 
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", words, 3)
 	c := startCluster(t, PoolOptions{FS: fs, Slots: 2}, testRegistry(t), []WorkerHooks{{}, {}})
 
-	job := remoteJob(fs, c.pool, 2)
-	job.Resume = true
+	job := remoteJob(fs, c.pool)
 	first, err := mapreduce.Run(job)
 	if err != nil {
 		t.Fatal(err)
@@ -686,21 +674,22 @@ func TestRemoteResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if second.SkippedTasks != first.MapTasks+first.ReduceTasks {
-		t.Errorf("resumed run skipped %d tasks, want %d", second.SkippedTasks, first.MapTasks+first.ReduceTasks)
+	if second.SkippedTasks != first.MapTasks {
+		t.Errorf("resumed run skipped %d tasks, want %d", second.SkippedTasks, first.MapTasks)
 	}
 	if second.Attempts != 0 {
 		t.Errorf("resumed run launched %d attempts, want 0", second.Attempts)
 	}
-	assertSameOutput(t, fs, "out/w", want)
+	assertSameResult(t, first, want)
+	assertSameResult(t, second, want)
 }
 
 // TestRemoteWorkerGracefulDrain: canceling a worker's context mid-job lets
 // it finish its leased task and deregister; the job completes on the
-// remaining worker with correct output and the pool sees the departure.
+// remaining worker with correct values and the pool sees the departure.
 func TestRemoteWorkerGracefulDrain(t *testing.T) {
 	words := testWords(120)
-	want, _ := referenceOutput(t, words, 6, 2)
+	want := reference(t, words, 6)
 
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", words, 6)
@@ -741,10 +730,11 @@ func TestRemoteWorkerGracefulDrain(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		drainNow()
 	}()
-	if _, err := mapreduce.Run(remoteJob(fs, pool, 2)); err != nil {
+	res, err := mapreduce.Run(remoteJob(fs, pool))
+	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameOutput(t, fs, "out/w", want)
+	assertSameResult(t, res, want)
 
 	// The drained worker must have deregistered (poll: drain is async).
 	deadline := time.Now().Add(5 * time.Second) //drybellvet:wallclock — test-only poll deadline
@@ -766,7 +756,7 @@ func TestRemoteDeploymentSkewFailsJob(t *testing.T) {
 	stageWords(t, fs, "in/w", words, 2)
 	c := startCluster(t, PoolOptions{FS: fs, Slots: 2}, testRegistry(t), []WorkerHooks{{}})
 
-	job := remoteJob(fs, c.pool, 2)
+	job := remoteJob(fs, c.pool)
 	job.Code = "not-deployed"
 	job.MaxAttempts = 2
 	_, err := mapreduce.Run(job)

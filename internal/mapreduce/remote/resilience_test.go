@@ -70,11 +70,12 @@ func TestLeaseSweeperHeartbeatRaceSingleExpiry(t *testing.T) {
 // complete, and all DFS gateway I/O — runs through a fault-injecting
 // transport that drops and delays requests on a seeded schedule. The
 // shared backoff policy, the coordinator-client breaker, lease expiry, and
-// first-commit-wins must absorb all of it and still commit output
-// byte-identical to a fault-free in-process run.
+// first-commit-wins must absorb all of it and still return values — and
+// checkpoints committed through the gateway — byte-identical to a
+// fault-free in-process run.
 func TestRemoteByteIdenticalUnderNetworkFaults(t *testing.T) {
 	words := testWords(120)
-	want, wantCounters := referenceOutput(t, words, 6, 4)
+	want := reference(t, words, 6)
 
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", words, 6)
@@ -126,16 +127,23 @@ func TestRemoteByteIdenticalUnderNetworkFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	job := remoteJob(fs, pool, 4)
-	job.MaxAttempts = 8 // headroom: dropped renames/completes cost attempts
+	job := remoteJob(fs, pool)
+	job.MaxAttempts = 8 // headroom: dropped writes/completes cost attempts
 	res, err := mapreduce.Run(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	assertSameOutput(t, fs, "out/w", want)
-	if got, w := res.Counters["records-in"], wantCounters["records-in"]; got != w {
-		t.Errorf("records-in = %d, want %d", got, w)
+	assertSameResult(t, res, want)
+	// The promoted checkpoints hold the same values: a resumed run
+	// returns them without executing anything.
+	resumed, err := mapreduce.Run(job)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if resumed.Attempts != 0 {
+		t.Errorf("resumed run launched %d attempts, want 0", resumed.Attempts)
+	}
+	assertSameResult(t, resumed, want)
 	if faults.Dropped.Load() == 0 {
 		t.Error("fault injector never dropped a request; the run proves nothing")
 	}

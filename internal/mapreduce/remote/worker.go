@@ -90,20 +90,13 @@ type WorkerOptions struct {
 // errKilled distinguishes a hook-simulated death inside the lease loop.
 var errKilled = fmt.Errorf("remote: worker killed by fault hook")
 
-// builtCode is one resolved-and-built job implementation, cached per code
-// key for the life of the worker process.
-type builtCode struct {
-	mapper  mapreduce.Mapper
-	reducer mapreduce.Reducer
-}
-
 // workerClient is the running state of one RunWorker call.
 type workerClient struct {
 	opts  WorkerOptions
 	fs    *FSClient
 	hc    *http.Client
 	id    string
-	built map[string]builtCode // code key → cached build; single-goroutine
+	built map[string]mapreduce.Mapper // code key → cached build; single-goroutine
 
 	// seeds decorrelates the jitter streams of this worker's retry loops.
 	seeds *retrySeeds
@@ -117,7 +110,7 @@ type workerClient struct {
 // ends. It is the body of `drybelld -mode worker`.
 //
 // The loop: long-poll for a lease, resolve the spec's Code key in Jobs
-// (building and caching the job's user functions, which may read the
+// (building and caching the job's Mapper, which may read the
 // corpus through the coordinator's DFS gateway), execute the task with
 // mapreduce.ExecuteTask against that same gateway while a background
 // goroutine renews the lease, then report the result.
@@ -163,7 +156,7 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 			Metrics:    opts.Metrics,
 		}),
 		hc:    hc,
-		built: make(map[string]builtCode),
+		built: make(map[string]mapreduce.Mapper),
 		seeds: seeds,
 		br:    breaker.New(opts.BreakerThreshold, opts.BreakerCooldown, brOpts...),
 	}
@@ -312,20 +305,19 @@ func (w *workerClient) heartbeatLoop(ctx context.Context, spec mapreduce.TaskSpe
 // execute resolves the spec's code key and runs the task against the
 // coordinator's DFS gateway.
 func (w *workerClient) execute(ctx context.Context, spec mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
-	code, ok := w.built[spec.Code]
+	mapper, ok := w.built[spec.Code]
 	if !ok {
 		jc, found := w.opts.Jobs.Lookup(spec.Code)
 		if !found {
 			return nil, fmt.Errorf("remote: no job code %q on this worker (have %v) — deployment skew?", spec.Code, w.opts.Jobs.Keys())
 		}
-		mapper, reducer, err := jc.Build(ctx, w.fs, spec.InputBase)
-		if err != nil {
+		var err error
+		if mapper, err = jc.Build(ctx, w.fs, spec.InputBase); err != nil {
 			return nil, fmt.Errorf("remote: building job code %q: %w", spec.Code, err)
 		}
-		code = builtCode{mapper: mapper, reducer: reducer}
-		w.built[spec.Code] = code
+		w.built[spec.Code] = mapper
 	}
-	return mapreduce.ExecuteTask(ctx, w.fs, spec, spec.Job, code.mapper, code.reducer)
+	return mapreduce.ExecuteTask(ctx, w.fs, spec, spec.Job, mapper)
 }
 
 // register obtains a fresh worker identity, retrying on the shared backoff

@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -35,40 +34,28 @@ func faultyWords() []string {
 	return words
 }
 
-// TestExactlyOnceUnderFaults is the runtime's core guarantee: a reducing
-// job driven through the coordinator/worker pool with injected worker
-// kills, attempt-write faults, commit-rename faults, and shuffle-read
-// faults produces byte-identical output — and identical counters — to a
-// clean run.
+// TestExactlyOnceUnderFaults is the runtime's core guarantee: a job driven
+// through the coordinator/worker pool with injected worker kills, input-read
+// faults, checkpoint-write faults and commit-rename faults returns
+// byte-identical values — and identical counters — to a clean run.
 func TestExactlyOnceUnderFaults(t *testing.T) {
 	words := faultyWords()
-
-	clean := dfs.NewMem()
-	stageWords(t, clean, "in/w", words, 6)
-	cleanRes, err := Run(wordCountJob(clean, "in/w", "out/w", 4, 4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := ReadOutput(clean, "out/w")
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := upperReference(words, 6)
 
 	eachBackend(t, func(t *testing.T, inner dfs.FS) {
 		fs := dfs.NewFaultFS(inner, 42)
 		stageWords(t, fs, "in/w", words, 6)
-		// Faults aim at the runtime's own files — attempt output, commit
-		// renames, shuffle reads — all of which sit inside the retry loop.
-		// A map attempt commits one write+rename per reduce partition, so
-		// per-op probabilities compound; keep them low enough that the
-		// retry budget wins with overwhelming probability while still
-		// firing dozens of faults per run.
-		fs.FailProbPath(dfs.OpWrite, "_attempts/", 0.08)
-		fs.FailProbPath(dfs.OpRename, "_attempts/", 0.08)
-		fs.FailProbPath(dfs.OpRead, "_shuffle/", 0.08)
+		// Faults aim at the files an attempt touches — its input shard, its
+		// checkpoint write, the checkpoint's promoting rename — all of which
+		// sit inside the retry loop. Resume is on so every attempt commits a
+		// checkpoint.
+		fs.FailProbPath(dfs.OpRead, "in/w-", 0.1)
+		fs.FailProbPath(dfs.OpWrite, "_attempts/", 0.1)
+		fs.FailProbPath(dfs.OpRename, "_attempts/", 0.1)
 		var mu sync.Mutex
 		killed := map[string]bool{}
-		job := wordCountJob(fs, "in/w", "out/w", 4, 4)
+		job := upperJob(fs, "in/w", 4)
+		job.Resume = true
 		job.MaxAttempts = 25
 		job.FailureHook = func(taskID string, attempt int) error {
 			// Kill every task's first attempt: a worker crash at startup.
@@ -87,24 +74,13 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 		if fs.Injected() == 0 {
 			t.Fatal("fault injection never fired; test is vacuous")
 		}
-		if res.Attempts <= res.MapTasks+res.ReduceTasks {
-			t.Errorf("attempts = %d with kills on every task; want retries", res.Attempts)
+		if res.Attempts < 2*res.MapTasks {
+			t.Errorf("attempts = %d with kills on every task; want a retry per task", res.Attempts)
 		}
-		got, err := ReadOutput(fs, "out/w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("output records = %d, want %d", len(got), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("output[%d] = %q, want %q", i, got[i], want[i])
-			}
-		}
+		assertOutputs(t, res.MapOutputs, want)
 		// Winner-only counter merging keeps counters deterministic too.
-		if got, want := res.Counters["records-in"], cleanRes.Counters["records-in"]; got != want {
-			t.Errorf("records-in under faults = %d, want %d", got, want)
+		if got := res.Counters["records-in"]; got != int64(len(words)) {
+			t.Errorf("records-in under faults = %d, want %d", got, len(words))
 		}
 	})
 }
@@ -123,7 +99,7 @@ func (slowFirstMapper) Map(ctx *TaskContext, rec []byte, emit Emitter) error {
 		case <-time.After(10 * time.Second):
 		}
 	}
-	emit("", bytes.ToUpper(rec))
+	emit(bytes.ToUpper(rec))
 	return nil
 }
 
@@ -141,7 +117,7 @@ func TestStragglerSpeculativeExecution(t *testing.T) {
 	}
 	start := time.Now()
 	res, err := Run(Job{
-		Name: "straggle", FS: fs, InputBase: "in/r", OutputBase: "out/r",
+		Name: "straggle", FS: fs, InputBase: "in/r",
 		Mapper:         slowFirstMapper{},
 		Parallelism:    4,
 		StragglerAfter: 30 * time.Millisecond,
@@ -155,44 +131,25 @@ func TestStragglerSpeculativeExecution(t *testing.T) {
 	if res.SpeculativeAttempts == 0 {
 		t.Error("no speculative attempt launched for the straggler")
 	}
-	out, err := ReadOutput(fs, "out/r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out) != 20 {
-		t.Fatalf("output records = %d, want 20 (no loss, no duplication)", len(out))
-	}
-	seen := map[string]bool{}
-	for _, rec := range out {
-		if seen[string(rec)] {
-			t.Fatalf("duplicated output record %q", rec)
-		}
-		seen[string(rec)] = true
-	}
+	// No loss, no duplication.
+	assertOutputs(t, res.MapOutputs, upperReference(recordsToStrings(recs), 4))
 }
 
-// TestResumeSkipsCommittedTasks: a run that dies mid-stage leaves task
-// manifests behind; the resumed run re-executes only the uncommitted tasks
-// (asserted via attempt counters) and completes the identical output.
+// TestResumeSkipsCommittedTasks: a run that dies mid-job leaves task
+// checkpoints behind; the resumed run re-executes only the uncommitted tasks
+// (asserted via attempt counters) and returns the identical values and
+// counters.
 func TestResumeSkipsCommittedTasks(t *testing.T) {
 	eachBackend(t, func(t *testing.T, fs dfs.FS) {
-		var recs [][]byte
+		var words []string
 		for i := 0; i < 40; i++ {
-			recs = append(recs, []byte(fmt.Sprintf("r%03d", i)))
+			words = append(words, fmt.Sprintf("r%03d", i))
 		}
-		if err := WriteInput(fs, "in/r", recs, 5); err != nil {
-			t.Fatal(err)
-		}
-		job := Job{
-			Name: "resumable", FS: fs, InputBase: "in/r", OutputBase: "out/r",
-			Mapper: MapFunc(func(_ *TaskContext, rec []byte, emit Emitter) error {
-				emit("", bytes.ToUpper(rec))
-				return nil
-			}),
-			Parallelism: 1, // deterministic schedule: tasks run in order
-			MaxAttempts: 1,
-			Resume:      true,
-		}
+		stageWords(t, fs, "in/r", words, 5)
+		want := upperReference(words, 5)
+		job := upperJob(fs, "in/r", 1) // one worker: tasks run in order
+		job.MaxAttempts = 1
+		job.Resume = true
 		// The first run crashes hard on map-00002: tasks 0 and 1 committed,
 		// 2 failed, 3 and 4 never ran.
 		crashJob := job
@@ -216,12 +173,9 @@ func TestResumeSkipsCommittedTasks(t *testing.T) {
 		if res.Attempts != 3 {
 			t.Errorf("Attempts = %d, want 3 (only the uncommitted tasks re-execute)", res.Attempts)
 		}
-		out, err := ReadOutput(fs, "out/r")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(out) != 40 {
-			t.Fatalf("output records = %d, want 40", len(out))
+		assertOutputs(t, res.MapOutputs, want)
+		if got := res.Counters["records-in"]; got != int64(len(words)) {
+			t.Errorf("records-in after resume = %d, want %d", got, len(words))
 		}
 		// A third run finds everything checkpointed and executes nothing.
 		res, err = Run(job)
@@ -231,11 +185,12 @@ func TestResumeSkipsCommittedTasks(t *testing.T) {
 		if res.Attempts != 0 || res.SkippedTasks != 5 {
 			t.Errorf("idempotent re-run: attempts=%d skipped=%d, want 0/5", res.Attempts, res.SkippedTasks)
 		}
+		assertOutputs(t, res.MapOutputs, want)
 	})
 }
 
-// TestResumeCollectOutput: CollectOutput jobs running with Resume checkpoint
-// each task's values, so a resumed run returns identical MapOutputs without
+// TestResumeCollectOutput: jobs running with Resume checkpoint each task's
+// values to _tasks/, so a resumed run returns identical MapOutputs without
 // re-executing completed tasks.
 func TestResumeCollectOutput(t *testing.T) {
 	eachBackend(t, func(t *testing.T, fs dfs.FS) {
@@ -247,14 +202,10 @@ func TestResumeCollectOutput(t *testing.T) {
 			t.Fatal(err)
 		}
 		job := Job{
-			Name: "collect-resume", FS: fs, InputBase: "in/c",
-			CollectOutput: true, Resume: true,
+			Name: "collect-resume", FS: fs, InputBase: "in/c", Resume: true,
 			ScratchBase: "work/collect-resume",
 			Parallelism: 1, MaxAttempts: 1,
-			Mapper: MapFunc(func(_ *TaskContext, rec []byte, emit Emitter) error {
-				emit("", bytes.ToUpper(rec))
-				return nil
-			}),
+			Mapper: upperMapper,
 		}
 		first, err := Run(job)
 		if err != nil {
@@ -267,53 +218,9 @@ func TestResumeCollectOutput(t *testing.T) {
 		if second.Attempts != 0 || second.SkippedTasks != 4 {
 			t.Errorf("resumed collect run: attempts=%d skipped=%d, want 0/4", second.Attempts, second.SkippedTasks)
 		}
-		if len(second.MapOutputs) != len(first.MapOutputs) {
-			t.Fatalf("MapOutputs shards = %d, want %d", len(second.MapOutputs), len(first.MapOutputs))
-		}
-		for s := range first.MapOutputs {
-			if len(first.MapOutputs[s]) != len(second.MapOutputs[s]) {
-				t.Fatalf("shard %d: %d vs %d values", s, len(first.MapOutputs[s]), len(second.MapOutputs[s]))
-			}
-			for r := range first.MapOutputs[s] {
-				if !bytes.Equal(first.MapOutputs[s][r], second.MapOutputs[s][r]) {
-					t.Fatalf("shard %d value %d: %q vs %q", s, r, first.MapOutputs[s][r], second.MapOutputs[s][r])
-				}
-			}
-		}
-	})
-}
-
-// TestResumeReduceJob: reduce-task manifests resume too, and when every
-// reduce task is checkpointed the map phase is skipped entirely.
-func TestResumeReduceJob(t *testing.T) {
-	eachBackend(t, func(t *testing.T, fs dfs.FS) {
-		stageWords(t, fs, "in/w", faultyWords(), 4)
-		job := wordCountJob(fs, "in/w", "out/w", 3, 2)
-		job.Resume = true
-		first, err := Run(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ReadOutput(fs, "out/w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		second, err := Run(job)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if second.Attempts != 0 {
-			t.Errorf("fully-checkpointed re-run launched %d attempts", second.Attempts)
-		}
-		if second.SkippedTasks != first.MapTasks+first.ReduceTasks {
-			t.Errorf("SkippedTasks = %d, want %d", second.SkippedTasks, first.MapTasks+first.ReduceTasks)
-		}
-		got, err := ReadOutput(fs, "out/w")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("output changed across resume: %d vs %d records", len(got), len(want))
+		assertOutputs(t, second.MapOutputs, first.MapOutputs)
+		if _, err := fs.Stat("work/collect-resume/_tasks/map-00003.out"); err != nil {
+			t.Errorf("task checkpoint: %v", err)
 		}
 	})
 }
@@ -324,15 +231,9 @@ func TestResumeReduceJob(t *testing.T) {
 func TestResumeKeyGuardsManifests(t *testing.T) {
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", []string{"a", "b", "c", "d"}, 2)
-	job := Job{
-		Name: "keyed", FS: fs, InputBase: "in/w", OutputBase: "out/w",
-		Mapper: MapFunc(func(_ *TaskContext, rec []byte, emit Emitter) error {
-			emit("", rec)
-			return nil
-		}),
-		Resume:    true,
-		ResumeKey: "lfset-v1",
-	}
+	job := upperJob(fs, "in/w", 2)
+	job.Resume = true
+	job.ResumeKey = "lfset-v1"
 	if _, err := Run(job); err != nil {
 		t.Fatal(err)
 	}
@@ -347,38 +248,31 @@ func TestResumeKeyGuardsManifests(t *testing.T) {
 }
 
 // TestFailedRunCommitsNothing: without Resume, a permanently failing job
-// removes whatever individual tasks had promoted — no partial shard set and
-// no runtime litter survives, restoring the old all-or-nothing contract.
+// leaves no runtime files behind — not even the checkpoints an earlier
+// resumable run of the same job left in its scratch area.
 func TestFailedRunCommitsNothing(t *testing.T) {
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", []string{"a", "b", "c", "d", "e", "f"}, 3)
-	job := Job{
-		Name: "doomed", FS: fs, InputBase: "in/w", OutputBase: "out/w",
-		Mapper: MapFunc(func(_ *TaskContext, rec []byte, emit Emitter) error {
-			emit("", rec)
-			return nil
-		}),
-		Parallelism: 1,
-		MaxAttempts: 2,
-		FailureHook: func(taskID string, _ int) error {
-			if taskID == "map-00002" {
-				return errors.New("permanent failure")
-			}
-			return nil
-		},
+	job := upperJob(fs, "in/w", 1)
+	job.MaxAttempts = 2
+	job.FailureHook = func(taskID string, _ int) error {
+		if taskID == "map-00002" {
+			return errors.New("permanent failure")
+		}
+		return nil
+	}
+	resumable := job
+	resumable.Resume = true
+	if _, err := Run(resumable); err == nil {
+		t.Fatal("doomed resumable job reported success")
+	}
+	if _, err := fs.Stat("in/w.runtime/_tasks/map-00000.out"); err != nil {
+		t.Fatalf("resumable run kept no checkpoint to clean up: %v", err)
 	}
 	if _, err := Run(job); err == nil {
 		t.Fatal("doomed job reported success")
 	}
-	paths, err := fs.List("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range paths {
-		if !strings.HasPrefix(p, "in/w") {
-			t.Errorf("failed run left %s behind", p)
-		}
-	}
+	onlyInput(t, fs, "in/w")
 }
 
 // countingWorker wraps the in-process backend to prove Job.Workers is a real
@@ -399,13 +293,7 @@ func (w countingWorker) RunTask(ctx context.Context, spec TaskSpec) (*TaskResult
 func TestCustomWorkerBackend(t *testing.T) {
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", []string{"x", "y", "z"}, 3)
-	job := Job{
-		Name: "custom", FS: fs, InputBase: "in/w", OutputBase: "out/w",
-		Mapper: MapFunc(func(_ *TaskContext, rec []byte, emit Emitter) error {
-			emit("", rec)
-			return nil
-		}),
-	}
+	job := upperJob(fs, "in/w", 0)
 	var n int64
 	var mu sync.Mutex
 	for _, inner := range newLocalPool(&job, 2) {
@@ -418,4 +306,5 @@ func TestCustomWorkerBackend(t *testing.T) {
 	if n != int64(res.Attempts) || n != 3 {
 		t.Errorf("custom backend saw %d attempts, result says %d, want 3", n, res.Attempts)
 	}
+	assertOutputs(t, res.MapOutputs, upperReference([]string{"x", "y", "z"}, 3))
 }

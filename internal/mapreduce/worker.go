@@ -3,79 +3,47 @@ package mapreduce
 import (
 	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
-	"sort"
 
 	"repro/internal/dfs"
 	"repro/internal/recordio"
 )
 
-// TaskKind distinguishes map from reduce tasks.
-type TaskKind int
-
-// Task kinds.
-const (
-	MapTask TaskKind = iota
-	ReduceTask
-)
-
-// String returns "map" or "reduce".
-func (k TaskKind) String() string {
-	if k == ReduceTask {
-		return "reduce"
-	}
-	return "map"
-}
-
 // TaskSpec describes one task attempt for a Worker. It carries only
-// data-plane information — paths on the distributed filesystem and layout
-// parameters — so that a future out-of-process backend can execute the same
-// spec; the user functions (Mapper/Reducer) belong to the worker, not the
-// spec.
+// data-plane information — paths on the distributed filesystem — so that an
+// out-of-process backend can execute the same spec; the Mapper belongs to
+// the worker, not the spec.
 type TaskSpec struct {
 	// Job is the owning job's name.
 	Job string
-	// Kind selects the map or reduce code path.
-	Kind TaskKind
-	// Index is the task index within its kind.
+	// Index is the task's input shard index.
 	Index int
 	// Attempt is the 1-based attempt number, unique across retries and
 	// speculative launches of the same task.
 	Attempt int
-	// Inputs are the task's input files: the single input shard for a map
-	// task, or the shuffle partition files (in map-task order) for a reduce
-	// task.
-	Inputs []string
+	// Input is the task's input shard.
+	Input string
 	// InputBase is the job's sharded input base path. Remote workers use it
 	// to build job code that needs a whole-corpus view (e.g. a labeling
 	// function's corpus-fit pass) before executing any task.
 	InputBase string
-	// Code names the worker-side implementation of the job's user functions
-	// (see Job.Code). The in-process backend carries its functions directly
-	// and ignores it; a remote worker resolves it in its job-code registry.
+	// Code names the worker-side implementation of the job's Mapper (see
+	// Job.Code). The in-process backend carries its Mapper directly and
+	// ignores it; a remote worker resolves it in its job-code registry.
 	Code string
-	// NumReducers, for map tasks of reducing jobs, is the partition count
-	// the task's emissions are split into. Zero means map-only.
-	NumReducers int
-	// Scratch is the job's runtime area; all attempt output is committed
+	// Scratch is the job's runtime area; a checkpoint file is committed
 	// under Scratch/_attempts/<task>/a<attempt> so a killed or losing
 	// attempt never touches a path any reader consumes.
 	Scratch string
-	// Collect asks the worker to return emitted values in memory instead of
-	// committing an output file (map-only jobs with Job.CollectOutput).
-	Collect bool
-	// Persist, with Collect, additionally commits the values to the scratch
-	// area so a resumed run can recover them without re-execution.
+	// Persist asks the worker to also commit the emitted values as a
+	// checkpoint file (Job.Resume), so a resumed run can recover them
+	// without re-execution.
 	Persist bool
-	// Generation echoes Job.Generation: the artifact generation an
-	// incremental job's output publishes, zero for full batch runs.
-	Generation int
 }
 
 // TaskID names the task within its job, e.g. "map-00002".
 func (s TaskSpec) TaskID() string {
-	return fmt.Sprintf("%s-%05d", s.Kind, s.Index)
+	return fmt.Sprintf("map-%05d", s.Index)
 }
 
 // attemptBase is the attempt-scoped path prefix all of this attempt's output
@@ -89,13 +57,12 @@ type TaskResult struct {
 	// TaskID and Attempt echo the spec.
 	TaskID  string
 	Attempt int
-	// Values holds the emitted values in order when the spec asked to
-	// Collect.
+	// Values holds the emitted values in order.
 	Values [][]byte
-	// Paths lists the attempt-scoped files this attempt committed: one per
-	// reduce partition for map tasks of reducing jobs (index == partition),
-	// otherwise at most one output file. The coordinator promotes a winning
-	// attempt's paths to their canonical names via atomic rename.
+	// Paths lists the attempt-scoped files this attempt committed: the
+	// checkpoint file when the spec asked to Persist, otherwise none. The
+	// coordinator promotes a winning attempt's checkpoint to the task's
+	// _tasks/ path via atomic rename.
 	Paths []string
 	// Records is the number of input records processed.
 	Records int
@@ -105,23 +72,22 @@ type TaskResult struct {
 	Counters map[string]int64
 }
 
-// Worker executes one map or reduce task attempt against a dfs.FS and
-// returns the committed attempt-scoped shard paths. Implementations must be
-// safe for one task at a time per Worker value; the coordinator runs one
-// goroutine per Worker. The in-process pool (newLocalPool) is the first
-// backend; the interface is the seam for out-of-process executors.
+// Worker executes one task attempt against a dfs.FS and returns the emitted
+// values. Implementations must be safe for one task at a time per Worker
+// value; the coordinator runs one goroutine per Worker. The in-process pool
+// (newLocalPool) is the first backend; the interface is the seam for
+// out-of-process executors.
 type Worker interface {
 	RunTask(ctx context.Context, spec TaskSpec) (*TaskResult, error)
 }
 
-// localWorker is the in-process backend: it holds the job's user functions
-// and executes attempts on the calling goroutine, one simulated compute node
-// per Worker.
+// localWorker is the in-process backend: it holds the job's Mapper and
+// executes attempts on the calling goroutine, one simulated compute node per
+// Worker.
 type localWorker struct {
 	fs          dfs.FS
 	jobName     string
 	mapper      Mapper
-	reducer     Reducer
 	failureHook func(taskID string, attempt int) error
 }
 
@@ -134,7 +100,6 @@ func newLocalPool(job *Job, n int) []Worker {
 			fs:          job.FS,
 			jobName:     job.Name,
 			mapper:      job.Mapper,
-			reducer:     job.Reducer,
 			failureHook: job.FailureHook,
 		}
 	}
@@ -148,38 +113,35 @@ func (w *localWorker) RunTask(ctx context.Context, spec TaskSpec) (*TaskResult, 
 			return &TaskResult{TaskID: spec.TaskID(), Attempt: spec.Attempt, Counters: map[string]int64{}}, err
 		}
 	}
-	return ExecuteTask(ctx, w.fs, spec, w.jobName, w.mapper, w.reducer)
+	return ExecuteTask(ctx, w.fs, spec, w.jobName, w.mapper)
 }
 
-// ExecuteTask runs one task attempt against fs with the given user
-// functions and commits the attempt-scoped output the spec asks for. It is
-// the data-plane half of a Worker, shared by the in-process pool and
-// out-of-process backends (internal/mapreduce/remote): a remote worker
-// resolves spec.Code to its Mapper/Reducer and calls ExecuteTask against
-// its coordinator's filesystem gateway. A failed attempt removes whatever
-// it already committed, so it never leaves partial output behind.
-func ExecuteTask(ctx context.Context, fs dfs.FS, spec TaskSpec, jobName string, mapper Mapper, reducer Reducer) (res *TaskResult, err error) {
-	w := &taskExec{fs: fs, jobName: jobName, mapper: mapper, reducer: reducer}
-	counters := NewCounterSet()
+// ExecuteTask runs one task attempt against fs with the given Mapper: read
+// the input shard, map its records, and return the emitted values —
+// committing them to an attempt-scoped checkpoint file when the spec asks to
+// Persist. It is the data-plane half of a Worker, shared by the in-process
+// pool and out-of-process backends (internal/mapreduce/remote): a remote
+// worker resolves spec.Code to its Mapper and calls ExecuteTask against its
+// coordinator's filesystem gateway. A failed attempt removes whatever it
+// already committed, so it never leaves partial output behind.
+func ExecuteTask(ctx context.Context, fs dfs.FS, spec TaskSpec, jobName string, mapper Mapper) (*TaskResult, error) {
 	tctx := &TaskContext{
 		Ctx:      ctx,
 		JobName:  jobName,
 		TaskID:   spec.TaskID(),
 		Attempt:  spec.Attempt,
-		Counters: counters,
+		Counters: NewCounterSet(),
 	}
-	if spec.Kind == ReduceTask {
-		res, err = w.runReduce(ctx, tctx, spec)
-	} else {
-		res, err = w.runMap(ctx, tctx, spec)
-	}
-	if err != nil && res != nil {
+	res := &TaskResult{TaskID: tctx.TaskID, Attempt: spec.Attempt}
+	err := runMap(ctx, fs, mapper, tctx, spec, res)
+	res.Counters = tctx.Counters.Snapshot()
+	if err != nil {
 		// A failed attempt must leave nothing behind: whatever it already
 		// committed to its attempt-scoped area is removed best-effort (the
 		// paths are attempt-scoped, so even a leak is never consumed).
 		//drybellvet:tightloop — cleanup must finish even under cancellation
 		for _, p := range res.Paths {
-			_ = w.fs.Remove(p)
+			_ = fs.Remove(p)
 		}
 		res.Paths = nil
 		res.Values = nil
@@ -187,47 +149,29 @@ func ExecuteTask(ctx context.Context, fs dfs.FS, spec TaskSpec, jobName string, 
 	return res, err
 }
 
-// taskExec is ExecuteTask's receiver: the filesystem and user functions one
-// attempt executes against.
-type taskExec struct {
-	fs      dfs.FS
-	jobName string
-	mapper  Mapper
-	reducer Reducer
-}
-
-// runMap executes one map task attempt: read the input shard, run the
-// mapper, and commit the emissions — partitioned for reducing jobs, in input
-// order otherwise — under the attempt-scoped scratch area.
-func (w *taskExec) runMap(ctx context.Context, tctx *TaskContext, spec TaskSpec) (*TaskResult, error) {
-	res := &TaskResult{TaskID: tctx.TaskID, Attempt: spec.Attempt}
-	defer func() { res.Counters = tctx.Counters.Snapshot() }()
-	if len(spec.Inputs) != 1 {
-		return res, fmt.Errorf("map task has %d inputs, want 1", len(spec.Inputs))
-	}
-	data, err := w.fs.ReadFile(spec.Inputs[0])
+// runMap is ExecuteTask's body: it fills res with the attempt's records,
+// values and checkpoint path.
+func runMap(ctx context.Context, fs dfs.FS, mapper Mapper, tctx *TaskContext, spec TaskSpec, res *TaskResult) error {
+	data, err := fs.ReadFile(spec.Input)
 	if err != nil {
-		return res, err
+		return err
 	}
-	records, err := recordio.ReadAll(bytes.NewReader(data))
+	records, err := recordio.Split(data)
 	if err != nil {
-		return res, err
+		return err
 	}
 	res.Records = len(records)
 
-	if err := w.mapper.Setup(tctx); err != nil {
-		return res, fmt.Errorf("setup: %w", err)
+	if err := mapper.Setup(tctx); err != nil {
+		return fmt.Errorf("setup: %w", err)
 	}
-	var pairs []kv
-	seq := 0
-	emit := func(key string, value []byte) {
+	emit := func(value []byte) {
 		cp := make([]byte, len(value))
 		copy(cp, value)
-		pairs = append(pairs, kv{key: key, value: cp, mapTask: spec.Index, seq: seq})
-		seq++
+		res.Values = append(res.Values, cp)
 	}
 	var mapErr error
-	if bm, ok := w.mapper.(BatchMapper); ok {
+	if bm, ok := mapper.(BatchMapper); ok {
 		if mapErr = ctx.Err(); mapErr == nil {
 			mapErr = bm.MapBatch(tctx, records, emit)
 		}
@@ -236,180 +180,31 @@ func (w *taskExec) runMap(ctx context.Context, tctx *TaskContext, spec TaskSpec)
 			if mapErr = ctx.Err(); mapErr != nil {
 				break
 			}
-			if mapErr = w.mapper.Map(tctx, rec, emit); mapErr != nil {
+			if mapErr = mapper.Map(tctx, rec, emit); mapErr != nil {
 				break
 			}
 		}
 	}
-	tdErr := w.mapper.Teardown(tctx)
+	tdErr := mapper.Teardown(tctx)
 	if mapErr != nil {
-		return res, mapErr
+		return mapErr
 	}
 	if tdErr != nil {
-		return res, fmt.Errorf("teardown: %w", tdErr)
+		return fmt.Errorf("teardown: %w", tdErr)
+	}
+	if !spec.Persist {
+		return nil
 	}
 
-	if spec.NumReducers > 0 {
-		return res, w.commitPartitions(res, spec, pairs)
-	}
-	values := pairsValues(pairs)
-	if spec.Collect {
-		res.Values = values
-		if !spec.Persist {
-			return res, nil
-		}
-	}
-	payload, err := encodeRecords(values)
-	if err != nil {
-		return res, err
-	}
-	path := spec.attemptBase() + ".out"
-	if err := w.fs.WriteFile(path, payload); err != nil {
-		return res, err
-	}
-	res.Paths = []string{path}
-	return res, nil
-}
-
-// commitPartitions splits a map attempt's emissions by key hash and commits
-// one shuffle file per reduce partition (empty partitions included, so the
-// reduce side needs no existence probing).
-func (w *taskExec) commitPartitions(res *TaskResult, spec TaskSpec, pairs []kv) error {
-	parts := make([][]kv, spec.NumReducers)
-	for _, p := range pairs {
-		r := partition(p.key, spec.NumReducers)
-		parts[r] = append(parts[r], p)
-	}
-	for r, part := range parts {
-		var buf bytes.Buffer
-		rw := recordio.NewWriter(&buf)
-		for _, p := range part {
-			if err := rw.Write(encodeKV(p.key, p.value)); err != nil {
-				return err
-			}
-		}
-		if err := rw.Flush(); err != nil {
-			return err
-		}
-		path := fmt.Sprintf("%s.p%05d", spec.attemptBase(), r)
-		if err := w.fs.WriteFile(path, buf.Bytes()); err != nil {
-			return err
-		}
-		res.Paths = append(res.Paths, path)
-	}
-	return nil
-}
-
-// runReduce executes one reduce task attempt: read every map task's shuffle
-// file for this partition, restore the deterministic (key, map task,
-// emission) order, fold each key group through the reducer, and commit one
-// attempt-scoped output shard.
-func (w *taskExec) runReduce(ctx context.Context, tctx *TaskContext, spec TaskSpec) (*TaskResult, error) {
-	res := &TaskResult{TaskID: tctx.TaskID, Attempt: spec.Attempt}
-	defer func() { res.Counters = tctx.Counters.Snapshot() }()
-	var part []kv
-	for mapIdx, path := range spec.Inputs {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		data, err := w.fs.ReadFile(path)
-		if err != nil {
-			return res, err
-		}
-		recs, err := recordio.ReadAll(bytes.NewReader(data))
-		if err != nil {
-			return res, fmt.Errorf("shuffle file %s: %w", path, err)
-		}
-		for seq, rec := range recs {
-			key, value, err := decodeKV(rec)
-			if err != nil {
-				return res, fmt.Errorf("shuffle file %s record %d: %w", path, seq, err)
-			}
-			part = append(part, kv{key: key, value: value, mapTask: mapIdx, seq: seq})
-		}
-	}
-	res.Records = len(part)
-	sort.Slice(part, func(a, b int) bool {
-		pa, pb := part[a], part[b]
-		if pa.key != pb.key {
-			return pa.key < pb.key
-		}
-		if pa.mapTask != pb.mapTask {
-			return pa.mapTask < pb.mapTask
-		}
-		return pa.seq < pb.seq
-	})
-
-	var out [][]byte
-	emit := func(_ string, value []byte) {
-		cp := make([]byte, len(value))
-		copy(cp, value)
-		out = append(out, cp)
-	}
-	for i := 0; i < len(part); {
-		if err := ctx.Err(); err != nil {
-			return res, err
-		}
-		j := i
-		for j < len(part) && part[j].key == part[i].key {
-			j++
-		}
-		values := make([][]byte, 0, j-i)
-		for k := i; k < j; k++ {
-			values = append(values, part[k].value)
-		}
-		if err := w.reducer.Reduce(tctx, part[i].key, values, emit); err != nil {
-			return res, err
-		}
-		i = j
-	}
-	payload, err := encodeRecords(out)
-	if err != nil {
-		return res, err
-	}
-	path := spec.attemptBase() + ".out"
-	if err := w.fs.WriteFile(path, payload); err != nil {
-		return res, err
-	}
-	res.Paths = []string{path}
-	return res, nil
-}
-
-// pairsValues projects emitted pairs to their values, preserving order.
-func pairsValues(pairs []kv) [][]byte {
-	vals := make([][]byte, len(pairs))
-	for i, p := range pairs {
-		vals[i] = p.value
-	}
-	return vals
-}
-
-// encodeRecords frames records as one recordio payload.
-func encodeRecords(recs [][]byte) ([]byte, error) {
 	var buf bytes.Buffer
-	if err := recordio.WriteAll(&buf, recs); err != nil {
-		return nil, err
+	buf.Grow(recordio.EncodedSize(res.Values))
+	if err := recordio.WriteAll(&buf, res.Values); err != nil {
+		return err
 	}
-	return buf.Bytes(), nil
-}
-
-// encodeKV frames one shuffled pair as uvarint key length + key + value.
-func encodeKV(key string, value []byte) []byte {
-	out := make([]byte, 0, binary.MaxVarintLen64+len(key)+len(value))
-	var lenBuf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(lenBuf[:], uint64(len(key)))
-	out = append(out, lenBuf[:n]...)
-	out = append(out, key...)
-	out = append(out, value...)
-	return out
-}
-
-// decodeKV parses a record framed by encodeKV.
-func decodeKV(rec []byte) (string, []byte, error) {
-	klen, n := binary.Uvarint(rec)
-	if n <= 0 || uint64(len(rec)-n) < klen {
-		return "", nil, fmt.Errorf("mapreduce: malformed shuffle record")
+	path := spec.attemptBase() + ".out"
+	if err := fs.WriteFile(path, buf.Bytes()); err != nil {
+		return err
 	}
-	key := string(rec[n : n+int(klen)])
-	return key, rec[n+int(klen):], nil
+	res.Paths = []string{path}
+	return nil
 }

@@ -178,7 +178,8 @@ func Split(data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// ReadAll decodes every record from r until EOF.
+// ReadAll decodes every record from r until EOF. It is the streaming
+// reference Split is held to (TestSplitMatchesReadAll, FuzzSplit).
 func ReadAll(r io.Reader) ([][]byte, error) {
 	rd := NewReader(r)
 	var out [][]byte

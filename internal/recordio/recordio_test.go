@@ -151,16 +151,16 @@ func TestBytesAccounting(t *testing.T) {
 	}
 }
 
-// TestSplitMatchesReadAll holds the in-place decoder to the streaming one:
-// over an intact stream, the stream with each byte flipped in turn, the stream
-// cut at every length and a frame announcing more than MaxRecordSize, Split
-// returns the records ReadAll returns and fails with the error ReadAll fails
-// with — while copying nothing.
-func TestSplitMatchesReadAll(t *testing.T) {
+// splitStreams is the corpus TestSplitMatchesReadAll checks and FuzzSplit
+// starts from: an intact stream, the empty stream, a frame announcing more
+// than MaxRecordSize, and the intact stream with each byte flipped in turn
+// and cut at every length. It returns the intact stream first.
+func splitStreams(tb testing.TB) [][]byte {
+	tb.Helper()
 	records := [][]byte{[]byte("hello"), {}, []byte("a longer third record"), {0, 1, 2, 255}}
 	var buf bytes.Buffer
 	if err := WriteAll(&buf, records); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	intact := buf.Bytes()
 	streams := [][]byte{intact, nil, {'S', 'D', 'R', 'B', 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0}}
@@ -169,24 +169,42 @@ func TestSplitMatchesReadAll(t *testing.T) {
 		flipped[i] ^= 0x40
 		streams = append(streams, flipped, intact[:i])
 	}
-	for _, data := range streams {
-		want, wantErr := ReadAll(bytes.NewReader(data))
-		got, gotErr := Split(data)
-		if len(got) != len(want) {
-			t.Fatalf("stream %q: Split returned %d records, ReadAll %d", data, len(got), len(want))
-		}
-		for i := range want {
-			if !bytes.Equal(got[i], want[i]) {
-				t.Fatalf("stream %q: record %d = %q, ReadAll says %q", data, i, got[i], want[i])
-			}
-		}
-		if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
-			t.Fatalf("stream %q: Split error %v, ReadAll error %v", data, gotErr, wantErr)
-		}
-		if errors.Is(gotErr, ErrCorrupt) != errors.Is(wantErr, ErrCorrupt) || errors.Is(gotErr, ErrTooLarge) != errors.Is(wantErr, ErrTooLarge) {
-			t.Fatalf("stream %q: Split error %v wraps other causes than %v", data, gotErr, wantErr)
+	return streams
+}
+
+// compareSplit fails unless Split returns the records ReadAll returns for
+// data, and an error of the same class: ErrCorrupt, ErrTooLarge or none. It
+// returns both errors.
+func compareSplit(t *testing.T, data []byte) (gotErr, wantErr error) {
+	t.Helper()
+	want, wantErr := ReadAll(bytes.NewReader(data))
+	got, gotErr := Split(data)
+	if len(got) != len(want) {
+		t.Fatalf("stream %q: Split returned %d records, ReadAll %d", data, len(got), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(got[i], want[i]) {
+			t.Fatalf("stream %q: record %d = %q, ReadAll says %q", data, i, got[i], want[i])
 		}
 	}
+	if (gotErr == nil) != (wantErr == nil) || errors.Is(gotErr, ErrCorrupt) != errors.Is(wantErr, ErrCorrupt) || errors.Is(gotErr, ErrTooLarge) != errors.Is(wantErr, ErrTooLarge) {
+		t.Fatalf("stream %q: Split error %v is another class than ReadAll's %v", data, gotErr, wantErr)
+	}
+	return gotErr, wantErr
+}
+
+// TestSplitMatchesReadAll holds the in-place decoder to the streaming one:
+// over splitStreams, Split returns the records ReadAll returns and fails with
+// the error ReadAll fails with — while copying nothing.
+func TestSplitMatchesReadAll(t *testing.T) {
+	streams := splitStreams(t)
+	for _, data := range streams {
+		gotErr, wantErr := compareSplit(t, data)
+		if gotErr != nil && gotErr.Error() != wantErr.Error() {
+			t.Fatalf("stream %q: Split error %v, ReadAll error %v", data, gotErr, wantErr)
+		}
+	}
+	intact := streams[0]
 	got, err := Split(intact)
 	if err != nil {
 		t.Fatal(err)
@@ -194,4 +212,15 @@ func TestSplitMatchesReadAll(t *testing.T) {
 	if &got[0][0] != &intact[headerSize] {
 		t.Error("Split copied the first record out of the stream")
 	}
+}
+
+// FuzzSplit holds Split to ReadAll on arbitrary bytes: the same records, the
+// same error class, and no panic from either.
+func FuzzSplit(f *testing.F) {
+	for _, data := range splitStreams(f) {
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		compareSplit(t, data)
+	})
 }

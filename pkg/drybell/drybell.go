@@ -182,7 +182,7 @@ func (p *Pipeline[T]) InputPath() string { return p.cfg.InputBase() }
 
 // LabelsPath returns the DFS base path where Persist writes the
 // probabilistic labels.
-func (p *Pipeline[T]) LabelsPath() string { return p.cfg.LabelsOutputBase() }
+func (p *Pipeline[T]) LabelsPath() string { return p.cfg.LabelsBase() }
 
 // VotesBase returns the DFS base path of the columnar vote artifact
 // ExecuteLFs maintains: every executed function's votes in one sharded,
@@ -288,7 +288,7 @@ func (p *Pipeline[T]) Denoise(ctx context.Context, matrix *Matrix) (*Model, []fl
 // and returns the DFS base path they were written under.
 func (p *Pipeline[T]) Persist(ctx context.Context, labels []float64) (string, error) {
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
-	path := p.cfg.LabelsOutputBase()
+	path := p.cfg.LabelsBase()
 	err := core.PersistLabels(p.cfg.ObsContext(ctx), p.cfg.FS, path, labels, p.cfg.Shards)
 	p.emit(StageEvent{Stage: StagePersist, Start: start, Duration: time.Since(start), Examples: len(labels), LabelsPath: path, Err: err})
 	if err != nil {
@@ -300,7 +300,7 @@ func (p *Pipeline[T]) Persist(ctx context.Context, labels []float64) (string, er
 // Labels reads back the labels a previous Persist wrote, restoring input
 // order — the consumer side of the filesystem hand-off.
 func (p *Pipeline[T]) Labels() ([]float64, error) {
-	return core.ReadLabels(p.cfg.FS, p.cfg.LabelsOutputBase())
+	return core.ReadLabels(p.cfg.FS, p.cfg.LabelsBase())
 }
 
 func (p *Pipeline[T]) emit(ev StageEvent) {

@@ -1,5 +1,5 @@
 // Package dfspath enforces how DFS keys are built. The runtime's
-// _attempts/, _manifest/, and _shuffle/ layout — and every prefix-based
+// _attempts/, _manifest/, and _tasks/ layout — and every prefix-based
 // List and cleanup over it — assumes forward-slash keys that are cleaned
 // the way path.Join cleans them. Two constructs break that silently on
 // other platforms or on untrimmed input:
