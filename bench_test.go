@@ -669,7 +669,7 @@ func BenchmarkIncremental(b *testing.B) {
 			if _, err := core.StageDelta(ctx, cfg, core.Examples(delta), nil); err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.IncrementalRun(ctx, cfg, runners, prev)
+			res, err := core.IncrementalRun(ctx, cfg, runners, &core.Carried{State: prev, View: baseRes.View})
 			if err != nil {
 				b.Fatal(err)
 			}

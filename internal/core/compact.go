@@ -33,17 +33,13 @@ import (
 // A crash mid-compaction leaves at worst a folded corpus ledger with the vote
 // chain still standing, which loads correctly and is repaired by running
 // Compact again.
-func Compact[T any](cfg Config[T]) error {
-	_, err := CompactCarried(cfg, nil)
-	return err
-}
-
-// CompactCarried is Compact for a caller carrying the last round's view of
-// the vote store (IncrementalResult.View, or nil): the vote chain folds from
-// that view instead of being read back whenever the view holds exactly what
-// the chain holds (lf.CompactView). It returns the view to carry on with —
-// the same rows, at the watermark of the flat artifact just written.
-func CompactCarried[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
+//
+// view is the caller's view of the vote store (Result.View or
+// IncrementalResult.View), or nil: the vote chain folds from it instead of
+// being read back whenever it holds exactly what the chain holds
+// (lf.CompactView). Compact returns the view to carry on with — the same
+// rows, at the watermark of the flat artifact just written.
+func Compact[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
@@ -120,8 +116,9 @@ func CompactCarried[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
 
 // resetCorpusLedger empties the corpus delta ledger, whose entries are gens.
 // Its callers reset the vote generation chain next — Compact folds it into
-// the flat artifact, staging a new base corpus drops it unread, since the
-// votes it holds are for a corpus about to be superseded — and in that order:
+// the flat artifact, staging a new base corpus drops it and the flat artifact
+// unread, since the votes they hold are for a corpus about to be superseded —
+// and in that order:
 // if we crash in between, the vote chain still stands over an empty ledger —
 // reads stay correct and a Compact retry folds it — whereas resetting votes
 // first would reset the generation counter under a manifest that still lists

@@ -57,7 +57,7 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	if _, err := StageDelta(ctx, cfg, Examples(delta), deleted); err != nil {
 		t.Fatal(err)
 	}
-	if err := Compact(cfg); err == nil {
+	if _, err := Compact(cfg, nil); err == nil {
 		t.Fatal("Compact folded a pending, unexecuted delta")
 	}
 	inc, err := IncrementalRun(ctx, cfg, lfs, nil)
@@ -68,7 +68,7 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 		t.Fatalf("incremental round executed %d documents as generations %v, want the %d delta documents as [1]",
 			inc.DeltaExamples, inc.Generations, len(delta))
 	}
-	if err := Compact(cfg); err != nil {
+	if _, err := Compact(cfg, nil); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 
@@ -128,7 +128,7 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	}
 
 	// Compact again with an executed chain: idempotent housekeeping.
-	if err := Compact(cfg); err != nil {
+	if _, err := Compact(cfg, nil); err != nil {
 		t.Fatalf("second Compact: %v", err)
 	}
 	if total, err := CorpusTotalRows(cfg); err != nil || total != 678 {
@@ -195,7 +195,7 @@ func TestCompactRefusesAllTombstoned(t *testing.T) {
 	if _, err := IncrementalRun(ctx, cfg, lfs, nil); !errors.Is(err, lf.ErrAllTombstoned) {
 		t.Fatalf("IncrementalRun = %v, want ErrAllTombstoned", err)
 	}
-	if err := Compact(cfg); !errors.Is(err, lf.ErrAllTombstoned) {
+	if _, err := Compact(cfg, nil); !errors.Is(err, lf.ErrAllTombstoned) {
 		t.Fatalf("Compact = %v, want ErrAllTombstoned", err)
 	}
 	if gens, err := CorpusGenerations(cfg); err != nil || len(gens) != 1 {

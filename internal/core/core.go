@@ -230,6 +230,11 @@ type Result struct {
 	LabelsPath string
 	// Timings break down the run.
 	Timings Timings
+	// View is Matrix as the view of the vote artifact the run published, at
+	// its watermark: carried into IncrementalRun it makes the first round read
+	// only its delta. Read it; do not write to it (a later round's view shares
+	// its rows).
+	View *lf.View
 }
 
 // Timings records per-stage wall time.
@@ -320,7 +325,7 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 	// Stage 2: execute the labeling functions on the distributed runtime.
 	t1 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
 	cfg.knownExamples = n
-	res.Matrix, res.LFReport, err = ExecuteLFs(ctx, cfg, lfs)
+	res.View, res.LFReport, err = ExecuteLFs(ctx, cfg, lfs)
 	ev := StageEvent{Stage: StageExecuteLFs, Start: t1, Duration: time.Since(t1), Examples: n, Report: res.LFReport, Err: err}
 	if res.LFReport != nil {
 		ev.Resumed = res.LFReport.ResumedFromVotes
@@ -329,6 +334,7 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 	if err != nil {
 		return nil, err
 	}
+	res.Matrix = res.View.Matrix
 	res.Timings.Execute = time.Since(t1)
 
 	// Stage 2b: the development-loop analysis over the fresh matrix —
@@ -401,9 +407,9 @@ func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, n
 // filesystem as the pipeline's sharded input (stage 1), returning the number
 // of examples staged. The source is consumed exactly once and never
 // materialized as a slice. An empty source is an error, and nothing is
-// committed for it. Staging a base corpus supersedes whatever stood over the
-// previous one: the corpus delta ledger and the vote generation chain are
-// reset before the new shards commit.
+// committed for it. Staging a base corpus supersedes the previous one and
+// whatever stood over it: the corpus delta ledger is reset and the vote store
+// emptied before the new shards commit.
 func StageExamples[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error]) (int, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
@@ -553,10 +559,12 @@ func stageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byt
 		return 0, fmt.Errorf("drybell: no examples")
 	}
 	if gen == 0 {
-		// A new generation 0 supersedes every generation layered over the
-		// old one. Reset the ledgers before the new shards commit, so a
-		// crash leaves the old base or the new base without deltas — never
-		// a new base under the old base's deltas.
+		// A new generation 0 supersedes the old one and every generation
+		// layered over it. Reset the ledgers and empty the vote store before
+		// the new shards commit, so a crash leaves the old base (with its
+		// votes, or with none) or the new base without deltas — never a new
+		// base under the old base's deltas, nor under its vote columns, which
+		// a later run over as many rows would merge as its own.
 		gens, err := readCorpusManifest(cfg)
 		if err != nil {
 			return 0, err
@@ -564,7 +572,7 @@ func stageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byt
 		if err := resetCorpusLedger(cfg, gens); err != nil {
 			return 0, err
 		}
-		if err := lf.DropGenerations(cfg.FS, cfg.votesBase()); err != nil {
+		if err := lf.DropGenerations(cfg.FS, cfg.votesBase(), true); err != nil {
 			return 0, err
 		}
 	}
@@ -579,12 +587,15 @@ func stageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byt
 // once and evaluates every function over it — and assembles the label matrix.
 // It requires a prior StageExamples with the same FS and WorkDir — possibly
 // from another process, since the staged corpus lives on the filesystem.
-func ExecuteLFs[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]) (*labelmodel.Matrix, *lf.Report, error) {
+//
+// The matrix comes as the view of the vote artifact it was published in (see
+// Result.View).
+func ExecuteLFs[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]) (*lf.View, *lf.Report, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, nil, err
 	}
-	mx, report, err := cfg.executor().ExecuteContext(cfg.ObsContext(ctx), lfs)
+	view, report, err := cfg.executor().ExecuteContext(cfg.ObsContext(ctx), lfs)
 	// Attempt-outcome counters flow into the shared registry here so both
 	// the composed pipeline and a standalone ExecuteLFs report through the
 	// same pipe as the serving tier.
@@ -600,7 +611,7 @@ func ExecuteLFs[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]) (*
 			"Tasks satisfied from a prior run's checkpoints instead of re-executing.").
 			Add(int64(report.TasksResumed))
 	}
-	return mx, report, err
+	return view, report, err
 }
 
 // LoadMatrix reassembles the label matrix from vote state earlier runs left

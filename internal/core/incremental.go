@@ -11,6 +11,11 @@
 // produces vote generation n; the base corpus and the flat vote artifact
 // are both "generation 0", so the two ledgers advance in lockstep and the
 // vote store itself records how far execution has progressed.
+//
+// Every round goes through IncrementalRun with what the previous round left
+// (Carried). A batch run is the round over an empty store: staging its corpus
+// empties the vote store, and it leaves the view it published (Result.View),
+// so the first delta round after it reads only the delta.
 package core
 
 import (
@@ -120,20 +125,23 @@ func CorpusTotalRows[T any](cfg Config[T]) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return corpusTotalRows(cfg)
+	_, chain, err := corpusLedger(cfg)
+	return chain.Rows, err
 }
 
-func corpusTotalRows[T any](cfg Config[T]) (int, error) {
+// corpusLedger reads the corpus ledger and folds it over the staged base
+// corpus.
+func corpusLedger[T any](cfg Config[T]) ([]CorpusGeneration, lf.Chain, error) {
 	base, err := mapreduce.StagedCount(cfg.FS, cfg.InputBase())
 	if err != nil {
-		return 0, fmt.Errorf("drybell: no staged base corpus at %s: %w", cfg.InputBase(), err)
+		return nil, lf.Chain{}, fmt.Errorf("drybell: no staged base corpus at %s: %w", cfg.InputBase(), err)
 	}
 	gens, err := readCorpusManifest(cfg)
 	if err != nil {
-		return 0, err
+		return nil, lf.Chain{}, err
 	}
 	chain, err := foldCorpus(base, gens)
-	return chain.Rows, err
+	return gens, chain, err
 }
 
 // foldCorpus folds the corpus ledger over a base corpus of baseRows rows by
@@ -158,52 +166,44 @@ func foldCorpus(baseRows int, gens []CorpusGeneration) (lf.Chain, error) {
 // Rewrites of existing documents are staged by StageDeltaAt with an explicit
 // start row inside the covered range.
 func StageDelta[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], deleted []int) (CorpusGeneration, error) {
-	cfg, err := cfg.WithDefaults()
-	if err != nil {
-		return CorpusGeneration{}, err
-	}
-	total, err := corpusTotalRows(cfg)
-	if err != nil {
-		return CorpusGeneration{}, err
-	}
-	return stageDeltaAt(ctx, cfg, src, total, deleted)
+	return stageDelta(ctx, cfg, src, -1, deleted)
 }
 
 // StageDeltaAt is StageDelta with an explicit start row: the delta's
 // documents supersede rows [startRow, startRow+n) of the staging order —
 // how changed documents re-enter the pipeline.
 func StageDeltaAt[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], startRow int, deleted []int) (CorpusGeneration, error) {
-	cfg, err := cfg.WithDefaults()
+	if startRow < 0 {
+		return CorpusGeneration{}, fmt.Errorf("drybell: delta start row %d, want >= 0", startRow)
+	}
+	return stageDelta(ctx, cfg, src, startRow, deleted)
+}
+
+// stageDelta is StageDelta and StageDeltaAt: a negative startRow appends
+// after the rows staged so far.
+func stageDelta[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], startRow int, deleted []int) (g CorpusGeneration, err error) {
+	cfg, err = cfg.WithDefaults()
 	if err != nil {
 		return CorpusGeneration{}, err
 	}
-	total, err := corpusTotalRows(cfg)
-	if err != nil {
-		return CorpusGeneration{}, err
-	}
-	if startRow < 0 || startRow > total {
-		return CorpusGeneration{}, fmt.Errorf("drybell: delta start row %d outside the %d staged rows", startRow, total)
-	}
-	return stageDeltaAt(ctx, cfg, src, startRow, deleted)
-}
-
-func stageDeltaAt[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], startRow int, deleted []int) (CorpusGeneration, error) {
-	_, span := obs.StartSpan(ctx, "stage.delta", obs.Int("start_row", startRow), obs.Int("deleted", len(deleted)))
-	gen, err := stageDelta(ctx, cfg, src, startRow, deleted)
-	span.SetAttr(obs.Int("generation", gen.Gen), obs.Int("records", gen.Records))
-	span.EndErr(err)
-	return gen, err
-}
-
-func stageDelta[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], startRow int, deleted []int) (CorpusGeneration, error) {
+	_, span := obs.StartSpan(ctx, "stage.delta", obs.Int("deleted", len(deleted)))
+	defer func() {
+		span.SetAttr(obs.Int("start_row", g.StartRow), obs.Int("generation", g.Gen), obs.Int("records", g.Records))
+		span.EndErr(err)
+	}()
 	if src == nil && len(deleted) == 0 {
 		return CorpusGeneration{}, fmt.Errorf("drybell: delta with no documents and no deletions")
 	}
-	gens, err := readCorpusManifest(cfg)
+	gens, chain, err := corpusLedger(cfg)
 	if err != nil {
 		return CorpusGeneration{}, err
 	}
-	g := CorpusGeneration{
+	if startRow < 0 {
+		startRow = chain.Rows
+	} else if startRow > chain.Rows {
+		return CorpusGeneration{}, fmt.Errorf("drybell: delta start row %d outside the %d staged rows", startRow, chain.Rows)
+	}
+	g = CorpusGeneration{
 		Gen:          len(gens) + 1,
 		StartRow:     startRow,
 		Deleted:      append([]int(nil), deleted...),
@@ -233,8 +233,8 @@ type IncrementalResult struct {
 	// State feeds the next IncrementalRun's warm start.
 	State *labelmodel.TrainState
 	// View is Matrix with the watermark of what it merged from the vote
-	// store; carried into the next round (IncrementalRunCarried) it makes
-	// that round read only the generations published since.
+	// store; carried into the next round (Carried.View) it makes that round
+	// read only the generations published since.
 	View *lf.View
 	// ViewRebuilt is why this round read the whole vote store instead of
 	// carrying the previous round's view forward (one of lf's Rebuilt*
@@ -267,6 +267,15 @@ type IncrementalResult struct {
 	LabelsPath string
 }
 
+// Carried is what one round leaves for the next: the view of the vote store
+// it ended on and the training state over that view (IncrementalResult's
+// View and State; a batch run's Result.View, with no state). They go
+// together: the state's compaction is of the view's rows.
+type Carried struct {
+	State *labelmodel.TrainState
+	View  *lf.View
+}
+
 // IncrementalRun advances the pipeline by the staged-but-unexecuted corpus
 // deltas: each pending delta runs through lf.ExecuteDelta (labeling
 // functions over delta shards only, one vote generation per delta), the
@@ -274,44 +283,19 @@ type IncrementalResult struct {
 // over the full corpus. It requires a completed base run (Run/RunContext
 // with the same FS and WorkDir) to have published the flat vote artifact.
 //
+// prev is what the previous round — or the base run — left (nil to start
+// cold). The round then costs delta work plus train and persist — it reads
+// only the vote generations published since the view's watermark and
+// compacts only their rows — whenever the store merely grew at its end under
+// the same functions in the same order. On anything else (lf.LoadView's
+// rebuild reasons) it reads the store and compacts the view from scratch, as
+// a round without state does; the result is the same either way, bit for bit.
+//
 // Training always uses the sampling-free fast trainer — warm starting is
 // its capability — regardless of Config.Trainer; warm and cold runs produce
 // the identical model (the optimizer is a pure function of the vote matrix;
-// see labelmodel's equivalence tests). prev may be nil (first incremental
-// run, or after a process restart without persisted state): training still
-// covers the full view, only the warm start's compaction reuse is lost.
-//
-// A prev handed in here comes without the view it was trained on, so it is
-// the caller's word that its compaction covers the store's rows as executed
-// so far, in lfs' column order; IncrementalRunCarried is the form that checks.
-func IncrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState) (*IncrementalResult, error) {
-	return incrementalObserved(ctx, cfg, lfs, &Carried{State: prev}, nil)
-}
-
-// Carried is what an incremental round leaves for the next: the training
-// state and the view of the vote store it was trained on (IncrementalResult's
-// State and View). They go together: the state's compaction is of the view's
-// rows.
-type Carried struct {
-	State *labelmodel.TrainState
-	View  *lf.View
-}
-
-// IncrementalRunCarried is IncrementalRun for a caller that keeps the previous
-// round's result (nil to start cold). The round then costs delta work plus
-// train and persist — it reads only the vote generations published since the
-// view's watermark and compacts only their rows — whenever the store merely
-// grew at its end under the same functions in the same order. On anything
-// else (lf.LoadView's rebuild reasons) it reads the store and compacts the
-// view from scratch, as a round without state does; the result is the same
-// either way, bit for bit.
-func IncrementalRunCarried[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *Carried) (*IncrementalResult, error) {
-	return incrementalObserved(ctx, cfg, lfs, prev, nil)
-}
-
-// incrementalObserved is IncrementalRun with a per-stage observer, as
-// RunObserved is to Run.
-func incrementalObserved[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *Carried, hook StageHook) (*IncrementalResult, error) {
+// see labelmodel's equivalence tests).
+func IncrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *Carried) (*IncrementalResult, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
@@ -325,7 +309,7 @@ func incrementalObserved[T any](ctx context.Context, cfg Config[T], lfs []lfapi.
 	if prev == nil {
 		prev = &Carried{}
 	}
-	res, err := incrementalRun(ctx, cfg, lfs, prev.State, prev.View, cfg.emitter(hook))
+	res, err := incrementalRun(ctx, cfg, lfs, prev.State, prev.View)
 	if res != nil {
 		span.SetAttr(
 			obs.Int("delta_examples", res.DeltaExamples),
@@ -341,14 +325,12 @@ func incrementalObserved[T any](ctx context.Context, cfg Config[T], lfs []lfapi.
 	return res, err
 }
 
-func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState, view *lf.View, emit func(StageEvent)) (*IncrementalResult, error) {
+// incrementalRun is IncrementalRun's body, as runPipeline is RunObserved's.
+// cfg arrives defaulted.
+func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState, view *lf.View) (*IncrementalResult, error) {
 	exec := cfg.executor()
 	votesBase := cfg.votesBase()
 	names := lfapi.Names(lfs)
-	gens, err := readCorpusManifest(cfg)
-	if err != nil {
-		return nil, err
-	}
 	executed, err := lf.LatestGeneration(cfg.FS, votesBase)
 	if err != nil {
 		return nil, err
@@ -356,30 +338,15 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	if executed == 0 && !lf.HasVotes(cfg.FS, votesBase) {
 		return nil, fmt.Errorf("drybell: incremental run needs a completed base run (no vote artifact at %s)", votesBase)
 	}
-	baseRows, err := mapreduce.StagedCount(cfg.FS, cfg.InputBase())
+	gens, _, err := corpusLedger(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("drybell: no staged base corpus at %s: %w", cfg.InputBase(), err)
+		return nil, err
 	}
 
 	res := &IncrementalResult{}
-	// A compaction handed in without its view is taken to cover the store as
-	// it stands before this round executes anything: read that view now, so
-	// that one rule — did the view only grow — decides below whether the
-	// compaction's prefix survived. A store that does not read is left to
-	// the load after execution to report (the pending deltas may mend it).
-	preloaded := view == nil && prev != nil && prev.Compact != nil
-	if preloaded {
-		var read lf.ViewRead
-		view, read, _ = lf.LoadView(cfg.FS, votesBase, names, nil)
-		res.SegmentsScanned, res.RowsScanned = read.Segments, read.Rows
-	}
 	compactedRows := 0
 	if view != nil {
 		compactedRows = view.Matrix.NumExamples()
-	}
-
-	if _, err := foldCorpus(baseRows, gens); err != nil {
-		return nil, err
 	}
 	now := time.Now() //drybellvet:wallclock — staleness metric only, never in artifacts
 	for _, g := range gens {
@@ -410,11 +377,7 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 		return nil, err
 	}
 	res.View, res.ViewRebuilt = view, read.Rebuilt
-	res.SegmentsScanned += read.Segments
-	res.RowsScanned += read.Rows
-	if preloaded {
-		res.ViewRebuilt = lf.RebuiltNoState
-	}
+	res.SegmentsScanned, res.RowsScanned = read.Segments, read.Rows
 
 	if prev != nil && prev.Compact != nil && (read.Rebuilt != "" || prev.Compact.NumExamples() != compactedRows) {
 		// Drop the compaction: the view's rows shifted or changed under it,
@@ -435,7 +398,7 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 		res.State = state
 		return model, model.CompactPosteriors(state.Compact), nil
 	}
-	if err := denoiseAndPersist(ctx, cfg, out, TrainerSamplingFreeFast, fit, emit); err != nil {
+	if err := denoiseAndPersist(ctx, cfg, out, TrainerSamplingFreeFast, fit, cfg.emitter(nil)); err != nil {
 		return nil, err
 	}
 	res.Matrix, res.Model, res.Posteriors, res.LabelsPath = out.Matrix, out.Model, out.Posteriors, out.LabelsPath

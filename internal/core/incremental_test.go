@@ -57,7 +57,7 @@ func TestIncrementalRunMatchesColdRerun(t *testing.T) {
 	if g.Gen != 1 || g.StartRow != 1500 || g.Records != 150 {
 		t.Fatalf("staged delta = %+v", g)
 	}
-	inc, err := IncrementalRun(context.Background(), cfg, lfs, prev)
+	inc, err := IncrementalRun(context.Background(), cfg, lfs, &Carried{State: prev, View: baseRes.View})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestIncrementalRunCaughtUpAndDeletions(t *testing.T) {
 	if _, err := StageDelta(context.Background(), cfg, nil, deleted); err != nil {
 		t.Fatal(err)
 	}
-	inc2, err := IncrementalRun(context.Background(), cfg, lfs, inc.State)
+	inc2, err := IncrementalRun(context.Background(), cfg, lfs, &Carried{State: inc.State, View: inc.View})
 	if err != nil {
 		t.Fatal(err)
 	}

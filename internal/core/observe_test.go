@@ -13,8 +13,9 @@ import (
 // TestDenoisePersistObservable: a batch run and an incremental round go
 // through one train→persist tail, so both are observable the same way — a
 // stage.denoise and a stage.persist span directly under the run's root span,
-// a StageDenoise and a StagePersist event over every row, and one
-// pipeline_stage_seconds observation per stage.
+// the persist span counting every row, and one pipeline_stage_seconds
+// observation per stage. The batch run also delivers a StageDenoise and a
+// StagePersist event over every row to its hook.
 func TestDenoisePersistObservable(t *testing.T) {
 	ctx := context.Background()
 	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 330, PositiveRate: 0.05, Seed: 53})
@@ -27,17 +28,18 @@ func TestDenoisePersistObservable(t *testing.T) {
 	for _, tc := range []struct {
 		name, root string
 		rows       int
+		hooked     bool // the run takes a StageHook
 		run        func(cfg Config[*corpus.Document], hook StageHook) error
 	}{
-		{"run", "pipeline.run", 300, func(cfg Config[*corpus.Document], hook StageHook) error {
+		{"run", "pipeline.run", 300, true, func(cfg Config[*corpus.Document], hook StageHook) error {
 			_, err := RunObserved(ctx, cfg, Examples(docs[:300]), lfs, hook)
 			return err
 		}},
-		{"incremental", "pipeline.incremental", 330, func(cfg Config[*corpus.Document], hook StageHook) error {
+		{"incremental", "pipeline.incremental", 330, false, func(cfg Config[*corpus.Document], _ StageHook) error {
 			if _, err := StageDelta(ctx, cfg, Examples(docs[300:]), nil); err != nil {
 				return err
 			}
-			_, err := incrementalObserved(ctx, cfg, lfs, nil, hook)
+			_, err := IncrementalRun(ctx, cfg, lfs, nil)
 			return err
 		}},
 	} {
@@ -66,21 +68,39 @@ func TestDenoisePersistObservable(t *testing.T) {
 				} else if span.Parent != root.ID {
 					t.Errorf("stage.%s is not a child of %s", stage, tc.root)
 				}
+				h := cfg.Obs.Metrics.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
+					obs.DefLatencyBuckets, obs.Label{Key: "stage", Value: string(stage)})
+				if h.Count() != 1 {
+					t.Errorf("pipeline_stage_seconds{stage=%q} has %d observations, want 1", stage, h.Count())
+				}
+				if !tc.hooked {
+					continue
+				}
 				ev, ok := events[stage]
 				if !ok {
 					t.Errorf("no %s event delivered", stage)
 				} else if ev.Err != nil || ev.Examples != tc.rows {
 					t.Errorf("%s event = %d examples, err %v; want %d", stage, ev.Examples, ev.Err, tc.rows)
 				}
-				h := cfg.Obs.Metrics.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
-					obs.DefLatencyBuckets, obs.Label{Key: "stage", Value: string(stage)})
-				if h.Count() != 1 {
-					t.Errorf("pipeline_stage_seconds{stage=%q} has %d observations, want 1", stage, h.Count())
-				}
 			}
-			if events[StagePersist].LabelsPath != cfg.LabelsBase() {
+			if labels := spanInt(byName["stage.persist"], "labels"); labels != tc.rows {
+				t.Errorf("stage.persist span counts %d labels, want %d", labels, tc.rows)
+			}
+			if tc.hooked && events[StagePersist].LabelsPath != cfg.LabelsBase() {
 				t.Errorf("persist event names %q, want %q", events[StagePersist].LabelsPath, cfg.LabelsBase())
 			}
 		})
 	}
+}
+
+// spanInt is the integer attribute key of span, -1 when it has none.
+func spanInt(span obs.SpanData, key string) int {
+	for _, a := range span.Attrs {
+		if a.Key == key {
+			if v, ok := a.Value.(int64); ok {
+				return int(v)
+			}
+		}
+	}
+	return -1
 }

@@ -1,7 +1,6 @@
 package labelmodel
 
 import (
-	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -44,25 +43,11 @@ import (
 // The result agrees with a converged full-batch run of the reference
 // trainer to within fractions of the equivalence-test tolerance (see
 // fast_test.go); because updates are deterministic, repeated runs are
-// bit-identical for a fixed GOMAXPROCS.
+// bit-identical for a fixed GOMAXPROCS. It is TrainSamplingFreeFastWarm's
+// cold start, without the state.
 func TrainSamplingFreeFast(mx *Matrix, opts Options) (*Model, error) {
-	opts = opts.withDefaults()
-	if mx == nil {
-		return nil, fmt.Errorf("labelmodel: nil matrix")
-	}
-	// Validation is folded into the compaction pass: the packing loop already
-	// touches every entry, so a separate Validate scan would double the
-	// preprocessing cost for nothing.
-	cm, err := mx.compactChecked()
-	if err != nil {
-		return nil, err
-	}
-	ft := newFastTrainer(cm, opts)
-	alpha, beta, err := ft.run()
-	if err != nil {
-		return nil, err
-	}
-	return &Model{Alpha: alpha, Beta: beta, LogPriorOdds: opts.logPriorOdds()}, nil
+	model, _, err := TrainSamplingFreeFastWarm(mx, opts, nil)
+	return model, err
 }
 
 // minCoverage floors the per-LF empirical coverage used by the β profile,

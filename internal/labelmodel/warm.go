@@ -59,6 +59,9 @@ func TrainSamplingFreeFastWarm(mx *Matrix, opts Options, prev *TrainState) (*Mod
 	if extendable {
 		cm, err = ExtendCompact(prev.Compact, mx)
 	} else {
+		// Validation is folded into the compaction pass: the packing loop
+		// already touches every entry, so a separate Validate scan would
+		// double the preprocessing cost for nothing.
 		cm, err = mx.compactChecked()
 	}
 	if err != nil {

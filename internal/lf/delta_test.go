@@ -160,7 +160,7 @@ func TestExecuteDeltaRewrite(t *testing.T) {
 }
 
 // TestCompactGenerationsMatchesFullRun pins the fold at the executor level:
-// after base + delta runs, CompactGenerations leaves a flat artifact
+// after base + delta runs, CompactView leaves a flat artifact
 // byte-identical to the one a cold full run over the whole corpus publishes
 // with the same shard count.
 func TestCompactGenerationsMatchesFullRun(t *testing.T) {
@@ -175,7 +175,7 @@ func TestCompactGenerationsMatchesFullRun(t *testing.T) {
 	if _, _, _, err := e.ExecuteDelta(context.Background(), lfs, Delta{InputBase: "in/delta", StartRow: 5}); err != nil {
 		t.Fatal(err)
 	}
-	if err := CompactGenerations(fs, "labels/votes", 2); err != nil {
+	if _, err := CompactView(fs, "labels/votes", 2, nil); err != nil {
 		t.Fatal(err)
 	}
 

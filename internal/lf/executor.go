@@ -59,9 +59,6 @@ type Executor[T any] struct {
 	// columnar vote artifact covering every requested function is loaded
 	// directly without launching any job.
 	Resume bool
-	// ScratchBase overrides the runtime scratch area for vote jobs.
-	// Default "<OutputPrefix>/_runtime".
-	ScratchBase string
 	// KnownExamples, when positive, is the staged corpus's record count as
 	// already established by the caller (e.g. the pipeline's staging
 	// stage). The resume fast path then validates the vote artifact against
@@ -125,13 +122,19 @@ func Stage[T any](fs dfs.FS, base string, records [][]byte, shards int) error {
 // Execute runs every labeling function and returns the assembled m×n label
 // matrix, with column j holding function j's votes in input-record order.
 func (e *Executor[T]) Execute(lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, error) {
-	return e.ExecuteContext(context.Background(), lfs)
+	view, report, err := e.ExecuteContext(context.Background(), lfs)
+	if err != nil {
+		return nil, nil, err
+	}
+	return view.Matrix, report, nil
 }
 
 // ExecuteContext is Execute under a context: cancellation stops between jobs
 // and mid-job (between records or batches), and the partial run commits no
-// label matrix.
-func (e *Executor[T]) ExecuteContext(ctx context.Context, lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, error) {
+// label matrix. It returns the matrix as the view of the flat artifact it
+// published (or loaded, on the resume fast path) that a later LoadView can
+// carry forward: a batch run is the first round of the incremental loop.
+func (e *Executor[T]) ExecuteContext(ctx context.Context, lfs []lfapi.LF[T]) (*View, *Report, error) {
 	if e.Decode == nil {
 		return nil, nil, fmt.Errorf("lf: executor has no decoder")
 	}
@@ -139,7 +142,7 @@ func (e *Executor[T]) ExecuteContext(ctx context.Context, lfs []lfapi.LF[T]) (*l
 		return nil, nil, err
 	}
 	ctx, span := obs.StartSpan(ctx, "lf.execute", obs.Int("functions", len(lfs)))
-	mx, report, err := e.execute(ctx, lfs)
+	view, report, err := e.execute(ctx, lfs)
 	if report != nil {
 		span.SetAttr(
 			obs.Int("task_attempts", report.TaskAttempts),
@@ -149,15 +152,15 @@ func (e *Executor[T]) ExecuteContext(ctx context.Context, lfs []lfapi.LF[T]) (*l
 		)
 	}
 	span.EndErr(err)
-	return mx, report, err
+	return view, report, err
 }
 
 // execute dispatches a validated function set to the resume fast path or
 // the fused job.
-func (e *Executor[T]) execute(ctx context.Context, lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, error) {
+func (e *Executor[T]) execute(ctx context.Context, lfs []lfapi.LF[T]) (*View, *Report, error) {
 	if e.Resume {
-		if mx, report, ok := e.resumeFromVotes(lfs); ok {
-			return mx, report, nil
+		if view, report, ok := e.resumeFromVotes(lfs); ok {
+			return view, report, nil
 		}
 	}
 	return e.executeFused(ctx, lfs)
@@ -264,8 +267,9 @@ func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 // the staged corpus, the matrix is loaded back and no job runs. Anything
 // short of a complete match — artifact absent, functions missing, row count
 // different — falls through to task-level execution (whose own manifests
-// then skip committed work).
-func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, bool) {
+// then skip committed work). The view it returns has merged the flat artifact
+// and nothing over it.
+func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*View, *Report, bool) {
 	plan, err := planVotes(e.FS, e.votesBase(), false, lfapi.Names(lfs))
 	if err != nil {
 		return nil, nil, false
@@ -308,16 +312,11 @@ func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*labelmodel.Matrix, *R
 		report.PerLF[j] = r
 	}
 	report.Duration = time.Since(start)
-	return mx, report, true
+	return &View{Matrix: mx, Names: plan.names, flat: plan.flat}, report, true
 }
 
 // scratch is the DFS runtime area for vote jobs.
-func (e *Executor[T]) scratch() string {
-	if e.ScratchBase != "" {
-		return e.ScratchBase
-	}
-	return path.Join(e.OutputPrefix, "_runtime")
-}
+func (e *Executor[T]) scratch() string { return path.Join(e.OutputPrefix, "_runtime") }
 
 // resumeKeyFor fingerprints the executed function set (order matters: it
 // fixes the columnar row layout), so checkpoints from a different set are
@@ -327,16 +326,20 @@ func resumeKeyFor(names []string) string {
 }
 
 // executeFused runs every labeling function inside one map-only job (see
-// runFused) and merges the assembled votes into the columnar artifact.
-func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, error) {
+// runFused), merges the assembled votes into the columnar artifact, and
+// returns them as the view of the artifact it published — the executed matrix
+// at the watermark publishVotes read back from the sidecar, with nothing read
+// back from the shards.
+func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*View, *Report, error) {
 	matrix, report, names, nsh, err := e.runFused(ctx, lfs, e.InputBase, e.scratch())
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := publishVotes(e.FS, e.votesBase(), matrix, names, nsh); err != nil {
+	flat, err := publishVotes(e.FS, e.votesBase(), matrix, names, nsh)
+	if err != nil {
 		return nil, nil, err
 	}
-	return matrix, report, nil
+	return &View{Matrix: matrix, Names: names, flat: flat}, report, nil
 }
 
 // runFused is the fused execution engine shared by full runs and delta runs:
@@ -449,7 +452,8 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 // artifact must still carry the write generation the merge started from just
 // before it is overwritten, and is scanned again just after — the merge is
 // redone until every column that was visible survives together with ours.
-func publishVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) error {
+// It returns the write generation of the artifact it verified.
+func publishVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) (uint64, error) {
 	const attempts = 8
 	for try := 0; try < attempts; try++ {
 		merged, mergedNames, basis := mergeVotes(fs, base, mx, names)
@@ -457,7 +461,7 @@ func publishVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string,
 			continue // someone published since we read: our merge is stale
 		}
 		if err := WriteVotes(fs, base, merged, mergedNames, shards); err != nil {
-			return err
+			return 0, err
 		}
 		// Verify the full artifact, not just the meta: interleaved shard
 		// renames from a concurrent writer leave a mixed-generation set,
@@ -466,10 +470,10 @@ func publishVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string,
 		// artifact to the union.
 		after, err := planVotes(fs, base, false, mergedNames)
 		if err == nil && after.scan(fs, nil) == nil {
-			return nil
+			return after.flat, nil
 		}
 	}
-	return fmt.Errorf("lf: vote artifact at %s kept changing under concurrent writers; giving up after %d attempts", base, attempts)
+	return 0, fmt.Errorf("lf: vote artifact at %s kept changing under concurrent writers; giving up after %d attempts", base, attempts)
 }
 
 // mergeVotes combines freshly executed votes with an existing columnar

@@ -264,29 +264,24 @@ func (c *Chain) Tombstoned(i int) bool {
 	return dead
 }
 
-// CompactGenerations folds the generation chain back into one flat columnar
-// artifact — the housekeeping step that bounds chain length for readers —
-// and removes the folded generation files. The resulting artifact is
-// byte-identical to what a from-scratch run over the same (compacted) corpus
-// would publish with the same shard count, because the artifact's write
-// generation is content-derived. A chain whose tombstones cover every row is
-// refused (ErrAllTombstoned) with the store untouched.
+// CompactView folds the generation chain back into one flat columnar artifact
+// — the housekeeping step that bounds chain length for readers — and removes
+// the folded generation files. The resulting artifact is byte-identical to
+// what a from-scratch run over the same (compacted) corpus would publish with
+// the same shard count, because the artifact's write generation is
+// content-derived. A chain whose tombstones cover every row is refused
+// (ErrAllTombstoned) with the store untouched.
+//
+// view is what the caller carries of the store (LoadView), or nil. When its
+// watermark covers the whole chain and its columns are the stored column
+// union in order, the fold writes the view instead of re-reading the chain it
+// was merged from; otherwise the chain is read. It returns the folded store's
+// view — the same rows at the watermark of the flat artifact just written —
+// or view itself when there was no chain to fold.
 //
 // Tombstoned rows are dropped in the fold, so after compaction row indices
 // are the post-compaction staging order; callers that track absolute row
 // positions (corpus manifests) must compact those in the same step.
-func CompactGenerations(fs dfs.FS, base string, shards int) error {
-	_, err := CompactView(fs, base, shards, nil)
-	return err
-}
-
-// CompactView is CompactGenerations for a reader carrying a view of the store
-// (LoadView). When view's watermark covers the whole chain and its columns
-// are the stored column union in order, the fold writes the view instead of
-// re-reading the chain it was merged from; otherwise the chain is read as
-// CompactGenerations reads it. It returns the folded store's view — the same
-// rows at the watermark of the flat artifact just written — or view itself
-// when there was no chain to fold.
 func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) {
 	gens, err := ListGenerations(fs, base)
 	if err != nil {
@@ -315,16 +310,18 @@ func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) 
 		return nil, err
 	}
 	folded.flat = flat.generation()
-	return folded, DropGenerations(fs, base)
+	return folded, DropGenerations(fs, base, false)
 }
 
 // DropGenerations removes the generation chain over the flat artifact at base
-// without reading it, leaving the flat artifact as the whole store: what
-// CompactGenerations does once the chain is folded, and what staging a new
-// base corpus does to the chain over the old one. Manifests go first, so a
-// crash mid-way leaves orphaned data segments (ignored by readers) rather
-// than manifests with missing data. A store with no chain costs one List.
-func DropGenerations(fs dfs.FS, base string) error {
+// without reading it: what CompactView does once the chain is folded. With
+// flat it then removes the flat artifact — generation 0 — as well, leaving an
+// empty store: what staging a new base corpus does, since every vote stored
+// is for the corpus being superseded. Manifests go first, then the sidecar,
+// so a crash mid-way leaves orphaned data segments and shards (ignored by
+// readers) rather than manifests or a sidecar with missing data. A store with
+// no chain costs one List.
+func DropGenerations(fs dfs.FS, base string, flat bool) error {
 	prefix := genDir(base) + "/" //drybellvet:notapath — List prefix; the trailing "/" is significant
 	keys, err := fs.List(prefix)
 	if err != nil {
@@ -342,6 +339,18 @@ func DropGenerations(fs dfs.FS, base string) error {
 	}
 	for _, key := range data {
 		_ = fs.Remove(key) // orphaned segments are never read
+	}
+	if !flat {
+		return nil
+	}
+	if err := fs.Remove(votesMetaPath(base)); err != nil && !dfs.IsNotExist(err) {
+		return fmt.Errorf("lf: drop votes at %s: %w", base, err)
+	}
+	shards, _ := fs.List(base + "-")
+	for _, p := range shards {
+		if b, _, _, ok := dfs.ParseShardPath(p); ok && b == base {
+			_ = fs.Remove(p) // orphaned shards are never read
+		}
 	}
 	return nil
 }

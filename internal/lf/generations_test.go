@@ -279,7 +279,7 @@ func TestCompactGenerations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := CompactGenerations(fs, "labels/votes", 4); err != nil {
+	if _, err := CompactView(fs, "labels/votes", 4, nil); err != nil {
 		t.Fatal(err)
 	}
 	if HasGenerations(fs, "labels/votes") {

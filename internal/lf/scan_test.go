@@ -348,7 +348,7 @@ func rewriteMeta(t *testing.T, fs dfs.FS, base string, edit func(*votesMeta)) {
 // reader: each stored-byte verification the seven readers performed between
 // them is tripped by one damaged store, and must reject it through every
 // entry point that scans the whole store — LoadMatrix, VerifyVotes and
-// CompactGenerations (which must then leave the chain standing).
+// CompactView (which must then leave the chain standing).
 func TestEveryStoredByteCheckStillFires(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	flatShard := dfs.ShardPath(storeBase, 1, 4)
@@ -418,8 +418,8 @@ func TestEveryStoredByteCheckStillFires(t *testing.T) {
 
 			_, loadErr := docExecutor(fs).LoadMatrix(names)
 			_, verifyErr := VerifyVotes(fs, storeBase)
-			compactErr := CompactGenerations(fs, storeBase, 4)
-			for entry, err := range map[string]error{"LoadMatrix": loadErr, "VerifyVotes": verifyErr, "CompactGenerations": compactErr} {
+			_, compactErr := CompactView(fs, storeBase, 4, nil)
+			for entry, err := range map[string]error{"LoadMatrix": loadErr, "VerifyVotes": verifyErr, "CompactView": compactErr} {
 				if err == nil || !strings.Contains(err.Error(), tc.want) {
 					t.Errorf("%s = %v, want an error containing %q", entry, err, tc.want)
 				}
@@ -429,6 +429,63 @@ func TestEveryStoredByteCheckStillFires(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOversizedRowClaimFailsTheRead: a sidecar's row count sizes the view, so
+// it is checked against what the segment's shards can hold before anything is
+// allocated. A votes.meta claiming 2^40 rows over a four-row artifact used to
+// end the process out of memory inside labelmodel.NewMatrix — not a panic a
+// caller can recover — and a carried read grew its view by a generation's
+// claim the same way. Every read must fail instead, naming the segment.
+func TestOversizedRowClaimFailsTheRead(t *testing.T) {
+	names := []string{"a", "b"}
+	const huge = 1 << 40
+	store := func(t *testing.T) (*dfs.Mem, *View) {
+		fs := dfs.NewMem()
+		if err := WriteVotes(fs, storeBase, randomVotes(t, 4, 2, 1), names, 2); err != nil {
+			t.Fatal(err)
+		}
+		view, _, err := LoadView(fs, storeBase, names, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs, view
+	}
+	requireNamed := func(t *testing.T, entry string, err error, want string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s = %v, want an error containing %q", entry, err, want)
+		}
+	}
+
+	t.Run("flat meta", func(t *testing.T) {
+		fs, view := store(t)
+		rewriteMeta(t, fs, storeBase, func(m *votesMeta) { m.Examples = huge })
+		want := fmt.Sprintf("votes at %s: its 2 shards hold 4 rows, meta says %d", storeBase, huge)
+		_, err := docExecutor(fs).LoadMatrix(names)
+		requireNamed(t, "LoadMatrix", err, want)
+		_, _, err = ReadVotes(fs, storeBase, nil)
+		requireNamed(t, "ReadVotes", err, want)
+		for _, prev := range []*View{nil, view} {
+			_, _, err = LoadView(fs, storeBase, names, prev)
+			requireNamed(t, "LoadView", err, want)
+		}
+	})
+	t.Run("carried generation", func(t *testing.T) {
+		fs, view := store(t)
+		writeGen(t, fs, storeBase, 1, 4, 3, names, nil, 2)
+		seg := genDataBase(storeBase, 1)
+		rewriteMeta(t, fs, seg, func(m *votesMeta) { m.Examples = huge })
+		rewriteManifest(t, fs, 1, func(m *GenerationMeta) { m.Rows = huge })
+		want := fmt.Sprintf("votes at %s: its 3 shards hold 3 rows, meta says %d", seg, huge)
+		_, read, err := LoadView(fs, storeBase, names, view)
+		requireNamed(t, "carried LoadView", err, want)
+		if read.Rebuilt != "" {
+			t.Errorf("the claim was read as a rebuild (%s), not as the append it claims to be", read.Rebuilt)
+		}
+		_, err = docExecutor(fs).LoadMatrix(names)
+		requireNamed(t, "LoadMatrix", err, want)
+	})
 }
 
 // TestCarriedViewChecksWhatItReads: a carried read is the same scan over fewer
@@ -555,8 +612,8 @@ func TestAllRowsTombstonedIsAnError(t *testing.T) {
 	if _, err := docExecutor(fs).LoadMatrix(names); !errors.Is(err, ErrAllTombstoned) {
 		t.Fatalf("LoadMatrix = %v, want ErrAllTombstoned", err)
 	}
-	if err := CompactGenerations(fs, storeBase, 2); !errors.Is(err, ErrAllTombstoned) {
-		t.Fatalf("CompactGenerations = %v, want ErrAllTombstoned", err)
+	if _, err := CompactView(fs, storeBase, 2, nil); !errors.Is(err, ErrAllTombstoned) {
+		t.Fatalf("CompactView = %v, want ErrAllTombstoned", err)
 	}
 	if !HasGenerations(fs, storeBase) {
 		t.Error("refused compaction removed the chain")

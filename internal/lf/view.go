@@ -7,7 +7,10 @@
 // a prefix of that plan and everything after it is a pure append, it streams
 // only the newer segments, through the same scan and the same stored-byte
 // checks, onto the end of the view. Anything else rebuilds the view from the
-// store, exactly as LoadMatrix would.
+// store, exactly as LoadMatrix would. A batch execution is the round that
+// starts from the empty relation: it hands back the matrix it published as a
+// view of the flat artifact, so the first delta round after it reads only the
+// delta.
 package lf
 
 import (
@@ -18,7 +21,8 @@ import (
 	"repro/internal/labelmodel"
 )
 
-// View is a merged read of the vote store at base that the next read can
+// View is a merged read of the vote store at base — or the matrix a batch
+// execution just published there (ExecuteContext) — that the next read can
 // start from. Matrix and Names are LoadMatrix's result and must not be
 // written to: a later view shares the matrix's rows.
 type View struct {
@@ -94,8 +98,10 @@ func LoadView(fs dfs.FS, base string, names []string, prev *View) (*View, ViewRe
 		read.Rows += seg.meta.Examples
 	}
 	if carried {
-		next.Matrix = prev.Matrix.Grown(p.chain.Live() - prev.Matrix.NumExamples())
-		err = p.scan(fs, next.Matrix)
+		if err = p.fits(fs); err == nil {
+			next.Matrix = prev.Matrix.Grown(p.chain.Live() - prev.Matrix.NumExamples())
+			err = p.scan(fs, next.Matrix)
+		}
 	} else {
 		next.Matrix, _, err = p.read(fs)
 	}

@@ -11,13 +11,14 @@
 //
 // Every read of the store — the flat artifact alone (ReadVotes, the resume
 // fast path, the publish merge) or with the generation chain over it
-// (LoadMatrix, VerifyVotes, CompactGenerations; see generations.go) — is the
+// (LoadMatrix, VerifyVotes, CompactView; see generations.go) — is the
 // same two steps. planVotes builds a plan from metadata alone: the segment
 // list, the column union, the rows the chain covers and its final tombstone
 // set, and which stored column feeds which requested column. scan then
 // streams each segment's shards once through every stored-byte check and
 // copies votes straight from the shard payload into the view, which is
-// allocated once at its final size — no per-record allocation or framing (a
+// allocated once at its final size, after the shards' sizes have confirmed
+// the rows the sidecars claim (fits) — no per-record allocation or framing (a
 // recordio record per vote would spend 12 bytes of framing on each 1-byte
 // vote), no intermediate matrix per segment.
 package lf
@@ -324,11 +325,43 @@ func (p *votePlan) read(fs dfs.FS) (*labelmodel.Matrix, []string, error) {
 	if p.chain.Live() == 0 {
 		return nil, nil, fmt.Errorf("lf: votes at %s: %w (%d rows stored)", p.base, ErrAllTombstoned, p.chain.Rows)
 	}
+	if err := p.fits(fs); err != nil {
+		return nil, nil, err
+	}
 	view := labelmodel.NewMatrix(p.chain.Live(), len(p.names))
 	if err := p.scan(fs, view); err != nil {
 		return nil, nil, err
 	}
 	return view, p.names, nil
+}
+
+// fits checks, from the sizes of their shards alone, that the planned
+// segments can hold the rows their sidecars claim — the claims a view is
+// sized from, so it runs before any view is. A corrupt votes.meta claiming
+// 2^40 rows over a four-row artifact then fails the read naming the segment,
+// instead of asking the allocator for terabytes and ending the process. A
+// part row counts as a row: a shard whose size is off by less than a row is
+// the scan's to report, precisely.
+func (p *votePlan) fits(fs dfs.FS) error {
+	for _, seg := range p.segments {
+		shards, err := dfs.ListShards(fs, seg.base)
+		if err != nil {
+			return fmt.Errorf("lf: list vote shards: %w", err)
+		}
+		n, held := len(seg.meta.Names), 0
+		for _, shard := range shards {
+			size, err := fs.Stat(shard)
+			if err != nil {
+				return fmt.Errorf("lf: stat votes shard: %w", err)
+			}
+			held += (max(0, int(size)-voteShardHeaderSize) + n - 1) / n
+		}
+		if seg.meta.Examples > held {
+			return fmt.Errorf("lf: votes at %s: its %d shards hold %d rows, meta says %d",
+				seg.base, len(shards), held, seg.meta.Examples)
+		}
+	}
+	return nil
 }
 
 // scan is the one loop over stored vote shards. It streams every planned

@@ -646,7 +646,7 @@ func TestPublishVotesConcurrentWriters(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			mx := randomVotes(t, m, 1, int64(w+1))
-			errs[w] = publishVotes(fs, "labels/votes", mx, []string{fmt.Sprintf("lf-%d", w)}, 4)
+			_, errs[w] = publishVotes(fs, "labels/votes", mx, []string{fmt.Sprintf("lf-%d", w)}, 4)
 		}(w)
 	}
 	wg.Wait()

@@ -105,14 +105,20 @@ func TestCarriedStateChecksItsColumns(t *testing.T) {
 			if _, err := p.Run(ctx, drybell.SliceSource(docs[:500]), lfs); err != nil {
 				t.Fatal(err)
 			}
-			first, err := p.IncrementalRun(ctx, lfs, drybell.WithCorpusDelta(drybell.SliceSource(docs[500:550])))
+			if _, err := p.StageDelta(ctx, drybell.SliceSource(docs[500:550])); err != nil {
+				t.Fatal(err)
+			}
+			first, err := p.IncrementalRun(ctx, lfs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if first.ViewRebuilt != "no_state" {
-				t.Fatalf("first round: view rebuilt for %q, want no_state", first.ViewRebuilt)
+			if first.ViewRebuilt != "" {
+				t.Fatalf("first round: view rebuilt for %q, want it carried from Run", first.ViewRebuilt)
 			}
-			got, err := p.IncrementalRun(ctx, tc.second, drybell.WithCorpusDelta(drybell.SliceSource(docs[550:])))
+			if _, err := p.StageDelta(ctx, drybell.SliceSource(docs[550:])); err != nil {
+				t.Fatal(err)
+			}
+			got, err := p.IncrementalRun(ctx, tc.second)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -197,21 +203,24 @@ func TestCarriedRoundsMatchRebuiltAndCold(t *testing.T) {
 			}
 			add(0, base)
 
-			carrying := false // p holds a view of everything executed so far
+			carrying := true // p holds a view of everything executed so far: Run handed it one
 			for step := 0; step < 14; step++ {
 				what := fmt.Sprintf("step %d", step)
 				wantCarried := carrying
-				var opts []drybell.IncrementalOption
 				switch op := rng.Intn(10); {
 				case op < 5: // append
 					docs := draw(5 + rng.Intn(40))
-					opts = append(opts, drybell.WithCorpusDelta(drybell.SliceSource(docs)))
+					if _, err := p.StageDelta(ctx, drybell.SliceSource(docs)); err != nil {
+						t.Fatalf("%s: StageDelta: %v", what, err)
+					}
 					add(len(rows), docs)
 					what += " append"
 				case op == 5: // rewrite, possibly past the end
 					at := rng.Intn(len(rows))
 					docs := draw(1 + rng.Intn(20))
-					opts = append(opts, drybell.WithCorpusRewrite(drybell.SliceSource(docs), at))
+					if _, err := p.StageDeltaAt(ctx, drybell.SliceSource(docs), at); err != nil {
+						t.Fatalf("%s: StageDeltaAt: %v", what, err)
+					}
 					add(at, docs)
 					wantCarried = false
 					what += " rewrite"
@@ -232,7 +241,9 @@ func TestCarriedRoundsMatchRebuiltAndCold(t *testing.T) {
 						src = drybell.SliceSource(docs)
 						add(len(rows), docs)
 					}
-					opts = append(opts, drybell.WithCorpusDelta(src, deleted...))
+					if _, err := p.StageDelta(ctx, src, deleted...); err != nil {
+						t.Fatalf("%s: StageDelta: %v", what, err)
+					}
 					wantCarried = false
 					what += " tombstones"
 				case op == 7: // compact: the carried view survives it
@@ -243,7 +254,10 @@ func TestCarriedRoundsMatchRebuiltAndCold(t *testing.T) {
 					what += " compact"
 				default: // the rival appends and runs a round behind p's back
 					docs := draw(5 + rng.Intn(20))
-					if _, err := rival.IncrementalRun(ctx, lfs, drybell.WithCorpusDelta(drybell.SliceSource(docs))); err != nil {
+					if _, err := rival.StageDelta(ctx, drybell.SliceSource(docs)); err != nil {
+						t.Fatalf("%s: rival StageDelta: %v", what, err)
+					}
+					if _, err := rival.IncrementalRun(ctx, lfs); err != nil {
 						t.Fatalf("%s: rival round: %v", what, err)
 					}
 					add(len(rows), docs)
@@ -257,7 +271,7 @@ func TestCarriedRoundsMatchRebuiltAndCold(t *testing.T) {
 					what += " rival"
 				}
 
-				got, err := p.IncrementalRun(ctx, lfs, opts...)
+				got, err := p.IncrementalRun(ctx, lfs)
 				if err != nil {
 					t.Fatalf("%s: IncrementalRun: %v", what, err)
 				}
@@ -297,6 +311,92 @@ func TestCarriedRoundsMatchRebuiltAndCold(t *testing.T) {
 	}
 }
 
+// TestCarriedRunIntoFirstRound: a batch Run is the first round of the
+// incremental loop. It hands the Pipeline the view it published, so the first
+// IncrementalRun after it streams one segment — the appended generation's
+// rows — where it used to re-read and re-compact the whole store (no_state),
+// whatever trainer Run used; and the round still equals, bit for bit, a fresh
+// Pipeline's round over the same store and a cold Run over the grown corpus.
+func TestCarriedRunIntoFirstRound(t *testing.T) {
+	ctx := context.Background()
+	docs := wordDocs(rand.New(rand.NewSource(5)), 0, 560)
+	delta := docs[500:]
+	lfs := testRunners()
+
+	p := newPipeline(t) // Run trains with the reference trainer, the round with the fast one
+	if _, err := p.Run(ctx, drybell.SliceSource(docs[:500]), lfs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.StageDelta(ctx, drybell.SliceSource(delta)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.IncrementalRun(ctx, lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.ViewRebuilt != "" || got.SegmentsScanned != 1 || got.RowsScanned != len(delta) {
+		t.Fatalf("first round after Run: rebuilt %q, streamed %d segments and %d vote rows; want Run's view carried and only the %d delta rows read",
+			got.ViewRebuilt, got.SegmentsScanned, got.RowsScanned, len(delta))
+	}
+
+	fresh, err := coldPipeline(t, drybell.WithFS(p.FS())).IncrementalRun(ctx, lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameRound(t, "against a Pipeline without state", got, fresh)
+	cold, err := coldPipeline(t).Run(ctx, drybell.SliceSource(docs), lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameFloats(t, "against a cold Run: alpha", got.Model.Alpha, cold.Model.Alpha)
+	requireSameFloats(t, "against a cold Run: posteriors", got.Posteriors, cold.Posteriors)
+}
+
+// TestCarriedCompactAfterRivalRewrite: when a rival rewrites rows behind a
+// Pipeline's back, the Pipeline's Compact cannot fold from its carried view
+// and re-reads the chain. The training state it carried is over the old rows
+// — as many as the folded view holds — so it must go with the old view:
+// extending that compaction trained the next round on the rewritten row's
+// stale votes.
+func TestCarriedCompactAfterRivalRewrite(t *testing.T) {
+	ctx := context.Background()
+	docs := wordDocs(rand.New(rand.NewSource(9)), 0, 330)
+	lfs := testRunners()
+	p := coldPipeline(t)
+	if _, err := p.Run(ctx, drybell.SliceSource(docs[:300]), lfs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.StageDelta(ctx, drybell.SliceSource(docs[300:])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.IncrementalRun(ctx, lfs); err != nil {
+		t.Fatal(err)
+	}
+
+	rival := coldPipeline(t, drybell.WithFS(p.FS()))
+	rewritten := []doc{{ID: 7, Text: "report: gossip redcarpet"}, {ID: 8, Text: "report: infrastructure"}}
+	if _, err := rival.StageDeltaAt(ctx, drybell.SliceSource(rewritten), 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rival.IncrementalRun(ctx, lfs); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.IncrementalRun(ctx, lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown := append(append(slices.Clone(docs[:7]), rewritten...), docs[9:]...)
+	cold, err := coldPipeline(t).Run(ctx, drybell.SliceSource(grown), lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	requireSameFloats(t, "against a cold Run: alpha", got.Model.Alpha, cold.Model.Alpha)
+	requireSameFloats(t, "against a cold Run: posteriors", got.Posteriors, cold.Posteriors)
+}
+
 // countingFS counts the files read through it.
 type countingFS struct {
 	drybell.FS
@@ -325,7 +425,8 @@ func TestCarriedRoundCostIsTheDelta(t *testing.T) {
 		if _, err := p.Run(ctx, drybell.SliceSource(wordDocs(rng, 0, base)), lfs); err != nil {
 			t.Fatal(err)
 		}
-		// The first round has no state to carry; the second is the steady one.
+		// The first round carries Run's view but no training state, so it
+		// compacts the whole view; the second is the steady one.
 		for round := 0; round < 2; round++ {
 			delta := wordDocs(rng, base+200*round, 200)
 			if _, err := p.StageDelta(ctx, drybell.SliceSource(delta)); err != nil {

@@ -73,20 +73,20 @@
 // durable filesystem (WithFS + NewDiskFS) and the same work directory with
 // the crashed run.
 //
-// Corpora evolve without full reruns. StageDelta records appended, changed,
-// or deleted documents as corpus generations, and IncrementalRun advances
-// the pipeline by exactly the pending deltas: labeling functions execute
-// only over the delta's shards, each delta publishing one generation into
-// the append-only versioned vote store under VotesBase; the Pipeline carries
-// the merged vote view and the label model's warm-start state from the
-// previous run (or drops them with WithColdStart), so a round over appended
-// documents reads and compacts only the new generations; and the refreshed
-// labels are persisted over the full corpus. WithCorpusDelta and
-// WithCorpusRewrite stage deltas inline with a run. A carried round equals a
-// cold full retrain exactly — incremental is a latency optimization, never a
-// quality trade. Running a new base corpus (Run, Stage) over a root that
-// holds a delta chain starts over: both ledgers are reset before the new
-// corpus commits.
+// Corpora evolve without full reruns. StageDelta records appended or deleted
+// documents and StageDeltaAt changed ones as corpus generations, and
+// IncrementalRun advances the pipeline by exactly the pending deltas:
+// labeling functions execute only over the delta's shards, each delta
+// publishing one generation into the append-only versioned vote store under
+// VotesBase; the Pipeline carries the merged vote view and the label model's
+// warm-start state from round to round — Run is the first round and hands
+// the next the view it published — so a round over appended documents reads
+// and compacts only the new generations; and the refreshed labels are
+// persisted over the full corpus. A carried round equals a cold full retrain
+// (or a fresh Pipeline's round) exactly — incremental is a latency
+// optimization, never a quality trade. Running a new base corpus (Run,
+// Stage) over a root that holds votes starts over: both ledgers are reset
+// and the vote store emptied before the new corpus commits.
 package drybell
 
 import (
@@ -104,17 +104,18 @@ import (
 // Construct it with New; the zero value is not usable. A Pipeline is
 // stateless between calls — all pipeline state lives on its filesystem — so
 // its methods are safe for sequential reuse and for resuming partial runs.
-// The exceptions are two caches IncrementalRun carries in memory between
-// calls: the merged view of the vote store, with a watermark of exactly what
-// it merged, and the label model's warm-start state over that view. Both are
-// checked against the store before every use; losing them (a fresh Pipeline)
-// costs a re-read and a re-compaction, never correctness.
+// The exceptions are two caches Run and IncrementalRun carry in memory from
+// round to round: the merged view of the vote store, with a watermark of
+// exactly what it merged, and the label model's warm-start state over that
+// view. Both are checked against the store before every use; losing them (a
+// fresh Pipeline) costs a re-read and a re-compaction, never correctness.
 type Pipeline[T any] struct {
 	cfg  core.Config[T]
 	hook StageHook
-	// carried is the last IncrementalRun's view and training state; nil
-	// after anything that replaces the corpus they describe.
-	carried *core.Carried
+	// carried is what the last round (Run or IncrementalRun) left: its view
+	// and training state. Empty after anything that replaces the corpus they
+	// describe.
+	carried core.Carried
 }
 
 // New builds a Pipeline from functional options. WithCodec is required and
@@ -196,19 +197,30 @@ func (p *Pipeline[T]) VotesBase() string { return path.Join(p.cfg.VotesPrefix(),
 // is staged. Cancellation of ctx aborts with an error satisfying
 // errors.Is(err, ctx.Err()); see the package comment for how deep into each
 // stage cancellation reaches.
+//
+// Run is the first round of the incremental loop: the Pipeline keeps the
+// view of the vote store it published (Result.View), so the first
+// IncrementalRun after it reads only its delta. It keeps no training state —
+// Run trains with WithTrainer's trainer — so that round compacts the view
+// once.
 func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Result, error) {
-	p.carried = nil // describes the corpus this run replaces
-	return core.RunObserved(ctx, p.cfg, src, lfs, p.hook)
+	p.carried = core.Carried{} // describes the corpus this run replaces
+	res, err := core.RunObserved(ctx, p.cfg, src, lfs, p.hook)
+	if err != nil {
+		return nil, err
+	}
+	p.carried.View = res.View
+	return res, nil
 }
 
 // Stage consumes the source once, encoding each example onto the filesystem
 // as the pipeline's sharded input (stage 1). The corpus never needs to fit
 // in one slice. It returns the number of examples staged. A staged base
-// corpus supersedes whatever stood over the previous one: the corpus delta
-// ledger and the vote generation chain are reset before the new shards
+// corpus supersedes the previous one and whatever stood over it: the corpus
+// delta ledger is reset and the vote store emptied before the new shards
 // commit, so the next StageDelta starts a new chain at generation 1.
 func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
-	p.carried = nil // describes the corpus this staging replaces
+	p.carried = core.Carried{} // describes the corpus this staging replaces
 
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
 	n, err := core.StageExamples(p.cfg.ObsContext(ctx), p.cfg, src)
@@ -221,7 +233,7 @@ func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
 // in the pipeline's record format — e.g. a validated JSONL dump — to avoid
 // a decode/re-encode round-trip per record.
 func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) (int, error) {
-	p.carried = nil // describes the corpus this staging replaces
+	p.carried = core.Carried{} // describes the corpus this staging replaces
 
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
 	n, err := core.StageRecords(p.cfg.ObsContext(ctx), p.cfg, records)
@@ -237,9 +249,11 @@ func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) 
 // filesystem.
 func (p *Pipeline[T]) ExecuteLFs(ctx context.Context, lfs []LF[T]) (*Matrix, *Report, error) {
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
-	matrix, report, err := core.ExecuteLFs(ctx, p.cfg, lfs)
+	view, report, err := core.ExecuteLFs(ctx, p.cfg, lfs)
 	ev := StageEvent{Stage: StageExecuteLFs, Start: start, Duration: time.Since(start), Report: report, Err: err}
-	if matrix != nil {
+	var matrix *Matrix
+	if view != nil {
+		matrix = view.Matrix
 		ev.Examples = matrix.NumExamples()
 	}
 	p.emit(ev)

@@ -2,7 +2,6 @@ package drybell
 
 import (
 	"context"
-	"fmt"
 	"path"
 
 	"repro/internal/core"
@@ -26,70 +25,6 @@ type IncrementalResult = core.IncrementalResult
 // state across processes can round-trip it themselves.
 type TrainState = labelmodel.TrainState
 
-// IncrementalOption configures a single Pipeline.IncrementalRun call.
-// Options are applied in order; deltas stage in the order given.
-type IncrementalOption struct {
-	f func(*incrementalSettings)
-}
-
-// incrementalSettings is the untyped option sink for one IncrementalRun.
-// Deltas are held as any so the generic WithCorpusDelta composes with
-// non-generic options in one list; IncrementalRun re-checks the example type.
-type incrementalSettings struct {
-	deltas []any
-	cold   bool
-	err    error
-}
-
-type corpusDelta[T any] struct {
-	src      Source[T]
-	startRow int // -1 appends after the rows staged so far
-	deleted  []int
-}
-
-// WithCorpusDelta stages a corpus delta — src's documents appended after the
-// rows staged so far, plus any tombstoned absolute row indices — as the next
-// corpus generation before the run executes. src may be nil for a
-// deletions-only delta. The type parameter must match the Pipeline's.
-func WithCorpusDelta[T any](src Source[T], deleted ...int) IncrementalOption {
-	return IncrementalOption{f: func(s *incrementalSettings) {
-		s.deltas = append(s.deltas, corpusDelta[T]{src: src, startRow: -1, deleted: deleted})
-	}}
-}
-
-// WithCorpusRewrite stages changed documents: src's documents supersede rows
-// [startRow, startRow+n) of the staging order. A rewrite invalidates the
-// warm start's compaction prefix — the one thing a warm start saves — so the
-// run recompacts the whole view, at a cold run's cost, and reports
-// WarmStarted all the same (a previous state was supplied).
-func WithCorpusRewrite[T any](src Source[T], startRow int) IncrementalOption {
-	return IncrementalOption{f: func(s *incrementalSettings) {
-		if src == nil {
-			s.fail(fmt.Errorf("drybell: WithCorpusRewrite(nil source)"))
-			return
-		}
-		if startRow < 0 {
-			s.fail(fmt.Errorf("drybell: WithCorpusRewrite start row %d, want >= 0", startRow))
-			return
-		}
-		s.deltas = append(s.deltas, corpusDelta[T]{src: src, startRow: startRow})
-	}}
-}
-
-// WithColdStart discards the Pipeline's carried state — the vote view and the
-// warm-start state — for this run: the vote store is read and compacted in
-// full and training restarts from scratch, as a cold full retrain would. Use
-// it to re-anchor after many carried generations, or in equivalence tests.
-func WithColdStart() IncrementalOption {
-	return IncrementalOption{f: func(s *incrementalSettings) { s.cold = true }}
-}
-
-func (s *incrementalSettings) fail(err error) {
-	if s.err == nil {
-		s.err = err
-	}
-}
-
 // StageDelta stages a corpus delta — new documents appended after the rows
 // staged so far, plus any tombstoned absolute row indices — as the next
 // corpus generation, without running anything. A later IncrementalRun (from
@@ -97,6 +32,15 @@ func (s *incrementalSettings) fail(err error) {
 // may be nil for a deletions-only delta.
 func (p *Pipeline[T]) StageDelta(ctx context.Context, src Source[T], deleted ...int) (CorpusGeneration, error) {
 	return core.StageDelta(ctx, p.cfg, src, deleted)
+}
+
+// StageDeltaAt is StageDelta for changed documents: src's documents supersede
+// rows [startRow, startRow+n) of the staging order (and may run past its
+// end). A rewrite invalidates the warm start's compaction prefix — the one
+// thing a warm start saves — so the next IncrementalRun recompacts the whole
+// view, at a cold round's cost, and reports WarmStarted all the same.
+func (p *Pipeline[T]) StageDeltaAt(ctx context.Context, src Source[T], startRow int, deleted ...int) (CorpusGeneration, error) {
+	return core.StageDeltaAt(ctx, p.cfg, src, startRow, deleted)
 }
 
 // CorpusGenerations reads the staged corpus deltas in generation order. A
@@ -130,80 +74,55 @@ func (p *Pipeline[T]) ExecutedGeneration() (int, error) {
 //
 // The Pipeline's carried state stays valid — compaction changes the layout,
 // never the view — and pays for the fold: when the carried view holds exactly
-// what the vote chain holds (the last IncrementalRun merged all of it, under
-// the stored columns in stored order) the flat artifact is written from it
+// what the vote chain holds (the last round merged all of it, under the
+// stored columns in stored order) the flat artifact is written from it
 // instead of from a re-read of the chain, and the view's watermark moves to
 // the artifact just written, so the next round still reads only its delta.
 func (p *Pipeline[T]) Compact() error {
-	if p.carried == nil {
-		return core.Compact(p.cfg)
-	}
-	view, err := core.CompactCarried(p.cfg, p.carried.View)
+	view, err := core.Compact(p.cfg, p.carried.View)
 	if err != nil {
 		return err
+	}
+	// The training state is over the carried view's rows: it survives a fold
+	// written from that view, not one that had to re-read the chain.
+	if p.carried.View == nil || view.Matrix != p.carried.View.Matrix {
+		p.carried.State = nil
 	}
 	p.carried.View = view
 	return nil
 }
 
 // IncrementalRun advances the pipeline by exactly the staged-but-unexecuted
-// corpus deltas (including any staged by this call's WithCorpusDelta /
-// WithCorpusRewrite options): labeling functions execute only over delta
-// shards, each delta publishing one vote generation; the label model
-// warm-starts from the previous run's state; and the refreshed probabilistic
-// labels are persisted over the full corpus. It requires a completed base
-// Run over the same filesystem and work directory.
+// corpus deltas (StageDelta, StageDeltaAt): labeling functions execute only
+// over delta shards, each delta publishing one vote generation; the label
+// model warm-starts from the previous round's state; and the refreshed
+// probabilistic labels are persisted over the full corpus. It requires a
+// completed base Run over the same filesystem and work directory.
 //
-// The Pipeline carries two caches between IncrementalRun calls — the only
-// Pipeline state that lives in memory rather than on the filesystem: the
-// merged vote view, with a watermark of exactly what it merged (the flat
-// artifact's write generation and each folded generation's manifest), and the
-// label model's warm-start state over that view. A round first confirms from
-// the store's metadata that the watermark is a prefix of the generation chain
-// and that everything after it appends rows under the same functions in the
-// same order; it then reads only the newer generations, compacts only their
-// rows and scores each distinct vote row once. On anything else — a rewrite
-// or tombstone, another writer's flat artifact, a changed or reordered
-// function set — it rebuilds both from the store (IncrementalResult.ViewRebuilt
-// says why). A fresh Pipeline (or WithColdStart) is exactly equivalent, only
-// slower. Training always uses the sampling-free fast trainer regardless of
-// WithTrainer — warm starting is its capability — and warm and cold runs
-// produce the identical model. The result's Matrix is the carried view: read
-// it, do not write to it.
-func (p *Pipeline[T]) IncrementalRun(ctx context.Context, lfs []LF[T], opts ...IncrementalOption) (*IncrementalResult, error) {
-	s := &incrementalSettings{}
-	for _, o := range opts {
-		if o.f != nil {
-			o.f(s)
-		}
-	}
-	if s.err != nil {
-		return nil, s.err
-	}
-	for _, d := range s.deltas {
-		cd, ok := d.(corpusDelta[T])
-		if !ok {
-			var zero T
-			return nil, fmt.Errorf("drybell: corpus delta option was built for a different example type than the pipeline's %T", zero)
-		}
-		var err error
-		if cd.startRow < 0 {
-			_, err = core.StageDelta(ctx, p.cfg, cd.src, cd.deleted)
-		} else {
-			_, err = core.StageDeltaAt(ctx, p.cfg, cd.src, cd.startRow, cd.deleted)
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
-	prev := p.carried
-	if s.cold {
-		prev = nil
-	}
-	res, err := core.IncrementalRunCarried(ctx, p.cfg, lfs, prev)
+// The Pipeline carries two caches from round to round — the only Pipeline
+// state that lives in memory rather than on the filesystem: the merged vote
+// view, with a watermark of exactly what it merged (the flat artifact's write
+// generation and each folded generation's manifest), and the label model's
+// warm-start state over that view. Run is the first round: it leaves the view
+// it published and no state (its trainer is WithTrainer's), so the first
+// IncrementalRun after it reads only its delta and compacts the view once. A
+// round first confirms from the store's metadata that the watermark is a
+// prefix of the generation chain and that everything after it appends rows
+// under the same functions in the same order; it then reads only the newer
+// generations, compacts only their rows and scores each distinct vote row
+// once. On anything else — a rewrite or tombstone, another writer's flat
+// artifact, a changed or reordered function set — it rebuilds both from the
+// store (IncrementalResult.ViewRebuilt says why). A fresh Pipeline over the
+// same filesystem is a cold start: exactly equivalent, only slower. Training
+// always uses the sampling-free fast trainer regardless of WithTrainer — warm
+// starting is its capability — and warm and cold runs produce the identical
+// model. The result's Matrix is the carried view: read it, do not write to
+// it.
+func (p *Pipeline[T]) IncrementalRun(ctx context.Context, lfs []LF[T]) (*IncrementalResult, error) {
+	res, err := core.IncrementalRun(ctx, p.cfg, lfs, &p.carried)
 	if err != nil {
 		return nil, err
 	}
-	p.carried = &core.Carried{State: res.State, View: res.View}
+	p.carried = core.Carried{State: res.State, View: res.View}
 	return res, nil
 }

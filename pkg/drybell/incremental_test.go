@@ -8,8 +8,8 @@ import (
 )
 
 // TestIncrementalRunSDK exercises the public incremental surface end to end:
-// base run, WithCorpusDelta append, warm-started IncrementalRun, and
-// equivalence with a cold full rerun on a fresh pipeline.
+// base run, StageDelta append, warm-started IncrementalRun, and equivalence
+// with a cold full rerun on a fresh pipeline.
 func TestIncrementalRunSDK(t *testing.T) {
 	full := makeDocs(550)
 	base, delta := full[:500], full[500:]
@@ -20,8 +20,10 @@ func TestIncrementalRunSDK(t *testing.T) {
 		t.Fatalf("base Run: %v", err)
 	}
 
-	inc, err := p.IncrementalRun(context.Background(), lfs,
-		drybell.WithCorpusDelta(drybell.SliceSource(delta)))
+	if _, err := p.StageDelta(context.Background(), drybell.SliceSource(delta)); err != nil {
+		t.Fatalf("StageDelta: %v", err)
+	}
+	inc, err := p.IncrementalRun(context.Background(), lfs)
 	if err != nil {
 		t.Fatalf("IncrementalRun: %v", err)
 	}
@@ -86,36 +88,42 @@ func TestIncrementalRunSDK(t *testing.T) {
 	}
 }
 
-// TestIncrementalRunOptionValidation covers option misuse: rewrites with bad
-// arguments, deltas of the wrong example type, and cold-start behavior.
+// TestIncrementalRunOptionValidation covers delta misuse — rewrites with bad
+// arguments, a start row past the staged rows — and cold-start behavior. (A
+// delta of the wrong example type no longer compiles: StageDelta takes the
+// Pipeline's Source[T].)
 func TestIncrementalRunOptionValidation(t *testing.T) {
+	ctx := context.Background()
 	lfs := testRunners()
 	p := newPipeline(t)
-	if _, err := p.Run(context.Background(), drybell.SliceSource(makeDocs(200)), lfs); err != nil {
+	if _, err := p.Run(ctx, drybell.SliceSource(makeDocs(200)), lfs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.IncrementalRun(ctx, lfs); err != nil {
 		t.Fatal(err)
 	}
 
-	if _, err := p.IncrementalRun(context.Background(), lfs,
-		drybell.WithCorpusRewrite[doc](nil, 0)); err == nil {
+	if _, err := p.StageDeltaAt(ctx, nil, 0); err == nil {
 		t.Fatal("nil rewrite source accepted")
 	}
-	if _, err := p.IncrementalRun(context.Background(), lfs,
-		drybell.WithCorpusRewrite(drybell.SliceSource(makeDocs(1)), -1)); err == nil {
+	if _, err := p.StageDeltaAt(ctx, drybell.SliceSource(makeDocs(1)), -1); err == nil {
 		t.Fatal("negative rewrite start row accepted")
 	}
-	// A delta built for a different example type is rejected, not misdecoded.
-	if _, err := p.IncrementalRun(context.Background(), lfs,
-		drybell.WithCorpusDelta(drybell.SliceSource([]int{1, 2}))); err == nil {
-		t.Fatal("wrong-type delta accepted")
+	if _, err := p.StageDeltaAt(ctx, drybell.SliceSource(makeDocs(1)), 201); err == nil {
+		t.Fatal("rewrite starting past the 200 staged rows accepted")
+	}
+	if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 0 {
+		t.Fatalf("refused deltas reached the ledger: %+v, %v", gens, err)
 	}
 
-	// Cold start still runs (and trains from scratch).
-	res, err := p.IncrementalRun(context.Background(), lfs, drybell.WithColdStart())
+	// A cold start — a fresh Pipeline over the same filesystem — still runs
+	// (and trains from scratch).
+	res, err := newPipeline(t, drybell.WithFS(p.FS())).IncrementalRun(ctx, lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.WarmStarted {
-		t.Error("WithColdStart run reported a warm start")
+		t.Error("cold-start round reported a warm start")
 	}
 }
 
@@ -131,8 +139,10 @@ func TestIncrementalRunRewrite(t *testing.T) {
 
 	// Row 1 is a "plain report" (negative); rewrite it as gossip.
 	rewritten := []doc{{ID: 1, Text: "celebrity gossip from the redcarpet"}}
-	res, err := p.IncrementalRun(context.Background(), lfs,
-		drybell.WithCorpusRewrite(drybell.SliceSource(rewritten), 1))
+	if _, err := p.StageDeltaAt(context.Background(), drybell.SliceSource(rewritten), 1); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.IncrementalRun(context.Background(), lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +199,10 @@ func TestRestageOverExecutedChain(t *testing.T) {
 			if _, err := p.Run(ctx, drybell.SliceSource(full[:500]), lfs); err != nil {
 				t.Fatalf("base Run: %v", err)
 			}
-			if _, err := p.IncrementalRun(ctx, lfs, drybell.WithCorpusDelta(drybell.SliceSource(full[500:]))); err != nil {
+			if _, err := p.StageDelta(ctx, drybell.SliceSource(full[500:])); err != nil {
+				t.Fatalf("StageDelta: %v", err)
+			}
+			if _, err := p.IncrementalRun(ctx, lfs); err != nil {
 				t.Fatalf("IncrementalRun: %v", err)
 			}
 
@@ -260,6 +273,56 @@ func TestRestageOverExecutedChain(t *testing.T) {
 			for i := range cold.Posteriors {
 				if inc.Posteriors[i] != cold.Posteriors[i] {
 					t.Fatalf("posterior %d: incremental %g, cold %g", i, inc.Posteriors[i], cold.Posteriors[i])
+				}
+			}
+		})
+	}
+}
+
+// TestRestageDropsSupersededColumns: staging a new base corpus empties the
+// vote store, the flat artifact included. Staging used to drop only the
+// generation chain, so a later run over as many rows merged the old corpus's
+// columns into its artifact as if they were its own: after a Run with three
+// functions and a Run over other documents with one, kw_gossip still loaded
+// ten positive votes on a corpus that never mentions gossip. Through Run and
+// through Stage + ExecuteLFs (lfrun's first invocation).
+func TestRestageDropsSupersededColumns(t *testing.T) {
+	ctx := context.Background()
+	infra := testRunners()[2:]
+	second := make([]doc, 30)
+	for i := range second {
+		second[i] = doc{ID: i, Text: "plain report on infrastructure"}
+	}
+	for _, tc := range []struct {
+		name   string
+		staged bool
+	}{{"run", false}, {"stages", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPipeline(t)
+			if _, err := p.Run(ctx, drybell.SliceSource(makeDocs(30)), testRunners()); err != nil {
+				t.Fatal(err)
+			}
+			if tc.staged {
+				if _, err := p.Stage(ctx, drybell.SliceSource(second)); err != nil {
+					t.Fatal(err)
+				}
+				if _, _, err := p.ExecuteLFs(ctx, infra); err != nil {
+					t.Fatal(err)
+				}
+			} else if _, err := p.Run(ctx, drybell.SliceSource(second), infra); err != nil {
+				t.Fatal(err)
+			}
+
+			if mx, err := p.LoadMatrix([]string{"kw_gossip"}); err == nil {
+				t.Fatalf("the old corpus's kw_gossip column survived the new base: %d rows", mx.NumExamples())
+			}
+			mx, err := p.LoadMatrix(drybell.Names(infra))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range second {
+				if mx.At(i, 0) != drybell.Negative {
+					t.Fatalf("kw_infra row %d = %v, want the new base's negative vote", i, mx.At(i, 0))
 				}
 			}
 		})
