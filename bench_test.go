@@ -605,15 +605,12 @@ func BenchmarkOnlineLabel(b *testing.B) {
 
 func incrementalBenchConfig(fs dfs.FS) core.Config[*corpus.Document] {
 	cfg := core.Config[*corpus.Document]{
-		FS:      fs,
-		WorkDir: "drybell",
-		Shards:  8,
-		Encode:  func(d *corpus.Document) ([]byte, error) { return d.Marshal() },
-		Decode:  corpus.UnmarshalDocument,
-		Trainer: core.TrainerSamplingFreeFast,
-		LabelModel: labelmodel.Options{
-			Steps: 300, BatchSize: 256, LR: 0.02, Seed: 3,
-		},
+		FS:         fs,
+		WorkDir:    "drybell",
+		Shards:     8,
+		Encode:     func(d *corpus.Document) ([]byte, error) { return d.Marshal() },
+		Decode:     corpus.UnmarshalDocument,
+		LabelModel: labelmodel.Options{Steps: 300},
 	}
 	out, err := cfg.WithDefaults()
 	if err != nil {

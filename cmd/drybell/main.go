@@ -6,7 +6,7 @@
 // Usage:
 //
 //	drybell -task topic -docs 30000
-//	drybell -task product -docs 30000 -trainer gibbs
+//	drybell -task product -docs 30000
 //	drybell -task events -docs 12000
 //	drybell -task topic -docs 5000 -trace trace.json   # Perfetto-loadable timeline
 package main
@@ -19,7 +19,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 
 	"repro/internal/apps"
@@ -30,23 +29,13 @@ import (
 
 func main() {
 	var (
-		task    = flag.String("task", "topic", "case study: topic, product, or events")
-		docs    = flag.Int("docs", 30000, "corpus size")
-		trainer = flag.String("trainer", drybell.TrainerSamplingFree,
-			"label model trainer: "+strings.Join(drybell.Trainers(), ", "))
+		task  = flag.String("task", "topic", "case study: topic, product, or events")
+		docs  = flag.Int("docs", 30000, "corpus size")
 		seed  = flag.Int64("seed", 1, "random seed")
-		steps = flag.Int("steps", 800, "label model gradient steps")
+		steps = flag.Int("steps", 800, "label model iteration cap (training stops earlier once it converges)")
 		trace = flag.String("trace", "", "write a Chrome trace-event timeline of the run to this file (load in Perfetto)")
 	)
 	flag.Parse()
-
-	// Fail fast on a bad trainer name, before corpus generation and LF
-	// execution burn minutes of work.
-	if !drybell.HasTrainer(*trainer) {
-		fmt.Fprintf(os.Stderr, "drybell: unknown trainer %q (available: %s)\n",
-			*trainer, strings.Join(drybell.Trainers(), ", "))
-		os.Exit(2)
-	}
 
 	// SIGINT/SIGTERM cancel the pipeline context: the run aborts between
 	// records instead of dying mid-write, leaving the DFS state clean.
@@ -61,9 +50,9 @@ func main() {
 	var err error
 	switch *task {
 	case "topic", "product":
-		err = runContent(ctx, *task, *docs, *trainer, *seed, *steps, observer)
+		err = runContent(ctx, *task, *docs, *seed, *steps, observer)
 	case "events":
-		err = runEvents(ctx, *docs, *trainer, *seed, *steps, observer)
+		err = runEvents(ctx, *docs, *seed, *steps, observer)
 	default:
 		err = fmt.Errorf("unknown task %q", *task)
 	}
@@ -82,16 +71,13 @@ func main() {
 	}
 }
 
-func contentPipeline(trainer string, seed int64, steps int, observer *drybell.Observer) (*drybell.Pipeline[*corpus.Document], error) {
+func contentPipeline(steps int, observer *drybell.Observer) (*drybell.Pipeline[*corpus.Document], error) {
 	opts := []drybell.Option{
 		drybell.WithCodec(
 			func(d *corpus.Document) ([]byte, error) { return d.Marshal() },
 			corpus.UnmarshalDocument,
 		),
-		drybell.WithTrainer(trainer),
-		drybell.WithLabelModel(drybell.LabelModelOptions{
-			Steps: steps, BatchSize: 64, LR: 0.05, Seed: seed + 2,
-		}),
+		drybell.WithLabelModel(drybell.LabelModelOptions{Steps: steps}),
 	}
 	if observer != nil {
 		opts = append(opts, drybell.WithObserver(observer))
@@ -112,7 +98,7 @@ func writeTrace(path string, o *drybell.Observer) error {
 	return f.Close()
 }
 
-func runContent(ctx context.Context, task string, n int, trainer string, seed int64, steps int, observer *drybell.Observer) error {
+func runContent(ctx context.Context, task string, n int, seed int64, steps int, observer *drybell.Observer) error {
 	var docs []*corpus.Document
 	var runners []apps.DocLF
 	var bigrams bool
@@ -139,7 +125,7 @@ func runContent(ctx context.Context, task string, n int, trainer string, seed in
 	fmt.Printf("task=%s corpus=%d (train %d / dev %d / test %d), %d labeling functions\n",
 		task, len(docs), len(train), len(dev), len(test), len(runners))
 
-	p, err := contentPipeline(trainer, seed, steps, observer)
+	p, err := contentPipeline(steps, observer)
 	if err != nil {
 		return err
 	}
@@ -164,7 +150,7 @@ func runContent(ctx context.Context, task string, n int, trainer string, seed in
 	return nil
 }
 
-func runEvents(ctx context.Context, n int, trainer string, seed int64, steps int, observer *drybell.Observer) error {
+func runEvents(ctx context.Context, n int, seed int64, steps int, observer *drybell.Observer) error {
 	events, err := corpus.GenerateEvents(corpus.DefaultEventsSpec(n, seed))
 	if err != nil {
 		return err
@@ -177,10 +163,7 @@ func runEvents(ctx context.Context, n int, trainer string, seed int64, steps int
 			func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
 			corpus.UnmarshalEvent,
 		),
-		drybell.WithTrainer(trainer),
-		drybell.WithLabelModel(drybell.LabelModelOptions{
-			Steps: steps, BatchSize: 64, LR: 0.05, Seed: seed + 2,
-		}),
+		drybell.WithLabelModel(drybell.LabelModelOptions{Steps: steps}),
 	}
 	if observer != nil {
 		opts = append(opts, drybell.WithObserver(observer))

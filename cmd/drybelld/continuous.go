@@ -20,7 +20,7 @@ import (
 // produce exactly the documents that come next.
 func runAppend(ctx context.Context, fsys drybell.FS, observer *drybell.Observer,
 	task, model string, n int, seed int64, steps, retries, k int) error {
-	p, err := trainPipeline(fsys, observer, model, seed, steps, retries, false, nil)
+	p, err := trainPipeline(fsys, observer, model, steps, retries, false, nil)
 	if err != nil {
 		return err
 	}
@@ -69,7 +69,7 @@ func runContinuous(ctx context.Context, fsys drybell.FS, reg serving.Catalog, ob
 		}
 		fmt.Printf("base model %s v%d promoted\n", model, version)
 	}
-	p, err := trainPipeline(fsys, observer, model, seed, steps, retries, false, pool)
+	p, err := trainPipeline(fsys, observer, model, steps, retries, false, pool)
 	if err != nil {
 		return err
 	}

@@ -86,7 +86,7 @@ func main() {
 		minWork      = flag.Int("min-workers", 0, "train mode: serve a remote-worker coordinator on -addr and wait for this many workers before training (0 trains in-process)")
 		docs         = flag.Int("docs", 4000, "bootstrap corpus size")
 		seed         = flag.Int64("seed", 1, "random seed for bootstrap training")
-		steps        = flag.Int("steps", 300, "label model gradient steps during bootstrap")
+		steps        = flag.Int("steps", 300, "label model iteration cap during bootstrap (training stops earlier once it converges)")
 		batch        = flag.Int("batch", 32, "max records per scoring micro-batch")
 		batchWait    = flag.Duration("batch-wait", 2*time.Millisecond, "max wait to fill a micro-batch")
 		workers      = flag.Int("workers", 0, "scoring worker pool size (0 = GOMAXPROCS)")
@@ -403,7 +403,7 @@ func train(ctx context.Context, fsys drybell.FS, reg serving.Catalog, observer *
 	if err != nil {
 		return 0, err
 	}
-	p, err := trainPipeline(fsys, observer, model, seed, steps, retries, resume, pool)
+	p, err := trainPipeline(fsys, observer, model, steps, retries, resume, pool)
 	if err != nil {
 		return 0, err
 	}
@@ -464,7 +464,7 @@ func syntheticCorpus(task string, n int, seed int64, extra int) (trainDocs, dev,
 // trainPipeline builds the daemon's training pipeline over its filesystem —
 // one construction shared by one-shot train, append, and continuous modes so
 // they all agree on the work directory and codec.
-func trainPipeline(fsys drybell.FS, observer *drybell.Observer, model string, seed int64, steps, retries int,
+func trainPipeline(fsys drybell.FS, observer *drybell.Observer, model string, steps, retries int,
 	resume bool, pool *drybell.RemotePool) (*drybell.Pipeline[*corpus.Document], error) {
 	opts := []drybell.Option{
 		drybell.WithCodec(
@@ -475,7 +475,7 @@ func trainPipeline(fsys drybell.FS, observer *drybell.Observer, model string, se
 		drybell.WithWorkDir("bootstrap/" + model),
 		drybell.WithRetries(retries),
 		drybell.WithResume(resume),
-		drybell.WithLabelModel(drybell.LabelModelOptions{Steps: steps, BatchSize: 64, LR: 0.05, Seed: seed + 2}),
+		drybell.WithLabelModel(drybell.LabelModelOptions{Steps: steps}),
 		drybell.WithObserver(observer),
 	}
 	if pool != nil {

@@ -4,7 +4,7 @@
 //
 // The supported public API is pkg/drybell: a composable, context-aware
 // Pipeline over the paper's four-stage weak-supervision flow, with
-// streaming ingestion, a pluggable trainer registry, and per-stage
+// streaming ingestion, one sampling-free label-model trainer, and per-stage
 // observability hooks. Start there (and with README.md's quickstart);
 // everything under internal/ is implementation detail behind it. The
 // runnable entry points live under cmd/ and examples/, and the root

@@ -46,7 +46,6 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	fs := newFS()
 	cfg := topicConfig(fs)
 	cfg.WorkDir = "drybell" // pin the default so path helpers below resolve
-	cfg.Trainer = TrainerSamplingFreeFast
 	lfs := apps.TopicLFs(nil, 0.02, 1)
 	if _, err := Run(cfg, base, lfs); err != nil {
 		t.Fatal(err)
@@ -95,7 +94,6 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	coldFS := newFS()
 	coldCfg := topicConfig(coldFS)
 	coldCfg.WorkDir = "drybell"
-	coldCfg.Trainer = TrainerSamplingFreeFast
 	if _, err := Run(coldCfg, compacted, apps.TopicLFs(nil, 0.02, 1)); err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,6 @@ import (
 	"math"
 	"path"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,26 +39,6 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	lfapi "repro/pkg/drybell/lf"
-)
-
-// Trainer selects the label-model optimizer by registry name.
-type Trainer string
-
-// Built-in trainers, pre-registered in the trainer registry.
-const (
-	// TrainerSamplingFree is the paper's contribution (§5.2): marginal
-	// likelihood on a static compute graph, no sampling. The default, and
-	// the reference implementation.
-	TrainerSamplingFree Trainer = "samplingfree"
-	// TrainerSamplingFreeFast is the vectorized production trainer: the
-	// same objective optimized by full-batch projected Newton over the
-	// compacted (deduplicated) vote matrix, converging to the reference
-	// trainer's optimum in a handful of deterministic steps.
-	TrainerSamplingFreeFast Trainer = "samplingfree-fast"
-	// TrainerAnalytic is the same objective with hand-derived gradients.
-	TrainerAnalytic Trainer = "analytic"
-	// TrainerGibbs is the open-source Snorkel baseline.
-	TrainerGibbs Trainer = "gibbs"
 )
 
 // Config configures a pipeline run.
@@ -113,8 +92,6 @@ type Config[T any] struct {
 	// to the execute stage inside one RunObserved call, so the resume fast
 	// path validates the vote artifact without re-scanning the corpus.
 	knownExamples int
-	// Trainer names a registered label-model trainer. Default sampling-free.
-	Trainer Trainer
 	// LabelModel are the label-model training options.
 	LabelModel labelmodel.Options
 	// DevLabels optionally carries dev-set ground truth aligned with the
@@ -141,9 +118,6 @@ func (c Config[T]) WithDefaults() (Config[T], error) {
 	}
 	if c.Parallelism <= 0 {
 		c.Parallelism = runtime.GOMAXPROCS(0)
-	}
-	if c.Trainer == "" {
-		c.Trainer = TrainerSamplingFree
 	}
 	return c, nil
 }
@@ -216,6 +190,9 @@ type Result struct {
 	Matrix *labelmodel.Matrix
 	// Model is the trained generative model.
 	Model *labelmodel.Model
+	// State is the training state over View: carried into IncrementalRun it
+	// makes the first round compact only its delta.
+	State *labelmodel.TrainState
 	// Posteriors are the probabilistic training labels Ỹ_i = P(Y_i=1|Λ_i),
 	// aligned with the input examples.
 	Posteriors []float64
@@ -348,44 +325,24 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 		return nil, fmt.Errorf("drybell: analyze labeling functions: %w", err)
 	}
 
-	// Stages 3 and 4, with the trainer the registry holds under cfg.Trainer
-	// (nil for an unknown name, which Denoise's error then lists).
-	train, _ := LookupTrainer(cfg.Trainer)
-	if err := denoiseAndPersist(ctx, cfg, res, cfg.Trainer, fitDense(train), emit); err != nil {
+	// Stages 3 and 4, trained the way every round trains — from no previous
+	// state, as the round over an empty store.
+	if err := denoiseAndPersist(ctx, cfg, res, nil, emit); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// fitFunc is stage 3 as a value: train the generative model on the matrix and
-// turn it into one probabilistic label per row.
-type fitFunc func(*labelmodel.Matrix, labelmodel.Options) (*labelmodel.Model, []float64, error)
-
-// fitDense is a registry trainer as a fitFunc, scoring every row of the
-// matrix; a nil trainer (a name the registry does not hold) stays nil.
-func fitDense(train TrainerFunc) fitFunc {
-	if train == nil {
-		return nil
-	}
-	return func(mx *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
-		lm, err := train(mx, opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return lm, lm.Posteriors(mx), nil
-	}
-}
-
 // denoiseAndPersist is stages 3 and 4 — train the generative model on
 // res.Matrix, turn it into probabilistic labels, persist them for the
 // production ML systems — filling in res. It is the one train→persist tail:
-// a batch run passes the registry's trainer, an incremental round a closure
-// that warm-starts from its previous state and scores the compaction it
-// trained on, and both emit the same spans, stage events and stage metrics.
-func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, name Trainer, fit fitFunc, emit func(StageEvent)) error {
+// a batch run passes no previous state, an incremental round the state the
+// round before it left, and both emit the same spans, stage events and stage
+// metrics.
+func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, prev *labelmodel.TrainState, emit func(StageEvent)) error {
 	t2 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
 	var err error
-	res.Model, res.Posteriors, err = denoise(ctx, name, fit, res.Matrix, cfg.LabelModel)
+	res.Model, res.State, res.Posteriors, err = denoise(ctx, res.Matrix, cfg.LabelModel, prev)
 	emit(StageEvent{Stage: StageDenoise, Start: t2, Duration: time.Since(t2), Examples: len(res.Posteriors), Err: err})
 	if err != nil {
 		return err
@@ -641,46 +598,34 @@ func (c Config[T]) executor() *lf.Executor[T] {
 	}
 }
 
-// Denoise trains the named generative label model on the assembled matrix
-// (stage 3) and returns it with the probabilistic training labels. An empty
-// trainer name selects the sampling-free default; any other name must be in
-// the trainer registry.
-func Denoise(ctx context.Context, trainer Trainer, matrix *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
-	if trainer == "" {
-		trainer = TrainerSamplingFree
-	}
-	train, _ := LookupTrainer(trainer)
-	return denoise(ctx, trainer, fitDense(train), matrix, opts)
-}
-
-// denoise is stage 3 with the trainer as a value; a nil fit is a name the
-// registry does not hold.
-func denoise(ctx context.Context, name Trainer, fit fitFunc, matrix *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
-	_, span := obs.StartSpan(ctx, "stage.denoise", obs.String("trainer", string(name)))
-	lm, posteriors, err := func() (*labelmodel.Model, []float64, error) {
-		if fit == nil {
-			return nil, nil, fmt.Errorf("drybell: unknown trainer %q (registered: %s)", name, trainerList())
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("drybell: train label model: %w", err)
-		}
-		lm, posteriors, err := fit(matrix, opts)
-		if err != nil {
-			return nil, nil, fmt.Errorf("drybell: train label model: %w", err)
-		}
-		return lm, posteriors, nil
-	}()
-	span.EndErr(err)
+// Denoise trains the generative label model on the assembled matrix (stage
+// 3) and returns it with the probabilistic training labels, exactly as a
+// batch run does.
+func Denoise(ctx context.Context, matrix *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
+	lm, _, posteriors, err := denoise(ctx, matrix, opts, nil)
 	return lm, posteriors, err
 }
 
-func trainerList() string {
-	names := TrainerNames()
-	parts := make([]string, len(names))
-	for i, n := range names {
-		parts[i] = string(n)
+// denoise is stage 3: the sampling-free fast trainer, warm-started from prev
+// (nil for none), with the labels scored once per distinct row of the
+// compaction it trained on.
+func denoise(ctx context.Context, matrix *labelmodel.Matrix, opts labelmodel.Options, prev *labelmodel.TrainState) (*labelmodel.Model, *labelmodel.TrainState, []float64, error) {
+	_, span := obs.StartSpan(ctx, "stage.denoise")
+	var lm *labelmodel.Model
+	var state *labelmodel.TrainState
+	err := ctx.Err()
+	if err == nil {
+		lm, state, err = labelmodel.TrainSamplingFreeFastWarm(matrix, opts, prev)
 	}
-	return strings.Join(parts, ", ")
+	if err != nil {
+		err = fmt.Errorf("drybell: train label model: %w", err)
+		span.EndErr(err)
+		return nil, nil, nil, err
+	}
+	posteriors := lm.CompactPosteriors(state.Compact)
+	span.SetAttr(obs.String("stop", state.Stopped), obs.Int("iterations", state.Iterations))
+	span.End()
+	return lm, state, posteriors, nil
 }
 
 // PersistLabels writes the probabilistic labels back to the filesystem

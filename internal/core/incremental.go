@@ -14,8 +14,9 @@
 //
 // Every round goes through IncrementalRun with what the previous round left
 // (Carried). A batch run is the round over an empty store: staging its corpus
-// empties the vote store, and it leaves the view it published (Result.View),
-// so the first delta round after it reads only the delta.
+// empties the vote store, it trains as a round does from no state, and it
+// leaves the view it published and its training state (Result.View and
+// State), so the first delta round after it reads and compacts only the delta.
 package core
 
 import (
@@ -268,9 +269,9 @@ type IncrementalResult struct {
 }
 
 // Carried is what one round leaves for the next: the view of the vote store
-// it ended on and the training state over that view (IncrementalResult's
-// View and State; a batch run's Result.View, with no state). They go
-// together: the state's compaction is of the view's rows.
+// it ended on and the training state over that view (the View and State of
+// an IncrementalResult or of a batch run's Result). They go together: the
+// state's compaction is of the view's rows.
 type Carried struct {
 	State *labelmodel.TrainState
 	View  *lf.View
@@ -291,10 +292,9 @@ type Carried struct {
 // rebuild reasons) it reads the store and compacts the view from scratch, as
 // a round without state does; the result is the same either way, bit for bit.
 //
-// Training always uses the sampling-free fast trainer — warm starting is
-// its capability — regardless of Config.Trainer; warm and cold runs produce
-// the identical model (the optimizer is a pure function of the vote matrix;
-// see labelmodel's equivalence tests).
+// It trains exactly as a batch run does; warm and cold runs produce the
+// identical model (the optimizer is a pure function of the vote matrix; see
+// labelmodel's equivalence tests).
 func IncrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *Carried) (*IncrementalResult, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
@@ -386,22 +386,13 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 		// compaction and saves nothing.
 		prev = &labelmodel.TrainState{Alpha: prev.Alpha, Iterations: prev.Iterations}
 	}
-	// The batch run's train→persist tail, with the warm-starting fast trainer
-	// as the trainer value (so no Analyze: two O(m·n) passes per round) and
-	// the labels scored once per distinct row of the compaction it trained on.
+	// The batch run's train→persist tail, warm-started from prev (and without
+	// its Analyze: two O(m·n) passes per round).
 	out := &Result{Matrix: view.Matrix}
-	fit := func(mx *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
-		model, state, err := labelmodel.TrainSamplingFreeFastWarm(mx, opts, prev)
-		if err != nil {
-			return nil, nil, err
-		}
-		res.State = state
-		return model, model.CompactPosteriors(state.Compact), nil
-	}
-	if err := denoiseAndPersist(ctx, cfg, out, TrainerSamplingFreeFast, fit, cfg.emitter(nil)); err != nil {
+	if err := denoiseAndPersist(ctx, cfg, out, prev, cfg.emitter(nil)); err != nil {
 		return nil, err
 	}
-	res.Matrix, res.Model, res.Posteriors, res.LabelsPath = out.Matrix, out.Model, out.Posteriors, out.LabelsPath
+	res.Matrix, res.Model, res.State, res.Posteriors, res.LabelsPath = out.Matrix, out.Model, out.State, out.Posteriors, out.LabelsPath
 	res.WarmIterations = res.State.Iterations
 	res.WarmStarted = prev != nil && len(prev.Alpha) > 0
 

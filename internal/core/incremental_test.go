@@ -39,7 +39,6 @@ func TestIncrementalRunMatchesColdRerun(t *testing.T) {
 
 	fs := dfs.NewMem()
 	cfg := topicConfig(fs)
-	cfg.Trainer = TrainerSamplingFreeFast
 	lfs := apps.TopicLFs(nil, 0.02, 1)
 	baseRes, err := Run(cfg, base, lfs)
 	if err != nil {
@@ -79,7 +78,6 @@ func TestIncrementalRunMatchesColdRerun(t *testing.T) {
 	// Cold reference: full rerun over the whole corpus on a fresh FS.
 	coldFS := dfs.NewMem()
 	coldCfg := topicConfig(coldFS)
-	coldCfg.Trainer = TrainerSamplingFreeFast
 	cold, err := Run(coldCfg, full, apps.TopicLFs(nil, 0.02, 1))
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +122,6 @@ func TestIncrementalRunCaughtUpAndDeletions(t *testing.T) {
 	}
 	fs := dfs.NewMem()
 	cfg := topicConfig(fs)
-	cfg.Trainer = TrainerSamplingFreeFast
 	lfs := apps.TopicLFs(nil, 0.02, 1)
 	if _, err := Run(cfg, full, lfs); err != nil {
 		t.Fatal(err)

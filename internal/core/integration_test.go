@@ -34,14 +34,11 @@ func TestProductPipelineOnDiskDFS(t *testing.T) {
 	test := corpus.Select(docs, sp.Test)
 
 	cfg := Config[*corpus.Document]{
-		FS:      disk,
-		WorkDir: "pipeline/product",
-		Encode:  func(d *corpus.Document) ([]byte, error) { return d.Marshal() },
-		Decode:  corpus.UnmarshalDocument,
-		Trainer: TrainerSamplingFree,
-		LabelModel: labelmodel.Options{
-			Steps: 400, BatchSize: 64, LR: 0.05, Seed: 5,
-		},
+		FS:         disk,
+		WorkDir:    "pipeline/product",
+		Encode:     func(d *corpus.Document) ([]byte, error) { return d.Marshal() },
+		Decode:     corpus.UnmarshalDocument,
+		LabelModel: labelmodel.Options{Steps: 400},
 	}
 	res, err := Run(cfg, train, apps.ProductLFs(nil, 1))
 	if err != nil {

@@ -13,9 +13,10 @@ import (
 // TestDenoisePersistObservable: a batch run and an incremental round go
 // through one train→persist tail, so both are observable the same way — a
 // stage.denoise and a stage.persist span directly under the run's root span,
-// the persist span counting every row, and one pipeline_stage_seconds
-// observation per stage. The batch run also delivers a StageDenoise and a
-// StagePersist event over every row to its hook.
+// the persist span counting every row, the denoise span saying why training
+// stopped, and one pipeline_stage_seconds observation per stage. The batch
+// run also delivers a StageDenoise and a StagePersist event over every row
+// to its hook.
 func TestDenoisePersistObservable(t *testing.T) {
 	ctx := context.Background()
 	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 330, PositiveRate: 0.05, Seed: 53})
@@ -46,7 +47,6 @@ func TestDenoisePersistObservable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := topicConfig(fs)
 			cfg.WorkDir = "drybell" // pin the default so LabelsBase below resolves
-			cfg.Trainer = TrainerSamplingFreeFast
 			cfg.Obs = obs.NewObserver()
 			events := map[StageName]StageEvent{}
 			if err := tc.run(cfg, func(ev StageEvent) { events[ev.Stage] = ev }); err != nil {
@@ -83,8 +83,11 @@ func TestDenoisePersistObservable(t *testing.T) {
 					t.Errorf("%s event = %d examples, err %v; want %d", stage, ev.Examples, ev.Err, tc.rows)
 				}
 			}
-			if labels := spanInt(byName["stage.persist"], "labels"); labels != tc.rows {
-				t.Errorf("stage.persist span counts %d labels, want %d", labels, tc.rows)
+			if labels := spanAttr(byName["stage.persist"], "labels"); labels != int64(tc.rows) {
+				t.Errorf("stage.persist span counts %v labels, want %d", labels, tc.rows)
+			}
+			if stop := spanAttr(byName["stage.denoise"], "stop"); stop != "converged" && stop != "stalled" {
+				t.Errorf("stage.denoise span says training stopped for %v, want converged or stalled", stop)
 			}
 			if tc.hooked && events[StagePersist].LabelsPath != cfg.LabelsBase() {
 				t.Errorf("persist event names %q, want %q", events[StagePersist].LabelsPath, cfg.LabelsBase())
@@ -93,14 +96,12 @@ func TestDenoisePersistObservable(t *testing.T) {
 	}
 }
 
-// spanInt is the integer attribute key of span, -1 when it has none.
-func spanInt(span obs.SpanData, key string) int {
+// spanAttr is the value of span's attribute key, nil when it has none.
+func spanAttr(span obs.SpanData, key string) any {
 	for _, a := range span.Attrs {
 		if a.Key == key {
-			if v, ok := a.Value.(int64); ok {
-				return int(v)
-			}
+			return a.Value
 		}
 	}
-	return -1
+	return nil
 }

@@ -106,7 +106,6 @@ func TestRestageCrashPoints(t *testing.T) {
 	config := func(fs dfs.FS) Config[*corpus.Document] {
 		cfg := topicConfig(fs)
 		cfg.WorkDir = "drybell"
-		cfg.Trainer = TrainerSamplingFreeFast
 		return cfg
 	}
 	// root builds base 120 + executed 20-document delta and returns the

@@ -37,10 +37,7 @@ func runEvents(cfg Config) (*eventsRun, error) {
 			func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
 			corpus.UnmarshalEvent,
 		),
-		drybell.WithTrainer(drybell.TrainerSamplingFree),
-		drybell.WithLabelModel(labelmodel.Options{
-			Steps: cfg.LabelModelSteps, BatchSize: 64, LR: 0.05, Seed: cfg.Seed + 12,
-		}),
+		drybell.WithLabelModel(labelmodel.Options{Steps: cfg.LabelModelSteps}),
 	)
 	if err != nil {
 		return nil, err

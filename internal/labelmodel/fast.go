@@ -33,7 +33,8 @@ import (
 //     full-batch steps — typically 10–20 rather than thousands.
 //
 // Options semantics: Steps caps the Newton iterations (the default is far
-// more than needed; convergence is detected from the projected gradient),
+// more than needed: training stops once the projected gradient converges or
+// an accepted step falls inside the objective's rounding floor),
 // BatchSize is ignored (updates are always full-batch and deterministic),
 // LR is ignored (Newton sets its own scale), and Seed is ignored (there is
 // no sampling). L2, PriorPositive and the [0, maxAlpha] accuracy projection
@@ -55,6 +56,16 @@ func TrainSamplingFreeFast(mx *Matrix, opts Options) (*Model, error) {
 // initBeta applies for the gradient trainers.
 const minCoverage = 1e-4
 
+// Why a fast training run stopped (TrainState.Stopped): the projected
+// gradient met its tolerance, the last accepted step was inside the
+// objective's rounding floor (or no descent direction was left), or
+// Options.Steps ran out first.
+const (
+	stopConverged = "converged"
+	stopStalled   = "stalled"
+	stopMaxSteps  = "max_steps"
+)
+
 // fastParallelMinRows is the compacted-row count below which the reduction
 // runs on the caller's goroutine; tiny problems don't amortize worker spawns.
 const fastParallelMinRows = 2048
@@ -69,8 +80,13 @@ type fastTrainer struct {
 	workers int
 
 	// iters counts the Newton iterations run actually spent, for warm-start
-	// "iterations saved" accounting.
-	iters int
+	// "iterations saved" accounting, and stopped says why run ended.
+	iters   int
+	stopped string
+
+	// fabs is Σ|terms| of the objective at the last evalFG, the scale of
+	// its rounding error.
+	fabs float64
 
 	// Per-LF state at the current α (recomputed by lfTerms).
 	beta []float64 // profiled β*(α)
@@ -171,11 +187,30 @@ func (ft *fastTrainer) run() ([]float64, []float64, error) {
 	// the equivalence-test tolerances — while typically saving the last,
 	// purely cosmetic Newton iteration.
 	gtol := 1e-8 * m
+	// Objective noise floor, relative to Σ|terms| (ft.fabs). evalFG sums
+	// one term per distinct row in w in-order chunks, then the w chunk
+	// partials and n per-LF terms, so a term passes through at most
+	// ⌈U/w⌉ + w + n rounded additions; evaluating it (the vote sum ℓ over
+	// at most n entries, exp, log1p, the multiplicity product) adds n + 4
+	// more. With k the sum of the two counts, the recursive-summation bound
+	// |fl(f) − f| ≤ γ_k·Σ|terms|, γ_k = k·u/(1 − k·u) and u = 2⁻⁵³ (Higham,
+	// Accuracy and Stability of Numerical Algorithms, §4.2), bounds one
+	// evaluation's error, and a decrease is the difference of two.
+	//
+	// The floor matters where the gradient test cannot fire: close to the
+	// optimum the last step's true decrease (≈ ½·gᵀH⁻¹g) can fall below it
+	// while rounding in the summed gradient keeps gmax above gtol, and then
+	// Armijo accepts steps on evaluation noise alone — halving them towards
+	// 1e-12 and never stopping. A step that leaves α unchanged decreases f by
+	// exactly zero, so the same test catches it.
+	k := float64((ft.cm.NumUnique()+ft.workers-1)/ft.workers + ft.workers + 2*n + 4)
+	const unit = 0x1p-53
+	noise := 2 * k * unit / (1 - k*unit)
 
 	f := ft.evalFG(alpha)
 	ft.grad, ft.gradT = ft.gradT, ft.grad
-	hessValid := false
-	for iter := 0; iter < ft.opts.Steps; iter++ {
+	hessValid, stalled := false, false
+	for iter := 0; ; iter++ {
 		// KKT-style freeze: a coordinate pinned at a bound whose gradient
 		// pushes further outward leaves the Newton system this iteration.
 		ft.free = ft.free[:0]
@@ -189,7 +224,16 @@ func (ft *fastTrainer) run() ([]float64, []float64, error) {
 			gmax = max(gmax, math.Abs(g))
 		}
 		if len(ft.free) == 0 || gmax <= gtol {
+			ft.stopped = stopConverged
 			break // the just-converged point never pays for a Hessian
+		}
+		if stalled {
+			ft.stopped = stopStalled
+			break
+		}
+		if iter == ft.opts.Steps {
+			ft.stopped = stopMaxSteps
+			break
 		}
 		if !hessValid {
 			// Deferred: built from the accepted evalFG's cached row
@@ -222,6 +266,7 @@ func (ft *fastTrainer) run() ([]float64, []float64, error) {
 				}
 				ftrial := ft.evalFG(ft.trial)
 				if ftrial <= f+armijo*gdot {
+					stalled = f-ftrial <= noise*ft.fabs
 					alpha, ft.trial = ft.trial, alpha
 					ft.grad, ft.gradT = ft.gradT, ft.grad
 					f = ftrial
@@ -237,7 +282,8 @@ func (ft *fastTrainer) run() ([]float64, []float64, error) {
 			}
 		}
 		if !improved {
-			break // no descent direction left: as converged as FP allows
+			ft.stopped = stopStalled // no descent direction left: as converged as FP allows
+			break
 		}
 	}
 
@@ -314,8 +360,10 @@ func (ft *fastTrainer) lfTerms(alpha []float64) float64 {
 
 		z := math.Log1p(math.Exp(a+b) + math.Exp(b-a))
 		constF += m*z - voted*b
+		ft.fabs += m*z + math.Abs(voted*b)
 		if l2 > 0 {
 			constF += l2 * (a*a + b*b)
+			ft.fabs += l2 * (a*a + b*b)
 		}
 	}
 	return constF
@@ -349,6 +397,7 @@ func (ft *fastTrainer) evalFG(alpha []float64) float64 {
 	n := ft.cm.NumFuncs()
 	m := float64(ft.cm.NumExamples())
 	cm := ft.cm
+	ft.fabs = 0
 	f := ft.lfTerms(alpha)
 
 	ft.reduceRows(func(w int, lo, hi int) {
@@ -396,6 +445,7 @@ func (ft *fastTrainer) evalFG(alpha []float64) float64 {
 	}
 	for w := 0; w < ft.workers; w++ {
 		f += ft.partF[w]
+		ft.fabs -= ft.partF[w] // every row term is ≤ 0, so |partial| = Σ|terms|
 		for j, g := range ft.partG[w] {
 			ft.gradT[j] += g
 		}

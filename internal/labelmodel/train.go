@@ -9,7 +9,9 @@ import (
 // Options configure training. The defaults mirror the paper's setup
 // (batch size 64, a few thousand gradient steps).
 type Options struct {
-	// Steps is the number of gradient steps. Default 2000.
+	// Steps caps the optimizer's iterations: the gradient steps of the SGD
+	// and Gibbs baselines, the Newton iterations of the sampling-free fast
+	// trainer, which usually stops long before the cap. Default 2000.
 	Steps int
 	// BatchSize is the minibatch size. Default 64 (paper §5.2, §6.1).
 	BatchSize int

@@ -26,6 +26,11 @@ type TrainState struct {
 	// Iterations is the number of Newton iterations the producing run spent
 	// — the baseline for "iterations saved" metrics.
 	Iterations int
+	// Stopped is why the producing run stopped: "converged" (the projected
+	// gradient met its tolerance), "stalled" (its last step was inside the
+	// objective's rounding floor, or no descent direction was left) or
+	// "max_steps" (Options.Steps ran out first).
+	Stopped string
 }
 
 // TrainSamplingFreeFastWarm is TrainSamplingFreeFast with a warm start:
@@ -77,6 +82,7 @@ func TrainSamplingFreeFastWarm(mx *Matrix, opts Options, prev *TrainState) (*Mod
 		Alpha:      append([]float64(nil), alpha...),
 		Compact:    cm,
 		Iterations: ft.iters,
+		Stopped:    ft.stopped,
 	}
 	return model, state, nil
 }

@@ -34,12 +34,6 @@ func wordDocs(rng *rand.Rand, firstID, n int) []doc {
 	return docs
 }
 
-// coldPipeline is a Pipeline that trains the way IncrementalRun always does.
-func coldPipeline(t *testing.T, extra ...drybell.Option) *drybell.Pipeline[doc] {
-	t.Helper()
-	return newPipeline(t, append([]drybell.Option{drybell.WithTrainer(drybell.TrainerSamplingFreeFast)}, extra...)...)
-}
-
 // requireSameRound compares what two rounds over the same store concluded:
 // the view, the model and the labels, bit for bit.
 func requireSameRound(t *testing.T, what string, got, want *drybell.IncrementalResult) {
@@ -101,7 +95,7 @@ func TestCarriedStateChecksItsColumns(t *testing.T) {
 		{"one replaced", replaced, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			p := coldPipeline(t)
+			p := newPipeline(t)
 			if _, err := p.Run(ctx, drybell.SliceSource(docs[:500]), lfs); err != nil {
 				t.Fatal(err)
 			}
@@ -127,13 +121,13 @@ func TestCarriedStateChecksItsColumns(t *testing.T) {
 			}
 
 			// A Pipeline without state, over the same store.
-			fresh, err := coldPipeline(t, drybell.WithFS(p.FS())).IncrementalRun(ctx, tc.second)
+			fresh, err := newPipeline(t, drybell.WithFS(p.FS())).IncrementalRun(ctx, tc.second)
 			if err != nil {
 				t.Fatal(err)
 			}
 			requireSameRound(t, "against a Pipeline without state", got, fresh)
 			if tc.cold {
-				cold, err := coldPipeline(t).Run(ctx, drybell.SliceSource(docs), tc.second)
+				cold, err := newPipeline(t).Run(ctx, drybell.SliceSource(docs), tc.second)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -195,8 +189,8 @@ func TestCarriedRoundsMatchRebuiltAndCold(t *testing.T) {
 				return docs
 			}
 
-			p := coldPipeline(t)
-			rival := coldPipeline(t, drybell.WithFS(p.FS()))
+			p := newPipeline(t)
+			rival := newPipeline(t, drybell.WithFS(p.FS()))
 			base := draw(300)
 			if _, err := p.Run(ctx, drybell.SliceSource(base), lfs); err != nil {
 				t.Fatal(err)
@@ -278,7 +272,7 @@ func TestCarriedRoundsMatchRebuiltAndCold(t *testing.T) {
 				if carried := got.ViewRebuilt == ""; carried != wantCarried {
 					t.Errorf("%s: view carried = %v (rebuilt: %q), want %v", what, carried, got.ViewRebuilt, wantCarried)
 				}
-				fresh, err := coldPipeline(t, drybell.WithFS(p.FS())).IncrementalRun(ctx, lfs)
+				fresh, err := newPipeline(t, drybell.WithFS(p.FS())).IncrementalRun(ctx, lfs)
 				if err != nil {
 					t.Fatalf("%s: round without state: %v", what, err)
 				}
@@ -301,7 +295,7 @@ func TestCarriedRoundsMatchRebuiltAndCold(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cold, err := coldPipeline(t).Run(ctx, drybell.SliceSource(live()), lfs)
+			cold, err := newPipeline(t).Run(ctx, drybell.SliceSource(live()), lfs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -312,18 +306,19 @@ func TestCarriedRoundsMatchRebuiltAndCold(t *testing.T) {
 }
 
 // TestCarriedRunIntoFirstRound: a batch Run is the first round of the
-// incremental loop. It hands the Pipeline the view it published, so the first
-// IncrementalRun after it streams one segment — the appended generation's
-// rows — where it used to re-read and re-compact the whole store (no_state),
-// whatever trainer Run used; and the round still equals, bit for bit, a fresh
-// Pipeline's round over the same store and a cold Run over the grown corpus.
+// incremental loop. It hands the Pipeline the view it published and the
+// training state over it, so the first IncrementalRun after it streams one
+// segment — the appended generation's rows — and warm-starts from Run's
+// compaction, where it used to re-read and re-compact the whole store
+// (no_state); and the round still equals, bit for bit, a fresh Pipeline's
+// round over the same store and a cold Run over the grown corpus.
 func TestCarriedRunIntoFirstRound(t *testing.T) {
 	ctx := context.Background()
 	docs := wordDocs(rand.New(rand.NewSource(5)), 0, 560)
 	delta := docs[500:]
 	lfs := testRunners()
 
-	p := newPipeline(t) // Run trains with the reference trainer, the round with the fast one
+	p := newPipeline(t)
 	if _, err := p.Run(ctx, drybell.SliceSource(docs[:500]), lfs); err != nil {
 		t.Fatal(err)
 	}
@@ -338,13 +333,16 @@ func TestCarriedRunIntoFirstRound(t *testing.T) {
 		t.Fatalf("first round after Run: rebuilt %q, streamed %d segments and %d vote rows; want Run's view carried and only the %d delta rows read",
 			got.ViewRebuilt, got.SegmentsScanned, got.RowsScanned, len(delta))
 	}
+	if !got.WarmStarted {
+		t.Fatal("first round after Run started cold, want it warm-started from Run's training state")
+	}
 
-	fresh, err := coldPipeline(t, drybell.WithFS(p.FS())).IncrementalRun(ctx, lfs)
+	fresh, err := newPipeline(t, drybell.WithFS(p.FS())).IncrementalRun(ctx, lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	requireSameRound(t, "against a Pipeline without state", got, fresh)
-	cold, err := coldPipeline(t).Run(ctx, drybell.SliceSource(docs), lfs)
+	cold, err := newPipeline(t).Run(ctx, drybell.SliceSource(docs), lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,7 +360,7 @@ func TestCarriedCompactAfterRivalRewrite(t *testing.T) {
 	ctx := context.Background()
 	docs := wordDocs(rand.New(rand.NewSource(9)), 0, 330)
 	lfs := testRunners()
-	p := coldPipeline(t)
+	p := newPipeline(t)
 	if _, err := p.Run(ctx, drybell.SliceSource(docs[:300]), lfs); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +371,7 @@ func TestCarriedCompactAfterRivalRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	rival := coldPipeline(t, drybell.WithFS(p.FS()))
+	rival := newPipeline(t, drybell.WithFS(p.FS()))
 	rewritten := []doc{{ID: 7, Text: "report: gossip redcarpet"}, {ID: 8, Text: "report: infrastructure"}}
 	if _, err := rival.StageDeltaAt(ctx, drybell.SliceSource(rewritten), 7); err != nil {
 		t.Fatal(err)
@@ -389,7 +387,7 @@ func TestCarriedCompactAfterRivalRewrite(t *testing.T) {
 		t.Fatal(err)
 	}
 	grown := append(append(slices.Clone(docs[:7]), rewritten...), docs[9:]...)
-	cold, err := coldPipeline(t).Run(ctx, drybell.SliceSource(grown), lfs)
+	cold, err := newPipeline(t).Run(ctx, drybell.SliceSource(grown), lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,32 +419,29 @@ func TestCarriedRoundCostIsTheDelta(t *testing.T) {
 		fs := &countingFS{FS: drybell.NewMemFS()}
 		// One worker: goroutine scheduling must not decide how many buffers
 		// the delta job allocates.
-		p := coldPipeline(t, drybell.WithFS(fs), drybell.WithParallelism(1))
+		p := newPipeline(t, drybell.WithFS(fs), drybell.WithParallelism(1))
 		if _, err := p.Run(ctx, drybell.SliceSource(wordDocs(rng, 0, base)), lfs); err != nil {
 			t.Fatal(err)
 		}
-		// The first round carries Run's view but no training state, so it
-		// compacts the whole view; the second is the steady one.
-		for round := 0; round < 2; round++ {
-			delta := wordDocs(rng, base+200*round, 200)
-			if _, err := p.StageDelta(ctx, drybell.SliceSource(delta)); err != nil {
-				t.Fatal(err)
-			}
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			reads = fs.reads.Load()
-			res, err := p.IncrementalRun(ctx, lfs)
-			runtime.ReadMemStats(&after)
-			if err != nil {
-				t.Fatal(err)
-			}
-			reads, allocs = fs.reads.Load()-reads, after.Mallocs-before.Mallocs
-			if round == 1 && (res.ViewRebuilt != "" || res.RowsScanned != len(delta) || res.DeltaExamples != len(delta)) {
-				t.Fatalf("steady round over %d rows: rebuilt %q, scanned %d vote rows, executed %d documents; want the %d of the delta",
-					base, res.ViewRebuilt, res.RowsScanned, res.DeltaExamples, len(delta))
-			}
+		// Run leaves its view and training state, so the first round after it
+		// is already the steady one.
+		delta := wordDocs(rng, base, 200)
+		if _, err := p.StageDelta(ctx, drybell.SliceSource(delta)); err != nil {
+			t.Fatal(err)
 		}
-		return reads, allocs
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		reads = fs.reads.Load()
+		res, err := p.IncrementalRun(ctx, lfs)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.ViewRebuilt != "" || res.RowsScanned != len(delta) || res.DeltaExamples != len(delta) || !res.WarmStarted {
+			t.Fatalf("round over %d rows: rebuilt %q, scanned %d vote rows, executed %d documents, warm-started %v; want the %d of the delta, warm",
+				base, res.ViewRebuilt, res.RowsScanned, res.DeltaExamples, res.WarmStarted, len(delta))
+		}
+		return fs.reads.Load() - reads, after.Mallocs - before.Mallocs
 	}
 	smallReads, smallAllocs := measure(4_000)
 	largeReads, largeAllocs := measure(40_000)

@@ -18,7 +18,6 @@
 //			func(d *corpus.Document) ([]byte, error) { return d.Marshal() },
 //			corpus.UnmarshalDocument,
 //		),
-//		drybell.WithTrainer(drybell.TrainerSamplingFree),
 //		drybell.WithLabelModel(drybell.LabelModelOptions{Steps: 800}),
 //	)
 //	res, err := p.Run(ctx, drybell.SliceSource(docs), lfs)
@@ -40,9 +39,9 @@
 // process) left behind, e.g. ExecuteLFs over a previously staged corpus, or
 // LoadMatrix plus Denoise over previously computed votes.
 //
-// Label-model trainers are pluggable: RegisterTrainer adds a named trainer
-// to the registry and WithTrainer selects it, alongside the built-in
-// sampling-free, analytic, and Gibbs trainers. WithStageHook installs an
+// The label model has one trainer, the paper's sampling-free objective
+// (§5.2) optimized by deterministic projected Newton over the compacted vote
+// matrix; WithLabelModel caps its iterations. WithStageHook installs an
 // observer that receives one structured StageEvent per completed stage for
 // logging and metrics.
 //
@@ -80,9 +79,9 @@
 // publishing one generation into the append-only versioned vote store under
 // VotesBase; the Pipeline carries the merged vote view and the label model's
 // warm-start state from round to round — Run is the first round and hands
-// the next the view it published — so a round over appended documents reads
-// and compacts only the new generations; and the refreshed labels are
-// persisted over the full corpus. A carried round equals a cold full retrain
+// the next the view it published and its training state — so a round over
+// appended documents reads and compacts only the new generations; and the
+// refreshed labels are persisted over the full corpus. A carried round equals a cold full retrain
 // (or a fresh Pipeline's round) exactly — incremental is a latency
 // optimization, never a quality trade. Running a new base corpus (Run,
 // Stage) over a root that holds votes starts over: both ledgers are reset
@@ -121,8 +120,8 @@ type Pipeline[T any] struct {
 // New builds a Pipeline from functional options. WithCodec is required and
 // must carry the same example type T; all other options have defaults
 // (fresh in-memory filesystem, work directory "drybell", 8 shards,
-// parallelism 4, the sampling-free trainer). A trainer selected with
-// WithTrainer must already be registered.
+// parallelism runtime.GOMAXPROCS(0), the label-model defaults of
+// LabelModelOptions).
 func New[T any](opts ...Option) (*Pipeline[T], error) {
 	s := &settings{}
 	for _, o := range opts {
@@ -141,9 +140,6 @@ func New[T any](opts ...Option) (*Pipeline[T], error) {
 		var zero T
 		return nil, fmt.Errorf("drybell: WithCodec was built for a different example type than the pipeline's %T", zero)
 	}
-	if s.trainer != "" && !HasTrainer(s.trainer) {
-		return nil, fmt.Errorf("drybell: unknown trainer %q (registered: %v)", s.trainer, Trainers())
-	}
 	cfg, err := core.Config[T]{
 		FS:             s.fs,
 		WorkDir:        s.workDir,
@@ -154,7 +150,6 @@ func New[T any](opts ...Option) (*Pipeline[T], error) {
 		MaxAttempts:    s.maxAttempts,
 		StragglerAfter: s.stragglerAfter,
 		Resume:         s.resume,
-		Trainer:        core.Trainer(s.trainer),
 		LabelModel:     s.labelModel,
 		DevLabels:      s.devLabels,
 		Obs:            s.observer,
@@ -198,18 +193,17 @@ func (p *Pipeline[T]) VotesBase() string { return path.Join(p.cfg.VotesPrefix(),
 // errors.Is(err, ctx.Err()); see the package comment for how deep into each
 // stage cancellation reaches.
 //
-// Run is the first round of the incremental loop: the Pipeline keeps the
-// view of the vote store it published (Result.View), so the first
-// IncrementalRun after it reads only its delta. It keeps no training state —
-// Run trains with WithTrainer's trainer — so that round compacts the view
-// once.
+// Run is the first round of the incremental loop and trains exactly as a
+// round does: the Pipeline keeps the view of the vote store it published and
+// the training state over it (Result.View and State), so the first
+// IncrementalRun after it reads and compacts only its delta.
 func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Result, error) {
 	p.carried = core.Carried{} // describes the corpus this run replaces
 	res, err := core.RunObserved(ctx, p.cfg, src, lfs, p.hook)
 	if err != nil {
 		return nil, err
 	}
-	p.carried.View = res.View
+	p.carried = core.Carried{View: res.View, State: res.State}
 	return res, nil
 }
 
@@ -287,12 +281,12 @@ func (p *Pipeline[T]) LoadMatrix(names []string) (*Matrix, error) {
 	return core.LoadMatrix(p.cfg, names)
 }
 
-// Denoise trains the configured generative label model on the matrix
-// (stage 3), returning the model and the probabilistic training labels
+// Denoise trains the generative label model on the matrix (stage 3), as Run
+// does, returning the model and the probabilistic training labels
 // P(Y_i=1|Λ_i) aligned with the staged input.
 func (p *Pipeline[T]) Denoise(ctx context.Context, matrix *Matrix) (*Model, []float64, error) {
 	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
-	model, posteriors, err := core.Denoise(p.cfg.ObsContext(ctx), p.cfg.Trainer, matrix, p.cfg.LabelModel)
+	model, posteriors, err := core.Denoise(p.cfg.ObsContext(ctx), matrix, p.cfg.LabelModel)
 	ev := StageEvent{Stage: StageDenoise, Start: start, Duration: time.Since(start), Examples: len(posteriors), Err: err}
 	p.emit(ev)
 	return model, posteriors, err

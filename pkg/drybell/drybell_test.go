@@ -5,10 +5,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
 
+	"repro/internal/labelmodel"
 	"repro/pkg/drybell"
 	"repro/pkg/drybell/lf"
 )
@@ -259,62 +261,6 @@ func TestCancellationBetweenStages(t *testing.T) {
 	}
 }
 
-// TestCustomTrainerEndToEnd registers a trainer through the public registry
-// and selects it by name for a full pipeline run.
-func TestCustomTrainerEndToEnd(t *testing.T) {
-	var calls atomic.Int32
-	const name = "test-uniform-trainer"
-	err := drybell.RegisterTrainer(name, func(mx *drybell.Matrix, opts drybell.LabelModelOptions) (*drybell.Model, error) {
-		calls.Add(1)
-		n := mx.NumFuncs()
-		m := &drybell.Model{Alpha: make([]float64, n), Beta: make([]float64, n)}
-		for j := 0; j < n; j++ {
-			m.Alpha[j] = 1 // every LF modeled as moderately accurate
-		}
-		return m, nil
-	})
-	if err != nil {
-		t.Fatalf("RegisterTrainer: %v", err)
-	}
-	if !drybell.HasTrainer(name) {
-		t.Fatalf("HasTrainer(%q) = false after registration", name)
-	}
-
-	p := newPipeline(t, drybell.WithTrainer(name))
-	res, err := p.Run(context.Background(), drybell.SliceSource(makeDocs(150)), testRunners())
-	if err != nil {
-		t.Fatalf("Run with custom trainer: %v", err)
-	}
-	if calls.Load() != 1 {
-		t.Fatalf("custom trainer ran %d times, want 1", calls.Load())
-	}
-	if res.Model.Alpha[0] != 1 {
-		t.Fatalf("result model alpha = %v, want the custom trainer's output", res.Model.Alpha)
-	}
-}
-
-func TestTrainerRegistryValidation(t *testing.T) {
-	if err := drybell.RegisterTrainer("", nil); err == nil {
-		t.Fatal("RegisterTrainer(\"\") succeeded, want error")
-	}
-	if err := drybell.RegisterTrainer(drybell.TrainerGibbs, func(mx *drybell.Matrix, opts drybell.LabelModelOptions) (*drybell.Model, error) {
-		return nil, nil
-	}); err == nil {
-		t.Fatal("re-registering a built-in trainer succeeded, want error")
-	}
-	if _, err := drybell.New[doc](
-		drybell.WithCodec(encodeDoc, decodeDoc),
-		drybell.WithTrainer("no-such-trainer"),
-	); err == nil || !strings.Contains(err.Error(), "no-such-trainer") {
-		t.Fatalf("New with unknown trainer = %v, want naming error", err)
-	}
-	for _, builtin := range []string{drybell.TrainerSamplingFree, drybell.TrainerAnalytic, drybell.TrainerGibbs} {
-		if !drybell.HasTrainer(builtin) {
-			t.Fatalf("built-in trainer %q not registered", builtin)
-		}
-	}
-}
-
 // TestResumeFromDFSState runs each stage in a separate Pipeline sharing one
 // filesystem, mimicking the paper's loosely-coupled deployment where
 // independent binaries coordinate only through the DFS.
@@ -409,7 +355,6 @@ func TestOptionValidation(t *testing.T) {
 		{"negative parallelism", []drybell.Option{drybell.WithCodec(encodeDoc, decodeDoc), drybell.WithParallelism(-1)}},
 		{"empty workdir", []drybell.Option{drybell.WithCodec(encodeDoc, decodeDoc), drybell.WithWorkDir("")}},
 		{"nil fs", []drybell.Option{drybell.WithCodec(encodeDoc, decodeDoc), drybell.WithFS(nil)}},
-		{"empty trainer", []drybell.Option{drybell.WithCodec(encodeDoc, decodeDoc), drybell.WithTrainer("")}},
 	}
 	for _, tc := range cases {
 		if _, err := drybell.New[doc](tc.opts...); err == nil {
@@ -421,6 +366,21 @@ func TestOptionValidation(t *testing.T) {
 	// another.
 	if _, err := drybell.New[int](drybell.WithCodec(encodeDoc, decodeDoc)); err == nil {
 		t.Error("New[int] with doc codec succeeded, want type-mismatch error")
+	}
+}
+
+// TestTrainerRegistryValidation: with one trainer left, WithTrainer is a
+// shim that accepts only TrainerSamplingFreeFast; New fails on every other
+// name, including the deleted trainers', and the error names it.
+func TestTrainerRegistryValidation(t *testing.T) {
+	for _, name := range []string{"", "samplingfree", "analytic", "gibbs", "no-such-trainer"} {
+		_, err := drybell.New[doc](drybell.WithCodec(encodeDoc, decodeDoc), drybell.WithTrainer(name))
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("%q", name)) {
+			t.Errorf("New with trainer %q = %v, want naming error", name, err)
+		}
+	}
+	if _, err := drybell.New[doc](drybell.WithCodec(encodeDoc, decodeDoc), drybell.WithTrainer(drybell.TrainerSamplingFreeFast)); err != nil {
+		t.Errorf("New with the only trainer: %v", err)
 	}
 }
 
@@ -519,5 +479,76 @@ func TestDuplicateLFNamesFailBeforeStaging(t *testing.T) {
 	// Nothing was staged for the doomed run.
 	if _, err := drybell.ListShards(p.FS(), p.InputPath()); err == nil {
 		t.Error("corpus was staged despite invalid LF set")
+	}
+}
+
+// TestDenoiseSingularMatrices: vote matrices that leave the label model
+// singular — a function that never votes, two identical functions, no votes
+// at all, a function that votes positive on every row — still get a defined
+// answer: training stops on its own before the step cap, and every label is
+// a finite probability.
+func TestDenoiseSingularMatrices(t *testing.T) {
+	base, _, err := labelmodel.Synthesize(labelmodel.SynthSpec{
+		NumExamples:   600,
+		PriorPositive: 0.3,
+		Accuracies:    []float64{0.9, 0.75, 0.8},
+		Propensities:  []float64{0.5, 0.3, 0.6},
+		Seed:          17,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, n := base.NumExamples(), base.NumFuncs()
+	// withColumn is base plus one more column, vote(i) on row i.
+	withColumn := func(vote func(i int) drybell.Label) *drybell.Matrix {
+		mx := labelmodel.NewMatrix(m, n+1)
+		for i := 0; i < m; i++ {
+			for j := 0; j < n; j++ {
+				mx.Set(i, j, base.At(i, j))
+			}
+			mx.Set(i, n, vote(i))
+		}
+		return mx
+	}
+	const steps = 200
+	for _, tc := range []struct {
+		name string
+		mx   *drybell.Matrix
+	}{
+		{"all-abstain column", withColumn(func(int) drybell.Label { return drybell.Abstain })},
+		{"duplicated column", withColumn(func(i int) drybell.Label { return base.At(i, 0) })},
+		{"every column empty", labelmodel.NewMatrix(m, n)},
+		{"always-positive column", withColumn(func(int) drybell.Label { return drybell.Positive })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			o := drybell.NewObserver()
+			p := newPipeline(t, drybell.WithObserver(o), drybell.WithLabelModel(drybell.LabelModelOptions{Steps: steps}))
+			_, posteriors, err := p.Denoise(context.Background(), tc.mx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, pr := range posteriors {
+				if math.IsNaN(pr) || pr < 0 || pr > 1 {
+					t.Fatalf("posterior %d = %v, want a probability", i, pr)
+				}
+			}
+			var stop, iterations any
+			for _, s := range o.Trace.Snapshot() {
+				if s.Name != "stage.denoise" {
+					continue
+				}
+				for _, a := range s.Attrs {
+					switch a.Key {
+					case "stop":
+						stop = a.Value
+					case "iterations":
+						iterations = a.Value
+					}
+				}
+			}
+			if stop != "converged" && stop != "stalled" {
+				t.Errorf("training stopped for %v after %v iterations, want it to stop on its own before %d", stop, iterations, steps)
+			}
+		})
 	}
 }

@@ -104,18 +104,17 @@ func (p *Pipeline[T]) Compact() error {
 // view, with a watermark of exactly what it merged (the flat artifact's write
 // generation and each folded generation's manifest), and the label model's
 // warm-start state over that view. Run is the first round: it leaves the view
-// it published and no state (its trainer is WithTrainer's), so the first
-// IncrementalRun after it reads only its delta and compacts the view once. A
-// round first confirms from the store's metadata that the watermark is a
-// prefix of the generation chain and that everything after it appends rows
-// under the same functions in the same order; it then reads only the newer
+// it published and its training state, so the first IncrementalRun after it
+// reads and compacts only its delta. A round first confirms from the store's
+// metadata that the watermark is a prefix of the generation chain and that
+// everything after it appends rows under the same functions in the same
+// order; it then reads only the newer
 // generations, compacts only their rows and scores each distinct vote row
 // once. On anything else — a rewrite or tombstone, another writer's flat
 // artifact, a changed or reordered function set — it rebuilds both from the
 // store (IncrementalResult.ViewRebuilt says why). A fresh Pipeline over the
-// same filesystem is a cold start: exactly equivalent, only slower. Training
-// always uses the sampling-free fast trainer regardless of WithTrainer — warm
-// starting is its capability — and warm and cold runs produce the identical
+// same filesystem is a cold start: exactly equivalent, only slower. A round
+// trains exactly as Run does, and warm and cold runs produce the identical
 // model. The result's Matrix is the carried view: read it, do not write to
 // it.
 func (p *Pipeline[T]) IncrementalRun(ctx context.Context, lfs []LF[T]) (*IncrementalResult, error) {

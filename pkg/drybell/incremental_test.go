@@ -38,10 +38,8 @@ func TestIncrementalRunSDK(t *testing.T) {
 	}
 
 	// Cold full rerun on a fresh pipeline must agree exactly: training is a
-	// pure function of the vote matrix. IncrementalRun always trains with
-	// the fast trainer, so the reference pipeline selects it too.
-	cold, err := newPipeline(t, drybell.WithTrainer(drybell.TrainerSamplingFreeFast)).
-		Run(context.Background(), drybell.SliceSource(full), testRunners())
+	// pure function of the vote matrix.
+	cold, err := newPipeline(t).Run(context.Background(), drybell.SliceSource(full), testRunners())
 	if err != nil {
 		t.Fatalf("cold Run: %v", err)
 	}
@@ -265,8 +263,7 @@ func TestRestageOverExecutedChain(t *testing.T) {
 			// The warm-start state the Pipeline carried from the old chain
 			// describes rows that are gone: the round must train as a cold run
 			// over the new corpus does.
-			cold, err := newPipeline(t, drybell.WithTrainer(drybell.TrainerSamplingFreeFast)).
-				Run(ctx, drybell.SliceSource(append(second, next...)), testRunners())
+			cold, err := newPipeline(t).Run(ctx, drybell.SliceSource(append(second, next...)), testRunners())
 			if err != nil {
 				t.Fatalf("cold Run: %v", err)
 			}

@@ -34,7 +34,6 @@ type settings struct {
 	maxAttempts    int
 	stragglerAfter time.Duration
 	resume         bool
-	trainer        string
 	labelModel     labelmodel.Options
 	devLabels      []labelmodel.Label
 	hook           StageHook
@@ -160,17 +159,20 @@ func WithResume(resume bool) Option {
 	return Option{f: func(s *settings) { s.resume = resume }}
 }
 
-// WithTrainer selects the label-model trainer by registry name: one of the
-// built-ins (TrainerSamplingFree, TrainerAnalytic, TrainerGibbs) or a name
-// previously passed to RegisterTrainer. Default TrainerSamplingFree. New
-// fails if the name is not registered.
+// TrainerSamplingFreeFast names the pipeline's label-model trainer: the
+// §5.2 marginal-likelihood objective optimized by deterministic full-batch
+// projected Newton over the compacted (deduplicated) vote matrix.
+const TrainerSamplingFreeFast = "samplingfree-fast"
+
+// WithTrainer is a compatibility shim from when the label-model trainer was
+// selectable. The sampling-free fast trainer is now the only one, so
+// TrainerSamplingFreeFast is the only name it accepts; New fails on any
+// other. Leave it out.
 func WithTrainer(name string) Option {
 	return Option{f: func(s *settings) {
-		if name == "" {
-			s.fail(fmt.Errorf("drybell: WithTrainer(\"\")"))
-			return
+		if name != TrainerSamplingFreeFast {
+			s.fail(fmt.Errorf("drybell: WithTrainer(%q): the only trainer is %q", name, TrainerSamplingFreeFast))
 		}
-		s.trainer = name
 	}}
 }
 
