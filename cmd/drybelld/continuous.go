@@ -54,7 +54,7 @@ func runAppend(ctx context.Context, fsys drybell.FS, observer *drybell.Observer,
 // batch of staged deltas — delta-only LF execution, warm-start label-model
 // training, classifier retrain, dev validation, and promotion — so served
 // labels stay minutes, not a full batch run, behind the corpus.
-func runContinuous(ctx context.Context, fsys drybell.FS, reg serving.Catalog, observer *drybell.Observer,
+func runContinuous(ctx context.Context, fsys drybell.FS, reg *serving.FSRegistry, observer *drybell.Observer,
 	task, model string, runners []apps.DocLF, bigrams bool, n int, seed int64, steps, retries int,
 	resume bool, pool *drybell.RemotePool, inc incrementalFlags) error {
 	trainBase, dev, _, err := syntheticCorpus(task, n, seed, 0)
@@ -165,7 +165,7 @@ func runContinuous(ctx context.Context, fsys drybell.FS, reg serving.Catalog, ob
 // registry, or — when a serve daemon's URL is configured — through its
 // /v1/promote endpoint so the hot-swap happens immediately rather than at
 // the daemon's next reload.
-func promoteVersion(ctx context.Context, reg serving.Catalog, model, promoteURL string, version int) error {
+func promoteVersion(ctx context.Context, reg *serving.FSRegistry, model, promoteURL string, version int) error {
 	if promoteURL == "" {
 		return reg.Promote(model, version)
 	}

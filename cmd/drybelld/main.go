@@ -396,7 +396,7 @@ func labelModelPath(model string) string { return "serving/labelmodel/" + model 
 // picks up from the checkpoints the distributed runtime left on the DFS:
 // the staged corpus is trusted, completed vote state is loaded, and only
 // unfinished tasks re-execute.
-func train(ctx context.Context, fsys drybell.FS, reg serving.Catalog, observer *drybell.Observer, task, model string,
+func train(ctx context.Context, fsys drybell.FS, reg *serving.FSRegistry, observer *drybell.Observer, task, model string,
 	runners []apps.DocLF, bigrams bool, n int, seed int64, steps, retries int, resume, promote bool,
 	pool *drybell.RemotePool) (int, error) {
 	trainDocs, dev, _, err := syntheticCorpus(task, n, seed, 0)
@@ -487,7 +487,7 @@ func trainPipeline(fsys drybell.FS, observer *drybell.Observer, model string, st
 // stageVersion exports the classifier, validates servability and latency on
 // dev probes, stages it into the registry, and persists the label model the
 // online /v1/label path denoises with. It does not promote.
-func stageVersion(fsys drybell.FS, reg serving.Catalog, model string,
+func stageVersion(fsys drybell.FS, reg *serving.FSRegistry, model string,
 	clf *drybell.ContentClassifier, lm *labelmodel.Model, dev []*corpus.Document) (int, error) {
 	art, err := clf.Export(model)
 	if err != nil {
@@ -514,7 +514,7 @@ func stageVersion(fsys drybell.FS, reg serving.Catalog, model string,
 	return staged.Version, nil
 }
 
-func serveHTTP(ctx context.Context, addr string, fsys drybell.FS, reg serving.Catalog, observer *drybell.Observer, model string,
+func serveHTTP(ctx context.Context, addr string, fsys drybell.FS, reg *serving.FSRegistry, observer *drybell.Observer, model string,
 	runners []apps.DocLF, batch int, batchWait time.Duration, workers, cacheSize int,
 	drainTimeout, latencyBudget time.Duration, maxQueue int, deadline time.Duration, traceRequests bool) error {
 	var lm *labelmodel.Model

@@ -100,7 +100,7 @@ func main() {
 
 // trainAndStage runs the batch pipeline on a fresh synthetic corpus and
 // stages the resulting classifier, returning the trained label model.
-func trainAndStage(ctx context.Context, fsys drybell.FS, reg serving.Catalog,
+func trainAndStage(ctx context.Context, fsys drybell.FS, reg *serving.FSRegistry,
 	runners []apps.DocLF, seed int64) *drybell.Model {
 	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 1500, PositiveRate: 0.05, Seed: seed})
 	if err != nil {

@@ -106,10 +106,9 @@ func (c *ContentClassifier) Export(name string) (*serving.Artifact, error) {
 
 // StageForServing exports the classifier, validates servability and latency
 // against the budget on probe documents, stages it in the registry, and
-// promotes it. Any Catalog works: the in-memory Registry for tests, or an
-// FSRegistry whose state a serving daemon recovers after restart.
+// promotes it; a serving daemon recovers the registry's state after restart.
 func (c *ContentClassifier) StageForServing(
-	reg serving.Catalog, name string,
+	reg *serving.FSRegistry, name string,
 	probes []*corpus.Document, budget time.Duration,
 ) (*serving.Artifact, error) {
 	art, err := c.Export(name)

@@ -82,14 +82,14 @@ type Config[T any] struct {
 	Workers []mapreduce.Worker
 	// Obs, when non-nil, makes the run observable: spans are recorded into
 	// Obs.Trace (one per stage, LF job, and task attempt) and stage/runtime
-	// metrics into Obs.Metrics. After a traced RunObserved, the span timeline
+	// metrics into Obs.Metrics. After a traced RunContext, the span timeline
 	// is exported to the DFS as "<WorkDir>/_obs/trace.json" in Chrome
 	// trace-event format (loadable in Perfetto). Nil means observability off;
 	// the pipeline pays nothing.
 	Obs *obs.Observer
 
 	// knownExamples carries the staged record count from the staging stage
-	// to the execute stage inside one RunObserved call, so the resume fast
+	// to the execute stage inside one RunContext call, so the resume fast
 	// path validates the vote artifact without re-scanning the corpus.
 	knownExamples int
 	// LabelModel are the label-model training options.
@@ -123,7 +123,7 @@ func (c Config[T]) WithDefaults() (Config[T], error) {
 }
 
 // ObsContext returns ctx carrying the config's tracer (if any), so spans
-// recorded by stages called individually land in Config.Obs. RunObserved
+// recorded by stages called individually land in Config.Obs. RunContext
 // applies it automatically; callers composing stages by hand should too.
 func (c Config[T]) ObsContext(ctx context.Context) context.Context {
 	return c.Obs.Context(ctx)
@@ -146,29 +146,22 @@ func (c Config[T]) exportTrace() {
 	_ = c.FS.WriteFile(c.TracePath(), data)
 }
 
-// recordStageMetrics feeds one stage event into the run's metrics registry.
-func (c Config[T]) recordStageMetrics(ev StageEvent) {
+// stageDone records one finished stage of a run or round in the stage
+// metrics — its wall time since start, and its failure when err is set — and
+// returns the wall time.
+func (c Config[T]) stageDone(stage string, start time.Time, err error) time.Duration {
+	d := time.Since(start)
 	if c.Obs == nil || c.Obs.Metrics == nil {
-		return
+		return d
 	}
 	reg := c.Obs.Metrics
-	stage := obs.Label{Key: "stage", Value: string(ev.Stage)}
+	label := obs.Label{Key: "stage", Value: stage}
 	reg.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
-		obs.DefLatencyBuckets, stage).ObserveDuration(ev.Duration)
-	if ev.Err != nil {
-		reg.Counter("pipeline_stage_errors_total", "Pipeline stages that failed.", stage).Inc()
+		obs.DefLatencyBuckets, label).ObserveDuration(d)
+	if err != nil {
+		reg.Counter("pipeline_stage_errors_total", "Pipeline stages that failed.", label).Inc()
 	}
-}
-
-// emitter returns the sink a run's stage events go to: the metrics registry,
-// then the caller's hook if there is one.
-func (c Config[T]) emitter(hook StageHook) func(StageEvent) {
-	return func(ev StageEvent) {
-		c.recordStageMetrics(ev)
-		if hook != nil {
-			hook(ev)
-		}
-	}
+	return d
 }
 
 // InputBase is the DFS base path of the staged corpus.
@@ -241,32 +234,25 @@ func Run[T any](cfg Config[T], examples []T, lfs []lfapi.LF[T]) (*Result, error)
 // source under a context. Cancellation is honored between stages and
 // mid-stage during staging and labeling-function execution (between records
 // inside MapReduce tasks); the denoise and persist stages check the context
-// at stage entry.
+// at stage entry. This is the single pipeline composition; Run and
+// pkg/drybell's Pipeline.Run delegate here.
 func RunContext[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], lfs []lfapi.LF[T]) (*Result, error) {
-	return RunObserved(ctx, cfg, src, lfs, nil)
-}
-
-// RunObserved is RunContext with a per-stage observer: hook (if non-nil)
-// receives one StageEvent per completed or failed stage. This is the single
-// pipeline composition; Run, RunContext, and pkg/drybell's Pipeline.Run all
-// delegate here.
-func RunObserved[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], lfs []lfapi.LF[T], hook StageHook) (*Result, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {
 		return nil, err
 	}
 	ctx = cfg.ObsContext(ctx)
 	ctx, span := obs.StartSpan(ctx, "pipeline.run", obs.String("workdir", cfg.WorkDir))
-	res, err := runPipeline(ctx, cfg, src, lfs, hook)
+	res, err := runPipeline(ctx, cfg, src, lfs)
 	span.EndErr(err)
 	cfg.exportTrace()
 	return res, err
 }
 
-// runPipeline is RunObserved's body, separated so the root span brackets
+// runPipeline is RunContext's body, separated so the root span brackets
 // exactly one execution and the trace artifact exports after it closes.
 // cfg arrives defaulted.
-func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], lfs []lfapi.LF[T], hook StageHook) (*Result, error) {
+func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, error], lfs []lfapi.LF[T]) (*Result, error) {
 	var err error
 	// Validate the function set before staging a single record: duplicate
 	// names would silently overwrite each other's vote shards on the DFS,
@@ -274,60 +260,51 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 	if err := lfapi.ValidateNames(lfs); err != nil {
 		return nil, fmt.Errorf("drybell: %w", err)
 	}
-	emit := cfg.emitter(hook)
 	res := &Result{}
 
 	// Stage 1: write the corpus to the distributed filesystem. A resuming
 	// pipeline trusts a corpus an earlier run already committed — stages
 	// exchange data only through the filesystem (§5.4), so its presence is
 	// the checkpoint — and skips the encode/stage pass entirely.
-	t0 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
+	t0 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
 	var n int
-	stageResumed := false
 	if cfg.Resume {
-		// An empty shard set is not a committed corpus: stage over it.
-		if staged, serr := mapreduce.StagedCount(cfg.FS, cfg.InputBase()); serr == nil && staged > 0 {
-			n, stageResumed = staged, true
+		if staged, serr := mapreduce.StagedCount(cfg.FS, cfg.InputBase()); serr == nil {
+			n = staged
 		}
 	}
-	if !stageResumed {
+	if n == 0 { // nothing committed, or an empty shard set: stage over it
 		n, err = StageExamples(ctx, cfg, src)
 	}
-	emit(StageEvent{Stage: StageStage, Start: t0, Duration: time.Since(t0), Examples: n, Resumed: stageResumed, Err: err})
+	res.Timings.Stage = cfg.stageDone("stage", t0, err)
 	if err != nil {
 		return nil, err
 	}
-	res.Timings.Stage = time.Since(t0)
 
 	// Stage 2: execute the labeling functions on the distributed runtime.
-	t1 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
+	t1 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
 	cfg.knownExamples = n
 	res.View, res.LFReport, err = ExecuteLFs(ctx, cfg, lfs)
-	ev := StageEvent{Stage: StageExecuteLFs, Start: t1, Duration: time.Since(t1), Examples: n, Report: res.LFReport, Err: err}
-	if res.LFReport != nil {
-		ev.Resumed = res.LFReport.ResumedFromVotes
-	}
-	emit(ev)
+	res.Timings.Execute = cfg.stageDone("execute-lfs", t1, err)
 	if err != nil {
 		return nil, err
 	}
 	res.Matrix = res.View.Matrix
-	res.Timings.Execute = time.Since(t1)
 
 	// Stage 2b: the development-loop analysis over the fresh matrix —
 	// coverage, overlaps, conflicts, and accuracy against any dev labels.
-	ta := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
+	ta := time.Now() //drybellvet:wallclock — stage metrics only
 	_, aspan := obs.StartSpan(ctx, "stage.analyze")
 	res.Analysis, err = lfapi.Analyze(res.Matrix, lfapi.Metas(lfs), cfg.DevLabels)
 	aspan.EndErr(err)
-	emit(StageEvent{Stage: StageAnalyze, Start: ta, Duration: time.Since(ta), Examples: n, Analysis: res.Analysis, Err: err})
+	cfg.stageDone("analyze-lfs", ta, err)
 	if err != nil {
 		return nil, fmt.Errorf("drybell: analyze labeling functions: %w", err)
 	}
 
 	// Stages 3 and 4, trained the way every round trains — from no previous
 	// state, as the round over an empty store.
-	if err := denoiseAndPersist(ctx, cfg, res, nil, emit); err != nil {
+	if err := denoiseAndPersist(ctx, cfg, res, nil); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -337,27 +314,21 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 // res.Matrix, turn it into probabilistic labels, persist them for the
 // production ML systems — filling in res. It is the one train→persist tail:
 // a batch run passes no previous state, an incremental round the state the
-// round before it left, and both emit the same spans, stage events and stage
-// metrics.
-func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, prev *labelmodel.TrainState, emit func(StageEvent)) error {
-	t2 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
+// round before it left, and both record the same spans and stage metrics.
+func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, prev *labelmodel.TrainState) error {
+	t2 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
 	var err error
 	res.Model, res.State, res.Posteriors, err = denoise(ctx, res.Matrix, cfg.LabelModel, prev)
-	emit(StageEvent{Stage: StageDenoise, Start: t2, Duration: time.Since(t2), Examples: len(res.Posteriors), Err: err})
+	res.Timings.TrainLabelModel = cfg.stageDone("denoise", t2, err)
 	if err != nil {
 		return err
 	}
-	res.Timings.TrainLabelModel = time.Since(t2)
 
-	t3 := time.Now() //drybellvet:wallclock — stage timing for events/Result.Timings only
+	t3 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
 	res.LabelsPath = cfg.LabelsBase()
 	err = PersistLabels(ctx, cfg.FS, res.LabelsPath, res.Posteriors, cfg.Shards)
-	emit(StageEvent{Stage: StagePersist, Start: t3, Duration: time.Since(t3), Examples: len(res.Posteriors), LabelsPath: res.LabelsPath, Err: err})
-	if err != nil {
-		return err
-	}
-	res.Timings.Persist = time.Since(t3)
-	return nil
+	res.Timings.Persist = cfg.stageDone("persist", t3, err)
+	return err
 }
 
 // StageExamples encodes a streaming example source onto the distributed

@@ -179,7 +179,10 @@ func TestContentClassifierTrainsAndServes(t *testing.T) {
 	}
 
 	// Serving path: export, validate, promote, score parity.
-	reg := serving.NewRegistry()
+	reg, err := serving.OpenFSRegistry(dfs.NewMem(), "serving")
+	if err != nil {
+		t.Fatal(err)
+	}
 	art, err := clf.StageForServing(reg, "topic-clf", test[:50], 50*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

@@ -325,7 +325,7 @@ func IncrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	return res, err
 }
 
-// incrementalRun is IncrementalRun's body, as runPipeline is RunObserved's.
+// incrementalRun is IncrementalRun's body, as runPipeline is RunContext's.
 // cfg arrives defaulted.
 func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T], prev *labelmodel.TrainState, view *lf.View) (*IncrementalResult, error) {
 	exec := cfg.executor()
@@ -389,7 +389,7 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	// The batch run's train→persist tail, warm-started from prev (and without
 	// its Analyze: two O(m·n) passes per round).
 	out := &Result{Matrix: view.Matrix}
-	if err := denoiseAndPersist(ctx, cfg, out, prev, cfg.emitter(nil)); err != nil {
+	if err := denoiseAndPersist(ctx, cfg, out, prev); err != nil {
 		return nil, err
 	}
 	res.Matrix, res.Model, res.State, res.Posteriors, res.LabelsPath = out.Matrix, out.Model, out.State, out.Posteriors, out.LabelsPath

@@ -94,7 +94,10 @@ func TestProductPipelineOnDiskDFS(t *testing.T) {
 	}
 
 	// Serving lifecycle: stage v1, stage v2, promote v2, roll back to v1.
-	reg := serving.NewRegistry()
+	reg, err := serving.OpenFSRegistry(dfs.NewMem(), "serving")
+	if err != nil {
+		t.Fatal(err)
+	}
 	v1, err := clf.StageForServing(reg, "product-clf", test[:40], 100*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)

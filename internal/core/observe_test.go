@@ -14,9 +14,7 @@ import (
 // through one train→persist tail, so both are observable the same way — a
 // stage.denoise and a stage.persist span directly under the run's root span,
 // the persist span counting every row, the denoise span saying why training
-// stopped, and one pipeline_stage_seconds observation per stage. The batch
-// run also delivers a StageDenoise and a StagePersist event over every row
-// to its hook.
+// stopped, and one pipeline_stage_seconds observation per stage.
 func TestDenoisePersistObservable(t *testing.T) {
 	ctx := context.Background()
 	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 330, PositiveRate: 0.05, Seed: 53})
@@ -29,14 +27,13 @@ func TestDenoisePersistObservable(t *testing.T) {
 	for _, tc := range []struct {
 		name, root string
 		rows       int
-		hooked     bool // the run takes a StageHook
-		run        func(cfg Config[*corpus.Document], hook StageHook) error
+		run        func(cfg Config[*corpus.Document]) error
 	}{
-		{"run", "pipeline.run", 300, true, func(cfg Config[*corpus.Document], hook StageHook) error {
-			_, err := RunObserved(ctx, cfg, Examples(docs[:300]), lfs, hook)
+		{"run", "pipeline.run", 300, func(cfg Config[*corpus.Document]) error {
+			_, err := RunContext(ctx, cfg, Examples(docs[:300]), lfs)
 			return err
 		}},
-		{"incremental", "pipeline.incremental", 330, false, func(cfg Config[*corpus.Document], _ StageHook) error {
+		{"incremental", "pipeline.incremental", 330, func(cfg Config[*corpus.Document]) error {
 			if _, err := StageDelta(ctx, cfg, Examples(docs[300:]), nil); err != nil {
 				return err
 			}
@@ -48,8 +45,7 @@ func TestDenoisePersistObservable(t *testing.T) {
 			cfg := topicConfig(fs)
 			cfg.WorkDir = "drybell" // pin the default so LabelsBase below resolves
 			cfg.Obs = obs.NewObserver()
-			events := map[StageName]StageEvent{}
-			if err := tc.run(cfg, func(ev StageEvent) { events[ev.Stage] = ev }); err != nil {
+			if err := tc.run(cfg); err != nil {
 				t.Fatal(err)
 			}
 
@@ -61,26 +57,17 @@ func TestDenoisePersistObservable(t *testing.T) {
 			if !ok {
 				t.Fatalf("no %s span", tc.root)
 			}
-			for _, stage := range []StageName{StageDenoise, StagePersist} {
-				span, ok := byName["stage."+string(stage)]
+			for _, stage := range []string{"denoise", "persist"} {
+				span, ok := byName["stage."+stage]
 				if !ok {
 					t.Errorf("no stage.%s span", stage)
 				} else if span.Parent != root.ID {
 					t.Errorf("stage.%s is not a child of %s", stage, tc.root)
 				}
 				h := cfg.Obs.Metrics.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
-					obs.DefLatencyBuckets, obs.Label{Key: "stage", Value: string(stage)})
+					obs.DefLatencyBuckets, obs.Label{Key: "stage", Value: stage})
 				if h.Count() != 1 {
 					t.Errorf("pipeline_stage_seconds{stage=%q} has %d observations, want 1", stage, h.Count())
-				}
-				if !tc.hooked {
-					continue
-				}
-				ev, ok := events[stage]
-				if !ok {
-					t.Errorf("no %s event delivered", stage)
-				} else if ev.Err != nil || ev.Examples != tc.rows {
-					t.Errorf("%s event = %d examples, err %v; want %d", stage, ev.Examples, ev.Err, tc.rows)
 				}
 			}
 			if labels := spanAttr(byName["stage.persist"], "labels"); labels != int64(tc.rows) {
@@ -88,9 +75,6 @@ func TestDenoisePersistObservable(t *testing.T) {
 			}
 			if stop := spanAttr(byName["stage.denoise"], "stop"); stop != "converged" && stop != "stalled" {
 				t.Errorf("stage.denoise span says training stopped for %v, want converged or stalled", stop)
-			}
-			if tc.hooked && events[StagePersist].LabelsPath != cfg.LabelsBase() {
-				t.Errorf("persist event names %q, want %q", events[StagePersist].LabelsPath, cfg.LabelsBase())
 			}
 		})
 	}

@@ -36,15 +36,6 @@ func Select(docs []*Document, idx []int) []*Document {
 	return out
 }
 
-// SelectEvents returns the events at the given indices.
-func SelectEvents(events []*Event, idx []int) []*Event {
-	out := make([]*Event, len(idx))
-	for k, i := range idx {
-		out[k] = events[i]
-	}
-	return out
-}
-
 // TaskStats reports the Table 1 summary row for a corpus split.
 type TaskStats struct {
 	Task         string

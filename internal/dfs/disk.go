@@ -27,9 +27,6 @@ func NewDisk(dir string) (*Disk, error) {
 	return &Disk{root: dir}, nil
 }
 
-// Root returns the backing directory.
-func (d *Disk) Root() string { return d.root }
-
 func (d *Disk) real(path string) (string, error) {
 	if !validPath(path) {
 		return "", ErrBadPath

@@ -38,21 +38,16 @@ func (v *SparseVector) Dot(w []float64) float64 {
 // NNZ returns the number of stored entries.
 func (v *SparseVector) NNZ() int { return len(v.Indices) }
 
-// DotBatch computes the inner product of every vector with one dense weight
-// vector — the batch scoring primitive the online serving path uses to
-// score a micro-batch as one operation instead of per-request calls. Large
-// batches are split across runtime.GOMAXPROCS workers.
-func DotBatch(xs []*SparseVector, w []float64) []float64 {
-	return DotBatchInto(xs, w, make([]float64, len(xs)))
-}
-
 // dotBatchParallelMin is the batch size below which DotBatchInto stays on
 // the caller's goroutine; small batches don't amortize worker spawns.
 const dotBatchParallelMin = 256
 
-// DotBatchInto is DotBatch writing into a caller-provided slice (which must
-// have len(xs) entries) and returning it — the allocation-free form for
-// callers that score batches continuously and reuse buffers.
+// DotBatchInto computes the inner product of every vector with one dense
+// weight vector into a caller-provided slice (which must have len(xs)
+// entries) and returns it — the batch scoring primitive the online serving
+// path uses to score a micro-batch as one operation instead of per-request
+// calls, allocation-free for callers that reuse buffers. Large batches are
+// split across runtime.GOMAXPROCS workers.
 func DotBatchInto(xs []*SparseVector, w []float64, out []float64) []float64 {
 	if len(out) != len(xs) {
 		panic(fmt.Sprintf("features: DotBatchInto got %d outputs for %d vectors", len(out), len(xs)))

@@ -3,7 +3,6 @@ package labelmodel
 import (
 	"fmt"
 	"slices"
-	"sync"
 )
 
 // CompactMatrix is the deduplicated form of a label matrix Λ: the distinct
@@ -122,95 +121,6 @@ var voteCode = func() (t [256]uint64) {
 	return
 }()
 
-// rowTable is a minimal open-addressed hash table from packed row keys to
-// distinct-row indices. vals[slot] < 0 marks an empty slot, so every uint64
-// (including 0, the all-abstain row) is a legal key.
-type rowTable struct {
-	keys []uint64
-	vals []int32
-	used int
-	mask uint64
-}
-
-// rowHash mixes a packed row key so its high entropy reaches the low slot
-// bits (Fibonacci hashing with a fold).
-func rowHash(key uint64) uint64 {
-	h := key * 0x9E3779B97F4A7C15
-	return h>>29 ^ h
-}
-
-// rowTablePool recycles tables across Compact calls: the table is the
-// largest allocation of a training run, and the GC pressure of remaking it
-// per call is measurable on the trainer benchmark.
-var rowTablePool sync.Pool
-
-func newRowTable(hint int) *rowTable {
-	// Sized so that typical compaction ratios (U around m/4 or better) never
-	// rehash mid-stream; pathological all-unique inputs still grow correctly.
-	size := 1024
-	for size < hint/2 {
-		size <<= 1
-	}
-	if t, _ := rowTablePool.Get().(*rowTable); t != nil && len(t.keys) >= size {
-		for i := range t.vals {
-			t.vals[i] = -1
-		}
-		t.used = 0
-		return t
-	}
-	t := &rowTable{keys: make([]uint64, size), vals: make([]int32, size), mask: uint64(size - 1)}
-	for i := range t.vals {
-		t.vals[i] = -1
-	}
-	return t
-}
-
-// release returns the table to the pool for the next Compact call.
-func (t *rowTable) release() { rowTablePool.Put(t) }
-
-// insert returns the value for key, storing val for a fresh key; fresh
-// reports whether the key was new.
-func (t *rowTable) insert(key uint64, val int32) (int32, bool) {
-	if t.used*10 >= len(t.keys)*7 {
-		t.grow()
-	}
-	slot := rowHash(key) & t.mask
-	for {
-		if v := t.vals[slot]; v < 0 {
-			t.keys[slot] = key
-			t.vals[slot] = val
-			t.used++
-			return val, true
-		} else if t.keys[slot] == key {
-			return v, false
-		}
-		slot = (slot + 1) & t.mask
-	}
-}
-
-func (t *rowTable) grow() {
-	old := *t
-	size := len(old.keys) * 2
-	t.keys = make([]uint64, size)
-	t.vals = make([]int32, size)
-	t.mask = uint64(size - 1)
-	for i := range t.vals {
-		t.vals[i] = -1
-	}
-	for i, v := range old.vals {
-		if v < 0 {
-			continue
-		}
-		key := old.keys[i]
-		slot := rowHash(key) & t.mask
-		for t.vals[slot] >= 0 {
-			slot = (slot + 1) & t.mask
-		}
-		t.keys[slot] = key
-		t.vals[slot] = v
-	}
-}
-
 // The row index is an open-addressed table over the distinct rows: slot
 // entries hold a 32-bit tag of the row's hash above the row's index plus one,
 // so the zero entry is an empty slot and a probe touches Cols only for a row
@@ -277,10 +187,9 @@ func (c *CompactMatrix) growIndex() {
 	}
 }
 
-// Compact deduplicates the matrix's rows. Matrices with up to 32 labeling
-// functions pack each row into one uint64 key (two bits per vote); wider
-// matrices key the row index by a hash of the row's packed column lists. Cost
-// is one O(m·n) pass; every training pass over the result is O(U·n) instead.
+// Compact deduplicates the matrix's rows through the row index, keyed by a
+// hash of each row's packed column lists, at every width. Cost is one O(m·n)
+// pass; every training pass over the result is O(U·n) instead.
 // Compact panics on a matrix with out-of-range votes (use Validate first for
 // data of unknown provenance); compactChecked is the error-returning form the
 // trainers use, which folds validation into the packing pass instead of
@@ -313,10 +222,8 @@ func (mx *Matrix) compactChecked() (*CompactMatrix, error) {
 // path).
 //
 // Cost: one copy of prev's arrays and O(k·n) over the k appended rows, instead
-// of O(m·n) over everything. Past 32 functions no row of prev is hashed or
-// compared again: the row index is copied with the arrays. Up to 32 the
-// packed-key table is re-seeded from prev's distinct rows, one shift-or per
-// vote.
+// of O(m·n) over everything. No row of prev is hashed or compared again: the
+// row index is copied with the arrays.
 func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("labelmodel: ExtendCompact with nil previous compaction")
@@ -365,93 +272,42 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 	// lists holds one appended row's positive columns from 0 and its negative
 	// ones from n.
 	lists := make([]uint16, 2*n)
-	if n <= 32 {
-		// Open-addressed table instead of a Go map: row deduplication is the
-		// whole cost of Compact, and the custom probe loop is several times
-		// faster than map inserts on this hot path.
-		tab := newRowTable(u + mx.m - prev.m)
-		defer tab.release()
-		// Seed the table from the previous distinct rows so appended
-		// duplicates of known patterns resolve to their existing indices.
-		for r := 0; r < u; r++ {
-			var key uint64
-			for _, j := range prev.Cols[prev.Start[r]:prev.PosEnd[r]] {
-				key |= 1 << (2 * uint(j))
-			}
-			for _, j := range prev.Cols[prev.PosEnd[r]:prev.Start[r+1]] {
-				key |= 3 << (2 * uint(j))
-			}
-			tab.insert(key, int32(r))
+	c.index = slices.Clone(prev.index)
+	if u == 0 {
+		c.index = make([]uint64, rowIndexMinSlots)
+	}
+	for i := prev.m; i < mx.m; i++ {
+		// Every column is stored to both lists and kept only where its vote
+		// advances that list's length — positive is code 1, negative code 3 —
+		// so the scan has no branch to mispredict on votes that are mostly,
+		// but unpredictably, abstains. The codes tag out-of-range bytes with a
+		// sentinel bit: one validity branch per row.
+		row := mx.data[i*n : (i+1)*n]
+		var np, nn int
+		var bad uint64
+		for j, v := range row {
+			code := voteCode[uint8(v)] //drybellvet:rawvote — indexing the encoder's table
+			bad |= code
+			lists[np], lists[n+nn] = uint16(j), uint16(j)
+			np += int(code & ^(code >> 1) & 1)
+			nn += int(code >> 1 & 1)
 		}
-		for i := prev.m; i < mx.m; i++ {
-			var key, bad uint64
-			row := mx.data[i*n : (i+1)*n]
-			// Two bits per vote: abstain → 0, positive → 1, negative → 3,
-			// via a lookup that tags out-of-range bytes with a sentinel bit
-			// — branch-free per element, one validity branch per row.
-			// Independent shift-or terms, so the packing pipelines instead
-			// of serializing on one accumulator.
-			for j, v := range row {
-				code := voteCode[uint8(v)] //drybellvet:rawvote — indexing the encoder's table
-				bad |= code
-				key |= (code & 3) << (2 * uint(j))
-			}
-			if bad&voteBad != 0 {
-				return nil, invalidLabel(row, i)
-			}
-			r, fresh := tab.insert(key, int32(len(c.Mult)))
-			if fresh {
-				pos, neg := lists[:0], lists[n:n]
-				for j, v := range row {
-					switch v {
-					case Positive:
-						pos = append(pos, uint16(j))
-					case Negative:
-						neg = append(neg, uint16(j))
-					}
-				}
-				appendRow(pos, neg)
-			}
-			c.Mult[r]++
-			c.RowOf[i] = r
+		if bad&voteBad != 0 {
+			return nil, invalidLabel(row, i)
 		}
-	} else {
-		c.index = slices.Clone(prev.index)
-		if u == 0 {
-			c.index = make([]uint64, rowIndexMinSlots)
+		pos, neg := lists[:np], lists[n:n+nn]
+		tag := hashCols(pos, neg)
+		r, slot := c.lookup(tag, pos, neg)
+		if r < 0 {
+			r = int32(len(c.Mult))
+			c.index[slot] = uint64(tag)<<32 | uint64(r+1)
+			appendRow(pos, neg)
+			if len(c.Mult)*10 >= len(c.index)*7 {
+				c.growIndex()
+			}
 		}
-		for i := prev.m; i < mx.m; i++ {
-			// Every column is stored to both lists and kept only where its
-			// vote advances that list's length — positive is code 1, negative
-			// code 3 — so the scan has no branch to mispredict on votes that
-			// are mostly, but unpredictably, abstains.
-			row := mx.data[i*n : (i+1)*n]
-			var np, nn int
-			var bad uint64
-			for j, v := range row {
-				code := voteCode[uint8(v)] //drybellvet:rawvote — indexing the encoder's table
-				bad |= code
-				lists[np], lists[n+nn] = uint16(j), uint16(j)
-				np += int(code & ^(code >> 1) & 1)
-				nn += int(code >> 1 & 1)
-			}
-			if bad&voteBad != 0 {
-				return nil, invalidLabel(row, i)
-			}
-			pos, neg := lists[:np], lists[n:n+nn]
-			tag := hashCols(pos, neg)
-			r, slot := c.lookup(tag, pos, neg)
-			if r < 0 {
-				r = int32(len(c.Mult))
-				c.index[slot] = uint64(tag)<<32 | uint64(r+1)
-				appendRow(pos, neg)
-				if len(c.Mult)*10 >= len(c.index)*7 {
-					c.growIndex()
-				}
-			}
-			c.Mult[r]++
-			c.RowOf[i] = r
-		}
+		c.Mult[r]++
+		c.RowOf[i] = r
 	}
 
 	// Per-LF vote and majority-agreement counts aggregate over distinct rows

@@ -46,7 +46,7 @@ func naiveCompactCounts(mx *Matrix) (unique int, voted []int64) {
 }
 
 func TestCompactRoundTrip(t *testing.T) {
-	// Sizes straddle the packed-uint64 (n ≤ 32) and string-key paths.
+	// Sizes span one function to forty, duplicate-heavy to all-distinct.
 	for _, tc := range []struct {
 		m, n int
 		rate float64
@@ -163,45 +163,45 @@ func TestCompactRejectsInvalidVotes(t *testing.T) {
 	mx.Compact()
 }
 
-func TestRowTableGrowth(t *testing.T) {
-	// Force growth: all-unique keys through a deliberately tiny table.
-	tab := newRowTable(0)
-	for k := 0; k < 5000; k++ {
-		if _, fresh := tab.insert(uint64(k)*2654435761, int32(k)); !fresh {
-			t.Fatalf("key %d reported as duplicate", k)
-		}
-	}
-	for k := 0; k < 5000; k++ {
-		v, fresh := tab.insert(uint64(k)*2654435761, -2)
-		if fresh || v != int32(k) {
-			t.Fatalf("key %d lookup = (%d, %v), want (%d, false)", k, v, fresh, k)
-		}
-	}
-}
-
-// TestRowIndexGrows: past 32 functions the distinct rows are found through the
-// row index a compaction carries. With thousands of distinct rows it doubles
-// several times, and a compaction extended from either side of a doubling
-// must still be the cold one, index included.
+// TestRowIndexGrows: the distinct rows are found through the row index a
+// compaction carries, at every width. With thousands of distinct rows it
+// doubles several times, and a compaction extended from either side of each
+// doubling must still be the cold one, index included.
 func TestRowIndexGrows(t *testing.T) {
-	mx := randomMatrix(t, 3000, 40, 0.3, 9)
-	want := mx.Compact()
-	if want.NumUnique() < 2900 || len(want.index) <= 2*rowIndexMinSlots {
-		t.Fatalf("%d distinct rows in %d slots: the index never grew twice", want.NumUnique(), len(want.index))
-	}
-	for _, k := range []int{1, 716, 717, 1433, 1434, 2999} {
-		prev := mx.SubsetRows(seq(k)).Compact()
-		got, err := ExtendCompact(prev, mx)
-		if err != nil {
-			t.Fatalf("split %d: %v", k, err)
-		}
-		requireSameCompact(t, fmt.Sprintf("split %d", k), got, want)
-	}
-	back := want.Reconstruct()
-	for i := 0; i < mx.NumExamples(); i++ {
-		if !slices.Equal(back.Row(i), mx.Row(i)) {
-			t.Fatalf("row %d does not survive the round trip", i)
-		}
+	for _, tc := range []struct {
+		n    int
+		rate float64
+	}{{10, 0.9}, {32, 0.3}, {40, 0.3}} {
+		t.Run(fmt.Sprintf("lfs=%d", tc.n), func(t *testing.T) {
+			mx := randomMatrix(t, 3000, tc.n, tc.rate, 9)
+			want := mx.Compact()
+			if len(want.index) <= 2*rowIndexMinSlots {
+				t.Fatalf("%d distinct rows in %d slots: the index never grew twice", want.NumUnique(), len(want.index))
+			}
+			// The index doubles when the distinct rows reach seven tenths of
+			// its slots: split just before and just after the row whose first
+			// sighting brings them there.
+			splits := []int{1, mx.NumExamples() - 1}
+			for slots := rowIndexMinSlots; slots < len(want.index); slots *= 2 {
+				full := int32(slots*7+9) / 10
+				first := slices.Index(want.RowOf, full-1)
+				splits = append(splits, first, first+1)
+			}
+			for _, k := range splits {
+				prev := mx.SubsetRows(seq(k)).Compact()
+				got, err := ExtendCompact(prev, mx)
+				if err != nil {
+					t.Fatalf("split %d: %v", k, err)
+				}
+				requireSameCompact(t, fmt.Sprintf("split %d", k), got, want)
+			}
+			back := want.Reconstruct()
+			for i := 0; i < mx.NumExamples(); i++ {
+				if !slices.Equal(back.Row(i), mx.Row(i)) {
+					t.Fatalf("row %d does not survive the round trip", i)
+				}
+			}
+		})
 	}
 }
 
@@ -216,7 +216,7 @@ func seq(n int) []int {
 
 // TestCompactPosteriorsMatchDense: scoring each distinct row once from its
 // packed lists gives, bit for bit, the labels the dense pass over every row
-// gives — at both compaction widths, for accuracies of either sign and zero,
+// gives — at narrow and wide matrices, for accuracies of either sign and zero,
 // with and without a class prior.
 func TestCompactPosteriorsMatchDense(t *testing.T) {
 	for _, tc := range []struct {

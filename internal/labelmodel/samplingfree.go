@@ -104,11 +104,3 @@ func indicatorBatch(mx *Matrix, idx []int) (pos, neg, abs *tensor.Tensor) {
 	}
 	return pos, neg, abs
 }
-
-// SamplingFreeStepRate is a convenience for the §5.2 performance claim: it
-// runs exactly steps optimizer steps of the graph model with the given batch
-// size and returns nothing; callers time it externally (see bench harness).
-func SamplingFreeStepRate(mx *Matrix, steps, batchSize int) error {
-	_, err := TrainSamplingFree(mx, Options{Steps: steps, BatchSize: batchSize, Seed: 7})
-	return err
-}

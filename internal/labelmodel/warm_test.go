@@ -316,9 +316,8 @@ func requireSameCompact(t *testing.T, what string, got, want *CompactMatrix) {
 	}
 }
 
-// TestExtendCompactEverySplit: there is one compaction. At both key widths
-// (8 functions pack into a uint64 key, 40 go through the carried row index)
-// and at every sampled split point — one row, and the whole matrix, included
+// TestExtendCompactEverySplit: there is one compaction. At every width from
+// one function to 140, and at every sampled split point — one row, and the whole matrix, included
 // — extending the prefix's compaction over the rest equals compacting
 // everything at once, field for field; so does extending the same prefix a
 // second time (a round replayed from the previous state), by way of a
@@ -326,7 +325,7 @@ func requireSameCompact(t *testing.T, what string, got, want *CompactMatrix) {
 // was throughout; and an out-of-range vote among the appended rows is refused
 // by row and column.
 func TestExtendCompactEverySplit(t *testing.T) {
-	for _, n := range []int{8, 40} {
+	for _, n := range []int{1, 8, 10, 32, 33, 40, 140} {
 		t.Run(fmt.Sprintf("lfs=%d", n), func(t *testing.T) {
 			const m = 240
 			mx := randomVotes(m, n, int64(100+n))
@@ -371,7 +370,8 @@ func TestExtendCompactEverySplit(t *testing.T) {
 				}
 			}
 
-			const k, badRow, badCol = 100, 170, 5
+			const k, badRow = 100, 170
+			badCol := 5 % n
 			prev := prefix(mx, k).Compact()
 			mx.data[badRow*n+badCol] = 7 // bypass Set's validation, as a corrupt decode would
 			_, err := ExtendCompact(prev, mx)

@@ -3,8 +3,9 @@
 // pipeline run into operable telemetry. The paper's core claim is that weak
 // supervision works as a production system at industrial scale (§5.4), and
 // production systems are operated through their telemetry — this package is
-// the shared substrate behind the pipeline's stage events, the distributed
-// runtime's attempt accounting, and the serving tier's request metrics.
+// the shared substrate behind the pipeline's stage spans and metrics, the
+// distributed runtime's attempt accounting, and the serving tier's request
+// metrics.
 //
 // # Metrics
 //

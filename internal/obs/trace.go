@@ -31,9 +31,6 @@ func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
 
-// Float builds a float attribute.
-func Float(k string, v float64) Attr { return Attr{Key: k, Value: v} }
-
 // SpanData is one finished span as recorded by the tracer.
 type SpanData struct {
 	ID     int64

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/features"
@@ -145,15 +144,11 @@ func (s *Server) Classify(x *features.SparseVector) bool {
 	return s.Score(x) >= s.art.Threshold
 }
 
-// ScoreBatch scores a micro-batch as one operation over the dense weight
-// vector — the batched-inference entry point of the online serving path.
-func (s *Server) ScoreBatch(xs []*features.SparseVector) []float64 {
-	return s.ScoreBatchInto(xs, make([]float64, len(xs)))
-}
-
-// ScoreBatchInto is ScoreBatch writing into a caller-provided slice of
-// len(xs); the serving hot path reuses per-worker buffers through it so
-// steady-state scoring allocates nothing per batch.
+// ScoreBatchInto scores a micro-batch as one operation over the dense weight
+// vector — the batched-inference entry point of the online serving path —
+// writing into a caller-provided slice of len(xs); the serving hot path
+// reuses per-worker buffers through it so steady-state scoring allocates
+// nothing per batch.
 func (s *Server) ScoreBatchInto(xs []*features.SparseVector, out []float64) []float64 {
 	features.DotBatchInto(xs, s.weights, out)
 	for i, v := range out {
@@ -171,113 +166,6 @@ func sigmoid(x float64) float64 {
 	}
 	e := math.Exp(x)
 	return e / (1 + e)
-}
-
-// Catalog is the promotion-workflow surface of a versioned model store:
-// Stage → Validate → Promote; Rollback restores the previous live version.
-// Registry is the in-memory implementation; FSRegistry persists every
-// transition to a dfs.FS so a serving daemon restart recovers the promoted
-// version from filesystem state.
-type Catalog interface {
-	// Stage registers a new version of the artifact and returns it with the
-	// version assigned. Staged versions are not served until promoted.
-	Stage(a *Artifact) (*Artifact, error)
-	// Promote makes the given staged version live.
-	Promote(name string, version int) error
-	// Rollback reverts to the previous version (live−1).
-	Rollback(name string) error
-	// Live returns the currently served artifact for the model line.
-	Live(name string) (*Artifact, error)
-	// Versions lists all staged versions of a model line, ascending.
-	Versions(name string) []int
-	// Names lists all model lines, sorted.
-	Names() []string
-}
-
-// Registry is the in-memory Catalog. Safe for concurrent use.
-type Registry struct {
-	mu       sync.Mutex
-	versions map[string][]*Artifact // guarded by mu; per name, ascending version
-	live     map[string]int         // guarded by mu; live version per name
-}
-
-var _ Catalog = (*Registry)(nil)
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{versions: make(map[string][]*Artifact), live: make(map[string]int)}
-}
-
-// Stage registers a new version of the artifact and returns it with the
-// version assigned. Staged versions are not served until promoted.
-func (r *Registry) Stage(a *Artifact) (*Artifact, error) {
-	if a.Name == "" {
-		return nil, fmt.Errorf("serving: artifact has no name")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cp := *a
-	cp.Version = len(r.versions[a.Name]) + 1
-	r.versions[a.Name] = append(r.versions[a.Name], &cp)
-	return &cp, nil
-}
-
-// Promote makes the given staged version live.
-func (r *Registry) Promote(name string, version int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if version < 1 || version > len(r.versions[name]) {
-		return fmt.Errorf("serving: %s has no version %d", name, version)
-	}
-	r.live[name] = version
-	return nil
-}
-
-// Rollback reverts to the previous version (live−1).
-func (r *Registry) Rollback(name string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	cur, ok := r.live[name]
-	if !ok || cur <= 1 {
-		return fmt.Errorf("serving: %s has no version to roll back to", name)
-	}
-	r.live[name] = cur - 1
-	return nil
-}
-
-// Live returns the currently served artifact for the model line.
-func (r *Registry) Live(name string) (*Artifact, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	v, ok := r.live[name]
-	if !ok {
-		return nil, fmt.Errorf("serving: %s has no live version", name)
-	}
-	return r.versions[name][v-1], nil
-}
-
-// Versions lists all staged versions of a model line, ascending.
-func (r *Registry) Versions(name string) []int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]int, len(r.versions[name]))
-	for i := range out {
-		out[i] = i + 1
-	}
-	return out
-}
-
-// Names lists all model lines, sorted.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.versions))
-	//drybellvet:ordered — collection only; sorted immediately below
-	for n := range r.versions {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // ValidateLatency measures the artifact's p99-ish serving latency over probe

@@ -77,51 +77,6 @@ func TestNewServerRejectsBadArtifacts(t *testing.T) {
 	}
 }
 
-func TestRegistryLifecycle(t *testing.T) {
-	reg := NewRegistry()
-	a := &Artifact{Name: "m", Kind: "logreg", FeatureDim: 4, Payload: []byte(`{}`)}
-	v1, err := reg.Stage(a)
-	if err != nil || v1.Version != 1 {
-		t.Fatalf("stage v1: %v, %v", v1, err)
-	}
-	v2, _ := reg.Stage(a)
-	if v2.Version != 2 {
-		t.Fatalf("stage v2 got version %d", v2.Version)
-	}
-	if _, err := reg.Live("m"); err == nil {
-		t.Error("live before promote")
-	}
-	if err := reg.Promote("m", 2); err != nil {
-		t.Fatal(err)
-	}
-	live, err := reg.Live("m")
-	if err != nil || live.Version != 2 {
-		t.Fatalf("live = %v, %v", live, err)
-	}
-	if err := reg.Rollback("m"); err != nil {
-		t.Fatal(err)
-	}
-	live, _ = reg.Live("m")
-	if live.Version != 1 {
-		t.Errorf("after rollback version = %d", live.Version)
-	}
-	if err := reg.Rollback("m"); err == nil {
-		t.Error("rollback past v1 accepted")
-	}
-	if err := reg.Promote("m", 9); err == nil {
-		t.Error("promote unknown version accepted")
-	}
-	if len(reg.Versions("m")) != 2 || len(reg.Names()) != 1 {
-		t.Errorf("versions=%v names=%v", reg.Versions("m"), reg.Names())
-	}
-}
-
-func TestRegistryRejectsAnonymous(t *testing.T) {
-	if _, err := NewRegistry().Stage(&Artifact{}); err == nil {
-		t.Error("anonymous artifact accepted")
-	}
-}
-
 func TestValidateServable(t *testing.T) {
 	ok := &Artifact{Name: "m", Signals: []string{"text", "url", "language"}}
 	if err := ValidateServable(ok); err != nil {
@@ -170,7 +125,7 @@ func TestScoreBatchMatchesScore(t *testing.T) {
 		{Indices: []uint32{1, 2}, Values: []float64{0.5, 0.5}},
 		{},
 	}
-	batch := srv.ScoreBatch(xs)
+	batch := srv.ScoreBatchInto(xs, make([]float64, len(xs)))
 	if len(batch) != len(xs) {
 		t.Fatalf("batch scored %d of %d", len(batch), len(xs))
 	}

@@ -12,10 +12,12 @@ import (
 	"repro/internal/dfs"
 )
 
-// FSRegistry is the Catalog backed by the distributed filesystem, so the
-// registry outlives any one process: artifacts staged by a training run are
-// visible to a serving daemon on the same FS, and a daemon restart recovers
-// the promoted version from filesystem state alone.
+// FSRegistry is the versioned model registry of the promotion workflow —
+// Stage → Validate → Promote, with Rollback restoring the previous live
+// version — backed by the distributed filesystem, so the registry outlives
+// any one process: artifacts staged by a training run are visible to a
+// serving daemon on the same FS, and a daemon restart recovers the promoted
+// version from filesystem state alone.
 //
 // Layout under the prefix:
 //
@@ -33,8 +35,6 @@ type FSRegistry struct {
 	mu     sync.Mutex
 }
 
-var _ Catalog = (*FSRegistry)(nil)
-
 // OpenFSRegistry returns a registry persisting under prefix on fs. The
 // prefix need not exist yet; an empty prefix uses "serving".
 func OpenFSRegistry(fs dfs.FS, prefix string) (*FSRegistry, error) {
@@ -45,6 +45,16 @@ func OpenFSRegistry(fs dfs.FS, prefix string) (*FSRegistry, error) {
 		prefix = "serving"
 	}
 	return &FSRegistry{fs: fs, prefix: prefix}, nil
+}
+
+// checkName refuses a model name that is not one path segment of its own:
+// empty, "." or "..", or holding a slash or a space. modelDir joins the name
+// into a path, which would resolve a dot segment outside models/.
+func checkName(name string) error {
+	if name == "" || name == "." || name == ".." || strings.ContainsAny(name, "/ ") {
+		return fmt.Errorf("serving: model name %q is not a valid registry path segment", name)
+	}
+	return nil
 }
 
 func (r *FSRegistry) modelDir(name string) string {
@@ -59,13 +69,11 @@ func (r *FSRegistry) livePath(name string) string {
 	return path.Join(r.modelDir(name), "live")
 }
 
-// Stage implements Catalog.
+// Stage registers a new version of the artifact and returns it with the
+// version assigned. Staged versions are not served until promoted.
 func (r *FSRegistry) Stage(a *Artifact) (*Artifact, error) {
-	if a.Name == "" {
-		return nil, fmt.Errorf("serving: artifact has no name")
-	}
-	if strings.ContainsAny(a.Name, "/ ") {
-		return nil, fmt.Errorf("serving: artifact name %q is not a valid registry path segment", a.Name)
+	if err := checkName(a.Name); err != nil {
+		return nil, err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -86,8 +94,11 @@ func (r *FSRegistry) Stage(a *Artifact) (*Artifact, error) {
 	return &cp, nil
 }
 
-// Promote implements Catalog. Only a staged version can go live.
+// Promote makes the given version live. Only a staged version can go live.
 func (r *FSRegistry) Promote(name string, version int) error {
+	if err := checkName(name); err != nil {
+		return err
+	}
 	if _, err := r.artifact(name, version); err != nil {
 		return fmt.Errorf("serving: %s has no staged version %d", name, version)
 	}
@@ -101,8 +112,11 @@ func (r *FSRegistry) setLive(name string, version int) error {
 	return nil
 }
 
-// Rollback implements Catalog.
+// Rollback reverts to the previous version (live−1).
 func (r *FSRegistry) Rollback(name string) error {
+	if err := checkName(name); err != nil {
+		return err
+	}
 	cur, err := r.liveVersion(name)
 	if err != nil || cur <= 1 {
 		return fmt.Errorf("serving: %s has no version to roll back to", name)
@@ -113,8 +127,11 @@ func (r *FSRegistry) Rollback(name string) error {
 	return r.setLive(name, cur-1)
 }
 
-// Live implements Catalog.
+// Live returns the currently served artifact for the model line.
 func (r *FSRegistry) Live(name string) (*Artifact, error) {
+	if err := checkName(name); err != nil {
+		return nil, err
+	}
 	v, err := r.liveVersion(name)
 	if err != nil {
 		return nil, fmt.Errorf("serving: %s has no live version", name)
@@ -168,10 +185,16 @@ func (r *FSRegistry) versions(name string) []int {
 	return out
 }
 
-// Versions implements Catalog.
-func (r *FSRegistry) Versions(name string) []int { return r.versions(name) }
+// Versions lists all staged versions of a model line, ascending; none for a
+// name checkName refuses.
+func (r *FSRegistry) Versions(name string) []int {
+	if checkName(name) != nil {
+		return nil
+	}
+	return r.versions(name)
+}
 
-// Names implements Catalog.
+// Names lists all model lines, sorted.
 func (r *FSRegistry) Names() []string {
 	prefix := r.prefix + "/models/" //drybellvet:notapath — List prefix; the trailing slash is significant
 	paths, err := r.fs.List(prefix)

@@ -1,6 +1,7 @@
 package serving
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -13,6 +14,58 @@ func artifactFixture(name string) *Artifact {
 		Name: name, Kind: "logreg", Threshold: 0.5, FeatureDim: 8,
 		Signals: []string{"text", "url"},
 		Payload: []byte(`{"indices":[1],"values":[2.5]}`),
+	}
+}
+
+// TestRegistryLifecycle walks one model line through stage, promote and
+// rollback with a minimal artifact, including the refusals: live before any
+// promote, rollback past v1, and promote of a version never staged.
+func TestRegistryLifecycle(t *testing.T) {
+	reg, err := OpenFSRegistry(dfs.NewMem(), "serving")
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := &Artifact{Name: "m", Kind: "logreg", FeatureDim: 4, Payload: []byte(`{}`)}
+	v1, err := reg.Stage(a)
+	if err != nil || v1.Version != 1 {
+		t.Fatalf("stage v1: %v, %v", v1, err)
+	}
+	v2, _ := reg.Stage(a)
+	if v2.Version != 2 {
+		t.Fatalf("stage v2 got version %d", v2.Version)
+	}
+	if _, err := reg.Live("m"); err == nil {
+		t.Error("live before promote")
+	}
+	if err := reg.Promote("m", 2); err != nil {
+		t.Fatal(err)
+	}
+	live, err := reg.Live("m")
+	if err != nil || live.Version != 2 {
+		t.Fatalf("live = %v, %v", live, err)
+	}
+	if err := reg.Rollback("m"); err != nil {
+		t.Fatal(err)
+	}
+	live, _ = reg.Live("m")
+	if live.Version != 1 {
+		t.Errorf("after rollback version = %d", live.Version)
+	}
+	if err := reg.Rollback("m"); err == nil {
+		t.Error("rollback past v1 accepted")
+	}
+	if err := reg.Promote("m", 9); err == nil {
+		t.Error("promote unknown version accepted")
+	}
+	if len(reg.Versions("m")) != 2 || len(reg.Names()) != 1 {
+		t.Errorf("versions=%v names=%v", reg.Versions("m"), reg.Names())
+	}
+}
+
+func TestRegistryRejectsAnonymous(t *testing.T) {
+	reg, _ := OpenFSRegistry(dfs.NewMem(), "serving")
+	if _, err := reg.Stage(&Artifact{}); err == nil {
+		t.Error("anonymous artifact accepted")
 	}
 }
 
@@ -70,13 +123,42 @@ func TestFSRegistryPromoteNeverStaged(t *testing.T) {
 	}
 }
 
+// TestFSRegistryRejectsBadNames: a model name is one path segment under
+// models/. Every method taking a name refuses one that is not — empty, a dot
+// segment the path would resolve away, or one holding a slash or a space —
+// and nothing lands on the filesystem for it.
 func TestFSRegistryRejectsBadNames(t *testing.T) {
-	reg, _ := OpenFSRegistry(dfs.NewMem(), "serving")
-	if _, err := reg.Stage(&Artifact{}); err == nil {
-		t.Error("anonymous artifact accepted")
+	fs := dfs.NewMem()
+	reg, _ := OpenFSRegistry(fs, "serving")
+	if _, err := reg.Stage(artifactFixture("m")); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := reg.Stage(artifactFixture("a/b")); err == nil {
-		t.Error("path-traversing name accepted")
+	if err := reg.Promote("m", 1); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"", ".", "..", "a/b", "../m", "a b"} {
+		if _, err := reg.Stage(artifactFixture(name)); err == nil {
+			t.Errorf("Stage accepted model name %q", name)
+		}
+		if err := reg.Promote(name, 1); err == nil {
+			t.Errorf("Promote accepted model name %q", name)
+		}
+		if err := reg.Rollback(name); err == nil {
+			t.Errorf("Rollback accepted model name %q", name)
+		}
+		if _, err := reg.Live(name); err == nil {
+			t.Errorf("Live accepted model name %q", name)
+		}
+		if got := reg.Versions(name); len(got) != 0 {
+			t.Errorf("Versions(%q) = %v, want none", name, got)
+		}
+	}
+	paths, err := fs.List("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"serving/models/m/live", "serving/models/m/v000001.json"}; !slices.Equal(paths, want) {
+		t.Errorf("files = %v, want %v", paths, want)
 	}
 }
 

@@ -45,15 +45,6 @@ type Node struct {
 	grad  *Tensor // gradient of the loss w.r.t. this node, set by Backward
 }
 
-// ID returns the node's unique id within its graph.
-func (n *Node) ID() int { return n.id }
-
-// Kind returns the node's kind.
-func (n *Node) Kind() NodeKind { return n.kind }
-
-// Name returns the node's diagnostic name.
-func (n *Node) Name() string { return n.name }
-
 // Value returns the node's current forward value, or nil if it has not been
 // computed or fed.
 func (n *Node) Value() *Tensor { return n.value }
@@ -124,9 +115,6 @@ func (g *Graph) Const(name string, t *Tensor) *Node {
 
 // Variables returns the graph's trainable parameters in creation order.
 func (g *Graph) Variables() []*Node { return g.variables }
-
-// NumNodes returns the number of nodes in the graph.
-func (g *Graph) NumNodes() int { return len(g.nodes) }
 
 // Feed is one placeholder binding for a Run call.
 type Feed struct {
@@ -250,18 +238,6 @@ func (g *Graph) Minimize(loss *Node, opt Optimizer, feeds ...Feed) (float64, err
 	}
 	opt.Step(g.variables)
 	return loss.value.Item(), nil
-}
-
-// NodesByName returns all nodes with the given name, in creation order.
-// Useful in tests and diagnostics.
-func (g *Graph) NodesByName(name string) []*Node {
-	var out []*Node
-	for _, n := range g.nodes {
-		if n.name == name {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // Summary returns a human-readable listing of the graph, one node per line,

@@ -168,28 +168,6 @@ func (t *Tensor) Clone() *Tensor {
 	return c
 }
 
-// CopyFrom copies src's data into t. Shapes must match exactly.
-func (t *Tensor) CopyFrom(src *Tensor) {
-	if !SameShape(t, src) {
-		panic(fmt.Sprintf("tensor: CopyFrom shape mismatch %v vs %v", t.shape, src.shape))
-	}
-	copy(t.data, src.data)
-}
-
-// Zero sets every element to 0.
-func (t *Tensor) Zero() {
-	for i := range t.data {
-		t.data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (t *Tensor) Fill(v float64) {
-	for i := range t.data {
-		t.data[i] = v
-	}
-}
-
 // AddScaled adds scale*src to t elementwise. Shapes must match.
 func (t *Tensor) AddScaled(scale float64, src *Tensor) {
 	if !SameShape(t, src) {
@@ -229,15 +207,6 @@ func (t *Tensor) Row(i int) *Tensor {
 	return r
 }
 
-// SetRow copies a 1-D tensor into row i of a 2-D tensor.
-func (t *Tensor) SetRow(i int, row *Tensor) {
-	cols := t.Cols()
-	if row.Size() != cols {
-		panic(fmt.Sprintf("tensor: SetRow size %d != cols %d", row.Size(), cols))
-	}
-	copy(t.data[i*cols:(i+1)*cols], row.data)
-}
-
 // SameShape reports whether a and b have identical shapes.
 func SameShape(a, b *Tensor) bool {
 	if len(a.shape) != len(b.shape) {
@@ -249,17 +218,6 @@ func SameShape(a, b *Tensor) bool {
 		}
 	}
 	return true
-}
-
-// MaxAbs returns the largest absolute element value (0 for empty tensors).
-func (t *Tensor) MaxAbs() float64 {
-	m := 0.0
-	for _, v := range t.data {
-		if a := math.Abs(v); a > m {
-			m = a
-		}
-	}
-	return m
 }
 
 // Sum returns the sum of all elements.

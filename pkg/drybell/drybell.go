@@ -41,21 +41,19 @@
 //
 // The label model has one trainer, the paper's sampling-free objective
 // (§5.2) optimized by deterministic projected Newton over the compacted vote
-// matrix; WithLabelModel caps its iterations. WithStageHook installs an
-// observer that receives one structured StageEvent per completed stage for
-// logging and metrics.
+// matrix; WithLabelModel caps its iterations.
 //
-// For deeper observability, WithObserver attaches a shared metrics registry
-// and span tracer (see NewObserver): every stage records latency and error
-// metrics, the MapReduce runtime counts task attempts and speculative
-// siblings, the filesystem wrapper counts per-operation calls, errors, and
-// bytes, and a full span tree — pipeline, stages, jobs, individual task
-// attempts — is recorded and exported after Run as a Perfetto-loadable
-// Chrome trace at "<workdir>/_obs/trace.json". WriteMetrics renders the
-// registry in Prometheus text format; WriteTrace renders the span tree for
-// ad-hoc runs (the lfrun and drybell CLIs expose this as -trace). The same
-// Observer can back a serve.Server so offline and online metrics share one
-// registry.
+// For observability, WithObserver attaches a shared metrics registry and span
+// tracer (see NewObserver): every stage method records a span, Run's stages
+// record latency and error metrics, the MapReduce runtime counts task
+// attempts and speculative siblings, the filesystem wrapper counts
+// per-operation calls, errors, and bytes, and a full span tree — pipeline,
+// stages, jobs, individual task attempts — is recorded and exported after
+// Run as a Perfetto-loadable Chrome trace at "<workdir>/_obs/trace.json".
+// WriteMetrics renders the registry in Prometheus text format; WriteTrace
+// renders the span tree for ad-hoc runs (the lfrun and drybell CLIs expose
+// this as -trace). The same Observer can back a serve.Server so offline and
+// online metrics share one registry.
 //
 // Labeling-function execution runs on a coordinator/worker MapReduce
 // runtime with a real failure model. WithRetries sets the per-task retry
@@ -92,7 +90,6 @@ import (
 	"context"
 	"fmt"
 	"path"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -109,8 +106,7 @@ import (
 // view. Both are checked against the store before every use; losing them (a
 // fresh Pipeline) costs a re-read and a re-compaction, never correctness.
 type Pipeline[T any] struct {
-	cfg  core.Config[T]
-	hook StageHook
+	cfg core.Config[T]
 	// carried is what the last round (Run or IncrementalRun) left: its view
 	// and training state. Empty after anything that replaces the corpus they
 	// describe.
@@ -163,7 +159,7 @@ func New[T any](opts ...Option) (*Pipeline[T], error) {
 		// per-op counters and latency histograms of the shared registry.
 		cfg.FS = obs.InstrumentFS(cfg.FS, s.observer.Metrics)
 	}
-	return &Pipeline[T]{cfg: cfg, hook: s.hook}, nil
+	return &Pipeline[T]{cfg: cfg}, nil
 }
 
 // FS returns the pipeline's filesystem. Share it (with the same work
@@ -199,7 +195,7 @@ func (p *Pipeline[T]) VotesBase() string { return path.Join(p.cfg.VotesPrefix(),
 // IncrementalRun after it reads and compacts only its delta.
 func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Result, error) {
 	p.carried = core.Carried{} // describes the corpus this run replaces
-	res, err := core.RunObserved(ctx, p.cfg, src, lfs, p.hook)
+	res, err := core.RunContext(ctx, p.cfg, src, lfs)
 	if err != nil {
 		return nil, err
 	}
@@ -215,11 +211,7 @@ func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Res
 // commit, so the next StageDelta starts a new chain at generation 1.
 func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
 	p.carried = core.Carried{} // describes the corpus this staging replaces
-
-	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
-	n, err := core.StageExamples(p.cfg.ObsContext(ctx), p.cfg, src)
-	p.emit(StageEvent{Stage: StageStage, Start: start, Duration: time.Since(start), Examples: n, Err: err})
-	return n, err
+	return core.StageExamples(p.cfg.ObsContext(ctx), p.cfg, src)
 }
 
 // StageRecords is Stage for already-encoded records: the bytes go to the
@@ -228,11 +220,7 @@ func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
 // a decode/re-encode round-trip per record.
 func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) (int, error) {
 	p.carried = core.Carried{} // describes the corpus this staging replaces
-
-	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
-	n, err := core.StageRecords(p.cfg.ObsContext(ctx), p.cfg, records)
-	p.emit(StageEvent{Stage: StageStage, Start: start, Duration: time.Since(start), Examples: n, Err: err})
-	return n, err
+	return core.StageRecords(p.cfg.ObsContext(ctx), p.cfg, records)
 }
 
 // ExecuteLFs runs the labeling-function set as one fused map-only MapReduce
@@ -242,31 +230,22 @@ func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) 
 // have been staged by an earlier run or another process sharing the
 // filesystem.
 func (p *Pipeline[T]) ExecuteLFs(ctx context.Context, lfs []LF[T]) (*Matrix, *Report, error) {
-	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
 	view, report, err := core.ExecuteLFs(ctx, p.cfg, lfs)
-	ev := StageEvent{Stage: StageExecuteLFs, Start: start, Duration: time.Since(start), Report: report, Err: err}
-	var matrix *Matrix
-	if view != nil {
-		matrix = view.Matrix
-		ev.Examples = matrix.NumExamples()
+	if view == nil {
+		return nil, report, err
 	}
-	p.emit(ev)
-	return matrix, report, err
+	return view.Matrix, report, err
 }
 
 // Analyze computes the development-loop report over an executed label
 // matrix: per-function coverage, overlaps, conflicts, and — when the
 // pipeline was built WithDevLabels — empirical accuracy. metas must be the
 // executed functions' metadata in matrix column order (lf.Metas of the set
-// passed to ExecuteLFs). The report is also emitted as a StageAnalyze event.
+// passed to ExecuteLFs).
 func (p *Pipeline[T]) Analyze(matrix *Matrix, metas []Meta) (*Analysis, error) {
-	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
+	_, span := obs.StartSpan(p.cfg.ObsContext(context.TODO()), "stage.analyze")
 	analysis, err := lf.Analyze(matrix, metas, p.cfg.DevLabels)
-	ev := StageEvent{Stage: StageAnalyze, Start: start, Duration: time.Since(start), Analysis: analysis, Err: err}
-	if matrix != nil {
-		ev.Examples = matrix.NumExamples()
-	}
-	p.emit(ev)
+	span.EndErr(err)
 	return analysis, err
 }
 
@@ -285,21 +264,14 @@ func (p *Pipeline[T]) LoadMatrix(names []string) (*Matrix, error) {
 // does, returning the model and the probabilistic training labels
 // P(Y_i=1|Λ_i) aligned with the staged input.
 func (p *Pipeline[T]) Denoise(ctx context.Context, matrix *Matrix) (*Model, []float64, error) {
-	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
-	model, posteriors, err := core.Denoise(p.cfg.ObsContext(ctx), matrix, p.cfg.LabelModel)
-	ev := StageEvent{Stage: StageDenoise, Start: start, Duration: time.Since(start), Examples: len(posteriors), Err: err}
-	p.emit(ev)
-	return model, posteriors, err
+	return core.Denoise(p.cfg.ObsContext(ctx), matrix, p.cfg.LabelModel)
 }
 
 // Persist writes the probabilistic labels back to the filesystem (stage 4)
 // and returns the DFS base path they were written under.
 func (p *Pipeline[T]) Persist(ctx context.Context, labels []float64) (string, error) {
-	start := time.Now() //drybellvet:wallclock — stage timing for the emitted event only
 	path := p.cfg.LabelsBase()
-	err := core.PersistLabels(p.cfg.ObsContext(ctx), p.cfg.FS, path, labels, p.cfg.Shards)
-	p.emit(StageEvent{Stage: StagePersist, Start: start, Duration: time.Since(start), Examples: len(labels), LabelsPath: path, Err: err})
-	if err != nil {
+	if err := core.PersistLabels(p.cfg.ObsContext(ctx), p.cfg.FS, path, labels, p.cfg.Shards); err != nil {
 		return "", err
 	}
 	return path, nil
@@ -309,10 +281,4 @@ func (p *Pipeline[T]) Persist(ctx context.Context, labels []float64) (string, er
 // order — the consumer side of the filesystem hand-off.
 func (p *Pipeline[T]) Labels() ([]float64, error) {
 	return core.ReadLabels(p.cfg.FS, p.cfg.LabelsBase())
-}
-
-func (p *Pipeline[T]) emit(ev StageEvent) {
-	if p.hook != nil {
-		p.hook(ev)
-	}
 }

@@ -1,16 +1,19 @@
 package drybell_test
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"repro/internal/labelmodel"
+	"repro/internal/obs"
 	"repro/pkg/drybell"
 	"repro/pkg/drybell/lf"
 )
@@ -77,11 +80,13 @@ func newPipeline(t *testing.T, extra ...drybell.Option) *drybell.Pipeline[doc] {
 	return p
 }
 
+// TestRunEndToEndWithHooks: Run's labels round-trip through the filesystem
+// hand-off, and with an observer attached its telemetry tells the run's
+// story — one span per stage under pipeline.run, in pipeline order, all
+// successful, and one pipeline_stage_seconds series per stage.
 func TestRunEndToEndWithHooks(t *testing.T) {
-	var events []drybell.StageEvent
-	p := newPipeline(t, drybell.WithStageHook(func(ev drybell.StageEvent) {
-		events = append(events, ev)
-	}))
+	o := drybell.NewObserver()
+	p := newPipeline(t, drybell.WithObserver(o))
 
 	docs := makeDocs(300)
 	res, err := p.Run(context.Background(), drybell.SliceSource(docs), testRunners())
@@ -114,34 +119,46 @@ func TestRunEndToEndWithHooks(t *testing.T) {
 		}
 	}
 
-	// One structured event per stage, in pipeline order, all successful.
-	wantStages := []drybell.StageName{
-		drybell.StageStage, drybell.StageExecuteLFs, drybell.StageAnalyze,
-		drybell.StageDenoise, drybell.StagePersist,
+	if res.LFReport == nil || len(res.LFReport.PerLF) != 3 {
+		t.Fatalf("report = %+v, want 3 per-LF entries", res.LFReport)
 	}
-	if len(events) != len(wantStages) {
-		t.Fatalf("got %d stage events, want %d", len(events), len(wantStages))
+	if res.Analysis == nil || len(res.Analysis.PerLF) != 3 {
+		t.Fatalf("analysis = %+v, want 3 per-LF rows", res.Analysis)
 	}
-	for i, ev := range events {
-		if ev.Stage != wantStages[i] {
-			t.Fatalf("event %d stage = %q, want %q", i, ev.Stage, wantStages[i])
-		}
-		if ev.Err != nil {
-			t.Fatalf("event %q carries error: %v", ev.Stage, ev.Err)
-		}
-		if ev.Examples != len(docs) {
-			t.Fatalf("event %q examples = %d, want %d", ev.Stage, ev.Examples, len(docs))
+
+	// One span per stage directly under the run's, in pipeline order (span
+	// IDs are handed out as spans start), all successful.
+	spans := o.Trace.Snapshot()
+	var root int64
+	for _, s := range spans {
+		if s.Name == "pipeline.run" {
+			root = s.ID
 		}
 	}
-	execEv := events[1]
-	if execEv.Report == nil || len(execEv.Report.PerLF) != 3 {
-		t.Fatalf("execute-lfs event report = %+v, want 3 per-LF entries", execEv.Report)
+	var stages []string
+	slices.SortFunc(spans, func(a, b obs.SpanData) int { return cmp.Compare(a.ID, b.ID) })
+	for _, s := range spans {
+		if root != 0 && s.Parent == root {
+			stages = append(stages, s.Name)
+			if s.Err != "" {
+				t.Errorf("span %s failed: %s", s.Name, s.Err)
+			}
+		}
 	}
-	if events[2].Analysis == nil || len(events[2].Analysis.PerLF) != 3 {
-		t.Fatalf("analyze event analysis = %+v, want 3 per-LF rows", events[2].Analysis)
+	want := []string{"stage.input", "lf.execute", "stage.analyze", "stage.denoise", "stage.persist"}
+	if !slices.Equal(stages, want) {
+		t.Fatalf("spans under pipeline.run = %v, want %v", stages, want)
 	}
-	if events[4].LabelsPath != p.LabelsPath() {
-		t.Fatalf("persist event path = %q, want %q", events[4].LabelsPath, p.LabelsPath())
+
+	// The stage metrics carry every stage's label.
+	var buf strings.Builder
+	if err := drybell.WriteMetrics(&buf, o); err != nil {
+		t.Fatal(err)
+	}
+	for _, stage := range []string{"stage", "execute-lfs", "analyze-lfs", "denoise", "persist"} {
+		if want := fmt.Sprintf("pipeline_stage_seconds_count{stage=%q} 1", stage); !strings.Contains(buf.String(), want) {
+			t.Errorf("metrics lack %s", want)
+		}
 	}
 }
 
@@ -245,19 +262,29 @@ func TestCancellationMidStage(t *testing.T) {
 	}
 }
 
+// TestCancellationBetweenStages: a context canceled once the execute stage
+// has completed stops the pipeline at the next stage — Denoise refuses to
+// start, and so does Persist, which commits no labels.
 func TestCancellationBetweenStages(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// Cancel as soon as the execute stage completes; Denoise must then
-	// refuse to start.
-	p := newPipeline(t, drybell.WithStageHook(func(ev drybell.StageEvent) {
-		if ev.Stage == drybell.StageExecuteLFs {
-			cancel()
-		}
-	}))
-	_, err := p.Run(ctx, drybell.SliceSource(makeDocs(120)), testRunners())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run error = %v, want context.Canceled", err)
+	p := newPipeline(t)
+	if _, err := p.Stage(ctx, drybell.SliceSource(makeDocs(120))); err != nil {
+		t.Fatal(err)
+	}
+	matrix, _, err := p.ExecuteLFs(ctx, testRunners())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cancel()
+	if _, _, err := p.Denoise(ctx, matrix); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Denoise error = %v, want context.Canceled", err)
+	}
+	if _, err := p.Persist(ctx, make([]float64, matrix.NumExamples())); !errors.Is(err, context.Canceled) {
+		t.Fatalf("Persist error = %v, want context.Canceled", err)
+	}
+	if _, err := p.Labels(); err == nil {
+		t.Fatal("Labels succeeded after canceled stages, want error")
 	}
 }
 
@@ -414,7 +441,7 @@ func ExampleNew() {
 }
 
 // TestDevLabelsAnalysis: a pipeline built WithDevLabels reports empirical
-// accuracy in the StageAnalyze event and in Result.Analysis.
+// accuracy in Result.Analysis.
 func TestDevLabelsAnalysis(t *testing.T) {
 	docs := makeDocs(120)
 	dev := make([]drybell.Label, len(docs))
@@ -425,20 +452,12 @@ func TestDevLabelsAnalysis(t *testing.T) {
 			dev[i] = drybell.Negative
 		}
 	}
-	var analyzeEv *drybell.StageEvent
-	p := newPipeline(t,
-		drybell.WithDevLabels(dev),
-		drybell.WithStageHook(func(ev drybell.StageEvent) {
-			if ev.Stage == drybell.StageAnalyze {
-				analyzeEv = &ev
-			}
-		}),
-	)
+	p := newPipeline(t, drybell.WithDevLabels(dev))
 	res, err := p.Run(context.Background(), drybell.SliceSource(docs), testRunners())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Analysis == nil || analyzeEv == nil || analyzeEv.Analysis == nil {
+	if res.Analysis == nil {
 		t.Fatal("no analysis surfaced")
 	}
 	if res.Analysis.DevLabeled != len(docs) {

@@ -32,7 +32,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"sort"
 
 	"repro/internal/labelmodel"
 	"repro/internal/nlp"
@@ -285,16 +284,5 @@ func ServableIndices[T any](lfs []LF[T]) []int {
 			out = append(out, j)
 		}
 	}
-	return out
-}
-
-// sortedCategories returns census keys in stable order, for reports.
-func sortedCategories(census map[Category]int) []Category {
-	out := make([]Category, 0, len(census))
-	//drybellvet:ordered — collection only; sorted immediately below
-	for c := range census {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
 }

@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dfs"
 	"repro/pkg/drybell"
+	"repro/pkg/drybell/lf"
 )
 
 // traceEvent mirrors the Chrome trace-event fields the assertions need.
@@ -138,6 +139,40 @@ func TestRunExportsTraceArtifact(t *testing.T) {
 	} {
 		if !strings.Contains(exposition, want) {
 			t.Errorf("Prometheus exposition missing %s", want)
+		}
+	}
+}
+
+// TestStageMethodsRecordSpans: each Pipeline stage method called on its own
+// records its stage's span on the observer, Analyze included.
+func TestStageMethodsRecordSpans(t *testing.T) {
+	ctx := context.Background()
+	o := drybell.NewObserver()
+	p := newPipeline(t, drybell.WithObserver(o))
+	if _, err := p.Stage(ctx, drybell.SliceSource(makeDocs(90))); err != nil {
+		t.Fatal(err)
+	}
+	matrix, _, err := p.ExecuteLFs(ctx, testRunners())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Analyze(matrix, lf.Metas(testRunners())); err != nil {
+		t.Fatal(err)
+	}
+	_, posteriors, err := p.Denoise(ctx, matrix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Persist(ctx, posteriors); err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	for _, s := range o.Trace.Snapshot() {
+		count[s.Name]++
+	}
+	for _, want := range []string{"stage.input", "lf.execute", "stage.analyze", "stage.denoise", "stage.persist"} {
+		if count[want] != 1 {
+			t.Errorf("%d %q spans, want 1", count[want], want)
 		}
 	}
 }

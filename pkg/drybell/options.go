@@ -36,7 +36,6 @@ type settings struct {
 	resume         bool
 	labelModel     labelmodel.Options
 	devLabels      []labelmodel.Label
-	hook           StageHook
 	observer       *obs.Observer
 	workers        []mapreduce.Worker
 	codec          any
@@ -182,20 +181,13 @@ func WithLabelModel(opts LabelModelOptions) Option {
 }
 
 // WithDevLabels attaches dev-set ground truth, aligned with the input
-// examples, to the pipeline's labeling-function analysis: the StageAnalyze
-// report then includes each function's empirical accuracy — the signal the
-// Snorkel development loop iterates on. Use Abstain for unlabeled examples.
-// The label count must match the staged corpus exactly; Run fails at the
-// analysis stage otherwise.
+// examples, to the pipeline's labeling-function analysis: the report
+// (Result.Analysis, Pipeline.Analyze) then includes each function's empirical
+// accuracy — the signal the Snorkel development loop iterates on. Use Abstain
+// for unlabeled examples. The label count must match the staged corpus
+// exactly; Run fails at the analysis stage otherwise.
 func WithDevLabels(labels []Label) Option {
 	return Option{f: func(s *settings) {
 		s.devLabels = append([]Label(nil), labels...)
 	}}
-}
-
-// WithStageHook installs an observer receiving one StageEvent per completed
-// (or failed) stage. The hook runs synchronously on the pipeline goroutine;
-// keep it fast, or hand events off to a channel.
-func WithStageHook(hook StageHook) Option {
-	return Option{f: func(s *settings) { s.hook = hook }}
 }

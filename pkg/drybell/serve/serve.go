@@ -23,9 +23,9 @@
 // schema (wire.go), byte for byte what encoding/json writes; everything else
 // — errors, /healthz, /v1/metrics — is encoding/json itself.
 //
-// The registry is any serving.Catalog; with an FS-backed registry the
-// daemon's state survives restarts — a new Server recovers the promoted
-// version from filesystem state alone.
+// The registry is a serving.FSRegistry, so the daemon's state survives
+// restarts — a new Server recovers the promoted version from filesystem state
+// alone.
 //
 // Past saturation the contract is shed or answer, never error. Admission
 // control watches the queue delay CoDel-style: when the minimum delay over
@@ -75,7 +75,7 @@ type Featurizer[T any] func(a *serving.Artifact) (func(T) *features.SparseVector
 type Config[T any] struct {
 	// Registry is the model store; Model names the line to serve. The model
 	// must have a live (promoted) version. Required.
-	Registry serving.Catalog
+	Registry *serving.FSRegistry
 	Model    string
 
 	// Decode parses one record of an HTTP request body. Required for

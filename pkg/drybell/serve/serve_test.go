@@ -37,7 +37,7 @@ func decodeVec(data []byte) (vec, error) {
 
 // stageVersions stages artifacts whose single weight at index 1 is each of
 // the given values, in order, as versions 1..n of model "m".
-func stageVersions(t *testing.T, reg serving.Catalog, weights ...string) {
+func stageVersions(t *testing.T, reg *serving.FSRegistry, weights ...string) {
 	t.Helper()
 	for _, w := range weights {
 		a := &serving.Artifact{
@@ -51,7 +51,7 @@ func stageVersions(t *testing.T, reg serving.Catalog, weights ...string) {
 	}
 }
 
-func newVecServer(t *testing.T, cfg serve.Config[vec]) (*serve.Server[vec], serving.Catalog) {
+func newVecServer(t *testing.T, cfg serve.Config[vec]) (*serve.Server[vec], *serving.FSRegistry) {
 	t.Helper()
 	if cfg.Registry == nil {
 		reg, err := serving.OpenFSRegistry(dfs.NewMem(), "serving")

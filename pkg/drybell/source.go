@@ -20,16 +20,3 @@ type Source[T any] = iter.Seq2[T, error]
 func SliceSource[T any](xs []T) Source[T] {
 	return core.Examples(xs)
 }
-
-// RecordSource adapts raw byte records to a Source by decoding each one,
-// e.g. lines of a JSONL corpus dump.
-func RecordSource[T any](records [][]byte, decode func([]byte) (T, error)) Source[T] {
-	return func(yield func(T, error) bool) {
-		for _, rec := range records {
-			x, err := decode(rec)
-			if !yield(x, err) || err != nil {
-				return
-			}
-		}
-	}
-}
