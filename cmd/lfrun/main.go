@@ -5,10 +5,11 @@
 // (§5.1).
 //
 // The corpus is staged from a JSON-lines file into a disk-backed DFS root,
-// the named function runs as its own MapReduce job, and the columnar vote
-// artifact's shard paths are printed. A second invocation against the same
-// root merges another function's votes into the artifact alongside the
-// first — exactly the loose coupling the paper describes, built on the
+// the named function runs as its own MapReduce job, its votes are appended to
+// the shared vote store as a segment of its own, and the store's column union
+// and that segment are printed. Another invocation against the same root —
+// even a concurrent one — appends its column next to the first's, a re-run
+// replaces it: exactly the loose coupling the paper describes, built on the
 // drybell SDK's per-stage API.
 //
 // Usage:
@@ -33,6 +34,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/corpus"
+	internallf "repro/internal/lf"
 	"repro/pkg/drybell"
 	"repro/pkg/drybell/lf"
 )
@@ -130,7 +132,7 @@ func run(ctx context.Context, root, task, name, input string, shards, par int, l
 		fmt.Printf("staged %d documents into %d shards under %s\n", n, shards, root)
 	}
 
-	_, report, err := p.ExecuteLFs(ctx, []drybell.LF[*corpus.Document]{chosen})
+	mx, report, err := p.ExecuteLFs(ctx, []drybell.LF[*corpus.Document]{chosen})
 	if err != nil {
 		return err
 	}
@@ -153,15 +155,18 @@ func run(ctx context.Context, root, task, name, input string, shards, par int, l
 		}
 		fmt.Printf("trace written to %s (load in https://ui.perfetto.dev)\n", trace)
 	}
-	// Votes from every invocation accumulate as columns of one columnar
-	// artifact; print its shards so the operator can see the shared state.
-	paths, err := drybell.ListShards(fsys, p.VotesBase())
+	// Votes from every invocation accumulate as columns of one store; show
+	// the operator its (verified) column union and this invocation's segment.
+	columns, err := internallf.VerifyVotes(fsys, p.VotesBase())
 	if err != nil {
 		return err
 	}
-	for _, path := range paths {
-		fmt.Println("  ", path)
+	segment, err := internallf.SegmentOf(fsys, p.VotesBase(), mx, []string{rep.Name})
+	if err != nil {
+		return err
 	}
+	fmt.Printf("vote store %s: columns %v\n", p.VotesBase(), columns)
+	fmt.Println("   published", segment)
 	return nil
 }
 

@@ -1,7 +1,7 @@
 // Compaction: fold the generation chain back into flat artifacts.
 //
 // Incremental runs leave two parallel ledgers behind — corpus deltas under
-// the input area and vote generations over the columnar artifact. Compact
+// the input area and vote generations over generation 0. Compact
 // folds both in one step, which is the only safe unit: folding votes alone
 // resets the vote store's generation counter while the corpus manifest still
 // lists deltas, and the next run would re-execute (or mis-number) them.
@@ -18,9 +18,10 @@ import (
 
 // Compact folds the corpus delta ledger and the vote generation chain into
 // flat base artifacts. Afterwards the filesystem is indistinguishable from a
-// fresh base run staged over the compacted corpus — restaged input shards and
-// the folded vote artifact are byte-identical to that run's, both ledgers are
-// empty, and the next StageDelta starts a new chain at generation 1.
+// fresh base run staged over the compacted corpus and compacted itself —
+// restaged input shards and the folded vote artifact are byte-identical to
+// that run's, both ledgers are empty, and the next StageDelta starts a new
+// chain at generation 1.
 //
 // Compact requires the vote store to be caught up with the corpus ledger
 // (every staged delta executed, e.g. by IncrementalRun); otherwise the

@@ -17,9 +17,10 @@ import (
 // TestCompactRestoresFlatState is the compaction contract, on the in-memory
 // filesystem and on a real on-disk root: after appends, deletions, and
 // Compact, the filesystem must be byte-identical to a fresh base run staged
-// over the compacted corpus — input shards, vote artifact and persisted
-// labels alike — with both ledgers empty and a new chain startable at
-// generation 1, while the incremental round executed only the delta.
+// over the compacted corpus and compacted itself — input shards, vote
+// artifact and persisted labels alike — with both ledgers empty and a new
+// chain startable at generation 1, while the incremental round executed only
+// the delta.
 func TestCompactRestoresFlatState(t *testing.T) {
 	t.Run("mem", func(t *testing.T) {
 		testCompactRestoresFlatState(t, func() dfs.FS { return dfs.NewMem() })
@@ -95,6 +96,9 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	coldCfg := topicConfig(coldFS)
 	coldCfg.WorkDir = "drybell"
 	if _, err := Run(coldCfg, compacted, apps.TopicLFs(nil, 0.02, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Compact(coldCfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	compareShards(t, fs, coldFS, cfg.InputBase(), "input")

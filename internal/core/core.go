@@ -170,11 +170,11 @@ func (c Config[T]) InputBase() string { return path.Join(c.WorkDir, "input/examp
 // LabelsBase is the DFS base path of the persisted probabilistic labels.
 func (c Config[T]) LabelsBase() string { return path.Join(c.WorkDir, "output/problabels") }
 
-// VotesPrefix is the DFS prefix of vote state: ExecuteLFs maintains the
-// columnar vote artifact (and its generation chain) at "<prefix>/votes".
+// VotesPrefix is the DFS prefix of vote state: ExecuteLFs appends to the
+// columnar vote store at "<prefix>/votes".
 func (c Config[T]) VotesPrefix() string { return path.Join(c.WorkDir, "labels") }
 
-// votesBase is the DFS base of the columnar vote artifact under VotesPrefix.
+// votesBase is the DFS base of the vote store under VotesPrefix.
 func (c Config[T]) votesBase() string { return path.Join(c.VotesPrefix(), "votes") }
 
 // Result is the output of a pipeline run.
@@ -200,9 +200,9 @@ type Result struct {
 	LabelsPath string
 	// Timings break down the run.
 	Timings Timings
-	// View is Matrix as the view of the vote artifact the run published, at
-	// its watermark: carried into IncrementalRun it makes the first round read
-	// only its delta. Read it; do not write to it (a later round's view shares
+	// View is Matrix as the view of the generation-0 segment the run
+	// published, at its watermark: carried into IncrementalRun it makes the
+	// first round read only its delta. Read it; do not write to it (a later round's view shares
 	// its rows).
 	View *lf.View
 }
@@ -492,7 +492,7 @@ func stageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byt
 		// the new shards commit, so a crash leaves the old base (with its
 		// votes, or with none) or the new base without deltas — never a new
 		// base under the old base's deltas, nor under its vote columns, which
-		// a later run over as many rows would merge as its own.
+		// a later read over as many rows would take for its own.
 		gens, err := readCorpusManifest(cfg)
 		if err != nil {
 			return 0, err
@@ -516,8 +516,8 @@ func stageRecords[T any](ctx context.Context, cfg Config[T], src iter.Seq2[[]byt
 // It requires a prior StageExamples with the same FS and WorkDir — possibly
 // from another process, since the staged corpus lives on the filesystem.
 //
-// The matrix comes as the view of the vote artifact it was published in (see
-// Result.View).
+// The matrix comes as the view of the vote store it was appended to (see
+// Result.View and lf.Executor.ExecuteContext).
 func ExecuteLFs[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]) (*lf.View, *lf.Report, error) {
 	cfg, err := cfg.WithDefaults()
 	if err != nil {

@@ -8,7 +8,8 @@
 // publishing vote generations), the label model warm-starts from the
 // previous run's state (labelmodel.TrainSamplingFreeFastWarm), and the
 // refreshed probabilistic labels are persisted in full. Corpus delta n
-// produces vote generation n; the base corpus and the flat vote artifact
+// produces vote generation n; the base corpus and the vote store's
+// generation 0 — the flat artifact and the segments base executions append —
 // are both "generation 0", so the two ledgers advance in lockstep and the
 // vote store itself records how far execution has progressed.
 //
@@ -282,7 +283,8 @@ type Carried struct {
 // functions over delta shards only, one vote generation per delta), the
 // label model warm-starts from prev, and the refreshed labels are persisted
 // over the full corpus. It requires a completed base run (Run/RunContext
-// with the same FS and WorkDir) to have published the flat vote artifact.
+// with the same FS and WorkDir) to have published the vote store's
+// generation 0.
 //
 // prev is what the previous round — or the base run — left (nil to start
 // cold). The round then costs delta work plus train and persist — it reads
@@ -336,7 +338,7 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 		return nil, err
 	}
 	if executed == 0 && !lf.HasVotes(cfg.FS, votesBase) {
-		return nil, fmt.Errorf("drybell: incremental run needs a completed base run (no vote artifact at %s)", votesBase)
+		return nil, fmt.Errorf("drybell: incremental run needs a completed base run (no generation 0 at %s)", votesBase)
 	}
 	gens, _, err := corpusLedger(cfg)
 	if err != nil {

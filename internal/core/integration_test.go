@@ -8,6 +8,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
+	"repro/internal/lf"
 	"repro/internal/serving"
 )
 
@@ -54,10 +55,10 @@ func TestProductPipelineOnDiskDFS(t *testing.T) {
 		t.Fatalf("persisted %d labels for %d examples", len(labels), len(train))
 	}
 
-	// The columnar vote artifact is durable on disk and restores the exact
-	// matrix (every LF's column) without re-running any job.
-	if _, err := dfs.ListShards(disk, "pipeline/product/labels/votes"); err != nil {
-		t.Errorf("columnar vote artifact missing: %v", err)
+	// The vote store is durable on disk and restores the exact matrix (every
+	// LF's column) without re-running any job.
+	if _, err := lf.VerifyVotes(disk, "pipeline/product/labels/votes"); err != nil {
+		t.Errorf("vote store unreadable: %v", err)
 	}
 	names := make([]string, len(res.LFReport.PerLF))
 	for i, rep := range res.LFReport.PerLF {

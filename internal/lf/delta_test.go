@@ -162,7 +162,7 @@ func TestExecuteDeltaRewrite(t *testing.T) {
 // TestCompactGenerationsMatchesFullRun pins the fold at the executor level:
 // after base + delta runs, CompactView leaves a flat artifact
 // byte-identical to the one a cold full run over the whole corpus publishes
-// with the same shard count.
+// and compacts with the same shard count.
 func TestCompactGenerationsMatchesFullRun(t *testing.T) {
 	lfs := []lfapi.LF[*corpus.Document]{keywordLF(), nerLF()}
 	fs := dfs.NewMem()
@@ -183,6 +183,9 @@ func TestCompactGenerationsMatchesFullRun(t *testing.T) {
 	all := append(append([]*corpus.Document(nil), testDocs()...), deltaDocs()...)
 	stageDocs(t, refFS, all, 2)
 	if _, _, err := docExecutor(refFS).Execute([]lfapi.LF[*corpus.Document]{keywordLF(), nerLF()}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CompactView(refFS, "labels/votes", 2, nil); err != nil {
 		t.Fatal(err)
 	}
 	refKeys, err := refFS.List("labels/votes")

@@ -19,15 +19,16 @@ import (
 // assembles the label matrix. Every Execute is one fused map-only job: each
 // task decodes its input shard once, evaluates the whole function set over
 // the decoded records, and emits one packed vote row per record, so votes
-// stay aligned with input records. The assembled matrix is merged into the
-// single columnar vote artifact (see WriteVotes, publishVotes), and
-// LoadMatrix restores it without re-running anything.
+// stay aligned with input records. The assembled matrix is appended to the
+// vote store as a generation-0 segment (see generations.go) — nothing stored
+// is read, merged or rewritten — and LoadMatrix restores it without
+// re-running anything.
 //
 // DryBell's deployment shape — one independent executable per labeling
 // function, sharing data through the filesystem (§5.4) — is this same engine
 // invoked once per function: a single-function Execute runs the fused job
-// over a one-function set and merges its column next to the columns earlier
-// invocations left in the artifact (see cmd/lfrun).
+// over a one-function set and appends its column as a segment of its own next
+// to the ones earlier or concurrent invocations left (see cmd/lfrun).
 //
 // The executor consumes public-API lf.LF values and discovers their
 // capabilities by interface: NodeLocal functions get one instance per map
@@ -40,7 +41,7 @@ type Executor[T any] struct {
 	FS dfs.FS
 	// InputBase is the staged corpus (see Stage).
 	InputBase string
-	// OutputPrefix locates vote output: the columnar artifact lives at
+	// OutputPrefix locates vote output: the vote store lives at
 	// "<prefix>/votes".
 	OutputPrefix string
 	// Decode parses one input record.
@@ -55,14 +56,14 @@ type Executor[T any] struct {
 	StragglerAfter time.Duration
 	// Resume enables checkpoint/resume for vote execution. At the job level
 	// the coordinator records per-task manifests so a crashed Execute
-	// re-runs only uncommitted tasks; at the stage level a completed
-	// columnar vote artifact covering every requested function is loaded
-	// directly without launching any job.
+	// re-runs only uncommitted tasks; at the stage level a generation 0
+	// covering every requested function is loaded directly without launching
+	// any job.
 	Resume bool
 	// KnownExamples, when positive, is the staged corpus's record count as
 	// already established by the caller (e.g. the pipeline's staging
-	// stage). The resume fast path then validates the vote artifact against
-	// it instead of re-scanning every input shard.
+	// stage). The resume fast path then validates generation 0 against it
+	// instead of re-scanning every input shard.
 	KnownExamples int
 	// FailureHook is forwarded to every job, for failure-injection tests.
 	FailureHook func(taskID string, attempt int) error
@@ -110,7 +111,7 @@ type Report struct {
 	// counter it tallies each task's winning attempt only.
 	ModelServersLaunched int64
 	// ResumedFromVotes is true when the whole execution was skipped because
-	// a completed vote artifact already covered every requested function.
+	// generation 0 already covered every requested function.
 	ResumedFromVotes bool
 }
 
@@ -131,9 +132,9 @@ func (e *Executor[T]) Execute(lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, e
 
 // ExecuteContext is Execute under a context: cancellation stops between jobs
 // and mid-job (between records or batches), and the partial run commits no
-// label matrix. It returns the matrix as the view of the flat artifact it
-// published (or loaded, on the resume fast path) that a later LoadView can
-// carry forward: a batch run is the first round of the incremental loop.
+// label matrix. It returns the matrix as a view a later LoadView can carry
+// forward — a batch run is the first round of the incremental loop — when it
+// is all of generation 0 (see executeFused, resumeFromVotes).
 func (e *Executor[T]) ExecuteContext(ctx context.Context, lfs []lfapi.LF[T]) (*View, *Report, error) {
 	if e.Decode == nil {
 		return nil, nil, fmt.Errorf("lf: executor has no decoder")
@@ -189,9 +190,8 @@ type Delta struct {
 // ExecuteDelta runs the labeling-function set over a staged corpus delta
 // only — through the same fused map-only job, worker seam, and resume
 // machinery as a full Execute — and publishes the resulting votes as a new
-// generation over the columnar artifact instead of rewriting it. The
-// returned matrix covers only the delta rows; LoadMatrix assembles the
-// compacted full view. The generation number of the published delta is
+// delta generation over generation 0. The returned matrix covers only the
+// delta rows; LoadMatrix assembles the compacted full view. The generation number of the published delta is
 // returned for staleness accounting.
 //
 // The report's task counters cover only the delta's tasks: a delta run
@@ -262,13 +262,13 @@ func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 	return matrix, report, nil
 }
 
-// resumeFromVotes is the stage-level resume fast path: when the columnar
-// vote artifact already holds every requested function's votes for exactly
-// the staged corpus, the matrix is loaded back and no job runs. Anything
-// short of a complete match — artifact absent, functions missing, row count
-// different — falls through to task-level execution (whose own manifests
-// then skip committed work). The view it returns has merged the flat artifact
-// and nothing over it.
+// resumeFromVotes is the stage-level resume fast path: when generation 0 of
+// the store already holds every requested function's votes for exactly the
+// staged corpus, the matrix is loaded back and no job runs. Anything short of
+// a complete match — no votes, functions missing, row count different —
+// falls through to task-level execution (whose own manifests then skip
+// committed work). The view it returns has merged generation 0 and nothing
+// over it.
 func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*View, *Report, bool) {
 	plan, err := planVotes(e.FS, e.votesBase(), false, lfapi.Names(lfs))
 	if err != nil {
@@ -312,7 +312,7 @@ func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*View, *Report, bool) 
 		report.PerLF[j] = r
 	}
 	report.Duration = time.Since(start)
-	return &View{Matrix: mx, Names: plan.names, flat: plan.flat}, report, true
+	return plan.view(mx), report, true
 }
 
 // scratch is the DFS runtime area for vote jobs.
@@ -326,28 +326,30 @@ func resumeKeyFor(names []string) string {
 }
 
 // executeFused runs every labeling function inside one map-only job (see
-// runFused), merges the assembled votes into the columnar artifact, and
-// returns them as the view of the artifact it published — the executed matrix
-// at the watermark publishVotes read back from the sidecar, with nothing read
-// back from the shards.
+// runFused) and appends the votes as a generation-0 segment. It returns them
+// at the post-commit plan's watermark when that segment is all of generation
+// 0, and with none otherwise (the next round rebuilds): nothing is read back.
 func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*View, *Report, error) {
 	matrix, report, names, nsh, err := e.runFused(ctx, lfs, e.InputBase, e.scratch())
 	if err != nil {
 		return nil, nil, err
 	}
-	flat, err := publishVotes(e.FS, e.votesBase(), matrix, names, nsh)
+	k, err := publishSegment(e.FS, e.votesBase(), matrix, names, nsh)
 	if err != nil {
 		return nil, nil, err
 	}
-	return &View{Matrix: matrix, Names: names, flat: flat}, report, nil
+	if p, err := planVotes(e.FS, e.votesBase(), false, names); err == nil && len(p.segments) == 1 && p.segments[0].meta.Generation == k.hash {
+		return p.view(matrix), report, nil
+	}
+	return &View{Matrix: matrix, Names: names}, report, nil
 }
 
 // runFused is the fused execution engine shared by full runs and delta runs:
 // one map-only job over inputBase in which each task decodes its shard once,
 // evaluates all functions over the decoded records, and emits one n-byte
 // columnar vote row per record. It assembles and returns the matrix without
-// publishing it — full runs merge it into the flat artifact, delta runs
-// publish it as a generation.
+// publishing it — full runs append it as a generation-0 segment, delta runs
+// as a delta generation.
 func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase, scratchBase string) (*labelmodel.Matrix, *Report, []string, int, error) {
 	start := time.Now() //drybellvet:wallclock — report durations only, never persisted votes
 	report := &Report{PerLF: make([]LFReport, len(lfs))}
@@ -442,100 +444,7 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 	return matrix, report, names, nsh, nil
 }
 
-// publishVotes merges freshly executed votes into the columnar artifact and
-// commits it, so independent invocations accumulate columns — the paper's
-// loose coupling, where each labeling function can run as its own process
-// and later runs add votes alongside earlier ones (see cmd/lfrun). The
-// filesystem has atomic renames but no compare-and-swap, so a concurrent
-// writer between our read and our write could make its columns vanish. Two
-// checks narrow that window (closing it needs a lock or CAS in dfs.FS): the
-// artifact must still carry the write generation the merge started from just
-// before it is overwritten, and is scanned again just after — the merge is
-// redone until every column that was visible survives together with ours.
-// It returns the write generation of the artifact it verified.
-func publishVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) (uint64, error) {
-	const attempts = 8
-	for try := 0; try < attempts; try++ {
-		merged, mergedNames, basis := mergeVotes(fs, base, mx, names)
-		if cur, _ := readVotesMeta(fs, base); cur.generation() != basis {
-			continue // someone published since we read: our merge is stale
-		}
-		if err := WriteVotes(fs, base, merged, mergedNames, shards); err != nil {
-			return 0, err
-		}
-		// Verify the full artifact, not just the meta: interleaved shard
-		// renames from a concurrent writer leave a mixed-generation set,
-		// which the scan's integrity checks detect — treat that like lost
-		// columns and merge again. Whoever verifies last converges the
-		// artifact to the union.
-		after, err := planVotes(fs, base, false, mergedNames)
-		if err == nil && after.scan(fs, nil) == nil {
-			return after.flat, nil
-		}
-	}
-	return 0, fmt.Errorf("lf: vote artifact at %s kept changing under concurrent writers; giving up after %d attempts", base, attempts)
-}
-
-// mergeVotes combines freshly executed votes with an existing columnar
-// artifact: the old artifact is planned and scanned into a view wide enough
-// for both, then the fresh matrix applies over it as the newest segment —
-// existing columns keep their position (same-named columns are replaced by
-// the fresh votes), new columns append in execution order. It also returns
-// the write generation it merged from (0 for no artifact). An absent,
-// unreadable, or different-corpus artifact (example count mismatch) is
-// simply superseded by the fresh votes — but a failed scan is most often a
-// concurrent writer between its first shard rename and its meta write, and
-// superseding then drops every column but ours, so the read backs off and
-// starts over a few times (≈6 ms in all) before the artifact is written off.
-func mergeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string) (*labelmodel.Matrix, []string, uint64) {
-	var basis uint64
-	for read := 0; read < 6; read++ {
-		if read > 0 {
-			time.Sleep(100 * time.Microsecond << read)
-		}
-		old, err := planVotes(fs, base, false, nil)
-		if err != nil {
-			break
-		}
-		basis = old.segments[0].meta.generation()
-		if old.chain.Rows != mx.NumExamples() {
-			break
-		}
-		mergedNames := append([]string(nil), old.names...)
-		col := make(map[string]int, len(old.names)+len(names))
-		for j, name := range old.names {
-			col[name] = j
-		}
-		dst := make([]int, len(names)) // dst[j] is the merged column of fresh column j
-		for j, name := range names {
-			if _, ok := col[name]; !ok {
-				col[name] = len(mergedNames)
-				mergedNames = append(mergedNames, name)
-			}
-			dst[j] = col[name]
-		}
-		// Common case, from the meta alone: the fresh run covers every stored
-		// column (e.g. re-running the standard whole-set pipeline), so nothing
-		// of the old artifact survives and its shards need not even be read.
-		if len(mergedNames) == len(names) {
-			break
-		}
-		merged := labelmodel.NewMatrix(mx.NumExamples(), len(mergedNames))
-		if err := old.scan(fs, merged); err != nil {
-			continue
-		}
-		for i := 0; i < mx.NumExamples(); i++ {
-			row := merged.Row(i)
-			for j, v := range mx.Row(i) {
-				row[dst[j]] = v
-			}
-		}
-		return merged, mergedNames, basis
-	}
-	return mx, names, basis
-}
-
-// votesBase is the DFS base of the columnar vote artifact.
+// votesBase is the DFS base of the vote store.
 func (e *Executor[T]) votesBase() string { return path.Join(e.OutputPrefix, "votes") }
 
 // attemptCtx prefers the engine's per-attempt context over the run context:

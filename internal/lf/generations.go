@@ -1,31 +1,32 @@
-// Versioned vote store: append-only generations layered over the columnar
-// vote artifact.
+// Versioned vote store: every write appends; none reads, merges and rewrites.
 //
-// A batch run publishes the flat artifact at "<prefix>/votes" (votes.go).
-// Incremental runs do not rewrite it: each corpus delta publishes a
-// generation — a data segment in the same columnar shard format plus a
-// CRC'd JSON manifest recording its row range, column names, and tombstoned
-// rows — under "<prefix>/votes/_gen/<n>". Manifests are written to a temp
-// key and atomically renamed, so a generation is either fully visible or
-// absent; the data segment commits before its manifest, so a visible
-// manifest always has readable data.
+// An execution over the base corpus (Executor.Execute) publishes a
+// generation-0 segment over base rows [0, m), each corpus delta a generation
+// over its row range: a data segment in the columnar shard format (votes.go)
+// plus a CRC'd JSON manifest of row range, columns and tombstones, under
+// "<prefix>/votes/_gen/". A delta's key is its number ("00001"); a segment's
+// is "00000-<seq>-<hash>", seq one past the highest listed and hash the
+// votes' content-derived write generation, so writers of different votes
+// never share a key. A manifest commits by temp-then-rename after its data
+// segment, so a visible manifest always has readable data. Only compaction
+// writes the flat artifact at "<prefix>/votes".
 //
 // The store is read one way (votes.go: planVotes, then one scan): the flat
-// artifact is the segment at row 0, generations follow in ascending order,
-// Chain folds their row ranges and tombstones, the view is allocated once at
-// live rows × requested columns, and each segment streams into it oldest
-// first — so later row ranges supersede earlier ones column-wise and
-// tombstoned rows never materialize. A store carrying only the flat artifact
-// is the one-segment case of the same read.
+// artifact at row 0, generation-0 segments by (seq, hash), then the deltas in
+// order. Chain folds their row ranges and tombstones and each segment streams
+// into the view oldest first, so later row ranges supersede earlier ones
+// column-wise: a re-run replaces its columns, concurrent writers' columns
+// union, and delta tombstones apply on top.
 package lf
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"path"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -35,8 +36,8 @@ import (
 
 // GenerationMeta is the manifest of one vote generation.
 type GenerationMeta struct {
-	// Gen is the generation number, 1-based and strictly increasing; the
-	// flat artifact is implicitly generation 0.
+	// Gen is the delta generation number, 1-based and strictly increasing; 0
+	// for a generation-0 segment over the base corpus.
 	Gen int `json:"gen"`
 	// Names lists this generation's labeling functions in column order.
 	Names []string `json:"names"`
@@ -59,16 +60,43 @@ type GenerationMeta struct {
 // segments for a votes base.
 func genDir(base string) string { return path.Join(base, "_gen") }
 
-// genManifestPath is the manifest key of generation gen.
-func genManifestPath(base string, gen int) string {
-	return path.Join(genDir(base), fmt.Sprintf("%05d", gen))
+// chainKey is a manifest's place in the chain, spelled as its key under
+// _gen/: a delta generation's zero-padded number, or a generation-0
+// segment's writer sequence number and content hash.
+type chainKey struct {
+	gen, seq int
+	hash     uint64
 }
 
-// genDataBase is the columnar data segment base of generation gen. It is a
-// sibling key of the manifest ("<manifest>.data"), not a child, so
-// disk-backed filesystems never need a key to be both file and directory.
-func genDataBase(base string, gen int) string {
-	return genManifestPath(base, gen) + ".data"
+func (k chainKey) String() string {
+	if k.gen > 0 {
+		return fmt.Sprintf("%05d", k.gen)
+	}
+	return fmt.Sprintf("%05d-%05d-%016x", 0, k.seq, k.hash)
+}
+
+// path is the manifest key. Its data segment base is the sibling key
+// "<manifest>.data", not a child, so disk-backed filesystems never need a key
+// to be both file and directory.
+func (k chainKey) path(base string) string { return path.Join(genDir(base), k.String()) }
+
+// parseChainKey parses a name under _gen/ as a manifest key. Only the
+// canonical spelling parses; everything else there (data segment shards and
+// their metas, in-flight .tmp manifests) is not a manifest.
+func parseChainKey(name string) (chainKey, bool) {
+	var k chainKey
+	if strings.Contains(name, ".") {
+		return k, false // the common case, decided without allocating: every read lists every shard
+	}
+	var err error
+	if seq, hash, segment := strings.Cut(strings.TrimPrefix(name, "00000-"), "-"); segment {
+		if k.seq, err = strconv.Atoi(seq); err == nil {
+			k.hash, err = strconv.ParseUint(hash, 16, 64)
+		}
+	} else {
+		k.gen, err = strconv.Atoi(name)
+	}
+	return k, err == nil && (k.gen > 0 || k.seq > 0) && k.String() == name
 }
 
 // manifestCRC computes the manifest checksum: the CRC32 of its JSON with the
@@ -82,15 +110,44 @@ func manifestCRC(meta GenerationMeta) (uint32, error) {
 	return crc32.ChecksumIEEE(raw), nil
 }
 
-// WriteGeneration publishes one vote generation: the matrix as a columnar
+// WriteGeneration publishes one delta generation: the matrix as a columnar
 // data segment, then the CRC'd manifest via write-temp-and-rename, so
 // concurrent readers see either the previous chain or the full new
 // generation, never a half-written one. meta.Rows and meta.CRC are filled
 // here; the caller sets Gen, Names, StartRow, Shards, and Deleted.
 func WriteGeneration(fs dfs.FS, base string, meta GenerationMeta, mx *labelmodel.Matrix) error {
 	if meta.Gen <= 0 {
-		return fmt.Errorf("lf: vote generation number %d, want >= 1 (the flat artifact is generation 0)", meta.Gen)
+		return fmt.Errorf("lf: vote generation number %d, want >= 1 (generation 0 is what Execute publishes)", meta.Gen)
 	}
+	var hash uint64
+	if mx != nil {
+		hash = voteGeneration(mx, meta.Names, meta.Shards)
+	}
+	return writeManifest(fs, base, chainKey{gen: meta.Gen}, meta, mx, hash)
+}
+
+// publishSegment publishes mx as a generation-0 segment over base rows [0, m)
+// and returns its key. It reads no votes: the key's seq comes from the listed
+// keys alone, and its hash from mx, so the only writer it can share a key with
+// is one writing the same bytes.
+func publishSegment(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) (chainKey, error) {
+	keys, _, err := listKeys(fs, base)
+	if err != nil {
+		return chainKey{}, err
+	}
+	k := chainKey{seq: 1, hash: voteGeneration(mx, names, shards)}
+	for _, other := range keys {
+		if other.gen == 0 {
+			k.seq = max(k.seq, other.seq+1)
+		}
+	}
+	return k, writeManifest(fs, base, k, GenerationMeta{Names: names, Shards: shards}, mx, k.hash)
+}
+
+// writeManifest publishes the manifest at k, after mx — written with write
+// generation hash — as its data segment. A nil matrix is a deletions-only
+// generation: tombstones in the manifest, no data segment.
+func writeManifest(fs dfs.FS, base string, k chainKey, meta GenerationMeta, mx *labelmodel.Matrix, hash uint64) error {
 	if meta.StartRow < 0 {
 		return fmt.Errorf("lf: vote generation %d starts at negative row %d", meta.Gen, meta.StartRow)
 	}
@@ -105,12 +162,11 @@ func WriteGeneration(fs dfs.FS, base string, meta GenerationMeta, mx *labelmodel
 	if mx == nil && len(meta.Deleted) == 0 {
 		return fmt.Errorf("lf: vote generation %d has neither votes nor tombstones", meta.Gen)
 	}
-	// A nil matrix is a deletions-only generation: tombstones in the
-	// manifest, no data segment.
+	dst := k.path(base)
 	meta.Rows = 0
 	if mx != nil {
 		meta.Rows = mx.NumExamples()
-		if err := WriteVotes(fs, genDataBase(base, meta.Gen), mx, meta.Names, meta.Shards); err != nil {
+		if err := writeVotes(fs, dst+".data", mx, meta.Names, meta.Shards, hash); err != nil {
 			return fmt.Errorf("lf: write generation %d data: %w", meta.Gen, err)
 		}
 	}
@@ -123,7 +179,6 @@ func WriteGeneration(fs dfs.FS, base string, meta GenerationMeta, mx *labelmodel
 	if err != nil {
 		return fmt.Errorf("lf: encode generation %d manifest: %w", meta.Gen, err)
 	}
-	dst := genManifestPath(base, meta.Gen)
 	tmp := dst + ".tmp"
 	if err := fs.WriteFile(tmp, raw); err != nil {
 		return fmt.Errorf("lf: write generation %d manifest: %w", meta.Gen, err)
@@ -134,46 +189,60 @@ func WriteGeneration(fs dfs.FS, base string, meta GenerationMeta, mx *labelmodel
 	return nil
 }
 
-// LatestGeneration returns the highest published generation number, or 0
-// when only the flat artifact (or nothing) exists.
+// LatestGeneration returns the highest published delta generation number, or
+// 0 when only generation 0 — the flat artifact and generation-0 segments — or
+// nothing exists.
 func LatestGeneration(fs dfs.FS, base string) (int, error) {
-	gens, err := ListGenerations(fs, base)
-	if err != nil {
+	ms, err := listManifests(fs, base)
+	if err != nil || len(ms) == 0 {
 		return 0, err
 	}
-	if len(gens) == 0 {
-		return 0, nil
-	}
-	return gens[len(gens)-1].Gen, nil
+	return ms[len(ms)-1].Gen, nil
 }
 
-// manifestGen parses a key under _gen/ as a manifest key. Manifest keys are
-// exactly the zero-padded generation number; everything else there (data
-// segment shards and their metas, in-flight .tmp manifests) is not a manifest.
-func manifestGen(name string) (int, bool) {
-	if strings.ContainsAny(name, "./-") {
-		return 0, false
-	}
-	gen, err := strconv.Atoi(name)
-	return gen, err == nil
-}
-
-// ListGenerations returns the published generation manifests in ascending
-// generation order, validating each manifest's checksum and its consistency
-// with its key. A corrupt manifest fails the whole listing — an incremental
-// reader must never silently skip part of the chain.
-func ListGenerations(fs dfs.FS, base string) ([]GenerationMeta, error) {
+// listKeys lists the manifest keys under base's _gen/ directory in chain
+// order, and the directory's other keys (data segments, temp manifests).
+func listKeys(fs dfs.FS, base string) ([]chainKey, []string, error) {
 	prefix := genDir(base) + "/" //drybellvet:notapath — List prefix; the trailing "/" is significant
-	keys, err := fs.List(prefix)
+	names, err := fs.List(prefix)
 	if err != nil {
-		return nil, fmt.Errorf("lf: list vote generations at %s: %w", base, err)
+		return nil, nil, fmt.Errorf("lf: list vote generations at %s: %w", base, err)
 	}
-	var gens []GenerationMeta
-	for _, key := range keys {
-		wantGen, ok := manifestGen(strings.TrimPrefix(key, prefix))
-		if !ok {
-			continue
+	var keys []chainKey
+	var others []string
+	for _, name := range names {
+		if k, ok := parseChainKey(strings.TrimPrefix(name, prefix)); ok {
+			keys = append(keys, k)
+		} else {
+			others = append(others, name)
 		}
+	}
+	slices.SortFunc(keys, func(a, b chainKey) int { // generation 0 by (seq, hash), then the deltas
+		return cmp.Or(cmp.Compare(a.gen, b.gen), cmp.Compare(a.seq, b.seq), cmp.Compare(a.hash, b.hash))
+	})
+	return keys, others, nil
+}
+
+// manifest is one published manifest: where it stands, its key, and what it
+// says.
+type manifest struct {
+	GenerationMeta
+	at  chainKey
+	key string
+}
+
+// listManifests returns the published manifests in chain order, validating
+// each one's checksum and its consistency with its key. A corrupt manifest
+// fails the whole listing — a reader must never silently skip part of the
+// chain.
+func listManifests(fs dfs.FS, base string) ([]manifest, error) {
+	keys, _, err := listKeys(fs, base)
+	if err != nil {
+		return nil, err
+	}
+	ms := make([]manifest, 0, len(keys))
+	for _, k := range keys {
+		key := k.path(base)
 		raw, err := fs.ReadFile(key)
 		if err != nil {
 			return nil, fmt.Errorf("lf: read vote generation manifest %s: %w", key, err)
@@ -189,22 +258,29 @@ func ListGenerations(fs dfs.FS, base string) ([]GenerationMeta, error) {
 		if meta.CRC != want {
 			return nil, fmt.Errorf("lf: vote generation manifest %s is corrupt: checksum %08x does not match contents (want %08x)", key, meta.CRC, want)
 		}
-		if meta.Gen != wantGen {
+		if meta.Gen != k.gen {
 			return nil, fmt.Errorf("lf: vote generation manifest %s claims generation %d", key, meta.Gen)
 		}
 		if meta.Rows < 0 || meta.StartRow < 0 || meta.Shards <= 0 || len(meta.Names) == 0 {
 			return nil, fmt.Errorf("lf: vote generation manifest %s is degenerate (%d rows from %d, %d shards, %d names)",
 				key, meta.Rows, meta.StartRow, meta.Shards, len(meta.Names))
 		}
-		gens = append(gens, meta)
+		ms = append(ms, manifest{meta, k, key})
 	}
-	sort.Slice(gens, func(i, j int) bool { return gens[i].Gen < gens[j].Gen })
-	for i := 1; i < len(gens); i++ {
-		if gens[i].Gen == gens[i-1].Gen {
-			return nil, fmt.Errorf("lf: duplicate vote generation %d at %s", gens[i].Gen, base)
+	return ms, nil
+}
+
+// SegmentOf returns the manifest key of the newest generation-0 segment at
+// base holding exactly mx under names — what an Execute of them published —
+// or "" when none stands.
+func SegmentOf(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string) (string, error) {
+	ms, err := listManifests(fs, base)
+	for i := len(ms) - 1; i >= 0; i-- {
+		if m := ms[i]; m.Gen == 0 && slices.Equal(m.Names, names) && m.at.hash == voteGeneration(mx, names, m.Shards) {
+			return m.key, nil
 		}
 	}
-	return gens, nil
+	return "", err
 }
 
 // ErrAllTombstoned is the cause reported when a chain's tombstones cover
@@ -264,13 +340,14 @@ func (c *Chain) Tombstoned(i int) bool {
 	return dead
 }
 
-// CompactView folds the generation chain back into one flat columnar artifact
-// — the housekeeping step that bounds chain length for readers — and removes
-// the folded generation files. The resulting artifact is byte-identical to
-// what a from-scratch run over the same (compacted) corpus would publish with
-// the same shard count, because the artifact's write generation is
-// content-derived. A chain whose tombstones cover every row is refused
-// (ErrAllTombstoned) with the store untouched.
+// CompactView folds the generation chain — generation-0 segments and delta
+// generations — back into one flat columnar artifact, the housekeeping step
+// that bounds chain length for readers, and removes the folded files. The
+// resulting artifact is byte-identical to what a from-scratch run over the
+// same (compacted) corpus would publish and compact with the same shard
+// count, because the artifact's write generation is content-derived. A chain
+// whose tombstones cover every row is refused (ErrAllTombstoned) with the
+// store untouched.
 //
 // view is what the caller carries of the store (LoadView), or nil. When its
 // watermark covers the whole chain and its columns are the stored column
@@ -283,11 +360,11 @@ func (c *Chain) Tombstoned(i int) bool {
 // are the post-compaction staging order; callers that track absolute row
 // positions (corpus manifests) must compact those in the same step.
 func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) {
-	gens, err := ListGenerations(fs, base)
+	ms, err := listManifests(fs, base)
 	if err != nil {
 		return nil, err
 	}
-	if len(gens) == 0 {
+	if len(ms) == 0 {
 		return view, nil
 	}
 	p, err := planVotes(fs, base, true, nil)
@@ -300,40 +377,29 @@ func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) 
 	} else if folded.Matrix, _, err = p.read(fs); err != nil {
 		return nil, err
 	}
-	if err := WriteVotes(fs, base, folded.Matrix, folded.Names, shards); err != nil {
+	// The flat artifact's write generation is the folded view's watermark.
+	folded.flat = voteGeneration(folded.Matrix, folded.Names, shards)
+	if err := writeVotes(fs, base, folded.Matrix, folded.Names, shards, folded.flat); err != nil {
 		return nil, fmt.Errorf("lf: compact vote generations at %s: %w", base, err)
 	}
-	// The flat artifact now carries the whole view; drop the folded chain. The
-	// sidecar just written says what the view's watermark has become.
-	flat, err := readVotesMeta(fs, base)
-	if err != nil {
-		return nil, err
-	}
-	folded.flat = flat.generation()
 	return folded, DropGenerations(fs, base, false)
 }
 
 // DropGenerations removes the generation chain over the flat artifact at base
 // without reading it: what CompactView does once the chain is folded. With
-// flat it then removes the flat artifact — generation 0 — as well, leaving an
-// empty store: what staging a new base corpus does, since every vote stored
-// is for the corpus being superseded. Manifests go first, then the sidecar,
-// so a crash mid-way leaves orphaned data segments and shards (ignored by
-// readers) rather than manifests or a sidecar with missing data. A store with
-// no chain costs one List.
+// flat it then removes the flat artifact as well, leaving an empty store:
+// what staging a new base corpus does, since every vote stored is for the
+// corpus being superseded. Manifests go first, newest first, then the
+// sidecar, so a crash part-way leaves a shorter chain that still reads, with
+// orphaned data segments and shards (ignored by readers) — never a manifest
+// or a sidecar with missing data. A store with no chain costs one List.
 func DropGenerations(fs dfs.FS, base string, flat bool) error {
-	prefix := genDir(base) + "/" //drybellvet:notapath — List prefix; the trailing "/" is significant
-	keys, err := fs.List(prefix)
+	keys, data, err := listKeys(fs, base)
 	if err != nil {
-		return fmt.Errorf("lf: list vote generations at %s: %w", base, err)
+		return err
 	}
-	var data []string
-	for _, key := range keys {
-		if _, ok := manifestGen(strings.TrimPrefix(key, prefix)); !ok {
-			data = append(data, key)
-			continue
-		}
-		if err := fs.Remove(key); err != nil {
+	for i := len(keys) - 1; i >= 0; i-- {
+		if err := fs.Remove(keys[i].path(base)); err != nil {
 			return fmt.Errorf("lf: drop vote generations at %s: %w", base, err)
 		}
 	}

@@ -9,6 +9,12 @@ import (
 	"repro/internal/labelmodel"
 )
 
+// genManifestPath is the manifest key of delta generation gen.
+func genManifestPath(base string, gen int) string { return chainKey{gen: gen}.path(base) }
+
+// genDataBase is the data segment base of delta generation gen.
+func genDataBase(base string, gen int) string { return genManifestPath(base, gen) + ".data" }
+
 // writeGen publishes a generation of m rows starting at startRow, with
 // deterministic votes derived from the seed, and returns the matrix written.
 func writeGen(t *testing.T, fs dfs.FS, base string, gen, startRow, m int, names []string, deleted []int, seed int64) *labelmodel.Matrix {

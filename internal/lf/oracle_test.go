@@ -13,22 +13,21 @@ import (
 // store was read with before there was one reader. It shares no code with
 // the reader beyond the on-disk format helpers it needs to find the bytes.
 
-// HasGenerations reports whether any vote generation is published at base.
+// HasGenerations reports whether any vote generation — a generation-0
+// segment or a delta — is published at base.
 func HasGenerations(fs dfs.FS, base string) bool {
-	gens, err := ListGenerations(fs, base)
-	return err == nil && len(gens) > 0
+	ms, err := listManifests(fs, base)
+	return err == nil && len(ms) > 0
 }
 
-// VoteNames returns the flat artifact's column names in stored order.
+// VoteNames returns the store's column union, as the plan of its whole chain
+// orders it.
 func VoteNames(fs dfs.FS, base string) ([]string, error) {
-	meta, err := readVotesMeta(fs, base)
+	p, err := planVotes(fs, base, true, nil)
 	if err != nil {
 		return nil, err
 	}
-	if meta == nil {
-		return nil, fmt.Errorf("no vote artifact at %s", base)
-	}
-	return meta.Names, nil
+	return p.names, nil
 }
 
 // oracleReadSegment decodes one columnar shard set into a matrix in stored
@@ -107,16 +106,18 @@ func mergeVotesAt(old *labelmodel.Matrix, oldNames []string, mx *labelmodel.Matr
 
 // oracleReadVersioned assembles the compacted view the old way: read each
 // segment whole, re-merge the full view once per generation, then subset the
-// surviving rows and the requested columns.
+// surviving rows and the requested columns. Generation-0 segments are read by
+// their keys and merged over base rows [0, m), after the flat artifact and
+// before the deltas.
 func oracleReadVersioned(fs dfs.FS, base string, names []string) (*labelmodel.Matrix, []string, error) {
-	gens, err := ListGenerations(fs, base)
+	gens, err := listManifests(fs, base)
 	if err != nil {
 		return nil, nil, err
 	}
 	var view *labelmodel.Matrix
 	var union []string
 	total := 0
-	if HasVotes(fs, base) {
+	if _, err := fs.Stat(votesMetaPath(base)); err == nil {
 		if view, union, err = oracleReadSegment(fs, base); err != nil {
 			return nil, nil, err
 		}
@@ -128,7 +129,7 @@ func oracleReadVersioned(fs dfs.FS, base string, names []string) (*labelmodel.Ma
 			return nil, nil, fmt.Errorf("oracle: generation %d starts at row %d, beyond %d", g.Gen, g.StartRow, total)
 		}
 		if g.Rows > 0 {
-			mx, gnames, err := oracleReadSegment(fs, genDataBase(base, g.Gen))
+			mx, gnames, err := oracleReadSegment(fs, g.key+".data")
 			if err != nil {
 				return nil, nil, err
 			}

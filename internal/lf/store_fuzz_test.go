@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
+	"path"
 	"testing"
 
 	"repro/internal/dfs"
@@ -14,59 +15,65 @@ import (
 var fuzzNames = []string{"a", "b"}
 
 // fuzzStore writes the store FuzzVoteStore damages — a six-row flat artifact
-// in two shards and one generation appending three rows in two shards — and
-// returns it with the view carried before the generation and the one after.
-func fuzzStore() (*dfs.Mem, *View, *View, error) {
-	votes := func(m, seed int) *labelmodel.Matrix {
-		mx := labelmodel.NewMatrix(m, len(fuzzNames))
+// in two shards, two generation-0 segments over its rows (a re-run of "b" in
+// three shards, then of "a" in one), and one delta generation appending three
+// rows in two shards — and returns it with the view carried before the delta
+// and the one after, and the files whose bytes the fuzzer replaces: every
+// sidecar and manifest, and a shard of each segment.
+func fuzzStore() (*dfs.Mem, *View, *View, []string, error) {
+	votes := func(m, n, seed int) *labelmodel.Matrix {
+		mx := labelmodel.NewMatrix(m, n)
 		for i := 0; i < m; i++ {
-			for j := range fuzzNames {
+			for j := 0; j < n; j++ {
 				mx.Set(i, j, labelmodel.Label((i+j+seed)%3-1))
 			}
 		}
 		return mx
 	}
 	fs := dfs.NewMem()
-	if err := WriteVotes(fs, storeBase, votes(6, 0), fuzzNames, 2); err != nil {
-		return nil, nil, nil, err
+	if err := WriteVotes(fs, storeBase, votes(6, 2, 0), fuzzNames, 2); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	flat, _, err := LoadView(fs, storeBase, fuzzNames, nil)
+	targets := []string{votesMetaPath(storeBase), dfs.ShardPath(storeBase, 1, 2)}
+	for _, seg := range []struct{ name, shards, seed int }{{1, 3, 2}, {0, 1, 1}} {
+		k, err := publishSegment(fs, storeBase, votes(6, 1, seg.seed), fuzzNames[seg.name:seg.name+1], seg.shards)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		data := k.path(storeBase) + ".data"
+		targets = append(targets, k.path(storeBase), votesMetaPath(data), dfs.ShardPath(data, 0, seg.shards))
+	}
+	before, _, err := LoadView(fs, storeBase, fuzzNames, nil)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	meta := GenerationMeta{Gen: 1, Names: fuzzNames, StartRow: 6, Shards: 2}
-	if err := WriteGeneration(fs, storeBase, meta, votes(3, 1)); err != nil {
-		return nil, nil, nil, err
+	if err := WriteGeneration(fs, storeBase, meta, votes(3, 2, 1)); err != nil {
+		return nil, nil, nil, nil, err
 	}
-	whole, _, err := LoadView(fs, storeBase, fuzzNames, flat)
-	return fs, flat, whole, err
+	data := genDataBase(storeBase, 1)
+	targets = append(targets, genManifestPath(storeBase, 1), votesMetaPath(data), dfs.ShardPath(data, 0, 2))
+	whole, _, err := LoadView(fs, storeBase, fuzzNames, before)
+	return fs, before, whole, targets, err
 }
 
-// fuzzTargets are the files of the fuzzed store whose bytes the fuzzer
-// replaces: both sidecars, a shard of each segment, and the manifest.
-var fuzzTargets = []string{
-	votesMetaPath(storeBase),
-	dfs.ShardPath(storeBase, 1, 2),
-	genManifestPath(storeBase, 1),
-	votesMetaPath(genDataBase(storeBase, 1)),
-	dfs.ShardPath(genDataBase(storeBase, 1), 0, 2),
-}
-
-// FuzzVoteStore: whatever bytes stand in one file of the vote store, every
-// read of it — VerifyVotes, LoadMatrix, and LoadView without a view, with one
-// carried from before the generation and with one carried from after it —
-// returns an error or a view of the live rows, and never crashes: no panic,
-// and no allocation sized from a claim the stored bytes cannot back (a
-// votes.meta claiming 2^40 rows used to end the process out of memory). With
-// seal set, the checksum guarding the replaced bytes (a manifest's CRC, a
-// shard's payload CRC) is recomputed, so the fuzzer reaches the checks behind
-// it.
+// FuzzVoteStore: whatever bytes stand in one file of the vote store, and
+// whatever key a generation-0 manifest stands under, every read of it —
+// VerifyVotes, LoadMatrix, and LoadView without a view, with one carried from
+// before the delta and with one carried from after it — returns an error or a
+// view of the live rows, and never crashes: no panic, and no allocation sized
+// from a claim the stored bytes cannot back (a votes.meta claiming 2^40 rows
+// used to end the process out of memory). A target past the file list moves
+// the first segment's manifest to the key the bytes spell, so key parsing and
+// chain ordering are fuzzed too. With seal set, the checksum guarding the
+// replaced bytes (a manifest's CRC, a shard's payload CRC) is recomputed, so
+// the fuzzer reaches the checks behind it.
 func FuzzVoteStore(f *testing.F) {
-	fs, _, _, err := fuzzStore()
+	fs, _, _, targets, err := fuzzStore()
 	if err != nil {
 		f.Fatal(err)
 	}
-	for i, key := range fuzzTargets {
+	for i, key := range targets {
 		raw, err := fs.ReadFile(key)
 		if err != nil {
 			f.Fatal(err)
@@ -80,21 +87,30 @@ func FuzzVoteStore(f *testing.F) {
 		{Names: []string{"b", "a", "a"}, Examples: 6, Shards: 2},
 	} {
 		raw, _ := json.Marshal(meta)
-		f.Add(uint8(0), false, raw)
-		f.Add(uint8(3), false, raw)
+		for _, target := range []uint8{0, 3, 9} {
+			f.Add(target, false, raw)
+		}
+	}
+	first := path.Base(targets[2])
+	for _, key := range []string{first, "00000-00003" + first[11:], "00000-00001-0000000000000001", "00002", "00000-1-1", first + ".tmp"} {
+		f.Add(uint8(len(targets)), false, []byte(key))
 	}
 
 	f.Fuzz(func(t *testing.T, target uint8, seal bool, data []byte) {
-		fs, flat, whole, err := fuzzStore()
+		fs, before, whole, targets, err := fuzzStore()
 		if err != nil {
 			t.Fatal(err)
 		}
-		key := fuzzTargets[int(target)%len(fuzzTargets)]
-		if seal {
-			data = sealed(key, data)
-		}
-		if err := fs.WriteFile(key, data); err != nil {
-			t.Fatal(err)
+		if i := int(target) % (len(targets) + 1); i < len(targets) {
+			key := targets[i]
+			if seal {
+				data = sealed(key, data)
+			}
+			if err := fs.WriteFile(key, data); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := fs.Rename(targets[2], path.Join(genDir(storeBase), string(data))); err != nil {
+			return // not a key the filesystem takes
 		}
 
 		if names, err := VerifyVotes(fs, storeBase); err == nil && len(names) == 0 {
@@ -104,7 +120,7 @@ func FuzzVoteStore(f *testing.F) {
 		if mx, err := exec.LoadMatrix(fuzzNames); err == nil && (mx.NumExamples() == 0 || mx.NumFuncs() != len(fuzzNames)) {
 			t.Fatalf("LoadMatrix read a %d×%d view", mx.NumExamples(), mx.NumFuncs())
 		}
-		for _, prev := range []*View{nil, flat, whole} {
+		for _, prev := range []*View{nil, before, whole} {
 			view, _, err := LoadView(fs, storeBase, fuzzNames, prev)
 			if err == nil && (view.Matrix.NumExamples() == 0 || view.Matrix.NumFuncs() != len(fuzzNames)) {
 				t.Fatalf("LoadView read a %d×%d view", view.Matrix.NumExamples(), view.Matrix.NumFuncs())
@@ -123,7 +139,7 @@ func sealed(key string, data []byte) []byte {
 		}
 		return data
 	}
-	if key != genManifestPath(storeBase, 1) {
+	if _, manifest := parseChainKey(path.Base(key)); !manifest {
 		return data
 	}
 	var meta GenerationMeta

@@ -9,8 +9,8 @@
 // checks, onto the end of the view. Anything else rebuilds the view from the
 // store, exactly as LoadMatrix would. A batch execution is the round that
 // starts from the empty relation: it hands back the matrix it published as a
-// view of the flat artifact, so the first delta round after it reads only the
-// delta.
+// view of the generation-0 segment it appended, so the first delta round after
+// it reads only the delta.
 package lf
 
 import (
@@ -24,22 +24,26 @@ import (
 // View is a merged read of the vote store at base — or the matrix a batch
 // execution just published there (ExecuteContext) — that the next read can
 // start from. Matrix and Names are LoadMatrix's result and must not be
-// written to: a later view shares the matrix's rows.
+// written to: a later view shares the matrix's rows. A view whose watermark
+// is empty claims to have merged nothing, which its rows contradict, so it is
+// never carried.
 type View struct {
 	Matrix *labelmodel.Matrix
 	// Names are the matrix's columns, as requested from LoadView.
 	Names []string
 	// flat is the merged flat artifact's content-derived write generation (0
-	// without one) and gens the generations folded over it, in order: the
-	// watermark. A store whose plan does not start with exactly these holds
-	// something the matrix has not seen.
+	// without one) and gens the generations folded over it — generation-0
+	// segments, then deltas — in order: the watermark. A store whose plan
+	// does not start with exactly these holds something the matrix has not
+	// seen.
 	flat uint64
 	gens []genMark
 }
 
-// genMark identifies one merged generation: its number, its manifest's CRC
-// (row range, columns, tombstones) and its data segment's content-derived
-// write generation (0 for a deletions-only generation).
+// genMark identifies one merged generation: its number (0 for a
+// generation-0 segment), its manifest's CRC (row range, columns, tombstones)
+// and its data segment's content-derived write generation (0 for a
+// deletions-only generation).
 type genMark struct {
 	gen  int
 	crc  uint32
@@ -80,10 +84,7 @@ func LoadView(fs dfs.FS, base string, names []string, prev *View) (*View, ViewRe
 	if err != nil {
 		return nil, ViewRead{}, err
 	}
-	next := &View{Names: p.names, flat: p.flat}
-	for _, g := range p.gens {
-		next.gens = append(next.gens, g.genMark)
-	}
+	next := p.view(nil)
 	read := ViewRead{Rebuilt: prev.staleFor(p)}
 	carried := read.Rebuilt == ""
 	if carried {

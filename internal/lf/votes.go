@@ -2,16 +2,17 @@
 // byte-per-vote file set — the only layout votes are written in or read
 // from — and the one reader of the vote store.
 //
-// The artifact stores the whole matrix once under "<prefix>/votes": shard s
-// holds the vote rows of examples s, s+N, s+2N, … (the same round-robin
-// layout as the staged input), each row exactly n bytes, one byte per vote,
-// with a CRC32 over the payload. A JSON meta file records the
-// labeling-function names in column order, so a reader can select and
-// reorder columns by name. Writers rent shard buffers from a pool.
+// A shard set stores a matrix once under its base: shard s holds the vote
+// rows of examples s, s+N, s+2N, … (the same round-robin layout as the staged
+// input), each row exactly n bytes, one byte per vote, with a CRC32 over the
+// payload. A JSON meta file records the labeling-function names in column
+// order, so a reader can select and reorder columns by name. Writers rent
+// shard buffers from a pool. The flat artifact at "<prefix>/votes" is one
+// such set, written by compaction; every generation's data segment is
+// another (generations.go).
 //
-// Every read of the store — the flat artifact alone (ReadVotes, the resume
-// fast path, the publish merge) or with the generation chain over it
-// (LoadMatrix, VerifyVotes, CompactView; see generations.go) — is the
+// Every read of the store — generation 0 alone (ReadVotes, the resume fast
+// path) or the whole chain (LoadMatrix, VerifyVotes, CompactView) — is the
 // same two steps. planVotes builds a plan from metadata alone: the segment
 // list, the column union, the rows the chain covers and its final tombstone
 // set, and which stored column feeds which requested column. scan then
@@ -56,14 +57,6 @@ type votesMeta struct {
 	Generation uint64 `json:"generation"`
 }
 
-// generation is the artifact's write generation, 0 for no artifact.
-func (m *votesMeta) generation() uint64 {
-	if m == nil {
-		return 0
-	}
-	return m.Generation
-}
-
 // votesMetaPath returns the meta sidecar path for a votes base.
 func votesMetaPath(base string) string { return base + ".meta" }
 
@@ -80,6 +73,11 @@ func WriteVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	if mx == nil {
 		return fmt.Errorf("lf: WriteVotes with nil matrix")
 	}
+	return writeVotes(fs, base, mx, names, shards, voteGeneration(mx, names, shards))
+}
+
+// writeVotes is WriteVotes with the write generation already derived.
+func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int, gen uint64) error {
 	m, n := mx.NumExamples(), mx.NumFuncs()
 	if len(names) != n {
 		return fmt.Errorf("lf: WriteVotes got %d names for %d matrix columns", len(names), n)
@@ -87,7 +85,6 @@ func WriteVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	if shards <= 0 {
 		return fmt.Errorf("lf: WriteVotes with %d shards", shards)
 	}
-	gen := voteGeneration(mx, names, shards)
 	bufp := voteBufPool.Get().(*[]byte)
 	defer voteBufPool.Put(bufp)
 	for s := 0; s < shards; s++ {
@@ -127,8 +124,7 @@ func WriteVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	}
 	// Drop shards left behind by an earlier write with a different shard
 	// count: a mixed set would make ListShards refuse the whole artifact
-	// forever. Removal races with concurrent writers are repaired by their
-	// verify-and-retry loop (see publishVotes).
+	// forever.
 	if stale, err := fs.List(base + "-"); err == nil {
 		for _, p := range stale {
 			if b, _, count, ok := dfs.ParseShardPath(p); ok && b == base && count != shards {
@@ -139,16 +135,11 @@ func WriteVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	return nil
 }
 
-// voteGeneration derives the artifact's write generation from its content:
-// shape, column names, and an FNV-1a digest of every vote. A generation
-// used to be drawn from the global math/rand, which made every run's
-// artifact differ in 8 header bytes per shard and broke the byte-identical
-// re-run guarantee the fault suite enforces everywhere else. Hashing the
-// content keeps the property the generation exists for — interleaved
-// concurrent writers of different matrices still stamp different
-// generations, so a torn artifact is detected at read time — while
-// identical content now produces identical bytes (two writers racing the
-// same matrix produce interchangeable shards, so mixing them is harmless).
+// voteGeneration derives a shard set's write generation from its content:
+// shape, column names, and an FNV-1a digest of every vote. Writers of
+// different matrices stamp different generations — so a torn set is detected
+// at read time, and a generation-0 segment's key is its writer's own — while
+// identical content produces identical bytes, re-run after re-run.
 func voteGeneration(mx *labelmodel.Matrix, names []string, shards int) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -164,9 +155,10 @@ func voteGeneration(mx *labelmodel.Matrix, names []string, shards int) uint64 {
 	return h.Sum64()
 }
 
-// HasVotes reports whether a flat columnar vote artifact exists at base.
+// HasVotes reports whether generation 0 — the flat artifact or a generation-0
+// segment — stands readable at base: whether a base run has executed there.
 func HasVotes(fs dfs.FS, base string) bool {
-	_, err := fs.Stat(votesMetaPath(base))
+	_, err := planVotes(fs, base, false, nil)
 	return err == nil
 }
 
@@ -219,10 +211,19 @@ type votePlan struct {
 	// column union in first-seen order.
 	names []string
 	// flat is the flat artifact's write generation (0 without one) and gens
-	// the generations over it, in order: what a view read from this plan has
-	// merged (see View).
+	// the generations over it — generation-0 segments, then deltas — in
+	// order: what a view read from this plan has merged (see View).
 	flat uint64
 	gens []planGen
+}
+
+// view is mx as the view read from this plan, watermark included.
+func (p *votePlan) view(mx *labelmodel.Matrix) *View {
+	v := &View{Matrix: mx, Names: p.names, flat: p.flat}
+	for _, g := range p.gens {
+		v.gens = append(v.gens, g.genMark)
+	}
+	return v
 }
 
 // planGen is one generation of a plan: its identity in a watermark, what the
@@ -237,11 +238,11 @@ type planGen struct {
 	rows, firstSeg int
 }
 
-// planVotes plans a read of the store at base: the flat artifact as the
-// segment at row 0 and, with wholeChain, every published generation over it
-// in ascending order. names selects and orders the view's columns (an unknown
-// name is an error); nil selects the stored column union. A store with
-// nothing in it is an error.
+// planVotes plans a read of the store at base: generation 0 — the flat
+// artifact as the segment at row 0, then the generation-0 segments — and,
+// with wholeChain, every delta generation over it in ascending order. names
+// selects and orders the view's columns (an unknown name is an error); nil
+// selects the stored column union. A store with nothing in it is an error.
 func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePlan, error) {
 	p := &votePlan{base: base, names: names}
 	flat, err := readVotesMeta(fs, base)
@@ -253,13 +254,14 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 		p.chain.Rows = flat.Examples
 		p.flat = flat.Generation
 	}
-	var gens []GenerationMeta
-	if wholeChain {
-		if gens, err = ListGenerations(fs, base); err != nil {
-			return nil, err
-		}
+	ms, err := listManifests(fs, base)
+	if err != nil {
+		return nil, err
 	}
-	for _, g := range gens {
+	for _, g := range ms {
+		if g.Gen > 0 && !wholeChain {
+			break // the listing is in chain order: generation 0 is done
+		}
 		appended, err := p.chain.Apply(g.Gen, g.StartRow, g.Rows, g.Deleted)
 		if err != nil {
 			return nil, fmt.Errorf("lf: votes at %s: %w", base, err)
@@ -268,19 +270,21 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 		if g.Rows == 0 {
 			continue // deletions only: tombstones in the manifest, no data segment
 		}
-		meta, err := readVotesMeta(fs, genDataBase(base, g.Gen))
+		meta, err := readVotesMeta(fs, g.key+".data")
 		if err != nil {
-			return nil, fmt.Errorf("lf: vote generation %d at %s: data segment: %w", g.Gen, base, err)
+			return nil, fmt.Errorf("lf: vote generation %s: data segment: %w", g.key, err)
 		}
 		if meta == nil {
-			return nil, fmt.Errorf("lf: vote generation %d at %s: data segment is missing", g.Gen, base)
+			return nil, fmt.Errorf("lf: vote generation %s: data segment is missing", g.key)
 		}
 		if meta.Examples != g.Rows {
-			return nil, fmt.Errorf("lf: vote generation %d at %s holds %d rows, manifest says %d",
-				g.Gen, base, meta.Examples, g.Rows)
+			return nil, fmt.Errorf("lf: vote generation %s holds %d rows, manifest says %d", g.key, meta.Examples, g.Rows)
+		}
+		if g.Gen == 0 && meta.Generation != g.at.hash {
+			return nil, fmt.Errorf("lf: vote generation %s: data segment is from another write generation", g.key)
 		}
 		p.gens[len(p.gens)-1].data = meta.Generation
-		p.segments = append(p.segments, voteSegment{base: genDataBase(base, g.Gen), meta: meta, startRow: g.StartRow})
+		p.segments = append(p.segments, voteSegment{base: g.key + ".data", meta: meta, startRow: g.StartRow})
 	}
 	if len(p.segments) == 0 {
 		return nil, fmt.Errorf("lf: no vote artifact at %s (run Execute against this root first)", base)
@@ -478,11 +482,11 @@ func readVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*labelm
 	return p.read(fs)
 }
 
-// ReadVotes loads the flat columnar artifact at base — a one-segment plan,
-// whatever generations stand over it. When names is nil the full matrix is
-// returned in stored column order; otherwise column j of the result holds
-// the votes of names[j], selecting and reordering columns of the artifact
-// (an unknown name is an error).
+// ReadVotes loads generation 0 of the store at base — the flat columnar
+// artifact and the generation-0 segments over it, whatever delta generations
+// stand over those. When names is nil the full matrix is returned in stored
+// column order; otherwise column j of the result holds the votes of names[j],
+// selecting and reordering the stored columns (an unknown name is an error).
 func ReadVotes(fs dfs.FS, base string, names []string) (*labelmodel.Matrix, []string, error) {
 	return readVotes(fs, base, false, names)
 }

@@ -153,16 +153,27 @@ func TestExecutePersistsColumnarVotes(t *testing.T) {
 
 // TestExecuteMergesAcrossInvocations is the lfrun workflow: independent
 // Execute calls against the same filesystem accumulate columns in the one
-// artifact, and re-running a function replaces its column.
+// store — its column union, as the plan reads it — and re-running a function
+// replaces its column. The view an invocation returns carries its watermark
+// only while its segment is all of generation 0.
 func TestExecuteMergesAcrossInvocations(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 2)
+	ctx := context.Background()
 
-	if _, _, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{keywordLF()}); err != nil {
+	first, _, err := docExecutor(fs).ExecuteContext(ctx, []lfapi.LF[*corpus.Document]{keywordLF()})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{nerLF()}); err != nil {
+	if _, read, err := LoadView(fs, storeBase, first.Names, first); err != nil || read.Rebuilt != "" {
+		t.Fatalf("the sole segment's view was not carried: %+v, %v", read, err)
+	}
+	second, _, err := docExecutor(fs).ExecuteContext(ctx, []lfapi.LF[*corpus.Document]{nerLF()})
+	if err != nil {
 		t.Fatal(err)
+	}
+	if _, read, err := LoadView(fs, storeBase, second.Names, second); err != nil || read.Rebuilt == "" {
+		t.Fatalf("a view of one segment among two was carried: %+v, %v", read, err)
 	}
 	names, err := VoteNames(fs, "labels/votes")
 	if err != nil {
@@ -631,22 +642,26 @@ func TestFusedSetupFailureTearsDownEarlierLFs(t *testing.T) {
 	}
 }
 
-// TestPublishVotesConcurrentWriters: independent processes merging into the
-// same artifact concurrently (the lfrun loose-coupling workflow) must not
-// lose each other's columns — publishVotes re-reads and retries until every
-// visible column survives.
+// TestPublishVotesConcurrentWriters: independent processes publishing into
+// the same store concurrently (the lfrun loose-coupling workflow) each append
+// a generation-0 segment under a key of their own, so none can lose another's
+// column: the union holds every writer's column, equal to what it wrote.
 func TestPublishVotesConcurrentWriters(t *testing.T) {
 	fs := dfs.NewMem()
 	const writers = 8
 	const m = 40
+	mxs := make([]*labelmodel.Matrix, writers)
+	names := make([]string, writers)
+	for w := range mxs {
+		mxs[w], names[w] = randomVotes(t, m, 1, int64(w+1)), fmt.Sprintf("lf-%d", w)
+	}
 	var wg sync.WaitGroup
 	errs := make([]error, writers)
-	for w := 0; w < writers; w++ {
+	for w := range mxs {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			mx := randomVotes(t, m, 1, int64(w+1))
-			_, errs[w] = publishVotes(fs, "labels/votes", mx, []string{fmt.Sprintf("lf-%d", w)}, 4)
+			_, errs[w] = publishSegment(fs, storeBase, mxs[w], names[w:w+1], 4)
 		}(w)
 	}
 	wg.Wait()
@@ -655,12 +670,70 @@ func TestPublishVotesConcurrentWriters(t *testing.T) {
 			t.Fatalf("writer %d: %v", w, err)
 		}
 	}
-	names, err := VoteNames(fs, "labels/votes")
+	union, err := VoteNames(fs, storeBase)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(names) != writers {
-		t.Fatalf("artifact holds %d columns after %d concurrent writers: %v", len(names), writers, names)
+	if len(union) != writers {
+		t.Fatalf("store holds %d columns after %d concurrent writers: %v", len(union), writers, union)
+	}
+	got, _, err := readVotes(fs, storeBase, true, names)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w, want := range mxs {
+		sameMatrix(t, names[w], got.SubsetColumns([]int{w}), want)
+	}
+}
+
+// TestRerunReplacesItsColumn: a sequential re-run with different votes lists
+// the first run's segment and publishes at the next seq, so its votes replace
+// the column whichever way the two content hashes sort — generation 0 orders
+// by seq before hash — and a delta's tombstones still apply on top.
+func TestRerunReplacesItsColumn(t *testing.T) {
+	a, b := randomVotes(t, 30, 1, 1), randomVotes(t, 30, 1, 2)
+	names := []string{"lf"}
+	hashOrders := map[bool]bool{}
+	for _, run := range [][2]*labelmodel.Matrix{{a, b}, {b, a}} {
+		first, second := run[0], run[1]
+		fs := dfs.NewMem()
+		k1, err := publishSegment(fs, storeBase, first, names, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k2, err := publishSegment(fs, storeBase, second, names, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if k1.seq != 1 || k2.seq != 2 || k1.hash == k2.hash {
+			t.Fatalf("segments published at %v then %v, want seqs 1 and 2 over distinct hashes", k1, k2)
+		}
+		hashOrders[k1.hash < k2.hash] = true
+		got, union, err := readVotes(fs, storeBase, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(union) != 1 {
+			t.Fatalf("a re-run left columns %v, want one", union)
+		}
+		sameMatrix(t, fmt.Sprintf("re-run at %v over %v", k2, k1), got, second)
+
+		writeGen(t, fs, storeBase, 1, 30, 2, names, []int{4}, 3)
+		got, _, err = readVotes(fs, storeBase, true, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle, _, err := oracleReadVersioned(fs, storeBase, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameMatrix(t, "delta over the re-run", got, oracle)
+		if got.NumExamples() != 31 || got.At(4, 0) != second.At(5, 0) {
+			t.Fatalf("delta tombstone of row 4 not applied over the re-run's segment")
+		}
+	}
+	if len(hashOrders) != 2 {
+		t.Fatal("the re-run's hash sorted the same way against the first run's both times")
 	}
 }
 

@@ -176,9 +176,11 @@ func (p *Pipeline[T]) InputPath() string { return p.cfg.InputBase() }
 // probabilistic labels.
 func (p *Pipeline[T]) LabelsPath() string { return p.cfg.LabelsBase() }
 
-// VotesBase returns the DFS base path of the columnar vote artifact
-// ExecuteLFs maintains: every executed function's votes in one sharded,
-// byte-per-vote matrix, with a ".meta" sidecar naming the columns.
+// VotesBase returns the DFS base path of the vote store ExecuteLFs appends
+// to. Each execution publishes its functions' votes as a generation-0 segment
+// under "<base>/_gen/" — a sharded, byte-per-vote matrix with a ".meta"
+// sidecar naming the columns, next to a CRC'd manifest — and never rewrites
+// another's; Compact folds the store into one such matrix at the base itself.
 func (p *Pipeline[T]) VotesBase() string { return path.Join(p.cfg.VotesPrefix(), "votes") }
 
 // Run executes all four stages: stage the source, execute the labeling
@@ -252,10 +254,11 @@ func (p *Pipeline[T]) Analyze(matrix *Matrix, metas []Meta) (*Analysis, error) {
 // LoadMatrix reassembles the label matrix from vote state that earlier runs
 // left on the filesystem, without re-running anything. Column j holds the
 // votes of names[j], selected and reordered by name in one scan over the
-// vote store at VotesBase: the columnar artifact and every generation
-// IncrementalRun published over it, with tombstoned rows dropped. A name the
-// store has no column for is an error listing the stored columns, and a
-// corrupt manifest or shard fails the load rather than being skipped.
+// vote store at VotesBase: the segments ExecuteLFs appended (or the flat
+// artifact Compact folded) and every generation IncrementalRun published over
+// them, with tombstoned rows dropped. A name the store has no column for is
+// an error listing the stored columns, and a corrupt manifest or shard fails
+// the load rather than being skipped.
 func (p *Pipeline[T]) LoadMatrix(names []string) (*Matrix, error) {
 	return core.LoadMatrix(p.cfg, names)
 }

@@ -34,6 +34,28 @@ func rawShards(t *testing.T, fs drybell.FS, base string) [][]byte {
 	return out
 }
 
+// rawFiles returns the name and bytes of every file under base — for a vote
+// store, the flat artifact and every generation segment — in key order.
+func rawFiles(t *testing.T, fs drybell.FS, base string) [][]byte {
+	t.Helper()
+	paths, err := fs.List(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, p := range paths {
+		data, err := fs.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, append([]byte(p+"\n"), data...))
+	}
+	if len(out) == 0 {
+		t.Fatalf("no files under %s", base)
+	}
+	return out
+}
+
 func matricesEqual(t *testing.T, a, b *drybell.Matrix) {
 	t.Helper()
 	if a.NumExamples() != b.NumExamples() || a.NumFuncs() != b.NumFuncs() {

@@ -56,10 +56,12 @@ func (p *Pipeline[T]) CorpusRows() (int, error) {
 	return core.CorpusTotalRows(p.cfg)
 }
 
-// ExecutedGeneration returns the latest vote generation the store has
+// ExecutedGeneration returns the latest delta generation the vote store has
 // published — how far labeling-function execution has progressed through the
-// corpus ledger. Zero means only the flat base artifact (or nothing) exists;
-// a watcher compares it against CorpusGenerations to see pending work.
+// corpus ledger. Zero means only generation 0 (the segments base executions
+// appended, or the flat artifact Compact folded them into) or nothing
+// exists; a watcher compares it against CorpusGenerations to see pending
+// work.
 func (p *Pipeline[T]) ExecutedGeneration() (int, error) {
 	return internallf.LatestGeneration(p.cfg.FS, path.Join(p.cfg.VotesPrefix(), "votes"))
 }
@@ -68,9 +70,9 @@ func (p *Pipeline[T]) ExecutedGeneration() (int, error) {
 // flat base artifacts — the housekeeping step that bounds chain length for
 // readers. It requires every staged delta to have been executed (run
 // IncrementalRun first). Afterwards the filesystem is indistinguishable from
-// a fresh base run over the compacted corpus: restaged input and the folded
-// vote artifact are byte-identical to that run's, and the next StageDelta
-// starts a new chain at generation 1.
+// a fresh base run over the compacted corpus, compacted itself: restaged
+// input and the folded vote artifact are byte-identical to that run's, and
+// the next StageDelta starts a new chain at generation 1.
 //
 // The Pipeline's carried state stays valid — compaction changes the layout,
 // never the view — and pays for the fold: when the carried view holds exactly

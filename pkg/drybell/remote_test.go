@@ -91,7 +91,7 @@ func TestPipelineRemoteWorkersEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	cleanLabels := rawShards(t, clean.FS(), clean.LabelsPath())
-	cleanVotes := rawShards(t, clean.FS(), clean.VotesBase())
+	cleanVotes := rawFiles(t, clean.FS(), clean.VotesBase())
 
 	fs := dfs.NewMem()
 	c := startRemoteCluster(t, fs, 0, []remote.WorkerHooks{{}, {}})
@@ -106,7 +106,7 @@ func TestPipelineRemoteWorkersEquivalence(t *testing.T) {
 
 	matricesEqual(t, cleanRes.Matrix, res.Matrix)
 	assertShardsEqual(t, rawShards(t, p.FS(), p.LabelsPath()), cleanLabels, "labels")
-	assertShardsEqual(t, rawShards(t, p.FS(), p.VotesBase()), cleanVotes, "votes")
+	assertShardsEqual(t, rawFiles(t, p.FS(), p.VotesBase()), cleanVotes, "votes")
 	for j, want := range cleanRes.LFReport.PerLF {
 		got := res.LFReport.PerLF[j]
 		if got.Positives != want.Positives || got.Negatives != want.Negatives || got.Abstains != want.Abstains {

@@ -65,17 +65,26 @@ pids=()
 
 echo "== comparing artifacts"
 fail=0
+# compare checks every file under the glob, recursively (the vote store keeps
+# its segments under votes/_gen/), on both sides: each must exist on the
+# other side and be byte-identical there.
 compare() {
     local what=$1 glob=$2
-    local matched=0
-    for a in "$work"/local/$glob; do
-        [ -e "$a" ] || continue
-        matched=1
-        local b="$work/remote/${a#"$work/local/"}"
-        if ! cmp -s "$a" "$b"; then
-            echo "MISMATCH: $what shard ${a#"$work/local/"} differs" >&2
-            fail=1
-        fi
+    local matched=0 side other rel
+    for side in local remote; do
+        other=remote
+        [ "$side" = remote ] && other=local
+        while IFS= read -r -d '' a; do
+            matched=1
+            rel=${a#"$work/$side/"}
+            if [ ! -f "$work/$other/$rel" ]; then
+                echo "MISSING: $what file $rel exists only in the $side run" >&2
+                fail=1
+            elif [ "$side" = local ] && ! cmp -s "$a" "$work/$other/$rel"; then
+                echo "MISMATCH: $what file $rel differs" >&2
+                fail=1
+            fi
+        done < <(find "$work"/$side/$glob -type f -print0 2>/dev/null)
     done
     if [ "$matched" = 0 ]; then
         echo "MISSING: no $what artifacts under $glob" >&2
