@@ -165,14 +165,20 @@ func seedPayloads(tb testing.TB) (documents, events [][]byte) {
 
 // checkCodec is the property both fuzz targets assert: if the fast path
 // accepts a payload its result is the reference decoder's; whatever the fast
-// path does, the exported decoder answers as the reference does; and a value
-// that decoded encodes to the bytes json.Marshal gives it.
+// path does, the exported decoder answers as the reference does; a decoded
+// document carries its text, Title + " " + Body; and a value that decoded
+// encodes to the bytes json.Marshal gives it.
 func checkCodec[T any](t *testing.T, data []byte, scan func([]byte) (*T, bool), reference, exported func([]byte) (*T, error), encode func(*T) ([]byte, error)) (accepted bool) {
 	t.Helper()
 	want, werr := reference(data)
 	fast, accepted := scan(data)
 	if accepted && (werr != nil || !reflect.DeepEqual(fast, want)) {
 		t.Fatalf("fast path accepted %q\n as %+v\n reference: %+v, %v", data, fast, want, werr)
+	}
+	for _, v := range []*T{fast, want} {
+		if d, ok := any(v).(*Document); ok && d != nil && (d.text != d.Title+" "+d.Body || d.Text() != d.text) {
+			t.Fatalf("%q: decoded with text %q and Text() %q, want %q", data, d.text, d.Text(), d.Title+" "+d.Body)
+		}
 	}
 	got, gerr := exported(data)
 	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
@@ -276,14 +282,16 @@ func TestUnmarshalEventRejectsWrongDimensions(t *testing.T) {
 
 // TestCodecAllocationCeilings pins the allocation side of the codec: an
 // encode is its result, a decoded event is the record and its ID, a decoded
-// document is the struct and its five strings. (Through encoding/json a
-// decoded event is 19 allocations, a document 12.)
+// document is the struct and the one string its five are cut from, and the
+// text of a decoded document is free. (Through encoding/json a decoded event
+// is 19 allocations, a document 13.)
 func TestCodecAllocationCeilings(t *testing.T) {
 	events, _ := GenerateEvents(DefaultEventsSpec(1, 1))
 	docs, _ := GenerateTopic(TopicSpec{NumDocs: 1, PositiveRate: 0.5, Seed: 1})
 	ev, doc := events[0], docs[0]
 	evRec, _ := ev.Marshal()
 	docRec, _ := doc.Marshal()
+	decoded, _ := UnmarshalDocument(docRec)
 	for _, c := range []struct {
 		name    string
 		ceiling float64
@@ -292,7 +300,8 @@ func TestCodecAllocationCeilings(t *testing.T) {
 		{"Event.Marshal", 1, func() { ev.Marshal() }},
 		{"UnmarshalEvent", 2, func() { UnmarshalEvent(evRec) }},
 		{"Document.Marshal", 1, func() { doc.Marshal() }},
-		{"UnmarshalDocument", 6, func() { UnmarshalDocument(docRec) }},
+		{"UnmarshalDocument", 2, func() { UnmarshalDocument(docRec) }},
+		{"decoded Document.Text", 0, func() { benchText = decoded.Text() }},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got > c.ceiling {
 			t.Errorf("%s: %.0f allocs per run, ceiling %.0f", c.name, got, c.ceiling)
@@ -300,7 +309,38 @@ func TestCodecAllocationCeilings(t *testing.T) {
 	}
 }
 
+// TestDecodedTextFollowsFields: the text a decoded document carries is what
+// Text returns only while Title and Body are still the ones decoded; after
+// either is reassigned, Text joins the new pair — on both decoding paths.
+func TestDecodedTextFollowsFields(t *testing.T) {
+	const rec = `{"id":"d1","title":"T","body":"B b","url":"u","language":"en","gold":true,"crawler":{"engagement":0.25,"authority":0.5}}`
+	for _, data := range []string{rec, strings.Replace(rec, `"id":`, `"id" :`, 1)} {
+		for _, c := range []struct {
+			edit func(d *Document)
+			want string
+		}{
+			{func(d *Document) {}, "T B b"},
+			{func(d *Document) { d.Title = "New" }, "New B b"},
+			{func(d *Document) { d.Body = "other" }, "T other"},
+			{func(d *Document) { d.Title, d.Body = "T B", "b" }, "T B b"},
+			{func(d *Document) { d.Title, d.Body = d.Body, d.Title }, "B b T"},
+			{func(d *Document) { d.Title = d.Title[:0] }, " B b"},
+			{func(d *Document) { d.Body = d.Body[:1] }, "T B"},
+		} {
+			d, err := UnmarshalDocument([]byte(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.edit(d)
+			if got := d.Text(); got != c.want {
+				t.Errorf("%s: Text() = %q, want %q", data, got, c.want)
+			}
+		}
+	}
+}
+
 var (
+	benchText  string
 	benchBytes []byte
 	benchEvent *Event
 	benchDoc   *Document

@@ -45,6 +45,10 @@ type Document struct {
 	// Crawler holds non-servable aggregate statistics from the simulated web
 	// crawler. Too slow/expensive to compute at serving time.
 	Crawler CrawlerStats `json:"crawler"`
+
+	// text is Title + " " + Body, with Title and Body its substrings, in a
+	// decoded document; empty in one built any other way. See Text.
+	text string
 }
 
 // CrawlerStats are offline aggregates about the document's source, the kind
@@ -58,8 +62,19 @@ type CrawlerStats struct {
 }
 
 // Text returns title and body joined, the standard GetText for content LFs
-// (mirrors the paper's StrCat(x.title, " ", x.body)).
-func (d *Document) Text() string { return d.Title + " " + d.Body }
+// (mirrors the paper's StrCat(x.title, " ", x.body)). A decoded document was
+// decoded with its text already joined, Title and Body its substrings; Text
+// returns that join for as long as it still is Title + " " + Body — checked by
+// lengths, the space and two comparisons, which are O(1) because comparing a
+// string with itself returns at the shared pointer — so it neither allocates
+// nor goes stale when Title or Body is reassigned. Any other document is
+// joined anew on every call.
+func (d *Document) Text() string {
+	if t := len(d.Title); len(d.text) == t+1+len(d.Body) && d.text[t] == ' ' && d.text[:t] == d.Title && d.text[t+1:] == d.Body {
+		return d.text
+	}
+	return d.Title + " " + d.Body
+}
 
 // Marshal encodes the document as a recordio payload, as json.Marshal would.
 func (d *Document) Marshal() ([]byte, error) {
@@ -84,6 +99,9 @@ func unmarshalDocumentJSON(data []byte) (*Document, error) {
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("corpus: decode document: %w", err)
 	}
+	// Joined as the fast path joins, so every decoded document has its text.
+	d.text = d.Title + " " + d.Body
+	d.Title, d.Body = d.text[:len(d.Title)], d.text[len(d.Title)+1:]
 	return &d, nil
 }
 

@@ -24,7 +24,8 @@ import (
 // FS is the filesystem surface used by the MapReduce and labeling-function
 // layers. Implementations must be safe for concurrent use.
 type FS interface {
-	// WriteFile atomically creates or replaces the file at path.
+	// WriteFile atomically creates or replaces the file at path. It never
+	// retains data after returning: the caller may reuse the slice at once.
 	WriteFile(path string, data []byte) error
 	// ReadFile returns the file's full contents.
 	ReadFile(path string) ([]byte, error)

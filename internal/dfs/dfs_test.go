@@ -171,19 +171,6 @@ func TestMemReadIsolation(t *testing.T) {
 	}
 }
 
-func TestMemWriteIsolation(t *testing.T) {
-	m := NewMem()
-	data := []byte("abc")
-	if err := m.WriteFile("f", data); err != nil {
-		t.Fatal(err)
-	}
-	data[0] = 'X'
-	got, _ := m.ReadFile("f")
-	if string(got) != "abc" {
-		t.Error("WriteFile aliases caller data")
-	}
-}
-
 func TestMemCorruptFailureInjection(t *testing.T) {
 	m := NewMem()
 	if err := m.WriteFile("f", []byte("abcd")); err != nil {

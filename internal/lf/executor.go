@@ -416,12 +416,8 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 			if idx >= total {
 				return nil, nil, nil, 0, fmt.Errorf("lf: shard layout inconsistent (index %d of %d)", idx, total)
 			}
-			for j, bt := range rec {
-				v := labelmodel.Label(int8(bt))
-				if !v.Valid() {
-					return nil, nil, nil, 0, fmt.Errorf("lf %s: vote byte %d out of range", names[j], int8(bt))
-				}
-				matrix.Set(idx, j, v)
+			if j := labelmodel.DecodeVotes(matrix.Row(idx), rec); j >= 0 {
+				return nil, nil, nil, 0, fmt.Errorf("lf %s: vote byte %d out of range", names[j], int8(rec[j]))
 			}
 		}
 	}

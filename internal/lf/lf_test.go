@@ -1,6 +1,7 @@
 package lf
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	"repro/internal/nlp"
+	"repro/internal/recordio"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -294,6 +296,50 @@ func TestInvalidVoteRejected(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "bad") {
 		t.Errorf("invalid-vote error does not name the function: %v", err)
+	}
+}
+
+// TestAssemblyRejectsBadVoteByte: a vote row the matrix assembly reads — here
+// from a resumed task's checkpoint, rewritten with a byte no vote encodes to —
+// fails the run with an error naming the function whose column holds it.
+func TestAssemblyRejectsBadVoteByte(t *testing.T) {
+	fs := dfs.NewMem()
+	stageDocs(t, fs, testDocs(), 1)
+	e := docExecutor(fs)
+	e.Resume = true
+	lfs := []lfapi.LF[*corpus.Document]{keywordLF(), topicLF()}
+	if _, _, err := e.Execute(lfs); err != nil {
+		t.Fatal(err)
+	}
+	votes, err := fs.List("labels/votes")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range votes {
+		if err := fs.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpoint := "labels/_runtime/_tasks/map-00000.out"
+	data, err := fs.ReadFile(checkpoint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := recordio.Split(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows[3][1] = 5
+	var buf bytes.Buffer
+	if err := recordio.WriteAll(&buf, rows); err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.WriteFile(checkpoint, buf.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	_, report, err := e.Execute(lfs)
+	if want := "lf " + topicLF().LFMeta().Name + ": vote byte 5 out of range"; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("assembly over a bad vote byte: report %+v, error %v, want one containing %q", report, err, want)
 	}
 }
 

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 
@@ -15,30 +14,63 @@ func WriteInput(fs dfs.FS, base string, records [][]byte, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("mapreduce: WriteInput with %d shards", n)
 	}
-	return dfs.WriteSharded(fs, base, records, n, func(recs [][]byte) ([]byte, error) {
-		var buf bytes.Buffer
-		buf.Grow(recordio.EncodedSize(recs))
-		if err := recordio.WriteAll(&buf, recs); err != nil {
+	return dfs.WriteSharded(fs, base, records, n, encodeFrames)
+}
+
+// encodeFrames frames recs into one buffer of exactly their encoded size.
+func encodeFrames(recs [][]byte) ([]byte, error) {
+	buf := make([]byte, 0, recordio.EncodedSize(recs))
+	for _, rec := range recs {
+		var err error
+		if buf, err = recordio.AppendFrame(buf, rec); err != nil {
 			return nil, err
 		}
-		return buf.Bytes(), nil
-	})
+	}
+	return buf, nil
 }
 
 // InputWriter stages a record stream into n recordio shards without holding
 // the records in one slice: record k goes to shard k%n, the same round-robin
 // layout WriteInput produces, so per-shard task outputs restore input order
-// the usual way. The encoded shard payloads are buffered in memory until Commit
-// — the FS contract is whole-file writes — so peak memory is the encoded
-// corpus, not the decoded examples plus a record slice. Shards are committed
-// atomically by Commit; an abandoned writer leaves no visible files.
+// the usual way. Append frames a record once, straight into its shard's
+// current block. A block that has no room for the next frame is kept as it is
+// and a new one started, twice the size of the last (from firstBlock, up to
+// maxBlock), so nothing is ever copied to grow and a small stream allocates
+// little. The FS contract is whole-file writes, so the blocks are held until
+// Commit — peak memory is the encoded corpus, not the decoded examples plus a
+// record slice — and Commit publishes every shard atomically; an abandoned
+// writer leaves no visible files.
 type InputWriter struct {
-	fs      dfs.FS
-	base    string
-	n       int
-	count   int
-	bufs    []bytes.Buffer
-	writers []*recordio.Writer
+	fs     dfs.FS
+	base   string
+	n      int
+	count  int
+	shards []blocks
+}
+
+// blocks is one shard's frames: the filled blocks, then the one being filled.
+type blocks struct {
+	full [][]byte
+	cur  []byte
+	size int // bytes in full and cur
+}
+
+const firstBlock, maxBlock = 4 << 10, 256 << 10
+
+// room makes sure the current block has room for need more bytes, starting a
+// block of at least need bytes when it has not.
+func (b *blocks) room(need int) {
+	if cap(b.cur)-len(b.cur) >= need {
+		return
+	}
+	size := firstBlock
+	if b.cur != nil {
+		size = min(2*cap(b.cur), maxBlock)
+	}
+	if len(b.cur) > 0 {
+		b.full = append(b.full, b.cur)
+	}
+	b.cur = make([]byte, 0, max(size, need))
 }
 
 // NewInputWriter prepares a streaming staging writer for n shards under base.
@@ -46,30 +78,34 @@ func NewInputWriter(fs dfs.FS, base string, n int) (*InputWriter, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("mapreduce: NewInputWriter with %d shards", n)
 	}
-	w := &InputWriter{fs: fs, base: base, n: n, bufs: make([]bytes.Buffer, n), writers: make([]*recordio.Writer, n)}
-	for i := range w.writers {
-		w.writers[i] = recordio.NewWriter(&w.bufs[i])
-	}
-	return w, nil
+	return &InputWriter{fs: fs, base: base, n: n, shards: make([]blocks, n)}, nil
 }
 
 // Grow tells the writer that about size more encoded bytes (recordio.EncodedSize
-// of the records to come) are on their way, so that each shard's buffer is
-// sized once for its share instead of doubling up to it.
+// of the records to come) are on their way. Before the first Append it sizes
+// each shard's first block for the shard's share, so the shard is one block
+// published as it is.
 func (w *InputWriter) Grow(size int) {
 	// Round-robin shares differ by a record or so; the slack keeps the
-	// longest inside its buffer.
+	// longest inside its block.
 	share := size/w.n + size/(32*w.n) + 4096
-	for i := range w.bufs {
-		w.bufs[i].Grow(share)
+	for i := range w.shards {
+		w.shards[i].room(share)
 	}
 }
 
 // Append adds one record to the stream.
 func (w *InputWriter) Append(rec []byte) error {
-	if err := w.writers[w.count%w.n].Write(rec); err != nil {
+	if len(rec) > recordio.MaxRecordSize {
+		return recordio.ErrTooLarge // before room allocates a block for it
+	}
+	b := &w.shards[w.count%w.n]
+	b.room(recordio.HeaderSize + len(rec))
+	var err error
+	if b.cur, err = recordio.AppendFrame(b.cur, rec); err != nil {
 		return err
 	}
+	b.size += recordio.HeaderSize + len(rec)
 	w.count++
 	return nil
 }
@@ -87,19 +123,33 @@ type stagedCount struct {
 	Sizes   []int64 `json:"sizes"`
 }
 
-// Commit flushes and atomically publishes all n shards, then records the
-// staged record count in a sidecar (see StagedCount) so later runs can
-// learn the corpus size without re-scanning every shard.
+// Commit atomically publishes all n shards, then records the staged record
+// count in a sidecar (see StagedCount) so later runs can learn the corpus size
+// without re-scanning every shard. A one-block shard is published as it is; a
+// longer one is joined into one scratch buffer that every such shard reuses,
+// which dfs.FS.WriteFile, never retaining what it is handed, allows.
 func (w *InputWriter) Commit() error {
+	longest := 0
+	for _, b := range w.shards {
+		if len(b.full) > 0 {
+			longest = max(longest, b.size)
+		}
+	}
+	scratch := make([]byte, 0, longest)
 	sizes := make([]int64, w.n)
-	for i := 0; i < w.n; i++ {
-		if err := w.writers[i].Flush(); err != nil {
+	for i, b := range w.shards {
+		data := b.cur
+		if len(b.full) > 0 {
+			data = scratch[:0]
+			for _, f := range b.full {
+				data = append(data, f...)
+			}
+			data = append(data, b.cur...)
+		}
+		if err := dfs.PublishShard(w.fs, w.base, i, w.n, data); err != nil {
 			return err
 		}
-		if err := dfs.PublishShard(w.fs, w.base, i, w.n, w.bufs[i].Bytes()); err != nil {
-			return err
-		}
-		sizes[i] = int64(w.bufs[i].Len())
+		sizes[i] = int64(b.size)
 	}
 	data, err := json.Marshal(stagedCount{Records: w.count, Sizes: sizes})
 	if err != nil {

@@ -386,7 +386,9 @@ func (c *FSClient) doJSON(endpoint, op, path string, body any) error {
 }
 
 // WriteFile implements dfs.FS. A write is a full-content overwrite —
-// idempotent — so transport errors retry on the shared backoff policy.
+// idempotent — so transport errors retry on the shared backoff policy. The
+// gateway reads the whole body before it answers, so once a write has
+// succeeded nothing reads data any more.
 func (c *FSClient) WriteFile(path string, data []byte) error {
 	resp, err := c.doResilient("write", path, false, func() (*http.Request, error) {
 		req, err := http.NewRequest(http.MethodPut, c.fsURL("file", "path", path), bytes.NewReader(data))

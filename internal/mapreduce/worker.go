@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 
@@ -196,13 +195,12 @@ func runMap(ctx context.Context, fs dfs.FS, mapper Mapper, tctx *TaskContext, sp
 		return nil
 	}
 
-	var buf bytes.Buffer
-	buf.Grow(recordio.EncodedSize(res.Values))
-	if err := recordio.WriteAll(&buf, res.Values); err != nil {
+	out, err := encodeFrames(res.Values)
+	if err != nil {
 		return err
 	}
 	path := spec.attemptBase() + ".out"
-	if err := fs.WriteFile(path, buf.Bytes()); err != nil {
+	if err := fs.WriteFile(path, out); err != nil {
 		return err
 	}
 	res.Paths = []string{path}

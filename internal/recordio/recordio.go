@@ -39,16 +39,30 @@ var (
 // huge allocations from corrupt length headers.
 const MaxRecordSize = 64 << 20 // 64 MiB
 
-const headerSize = 12
+// HeaderSize is the length of a frame's header: magic, length and checksum.
+const HeaderSize = 12
+
+// AppendFrame appends payload to b as one frame and returns the extended
+// slice; a payload over MaxRecordSize is ErrTooLarge and leaves b as it was.
+// It is the only code that builds a frame: a b with room for
+// HeaderSize+len(payload) more bytes is written in place, not reallocated.
+func AppendFrame(b, payload []byte) ([]byte, error) {
+	if len(payload) > MaxRecordSize {
+		return b, ErrTooLarge
+	}
+	b = append(b, magic[:]...)
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(payload)))
+	b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+	return append(b, payload...), nil
+}
 
 // Writer appends records to an io.Writer.
 type Writer struct {
 	w     *bufio.Writer
 	n     int
 	bytes int64
-	// hdr is the frame header under construction: a field, because a local
-	// handed to the underlying writer escapes, one allocation a record.
-	hdr [headerSize]byte
+	// frame is the frame under construction, reused record after record.
+	frame []byte
 }
 
 // NewWriter returns a Writer emitting to w.
@@ -58,21 +72,16 @@ func NewWriter(w io.Writer) *Writer {
 
 // Write appends one record.
 func (w *Writer) Write(payload []byte) error {
-	if len(payload) > MaxRecordSize {
-		return ErrTooLarge
+	frame, err := AppendFrame(w.frame[:0], payload)
+	if err != nil {
+		return err
 	}
-	hdr := w.hdr[:]
-	copy(hdr[0:4], magic[:])
-	binary.LittleEndian.PutUint32(hdr[4:8], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[8:12], crc32.ChecksumIEEE(payload))
-	if _, err := w.w.Write(hdr); err != nil {
-		return fmt.Errorf("recordio: write header: %w", err)
-	}
-	if _, err := w.w.Write(payload); err != nil {
-		return fmt.Errorf("recordio: write payload: %w", err)
+	w.frame = frame
+	if _, err := w.w.Write(frame); err != nil {
+		return fmt.Errorf("recordio: write: %w", err)
 	}
 	w.n++
-	w.bytes += int64(headerSize + len(payload))
+	w.bytes += int64(len(frame))
 	return nil
 }
 
@@ -100,7 +109,7 @@ func NewReader(r io.Reader) *Reader {
 // or an error wrapping ErrCorrupt for damaged frames. The returned slice is
 // freshly allocated and owned by the caller.
 func (r *Reader) Next() ([]byte, error) {
-	var hdr [headerSize]byte
+	var hdr [HeaderSize]byte
 	if _, err := io.ReadFull(r.r, hdr[:1]); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF // clean end
@@ -141,7 +150,7 @@ func errCorruptFrom(err error) error {
 
 // EncodedSize is the size of the stream WriteAll makes of records.
 func EncodedSize(records [][]byte) int {
-	size := headerSize * len(records)
+	size := HeaderSize * len(records)
 	for _, rec := range records {
 		size += len(rec)
 	}
@@ -155,7 +164,7 @@ func EncodedSize(records [][]byte) int {
 func Split(data []byte) ([][]byte, error) {
 	var out [][]byte
 	for len(data) > 0 {
-		if len(data) < headerSize {
+		if len(data) < HeaderSize {
 			return out, fmt.Errorf("recordio: truncated header after %d records: %w", len(out), ErrCorrupt)
 		}
 		if [4]byte(data[0:4]) != magic {
@@ -165,15 +174,15 @@ func Split(data []byte) ([][]byte, error) {
 		if length > MaxRecordSize {
 			return out, fmt.Errorf("recordio: frame length %d at record %d: %w", length, len(out), ErrTooLarge)
 		}
-		if int(length) > len(data)-headerSize {
+		if int(length) > len(data)-HeaderSize {
 			return out, fmt.Errorf("recordio: truncated payload at record %d: %w", len(out), ErrCorrupt)
 		}
-		payload := data[headerSize : headerSize+int(length) : headerSize+int(length)]
+		payload := data[HeaderSize : HeaderSize+int(length) : HeaderSize+int(length)]
 		if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[8:12]) {
 			return out, fmt.Errorf("recordio: checksum mismatch at record %d: %w", len(out), ErrCorrupt)
 		}
 		out = append(out, payload)
-		data = data[headerSize+int(length):]
+		data = data[HeaderSize+int(length):]
 	}
 	return out, nil
 }

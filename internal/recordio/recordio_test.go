@@ -209,18 +209,62 @@ func TestSplitMatchesReadAll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if &got[0][0] != &intact[headerSize] {
+	if &got[0][0] != &intact[HeaderSize] {
 		t.Error("Split copied the first record out of the stream")
 	}
 }
 
 // FuzzSplit holds Split to ReadAll on arbitrary bytes: the same records, the
-// same error class, and no panic from either.
+// same error class, and no panic from either. A stream Split accepts is
+// AppendFrame's framing of its records, byte for byte; the last seed is one
+// AppendFrame built.
 func FuzzSplit(f *testing.F) {
 	for _, data := range splitStreams(f) {
 		f.Add(data)
 	}
+	var appended []byte
+	for _, rec := range [][]byte{[]byte("framed"), {}, bytes.Repeat([]byte{0xab}, 5000)} {
+		var err error
+		if appended, err = AppendFrame(appended, rec); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Add(appended)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		compareSplit(t, data)
+		if gotErr, _ := compareSplit(t, data); gotErr != nil {
+			return
+		}
+		records, _ := Split(data)
+		var framed []byte
+		for _, rec := range records {
+			framed, _ = AppendFrame(framed, rec)
+		}
+		if !bytes.Equal(framed, data) {
+			t.Fatalf("stream %q: AppendFrame of its records gives %q", data, framed)
+		}
 	})
+}
+
+// TestAppendFrame: AppendFrame writes the frames a Writer writes, in place
+// when the slice has room, and refuses a payload over MaxRecordSize, leaving
+// the slice as it was.
+func TestAppendFrame(t *testing.T) {
+	records := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte("x"), 10000)}
+	var want bytes.Buffer
+	if err := WriteAll(&want, records); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 0, EncodedSize(records))
+	for _, rec := range records {
+		var err error
+		if buf, err = AppendFrame(buf, rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(buf, want.Bytes()) || cap(buf) != len(buf) {
+		t.Fatalf("AppendFrame built %d bytes in a %d-byte slice, want the %d WriteAll wrote in place", len(buf), cap(buf), want.Len())
+	}
+	if got, err := AppendFrame(buf, make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrTooLarge) || len(got) != len(buf) {
+		t.Errorf("oversize payload: %d bytes, %v; want the slice unchanged and ErrTooLarge", len(got), err)
+	}
 }
