@@ -45,9 +45,12 @@ bench-check:
 # End-to-end observability smoke: run a small pipeline with tracing on, then
 # validate the exported Chrome trace (parses, spans nest, timestamps sane).
 # CI runs this so the trace exporter cannot silently produce timelines
-# Perfetto refuses to load.
+# Perfetto refuses to load. The events run also drives the CLI's events task,
+# whose records are binary, end to end.
 obs-smoke:
 	go run ./cmd/drybell -task topic -docs 1500 -steps 100 -trace $(TRACE_OUT)
+	go run ./tools/tracecheck $(TRACE_OUT)
+	go run ./cmd/drybell -task events -docs 2000 -steps 50 -trace $(TRACE_OUT)
 	go run ./tools/tracecheck $(TRACE_OUT)
 
 # Multi-process end-to-end smoke of the remote execution backend: one

@@ -3,8 +3,10 @@ package core
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"path"
+	"slices"
 	"testing"
 
 	"repro/internal/apps"
@@ -166,6 +168,91 @@ func compareShards(t *testing.T, a, b dfs.FS, base, what string) {
 			t.Errorf("%s shard %s is not byte-identical to the cold run's", what, as[i])
 		}
 	}
+}
+
+// sameFiles requires the files under prefix on two filesystems to have the
+// same names and bytes.
+func sameFiles(t *testing.T, a, b dfs.FS, prefix, what string) {
+	t.Helper()
+	as, errA := a.List(prefix)
+	bs, errB := b.List(prefix)
+	if errA != nil || errB != nil || len(as) == 0 || !slices.Equal(as, bs) {
+		t.Fatalf("%s: files %v (%v) vs %v (%v)", what, as, errA, bs, errB)
+	}
+	for _, p := range as {
+		ad, errA := a.ReadFile(p)
+		bd, errB := b.ReadFile(p)
+		if errA != nil || errB != nil || !bytes.Equal(ad, bd) {
+			t.Errorf("%s: %s differs (%v, %v)", what, p, errA, errB)
+		}
+	}
+}
+
+// TestJSONStagedEventRootStillRuns: a root whose events were staged as JSON,
+// as they were before events became binary records, still runs. A resumed Run
+// over it, then binary delta rounds and Compact, leave every vote and label
+// file byte-identical to an all-binary root's. (Compact copies record bytes,
+// so the input stays part JSON, part binary.)
+func TestJSONStagedEventRootStillRuns(t *testing.T) {
+	ctx := context.Background()
+	events, err := corpus.GenerateEvents(corpus.DefaultEventsSpec(700, 21))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := events[:500]
+	lfs := apps.EventLFs(20, 1)
+	config := func() Config[*corpus.Event] {
+		return Config[*corpus.Event]{
+			FS: dfs.NewMem(), WorkDir: "drybell", Shards: 3, Resume: true,
+			Encode: func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
+			Decode: corpus.UnmarshalEvent,
+		}
+	}
+	jsonCfg, binCfg := config(), config()
+	recs := make([][]byte, len(base))
+	for i, e := range base {
+		if recs[i], err = json.Marshal(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := StageRecords(ctx, jsonCfg, Examples(recs)); err != nil {
+		t.Fatal(err)
+	}
+	for _, cfg := range []Config[*corpus.Event]{jsonCfg, binCfg} {
+		if _, err := Run(cfg, base, lfs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	shards, err := dfs.ListShards(jsonCfg.FS, jsonCfg.InputBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first, err := jsonCfg.FS.ReadFile(shards[0]); err != nil || !bytes.Contains(first, []byte(`{"id":"event-`)) {
+		t.Fatalf("the resumed run restaged the JSON corpus (%v)", err)
+	}
+	check := func(what string) {
+		t.Helper()
+		sameFiles(t, jsonCfg.FS, binCfg.FS, jsonCfg.VotesPrefix(), what+": votes")
+		sameFiles(t, jsonCfg.FS, binCfg.FS, jsonCfg.LabelsBase(), what+": labels")
+	}
+	check("resumed run")
+	for round, delta := range [][]*corpus.Event{events[500:600], events[600:]} {
+		for _, cfg := range []Config[*corpus.Event]{jsonCfg, binCfg} {
+			if _, err := StageDelta(ctx, cfg, Examples(delta), []int{round}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := IncrementalRun(ctx, cfg, lfs, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check("delta rounds")
+	for _, cfg := range []Config[*corpus.Event]{jsonCfg, binCfg} {
+		if _, err := Compact(cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("compacted")
 }
 
 // TestCompactRefusesAllTombstoned: when the ledger's tombstones cover every

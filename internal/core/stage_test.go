@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -215,7 +216,7 @@ func TestStagingLeavesNoEncoderBehind(t *testing.T) {
 // TestMalformedStagedEventIsAnError: StageRecords takes records as given, so
 // a truncated event can reach a map task; the event functions index its
 // vectors unchecked and nothing in the runtime recovers a panic. It has to
-// fail to decode.
+// fail to decode, whether it is a binary record or JSON.
 func TestMalformedStagedEventIsAnError(t *testing.T) {
 	events, err := corpus.GenerateEvents(corpus.DefaultEventsSpec(40, 9))
 	if err != nil {
@@ -225,12 +226,12 @@ func TestMalformedStagedEventIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	short := *events[0]
-	short.AggStats = short.AggStats[:3]
-	shortRec, _ := short.Marshal()
+	// The record of an event with ID "x" that ends after three floats: its
+	// magic byte, gold byte 0, ID length 1, the ID, 24 bytes of floats.
+	truncated := append([]byte{good[0][0], 0, 1, 'x'}, make([]byte, 3*8)...)
 	for _, c := range []struct{ bad, want string }{
 		{`{"id":"x"}`, "servable has 0 values, want 16"},
-		{string(shortRec), "agg_stats has 3 values, want 8"},
+		{string(truncated), "corpus: decode event: record is 28 bytes, want 228"},
 	} {
 		cfg := Config[*corpus.Event]{
 			FS: dfs.NewMem(), Shards: 2, MaxAttempts: 1,
@@ -243,7 +244,41 @@ func TestMalformedStagedEventIsAnError(t *testing.T) {
 		}
 		_, _, err := ExecuteLFs(context.Background(), cfg, apps.EventLFs(20, 1))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("executing over %s: error %v, want %q", c.bad, err, c.want)
+			t.Errorf("executing over %q: error %v, want %q", c.bad, err, c.want)
+		}
+	}
+}
+
+// TestStagingRefusesEventsTheLFsCannotRead: an event the labeling functions
+// could not read fails staging, before a corpus commits, instead of failing
+// every map-task attempt after it.
+func TestStagingRefusesEventsTheLFsCannotRead(t *testing.T) {
+	events, err := corpus.GenerateEvents(corpus.DefaultEventsSpec(40, 9))
+	if err != nil {
+		t.Fatal(err)
+	}
+	short, nan := *events[7], *events[7]
+	short.AggStats = short.AggStats[:3]
+	nan.Servable = append([]float64{math.NaN()}, nan.Servable[1:]...)
+	for _, c := range []struct {
+		bad  *corpus.Event
+		want string
+	}{
+		{nil, "encode example 7: corpus: encode event: nil event"},
+		{&short, `encode example 7: corpus: encode event "event-00000007": agg_stats has 3 values, want 8`},
+		{&nan, `encode example 7: corpus: encode event "event-00000007": unsupported value: NaN`},
+	} {
+		cfg := Config[*corpus.Event]{
+			FS: dfs.NewMem(), Shards: 2,
+			Encode: func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
+			Decode: corpus.UnmarshalEvent,
+		}
+		src := append(append(append([]*corpus.Event{}, events[:7]...), c.bad), events[8:]...)
+		if _, err := StageExamples(context.Background(), cfg, Examples(src)); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("staging error %v, want %q", err, c.want)
+		}
+		if files := staged(t, cfg); len(files) != 0 {
+			t.Errorf("staging that failed on %q committed %d files", c.want, len(files))
 		}
 	}
 }

@@ -2,7 +2,10 @@ package corpus
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -11,25 +14,31 @@ import (
 	"repro/internal/jsonenc"
 )
 
-// The record codec: the encoder and the scanner Document and Event need,
-// without reflection, held to encoding/json by the fuzz targets in
-// codec_test.go. The encoder writes exactly the bytes json.Marshal writes; a
-// value holding NaN or ±Inf goes to json.Marshal, which words the refusal.
-// The scanner accepts only the canonical shape — known keys, each at most
-// once, no whitespace, escape-free valid-UTF-8 strings, strict JSON numbers,
-// nothing after the closing brace — and decodes it to the value encoding/json
-// would; anything else it declines, and encoding/json decodes that. The float
-// and string primitives are internal/jsonenc's, which the online wire encoders
-// in pkg/drybell/serve share.
+// The record codec. A Document is JSON, and its encoder and scanner need no
+// reflection; the fuzz targets in codec_test.go hold them to encoding/json.
+// The encoder writes exactly the bytes json.Marshal writes; a value holding
+// NaN or ±Inf goes to json.Marshal, which words the refusal. The scanner
+// accepts only the canonical shape — known keys, each at most once, no
+// whitespace, escape-free valid-UTF-8 strings, strict JSON numbers, nothing
+// after the closing brace — and decodes it to the value encoding/json would;
+// anything else it declines, and encoding/json decodes that. The float and
+// string primitives are internal/jsonenc's, which the online wire encoders in
+// pkg/drybell/serve share.
+//
+// An Event's record is fixed-width binary, not float text: eventMagic, a gold
+// byte, the ID's length as a uvarint and its bytes, then Servable, AggStats
+// and GraphScores as 28 little-endian float64s, so floats and IDs round-trip
+// bit for bit. UnmarshalEvent gives any other payload to encoding/json: events
+// staged as JSON, and JSONL dumps, still decode.
 
-// encScratch recycles encoder scratch space, so Marshal allocates only the
-// slice it returns.
+// encScratch recycles encoder scratch space, so Document.Marshal allocates
+// only the slice it returns.
 var encScratch = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
-func marshal(appendRecord func([]byte) []byte) []byte {
+func marshalDocument(d *Document) []byte {
 	bp := encScratch.Get().(*[]byte)
 	defer encScratch.Put(bp)
-	*bp = appendRecord((*bp)[:0])
+	*bp = appendDocument((*bp)[:0], d)
 	return bytes.Clone(*bp)
 }
 
@@ -43,29 +52,6 @@ func appendDocument(b []byte, d *Document) []byte {
 	b = jsonenc.AppendFloat(append(b, `,"crawler":{"engagement":`...), d.Crawler.EngagementScore)
 	b = jsonenc.AppendFloat(append(b, `,"authority":`...), d.Crawler.DomainAuthority)
 	return append(b, "}}"...)
-}
-
-func appendEvent(b []byte, e *Event) []byte {
-	b = jsonenc.AppendString(append(b, `{"id":`...), e.ID, true)
-	b = appendFloats(append(b, `,"servable":`...), e.Servable)
-	b = appendFloats(append(b, `,"agg_stats":`...), e.AggStats)
-	b = appendFloats(append(b, `,"graph_scores":`...), e.GraphScores)
-	b = strconv.AppendBool(append(b, `,"gold":`...), e.Gold)
-	return append(b, '}')
-}
-
-func appendFloats(b []byte, fs []float64) []byte {
-	if fs == nil {
-		return append(b, "null"...)
-	}
-	b = append(b, '[')
-	for i, f := range fs {
-		if i > 0 {
-			b = append(b, ',')
-		}
-		b = jsonenc.AppendFloat(b, f)
-	}
-	return append(b, ']')
 }
 
 // scanner is a cursor over one payload. ok turns false at the first departure
@@ -149,18 +135,6 @@ func (s *scanner) number() float64 {
 	return f
 }
 
-// floats scans an array of exactly len(dst) numbers.
-func (s *scanner) floats(dst []float64) {
-	s.expect('[')
-	for k := 0; k < len(dst) && s.ok; k++ {
-		if k > 0 {
-			s.expect(',')
-		}
-		dst[k] = s.number()
-	}
-	s.expect(']')
-}
-
 func (s *scanner) bool() bool {
 	v := s.peek() == 't'
 	for _, c := range []byte(strconv.FormatBool(v)) {
@@ -198,7 +172,6 @@ func (s *scanner) object(keys []string, field func(k int)) (seen uint) {
 var (
 	documentKeys = []string{"id", "title", "body", "url", "language", "gold", "crawler"}
 	crawlerKeys  = []string{"engagement", "authority"}
-	eventKeys    = []string{"id", "servable", "agg_stats", "graph_scores", "gold"}
 )
 
 // scanDocument is the fast path of UnmarshalDocument. Its five strings are
@@ -237,37 +210,52 @@ func scanDocument(data []byte) (*Document, bool) {
 	return &d, true
 }
 
+// eventMagic opens every binary event record; no JSON text starts with it.
+const eventMagic = 0xE5
+
+const eventDim = EventServableDim + EventAggDim + EventGraphDim // floats per event
+
 // eventRecord is a decoded event and the storage of its three vectors, so a
 // decoded event is two allocations: this and its ID.
 type eventRecord struct {
 	e Event
-	f [EventServableDim + EventAggDim + EventGraphDim]float64
+	f [eventDim]float64
 }
 
-// scanEvent is the fast path of UnmarshalEvent. Besides the canonical shape
-// it requires what checkEventDims requires, so whatever it accepts is valid.
-func scanEvent(data []byte) (*Event, bool) {
+// decodeEvent reads a binary record. It refuses every payload Marshal could
+// not have written, so whatever it accepts encodes back to the same bytes.
+func decodeEvent(data []byte) (*Event, error) {
 	const aggAt, graphAt = EventServableDim, EventServableDim + EventAggDim
-	s := scanner{data: data, ok: true}
-	r := new(eventRecord)
-	// Full slice expressions: appending to one vector must not write into
-	// the next.
-	r.e.Servable, r.e.AggStats, r.e.GraphScores = r.f[:aggAt:aggAt], r.f[aggAt:graphAt:graphAt], r.f[graphAt:]
-	vectors := [...][]float64{r.e.Servable, r.e.AggStats, r.e.GraphScores}
-	seen := s.object(eventKeys, func(k int) {
-		switch {
-		case k == 0:
-			r.e.ID = string(s.str())
-		case k <= len(vectors):
-			s.floats(vectors[k-1])
-		default:
-			r.e.Gold = s.bool()
-		}
-	})
-	if !s.ok || s.i != len(data) || seen&0b1110 != 0b1110 { // a vector is missing
-		return nil, false
+	if len(data) < 3 {
+		return nil, fmt.Errorf("record of %d bytes is truncated", len(data))
 	}
-	return &r.e, true
+	if data[1] > 1 {
+		return nil, fmt.Errorf("gold byte is %d, want 0 or 1", data[1])
+	}
+	idLen, n := binary.Uvarint(data[2:])
+	var canonical [binary.MaxVarintLen64]byte
+	if n <= 0 || binary.PutUvarint(canonical[:], idLen) != n {
+		return nil, errors.New("id length is not a minimal uvarint")
+	}
+	rest := data[2+n:]
+	if idLen > uint64(len(rest)) {
+		return nil, fmt.Errorf("id of %d bytes runs past the end of the record", idLen)
+	}
+	id, floats := rest[:idLen], rest[idLen:]
+	if len(floats) != 8*eventDim {
+		return nil, fmt.Errorf("record is %d bytes, want %d", len(data), len(data)-len(floats)+8*eventDim)
+	}
+	r := new(eventRecord)
+	for k := range r.f {
+		if r.f[k] = math.Float64frombits(binary.LittleEndian.Uint64(floats[8*k:])); !jsonenc.Finite(r.f[k]) {
+			return nil, fmt.Errorf("unsupported value: %v", r.f[k])
+		}
+	}
+	// Full slice expressions: appending to one vector must not write into the
+	// next.
+	r.e.Servable, r.e.AggStats, r.e.GraphScores = r.f[:aggAt:aggAt], r.f[aggAt:graphAt:graphAt], r.f[graphAt:]
+	r.e.ID, r.e.Gold = string(id), data[1] == 1
+	return &r.e, nil
 }
 
 // checkEventDims refuses an event whose vectors are not of the task's
@@ -276,7 +264,7 @@ func checkEventDims(e *Event) error {
 	got := [...]int{len(e.Servable), len(e.AggStats), len(e.GraphScores)}
 	for k, want := range [...]int{EventServableDim, EventAggDim, EventGraphDim} {
 		if got[k] != want {
-			return fmt.Errorf("%s has %d values, want %d", eventKeys[k+1], got[k], want)
+			return fmt.Errorf("%s has %d values, want %d", [...]string{"servable", "agg_stats", "graph_scores"}[k], got[k], want)
 		}
 	}
 	return nil

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -23,11 +24,7 @@ func seedDocuments(tb testing.TB) []*Document {
 		tb.Fatal(err)
 	}
 	docs := append(topic, product...)
-	for _, s := range []string{
-		"", "plain", `quote " backslash \ slash /`, "ctl \x00\x01\x1f\b\f\n\r\t \x7f",
-		"html <script>&amp;</script>", "sep \u2028 and \u2029", "日本語 é 😀",
-		"bad \xff\xc0\xaf utf8", "half surrogate \xed\xa0\x80", "trunc \xe2\x80",
-	} {
+	for _, s := range seedStrings {
 		docs = append(docs, &Document{ID: s, Title: s, Body: s + s, URL: s, Language: s})
 	}
 	for _, f := range seedFloats {
@@ -36,14 +33,21 @@ func seedDocuments(tb testing.TB) []*Document {
 	return append(docs, &Document{}, nil)
 }
 
+// seedStrings are everything the JSON encoder escapes or rewrites.
+var seedStrings = []string{
+	"", "plain", `quote " backslash \ slash /`, "ctl \x00\x01\x1f\b\f\n\r\t \x7f",
+	"html <script>&amp;</script>", "sep \u2028 and \u2029", "日本語 é 😀",
+	"bad \xff\xc0\xaf utf8", "half surrogate \xed\xa0\x80", "trunc \xe2\x80",
+}
+
 var seedFloats = []float64{
 	0, math.Copysign(0, -1), 1, -1, 0.1, 1e-6, 1e-7, 9.999999e-7, 1e20, 1e21, 123456789.125,
 	1.5e-9, 2.5e-10, 1e100, 1e-100, math.MaxFloat64, math.SmallestNonzeroFloat64, math.Pi,
 	math.NaN(), math.Inf(1), math.Inf(-1),
 }
 
-// seedEvents returns generated events plus vectors of every awkward float,
-// and nil, empty, short and long vectors.
+// seedEvents returns generated events plus every awkward ID, vectors of every
+// awkward float, and nil, empty, short and long vectors.
 func seedEvents(tb testing.TB) []*Event {
 	tb.Helper()
 	events, err := GenerateEvents(DefaultEventsSpec(200, 13))
@@ -56,6 +60,9 @@ func seedEvents(tb testing.TB) []*Event {
 		events = append(events, e)
 	}
 	full := events[0]
+	for _, s := range seedStrings {
+		events = append(events, &Event{ID: s, Servable: full.Servable, AggStats: full.AggStats, GraphScores: full.GraphScores, Gold: true})
+	}
 	return append(events,
 		&Event{}, nil,
 		&Event{ID: "<nil vectors>", Gold: true},
@@ -65,8 +72,8 @@ func seedEvents(tb testing.TB) []*Event {
 	)
 }
 
-// TestMarshalMatchesEncodingJSON pins the encoder to json.Marshal byte for
-// byte, and to its refusals.
+// TestMarshalMatchesEncodingJSON pins the document encoder to json.Marshal
+// byte for byte, and to its refusals.
 func TestMarshalMatchesEncodingJSON(t *testing.T) {
 	check := func(name string, got []byte, gerr error, want []byte, werr error) {
 		t.Helper()
@@ -82,10 +89,39 @@ func TestMarshalMatchesEncodingJSON(t *testing.T) {
 		want, werr := json.Marshal(d)
 		check(fmt.Sprintf("document %d", i), got, gerr, want, werr)
 	}
+}
+
+// TestEventMarshalRoundTrip: an event the labeling functions can read encodes
+// to a record that decodes to it exactly — floats bit for bit and the ID as
+// it was, including the seed IDs of invalid UTF-8, which encoding/json
+// rewrote to U+FFFD — and Marshal refuses every other event, saying why.
+func TestEventMarshalRoundTrip(t *testing.T) {
 	for i, e := range seedEvents(t) {
-		got, gerr := e.Marshal()
-		want, werr := json.Marshal(e)
-		check(fmt.Sprintf("event %d", i), got, gerr, want, werr)
+		rec, err := e.Marshal()
+		var want string
+		if e == nil {
+			want = "corpus: encode event: nil event"
+		} else if derr := checkEventDims(e); derr != nil {
+			want = derr.Error()
+		} else if _, jerr := json.Marshal(e); jerr != nil {
+			want = "unsupported value: " // NaN or ±Inf, which JSON refuses too
+		}
+		if want != "" {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("event %d: Marshal error %v, want one containing %q", i, err, want)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("event %d: %v", i, err)
+		}
+		got, err := UnmarshalEvent(rec)
+		if err != nil || !reflect.DeepEqual(got, e) {
+			t.Fatalf("event %d: decoded as %+v, %v; want %+v", i, got, err, e)
+		}
+		if again, _ := got.Marshal(); !bytes.Equal(again, rec) {
+			t.Fatalf("event %d: re-encoded as %x, want %x", i, again, rec)
+		}
 	}
 }
 
@@ -113,13 +149,37 @@ func seedPayloads(tb testing.TB) (documents, events [][]byte) {
 			documents = append(documents, b)
 		}
 	}
+	// Events: the binary record of every seed event Marshal accepts, the JSON
+	// of every one json.Marshal accepts, and departures from both.
+	var jsonEvents [][]byte
 	for _, e := range seedEvents(tb) {
 		if b, err := e.Marshal(); err == nil {
 			events = append(events, b)
 		}
+		if b, err := json.Marshal(e); err == nil {
+			jsonEvents = append(jsonEvents, b)
+		}
 	}
+	rec := events[0]
+	for i := range rec {
+		events = append(events, rec[:i])
+	}
+	for _, edit := range []func(b []byte) []byte{
+		func(b []byte) []byte { b[1] = 2; return b },                                                   // gold byte
+		func(b []byte) []byte { b[2]++; return b },                                                     // ID length
+		func(b []byte) []byte { b[2]--; return b },                                                     // ID length
+		func(b []byte) []byte { b[2] |= 0x80; return b },                                               // ID length runs on
+		func(b []byte) []byte { b[2] |= 0x80; return append(b[:3:3], append([]byte{0}, b[3:]...)...) }, // non-minimal
+		func(b []byte) []byte { return putLastFloat(b, math.NaN()) },                                   // NaN
+		func(b []byte) []byte { return putLastFloat(b, math.Inf(-1)) },                                 // -Inf
+		func(b []byte) []byte { return append(b, 0) },
+		func(b []byte) []byte { return append(b, b[len(b)-8:]...) },
+	} {
+		events = append(events, edit(bytes.Clone(rec)))
+	}
+	events = append(events, jsonEvents...)
 	const doc = `{"id":"d1","title":"T","body":"B b","url":"http://u/x","language":"en","gold":true,"crawler":{"engagement":0.25,"authority":0.5}}`
-	ev := string(events[0])
+	ev := string(jsonEvents[0])
 	open := strings.Index(ev, "[") + 1
 	firstNumber := ev[open : open+strings.Index(ev[open:], ",")]
 	for _, n := range numberCases {
@@ -163,24 +223,25 @@ func seedPayloads(tb testing.TB) (documents, events [][]byte) {
 	return documents, events
 }
 
-// checkCodec is the property both fuzz targets assert: if the fast path
+// checkDocument is FuzzUnmarshalDocument's property: if the fast path
 // accepts a payload its result is the reference decoder's; whatever the fast
 // path does, the exported decoder answers as the reference does; a decoded
-// document carries its text, Title + " " + Body; and a value that decoded
-// encodes to the bytes json.Marshal gives it.
-func checkCodec[T any](t *testing.T, data []byte, scan func([]byte) (*T, bool), reference, exported func([]byte) (*T, error), encode func(*T) ([]byte, error)) (accepted bool) {
+// document carries its text, Title + " " + Body; and a document that decoded
+// encodes to the bytes json.Marshal gives it. It reports whether the fast
+// path accepted the payload.
+func checkDocument(t *testing.T, data []byte) (accepted bool) {
 	t.Helper()
-	want, werr := reference(data)
-	fast, accepted := scan(data)
+	want, werr := unmarshalDocumentJSON(data)
+	fast, accepted := scanDocument(data)
 	if accepted && (werr != nil || !reflect.DeepEqual(fast, want)) {
 		t.Fatalf("fast path accepted %q\n as %+v\n reference: %+v, %v", data, fast, want, werr)
 	}
-	for _, v := range []*T{fast, want} {
-		if d, ok := any(v).(*Document); ok && d != nil && (d.text != d.Title+" "+d.Body || d.Text() != d.text) {
+	for _, d := range []*Document{fast, want} {
+		if d != nil && (d.text != d.Title+" "+d.Body || d.Text() != d.text) {
 			t.Fatalf("%q: decoded with text %q and Text() %q, want %q", data, d.text, d.Text(), d.Title+" "+d.Body)
 		}
 	}
-	got, gerr := exported(data)
+	got, gerr := UnmarshalDocument(data)
 	if (gerr == nil) != (werr == nil) || (gerr != nil && gerr.Error() != werr.Error()) {
 		t.Fatalf("%q: decoded with error %v, reference %v", data, gerr, werr)
 	}
@@ -190,7 +251,7 @@ func checkCodec[T any](t *testing.T, data []byte, scan func([]byte) (*T, bool), 
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%q: decoded as %+v, reference %+v", data, got, want)
 	}
-	enc, eerr := encode(got)
+	enc, eerr := got.Marshal()
 	ref, rerr := json.Marshal(got)
 	if eerr != nil || rerr != nil || !bytes.Equal(enc, ref) {
 		t.Fatalf("%q: re-encoded as %q (%v), json.Marshal %q (%v)", data, enc, eerr, ref, rerr)
@@ -198,16 +259,44 @@ func checkCodec[T any](t *testing.T, data []byte, scan func([]byte) (*T, bool), 
 	return accepted
 }
 
-func checkDocument(t *testing.T, data []byte) bool {
-	return checkCodec(t, data, scanDocument, unmarshalDocumentJSON, UnmarshalDocument, (*Document).Marshal)
+// checkEvent is FuzzUnmarshalEvent's property. Whatever the bytes,
+// UnmarshalEvent errors or returns an event the labeling functions can read,
+// which Marshal encodes to a record that decodes to it again. A payload
+// starting with eventMagic decodes only if that record is the payload itself;
+// any other payload decodes exactly as the encoding/json reference decodes
+// it. It reports whether the payload decoded as a binary record.
+func checkEvent(t *testing.T, data []byte) (asBinary bool) {
+	t.Helper()
+	got, err := UnmarshalEvent(data)
+	asBinary = len(data) > 0 && data[0] == eventMagic
+	if !asBinary {
+		want, werr := unmarshalEventJSON(data)
+		if (err == nil) != (werr == nil) || (err != nil && err.Error() != werr.Error()) || !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: decoded as %+v, %v; reference %+v, %v", data, got, err, want, werr)
+		}
+	}
+	if err != nil {
+		if !strings.HasPrefix(err.Error(), "corpus: decode event: ") {
+			t.Fatalf("%q: error %q lacks the decoder's prefix", data, err)
+		}
+		return false
+	}
+	if derr := checkEventDims(got); derr != nil {
+		t.Fatalf("%q: decoded an event the labeling functions cannot read: %v", data, derr)
+	}
+	rec, merr := got.Marshal()
+	if merr != nil || (asBinary && !bytes.Equal(rec, data)) {
+		t.Fatalf("%q: re-encoded as %x, %v", data, rec, merr)
+	}
+	if back, berr := UnmarshalEvent(rec); berr != nil || !reflect.DeepEqual(back, got) {
+		t.Fatalf("%q: record %x decoded as %+v, %v; want %+v", data, rec, back, berr, got)
+	}
+	return asBinary
 }
 
-func checkEvent(t *testing.T, data []byte) bool {
-	return checkCodec(t, data, scanEvent, unmarshalEventJSON, UnmarshalEvent, (*Event).Marshal)
-}
-
-// TestUnmarshalMatchesEncodingJSON runs the fuzz property over the seed set,
-// and checks the fast path is the path generated records take.
+// TestUnmarshalMatchesEncodingJSON runs the fuzz properties over the seed set,
+// and checks that generated records take the fast path: the document scanner,
+// and the binary event record.
 func TestUnmarshalMatchesEncodingJSON(t *testing.T) {
 	documents, events := seedPayloads(t)
 	for _, data := range documents {
@@ -228,7 +317,7 @@ func TestUnmarshalMatchesEncodingJSON(t *testing.T) {
 	for _, e := range generated {
 		rec, _ := e.Marshal()
 		if !checkEvent(t, rec) {
-			t.Fatalf("fast path declined a generated event: %s", rec)
+			t.Fatalf("a generated event did not decode as a binary record: %x", rec)
 		}
 	}
 }
@@ -251,11 +340,11 @@ func FuzzUnmarshalEvent(f *testing.F) {
 
 // TestUnmarshalEventRejectsWrongDimensions: the labeling functions index the
 // three vectors without looking, so a record that would make them index out
-// of range must not decode — in canonical form (the fast path has to decline
-// it) or not (the reference path has to check too).
+// of range must not decode, canonical JSON or not. (A binary record has no
+// room for a vector of another length: see the record-length cases below.)
 func TestUnmarshalEventRejectsWrongDimensions(t *testing.T) {
 	events, _ := GenerateEvents(DefaultEventsSpec(1, 1))
-	good, _ := events[0].Marshal()
+	good, _ := json.Marshal(events[0])
 	vector := func(field string) string {
 		at := strings.Index(string(good), `"`+field+`":`) + len(field) + 3
 		return string(good[at : at+strings.Index(string(good[at:]), "]")+1])
@@ -276,6 +365,39 @@ func TestUnmarshalEventRejectsWrongDimensions(t *testing.T) {
 	for _, data := range []string{`{"id":"x"}`, strings.Replace(string(good), `"agg_stats":`+vector("agg_stats")+`,`, "", 1)} {
 		if _, err := UnmarshalEvent([]byte(data)); err == nil {
 			t.Errorf("%s decoded as an event", data)
+		}
+	}
+}
+
+// putLastFloat overwrites the last float of a binary event record.
+func putLastFloat(rec []byte, f float64) []byte {
+	binary.LittleEndian.PutUint64(rec[len(rec)-8:], math.Float64bits(f))
+	return rec
+}
+
+// TestUnmarshalEventRejectsMalformedRecords names what is wrong with a binary
+// record Marshal could not have written.
+func TestUnmarshalEventRejectsMalformedRecords(t *testing.T) {
+	events, _ := GenerateEvents(DefaultEventsSpec(1, 1))
+	rec, _ := events[0].Marshal() // magic, gold, ID length 14, "event-00000000", floats
+	edit := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(rec)) }
+	for _, c := range []struct {
+		data []byte
+		want string
+	}{
+		{rec[:2], "record of 2 bytes is truncated"},
+		{edit(func(b []byte) []byte { b[1] = 2; return b }), "gold byte is 2, want 0 or 1"},
+		{edit(func(b []byte) []byte { b[2] = 0xff; return b[:3] }), "id length is not a minimal uvarint"},
+		{edit(func(b []byte) []byte { b[2] |= 0x80; return append(b[:3:3], append([]byte{0}, b[3:]...)...) }), "id length is not a minimal uvarint"},
+		{rec[:10], "id of 14 bytes runs past the end of the record"},
+		{edit(func(b []byte) []byte { b[2]--; return b }), fmt.Sprintf("record is %d bytes, want %d", len(rec), len(rec)-1)},
+		{rec[:len(rec)-8], fmt.Sprintf("record is %d bytes, want %d", len(rec)-8, len(rec))},
+		{append(bytes.Clone(rec), rec[len(rec)-8:]...), fmt.Sprintf("record is %d bytes, want %d", len(rec)+8, len(rec))},
+		{edit(func(b []byte) []byte { return putLastFloat(b, math.NaN()) }), "unsupported value: NaN"},
+		{edit(func(b []byte) []byte { return putLastFloat(b, math.Inf(-1)) }), "unsupported value: -Inf"},
+	} {
+		if _, err := UnmarshalEvent(c.data); err == nil || err.Error() != "corpus: decode event: "+c.want {
+			t.Errorf("%x: error %v, want %q", c.data, err, c.want)
 		}
 	}
 }

@@ -15,10 +15,12 @@
 //     labeling function covers, giving the discriminative model headroom to
 //     generalize beyond the generative model (Table 2).
 //
-// JSON is both the record format (what staging writes and map tasks read)
-// and the wire format (a /v1/label request body is one record), with
-// encoding/json as its reference: Marshal and Unmarshal* are fast paths that
-// produce and accept what it does and defer to it otherwise (codec.go).
+// A Document's record (what staging writes and map tasks read) is JSON, which
+// is also the wire format (a /v1/label request body is one record), with
+// encoding/json as its reference: Document.Marshal and UnmarshalDocument are
+// fast paths that produce and accept what it does and defer to it otherwise.
+// An Event's record is fixed-width binary; UnmarshalEvent also reads an event
+// staged as JSON (codec.go).
 package corpus
 
 import (
@@ -81,7 +83,7 @@ func (d *Document) Marshal() ([]byte, error) {
 	if d == nil || !jsonenc.Finite(d.Crawler.EngagementScore, d.Crawler.DomainAuthority) {
 		return json.Marshal(d)
 	}
-	return marshal(func(b []byte) []byte { return appendDocument(b, d) }), nil
+	return marshalDocument(d), nil
 }
 
 // UnmarshalDocument decodes a recordio payload or a request body.

@@ -1,8 +1,11 @@
 package corpus
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 
 	"repro/internal/jsonenc"
@@ -114,25 +117,50 @@ func GenerateEvents(spec EventsSpec) ([]*Event, error) {
 	return events, nil
 }
 
-// Marshal encodes the event as a recordio payload, as json.Marshal would.
+// Marshal encodes the event as a binary recordio payload (codec.go), in one
+// allocation. It refuses what the labeling functions could not read: a nil
+// event, vectors not of the task's dimensions, and NaN or ±Inf.
 func (e *Event) Marshal() ([]byte, error) {
-	if e == nil || !jsonenc.Finite(e.Servable...) || !jsonenc.Finite(e.AggStats...) || !jsonenc.Finite(e.GraphScores...) {
-		return json.Marshal(e)
+	if e == nil {
+		return nil, errors.New("corpus: encode event: nil event")
 	}
-	return marshal(func(b []byte) []byte { return appendEvent(b, e) }), nil
+	if err := checkEventDims(e); err != nil {
+		return nil, fmt.Errorf("corpus: encode event %q: %w", e.ID, err)
+	}
+	var idLen [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(idLen[:], uint64(len(e.ID)))
+	b := append(make([]byte, 0, 2+n+len(e.ID)+8*eventDim), eventMagic, 0)
+	if e.Gold {
+		b[1] = 1
+	}
+	b = append(append(b, idLen[:n]...), e.ID...)
+	for _, v := range [...][]float64{e.Servable, e.AggStats, e.GraphScores} {
+		for _, f := range v {
+			if !jsonenc.Finite(f) {
+				return nil, fmt.Errorf("corpus: encode event %q: unsupported value: %v", e.ID, f)
+			}
+			b = binary.LittleEndian.AppendUint64(b, math.Float64bits(f))
+		}
+	}
+	return b, nil
 }
 
-// UnmarshalEvent decodes a recordio payload. An event whose vectors are not
-// of the task's dimensions is an error.
+// UnmarshalEvent decodes a recordio payload: a binary record Marshal wrote,
+// or any other payload as JSON, through encoding/json. An event whose
+// vectors are not of the task's dimensions is an error.
 func UnmarshalEvent(data []byte) (*Event, error) {
-	if e, ok := scanEvent(data); ok {
-		return e, nil
+	if len(data) == 0 || data[0] != eventMagic {
+		return unmarshalEventJSON(data)
 	}
-	return unmarshalEventJSON(data)
+	e, err := decodeEvent(data)
+	if err != nil {
+		return nil, fmt.Errorf("corpus: decode event: %w", err)
+	}
+	return e, nil
 }
 
 // unmarshalEventJSON is the reference decoder, and the path of every payload
-// scanEvent declines.
+// that is not a binary record.
 func unmarshalEventJSON(data []byte) (*Event, error) {
 	var e Event
 	if err := json.Unmarshal(data, &e); err != nil {
