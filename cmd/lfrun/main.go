@@ -18,8 +18,9 @@
 //	lfrun -root /tmp/dfs -task topic -list
 //	lfrun -root /tmp/dfs -task topic -lf ner_no_person -trace trace.json
 //
-// Tasks are discovered through the SDK's labeling-function registry
-// (pkg/drybell/lf), where each application registers its named Set.
+// -task names one of the document case studies' labeling-function sets,
+// topic or product (internal/apps); any other task is refused before
+// anything is staged or run.
 package main
 
 import (
@@ -28,6 +29,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -58,7 +60,7 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	if err := run(ctx, *root, *task, *name, *input, *shards, *par, *list, *trace); err != nil {
+	if err := run(ctx, os.Stdout, *root, *task, *name, *input, *shards, *par, *list, *trace); err != nil {
 		code := 1
 		if errors.Is(err, context.Canceled) {
 			code = 130 // conventional interrupted-by-signal exit
@@ -68,20 +70,28 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, root, task, name, input string, shards, par int, list bool, trace string) error {
-	// The task sets register themselves in the SDK's LF registry; from
-	// here on the tool only discovers by name, never by constructor.
-	if err := apps.RegisterSets(1); err != nil {
-		return err
+// taskSet resolves -task to its labeling-function set.
+func taskSet(task string) (*lf.Set[*corpus.Document], error) {
+	switch task {
+	case "topic":
+		return apps.TopicSet(nil, 0.02, 1)
+	case "product":
+		return apps.ProductSet(nil, 1)
+	default:
+		return nil, fmt.Errorf("unknown task %q (topic or product)", task)
 	}
-	set, err := lf.Lookup[*corpus.Document](task)
+}
+
+// run is the whole command; its report goes to out.
+func run(ctx context.Context, out io.Writer, root, task, name, input string, shards, par int, list bool, trace string) error {
+	set, err := taskSet(task)
 	if err != nil {
 		return err
 	}
 	if list {
-		fmt.Printf("%-34s %-18s %s\n", "name", "category", "servable")
+		fmt.Fprintf(out, "%-34s %-18s %s\n", "name", "category", "servable")
 		for _, m := range set.Metas() {
-			fmt.Printf("%-34s %-18s %v\n", m.Name, m.Category, m.Servable)
+			fmt.Fprintf(out, "%-34s %-18s %v\n", m.Name, m.Category, m.Servable)
 		}
 		return nil
 	}
@@ -129,7 +139,7 @@ func run(ctx context.Context, root, task, name, input string, shards, par int, l
 		if err != nil {
 			return err
 		}
-		fmt.Printf("staged %d documents into %d shards under %s\n", n, shards, root)
+		fmt.Fprintf(out, "staged %d documents into %d shards under %s\n", n, shards, root)
 	}
 
 	mx, report, err := p.ExecuteLFs(ctx, []drybell.LF[*corpus.Document]{chosen})
@@ -137,9 +147,9 @@ func run(ctx context.Context, root, task, name, input string, shards, par int, l
 		return err
 	}
 	rep := report.PerLF[0]
-	fmt.Printf("%s: %d examples in %v (pos %d / neg %d / abstain %d)\n",
+	fmt.Fprintf(out, "%s: %d examples in %v (pos %d / neg %d / abstain %d)\n",
 		rep.Name, report.Examples, rep.Duration.Round(1e6), rep.Positives, rep.Negatives, rep.Abstains)
-	fmt.Printf("execution: %d task attempts (%d speculative), %d tasks resumed\n",
+	fmt.Fprintf(out, "execution: %d task attempts (%d speculative), %d tasks resumed\n",
 		report.TaskAttempts, report.SpeculativeAttempts, report.TasksResumed)
 	if observer != nil {
 		f, err := os.Create(trace)
@@ -153,7 +163,7 @@ func run(ctx context.Context, root, task, name, input string, shards, par int, l
 		if err := f.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("trace written to %s (load in https://ui.perfetto.dev)\n", trace)
+		fmt.Fprintf(out, "trace written to %s (load in https://ui.perfetto.dev)\n", trace)
 	}
 	// Votes from every invocation accumulate as columns of one store; show
 	// the operator its (verified) column union and this invocation's segment.
@@ -165,8 +175,8 @@ func run(ctx context.Context, root, task, name, input string, shards, par int, l
 	if err != nil {
 		return err
 	}
-	fmt.Printf("vote store %s: columns %v\n", p.VotesBase(), columns)
-	fmt.Println("   published", segment)
+	fmt.Fprintf(out, "vote store %s: columns %v\n", p.VotesBase(), columns)
+	fmt.Fprintln(out, "   published", segment)
 	return nil
 }
 

@@ -3,7 +3,7 @@
 // This example builds a small celebrity-content LF set from the template
 // library (pkg/drybell/lf) — a keyword Func, a model-based threshold, an
 // aggregation-based two-pass function, and combinators deriving new
-// functions from existing ones — registers it as a named Set, runs the
+// functions from existing ones — collects it into a named Set, runs the
 // batch pipeline with a dev set attached, and prints the development-loop
 // analysis report (coverage, overlaps, conflicts, empirical accuracy) that
 // an LF author iterates against.
@@ -110,11 +110,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := lf.Register(set); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("registered sets: %v\n", lf.RegisteredSets())
-	fmt.Printf("census: %v\n\n", set.Census())
+	fmt.Printf("set %s: census %v\n\n", set.Name(), set.Census())
 
 	// --- Run the batch pipeline with a dev set attached. ---
 	// A small hand-labeled dev set (here: gold labels for the first 500

@@ -52,11 +52,6 @@ func EventLFs(n int, seed int64) []EventLF {
 	return out
 }
 
-// EventSet is EventLFs as a named, validated set for registry discovery.
-func EventSet(n int, seed int64) (*lf.Set[*corpus.Event], error) {
-	return lf.NewSet("events", EventLFs(n, seed)...)
-}
-
 // modelBasedEventLF scores a random 3-feature linear model over the
 // aggregates and votes outside a dead zone — the ModelFunc template
 // verbatim.

@@ -176,7 +176,7 @@ func expandTranslations(g kgraph.Client, keywords []string) map[string][]string 
 	return out
 }
 
-// ProductSet is ProductLFs as a named, validated set for registry discovery.
+// ProductSet is ProductLFs as a named, validated set (cmd/lfrun's "product").
 func ProductSet(graph kgraph.Client, seed int64) (*lf.Set[*corpus.Document], error) {
 	return lf.NewSet("product", ProductLFs(graph, seed)...)
 }

@@ -190,7 +190,7 @@ func TopicLFs(graph kgraph.Client, nerMissRate float64, seed int64) []DocLF {
 	}
 }
 
-// TopicSet is TopicLFs as a named, validated set for registry discovery.
+// TopicSet is TopicLFs as a named, validated set (cmd/lfrun's "topic").
 func TopicSet(graph kgraph.Client, nerMissRate float64, seed int64) (*lf.Set[*corpus.Document], error) {
 	return lf.NewSet("topic", TopicLFs(graph, nerMissRate, seed)...)
 }

@@ -1,9 +1,8 @@
-// Package breaker is a minimal three-state circuit breaker shared by the
-// serving tier (NLP-annotator health behind /v1/label) and the remote
-// execution tier (worker-side coordinator client). It exists so callers can
-// stop hammering a dependency that is demonstrably down and switch to a
-// cheaper degraded path, then probe their way back once the dependency
-// recovers.
+// Package breaker is a minimal three-state circuit breaker. Its one user is
+// the serving tier's NLP-annotator health check behind /v1/label (CI fails
+// on any other non-test import). It exists so the server can stop hammering
+// a dependency that is demonstrably down and switch to a cheaper degraded
+// path, then probe its way back once the dependency recovers.
 //
 // States follow the classic discipline:
 //
@@ -14,8 +13,8 @@
 //	            the breaker, its Failure reopens it for another Cooldown.
 //
 // The breaker is deliberately tiny: no rolling windows, no error-rate math.
-// Consecutive-failure counting is the right shape for the dependencies here
-// (a model server or coordinator is either reachable or it is not), and it
+// Consecutive-failure counting is the right shape for the dependency here
+// (a model server is either reachable or it is not), and it
 // keeps state transitions easy to reason about under test.
 package breaker
 

@@ -207,7 +207,8 @@ func TestExecuteMergesAcrossInvocations(t *testing.T) {
 // touches the DFS, MapReduce, or the executor. It decodes the marshaled
 // documents itself, fits two-pass functions from the decoded slice, and
 // calls each function's Vote once per document in input order through one
-// per-node instance.
+// per-node instance. Each NLP instance gets a model server of its own from
+// its NewAnnotator — never the set-wide ResolveAnnotator the engine uses.
 func oracleVotes(t *testing.T, lfs []lfapi.LF[*corpus.Document], records [][]byte) *labelmodel.Matrix {
 	t.Helper()
 	ctx := context.Background()
@@ -236,6 +237,16 @@ func oracleVotes(t *testing.T, lfs []lfapi.LF[*corpus.Document], records [][]byt
 		inst := f
 		if nl, ok := f.(lfapi.NodeLocal[*corpus.Document]); ok {
 			inst = nl.ForNode()
+		}
+		if src, ok := inst.(lfapi.AnnotatorSource); ok {
+			ann, stop, err := src.NewAnnotator()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stop != nil {
+				defer stop()
+			}
+			inst.(lfapi.Annotatable).SetAnnotator(ann)
 		}
 		lc, hasLifecycle := inst.(lfapi.Lifecycle)
 		if hasLifecycle {

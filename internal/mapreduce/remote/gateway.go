@@ -139,22 +139,22 @@ type FSClient struct {
 	base string
 	hc   *http.Client
 
-	retry       Policy
-	maxAttempts int
-	seeds       *retrySeeds
+	retry Policy
+	seeds *retrySeeds
 
 	// mRetries counts transport-error retries; nil when no Metrics was given.
 	mRetries *obs.Counter
 }
+
+// gatewayMaxAttempts bounds tries per idempotent gateway operation, the
+// first attempt included.
+const gatewayMaxAttempts = 3
 
 // FSClientOptions tunes the gateway client's resilience.
 type FSClientOptions struct {
 	// Retry is the backoff schedule for idempotent-operation retries.
 	// Zero fields inherit DefaultPolicy.
 	Retry Policy
-	// MaxAttempts bounds tries per idempotent operation (first attempt
-	// included). Defaults to 3; 1 disables retries.
-	MaxAttempts int
 	// Seed decorrelates this client's retry jitter from its neighbours'.
 	// Defaults to a hash of base.
 	Seed uint64
@@ -175,18 +175,14 @@ func NewFSClientOpts(base string, hc *http.Client, opts FSClientOptions) *FSClie
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	if opts.MaxAttempts <= 0 {
-		opts.MaxAttempts = 3
-	}
 	if opts.Seed == 0 {
 		opts.Seed = SeedString(base)
 	}
 	c := &FSClient{
-		base:        strings.TrimSuffix(base, "/"),
-		hc:          hc,
-		retry:       opts.Retry,
-		maxAttempts: opts.MaxAttempts,
-		seeds:       newRetrySeeds(opts.Seed),
+		base:  strings.TrimSuffix(base, "/"),
+		hc:    hc,
+		retry: opts.Retry,
+		seeds: newRetrySeeds(opts.Seed),
 	}
 	if opts.Metrics != nil {
 		c.mRetries = opts.Metrics.Counter("drybell_remote_client_retries_total",
@@ -240,7 +236,7 @@ func (c *FSClient) doResilient(op, path string, build func() (*http.Request, err
 		if err == nil {
 			return c.checkResp(resp, op, path)
 		}
-		if attempt >= c.maxAttempts {
+		if attempt >= gatewayMaxAttempts {
 			return nil, &dfs.PathError{Op: op, Path: path, Err: err}
 		}
 		if c.mRetries != nil {

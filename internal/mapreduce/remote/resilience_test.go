@@ -69,10 +69,9 @@ func TestLeaseSweeperHeartbeatRaceSingleExpiry(t *testing.T) {
 // check: every HTTP call a worker makes — register, lease, heartbeat,
 // complete, and all DFS gateway I/O — runs through a fault-injecting
 // transport that drops and delays requests on a seeded schedule. The
-// shared backoff policy, the coordinator-client breaker, lease expiry, and
-// first-commit-wins must absorb all of it and still return values — and
-// checkpoints committed through the gateway — byte-identical to a
-// fault-free in-process run.
+// shared backoff policy, lease expiry, and first-commit-wins must absorb
+// all of it and still return values — and checkpoints committed through
+// the gateway — byte-identical to a fault-free in-process run.
 func TestRemoteByteIdenticalUnderNetworkFaults(t *testing.T) {
 	words := testWords(120)
 	want := reference(t, words, 6)
@@ -104,10 +103,6 @@ func TestRemoteByteIdenticalUnderNetworkFaults(t *testing.T) {
 				Client:      &http.Client{Transport: faults},
 				PollWait:    100 * time.Millisecond,
 				Retry:       Policy{Base: 2 * time.Millisecond, Max: 50 * time.Millisecond},
-				// A small threshold and cooldown keep breaker trips — which
-				// injected drops will cause — from stalling the test.
-				BreakerThreshold: 3,
-				BreakerCooldown:  50 * time.Millisecond,
 			})
 			// A worker canceled mid-register reports the cancellation;
 			// anything else is a real failure.

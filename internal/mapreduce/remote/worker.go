@@ -8,7 +8,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/breaker"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
 )
@@ -53,9 +52,6 @@ type WorkerOptions struct {
 	Client *http.Client
 	// PollWait is how long each lease request long-polls. Defaults to 2s.
 	PollWait time.Duration
-	// HeartbeatEvery is the lease renewal interval. Defaults to a third of
-	// the TTL the coordinator grants, and is clamped below TTL.
-	HeartbeatEvery time.Duration
 	// Retry is the shared backoff-with-jitter schedule for every retrying
 	// coordinator interaction: registration, lease polls after transport
 	// errors, completion reports, and the DFS gateway client's idempotent
@@ -66,21 +62,16 @@ type WorkerOptions struct {
 	// the coordinator re-runs it elsewhere) so SIGTERM cannot hang forever
 	// on a stuck task. 0 means drain without bound.
 	DrainTimeout time.Duration
-	// BreakerThreshold is how many consecutive transport failures open the
-	// coordinator-client circuit breaker (heartbeat failures included —
-	// they are the earliest partition signal). While open, the lease loop
-	// waits out the cooldown instead of hammering a dead coordinator.
-	// Defaults to 5.
-	BreakerThreshold int
-	// BreakerCooldown is how long the breaker stays open before probing.
-	// Defaults to 2s.
-	BreakerCooldown time.Duration
-	// Metrics, when non-nil, records the client's resilience decisions
-	// (retries, breaker state) as registry series.
+	// Metrics, when non-nil, records the DFS gateway client's transport
+	// retries as a registry series.
 	Metrics *obs.Registry
 	// Hooks inject faults for tests.
 	Hooks WorkerHooks
 }
+
+// heartbeatsPerTTL is how many times per granted TTL a worker renews its
+// lease, so one lost beat does not cost the lease.
+const heartbeatsPerTTL = 3
 
 // errKilled distinguishes a hook-simulated death inside the lease loop.
 var errKilled = fmt.Errorf("remote: worker killed by fault hook")
@@ -95,10 +86,6 @@ type workerClient struct {
 
 	// seeds decorrelates the jitter streams of this worker's retry loops.
 	seeds *retrySeeds
-	// br is the coordinator-client circuit breaker: every control-plane
-	// call feeds it (transport error = failure, any HTTP answer =
-	// success), and the register/lease loops consult it before dialing.
-	br *breaker.Breaker
 }
 
 // RunWorker registers with the coordinator and serves tasks until ctx
@@ -125,23 +112,11 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 	if opts.PollWait <= 0 {
 		opts.PollWait = 2 * time.Second
 	}
-	if opts.BreakerThreshold <= 0 {
-		opts.BreakerThreshold = 5
-	}
-	if opts.BreakerCooldown <= 0 {
-		opts.BreakerCooldown = 2 * time.Second
-	}
 	hc := opts.Client
 	if hc == nil {
 		hc = http.DefaultClient
 	}
 	seeds := newRetrySeeds(SeedString(opts.Coordinator + "/" + opts.Name))
-	var brOpts []breaker.Option
-	if opts.Metrics != nil {
-		state := opts.Metrics.Gauge("drybell_remote_client_breaker_state",
-			"Coordinator-client breaker position (0 closed, 1 open, 2 half-open).")
-		brOpts = append(brOpts, breaker.WithOnChange(func(s breaker.State) { state.Set(float64(s)) }))
-	}
 	w := &workerClient{
 		opts: opts,
 		fs: NewFSClientOpts(opts.Coordinator, hc, FSClientOptions{
@@ -152,25 +127,17 @@ func RunWorker(ctx context.Context, opts WorkerOptions) error {
 		hc:    hc,
 		built: make(map[string]mapreduce.Mapper),
 		seeds: seeds,
-		br:    breaker.New(opts.BreakerThreshold, opts.BreakerCooldown, brOpts...),
 	}
 	if err := w.register(ctx); err != nil {
 		return err
 	}
-	// One backoff walks the whole lease loop: transport errors and
-	// breaker-open waits stretch it, any successful round resets it.
+	// One backoff walks the whole lease loop: transport errors stretch it,
+	// any successful round resets it.
 	bo := opts.Retry.Start(seeds.next())
 	for {
 		if ctx.Err() != nil {
 			w.deregister()
 			return nil
-		}
-		if !w.br.Allow() {
-			// Breaker open: the coordinator is unreachable by every
-			// signal we have (heartbeats included). Wait out the backoff
-			// instead of stacking doomed long-polls.
-			bo.Sleep(ctx)
-			continue
 		}
 		spec, leaseID, ttl, status, err := w.lease(ctx)
 		switch {
@@ -242,15 +209,8 @@ func (w *workerClient) serve(ctx context.Context, spec mapreduce.TaskSpec, lease
 		}()
 	}
 
-	hbEvery := w.opts.HeartbeatEvery
-	if hbEvery <= 0 {
-		hbEvery = ttl / 3
-	}
-	if hbEvery >= ttl {
-		hbEvery = ttl / 2
-	}
 	hbDone := make(chan struct{})
-	go w.heartbeatLoop(taskCtx, spec, leaseID, hbEvery, abandon, hbDone)
+	go w.heartbeatLoop(taskCtx, spec, leaseID, ttl/heartbeatsPerTTL, abandon, hbDone)
 
 	if w.opts.Hooks.Stall != nil {
 		w.opts.Hooks.Stall(spec)
@@ -322,16 +282,14 @@ func (w *workerClient) execute(ctx context.Context, spec mapreduce.TaskSpec) (*m
 func (w *workerClient) register(ctx context.Context) error {
 	bo := w.opts.Retry.Start(w.seeds.next())
 	for {
-		if w.br.Allow() {
-			var resp registerResponse
-			status, err := w.post("/register", registerRequest{Name: w.opts.Name}, &resp)
-			if err == nil && status == http.StatusOK && resp.WorkerID != "" {
-				w.id = resp.WorkerID
-				return nil
-			}
-			if err == nil && status == http.StatusServiceUnavailable {
-				return fmt.Errorf("remote: coordinator pool closed")
-			}
+		var resp registerResponse
+		status, err := w.post("/register", registerRequest{Name: w.opts.Name}, &resp)
+		if err == nil && status == http.StatusOK && resp.WorkerID != "" {
+			w.id = resp.WorkerID
+			return nil
+		}
+		if err == nil && status == http.StatusServiceUnavailable {
+			return fmt.Errorf("remote: coordinator pool closed")
 		}
 		if ctx.Err() != nil {
 			return fmt.Errorf("remote: registering with %s: %w", w.opts.Coordinator, ctx.Err())
@@ -359,10 +317,8 @@ func (w *workerClient) lease(ctx context.Context) (spec mapreduce.TaskSpec, leas
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.hc.Do(req)
 	if err != nil {
-		w.br.Failure()
 		return spec, "", 0, 0, err
 	}
-	w.br.Success()
 	defer drain(resp)
 	if resp.StatusCode != http.StatusOK {
 		return spec, "", 0, resp.StatusCode, nil
@@ -398,9 +354,7 @@ func (w *workerClient) complete(leaseID string, result *mapreduce.TaskResult, ta
 }
 
 // post sends one JSON request to a control endpoint and decodes the
-// response into out when it is non-nil and the status is 200. Every call
-// feeds the coordinator-client breaker: a transport error is a failure,
-// any HTTP answer — whatever its status — proves the coordinator is alive.
+// response into out when it is non-nil and the status is 200.
 func (w *workerClient) post(endpoint string, body, out any) (int, error) {
 	payload, err := json.Marshal(body)
 	if err != nil {
@@ -413,10 +367,8 @@ func (w *workerClient) post(endpoint string, body, out any) (int, error) {
 	req.Header.Set("Content-Type", "application/json")
 	resp, err := w.hc.Do(req)
 	if err != nil {
-		w.br.Failure()
 		return 0, err
 	}
-	w.br.Success()
 	defer drain(resp)
 	if out != nil && resp.StatusCode == http.StatusOK {
 		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {

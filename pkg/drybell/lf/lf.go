@@ -14,7 +14,7 @@
 //   - Func: the default pipeline (LabelingFunction) — a pure heuristic.
 //   - NLPFunc: the model-server pipeline (NLPLabelingFunction) — its set
 //     shares one NLP model server per compute node offline and one cached
-//     annotator online.
+//     annotator online, launched, injected and stopped by the engine.
 //   - GraphFunc: the knowledge-graph pipeline — queries a kgraph.Client
 //     through an injected LRU cache.
 //   - ModelFunc: the model-based pipeline — thresholds an internal
@@ -23,7 +23,7 @@
 //     whose first pass computes corpus-level statistics.
 //
 // Combinators (Threshold, Invert, FirstOf, All) derive new functions from
-// existing ones, a Set names an application's functions for discovery, and
+// existing ones, a Set names and validates an application's functions, and
 // Analyze produces the Snorkel development-loop report (coverage, overlaps,
 // conflicts, empirical accuracy against a dev set).
 package lf
@@ -77,10 +77,11 @@ type Meta struct {
 // executor evaluates a whole set inside each map task of one fused job, the
 // online serving path evaluates the same values per request.
 //
-// Implementations may additionally implement Lifecycle (expensive
+// Implementations may additionally implement Lifecycle (per-function
 // resources), NodeLocal (per-compute-node state), CorpusFitter (two-pass
-// corpus statistics), and Annotatable (injected shared NLP service); engines
-// discover these capabilities by interface assertion.
+// corpus statistics), and AnnotatorSource/Annotatable (the set's shared NLP
+// service, which the engine launches, injects and stops); engines discover
+// these capabilities by interface assertion.
 type LF[T any] interface {
 	// LFMeta returns the function's metadata.
 	LFMeta() Meta
@@ -90,10 +91,11 @@ type LF[T any] interface {
 	Vote(ctx context.Context, x T) (Label, error)
 }
 
-// Lifecycle is implemented by labeling functions holding expensive
-// resources (model servers, graph connections). Engines call Setup before
-// the first Vote and Teardown after the last. Both must be safe to call
-// more than once.
+// Lifecycle is implemented by labeling functions holding resources of their
+// own (GraphFunc's cached graph client). Engines call Setup before the first
+// Vote and Teardown after the last. Both must be safe to call more than
+// once. The NLP model server is not one of them: it belongs to the set, and
+// the engine owns it (see AnnotatorSource).
 type Lifecycle interface {
 	Setup(ctx context.Context) error
 	Teardown(ctx context.Context) error

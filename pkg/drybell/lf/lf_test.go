@@ -82,12 +82,21 @@ func templateLFs() map[string]lf.LF[*corpus.Document] {
 }
 
 // TestVoteBatchMatchesScalar is the equivalence contract: for every
-// template, VoteAll over the corpus must equal Vote per record.
+// template, VoteAll over the corpus must equal Vote per record. An NLP
+// function gets its service injected first, as an engine would.
 func TestVoteBatchMatchesScalar(t *testing.T) {
 	docs := testDocs()
 	for name, f := range templateLFs() {
 		t.Run(name, func(t *testing.T) {
 			ctx := context.Background()
+			if src, ok := f.(lf.AnnotatorSource); ok {
+				ann, stop, err := src.NewAnnotator()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer stop()
+				f.(lf.Annotatable).SetAnnotator(ann)
+			}
 			batch, err := lf.VoteAll(ctx, f, docs)
 			if err != nil {
 				t.Fatal(err)
@@ -236,9 +245,6 @@ func TestNLPFuncSharedAnnotatorInjection(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.SetAnnotator(shared)
-	if err := f.Setup(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := f.Vote(ctx, "no people here"); err != nil {
 		t.Fatal(err)
 	}
@@ -252,34 +258,32 @@ func TestNLPFuncSharedAnnotatorInjection(t *testing.T) {
 		t.Errorf("NewAnnotator after injection = %v, stop set %v, err %v, %d launches; want the injected cache and nothing to stop",
 			ann, stop != nil, err, launches)
 	}
-	if err := f.Teardown(ctx); err != nil {
-		t.Fatal(err)
-	}
 	if !srv.Launched() {
-		t.Error("teardown stopped the injected annotator's server")
+		t.Error("the injected annotator's server stopped")
 	}
-	// Without injection, Setup launches and Teardown stops an owned server.
-	var owned *nlp.Server
-	own := &lf.NLPFunc[string]{
-		Meta: lf.Meta{Name: "own"},
+}
+
+// TestNLPFuncVoteWithoutAnnotatorFails: the engine owns the NLP service, so
+// a function voted before any annotator was injected fails with an error
+// naming it — and launches no server of its own.
+func TestNLPFuncVoteWithoutAnnotatorFails(t *testing.T) {
+	launches := 0
+	f := &lf.NLPFunc[string]{
+		Meta: lf.Meta{Name: "ner_unwired"},
 		NewServer: func() *nlp.Server {
-			owned = nlp.NewServer(0, 1)
-			return owned
+			launches++
+			return nlp.NewServer(0, 1)
 		},
 		GetText:  func(s string) string { return s },
 		GetValue: func(string, *nlp.Result) lf.Label { return lf.Abstain },
 	}
-	if err := own.Setup(ctx); err != nil {
-		t.Fatal(err)
+	for _, inst := range []lf.LF[string]{f, f.ForNode()} {
+		if _, err := inst.Vote(context.Background(), "Ava Stone"); err == nil || !strings.Contains(err.Error(), "ner_unwired") {
+			t.Errorf("vote without an annotator: error %v, want one naming the function", err)
+		}
 	}
-	if owned == nil || !owned.Launched() {
-		t.Error("Setup did not launch the function's own server")
-	}
-	if err := own.Teardown(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if owned.Launched() {
-		t.Error("server still running after teardown")
+	if launches != 0 {
+		t.Errorf("voting launched %d model servers, want 0", launches)
 	}
 }
 

@@ -1,10 +1,6 @@
 package lf
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Set is a named, validated collection of labeling functions — one
 // application's weak-supervision sources, in label-matrix column order. A
@@ -59,66 +55,3 @@ func (s *Set[T]) Census() map[Category]int { return Census(s.lfs) }
 
 // ServableIndices returns the column indices of servable functions.
 func (s *Set[T]) ServableIndices() []int { return ServableIndices(s.lfs) }
-
-// ---------------------------------------------------------------------------
-// Registry: per-application LF discovery.
-
-var (
-	registryMu sync.RWMutex
-	registry   = map[string]any{}
-)
-
-// Register adds a set to the process-wide registry under its name, so tools
-// can discover an application's labeling functions without linking against
-// its package directly. Registering a name twice is an error; Unregister
-// first to replace.
-func Register[T any](s *Set[T]) error {
-	if s == nil {
-		return fmt.Errorf("lf: Register(nil)")
-	}
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	if _, dup := registry[s.name]; dup {
-		return fmt.Errorf("lf: set %q already registered", s.name)
-	}
-	registry[s.name] = s
-	return nil
-}
-
-// Lookup returns the registered set with the given name. The example type
-// must match the one the set was registered with.
-func Lookup[T any](name string) (*Set[T], error) {
-	registryMu.RLock()
-	v, ok := registry[name]
-	registryMu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("lf: no registered set %q (registered: %v)", name, RegisteredSets())
-	}
-	s, ok := v.(*Set[T])
-	if !ok {
-		return nil, fmt.Errorf("lf: set %q is registered for a different example type (%T)", name, v)
-	}
-	return s, nil
-}
-
-// Unregister removes a registered set, reporting whether it existed.
-func Unregister(name string) bool {
-	registryMu.Lock()
-	defer registryMu.Unlock()
-	_, ok := registry[name]
-	delete(registry, name)
-	return ok
-}
-
-// RegisteredSets returns the registered set names, sorted.
-func RegisteredSets() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	//drybellvet:ordered — collection only; sorted immediately below
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}

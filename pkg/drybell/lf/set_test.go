@@ -41,46 +41,6 @@ func TestSetValidationAndLookup(t *testing.T) {
 	}
 }
 
-func TestRegistry(t *testing.T) {
-	s, err := lf.NewSet("registry-demo", fixedLF("a", lf.Positive, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lf.Unregister("registry-demo") })
-	if err := lf.Register(s); err != nil {
-		t.Fatal(err)
-	}
-	if err := lf.Register(s); err == nil {
-		t.Error("double registration accepted")
-	}
-	got, err := lf.Lookup[int]("registry-demo")
-	if err != nil || got.Name() != "registry-demo" {
-		t.Fatalf("Lookup: %v", err)
-	}
-	// Wrong example type is a descriptive error, not a silent miss.
-	if _, err := lf.Lookup[string]("registry-demo"); err == nil {
-		t.Error("type-mismatched lookup succeeded")
-	}
-	if _, err := lf.Lookup[int]("absent"); err == nil {
-		t.Error("lookup of unregistered set succeeded")
-	}
-	found := false
-	for _, name := range lf.RegisteredSets() {
-		if name == "registry-demo" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("registered set not listed")
-	}
-	if !lf.Unregister("registry-demo") {
-		t.Error("unregister missed the set")
-	}
-	if lf.Unregister("registry-demo") {
-		t.Error("second unregister reported success")
-	}
-}
-
 // TestEvaluatorSharesOneAnnotator: a set with two NLP functions must end up
 // consulting one shared cached annotator, with cache hits on repeats.
 func TestEvaluatorSharesOneAnnotator(t *testing.T) {

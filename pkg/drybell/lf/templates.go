@@ -48,17 +48,17 @@ func (f *Func[T]) Vote(_ context.Context, x T) (Label, error) {
 // the two slots of the paper's NLPLabelingFunction example.
 //
 // The NLP models are too expensive to run more than once per document, so a
-// set of NLP functions shares one service, resolved by ResolveAnnotator and
-// injected with SetAnnotator: offline the batch executor launches one model
-// server per map task (compute node) and stops it in the task's teardown;
-// online the Evaluator puts one cached annotator in front of one server. A
-// function run on its own, outside an engine, launches its configured server
-// in Setup and stops it in Teardown.
+// set of NLP functions shares one service, and the engine running the set
+// owns it: it resolves the service with ResolveAnnotator, injects it with
+// SetAnnotator before the first vote, and stops it when it is done. Offline
+// the batch executor launches one model server per map task (compute node)
+// and stops it in the task's teardown; online the Evaluator puts one cached
+// annotator in front of one server. A function never launches a server for
+// itself: voted before an engine injected one, it returns an error.
 type NLPFunc[T any] struct {
 	Meta Meta
-	// NewServer constructs the model server the function's set launches on
-	// each compute node. Ignored once an annotator has been injected with
-	// SetAnnotator.
+	// NewServer constructs the model server an engine launches for the
+	// function's set on each compute node (see NewAnnotator).
 	NewServer func() *nlp.Server
 	// GetText selects the text to send to the NLP models.
 	GetText func(T) string
@@ -66,25 +66,25 @@ type NLPFunc[T any] struct {
 	// The result may be shared with other functions: treat it as read-only.
 	GetValue func(T, *nlp.Result) Label
 
-	mu    sync.Mutex
-	ann   nlp.Annotator // guarded by mu; injected, or the owned server
-	owned *nlp.Server   // guarded by mu; server this instance launched (stopped in Teardown)
+	mu  sync.Mutex
+	ann nlp.Annotator // guarded by mu; the service an engine injected
 }
 
 // LFMeta implements LF.
 func (f *NLPFunc[T]) LFMeta() Meta { return f.Meta }
 
-// SetAnnotator implements Annotatable: subsequent votes consult a instead of
-// launching the template's own model server. An already-launched owned
-// server is stopped.
+// SetAnnotator implements Annotatable: subsequent votes consult a.
 func (f *NLPFunc[T]) SetAnnotator(a nlp.Annotator) {
 	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.owned != nil {
-		f.owned.Stop()
-		f.owned = nil
-	}
 	f.ann = a
+	f.mu.Unlock()
+}
+
+// annotator returns the injected annotator, or nil before injection.
+func (f *NLPFunc[T]) annotator() nlp.Annotator {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.ann
 }
 
 // NewAnnotator implements AnnotatorSource. A function holding an injected
@@ -93,71 +93,20 @@ func (f *NLPFunc[T]) SetAnnotator(a nlp.Annotator) {
 // model server and hands it to the caller together with its Stop; with no
 // NewServer configured it has nothing to offer.
 func (f *NLPFunc[T]) NewAnnotator() (nlp.Annotator, func(), error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.ann != nil && f.owned == nil {
-		return f.ann, nil, nil
+	if ann := f.annotator(); ann != nil {
+		return ann, nil, nil
 	}
 	if f.NewServer == nil {
 		return nil, nil, nil
 	}
-	srv, err := f.launch()
-	if err != nil {
-		return nil, nil, err
-	}
-	return srv, srv.Stop, nil
-}
-
-// launch builds and launches one instance of the configured model server.
-func (f *NLPFunc[T]) launch() (*nlp.Server, error) {
 	srv := f.NewServer()
 	if srv == nil {
-		return nil, fmt.Errorf("lf %s: NewServer returned nil", f.Meta.Name)
+		return nil, nil, fmt.Errorf("lf %s: NewServer returned nil", f.Meta.Name)
 	}
 	if err := srv.Launch(); err != nil {
-		return nil, fmt.Errorf("lf %s: launch model server: %w", f.Meta.Name, err)
+		return nil, nil, fmt.Errorf("lf %s: launch model server: %w", f.Meta.Name, err)
 	}
-	return srv, nil
-}
-
-// annotator returns the function's annotator, launching the owned model
-// server on first use when none was injected.
-func (f *NLPFunc[T]) annotator() (nlp.Annotator, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.ann != nil {
-		return f.ann, nil
-	}
-	if f.NewServer == nil {
-		return nil, fmt.Errorf("lf %s: NLPFunc has no NewServer and no injected annotator", f.Meta.Name)
-	}
-	srv, err := f.launch()
-	if err != nil {
-		return nil, err
-	}
-	f.owned = srv
-	f.ann = srv
-	return f.ann, nil
-}
-
-// Setup implements Lifecycle: it launches the model server (unless an
-// annotator was injected).
-func (f *NLPFunc[T]) Setup(context.Context) error {
-	_, err := f.annotator()
-	return err
-}
-
-// Teardown implements Lifecycle: it stops the model server this instance
-// launched. Injected annotators are left to their owner.
-func (f *NLPFunc[T]) Teardown(context.Context) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.owned != nil {
-		f.owned.Stop()
-		f.owned = nil
-		f.ann = nil
-	}
-	return nil
+	return srv, srv.Stop, nil
 }
 
 // ForNode implements NodeLocal: each compute node gets its own instance, so
@@ -165,13 +114,7 @@ func (f *NLPFunc[T]) Teardown(context.Context) error {
 // base value other tasks share. An annotator injected into the base carries
 // over to the instance.
 func (f *NLPFunc[T]) ForNode() LF[T] {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	clone := &NLPFunc[T]{Meta: f.Meta, NewServer: f.NewServer, GetText: f.GetText, GetValue: f.GetValue}
-	if f.owned == nil {
-		clone.ann = f.ann //drybellvet:locked — freshly constructed clone, not yet shared
-	}
-	return clone
+	return &NLPFunc[T]{Meta: f.Meta, NewServer: f.NewServer, GetText: f.GetText, GetValue: f.GetValue, ann: f.annotator()}
 }
 
 // Vote implements LF.
@@ -179,9 +122,9 @@ func (f *NLPFunc[T]) Vote(_ context.Context, x T) (Label, error) {
 	if f.GetText == nil || f.GetValue == nil {
 		return 0, fmt.Errorf("lf %s: NLPFunc needs GetText and GetValue", f.Meta.Name)
 	}
-	ann, err := f.annotator()
-	if err != nil {
-		return 0, err
+	ann := f.annotator()
+	if ann == nil {
+		return 0, fmt.Errorf("lf %s: no NLP annotator injected (run the function through an engine, or SetAnnotator first)", f.Meta.Name)
 	}
 	res, err := ann.Annotate(f.GetText(x))
 	if err != nil {

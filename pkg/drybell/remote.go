@@ -121,8 +121,8 @@ type RemoteWorkerOptions struct {
 	// coordinator re-runs it elsewhere), so SIGTERM cannot hang on a stuck
 	// task. 0 drains without bound.
 	DrainTimeout time.Duration
-	// Observer, when non-nil, records the worker's resilience decisions
-	// (retries, breaker state) into its metrics registry.
+	// Observer, when non-nil, records the worker's DFS gateway retries into
+	// its metrics registry.
 	Observer *Observer
 }
 
