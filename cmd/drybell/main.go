@@ -199,8 +199,8 @@ func printRun(res *drybell.Result) {
 	fmt.Printf("\npipeline: stage=%v execute=%v labelmodel=%v persist=%v\n",
 		res.Timings.Stage.Round(1e6), res.Timings.Execute.Round(1e6),
 		res.Timings.TrainLabelModel.Round(1e6), res.Timings.Persist.Round(1e6))
-	fmt.Printf("execution: %d task attempts (%d speculative), %d tasks resumed\n",
-		res.LFReport.TaskAttempts, res.LFReport.SpeculativeAttempts, res.LFReport.TasksResumed)
+	fmt.Printf("execution: %d task attempts, %d tasks resumed\n",
+		res.LFReport.TaskAttempts, res.LFReport.TasksResumed)
 	fmt.Printf("labels written to %s\n\n", res.LabelsPath)
 
 	fmt.Printf("%-34s %9s %9s %9s %9s\n", "labeling function", "pos", "neg", "abstain", "acc(est)")

@@ -412,8 +412,8 @@ func train(ctx context.Context, fsys drybell.FS, reg *serving.FSRegistry, observ
 		return 0, err
 	}
 	if rep := res.LFReport; rep != nil {
-		fmt.Printf("execution: %d task attempts (%d speculative), %d tasks resumed\n",
-			rep.TaskAttempts, rep.SpeculativeAttempts, rep.TasksResumed)
+		fmt.Printf("execution: %d task attempts, %d tasks resumed\n",
+			rep.TaskAttempts, rep.TasksResumed)
 	}
 	clf, err := drybell.TrainContentClassifier(trainDocs, res.Posteriors, dev, drybell.ContentTrainConfig{
 		FeatureDim: 1 << 16, Bigrams: bigrams, Iterations: 10 * len(trainDocs), Seed: seed + 3,

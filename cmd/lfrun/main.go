@@ -149,8 +149,8 @@ func run(ctx context.Context, out io.Writer, root, task, name, input string, sha
 	rep := report.PerLF[0]
 	fmt.Fprintf(out, "%s: %d examples in %v (pos %d / neg %d / abstain %d)\n",
 		rep.Name, report.Examples, rep.Duration.Round(1e6), rep.Positives, rep.Negatives, rep.Abstains)
-	fmt.Fprintf(out, "execution: %d task attempts (%d speculative), %d tasks resumed\n",
-		report.TaskAttempts, report.SpeculativeAttempts, report.TasksResumed)
+	fmt.Fprintf(out, "execution: %d task attempts, %d tasks resumed\n",
+		report.TaskAttempts, report.TasksResumed)
 	if observer != nil {
 		f, err := os.Create(trace)
 		if err != nil {

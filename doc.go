@@ -15,14 +15,13 @@
 // per-function executables (§5.4) are that same job run over a one-function
 // set, each invocation merging its column into the shared artifact
 // (cmd/lfrun). The job runs on a coordinator/worker MapReduce runtime
-// (internal/mapreduce) with per-task retry budgets, speculative
-// re-execution of stragglers, and DFS-checkpointed task manifests. Two
-// pipeline options surface the failure model: WithRetries sets the
-// per-task attempt budget, and WithResume recovers a crashed run from
-// filesystem state — skipping the staged corpus, loading completed vote
-// artifacts, and re-executing only tasks without committed checkpoints.
-// WithStragglerAfter enables deadline-based speculation. See the
-// "Distributed execution" section of README.md.
+// (internal/mapreduce) with per-task retry budgets, one attempt per task
+// in flight, and DFS-checkpointed task manifests. Two pipeline options
+// surface the failure model: WithRetries sets the per-task attempt budget,
+// and WithResume recovers a crashed run from filesystem state — skipping
+// the staged corpus, loading completed vote artifacts, and re-executing
+// only tasks without committed checkpoints. See the "Distributed
+// execution" section of README.md.
 //
 // The same runtime scales past one process: internal/mapreduce/remote
 // (surfaced as drybell.RemotePool, WithRemoteWorkers, and

@@ -62,11 +62,6 @@ type Config[T any] struct {
 	// MapReduce jobs: a task may fail this many times (worker crashes,
 	// filesystem faults) before the run does. Default 3.
 	MaxAttempts int
-	// StragglerAfter enables deadline-based speculative re-execution in the
-	// execution runtime: a task attempt still running after this duration
-	// gets one speculative sibling, and the first commit wins. Zero
-	// disables speculation.
-	StragglerAfter time.Duration
 	// Resume makes the pipeline recover a crashed run from filesystem state
 	// instead of restarting from zero: staging is skipped when the corpus
 	// is already committed, completed vote artifacts are loaded instead of
@@ -530,11 +525,8 @@ func ExecuteLFs[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]) (*
 	if report != nil && cfg.Obs != nil && cfg.Obs.Metrics != nil {
 		reg := cfg.Obs.Metrics
 		reg.Counter("pipeline_task_attempts_total",
-			"MapReduce task attempts launched by labeling-function execution, including retries and speculative attempts.").
+			"MapReduce task attempts launched by labeling-function execution, including retries.").
 			Add(int64(report.TaskAttempts))
-		reg.Counter("pipeline_speculative_attempts_total",
-			"Straggler-triggered speculative task attempts.").
-			Add(int64(report.SpeculativeAttempts))
 		reg.Counter("pipeline_tasks_resumed_total",
 			"Tasks satisfied from a prior run's checkpoints instead of re-executing.").
 			Add(int64(report.TasksResumed))
@@ -556,16 +548,15 @@ func LoadMatrix[T any](cfg Config[T], names []string) (*labelmodel.Matrix, error
 
 func (c Config[T]) executor() *lf.Executor[T] {
 	return &lf.Executor[T]{
-		FS:             c.FS,
-		InputBase:      c.InputBase(),
-		OutputPrefix:   c.VotesPrefix(),
-		Decode:         c.Decode,
-		Parallelism:    c.Parallelism,
-		MaxAttempts:    c.MaxAttempts,
-		StragglerAfter: c.StragglerAfter,
-		Resume:         c.Resume,
-		KnownExamples:  c.knownExamples,
-		Workers:        c.Workers,
+		FS:            c.FS,
+		InputBase:     c.InputBase(),
+		OutputPrefix:  c.VotesPrefix(),
+		Decode:        c.Decode,
+		Parallelism:   c.Parallelism,
+		MaxAttempts:   c.MaxAttempts,
+		Resume:        c.Resume,
+		KnownExamples: c.knownExamples,
+		Workers:       c.Workers,
 	}
 }
 

@@ -89,8 +89,8 @@ func (f *FaultFS) FailNext(op Op, match string, times int) {
 	f.scripts = append(f.scripts, &scriptRule{op: op, match: match, times: times})
 }
 
-// SetLatency injects a fixed delay before every operation, widening the
-// race windows straggler and speculation tests rely on.
+// SetLatency injects a fixed delay before every operation, slowing every
+// attempt and widening the race windows concurrent-task tests rely on.
 func (f *FaultFS) SetLatency(d time.Duration) {
 	f.mu.Lock()
 	defer f.mu.Unlock()

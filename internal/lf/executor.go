@@ -50,10 +50,6 @@ type Executor[T any] struct {
 	Parallelism int
 	// MaxAttempts per task (worker failures are retried).
 	MaxAttempts int
-	// StragglerAfter enables the runtime's deadline-based speculative
-	// re-execution for vote jobs: a task attempt still running after this
-	// duration gets one speculative sibling, first commit wins.
-	StragglerAfter time.Duration
 	// Resume enables checkpoint/resume for vote execution. At the job level
 	// the coordinator records per-task manifests so a crashed Execute
 	// re-runs only uncommitted tasks; at the stage level a generation 0
@@ -98,13 +94,11 @@ type Report struct {
 	// Duration is the wall time across all jobs.
 	Duration time.Duration
 	// TaskAttempts counts MapReduce task attempts launched across all vote
-	// jobs, including retries and speculative attempts.
+	// jobs, including retries.
 	TaskAttempts int
 	// TasksResumed counts tasks satisfied from a prior run's checkpoints
 	// instead of re-executing (only non-zero with Executor.Resume).
 	TasksResumed int
-	// SpeculativeAttempts counts straggler-triggered speculative launches.
-	SpeculativeAttempts int
 	// ModelServersLaunched counts the map tasks that launched an NLP model
 	// server for the function set — one per task when the set has NLP
 	// functions and no injected annotator, zero otherwise. Like every job
@@ -147,7 +141,6 @@ func (e *Executor[T]) ExecuteContext(ctx context.Context, lfs []lfapi.LF[T]) (*V
 	if report != nil {
 		span.SetAttr(
 			obs.Int("task_attempts", report.TaskAttempts),
-			obs.Int("speculative_attempts", report.SpeculativeAttempts),
 			obs.Int("tasks_resumed", report.TasksResumed),
 			obs.Bool("resumed_from_votes", report.ResumedFromVotes),
 		)
@@ -374,26 +367,24 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 	}
 
 	res, err := mapreduce.RunContext(ctx, mapreduce.Job{
-		Name:           "lf-votes",
-		FS:             e.FS,
-		InputBase:      inputBase,
-		Mapper:         &fusedTask[T]{ctx: ctx, lfs: lfs, decode: e.Decode},
-		Parallelism:    e.Parallelism,
-		Workers:        e.Workers,
-		Code:           FusedVoteCode(names),
-		MaxAttempts:    e.MaxAttempts,
-		StragglerAfter: e.StragglerAfter,
-		Resume:         e.Resume,
-		ScratchBase:    scratchBase,
-		ResumeKey:      resumeKeyFor(names),
-		FailureHook:    e.FailureHook,
+		Name:        "lf-votes",
+		FS:          e.FS,
+		InputBase:   inputBase,
+		Mapper:      &fusedTask[T]{ctx: ctx, lfs: lfs, decode: e.Decode},
+		Parallelism: e.Parallelism,
+		Workers:     e.Workers,
+		Code:        FusedVoteCode(names),
+		MaxAttempts: e.MaxAttempts,
+		Resume:      e.Resume,
+		ScratchBase: scratchBase,
+		ResumeKey:   resumeKeyFor(names),
+		FailureHook: e.FailureHook,
 	})
 	if err != nil {
 		return nil, nil, nil, 0, fmt.Errorf("lf: execute: %w", err)
 	}
 	report.TaskAttempts = res.Attempts
 	report.TasksResumed = res.SkippedTasks
-	report.SpeculativeAttempts = res.SpeculativeAttempts
 	report.ModelServersLaunched = res.Counters[serverCounter]
 	total := 0
 	for _, shard := range res.MapOutputs {
@@ -444,11 +435,12 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 func (e *Executor[T]) votesBase() string { return path.Join(e.OutputPrefix, "votes") }
 
 // attemptCtx prefers the engine's per-attempt context over the run context:
-// votes evaluated under it stop promptly when the coordinator cancels a
-// losing speculative attempt, freeing the worker. The attempt context is a
-// child of the run context, so run-level cancellation still reaches every
-// vote. Setup/Teardown stay on the run context — a canceled attempt must
-// still stop whatever its Setup started.
+// votes evaluated under it stop promptly when the job shuts down after
+// another task's permanent failure, or when a remote worker's lease ends,
+// freeing the worker. The attempt context is a child of the run context, so
+// run-level cancellation still reaches every vote. Setup/Teardown stay on
+// the run context — a canceled attempt must still stop whatever its Setup
+// started.
 func attemptCtx(tctx *mapreduce.TaskContext, run context.Context) context.Context {
 	if tctx.Ctx != nil {
 		return tctx.Ctx
@@ -483,8 +475,8 @@ type fusedState[T any] struct {
 // annotationMemo is one map task's view of its NLP service: the annotations
 // of the batch being mapped, keyed on the annotated text (MapBatch starts
 // each batch with an empty map). It belongs to one task attempt, which votes
-// on one goroutine, so it takes no lock; a retried or speculative attempt
-// builds its own. Errors are not remembered.
+// on one goroutine, so it takes no lock; a retried attempt builds its own.
+// Errors are not remembered.
 type annotationMemo struct {
 	inner nlp.Annotator
 	seen  map[string]*nlp.Result

@@ -14,12 +14,11 @@
 //   - per-task Setup/Teardown hooks, used to launch a model server on each
 //     "compute node" (the NLPLabelingFunction template),
 //   - named counters aggregated across tasks,
-//   - deterministic output independent of worker count, scheduling, retries
-//     and speculation,
-//   - per-task retry budgets: worker failures re-execute the task, and a
-//     killed attempt never publishes partial output (attempt isolation),
-//   - deadline-based straggler detection with speculative re-execution —
-//     first commit wins,
+//   - deterministic output independent of worker count, scheduling and
+//     retries,
+//   - per-task retry budgets: worker failures re-execute the task, one
+//     attempt at a time, and a killed attempt never publishes partial
+//     output (attempt isolation),
 //   - task-level checkpoint/resume: with Job.Resume, each task's values are
 //     written under an attempt-scoped path, the winner is promoted to
 //     _tasks/<task>.out by atomic rename, a manifest is recorded under
@@ -31,7 +30,6 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/obs"
@@ -45,8 +43,8 @@ type Emitter func(value []byte)
 // corresponds to one task attempt on one simulated compute node.
 type TaskContext struct {
 	// Ctx is the attempt's context: it is canceled when the run is canceled
-	// or when a sibling speculative attempt commits first. Long-running user
-	// code should honor it; the engine itself checks it between records.
+	// or another task fails permanently. Long-running user code should
+	// honor it; the engine itself checks it between records.
 	Ctx context.Context
 	// JobName is the owning job's name.
 	JobName string
@@ -128,12 +126,6 @@ type Job struct {
 	Workers []Worker
 	// MaxAttempts bounds attempts per task before the job fails. Defaults to 3.
 	MaxAttempts int
-	// StragglerAfter enables deadline-based speculative re-execution: a task
-	// attempt still running after this duration gets one speculative sibling
-	// on a free worker, and the first attempt to commit wins (the loser is
-	// canceled and its attempt-scoped output discarded). Zero disables
-	// speculation.
-	StragglerAfter time.Duration
 	// Resume enables task-level checkpoint/resume: each completed task's
 	// values are checkpointed to the scratch area's _tasks/ directory and
 	// its manifest (checkpoint path + counters) to _manifest/, and a re-run
@@ -167,13 +159,11 @@ type Result struct {
 	// MapTasks counts scheduled tasks (not attempts): one per input shard.
 	MapTasks int
 	// Attempts counts task attempts launched by this run, including failed
-	// and speculative ones. Tasks skipped via Resume launch none.
+	// ones. Tasks skipped via Resume launch none.
 	Attempts int
 	// SkippedTasks counts tasks satisfied from a prior run's checkpoints
 	// (always zero without Job.Resume).
 	SkippedTasks int
-	// SpeculativeAttempts counts straggler-triggered speculative launches.
-	SpeculativeAttempts int
 	// MapOutputs holds, per input shard, the values emitted by its task in
 	// emission order.
 	MapOutputs [][][]byte
@@ -224,15 +214,14 @@ func Run(job Job) (*Result, error) {
 // error satisfying errors.Is(err, ctx.Err()) and commits no further output.
 //
 // When ctx carries an obs.Tracer, the job records a span tree: one span per
-// job, one child span per task attempt (retries and speculative siblings are
-// sibling spans carrying win/lose outcome attributes).
+// job, one child span per task attempt (a task's retries are sibling spans
+// carrying outcome attributes).
 func RunContext(ctx context.Context, job Job) (*Result, error) {
 	ctx, span := obs.StartSpan(ctx, "mapreduce:"+job.Name)
 	res, err := runJob(ctx, job)
 	if res != nil {
 		span.SetAttr(
 			obs.Int("attempts", res.Attempts),
-			obs.Int("speculative", res.SpeculativeAttempts),
 			obs.Int("skipped_tasks", res.SkippedTasks),
 		)
 	}
@@ -296,7 +285,6 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 				Scratch:   c.scratch,
 				Persist:   job.Resume,
 			},
-			cancels: map[int]context.CancelFunc{},
 		}
 		if m, ok := c.manifests[t.spec.TaskID()]; ok {
 			c.adoptManifest(t, m)
@@ -312,11 +300,10 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 	}
 
 	res := &Result{
-		MapTasks:            len(inputShards),
-		Attempts:            int(c.attempts.Load()),
-		SkippedTasks:        c.skipped,
-		SpeculativeAttempts: int(c.speculative.Load()),
-		MapOutputs:          make([][][]byte, len(tasks)),
+		MapTasks:     len(inputShards),
+		Attempts:     int(c.attempts.Load()),
+		SkippedTasks: c.skipped,
+		MapOutputs:   make([][][]byte, len(tasks)),
 	}
 	for i, t := range tasks {
 		if err := ctx.Err(); err != nil {
@@ -324,15 +311,15 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 		}
 		// The run has joined: no worker goroutine is left to race these
 		// reads.
-		if t.resumed != nil { //drybellvet:locked — post-join read; workers have exited
-			vals, err := readTaskOutput(job.FS, t.resumed.Paths) //drybellvet:locked — post-join read; workers have exited
+		if t.resumed != nil {
+			vals, err := readTaskOutput(job.FS, t.resumed.Paths)
 			if err != nil {
 				return nil, fmt.Errorf("mapreduce: job %q: resume task %s: %w", job.Name, t.spec.TaskID(), err)
 			}
 			res.MapOutputs[i] = vals
 			continue
 		}
-		res.MapOutputs[i] = t.result.Values //drybellvet:locked — post-join read; workers have exited
+		res.MapOutputs[i] = t.result.Values
 	}
 	res.Counters = c.counters.Snapshot()
 

@@ -2,9 +2,7 @@ package mapreduce
 
 import (
 	"context"
-	"fmt"
 	"testing"
-	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/obs"
@@ -32,72 +30,11 @@ func findJobSpan(t *testing.T, spans []obs.SpanData, name string) obs.SpanData {
 	return obs.SpanData{}
 }
 
-// TestSpeculativeAttemptSpans: running a straggling job under a tracer, the
-// rescued task shows up as exactly two sibling attempt spans under the job
-// span — the speculative copy marked speculative=true — with exactly one
-// "won" outcome between them.
-func TestSpeculativeAttemptSpans(t *testing.T) {
-	fs := dfs.NewMem()
-	var recs [][]byte
-	for i := 0; i < 20; i++ {
-		recs = append(recs, []byte(fmt.Sprintf("r%03d", i)))
-	}
-	if err := WriteInput(fs, "in/r", recs, 4); err != nil {
-		t.Fatal(err)
-	}
-	tr := obs.NewTracer()
-	ctx := obs.WithTracer(context.Background(), tr)
-	res, err := RunContext(ctx, Job{
-		Name: "straggle", FS: fs, InputBase: "in/r",
-		Mapper:         slowFirstMapper{},
-		Parallelism:    4,
-		StragglerAfter: 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.SpeculativeAttempts == 0 {
-		t.Fatal("no speculative attempt launched; test is vacuous")
-	}
-
-	spans := tr.Snapshot()
-	job := findJobSpan(t, spans, "straggle")
-	var attempts []obs.SpanData
-	for _, s := range spans {
-		if attr(s, "task") == "map-00000" {
-			if s.Parent != job.ID {
-				t.Errorf("attempt span %q parent = %d, want job span %d", s.Name, s.Parent, job.ID)
-			}
-			attempts = append(attempts, s)
-		}
-	}
-	if len(attempts) != 2 {
-		t.Fatalf("straggling task recorded %d attempt spans, want 2 siblings", len(attempts))
-	}
-	var won, speculative int
-	for _, s := range attempts {
-		switch attr(s, "outcome") {
-		case "won":
-			won++
-		case "lost", "canceled":
-		default:
-			t.Errorf("attempt span %q has unexpected outcome %v", s.Name, attr(s, "outcome"))
-		}
-		if attr(s, "speculative") == true {
-			speculative++
-		}
-	}
-	if won != 1 {
-		t.Errorf("%d attempt spans marked \"won\", want exactly 1", won)
-	}
-	if speculative != 1 {
-		t.Errorf("%d attempt spans marked speculative, want exactly 1", speculative)
-	}
-}
-
 // TestKilledAttemptSpanError: an attempt killed by an injected filesystem
 // fault closes its span with error status and a "failed" outcome, while the
-// retry wins — so the trace shows both the failure and the recovery.
+// retry wins — so the trace shows both the failure and the recovery. Every
+// attempt span, the failed one and its retry included, is a child of the
+// job span.
 func TestKilledAttemptSpanError(t *testing.T) {
 	fs := dfs.NewFaultFS(dfs.NewMem(), 7)
 	stageWords(t, fs, "in/w", faultyWords(), 4)
@@ -118,8 +55,17 @@ func TestKilledAttemptSpanError(t *testing.T) {
 	}
 
 	spans := tr.Snapshot()
+	jobSpan := findJobSpan(t, spans, job.Name)
 	var failed, retried bool
+	attempts := 0
 	for _, s := range spans {
+		if attr(s, "task") == nil {
+			continue
+		}
+		attempts++
+		if s.Parent != jobSpan.ID {
+			t.Errorf("attempt span %q parent = %d, want job span %d", s.Name, s.Parent, jobSpan.ID)
+		}
 		if attr(s, "outcome") == "failed" {
 			if s.Err == "" {
 				t.Errorf("failed attempt span %q closed without error status", s.Name)
@@ -143,5 +89,8 @@ func TestKilledAttemptSpanError(t *testing.T) {
 	}
 	if res.Attempts != res.MapTasks+1 {
 		t.Errorf("attempts = %d, want %d (one retry)", res.Attempts, res.MapTasks+1)
+	}
+	if attempts != res.Attempts {
+		t.Errorf("%d attempt spans, want one per attempt (%d)", attempts, res.Attempts)
 	}
 }

@@ -144,7 +144,7 @@ func newPoolMetrics(reg *obs.Registry) *poolMetrics {
 // seam as Workers(): slot proxies implementing mapreduce.Worker whose
 // RunTask blocks until some registered worker process executes the task —
 // or until its lease expires, which surfaces as an attempt failure the
-// coordinator's retry and straggler machinery already knows how to absorb.
+// coordinator's retry machinery already knows how to absorb.
 type Pool struct {
 	opts    PoolOptions
 	fs      dfs.FS
@@ -324,7 +324,7 @@ func (p *Pool) sweep() {
 // enqueues the spec for some remote worker process and blocks for the
 // outcome. The coordinator drives it exactly like an in-process worker —
 // one goroutine, one task at a time — so every upstream guarantee
-// (retries, speculation, first-commit-wins) holds unchanged.
+// (retry budgets, one promoted attempt per task) holds unchanged.
 type slotWorker struct {
 	p *Pool
 }
@@ -554,8 +554,8 @@ func (p *Pool) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // lease must still be live: a worker whose lease expired — even one that
 // finished the work — gets 410, because the coordinator already charged
 // the attempt as failed and may have re-executed it elsewhere. The
-// zombie's attempt-scoped output simply never gets promoted; that is the
-// first-commit-wins discipline crossing the process boundary.
+// zombie's attempt-scoped output simply never gets promoted: one attempt
+// per task is promoted, across the process boundary too.
 func (p *Pool) handleComplete(w http.ResponseWriter, r *http.Request) {
 	var req completeRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

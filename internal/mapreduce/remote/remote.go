@@ -14,8 +14,8 @@
 //     dispatch is covered by a lease that the worker must renew with
 //     heartbeats. A lease that expires — the worker died, or a partition is
 //     dropping its heartbeats — fails the dispatch, and the coordinator's
-//     existing retry/straggler machinery re-executes the task exactly as it
-//     would after an in-process worker crash. A zombie worker whose lease
+//     existing retry machinery re-executes the task exactly as it would
+//     after an in-process worker crash. A zombie worker whose lease
 //     expired gets 410 Gone for every later heartbeat or completion, so its
 //     output can never displace the promoted attempt's.
 //   - a minimal DFS gateway exposing the coordinator's dfs.FS, so workers
@@ -25,9 +25,8 @@
 //
 // Pool.Workers returns slot proxies implementing mapreduce.Worker, so a
 // remote job is just mapreduce.Job{Workers: pool.Workers(), Code: key}:
-// retries, speculative straggler re-execution, first-commit-wins promotion,
-// attempt isolation, and checkpoint/resume all apply unchanged across
-// process boundaries.
+// retry budgets, one promoted attempt per task, attempt isolation, and
+// checkpoint/resume all apply unchanged across process boundaries.
 //
 // The worker side is RunWorker: a loop that registers with the coordinator,
 // leases dispatches, resolves each TaskSpec's Code key in its job-code

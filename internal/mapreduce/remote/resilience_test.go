@@ -69,9 +69,10 @@ func TestLeaseSweeperHeartbeatRaceSingleExpiry(t *testing.T) {
 // check: every HTTP call a worker makes — register, lease, heartbeat,
 // complete, and all DFS gateway I/O — runs through a fault-injecting
 // transport that drops and delays requests on a seeded schedule. The
-// shared backoff policy, lease expiry, and first-commit-wins must absorb
-// all of it and still return values — and checkpoints committed through
-// the gateway — byte-identical to a fault-free in-process run.
+// shared backoff policy, lease expiry, and the 410 for an expired lease
+// must absorb all of it and still return values — and checkpoints
+// committed through the gateway — byte-identical to a fault-free
+// in-process run.
 func TestRemoteByteIdenticalUnderNetworkFaults(t *testing.T) {
 	words := testWords(120)
 	want := reference(t, words, 6)

@@ -28,9 +28,9 @@ type WorkerHooks struct {
 	// expires, the task re-runs elsewhere, and this worker's eventual
 	// completion is rejected with 410 Gone.
 	DropHeartbeats func(spec mapreduce.TaskSpec) bool
-	// Stall delays the leased spec's execution — a straggler. With
-	// speculation enabled the coordinator races a second attempt and the
-	// first committed result wins.
+	// Stall delays the leased spec's execution — a slow worker. Its
+	// heartbeats keep the lease alive, so the task waits for it; combined
+	// with DropHeartbeats the lease expires and the task re-runs elsewhere.
 	Stall func(spec mapreduce.TaskSpec)
 }
 

@@ -1,13 +1,11 @@
 package mapreduce
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/dfs"
 )
@@ -83,56 +81,6 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 			t.Errorf("records-in under faults = %d, want %d", got, len(words))
 		}
 	})
-}
-
-// slowFirstMapper stalls the first attempt of map-00000 until its attempt
-// context is canceled (or a long timeout), simulating a straggling node.
-type slowFirstMapper struct{}
-
-func (slowFirstMapper) Setup(*TaskContext) error    { return nil }
-func (slowFirstMapper) Teardown(*TaskContext) error { return nil }
-func (slowFirstMapper) Map(ctx *TaskContext, rec []byte, emit Emitter) error {
-	if ctx.TaskID == "map-00000" && ctx.Attempt == 1 {
-		select {
-		case <-ctx.Ctx.Done():
-			return ctx.Ctx.Err()
-		case <-time.After(10 * time.Second):
-		}
-	}
-	emit(bytes.ToUpper(rec))
-	return nil
-}
-
-// TestStragglerSpeculativeExecution: a task stuck past the deadline gets a
-// speculative sibling, the sibling's commit wins, the straggler is canceled,
-// and the output is exactly the clean run's.
-func TestStragglerSpeculativeExecution(t *testing.T) {
-	fs := dfs.NewMem()
-	var recs [][]byte
-	for i := 0; i < 20; i++ {
-		recs = append(recs, []byte(fmt.Sprintf("r%03d", i)))
-	}
-	if err := WriteInput(fs, "in/r", recs, 4); err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	res, err := Run(Job{
-		Name: "straggle", FS: fs, InputBase: "in/r",
-		Mapper:         slowFirstMapper{},
-		Parallelism:    4,
-		StragglerAfter: 30 * time.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("speculation did not rescue the straggler in time")
-	}
-	if res.SpeculativeAttempts == 0 {
-		t.Error("no speculative attempt launched for the straggler")
-	}
-	// No loss, no duplication.
-	assertOutputs(t, res.MapOutputs, upperReference(recordsToStrings(recs), 4))
 }
 
 // TestResumeSkipsCommittedTasks: a run that dies mid-job leaves task

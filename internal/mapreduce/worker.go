@@ -17,8 +17,8 @@ type TaskSpec struct {
 	Job string
 	// Index is the task's input shard index.
 	Index int
-	// Attempt is the 1-based attempt number, unique across retries and
-	// speculative launches of the same task.
+	// Attempt is the 1-based attempt number, unique across retries of the
+	// same task.
 	Attempt int
 	// Input is the task's input shard.
 	Input string
@@ -31,8 +31,8 @@ type TaskSpec struct {
 	// ignores it; a remote worker resolves it in its job-code registry.
 	Code string
 	// Scratch is the job's runtime area; a checkpoint file is committed
-	// under Scratch/_attempts/<task>/a<attempt> so a killed or losing
-	// attempt never touches a path any reader consumes.
+	// under Scratch/_attempts/<task>/a<attempt> so a killed attempt never
+	// touches a path any reader consumes.
 	Scratch string
 	// Persist asks the worker to also commit the emitted values as a
 	// checkpoint file (Job.Resume), so a resumed run can recover them
@@ -67,7 +67,7 @@ type TaskResult struct {
 	Records int
 	// Counters are the attempt's counter increments. The coordinator merges
 	// exactly one attempt's counters per task — the winner's — so job
-	// counters stay deterministic under retries and speculation.
+	// counters stay deterministic under retries.
 	Counters map[string]int64
 }
 

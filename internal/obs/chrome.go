@@ -29,7 +29,7 @@ type chromeTrace struct {
 // JSON (https://ui.perfetto.dev loads it directly). Spans are packed onto
 // lanes ("threads") greedily: a span shares a lane with its nearest open
 // ancestor so nesting renders as a flame graph, while overlapping
-// non-ancestor spans — concurrent task attempts, speculative siblings — get
+// non-ancestor spans — concurrent task attempts — get
 // their own lanes and render side by side as a Gantt chart.
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	b, err := t.ChromeTrace()

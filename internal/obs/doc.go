@@ -24,9 +24,8 @@
 // Tracer is attached to the context (WithTracer), StartSpan returns a nil
 // span whose methods are all no-ops — tracing off costs one context lookup.
 // The pipeline threads spans through every stage, the fused LF executor,
-// each MapReduce task attempt (retries and speculative siblings become
-// sibling spans with win/lose outcome attributes), and the serve request
-// paths.
+// each MapReduce task attempt (a task's retries become sibling spans with
+// outcome attributes), and the serve request paths.
 //
 // # Exporters
 //

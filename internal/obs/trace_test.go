@@ -95,8 +95,8 @@ func TestChromeTraceExport(t *testing.T) {
 	tr := NewTracer()
 	ctx := WithTracer(context.Background(), tr)
 	rctx, root := StartSpan(ctx, "job")
-	_, a := StartSpan(rctx, "attempt-0", Bool("speculative", false))
-	_, b := StartSpan(rctx, "attempt-1", Bool("speculative", true))
+	_, a := StartSpan(rctx, "attempt-0", Bool("retry", false))
+	_, b := StartSpan(rctx, "attempt-1", Bool("retry", true))
 	a.End()
 	b.EndErr(errors.New("lost"))
 	root.End()

@@ -46,7 +46,7 @@
 // For observability, WithObserver attaches a shared metrics registry and span
 // tracer (see NewObserver): every stage method records a span, Run's stages
 // record latency and error metrics, the MapReduce runtime counts task
-// attempts and speculative siblings, the filesystem wrapper counts
+// attempts and resumed tasks, the filesystem wrapper counts
 // per-operation calls, errors, and bytes, and a full span tree — pipeline,
 // stages, jobs, individual task attempts — is recorded and exported after
 // Run as a Perfetto-loadable Chrome trace at "<workdir>/_obs/trace.json".
@@ -59,16 +59,13 @@
 // runtime with a real failure model. WithRetries sets the per-task retry
 // budget (a failed task attempt — worker crash, filesystem fault, failed
 // commit — re-executes without side effects; attempt isolation guarantees
-// a killed attempt never publishes partial output). WithStragglerAfter
-// enables deadline-based speculative execution: a task running past the
-// deadline gets one speculative sibling and the first commit wins.
-// WithResume turns on checkpoint/resume: the runtime records per-task
-// manifests on the filesystem as tasks complete, and a re-run of a crashed
-// pipeline skips the staged corpus, loads completed vote artifacts, and
-// re-executes only the tasks whose checkpoints are missing — the paper's
-// "re-run only what's missing" recovery (§5.4). Resume requires sharing a
-// durable filesystem (WithFS + NewDiskFS) and the same work directory with
-// the crashed run.
+// a killed attempt never publishes partial output). WithResume turns on
+// checkpoint/resume: the runtime records per-task manifests on the
+// filesystem as tasks complete, and a re-run of a crashed pipeline skips
+// the staged corpus, loads completed vote artifacts, and re-executes only
+// the tasks whose checkpoints are missing — the paper's "re-run only what's
+// missing" recovery (§5.4). Resume requires sharing a durable filesystem
+// (WithFS + NewDiskFS) and the same work directory with the crashed run.
 //
 // Corpora evolve without full reruns. StageDelta records appended or deleted
 // documents and StageDeltaAt changed ones as corpus generations, and
@@ -137,19 +134,18 @@ func New[T any](opts ...Option) (*Pipeline[T], error) {
 		return nil, fmt.Errorf("drybell: WithCodec was built for a different example type than the pipeline's %T", zero)
 	}
 	cfg, err := core.Config[T]{
-		FS:             s.fs,
-		WorkDir:        s.workDir,
-		Encode:         codec.Encode,
-		Decode:         codec.Decode,
-		Shards:         s.shards,
-		Parallelism:    s.parallelism,
-		MaxAttempts:    s.maxAttempts,
-		StragglerAfter: s.stragglerAfter,
-		Resume:         s.resume,
-		LabelModel:     s.labelModel,
-		DevLabels:      s.devLabels,
-		Obs:            s.observer,
-		Workers:        s.workers,
+		FS:          s.fs,
+		WorkDir:     s.workDir,
+		Encode:      codec.Encode,
+		Decode:      codec.Decode,
+		Shards:      s.shards,
+		Parallelism: s.parallelism,
+		MaxAttempts: s.maxAttempts,
+		Resume:      s.resume,
+		LabelModel:  s.labelModel,
+		DevLabels:   s.devLabels,
+		Obs:         s.observer,
+		Workers:     s.workers,
 	}.WithDefaults()
 	if err != nil {
 		return nil, err

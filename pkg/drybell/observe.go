@@ -29,12 +29,11 @@ func NewObserver() *Observer { return obs.NewObserver() }
 // records metrics into the observer's registry (stage latencies, MapReduce
 // attempt counters, per-operation filesystem metrics via an instrumented FS
 // wrapper) and opens spans on its tracer — the pipeline run, each stage,
-// each MapReduce job, and every task attempt, speculative siblings
-// included. Run additionally exports the finished trace as a Chrome
-// trace-event JSON artifact at "<workdir>/_obs/trace.json" on the
-// pipeline's filesystem, loadable in Perfetto. Without this option the
-// pipeline records nothing and the instrumentation cost is a few nil
-// checks.
+// each MapReduce job, and every task attempt, retries included. Run
+// additionally exports the finished trace as a Chrome trace-event JSON
+// artifact at "<workdir>/_obs/trace.json" on the pipeline's filesystem,
+// loadable in Perfetto. Without this option the pipeline records nothing
+// and the instrumentation cost is a few nil checks.
 func WithObserver(o *Observer) Option {
 	return Option{f: func(s *settings) {
 		if o == nil {

@@ -2,7 +2,6 @@ package drybell
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/labelmodel"
 	"repro/internal/mapreduce"
@@ -27,19 +26,18 @@ type Option struct {
 // non-generic options compose with the generic WithCodec in one option list;
 // New re-checks the example type.
 type settings struct {
-	fs             FS
-	workDir        string
-	shards         int
-	parallelism    int
-	maxAttempts    int
-	stragglerAfter time.Duration
-	resume         bool
-	labelModel     labelmodel.Options
-	devLabels      []labelmodel.Label
-	observer       *obs.Observer
-	workers        []mapreduce.Worker
-	codec          any
-	err            error
+	fs          FS
+	workDir     string
+	shards      int
+	parallelism int
+	maxAttempts int
+	resume      bool
+	labelModel  labelmodel.Options
+	devLabels   []labelmodel.Label
+	observer    *obs.Observer
+	workers     []mapreduce.Worker
+	codec       any
+	err         error
 }
 
 func (s *settings) fail(err error) {
@@ -127,21 +125,6 @@ func WithRetries(n int) Option {
 			return
 		}
 		s.maxAttempts = n + 1
-	}}
-}
-
-// WithStragglerAfter enables deadline-based speculative execution in the
-// distributed runtime: a task attempt still running after d gets one
-// speculative sibling on a free worker, the first commit wins, and the
-// loser is canceled without side effects. Zero (the default) disables
-// speculation.
-func WithStragglerAfter(d time.Duration) Option {
-	return Option{f: func(s *settings) {
-		if d < 0 {
-			s.fail(fmt.Errorf("drybell: WithStragglerAfter(%v), want >= 0", d))
-			return
-		}
-		s.stragglerAfter = d
 	}}
 }
 

@@ -75,8 +75,8 @@ func NewRemotePool(opts RemotePoolOptions) (*RemotePool, error) {
 // built over the pipeline's filesystem, and every worker must carry the
 // pipeline's labeling-function set (RegisterRemoteLFs with the same
 // functions in the same order). Options that shape the in-process pool
-// (WithParallelism) are ignored for routed jobs; retries, speculation
-// (WithStragglerAfter), and resume apply unchanged.
+// (WithParallelism) are ignored for routed jobs; retries and resume apply
+// unchanged.
 func WithRemoteWorkers(pool *RemotePool) Option {
 	return Option{f: func(s *settings) {
 		if pool == nil {

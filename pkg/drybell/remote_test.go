@@ -117,9 +117,9 @@ func TestPipelineRemoteWorkersEquivalence(t *testing.T) {
 
 // TestPipelineRemoteWorkersFaultEquivalence is the other half: the same
 // equivalence with the remote fleet actively failing — a worker killed
-// dead on its first lease, another dropping heartbeats until its lease
-// expires, a third straggling into speculative re-execution, plus DFS
-// faults on the attempt files behind the gateway. Lease expiry must fold
+// dead on its first lease, another dropping heartbeats on its first lease
+// until that lease expires and stalling on every lease, plus DFS faults on
+// the attempt files behind the gateway. Lease expiry must fold
 // every remote failure mode into the coordinator's ordinary retry path,
 // and the persisted labels must not move by a byte.
 func TestPipelineRemoteWorkersFaultEquivalence(t *testing.T) {
@@ -161,7 +161,6 @@ func TestPipelineRemoteWorkersFaultEquivalence(t *testing.T) {
 		drybell.WithFS(fault),
 		drybell.WithRemoteWorkers(c.pool),
 		drybell.WithRetries(24),
-		drybell.WithStragglerAfter(100*time.Millisecond),
 	)
 	res, err := p.Run(context.Background(), drybell.SliceSource(docs), testRunners())
 	if err != nil {

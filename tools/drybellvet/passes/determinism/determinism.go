@@ -9,8 +9,8 @@
 //     order-sensitive consumption of the loop body diverges. Proven-sorted
 //     or order-insensitive loops are allowlisted with //drybellvet:ordered.
 //   - time.Now: wall-clock values must never reach artifacts. Timing that
-//     feeds only observability (durations in reports, straggler deadlines)
-//     is allowlisted with //drybellvet:wallclock.
+//     feeds only observability (durations in reports, lease deadlines) is
+//     allowlisted with //drybellvet:wallclock.
 //   - math/rand package-level functions (rand.Uint64, rand.Intn, ...): the
 //     global generator is seeded randomly at process start. Explicitly
 //     seeded generators (rand.New(rand.NewSource(seed))) are fine and not
