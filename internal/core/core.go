@@ -530,6 +530,12 @@ func ExecuteLFs[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]) (*
 		reg.Counter("pipeline_tasks_resumed_total",
 			"Tasks satisfied from a prior run's checkpoints instead of re-executing.").
 			Add(int64(report.TasksResumed))
+		//drybellvet:tightloop — bounded by the function set, in-memory metric export
+		for _, r := range report.PerLF {
+			reg.Gauge("pipeline_lf_vote_seconds_total",
+				"Vote time per labeling function, summed over map tasks and corpus-fit passes (only ever added to).",
+				obs.Label{Key: "lf", Value: r.Name}).Add(r.Duration.Seconds())
+		}
 	}
 	return view, report, err
 }

@@ -45,6 +45,31 @@ func EncodeVotes(dst []byte, row []Label) error {
 	return nil
 }
 
+// VoteCounts is one column's vote histogram.
+type VoteCounts struct{ Abstains, Positives, Negatives int64 }
+
+// PutColumn is the checked encoder for one column of a row-major vote
+// buffer: it writes votes[i]'s canonical byte to dst[i*stride+col] and counts
+// it, one table lookup per vote. It returns the index of the first vote that
+// is not legal, counting nothing, or -1 when every one is.
+func (c *VoteCounts) PutColumn(dst []byte, stride, col int, votes []Label) int {
+	var voted, neg uint64
+	for i, v := range votes {
+		b := byte(v) //drybellvet:rawvote — stored only after the table check
+		code := voteCode[b]
+		if code&voteBad != 0 {
+			return i
+		}
+		voted += code & 1 // the positive and negative codes are odd
+		neg += code >> 1
+		dst[i*stride+col] = b
+	}
+	c.Abstains += int64(len(votes)) - int64(voted)
+	c.Positives += int64(voted - neg)
+	c.Negatives += int64(neg)
+	return -1
+}
+
 // DecodeVotes is EncodeVotes read backwards: it fills dst with the votes the
 // stored bytes src spell, in one table pass, and reports the index of the
 // first byte that is not a legal vote, or -1 when every one is.

@@ -79,7 +79,9 @@ type LFReport struct {
 	Servable bool
 	// Votes emitted by value.
 	Positives, Negatives, Abstains int64
-	// Duration of the function's MapReduce job (including a fit pass).
+	// Duration is the function's vote time summed over the map tasks that
+	// executed (one clock pair per task), plus its corpus-fit pass when it
+	// needed one. Zero when the votes were resumed rather than executed.
 	Duration time.Duration
 	// CorpusPasses is 2 for two-pass (aggregation-based) functions that
 	// needed a fit pass, 1 otherwise.
@@ -289,11 +291,15 @@ func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*View, *Report, bool) 
 		Examples:         staged,
 		ResumedFromVotes: true,
 	}
+	//drybellvet:tightloop — bounded by the function set, in-memory report assembly
 	for j, f := range lfs {
 		meta := f.LFMeta()
-		r := LFReport{Name: meta.Name, Category: meta.Category, Servable: meta.Servable}
-		for i := 0; i < staged; i++ {
-			switch mx.At(i, j) {
+		report.PerLF[j] = LFReport{Name: meta.Name, Category: meta.Category, Servable: meta.Servable}
+	}
+	//drybellvet:tightloop — one in-memory row-major pass over the loaded matrix
+	for i := 0; i < staged; i++ {
+		for j, v := range mx.Row(i) {
+			switch r := &report.PerLF[j]; v {
 			case labelmodel.Positive:
 				r.Positives++
 			case labelmodel.Negative:
@@ -302,7 +308,6 @@ func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*View, *Report, bool) 
 				r.Abstains++
 			}
 		}
-		report.PerLF[j] = r
 	}
 	report.Duration = time.Since(start)
 	return plan.view(mx), report, true
@@ -348,6 +353,7 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 	report := &Report{PerLF: make([]LFReport, len(lfs))}
 	names := make([]string, len(lfs))
 	passes := make([]int, len(lfs))
+	fits := make([]time.Duration, len(lfs))
 	for j, f := range lfs {
 		names[j] = f.LFMeta().Name
 		passes[j] = 1
@@ -357,7 +363,9 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 		// from the base run are reused via Fitted().
 		if fitter, ok := f.(lfapi.CorpusFitter[T]); ok && !fitter.Fitted() {
 			_, fitSpan := obs.StartSpan(ctx, "lf.fit "+names[j])
+			fitStart := time.Now() //drybellvet:wallclock — report durations only
 			err := fitter.FitCorpus(ctx, corpusSeq(e.FS, inputBase, e.Decode))
+			fits[j] = time.Since(fitStart)
 			fitSpan.EndErr(err)
 			if err != nil {
 				return nil, nil, nil, 0, fmt.Errorf("lf: fit %s: %w", names[j], err)
@@ -366,11 +374,12 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 		}
 	}
 
+	task := newFusedTask(ctx, lfs, e.Decode)
 	res, err := mapreduce.RunContext(ctx, mapreduce.Job{
 		Name:        "lf-votes",
 		FS:          e.FS,
 		InputBase:   inputBase,
-		Mapper:      &fusedTask[T]{ctx: ctx, lfs: lfs, decode: e.Decode},
+		Mapper:      task,
 		Parallelism: e.Parallelism,
 		Workers:     e.Workers,
 		Code:        FusedVoteCode(names),
@@ -413,17 +422,15 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 		}
 	}
 	report.Examples = total
-	dur := time.Since(start)
 	//drybellvet:tightloop — bounded by the function set, in-memory report assembly
 	for j, f := range lfs {
-		meta := f.LFMeta()
-		// The functions share one fused pass; each reports its wall time.
+		meta, k := f.LFMeta(), task.keys[j]
+		pos, neg := res.Counters[k.positive], res.Counters[k.negative]
 		report.PerLF[j] = LFReport{
 			Name: meta.Name, Category: meta.Category, Servable: meta.Servable,
-			Duration:     dur,
-			Positives:    res.Counters[voteCounterKey(meta.Name, "positive")],
-			Negatives:    res.Counters[voteCounterKey(meta.Name, "negative")],
-			Abstains:     res.Counters[voteCounterKey(meta.Name, "abstain")],
+			Duration:  fits[j] + time.Duration(res.Counters[k.nanos]),
+			Positives: pos, Negatives: neg,
+			Abstains:     int64(total) - pos - neg, // every function votes on every record
 			CorpusPasses: passes[j],
 		}
 	}
@@ -449,18 +456,37 @@ func attemptCtx(tctx *mapreduce.TaskContext, run context.Context) context.Contex
 }
 
 // fusedTask evaluates the whole labeling-function set inside one map task:
-// records are decoded once, every function votes over the decoded slice
-// (lfapi.VoteAll), and the task emits one packed n-byte vote row per record —
-// the columnar layout the vote artifact and the matrix assembly consume
-// directly. Per task (simulated compute node) it derives a NodeLocal instance
-// of every function, resolves the set's one NLP service the way the online
-// Evaluator does — the paper's "launch a model server on each node in Setup,
-// stop it in Teardown" — and puts a task-private memo in front of it, so each
-// distinct text is annotated once however many functions ask.
+// records are decoded once, every function writes its column of the task's
+// row buffer over the decoded slice (lfapi.VoteAll), and the task emits one
+// packed n-byte vote row per record — the columnar layout the vote artifact
+// and the matrix assembly consume directly. Each column is timed with one
+// clock pair and counted, and both reach the report through task counters.
+// Per task (simulated compute node) it derives a NodeLocal instance of every
+// function, resolves the set's one NLP service the way the online Evaluator
+// does — the paper's "launch a model server on each node in Setup, stop it in
+// Teardown" — and puts a task-private memo in front of it, so each distinct
+// text is annotated once however many functions ask.
 type fusedTask[T any] struct {
 	ctx    context.Context
 	lfs    []lfapi.LF[T]
 	decode func([]byte) (T, error)
+	keys   []voteKeys // per function, built once per job rather than per task
+}
+
+// voteKeys names one function's task counters.
+type voteKeys struct{ positive, negative, nanos string }
+
+func newFusedTask[T any](ctx context.Context, lfs []lfapi.LF[T], decode func([]byte) (T, error)) *fusedTask[T] {
+	keys := make([]voteKeys, len(lfs))
+	//drybellvet:tightloop — bounded by the function set, in-memory key construction
+	for j, f := range lfs {
+		// Counter names use "/"-separated segments by convention but are
+		// names in a flat registry, not DFS keys (path.Join would eat empty
+		// segments).
+		p := "votes/" + f.LFMeta().Name + "/" //drybellvet:notapath — counter name, not a DFS key
+		keys[j] = voteKeys{p + "positive", p + "negative", mapreduce.ClockCounterPrefix + p + "nanos"}
+	}
+	return &fusedTask[T]{ctx: ctx, lfs: lfs, decode: decode, keys: keys}
 }
 
 // fusedState is the per-task state: the instance of every function that
@@ -542,7 +568,7 @@ func (m *fusedTask[T]) Map(tctx *mapreduce.TaskContext, rec []byte, emit mapredu
 }
 
 // decodeCtxStride is how many records MapBatch decodes between context
-// checks: the stride lfapi.VoteAll votes with (its batchCtxStride).
+// checks: the stride lfapi.VoteAll votes with.
 const decodeCtxStride = 256
 
 // MapBatch implements mapreduce.BatchMapper.
@@ -568,31 +594,17 @@ func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, e
 	n := len(m.lfs)
 	rows := make([]byte, len(records)*n)
 	for j, inst := range st.instances {
-		meta := m.lfs[j].LFMeta()
-		votes, err := lfapi.VoteAll(ctx, inst, xs)
+		start := time.Now() //drybellvet:wallclock — per-function vote time for the report only
+		c, err := lfapi.VoteAll(ctx, inst, xs, rows, n, j)
 		if err != nil {
 			return err
 		}
-		var pos, neg, abs int64
-		for i, v := range votes {
-			b, err := labelmodel.VoteByte(v)
-			if err != nil {
-				return fmt.Errorf("lf %s: %w", meta.Name, err)
-			}
-			rows[i*n+j] = b
-			switch v {
-			case labelmodel.Positive:
-				pos++
-			case labelmodel.Negative:
-				neg++
-			default:
-				abs++
-			}
-		}
-		// One counter flush per function per task, not one per vote.
-		tctx.Counters.Inc(voteCounterKey(meta.Name, "positive"), pos)
-		tctx.Counters.Inc(voteCounterKey(meta.Name, "negative"), neg)
-		tctx.Counters.Inc(voteCounterKey(meta.Name, "abstain"), abs)
+		// One clock pair and one counter flush per function per task, not
+		// one per vote.
+		k := &m.keys[j]
+		tctx.Counters.Inc(k.nanos, int64(time.Since(start)))
+		tctx.Counters.Inc(k.positive, c.Positives)
+		tctx.Counters.Inc(k.negative, c.Negatives)
 	}
 	//drybellvet:tightloop — in-memory emit of rows already computed above
 	for i := range records {
@@ -636,13 +648,6 @@ func (e *Executor[T]) LoadMatrix(names []string) (*labelmodel.Matrix, error) {
 	}
 	mx, _, err := readVotes(e.FS, e.votesBase(), true, names)
 	return mx, err
-}
-
-// Counter names use "/"-separated segments by convention but are names in a
-// flat registry, not DFS keys, so they are deliberately built by plain
-// concatenation (path.Join would eat empty segments).
-func voteCounterKey(name, kind string) string {
-	return "votes/" + name + "/" + kind //drybellvet:notapath — counter name, not a DFS key
 }
 
 // serverCounter counts the map tasks that launched a model server.

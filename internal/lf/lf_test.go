@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/corpus"
 	"repro/internal/dfs"
@@ -366,8 +367,11 @@ func TestAggregateTwoPassExecution(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, docs, 2)
 	agg := &lfapi.AggregateFunc[*corpus.Document]{
-		Meta:    Meta{Name: "above_mean_engagement", Category: SourceHeuristic},
-		Extract: func(d *corpus.Document) float64 { return d.Crawler.EngagementScore },
+		Meta: Meta{Name: "above_mean_engagement", Category: SourceHeuristic},
+		Extract: func(d *corpus.Document) float64 {
+			time.Sleep(time.Millisecond)
+			return d.Crawler.EngagementScore
+		},
 		VoteWith: func(_ *corpus.Document, v float64, s lfapi.Summary) labelmodel.Label {
 			if v > s.Mean {
 				return labelmodel.Positive
@@ -382,6 +386,11 @@ func TestAggregateTwoPassExecution(t *testing.T) {
 	if rep.PerLF[0].CorpusPasses != 2 {
 		t.Errorf("corpus passes = %d, want 2", rep.PerLF[0].CorpusPasses)
 	}
+	// Both passes call Extract once per document, so the function's duration
+	// holds at least ten of its one-millisecond sleeps: the fit pass counts.
+	if d := rep.PerLF[0].Duration; d < 10*time.Millisecond {
+		t.Errorf("duration = %v, want the fit and vote passes' 10ms at least", d)
+	}
 	want := []labelmodel.Label{labelmodel.Negative, labelmodel.Negative, labelmodel.Negative, labelmodel.Positive, labelmodel.Positive}
 	for i, w := range want {
 		if mx.At(i, 0) != w {
@@ -390,6 +399,72 @@ func TestAggregateTwoPassExecution(t *testing.T) {
 	}
 	if s, ok := agg.Summary(); !ok || s.Count != 5 || s.Mean != 0.5 {
 		t.Errorf("summary = %+v ok=%v, want count 5 mean 0.5", s, ok)
+	}
+}
+
+// TestPerLFDurationIsVoteTime: each function's reported duration is its own
+// vote time summed over the map tasks. The durations sum to within 10% of
+// the tasks' vote phases as timed from inside the first and last functions,
+// and a deliberately slow function ranks first.
+func TestPerLFDurationIsVoteTime(t *testing.T) {
+	var docs []*corpus.Document
+	for k := 0; k < 4; k++ {
+		docs = append(docs, testDocs()...)
+	}
+	fs := dfs.NewMem()
+	stageDocs(t, fs, docs, 2)
+	type stamp struct {
+		col int
+		at  time.Time
+	}
+	var mu sync.Mutex
+	var stamps []stamp
+	mark := func(col int) labelmodel.Label {
+		mu.Lock()
+		stamps = append(stamps, stamp{col, time.Now()})
+		mu.Unlock()
+		return labelmodel.Abstain
+	}
+	lfs := []lfapi.LF[*corpus.Document]{
+		lfapi.New(Meta{Name: "first"}, func(*corpus.Document) labelmodel.Label { return mark(0) }),
+		keywordLF(),
+		lfapi.New(Meta{Name: "slow"}, func(*corpus.Document) labelmodel.Label {
+			time.Sleep(2 * time.Millisecond)
+			return labelmodel.Positive
+		}),
+		lfapi.New(Meta{Name: "last"}, func(*corpus.Document) labelmodel.Label { return mark(3) }),
+	}
+	e := docExecutor(fs)
+	e.Parallelism = 1 // tasks run one after another, so their phases do not overlap
+	_, report, err := e.Execute(lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A task votes column by column, so its vote phase runs from its first
+	// "first" vote to its last "last" vote.
+	var phases time.Duration
+	var start time.Time
+	for k, s := range stamps {
+		if s.col == 0 && (k == 0 || stamps[k-1].col == 3) {
+			start = s.at
+		}
+		if s.col == 3 && (k+1 == len(stamps) || stamps[k+1].col == 0) {
+			phases += s.at.Sub(start)
+		}
+	}
+	var sum time.Duration
+	slowest := report.PerLF[0]
+	for _, r := range report.PerLF {
+		sum += r.Duration
+		if r.Duration > slowest.Duration {
+			slowest = r
+		}
+	}
+	if diff := sum - phases; diff < -phases/10 || diff > phases/10 {
+		t.Errorf("per-function durations sum to %v, the tasks' vote phases to %v: more than 10%% apart", sum, phases)
+	}
+	if slowest.Name != "slow" {
+		t.Errorf("slowest function is %s (%v), want slow", slowest.Name, slowest.Duration)
 	}
 }
 

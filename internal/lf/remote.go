@@ -48,7 +48,7 @@ func RegisterVoteJobs[T any](reg *remote.Registry, lfs []lfapi.LF[T], decode fun
 			if err := fitAll(ctx, lfs, fs, inputBase, decode); err != nil {
 				return nil, err
 			}
-			return &fusedTask[T]{ctx: ctx, lfs: lfs, decode: decode}, nil
+			return newFusedTask(ctx, lfs, decode), nil
 		},
 	})
 }

@@ -185,7 +185,7 @@ func (c *coordinator) runAttempt(jobCtx context.Context, w Worker, t *taskState,
 			Index:    spec.Index,
 			Records:  res.Records,
 			Paths:    canonical,
-			Counters: res.Counters,
+			Counters: checkpointed(res.Counters),
 		})
 	}
 	finish()

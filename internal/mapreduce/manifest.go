@@ -28,8 +28,28 @@ type manifest struct {
 	// Paths holds the promoted values checkpoint, _tasks/<task>.out.
 	Paths []string `json:"paths"`
 	// Counters are the winning attempt's counter increments, replayed into
-	// the job counters when the task is skipped on resume.
+	// the job counters when the task is skipped on resume. Clock counters
+	// are left out (see ClockCounterPrefix).
 	Counters map[string]int64 `json:"counters,omitempty"`
+}
+
+// ClockCounterPrefix marks counters that measure wall time rather than count
+// results. They reach the job's totals like any counter but are never
+// checkpointed: a manifest stays a function of the task's input, and a task
+// resumed from one adds no time to a run it did not execute in.
+const ClockCounterPrefix = "clock/"
+
+// checkpointed returns the counters a manifest records: all but the clock
+// counters.
+func checkpointed(counters map[string]int64) map[string]int64 {
+	out := make(map[string]int64, len(counters))
+	//drybellvet:ordered — map-to-map filter, order-insensitive
+	for k, v := range counters {
+		if !strings.HasPrefix(k, ClockCounterPrefix) {
+			out[k] = v
+		}
+	}
+	return out
 }
 
 // manifestDir is the DFS directory manifests live under, inside the job's

@@ -32,6 +32,7 @@ func upperJob(fs dfs.FS, in string, parallelism int) Job {
 
 var upperMapper = MapFunc(func(ctx *TaskContext, rec []byte, emit Emitter) error {
 	ctx.Counters.Inc("records-in", 1)
+	ctx.Counters.Inc(ClockCounterPrefix+"records-in", 1) // stands in for a wall-time measurement
 	emit(bytes.ToUpper(rec))
 	return nil
 })

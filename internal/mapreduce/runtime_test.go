@@ -125,6 +125,11 @@ func TestResumeSkipsCommittedTasks(t *testing.T) {
 		if got := res.Counters["records-in"]; got != int64(len(words)) {
 			t.Errorf("records-in after resume = %d, want %d", got, len(words))
 		}
+		// Clock counters are never checkpointed: only the three executed
+		// tasks' eight records each add to them.
+		if got := res.Counters[ClockCounterPrefix+"records-in"]; got != 24 {
+			t.Errorf("clock counter after resume = %d, want 24 (the executed tasks only)", got)
+		}
 		// A third run finds everything checkpointed and executes nothing.
 		res, err = Run(job)
 		if err != nil {
@@ -132,6 +137,9 @@ func TestResumeSkipsCommittedTasks(t *testing.T) {
 		}
 		if res.Attempts != 0 || res.SkippedTasks != 5 {
 			t.Errorf("idempotent re-run: attempts=%d skipped=%d, want 0/5", res.Attempts, res.SkippedTasks)
+		}
+		if got := res.Counters[ClockCounterPrefix+"records-in"]; got != 0 {
+			t.Errorf("clock counter of a fully resumed run = %d, want 0", got)
 		}
 		assertOutputs(t, res.MapOutputs, want)
 	})

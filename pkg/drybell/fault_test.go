@@ -217,4 +217,13 @@ func TestPipelineResumeReexecutesOnlyUncommitted(t *testing.T) {
 		t.Errorf("third run pulled %d examples from its source, want staging resumed", pulled)
 	}
 	matricesEqual(t, cleanRes.Matrix, res3.Matrix)
+	// The resumed report counts the loaded votes: the same per-function
+	// counts as the run that executed them.
+	for j, want := range cleanRes.LFReport.PerLF {
+		got := res3.LFReport.PerLF[j]
+		if got.Name != want.Name || got.Positives != want.Positives || got.Negatives != want.Negatives || got.Abstains != want.Abstains {
+			t.Errorf("resumed PerLF[%d] = %s %d/%d/%d, executed %s %d/%d/%d (positives/negatives/abstains)", j,
+				got.Name, got.Positives, got.Negatives, got.Abstains, want.Name, want.Positives, want.Negatives, want.Abstains)
+		}
+	}
 }

@@ -129,7 +129,7 @@ func TestCombinatorBatchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	xs := []int{0, 1, 2, 5, 6, 7, 8, 11}
-	batch, err := lf.VoteAll(context.Background(), f, xs)
+	batch, _, err := voteColumn(context.Background(), f, xs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -103,13 +103,14 @@ func (e *Evaluator[T]) LFs() []LF[T] { return append([]LF[T](nil), e.lfs...) }
 func (e *Evaluator[T]) NLPCache() *nlp.Cache { return e.cache }
 
 // VoteRow evaluates every function against one example — one row of the
-// label matrix, the online /v1/label path.
+// label matrix, the online /v1/label path. The context is checked once per
+// row, not once per function: Err takes a lock.
 func (e *Evaluator[T]) VoteRow(ctx context.Context, x T) ([]Label, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("lf: vote row: %w", err)
+	}
 	votes := make([]Label, len(e.lfs))
 	for j, f := range e.lfs {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("lf %s: %w", e.metas[j].Name, err)
-		}
 		v, err := f.Vote(ctx, x)
 		if err != nil {
 			return nil, err
@@ -123,20 +124,22 @@ func (e *Evaluator[T]) VoteRow(ctx context.Context, x T) ([]Label, error) {
 }
 
 // VoteMatrix evaluates every function against a batch of examples, one
-// column (VoteAll) at a time. Row i holds example i's votes in function order.
+// column (VoteAll) at a time into a row-major byte buffer, and decodes it.
+// Row i holds example i's votes in function order.
 func (e *Evaluator[T]) VoteMatrix(ctx context.Context, xs []T) (*labelmodel.Matrix, error) {
 	if len(xs) == 0 {
 		return nil, fmt.Errorf("lf: VoteMatrix over no examples")
 	}
-	mx := labelmodel.NewMatrix(len(xs), len(e.lfs))
+	n := len(e.lfs)
+	buf := make([]byte, len(xs)*n)
 	for j, f := range e.lfs {
-		votes, err := VoteAll(ctx, f, xs)
-		if err != nil {
+		if _, err := VoteAll(ctx, f, xs, buf, n, j); err != nil {
 			return nil, err
 		}
-		for i, v := range votes {
-			mx.Set(i, j, v)
-		}
+	}
+	mx := labelmodel.NewMatrix(len(xs), n)
+	for i := range xs {
+		labelmodel.DecodeVotes(mx.Row(i), buf[i*n:(i+1)*n]) // every byte was checked as VoteAll wrote it
 	}
 	return mx, nil
 }

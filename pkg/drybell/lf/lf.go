@@ -9,6 +9,12 @@
 //   - the online serving path (pkg/drybell/serve's /v1/label), via a shared
 //     Evaluator.
 //
+// A batch, on either engine, is voted one function at a time by VoteAll,
+// which writes each vote's byte into that function's column of a row-major
+// vote buffer. Func and ModelFunc check their configuration once per batch
+// there rather than once per example; every other function votes through
+// Vote.
+//
 // The paper's five template classes map to:
 //
 //   - Func: the default pipeline (LabelingFunction) — a pure heuristic.
@@ -169,28 +175,64 @@ func checkVote(meta Meta, v Label) error {
 // takes a lock, and per record per function that was 7% of a 140-function run.
 const batchCtxStride = 256
 
-// VoteAll evaluates one labeling function over many examples, in order — the
-// one vote loop behind the batch executor's map tasks, Evaluator.VoteMatrix
-// and the online batch path.
-func VoteAll[T any](ctx context.Context, f LF[T], xs []T) ([]Label, error) {
+// VoteCounts is a column's vote histogram: Abstains, Positives, Negatives.
+type VoteCounts = labelmodel.VoteCounts
+
+// VoteAll evaluates one labeling function over many examples, in order, and
+// writes vote i's byte to dst[i*stride+col] — one column of a row-major vote
+// buffer with stride functions per row. It is the one vote loop behind the
+// batch executor's map tasks, Evaluator.VoteMatrix and the online batch
+// path: votes are checked once, as they are written, and counted. Func and
+// ModelFunc check their configuration once per call and vote without a Vote
+// call per example; any other function votes through Vote. On error dst may
+// hold a part of the column.
+func VoteAll[T any](ctx context.Context, f LF[T], xs []T, dst []byte, stride, col int) (VoteCounts, error) {
+	var c VoteCounts
+	if len(xs) == 0 {
+		return c, nil
+	}
 	meta := f.LFMeta()
-	votes := make([]Label, len(xs))
-	for i, x := range xs {
-		if i%batchCtxStride == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, fmt.Errorf("lf %s: %w", meta.Name, err)
+	if col < 0 || col >= stride || len(dst) < (len(xs)-1)*stride+col+1 {
+		return c, fmt.Errorf("lf %s: column %d of stride %d over %d examples does not fit %d bytes", meta.Name, col, stride, len(xs), len(dst))
+	}
+	var err error
+	switch g := f.(type) {
+	case *ModelFunc[T]:
+		err = g.check()
+	case *Func[T]:
+		err = g.check()
+	}
+	if err != nil {
+		return c, err
+	}
+	// The templates are called through their concrete types, so the vote
+	// buffer stays on the stack.
+	var buf [batchCtxStride]Label
+	for lo := 0; lo < len(xs); lo += batchCtxStride {
+		if err := ctx.Err(); err != nil {
+			return c, fmt.Errorf("lf %s: %w", meta.Name, err)
+		}
+		chunk := xs[lo:min(lo+batchCtxStride, len(xs))]
+		votes := buf[:len(chunk)]
+		switch g := f.(type) {
+		case *ModelFunc[T]:
+			g.voteColumn(chunk, votes)
+		case *Func[T]:
+			g.voteColumn(chunk, votes)
+		default:
+			for i, x := range chunk {
+				v, err := f.Vote(ctx, x)
+				if err != nil {
+					return c, err
+				}
+				votes[i] = v
 			}
 		}
-		v, err := f.Vote(ctx, x)
-		if err != nil {
-			return nil, err
+		if i := c.PutColumn(dst[lo*stride:], stride, col, votes); i >= 0 {
+			return c, checkVote(meta, votes[i])
 		}
-		if err := checkVote(meta, v); err != nil {
-			return nil, err
-		}
-		votes[i] = v
 	}
-	return votes, nil
+	return c, nil
 }
 
 // ValidateNames checks that the set is non-empty and every function has a

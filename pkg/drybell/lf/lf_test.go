@@ -3,11 +3,13 @@ package lf_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/corpus"
 	"repro/internal/kgraph"
+	"repro/internal/labelmodel"
 	"repro/internal/nlp"
 	"repro/pkg/drybell/lf"
 )
@@ -81,6 +83,24 @@ func templateLFs() map[string]lf.LF[*corpus.Document] {
 	}
 }
 
+// voteColumn runs lf.VoteAll into column 1 of a three-wide vote buffer and
+// decodes that column back into votes.
+func voteColumn[T any](ctx context.Context, f lf.LF[T], xs []T) ([]lf.Label, lf.VoteCounts, error) {
+	const stride, col = 3, 1
+	buf := make([]byte, len(xs)*stride)
+	c, err := lf.VoteAll(ctx, f, xs, buf, stride, col)
+	if err != nil {
+		return nil, c, err
+	}
+	votes := make([]lf.Label, len(xs))
+	for i := range xs {
+		if j := labelmodel.DecodeVotes(votes[i:i+1], buf[i*stride+col:i*stride+col+1]); j >= 0 {
+			return nil, c, fmt.Errorf("vote %d: byte %d is not a vote", i, buf[i*stride+col])
+		}
+	}
+	return votes, c, nil
+}
+
 // TestVoteBatchMatchesScalar is the equivalence contract: for every
 // template, VoteAll over the corpus must equal Vote per record. An NLP
 // function gets its service injected first, as an engine would.
@@ -97,7 +117,7 @@ func TestVoteBatchMatchesScalar(t *testing.T) {
 				defer stop()
 				f.(lf.Annotatable).SetAnnotator(ann)
 			}
-			batch, err := lf.VoteAll(ctx, f, docs)
+			batch, _, err := voteColumn(ctx, f, docs)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -140,12 +160,28 @@ func TestVoteAllSurfacesCancellationWithinOneStride(t *testing.T) {
 	for i := range xs {
 		xs[i] = i
 	}
-	votes, err := lf.VoteAll(ctx, f, xs)
+	votes, _, err := voteColumn(ctx, f, xs)
 	if !errors.Is(err, context.Canceled) || votes != nil || !strings.Contains(err.Error(), "saboteur") {
 		t.Fatalf("VoteAll after cancellation: %v votes, error %v", len(votes), err)
 	}
 	if calls <= cancelAt || calls > stride {
 		t.Errorf("VoteAll voted on %d examples after a cancellation at example %d; want the error within one stride of %d", calls, cancelAt, stride)
+	}
+}
+
+// TestVoteRowSurfacesCancellation: VoteRow checks the context once per row,
+// before any function votes, and its error wraps context.Canceled.
+func TestVoteRowSurfacesCancellation(t *testing.T) {
+	calls := 0
+	f := lf.New(lf.Meta{Name: "counted"}, func(int) lf.Label { calls++; return lf.Abstain })
+	eval, err := lf.NewEvaluator([]lf.LF[int]{f}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := eval.VoteRow(ctx, 1); !errors.Is(err, context.Canceled) || calls != 0 {
+		t.Errorf("VoteRow under a canceled context: error %v after %d votes, want context.Canceled before any", err, calls)
 	}
 }
 

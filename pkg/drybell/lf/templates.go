@@ -31,13 +31,27 @@ func New[T any](meta Meta, fn func(T) Label) *Func[T] {
 // LFMeta implements LF.
 func (f *Func[T]) LFMeta() Meta { return f.Meta }
 
+func (f *Func[T]) check() error {
+	if f.Fn == nil {
+		return fmt.Errorf("lf %s: Func has no Fn", f.Meta.Name)
+	}
+	return nil
+}
+
 // Vote implements LF.
 func (f *Func[T]) Vote(_ context.Context, x T) (Label, error) {
-	if f.Fn == nil {
-		return 0, fmt.Errorf("lf %s: Func has no Fn", f.Meta.Name)
+	if err := f.check(); err != nil {
+		return 0, err
 	}
 	v := f.Fn(x)
 	return v, checkVote(f.Meta, v)
+}
+
+// voteColumn is VoteAll's loop for a checked Func.
+func (f *Func[T]) voteColumn(xs []T, votes []Label) {
+	for i, x := range xs {
+		votes[i] = f.Fn(x)
+	}
 }
 
 // ---------------------------------------------------------------------------
@@ -281,6 +295,21 @@ func (f *ModelFunc[T]) Vote(_ context.Context, x T) (Label, error) {
 		return 0, err
 	}
 	return f.vote(x), nil
+}
+
+// voteColumn is VoteAll's loop for a checked ModelFunc: one Score call and
+// vote's two comparisons, inline, per example.
+func (f *ModelFunc[T]) voteColumn(xs []T, votes []Label) {
+	score, pos, neg := f.Score, f.PositiveAbove, f.NegativeBelow
+	for i, x := range xs {
+		v := Abstain
+		if s := score(x); s > pos {
+			v = Positive
+		} else if s < neg {
+			v = Negative
+		}
+		votes[i] = v
+	}
 }
 
 // ---------------------------------------------------------------------------

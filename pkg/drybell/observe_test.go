@@ -134,6 +134,7 @@ func TestRunExportsTraceArtifact(t *testing.T) {
 	for _, want := range []string{
 		"pipeline_stage_seconds",
 		"pipeline_task_attempts_total",
+		`pipeline_lf_vote_seconds_total{lf="`,
 		"dfs_ops_total",
 		"dfs_op_seconds",
 	} {

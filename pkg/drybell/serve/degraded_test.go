@@ -19,14 +19,15 @@ import (
 // flakyAnnotator delegates to a real NLP server but can be switched into a
 // hard-failure mode, standing in for an annotator dependency going down.
 type flakyAnnotator struct {
-	inner nlp.Annotator
-	fail  atomic.Bool
-	calls atomic.Int64
+	inner     nlp.Annotator
+	fail      atomic.Bool
+	failAfter atomic.Int64 // when positive, every call after this many fails
+	calls     atomic.Int64
 }
 
 func (f *flakyAnnotator) Annotate(text string) (*nlp.Result, error) {
-	f.calls.Add(1)
-	if f.fail.Load() {
+	n := f.calls.Add(1)
+	if after := f.failAfter.Load(); f.fail.Load() || (after > 0 && n > after) {
 		return nil, errors.New("annotator down")
 	}
 	return f.inner.Annotate(text)
@@ -178,6 +179,47 @@ func TestLabelBatchDegradesAsAUnit(t *testing.T) {
 		}
 		if r.Posterior == nil {
 			t.Errorf("record %d lost its posterior fallback", i)
+		}
+	}
+}
+
+// TestLabelBatchDropsAPartlyVotedColumn: an NLP column whose annotator
+// fails after the column's first votes were written abstains in full, so the
+// batch answers exactly as if the breaker had been open from the start.
+func TestLabelBatchDropsAPartlyVotedColumn(t *testing.T) {
+	ctx := context.Background()
+	docs := make([]*corpus.Document, 300) // more than one VoteAll chunk of 256
+	for i := range docs {
+		// No person in the text, so the first NLP column (ner_no_person)
+		// votes on every record.
+		docs[i] = docN(i)
+		docs[i].Title, docs[i].Body = fmt.Sprintf("quarterly earnings %d", i), "dividend yield inflation"
+	}
+	failing := newFlakyAnnotator(t)
+	failing.failAfter.Store(260) // the first NLP column fails in its second chunk
+	got, err := newFlakyDocServer(t, failing, 1, time.Hour).LabelBatch(ctx, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	down := newFlakyAnnotator(t)
+	s := newFlakyDocServer(t, down, 1, time.Hour)
+	down.fail.Store(true)
+	if _, err := s.Label(ctx, docN(-1)); err != nil { // trip the breaker
+		t.Fatal(err)
+	}
+	want, err := s.LabelBatch(ctx, docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if !got[i].Degraded || *got[i].Posterior != *want[i].Posterior {
+			t.Fatalf("record %d: degraded %v posterior %v, want degraded posterior %v", i, got[i].Degraded, *got[i].Posterior, *want[i].Posterior)
+		}
+		for j := range want[i].Votes {
+			if got[i].Votes[j] != want[i].Votes[j] {
+				t.Fatalf("record %d: vote %+v, want %+v", i, got[i].Votes[j], want[i].Votes[j])
+			}
 		}
 	}
 }

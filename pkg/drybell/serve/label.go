@@ -80,36 +80,28 @@ func newLabeler[T any](lfs []lf.LF[T], model *labelmodel.Model, ann nlp.Annotato
 	return l, nil
 }
 
-// label evaluates one record — one label-matrix row plus its posterior.
-//
-// Without a breaker this is the Evaluator's plain VoteRow. With one, the
-// row is walked function by function: an NLP-dependent function that fails
-// (for any reason other than the caller's own context ending) feeds the
-// breaker and degrades the rest of this request, and when the breaker is
-// already open NLP functions abstain without being called at all. The
-// breaker's half-open probe is a live request — the first /v1/label after
-// the cooldown tries the annotator for real and closes the breaker on
-// success.
+// label evaluates one record — one label-matrix row plus its posterior —
+// function by function, with the context checked once per row. With a
+// breaker, an NLP-dependent function that fails (for any reason other than
+// the caller's own context ending) feeds the breaker and degrades the rest of
+// this request, and when the breaker is already open NLP functions abstain
+// without being called at all. The breaker's half-open probe is a live
+// request — the first /v1/label after the cooldown tries the annotator for
+// real and closes the breaker on success.
 func (l *labeler[T]) label(ctx context.Context, x T) (LabelResult, error) {
-	if l.br == nil {
-		votes, err := l.eval.VoteRow(ctx, x)
-		if err != nil {
-			return LabelResult{}, fmt.Errorf("serve: %w", err)
-		}
-		return l.result(votes, false), nil
+	if err := ctx.Err(); err != nil {
+		return LabelResult{}, fmt.Errorf("serve: label: %w", err)
 	}
-	degraded := !l.br.Allow()
+	degraded := l.br != nil && !l.br.Allow()
 	votes := make([]labelmodel.Label, len(l.lfs))
 	for j, f := range l.lfs {
-		if err := ctx.Err(); err != nil {
-			return LabelResult{}, fmt.Errorf("serve: lf %s: %w", l.metas[j].Name, err)
-		}
-		if l.nlpDep[j] && degraded {
+		guarded := l.br != nil && l.nlpDep[j]
+		if guarded && degraded {
 			continue // annotator unhealthy: abstain instead of erroring
 		}
 		v, err := f.Vote(ctx, x)
 		if err != nil {
-			if l.nlpDep[j] && ctx.Err() == nil {
+			if guarded && ctx.Err() == nil {
 				// A dependency failure, not caller cancellation: record it
 				// and finish the request degraded.
 				l.br.Failure()
@@ -121,7 +113,7 @@ func (l *labeler[T]) label(ctx context.Context, x T) (LabelResult, error) {
 		if !v.Valid() {
 			return LabelResult{}, fmt.Errorf("serve: lf %s: invalid vote %d", l.metas[j].Name, int8(v))
 		}
-		if l.nlpDep[j] {
+		if guarded {
 			l.br.Success()
 		}
 		votes[j] = v
@@ -133,50 +125,40 @@ func (l *labeler[T]) label(ctx context.Context, x T) (LabelResult, error) {
 }
 
 // labelBatch evaluates many records one column (labeling function) at a
-// time, with the same per-column breaker discipline as label: an unhealthy
-// annotator turns NLP columns into abstain columns rather than failing the
-// whole batch.
+// time into a row-major vote buffer (lf.VoteAll), with the same breaker
+// discipline as label: an unhealthy annotator turns NLP columns into abstain
+// columns rather than failing the whole batch.
 func (l *labeler[T]) labelBatch(ctx context.Context, xs []T) ([]LabelResult, error) {
-	var mx *labelmodel.Matrix
-	var degraded bool
-	if l.br == nil {
-		var err error
-		if mx, err = l.eval.VoteMatrix(ctx, xs); err != nil {
+	n := len(l.lfs)
+	buf := make([]byte, len(xs)*n)
+	degraded := l.br != nil && !l.br.Allow()
+	for j, f := range l.lfs {
+		guarded := l.br != nil && l.nlpDep[j]
+		if guarded && degraded {
+			continue // column abstains; its bytes stay 0
+		}
+		if _, err := lf.VoteAll(ctx, f, xs, buf, n, j); err != nil {
+			if guarded && ctx.Err() == nil {
+				l.br.Failure()
+				degraded = true
+				for i := range xs {
+					buf[i*n+j] = 0 // drop the votes written before the failure: the column abstains
+				}
+				continue
+			}
 			return nil, fmt.Errorf("serve: %w", err)
 		}
-	} else {
-		degraded = !l.br.Allow()
-		mx = labelmodel.NewMatrix(len(xs), len(l.lfs))
-		for j, f := range l.lfs {
-			if l.nlpDep[j] && degraded {
-				continue // column abstains; matrix rows default to 0
-			}
-			votes, err := lf.VoteAll(ctx, f, xs)
-			if err != nil {
-				if l.nlpDep[j] && ctx.Err() == nil {
-					l.br.Failure()
-					degraded = true
-					continue
-				}
-				return nil, fmt.Errorf("serve: %w", err)
-			}
-			if l.nlpDep[j] {
-				l.br.Success()
-			}
-			for i, v := range votes {
-				mx.Set(i, j, v)
-			}
-		}
-		if degraded && l.onDegrade != nil {
-			l.onDegrade()
+		if guarded {
+			l.br.Success()
 		}
 	}
+	if degraded && l.onDegrade != nil {
+		l.onDegrade()
+	}
 	out := make([]LabelResult, len(xs))
-	row := make([]labelmodel.Label, len(l.metas))
+	row := make([]labelmodel.Label, n)
 	for i := range xs {
-		for j := range l.metas {
-			row[j] = mx.At(i, j)
-		}
+		labelmodel.DecodeVotes(row, buf[i*n:(i+1)*n]) // every byte was checked as VoteAll wrote it
 		out[i] = l.result(row, degraded)
 	}
 	return out, nil
