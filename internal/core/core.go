@@ -286,34 +286,64 @@ func runPipeline[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, err
 	}
 	res.Matrix = res.View.Matrix
 
-	// Stage 2b: the development-loop analysis over the fresh matrix —
+	// Stage 2b: compact Λ once, for the analysis and the trainer both.
+	tc := time.Now() //drybellvet:wallclock — stage metrics only
+	cm, err := compact(ctx, res.Matrix, nil)
+	cfg.stageDone("compact", tc, err)
+	if err != nil {
+		return nil, err
+	}
+
+	// Stage 2c: the development-loop analysis over the compaction —
 	// coverage, overlaps, conflicts, and accuracy against any dev labels.
 	ta := time.Now() //drybellvet:wallclock — stage metrics only
 	_, aspan := obs.StartSpan(ctx, "stage.analyze")
-	res.Analysis, err = lfapi.Analyze(res.Matrix, lfapi.Metas(lfs), cfg.DevLabels)
+	res.Analysis, err = lfapi.AnalyzeCompact(cm, lfapi.Metas(lfs), cfg.DevLabels)
 	aspan.EndErr(err)
 	cfg.stageDone("analyze-lfs", ta, err)
 	if err != nil {
 		return nil, fmt.Errorf("drybell: analyze labeling functions: %w", err)
 	}
 
-	// Stages 3 and 4, trained the way every round trains — from no previous
-	// state, as the round over an empty store.
-	if err := denoiseAndPersist(ctx, cfg, res, nil); err != nil {
+	// Stages 3 and 4, trained the way every round trains.
+	if err := denoiseAndPersist(ctx, cfg, res, cm); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
-// denoiseAndPersist is stages 3 and 4 — train the generative model on
-// res.Matrix, turn it into probabilistic labels, persist them for the
-// production ML systems — filling in res. It is the one train→persist tail:
-// a batch run passes no previous state, an incremental round the state the
-// round before it left, and both record the same spans and stage metrics.
-func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, prev *labelmodel.TrainState) error {
+// compact is the compact stage: the one compaction of mx everything after it
+// reads — prev extended by mx's appended rows when prev is given (a round
+// carrying the previous round's compaction), a full compaction otherwise.
+// Either way an out-of-range vote is an error.
+func compact(ctx context.Context, mx *labelmodel.Matrix, prev *labelmodel.CompactMatrix) (cm *labelmodel.CompactMatrix, err error) {
+	_, span := obs.StartSpan(ctx, "stage.compact")
+	rows := mx.NumExamples()
+	if prev != nil {
+		rows -= prev.NumExamples()
+		cm, err = labelmodel.ExtendCompact(prev, mx)
+	} else {
+		cm, err = mx.CompactChecked()
+	}
+	span.SetAttr(obs.Int("rows", rows))
+	if err != nil {
+		err = fmt.Errorf("drybell: compact label matrix: %w", err)
+	} else {
+		span.SetAttr(obs.Int("unique_rows", cm.NumUnique()))
+	}
+	span.EndErr(err)
+	return cm, err
+}
+
+// denoiseAndPersist is stages 3 and 4 — train the generative model on cm,
+// the compaction of res.Matrix, turn it into probabilistic labels, persist
+// them for the production ML systems — filling in res. It is the one
+// train→persist tail: a batch run and an incremental round both compact first
+// and record the same spans and stage metrics here.
+func denoiseAndPersist[T any](ctx context.Context, cfg Config[T], res *Result, cm *labelmodel.CompactMatrix) error {
 	t2 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
 	var err error
-	res.Model, res.State, res.Posteriors, err = denoise(ctx, res.Matrix, cfg.LabelModel, prev)
+	res.Model, res.State, res.Posteriors, err = denoise(ctx, cm, cfg.LabelModel)
 	res.Timings.TrainLabelModel = cfg.stageDone("denoise", t2, err)
 	if err != nil {
 		return err
@@ -568,29 +598,36 @@ func (c Config[T]) executor() *lf.Executor[T] {
 
 // Denoise trains the generative label model on the assembled matrix (stage
 // 3) and returns it with the probabilistic training labels, exactly as a
-// batch run does.
+// batch run does: the matrix is compacted (a stage.compact span), then
+// trained on.
 func Denoise(ctx context.Context, matrix *labelmodel.Matrix, opts labelmodel.Options) (*labelmodel.Model, []float64, error) {
-	lm, _, posteriors, err := denoise(ctx, matrix, opts, nil)
+	if matrix == nil {
+		return nil, nil, fmt.Errorf("drybell: train label model: nil matrix")
+	}
+	cm, err := compact(ctx, matrix, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	lm, _, posteriors, err := denoise(ctx, cm, opts)
 	return lm, posteriors, err
 }
 
-// denoise is stage 3: the sampling-free fast trainer, warm-started from prev
-// (nil for none), with the labels scored once per distinct row of the
-// compaction it trained on.
-func denoise(ctx context.Context, matrix *labelmodel.Matrix, opts labelmodel.Options, prev *labelmodel.TrainState) (*labelmodel.Model, *labelmodel.TrainState, []float64, error) {
+// denoise is stage 3: the sampling-free fast trainer over the compaction the
+// compact stage built, with the labels scored once per distinct row of it.
+func denoise(ctx context.Context, cm *labelmodel.CompactMatrix, opts labelmodel.Options) (*labelmodel.Model, *labelmodel.TrainState, []float64, error) {
 	_, span := obs.StartSpan(ctx, "stage.denoise")
 	var lm *labelmodel.Model
 	var state *labelmodel.TrainState
 	err := ctx.Err()
 	if err == nil {
-		lm, state, err = labelmodel.TrainSamplingFreeFastWarm(matrix, opts, prev)
+		lm, state, err = labelmodel.TrainCompact(cm, opts)
 	}
 	if err != nil {
 		err = fmt.Errorf("drybell: train label model: %w", err)
 		span.EndErr(err)
 		return nil, nil, nil, err
 	}
-	posteriors := lm.CompactPosteriors(state.Compact)
+	posteriors := lm.CompactPosteriors(cm)
 	span.SetAttr(obs.String("stop", state.Stopped), obs.Int("iterations", state.Iterations))
 	span.End()
 	return lm, state, posteriors, nil

@@ -5,9 +5,9 @@
 // (StageDelta), records it in a corpus manifest next to the staged input,
 // and IncrementalRun advances the pipeline by exactly the pending deltas:
 // labeling functions execute only over delta shards (lf.ExecuteDelta,
-// publishing vote generations), the label model warm-starts from the
-// previous run's state (labelmodel.TrainSamplingFreeFastWarm), and the
-// refreshed probabilistic labels are persisted in full. Corpus delta n
+// publishing vote generations), the label model trains on the previous
+// run's compaction extended by the delta's rows (labelmodel.ExtendCompact),
+// and the refreshed probabilistic labels are persisted in full. Corpus delta n
 // produces vote generation n; the base corpus and the vote store's
 // generation 0 — the flat artifact and the segments base executions append —
 // are both "generation 0", so the two ledgers advance in lockstep and the
@@ -381,17 +381,25 @@ func incrementalRun[T any](ctx context.Context, cfg Config[T], lfs []lfapi.LF[T]
 	res.View, res.ViewRebuilt = view, read.Rebuilt
 	res.SegmentsScanned, res.RowsScanned = read.Segments, read.Rows
 
-	if prev != nil && prev.Compact != nil && (read.Rebuilt != "" || prev.Compact.NumExamples() != compactedRows) {
-		// Drop the compaction: the view's rows shifted or changed under it,
-		// or it never was this view's. Alpha rides along for inspection only
-		// — it never seeds the optimizer — so this round pays a full
-		// compaction and saves nothing.
-		prev = &labelmodel.TrainState{Alpha: prev.Alpha, Iterations: prev.Iterations}
+	// Extend the previous round's compaction by the delta's rows only when it
+	// is this view's before the delta: not when the view's rows shifted or
+	// changed under it, nor when it never was this view's. Otherwise the
+	// round compacts from scratch and saves nothing.
+	var carried *labelmodel.CompactMatrix
+	if prev != nil && prev.Compact != nil && read.Rebuilt == "" &&
+		prev.Compact.NumExamples() == compactedRows && prev.Compact.NumFuncs() == len(names) {
+		carried = prev.Compact
 	}
-	// The batch run's train→persist tail, warm-started from prev (and without
-	// its Analyze: two O(m·n) passes per round).
+	tc := time.Now() //drybellvet:wallclock — stage metrics only
+	cm, err := compact(ctx, view.Matrix, carried)
+	cfg.stageDone("compact", tc, err)
+	if err != nil {
+		return nil, err
+	}
+	// The batch run's train→persist tail, without its Analyze: DevLabels
+	// align with the batch corpus, not with a view grown by deltas.
 	out := &Result{Matrix: view.Matrix}
-	if err := denoiseAndPersist(ctx, cfg, out, prev); err != nil {
+	if err := denoiseAndPersist(ctx, cfg, out, cm); err != nil {
 		return nil, err
 	}
 	res.Matrix, res.Model, res.State, res.Posteriors, res.LabelsPath = out.Matrix, out.Model, out.State, out.Posteriors, out.LabelsPath

@@ -10,11 +10,12 @@ import (
 	"repro/internal/obs"
 )
 
-// TestDenoisePersistObservable: a batch run and an incremental round go
-// through one train→persist tail, so both are observable the same way — a
-// stage.denoise and a stage.persist span directly under the run's root span,
-// the persist span counting every row, the denoise span saying why training
-// stopped, and one pipeline_stage_seconds observation per stage.
+// TestDenoisePersistObservable: a batch run and an incremental round compact
+// the same way and go through one train→persist tail, so both are observable
+// the same way — stage.compact, stage.denoise and stage.persist spans directly
+// under the run's root span, the persist span counting every row, the denoise
+// span saying why training stopped, and one pipeline_stage_seconds
+// observation per stage.
 func TestDenoisePersistObservable(t *testing.T) {
 	ctx := context.Background()
 	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 330, PositiveRate: 0.05, Seed: 53})
@@ -57,7 +58,7 @@ func TestDenoisePersistObservable(t *testing.T) {
 			if !ok {
 				t.Fatalf("no %s span", tc.root)
 			}
-			for _, stage := range []string{"denoise", "persist"} {
+			for _, stage := range []string{"compact", "denoise", "persist"} {
 				span, ok := byName["stage."+stage]
 				if !ok {
 					t.Errorf("no stage.%s span", stage)
@@ -88,4 +89,96 @@ func spanAttr(span obs.SpanData, key string) any {
 		}
 	}
 	return nil
+}
+
+// TestRunCompactsOnce: a run compacts Λ once, in its own stage.compact span
+// between execution and analysis, and both the analysis and the trainer read
+// that compaction — nothing under stage.denoise compacts again. A round that
+// carries the run's compaction compacts only the delta's rows; a round whose
+// view was rebuilt compacts all of them.
+func TestRunCompactsOnce(t *testing.T) {
+	ctx := context.Background()
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 360, PositiveRate: 0.05, Seed: 59})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	cfg := topicConfig(dfs.NewMem())
+	cfg.Obs = obs.NewObserver()
+	res, err := RunContext(ctx, cfg, Examples(docs[:300]), lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := cfg.Obs.Trace.Snapshot()
+	compacts := spansNamed(spans, "stage.compact")
+	if len(compacts) != 1 {
+		t.Fatalf("run recorded %d stage.compact spans, want 1", len(compacts))
+	}
+	if root := spansNamed(spans, "pipeline.run"); compacts[0].Parent != root[0].ID {
+		t.Error("stage.compact is not a child of pipeline.run")
+	}
+	denoise := spansNamed(spans, "stage.denoise")[0]
+	for _, s := range spans {
+		if s.Parent == denoise.ID {
+			t.Errorf("stage.denoise has child span %s", s.Name)
+		}
+	}
+	if rows := spanAttr(compacts[0], "rows"); rows != int64(300) {
+		t.Errorf("stage.compact rows = %v, want 300", rows)
+	}
+	if unique := spanAttr(compacts[0], "unique_rows"); unique != int64(res.State.Compact.NumUnique()) {
+		t.Errorf("stage.compact unique_rows = %v, the trained compaction has %d", unique, res.State.Compact.NumUnique())
+	}
+	for j, row := range res.Analysis.PerLF {
+		if want := float64(res.State.Compact.Voted[j]) / 300; row.Coverage != want {
+			t.Errorf("%s: coverage %v, the trained compaction says %v", row.Name, row.Coverage, want)
+		}
+	}
+	h := cfg.Obs.Metrics.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
+		obs.DefLatencyBuckets, obs.Label{Key: "stage", Value: "compact"})
+	if h.Count() != 1 {
+		t.Errorf("pipeline_stage_seconds{stage=\"compact\"} has %d observations, want 1", h.Count())
+	}
+
+	// roundRows is the rows attribute of the one stage.compact span a round
+	// records.
+	roundRows := func(carried *Carried, stage func() error) any {
+		t.Helper()
+		cfg.Obs = obs.NewObserver()
+		if err := stage(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := IncrementalRun(ctx, cfg, lfs, carried); err != nil {
+			t.Fatal(err)
+		}
+		compacts := spansNamed(cfg.Obs.Trace.Snapshot(), "stage.compact")
+		if len(compacts) != 1 {
+			t.Fatalf("round recorded %d stage.compact spans, want 1", len(compacts))
+		}
+		return spanAttr(compacts[0], "rows")
+	}
+	carried := &Carried{State: res.State, View: res.View}
+	if rows := roundRows(carried, func() error {
+		_, err := StageDelta(ctx, cfg, Examples(docs[300:340]), nil)
+		return err
+	}); rows != int64(40) {
+		t.Errorf("carried round compacted %v rows, want the delta's 40", rows)
+	}
+	if rows := roundRows(nil, func() error {
+		_, err := StageDelta(ctx, cfg, Examples(docs[340:]), nil)
+		return err
+	}); rows != int64(360) {
+		t.Errorf("round without state compacted %v rows, want all 360", rows)
+	}
+}
+
+// spansNamed is the spans called name, in snapshot order.
+func spansNamed(spans []obs.SpanData, name string) []obs.SpanData {
+	var out []obs.SpanData
+	for _, s := range spans {
+		if s.Name == name {
+			out = append(out, s)
+		}
+	}
+	return out
 }

@@ -48,6 +48,12 @@ type CompactMatrix struct {
 	// majority-vote baseline, aggregated here because the packing pass
 	// already touches every distinct row.
 	MajorityAgree []int64
+	// Positives[j] counts the examples on which LF j voted positive,
+	// Overlaps[j] those on which it voted and some other LF voted too, and
+	// Conflicts[j] those on which some other LF voted the other way — the
+	// development loop's statistics (lf.AnalyzeCompact), aggregated in the
+	// same pass as Voted.
+	Positives, Overlaps, Conflicts []int64
 
 	// index finds a distinct row from its packed column lists (see lookup),
 	// so an extension dedups appended rows without rebuilding anything.
@@ -191,20 +197,20 @@ func (c *CompactMatrix) growIndex() {
 // hash of each row's packed column lists, at every width. Cost is one O(m·n)
 // pass; every training pass over the result is O(U·n) instead.
 // Compact panics on a matrix with out-of-range votes (use Validate first for
-// data of unknown provenance); compactChecked is the error-returning form the
-// trainers use, which folds validation into the packing pass instead of
+// data of unknown provenance); CompactChecked is the error-returning form a
+// pipeline uses, which folds validation into the packing pass instead of
 // re-scanning the matrix.
 func (mx *Matrix) Compact() *CompactMatrix {
-	c, err := mx.compactChecked()
+	c, err := mx.CompactChecked()
 	if err != nil {
 		panic(err.Error())
 	}
 	return c
 }
 
-// compactChecked is ExtendCompact started from an empty compaction: every row
-// of mx is an appended row.
-func (mx *Matrix) compactChecked() (*CompactMatrix, error) {
+// CompactChecked is ExtendCompact started from an empty compaction: every row
+// of mx is an appended row, and an out-of-range vote is an error.
+func (mx *Matrix) CompactChecked() (*CompactMatrix, error) {
 	return ExtendCompact(&CompactMatrix{n: mx.n}, mx)
 }
 
@@ -254,6 +260,9 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 		RowOf:         make([]int32, mx.m),
 		Voted:         make([]int64, n),
 		MajorityAgree: make([]int64, n),
+		Positives:     make([]int64, n),
+		Overlaps:      make([]int64, n),
+		Conflicts:     make([]int64, n),
 	}
 	copy(c.RowOf, prev.RowOf)
 	if u == 0 {
@@ -310,12 +319,15 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 		c.RowOf[i] = r
 	}
 
-	// Per-LF vote and majority-agreement counts aggregate over distinct rows
-	// and the multiplicities this call added to them, on top of prev's counts
-	// — integer sums, so the result does not depend on how many Extend steps
-	// built the compaction, and an extension visits only the rows it touched.
+	// Per-LF counts aggregate over distinct rows and the multiplicities this
+	// call added to them, on top of prev's counts — integer sums, so the
+	// result does not depend on how many Extend steps built the compaction,
+	// and an extension visits only the rows it touched.
 	copy(c.Voted, prev.Voted)
 	copy(c.MajorityAgree, prev.MajorityAgree)
+	copy(c.Positives, prev.Positives)
+	copy(c.Overlaps, prev.Overlaps)
+	copy(c.Conflicts, prev.Conflicts)
 	for r := range c.Mult {
 		mult := int64(c.Mult[r])
 		if r < u {
@@ -326,21 +338,33 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 		}
 		pos := c.Cols[c.Start[r]:c.PosEnd[r]]
 		neg := c.Cols[c.PosEnd[r]:c.Start[r+1]]
-		maj := len(pos) - len(neg)
+		// Each is mult or 0 for every vote of one sign in the row.
+		overlap := mult * int64(b2i(len(pos)+len(neg) > 1))
+		posAgree, posConflict := mult*int64(b2i(len(pos) > len(neg))), mult*int64(b2i(len(neg) > 0))
+		negAgree, negConflict := mult*int64(b2i(len(neg) > len(pos))), mult*int64(b2i(len(pos) > 0))
 		for _, j := range pos {
 			c.Voted[j] += mult
-			if maj > 0 {
-				c.MajorityAgree[j] += mult
-			}
+			c.Positives[j] += mult
+			c.MajorityAgree[j] += posAgree
+			c.Overlaps[j] += overlap
+			c.Conflicts[j] += posConflict
 		}
 		for _, j := range neg {
 			c.Voted[j] += mult
-			if maj < 0 {
-				c.MajorityAgree[j] += mult
-			}
+			c.MajorityAgree[j] += negAgree
+			c.Overlaps[j] += overlap
+			c.Conflicts[j] += negConflict
 		}
 	}
 	return c, nil
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // invalidLabel names the first out-of-range vote in row i.

@@ -56,9 +56,9 @@ func FuzzCompact(f *testing.F) {
 		if mx == nil {
 			return
 		}
-		want, err := mx.compactChecked()
+		want, err := mx.CompactChecked()
 		if verr := mx.Validate(); (err != nil) != (verr != nil) {
-			t.Fatalf("compactChecked error %v, Validate error %v", err, verr)
+			t.Fatalf("CompactChecked error %v, Validate error %v", err, verr)
 		}
 		if err != nil {
 			return

@@ -152,8 +152,8 @@ func TestCompactDuplicateHeavy(t *testing.T) {
 func TestCompactRejectsInvalidVotes(t *testing.T) {
 	mx := NewMatrix(4, 3)
 	mx.data[5] = 7 // bypass Set's validation, as a corrupt decode would
-	if _, err := mx.compactChecked(); err == nil {
-		t.Fatal("compactChecked accepted an out-of-range vote")
+	if _, err := mx.CompactChecked(); err == nil {
+		t.Fatal("CompactChecked accepted an out-of-range vote")
 	}
 	defer func() {
 		if recover() == nil {

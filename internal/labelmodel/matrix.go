@@ -16,7 +16,9 @@
 //
 // Baselines for the paper's ablations (equal weights, Table 4; Logical-OR,
 // §6.4/Figure 6; majority vote) live in baselines.go. Per-LF diagnostics
-// (coverage, overlap, conflict, empirical accuracy) are lf.Analyze.
+// (coverage, overlap, conflict, empirical accuracy) are lf.AnalyzeCompact,
+// read off the same CompactMatrix the trainer runs on (TrainCompact): its
+// per-LF aggregates are kept by the one compaction pass.
 package labelmodel
 
 import "fmt"

@@ -6,8 +6,9 @@ import (
 
 // TrainState carries what a sampling-free-fast training run needs to warm-
 // start the next one over a grown corpus: the converged accuracies and the
-// compacted matrix they were fit on. States are produced and consumed by
-// TrainSamplingFreeFastWarm; callers treat them as opaque except for Alpha.
+// compacted matrix they were fit on. States are produced by TrainCompact and
+// consumed by TrainSamplingFreeFastWarm or by an ExtendCompact of their
+// Compact; callers treat them as opaque except for Alpha.
 type TrainState struct {
 	// Alpha is the converged accuracy vector of the producing run, kept for
 	// inspection and drift metrics. It does NOT seed the next run's
@@ -53,12 +54,8 @@ type TrainState struct {
 // seed, shifting posteriors by ~0.4 while every vote is identical.) The
 // returned TrainState feeds the next warm start.
 func TrainSamplingFreeFastWarm(mx *Matrix, opts Options, prev *TrainState) (*Model, *TrainState, error) {
-	opts = opts.withDefaults()
 	if mx == nil {
 		return nil, nil, fmt.Errorf("labelmodel: nil matrix")
-	}
-	if opts.LearnPrior {
-		return nil, nil, fmt.Errorf("labelmodel: Options.LearnPrior is not supported by the sampling-free fast trainer; TrainSamplingFree learns the prior")
 	}
 	var cm *CompactMatrix
 	var err error
@@ -70,10 +67,25 @@ func TrainSamplingFreeFastWarm(mx *Matrix, opts Options, prev *TrainState) (*Mod
 		// Validation is folded into the compaction pass: the packing loop
 		// already touches every entry, so a separate Validate scan would
 		// double the preprocessing cost for nothing.
-		cm, err = mx.compactChecked()
+		cm, err = mx.CompactChecked()
 	}
 	if err != nil {
 		return nil, nil, err
+	}
+	return TrainCompact(cm, opts)
+}
+
+// TrainCompact is the sampling-free fast trainer over a compaction the
+// caller already built — a pipeline compacts Λ once and hands the same
+// compaction to its LF analysis and to this trainer. The returned state's
+// Compact is cm itself, not a copy.
+func TrainCompact(cm *CompactMatrix, opts Options) (*Model, *TrainState, error) {
+	opts = opts.withDefaults()
+	if cm == nil {
+		return nil, nil, fmt.Errorf("labelmodel: nil compaction")
+	}
+	if opts.LearnPrior {
+		return nil, nil, fmt.Errorf("labelmodel: Options.LearnPrior is not supported by the sampling-free fast trainer; TrainSamplingFree learns the prior")
 	}
 	ft := newFastTrainer(cm, opts)
 	alpha, beta, err := ft.run()

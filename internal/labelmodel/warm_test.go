@@ -308,6 +308,9 @@ func requireSameCompact(t *testing.T, what string, got, want *CompactMatrix) {
 		{"RowOf", slices.Equal(got.RowOf, want.RowOf)},
 		{"Voted", slices.Equal(got.Voted, want.Voted)},
 		{"MajorityAgree", slices.Equal(got.MajorityAgree, want.MajorityAgree)},
+		{"Positives", slices.Equal(got.Positives, want.Positives)},
+		{"Overlaps", slices.Equal(got.Overlaps, want.Overlaps)},
+		{"Conflicts", slices.Equal(got.Conflicts, want.Conflicts)},
 		{"index", slices.Equal(got.index, want.index)},
 	} {
 		if !f.same {

@@ -145,7 +145,7 @@ func TestRunEndToEndWithHooks(t *testing.T) {
 			}
 		}
 	}
-	want := []string{"stage.input", "lf.execute", "stage.analyze", "stage.denoise", "stage.persist"}
+	want := []string{"stage.input", "lf.execute", "stage.compact", "stage.analyze", "stage.denoise", "stage.persist"}
 	if !slices.Equal(stages, want) {
 		t.Fatalf("spans under pipeline.run = %v, want %v", stages, want)
 	}
@@ -155,7 +155,7 @@ func TestRunEndToEndWithHooks(t *testing.T) {
 	if err := drybell.WriteMetrics(&buf, o); err != nil {
 		t.Fatal(err)
 	}
-	for _, stage := range []string{"stage", "execute-lfs", "analyze-lfs", "denoise", "persist"} {
+	for _, stage := range []string{"stage", "execute-lfs", "compact", "analyze-lfs", "denoise", "persist"} {
 		if want := fmt.Sprintf("pipeline_stage_seconds_count{stage=%q} 1", stage); !strings.Contains(buf.String(), want) {
 			t.Errorf("metrics lack %s", want)
 		}

@@ -51,86 +51,76 @@ type Analysis struct {
 // Analyze computes the report for a label matrix whose column j was voted
 // by the function described by metas[j]. dev optionally carries ground
 // truth aligned with the matrix rows — Abstain entries mean "unlabeled";
-// pass nil for no dev set. A non-nil dev must have one entry per row.
+// pass nil for no dev set. A non-nil dev must have one entry per row. It
+// compacts the matrix, refusing out-of-range votes and more than 65,536
+// columns as training does, and reads the compaction (AnalyzeCompact).
 func Analyze(mx *labelmodel.Matrix, metas []Meta, dev []Label) (*Analysis, error) {
 	if mx == nil {
 		return nil, fmt.Errorf("lf: Analyze(nil matrix)")
 	}
-	m, n := mx.NumExamples(), mx.NumFuncs()
+	cm, err := mx.CompactChecked()
+	if err != nil {
+		return nil, fmt.Errorf("lf: Analyze: %w", err)
+	}
+	return AnalyzeCompact(cm, metas, dev)
+}
+
+// AnalyzeCompact is Analyze over a compacted matrix — the compaction a run
+// also trains its label model on. Coverage, vote counts, overlaps and
+// conflicts are the compaction's per-function aggregates; dev accuracy walks
+// only the dev-labelled examples' distinct rows. It costs O(n) plus the
+// dev-labelled examples' votes, not a pass over the m×n matrix.
+func AnalyzeCompact(cm *labelmodel.CompactMatrix, metas []Meta, dev []Label) (*Analysis, error) {
+	if cm == nil {
+		return nil, fmt.Errorf("lf: Analyze(nil matrix)")
+	}
+	m, n := cm.NumExamples(), cm.NumFuncs()
 	if len(metas) != n {
 		return nil, fmt.Errorf("lf: Analyze: %d metas for a %d-column matrix", len(metas), n)
 	}
 	if dev != nil && len(dev) != m {
 		return nil, fmt.Errorf("lf: Analyze: %d dev labels for %d examples", len(dev), m)
 	}
-
 	report := &Analysis{Examples: m, PerLF: make([]LFAnalysis, n)}
 	for j, meta := range metas {
-		report.PerLF[j] = LFAnalysis{Name: meta.Name, Category: meta.Category, Servable: meta.Servable}
-	}
-	for _, d := range dev {
-		if d != Abstain {
-			report.DevLabeled++
+		report.PerLF[j] = LFAnalysis{
+			Name: meta.Name, Category: meta.Category, Servable: meta.Servable,
+			Coverage:  float64(cm.Voted[j]) / float64(m),
+			Overlaps:  float64(cm.Overlaps[j]) / float64(m),
+			Conflicts: float64(cm.Conflicts[j]) / float64(m),
+			Positives: int(cm.Positives[j]),
+			Negatives: int(cm.Voted[j] - cm.Positives[j]),
 		}
 	}
-
-	covered := make([]int, n)  // rows with a vote
-	overlap := make([]int, n)  // rows with a vote and another voter
-	conflict := make([]int, n) // rows with a vote and a disagreeing voter
-	for i := 0; i < m; i++ {
-		// Per-row vote totals make overlap/conflict O(1) per cell: another
-		// voter exists iff the row has >1 voters, and a disagreeing voter
-		// iff the row holds a vote of the other sign.
-		pos, neg := 0, 0
-		for j := 0; j < n; j++ {
-			switch mx.At(i, j) {
-			case Positive:
-				pos++
-			case Negative:
-				neg++
-			}
-		}
-		voters := pos + neg
-		if voters == 0 {
+	for i, d := range dev {
+		if d == Abstain {
 			continue
 		}
-		for j := 0; j < n; j++ {
-			v := mx.At(i, j)
-			if v == Abstain {
-				continue
-			}
-			row := &report.PerLF[j]
-			if v == Positive {
-				row.Positives++
-			} else {
-				row.Negatives++
-			}
-			covered[j]++
-			if voters > 1 {
-				overlap[j]++
-			}
-			if (v == Positive && neg > 0) || (v == Negative && pos > 0) {
-				conflict[j]++
-			}
-			if dev != nil && dev[i] != Abstain {
-				if v == dev[i] {
-					row.Correct++
-				} else {
-					row.Incorrect++
-				}
-			}
+		report.DevLabeled++
+		r := cm.RowOf[i]
+		for _, j := range cm.Cols[cm.Start[r]:cm.PosEnd[r]] {
+			report.PerLF[j].tally(d == Positive)
+		}
+		for _, j := range cm.Cols[cm.PosEnd[r]:cm.Start[r+1]] {
+			report.PerLF[j].tally(d == Negative)
 		}
 	}
 	for j := range report.PerLF {
 		row := &report.PerLF[j]
-		row.Coverage = float64(covered[j]) / float64(m)
-		row.Overlaps = float64(overlap[j]) / float64(m)
-		row.Conflicts = float64(conflict[j]) / float64(m)
 		if t := row.Correct + row.Incorrect; t > 0 {
 			row.EmpiricalAccuracy = float64(row.Correct) / float64(t)
 		}
 	}
 	return report, nil
+}
+
+// tally counts one vote against a dev label.
+func (row *LFAnalysis) tally(correct bool) {
+	if correct {
+		row.Correct++
+	} else {
+		row.Incorrect++
+	}
 }
 
 // String renders the report as the fixed-width table the development loop

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/corpus"
+	"repro/internal/labelmodel"
 	"repro/pkg/drybell/lf"
 )
 
@@ -65,4 +66,48 @@ func BenchmarkVoteRow(b *testing.B) {
 		}
 	}
 	reportPerDoc(b, start, len(events))
+}
+
+// BenchmarkAnalyze is the development-loop analysis over the batch vote
+// matrix of voteBenchSet, in ns/row: the dense two-pass oracle against the
+// analysis read off a compaction already built, as a run reads the one its
+// label model trains on, and against Analyze, which compacts first.
+func BenchmarkAnalyze(b *testing.B) {
+	events, lfs := voteBenchSet(b)
+	m, n := len(events), len(lfs)
+	buf := make([]byte, m*n)
+	for j, f := range lfs {
+		if _, err := lf.VoteAll(context.Background(), f, events, buf, n, j); err != nil {
+			b.Fatal(err)
+		}
+	}
+	mx := labelmodel.NewMatrix(m, n)
+	for i := range m {
+		if bad := labelmodel.DecodeVotes(mx.Row(i), buf[i*n:(i+1)*n]); bad >= 0 {
+			b.Fatalf("row %d: vote byte %d out of range", i, bad)
+		}
+	}
+	metas := lf.Metas(lfs)
+	cm, err := mx.CompactChecked()
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"dense", func() error { denseAnalyze(mx, metas, nil); return nil }},
+		{"compact", func() error { _, err := lf.AnalyzeCompact(cm, metas, nil); return err }},
+		{"analyze", func() error { _, err := lf.Analyze(mx, metas, nil); return err }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			start := time.Now()
+			for range b.N {
+				if err := bc.run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(time.Since(start).Nanoseconds())/float64(b.N*m), "ns/row")
+		})
+	}
 }
