@@ -84,8 +84,10 @@ func runContinuous(ctx context.Context, fsys drybell.FS, reg *serving.FSRegistry
 	devAccuracy := met.Gauge("continuous_dev_accuracy",
 		"Dev-set accuracy of the last candidate the continuous loop trained.")
 
-	// The vote store records how far execution has progressed; resuming a
-	// loop against existing state must not re-run already-published deltas.
+	// The vote store records how far execution has progressed, so every
+	// poll asks it rather than counting rounds: resuming against existing
+	// state must not re-run already-published deltas, and a delta staged
+	// after this poll's ledger read is executed by the round it starts.
 	done, err := p.ExecutedGeneration()
 	if err != nil {
 		return err
@@ -96,6 +98,9 @@ func runContinuous(ctx context.Context, fsys drybell.FS, reg *serving.FSRegistry
 	for {
 		gens, err := p.CorpusGenerations()
 		if err != nil {
+			return err
+		}
+		if done, err = p.ExecutedGeneration(); err != nil {
 			return err
 		}
 		if len(gens) <= done {
@@ -112,7 +117,6 @@ func runContinuous(ctx context.Context, fsys drybell.FS, reg *serving.FSRegistry
 		if err != nil {
 			return err
 		}
-		done = len(gens)
 		extra := len(res.Posteriors) - len(trainBase)
 		if extra < 0 {
 			return fmt.Errorf("view has %d rows, below the %d-row base; the continuous loop only follows appended deltas", len(res.Posteriors), len(trainBase))

@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -63,6 +65,96 @@ func TestContinuousRoundPromotes(t *testing.T) {
 		if !strings.Contains(metricsText(t, observer), series) {
 			t.Errorf("metrics exposition missing %s", series)
 		}
+	}
+}
+
+// stageOnLedgerRead counts reads of the corpus ledger and stages a delta
+// with stage right after the first one returns, so whoever read it holds a
+// ledger that is already one generation behind.
+type stageOnLedgerRead struct {
+	drybell.FS
+	once  sync.Once
+	stage func() error
+	err   error
+	reads atomic.Int64
+}
+
+func (f *stageOnLedgerRead) ReadFile(name string) ([]byte, error) {
+	data, err := f.FS.ReadFile(name)
+	if strings.HasSuffix(name, "/input/_corpus.json") {
+		f.once.Do(func() { f.err = f.stage() })
+		f.reads.Add(1)
+	}
+	return data, err
+}
+
+// TestContinuousCountsLateDeltas: a delta staged between the loop's ledger
+// read and its round's is executed by that round, so the loop must not poll
+// it as pending again. One round over both deltas promotes one version; a
+// second round with no new generation would promote a duplicate.
+func TestContinuousCountsLateDeltas(t *testing.T) {
+	fsys := drybell.NewMemFS()
+	observer := drybell.NewObserver()
+	reg, err := serving.OpenFSRegistry(fsys, "serving")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		task  = "topic"
+		model = "topic-classifier"
+		n     = 600
+		seed  = int64(1)
+		steps = 60
+	)
+	runners, bigrams, err := taskRunners(task, 256, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bg := context.Background()
+	base, err := train(bg, fsys, reg, observer, task, model, runners, bigrams, n, seed, steps, 1, false, true, nil)
+	if err != nil {
+		t.Fatalf("base train: %v", err)
+	}
+	if err := runAppend(bg, fsys, observer, task, model, n, seed, steps, 1, 30); err != nil {
+		t.Fatalf("append: %v", err)
+	}
+	hooked := &stageOnLedgerRead{FS: fsys, stage: func() error {
+		return runAppend(bg, fsys, observer, task, model, n, seed, steps, 1, 30)
+	}}
+
+	ctx, cancel := context.WithCancel(bg)
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		inc := incrementalFlags{continuous: true, watch: 10 * time.Millisecond}
+		done <- runContinuous(ctx, hooked, reg, observer, task, model, runners, bigrams, n, seed, steps, 1, false, nil, inc)
+	}()
+	// Wait for the first promotion, then for three more ledger reads: the
+	// loop has polled again since, and would have started a second round.
+	seen := int64(-1)
+	for seen < 0 || hooked.reads.Load() < seen+3 {
+		if live, err := reg.Live(model); seen < 0 && err == nil && live.Version > base {
+			seen = hooked.reads.Load()
+		}
+		select {
+		case err := <-done:
+			t.Fatalf("loop returned early: %v", err)
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatalf("continuous loop: %v", err)
+	}
+	if hooked.err != nil {
+		t.Fatalf("staging the late delta: %v", hooked.err)
+	}
+	live, err := reg.Live(model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if live.Version != base+1 {
+		t.Errorf("live version %d after one round over base %d: the loop promoted %d versions, want 1", live.Version, base, live.Version-base)
 	}
 }
 

@@ -84,6 +84,33 @@ type contentTask struct {
 	runners []apps.DocLF
 	bigrams bool
 	iters   int
+	// matrix memoizes votes: every arm of a table reads the same full-corpus
+	// matrix, so the functions run once per task.
+	matrix *labelmodel.Matrix
+}
+
+// eachContentTask is the prologue every content table shares: it builds the
+// topic task and then the product task, trains and scores each one's dev
+// baseline, and hands fn the task with the baseline's test metrics.
+func (c Config) eachContentTask(fn func(t *contentTask, base model.Metrics) error) error {
+	for _, mk := range []func() (*contentTask, error){c.topicTask, c.productTask} {
+		t, err := mk()
+		if err != nil {
+			return err
+		}
+		clf, err := c.baseline(t)
+		if err != nil {
+			return err
+		}
+		base, err := t.evalOnTest(clf)
+		if err != nil {
+			return err
+		}
+		if err := fn(t, base); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // itersFor scales FTRL iterations with the training-set size so the model
@@ -139,23 +166,30 @@ func (c Config) productTask() (*contentTask, error) {
 	}, nil
 }
 
-// votes runs the labeling functions over the full corpus once (the paper
-// labels all unlabeled data; votes on dev/test rows are used only for the
-// generative-model-only evaluation column).
-func (t *contentTask) votes(parallelism int) (*labelmodel.Matrix, *lf.Report, error) {
+// votes returns the labeling functions' votes over the full corpus (the
+// paper labels all unlabeled data; votes on dev/test rows are used only for
+// the generative-model-only evaluation column), running them on the first
+// call only.
+func (t *contentTask) votes() (*labelmodel.Matrix, error) {
+	if t.matrix != nil {
+		return t.matrix, nil
+	}
 	fs := dfs.NewMem()
 	recs, err := corpus.MarshalDocuments(t.docs)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := lf.Stage[*corpus.Document](fs, "in/docs", recs, 8); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	exec := &lf.Executor[*corpus.Document]{
 		FS: fs, InputBase: "in/docs", OutputPrefix: "labels",
-		Decode: corpus.UnmarshalDocument, Parallelism: parallelism,
+		Decode: corpus.UnmarshalDocument, Parallelism: 4,
 	}
-	return exec.Execute(t.runners)
+	if t.matrix, _, err = exec.Execute(t.runners); err != nil {
+		return nil, err
+	}
+	return t.matrix, nil
 }
 
 // contentRun is one full weak-supervision run for a content task.
@@ -166,23 +200,31 @@ type contentRun struct {
 	classifier *core.ContentClassifier
 }
 
-// runContent executes LFs, trains the label model on the training rows, and
-// trains the discriminative classifier on the training posteriors. The
-// optional columns parameter restricts the LF set (Table 3 ablation);
-// equalWeights replaces the generative model (Table 4 ablation).
-func (c Config) runContent(t *contentTask, columns []int, equalWeights bool) (*contentRun, error) {
-	matrix, _, err := t.votes(4)
+// arm configures one content run: the columns of the task's votes it keeps
+// (nil columns keeps every function; Table 3 ablation) and whether equal LF
+// weights replace the generative model (Table 4 ablation). The zero arm is
+// the full DryBell run.
+type arm struct {
+	columns      func(t *contentTask) []int
+	equalWeights bool
+}
+
+// runContent takes the task's votes, trains the label model on the training
+// rows, and trains the discriminative classifier on the training posteriors,
+// as the arm configures.
+func (c Config) runContent(t *contentTask, a arm) (*contentRun, error) {
+	matrix, err := t.votes()
 	if err != nil {
 		return nil, err
 	}
-	if columns != nil {
-		matrix = matrix.SubsetColumns(columns)
+	if a.columns != nil {
+		matrix = matrix.SubsetColumns(a.columns(t))
 	}
 	trainMatrix := matrix.SubsetRows(t.split.Train)
 
 	var posteriors []float64
 	var genModel *labelmodel.Model
-	if equalWeights {
+	if a.equalWeights {
 		posteriors = labelmodel.EqualWeightsPosteriors(trainMatrix)
 	} else {
 		genModel, err = labelmodel.TrainSamplingFree(trainMatrix, labelmodel.Options{

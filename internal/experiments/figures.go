@@ -79,26 +79,14 @@ type Figure5Result struct {
 func Figure5(cfg Config) (*Figure5Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Figure5Result{}
-	for _, mk := range []func() (*contentTask, error){cfg.topicTask, cfg.productTask} {
-		t, err := mk()
+	err := cfg.eachContentTask(func(t *contentTask, baseMet model.Metrics) error {
+		run, err := cfg.runContent(t, arm{})
 		if err != nil {
-			return nil, err
-		}
-		base, err := cfg.baseline(t)
-		if err != nil {
-			return nil, err
-		}
-		baseMet, err := t.evalOnTest(base)
-		if err != nil {
-			return nil, err
-		}
-		run, err := cfg.runContent(t, nil, false)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		dbMet, err := t.evalOnTest(run.classifier)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		task := Figure5Task{Task: t.name, Crossover: -1}
 		if baseMet.F1 > 0 {
@@ -119,7 +107,7 @@ func Figure5(cfg Config) (*Figure5Result, error) {
 				Bigrams: t.bigrams, Iterations: t.itersFor(k), Seed: cfg.Seed + 5,
 			})
 			if err != nil {
-				return nil, err
+				return err
 			}
 			// Same protocol as the baseline: tune on dev.
 			dev := corpus.Select(t.docs, t.split.Dev)
@@ -128,7 +116,7 @@ func Figure5(cfg Config) (*Figure5Result, error) {
 			}
 			met, err := t.evalOnTest(sup)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			rel := 0.0
 			if baseMet.F1 > 0 {
@@ -140,6 +128,10 @@ func Figure5(cfg Config) (*Figure5Result, error) {
 			}
 		}
 		res.Tasks = append(res.Tasks, task)
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

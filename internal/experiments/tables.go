@@ -58,33 +58,25 @@ type Table2Result struct {
 func Table2(cfg Config) (*Table2Result, error) {
 	cfg = cfg.withDefaults()
 	res := &Table2Result{}
-	for _, mk := range []func() (*contentTask, error){cfg.topicTask, cfg.productTask} {
-		t, err := mk()
+	err := cfg.eachContentTask(func(t *contentTask, base model.Metrics) error {
+		run, err := cfg.runContent(t, arm{})
 		if err != nil {
-			return nil, err
-		}
-		base, err := cfg.baseline(t)
-		if err != nil {
-			return nil, err
-		}
-		baseMet, err := t.evalOnTest(base)
-		if err != nil {
-			return nil, err
-		}
-		run, err := cfg.runContent(t, nil, false)
-		if err != nil {
-			return nil, err
+			return err
 		}
 		genMet, err := run.genModelTestMetrics()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		clfMet, err := t.evalOnTest(run.classifier)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		res.GenOnly = append(res.GenOnly, TaskRelative{t.name, genMet, genMet.RelativeTo(baseMet)})
-		res.DryBell = append(res.DryBell, TaskRelative{t.name, clfMet, clfMet.RelativeTo(baseMet)})
+		res.GenOnly = append(res.GenOnly, TaskRelative{t.name, genMet, genMet.RelativeTo(base)})
+		res.DryBell = append(res.DryBell, TaskRelative{t.name, clfMet, clfMet.RelativeTo(base)})
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -117,68 +109,21 @@ type Table3Result struct {
 
 // Table3 runs the servable-LFs ablation for both content tasks.
 func Table3(cfg Config) (*Table3Result, error) {
-	cfg = cfg.withDefaults()
-	res := &Table3Result{}
-	for _, mk := range []func() (*contentTask, error){cfg.topicTask, cfg.productTask} {
-		t, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		base, err := cfg.baseline(t)
-		if err != nil {
-			return nil, err
-		}
-		baseMet, err := t.evalOnTest(base)
-		if err != nil {
-			return nil, err
-		}
-		servableRun, err := cfg.runContent(t, lfapi.ServableIndices(t.runners), false)
-		if err != nil {
-			return nil, err
-		}
-		servMet, err := t.evalOnTest(servableRun.classifier)
-		if err != nil {
-			return nil, err
-		}
-		allRun, err := cfg.runContent(t, nil, false)
-		if err != nil {
-			return nil, err
-		}
-		allMet, err := t.evalOnTest(allRun.classifier)
-		if err != nil {
-			return nil, err
-		}
-		res.Servable = append(res.Servable, TaskRelative{t.name, servMet, servMet.RelativeTo(baseMet)})
-		res.All = append(res.All, TaskRelative{t.name, allMet, allMet.RelativeTo(baseMet)})
-		lift := 0.0
-		if servMet.F1 > 0 {
-			lift = allMet.F1/servMet.F1 - 1
-		}
-		res.LiftFromNonServable = append(res.LiftFromNonServable, lift)
+	r, err := cfg.withDefaults().ablation(
+		arm{columns: func(t *contentTask) []int { return lfapi.ServableIndices(t.runners) }},
+		arm{},
+	)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Table3Result{Servable: r.first, All: r.second, LiftFromNonServable: r.lift}, nil
 }
 
 // Report renders the table.
 func (r *Table3Result) Report() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Table 3: servable-only LFs vs + non-servable LFs (relative to dev baseline)\n")
-	fmt.Fprintf(&b, "%-10s %-18s %6s %6s %6s %8s\n", "Task", "Arm", "P", "R", "F1", "Lift")
-	for i := range r.Servable {
-		s, a := r.Servable[i], r.All[i]
-		fmt.Fprintf(&b, "%-10s %-18s %5.1f%% %5.1f%% %5.1f%%\n",
-			s.Task, "Servable LFs", 100*s.Relative.Precision, 100*s.Relative.Recall, 100*s.Relative.F1)
-		fmt.Fprintf(&b, "%-10s %-18s %5.1f%% %5.1f%% %5.1f%% %+6.1f%%\n",
-			a.Task, "+ Non-Servable", 100*a.Relative.Precision, 100*a.Relative.Recall, 100*a.Relative.F1,
-			100*r.LiftFromNonServable[i])
-	}
-	avg := 0.0
-	for _, l := range r.LiftFromNonServable {
-		avg += l
-	}
-	avg /= float64(len(r.LiftFromNonServable))
-	fmt.Fprintf(&b, "average lift from non-servable resources: %+.1f%% (paper: +52%%)\n", 100*avg)
-	return b.String()
+	return twoArmReport("Table 3: servable-only LFs vs + non-servable LFs (relative to dev baseline)",
+		"Servable LFs", "+ Non-Servable", r.Servable, r.All, r.LiftFromNonServable,
+		"non-servable resources", "+52%")
 }
 
 // Table4Result reproduces Table 4: equal LF weights vs the generative model.
@@ -192,66 +137,78 @@ type Table4Result struct {
 
 // Table4 runs the label-combination ablation for both content tasks.
 func Table4(cfg Config) (*Table4Result, error) {
-	cfg = cfg.withDefaults()
-	res := &Table4Result{}
-	for _, mk := range []func() (*contentTask, error){cfg.topicTask, cfg.productTask} {
-		t, err := mk()
-		if err != nil {
-			return nil, err
-		}
-		base, err := cfg.baseline(t)
-		if err != nil {
-			return nil, err
-		}
-		baseMet, err := t.evalOnTest(base)
-		if err != nil {
-			return nil, err
-		}
-		eqRun, err := cfg.runContent(t, nil, true)
-		if err != nil {
-			return nil, err
-		}
-		eqMet, err := t.evalOnTest(eqRun.classifier)
-		if err != nil {
-			return nil, err
-		}
-		genRun, err := cfg.runContent(t, nil, false)
-		if err != nil {
-			return nil, err
-		}
-		genMet, err := t.evalOnTest(genRun.classifier)
-		if err != nil {
-			return nil, err
-		}
-		res.EqualWeights = append(res.EqualWeights, TaskRelative{t.name, eqMet, eqMet.RelativeTo(baseMet)})
-		res.Generative = append(res.Generative, TaskRelative{t.name, genMet, genMet.RelativeTo(baseMet)})
-		lift := 0.0
-		if eqMet.F1 > 0 {
-			lift = genMet.F1/eqMet.F1 - 1
-		}
-		res.LiftFromGenerative = append(res.LiftFromGenerative, lift)
+	r, err := cfg.withDefaults().ablation(arm{equalWeights: true}, arm{})
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Table4Result{EqualWeights: r.first, Generative: r.second, LiftFromGenerative: r.lift}, nil
 }
 
 // Report renders the table.
 func (r *Table4Result) Report() string {
+	return twoArmReport("Table 4: equal LF weights vs generative model (relative to dev baseline)",
+		"Equal Weights", "+ Generative Model", r.EqualWeights, r.Generative, r.LiftFromGenerative,
+		"generative model", "+4.8%")
+}
+
+// twoArms is a two-arm ablation's outcome over both content tasks: each
+// arm's classifier relative to the dev baseline, and the second arm's F1
+// ratio over the first's, minus one.
+type twoArms struct {
+	first, second []TaskRelative
+	lift          []float64
+}
+
+// ablation runs Tables 3 and 4: for each content task, the first arm and
+// then the second, each over a column subset of the task's one vote matrix.
+func (c Config) ablation(first, second arm) (*twoArms, error) {
+	res := &twoArms{}
+	err := c.eachContentTask(func(t *contentTask, base model.Metrics) error {
+		var met [2]model.Metrics
+		for i, a := range [2]arm{first, second} {
+			run, err := c.runContent(t, a)
+			if err != nil {
+				return err
+			}
+			if met[i], err = t.evalOnTest(run.classifier); err != nil {
+				return err
+			}
+		}
+		res.first = append(res.first, TaskRelative{t.name, met[0], met[0].RelativeTo(base)})
+		res.second = append(res.second, TaskRelative{t.name, met[1], met[1].RelativeTo(base)})
+		lift := 0.0
+		if met[0].F1 > 0 {
+			lift = met[1].F1/met[0].F1 - 1
+		}
+		res.lift = append(res.lift, lift)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// twoArmReport renders Tables 3 and 4: per task, the first arm's relative
+// P/R/F1, the second arm's with its lift over the first, and then the
+// average lift next to the paper's.
+func twoArmReport(title, firstArm, secondArm string, first, second []TaskRelative, lifts []float64, liftFrom, paper string) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Table 4: equal LF weights vs generative model (relative to dev baseline)\n")
+	fmt.Fprintf(&b, "%s\n", title)
 	fmt.Fprintf(&b, "%-10s %-18s %6s %6s %6s %8s\n", "Task", "Arm", "P", "R", "F1", "Lift")
-	for i := range r.EqualWeights {
-		e, g := r.EqualWeights[i], r.Generative[i]
+	for i := range first {
+		f, s := first[i], second[i]
 		fmt.Fprintf(&b, "%-10s %-18s %5.1f%% %5.1f%% %5.1f%%\n",
-			e.Task, "Equal Weights", 100*e.Relative.Precision, 100*e.Relative.Recall, 100*e.Relative.F1)
+			f.Task, firstArm, 100*f.Relative.Precision, 100*f.Relative.Recall, 100*f.Relative.F1)
 		fmt.Fprintf(&b, "%-10s %-18s %5.1f%% %5.1f%% %5.1f%% %+6.1f%%\n",
-			g.Task, "+ Generative Model", 100*g.Relative.Precision, 100*g.Relative.Recall, 100*g.Relative.F1,
-			100*r.LiftFromGenerative[i])
+			s.Task, secondArm, 100*s.Relative.Precision, 100*s.Relative.Recall, 100*s.Relative.F1,
+			100*lifts[i])
 	}
 	avg := 0.0
-	for _, l := range r.LiftFromGenerative {
+	for _, l := range lifts {
 		avg += l
 	}
-	avg /= float64(len(r.LiftFromGenerative))
-	fmt.Fprintf(&b, "average lift from generative model: %+.1f%% (paper: +4.8%%)\n", 100*avg)
+	avg /= float64(len(lifts))
+	fmt.Fprintf(&b, "average lift from %s: %+.1f%% (paper: %s)\n", liftFrom, 100*avg, paper)
 	return b.String()
 }

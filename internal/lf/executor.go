@@ -351,27 +351,10 @@ func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*Vie
 func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase, scratchBase string) (*labelmodel.Matrix, *Report, []string, int, error) {
 	start := time.Now() //drybellvet:wallclock — report durations only, never persisted votes
 	report := &Report{PerLF: make([]LFReport, len(lfs))}
-	names := make([]string, len(lfs))
-	passes := make([]int, len(lfs))
-	fits := make([]time.Duration, len(lfs))
-	for j, f := range lfs {
-		names[j] = f.LFMeta().Name
-		passes[j] = 1
-		// Two-pass functions (AggregateFunc) fit their corpus-level
-		// statistics from the staged input before the vote job launches. A
-		// delta run fits over the delta corpus only — corpus-level statistics
-		// from the base run are reused via Fitted().
-		if fitter, ok := f.(lfapi.CorpusFitter[T]); ok && !fitter.Fitted() {
-			_, fitSpan := obs.StartSpan(ctx, "lf.fit "+names[j])
-			fitStart := time.Now() //drybellvet:wallclock — report durations only
-			err := fitter.FitCorpus(ctx, corpusSeq(e.FS, inputBase, e.Decode))
-			fits[j] = time.Since(fitStart)
-			fitSpan.EndErr(err)
-			if err != nil {
-				return nil, nil, nil, 0, fmt.Errorf("lf: fit %s: %w", names[j], err)
-			}
-			passes[j] = 2
-		}
+	names := lfapi.Names(lfs)
+	fits, err := fitAll(ctx, lfs, e.FS, inputBase, e.Decode)
+	if err != nil {
+		return nil, nil, nil, 0, err
 	}
 
 	task := newFusedTask(ctx, lfs, e.Decode)
@@ -426,12 +409,16 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 	for j, f := range lfs {
 		meta, k := f.LFMeta(), task.keys[j]
 		pos, neg := res.Counters[k.positive], res.Counters[k.negative]
+		passes := 1
+		if fits[j].fitted {
+			passes = 2
+		}
 		report.PerLF[j] = LFReport{
 			Name: meta.Name, Category: meta.Category, Servable: meta.Servable,
-			Duration:  fits[j] + time.Duration(res.Counters[k.nanos]),
+			Duration:  fits[j].took + time.Duration(res.Counters[k.nanos]),
 			Positives: pos, Negatives: neg,
 			Abstains:     int64(total) - pos - neg, // every function votes on every record
-			CorpusPasses: passes[j],
+			CorpusPasses: passes,
 		}
 	}
 	report.Duration = time.Since(start)
@@ -561,17 +548,11 @@ func (m *fusedTask[T]) Setup(tctx *mapreduce.TaskContext) error {
 	return nil
 }
 
-// Map implements mapreduce.Mapper for interface completeness; the engine
-// always drives fused tasks through MapBatch.
-func (m *fusedTask[T]) Map(tctx *mapreduce.TaskContext, rec []byte, emit mapreduce.Emitter) error {
-	return m.MapBatch(tctx, [][]byte{rec}, emit)
-}
-
 // decodeCtxStride is how many records MapBatch decodes between context
 // checks: the stride lfapi.VoteAll votes with.
 const decodeCtxStride = 256
 
-// MapBatch implements mapreduce.BatchMapper.
+// MapBatch implements mapreduce.Mapper.
 func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, emit mapreduce.Emitter) error {
 	st := tctx.State().(*fusedState[T])
 	if st.memo != nil {

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"iter"
 	"strings"
+	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/remote"
+	"repro/internal/obs"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -39,13 +41,9 @@ func FusedVoteCode(names []string) string {
 // so a remote worker reproduces the two-pass shape of §5.1 without any
 // coordinator-side state shipping.
 func RegisterVoteJobs[T any](reg *remote.Registry, lfs []lfapi.LF[T], decode func([]byte) (T, error)) error {
-	names := make([]string, len(lfs))
-	for j, f := range lfs {
-		names[j] = f.LFMeta().Name
-	}
-	return reg.Register(FusedVoteCode(names), remote.JobCode{
+	return reg.Register(FusedVoteCode(lfapi.Names(lfs)), remote.JobCode{
 		Build: func(ctx context.Context, fs dfs.FS, inputBase string) (mapreduce.Mapper, error) {
-			if err := fitAll(ctx, lfs, fs, inputBase, decode); err != nil {
+			if _, err := fitAll(ctx, lfs, fs, inputBase, decode); err != nil {
 				return nil, err
 			}
 			return newFusedTask(ctx, lfs, decode), nil
@@ -53,26 +51,42 @@ func RegisterVoteJobs[T any](reg *remote.Registry, lfs []lfapi.LF[T], decode fun
 	})
 }
 
+// corpusFit is what fitAll did for one function: whether it ran the
+// function's corpus-fit pass, and how long that took.
+type corpusFit struct {
+	fitted bool
+	took   time.Duration
+}
+
 // fitAll runs the corpus-fit pass for every unfitted CorpusFitter in lfs
-// against the staged corpus at inputBase.
-func fitAll[T any](ctx context.Context, lfs []lfapi.LF[T], fs dfs.FS, inputBase string, decode func([]byte) (T, error)) error {
-	for _, f := range lfs {
+// against the staged corpus at inputBase, each under an "lf.fit <name>"
+// span. It is the one fit loop: the coordinator's runFused and a remote
+// worker's Build both call it. A delta run fits over the delta corpus only —
+// corpus-level statistics from the base run are reused via Fitted().
+func fitAll[T any](ctx context.Context, lfs []lfapi.LF[T], fs dfs.FS, inputBase string, decode func([]byte) (T, error)) ([]corpusFit, error) {
+	fits := make([]corpusFit, len(lfs))
+	for j, f := range lfs {
 		fitter, ok := f.(lfapi.CorpusFitter[T])
 		if !ok || fitter.Fitted() {
 			continue
 		}
-		if err := fitter.FitCorpus(ctx, corpusSeq(fs, inputBase, decode)); err != nil {
-			return fmt.Errorf("lf: fit %s on worker: %w", f.LFMeta().Name, err)
+		name := f.LFMeta().Name
+		_, span := obs.StartSpan(ctx, "lf.fit "+name)
+		start := time.Now() //drybellvet:wallclock — report durations only
+		err := fitter.FitCorpus(ctx, corpusSeq(fs, inputBase, decode))
+		fits[j] = corpusFit{fitted: true, took: time.Since(start)}
+		span.EndErr(err)
+		if err != nil {
+			return nil, fmt.Errorf("lf: fit %s: %w", name, err)
 		}
 	}
-	return nil
+	return fits, nil
 }
 
 // corpusSeq streams the decoded staged corpus at inputBase, shard by
-// shard, in record order — the first pass of two-pass functions, shared by
-// the coordinator's fit (runFused) and worker-side fit passes. Iteration
-// order is per-shard, not the original staging order, which aggregation
-// cannot observe.
+// shard, in record order — the first pass of two-pass functions (fitAll).
+// Iteration order is per-shard, not the original staging order, which
+// aggregation cannot observe.
 func corpusSeq[T any](fs dfs.FS, inputBase string, decode func([]byte) (T, error)) iter.Seq2[T, error] {
 	return func(yield func(T, error) bool) {
 		var zero T

@@ -7,12 +7,14 @@
 // coordinator schedules one task per input shard through a queue onto a pool
 // of Workers (the in-process pool is the first backend; the Worker interface
 // is the seam for out-of-process executors). Each attempt reads its shard
-// from the simulated distributed filesystem, runs the Mapper over its
-// records, and returns the emitted values, which come back per shard in
-// Result.MapOutputs. The properties DryBell relies on are:
+// from the simulated distributed filesystem, hands all of its records to the
+// Mapper in one MapBatch call, and returns the emitted values, which come
+// back per shard in Result.MapOutputs. The properties DryBell relies on are:
 //
-//   - per-task Setup/Teardown hooks, used to launch a model server on each
-//     "compute node" (the NLPLabelingFunction template),
+//   - one task contract, Setup → MapBatch → Teardown per attempt: the hooks
+//     launch a model server on each "compute node" (the
+//     NLPLabelingFunction template), and MapFunc adapts a per-record
+//     function to it,
 //   - named counters aggregated across tasks,
 //   - deterministic output independent of worker count, scheduling and
 //     retries,
@@ -43,8 +45,9 @@ type Emitter func(value []byte)
 // corresponds to one task attempt on one simulated compute node.
 type TaskContext struct {
 	// Ctx is the attempt's context: it is canceled when the run is canceled
-	// or another task fails permanently. Long-running user code should
-	// honor it; the engine itself checks it between records.
+	// or another task fails permanently. A Mapper's MapBatch should honor
+	// it; the engine checks it before MapBatch, and MapFunc before each
+	// record.
 	Ctx context.Context
 	// JobName is the owning job's name.
 	JobName string
@@ -66,39 +69,39 @@ func (c *TaskContext) SetState(v any) { c.state = v }
 // State returns the value stored with SetState, or nil.
 func (c *TaskContext) State() any { return c.state }
 
-// Mapper processes input records. Setup runs once per task attempt before
-// any Map call, Teardown after the last one (also on failure paths after a
-// successful Setup).
+// Mapper processes a task's input records. Setup runs once per task attempt,
+// then MapBatch once over all of the task's records in shard order, then
+// Teardown (also after a failed MapBatch; not after a failed Setup). Mapping
+// a whole shard in one call lets a task amortize per-record work: the fused
+// vote task decodes its shard once and keeps one annotation memo per batch.
 type Mapper interface {
 	Setup(ctx *TaskContext) error
-	Map(ctx *TaskContext, record []byte, emit Emitter) error
+	MapBatch(ctx *TaskContext, records [][]byte, emit Emitter) error
 	Teardown(ctx *TaskContext) error
 }
 
-// MapFunc adapts a plain function to Mapper with no-op Setup/Teardown.
+// MapFunc adapts a per-record function to Mapper with no-op Setup/Teardown.
 type MapFunc func(ctx *TaskContext, record []byte, emit Emitter) error
 
 // Setup implements Mapper.
 func (MapFunc) Setup(*TaskContext) error { return nil }
 
-// Map implements Mapper.
-func (f MapFunc) Map(ctx *TaskContext, record []byte, emit Emitter) error {
-	return f(ctx, record, emit)
+// MapBatch implements Mapper: it calls f on each record in order, checking
+// the attempt's context before each one.
+func (f MapFunc) MapBatch(ctx *TaskContext, records [][]byte, emit Emitter) error {
+	for _, rec := range records {
+		if err := ctx.Ctx.Err(); err != nil {
+			return err
+		}
+		if err := f(ctx, rec, emit); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Teardown implements Mapper.
 func (MapFunc) Teardown(*TaskContext) error { return nil }
-
-// BatchMapper is an optional Mapper extension. When a job's Mapper
-// implements it, the engine delivers each task's records as one MapBatch
-// call instead of one Map call per record, letting user code amortize
-// per-record overhead (the fused vote task decodes a shard once and keeps one
-// annotation memo per batch).
-// Emissions must be equivalent to mapping each record in order; Setup and
-// Teardown still bracket the call.
-type BatchMapper interface {
-	MapBatch(ctx *TaskContext, records [][]byte, emit Emitter) error
-}
 
 // Job specifies one map-only execution: one task per shard of InputBase,
 // whose emitted values come back in Result.MapOutputs.
@@ -210,8 +213,9 @@ func Run(job Job) (*Result, error) {
 }
 
 // RunContext executes the job under a context. Cancellation is honored
-// between tasks and between records within a task; a canceled run returns an
-// error satisfying errors.Is(err, ctx.Err()) and commits no further output.
+// between tasks and wherever the Mapper checks TaskContext.Ctx (a MapFunc
+// does before each record); a canceled run returns an error satisfying
+// errors.Is(err, ctx.Err()) and commits no further output.
 //
 // When ctx carries an obs.Tracer, the job records a span tree: one span per
 // job, one child span per task attempt (a task's retries are sibling spans

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -175,8 +176,13 @@ type hookedMapper struct {
 }
 
 func (h *hookedMapper) Setup(c *TaskContext) error { return h.setup(c) }
-func (h *hookedMapper) Map(c *TaskContext, r []byte, e Emitter) error {
-	return h.mapFn(c, r, e)
+func (h *hookedMapper) MapBatch(c *TaskContext, recs [][]byte, e Emitter) error {
+	for _, r := range recs {
+		if err := h.mapFn(c, r, e); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 func (h *hookedMapper) Teardown(c *TaskContext) error { return h.teardown(c) }
 
@@ -366,7 +372,7 @@ func recordsToStrings(recs [][]byte) []string {
 	return out
 }
 
-// batchUpper is a BatchMapper: one MapBatch call per task's records.
+// batchUpper records the size of every MapBatch call it gets.
 type batchUpper struct {
 	mu        sync.Mutex
 	batchSize []int
@@ -374,9 +380,6 @@ type batchUpper struct {
 
 func (m *batchUpper) Setup(*TaskContext) error    { return nil }
 func (m *batchUpper) Teardown(*TaskContext) error { return nil }
-func (m *batchUpper) Map(*TaskContext, []byte, Emitter) error {
-	return errors.New("Map must not be called when MapBatch is implemented")
-}
 func (m *batchUpper) MapBatch(_ *TaskContext, records [][]byte, emit Emitter) error {
 	m.mu.Lock()
 	m.batchSize = append(m.batchSize, len(records))
@@ -388,7 +391,7 @@ func (m *batchUpper) MapBatch(_ *TaskContext, records [][]byte, emit Emitter) er
 }
 
 // TestBatchMapperGetsWholeShards: the engine hands each task's records to
-// MapBatch in one call, output equals the record-at-a-time job.
+// MapBatch in one call, and the output equals the per-record MapFunc job's.
 func TestBatchMapperGetsWholeShards(t *testing.T) {
 	fs := dfs.NewMem()
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
@@ -426,4 +429,36 @@ func TestCollectOutputReturnsWithoutCommitting(t *testing.T) {
 	}
 	assertOutputs(t, res.MapOutputs, upperReference(words, 4))
 	onlyInput(t, fs, "in/c")
+}
+
+// TestMapFuncStopsOnCancel: a MapFunc checks the attempt's context before
+// each record, so a run canceled after k records maps no more of the shard.
+func TestMapFuncStopsOnCancel(t *testing.T) {
+	fs := dfs.NewMem()
+	var words []string
+	for i := 0; i < 20; i++ {
+		words = append(words, fmt.Sprintf("w%02d", i))
+	}
+	stageWords(t, fs, "in/w", words, 1)
+	const k = 5
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	mapped := 0
+	job := Job{
+		Name: "cancel", FS: fs, InputBase: "in/w", Parallelism: 1, MaxAttempts: 1,
+		Mapper: MapFunc(func(_ *TaskContext, rec []byte, emit Emitter) error {
+			if mapped++; mapped == k {
+				cancel()
+			}
+			emit(rec)
+			return nil
+		}),
+	}
+	if _, err := RunContext(ctx, job); !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled job: err = %v, want context.Canceled", err)
+	}
+	if mapped != k {
+		t.Errorf("mapped %d records after canceling at %d of %d", mapped, k, len(words))
+	}
+	onlyInput(t, fs, "in/w")
 }

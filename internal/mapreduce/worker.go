@@ -169,20 +169,9 @@ func runMap(ctx context.Context, fs dfs.FS, mapper Mapper, tctx *TaskContext, sp
 		copy(cp, value)
 		res.Values = append(res.Values, cp)
 	}
-	var mapErr error
-	if bm, ok := mapper.(BatchMapper); ok {
-		if mapErr = ctx.Err(); mapErr == nil {
-			mapErr = bm.MapBatch(tctx, records, emit)
-		}
-	} else {
-		for _, rec := range records {
-			if mapErr = ctx.Err(); mapErr != nil {
-				break
-			}
-			if mapErr = mapper.Map(tctx, rec, emit); mapErr != nil {
-				break
-			}
-		}
+	mapErr := ctx.Err()
+	if mapErr == nil {
+		mapErr = mapper.MapBatch(tctx, records, emit)
 	}
 	tdErr := mapper.Teardown(tctx)
 	if mapErr != nil {

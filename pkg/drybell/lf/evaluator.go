@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/labelmodel"
 	"repro/internal/nlp"
 )
 
@@ -121,25 +120,4 @@ func (e *Evaluator[T]) VoteRow(ctx context.Context, x T) ([]Label, error) {
 		votes[j] = v
 	}
 	return votes, nil
-}
-
-// VoteMatrix evaluates every function against a batch of examples, one
-// column (VoteAll) at a time into a row-major byte buffer, and decodes it.
-// Row i holds example i's votes in function order.
-func (e *Evaluator[T]) VoteMatrix(ctx context.Context, xs []T) (*labelmodel.Matrix, error) {
-	if len(xs) == 0 {
-		return nil, fmt.Errorf("lf: VoteMatrix over no examples")
-	}
-	n := len(e.lfs)
-	buf := make([]byte, len(xs)*n)
-	for j, f := range e.lfs {
-		if _, err := VoteAll(ctx, f, xs, buf, n, j); err != nil {
-			return nil, err
-		}
-	}
-	mx := labelmodel.NewMatrix(len(xs), n)
-	for i := range xs {
-		labelmodel.DecodeVotes(mx.Row(i), buf[i*n:(i+1)*n]) // every byte was checked as VoteAll wrote it
-	}
-	return mx, nil
 }

@@ -181,8 +181,8 @@ type VoteCounts = labelmodel.VoteCounts
 // VoteAll evaluates one labeling function over many examples, in order, and
 // writes vote i's byte to dst[i*stride+col] — one column of a row-major vote
 // buffer with stride functions per row. It is the one vote loop behind the
-// batch executor's map tasks, Evaluator.VoteMatrix and the online batch
-// path: votes are checked once, as they are written, and counted. Func and
+// batch executor's map tasks and the online batch path (Evaluator.VoteRow is
+// the per-row loop): votes are checked once, as they are written, and counted. Func and
 // ModelFunc check their configuration once per call and vote without a Vote
 // call per example; any other function votes through Vote. On error dst may
 // hold a part of the column.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"repro/internal/labelmodel"
 	"repro/internal/nlp"
 	"repro/pkg/drybell/lf"
 )
@@ -157,8 +158,9 @@ func TestEvaluatorTeardownStopsOnlyItsOwnServer(t *testing.T) {
 	}
 }
 
-// TestEvaluatorRowMatchesMatrix: per-record rows and the vectorized matrix
-// must agree — the online and batch views of the same set.
+// TestEvaluatorRowMatchesMatrix: per-record rows (VoteRow) and the columns
+// of a vote matrix written by the column loop (VoteAll) must agree — the
+// online and batch views of the same set.
 func TestEvaluatorRowMatchesMatrix(t *testing.T) {
 	even := lf.New(lf.Meta{Name: "even"}, func(x int) lf.Label {
 		if x%2 == 0 {
@@ -173,9 +175,18 @@ func TestEvaluatorRowMatchesMatrix(t *testing.T) {
 	}
 	ctx := context.Background()
 	xs := []int{0, 1, 2, 3, 4, 5}
-	mx, err := eval.VoteMatrix(ctx, xs)
-	if err != nil {
-		t.Fatal(err)
+	n := eval.Len()
+	buf := make([]byte, len(xs)*n)
+	for j, f := range eval.LFs() {
+		if _, err := lf.VoteAll(ctx, f, xs, buf, n, j); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mx := labelmodel.NewMatrix(len(xs), n)
+	for i := range xs {
+		if j := labelmodel.DecodeVotes(mx.Row(i), buf[i*n:(i+1)*n]); j >= 0 {
+			t.Fatalf("row %d: column %d holds an undecodable vote byte", i, j)
+		}
 	}
 	for i, x := range xs {
 		row, err := eval.VoteRow(ctx, x)
