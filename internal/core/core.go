@@ -325,7 +325,7 @@ func compact(ctx context.Context, mx *labelmodel.Matrix, prev *labelmodel.Compac
 	} else {
 		cm, err = mx.CompactChecked()
 	}
-	span.SetAttr(obs.Int("rows", rows))
+	span.SetAttr(obs.Int("rows", rows), obs.Int("chunks", compactChunks(rows)))
 	if err != nil {
 		err = fmt.Errorf("drybell: compact label matrix: %w", err)
 	} else {
@@ -333,6 +333,13 @@ func compact(ctx context.Context, mx *labelmodel.Matrix, prev *labelmodel.Compac
 	}
 	span.EndErr(err)
 	return cm, err
+}
+
+// compactChunks mirrors the unexported rule by which labelmodel.ExtendCompact
+// splits rows appended rows across goroutines; TestCompactChunkRule holds
+// both packages to one table.
+func compactChunks(rows int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), rows/16_384))
 }
 
 // denoiseAndPersist is stages 3 and 4 — train the generative model on cm,

@@ -218,6 +218,12 @@ func stageDelta[T any](ctx context.Context, cfg Config[T], src iter.Seq2[T, erro
 		}
 		g.Records = n
 	}
+	// The ledger records only a generation its chain rule accepts: one that
+	// tombstones a row the chain does not cover would make every later fold
+	// of the ledger fail.
+	if _, err := chain.Apply(g.Gen, g.StartRow, g.Records, g.Deleted); err != nil {
+		return CorpusGeneration{}, fmt.Errorf("drybell: corpus delta: %w", err)
+	}
 	if err := writeCorpusManifest(cfg, append(gens, g)); err != nil {
 		return CorpusGeneration{}, err
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -241,5 +242,50 @@ func TestIncrementalRunRejectsTruncatedManifest(t *testing.T) {
 	}
 	if _, err := LoadMatrix(cfg, lfapi.Names(lfs)); err == nil || !strings.Contains(err.Error(), key) {
 		t.Fatalf("LoadMatrix over a truncated manifest = %v, want an error naming %s", err, key)
+	}
+}
+
+// TestStageDeltaRefusesBadTombstone: a delta tombstoning a row the chain does
+// not cover — past its end, or negative — is refused at staging and leaves
+// the ledger as it was. Recording it once made every later fold of the
+// ledger fail, so no delta could be staged or run on that root again.
+func TestStageDeltaRefusesBadTombstone(t *testing.T) {
+	ctx := context.Background()
+	full, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 320, PositiveRate: 0.05, Seed: 47})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := topicConfig(dfs.NewMem())
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	if _, err := Run(cfg, full[:300], lfs); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range []int{5000, 300, -1} {
+		if g, err := StageDelta(ctx, cfg, nil, []int{row}); err == nil {
+			t.Fatalf("tombstone of row %d staged as %+v", row, g)
+		} else if !strings.Contains(err.Error(), fmt.Sprintf("tombstones row %d", row)) {
+			t.Fatalf("tombstone of row %d refused with %v, want an error naming the row", row, err)
+		}
+		if gens, err := CorpusGenerations(cfg); err != nil || len(gens) != 0 {
+			t.Fatalf("ledger after refusing row %d = %+v, %v; want it empty", row, gens, err)
+		}
+	}
+	// The delta's own rows are coverable: tombstoning one of them is legal.
+	g, err := StageDelta(ctx, cfg, Examples(full[300:]), []int{5, 310})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.Gen != 1 || g.StartRow != 300 {
+		t.Fatalf("delta after the refusals = %+v, want generation 1 at row 300", g)
+	}
+	res, err := IncrementalRun(ctx, cfg, lfs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rows := res.Matrix.NumExamples(); rows != 318 {
+		t.Fatalf("view after the delta has %d rows, want 320 less 2 tombstones", rows)
+	}
+	if total, err := CorpusTotalRows(cfg); err != nil || total != 320 {
+		t.Fatalf("CorpusTotalRows = %d, %v; want 320", total, err)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -181,4 +182,63 @@ func spansNamed(spans []obs.SpanData, name string) []obs.SpanData {
 		}
 	}
 	return out
+}
+
+// TestExecuteTailObservable: the work between the vote job and training
+// decomposes. lf.execute has an lf.assemble child next to the map job's span,
+// saying how many rows it assembled from how many shards on how many
+// workers, and an lf.publish child saying how many shards and bytes it wrote;
+// stage.compact says how many chunks the compaction split into.
+func TestExecuteTailObservable(t *testing.T) {
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 300, PositiveRate: 0.05, Seed: 61})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	cfg := topicConfig(dfs.NewMem())
+	cfg.Parallelism = 3
+	cfg.Obs = obs.NewObserver()
+	if _, err := RunContext(context.Background(), cfg, Examples(docs), lfs); err != nil {
+		t.Fatal(err)
+	}
+	spans := cfg.Obs.Trace.Snapshot()
+	execute := spansNamed(spans, "lf.execute")
+	if len(execute) != 1 {
+		t.Fatalf("%d lf.execute spans, want 1", len(execute))
+	}
+	for _, tc := range []struct {
+		name  string
+		attrs map[string]any
+	}{
+		{"lf.assemble", map[string]any{"rows": int64(300), "shards": int64(4), "workers": int64(3)}},
+		{"lf.publish", map[string]any{"shards": int64(4), "bytes": int64(4*24 + 300*len(lfs))}},
+	} {
+		got := spansNamed(spans, tc.name)
+		if len(got) != 1 {
+			t.Fatalf("%d %s spans, want 1", len(got), tc.name)
+		}
+		if got[0].Parent != execute[0].ID {
+			t.Errorf("%s is not a child of lf.execute", tc.name)
+		}
+		for key, want := range tc.attrs {
+			if v := spanAttr(got[0], key); v != want {
+				t.Errorf("%s %s = %v, want %v", tc.name, key, v, want)
+			}
+		}
+	}
+	if chunks := spanAttr(spansNamed(spans, "stage.compact")[0], "chunks"); chunks != int64(1) {
+		t.Errorf("stage.compact chunks = %v for 300 rows, want 1", chunks)
+	}
+}
+
+// TestCompactChunkRule: the chunk count stage.compact reports follows the
+// split rule of labelmodel's ExtendCompact, whose own TestCompactChunkRule
+// holds it to this same table.
+func TestCompactChunkRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for rows, want := range map[int]int{0: 1, 500: 1, 16_383: 1, 16_384: 1, 32_768: 2, 60_000: 3, 1 << 20: 4} {
+		if got := compactChunks(rows); got != want {
+			t.Errorf("%d rows at GOMAXPROCS 4: %d chunks, want %d", rows, got, want)
+		}
+	}
 }

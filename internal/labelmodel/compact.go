@@ -1,8 +1,11 @@
 package labelmodel
 
 import (
+	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
+	"sync"
 )
 
 // CompactMatrix is the deduplicated form of a label matrix Λ: the distinct
@@ -229,8 +232,15 @@ func (mx *Matrix) CompactChecked() (*CompactMatrix, error) {
 //
 // Cost: one copy of prev's arrays and O(k·n) over the k appended rows, instead
 // of O(m·n) over everything. No row of prev is hashed or compared again: the
-// row index is copied with the arrays.
+// row index is copied with the arrays. Large k is split across up to
+// GOMAXPROCS goroutines (scanChunks), with the same result.
 func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
+	return extendCompact(prev, mx, 0)
+}
+
+// extendCompact is ExtendCompact scanning the appended rows in the given
+// number of chunks; 0 picks it from the row count and GOMAXPROCS.
+func extendCompact(prev *CompactMatrix, mx *Matrix, chunks int) (*CompactMatrix, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("labelmodel: ExtendCompact with nil previous compaction")
 	}
@@ -246,77 +256,35 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 	if mx.n > 1<<16 {
 		return nil, fmt.Errorf("labelmodel: Compact supports at most %d labeling functions, got %d", 1<<16, mx.n)
 	}
+	u, n, rows := len(prev.Mult), mx.n, mx.m-prev.m
+	if chunks <= 0 {
+		chunks = compactChunks(rows)
+	}
 	// Copy what the appended rows grow or bump — sharing backing arrays would
 	// corrupt prev for its other holders (the last training run's state).
 	// Start keeps its sentinel: Start[r+1] ends row r throughout.
-	u, n := len(prev.Mult), mx.n
 	c := &CompactMatrix{
 		m:             mx.m,
 		n:             n,
-		Mult:          slices.Clone(prev.Mult),
-		Start:         slices.Clone(prev.Start),
-		PosEnd:        slices.Clone(prev.PosEnd),
-		Cols:          slices.Clone(prev.Cols),
+		Mult:          cloneWithRoom(prev.Mult, rows),
+		Start:         cloneWithRoom(prev.Start, rows),
+		PosEnd:        cloneWithRoom(prev.PosEnd, rows),
+		Cols:          cloneWithRoom(prev.Cols, rows*n),
 		RowOf:         make([]int32, mx.m),
 		Voted:         make([]int64, n),
 		MajorityAgree: make([]int64, n),
 		Positives:     make([]int64, n),
 		Overlaps:      make([]int64, n),
 		Conflicts:     make([]int64, n),
+		index:         slices.Clone(prev.index),
 	}
 	copy(c.RowOf, prev.RowOf)
 	if u == 0 {
 		c.Start = []int32{0}
-	}
-	// Column lists are packed the moment a fresh row pattern is seen, so
-	// the whole compaction is one pass over the appended rows plus O(U·n̄)
-	// work on first encounters only.
-	appendRow := func(pos, neg []uint16) {
-		c.Mult = append(c.Mult, 0)
-		c.Cols = append(c.Cols, pos...)
-		c.PosEnd = append(c.PosEnd, int32(len(c.Cols)))
-		c.Cols = append(c.Cols, neg...)
-		c.Start = append(c.Start, int32(len(c.Cols)))
-	}
-	// lists holds one appended row's positive columns from 0 and its negative
-	// ones from n.
-	lists := make([]uint16, 2*n)
-	c.index = slices.Clone(prev.index)
-	if u == 0 {
 		c.index = make([]uint64, rowIndexMinSlots)
 	}
-	for i := prev.m; i < mx.m; i++ {
-		// Every column is stored to both lists and kept only where its vote
-		// advances that list's length — positive is code 1, negative code 3 —
-		// so the scan has no branch to mispredict on votes that are mostly,
-		// but unpredictably, abstains. The codes tag out-of-range bytes with a
-		// sentinel bit: one validity branch per row.
-		row := mx.data[i*n : (i+1)*n]
-		var np, nn int
-		var bad uint64
-		for j, v := range row {
-			code := voteCode[uint8(v)] //drybellvet:rawvote — indexing the encoder's table
-			bad |= code
-			lists[np], lists[n+nn] = uint16(j), uint16(j)
-			np += int(code & ^(code >> 1) & 1)
-			nn += int(code >> 1 & 1)
-		}
-		if bad&voteBad != 0 {
-			return nil, invalidLabel(row, i)
-		}
-		pos, neg := lists[:np], lists[n:n+nn]
-		tag := hashCols(pos, neg)
-		r, slot := c.lookup(tag, pos, neg)
-		if r < 0 {
-			r = int32(len(c.Mult))
-			c.index[slot] = uint64(tag)<<32 | uint64(r+1)
-			appendRow(pos, neg)
-			if len(c.Mult)*10 >= len(c.index)*7 {
-				c.growIndex()
-			}
-		}
-		c.Mult[r]++
-		c.RowOf[i] = r
+	if err := c.scanChunks(mx, prev.m, chunks); err != nil {
+		return nil, err
 	}
 
 	// Per-LF counts aggregate over distinct rows and the multiplicities this
@@ -357,6 +325,149 @@ func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 		}
 	}
 	return c, nil
+}
+
+// compactChunkRows is the fewest appended rows a chunk of a split compaction
+// gets: smaller matrices, an incremental round's among them, stay serial.
+const compactChunkRows = 16_384
+
+// compactChunks is how many chunks a compaction of rows appended rows splits
+// into: one per compactChunkRows, at most one per GOMAXPROCS, at least one.
+func compactChunks(rows int) int {
+	return max(1, min(runtime.GOMAXPROCS(0), rows/compactChunkRows))
+}
+
+// scanChunks scans rows [lo, m) of mx into c as a GROUP BY over contiguous
+// chunks: chunk 0 extends c while each later chunk compacts on its own
+// goroutine, writing chunk-local ids into its range of RowOf, and is then
+// merged into c in chunk order — so distinct rows enter c in first-seen
+// order, as in one scan, and the lowest chunk's error names the lowest bad
+// row.
+func (c *CompactMatrix) scanChunks(mx *Matrix, lo, chunks int) error {
+	if chunks == 1 {
+		return c.scan(mx, lo, mx.m, c.RowOf)
+	}
+	bound := func(k int) int { return lo + k*(mx.m-lo)/chunks }
+	parts := make([]*CompactMatrix, chunks)
+	errs := make([]error, chunks)
+	var wg sync.WaitGroup
+	for k := range parts {
+		parts[k] = c
+		if k > 0 {
+			parts[k] = &CompactMatrix{n: c.n, Start: []int32{0}, index: make([]uint64, rowIndexMinSlots)}
+		}
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			errs[k] = parts[k].scan(mx, bound(k), bound(k+1), c.RowOf)
+		}(k)
+	}
+	wg.Wait()
+	if err := cmp.Or(errs...); err != nil {
+		return err
+	}
+	for k := 1; k < chunks; k++ {
+		c.merge(parts[k], c.RowOf[bound(k):bound(k+1)])
+	}
+	return nil
+}
+
+// scan deduplicates rows [lo, hi) of mx against c's distinct rows, adding the
+// new ones and counting every row's multiplicity, and writes row i's
+// distinct-row id to rowOf[i]. It stops at the first row holding an
+// out-of-range vote.
+func (c *CompactMatrix) scan(mx *Matrix, lo, hi int, rowOf []int32) error {
+	n := mx.n
+	// lists holds one row's positive columns from 0 and its negative ones
+	// from n. Column lists are packed the moment a fresh row pattern is seen,
+	// so the scan is one pass over the rows plus O(U·n̄) work on first
+	// encounters only.
+	lists := make([]uint16, 2*n)
+	for i := lo; i < hi; i++ {
+		// Every column is stored to both lists and kept only where its vote
+		// advances that list's length — positive is code 1, negative code 3 —
+		// so the scan has no branch to mispredict on votes that are mostly,
+		// but unpredictably, abstains. The codes tag out-of-range bytes with a
+		// sentinel bit: one validity branch per row.
+		row := mx.data[i*n : (i+1)*n]
+		var np, nn int
+		var bad uint64
+		for j, v := range row {
+			code := voteCode[uint8(v)] //drybellvet:rawvote — indexing the encoder's table
+			bad |= code
+			lists[np], lists[n+nn] = uint16(j), uint16(j)
+			np += int(code & ^(code >> 1) & 1)
+			nn += int(code >> 1 & 1)
+		}
+		if bad&voteBad != 0 {
+			return invalidLabel(row, i)
+		}
+		pos, neg := lists[:np], lists[n:n+nn]
+		r := c.insert(hashCols(pos, neg), pos, neg)
+		c.Mult[r]++
+		rowOf[i] = r
+	}
+	return nil
+}
+
+// merge folds part, a chunk compacted on its own, into c: each of its
+// distinct rows in order is found in c by its tag or appended, and rowOf, the
+// chunk's rows' ids in part, is remapped to ids in c.
+func (c *CompactMatrix) merge(part *CompactMatrix, rowOf []int32) {
+	// ids[r] is row r's tag, read off part's index, until r is placed.
+	ids := make([]uint32, len(part.Mult))
+	for _, e := range part.index {
+		if e != 0 {
+			ids[uint32(e)-1] = uint32(e >> 32)
+		}
+	}
+	for r, tag := range ids {
+		pos := part.Cols[part.Start[r]:part.PosEnd[r]]
+		neg := part.Cols[part.PosEnd[r]:part.Start[r+1]]
+		to := c.insert(tag, pos, neg)
+		c.Mult[to] += part.Mult[r]
+		ids[r] = uint32(to)
+	}
+	for i, r := range rowOf {
+		rowOf[i] = int32(ids[r])
+	}
+}
+
+// insert returns the distinct row whose packed lists are pos and neg, first
+// appending it with multiplicity 0 when c has no such row.
+func (c *CompactMatrix) insert(tag uint32, pos, neg []uint16) int32 {
+	r, slot := c.lookup(tag, pos, neg)
+	if r >= 0 {
+		return r
+	}
+	r = int32(len(c.Mult))
+	c.index[slot] = uint64(tag)<<32 | uint64(r+1)
+	c.Mult = append(grow(c.Mult, 1), 0)
+	c.Cols = append(grow(c.Cols, len(pos)+len(neg)), pos...)
+	c.PosEnd = append(grow(c.PosEnd, 1), int32(len(c.Cols)))
+	c.Cols = append(c.Cols, neg...)
+	c.Start = append(grow(c.Start, 1), int32(len(c.Cols)))
+	if len(c.Mult)*10 >= len(c.index)*7 {
+		c.growIndex()
+	}
+	return r
+}
+
+// cloneWithRoom copies s with room for min(extra, len(s)) more elements: a
+// first doubling's room, capped by what the appended rows can use.
+func cloneWithRoom[S ~[]E, E any](s S, extra int) S {
+	return append(make(S, 0, len(s)+min(extra, len(s))), s...)
+}
+
+// grow returns s with room for extra more elements, doubling its capacity
+// when it moves (append's 1.25× step copies large arrays many times over).
+func grow[S ~[]E, E any](s S, extra int) S {
+	if len(s)+extra <= cap(s) {
+		return s
+	}
+	t := make(S, len(s), max(2*cap(s), len(s)+extra, 64))
+	copy(t, s)
+	return t
 }
 
 // b2i is 1 for true and 0 for false.

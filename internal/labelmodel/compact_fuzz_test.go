@@ -31,11 +31,12 @@ func fuzzMatrix(data []byte) *Matrix {
 	return mx
 }
 
-// FuzzCompact: compaction is one algorithm at every width. Any bytes give an
-// error or a compaction, never a panic; an error exactly when a vote is out
-// of range. A compaction reconstructs its matrix, has the distinct rows a
-// plain map finds, and equals, field for field and row index included, the
-// compaction extended to the whole matrix from every prefix's.
+// FuzzCompact: compaction is one algorithm at every width and chunk count.
+// Any bytes give an error or a compaction, never a panic; an error exactly
+// when a vote is out of range. A compaction reconstructs its matrix, has the
+// distinct rows a plain map finds, and equals, field for field and row index
+// included, the compaction extended to the whole matrix from every prefix's,
+// its appended rows split into 1 to 8 chunks as data[1]'s upper bits say.
 func FuzzCompact(f *testing.F) {
 	for _, n := range []int{1, 10, 32, 33, 70} {
 		// Seeds on both sides of 32 functions: legal votes with repeated rows,
@@ -56,13 +57,19 @@ func FuzzCompact(f *testing.F) {
 		if mx == nil {
 			return
 		}
+		chunks := 1 + int(data[1]>>1)%8
 		want, err := mx.CompactChecked()
 		if verr := mx.Validate(); (err != nil) != (verr != nil) {
 			t.Fatalf("CompactChecked error %v, Validate error %v", err, verr)
 		}
+		cold, cerr := extendCompact(&CompactMatrix{n: mx.n}, mx, chunks)
+		if fmt.Sprint(cerr) != fmt.Sprint(err) {
+			t.Fatalf("%d chunks: error %v, one chunk's %v", chunks, cerr, err)
+		}
 		if err != nil {
 			return
 		}
+		requireSameCompact(t, fmt.Sprintf("%d chunks", chunks), cold, want)
 		back := want.Reconstruct()
 		if !slices.Equal(back.data, mx.data) {
 			t.Fatal("Reconstruct is not the identity")
@@ -71,7 +78,7 @@ func FuzzCompact(f *testing.F) {
 			t.Fatalf("%d distinct rows, a map finds %d", want.NumUnique(), unique)
 		}
 		for k := 1; k <= mx.NumExamples(); k++ {
-			got, err := ExtendCompact(prefix(mx, k).Compact(), mx)
+			got, err := extendCompact(prefix(mx, k).Compact(), mx, chunks)
 			if err != nil {
 				t.Fatalf("split %d: %v", k, err)
 			}

@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -244,6 +246,121 @@ func TestCompactPosteriorsMatchDense(t *testing.T) {
 				t.Fatalf("%d×%d: label %d = %x (%g), dense %x (%g)", tc.m, tc.n, i,
 					math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
 			}
+		}
+	}
+}
+
+// chunkedVotes draws an m×n matrix whose rows repeat a small pool half the
+// time and are drawn afresh otherwise, so duplicates straddle every chunk
+// boundary and, at widths past a few functions, enough rows are distinct for
+// the row index to double.
+func chunkedVotes(m, n int, seed int64) *Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	mx := randomVotes(m, n, seed)
+	for i := 0; i < m; i++ {
+		if rng.Intn(2) == 0 {
+			for j := range mx.Row(i) {
+				mx.data[i*n+j] = Label(rng.Intn(3) - 1)
+			}
+		}
+	}
+	return mx
+}
+
+// TestCompactChunksAgree: a compaction split into chunks is the serial one.
+// At every width and chunk count from one to eight, extending a non-empty
+// prefix's compaction equals the one-chunk extension and the cold
+// compaction, field for field and row index included; and with bad votes
+// planted in two chunks, the lower one is reported.
+func TestCompactChunksAgree(t *testing.T) {
+	for _, n := range []int{1, 8, 33, 64, 65, 140} {
+		t.Run(fmt.Sprintf("lfs=%d", n), func(t *testing.T) {
+			const m, carried = 2400, 150
+			mx := chunkedVotes(m, n, int64(300+n))
+			want := mx.Compact()
+			if n >= 8 && len(want.index) == rowIndexMinSlots {
+				t.Fatalf("%d distinct rows: the index never grew", want.NumUnique())
+			}
+			prev := prefix(mx, carried).Compact()
+			serial, err := extendCompact(prev, mx, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			requireSameCompact(t, "one chunk", serial, want)
+			for k := 1; k <= 8; k++ {
+				got, err := extendCompact(prev, mx, k)
+				if err != nil {
+					t.Fatalf("%d chunks: %v", k, err)
+				}
+				requireSameCompact(t, fmt.Sprintf("%d chunks", k), got, want)
+				cold, err := extendCompact(&CompactMatrix{n: n}, mx, k)
+				if err != nil {
+					t.Fatalf("%d chunks from empty: %v", k, err)
+				}
+				requireSameCompact(t, fmt.Sprintf("%d chunks from empty", k), cold, want)
+			}
+
+			bad := NewMatrix(m, n)
+			copy(bad.data, mx.data)
+			low, high := carried+(m-carried)/3+5, m-7
+			bad.data[high*n] = 9 // bypass Set's validation, as a corrupt decode would
+			bad.data[low*n+n-1] = 7
+			for k := 1; k <= 8; k++ {
+				_, err := extendCompact(prev, bad, k)
+				if want := fmt.Sprintf("row %d column %d", low, n-1); err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%d chunks: error %v, want one naming %s", k, err, want)
+				}
+			}
+		})
+	}
+}
+
+var compactSink *CompactMatrix
+
+// BenchmarkCompact is a batch run's compaction at the repo benchmark's
+// batch_events shape: 60,000 rows × 140 functions, about half of them
+// distinct. Serial is one chunk; Chunked is what ExtendCompact picks on
+// this host.
+func BenchmarkCompact(b *testing.B) {
+	const m, n = 60_000, 140
+	rng := rand.New(rand.NewSource(1))
+	mx := NewMatrix(m, n)
+	for i := range mx.data {
+		if rng.Intn(12) == 0 {
+			mx.data[i] = Label(1 - 2*rng.Intn(2))
+		}
+	}
+	for i := 0; i < m; i++ {
+		if rng.Intn(2) == 0 { // repeat an earlier row
+			copy(mx.Row(i), mx.Row(rng.Intn(i+1)))
+		}
+	}
+	for _, bc := range []struct {
+		name   string
+		chunks int
+	}{{"Serial", 1}, {"Chunked", 0}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				c, err := extendCompact(&CompactMatrix{n: n}, mx, bc.chunks)
+				if err != nil {
+					b.Fatal(err)
+				}
+				compactSink = c
+			}
+		})
+	}
+}
+
+// TestCompactChunkRule: a compaction splits into one chunk per
+// compactChunkRows appended rows, at most one per GOMAXPROCS. The stage.compact
+// span reports the count by the same rule (core's TestCompactChunkRule holds
+// it to this table).
+func TestCompactChunkRule(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for rows, want := range map[int]int{0: 1, 500: 1, 16_383: 1, 16_384: 1, 32_768: 2, 60_000: 3, 1 << 20: 4} {
+		if got := compactChunks(rows); got != want {
+			t.Errorf("%d rows at GOMAXPROCS 4: %d chunks, want %d", rows, got, want)
 		}
 	}
 }

@@ -332,7 +332,10 @@ func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*Vie
 	if err != nil {
 		return nil, nil, err
 	}
+	_, span := obs.StartSpan(ctx, "lf.publish", obs.Int("shards", nsh),
+		obs.Int("bytes", nsh*voteShardHeaderSize+matrix.NumExamples()*matrix.NumFuncs()))
 	k, err := publishSegment(e.FS, e.votesBase(), matrix, names, nsh)
+	span.EndErr(err)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -385,24 +388,33 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 	if total == 0 {
 		return nil, nil, nil, 0, fmt.Errorf("lf: staged corpus at %s is empty", inputBase)
 	}
-	matrix := labelmodel.NewMatrix(total, len(lfs))
+	// Task s emitted the rows of examples s, s+N, … for N tasks (the staged
+	// input's round-robin layout), so shards assemble into disjoint rows.
 	nsh := len(res.MapOutputs)
-	for s, shard := range res.MapOutputs {
+	_, span := obs.StartSpan(ctx, "lf.assemble", obs.Int("rows", total), obs.Int("shards", nsh),
+		obs.Int("workers", max(1, min(e.Parallelism, nsh))))
+	matrix := labelmodel.NewMatrix(total, len(lfs))
+	err = eachShard(nsh, e.Parallelism, func(s int) error {
 		if err := ctx.Err(); err != nil {
-			return nil, nil, nil, 0, fmt.Errorf("lf: assemble: %w", err)
+			return fmt.Errorf("lf: assemble: %w", err)
 		}
-		for r, rec := range shard {
+		for r, rec := range res.MapOutputs[s] {
 			if len(rec) != len(lfs) {
-				return nil, nil, nil, 0, fmt.Errorf("lf: vote row has %d bytes for %d functions", len(rec), len(lfs))
+				return fmt.Errorf("lf: vote row has %d bytes for %d functions", len(rec), len(lfs))
 			}
 			idx := s + r*nsh
 			if idx >= total {
-				return nil, nil, nil, 0, fmt.Errorf("lf: shard layout inconsistent (index %d of %d)", idx, total)
+				return fmt.Errorf("lf: shard layout inconsistent (index %d of %d)", idx, total)
 			}
 			if j := labelmodel.DecodeVotes(matrix.Row(idx), rec); j >= 0 {
-				return nil, nil, nil, 0, fmt.Errorf("lf %s: vote byte %d out of range", names[j], int8(rec[j]))
+				return fmt.Errorf("lf %s: vote byte %d out of range", names[j], int8(rec[j]))
 			}
 		}
+		return nil
+	})
+	span.EndErr(err)
+	if err != nil {
+		return nil, nil, nil, 0, err
 	}
 	report.Examples = total
 	//drybellvet:tightloop — bounded by the function set, in-memory report assembly

@@ -12,6 +12,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
+	"repro/internal/mapreduce"
 	"repro/internal/nlp"
 	"repro/internal/recordio"
 	lfapi "repro/pkg/drybell/lf"
@@ -505,5 +506,55 @@ func TestCancellationStopsExecution(t *testing.T) {
 	e.MaxAttempts = 1
 	if _, _, err := e.ExecuteContext(ctx, []lfapi.LF[*corpus.Document]{saboteur}); !errors.Is(err, context.Canceled) {
 		t.Errorf("error = %v, want context.Canceled", err)
+	}
+}
+
+// plantingWorker is a vote-job backend that emits an all-abstain row per
+// record and plants out-of-range vote byte 9 in the first row of the shards
+// bad maps to a column.
+type plantingWorker struct {
+	fs  dfs.FS
+	n   int
+	bad map[int]int
+}
+
+func (w plantingWorker) RunTask(_ context.Context, spec mapreduce.TaskSpec) (*mapreduce.TaskResult, error) {
+	data, err := w.fs.ReadFile(spec.Input)
+	if err != nil {
+		return nil, err
+	}
+	records, err := recordio.Split(data)
+	if err != nil {
+		return nil, err
+	}
+	res := &mapreduce.TaskResult{TaskID: spec.TaskID(), Attempt: spec.Attempt, Records: len(records), Counters: map[string]int64{}}
+	for range records {
+		res.Values = append(res.Values, make([]byte, w.n))
+	}
+	if col, ok := w.bad[spec.Index]; ok {
+		res.Values[0][col] = 9
+	}
+	return res, nil
+}
+
+// TestAssemblyReportsLowestBadShard: shards are assembled concurrently, and
+// with bad vote bytes in two of them the error always names the function
+// whose column is bad in the lower-numbered shard — the error a serial
+// assembly gives — however the shards' goroutines are scheduled.
+func TestAssemblyReportsLowestBadShard(t *testing.T) {
+	lfs := []lfapi.LF[*corpus.Document]{keywordLF(), nerLF(), topicLF()}
+	docs := append(testDocs(), testDocs()...)
+	for run := 0; run < 20; run++ {
+		fs := dfs.NewMem()
+		stageDocs(t, fs, docs, 4)
+		e := docExecutor(fs)
+		e.MaxAttempts = 1
+		for i := 0; i < 4; i++ {
+			e.Workers = append(e.Workers, plantingWorker{fs: fs, n: len(lfs), bad: map[int]int{1: 2, 3: 0}})
+		}
+		_, _, err := e.Execute(lfs)
+		if want := "lf " + topicLF().LFMeta().Name + ": vote byte 9 out of range"; err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("run %d: error %v, want one containing %q", run, err, want)
+		}
 	}
 }

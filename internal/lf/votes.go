@@ -25,11 +25,13 @@
 package lf
 
 import (
+	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"runtime"
 	"sync"
 
 	"repro/internal/dfs"
@@ -76,7 +78,9 @@ func WriteVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	return writeVotes(fs, base, mx, names, shards, voteGeneration(mx, names, shards))
 }
 
-// writeVotes is WriteVotes with the write generation already derived.
+// writeVotes is WriteVotes with the write generation already derived. Shards
+// are encoded, checksummed and published concurrently, one pooled buffer per
+// worker; the meta sidecar follows once every shard stands.
 func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int, gen uint64) error {
 	m, n := mx.NumExamples(), mx.NumFuncs()
 	if len(names) != n {
@@ -85,9 +89,9 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	if shards <= 0 {
 		return fmt.Errorf("lf: WriteVotes with %d shards", shards)
 	}
-	bufp := voteBufPool.Get().(*[]byte)
-	defer voteBufPool.Put(bufp)
-	for s := 0; s < shards; s++ {
+	if err := eachShard(shards, runtime.GOMAXPROCS(0), func(s int) error {
+		bufp := voteBufPool.Get().(*[]byte)
+		defer voteBufPool.Put(bufp)
 		rows := (m - s + shards - 1) / shards
 		need := voteShardHeaderSize + rows*n
 		buf := *bufp
@@ -114,6 +118,9 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 		if err := dfs.PublishShard(fs, base, s, shards, buf); err != nil {
 			return fmt.Errorf("lf: write votes shard %d: %w", s, err)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
 	meta, err := json.Marshal(votesMeta{Names: names, Examples: m, Shards: shards, Generation: gen})
 	if err != nil {
@@ -133,6 +140,29 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 		}
 	}
 	return nil
+}
+
+// eachShard runs fn over shards [0, n) on up to workers goroutines, worker w
+// taking shards w, w+workers, … and stopping at its first error. It returns
+// the error of the lowest-numbered failing shard: every shard below that one
+// ran, so it is the error a serial loop would have stopped at.
+func eachShard(n, workers int, fn func(s int) error) error {
+	workers = max(1, min(workers, n))
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for s := w; s < n; s += workers {
+				if errs[s] = fn(s); errs[s] != nil {
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	return cmp.Or(errs...)
 }
 
 // voteGeneration derives a shard set's write generation from its content:
