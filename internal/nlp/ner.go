@@ -53,88 +53,41 @@ type NER struct {
 	MissRate float64
 
 	seedHash uint64 // FNV-1a of the seed's 8 little-endian bytes
-	// byFirst indexes the gazetteers on each name's first token, so the scan
-	// does one lookup per word and builds no candidate strings. Write-once in
-	// NewNER, immutable after; lock-free reads are safe.
-	byFirst map[string][]gazEntry
 }
 
-// gazEntry is one gazetteer name of one or two tokens.
-type gazEntry struct {
-	name   string // the full normalized name, as emitted
-	second string // its second token; "" for a one-token name
-	typ    EntityType
-}
-
-// NewNER builds the recognizer over the package gazetteers.
+// NewNER returns the recognizer over the package gazetteers.
 func NewNER(missRate float64, seed int64) *NER {
 	le := binary.LittleEndian.AppendUint64(nil, uint64(seed))
-	n := &NER{MissRate: missRate, seedHash: fnv1a(fnvOffset64, string(le)), byFirst: make(map[string][]gazEntry)}
-	for _, g := range []struct {
-		names []string
-		typ   EntityType
-	}{
-		{CelebrityNames, EntityPerson},
-		{OtherPersonNames, EntityPerson},
-		{OrgNames, EntityOrg},
-		{PlaceNames, EntityPlace},
-	} {
-		for _, name := range g.names {
-			first, second, _ := strings.Cut(name, " ")
-			n.byFirst[first] = append(n.byFirst[first], gazEntry{name: name, second: second, typ: g.typ})
-		}
-	}
-	return n
+	return &NER{MissRate: missRate, seedHash: fnv1a(fnvOffset64, string(le))}
 }
 
-// Recognize returns the entities found in text. Multi-word gazetteer entries
-// are matched over adjacent token windows (the gazetteers use one- and
-// two-token names).
-func (n *NER) Recognize(text string) []Entity { return n.recognize(text, Words(text)) }
+// Recognize returns the entities found in text, each name once, in order of
+// first mention; at each token a two-token name wins over a one-token name. It
+// is the Entities of the one annotation pass.
+func (n *NER) Recognize(text string) []Entity { return annotate(text, n).Entities }
 
-// recognize is Recognize over text's already-computed Words. At each word a
-// two-token name wins over a one-token name; each name is emitted once.
-func (n *NER) recognize(text string, words []string) []Entity {
-	var out []Entity
-	var doc uint64 // FNV-1a of seed ‖ text ‖ 0, hashed at the first mention
-	for i, w := range words {
-		var match *gazEntry
-		entries := n.byFirst[w]
-		for k := range entries {
-			e := &entries[k]
-			if e.second == "" {
-				if match == nil {
-					match = e
-				}
-			} else if i+1 < len(words) && e.second == words[i+1] {
-				match = e
-				break
-			}
-		}
-		if match == nil || ContainsName(out, match.name) {
-			continue
-		}
-		// A miss is a uniform draw in [0,1) from FNV-1a(seed ‖ text ‖ 0 ‖ name):
-		// the same mention in the same document under the same seed always
-		// draws the same number, whatever was recognized before it.
-		if n.MissRate > 0 {
-			if doc == 0 {
-				doc = fnv1a(n.seedHash, text) * fnvPrime64 // the 0 byte: h ^ 0 == h
-			}
-			if float64(fnv1a(doc, match.name)>>11)/float64(1<<53) < n.MissRate {
-				continue
-			}
-		}
-		out = append(out, Entity{Text: match.name, Type: match.typ, Confidence: 0.9})
+// missed reports whether n misses the mention of name in text: a uniform draw
+// in [0,1) from FNV-1a(seed ‖ text ‖ 0 ‖ name), whatever was recognized
+// before it. *doc caches the hash of seed ‖ text ‖ 0 (0 until first needed).
+func (n *NER) missed(doc *uint64, text, name string) bool {
+	if n.MissRate <= 0 {
+		return false
 	}
-	return out
+	if *doc == 0 {
+		*doc = fnv1a(n.seedHash, text) * fnvPrime64 // the 0 byte: h ^ 0 == h
+	}
+	return float64(fnv1a(*doc, name)>>11)/float64(1<<53) < n.MissRate
 }
 
-// People filters entities to persons.
+// People filters entities to persons, allocating at most once; nil if there
+// are none.
 func People(entities []Entity) []Entity {
 	var out []Entity
 	for _, e := range entities {
 		if e.Type == EntityPerson {
+			if out == nil {
+				out = make([]Entity, 0, len(entities))
+			}
 			out = append(out, e)
 		}
 	}

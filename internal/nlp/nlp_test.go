@@ -102,10 +102,11 @@ func generatedText(rng *rand.Rand, words int) string {
 	return b.String()
 }
 
-// TestAnnotateMatchesModels: the tokenize-once Annotate equals running the
-// three public models on the text, field for field.
+// TestAnnotateMatchesModels: Annotate equals the three public models run on
+// the text, field for field, and People is the persons among its entities.
 func TestAnnotateMatchesModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
+	tm := NewTopicModel()
 	for _, missRate := range []float64{0, 0.3} {
 		s := NewServer(missRate, 11)
 		if err := s.Launch(); err != nil {
@@ -119,97 +120,131 @@ func TestAnnotateMatchesModels(t *testing.T) {
 			}
 			want := &Result{
 				Entities:  s.ner.Recognize(text),
-				Topics:    s.topic.Classify(text),
+				Topics:    tm.Classify(text),
 				Sentiment: ScoreSentiment(text),
 			}
-			if !reflect.DeepEqual(res, want) {
+			if !reflect.DeepEqual(res.Entities, want.Entities) || !reflect.DeepEqual(res.Topics, want.Topics) || res.Sentiment != want.Sentiment {
 				t.Fatalf("Annotate(%q) = %+v, models say %+v", text, res, want)
+			}
+			if got, want := res.People(), People(res.Entities); !reflect.DeepEqual(got, want) {
+				t.Fatalf("Annotate(%q).People() = %v, want %v", text, got, want)
 			}
 		}
 	}
 }
 
-// TestModelsMatchReference holds the indexed NER scan, the array-counted
-// topic scorer and the inlined miss hash to the straightforward versions
-// they replaced: pair-then-single map lookups with a seen set, a map of
-// counts sorted with sort.Slice, and hash/fnv.
-func TestModelsMatchReference(t *testing.T) {
+// refEntityTypes maps every gazetteer name to its type.
+var refEntityTypes = func() map[string]EntityType {
 	names := map[string]EntityType{}
-	for _, p := range CelebrityNames {
-		names[p] = EntityPerson
-	}
-	for _, p := range OtherPersonNames {
-		names[p] = EntityPerson
-	}
-	for _, o := range OrgNames {
-		names[o] = EntityOrg
-	}
-	for _, pl := range PlaceNames {
-		names[pl] = EntityPlace
-	}
-	refMiss := func(seed int64, text, name string) float64 {
-		h := fnv.New64a()
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], uint64(seed))
-		h.Write(b[:])
-		h.Write([]byte(text))
-		h.Write([]byte{0})
-		h.Write([]byte(name))
-		return float64(h.Sum64()>>11) / float64(1<<53)
-	}
-	refRecognize := func(n *NER, seed int64, text string) []Entity {
-		words := Words(text)
-		var out []Entity
-		seen := map[string]bool{}
-		emit := func(name string, typ EntityType) {
-			if seen[name] || n.MissRate > 0 && refMiss(seed, text, name) < n.MissRate {
-				return
-			}
-			seen[name] = true
-			out = append(out, Entity{Text: name, Type: typ, Confidence: 0.9})
+	for _, g := range []struct {
+		names []string
+		typ   EntityType
+	}{{CelebrityNames, EntityPerson}, {OtherPersonNames, EntityPerson}, {OrgNames, EntityOrg}, {PlaceNames, EntityPlace}} {
+		for _, name := range g.names {
+			names[name] = g.typ
 		}
-		for i := range words {
-			if i+1 < len(words) {
-				pair := words[i] + " " + words[i+1]
-				if typ, ok := names[pair]; ok {
-					emit(pair, typ)
-					continue
+	}
+	return names
+}()
+
+// refMiss is the NER's miss draw through hash/fnv.
+func refMiss(seed int64, text, name string) float64 {
+	h := fnv.New64a()
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], uint64(seed))
+	h.Write(b[:])
+	h.Write([]byte(text))
+	h.Write([]byte{0})
+	h.Write([]byte(name))
+	return float64(h.Sum64()>>11) / float64(1<<53)
+}
+
+// refRecognize is the straightforward NER the lexicon scan replaced:
+// pair-then-single map lookups over Words with a seen set.
+func refRecognize(missRate float64, seed int64, text string) []Entity {
+	words := Words(text)
+	var out []Entity
+	seen := map[string]bool{}
+	emit := func(name string, typ EntityType) {
+		if seen[name] || missRate > 0 && refMiss(seed, text, name) < missRate {
+			return
+		}
+		seen[name] = true
+		out = append(out, Entity{Text: name, Type: typ, Confidence: 0.9})
+	}
+	for i := range words {
+		if i+1 < len(words) {
+			pair := words[i] + " " + words[i+1]
+			if typ, ok := refEntityTypes[pair]; ok {
+				emit(pair, typ)
+				continue
+			}
+		}
+		if typ, ok := refEntityTypes[words[i]]; ok {
+			emit(words[i], typ)
+		}
+	}
+	return out
+}
+
+// refClassify is the straightforward topic scorer: a map of counts over
+// TopicVocab, sorted with sort.Slice.
+func refClassify(text string) []TopicScore {
+	counts := map[string]float64{}
+	total := 0.0
+	for _, w := range Words(text) {
+		for topic, vocab := range TopicVocab {
+			for _, v := range vocab {
+				if v == w {
+					counts[topic]++
+					total++
 				}
 			}
-			if typ, ok := names[words[i]]; ok {
-				emit(words[i], typ)
-			}
 		}
-		return out
 	}
-	refClassify := func(text string) []TopicScore {
-		counts := map[string]float64{}
-		total := 0.0
-		for _, w := range Words(text) {
-			for topic, vocab := range TopicVocab {
-				for _, v := range vocab {
-					if v == w {
-						counts[topic]++
-						total++
-					}
-				}
-			}
-		}
-		if total == 0 {
-			return nil
-		}
-		var out []TopicScore
-		for topic, c := range counts {
-			out = append(out, TopicScore{Topic: topic, Score: c / total})
-		}
-		sort.Slice(out, func(a, b int) bool {
-			if out[a].Score != out[b].Score {
-				return out[a].Score > out[b].Score
-			}
-			return out[a].Topic < out[b].Topic
-		})
-		return out
+	if total == 0 {
+		return nil
 	}
+	var out []TopicScore
+	for topic, c := range counts {
+		out = append(out, TopicScore{Topic: topic, Score: c / total})
+	}
+	sort.Slice(out, func(a, b int) bool {
+		if out[a].Score != out[b].Score {
+			return out[a].Score > out[b].Score
+		}
+		return out[a].Topic < out[b].Topic
+	})
+	return out
+}
+
+// refSentiment counts Words in two maps built from the sentiment lists.
+func refSentiment(text string) float64 {
+	positive, negative := map[string]bool{}, map[string]bool{}
+	for _, w := range positiveWords {
+		positive[w] = true
+	}
+	for _, w := range negativeWords {
+		negative[w] = true
+	}
+	pos, neg := 0, 0
+	for _, w := range Words(text) {
+		if positive[w] {
+			pos++
+		}
+		if negative[w] {
+			neg++
+		}
+	}
+	if pos+neg == 0 {
+		return 0
+	}
+	return float64(pos-neg) / float64(pos+neg)
+}
+
+// TestModelsMatchReference holds the lexicon-backed NER and topic scorer and
+// the inlined miss hash to the straightforward references.
+func TestModelsMatchReference(t *testing.T) {
 	if len(TopicVocab) != len(AllTopics) {
 		t.Fatalf("TopicVocab has %d topics, AllTopics %d", len(TopicVocab), len(AllTopics))
 	}
@@ -219,7 +254,7 @@ func TestModelsMatchReference(t *testing.T) {
 		ner := NewNER(0.4, seed)
 		for i := 0; i < 200; i++ {
 			text := generatedText(rng, rng.Intn(50))
-			if got, want := ner.Recognize(text), refRecognize(ner, seed, text); !reflect.DeepEqual(got, want) {
+			if got, want := ner.Recognize(text), refRecognize(ner.MissRate, seed, text); !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: Recognize(%q) = %v, reference %v", seed, text, got, want)
 			}
 			if got, want := tm.Classify(text), refClassify(text); !reflect.DeepEqual(got, want) {
@@ -229,14 +264,57 @@ func TestModelsMatchReference(t *testing.T) {
 	}
 }
 
+// FuzzAnnotate: on arbitrary bytes Annotate equals the references field for
+// field, at miss rates 0 and 0.4. The references read Words and their own
+// maps, not the lexicon, so they check it independently.
+func FuzzAnnotate(f *testing.F) {
+	for _, seed := range []string{
+		"Ava Stone and HOWARD FLECK met Quantix Labs in Marrow Bay",
+		"ava. stone, marrow—bay kai;rivers", "premiere with Ava Stone",
+		"bad\xffutf8 ava\xc3 stone \xe2\x82 \u212aai rivers", "",
+	} {
+		f.Add(seed)
+	}
+	servers := []*Server{NewServer(0, 3), NewServer(0.4, 3)}
+	for _, s := range servers {
+		if err := s.Launch(); err != nil {
+			f.Fatal(err)
+		}
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, s := range servers {
+			res, err := s.Annotate(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := refRecognize(s.ner.MissRate, 3, text); !reflect.DeepEqual(res.Entities, want) {
+				t.Fatalf("miss rate %v: Annotate(%q).Entities = %v, reference %v", s.ner.MissRate, text, res.Entities, want)
+			}
+			if want := People(res.Entities); !reflect.DeepEqual(res.People(), want) {
+				t.Fatalf("Annotate(%q).People() = %v, want %v", text, res.People(), want)
+			}
+			if want := refClassify(text); !reflect.DeepEqual(res.Topics, want) {
+				t.Fatalf("Annotate(%q).Topics = %v, reference %v", text, res.Topics, want)
+			}
+			if want := refSentiment(text); res.Sentiment != want {
+				t.Fatalf("Annotate(%q).Sentiment = %v, reference %v", text, res.Sentiment, want)
+			}
+		}
+	})
+}
+
 // fixedDocument is the generated text the allocation ceilings and the
 // benchmarks share (~120 words, like a topic-corpus document).
 var fixedDocument = generatedText(rand.New(rand.NewSource(42)), 120)
 
 // TestAllocationCeilings catches an allocation regression on the annotate
-// path without the repository benchmark: Words allocates its result slice
-// plus one string per token that needed lower-casing, and Annotate adds the
-// Result and its entity and topic slices on top.
+// path without the repository benchmark. Words allocates its result slice
+// plus one string per token that needed lower-casing. Annotate allocates the
+// Result and its entity, topic and person slices whatever the text's length,
+// plus two to spill fixedDocument's 27 entities past the 8 it keeps on the
+// stack. A text four times as long (31 entities after its own misses)
+// allocates no more, so a token slice, or a string per token, coming back
+// fails. People() of an annotation allocates nothing.
 func TestAllocationCeilings(t *testing.T) {
 	upper := 0
 	for _, tok := range Tokenize(fixedDocument) {
@@ -252,13 +330,29 @@ func TestAllocationCeilings(t *testing.T) {
 	if err := s.Launch(); err != nil {
 		t.Fatal(err)
 	}
-	annotate := testing.AllocsPerRun(50, func() {
-		if _, err := s.Annotate(fixedDocument); err != nil {
+	annotate := func(text string) float64 {
+		return testing.AllocsPerRun(50, func() {
+			if _, err := s.Annotate(text); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const ceiling = 6
+	short, long := annotate(fixedDocument), annotate(strings.Repeat(fixedDocument, 4))
+	if short > ceiling {
+		t.Errorf("Annotate: %.0f allocs per run, ceiling %d", short, ceiling)
+	}
+	if long != short {
+		t.Errorf("Annotate: %.0f allocs per run on a 4x longer text, %.0f on fixedDocument", long, short)
+	}
+	for _, text := range []string{fixedDocument, "Ava Stone met Howard Fleck"} { // mixed types; persons only
+		res, err := s.Annotate(text)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if ceiling := words + 12; annotate > ceiling {
-		t.Errorf("Annotate: %.0f allocs per run, ceiling %.0f", annotate, ceiling)
+		if people := testing.AllocsPerRun(50, func() { res.People() }); len(res.People()) == 0 || people != 0 {
+			t.Errorf("People() of Annotate(%q): %d persons, %.0f allocs per call", text, len(res.People()), people)
+		}
 	}
 }
 

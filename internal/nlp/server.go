@@ -1,10 +1,14 @@
 package nlp
 
 import (
+	"cmp"
 	"errors"
-	"sync"
+	"slices"
+	"strings"
 	"sync/atomic"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Result is the full annotation bundle an NLPLabelingFunction receives for
@@ -16,10 +20,19 @@ type Result struct {
 	Topics []TopicScore
 	// Sentiment is in [-1, 1].
 	Sentiment float64
+
+	people []Entity // the persons among Entities, recorded by Annotate
 }
 
-// People returns the person entities in the result.
-func (r *Result) People() []Entity { return People(r.Entities) }
+// People returns the person entities in the result. Annotate records them
+// once, so this does not allocate: the slice is shared (Entities itself,
+// capped, when every entity is a person) and must be treated as read-only.
+func (r *Result) People() []Entity {
+	if len(r.people) == 0 {
+		return People(r.Entities) // a Result not built by Annotate, or one with no persons
+	}
+	return r.people
+}
 
 // TopTopic returns the best coarse category, or "".
 func (r *Result) TopTopic() string {
@@ -35,20 +48,18 @@ func (r *Result) TopTopic() string {
 // lifecycle, and can simulate per-call latency to model the expense that
 // makes these models non-servable.
 type Server struct {
-	ner   *NER
-	topic *TopicModel
+	ner *NER
 
 	// CallLatency, if nonzero, is slept on every Annotate call.
 	CallLatency time.Duration
 
-	mu       sync.Mutex
-	launched bool // guarded by mu
+	launched atomic.Bool
 	calls    atomic.Int64
 }
 
 // NewServer builds a server with the given NER miss rate and seed.
 func NewServer(missRate float64, seed int64) *Server {
-	return &Server{ner: NewNER(missRate, seed), topic: NewTopicModel()}
+	return &Server{ner: NewNER(missRate, seed)}
 }
 
 // ErrNotLaunched is returned by Annotate before Launch (or after Stop).
@@ -57,34 +68,23 @@ var ErrNotLaunched = errors.New("nlp: model server not launched")
 // Launch starts the server. The MapReduce task Setup hook calls this once
 // per compute node.
 func (s *Server) Launch() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.launched {
+	if !s.launched.CompareAndSwap(false, true) {
 		return errors.New("nlp: model server already launched")
 	}
-	s.launched = true
 	return nil
 }
 
 // Stop shuts the server down; Teardown calls this.
-func (s *Server) Stop() {
-	s.mu.Lock()
-	s.launched = false
-	s.mu.Unlock()
-}
+func (s *Server) Stop() { s.launched.Store(false) }
 
 // Launched reports whether the server is running.
-func (s *Server) Launched() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.launched
-}
+func (s *Server) Launched() bool { return s.launched.Load() }
 
 // Calls returns the number of Annotate calls served.
 func (s *Server) Calls() int64 { return s.calls.Load() }
 
-// Annotate runs all models over the text, tokenizing it once: every model
-// reads the same Words.
+// Annotate runs all models over the text in one token pass (see annotate) and
+// records the persons among the entities for People.
 func (s *Server) Annotate(text string) (*Result, error) {
 	if !s.Launched() {
 		return nil, ErrNotLaunched
@@ -93,10 +93,139 @@ func (s *Server) Annotate(text string) (*Result, error) {
 		time.Sleep(s.CallLatency)
 	}
 	s.calls.Add(1)
-	words := Words(text)
-	return &Result{
-		Entities:  s.ner.recognize(text, words),
-		Topics:    s.topic.classify(words),
-		Sentiment: scoreSentiment(words),
-	}, nil
+	return annotate(text, s.ner), nil
+}
+
+// lexEntry is everything the models know about one normalized word.
+type lexEntry struct {
+	names     []gazName // gazetteer names whose first token is the word, in gazetteer order
+	topics    []uint8   // indices into AllTopics of the topics the word cues
+	sentiment [2]int    // {1, 0} for a positive sentiment word, {0, 1} for a negative one
+}
+
+// gazName is one gazetteer name of one or two tokens.
+type gazName struct {
+	name   string    // the full normalized name, as emitted
+	second *lexEntry // the entry of its second token; nil for a one-token name
+	typ    EntityType
+}
+
+// lexicon maps every word the models know to its one entry, so a token is a
+// name's second token exactly when its entry is the name's second. Built once
+// per process, immutable after; lock-free reads are safe.
+var lexicon = func() map[string]*lexEntry {
+	lex := make(map[string]*lexEntry)
+	entry := func(w string) *lexEntry {
+		if lex[w] == nil {
+			lex[w] = new(lexEntry)
+		}
+		return lex[w]
+	}
+	gazetteers := [...][][]string{EntityPerson: {CelebrityNames, OtherPersonNames}, EntityOrg: {OrgNames}, EntityPlace: {PlaceNames}}
+	for typ, lists := range gazetteers {
+		for _, name := range slices.Concat(lists...) {
+			first, second, _ := strings.Cut(name, " ")
+			n := gazName{name: name, typ: EntityType(typ)}
+			if second != "" {
+				n.second = entry(second)
+			}
+			entry(first).names = append(entry(first).names, n)
+		}
+	}
+	for t, topic := range AllTopics {
+		for _, w := range TopicVocab[topic] {
+			entry(w).topics = append(entry(w).topics, uint8(t))
+		}
+	}
+	for s, words := range [...][]string{positiveWords, negativeWords} {
+		for _, w := range words {
+			entry(w).sentiment[s] = 1
+		}
+	}
+	return lex
+}()
+
+// name returns the gazetteer name beginning at a token with entry e when the
+// next token's entry is next (either nil if unknown or absent): the first
+// two-token name next completes, else the first one-token name, else nil.
+func (e *lexEntry) name(next *lexEntry) *gazName {
+	var one *gazName
+	for k := 0; e != nil && k < len(e.names); k++ {
+		n := &e.names[k]
+		if n.second == next { // with next nil, the first one-token name; no pair can match
+			return n
+		}
+		if n.second == nil && one == nil {
+			one = n
+		}
+	}
+	return one
+}
+
+// annotate is the one pass behind every model: it probes the lexicon once per
+// token, builds no token slice, and resolves the name beginning at a token once
+// the next token's entry is known (the lookahead a two-token name needs).
+func annotate(text string, ner *NER) *Result {
+	var (
+		sc              = scanner{text: text}
+		low             = make([]byte, 0, 64)  // the lower-cased token, when it is not plain
+		ents            = make([]Entity, 0, 8) // copied out once, at its final length
+		prev            *lexEntry              // the previous token's entry
+		counts          [len(AllTopics)]int
+		total, pos, neg int
+		doc             uint64 // FNV-1a of seed ‖ text ‖ 0, hashed at the first mention
+	)
+	for {
+		tok, plain := sc.next()
+		var e *lexEntry
+		if plain {
+			e = lexicon[tok]
+		} else if tok != "" {
+			low = low[:0] // tok lower-cased as strings.ToLower would, rune by rune
+			for _, r := range tok {
+				low = utf8.AppendRune(low, unicode.ToLower(r))
+			}
+			e = lexicon[string(low)]
+		}
+		if e != nil {
+			for _, t := range e.topics {
+				counts[t]++
+			}
+			total, pos, neg = total+len(e.topics), pos+e.sentiment[0], neg+e.sentiment[1]
+		}
+		if n := prev.name(e); n != nil && !ContainsName(ents, n.name) && !ner.missed(&doc, text, n.name) {
+			ents = append(ents, Entity{Text: n.name, Type: n.typ, Confidence: 0.9})
+		}
+		if tok == "" {
+			break
+		}
+		prev = e
+	}
+
+	res := new(Result)
+	if len(ents) > 0 {
+		res.Entities = append(make([]Entity, 0, len(ents)), ents...)
+		res.people = res.Entities
+		if slices.ContainsFunc(ents, func(e Entity) bool { return e.Type != EntityPerson }) {
+			res.people = People(ents)
+		}
+	}
+	if pos+neg > 0 {
+		res.Sentiment = float64(pos-neg) / float64(pos+neg)
+	}
+	if total == 0 {
+		return res
+	}
+	out := make([]TopicScore, 0, len(AllTopics))
+	for t, c := range counts {
+		if c > 0 {
+			out = append(out, TopicScore{Topic: AllTopics[t], Score: float64(c) / float64(total)})
+		}
+	}
+	// By descending score, then topic name: a total order since names are unique.
+	slices.SortFunc(out, func(a, b TopicScore) int {
+		return cmp.Or(cmp.Compare(b.Score, a.Score), strings.Compare(a.Topic, b.Topic))
+	})
+	res.Topics = slices.Clone(out)
+	return res
 }

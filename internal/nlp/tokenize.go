@@ -9,6 +9,10 @@
 // sophistication: they are broad-purpose, moderately accurate, expensive
 // signals that are non-servable at inference time (too slow to run on all
 // incoming content) but excellent weak supervision.
+//
+// The models share one word-keyed lexicon, built once per process, and run in
+// one token pass (Server.Annotate) that probes it once per token and builds no
+// token slice; NER, TopicModel and ScoreSentiment are views of that pass.
 package nlp
 
 import (
@@ -17,14 +21,62 @@ import (
 	"unicode/utf8"
 )
 
-// Words splits text into normalized word tokens: maximal runs of letters,
-// digits and '_', lower-cased. Everything else — punctuation, whitespace,
-// invalid UTF-8 — separates tokens and is dropped. It is the package's one
-// tokenizer; every model consumes its output.
-//
-// A token made only of lower-case ASCII letters, digits and '_' (most of any
-// corpus) is a substring of text, not a copy; only a token holding an
-// upper-case or non-ASCII rune goes through strings.ToLower.
+// scanner steps through the tokens of a text: maximal runs of letters, digits
+// and '_'. Everything else — punctuation, whitespace, invalid UTF-8 —
+// separates tokens. It allocates nothing; Words and Annotate both stand on it.
+type scanner struct {
+	text string
+	i    int // byte offset where the search for the next token starts
+}
+
+// next returns the next token and whether it is plain: made only of
+// lower-case ASCII letters, digits and '_', so that it is its own lower-cased
+// form. It returns "" once the text is exhausted.
+func (s *scanner) next() (tok string, plain bool) {
+	text, start := s.text, len(s.text) // start is len(text) while no token is open
+	for i := s.i; i < len(text); {
+		c, size := text[i], 1
+		class := asciiClass[c]
+		if c >= utf8.RuneSelf {
+			var r rune
+			r, size = utf8.DecodeRuneInString(text[i:])
+			if unicode.IsLetter(r) || unicode.IsDigit(r) {
+				class = 2
+			}
+		}
+		switch {
+		case class != 0 && start == len(text):
+			start, plain = i, class == 1
+		case class != 0:
+			plain = plain && class == 1
+		case start < len(text):
+			s.i = i + size
+			return text[start:i], plain
+		}
+		i += size
+	}
+	s.i = len(text)
+	return text[start:], plain
+}
+
+// asciiClass is 1 for 'a'-'z', '0'-'9' and '_', 2 for 'A'-'Z', and 0 for ASCII
+// separators and bytes from utf8.RuneSelf up (whose runes next decodes).
+var asciiClass = func() (c [256]uint8) {
+	for b := range c {
+		switch {
+		case 'a' <= b && b <= 'z', '0' <= b && b <= '9', b == '_':
+			c[b] = 1
+		case 'A' <= b && b <= 'Z':
+			c[b] = 2
+		}
+	}
+	return c
+}()
+
+// Words splits text into tokens (maximal runs of letters, digits and '_'),
+// lower-cased. A plain token (most of any corpus) is a substring of text, not a
+// copy; only one with an upper-case or non-ASCII rune goes through
+// strings.ToLower.
 func Words(text string) []string {
 	return AppendWords(make([]string, 0, len(text)/6+1), text)
 }
@@ -33,49 +85,18 @@ func Words(text string) []string {
 // caller that brings the slice, such as one tokenizing several fields of a
 // record into one token stream.
 func AppendWords(words []string, text string) []string {
-	start := -1    // byte offset of the open token, -1 between tokens
-	plain := false // the open token needs no lower-casing so far
-	flush := func(end int) {
-		if tok := text[start:end]; plain {
-			words = append(words, tok)
-		} else {
-			words = append(words, strings.ToLower(tok))
+	sc := scanner{text: text}
+	for tok, plain := sc.next(); tok != ""; tok, plain = sc.next() {
+		if !plain {
+			tok = strings.ToLower(tok)
 		}
-		start = -1
-	}
-	for i := 0; i < len(text); {
-		c, size := text[i], 1
-		word, lower := false, false
-		switch {
-		case 'a' <= c && c <= 'z', '0' <= c && c <= '9', c == '_':
-			word, lower = true, true
-		case 'A' <= c && c <= 'Z':
-			word = true
-		case c >= utf8.RuneSelf:
-			var r rune
-			r, size = utf8.DecodeRuneInString(text[i:])
-			word = unicode.IsLetter(r) || unicode.IsDigit(r)
-		}
-		switch {
-		case !word:
-			if start >= 0 {
-				flush(i)
-			}
-		case start < 0:
-			start, plain = i, lower
-		case !lower:
-			plain = false
-		}
-		i += size
-	}
-	if start >= 0 {
-		flush(len(text))
+		words = append(words, tok)
 	}
 	return words
 }
 
 // Bigrams returns adjacent token pairs joined by '_', used by the feature
-// extractor and the topic model.
+// extractor.
 func Bigrams(words []string) []string {
 	if len(words) < 2 {
 		return nil

@@ -64,22 +64,12 @@ var TopicVocab = map[string][]string{
 }
 
 // TopicModel is a multinomial scorer over the coarse categories, standing in
-// for the internally maintained semantic-categorization model. It is
-// stateless and safe for concurrent use.
-type TopicModel struct {
-	wordTopics map[string][]int // cue word → indices into AllTopics
-}
+// for the internally maintained semantic-categorization model: a view of the
+// lexicon's topic cues, stateless and safe for concurrent use.
+type TopicModel struct{}
 
-// NewTopicModel builds the scorer from TopicVocab.
-func NewTopicModel() *TopicModel {
-	m := &TopicModel{wordTopics: make(map[string][]int)}
-	for t, topic := range AllTopics {
-		for _, w := range TopicVocab[topic] {
-			m.wordTopics[w] = append(m.wordTopics[w], t)
-		}
-	}
-	return m
-}
+// NewTopicModel returns the scorer over TopicVocab.
+func NewTopicModel() *TopicModel { return &TopicModel{} }
 
 // TopicScore is one category with its normalized score.
 type TopicScore struct {
@@ -87,43 +77,9 @@ type TopicScore struct {
 	Score float64
 }
 
-// Classify scores text against every coarse category and returns the
-// categories sorted by descending score. Texts with no cue words return nil.
-func (m *TopicModel) Classify(text string) []TopicScore { return m.classify(Words(text)) }
-
-// classify is Classify over a text's already-computed Words.
-func (m *TopicModel) classify(words []string) []TopicScore {
-	var counts [len(AllTopics)]float64
-	total, cued := 0.0, 0
-	for _, w := range words {
-		for _, t := range m.wordTopics[w] {
-			if counts[t] == 0 {
-				cued++
-			}
-			counts[t]++
-			total++
-		}
-	}
-	if total == 0 {
-		return nil
-	}
-	out := make([]TopicScore, 0, cued)
-	for t, c := range counts {
-		if c == 0 {
-			continue
-		}
-		// Insertion sort by descending score, then topic name: at most
-		// len(AllTopics) entries, and a total order since names are unique.
-		s := TopicScore{Topic: AllTopics[t], Score: c / total}
-		k := len(out)
-		out = append(out, s)
-		for ; k > 0 && (out[k-1].Score < s.Score || out[k-1].Score == s.Score && out[k-1].Topic > s.Topic); k-- {
-			out[k] = out[k-1]
-		}
-		out[k] = s
-	}
-	return out
-}
+// Classify scores text against every coarse category, best first (ties by
+// topic name), or nil for a text with no cue word: the one pass's Topics.
+func (m *TopicModel) Classify(text string) []TopicScore { return annotate(text, &NER{}).Topics }
 
 // Top returns the best category and its score, or ("", 0) for uncued text.
 func (m *TopicModel) Top(text string) (string, float64) {
