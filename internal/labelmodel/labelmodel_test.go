@@ -342,3 +342,18 @@ func TestL2ShrinksParameters(t *testing.T) {
 }
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
+
+// TestLogAddExpStability: log(e^a + e^b) neither overflows nor underflows at
+// magnitudes where e^a does, and two −∞ arguments give −∞, not NaN.
+func TestLogAddExpStability(t *testing.T) {
+	for _, tc := range []struct{ a, b, want float64 }{
+		{1000, 999, 1000 + math.Log1p(math.Exp(-1))},
+		{-1000, -999, -999 + math.Log1p(math.Exp(-1))},
+		{0, math.Inf(-1), 0},
+		{math.Inf(-1), math.Inf(-1), math.Inf(-1)},
+	} {
+		if got := logAddExp(tc.a, tc.b); !(got == tc.want || math.Abs(got-tc.want) <= 1e-9*math.Abs(tc.want)) {
+			t.Errorf("logAddExp(%v, %v) = %v, want %v", tc.a, tc.b, got, tc.want)
+		}
+	}
+}

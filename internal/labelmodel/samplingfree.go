@@ -11,7 +11,8 @@ import (
 // every step follows the true gradient of the minibatch objective. The paper
 // expresses that objective as a static TensorFlow graph over 0-1 indicator
 // matrices; the gradient here is derived by hand, and this package's tests
-// hold it to that graph formulation step for step.
+// hold it step for step to forward-mode automatic differentiation of the
+// same objective written per example.
 //
 // Gradients (per example i, LF j, posterior p_i = P(Y_i=1|Λ_i)):
 //

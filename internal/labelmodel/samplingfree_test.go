@@ -1,97 +1,115 @@
 package labelmodel
 
 import (
-	"fmt"
+	"math"
 	"math/rand"
 	"testing"
-
-	"repro/internal/tensor"
 )
 
-// trainGraph is the paper's §5.2 formulation verbatim, kept as the oracle
-// for TrainSamplingFree: −log P(Λ) on a static compute graph, the batch
-// presented as three 0-1 indicator matrices (vote==+1, vote==−1, abstain),
-// each multiplied into the corresponding per-LF log-likelihood vector, the
-// two class assignments combined with a stable log-add-exp before summation,
-// and gradients from autodiff. It draws the same batches from the same seed.
-func trainGraph(mx *Matrix, opts Options) (*Model, error) {
-	opts = opts.withDefaults()
-	if err := validateMatrix(mx); err != nil {
-		return nil, err
+// dual is a number carrying its partial derivatives with respect to the
+// label model's parameters, α_1..α_n then β_1..β_n: forward-mode automatic
+// differentiation, independent of the hand-derived gradient it checks.
+type dual struct {
+	v float64
+	d []float64
+}
+
+// chain returns the dual with value v and gradient ca·∇a + cb·∇b, the chain
+// rule for a function of a and b whose partials are ca and cb.
+func chain(v, ca float64, a dual, cb float64, b dual) dual {
+	out := dual{v: v, d: make([]float64, len(a.d))}
+	for k := range out.d {
+		out.d[k] = ca*a.d[k] + cb*b.d[k]
 	}
+	return out
+}
+
+func dualAdd(a, b dual) dual { return chain(a.v+b.v, 1, a, 1, b) }
+
+func dualSub(a, b dual) dual { return chain(a.v-b.v, 1, a, -1, b) }
+
+// dualLogAddExp is log(e^a + e^b), whose partials are e^(a−v) and e^(b−v).
+func dualLogAddExp(a, b dual) dual {
+	v := logAddExp(a.v, b.v)
+	return chain(v, math.Exp(a.v-v), a, math.Exp(b.v-v), b)
+}
+
+// dualLoss is the paper's §5.2 minibatch objective −log P(Λ) written per
+// example: each LF's log partition function Z_j = log(e^(α+β) + e^(β−α) + 1),
+// its agree (α+β−Z), disagree (β−α−Z) and abstain (−Z) log likelihoods summed
+// into both class branches of every example, the prior shifting the branches
+// by ±prior/2, the branches combined by log-add-exp and averaged, plus the L2
+// penalty on α and β.
+func dualLoss(mx *Matrix, idx []int, theta []float64, prior, l2 float64) dual {
 	n := mx.NumFuncs()
-	rng := rand.New(rand.NewSource(opts.Seed))
-
-	g := tensor.NewGraph()
-	alpha := g.Variable("alpha", tensor.Full(initialAlpha, n))
-	beta := g.Variable("beta", tensor.FromSlice(initBeta(mx, initialAlpha)))
-
-	// Z_j = log(exp(α+β) + exp(−α+β) + 1), the per-LF log partition function.
-	zeros := g.Const("zeros", tensor.New(n))
-	aPlusB := g.Add(alpha, beta)
-	bMinusA := g.Sub(beta, alpha)
-	z := g.LogAddExp(g.LogAddExp(aPlusB, bMinusA), zeros)
-
-	// Per-LF log likelihood vectors for each (vote, Y) combination.
-	agree := g.Sub(aPlusB, z)     // λ_j = Y:   α+β−Z
-	disagree := g.Sub(bMinusA, z) // λ_j = −Y: −α+β−Z
-	abstainLL := g.Neg(z)         // λ_j = 0:  −Z
-
-	pos := g.Placeholder("pos")
-	neg := g.Placeholder("neg")
-	abs := g.Placeholder("abs")
-
-	// log P(Λ_i, Y=+1) and log P(Λ_i, Y=−1) via indicator matmuls.
-	absTerm := g.MatVec(abs, abstainLL)
-	logPpos := g.Add(g.Add(g.MatVec(pos, agree), g.MatVec(neg, disagree)), absTerm)
-	logPneg := g.Add(g.Add(g.MatVec(pos, disagree), g.MatVec(neg, agree)), absTerm)
-
-	// Class prior enters as constant shifts of the two branches.
-	prior := opts.logPriorOdds()
-	logJointPos := g.AddConst(logPpos, 0.5*prior)
-	logJointNeg := g.AddConst(logPneg, -0.5*prior)
-
-	loss := g.Neg(g.Mean(g.LogAddExp(logJointPos, logJointNeg)))
-	if opts.L2 > 0 {
-		reg := g.Scale(g.Add(g.Sum(g.Square(alpha)), g.Sum(g.Square(beta))), opts.L2)
-		loss = g.Add(loss, reg)
+	zero := dual{d: make([]float64, 2*n)}
+	param := func(k int) dual {
+		p := dual{v: theta[k], d: make([]float64, 2*n)}
+		p.d[k] = 1
+		return p
 	}
-
-	opt := &tensor.Adam{LR: opts.LR}
-	for step := 0; step < opts.Steps; step++ {
-		idx := sampleBatch(rng, mx.NumExamples(), opts.BatchSize)
-		p, ng, ab := tensor.New(len(idx), n), tensor.New(len(idx), n), tensor.New(len(idx), n)
-		for k, i := range idx {
-			for j, v := range mx.Row(i) {
-				switch v {
-				case Positive:
-					p.Set(1, k, j)
-				case Negative:
-					ng.Set(1, k, j)
-				default:
-					ab.Set(1, k, j)
-				}
+	agree, disagree, abstain := make([]dual, n), make([]dual, n), make([]dual, n)
+	loss := zero
+	for j := 0; j < n; j++ {
+		a, b := param(j), param(n+j)
+		aPlusB, bMinusA := dualAdd(a, b), dualSub(b, a)
+		z := dualLogAddExp(dualLogAddExp(aPlusB, bMinusA), zero)
+		agree[j], disagree[j], abstain[j] = dualSub(aPlusB, z), dualSub(bMinusA, z), dualSub(zero, z)
+		loss = chain(loss.v+l2*a.v*a.v, 1, loss, 2*l2*a.v, a)
+		loss = chain(loss.v+l2*b.v*b.v, 1, loss, 2*l2*b.v, b)
+	}
+	inv := 1 / float64(len(idx))
+	for _, i := range idx {
+		pos, neg := dual{v: 0.5 * prior, d: zero.d}, dual{v: -0.5 * prior, d: zero.d}
+		for j, v := range mx.Row(i) {
+			switch v {
+			case Positive:
+				pos, neg = dualAdd(pos, agree[j]), dualAdd(neg, disagree[j])
+			case Negative:
+				pos, neg = dualAdd(pos, disagree[j]), dualAdd(neg, agree[j])
+			default:
+				pos, neg = dualAdd(pos, abstain[j]), dualAdd(neg, abstain[j])
 			}
 		}
-		if _, err := g.Minimize(loss, opt,
-			tensor.Feed{Node: pos, Value: p},
-			tensor.Feed{Node: neg, Value: ng},
-			tensor.Feed{Node: abs, Value: ab},
-		); err != nil {
-			return nil, fmt.Errorf("graph step %d: %w", step, err)
-		}
-		clampAlpha(alpha.Value().Data())
+		joint := dualLogAddExp(pos, neg)
+		loss = chain(loss.v-inv*joint.v, 1, loss, -inv, joint)
 	}
-	return &Model{
-		Alpha:        append([]float64(nil), alpha.Value().Data()...),
-		Beta:         append([]float64(nil), beta.Value().Data()...),
-		LogPriorOdds: prior,
-	}, nil
+	return loss
+}
+
+// trainDual is the oracle for TrainSamplingFree: Adam on dualLoss's
+// gradient, then the α projection, over the same batches from the same seed.
+func trainDual(mx *Matrix, opts Options) *Model {
+	opts = opts.withDefaults()
+	n := mx.NumFuncs()
+	rng := rand.New(rand.NewSource(opts.Seed))
+	theta := make([]float64, 2*n) // α then β
+	for j := 0; j < n; j++ {
+		theta[j] = initialAlpha
+	}
+	copy(theta[n:], initBeta(mx, initialAlpha))
+	prior := opts.logPriorOdds()
+	m1, m2 := make([]float64, 2*n), make([]float64, 2*n)
+	b1, b2, eps := 0.9, 0.999, 1e-8
+	for step := 1; step <= opts.Steps; step++ {
+		idx := sampleBatch(rng, mx.NumExamples(), opts.BatchSize)
+		grad := dualLoss(mx, idx, theta, prior, opts.L2).d
+		c1 := 1 - math.Pow(b1, float64(step))
+		c2 := 1 - math.Pow(b2, float64(step))
+		for k, g := range grad {
+			m1[k] = b1*m1[k] + (1-b1)*g
+			m2[k] = b2*m2[k] + (1-b2)*g*g
+			theta[k] -= opts.LR * (m1[k] / c1) / (math.Sqrt(m2[k]/c2) + eps)
+		}
+		clampAlpha(theta[:n])
+	}
+	return &Model{Alpha: theta[:n:n], Beta: theta[n:], LogPriorOdds: prior}
 }
 
 // TestSamplingFreeMatchesAnalytic: the hand-derived gradient takes the same
-// Adam steps as autodiff through the graph formulation, to rounding, on the
-// minibatch configurations the tests, the P1 experiment and the defaults use.
+// Adam steps as forward-mode autodiff through the per-example objective, to
+// rounding, on the minibatch configurations the tests, the P1 experiment and
+// the defaults use.
 func TestSamplingFreeMatchesAnalytic(t *testing.T) {
 	p1 := SynthSpec{
 		NumExamples:   20000,
@@ -115,26 +133,23 @@ func TestSamplingFreeMatchesAnalytic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			graph, err := trainGraph(mx, tc.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
+			oracle := trainDual(mx, tc.opts)
 			got, err := TrainSamplingFree(mx, tc.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			const tol = 1e-12
-			if d := maxAbsDiff(graph.Alpha, got.Alpha); d > tol {
-				t.Errorf("alpha differs from the graph by %.2e\ngraph: %v\ngot:   %v", d, graph.Alpha, got.Alpha)
+			if d := maxAbsDiff(oracle.Alpha, got.Alpha); d > tol {
+				t.Errorf("alpha differs from the oracle by %.2e\noracle: %v\ngot:    %v", d, oracle.Alpha, got.Alpha)
 			}
-			if d := maxAbsDiff(graph.Beta, got.Beta); d > tol {
-				t.Errorf("beta differs from the graph by %.2e\ngraph: %v\ngot:   %v", d, graph.Beta, got.Beta)
+			if d := maxAbsDiff(oracle.Beta, got.Beta); d > tol {
+				t.Errorf("beta differs from the oracle by %.2e\noracle: %v\ngot:    %v", d, oracle.Beta, got.Beta)
 			}
-			if d := maxAbsDiff(graph.Posteriors(mx), got.Posteriors(mx)); d > tol {
-				t.Errorf("posteriors differ from the graph by %.2e", d)
+			if d := maxAbsDiff(oracle.Posteriors(mx), got.Posteriors(mx)); d > tol {
+				t.Errorf("posteriors differ from the oracle by %.2e", d)
 			}
-			if graph.LogPriorOdds != got.LogPriorOdds {
-				t.Errorf("prior log odds %v, graph %v", got.LogPriorOdds, graph.LogPriorOdds)
+			if oracle.LogPriorOdds != got.LogPriorOdds {
+				t.Errorf("prior log odds %v, oracle %v", got.LogPriorOdds, oracle.LogPriorOdds)
 			}
 		})
 	}

@@ -1,8 +1,8 @@
 // Package model implements the servable discriminative models Snorkel
 // DryBell trains on probabilistic labels (paper §5.3, §6.1): a sparse
 // logistic regression optimized with FTRL-Proximal (the paper's "FTLR"
-// optimizer from McMahan et al.) and a deep neural network built on the
-// tensor graph, both minimizing the noise-aware expected loss
+// optimizer from McMahan et al.) and a deep neural network trained by its
+// own backward pass, both minimizing the noise-aware expected loss
 //
 //	θ̂ = argmin_θ Σ_i E_{y~Ỹ_i}[ l(h_θ(x_i), y) ]
 //
@@ -97,7 +97,7 @@ func (m *LogReg) Predict(x *features.SparseVector) float64 {
 // Update performs one FTRL step on example x with soft label y ∈ [0,1].
 // The noise-aware gradient is (p − y)·x.
 func (m *LogReg) Update(x *features.SparseVector, y float64) {
-	if y < 0 || y > 1 {
+	if !(y >= 0 && y <= 1) {
 		panic(fmt.Sprintf("model: soft label %v out of [0,1]", y))
 	}
 	p := m.Predict(x)
@@ -128,6 +128,9 @@ func (m *LogReg) Train(xs []*features.SparseVector, ys []float64, cfg TrainConfi
 	}
 	if len(xs) == 0 {
 		return fmt.Errorf("model: empty training set")
+	}
+	if err := checkSoftLabels(ys); err != nil {
+		return err
 	}
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 10000
@@ -191,6 +194,17 @@ func (m *LogReg) Weights() []float64 {
 	out := make([]float64, m.dim)
 	copy(out, m.weights)
 	return out
+}
+
+// checkSoftLabels reports the first label outside [0,1] (NaN included), the
+// range the noise-aware loss is bounded on.
+func checkSoftLabels(ys []float64) error {
+	for i, y := range ys {
+		if !(y >= 0 && y <= 1) {
+			return fmt.Errorf("model: label %d is %v, not in [0,1]", i, y)
+		}
+	}
+	return nil
 }
 
 func sigmoid(x float64) float64 {

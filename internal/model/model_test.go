@@ -3,6 +3,7 @@ package model
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -345,5 +346,31 @@ func TestEvaluatePartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestLogRegRejectsSoftLabelsOutOfRange: Train refuses a label outside [0,1]
+// (NaN included) with an error naming its index before any step, and Update
+// panics on NaN as on any other out-of-range label.
+func TestLogRegRejectsSoftLabelsOutOfRange(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), -0.1, 1.5} {
+		xs, ys, _ := sparseProblem(10, 1)
+		ys[3] = bad
+		m, _ := NewLogReg(8, DefaultFTRL())
+		err := m.Train(xs, ys, TrainConfig{Iterations: 100, Seed: 1})
+		if err == nil || !strings.Contains(err.Error(), "label 3") {
+			t.Errorf("label %v: Train error %v, want one naming label 3", bad, err)
+		}
+		if n := m.NonZeroWeights(); n != 0 {
+			t.Errorf("label %v: Train stepped before rejecting it (%d nonzero weights)", bad, n)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Update accepted label %v", bad)
+				}
+			}()
+			m.Update(xs[0], bad)
+		}()
 	}
 }
