@@ -61,17 +61,23 @@ func runContinuous(ctx context.Context, fsys drybell.FS, reg *serving.FSRegistry
 	if err != nil {
 		return err
 	}
+	p, err := trainPipeline(fsys, observer, model, steps, retries, false, pool)
+	if err != nil {
+		return err
+	}
 	if _, err := reg.Live(model); err != nil {
+		// A base train restages the corpus over any staged deltas (numbered 1…N).
+		if staged, err := p.CorpusGenerations(); err != nil {
+			return err
+		} else if len(staged) > 0 {
+			return fmt.Errorf("no live %s, but corpus generations 1–%d are staged under -root: a base train would restage the corpus over them; promote a trained version first (POST /v1/promote)", model, len(staged))
+		}
 		fmt.Printf("no live %s; running the base train first...\n", model)
 		version, err := train(ctx, fsys, reg, observer, task, model, runners, bigrams, n, seed, steps, retries, resume, true, pool)
 		if err != nil {
 			return err
 		}
 		fmt.Printf("base model %s v%d promoted\n", model, version)
-	}
-	p, err := trainPipeline(fsys, observer, model, steps, retries, false, pool)
-	if err != nil {
-		return err
 	}
 
 	met := observer.Metrics

@@ -68,6 +68,67 @@ func TestContinuousRoundPromotes(t *testing.T) {
 	}
 }
 
+// TestContinuousRefusesToRestageOverDeltas: a base train that was staged but
+// never promoted, then three appended deltas. The continuous loop finds no
+// live version, and the base train it would run restages the corpus — so it
+// must refuse, naming the staged generations, and leave the ledger alone.
+func TestContinuousRefusesToRestageOverDeltas(t *testing.T) {
+	ctx := context.Background()
+	fsys := drybell.NewMemFS()
+	observer := drybell.NewObserver()
+	reg, err := serving.OpenFSRegistry(fsys, "serving")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		task  = "topic"
+		model = "topic-classifier"
+		n     = 600
+		seed  = int64(1)
+		steps = 60
+	)
+	runners, bigrams, err := taskRunners(task, 256, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := train(ctx, fsys, reg, observer, task, model, runners, bigrams, n, seed, steps, 1, false, false, nil); err != nil {
+		t.Fatalf("base train: %v", err)
+	}
+	for range 3 {
+		if err := runAppend(ctx, fsys, observer, task, model, n, seed, steps, 1, 30); err != nil {
+			t.Fatalf("append: %v", err)
+		}
+	}
+	p, err := trainPipeline(fsys, observer, model, steps, 1, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := p.CorpusRows()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// A loop that restaged would find nothing pending and watch until the
+	// deadline, then return nil.
+	loopCtx, cancel := context.WithTimeout(ctx, 5*time.Second)
+	defer cancel()
+	inc := incrementalFlags{continuous: true, watch: 10 * time.Millisecond, rounds: 1}
+	err = runContinuous(loopCtx, fsys, reg, observer, task, model, runners, bigrams, n, seed, steps, 1, false, nil, inc)
+	if err == nil || !strings.Contains(err.Error(), "generations 1–3") {
+		t.Fatalf("continuous loop over unpromoted base and three deltas: %v, want a refusal naming generations 1–3", err)
+	}
+	gens, err := p.CorpusGenerations()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after, err := p.CorpusRows(); err != nil || len(gens) != 3 || after != rows {
+		t.Errorf("after the refusal: %d generations and %d rows (%v), want 3 and %d", len(gens), after, err, rows)
+	}
+	if _, err := reg.Live(model); err == nil {
+		t.Error("the refused loop promoted a version")
+	}
+}
+
 // stageOnLedgerRead counts reads of the corpus ledger and stages a delta
 // with stage right after the first one returns, so whoever read it holds a
 // ledger that is already one generation behind.

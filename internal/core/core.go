@@ -112,7 +112,7 @@ func (c Config[T]) WithDefaults() (Config[T], error) {
 		c.Shards = 8
 	}
 	if c.Parallelism <= 0 {
-		c.Parallelism = runtime.GOMAXPROCS(0)
+		c.Parallelism = runtime.GOMAXPROCS(0) //drybellvet:schedule — cluster width; artifacts do not depend on it (TestStagingIdenticalAcrossParallelism, TestRunIndependentOfProcs)
 	}
 	return c, nil
 }
@@ -325,7 +325,7 @@ func compact(ctx context.Context, mx *labelmodel.Matrix, prev *labelmodel.Compac
 	} else {
 		cm, err = mx.CompactChecked()
 	}
-	span.SetAttr(obs.Int("rows", rows), obs.Int("chunks", compactChunks(rows)))
+	span.SetAttr(obs.Int("rows", rows), obs.Int("chunks", labelmodel.CompactChunks(rows)))
 	if err != nil {
 		err = fmt.Errorf("drybell: compact label matrix: %w", err)
 	} else {
@@ -333,13 +333,6 @@ func compact(ctx context.Context, mx *labelmodel.Matrix, prev *labelmodel.Compac
 	}
 	span.EndErr(err)
 	return cm, err
-}
-
-// compactChunks mirrors the unexported rule by which labelmodel.ExtendCompact
-// splits rows appended rows across goroutines; TestCompactChunkRule holds
-// both packages to one table.
-func compactChunks(rows int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), rows/16_384))
 }
 
 // denoiseAndPersist is stages 3 and 4 — train the generative model on cm,

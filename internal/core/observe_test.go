@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"testing"
 
 	"repro/internal/apps"
@@ -228,17 +227,5 @@ func TestExecuteTailObservable(t *testing.T) {
 	}
 	if chunks := spanAttr(spansNamed(spans, "stage.compact")[0], "chunks"); chunks != int64(1) {
 		t.Errorf("stage.compact chunks = %v for 300 rows, want 1", chunks)
-	}
-}
-
-// TestCompactChunkRule: the chunk count stage.compact reports follows the
-// split rule of labelmodel's ExtendCompact, whose own TestCompactChunkRule
-// holds it to this same table.
-func TestCompactChunkRule(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
-	for rows, want := range map[int]int{0: 1, 500: 1, 16_383: 1, 16_384: 1, 32_768: 2, 60_000: 3, 1 << 20: 4} {
-		if got := compactChunks(rows); got != want {
-			t.Errorf("%d rows at GOMAXPROCS 4: %d chunks, want %d", rows, got, want)
-		}
 	}
 }

@@ -115,7 +115,7 @@ func P2(cfg Config) (*P2Result, error) {
 		return nil, err
 	}
 	runners := apps.TopicLFs(nil, 0.02, cfg.Seed)
-	res := &P2Result{Examples: n, CPUs: runtime.NumCPU(), PerParallelism: map[int]float64{}}
+	res := &P2Result{Examples: n, CPUs: runtime.NumCPU(), PerParallelism: map[int]float64{}} //drybellvet:schedule — reported only
 	best := 0.0
 	for _, par := range []int{1, 2, 4, 8} {
 		fs := dfs.NewMem()

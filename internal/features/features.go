@@ -9,7 +9,6 @@ package features
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -17,6 +16,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/nlp"
+	"repro/internal/par"
 )
 
 // SparseVector is a sorted sparse feature vector. Indices are strictly
@@ -38,49 +38,36 @@ func (v *SparseVector) Dot(w []float64) float64 {
 // NNZ returns the number of stored entries.
 func (v *SparseVector) NNZ() int { return len(v.Indices) }
 
-// dotBatchParallelMin is the batch size below which DotBatchInto stays on
-// the caller's goroutine; small batches don't amortize worker spawns.
-const dotBatchParallelMin = 256
+// dotBlockVectors is the fewest vectors a block of DotBatchInto holds: a
+// smaller batch is one block, scored on the caller's goroutine.
+const dotBlockVectors = 128
 
 // DotBatchInto computes the inner product of every vector with one dense
 // weight vector into a caller-provided slice (which must have len(xs)
 // entries) and returns it — the batch scoring primitive the online serving
 // path uses to score a micro-batch as one operation instead of per-request
 // calls, allocation-free for callers that reuse buffers. Large batches are
-// split across runtime.GOMAXPROCS workers.
+// split into up to par.Procs() blocks.
 func DotBatchInto(xs []*SparseVector, w []float64, out []float64) []float64 {
 	if len(out) != len(xs) {
 		panic(fmt.Sprintf("features: DotBatchInto got %d outputs for %d vectors", len(out), len(xs)))
 	}
-	workers := runtime.GOMAXPROCS(0)
-	if len(xs) < dotBatchParallelMin || workers == 1 {
-		dotRange(xs, w, out)
+	blocks := max(1, min(par.Procs(), len(xs)/dotBlockVectors))
+	if blocks == 1 {
+		dotRange(xs, w, out) // without the closure a fan-out allocates
 		return out
 	}
-	if workers > len(xs) {
-		workers = len(xs)
-	}
-	var wg sync.WaitGroup
-	chunk := (len(xs) + workers - 1) / workers
-	for lo := 0; lo < len(xs); lo += chunk {
-		hi := min(lo+chunk, len(xs))
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			dotRange(xs[lo:hi], w, out[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
+	_ = par.Each(blocks, blocks, func(b int) error { // dotRange cannot fail
+		lo, hi := b*len(xs)/blocks, (b+1)*len(xs)/blocks
+		dotRange(xs[lo:hi], w, out[lo:hi])
+		return nil
+	})
 	return out
 }
 
 func dotRange(xs []*SparseVector, w []float64, out []float64) {
 	for i, x := range xs {
-		s := 0.0
-		for k, idx := range x.Indices {
-			s += w[idx] * x.Values[k]
-		}
-		out[i] = s
+		out[i] = x.Dot(w)
 	}
 }
 

@@ -1,11 +1,10 @@
 package labelmodel
 
 import (
-	"cmp"
 	"fmt"
-	"runtime"
 	"slices"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // CompactMatrix is the deduplicated form of a label matrix Λ: the distinct
@@ -232,14 +231,14 @@ func (mx *Matrix) CompactChecked() (*CompactMatrix, error) {
 //
 // Cost: one copy of prev's arrays and O(k·n) over the k appended rows, instead
 // of O(m·n) over everything. No row of prev is hashed or compared again: the
-// row index is copied with the arrays. Large k is split across up to
-// GOMAXPROCS goroutines (scanChunks), with the same result.
+// row index is copied with the arrays. Large k is split into CompactChunks(k)
+// chunks (scanChunks), with the same result.
 func ExtendCompact(prev *CompactMatrix, mx *Matrix) (*CompactMatrix, error) {
 	return extendCompact(prev, mx, 0)
 }
 
 // extendCompact is ExtendCompact scanning the appended rows in the given
-// number of chunks; 0 picks it from the row count and GOMAXPROCS.
+// number of chunks; 0 picks CompactChunks of the appended rows.
 func extendCompact(prev *CompactMatrix, mx *Matrix, chunks int) (*CompactMatrix, error) {
 	if prev == nil {
 		return nil, fmt.Errorf("labelmodel: ExtendCompact with nil previous compaction")
@@ -258,7 +257,7 @@ func extendCompact(prev *CompactMatrix, mx *Matrix, chunks int) (*CompactMatrix,
 	}
 	u, n, rows := len(prev.Mult), mx.n, mx.m-prev.m
 	if chunks <= 0 {
-		chunks = compactChunks(rows)
+		chunks = CompactChunks(rows)
 	}
 	// Copy what the appended rows grow or bump — sharing backing arrays would
 	// corrupt prev for its other holders (the last training run's state).
@@ -331,39 +330,27 @@ func extendCompact(prev *CompactMatrix, mx *Matrix, chunks int) (*CompactMatrix,
 // gets: smaller matrices, an incremental round's among them, stay serial.
 const compactChunkRows = 16_384
 
-// compactChunks is how many chunks a compaction of rows appended rows splits
-// into: one per compactChunkRows, at most one per GOMAXPROCS, at least one.
-func compactChunks(rows int) int {
-	return max(1, min(runtime.GOMAXPROCS(0), rows/compactChunkRows))
+// CompactChunks is how many chunks ExtendCompact splits rows appended rows
+// into: one per compactChunkRows, at most par.Procs(), at least one. Any count
+// gives the same compaction (TestCompactChunksAgree), so it may follow the host.
+func CompactChunks(rows int) int {
+	return max(1, min(par.Procs(), rows/compactChunkRows))
 }
 
 // scanChunks scans rows [lo, m) of mx into c as a GROUP BY over contiguous
-// chunks: chunk 0 extends c while each later chunk compacts on its own
-// goroutine, writing chunk-local ids into its range of RowOf, and is then
-// merged into c in chunk order — so distinct rows enter c in first-seen
-// order, as in one scan, and the lowest chunk's error names the lowest bad
-// row.
+// chunks: chunk 0 extends c while each later chunk compacts on its own,
+// writing chunk-local ids into its range of RowOf, and is then merged into c
+// in chunk order — so distinct rows enter c in first-seen order, as in one
+// scan, and the lowest chunk's error names the lowest bad row.
 func (c *CompactMatrix) scanChunks(mx *Matrix, lo, chunks int) error {
-	if chunks == 1 {
-		return c.scan(mx, lo, mx.m, c.RowOf)
-	}
 	bound := func(k int) int { return lo + k*(mx.m-lo)/chunks }
-	parts := make([]*CompactMatrix, chunks)
-	errs := make([]error, chunks)
-	var wg sync.WaitGroup
-	for k := range parts {
-		parts[k] = c
-		if k > 0 {
-			parts[k] = &CompactMatrix{n: c.n, Start: []int32{0}, index: make([]uint64, rowIndexMinSlots)}
-		}
-		wg.Add(1)
-		go func(k int) {
-			defer wg.Done()
-			errs[k] = parts[k].scan(mx, bound(k), bound(k+1), c.RowOf)
-		}(k)
+	parts := []*CompactMatrix{c}
+	for range chunks - 1 {
+		parts = append(parts, &CompactMatrix{n: c.n, Start: []int32{0}, index: make([]uint64, rowIndexMinSlots)})
 	}
-	wg.Wait()
-	if err := cmp.Or(errs...); err != nil {
+	if err := par.Each(chunks, chunks, func(k int) error {
+		return parts[k].scan(mx, bound(k), bound(k+1), c.RowOf)
+	}); err != nil {
 		return err
 	}
 	for k := 1; k < chunks; k++ {

@@ -353,13 +353,12 @@ func BenchmarkCompact(b *testing.B) {
 }
 
 // TestCompactChunkRule: a compaction splits into one chunk per
-// compactChunkRows appended rows, at most one per GOMAXPROCS. The stage.compact
-// span reports the count by the same rule (core's TestCompactChunkRule holds
-// it to this table).
+// compactChunkRows appended rows, at most one per par.Procs(). The
+// stage.compact span reports this count.
 func TestCompactChunkRule(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	for rows, want := range map[int]int{0: 1, 500: 1, 16_383: 1, 16_384: 1, 32_768: 2, 60_000: 3, 1 << 20: 4} {
-		if got := compactChunks(rows); got != want {
+		if got := CompactChunks(rows); got != want {
 			t.Errorf("%d rows at GOMAXPROCS 4: %d chunks, want %d", rows, got, want)
 		}
 	}

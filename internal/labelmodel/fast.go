@@ -2,8 +2,8 @@ package labelmodel
 
 import (
 	"math"
-	"runtime"
-	"sync"
+
+	"repro/internal/par"
 )
 
 // TrainSamplingFreeFast fits the same marginal-likelihood objective as
@@ -28,8 +28,8 @@ import (
 //
 //  3. The profiled objective F(α) is smooth in just n variables, so damped
 //     projected Newton iterations with the exact analytic gradient and
-//     Hessian (accumulated over compacted rows, in parallel across
-//     runtime.GOMAXPROCS workers) converge to the optimizer in a handful of
+//     Hessian (accumulated over compacted rows in up to fastMaxBlocks blocks
+//     that run in parallel) converge to the optimizer in a handful of
 //     full-batch steps — typically 10–20 rather than thousands.
 //
 // Options semantics: Steps caps the Newton iterations (the default is far
@@ -43,9 +43,9 @@ import (
 //
 // The result agrees with a converged full-batch run of TrainSamplingFree
 // to within fractions of the equivalence-test tolerance (see
-// fast_test.go); because updates are deterministic, repeated runs are
-// bit-identical for a fixed GOMAXPROCS. It is TrainSamplingFreeFastWarm's
-// cold start, without the state.
+// fast_test.go). Updates are deterministic and reductions partition by the
+// distinct-row count alone (fastBlockRows), so the result is bit for bit the same
+// on any host. It is TrainSamplingFreeFastWarm's cold start, without the state.
 func TrainSamplingFreeFast(mx *Matrix, opts Options) (*Model, error) {
 	model, _, err := TrainSamplingFreeFastWarm(mx, opts, nil)
 	return model, err
@@ -66,9 +66,16 @@ const (
 	stopMaxSteps  = "max_steps"
 )
 
-// fastParallelMinRows is the compacted-row count below which the reduction
-// runs on the caller's goroutine; tiny problems don't amortize worker spawns.
-const fastParallelMinRows = 2048
+// A row reduction splits the U distinct rows into min(fastMaxBlocks,
+// ⌈U/fastBlockRows⌉) contiguous blocks, each with its own partials, merged in
+// block order. The partition is a function of U alone: floating-point
+// addition is not associative, so a split by core count would make the model
+// depend on the host. A block's Hessian partial is n(n+1)/2 floats (79 KB at
+// 140 functions), hence the cap.
+const (
+	fastBlockRows = 2048
+	fastMaxBlocks = 4
+)
 
 // fastTrainer holds the compacted problem and every buffer the Newton loop
 // needs, so iterations allocate nothing.
@@ -76,8 +83,6 @@ type fastTrainer struct {
 	cm    *CompactMatrix
 	opts  Options
 	prior float64
-
-	workers int
 
 	// iters counts the Newton iterations run actually spent, for warm-start
 	// "iterations saved" accounting, and stopped says why run ended.
@@ -95,11 +100,10 @@ type fastTrainer struct {
 	dtm  []float64 // d t_j / d α_j along the profiled manifold
 	cvr  []float64 // floored coverage voted_j/m
 
-	// Per-worker partial reductions, merged in worker order so results are
-	// deterministic for a fixed worker count.
+	// Per-block partial reductions, merged in block order.
 	partF []float64
 	partG [][]float64
-	partH [][]float64 // lower triangle, n(n+1)/2 per worker
+	partH [][]float64 // lower triangle, n(n+1)/2 per block
 
 	// hw caches each distinct row's curvature weight 4·mult·σ(1−σ) from the
 	// last evalFG, so the deferred Hessian pass is arithmetic-only.
@@ -121,45 +125,38 @@ type fastTrainer struct {
 
 func newFastTrainer(cm *CompactMatrix, opts Options) *fastTrainer {
 	n := cm.NumFuncs()
-	w := runtime.GOMAXPROCS(0)
-	if w < 1 {
-		w = 1
-	}
-	if cm.NumUnique() < fastParallelMinRows {
-		w = 1
-	}
+	b := max(1, min(fastMaxBlocks, (cm.NumUnique()+fastBlockRows-1)/fastBlockRows))
 	ft := &fastTrainer{
-		cm:      cm,
-		opts:    opts,
-		prior:   opts.logPriorOdds(),
-		workers: w,
-		beta:    make([]float64, n),
-		a2:      make([]float64, n),
-		tj:      make([]float64, n),
-		dtm:     make([]float64, n),
-		cvr:     make([]float64, n),
-		partF:   make([]float64, w),
-		partG:   make([][]float64, w),
-		partH:   make([][]float64, w),
-		hw:      make([]float64, cm.NumUnique()),
-		grad:    make([]float64, n),
-		hess:    make([]float64, n*(n+1)/2),
-		gradT:   make([]float64, n),
-		hessT:   make([]float64, n*(n+1)/2),
-		free:    make([]int, 0, n),
-		dir:     make([]float64, n),
-		trial:   make([]float64, n),
-		chol:    make([]float64, n*n),
-		rhs:     make([]float64, n),
+		cm:    cm,
+		opts:  opts,
+		prior: opts.logPriorOdds(),
+		beta:  make([]float64, n),
+		a2:    make([]float64, n),
+		tj:    make([]float64, n),
+		dtm:   make([]float64, n),
+		cvr:   make([]float64, n),
+		partF: make([]float64, b),
+		partG: make([][]float64, b),
+		partH: make([][]float64, b),
+		hw:    make([]float64, cm.NumUnique()),
+		grad:  make([]float64, n),
+		hess:  make([]float64, n*(n+1)/2),
+		gradT: make([]float64, n),
+		hessT: make([]float64, n*(n+1)/2),
+		free:  make([]int, 0, n),
+		dir:   make([]float64, n),
+		trial: make([]float64, n),
+		chol:  make([]float64, n*n),
+		rhs:   make([]float64, n),
 	}
 	m := float64(cm.NumExamples())
 	for j, v := range cm.Voted {
 		c := float64(v) / m
 		ft.cvr[j] = min(max(c, minCoverage), 1-minCoverage)
 	}
-	for wi := 0; wi < w; wi++ {
-		ft.partG[wi] = make([]float64, n)
-		ft.partH[wi] = make([]float64, n*(n+1)/2)
+	for k := range b {
+		ft.partG[k] = make([]float64, n)
+		ft.partH[k] = make([]float64, n*(n+1)/2)
 	}
 	return ft
 }
@@ -188,9 +185,9 @@ func (ft *fastTrainer) run() ([]float64, []float64, error) {
 	// purely cosmetic Newton iteration.
 	gtol := 1e-8 * m
 	// Objective noise floor, relative to Σ|terms| (ft.fabs). evalFG sums
-	// one term per distinct row in w in-order chunks, then the w chunk
+	// one term per distinct row in b in-order blocks, then the b block
 	// partials and n per-LF terms, so a term passes through at most
-	// ⌈U/w⌉ + w + n rounded additions; evaluating it (the vote sum ℓ over
+	// ⌈U/b⌉ + b + n rounded additions; evaluating it (the vote sum ℓ over
 	// at most n entries, exp, log1p, the multiplicity product) adds n + 4
 	// more. With k the sum of the two counts, the recursive-summation bound
 	// |fl(f) − f| ≤ γ_k·Σ|terms|, γ_k = k·u/(1 − k·u) and u = 2⁻⁵³ (Higham,
@@ -203,7 +200,8 @@ func (ft *fastTrainer) run() ([]float64, []float64, error) {
 	// Armijo accepts steps on evaluation noise alone — halving them towards
 	// 1e-12 and never stopping. A step that leaves α unchanged decreases f by
 	// exactly zero, so the same test catches it.
-	k := float64((ft.cm.NumUnique()+ft.workers-1)/ft.workers + ft.workers + 2*n + 4)
+	b := len(ft.partF)
+	k := float64((ft.cm.NumUnique()+b-1)/b + b + 2*n + 4)
 	const unit = 0x1p-53
 	noise := 2 * k * unit / (1 - k*unit)
 
@@ -400,11 +398,9 @@ func (ft *fastTrainer) evalFG(alpha []float64) float64 {
 	ft.fabs = 0
 	f := ft.lfTerms(alpha)
 
-	ft.reduceRows(func(w int, lo, hi int) {
-		g := ft.partG[w]
-		for i := range g {
-			g[i] = 0
-		}
+	ft.reduceRows(func(b int, lo, hi int) {
+		g := ft.partG[b]
+		clear(g)
 		sum := 0.0
 		cols, a2 := cm.Cols, ft.a2
 		for r := lo; r < hi; r++ {
@@ -436,17 +432,17 @@ func (ft *fastTrainer) evalFG(alpha []float64) float64 {
 				g[j] += gw
 			}
 		}
-		ft.partF[w] = sum
+		ft.partF[b] = sum
 	})
 
 	l2 := ft.opts.L2 * m // summed-NLL equivalent of the reference's ridge
 	for j := 0; j < n; j++ {
 		ft.gradT[j] = m*ft.tj[j] + 2*l2*alpha[j]
 	}
-	for w := 0; w < ft.workers; w++ {
-		f += ft.partF[w]
-		ft.fabs -= ft.partF[w] // every row term is ≤ 0, so |partial| = Σ|terms|
-		for j, g := range ft.partG[w] {
+	for b, pf := range ft.partF {
+		f += pf
+		ft.fabs -= pf // every row term is ≤ 0, so |partial| = Σ|terms|
+		for j, g := range ft.partG[b] {
 			ft.gradT[j] += g
 		}
 	}
@@ -467,11 +463,9 @@ func (ft *fastTrainer) evalHess() {
 	m := float64(ft.cm.NumExamples())
 	cm := ft.cm
 
-	ft.reduceRows(func(w int, lo, hi int) {
-		h := ft.partH[w]
-		for i := range h {
-			h[i] = 0
-		}
+	ft.reduceRows(func(b int, lo, hi int) {
+		h := ft.partH[b]
+		clear(h)
 		cols := cm.Cols
 		for r := lo; r < hi; r++ {
 			hw := ft.hw[r]
@@ -512,11 +506,9 @@ func (ft *fastTrainer) evalHess() {
 		}
 	})
 
-	for i := range ft.hessT {
-		ft.hessT[i] = 0
-	}
-	for w := 0; w < ft.workers; w++ {
-		for i, h := range ft.partH[w] {
+	clear(ft.hessT)
+	for _, part := range ft.partH {
+		for i, h := range part {
 			ft.hessT[i] += h
 		}
 	}
@@ -535,40 +527,15 @@ func triIndex(a, b int) int {
 	return a*(a+1)/2 + b
 }
 
-// reduceRows runs fn over contiguous chunks of the distinct rows, one chunk
-// per worker. Chunk boundaries depend only on the row count and worker
-// count, and partials are merged in worker order, so the reduction is
-// deterministic.
-func (ft *fastTrainer) reduceRows(fn func(w, lo, hi int)) {
-	u := ft.cm.NumUnique()
-	if ft.workers == 1 {
-		fn(0, 0, u)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (u + ft.workers - 1) / ft.workers
-	for w := 0; w < ft.workers; w++ {
-		lo := w * chunk
-		hi := min(lo+chunk, u)
-		if lo >= hi {
-			ft.partF[w] = 0
-			g := ft.partG[w]
-			for i := range g {
-				g[i] = 0
-			}
-			h := ft.partH[w]
-			for i := range h {
-				h[i] = 0
-			}
-			continue
-		}
-		wg.Add(1)
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			fn(w, lo, hi)
-		}(w, lo, hi)
-	}
-	wg.Wait()
+// reduceRows runs fn over the contiguous blocks of the distinct rows, on up
+// to par.Procs() goroutines. Block b's partials are its own, so the schedule
+// cannot change a sum.
+func (ft *fastTrainer) reduceRows(fn func(b, lo, hi int)) {
+	u, nb := ft.cm.NumUnique(), len(ft.partF)
+	_ = par.Each(nb, par.Procs(), func(b int) error { // fn cannot fail
+		fn(b, b*u/nb, (b+1)*u/nb)
+		return nil
+	})
 }
 
 // newtonDirection solves (H_ff + λI)·d = −g_f over the free coordinates via
@@ -620,9 +587,7 @@ func (ft *fastTrainer) newtonDirection(lambda float64) bool {
 		}
 		ft.rhs[i] = s / a[i*k+i]
 	}
-	for j := range ft.dir {
-		ft.dir[j] = 0
-	}
+	clear(ft.dir)
 	for ri, j := range ft.free {
 		ft.dir[j] = ft.rhs[ri]
 	}

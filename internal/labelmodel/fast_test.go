@@ -2,6 +2,8 @@ package labelmodel
 
 import (
 	"math"
+	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -171,6 +173,48 @@ func TestFastTrainerDeterministic(t *testing.T) {
 	for j := range a.Alpha {
 		if a.Alpha[j] != c.Alpha[j] {
 			t.Fatalf("seed/batch options changed the deterministic result at LF %d", j)
+		}
+	}
+}
+
+// TestTrainIndependentOfProcs: the fitted model is a function of the votes
+// and the options, not of the core count. Every matrix holds more than
+// fastBlockRows distinct rows, so its reductions run in several blocks, and
+// α, β, the posteriors and the iteration count must agree bit for bit at
+// every GOMAXPROCS.
+func TestTrainIndependentOfProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, n := range []int{8, 40, 140} {
+		acc, prop := make([]float64, n), make([]float64, n)
+		for j := range acc {
+			acc[j] = 0.6 + 0.05*float64(j%7)
+			prop[j] = min(0.5, 4/float64(n)) * (0.8 + 0.1*float64(j%5))
+		}
+		mx, _, err := Synthesize(SynthSpec{NumExamples: 30_000, PriorPositive: 0.4, Accuracies: acc, Propensities: prop, Seed: int64(n)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []uint64
+		for _, procs := range []int{1, 2, 3, 8} {
+			runtime.GOMAXPROCS(procs)
+			model, state, err := TrainSamplingFreeFastWarm(mx, Options{}, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if u := state.Compact.NumUnique(); u <= fastBlockRows {
+				t.Fatalf("%d functions: %d distinct rows, want more than %d", n, u, fastBlockRows)
+			}
+			got := []uint64{uint64(state.Iterations)}
+			for _, vs := range [][]float64{model.Alpha, model.Beta, model.CompactPosteriors(state.Compact)} {
+				for _, v := range vs {
+					got = append(got, math.Float64bits(v))
+				}
+			}
+			if want == nil {
+				want = got
+			} else if !slices.Equal(got, want) {
+				t.Errorf("%d functions: GOMAXPROCS %d fits another model than GOMAXPROCS 1", n, procs)
+			}
 		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"repro/internal/mapreduce"
 	"repro/internal/nlp"
 	"repro/internal/obs"
+	"repro/internal/par"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -394,7 +395,7 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 	_, span := obs.StartSpan(ctx, "lf.assemble", obs.Int("rows", total), obs.Int("shards", nsh),
 		obs.Int("workers", max(1, min(e.Parallelism, nsh))))
 	matrix := labelmodel.NewMatrix(total, len(lfs))
-	err = eachShard(nsh, e.Parallelism, func(s int) error {
+	err = par.Each(nsh, e.Parallelism, func(s int) error {
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("lf: assemble: %w", err)
 		}

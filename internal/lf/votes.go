@@ -25,17 +25,16 @@
 package lf
 
 import (
-	"cmp"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"runtime"
 	"sync"
 
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
+	"repro/internal/par"
 )
 
 // votesMagic heads every columnar vote shard ("DryBell Votes v1").
@@ -89,7 +88,7 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	if shards <= 0 {
 		return fmt.Errorf("lf: WriteVotes with %d shards", shards)
 	}
-	if err := eachShard(shards, runtime.GOMAXPROCS(0), func(s int) error {
+	if err := par.Each(shards, par.Procs(), func(s int) error {
 		bufp := voteBufPool.Get().(*[]byte)
 		defer voteBufPool.Put(bufp)
 		rows := (m - s + shards - 1) / shards
@@ -140,29 +139,6 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 		}
 	}
 	return nil
-}
-
-// eachShard runs fn over shards [0, n) on up to workers goroutines, worker w
-// taking shards w, w+workers, … and stopping at its first error. It returns
-// the error of the lowest-numbered failing shard: every shard below that one
-// ran, so it is the error a serial loop would have stopped at.
-func eachShard(n, workers int, fn func(s int) error) error {
-	workers = max(1, min(workers, n))
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for s := w; s < n; s += workers {
-				if errs[s] = fn(s); errs[s] != nil {
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	return cmp.Or(errs...)
 }
 
 // voteGeneration derives a shard set's write generation from its content:

@@ -243,7 +243,7 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 		return nil, fmt.Errorf("mapreduce: job %q has no filesystem", job.Name)
 	}
 	if job.Parallelism <= 0 {
-		job.Parallelism = runtime.GOMAXPROCS(0)
+		job.Parallelism = runtime.GOMAXPROCS(0) //drybellvet:schedule — worker count; outputs do not depend on it (TestDeterministicAcrossParallelismAndShards)
 	}
 	if job.MaxAttempts <= 0 {
 		job.MaxAttempts = 3

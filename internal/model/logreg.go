@@ -148,7 +148,7 @@ func (m *LogReg) Train(xs []*features.SparseVector, ys []float64, cfg TrainConfi
 
 // PredictAll scores a batch. Unlike per-example Predict, it materializes the
 // FTRL weights once and scores every vector against the dense weight vector
-// (in parallel across GOMAXPROCS workers for large batches), so batch
+// (split into blocks across cores for large batches), so batch
 // inference does not redo the per-coordinate weight closed form for every
 // lookup.
 func (m *LogReg) PredictAll(xs []*features.SparseVector) []float64 {

@@ -35,5 +35,5 @@
 // run. Pipeline runs write it to the DFS as "<workdir>/_obs/trace.json";
 // the -trace flag of cmd/drybell, cmd/lfrun, and cmd/drybelld writes a
 // local copy. InstrumentFS wraps a dfs.FS so every filesystem operation
-// feeds op/latency/byte metrics into a registry.
+// feeds op/latency/byte metrics into a registry (read back typed by Counts).
 package obs

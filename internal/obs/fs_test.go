@@ -51,6 +51,10 @@ func TestInstrumentFSCountsOpsErrorsAndBytes(t *testing.T) {
 	if b := reg.Counter("dfs_read_bytes_total", "").Value(); b != 5 {
 		t.Errorf("read bytes = %d, want 5", b)
 	}
+	want := FSCounts{Writes: 1, Reads: 2, Renames: 1, Removes: 1, Lists: 1, Stats: 1, ReadBytes: 5, WrittenBytes: 5}
+	if got := fs.(*InstrumentedFS).Counts(); got != want {
+		t.Errorf("Counts() = %+v, want %+v", got, want)
+	}
 	if n := reg.Histogram("dfs_op_seconds", "", dfsOpBuckets, Label{"op", "write"}).Count(); n != 1 {
 		t.Errorf("write latency observations = %d, want 1", n)
 	}

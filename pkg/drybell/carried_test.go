@@ -8,9 +8,9 @@ import (
 	"runtime"
 	"slices"
 	"strings"
-	"sync/atomic"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/pkg/drybell"
 )
 
@@ -395,17 +395,6 @@ func TestCarriedCompactAfterRivalRewrite(t *testing.T) {
 	requireSameFloats(t, "against a cold Run: posteriors", got.Posteriors, cold.Posteriors)
 }
 
-// countingFS counts the files read through it.
-type countingFS struct {
-	drybell.FS
-	reads atomic.Int64
-}
-
-func (c *countingFS) ReadFile(path string) ([]byte, error) {
-	c.reads.Add(1)
-	return c.FS.ReadFile(path)
-}
-
 // TestCarriedRoundCostIsTheDelta: a round over appended documents touches the
 // delta, not the corpus. The same 200-document round over a 4k-row base and
 // over a 40k-row base must read the same number of files and perform the same
@@ -416,7 +405,7 @@ func TestCarriedRoundCostIsTheDelta(t *testing.T) {
 	lfs := testRunners()
 	measure := func(base int) (reads int64, allocs uint64) {
 		rng := rand.New(rand.NewSource(11))
-		fs := &countingFS{FS: drybell.NewMemFS()}
+		fs := obs.InstrumentFS(drybell.NewMemFS(), obs.NewRegistry()).(*obs.InstrumentedFS)
 		// One worker: goroutine scheduling must not decide how many buffers
 		// the delta job allocates.
 		p := newPipeline(t, drybell.WithFS(fs), drybell.WithParallelism(1))
@@ -431,7 +420,7 @@ func TestCarriedRoundCostIsTheDelta(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		reads = fs.reads.Load()
+		reads = fs.Counts().Reads
 		res, err := p.IncrementalRun(ctx, lfs)
 		runtime.ReadMemStats(&after)
 		if err != nil {
@@ -441,7 +430,7 @@ func TestCarriedRoundCostIsTheDelta(t *testing.T) {
 			t.Fatalf("round over %d rows: rebuilt %q, scanned %d vote rows, executed %d documents, warm-started %v; want the %d of the delta, warm",
 				base, res.ViewRebuilt, res.RowsScanned, res.DeltaExamples, res.WarmStarted, len(delta))
 		}
-		return fs.reads.Load() - reads, after.Mallocs - before.Mallocs
+		return fs.Counts().Reads - reads, after.Mallocs - before.Mallocs
 	}
 	smallReads, smallAllocs := measure(4_000)
 	largeReads, largeAllocs := measure(40_000)

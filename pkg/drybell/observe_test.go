@@ -6,12 +6,97 @@ import (
 	"encoding/json"
 	"path"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/dfs"
+	"repro/internal/obs"
 	"repro/pkg/drybell"
 	"repro/pkg/drybell/lf"
 )
+
+// handCountFS counts every operation started and every byte moved through it
+// by hand, the oracle obs.InstrumentedFS.Counts is held to.
+type handCountFS struct {
+	drybell.FS
+	mu sync.Mutex
+	n  obs.FSCounts
+}
+
+func (h *handCountFS) count(op *int64, bytes *int64, size int, err error) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	*op++
+	if err == nil && bytes != nil {
+		*bytes += int64(size)
+	}
+}
+
+func (h *handCountFS) WriteFile(path string, data []byte) error {
+	err := h.FS.WriteFile(path, data)
+	h.count(&h.n.Writes, &h.n.WrittenBytes, len(data), err)
+	return err
+}
+
+func (h *handCountFS) ReadFile(path string) ([]byte, error) {
+	data, err := h.FS.ReadFile(path)
+	h.count(&h.n.Reads, &h.n.ReadBytes, len(data), err)
+	return data, err
+}
+
+func (h *handCountFS) Rename(oldPath, newPath string) error {
+	err := h.FS.Rename(oldPath, newPath)
+	h.count(&h.n.Renames, nil, 0, err)
+	return err
+}
+
+func (h *handCountFS) Remove(path string) error {
+	err := h.FS.Remove(path)
+	h.count(&h.n.Removes, nil, 0, err)
+	return err
+}
+
+func (h *handCountFS) List(prefix string) ([]string, error) {
+	names, err := h.FS.List(prefix)
+	h.count(&h.n.Lists, nil, 0, err)
+	return names, err
+}
+
+func (h *handCountFS) Stat(path string) (int64, error) {
+	size, err := h.FS.Stat(path)
+	h.count(&h.n.Stats, nil, 0, err)
+	return size, err
+}
+
+// TestInstrumentFSMatchesHandCount: the typed counts of an instrumented
+// filesystem equal a hand count of the same operations over a base run, a
+// staged delta, its round and a compaction.
+func TestInstrumentFSMatchesHandCount(t *testing.T) {
+	ctx := context.Background()
+	hand := &handCountFS{FS: drybell.NewMemFS()}
+	fs := obs.InstrumentFS(hand, obs.NewRegistry()).(*obs.InstrumentedFS)
+	p := newPipeline(t, drybell.WithFS(fs))
+	docs := makeDocs(400)
+	if _, err := p.Run(ctx, drybell.SliceSource(docs[:300]), testRunners()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.StageDelta(ctx, drybell.SliceSource(docs[300:]), 7); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.IncrementalRun(ctx, testRunners()); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	got := fs.Counts()
+	if got != hand.n {
+		t.Errorf("Counts() = %+v, hand count %+v", got, hand.n)
+	}
+	if got.Writes == 0 || got.Reads == 0 || got.Renames == 0 || got.Removes == 0 || got.Lists == 0 {
+		t.Errorf("Counts() = %+v: the workload missed an operation kind", got)
+	}
+}
 
 // traceEvent mirrors the Chrome trace-event fields the assertions need.
 type traceEvent struct {

@@ -14,10 +14,10 @@
 //
 // # Analyzers
 //
-//   - determinism: pipeline output must be byte-identical run over run.
-//     Flags range-over-map (iteration order is randomized), time.Now, and
-//     the process-seeded math/rand globals in deterministic packages.
-//     Explicitly seeded generators (rand.New(rand.NewSource(k))) are fine.
+//   - determinism: pipeline output must be byte-identical run over run and
+//     host over host. Flags range-over-map, time.Now, the process-seeded
+//     math/rand globals and runtime.GOMAXPROCS/NumCPU in deterministic
+//     packages. Seeded generators (rand.New(rand.NewSource(k))) are fine.
 //   - ctxflow: cancellation must reach every long-running loop. Flags
 //     context.Background()/TODO() inside functions that already receive a
 //     ctx (detaching from the caller's cancellation), and loops that call
@@ -59,6 +59,8 @@
 //	                          read, freshly built unshared value)
 //	//drybellvet:rawvote    — integer conversion of a Label that is not a
 //	                          persisted vote byte (hash input, JSON field)
+//	//drybellvet:schedule   — core-count read that a named test pins as not
+//	                          changing results, or that is only reported
 //
 // The analyzers live under passes/, each with an analysistest-style golden
 // suite in testdata/src/. The stdlib-only analysis framework (the subset

@@ -16,6 +16,9 @@
 //     seeded generators (rand.New(rand.NewSource(seed))) are fine and not
 //     flagged; a justified global use is allowlisted with
 //     //drybellvet:wallclock.
+//   - runtime.GOMAXPROCS and runtime.NumCPU: work split by the core count
+//     makes results host-dependent. A read pinned by a test as independent
+//     of it, or only reported, is allowlisted with //drybellvet:schedule.
 package determinism
 
 import (
@@ -36,6 +39,7 @@ var Scope = []string{
 	"repro/internal/serving",
 	"repro/internal/experiments",
 	"repro/internal/core",
+	"repro/internal/par",
 	"repro/pkg/drybell",
 	"repro/pkg/drybell/lf",
 }
@@ -46,7 +50,7 @@ var randConstructors = map[string]bool{"New": true, "NewSource": true, "NewZipf"
 
 var Analyzer = &analysis.Analyzer{
 	Name: "determinism",
-	Doc:  "flags map iteration, time.Now, and global math/rand in deterministic output paths",
+	Doc:  "flags map iteration, time.Now, global math/rand, and core-count reads in deterministic output paths",
 	Run:  run,
 }
 
@@ -86,6 +90,10 @@ func run(pass *analysis.Pass) error {
 				case "time":
 					if obj.Name() == "Now" && !pass.Suppressed(n.Pos(), "wallclock") {
 						pass.Reportf(n.Pos(), "time.Now on a deterministic output path (derive from inputs or annotate //drybellvet:wallclock)")
+					}
+				case "runtime":
+					if (obj.Name() == "GOMAXPROCS" || obj.Name() == "NumCPU") && !pass.Suppressed(n.Pos(), "schedule") {
+						pass.Reportf(n.Pos(), "runtime.%s on a deterministic output path (partition by the input, fan out through par, or annotate //drybellvet:schedule naming the test that pins the result)", obj.Name())
 					}
 				case "math/rand", "math/rand/v2":
 					if !randConstructors[obj.Name()] && !pass.Suppressed(n.Pos(), "wallclock") {

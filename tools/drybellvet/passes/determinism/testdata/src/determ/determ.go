@@ -5,6 +5,7 @@ package determ
 
 import (
 	"math/rand"
+	"runtime"
 	"time"
 )
 
@@ -40,4 +41,12 @@ func GlobalRand() uint64 {
 	good := r.Uint64()       // methods on an explicitly seeded generator: fine
 	jitter := rand.Int63n(3) //drybellvet:wallclock — retry jitter, not artifact bytes
 	return bad + good + uint64(jitter)
+}
+
+// CoreCount covers core-count reads and the //drybellvet:schedule allowlist.
+func CoreCount() int {
+	bad := runtime.GOMAXPROCS(0) // want `runtime.GOMAXPROCS on a deterministic output path`
+	cpus := runtime.NumCPU()     // want `runtime.NumCPU on a deterministic output path`
+	ok := runtime.GOMAXPROCS(0)  //drybellvet:schedule — worker count, pinned by a test
+	return bad + cpus + ok + runtime.NumGoroutine()
 }
