@@ -32,9 +32,9 @@ loc:
 
 # bench/ is a nested module (bench/go.mod replaces repro => ../), so
 # `go build ./...` and `go test ./...` at the root never compile it — yet it
-# calls into internal/lf, internal/core and pkg/drybell. Vet and test it with
-# the environment bench/run.sh builds it in: caches under .bench_build/, no
-# toolchain download, no module proxy, no user go env.
+# calls into pkg/drybell and the internal packages under it. Vet and test it
+# with the environment bench/run.sh builds it in: caches under .bench_build/,
+# no toolchain download, no module proxy, no user go env.
 BENCH_BUILD := $(CURDIR)/.bench_build
 bench-check:
 	mkdir -p $(BENCH_BUILD)/tmp

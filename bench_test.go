@@ -15,12 +15,12 @@ import (
 	"time"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/dfs"
 	"repro/internal/experiments"
 	"repro/internal/labelmodel"
 	"repro/internal/lf"
+	"repro/internal/mapreduce"
 	"repro/internal/mapreduce/remote"
 	"repro/internal/model"
 	"repro/internal/serving"
@@ -222,7 +222,7 @@ func BenchmarkP2_PipelineThroughput(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		fs := dfs.NewMem()
-		if err := lf.Stage[*corpus.Document](fs, "in/docs", recs, 16); err != nil {
+		if err := mapreduce.WriteInput(fs, "in/docs", recs, 16); err != nil {
 			b.Fatal(err)
 		}
 		// Parallelism is left at the default: one simulated compute node
@@ -269,7 +269,7 @@ func BenchmarkAblation_NoiseAwareLoss(b *testing.B) {
 	evalWith := func(b *testing.B, labels []float64) float64 {
 		var f1 float64
 		for i := 0; i < b.N; i++ {
-			clf, err := core.TrainContentClassifier(docs[:6000], labels[:6000], nil, core.ContentTrainConfig{
+			clf, err := drybell.TrainContentClassifier(docs[:6000], labels[:6000], nil, drybell.ContentTrainConfig{
 				Bigrams: true, Iterations: 60000, Seed: 7,
 			})
 			if err != nil {
@@ -306,7 +306,7 @@ func BenchmarkAblation_Shards(b *testing.B) {
 		b.Run(benchName("shards", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				fs := dfs.NewMem()
-				if err := lf.Stage[*corpus.Document](fs, "in/docs", recs, shards); err != nil {
+				if err := mapreduce.WriteInput(fs, "in/docs", recs, shards); err != nil {
 					b.Fatal(err)
 				}
 				exec := &lf.Executor[*corpus.Document]{
@@ -450,7 +450,7 @@ func BenchmarkExecuteLFs(b *testing.B) {
 	}
 	b.Run("Batch", func(b *testing.B) {
 		fs := dfs.NewMem()
-		if err := lf.Stage[*corpus.Document](fs, "in/docs", recs, 8); err != nil {
+		if err := mapreduce.WriteInput(fs, "in/docs", recs, 8); err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
@@ -480,7 +480,7 @@ func BenchmarkExecuteLFsRemote(b *testing.B) {
 		b.Fatal(err)
 	}
 	fs := dfs.NewMem()
-	if err := lf.Stage[*corpus.Document](fs, "in/docs", recs, 8); err != nil {
+	if err := mapreduce.WriteInput(fs, "in/docs", recs, 8); err != nil {
 		b.Fatal(err)
 	}
 	runners := apps.TopicLFs(nil, 0, 21)
@@ -582,20 +582,12 @@ func BenchmarkOnlineLabel(b *testing.B) {
 // Delta10pct sub-benchmark reports the measured "speedup" metric against a
 // wall-clock full rerun taken in the same process, next to the raw timings.
 
-func incrementalBenchConfig(fs dfs.FS) core.Config[*corpus.Document] {
-	cfg := core.Config[*corpus.Document]{
-		FS:         fs,
-		WorkDir:    "drybell",
-		Shards:     8,
-		Encode:     func(d *corpus.Document) ([]byte, error) { return d.Marshal() },
-		Decode:     corpus.UnmarshalDocument,
-		LabelModel: labelmodel.Options{Steps: 300},
-	}
-	out, err := cfg.WithDefaults()
-	if err != nil {
-		panic(err)
-	}
-	return out
+func incrementalBenchPipeline() (*drybell.Pipeline[*corpus.Document], error) {
+	return drybell.New[*corpus.Document](
+		drybell.WithShards(8),
+		drybell.WithCodec(func(d *corpus.Document) ([]byte, error) { return d.Marshal() }, corpus.UnmarshalDocument),
+		drybell.WithLabelModel(drybell.LabelModelOptions{Steps: 300}),
+	)
 }
 
 func BenchmarkIncremental(b *testing.B) {
@@ -610,15 +602,23 @@ func BenchmarkIncremental(b *testing.B) {
 
 	// Wall-clock reference for the speedup metric: one cold full pipeline
 	// run (stage + execute + train) over the grown corpus.
+	fullRerun := func() error {
+		p, err := incrementalBenchPipeline()
+		if err != nil {
+			return err
+		}
+		_, err = p.Run(ctx, drybell.SliceSource(full), runners)
+		return err
+	}
 	refStart := time.Now()
-	if _, err := core.Run(incrementalBenchConfig(dfs.NewMem()), full, runners); err != nil {
+	if err := fullRerun(); err != nil {
 		b.Fatal(err)
 	}
 	fullRerunSecs := time.Since(refStart).Seconds()
 
 	b.Run("FullRerun", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(incrementalBenchConfig(dfs.NewMem()), full, runners); err != nil {
+			if err := fullRerun(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -629,23 +629,21 @@ func BenchmarkIncremental(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// Per-iteration base state is setup, not the measured work: an
 			// IncrementalRun consumes its pending delta, so each iteration
-			// needs a fresh base run and warm-start state.
+			// needs a fresh base run, which leaves the warm-start state.
 			b.StopTimer()
-			cfg := incrementalBenchConfig(dfs.NewMem())
-			baseRes, err := core.Run(cfg, base, runners)
+			p, err := incrementalBenchPipeline()
 			if err != nil {
 				b.Fatal(err)
 			}
-			_, prev, err := labelmodel.TrainSamplingFreeFastWarm(baseRes.Matrix, cfg.LabelModel, nil)
-			if err != nil {
+			if _, err := p.Run(ctx, drybell.SliceSource(base), runners); err != nil {
 				b.Fatal(err)
 			}
 			b.StartTimer()
 
-			if _, err := core.StageDelta(ctx, cfg, core.Examples(delta), nil); err != nil {
+			if _, err := p.StageDelta(ctx, drybell.SliceSource(delta)); err != nil {
 				b.Fatal(err)
 			}
-			res, err := core.IncrementalRun(ctx, cfg, runners, &core.Carried{State: prev, View: baseRes.View})
+			res, err := p.IncrementalRun(ctx, runners)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -57,7 +57,7 @@ func main() {
 		err = fmt.Errorf("unknown task %q", *task)
 	}
 	if err == nil && observer != nil {
-		if err = writeTrace(*trace, observer); err == nil {
+		if err = observer.Trace.WriteChromeTraceFile(*trace); err == nil {
 			fmt.Printf("\ntrace written to %s (load in https://ui.perfetto.dev)\n", *trace)
 		}
 	}
@@ -83,19 +83,6 @@ func contentPipeline(steps int, observer *drybell.Observer) (*drybell.Pipeline[*
 		opts = append(opts, drybell.WithObserver(observer))
 	}
 	return drybell.New[*corpus.Document](opts...)
-}
-
-// writeTrace dumps the observer's recorded spans as Chrome trace-event JSON.
-func writeTrace(path string, o *drybell.Observer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := drybell.WriteTrace(f, o); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 func runContent(ctx context.Context, task string, n int, seed int64, steps int, observer *drybell.Observer) error {

@@ -68,6 +68,7 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/corpus"
+	"repro/internal/dfs"
 	"repro/internal/kgraph"
 	"repro/internal/labelmodel"
 	"repro/internal/serving"
@@ -227,7 +228,7 @@ func run(addr, root, task, model, mode, coordinator string, docs int, seed int64
 	observer := drybell.NewObserver()
 	if tracePath != "" {
 		defer func() {
-			if err := writeTraceFile(tracePath, observer); err != nil {
+			if err := observer.Trace.WriteChromeTraceFile(tracePath); err != nil {
 				fmt.Fprintf(os.Stderr, "drybelld: writing trace: %v\n", err)
 				return
 			}
@@ -352,20 +353,6 @@ func startCoordinator(ctx context.Context, addr string, fsys drybell.FS, observe
 	}
 	fmt.Printf("%d workers registered; training\n", pool.NumWorkers())
 	return pool, stopAll, nil
-}
-
-// writeTraceFile dumps the observer's recorded spans as Chrome trace-event
-// JSON.
-func writeTraceFile(path string, o *drybell.Observer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := drybell.WriteTrace(f, o); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // taskRunners builds the task's labeling functions. Knowledge-graph LRU
@@ -517,8 +504,16 @@ func stageVersion(fsys drybell.FS, reg *serving.FSRegistry, model string,
 func serveHTTP(ctx context.Context, addr string, fsys drybell.FS, reg *serving.FSRegistry, observer *drybell.Observer, model string,
 	runners []apps.DocLF, batch int, batchWait time.Duration, workers, cacheSize int,
 	drainTimeout, latencyBudget time.Duration, maxQueue int, deadline time.Duration, traceRequests bool) error {
+	// Only absence means there is no label model: a failed read taken for one
+	// would silently serve votes only.
 	var lm *labelmodel.Model
-	if data, err := fsys.ReadFile(labelModelPath(model)); err == nil {
+	data, err := fsys.ReadFile(labelModelPath(model))
+	switch {
+	case dfs.IsNotExist(err):
+		fmt.Println("no persisted label model; /v1/label serves votes only")
+	case err != nil:
+		return fmt.Errorf("read label model %s: %w", labelModelPath(model), err)
+	default:
 		if lm, err = labelmodel.DecodeModel(data); err != nil {
 			return err
 		}
@@ -527,8 +522,6 @@ func serveHTTP(ctx context.Context, addr string, fsys drybell.FS, reg *serving.F
 				lm.NumFuncs(), len(runners))
 			lm = nil
 		}
-	} else {
-		fmt.Println("no persisted label model; /v1/label serves votes only")
 	}
 
 	s, err := serve.New(serve.Config[*corpus.Document]{

@@ -1,9 +1,14 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/dfs"
+	"repro/pkg/drybell"
 )
 
 // TestValidateFlags pins the fail-fast surface: every node-role flag
@@ -65,5 +70,22 @@ func TestValidateFlags(t *testing.T) {
 				t.Fatalf("validateFlags: error %q does not mention %q", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestServeRefusesUnreadableLabelModel: only a missing label model means the
+// daemon serves votes alone. A read that fails must stop startup with an
+// error naming the file, not pass for absence.
+func TestServeRefusesUnreadableLabelModel(t *testing.T) {
+	const model = "topic-classifier"
+	fsys := dfs.NewFaultFS(dfs.NewMem(), 1)
+	fsys.FailNext(dfs.OpRead, labelModelPath(model), 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // should startup get past the read, serve nothing
+	err := serveHTTP(ctx, "127.0.0.1:0", fsys, nil, drybell.NewObserver(), model, nil,
+		1, time.Millisecond, 1, 1, time.Second, time.Second, 1, time.Second, false)
+	if !errors.Is(err, dfs.ErrInjected) || !strings.Contains(err.Error(), labelModelPath(model)) {
+		t.Fatalf("serveHTTP over an unreadable label model = %v, want the injected read fault naming %s",
+			err, labelModelPath(model))
 	}
 }

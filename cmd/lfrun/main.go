@@ -152,15 +152,7 @@ func run(ctx context.Context, out io.Writer, root, task, name, input string, sha
 	fmt.Fprintf(out, "execution: %d task attempts, %d tasks resumed\n",
 		report.TaskAttempts, report.TasksResumed)
 	if observer != nil {
-		f, err := os.Create(trace)
-		if err != nil {
-			return err
-		}
-		if err := drybell.WriteTrace(f, observer); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
+		if err := observer.Trace.WriteChromeTraceFile(trace); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "trace written to %s (load in https://ui.perfetto.dev)\n", trace)

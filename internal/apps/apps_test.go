@@ -9,6 +9,7 @@ import (
 	"repro/internal/kgraph"
 	"repro/internal/labelmodel"
 	"repro/internal/lf"
+	"repro/internal/mapreduce"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -19,7 +20,7 @@ func executeDocLFs(t *testing.T, docs []*corpus.Document, runners []DocLF) *labe
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lf.Stage[*corpus.Document](fs, "in/d", recs, 4); err != nil {
+	if err := mapreduce.WriteInput(fs, "in/d", recs, 4); err != nil {
 		t.Fatal(err)
 	}
 	e := &lf.Executor[*corpus.Document]{
@@ -40,7 +41,7 @@ func executeEventLFs(t *testing.T, events []*corpus.Event, runners []EventLF) *l
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := lf.Stage[*corpus.Event](fs, "in/e", recs, 4); err != nil {
+	if err := mapreduce.WriteInput(fs, "in/e", recs, 4); err != nil {
 		t.Fatal(err)
 	}
 	e := &lf.Executor[*corpus.Event]{

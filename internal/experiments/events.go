@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/labelmodel"
 	"repro/internal/model"
@@ -19,8 +18,8 @@ type eventsRun struct {
 	devEnd   int // events[:devEnd] are held out of the reported metrics
 	dbScores []float64
 	orScores []float64
-	dbClf    *core.EventClassifier
-	orClf    *core.EventClassifier
+	dbClf    *drybell.EventClassifier
+	orClf    *drybell.EventClassifier
 }
 
 // runEvents executes the 140 LFs over the non-servable features and trains
@@ -48,8 +47,8 @@ func runEvents(cfg Config) (*eventsRun, error) {
 	}
 	orLabels := labelmodel.LogicalORPosteriors(res.Matrix)
 
-	mkClf := func(labels []float64) (*core.EventClassifier, error) {
-		return core.TrainEventClassifier(events, labels, core.EventTrainConfig{
+	mkClf := func(labels []float64) (*drybell.EventClassifier, error) {
+		return drybell.TrainEventClassifier(events, labels, drybell.EventTrainConfig{
 			Hidden: []int{32, 16}, Epochs: 4, Seed: cfg.Seed + 13,
 		})
 	}

@@ -8,16 +8,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/dfs"
 	"repro/internal/kgraph"
 	"repro/internal/labelmodel"
-	"repro/internal/lf"
 	"repro/internal/model"
+	"repro/pkg/drybell"
 )
 
 // Config scales the experiments. Defaults are laptop-sized; the paper-scale
@@ -174,22 +173,33 @@ func (t *contentTask) votes() (*labelmodel.Matrix, error) {
 	if t.matrix != nil {
 		return t.matrix, nil
 	}
-	fs := dfs.NewMem()
 	recs, err := corpus.MarshalDocuments(t.docs)
 	if err != nil {
 		return nil, err
 	}
-	if err := lf.Stage[*corpus.Document](fs, "in/docs", recs, 8); err != nil {
+	p, err := docPipeline(8, 4)
+	if err != nil {
 		return nil, err
 	}
-	exec := &lf.Executor[*corpus.Document]{
-		FS: fs, InputBase: "in/docs", OutputPrefix: "labels",
-		Decode: corpus.UnmarshalDocument, Parallelism: 4,
+	ctx := context.Background()
+	if _, err := p.StageRecords(ctx, drybell.SliceSource(recs)); err != nil {
+		return nil, err
 	}
-	if t.matrix, _, err = exec.Execute(t.runners); err != nil {
+	if t.matrix, _, err = p.ExecuteLFs(ctx, t.runners); err != nil {
 		return nil, err
 	}
 	return t.matrix, nil
+}
+
+// docPipeline is an SDK pipeline over documents, on a fresh in-memory
+// filesystem, for the experiments that stage and execute labeling functions
+// without the rest of a run.
+func docPipeline(shards, parallelism int) (*drybell.Pipeline[*corpus.Document], error) {
+	return drybell.New[*corpus.Document](
+		drybell.WithCodec(func(d *corpus.Document) ([]byte, error) { return d.Marshal() }, corpus.UnmarshalDocument),
+		drybell.WithShards(shards),
+		drybell.WithParallelism(parallelism),
+	)
 }
 
 // contentRun is one full weak-supervision run for a content task.
@@ -197,7 +207,7 @@ type contentRun struct {
 	task       *contentTask
 	matrix     *labelmodel.Matrix // full corpus votes
 	genModel   *labelmodel.Model
-	classifier *core.ContentClassifier
+	classifier *drybell.ContentClassifier
 }
 
 // arm configures one content run: the columns of the task's votes it keeps
@@ -241,7 +251,7 @@ func (c Config) runContent(t *contentTask, a arm) (*contentRun, error) {
 	// Discriminative classifiers tune their decision threshold for F1 on
 	// the dev set, the paper's "optimizing for F1 score" protocol; the
 	// generative-model column stays at the raw 0.5 posterior threshold.
-	clf, err := core.TrainContentClassifier(train, posteriors, dev, core.ContentTrainConfig{
+	clf, err := drybell.TrainContentClassifier(train, posteriors, dev, drybell.ContentTrainConfig{
 		Bigrams: t.bigrams, Iterations: t.itersFor(len(train)), Seed: c.Seed + 3,
 	})
 	if err != nil {
@@ -251,9 +261,9 @@ func (c Config) runContent(t *contentTask, a arm) (*contentRun, error) {
 }
 
 // baseline trains the dev-set supervised classifier every table normalizes to.
-func (c Config) baseline(t *contentTask) (*core.ContentClassifier, error) {
+func (c Config) baseline(t *contentTask) (*drybell.ContentClassifier, error) {
 	dev := corpus.Select(t.docs, t.split.Dev)
-	clf, err := core.TrainSupervisedBaseline(dev, core.ContentTrainConfig{
+	clf, err := drybell.TrainSupervisedBaseline(dev, drybell.ContentTrainConfig{
 		Bigrams: t.bigrams, Iterations: t.itersFor(len(dev)), Seed: c.Seed + 4,
 	})
 	if err != nil {
@@ -268,7 +278,7 @@ func (c Config) baseline(t *contentTask) (*core.ContentClassifier, error) {
 }
 
 // evalOnTest evaluates a classifier on the task's test split.
-func (t *contentTask) evalOnTest(clf *core.ContentClassifier) (model.Metrics, error) {
+func (t *contentTask) evalOnTest(clf *drybell.ContentClassifier) (model.Metrics, error) {
 	return clf.Evaluate(corpus.Select(t.docs, t.split.Test))
 }
 

@@ -5,11 +5,11 @@ import (
 	"strings"
 
 	"repro/internal/apps"
-	"repro/internal/core"
 	"repro/internal/corpus"
 	"repro/internal/kgraph"
 	"repro/internal/lf"
 	"repro/internal/model"
+	"repro/pkg/drybell"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -103,7 +103,7 @@ func Figure5(cfg Config) (*Figure5Result, error) {
 				continue
 			}
 			labeled := corpus.Select(t.docs, pool[:k])
-			sup, err := core.TrainSupervisedBaseline(labeled, core.ContentTrainConfig{
+			sup, err := drybell.TrainSupervisedBaseline(labeled, drybell.ContentTrainConfig{
 				Bigrams: t.bigrams, Iterations: t.itersFor(k), Seed: cfg.Seed + 5,
 			})
 			if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"strings"
@@ -8,9 +9,8 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/corpus"
-	"repro/internal/dfs"
 	"repro/internal/labelmodel"
-	"repro/internal/lf"
+	"repro/pkg/drybell"
 )
 
 // P1Result reproduces the §5.2 performance claim: the sampling-free
@@ -115,19 +115,19 @@ func P2(cfg Config) (*P2Result, error) {
 		return nil, err
 	}
 	runners := apps.TopicLFs(nil, 0.02, cfg.Seed)
+	ctx := context.Background()
 	res := &P2Result{Examples: n, CPUs: runtime.NumCPU(), PerParallelism: map[int]float64{}} //drybellvet:schedule — reported only
 	best := 0.0
 	for _, par := range []int{1, 2, 4, 8} {
-		fs := dfs.NewMem()
-		if err := lf.Stage[*corpus.Document](fs, "in/docs", recs, 16); err != nil {
+		p, err := docPipeline(16, par)
+		if err != nil {
 			return nil, err
 		}
-		exec := &lf.Executor[*corpus.Document]{
-			FS: fs, InputBase: "in/docs", OutputPrefix: "labels",
-			Decode: corpus.UnmarshalDocument, Parallelism: par,
+		if _, err := p.StageRecords(ctx, drybell.SliceSource(recs)); err != nil {
+			return nil, err
 		}
 		start := time.Now() //drybellvet:wallclock — the benchmark measurement itself
-		if _, _, err := exec.Execute(runners); err != nil {
+		if _, _, err := p.ExecuteLFs(ctx, runners); err != nil {
 			return nil, err
 		}
 		rate := float64(n) / time.Since(start).Seconds()

@@ -7,6 +7,7 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
+	"repro/internal/mapreduce"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -23,7 +24,7 @@ func stageDelta(t *testing.T, fs dfs.FS, docs []*corpus.Document, base string, s
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Stage[*corpus.Document](fs, base, recs, shards); err != nil {
+	if err := mapreduce.WriteInput(fs, base, recs, shards); err != nil {
 		t.Fatal(err)
 	}
 }

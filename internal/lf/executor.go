@@ -112,11 +112,6 @@ type Report struct {
 	ResumedFromVotes bool
 }
 
-// Stage writes examples to the DFS as the executor's sharded input.
-func Stage[T any](fs dfs.FS, base string, records [][]byte, shards int) error {
-	return mapreduce.WriteInput(fs, base, records, shards)
-}
-
 // Execute runs every labeling function and returns the assembled m×n label
 // matrix, with column j holding function j's votes in input-record order.
 func (e *Executor[T]) Execute(lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, error) {

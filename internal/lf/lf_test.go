@@ -24,7 +24,7 @@ func stageDocs(t *testing.T, fs dfs.FS, docs []*corpus.Document, shards int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := Stage[*corpus.Document](fs, "in/docs", recs, shards); err != nil {
+	if err := mapreduce.WriteInput(fs, "in/docs", recs, shards); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -347,7 +347,7 @@ func TestAssemblyRejectsBadVoteByte(t *testing.T) {
 
 func TestDecodeErrorSurfaced(t *testing.T) {
 	fs := dfs.NewMem()
-	if err := Stage[*corpus.Document](fs, "in/docs", [][]byte{[]byte("not json")}, 1); err != nil {
+	if err := mapreduce.WriteInput(fs, "in/docs", [][]byte{[]byte("not json")}, 1); err != nil {
 		t.Fatal(err)
 	}
 	e := docExecutor(fs)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 )
 
 // chromeEvent is one entry of the Chrome trace-event format's traceEvents
@@ -38,6 +39,20 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	_, err = w.Write(b)
 	return err
+}
+
+// WriteChromeTraceFile writes WriteChromeTrace's JSON to a file it creates
+// at path, or truncates: the -trace flag of the command-line tools.
+func (t *Tracer) WriteChromeTraceFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteChromeTrace(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // ChromeTrace renders the trace as Chrome trace-event JSON bytes.

@@ -1,7 +1,6 @@
 package drybell
 
 import (
-	"repro/internal/core"
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	internallf "repro/internal/lf"
@@ -59,12 +58,6 @@ type Model = labelmodel.Model
 // LabelModelOptions configure generative-model training (steps, batch size,
 // learning rate, priors). See WithLabelModel.
 type LabelModelOptions = labelmodel.Options
-
-// Result is the output of Pipeline.Run.
-type Result = core.Result
-
-// Timings records per-stage wall time inside a Result.
-type Timings = core.Timings
 
 // Report summarizes an ExecuteLFs stage; LFReport is its per-function entry.
 type (

@@ -5,57 +5,73 @@
 // folds both in one step, which is the only safe unit: folding votes alone
 // resets the vote store's generation counter while the corpus manifest still
 // lists deltas, and the next run would re-execute (or mis-number) them.
-package core
+
+package drybell
 
 import (
 	"fmt"
 
 	"repro/internal/dfs"
-	"repro/internal/lf"
+	internallf "repro/internal/lf"
 	"repro/internal/mapreduce"
 	"repro/internal/recordio"
 )
 
 // Compact folds the corpus delta ledger and the vote generation chain into
-// flat base artifacts. Afterwards the filesystem is indistinguishable from a
-// fresh base run staged over the compacted corpus and compacted itself —
-// restaged input shards and the folded vote artifact are byte-identical to
-// that run's, both ledgers are empty, and the next StageDelta starts a new
-// chain at generation 1.
+// flat base artifacts — the housekeeping step that bounds chain length for
+// readers. Afterwards the filesystem is indistinguishable from a fresh base
+// run staged over the compacted corpus and compacted itself: restaged input
+// shards and the folded vote artifact are byte-identical to that run's, both
+// ledgers are empty, and the next StageDelta starts a new chain at
+// generation 1.
 //
 // Compact requires the vote store to be caught up with the corpus ledger
-// (every staged delta executed, e.g. by IncrementalRun); otherwise the
+// (every staged delta executed: run IncrementalRun first); otherwise the
 // pending deltas' votes would be lost. It replays the deltas over the staged
 // records with the vote layer's exact semantics — the same lf.Chain folds
 // both ledgers: later generations supersede row ranges, tombstones drop rows
 // unless a later generation rewrites them. A ledger whose tombstones cover
 // every row is refused (lf.ErrAllTombstoned) with the filesystem untouched.
-//
 // A crash mid-compaction leaves at worst a folded corpus ledger with the vote
 // chain still standing, which loads correctly and is repaired by running
 // Compact again.
 //
-// view is the caller's view of the vote store (Result.View or
-// IncrementalResult.View), or nil: the vote chain folds from it instead of
-// being read back whenever it holds exactly what the chain holds
-// (lf.CompactView). Compact returns the view to carry on with — the same
-// rows, at the watermark of the flat artifact just written.
-func Compact[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
-	cfg, err := cfg.WithDefaults()
+// The Pipeline's carried state stays valid — compaction changes the layout,
+// never the view — and pays for the fold: when the carried view holds exactly
+// what the vote chain holds (the last round merged all of it, under the
+// stored columns in stored order) the flat artifact is written from it
+// instead of from a re-read of the chain, and the view's watermark moves to
+// the artifact just written, so the next round still reads only its delta.
+func (p *Pipeline[T]) Compact() error {
+	view, err := p.foldLedgers(p.carried.view)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	votesBase := cfg.votesBase()
-	gens, err := readCorpusManifest(cfg)
+	// The training state is over the carried view's rows: it survives a fold
+	// written from that view, not one that had to re-read the chain.
+	if p.carried.view == nil || view.Matrix != p.carried.view.Matrix {
+		p.carried.state = nil
+	}
+	p.carried.view = view
+	return nil
+}
+
+// foldLedgers is Compact's fold. The vote chain folds from view instead of
+// being read back whenever view holds exactly what the chain holds
+// (lf.CompactView); it returns the view to carry on with — the same rows, at
+// the watermark of the flat artifact just written.
+func (p *Pipeline[T]) foldLedgers(view *internallf.View) (*internallf.View, error) {
+	votesBase := p.VotesBase()
+	gens, err := p.readCorpusManifest()
 	if err != nil {
 		return nil, err
 	}
 	if len(gens) == 0 {
 		// Nothing in the corpus ledger; fold any leftover vote chain (the
 		// crash-repair path) and be done.
-		return lf.CompactView(cfg.FS, votesBase, cfg.Shards, view)
+		return internallf.CompactView(p.fs, votesBase, p.shards, view)
 	}
-	executed, err := lf.LatestGeneration(cfg.FS, votesBase)
+	executed, err := internallf.LatestGeneration(p.fs, votesBase)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +79,7 @@ func Compact[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
 		return nil, fmt.Errorf("drybell: compact: corpus ledger has %d generations but only %d executed; run IncrementalRun first", len(gens), executed)
 	}
 
-	records, err := mapreduce.ReadStaged(cfg.FS, cfg.InputBase())
+	records, err := mapreduce.ReadStaged(p.fs, p.InputPath())
 	if err != nil {
 		return nil, fmt.Errorf("drybell: compact: read base corpus: %w", err)
 	}
@@ -75,14 +91,14 @@ func Compact[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
 		return nil, err
 	}
 	if chain.Live() == 0 {
-		return nil, fmt.Errorf("drybell: compact: %w (%d rows staged)", lf.ErrAllTombstoned, chain.Rows)
+		return nil, fmt.Errorf("drybell: compact: %w (%d rows staged)", internallf.ErrAllTombstoned, chain.Rows)
 	}
 	records = append(records, make([][]byte, chain.Rows-len(records))...)
 	for _, g := range gens {
 		if g.Records == 0 {
 			continue
 		}
-		drecs, err := mapreduce.ReadStaged(cfg.FS, cfg.deltaInputBase(g.Gen))
+		drecs, err := mapreduce.ReadStaged(p.fs, p.deltaInputBase(g.Gen))
 		if err != nil {
 			return nil, fmt.Errorf("drybell: compact: read delta generation %d: %w", g.Gen, err)
 		}
@@ -91,7 +107,7 @@ func Compact[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
 		}
 		copy(records[g.StartRow:], drecs)
 	}
-	w, err := mapreduce.NewInputWriter(cfg.FS, cfg.InputBase(), cfg.Shards)
+	w, err := mapreduce.NewInputWriter(p.fs, p.InputPath(), p.shards)
 	if err != nil {
 		return nil, err
 	}
@@ -109,10 +125,10 @@ func Compact[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
 	if err := w.Commit(); err != nil {
 		return nil, fmt.Errorf("drybell: compact: restage corpus: %w", err)
 	}
-	if err := resetCorpusLedger(cfg, gens); err != nil {
+	if err := p.resetCorpusLedger(gens); err != nil {
 		return nil, err
 	}
-	return lf.CompactView(cfg.FS, votesBase, cfg.Shards, view)
+	return internallf.CompactView(p.fs, votesBase, p.shards, view)
 }
 
 // resetCorpusLedger empties the corpus delta ledger, whose entries are gens.
@@ -124,9 +140,9 @@ func Compact[T any](cfg Config[T], view *lf.View) (*lf.View, error) {
 // reads stay correct and a Compact retry folds it — whereas resetting votes
 // first would reset the generation counter under a manifest that still lists
 // deltas.
-func resetCorpusLedger[T any](cfg Config[T], gens []CorpusGeneration) error {
+func (p *Pipeline[T]) resetCorpusLedger(gens []CorpusGeneration) error {
 	if len(gens) > 0 {
-		if err := cfg.FS.Remove(cfg.CorpusManifestPath()); err != nil {
+		if err := p.fs.Remove(p.corpusManifestPath()); err != nil {
 			return fmt.Errorf("drybell: remove corpus manifest: %w", err)
 		}
 	}
@@ -134,14 +150,14 @@ func resetCorpusLedger[T any](cfg Config[T], gens []CorpusGeneration) error {
 		if g.Records == 0 {
 			continue
 		}
-		shards, err := dfs.ListShards(cfg.FS, cfg.deltaInputBase(g.Gen))
+		shards, err := dfs.ListShards(p.fs, p.deltaInputBase(g.Gen))
 		if err != nil {
 			continue // already gone; orphaned inputs are never re-read
 		}
 		for _, s := range shards {
-			_ = cfg.FS.Remove(s)
+			_ = p.fs.Remove(s)
 		}
-		_ = cfg.FS.Remove(cfg.deltaInputBase(g.Gen) + ".count")
+		_ = p.fs.Remove(p.deltaInputBase(g.Gen) + ".count")
 	}
 	return nil
 }

@@ -1,11 +1,10 @@
-package core
+package drybell
 
 import (
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"path"
 	"slices"
 	"testing"
 
@@ -47,22 +46,20 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	base, delta, next := full[:600], full[600:660], full[660:]
 
 	fs := newFS()
-	cfg := topicConfig(fs)
-	cfg.WorkDir = "drybell" // pin the default so path helpers below resolve
+	p := topicPipeline(t, fs)
 	lfs := apps.TopicLFs(nil, 0.02, 1)
-	if _, err := Run(cfg, base, lfs); err != nil {
+	if _, err := p.Run(ctx, SliceSource(base), lfs); err != nil {
 		t.Fatal(err)
 	}
 
 	// Compact refuses while a staged delta is pending: its votes would be lost.
-	deleted := []int{5, 610}
-	if _, err := StageDelta(ctx, cfg, Examples(delta), deleted); err != nil {
+	if _, err := p.StageDelta(ctx, SliceSource(delta), 5, 610); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(cfg, nil); err == nil {
+	if err := p.Compact(); err == nil {
 		t.Fatal("Compact folded a pending, unexecuted delta")
 	}
-	inc, err := IncrementalRun(ctx, cfg, lfs, nil)
+	inc, err := p.IncrementalRun(ctx, lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,18 +67,18 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 		t.Fatalf("incremental round executed %d documents as generations %v, want the %d delta documents as [1]",
 			inc.DeltaExamples, inc.Generations, len(delta))
 	}
-	if _, err := Compact(cfg, nil); err != nil {
+	if err := p.Compact(); err != nil {
 		t.Fatalf("Compact: %v", err)
 	}
 
-	gens, err := CorpusGenerations(cfg)
+	gens, err := p.CorpusGenerations()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(gens) != 0 {
 		t.Fatalf("corpus ledger still lists %d generations after Compact", len(gens))
 	}
-	votesBase := path.Join(cfg.VotesPrefix(), "votes")
+	votesBase := p.VotesBase()
 	if g, err := lf.LatestGeneration(fs, votesBase); err != nil || g != 0 {
 		t.Fatalf("vote store at generation %d (err %v) after Compact, want 0", g, err)
 	}
@@ -95,17 +92,16 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 		}
 	}
 	coldFS := newFS()
-	coldCfg := topicConfig(coldFS)
-	coldCfg.WorkDir = "drybell"
-	if _, err := Run(coldCfg, compacted, apps.TopicLFs(nil, 0.02, 1)); err != nil {
+	cold := topicPipeline(t, coldFS)
+	if _, err := cold.Run(ctx, SliceSource(compacted), apps.TopicLFs(nil, 0.02, 1)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compact(coldCfg, nil); err != nil {
+	if err := cold.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	compareShards(t, fs, coldFS, cfg.InputBase(), "input")
+	compareShards(t, fs, coldFS, p.InputPath(), "input")
 	compareShards(t, fs, coldFS, votesBase, "votes")
-	compareShards(t, fs, coldFS, cfg.LabelsBase(), "labels")
+	compareShards(t, fs, coldFS, p.LabelsPath(), "labels")
 	a, errA := fs.ReadFile(votesBase + ".meta")
 	b, errB := coldFS.ReadFile(votesBase + ".meta")
 	if errA != nil || errB != nil || !bytes.Equal(a, b) {
@@ -113,14 +109,14 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	}
 
 	// The next delta starts a fresh chain at generation 1 on both ledgers.
-	g, err := StageDelta(ctx, cfg, Examples(next), nil)
+	g, err := p.StageDelta(ctx, SliceSource(next))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Gen != 1 || g.StartRow != 658 {
 		t.Fatalf("post-compaction delta = %+v, want gen 1 at row 658", g)
 	}
-	inc, err = IncrementalRun(ctx, cfg, lfs, nil)
+	inc, err = p.IncrementalRun(ctx, lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,10 +128,10 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	}
 
 	// Compact again with an executed chain: idempotent housekeeping.
-	if _, err := Compact(cfg, nil); err != nil {
+	if err := p.Compact(); err != nil {
 		t.Fatalf("second Compact: %v", err)
 	}
-	if total, err := CorpusTotalRows(cfg); err != nil || total != 678 {
+	if total, err := p.CorpusRows(); err != nil || total != 678 {
 		t.Fatalf("compacted corpus has %d rows (err %v), want 678", total, err)
 	}
 }
@@ -201,54 +197,50 @@ func TestJSONStagedEventRootStillRuns(t *testing.T) {
 	}
 	base := events[:500]
 	lfs := apps.EventLFs(20, 1)
-	config := func() Config[*corpus.Event] {
-		return Config[*corpus.Event]{
-			FS: dfs.NewMem(), WorkDir: "drybell", Shards: 3, Resume: true,
-			Encode: func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
-			Decode: corpus.UnmarshalEvent,
-		}
+	config := func() *Pipeline[*corpus.Event] {
+		return eventPipeline(t, WithShards(3), WithResume(true))
 	}
-	jsonCfg, binCfg := config(), config()
+	jsonP, binP := config(), config()
 	recs := make([][]byte, len(base))
 	for i, e := range base {
 		if recs[i], err = json.Marshal(e); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := StageRecords(ctx, jsonCfg, Examples(recs)); err != nil {
+	if _, err := jsonP.StageRecords(ctx, SliceSource(recs)); err != nil {
 		t.Fatal(err)
 	}
-	for _, cfg := range []Config[*corpus.Event]{jsonCfg, binCfg} {
-		if _, err := Run(cfg, base, lfs); err != nil {
+	for _, p := range []*Pipeline[*corpus.Event]{jsonP, binP} {
+		if _, err := p.Run(ctx, SliceSource(base), lfs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	shards, err := dfs.ListShards(jsonCfg.FS, jsonCfg.InputBase())
+	shards, err := dfs.ListShards(jsonP.FS(), jsonP.InputPath())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first, err := jsonCfg.FS.ReadFile(shards[0]); err != nil || !bytes.Contains(first, []byte(`{"id":"event-`)) {
+	if first, err := jsonP.FS().ReadFile(shards[0]); err != nil || !bytes.Contains(first, []byte(`{"id":"event-`)) {
 		t.Fatalf("the resumed run restaged the JSON corpus (%v)", err)
 	}
 	check := func(what string) {
 		t.Helper()
-		sameFiles(t, jsonCfg.FS, binCfg.FS, jsonCfg.VotesPrefix(), what+": votes")
-		sameFiles(t, jsonCfg.FS, binCfg.FS, jsonCfg.LabelsBase(), what+": labels")
+		sameFiles(t, jsonP.FS(), binP.FS(), jsonP.votesPrefix(), what+": votes")
+		sameFiles(t, jsonP.FS(), binP.FS(), jsonP.LabelsPath(), what+": labels")
 	}
 	check("resumed run")
 	for round, delta := range [][]*corpus.Event{events[500:600], events[600:]} {
-		for _, cfg := range []Config[*corpus.Event]{jsonCfg, binCfg} {
-			if _, err := StageDelta(ctx, cfg, Examples(delta), []int{round}); err != nil {
+		for _, p := range []*Pipeline[*corpus.Event]{jsonP, binP} {
+			if _, err := p.StageDelta(ctx, SliceSource(delta), round); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := IncrementalRun(ctx, cfg, lfs, nil); err != nil {
+			if _, err := p.IncrementalRun(ctx, lfs); err != nil {
 				t.Fatal(err)
 			}
 		}
 	}
 	check("delta rounds")
-	for _, cfg := range []Config[*corpus.Event]{jsonCfg, binCfg} {
-		if _, err := Compact(cfg, nil); err != nil {
+	for _, p := range []*Pipeline[*corpus.Event]{jsonP, binP} {
+		if err := p.Compact(); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -266,31 +258,30 @@ func TestCompactRefusesAllTombstoned(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := dfs.NewMem()
-	cfg := topicConfig(fs)
-	cfg.WorkDir = "drybell" // pin the default so InputBase below resolves
+	p := topicPipeline(t, fs)
 	lfs := apps.TopicLFs(nil, 0.02, 1)
-	if _, err := Run(cfg, docs, lfs); err != nil {
+	if _, err := p.Run(ctx, SliceSource(docs), lfs); err != nil {
 		t.Fatal(err)
 	}
 	everyRow := make([]int, len(docs))
 	for i := range everyRow {
 		everyRow[i] = i
 	}
-	if _, err := StageDelta(ctx, cfg, nil, everyRow); err != nil {
+	if _, err := p.StageDelta(ctx, nil, everyRow...); err != nil {
 		t.Fatal(err)
 	}
 	// The delta executes (its generation is published), then loading the
 	// empty view fails — an error, not a panic.
-	if _, err := IncrementalRun(ctx, cfg, lfs, nil); !errors.Is(err, lf.ErrAllTombstoned) {
+	if _, err := p.IncrementalRun(ctx, lfs); !errors.Is(err, lf.ErrAllTombstoned) {
 		t.Fatalf("IncrementalRun = %v, want ErrAllTombstoned", err)
 	}
-	if _, err := Compact(cfg, nil); !errors.Is(err, lf.ErrAllTombstoned) {
+	if err := p.Compact(); !errors.Is(err, lf.ErrAllTombstoned) {
 		t.Fatalf("Compact = %v, want ErrAllTombstoned", err)
 	}
-	if gens, err := CorpusGenerations(cfg); err != nil || len(gens) != 1 {
+	if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 1 {
 		t.Errorf("refused Compact changed the corpus ledger: %+v, %v", gens, err)
 	}
-	if n, err := mapreduce.CountRecords(fs, cfg.InputBase()); err != nil || n != len(docs) {
+	if n, err := mapreduce.CountRecords(fs, p.InputPath()); err != nil || n != len(docs) {
 		t.Errorf("refused Compact restaged the corpus: %d records, %v", n, err)
 	}
 }

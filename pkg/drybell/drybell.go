@@ -1,6 +1,9 @@
 // Package drybell is the public SDK for the Snorkel DryBell weak-supervision
-// pipeline (Bach et al., SIGMOD 2019). It is the one supported entry point;
-// the internal packages behind it are implementation detail.
+// pipeline (Bach et al., SIGMOD 2019), and its implementation: it wires the
+// labeling-function template library, the distributed execution substrate,
+// the sampling-free generative label model and the discriminative model
+// trainers into the flow of the paper's Figure 4. It is the one supported
+// entry point; the internal packages behind it are the building blocks.
 //
 // A Pipeline runs the paper's four-stage flow over a streaming source of
 // unlabeled examples:
@@ -10,6 +13,12 @@
 //     MapReduce job,
 //  3. Denoise the votes into probabilistic labels with a generative model,
 //  4. Persist the labels for the production training systems.
+//
+// The discriminative side closes the loop: TrainContentClassifier and
+// TrainEventClassifier train a servable end model on those labels, and
+// ContentClassifier.StageForServing stages it for serving. A Pipeline is
+// generic over the example type; the content tasks use *corpus.Document, the
+// real-time events task *corpus.Event.
 //
 // Construct one with functional options and run it end to end:
 //
@@ -85,10 +94,19 @@ package drybell
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"path"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"time"
 
-	"repro/internal/core"
+	"repro/internal/dfs"
+	"repro/internal/labelmodel"
+	internallf "repro/internal/lf"
+	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/pkg/drybell/lf"
 )
@@ -103,11 +121,20 @@ import (
 // view. Both are checked against the store before every use; losing them (a
 // fresh Pipeline) costs a re-read and a re-compaction, never correctness.
 type Pipeline[T any] struct {
-	cfg core.Config[T]
+	settings // New's options, defaults filled in
+	codec    Codec[T]
 	// carried is what the last round (Run or IncrementalRun) left: its view
 	// and training state. Empty after anything that replaces the corpus they
 	// describe.
-	carried core.Carried
+	carried carried
+}
+
+// carried is what one round leaves for the next: the view of the vote store
+// it ended on and the training state over that view. They go together: the
+// state's compaction is of the view's rows.
+type carried struct {
+	state *labelmodel.TrainState
+	view  *internallf.View
 }
 
 // New builds a Pipeline from functional options. WithCodec is required and
@@ -116,68 +143,136 @@ type Pipeline[T any] struct {
 // parallelism runtime.GOMAXPROCS(0), the label-model defaults of
 // LabelModelOptions).
 func New[T any](opts ...Option) (*Pipeline[T], error) {
-	s := &settings{}
+	var s settings
 	for _, o := range opts {
 		if o.f != nil {
-			o.f(s)
+			o.f(&s)
 		}
 	}
 	if s.err != nil {
 		return nil, s.err
 	}
-	if s.codec == nil {
+	if s.anyCodec == nil {
 		return nil, fmt.Errorf("drybell: New requires WithCodec")
 	}
-	codec, ok := s.codec.(Codec[T])
+	codec, ok := s.anyCodec.(Codec[T])
 	if !ok {
 		var zero T
 		return nil, fmt.Errorf("drybell: WithCodec was built for a different example type than the pipeline's %T", zero)
 	}
-	cfg, err := core.Config[T]{
-		FS:          s.fs,
-		WorkDir:     s.workDir,
-		Encode:      codec.Encode,
-		Decode:      codec.Decode,
-		Shards:      s.shards,
-		Parallelism: s.parallelism,
-		MaxAttempts: s.maxAttempts,
-		Resume:      s.resume,
-		LabelModel:  s.labelModel,
-		DevLabels:   s.devLabels,
-		Obs:         s.observer,
-		Workers:     s.workers,
-	}.WithDefaults()
-	if err != nil {
-		return nil, err
+	if s.fs == nil {
+		s.fs = dfs.NewMem()
+	}
+	if s.workDir == "" {
+		s.workDir = "drybell"
+	}
+	if s.shards <= 0 {
+		s.shards = 8
+	}
+	if s.parallelism <= 0 {
+		s.parallelism = runtime.GOMAXPROCS(0) //drybellvet:schedule — cluster width; artifacts do not depend on it (TestStagingIdenticalAcrossParallelism, TestRunIndependentOfProcs)
 	}
 	if s.observer != nil && s.observer.Metrics != nil {
 		// Route every DFS operation — reads, writes, renames — through the
 		// per-op counters and latency histograms of the shared registry.
-		cfg.FS = obs.InstrumentFS(cfg.FS, s.observer.Metrics)
+		s.fs = obs.InstrumentFS(s.fs, s.observer.Metrics)
 	}
-	return &Pipeline[T]{cfg: cfg}, nil
+	return &Pipeline[T]{settings: s, codec: codec}, nil
 }
 
 // FS returns the pipeline's filesystem. Share it (with the same work
 // directory) across Pipelines to resume stages started elsewhere.
-func (p *Pipeline[T]) FS() FS { return p.cfg.FS }
+func (p *Pipeline[T]) FS() FS { return p.fs }
 
 // WorkDir returns the pipeline's work directory prefix on the filesystem.
-func (p *Pipeline[T]) WorkDir() string { return p.cfg.WorkDir }
+func (p *Pipeline[T]) WorkDir() string { return p.workDir }
 
 // InputPath returns the DFS base path of the staged corpus.
-func (p *Pipeline[T]) InputPath() string { return p.cfg.InputBase() }
+func (p *Pipeline[T]) InputPath() string { return path.Join(p.workDir, "input/examples") }
 
 // LabelsPath returns the DFS base path where Persist writes the
 // probabilistic labels.
-func (p *Pipeline[T]) LabelsPath() string { return p.cfg.LabelsBase() }
+func (p *Pipeline[T]) LabelsPath() string { return path.Join(p.workDir, "output/problabels") }
 
 // VotesBase returns the DFS base path of the vote store ExecuteLFs appends
 // to. Each execution publishes its functions' votes as a generation-0 segment
 // under "<base>/_gen/" — a sharded, byte-per-vote matrix with a ".meta"
 // sidecar naming the columns, next to a CRC'd manifest — and never rewrites
 // another's; Compact folds the store into one such matrix at the base itself.
-func (p *Pipeline[T]) VotesBase() string { return path.Join(p.cfg.VotesPrefix(), "votes") }
+func (p *Pipeline[T]) VotesBase() string { return path.Join(p.votesPrefix(), "votes") }
+
+// votesPrefix is the DFS prefix of vote state, the executor's output prefix.
+func (p *Pipeline[T]) votesPrefix() string { return path.Join(p.workDir, "labels") }
+
+// tracePath is the DFS path of the exported span timeline.
+func (p *Pipeline[T]) tracePath() string { return path.Join(p.workDir, "_obs", "trace.json") }
+
+// exportTrace writes the run's span timeline to the DFS as a Chrome
+// trace-event artifact. Best effort: a run whose telemetry cannot be
+// persisted is still a successful run.
+func (p *Pipeline[T]) exportTrace() {
+	if p.observer == nil || p.observer.Trace == nil {
+		return
+	}
+	data, err := p.observer.Trace.ChromeTrace()
+	if err != nil {
+		return
+	}
+	_ = p.fs.WriteFile(p.tracePath(), data)
+}
+
+// stageDone records one finished stage of a run or round in the stage
+// metrics — its wall time since start, and its failure when err is set — and
+// returns the wall time.
+func (p *Pipeline[T]) stageDone(stage string, start time.Time, err error) time.Duration {
+	d := time.Since(start)
+	if p.observer == nil || p.observer.Metrics == nil {
+		return d
+	}
+	reg := p.observer.Metrics
+	label := obs.Label{Key: "stage", Value: stage}
+	reg.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
+		obs.DefLatencyBuckets, label).ObserveDuration(d)
+	if err != nil {
+		reg.Counter("pipeline_stage_errors_total", "Pipeline stages that failed.", label).Inc()
+	}
+	return d
+}
+
+// Result is the output of Pipeline.Run.
+type Result struct {
+	// Matrix is the assembled label matrix Λ.
+	Matrix *Matrix
+	// Model is the trained generative model.
+	Model *Model
+	// State is the training state over View: carried into IncrementalRun it
+	// makes the first round compact only its delta.
+	State *TrainState
+	// Posteriors are the probabilistic training labels Ỹ_i = P(Y_i=1|Λ_i),
+	// aligned with the input examples.
+	Posteriors []float64
+	// LFReport describes per-function execution.
+	LFReport *Report
+	// Analysis is the development-loop report over the matrix (coverage,
+	// overlaps, conflicts, and empirical accuracy when WithDevLabels are
+	// present).
+	Analysis *Analysis
+	// LabelsPath is the DFS base where the probabilistic labels were
+	// persisted (sharded recordio of float64).
+	LabelsPath string
+	// Timings break down the run.
+	Timings Timings
+	// View is Matrix as the view of the generation-0 segment the run
+	// published, at its watermark: carried into IncrementalRun it makes the
+	// first round read only its delta. Read it; do not write to it (a later round's view shares
+	// its rows).
+	View *internallf.View
+}
+
+// Timings records per-stage wall time inside a Result.
+type Timings struct {
+	Stage, Execute, TrainLabelModel, Persist time.Duration
+}
 
 // Run executes all four stages: stage the source, execute the labeling
 // functions (analyzing the resulting matrix for the development loop),
@@ -192,33 +287,301 @@ func (p *Pipeline[T]) VotesBase() string { return path.Join(p.cfg.VotesPrefix(),
 // the training state over it (Result.View and State), so the first
 // IncrementalRun after it reads and compacts only its delta.
 func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Result, error) {
-	p.carried = core.Carried{} // describes the corpus this run replaces
-	res, err := core.RunContext(ctx, p.cfg, src, lfs)
+	p.carried = carried{} // describes the corpus this run replaces
+	ctx = p.observer.Context(ctx)
+	ctx, span := obs.StartSpan(ctx, "pipeline.run", obs.String("workdir", p.workDir))
+	res, err := p.run(ctx, src, lfs)
+	span.EndErr(err)
+	p.exportTrace()
 	if err != nil {
 		return nil, err
 	}
-	p.carried = core.Carried{View: res.View, State: res.State}
+	p.carried = carried{view: res.View, state: res.State}
 	return res, nil
+}
+
+// run is Run's body, separated so the root span brackets exactly one
+// execution and the trace artifact exports after it closes.
+func (p *Pipeline[T]) run(ctx context.Context, src Source[T], lfs []LF[T]) (*Result, error) {
+	var err error
+	// Validate the function set before staging a single record: duplicate
+	// names would silently overwrite each other's vote shards on the DFS,
+	// and a doomed run should not commit a corpus first.
+	if err := lf.ValidateNames(lfs); err != nil {
+		return nil, fmt.Errorf("drybell: %w", err)
+	}
+	res := &Result{}
+
+	// Stage 1: write the corpus to the distributed filesystem. A resuming
+	// pipeline trusts a corpus an earlier run already committed — stages
+	// exchange data only through the filesystem (§5.4), so its presence is
+	// the checkpoint — and skips the encode/stage pass entirely.
+	t0 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
+	var n int
+	if p.resume {
+		if staged, serr := mapreduce.StagedCount(p.fs, p.InputPath()); serr == nil {
+			n = staged
+		}
+	}
+	if n == 0 { // nothing committed, or an empty shard set: stage over it
+		n, err = p.Stage(ctx, src)
+	}
+	res.Timings.Stage = p.stageDone("stage", t0, err)
+	if err != nil {
+		return nil, err
+	}
+
+	// Stage 2: execute the labeling functions on the distributed runtime,
+	// validating a resumed vote artifact against the staged record count
+	// without re-scanning the corpus.
+	t1 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
+	res.View, res.LFReport, err = p.execute(ctx, lfs, n)
+	res.Timings.Execute = p.stageDone("execute-lfs", t1, err)
+	if err != nil {
+		return nil, err
+	}
+	res.Matrix = res.View.Matrix
+
+	// Stage 2b: compact Λ once, for the analysis and the trainer both.
+	tc := time.Now() //drybellvet:wallclock — stage metrics only
+	cm, err := compact(ctx, res.Matrix, nil)
+	p.stageDone("compact", tc, err)
+	if err != nil {
+		return nil, err
+	}
+
+	// Stage 2c: the development-loop analysis over the compaction —
+	// coverage, overlaps, conflicts, and accuracy against any dev labels.
+	ta := time.Now() //drybellvet:wallclock — stage metrics only
+	_, aspan := obs.StartSpan(ctx, "stage.analyze")
+	res.Analysis, err = lf.AnalyzeCompact(cm, lf.Metas(lfs), p.devLabels)
+	aspan.EndErr(err)
+	p.stageDone("analyze-lfs", ta, err)
+	if err != nil {
+		return nil, fmt.Errorf("drybell: analyze labeling functions: %w", err)
+	}
+
+	// Stages 3 and 4, trained the way every round trains.
+	if err := p.denoiseAndPersist(ctx, res, cm); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// compact is the compact stage: the one compaction of mx everything after it
+// reads — prev extended by mx's appended rows when prev is given (a round
+// carrying the previous round's compaction), a full compaction otherwise.
+// Either way an out-of-range vote is an error.
+func compact(ctx context.Context, mx *labelmodel.Matrix, prev *labelmodel.CompactMatrix) (cm *labelmodel.CompactMatrix, err error) {
+	_, span := obs.StartSpan(ctx, "stage.compact")
+	rows := mx.NumExamples()
+	if prev != nil {
+		rows -= prev.NumExamples()
+		cm, err = labelmodel.ExtendCompact(prev, mx)
+	} else {
+		cm, err = mx.CompactChecked()
+	}
+	span.SetAttr(obs.Int("rows", rows), obs.Int("chunks", labelmodel.CompactChunks(rows)))
+	if err != nil {
+		err = fmt.Errorf("drybell: compact label matrix: %w", err)
+	} else {
+		span.SetAttr(obs.Int("unique_rows", cm.NumUnique()))
+	}
+	span.EndErr(err)
+	return cm, err
+}
+
+// denoiseAndPersist is stages 3 and 4 — train the generative model on cm,
+// the compaction of res.Matrix, turn it into probabilistic labels, persist
+// them for the production ML systems — filling in res. It is the one
+// train→persist tail: a batch run and an incremental round both compact first
+// and record the same spans and stage metrics here.
+func (p *Pipeline[T]) denoiseAndPersist(ctx context.Context, res *Result, cm *labelmodel.CompactMatrix) error {
+	t2 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
+	var err error
+	res.Model, res.State, res.Posteriors, err = denoise(ctx, cm, p.labelModel)
+	res.Timings.TrainLabelModel = p.stageDone("denoise", t2, err)
+	if err != nil {
+		return err
+	}
+
+	t3 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
+	res.LabelsPath, err = p.Persist(ctx, res.Posteriors)
+	res.Timings.Persist = p.stageDone("persist", t3, err)
+	return err
 }
 
 // Stage consumes the source once, encoding each example onto the filesystem
 // as the pipeline's sharded input (stage 1). The corpus never needs to fit
-// in one slice. It returns the number of examples staged. A staged base
-// corpus supersedes the previous one and whatever stood over it: the corpus
-// delta ledger is reset and the vote store emptied before the new shards
-// commit, so the next StageDelta starts a new chain at generation 1.
+// in one slice. It returns the number of examples staged; an empty source is
+// an error, and nothing is committed for it. A staged base corpus supersedes
+// the previous one and whatever stood over it: the corpus delta ledger is
+// reset and the vote store emptied before the new shards commit, so the next
+// StageDelta starts a new chain at generation 1.
 func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
-	p.carried = core.Carried{} // describes the corpus this staging replaces
-	return core.StageExamples(p.cfg.ObsContext(ctx), p.cfg, src)
+	if src == nil {
+		return 0, fmt.Errorf("drybell: nil example source")
+	}
+	return p.StageRecords(ctx, p.encoded(src))
+}
+
+// encodeChunk is how many examples one encoding goroutine takes at a time:
+// enough that handing a chunk over costs nothing next to encoding it, few
+// enough that the chunks in flight stay small and a small delta is one chunk.
+const encodeChunk = 512
+
+// encodeJob is one chunk of examples on its way to being records: once done
+// is closed, recs holds the records before err, the chunk's first failure.
+type encodeJob struct {
+	recs [][]byte
+	err  error
+	done chan struct{}
+}
+
+// encoded adapts an example source to the record source staging consumes.
+// The source is pulled on the consumer's goroutine, the codec's Encode runs
+// on up to Parallelism others, a chunk each, and the consumer sees what a
+// serial encoder would show it: records in source order, ended by the first
+// failure in that order. At most Parallelism+1 chunks exist at once, and
+// every encoder has returned by the time the iteration does.
+func (p *Pipeline[T]) encoded(src Source[T]) Source[[]byte] {
+	return func(yield func([]byte, error) bool) {
+		var (
+			encoders sync.WaitGroup
+			stop     atomic.Bool
+			inflight []*encodeJob // oldest first
+		)
+		defer encoders.Wait()
+		defer stop.Store(true)
+		start := func(first int, xs []T) {
+			j := &encodeJob{recs: make([][]byte, 0, len(xs)), done: make(chan struct{})}
+			inflight = append(inflight, j)
+			encoders.Add(1)
+			go func() {
+				defer encoders.Done()
+				defer close(j.done)
+				for i := 0; i < len(xs) && !stop.Load(); i++ {
+					rec, err := p.codec.Encode(xs[i])
+					if err != nil {
+						j.err = fmt.Errorf("drybell: encode example %d: %w", first+i, err)
+						return
+					}
+					j.recs = append(j.recs, rec)
+				}
+			}()
+		}
+		// deliver hands the consumer the oldest chunks until only keep are
+		// in flight; false ends the iteration.
+		deliver := func(keep int) bool {
+			for ; len(inflight) > keep; inflight = inflight[1:] {
+				j := inflight[0]
+				<-j.done
+				for _, rec := range j.recs {
+					if !yield(rec, nil) {
+						return false
+					}
+				}
+				if j.err != nil {
+					yield(nil, j.err)
+					return false
+				}
+			}
+			return true
+		}
+		n := 0
+		xs := make([]T, 0, encodeChunk)
+		for x, err := range src {
+			if err != nil {
+				// Everything before the failure goes first: an example that
+				// does not encode precedes it in source order, so wins.
+				start(n-len(xs), xs)
+				if deliver(0) {
+					yield(nil, fmt.Errorf("drybell: example source: %w", err))
+				}
+				return
+			}
+			xs = append(xs, x)
+			if n++; len(xs) == encodeChunk {
+				if !deliver(p.parallelism - 1) {
+					return
+				}
+				start(n-len(xs), xs)
+				xs = make([]T, 0, encodeChunk)
+			}
+		}
+		start(n-len(xs), xs)
+		deliver(0)
+	}
 }
 
 // StageRecords is Stage for already-encoded records: the bytes go to the
 // filesystem as-is, skipping the codec. Use it when the corpus is already
 // in the pipeline's record format — e.g. a validated JSONL dump — to avoid
-// a decode/re-encode round-trip per record.
+// a decode/re-encode round-trip per record. Errors yielded by the source are
+// returned as-is.
 func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) (int, error) {
-	p.carried = core.Carried{} // describes the corpus this staging replaces
-	return core.StageRecords(p.cfg.ObsContext(ctx), p.cfg, records)
+	p.carried = carried{} // describes the corpus this staging replaces
+	if records == nil {
+		return 0, fmt.Errorf("drybell: nil record source")
+	}
+	_, span := obs.StartSpan(p.observer.Context(ctx), "stage.input")
+	n, err := p.stageRecords(ctx, records, 0)
+	span.SetAttr(obs.Int("examples", n))
+	span.EndErr(err)
+	return n, err
+}
+
+// stageRecords is the one staging loop: it writes src as the sharded input of
+// corpus generation gen — 0 is the base corpus, n ≥ 1 the n-th delta, staged
+// exactly like a small base under its own input base, so the execution layer
+// consumes both through one staging contract.
+func (p *Pipeline[T]) stageRecords(ctx context.Context, src Source[[]byte], gen int) (int, error) {
+	base := p.InputPath()
+	if gen > 0 {
+		base = p.deltaInputBase(gen)
+	}
+	w, err := mapreduce.NewInputWriter(p.fs, base, p.shards)
+	if err != nil {
+		return 0, err
+	}
+	for rec, err := range src {
+		if err != nil {
+			return 0, err
+		}
+		if err := ctx.Err(); err != nil {
+			return 0, fmt.Errorf("drybell: stage input: %w", err)
+		}
+		if err := w.Append(rec); err != nil {
+			return 0, fmt.Errorf("drybell: stage input: %w", err)
+		}
+	}
+	// Refuse to commit an empty shard set: it would look like a validly
+	// staged corpus to a later resume and mask the upstream mistake.
+	if w.Count() == 0 {
+		return 0, fmt.Errorf("drybell: no examples")
+	}
+	if gen == 0 {
+		// A new generation 0 supersedes the old one and every generation
+		// layered over it. Reset the ledgers and empty the vote store before
+		// the new shards commit, so a crash leaves the old base (with its
+		// votes, or with none) or the new base without deltas — never a new
+		// base under the old base's deltas, nor under its vote columns, which
+		// a later read over as many rows would take for its own.
+		gens, err := p.readCorpusManifest()
+		if err != nil {
+			return 0, err
+		}
+		if err := p.resetCorpusLedger(gens); err != nil {
+			return 0, err
+		}
+		if err := internallf.DropGenerations(p.fs, p.VotesBase(), true); err != nil {
+			return 0, err
+		}
+	}
+	if err := w.Commit(); err != nil {
+		return 0, fmt.Errorf("drybell: stage input: %w", err)
+	}
+	return w.Count(), nil
 }
 
 // ExecuteLFs runs the labeling-function set as one fused map-only MapReduce
@@ -228,11 +591,53 @@ func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) 
 // have been staged by an earlier run or another process sharing the
 // filesystem.
 func (p *Pipeline[T]) ExecuteLFs(ctx context.Context, lfs []LF[T]) (*Matrix, *Report, error) {
-	view, report, err := core.ExecuteLFs(ctx, p.cfg, lfs)
+	view, report, err := p.execute(p.observer.Context(ctx), lfs, 0)
 	if view == nil {
 		return nil, report, err
 	}
 	return view.Matrix, report, err
+}
+
+// execute is stage 2: the matrix comes as the view of the vote store it was
+// appended to (see Result.View and lf.Executor.ExecuteContext). known is the
+// staged record count when the caller just staged the corpus, 0 otherwise.
+func (p *Pipeline[T]) execute(ctx context.Context, lfs []LF[T], known int) (*internallf.View, *Report, error) {
+	view, report, err := p.executor(known).ExecuteContext(ctx, lfs)
+	// Attempt-outcome counters flow into the shared registry here so both
+	// the composed pipeline and a standalone ExecuteLFs report through the
+	// same pipe as the serving tier.
+	if report != nil && p.observer != nil && p.observer.Metrics != nil {
+		reg := p.observer.Metrics
+		reg.Counter("pipeline_task_attempts_total",
+			"MapReduce task attempts launched by labeling-function execution, including retries.").
+			Add(int64(report.TaskAttempts))
+		reg.Counter("pipeline_tasks_resumed_total",
+			"Tasks satisfied from a prior run's checkpoints instead of re-executing.").
+			Add(int64(report.TasksResumed))
+		//drybellvet:tightloop — bounded by the function set, in-memory metric export
+		for _, r := range report.PerLF {
+			reg.Gauge("pipeline_lf_vote_seconds_total",
+				"Vote time per labeling function, summed over map tasks and corpus-fit passes (only ever added to).",
+				obs.Label{Key: "lf", Value: r.Name}).Add(r.Duration.Seconds())
+		}
+	}
+	return view, report, err
+}
+
+// executor is the labeling-function engine over this pipeline's staged input
+// and vote store; known is as for execute.
+func (p *Pipeline[T]) executor(known int) *internallf.Executor[T] {
+	return &internallf.Executor[T]{
+		FS:            p.fs,
+		InputBase:     p.InputPath(),
+		OutputPrefix:  p.votesPrefix(),
+		Decode:        p.codec.Decode,
+		Parallelism:   p.parallelism,
+		MaxAttempts:   p.maxAttempts,
+		Resume:        p.resume,
+		KnownExamples: known,
+		Workers:       p.workers,
+	}
 }
 
 // Analyze computes the development-loop report over an executed label
@@ -241,8 +646,8 @@ func (p *Pipeline[T]) ExecuteLFs(ctx context.Context, lfs []LF[T]) (*Matrix, *Re
 // executed functions' metadata in matrix column order (lf.Metas of the set
 // passed to ExecuteLFs).
 func (p *Pipeline[T]) Analyze(matrix *Matrix, metas []Meta) (*Analysis, error) {
-	_, span := obs.StartSpan(p.cfg.ObsContext(context.TODO()), "stage.analyze")
-	analysis, err := lf.Analyze(matrix, metas, p.cfg.DevLabels)
+	_, span := obs.StartSpan(p.observer.Context(context.TODO()), "stage.analyze")
+	analysis, err := lf.Analyze(matrix, metas, p.devLabels)
 	span.EndErr(err)
 	return analysis, err
 }
@@ -256,28 +661,99 @@ func (p *Pipeline[T]) Analyze(matrix *Matrix, metas []Meta) (*Analysis, error) {
 // an error listing the stored columns, and a corrupt manifest or shard fails
 // the load rather than being skipped.
 func (p *Pipeline[T]) LoadMatrix(names []string) (*Matrix, error) {
-	return core.LoadMatrix(p.cfg, names)
+	return p.executor(0).LoadMatrix(names)
 }
 
-// Denoise trains the generative label model on the matrix (stage 3), as Run
-// does, returning the model and the probabilistic training labels
+// Denoise trains the generative label model on the matrix (stage 3) exactly
+// as Run does — the matrix is compacted (a stage.compact span), then trained
+// on — returning the model and the probabilistic training labels
 // P(Y_i=1|Λ_i) aligned with the staged input.
 func (p *Pipeline[T]) Denoise(ctx context.Context, matrix *Matrix) (*Model, []float64, error) {
-	return core.Denoise(p.cfg.ObsContext(ctx), matrix, p.cfg.LabelModel)
+	if matrix == nil {
+		return nil, nil, fmt.Errorf("drybell: train label model: nil matrix")
+	}
+	ctx = p.observer.Context(ctx)
+	cm, err := compact(ctx, matrix, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	lm, _, posteriors, err := denoise(ctx, cm, p.labelModel)
+	return lm, posteriors, err
+}
+
+// denoise is stage 3: the sampling-free fast trainer over the compaction the
+// compact stage built, with the labels scored once per distinct row of it.
+func denoise(ctx context.Context, cm *labelmodel.CompactMatrix, opts labelmodel.Options) (*labelmodel.Model, *labelmodel.TrainState, []float64, error) {
+	_, span := obs.StartSpan(ctx, "stage.denoise")
+	var lm *labelmodel.Model
+	var state *labelmodel.TrainState
+	err := ctx.Err()
+	if err == nil {
+		lm, state, err = labelmodel.TrainCompact(cm, opts)
+	}
+	if err != nil {
+		err = fmt.Errorf("drybell: train label model: %w", err)
+		span.EndErr(err)
+		return nil, nil, nil, err
+	}
+	posteriors := lm.CompactPosteriors(cm)
+	span.SetAttr(obs.String("stop", state.Stopped), obs.Int("iterations", state.Iterations))
+	span.End()
+	return lm, state, posteriors, nil
 }
 
 // Persist writes the probabilistic labels back to the filesystem (stage 4)
-// and returns the DFS base path they were written under.
+// as the hand-off to the production training systems, and returns the DFS
+// base path they were written under.
 func (p *Pipeline[T]) Persist(ctx context.Context, labels []float64) (string, error) {
-	path := p.cfg.LabelsBase()
-	if err := core.PersistLabels(p.cfg.ObsContext(ctx), p.cfg.FS, path, labels, p.cfg.Shards); err != nil {
+	_, span := obs.StartSpan(p.observer.Context(ctx), "stage.persist", obs.Int("labels", len(labels)))
+	if err := ctx.Err(); err != nil {
+		err = fmt.Errorf("drybell: persist labels: %w", err)
+		span.EndErr(err)
 		return "", err
 	}
-	return path, nil
+	if err := writeLabels(p.fs, p.LabelsPath(), labels, p.shards); err != nil {
+		err = fmt.Errorf("drybell: persist labels: %w", err)
+		span.EndErr(err)
+		return "", err
+	}
+	span.End()
+	return p.LabelsPath(), nil
 }
 
 // Labels reads back the labels a previous Persist wrote, restoring input
 // order — the consumer side of the filesystem hand-off.
 func (p *Pipeline[T]) Labels() ([]float64, error) {
-	return core.ReadLabels(p.cfg.FS, p.cfg.LabelsBase())
+	return readLabels(p.fs, p.LabelsPath())
+}
+
+// writeLabels persists probabilistic labels as sharded recordio of
+// little-endian float64, the hand-off format to the training systems.
+func writeLabels(fs dfs.FS, base string, labels []float64, shards int) error {
+	records := make([][]byte, len(labels))
+	slab := make([]byte, 8*len(labels)) // one allocation, not one per label
+	for i, p := range labels {
+		if p < 0 || p > 1 || math.IsNaN(p) {
+			return fmt.Errorf("drybell: label %d = %v out of [0,1]", i, p)
+		}
+		records[i] = slab[8*i : 8*i+8 : 8*i+8]
+		binary.LittleEndian.PutUint64(records[i], math.Float64bits(p))
+	}
+	return mapreduce.WriteInput(fs, base, records, shards)
+}
+
+// readLabels loads labels persisted by writeLabels, restoring input order.
+func readLabels(fs dfs.FS, base string) ([]float64, error) {
+	recs, err := mapreduce.ReadStaged(fs, base)
+	if err != nil {
+		return nil, fmt.Errorf("drybell: read labels: %w", err)
+	}
+	out := make([]float64, len(recs))
+	for i, rec := range recs {
+		if len(rec) != 8 {
+			return nil, fmt.Errorf("drybell: label record has %d bytes", len(rec))
+		}
+		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(rec))
+	}
+	return out, nil
 }

@@ -1,4 +1,4 @@
-package core
+package drybell
 
 import (
 	"fmt"

@@ -1,23 +1,40 @@
+// Incremental pipeline: corpus deltas, delta execution, warm-start training.
+//
+// A batch run stages the whole corpus and re-derives everything. The
+// incremental path instead stages each corpus change as a delta generation
+// (StageDelta), records it in a corpus manifest next to the staged input,
+// and IncrementalRun advances the pipeline by exactly the pending deltas:
+// labeling functions execute only over delta shards (lf.ExecuteDelta,
+// publishing vote generations), the label model trains on the previous
+// run's compaction extended by the delta's rows (labelmodel.ExtendCompact),
+// and the refreshed probabilistic labels are persisted in full. Corpus delta n
+// produces vote generation n; the base corpus and the vote store's
+// generation 0 — the flat artifact and the segments base executions append —
+// are both "generation 0", so the two ledgers advance in lockstep and the
+// vote store itself records how far execution has progressed.
+//
+// Every round goes through IncrementalRun with what the previous round left.
+// A batch run is the round over an empty store: staging its corpus empties
+// the vote store, it trains as a round does from no state, and it leaves the
+// view it published and its training state (Result.View and State), so the
+// first delta round after it reads and compacts only the delta.
+
 package drybell
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"path"
+	"time"
 
-	"repro/internal/core"
+	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	internallf "repro/internal/lf"
+	"repro/internal/mapreduce"
+	"repro/internal/obs"
+	"repro/pkg/drybell/lf"
 )
-
-// CorpusGeneration is one staged corpus delta, as recorded in the corpus
-// manifest next to the staged input. See StageDelta and IncrementalRun.
-type CorpusGeneration = core.CorpusGeneration
-
-// IncrementalResult is the output of Pipeline.IncrementalRun: the compacted
-// matrix view, the warm-start-trained model and refreshed labels, plus the
-// run's incremental accounting (published generations, delta sizes, task
-// attempts, staleness).
-type IncrementalResult = core.IncrementalResult
 
 // TrainState is the resumable label-model training state an incremental run
 // saves for the next run's warm start. The Pipeline carries it between
@@ -25,13 +42,132 @@ type IncrementalResult = core.IncrementalResult
 // state across processes can round-trip it themselves.
 type TrainState = labelmodel.TrainState
 
+// CorpusGeneration is one staged corpus delta, as recorded in the corpus
+// manifest next to the staged input. The base corpus (Stage) is implicitly
+// generation 0. See StageDelta and IncrementalRun.
+type CorpusGeneration struct {
+	// Gen is the delta's 1-based generation number; the vote generation its
+	// execution publishes carries the same number.
+	Gen int `json:"gen"`
+	// Records is the number of documents staged in this delta (zero for a
+	// deletions-only delta).
+	Records int `json:"records"`
+	// StartRow is the absolute row index (staging order) where this delta's
+	// rows begin. Appends use the total row count at staging time; rewrites
+	// of existing documents point inside the covered range.
+	StartRow int `json:"start_row"`
+	// Deleted lists absolute row indices this delta tombstones.
+	Deleted []int `json:"deleted,omitempty"`
+	// StagedAtUnix is when the delta was staged, for staleness accounting.
+	StagedAtUnix int64 `json:"staged_at_unix"`
+}
+
+// corpusManifest is the JSON document at corpusManifestPath.
+type corpusManifest struct {
+	Generations []CorpusGeneration `json:"generations"`
+}
+
+// corpusManifestPath is the DFS path of the corpus delta manifest.
+func (p *Pipeline[T]) corpusManifestPath() string {
+	return path.Join(p.workDir, "input", "_corpus.json")
+}
+
+// deltaInputBase is the staged input base of corpus delta gen.
+func (p *Pipeline[T]) deltaInputBase(gen int) string {
+	return path.Join(p.workDir, "input", "_delta", fmt.Sprintf("%05d", gen), "examples")
+}
+
+// CorpusGenerations reads the staged corpus deltas in generation order. A
+// corpus with no deltas staged yet has none.
+func (p *Pipeline[T]) CorpusGenerations() ([]CorpusGeneration, error) {
+	return p.readCorpusManifest()
+}
+
+func (p *Pipeline[T]) readCorpusManifest() ([]CorpusGeneration, error) {
+	raw, err := p.fs.ReadFile(p.corpusManifestPath())
+	if dfs.IsNotExist(err) {
+		// No manifest: no deltas have been staged yet. Only absence means
+		// that — a failed read taken for "no deltas" would restart the ledger
+		// at generation 1 and supersede the deltas already staged.
+		return nil, nil
+	}
+	if err != nil {
+		return nil, fmt.Errorf("drybell: read corpus manifest: %w", err)
+	}
+	var m corpusManifest
+	if err := json.Unmarshal(raw, &m); err != nil {
+		return nil, fmt.Errorf("drybell: corpus manifest %s is corrupt: %w", p.corpusManifestPath(), err)
+	}
+	for i, g := range m.Generations {
+		if g.Gen != i+1 {
+			return nil, fmt.Errorf("drybell: corpus manifest %s entry %d claims generation %d", p.corpusManifestPath(), i, g.Gen)
+		}
+	}
+	return m.Generations, nil
+}
+
+func (p *Pipeline[T]) writeCorpusManifest(gens []CorpusGeneration) error {
+	raw, err := json.Marshal(corpusManifest{Generations: gens})
+	if err != nil {
+		return fmt.Errorf("drybell: encode corpus manifest: %w", err)
+	}
+	dst := p.corpusManifestPath()
+	tmp := dst + ".tmp"
+	if err := p.fs.WriteFile(tmp, raw); err != nil {
+		return fmt.Errorf("drybell: write corpus manifest: %w", err)
+	}
+	if err := p.fs.Rename(tmp, dst); err != nil {
+		return fmt.Errorf("drybell: promote corpus manifest: %w", err)
+	}
+	return nil
+}
+
+// CorpusRows returns the corpus's absolute row count in staging order — the
+// base corpus plus every appended delta, before tombstone compaction. The
+// next appended delta starts at this row.
+func (p *Pipeline[T]) CorpusRows() (int, error) {
+	_, chain, err := p.corpusLedger()
+	return chain.Rows, err
+}
+
+// corpusLedger reads the corpus ledger and folds it over the staged base
+// corpus.
+func (p *Pipeline[T]) corpusLedger() ([]CorpusGeneration, internallf.Chain, error) {
+	base, err := mapreduce.StagedCount(p.fs, p.InputPath())
+	if err != nil {
+		return nil, internallf.Chain{}, fmt.Errorf("drybell: no staged base corpus at %s: %w", p.InputPath(), err)
+	}
+	gens, err := p.readCorpusManifest()
+	if err != nil {
+		return nil, internallf.Chain{}, err
+	}
+	chain, err := foldCorpus(base, gens)
+	return gens, chain, err
+}
+
+// foldCorpus folds the corpus ledger over a base corpus of baseRows rows by
+// the vote store's chain rule (lf.Chain.Apply): corpus delta n and vote
+// generation n cover the same rows, so one rule decides for both ledgers how
+// many rows the chain holds and which are tombstoned.
+func foldCorpus(baseRows int, gens []CorpusGeneration) (internallf.Chain, error) {
+	chain := internallf.Chain{Rows: baseRows}
+	for _, g := range gens {
+		if _, err := chain.Apply(g.Gen, g.StartRow, g.Records, g.Deleted); err != nil {
+			return chain, fmt.Errorf("drybell: corpus ledger: %w", err)
+		}
+	}
+	return chain, nil
+}
+
 // StageDelta stages a corpus delta — new documents appended after the rows
 // staged so far, plus any tombstoned absolute row indices — as the next
-// corpus generation, without running anything. A later IncrementalRun (from
-// this Pipeline or another process sharing the filesystem) picks it up. src
-// may be nil for a deletions-only delta.
+// corpus generation, and records it in the corpus manifest without running
+// anything. A later IncrementalRun (from this Pipeline or another process
+// sharing the filesystem) picks it up. src may be nil for a deletions-only
+// delta. A tombstone of a row the chain does not cover is refused, and the
+// ledger stays as it was.
 func (p *Pipeline[T]) StageDelta(ctx context.Context, src Source[T], deleted ...int) (CorpusGeneration, error) {
-	return core.StageDelta(ctx, p.cfg, src, deleted)
+	return p.stageDelta(ctx, src, -1, deleted)
 }
 
 // StageDeltaAt is StageDelta for changed documents: src's documents supersede
@@ -40,20 +176,55 @@ func (p *Pipeline[T]) StageDelta(ctx context.Context, src Source[T], deleted ...
 // thing a warm start saves — so the next IncrementalRun recompacts the whole
 // view, at a cold round's cost, and reports WarmStarted all the same.
 func (p *Pipeline[T]) StageDeltaAt(ctx context.Context, src Source[T], startRow int, deleted ...int) (CorpusGeneration, error) {
-	return core.StageDeltaAt(ctx, p.cfg, src, startRow, deleted)
+	if startRow < 0 {
+		return CorpusGeneration{}, fmt.Errorf("drybell: delta start row %d, want >= 0", startRow)
+	}
+	return p.stageDelta(ctx, src, startRow, deleted)
 }
 
-// CorpusGenerations reads the staged corpus deltas in generation order. A
-// corpus with no deltas staged yet has none.
-func (p *Pipeline[T]) CorpusGenerations() ([]CorpusGeneration, error) {
-	return core.CorpusGenerations(p.cfg)
-}
-
-// CorpusRows returns the corpus's absolute row count in staging order — the
-// base corpus plus every appended delta, before tombstone compaction. The
-// next appended delta starts at this row.
-func (p *Pipeline[T]) CorpusRows() (int, error) {
-	return core.CorpusTotalRows(p.cfg)
+// stageDelta is StageDelta and StageDeltaAt: a negative startRow appends
+// after the rows staged so far.
+func (p *Pipeline[T]) stageDelta(ctx context.Context, src Source[T], startRow int, deleted []int) (g CorpusGeneration, err error) {
+	_, span := obs.StartSpan(ctx, "stage.delta", obs.Int("deleted", len(deleted)))
+	defer func() {
+		span.SetAttr(obs.Int("start_row", g.StartRow), obs.Int("generation", g.Gen), obs.Int("records", g.Records))
+		span.EndErr(err)
+	}()
+	if src == nil && len(deleted) == 0 {
+		return CorpusGeneration{}, fmt.Errorf("drybell: delta with no documents and no deletions")
+	}
+	gens, chain, err := p.corpusLedger()
+	if err != nil {
+		return CorpusGeneration{}, err
+	}
+	if startRow < 0 {
+		startRow = chain.Rows
+	} else if startRow > chain.Rows {
+		return CorpusGeneration{}, fmt.Errorf("drybell: delta start row %d outside the %d staged rows", startRow, chain.Rows)
+	}
+	g = CorpusGeneration{
+		Gen:          len(gens) + 1,
+		StartRow:     startRow,
+		Deleted:      append([]int(nil), deleted...),
+		StagedAtUnix: time.Now().Unix(), //drybellvet:wallclock — staleness bookkeeping, never in artifacts
+	}
+	if src != nil {
+		n, err := p.stageRecords(ctx, p.encoded(src), g.Gen)
+		if err != nil {
+			return CorpusGeneration{}, err
+		}
+		g.Records = n
+	}
+	// The ledger records only a generation its chain rule accepts: one that
+	// tombstones a row the chain does not cover would make every later fold
+	// of the ledger fail.
+	if _, err := chain.Apply(g.Gen, g.StartRow, g.Records, g.Deleted); err != nil {
+		return CorpusGeneration{}, fmt.Errorf("drybell: corpus delta: %w", err)
+	}
+	if err := p.writeCorpusManifest(append(gens, g)); err != nil {
+		return CorpusGeneration{}, err
+	}
+	return g, nil
 }
 
 // ExecutedGeneration returns the latest delta generation the vote store has
@@ -63,35 +234,55 @@ func (p *Pipeline[T]) CorpusRows() (int, error) {
 // exists; a watcher compares it against CorpusGenerations to see pending
 // work.
 func (p *Pipeline[T]) ExecutedGeneration() (int, error) {
-	return internallf.LatestGeneration(p.cfg.FS, path.Join(p.cfg.VotesPrefix(), "votes"))
+	return internallf.LatestGeneration(p.fs, p.VotesBase())
 }
 
-// Compact folds the corpus delta ledger and the vote generation chain into
-// flat base artifacts — the housekeeping step that bounds chain length for
-// readers. It requires every staged delta to have been executed (run
-// IncrementalRun first). Afterwards the filesystem is indistinguishable from
-// a fresh base run over the compacted corpus, compacted itself: restaged
-// input and the folded vote artifact are byte-identical to that run's, and
-// the next StageDelta starts a new chain at generation 1.
-//
-// The Pipeline's carried state stays valid — compaction changes the layout,
-// never the view — and pays for the fold: when the carried view holds exactly
-// what the vote chain holds (the last round merged all of it, under the
-// stored columns in stored order) the flat artifact is written from it
-// instead of from a re-read of the chain, and the view's watermark moves to
-// the artifact just written, so the next round still reads only its delta.
-func (p *Pipeline[T]) Compact() error {
-	view, err := core.Compact(p.cfg, p.carried.View)
-	if err != nil {
-		return err
-	}
-	// The training state is over the carried view's rows: it survives a fold
-	// written from that view, not one that had to re-read the chain.
-	if p.carried.View == nil || view.Matrix != p.carried.View.Matrix {
-		p.carried.State = nil
-	}
-	p.carried.View = view
-	return nil
+// IncrementalResult is the output of Pipeline.IncrementalRun: the compacted
+// matrix view, the warm-start-trained model and refreshed labels, plus the
+// run's incremental accounting (published generations, delta sizes, task
+// attempts, staleness).
+type IncrementalResult struct {
+	// Matrix is the compacted full view after applying the pending deltas.
+	Matrix *Matrix
+	// Model is the warm-start-trained generative model.
+	Model *Model
+	// Posteriors are the refreshed probabilistic labels over the full view.
+	Posteriors []float64
+	// State feeds the next IncrementalRun's warm start.
+	State *TrainState
+	// View is Matrix with the watermark of what it merged from the vote
+	// store; the Pipeline carries it into the next round, which then reads
+	// only the generations published since.
+	View *internallf.View
+	// ViewRebuilt is why this round read the whole vote store instead of
+	// carrying the previous round's view forward (one of lf's Rebuilt*
+	// reasons); empty when only the newer generations were read.
+	ViewRebuilt string
+	// SegmentsScanned and RowsScanned count the stored vote segments and rows
+	// the round streamed to bring the view up to date.
+	SegmentsScanned, RowsScanned int
+	// Generations lists the vote generations published by this run, in
+	// order. Empty means the vote store was already caught up; the run
+	// still retrains and persists the labels.
+	Generations []int
+	// DeltaExamples counts documents executed by this run's delta jobs.
+	DeltaExamples int
+	// DeltaTaskAttempts counts task attempts across this run's delta jobs —
+	// the "only delta tasks ran" witness.
+	DeltaTaskAttempts int
+	// WarmIterations is the Newton iteration count of the warm-start
+	// training run.
+	WarmIterations int
+	// WarmStarted reports that a previous training state was supplied (false
+	// on the first run and after a cold start) — not that work was saved: a
+	// round over rewritten or deleted rows is WarmStarted and still pays a
+	// full compaction.
+	WarmStarted bool
+	// StalenessSeconds is the age of the oldest pending delta at run start —
+	// how far behind the corpus the labels were before this run.
+	StalenessSeconds float64
+	// LabelsPath is the DFS base of the persisted labels.
+	LabelsPath string
 }
 
 // IncrementalRun advances the pipeline by exactly the staged-but-unexecuted
@@ -117,13 +308,133 @@ func (p *Pipeline[T]) Compact() error {
 // store (IncrementalResult.ViewRebuilt says why). A fresh Pipeline over the
 // same filesystem is a cold start: exactly equivalent, only slower. A round
 // trains exactly as Run does, and warm and cold runs produce the identical
-// model. The result's Matrix is the carried view: read it, do not write to
-// it.
+// model (the optimizer is a pure function of the vote matrix; see
+// labelmodel's equivalence tests). The result's Matrix is the carried view:
+// read it, do not write to it.
 func (p *Pipeline[T]) IncrementalRun(ctx context.Context, lfs []LF[T]) (*IncrementalResult, error) {
-	res, err := core.IncrementalRun(ctx, p.cfg, lfs, &p.carried)
+	if err := lf.ValidateNames(lfs); err != nil {
+		return nil, fmt.Errorf("drybell: %w", err)
+	}
+	ctx = p.observer.Context(ctx)
+	ctx, span := obs.StartSpan(ctx, "pipeline.incremental",
+		obs.String("workdir", p.workDir), obs.Int("functions", len(lfs)))
+	res, err := p.incrementalRun(ctx, lfs)
+	if res != nil {
+		span.SetAttr(
+			obs.Int("delta_examples", res.DeltaExamples),
+			obs.Int("delta_task_attempts", res.DeltaTaskAttempts),
+			obs.Int("generations", len(res.Generations)),
+			obs.Int("warm_iterations", res.WarmIterations),
+			obs.Bool("warm_started", res.WarmStarted),
+			obs.Bool("view_carried", res.ViewRebuilt == ""),
+			obs.Int("segments_scanned", res.SegmentsScanned),
+			obs.Int("rows_scanned", res.RowsScanned))
+	}
+	span.EndErr(err)
 	if err != nil {
 		return nil, err
 	}
-	p.carried = core.Carried{State: res.State, View: res.View}
+	p.carried = carried{state: res.State, view: res.View}
+	return res, nil
+}
+
+// incrementalRun is IncrementalRun's body, as run is Run's, starting from
+// what the previous round left.
+func (p *Pipeline[T]) incrementalRun(ctx context.Context, lfs []LF[T]) (*IncrementalResult, error) {
+	exec := p.executor(0)
+	votesBase := p.VotesBase()
+	names := lf.Names(lfs)
+	executed, err := internallf.LatestGeneration(p.fs, votesBase)
+	if err != nil {
+		return nil, err
+	}
+	if executed == 0 && !internallf.HasVotes(p.fs, votesBase) {
+		return nil, fmt.Errorf("drybell: incremental run needs a completed base run (no generation 0 at %s)", votesBase)
+	}
+	gens, _, err := p.corpusLedger()
+	if err != nil {
+		return nil, err
+	}
+
+	res := &IncrementalResult{}
+	prev, view := p.carried.state, p.carried.view
+	compactedRows := 0
+	if view != nil {
+		compactedRows = view.Matrix.NumExamples()
+	}
+	now := time.Now() //drybellvet:wallclock — staleness metric only, never in artifacts
+	for _, g := range gens {
+		if g.Gen <= executed {
+			continue
+		}
+		if age := now.Unix() - g.StagedAtUnix; float64(age) > res.StalenessSeconds {
+			res.StalenessSeconds = float64(age)
+		}
+		d := internallf.Delta{StartRow: g.StartRow, Deleted: g.Deleted}
+		if g.Records > 0 {
+			d.InputBase = p.deltaInputBase(g.Gen)
+		}
+		_, report, gen, err := exec.ExecuteDelta(ctx, lfs, d)
+		if err != nil {
+			return nil, fmt.Errorf("drybell: execute delta generation %d: %w", g.Gen, err)
+		}
+		if gen != g.Gen {
+			return nil, fmt.Errorf("drybell: corpus delta %d published vote generation %d — ledgers out of step", g.Gen, gen)
+		}
+		res.Generations = append(res.Generations, gen)
+		res.DeltaExamples += report.Examples
+		res.DeltaTaskAttempts += report.TaskAttempts
+	}
+
+	view, read, err := internallf.LoadView(p.fs, votesBase, names, view)
+	if err != nil {
+		return nil, err
+	}
+	res.View, res.ViewRebuilt = view, read.Rebuilt
+	res.SegmentsScanned, res.RowsScanned = read.Segments, read.Rows
+
+	// Extend the previous round's compaction by the delta's rows only when it
+	// is this view's before the delta: not when the view's rows shifted or
+	// changed under it, nor when it never was this view's. Otherwise the
+	// round compacts from scratch and saves nothing.
+	var carriedCompact *labelmodel.CompactMatrix
+	if prev != nil && prev.Compact != nil && read.Rebuilt == "" &&
+		prev.Compact.NumExamples() == compactedRows && prev.Compact.NumFuncs() == len(names) {
+		carriedCompact = prev.Compact
+	}
+	tc := time.Now() //drybellvet:wallclock — stage metrics only
+	cm, err := compact(ctx, view.Matrix, carriedCompact)
+	p.stageDone("compact", tc, err)
+	if err != nil {
+		return nil, err
+	}
+	// The batch run's train→persist tail, without its Analyze: dev labels
+	// align with the batch corpus, not with a view grown by deltas.
+	out := &Result{Matrix: view.Matrix}
+	if err := p.denoiseAndPersist(ctx, out, cm); err != nil {
+		return nil, err
+	}
+	res.Matrix, res.Model, res.State, res.Posteriors, res.LabelsPath = out.Matrix, out.Model, out.State, out.Posteriors, out.LabelsPath
+	res.WarmIterations = res.State.Iterations
+	res.WarmStarted = prev != nil && len(prev.Alpha) > 0
+
+	if p.observer != nil && p.observer.Metrics != nil {
+		reg := p.observer.Metrics
+		reg.Counter("pipeline_incremental_runs_total",
+			"Completed incremental pipeline runs.").Inc()
+		reg.Counter("pipeline_incremental_delta_examples_total",
+			"Documents executed by incremental delta jobs.").Add(int64(res.DeltaExamples))
+		reg.Counter("pipeline_incremental_task_attempts_total",
+			"Task attempts launched by incremental delta jobs.").Add(int64(res.DeltaTaskAttempts))
+		reg.Gauge("pipeline_incremental_staleness_seconds",
+			"Age of the oldest pending corpus delta when the last incremental run started.").Set(res.StalenessSeconds)
+		reg.Gauge("pipeline_incremental_warm_iterations",
+			"Newton iterations spent by the last warm-start training run.").Set(float64(res.WarmIterations))
+		if res.ViewRebuilt != "" {
+			reg.Counter("pipeline_incremental_view_rebuilds_total",
+				"Incremental runs that re-read the whole vote store instead of carrying the previous round's view, by reason.",
+				obs.Label{Key: "reason", Value: res.ViewRebuilt}).Inc()
+		}
+	}
 	return res, nil
 }

@@ -1,4 +1,4 @@
-package core
+package drybell
 
 import (
 	"context"
@@ -11,7 +11,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/corpus"
 	"repro/internal/dfs"
-	"repro/internal/labelmodel"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -38,26 +37,22 @@ func TestIncrementalRunMatchesColdRerun(t *testing.T) {
 	}
 	base, delta := full[:1500], full[1500:]
 
+	ctx := context.Background()
 	fs := dfs.NewMem()
-	cfg := topicConfig(fs)
+	p := topicPipeline(t, fs)
 	lfs := apps.TopicLFs(nil, 0.02, 1)
-	baseRes, err := Run(cfg, base, lfs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, prev, err := labelmodel.TrainSamplingFreeFastWarm(baseRes.Matrix, cfg.LabelModel, nil)
-	if err != nil {
+	if _, err := p.Run(ctx, SliceSource(base), lfs); err != nil {
 		t.Fatal(err)
 	}
 
-	g, err := StageDelta(context.Background(), cfg, Examples(delta), nil)
+	g, err := p.StageDelta(ctx, SliceSource(delta))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Gen != 1 || g.StartRow != 1500 || g.Records != 150 {
 		t.Fatalf("staged delta = %+v", g)
 	}
-	inc, err := IncrementalRun(context.Background(), cfg, lfs, &Carried{State: prev, View: baseRes.View})
+	inc, err := p.IncrementalRun(ctx, lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,17 +64,15 @@ func TestIncrementalRunMatchesColdRerun(t *testing.T) {
 	}
 	// Only the delta's tasks ran: one per delta shard, no retries expected
 	// on the in-memory FS.
-	if inc.DeltaTaskAttempts != cfg.Shards {
-		t.Errorf("delta task attempts = %d, want %d (delta shards only)", inc.DeltaTaskAttempts, cfg.Shards)
+	if inc.DeltaTaskAttempts != p.shards {
+		t.Errorf("delta task attempts = %d, want %d (delta shards only)", inc.DeltaTaskAttempts, p.shards)
 	}
 	if !inc.WarmStarted {
 		t.Error("run did not warm-start despite a previous state")
 	}
 
 	// Cold reference: full rerun over the whole corpus on a fresh FS.
-	coldFS := dfs.NewMem()
-	coldCfg := topicConfig(coldFS)
-	cold, err := Run(coldCfg, full, apps.TopicLFs(nil, 0.02, 1))
+	cold, err := topicPipeline(t, dfs.NewMem()).Run(ctx, SliceSource(full), apps.TopicLFs(nil, 0.02, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +96,7 @@ func TestIncrementalRunMatchesColdRerun(t *testing.T) {
 	}
 
 	// Refreshed labels persisted over the full corpus and re-loadable.
-	loaded, err := ReadLabels(fs, inc.LabelsPath)
+	loaded, err := readLabels(fs, inc.LabelsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,15 +114,15 @@ func TestIncrementalRunCaughtUpAndDeletions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := dfs.NewMem()
-	cfg := topicConfig(fs)
+	ctx := context.Background()
+	p := topicPipeline(t, dfs.NewMem())
 	lfs := apps.TopicLFs(nil, 0.02, 1)
-	if _, err := Run(cfg, full, lfs); err != nil {
+	if _, err := p.Run(ctx, SliceSource(full), lfs); err != nil {
 		t.Fatal(err)
 	}
 
 	// Caught up: no pending deltas.
-	inc, err := IncrementalRun(context.Background(), cfg, lfs, nil)
+	inc, err := p.IncrementalRun(ctx, lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +134,10 @@ func TestIncrementalRunCaughtUpAndDeletions(t *testing.T) {
 	}
 
 	// Deletions-only delta: tombstone 10 rows.
-	deleted := []int{3, 50, 100, 199, 200, 201, 400, 555, 600, 799}
-	if _, err := StageDelta(context.Background(), cfg, nil, deleted); err != nil {
+	if _, err := p.StageDelta(ctx, nil, 3, 50, 100, 199, 200, 201, 400, 555, 600, 799); err != nil {
 		t.Fatal(err)
 	}
-	inc2, err := IncrementalRun(context.Background(), cfg, lfs, &Carried{State: inc.State, View: inc.View})
+	inc2, err := p.IncrementalRun(ctx, lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,7 +152,7 @@ func TestIncrementalRunCaughtUpAndDeletions(t *testing.T) {
 	}
 
 	// A delta with nothing in it is rejected at staging.
-	if _, err := StageDelta(context.Background(), cfg, nil, nil); err == nil {
+	if _, err := p.StageDelta(ctx, nil); err == nil {
 		t.Fatal("empty delta staged")
 	}
 }
@@ -177,26 +169,26 @@ func TestStageDeltaSurvivesManifestReadFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	ffs := dfs.NewFaultFS(dfs.NewMem(), 1)
-	cfg := topicConfig(ffs)
-	if _, err := StageExamples(ctx, cfg, Examples(full[:300])); err != nil {
+	p := topicPipeline(t, ffs)
+	if _, err := p.Stage(ctx, SliceSource(full[:300])); err != nil {
 		t.Fatal(err)
 	}
-	if g, err := StageDelta(ctx, cfg, Examples(full[300:310]), nil); err != nil || g.Gen != 1 || g.StartRow != 300 {
+	if g, err := p.StageDelta(ctx, SliceSource(full[300:310])); err != nil || g.Gen != 1 || g.StartRow != 300 {
 		t.Fatalf("first delta = %+v, %v", g, err)
 	}
 
 	ffs.FailNext(dfs.OpRead, "_corpus.json", 1)
-	if g, err := StageDelta(ctx, cfg, Examples(full[310:]), nil); err == nil {
+	if g, err := p.StageDelta(ctx, SliceSource(full[310:])); err == nil {
 		t.Fatalf("staged %+v through a failed manifest read", g)
 	} else if !errors.Is(err, dfs.ErrInjected) {
 		t.Fatalf("staging failed with %v, want the injected read fault", err)
 	}
-	gens, err := CorpusGenerations(cfg)
+	gens, err := p.CorpusGenerations()
 	if err != nil || len(gens) != 1 || gens[0].StartRow != 300 || gens[0].Records != 10 {
 		t.Fatalf("ledger after the fault = %+v, %v; want the first delta untouched", gens, err)
 	}
 
-	g, err := StageDelta(ctx, cfg, Examples(full[310:]), nil)
+	g, err := p.StageDelta(ctx, SliceSource(full[310:]))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,16 +207,15 @@ func TestIncrementalRunRejectsTruncatedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := dfs.NewMem()
-	cfg := topicConfig(fs)
-	cfg.WorkDir = "drybell"
+	p := topicPipeline(t, fs)
 	lfs := apps.TopicLFs(nil, 0.02, 1)
-	if _, err := Run(cfg, full[:300], lfs); err != nil {
+	if _, err := p.Run(ctx, SliceSource(full[:300]), lfs); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := StageDelta(ctx, cfg, Examples(full[300:]), nil); err != nil {
+	if _, err := p.StageDelta(ctx, SliceSource(full[300:])); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := IncrementalRun(ctx, cfg, lfs, nil); err != nil {
+	if _, err := p.IncrementalRun(ctx, lfs); err != nil {
 		t.Fatal(err)
 	}
 	key := "drybell/labels/votes/_gen/00001"
@@ -235,12 +226,12 @@ func TestIncrementalRunRejectsTruncatedManifest(t *testing.T) {
 	if err := fs.WriteFile(key, raw[:len(raw)/2]); err != nil {
 		t.Fatal(err)
 	}
-	if res, err := IncrementalRun(ctx, cfg, lfs, nil); err == nil {
+	if res, err := p.IncrementalRun(ctx, lfs); err == nil {
 		t.Fatalf("ran over a truncated manifest: %d rows", res.Matrix.NumExamples())
 	} else if !strings.Contains(err.Error(), key) {
 		t.Fatalf("error does not name the manifest %s: %v", key, err)
 	}
-	if _, err := LoadMatrix(cfg, lfapi.Names(lfs)); err == nil || !strings.Contains(err.Error(), key) {
+	if _, err := p.LoadMatrix(lfapi.Names(lfs)); err == nil || !strings.Contains(err.Error(), key) {
 		t.Fatalf("LoadMatrix over a truncated manifest = %v, want an error naming %s", err, key)
 	}
 }
@@ -255,37 +246,37 @@ func TestStageDeltaRefusesBadTombstone(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := topicConfig(dfs.NewMem())
+	p := topicPipeline(t, dfs.NewMem())
 	lfs := apps.TopicLFs(nil, 0.02, 1)
-	if _, err := Run(cfg, full[:300], lfs); err != nil {
+	if _, err := p.Run(ctx, SliceSource(full[:300]), lfs); err != nil {
 		t.Fatal(err)
 	}
 	for _, row := range []int{5000, 300, -1} {
-		if g, err := StageDelta(ctx, cfg, nil, []int{row}); err == nil {
+		if g, err := p.StageDelta(ctx, nil, row); err == nil {
 			t.Fatalf("tombstone of row %d staged as %+v", row, g)
 		} else if !strings.Contains(err.Error(), fmt.Sprintf("tombstones row %d", row)) {
 			t.Fatalf("tombstone of row %d refused with %v, want an error naming the row", row, err)
 		}
-		if gens, err := CorpusGenerations(cfg); err != nil || len(gens) != 0 {
+		if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 0 {
 			t.Fatalf("ledger after refusing row %d = %+v, %v; want it empty", row, gens, err)
 		}
 	}
 	// The delta's own rows are coverable: tombstoning one of them is legal.
-	g, err := StageDelta(ctx, cfg, Examples(full[300:]), []int{5, 310})
+	g, err := p.StageDelta(ctx, SliceSource(full[300:]), 5, 310)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if g.Gen != 1 || g.StartRow != 300 {
 		t.Fatalf("delta after the refusals = %+v, want generation 1 at row 300", g)
 	}
-	res, err := IncrementalRun(ctx, cfg, lfs, nil)
+	res, err := p.IncrementalRun(ctx, lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rows := res.Matrix.NumExamples(); rows != 318 {
 		t.Fatalf("view after the delta has %d rows, want 320 less 2 tombstones", rows)
 	}
-	if total, err := CorpusTotalRows(cfg); err != nil || total != 320 {
-		t.Fatalf("CorpusTotalRows = %d, %v; want 320", total, err)
+	if total, err := p.CorpusRows(); err != nil || total != 320 {
+		t.Fatalf("CorpusRows = %d, %v; want 320", total, err)
 	}
 }

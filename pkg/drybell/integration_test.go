@@ -1,6 +1,7 @@
-package core
+package drybell
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -34,20 +35,22 @@ func TestProductPipelineOnDiskDFS(t *testing.T) {
 	dev := corpus.Select(docs, sp.Dev)
 	test := corpus.Select(docs, sp.Test)
 
-	cfg := Config[*corpus.Document]{
-		FS:         disk,
-		WorkDir:    "pipeline/product",
-		Encode:     func(d *corpus.Document) ([]byte, error) { return d.Marshal() },
-		Decode:     corpus.UnmarshalDocument,
-		LabelModel: labelmodel.Options{Steps: 400},
+	p, err := New[*corpus.Document](
+		WithFS(disk),
+		WithWorkDir("pipeline/product"),
+		WithCodec(func(d *corpus.Document) ([]byte, error) { return d.Marshal() }, corpus.UnmarshalDocument),
+		WithLabelModel(labelmodel.Options{Steps: 400}),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := Run(cfg, train, apps.ProductLFs(nil, 1))
+	res, err := p.Run(context.Background(), SliceSource(train), apps.ProductLFs(nil, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Labels must be durable on disk and reload in order.
-	labels, err := ReadLabels(disk, res.LabelsPath)
+	labels, err := readLabels(disk, res.LabelsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +67,7 @@ func TestProductPipelineOnDiskDFS(t *testing.T) {
 	for i, rep := range res.LFReport.PerLF {
 		names[i] = rep.Name
 	}
-	reloaded, err := LoadMatrix(cfg, names)
+	reloaded, err := p.LoadMatrix(names)
 	if err != nil {
 		t.Fatalf("reload matrix from columnar votes: %v", err)
 	}
@@ -127,9 +130,8 @@ func TestPipelineDeterministicAcrossRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	runOnce := func() []float64 {
-		cfg := topicConfig(dfs.NewMem())
-		cfg.LabelModel.Steps = 150
-		res, err := Run(cfg, docs, apps.TopicLFs(nil, 0.02, 1))
+		p := topicPipeline(t, dfs.NewMem(), WithLabelModel(labelmodel.Options{Steps: 150}))
+		res, err := p.Run(context.Background(), SliceSource(docs), apps.TopicLFs(nil, 0.02, 1))
 		if err != nil {
 			t.Fatal(err)
 		}

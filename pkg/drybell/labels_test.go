@@ -1,4 +1,4 @@
-package core
+package drybell
 
 import (
 	"math"
@@ -37,8 +37,8 @@ func TestLabelsRoundTrip(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := dfs.NewMem()
 			labels := seqLabels(tc.labels)
-			if err := WriteLabels(fs, "out/labels", labels, tc.shards); err != nil {
-				t.Fatalf("WriteLabels: %v", err)
+			if err := writeLabels(fs, "out/labels", labels, tc.shards); err != nil {
+				t.Fatalf("writeLabels: %v", err)
 			}
 			shards, err := dfs.ListShards(fs, "out/labels")
 			if err != nil {
@@ -47,9 +47,9 @@ func TestLabelsRoundTrip(t *testing.T) {
 			if len(shards) != tc.shards {
 				t.Fatalf("wrote %d shards, want %d", len(shards), tc.shards)
 			}
-			got, err := ReadLabels(fs, "out/labels")
+			got, err := readLabels(fs, "out/labels")
 			if err != nil {
-				t.Fatalf("ReadLabels: %v", err)
+				t.Fatalf("readLabels: %v", err)
 			}
 			if len(got) != len(labels) {
 				t.Fatalf("read %d labels, want %d", len(got), len(labels))
@@ -77,9 +77,9 @@ func TestWriteLabelsRejectsOutOfRange(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fs := dfs.NewMem()
 			labels := []float64{0.25, tc.value, 0.75}
-			err := WriteLabels(fs, "out/labels", labels, 2)
+			err := writeLabels(fs, "out/labels", labels, 2)
 			if err == nil {
-				t.Fatalf("WriteLabels accepted %v", tc.value)
+				t.Fatalf("writeLabels accepted %v", tc.value)
 			}
 			if !strings.Contains(err.Error(), "out of [0,1]") {
 				t.Fatalf("error = %v, want out-of-range message", err)
@@ -96,12 +96,12 @@ func TestWriteLabelsRejectsOutOfRange(t *testing.T) {
 func TestWriteLabelsBoundaries(t *testing.T) {
 	fs := dfs.NewMem()
 	labels := []float64{0, 1, 0.5}
-	if err := WriteLabels(fs, "out/labels", labels, 2); err != nil {
-		t.Fatalf("WriteLabels: %v", err)
+	if err := writeLabels(fs, "out/labels", labels, 2); err != nil {
+		t.Fatalf("writeLabels: %v", err)
 	}
-	got, err := ReadLabels(fs, "out/labels")
+	got, err := readLabels(fs, "out/labels")
 	if err != nil {
-		t.Fatalf("ReadLabels: %v", err)
+		t.Fatalf("readLabels: %v", err)
 	}
 	for i := range labels {
 		if got[i] != labels[i] {
@@ -117,16 +117,16 @@ func TestReadLabelsRejectsTruncatedRecord(t *testing.T) {
 	if err := mapreduce.WriteInput(fs, "out/labels", bad, 1); err != nil {
 		t.Fatalf("WriteInput: %v", err)
 	}
-	_, err := ReadLabels(fs, "out/labels")
+	_, err := readLabels(fs, "out/labels")
 	if err == nil || !strings.Contains(err.Error(), "label record has 7 bytes") {
-		t.Fatalf("ReadLabels = %v, want truncated-record error", err)
+		t.Fatalf("readLabels = %v, want truncated-record error", err)
 	}
 }
 
 func TestReadLabelsRejectsCorruptShard(t *testing.T) {
 	fs := dfs.NewMem()
-	if err := WriteLabels(fs, "out/labels", seqLabels(16), 2); err != nil {
-		t.Fatalf("WriteLabels: %v", err)
+	if err := writeLabels(fs, "out/labels", seqLabels(16), 2); err != nil {
+		t.Fatalf("writeLabels: %v", err)
 	}
 	shards, err := dfs.ListShards(fs, "out/labels")
 	if err != nil {
@@ -136,8 +136,8 @@ func TestReadLabelsRejectsCorruptShard(t *testing.T) {
 	if err := fs.Corrupt(shards[0], 1); err != nil {
 		t.Fatalf("Corrupt: %v", err)
 	}
-	if _, err := ReadLabels(fs, "out/labels"); err == nil {
-		t.Fatal("ReadLabels succeeded on corrupt shard, want error")
+	if _, err := readLabels(fs, "out/labels"); err == nil {
+		t.Fatal("readLabels succeeded on corrupt shard, want error")
 	}
 }
 
@@ -152,13 +152,13 @@ func TestWriteLabelsAllocationCeiling(t *testing.T) {
 	for _, n := range []int{2_000, 20_000} {
 		labels := seqLabels(n)
 		allocs[n] = testing.AllocsPerRun(5, func() {
-			if err := WriteLabels(fs, "out/labels", labels, shards); err != nil {
+			if err := writeLabels(fs, "out/labels", labels, shards); err != nil {
 				t.Fatal(err)
 			}
 		})
 	}
 	if allocs[20_000] > allocs[2_000]+shards || allocs[20_000] > 20*shards {
-		t.Errorf("WriteLabels made %.0f allocations for 2k labels and %.0f for 20k over %d shards; want a per-shard constant",
+		t.Errorf("writeLabels made %.0f allocations for 2k labels and %.0f for 20k over %d shards; want a per-shard constant",
 			allocs[2_000], allocs[20_000], shards)
 	}
 }

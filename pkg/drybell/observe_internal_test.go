@@ -1,4 +1,4 @@
-package core
+package drybell
 
 import (
 	"context"
@@ -28,30 +28,28 @@ func TestDenoisePersistObservable(t *testing.T) {
 	for _, tc := range []struct {
 		name, root string
 		rows       int
-		run        func(cfg Config[*corpus.Document]) error
+		run        func(p *Pipeline[*corpus.Document]) error
 	}{
-		{"run", "pipeline.run", 300, func(cfg Config[*corpus.Document]) error {
-			_, err := RunContext(ctx, cfg, Examples(docs[:300]), lfs)
+		{"run", "pipeline.run", 300, func(p *Pipeline[*corpus.Document]) error {
+			_, err := p.Run(ctx, SliceSource(docs[:300]), lfs)
 			return err
 		}},
-		{"incremental", "pipeline.incremental", 330, func(cfg Config[*corpus.Document]) error {
-			if _, err := StageDelta(ctx, cfg, Examples(docs[300:]), nil); err != nil {
+		{"incremental", "pipeline.incremental", 330, func(p *Pipeline[*corpus.Document]) error {
+			if _, err := p.StageDelta(ctx, SliceSource(docs[300:])); err != nil {
 				return err
 			}
-			_, err := IncrementalRun(ctx, cfg, lfs, nil)
+			_, err := p.IncrementalRun(ctx, lfs)
 			return err
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cfg := topicConfig(fs)
-			cfg.WorkDir = "drybell" // pin the default so LabelsBase below resolves
-			cfg.Obs = obs.NewObserver()
-			if err := tc.run(cfg); err != nil {
+			o := obs.NewObserver()
+			if err := tc.run(topicPipeline(t, fs, WithObserver(o))); err != nil {
 				t.Fatal(err)
 			}
 
 			byName := map[string]obs.SpanData{}
-			for _, s := range cfg.Obs.Trace.Snapshot() {
+			for _, s := range o.Trace.Snapshot() {
 				byName[s.Name] = s
 			}
 			root, ok := byName[tc.root]
@@ -65,7 +63,7 @@ func TestDenoisePersistObservable(t *testing.T) {
 				} else if span.Parent != root.ID {
 					t.Errorf("stage.%s is not a child of %s", stage, tc.root)
 				}
-				h := cfg.Obs.Metrics.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
+				h := o.Metrics.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
 					obs.DefLatencyBuckets, obs.Label{Key: "stage", Value: stage})
 				if h.Count() != 1 {
 					t.Errorf("pipeline_stage_seconds{stage=%q} has %d observations, want 1", stage, h.Count())
@@ -103,13 +101,13 @@ func TestRunCompactsOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	lfs := apps.TopicLFs(nil, 0.02, 1)
-	cfg := topicConfig(dfs.NewMem())
-	cfg.Obs = obs.NewObserver()
-	res, err := RunContext(ctx, cfg, Examples(docs[:300]), lfs)
+	fs := dfs.NewMem()
+	o := obs.NewObserver()
+	res, err := topicPipeline(t, fs, WithObserver(o)).Run(ctx, SliceSource(docs[:300]), lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spans := cfg.Obs.Trace.Snapshot()
+	spans := o.Trace.Snapshot()
 	compacts := spansNamed(spans, "stage.compact")
 	if len(compacts) != 1 {
 		t.Fatalf("run recorded %d stage.compact spans, want 1", len(compacts))
@@ -134,40 +132,35 @@ func TestRunCompactsOnce(t *testing.T) {
 			t.Errorf("%s: coverage %v, the trained compaction says %v", row.Name, row.Coverage, want)
 		}
 	}
-	h := cfg.Obs.Metrics.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
+	h := o.Metrics.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
 		obs.DefLatencyBuckets, obs.Label{Key: "stage", Value: "compact"})
 	if h.Count() != 1 {
 		t.Errorf("pipeline_stage_seconds{stage=\"compact\"} has %d observations, want 1", h.Count())
 	}
 
-	// roundRows is the rows attribute of the one stage.compact span a round
-	// records.
-	roundRows := func(carried *Carried, stage func() error) any {
+	// roundRows is the rows attribute of the one stage.compact span recorded
+	// by the round over delta of a pipeline that carries carry.
+	roundRows := func(carry carried, delta []*corpus.Document) any {
 		t.Helper()
-		cfg.Obs = obs.NewObserver()
-		if err := stage(); err != nil {
+		o := obs.NewObserver()
+		p := topicPipeline(t, fs, WithObserver(o))
+		p.carried = carry
+		if _, err := p.StageDelta(ctx, SliceSource(delta)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := IncrementalRun(ctx, cfg, lfs, carried); err != nil {
+		if _, err := p.IncrementalRun(ctx, lfs); err != nil {
 			t.Fatal(err)
 		}
-		compacts := spansNamed(cfg.Obs.Trace.Snapshot(), "stage.compact")
+		compacts := spansNamed(o.Trace.Snapshot(), "stage.compact")
 		if len(compacts) != 1 {
 			t.Fatalf("round recorded %d stage.compact spans, want 1", len(compacts))
 		}
 		return spanAttr(compacts[0], "rows")
 	}
-	carried := &Carried{State: res.State, View: res.View}
-	if rows := roundRows(carried, func() error {
-		_, err := StageDelta(ctx, cfg, Examples(docs[300:340]), nil)
-		return err
-	}); rows != int64(40) {
+	if rows := roundRows(carried{state: res.State, view: res.View}, docs[300:340]); rows != int64(40) {
 		t.Errorf("carried round compacted %v rows, want the delta's 40", rows)
 	}
-	if rows := roundRows(nil, func() error {
-		_, err := StageDelta(ctx, cfg, Examples(docs[340:]), nil)
-		return err
-	}); rows != int64(360) {
+	if rows := roundRows(carried{}, docs[340:]); rows != int64(360) {
 		t.Errorf("round without state compacted %v rows, want all 360", rows)
 	}
 }
@@ -194,13 +187,12 @@ func TestExecuteTailObservable(t *testing.T) {
 		t.Fatal(err)
 	}
 	lfs := apps.TopicLFs(nil, 0.02, 1)
-	cfg := topicConfig(dfs.NewMem())
-	cfg.Parallelism = 3
-	cfg.Obs = obs.NewObserver()
-	if _, err := RunContext(context.Background(), cfg, Examples(docs), lfs); err != nil {
+	o := obs.NewObserver()
+	p := topicPipeline(t, dfs.NewMem(), WithParallelism(3), WithObserver(o))
+	if _, err := p.Run(context.Background(), SliceSource(docs), lfs); err != nil {
 		t.Fatal(err)
 	}
-	spans := cfg.Obs.Trace.Snapshot()
+	spans := o.Trace.Snapshot()
 	execute := spansNamed(spans, "lf.execute")
 	if len(execute) != 1 {
 		t.Fatalf("%d lf.execute spans, want 1", len(execute))

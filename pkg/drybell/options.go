@@ -36,7 +36,7 @@ type settings struct {
 	devLabels   []labelmodel.Label
 	observer    *obs.Observer
 	workers     []mapreduce.Worker
-	codec       any
+	anyCodec    any
 	err         error
 }
 
@@ -57,7 +57,7 @@ func WithCodec[T any](encode func(T) ([]byte, error), decode func([]byte) (T, er
 			s.fail(fmt.Errorf("drybell: WithCodec requires both encode and decode"))
 			return
 		}
-		s.codec = Codec[T]{Encode: encode, Decode: decode}
+		s.anyCodec = Codec[T]{Encode: encode, Decode: decode}
 	}}
 }
 

@@ -1,6 +1,7 @@
-package core
+package drybell
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -12,14 +13,32 @@ import (
 	"repro/internal/serving"
 )
 
-func topicConfig(fs dfs.FS) Config[*corpus.Document] {
-	return Config[*corpus.Document]{
-		FS:         fs,
-		Encode:     func(d *corpus.Document) ([]byte, error) { return d.Marshal() },
-		Decode:     corpus.UnmarshalDocument,
-		Shards:     4,
-		LabelModel: labelmodel.Options{Steps: 600},
+// topicPipeline is a topic-task pipeline over fs — 4 shards, 600 label-model
+// steps — with opts applied after those.
+func topicPipeline(t testing.TB, fs dfs.FS, opts ...Option) *Pipeline[*corpus.Document] {
+	t.Helper()
+	p, err := New[*corpus.Document](append([]Option{
+		WithFS(fs),
+		WithCodec(func(d *corpus.Document) ([]byte, error) { return d.Marshal() }, corpus.UnmarshalDocument),
+		WithShards(4),
+		WithLabelModel(labelmodel.Options{Steps: 600}),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
+}
+
+// eventPipeline is an events-task pipeline with opts applied.
+func eventPipeline(t testing.TB, opts ...Option) *Pipeline[*corpus.Event] {
+	t.Helper()
+	p, err := New[*corpus.Event](append([]Option{
+		WithCodec(func(e *corpus.Event) ([]byte, error) { return e.Marshal() }, corpus.UnmarshalEvent),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 func TestPipelineEndToEndTopic(t *testing.T) {
@@ -28,7 +47,7 @@ func TestPipelineEndToEndTopic(t *testing.T) {
 		t.Fatal(err)
 	}
 	fs := dfs.NewMem()
-	res, err := Run(topicConfig(fs), docs, apps.TopicLFs(nil, 0.02, 1))
+	res, err := topicPipeline(t, fs).Run(context.Background(), SliceSource(docs), apps.TopicLFs(nil, 0.02, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +71,7 @@ func TestPipelineEndToEndTopic(t *testing.T) {
 		t.Errorf("posterior accuracy = %.4f, want ≥ 0.95 on this corpus", acc)
 	}
 	// Labels persisted and re-loadable in order.
-	loaded, err := ReadLabels(fs, res.LabelsPath)
+	loaded, err := readLabels(fs, res.LabelsPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +99,7 @@ func TestPipelineAllTrainers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(topicConfig(dfs.NewMem()), docs, apps.TopicLFs(nil, 0.02, 1))
+	res, err := topicPipeline(t, dfs.NewMem()).Run(context.Background(), SliceSource(docs), apps.TopicLFs(nil, 0.02, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,24 +129,25 @@ func TestPipelineAllTrainers(t *testing.T) {
 func TestPipelineValidation(t *testing.T) {
 	docs, _ := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 10, PositiveRate: 0.3, Seed: 1})
 	lfs := apps.TopicLFs(nil, 0, 1)
-	if _, err := Run(Config[*corpus.Document]{}, docs, lfs); err == nil {
-		t.Error("config without codecs accepted")
+	if _, err := New[*corpus.Document](); err == nil {
+		t.Error("pipeline without a codec accepted")
 	}
-	cfg := topicConfig(dfs.NewMem())
-	if _, err := Run(cfg, nil, lfs); err == nil {
+	ctx := context.Background()
+	p := topicPipeline(t, dfs.NewMem())
+	if _, err := p.Run(ctx, SliceSource[*corpus.Document](nil), lfs); err == nil {
 		t.Error("empty corpus accepted")
 	}
-	if _, err := Run(cfg, docs, nil); err == nil {
+	if _, err := p.Run(ctx, SliceSource(docs), nil); err == nil {
 		t.Error("no LFs accepted")
 	}
 }
 
 func TestWriteLabelsRejectsInvalid(t *testing.T) {
 	fs := dfs.NewMem()
-	if err := WriteLabels(fs, "l", []float64{1.5}, 1); err == nil {
+	if err := writeLabels(fs, "l", []float64{1.5}, 1); err == nil {
 		t.Error("label > 1 accepted")
 	}
-	if err := WriteLabels(fs, "l", []float64{-0.1}, 1); err == nil {
+	if err := writeLabels(fs, "l", []float64{-0.1}, 1); err == nil {
 		t.Error("label < 0 accepted")
 	}
 }
@@ -145,7 +165,7 @@ func TestContentClassifierTrainsAndServes(t *testing.T) {
 	dev := corpus.Select(docs, sp.Dev)
 	test := corpus.Select(docs, sp.Test)
 
-	res, err := Run(topicConfig(dfs.NewMem()), train, apps.TopicLFs(nil, 0.02, 1))
+	res, err := topicPipeline(t, dfs.NewMem()).Run(context.Background(), SliceSource(train), apps.TopicLFs(nil, 0.02, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,13 +226,8 @@ func TestEventClassifierCrossFeatureTransfer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config[*corpus.Event]{
-		FS:         dfs.NewMem(),
-		Encode:     func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
-		Decode:     corpus.UnmarshalEvent,
-		LabelModel: labelmodel.Options{Steps: 500},
-	}
-	res, err := Run(cfg, events, apps.EventLFs(60, 1))
+	p := eventPipeline(t, WithLabelModel(labelmodel.Options{Steps: 500}))
+	res, err := p.Run(context.Background(), SliceSource(events), apps.EventLFs(60, 1))
 	if err != nil {
 		t.Fatal(err)
 	}

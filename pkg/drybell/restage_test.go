@@ -1,4 +1,4 @@
-package core
+package drybell
 
 import (
 	"context"
@@ -103,24 +103,19 @@ func TestRestageCrashPoints(t *testing.T) {
 	}
 	lfs := apps.TopicLFs(nil, 0.02, 1)
 	names := lfapi.Names(lfs)
-	config := func(fs dfs.FS) Config[*corpus.Document] {
-		cfg := topicConfig(fs)
-		cfg.WorkDir = "drybell"
-		return cfg
-	}
 	// root builds base 120 + executed 20-document delta and returns the
 	// filesystem with the two views a reader may see of it.
 	root := func() (dfs.FS, *labelmodel.Matrix, *labelmodel.Matrix) {
 		fs := dfs.NewMem()
-		cfg := config(fs)
-		base, err := Run(cfg, first[:120], lfs)
+		p := topicPipeline(t, fs)
+		base, err := p.Run(ctx, SliceSource(first[:120]), lfs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := StageDelta(ctx, cfg, Examples(first[120:]), []int{7}); err != nil {
+		if _, err := p.StageDelta(ctx, SliceSource(first[120:]), 7); err != nil {
 			t.Fatal(err)
 		}
-		inc, err := IncrementalRun(ctx, cfg, lfs, nil)
+		inc, err := p.IncrementalRun(ctx, lfs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,11 +126,11 @@ func TestRestageCrashPoints(t *testing.T) {
 	// state every recovery must reach.
 	fs, _, _ := root()
 	counter := &crashFS{FS: fs, budget: 1 << 30}
-	if _, err := StageExamples(ctx, config(counter), Examples(second)); err != nil {
+	if _, err := topicPipeline(t, counter).Stage(ctx, SliceSource(second)); err != nil {
 		t.Fatal(err)
 	}
 	ops := 1<<30 - counter.budget
-	want, err := Run(config(fs), second, lfs)
+	want, err := topicPipeline(t, fs).Run(ctx, SliceSource(second), lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,13 +140,13 @@ func TestRestageCrashPoints(t *testing.T) {
 
 	for k := 0; k < ops; k++ {
 		fs, oldBase, oldChain := root()
-		if _, err := StageExamples(ctx, config(&crashFS{FS: fs, budget: k}), Examples(second)); err == nil {
+		if _, err := topicPipeline(t, &crashFS{FS: fs, budget: k}).Stage(ctx, SliceSource(second)); err == nil {
 			t.Fatalf("crash after %d of %d operations: staging succeeded", k, ops)
 		}
-		cfg := config(fs)
-		gen, err := lf.LatestGeneration(fs, cfg.votesBase())
-		empty := err == nil && gen == 0 && !lf.HasVotes(fs, cfg.votesBase())
-		got, err := LoadMatrix(cfg, names)
+		p := topicPipeline(t, fs)
+		gen, err := lf.LatestGeneration(fs, p.VotesBase())
+		empty := err == nil && gen == 0 && !lf.HasVotes(fs, p.VotesBase())
+		got, err := p.LoadMatrix(names)
 		switch {
 		case empty:
 			// Emptied: the old base's votes are gone, the new base's not in.
@@ -162,21 +157,21 @@ func TestRestageCrashPoints(t *testing.T) {
 				k, got.NumExamples())
 		}
 
-		res, err := Run(cfg, second, lfs)
+		res, err := p.Run(ctx, SliceSource(second), lfs)
 		if err != nil {
 			t.Fatalf("crash after %d operations: rerun: %v", k, err)
 		}
-		got, err = LoadMatrix(cfg, names)
+		got, err = p.LoadMatrix(names)
 		if err != nil {
 			t.Fatalf("crash after %d operations: load after rerun: %v", k, err)
 		}
 		if !sameMatrix(got, res.Matrix) || !sameMatrix(got, want.Matrix) {
 			t.Fatalf("crash after %d operations: the rerun's store differs from an uninterrupted run's", k)
 		}
-		if gens, err := CorpusGenerations(cfg); err != nil || len(gens) != 0 {
+		if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 0 {
 			t.Fatalf("crash after %d operations: corpus ledger after rerun: %+v, %v", k, gens, err)
 		}
-		if g, err := lf.LatestGeneration(fs, cfg.votesBase()); err != nil || g != 0 {
+		if g, err := lf.LatestGeneration(fs, p.VotesBase()); err != nil || g != 0 {
 			t.Fatalf("crash after %d operations: vote store at generation %d after rerun (%v)", k, g, err)
 		}
 	}

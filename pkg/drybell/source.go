@@ -1,10 +1,6 @@
 package drybell
 
-import (
-	"iter"
-
-	"repro/internal/core"
-)
+import "iter"
 
 // Source is a streaming sequence of examples for Stage and Run. It is a
 // standard iter.Seq2 yielding (example, error) pairs, so any generator —
@@ -18,5 +14,11 @@ type Source[T any] = iter.Seq2[T, error]
 
 // SliceSource adapts an in-memory slice to a Source.
 func SliceSource[T any](xs []T) Source[T] {
-	return core.Examples(xs)
+	return func(yield func(T, error) bool) {
+		for _, x := range xs {
+			if !yield(x, nil) {
+				return
+			}
+		}
+	}
 }

@@ -1,4 +1,4 @@
-package core
+package drybell
 
 import (
 	"context"
@@ -12,26 +12,28 @@ import (
 
 	"repro/internal/apps"
 	"repro/internal/corpus"
-	"repro/internal/dfs"
 )
 
-// intConfig stages ints as one-line decimal records; encode, when set, runs
+// intPipeline stages ints as one-line decimal records; encode, when set, runs
 // before each example is encoded.
-func intConfig(parallelism int, encode func(x int) error) Config[int] {
-	return Config[int]{
-		FS:          dfs.NewMem(),
-		Shards:      4,
-		Parallelism: parallelism,
-		Encode: func(x int) ([]byte, error) {
+func intPipeline(t *testing.T, parallelism int, encode func(x int) error) *Pipeline[int] {
+	t.Helper()
+	p, err := New[int](
+		WithShards(4),
+		WithParallelism(parallelism),
+		WithCodec(func(x int) ([]byte, error) {
 			if encode != nil {
 				if err := encode(x); err != nil {
 					return nil, err
 				}
 			}
 			return []byte(fmt.Sprint(x)), nil
-		},
-		Decode: func(b []byte) (int, error) { return 0, nil },
+		}, func(b []byte) (int, error) { return 0, nil }),
+	)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return p
 }
 
 // counting yields 0..n-1 and then, when fail is set, fail.
@@ -48,14 +50,10 @@ func counting(n int, fail error) iter.Seq2[int, error] {
 	}
 }
 
-// staged lists every file under the config's input base.
-func staged[T any](t *testing.T, cfg Config[T]) []string {
+// staged lists every file under the pipeline's input base.
+func staged[T any](t *testing.T, p *Pipeline[T]) []string {
 	t.Helper()
-	cfg, err := cfg.WithDefaults()
-	if err != nil {
-		t.Fatal(err)
-	}
-	paths, err := cfg.FS.List(cfg.InputBase())
+	paths, err := p.FS().List(p.InputPath())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,16 +67,8 @@ func TestStagingIdenticalAcrossParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	config := func(parallelism int) Config[*corpus.Event] {
-		cfg, err := Config[*corpus.Event]{
-			FS: dfs.NewMem(), Shards: 4, Parallelism: parallelism,
-			Encode: func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
-			Decode: corpus.UnmarshalEvent,
-		}.WithDefaults()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return cfg
+	config := func(parallelism int) *Pipeline[*corpus.Event] {
+		return eventPipeline(t, WithShards(4), WithParallelism(parallelism))
 	}
 	// The reference is staging without the encoder: records made one by one.
 	recs, err := corpus.MarshalEvents(events)
@@ -86,16 +76,16 @@ func TestStagingIdenticalAcrossParallelism(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := config(1)
-	if _, err := StageRecords(context.Background(), ref, Examples(recs)); err != nil {
+	if _, err := ref.StageRecords(context.Background(), SliceSource(recs)); err != nil {
 		t.Fatal(err)
 	}
 	for _, parallelism := range []int{1, 2, 8} {
-		cfg := config(parallelism)
-		n, err := StageExamples(context.Background(), cfg, Examples(events))
+		p := config(parallelism)
+		n, err := p.Stage(context.Background(), SliceSource(events))
 		if err != nil || n != len(events) {
 			t.Fatalf("parallelism %d: staged %d, %v", parallelism, n, err)
 		}
-		compareShards(t, cfg.FS, ref.FS, cfg.InputBase(), fmt.Sprintf("parallelism %d: input", parallelism))
+		compareShards(t, p.FS(), ref.FS(), p.InputPath(), fmt.Sprintf("parallelism %d: input", parallelism))
 	}
 }
 
@@ -129,10 +119,10 @@ func TestStagingReportsFirstFailureInSourceOrder(t *testing.T) {
 		{"source error before any example", nil, counting(0, boom), 0, "example source: upstream exploded"},
 	} {
 		for _, parallelism := range []int{1, 3} {
-			cfg := intConfig(parallelism, c.encode)
+			p := intPipeline(t, parallelism, c.encode)
 			seen := 0
 			var failure error
-			for rec, err := range encoded(cfg, c.src) {
+			for rec, err := range p.encoded(c.src) {
 				if err != nil {
 					failure = err
 					continue // a yield after the error would panic the range
@@ -145,15 +135,15 @@ func TestStagingReportsFirstFailureInSourceOrder(t *testing.T) {
 			if seen != c.records || failure == nil || !strings.Contains(failure.Error(), c.want) {
 				t.Errorf("%s/p%d: %d records then %v; want %d then %q", c.name, parallelism, seen, failure, c.records, c.want)
 			}
-			if _, err := StageExamples(context.Background(), cfg, c.src); err == nil || !strings.Contains(err.Error(), c.want) {
-				t.Errorf("%s/p%d: StageExamples error %v, want %q", c.name, parallelism, err, c.want)
+			if _, err := p.Stage(context.Background(), c.src); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s/p%d: Stage error %v, want %q", c.name, parallelism, err, c.want)
 			}
-			if files := staged(t, cfg); len(files) != 0 {
+			if files := staged(t, p); len(files) != 0 {
 				t.Errorf("%s/p%d: failed staging committed %d files", c.name, parallelism, len(files))
 			}
 		}
 	}
-	if _, err := StageExamples(context.Background(), intConfig(2, nil), counting(k, boom)); !errors.Is(err, boom) {
+	if _, err := intPipeline(t, 2, nil).Stage(context.Background(), counting(k, boom)); !errors.Is(err, boom) {
 		t.Errorf("source error lost its cause: %v", err)
 	}
 }
@@ -175,7 +165,7 @@ func TestStagingLeavesNoEncoderBehind(t *testing.T) {
 		return nil
 	}
 	seen := 0
-	for _, err := range encoded(intConfig(8, stall), counting(chunks*encodeChunk, nil)) {
+	for _, err := range intPipeline(t, 8, stall).encoded(counting(chunks*encodeChunk, nil)) {
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,7 +184,7 @@ func TestStagingLeavesNoEncoderBehind(t *testing.T) {
 	active.Store(0)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	cfg := intConfig(2, func(x int) error {
+	p := intPipeline(t, 2, func(x int) error {
 		active.Add(1)
 		defer active.Add(-1)
 		if x == encodeChunk+50 {
@@ -202,13 +192,13 @@ func TestStagingLeavesNoEncoderBehind(t *testing.T) {
 		}
 		return nil
 	})
-	if _, err := StageExamples(ctx, cfg, counting(chunks*encodeChunk, nil)); !errors.Is(err, context.Canceled) {
-		t.Errorf("StageExamples under a canceled context: %v", err)
+	if _, err := p.Stage(ctx, counting(chunks*encodeChunk, nil)); !errors.Is(err, context.Canceled) {
+		t.Errorf("Stage under a canceled context: %v", err)
 	}
 	if n := active.Load(); n != 0 {
 		t.Errorf("%d encoders still running after cancellation", n)
 	}
-	if files := staged(t, cfg); len(files) != 0 {
+	if files := staged(t, p); len(files) != 0 {
 		t.Errorf("canceled staging committed %d files", len(files))
 	}
 }
@@ -233,16 +223,12 @@ func TestMalformedStagedEventIsAnError(t *testing.T) {
 		{`{"id":"x"}`, "servable has 0 values, want 16"},
 		{string(truncated), "corpus: decode event: record is 28 bytes, want 228"},
 	} {
-		cfg := Config[*corpus.Event]{
-			FS: dfs.NewMem(), Shards: 2, MaxAttempts: 1,
-			Encode: func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
-			Decode: corpus.UnmarshalEvent,
-		}
+		p := eventPipeline(t, WithShards(2), WithRetries(0))
 		recs := append(append([][]byte{}, good...), []byte(c.bad))
-		if _, err := StageRecords(context.Background(), cfg, Examples(recs)); err != nil {
+		if _, err := p.StageRecords(context.Background(), SliceSource(recs)); err != nil {
 			t.Fatal(err)
 		}
-		_, _, err := ExecuteLFs(context.Background(), cfg, apps.EventLFs(20, 1))
+		_, _, err := p.ExecuteLFs(context.Background(), apps.EventLFs(20, 1))
 		if err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("executing over %q: error %v, want %q", c.bad, err, c.want)
 		}
@@ -268,16 +254,12 @@ func TestStagingRefusesEventsTheLFsCannotRead(t *testing.T) {
 		{&short, `encode example 7: corpus: encode event "event-00000007": agg_stats has 3 values, want 8`},
 		{&nan, `encode example 7: corpus: encode event "event-00000007": unsupported value: NaN`},
 	} {
-		cfg := Config[*corpus.Event]{
-			FS: dfs.NewMem(), Shards: 2,
-			Encode: func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
-			Decode: corpus.UnmarshalEvent,
-		}
+		p := eventPipeline(t, WithShards(2))
 		src := append(append(append([]*corpus.Event{}, events[:7]...), c.bad), events[8:]...)
-		if _, err := StageExamples(context.Background(), cfg, Examples(src)); err == nil || !strings.Contains(err.Error(), c.want) {
+		if _, err := p.Stage(context.Background(), SliceSource(src)); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("staging error %v, want %q", err, c.want)
 		}
-		if files := staged(t, cfg); len(files) != 0 {
+		if files := staged(t, p); len(files) != 0 {
 			t.Errorf("staging that failed on %q committed %d files", c.want, len(files))
 		}
 	}

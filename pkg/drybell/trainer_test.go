@@ -1,4 +1,4 @@
-package core
+package drybell
 
 import (
 	"context"
@@ -35,7 +35,7 @@ func TestDenoiseTrainerSwitchEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := reference.Posteriors(mx)
-	_, got, err := Denoise(context.Background(), mx, opts)
+	_, got, err := eventPipeline(t, WithLabelModel(opts)).Denoise(context.Background(), mx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,11 +69,8 @@ func TestTrainerTerminatesOnEventMatrices(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(Config[*corpus.Event]{
-			Encode:     func(e *corpus.Event) ([]byte, error) { return e.Marshal() },
-			Decode:     corpus.UnmarshalEvent,
-			LabelModel: labelmodel.Options{Steps: 10},
-		}, events, apps.EventLFs(apps.NumEventLFs, tc.seed))
+		p := eventPipeline(t, WithLabelModel(labelmodel.Options{Steps: 10}))
+		res, err := p.Run(context.Background(), SliceSource(events), apps.EventLFs(apps.NumEventLFs, tc.seed))
 		if err != nil {
 			t.Fatal(err)
 		}

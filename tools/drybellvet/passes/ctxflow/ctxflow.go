@@ -1,12 +1,12 @@
-// Package ctxflow enforces the PR 1 cancellation contract:
+// Package ctxflow enforces the cancellation contract:
 //
 //   - A function that receives a context.Context must thread it through: a
 //     call to context.Background() or context.TODO() inside such a function
 //     severs cancellation and is reported. Intentional detachment (a
 //     background task that must outlive the request) is allowlisted with
 //     //drybellvet:detached.
-//   - In the engine packages (internal/lf, internal/mapreduce,
-//     internal/core) the per-record loops must stay cancelable: an
+//   - In the engine packages (internal/lf, internal/mapreduce, pkg/drybell)
+//     the per-record loops must stay cancelable: an
 //     outermost loop that calls functions but never touches a context —
 //     neither polling ctx.Err()/ctx.Done() nor passing ctx to a callee — is
 //     reported. Bounded per-row/per-field loops with no cancellation point
@@ -25,7 +25,7 @@ import (
 var LoopScope = []string{
 	"repro/internal/lf",
 	"repro/internal/mapreduce",
-	"repro/internal/core",
+	"repro/pkg/drybell",
 }
 
 var Analyzer = &analysis.Analyzer{

@@ -38,7 +38,6 @@ var Scope = []string{
 	"repro/internal/recordio",
 	"repro/internal/serving",
 	"repro/internal/experiments",
-	"repro/internal/core",
 	"repro/internal/par",
 	"repro/pkg/drybell",
 	"repro/pkg/drybell/lf",

@@ -29,7 +29,6 @@ var Scope = []string{
 	"repro/internal/dfs",
 	"repro/internal/mapreduce",
 	"repro/internal/lf",
-	"repro/internal/core",
 	"repro/internal/serving",
 	"repro/pkg/drybell",
 }
