@@ -1,7 +1,6 @@
 package apps
 
 import (
-	"strings"
 	"sync"
 
 	"repro/internal/corpus"
@@ -23,54 +22,31 @@ func ProductLFs(graph kgraph.Client, seed int64) []DocLF {
 
 	inCategory := append(append([]string{}, kgraph.BikeKeywords...), kgraph.BikeAccessoryKeywords...)
 
-	containsAny := func(text string, words []string) bool {
-		for _, w := range words {
-			if strings.Contains(text, w) {
-				return true
-			}
-		}
-		return false
-	}
 	// The translated keyword tables are expanded from the graph client once,
 	// on first vote, exactly as the paper's LFs queried the graph during
-	// development; per-vote work is then lock-free map reads shared by every
-	// graph-backed function in the set. Expansion enumerates the ten serving
-	// locales (kgraph.Languages), the product task's language universe.
+	// development; per-vote work is then one lock-free map read and one
+	// automaton scan. Expansion enumerates the ten serving locales
+	// (kgraph.Languages), the product task's language universe.
 	tables := &translationTables{keywords: inCategory}
+	// keyword_other_accessory_en's words: the out-of-category ones first, then
+	// the in-category ones that veto them.
+	otherOrIn := append(append([]string{}, kgraph.OtherAccessoryKeywords...), inCategory...)
+	otherMask := uint64(1)<<len(kgraph.OtherAccessoryKeywords) - 1
 
 	return []DocLF{
 		// --- Servable: English keyword rules. ---
-		&lf.Func[*corpus.Document]{
-			Meta: lf.Meta{Name: "keyword_bike_en", Category: lf.ContentHeuristic, Servable: true},
-			Fn: func(d *corpus.Document) lf.Label {
-				if containsAny(d.Text(), kgraph.BikeKeywords) {
-					return lf.Positive
-				}
-				return lf.Abstain
-			},
-		},
-		&lf.Func[*corpus.Document]{
-			Meta: lf.Meta{Name: "keyword_accessory_en", Category: lf.ContentHeuristic, Servable: true},
-			Fn: func(d *corpus.Document) lf.Label {
-				// The expanded category: accessories and parts now count.
-				if containsAny(d.Text(), kgraph.BikeAccessoryKeywords) {
-					return lf.Positive
-				}
-				return lf.Abstain
-			},
-		},
-		&lf.Func[*corpus.Document]{
-			Meta: lf.Meta{Name: "keyword_other_accessory_en", Category: lf.ContentHeuristic, Servable: true},
-			Fn: func(d *corpus.Document) lf.Label {
-				text := d.Text()
-				if containsAny(text, kgraph.OtherAccessoryKeywords) &&
-					!containsAny(text, kgraph.BikeKeywords) &&
-					!containsAny(text, kgraph.BikeAccessoryKeywords) {
+		keywords(lf.Meta{Name: "keyword_bike_en", Category: lf.ContentHeuristic, Servable: true},
+			kgraph.BikeKeywords, onAny(lf.Positive)),
+		// The expanded category: accessories and parts now count.
+		keywords(lf.Meta{Name: "keyword_accessory_en", Category: lf.ContentHeuristic, Servable: true},
+			kgraph.BikeAccessoryKeywords, onAny(lf.Positive)),
+		keywords(lf.Meta{Name: "keyword_other_accessory_en", Category: lf.ContentHeuristic, Servable: true},
+			otherOrIn, func(_ *corpus.Document, hits uint64) lf.Label {
+				if hits&otherMask != 0 && hits&^otherMask == 0 {
 					return lf.Negative
 				}
 				return lf.Abstain
-			},
-		},
+			}),
 
 		// --- Non-servable: Knowledge Graph translations (ten languages),
 		// the graph-based template over the shared cached client. ---
@@ -78,8 +54,7 @@ func ProductLFs(graph kgraph.Client, seed int64) []DocLF {
 			Meta:   lf.Meta{Name: "kg_translated_bike", Category: lf.GraphBased, Servable: false},
 			Client: client,
 			Query: func(g kgraph.Client, d *corpus.Document) lf.Label {
-				tables.expand(g)
-				if forms, ok := tables.in[d.Language]; ok && containsAny(d.Text(), forms) {
+				if hits, w := tables.hits(g, d); hits&w.in != 0 {
 					return lf.Positive
 				}
 				return lf.Abstain
@@ -89,12 +64,8 @@ func ProductLFs(graph kgraph.Client, seed int64) []DocLF {
 			Meta:   lf.Meta{Name: "kg_translated_other_accessory", Category: lf.GraphBased, Servable: false},
 			Client: client,
 			Query: func(g kgraph.Client, d *corpus.Document) lf.Label {
-				tables.expand(g)
-				text := d.Text()
-				if forms, ok := tables.out[d.Language]; ok && containsAny(text, forms) {
-					if in, ok := tables.in[d.Language]; !ok || !containsAny(text, in) {
-						return lf.Negative
-					}
+				if hits, w := tables.hits(g, d); hits&w.out != 0 && hits&w.in == 0 {
+					return lf.Negative
 				}
 				return lf.Abstain
 			},
@@ -131,10 +102,7 @@ func ProductLFs(graph kgraph.Client, seed int64) []DocLF {
 		&lf.ModelFunc[*corpus.Document]{
 			Meta: lf.Meta{Name: "merchant_category_model", Category: lf.ModelBased, Servable: false},
 			Score: func(d *corpus.Document) float64 {
-				tables.expand(client)
-				text := d.Text()
-				if forms, ok := tables.in[d.Language]; ok && containsAny(text, forms) &&
-					containsAny(text, nlp.TopicVocab[nlp.TopicShopping]) {
+				if hits, w := tables.hits(client, d); hits&w.in != 0 && hits&w.shop != 0 {
 					return 1
 				}
 				return 0
@@ -145,33 +113,70 @@ func ProductLFs(graph kgraph.Client, seed int64) []DocLF {
 	}
 }
 
-// translationTables holds the language → localized-surface-form tables the
-// product set's graph-backed functions share, expanded from the knowledge
-// graph exactly once.
+// translationTables holds, per language, one automaton over the localized
+// surface forms the product set's graph-backed functions look for, expanded
+// from the knowledge graph exactly once.
 type translationTables struct {
 	keywords []string // in-category keyword set
 	once     sync.Once
-	in, out  map[string][]string
+	langs    map[string]translatedWords
 }
 
-// expand builds both tables through the (cached) client on first use.
-func (t *translationTables) expand(g kgraph.Client) {
-	t.once.Do(func() {
-		t.in = expandTranslations(g, t.keywords)
-		t.out = expandTranslations(g, kgraph.OtherAccessoryKeywords)
-	})
+// translatedWords is one language's automaton over its in-category forms,
+// its out-of-category forms and the shopping vocabulary, and which hit bits
+// belong to each group. A group the graph has no forms for has no bits.
+type translatedWords struct {
+	m             *lf.Matcher
+	in, out, shop uint64
 }
 
-// expandTranslations asks the graph for every keyword's surface form in
-// each serving locale.
-func expandTranslations(g kgraph.Client, keywords []string) map[string][]string {
-	out := make(map[string][]string)
-	for _, kw := range keywords {
-		for _, lang := range kgraph.Languages {
-			if form, ok := g.Translate(kw, lang); ok {
-				out[lang] = append(out[lang], form)
+// hits expands the tables through the (cached) client on first use and scans
+// the document's text with its language's automaton. A language outside
+// the serving locales has zero masks.
+func (t *translationTables) hits(g kgraph.Client, d *corpus.Document) (uint64, translatedWords) {
+	t.once.Do(func() { t.langs = expandTranslations(g, t.keywords) })
+	w := t.langs[d.Language]
+	if w.m == nil {
+		return 0, w
+	}
+	return w.m.Hits(d.Text()), w
+}
+
+// expandTranslations asks the graph for every keyword's surface form in each
+// serving locale and compiles each locale's forms, with the shopping
+// vocabulary, into one automaton. A form found in several groups gets one
+// bit in each group's mask; an empty form names nothing to look for.
+func expandTranslations(g kgraph.Client, in []string) map[string]translatedWords {
+	out := make(map[string]translatedWords)
+	for _, lang := range kgraph.Languages {
+		var w translatedWords
+		var words []string
+		bit := map[string]uint64{}
+		add := func(mask *uint64, form string) {
+			if _, ok := bit[form]; !ok {
+				bit[form] = 1 << len(words)
+				words = append(words, form)
+			}
+			*mask |= bit[form]
+		}
+		translate := func(mask *uint64, keywords []string) {
+			for _, kw := range keywords {
+				if form, ok := g.Translate(kw, lang); ok && form != "" {
+					add(mask, form)
+				}
 			}
 		}
+		translate(&w.in, in)
+		translate(&w.out, kgraph.OtherAccessoryKeywords)
+		for _, word := range nlp.TopicVocab[nlp.TopicShopping] {
+			add(&w.shop, word)
+		}
+		m, err := lf.NewMatcher(words) // at most 35 distinct non-empty words
+		if err != nil {
+			panic(err)
+		}
+		w.m = m
+		out[lang] = w
 	}
 	return out
 }

@@ -10,7 +10,7 @@
 package apps
 
 import (
-	"strings"
+	"math/bits"
 
 	"repro/internal/corpus"
 	"repro/internal/features"
@@ -48,40 +48,21 @@ func cachedClient(graph kgraph.Client) kgraph.Client {
 func TopicLFs(graph kgraph.Client, nerMissRate float64, seed int64) []DocLF {
 	client := cachedClient(graph)
 	newServer := func() *nlp.Server { return nlp.NewServer(nerMissRate, seed) }
-	celebKeywords := corpus.CelebrityKeywords()
 	entDomains := toSet(corpus.EntertainmentDomains())
 	boringDomains := toSet(corpus.BoringDomains())
 
 	return []DocLF{
 		// --- Servable: content and source heuristics (pattern-based). ---
-		&lf.Func[*corpus.Document]{
-			Meta: lf.Meta{Name: "keyword_celebrity", Category: lf.ContentHeuristic, Servable: true},
-			Fn: func(d *corpus.Document) lf.Label {
-				text := d.Text()
-				for _, kw := range celebKeywords {
-					if strings.Contains(text, kw) {
-						return lf.Positive
-					}
-				}
-				return lf.Abstain
-			},
-		},
-		&lf.Func[*corpus.Document]{
-			Meta: lf.Meta{Name: "keyword_offtopic_jargon", Category: lf.ContentHeuristic, Servable: true},
-			Fn: func(d *corpus.Document) lf.Label {
-				text := d.Text()
-				hits := 0
-				for _, kw := range []string{"dividend", "earnings", "api", "encryption", "vaccine", "itinerary"} {
-					if strings.Contains(text, kw) {
-						hits++
-					}
-				}
-				if hits >= 2 {
+		keywords(lf.Meta{Name: "keyword_celebrity", Category: lf.ContentHeuristic, Servable: true},
+			corpus.CelebrityKeywords(), onAny(lf.Positive)),
+		keywords(lf.Meta{Name: "keyword_offtopic_jargon", Category: lf.ContentHeuristic, Servable: true},
+			[]string{"dividend", "earnings", "api", "encryption", "vaccine", "itinerary"},
+			func(_ *corpus.Document, hits uint64) lf.Label {
+				if bits.OnesCount64(hits) >= 2 {
 					return lf.Negative
 				}
 				return lf.Abstain
-			},
-		},
+			}),
 		&lf.Func[*corpus.Document]{
 			Meta: lf.Meta{Name: "url_entertainment", Category: lf.SourceHeuristic, Servable: true},
 			Fn: func(d *corpus.Document) lf.Label {
@@ -193,6 +174,26 @@ func TopicLFs(graph kgraph.Client, nerMissRate float64, seed int64) []DocLF {
 // TopicSet is TopicLFs as a named, validated set (cmd/lfrun's "topic").
 func TopicSet(graph kgraph.Client, nerMissRate float64, seed int64) (*lf.Set[*corpus.Document], error) {
 	return lf.NewSet("topic", TopicLFs(graph, nerMissRate, seed)...)
+}
+
+// keywords is a Keywords function over a document's text. The word lists
+// are this package's own, so a refusal is a bug.
+func keywords(meta lf.Meta, words []string, vote func(*corpus.Document, uint64) lf.Label) DocLF {
+	f, err := lf.Keywords[*corpus.Document]{Meta: meta, GetText: (*corpus.Document).Text, Words: words, Vote: vote}.Compile()
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// onAny votes v when any word occurs.
+func onAny(v lf.Label) func(*corpus.Document, uint64) lf.Label {
+	return func(_ *corpus.Document, hits uint64) lf.Label {
+		if hits != 0 {
+			return v
+		}
+		return lf.Abstain
+	}
 }
 
 func toSet(xs []string) map[string]bool {

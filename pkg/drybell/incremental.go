@@ -185,6 +185,7 @@ func (p *Pipeline[T]) StageDeltaAt(ctx context.Context, src Source[T], startRow 
 // stageDelta is StageDelta and StageDeltaAt: a negative startRow appends
 // after the rows staged so far.
 func (p *Pipeline[T]) stageDelta(ctx context.Context, src Source[T], startRow int, deleted []int) (g CorpusGeneration, err error) {
+	ctx = p.observer.Context(ctx)
 	_, span := obs.StartSpan(ctx, "stage.delta", obs.Int("deleted", len(deleted)))
 	defer func() {
 		span.SetAttr(obs.Int("start_row", g.StartRow), obs.Int("generation", g.Gen), obs.Int("records", g.Records))

@@ -8,6 +8,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/corpus"
 	"repro/internal/labelmodel"
+	"repro/internal/nlp"
 	"repro/pkg/drybell/lf"
 )
 
@@ -27,23 +28,87 @@ func reportPerDoc(b *testing.B, start time.Time, docs int) {
 	b.ReportMetric(float64(time.Since(start).Microseconds())/float64(b.N*docs), "us/doc")
 }
 
+// topicBenchSet is the topic task at the same shape: 3,750 generated
+// documents, decoded as a map task decodes them, and the paper's ten
+// functions, their NLP functions sharing a launched model server.
+func topicBenchSet(b *testing.B) ([]*corpus.Document, []lf.LF[*corpus.Document], nlp.Annotator) {
+	b.Helper()
+	docs, err := corpus.GenerateTopic(corpus.DefaultTopicSpec(3750, 7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs, err := corpus.MarshalDocuments(docs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if docs, err = corpus.UnmarshalDocuments(recs); err != nil {
+		b.Fatal(err)
+	}
+	lfs := apps.TopicLFs(nil, 0.02, 7)
+	ann, stop, err := lf.ResolveAnnotator(lfs)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(stop)
+	return docs, lfs, ann
+}
+
+// memoAnnotator annotates each text once per pass, as a map task's
+// per-batch memo does.
+type memoAnnotator struct {
+	inner nlp.Annotator
+	seen  map[string]*nlp.Result
+}
+
+func (m *memoAnnotator) Annotate(text string) (*nlp.Result, error) {
+	if res, ok := m.seen[text]; ok {
+		return res, nil
+	}
+	res, err := m.inner.Annotate(text)
+	if err == nil {
+		m.seen[text] = res
+	}
+	return res, err
+}
+
 // BenchmarkVoteColumns is the batch vote layer: every function writes its
-// column of one row-major buffer (lf.VoteAll), as a fused map task does.
+// column of one row-major buffer (lf.VoteAll), as a fused map task does —
+// over the events set, and over the topic set with its NLP functions
+// injected with a per-pass annotation memo.
 func BenchmarkVoteColumns(b *testing.B) {
-	events, lfs := voteBenchSet(b)
+	b.Run("events", func(b *testing.B) {
+		events, lfs := voteBenchSet(b)
+		benchVoteColumns(b, events, lfs, func() {})
+	})
+	b.Run("topic", func(b *testing.B) {
+		docs, lfs, ann := topicBenchSet(b)
+		memo := &memoAnnotator{inner: ann}
+		for _, f := range lfs {
+			if a, ok := f.(lf.Annotatable); ok {
+				a.SetAnnotator(memo)
+			}
+		}
+		benchVoteColumns(b, docs, lfs, func() { memo.seen = make(map[string]*nlp.Result, len(docs)) })
+	})
+}
+
+// benchVoteColumns times b.N passes of VoteAll over every column; pass runs
+// at the start of each.
+func benchVoteColumns[T any](b *testing.B, xs []T, lfs []lf.LF[T], pass func()) {
 	ctx := context.Background()
 	n := len(lfs)
-	buf := make([]byte, len(events)*n)
+	buf := make([]byte, len(xs)*n)
 	b.ResetTimer()
 	start := time.Now()
 	for range b.N {
+		pass()
 		for j, f := range lfs {
-			if _, err := lf.VoteAll(ctx, f, events, buf, n, j); err != nil {
+			if _, err := lf.VoteAll(ctx, f, xs, buf, n, j); err != nil {
 				b.Fatal(err)
 			}
 		}
 	}
-	reportPerDoc(b, start, len(events))
+	reportPerDoc(b, start, len(xs))
 }
 
 // BenchmarkVoteRow is the online vote layer: one Evaluator.VoteRow per

@@ -2,14 +2,17 @@ package lf_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/kgraph"
 	"repro/internal/labelmodel"
+	"repro/internal/nlp"
 	"repro/pkg/drybell/lf"
 )
 
@@ -24,6 +27,16 @@ func (f *tableLF) LFMeta() lf.Meta { return lf.Meta{Name: f.name} }
 
 func (f *tableLF) Vote(_ context.Context, x int) (lf.Label, error) {
 	return f.votes[x], nil
+}
+
+// stubAnnotator annotates every text as empty, or refuses every text with err.
+type stubAnnotator struct{ err error }
+
+func (a stubAnnotator) Annotate(string) (*nlp.Result, error) {
+	if a.err != nil {
+		return nil, a.err
+	}
+	return &nlp.Result{}, nil
 }
 
 // scoreOf maps an example to a score, NaN and ±Inf included.
@@ -167,12 +180,25 @@ func TestVoteAllRejectsBadFunctions(t *testing.T) {
 		return lf.Positive
 	}
 	bad := map[string]lf.LF[int]{
-		"nil_score": &lf.ModelFunc[int]{Meta: lf.Meta{Name: "nil_score"}},
-		"overlap":   lf.Threshold(lf.Meta{Name: "overlap"}, scoreOf(1), -1, 1),
-		"nil_fn":    &lf.Func[int]{Meta: lf.Meta{Name: "nil_fn"}},
-		"func_7":    lf.New(lf.Meta{Name: "func_7"}, seven),
-		"table_7":   &tableLF{name: "table_7", votes: []lf.Label{0, 1, 7, -1}},
-		"graph_7":   &lf.GraphFunc[int]{Meta: lf.Meta{Name: "graph_7"}, Query: func(_ kgraph.Client, x int) lf.Label { return seven(x) }},
+		"nil_score":   &lf.ModelFunc[int]{Meta: lf.Meta{Name: "nil_score"}},
+		"overlap":     lf.Threshold(lf.Meta{Name: "overlap"}, scoreOf(1), -1, 1),
+		"nil_fn":      &lf.Func[int]{Meta: lf.Meta{Name: "nil_fn"}},
+		"func_7":      lf.New(lf.Meta{Name: "func_7"}, seven),
+		"table_7":     &tableLF{name: "table_7", votes: []lf.Label{0, 1, 7, -1}},
+		"graph_7":     &lf.GraphFunc[int]{Meta: lf.Meta{Name: "graph_7"}, Query: func(_ kgraph.Client, x int) lf.Label { return seven(x) }},
+		"nlp_no_text": &lf.NLPFunc[int]{Meta: lf.Meta{Name: "nlp_no_text"}, GetValue: func(int, *nlp.Result) lf.Label { return lf.Abstain }},
+		"nlp_unwired": &lf.NLPFunc[int]{Meta: lf.Meta{Name: "nlp_unwired"}, GetText: strconv.Itoa, GetValue: func(int, *nlp.Result) lf.Label { return lf.Abstain }},
+	}
+	kw7, err := lf.Keywords[int]{Meta: lf.Meta{Name: "kw_7"}, GetText: strconv.Itoa, Words: []string{"2"},
+		Vote: func(x int, _ uint64) lf.Label { return seven(x) }}.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad["kw_7"] = kw7
+	for name, ann := range map[string]nlp.Annotator{"nlp_7": stubAnnotator{}, "nlp_fails": stubAnnotator{errors.New("model server down")}} {
+		f := &lf.NLPFunc[int]{Meta: lf.Meta{Name: name}, GetText: strconv.Itoa, GetValue: func(x int, _ *nlp.Result) lf.Label { return seven(x) }}
+		f.SetAnnotator(ann)
+		bad[name] = f
 	}
 	for name, f := range bad {
 		buf := make([]byte, len(xs)*2)

@@ -11,13 +11,15 @@
 //
 // A batch, on either engine, is voted one function at a time by VoteAll,
 // which writes each vote's byte into that function's column of a row-major
-// vote buffer. Func and ModelFunc check their configuration once per batch
-// there rather than once per example; every other function votes through
-// Vote.
+// vote buffer. Func (and so a compiled Keywords) and ModelFunc check their
+// configuration once per batch there, and NLPFunc once per chunk of 256
+// examples, rather than once per example; every other function votes
+// through Vote.
 //
 // The paper's five template classes map to:
 //
 //   - Func: the default pipeline (LabelingFunction) — a pure heuristic.
+//     Keywords compiles a word-list rule into one that scans a text once.
 //   - NLPFunc: the model-server pipeline (NLPLabelingFunction) — its set
 //     shares one NLP model server per compute node offline and one cached
 //     annotator online, launched, injected and stopped by the engine.
@@ -183,9 +185,9 @@ type VoteCounts = labelmodel.VoteCounts
 // buffer with stride functions per row. It is the one vote loop behind the
 // batch executor's map tasks and the online batch path (Evaluator.VoteRow is
 // the per-row loop): votes are checked once, as they are written, and counted. Func and
-// ModelFunc check their configuration once per call and vote without a Vote
-// call per example; any other function votes through Vote. On error dst may
-// hold a part of the column.
+// ModelFunc check their configuration once per call, NLPFunc once per chunk,
+// and they vote without a Vote call per example; any other function votes
+// through Vote. On error dst may hold a part of the column.
 func VoteAll[T any](ctx context.Context, f LF[T], xs []T, dst []byte, stride, col int) (VoteCounts, error) {
 	var c VoteCounts
 	if len(xs) == 0 {
@@ -219,6 +221,10 @@ func VoteAll[T any](ctx context.Context, f LF[T], xs []T, dst []byte, stride, co
 			g.voteColumn(chunk, votes)
 		case *Func[T]:
 			g.voteColumn(chunk, votes)
+		case *NLPFunc[T]:
+			if err := g.voteColumn(chunk, votes); err != nil {
+				return c, err
+			}
 		default:
 			for i, x := range chunk {
 				v, err := f.Vote(ctx, x)

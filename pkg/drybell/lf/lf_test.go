@@ -43,7 +43,25 @@ func templateLFs() map[string]lf.LF[*corpus.Document] {
 		},
 	}
 	agg.Freeze(lf.Summary{Count: 6, Mean: 0.5})
+	kw, err := lf.Keywords[*corpus.Document]{
+		Meta:    lf.Meta{Name: "keywords", Category: lf.ContentHeuristic, Servable: true},
+		GetText: (*corpus.Document).Text,
+		Words:   []string{"gossip", "Ava", "va S"},
+		Vote: func(_ *corpus.Document, hits uint64) lf.Label {
+			switch {
+			case hits&1 != 0:
+				return lf.Positive
+			case hits == 6:
+				return lf.Negative
+			}
+			return lf.Abstain
+		},
+	}.Compile()
+	if err != nil {
+		panic(err)
+	}
 	return map[string]lf.LF[*corpus.Document]{
+		"Keywords": kw,
 		"Func": lf.New(
 			lf.Meta{Name: "func", Category: lf.ContentHeuristic, Servable: true},
 			func(d *corpus.Document) lf.Label {

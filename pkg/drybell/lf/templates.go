@@ -16,7 +16,7 @@ import (
 
 // Func is the default labeling-function template: a pure heuristic from an
 // example to a vote, with no services and no state. It is the right template
-// for keyword, URL, and pattern rules.
+// for URL and pattern rules; keyword rules scan once with Keywords.
 type Func[T any] struct {
 	Meta Meta
 	// Fn inspects one example and returns a vote or abstains.
@@ -52,6 +52,94 @@ func (f *Func[T]) voteColumn(xs []T, votes []Label) {
 	for i, x := range xs {
 		votes[i] = f.Fn(x)
 	}
+}
+
+// ---------------------------------------------------------------------------
+// Keywords — keyword rules, each text scanned once.
+
+// Matcher finds which of up to 64 words occur in a text in one pass: a
+// dense-table Aho-Corasick automaton over bytes, so a word occurs exactly
+// when strings.Contains finds it, invalid UTF-8 included. It is read-only
+// once built and safe for concurrent use.
+type Matcher struct {
+	next []uint32 // next[s<<8|b]: the state after byte b in state s
+	out  []uint64 // out[s]: the words ending at state s, as Hits bits
+}
+
+// NewMatcher compiles words into a Matcher. It refuses an empty word, a
+// duplicate word and more than 64 words.
+func NewMatcher(words []string) (*Matcher, error) {
+	if len(words) > 64 {
+		return nil, fmt.Errorf("%d keywords, want at most 64", len(words))
+	}
+	m := &Matcher{next: make([]uint32, 256), out: make([]uint64, 1)}
+	for i, w := range words {
+		s := uint32(0)
+		for j := range len(w) {
+			e := s<<8 | uint32(w[j])
+			if m.next[e] == 0 {
+				m.next[e] = uint32(len(m.out))
+				m.next = append(m.next, make([]uint32, 256)...)
+				m.out = append(m.out, 0)
+			}
+			s = m.next[e]
+		}
+		if s == 0 || m.out[s] != 0 {
+			return nil, fmt.Errorf("keyword %d (%q) is empty or a duplicate", i, w)
+		}
+		m.out[s] = 1 << i
+	}
+	// Breadth first, each state takes its failure state's words, and each
+	// missing edge the failure state's edge, whose row is already complete.
+	fail := make([]uint32, len(m.out))
+	for queue := []uint32{0}; len(queue) > 0; queue = queue[1:] {
+		s := queue[0]
+		m.out[s] |= m.out[fail[s]]
+		for b := range uint32(256) {
+			if t := m.next[s<<8|b]; t == 0 {
+				m.next[s<<8|b] = m.next[fail[s]<<8|b]
+			} else {
+				if s != 0 { // the root's children fail to the root
+					fail[t] = m.next[fail[s]<<8|b]
+				}
+				queue = append(queue, t)
+			}
+		}
+	}
+	return m, nil
+}
+
+// Hits returns the words occurring in text: bit i is set when word i does.
+func (m *Matcher) Hits(text string) (hits uint64) {
+	next, out, s := m.next, m.out, uint32(0)
+	for i := range len(text) {
+		s = next[s<<8|uint32(text[i])]
+		hits |= out[s]
+	}
+	return hits
+}
+
+// Keywords is the keyword template: one scan of GetText's text finds which
+// Words occur, and Vote votes from that mask — "any word" is hits != 0,
+// "two or more" bits.OnesCount64(hits) >= 2, and a rule over several word
+// groups masks each group's bits. Compile turns it into the Func that votes.
+type Keywords[T any] struct {
+	Meta    Meta
+	GetText func(T) string // the text to scan
+	Words   []string       // bit i of a hit mask is Words[i]
+	Vote    func(x T, hits uint64) Label
+}
+
+// Compile builds the rule's function, compiling Words into one Matcher.
+func (k Keywords[T]) Compile() (*Func[T], error) {
+	if k.GetText == nil || k.Vote == nil {
+		return nil, fmt.Errorf("lf %s: Keywords needs GetText and Vote", k.Meta.Name)
+	}
+	m, err := NewMatcher(k.Words)
+	if err != nil {
+		return nil, fmt.Errorf("lf %s: %w", k.Meta.Name, err)
+	}
+	return New(k.Meta, func(x T) Label { return k.Vote(x, m.Hits(k.GetText(x))) }), nil
 }
 
 // ---------------------------------------------------------------------------
@@ -133,19 +221,31 @@ func (f *NLPFunc[T]) ForNode() LF[T] {
 
 // Vote implements LF.
 func (f *NLPFunc[T]) Vote(_ context.Context, x T) (Label, error) {
+	var v [1]Label
+	if err := f.voteColumn([]T{x}, v[:]); err != nil {
+		return 0, err
+	}
+	return v[0], checkVote(f.Meta, v[0])
+}
+
+// voteColumn votes xs into votes, checking the configuration and reading the
+// injected annotator once for them all; VoteAll calls it once per chunk.
+func (f *NLPFunc[T]) voteColumn(xs []T, votes []Label) error {
 	if f.GetText == nil || f.GetValue == nil {
-		return 0, fmt.Errorf("lf %s: NLPFunc needs GetText and GetValue", f.Meta.Name)
+		return fmt.Errorf("lf %s: NLPFunc needs GetText and GetValue", f.Meta.Name)
 	}
 	ann := f.annotator()
 	if ann == nil {
-		return 0, fmt.Errorf("lf %s: no NLP annotator injected (run the function through an engine, or SetAnnotator first)", f.Meta.Name)
+		return fmt.Errorf("lf %s: no NLP annotator injected (run the function through an engine, or SetAnnotator first)", f.Meta.Name)
 	}
-	res, err := ann.Annotate(f.GetText(x))
-	if err != nil {
-		return 0, fmt.Errorf("lf %s: annotate: %w", f.Meta.Name, err)
+	for i, x := range xs {
+		res, err := ann.Annotate(f.GetText(x))
+		if err != nil {
+			return fmt.Errorf("lf %s: annotate: %w", f.Meta.Name, err)
+		}
+		votes[i] = f.GetValue(x, res)
 	}
-	v := f.GetValue(x, res)
-	return v, checkVote(f.Meta, v)
+	return nil
 }
 
 // ---------------------------------------------------------------------------

@@ -263,6 +263,30 @@ func TestStageMethodsRecordSpans(t *testing.T) {
 	}
 }
 
+// TestStageDeltaRecordsSpan: StageDelta on a WithObserver pipeline records
+// its stage.delta span on the observer, as every other stage method does.
+func TestStageDeltaRecordsSpan(t *testing.T) {
+	ctx := context.Background()
+	o := drybell.NewObserver()
+	p := newPipeline(t, drybell.WithObserver(o))
+	docs := makeDocs(120)
+	if _, err := p.Run(ctx, drybell.SliceSource(docs[:90]), testRunners()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.StageDelta(ctx, drybell.SliceSource(docs[90:])); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, s := range o.Trace.Snapshot() {
+		if s.Name == "stage.delta" {
+			n++
+		}
+	}
+	if n != 1 {
+		t.Errorf("%d stage.delta spans, want 1", n)
+	}
+}
+
 // TestWriteTraceWithoutRun: WriteTrace on a fresh or absent observer is a
 // well-formed no-op — the CLI -trace path must not fail on an empty tracer.
 func TestWriteTraceWithoutRun(t *testing.T) {
