@@ -296,10 +296,3 @@ func TestWriteShardedRoundRobin(t *testing.T) {
 		}
 	}
 }
-
-func TestSortedUnion(t *testing.T) {
-	got := SortedUnion([]string{"b", "a"}, []string{"a", "c"})
-	if len(got) != 3 || got[0] != "a" || got[1] != "b" || got[2] != "c" {
-		t.Errorf("SortedUnion = %v", got)
-	}
-}

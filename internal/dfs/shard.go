@@ -2,7 +2,6 @@ package dfs
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -127,21 +126,4 @@ func WriteSharded(fs FS, base string, records [][]byte, n int, encode func([][]b
 		}
 	}
 	return nil
-}
-
-// SortedUnion merges several sorted path lists, dropping duplicates.
-// Used by tests that combine List results across prefixes.
-func SortedUnion(lists ...[]string) []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, l := range lists {
-		for _, p := range l {
-			if !seen[p] {
-				seen[p] = true
-				out = append(out, p)
-			}
-		}
-	}
-	sort.Strings(out)
-	return out
 }

@@ -70,15 +70,6 @@ func TestSubsetColumnsAndRows(t *testing.T) {
 	}
 }
 
-func TestCoverageAny(t *testing.T) {
-	mx := NewMatrix(4, 2)
-	mx.Set(0, 0, Positive)
-	mx.Set(2, 1, Negative)
-	if got := mx.CoverageAny(); got != 0.5 {
-		t.Errorf("CoverageAny = %v, want 0.5", got)
-	}
-}
-
 func TestPosteriorRowLogic(t *testing.T) {
 	m := &Model{Alpha: []float64{2, 1}, Beta: []float64{0, 0}}
 	// Strong positive from accurate LF dominates weaker negative.

@@ -131,21 +131,6 @@ func (mx *Matrix) SubsetRows(rows []int) *Matrix {
 	return out
 }
 
-// CoverageAny returns the fraction of examples with at least one non-abstain
-// vote. Examples with no votes get an uninformative posterior.
-func (mx *Matrix) CoverageAny() float64 {
-	covered := 0
-	for i := 0; i < mx.m; i++ {
-		for _, v := range mx.Row(i) {
-			if v != Abstain {
-				covered++
-				break
-			}
-		}
-	}
-	return float64(covered) / float64(mx.m)
-}
-
 // Validate checks every entry is a legal vote. Matrices decoded from DFS
 // shards pass through here before training.
 func (mx *Matrix) Validate() error {

@@ -595,15 +595,24 @@ func TestLeasePartitionedWorkerTaskRequeued(t *testing.T) {
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", words, 3)
 
+	// The healthy worker holds its first task until the partitioned one has
+	// leased a task of its own: left free, it could take all three before
+	// the partitioned worker leases any, and the partition would never bite.
+	stalled := make(chan struct{})
+	var once sync.Once
 	partitioned := WorkerHooks{
 		DropHeartbeats: func(mapreduce.TaskSpec) bool { return true },
 		// Stall past the TTL so the partition is always discovered.
-		Stall: func(mapreduce.TaskSpec) { time.Sleep(700 * time.Millisecond) },
+		Stall: func(mapreduce.TaskSpec) {
+			once.Do(func() { close(stalled) })
+			time.Sleep(700 * time.Millisecond)
+		},
 	}
+	healthy := WorkerHooks{Stall: func(mapreduce.TaskSpec) { <-stalled }}
 	c := startCluster(t, PoolOptions{
 		FS: fs, Slots: 2,
 		LeaseTTL: 300 * time.Millisecond, SweepEvery: 50 * time.Millisecond,
-	}, testRegistry(t), []WorkerHooks{partitioned, {}})
+	}, testRegistry(t), []WorkerHooks{partitioned, healthy})
 
 	job := remoteJob(fs, c.pool)
 	job.MaxAttempts = 10

@@ -32,9 +32,12 @@ import (
 // both ledgers: later generations supersede row ranges, tombstones drop rows
 // unless a later generation rewrites them. A ledger whose tombstones cover
 // every row is refused (lf.ErrAllTombstoned) with the filesystem untouched.
-// A crash mid-compaction leaves at worst a folded corpus ledger with the vote
-// chain still standing, which loads correctly and is repaired by running
-// Compact again.
+// Compact is not crash-safe. A crash while it rewrites the base input shards
+// leaves them half-rewritten, and every later Compact and StageDelta fails; a
+// crash while it writes the flat vote artifact can leave shards of two write
+// generations, which no longer load; and a crash just after can leave the new
+// flat artifact under the old delta manifests, a wrong view that loads
+// without error and that a retried Compact persists.
 //
 // The Pipeline's carried state stays valid — compaction changes the layout,
 // never the view — and pays for the fold: when the carried view holds exactly

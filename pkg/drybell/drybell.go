@@ -53,9 +53,10 @@
 // matrix; WithLabelModel caps its iterations.
 //
 // For observability, WithObserver attaches a shared metrics registry and span
-// tracer (see NewObserver): every stage method records a span, Run's stages
-// record latency and error metrics, the MapReduce runtime counts task
-// attempts and resumed tasks, the filesystem wrapper counts
+// tracer (see NewObserver): every stage method records a span, the stages of
+// Run and IncrementalRun record latency and error metrics, every execution —
+// a batch job or a round's delta jobs — adds its task attempts, resumed tasks
+// and per-function vote time, the filesystem wrapper counts
 // per-operation calls, errors, and bytes, and a full span tree — pipeline,
 // stages, jobs, individual task attempts — is recorded and exported after
 // Run as a Perfetto-loadable Chrome trace at "<workdir>/_obs/trace.json".
@@ -82,8 +83,9 @@
 // labeling functions execute only over the delta's shards, each delta
 // publishing one generation into the append-only versioned vote store under
 // VotesBase; the Pipeline carries the merged vote view and the label model's
-// warm-start state from round to round — Run is the first round and hands
-// the next the view it published and its training state — so a round over
+// warm-start state from round to round — Run is the first round, through the
+// same body, and hands the next the view it published and its training
+// state — so a round over
 // appended documents reads and compacts only the new generations; and the
 // refreshed labels are persisted over the full corpus. A carried round equals a cold full retrain
 // (or a fresh Pipeline's round) exactly — incremental is a latency
@@ -239,7 +241,8 @@ func (p *Pipeline[T]) stageDone(stage string, start time.Time, err error) time.D
 	return d
 }
 
-// Result is the output of Pipeline.Run.
+// Result is the output of Pipeline.Run, and of IncrementalRun as the Result
+// an IncrementalResult embeds.
 type Result struct {
 	// Matrix is the assembled label matrix Λ.
 	Matrix *Matrix
@@ -251,21 +254,21 @@ type Result struct {
 	// Posteriors are the probabilistic training labels Ỹ_i = P(Y_i=1|Λ_i),
 	// aligned with the input examples.
 	Posteriors []float64
-	// LFReport describes per-function execution.
+	// LFReport describes per-function execution; nil for a round.
 	LFReport *Report
 	// Analysis is the development-loop report over the matrix (coverage,
 	// overlaps, conflicts, and empirical accuracy when WithDevLabels are
-	// present).
+	// present and the run is not a round).
 	Analysis *Analysis
 	// LabelsPath is the DFS base where the probabilistic labels were
 	// persisted (sharded recordio of float64).
 	LabelsPath string
 	// Timings break down the run.
 	Timings Timings
-	// View is Matrix as the view of the generation-0 segment the run
-	// published, at its watermark: carried into IncrementalRun it makes the
-	// first round read only its delta. Read it; do not write to it (a later round's view shares
-	// its rows).
+	// View is Matrix with the watermark of what it merged from the vote store
+	// (Run's: the generation-0 segment it published): carried into the next
+	// round it makes that round read only the generations published since.
+	// Read it; do not write to it (a later round's view shares its rows).
 	View *internallf.View
 }
 
@@ -282,89 +285,134 @@ type Timings struct {
 // errors.Is(err, ctx.Err()); see the package comment for how deep into each
 // stage cancellation reaches.
 //
-// Run is the first round of the incremental loop and trains exactly as a
-// round does: the Pipeline keeps the view of the vote store it published and
-// the training state over it (Result.View and State), so the first
-// IncrementalRun after it reads and compacts only its delta.
+// Run is the first round of the incremental loop and goes through the same
+// body as IncrementalRun: the Pipeline keeps the view of the vote store it
+// published and the training state over it (Result.View and State), so the
+// first IncrementalRun after it reads and compacts only its delta.
 func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Result, error) {
 	p.carried = carried{} // describes the corpus this run replaces
-	ctx = p.observer.Context(ctx)
-	ctx, span := obs.StartSpan(ctx, "pipeline.run", obs.String("workdir", p.workDir))
-	res, err := p.run(ctx, src, lfs)
-	span.EndErr(err)
+	res, err := p.round(ctx, "pipeline.run", lfs, func(ctx context.Context, res *IncrementalResult) error {
+		// Stage 1: write the corpus to the distributed filesystem. A
+		// resuming pipeline trusts a corpus an earlier run already committed
+		// — stages exchange data only through the filesystem (§5.4), so its
+		// presence is the checkpoint — and skips the encode/stage pass.
+		t0 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
+		var n int
+		var err error
+		if p.resume {
+			if staged, serr := mapreduce.StagedCount(p.fs, p.InputPath()); serr == nil {
+				n = staged
+			}
+		}
+		if n == 0 { // nothing committed, or an empty shard set: stage over it
+			n, err = p.Stage(ctx, src)
+		}
+		res.Timings.Stage = p.stageDone("stage", t0, err)
+		if err != nil {
+			return err
+		}
+		// Stage 2: execute the labeling functions on the distributed runtime,
+		// validating a resumed vote artifact against the staged record count
+		// without re-scanning the corpus.
+		t1 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
+		res.View, res.LFReport, err = p.execute(ctx, lfs, n)
+		res.Timings.Execute = p.stageDone("execute-lfs", t1, err)
+		return err
+	})
+	// Only Run exports the trace: a traced daemon runs round after round,
+	// and exporting after each would serialise its whole span buffer.
 	p.exportTrace()
 	if err != nil {
 		return nil, err
 	}
-	p.carried = carried{view: res.View, state: res.State}
-	return res, nil
+	return &res.Result, nil
 }
 
-// run is Run's body, separated so the root span brackets exactly one
-// execution and the trace artifact exports after it closes.
-func (p *Pipeline[T]) run(ctx context.Context, src Source[T], lfs []LF[T]) (*Result, error) {
-	var err error
+// round is the one body of Run and IncrementalRun, under the root span root.
+// execute brings res.View up to date — Run stages and executes generation 0,
+// IncrementalRun executes the pending deltas — and the round then compacts,
+// analyzes, denoises and persists once, and carries the view and the training
+// state forward to the next round.
+func (p *Pipeline[T]) round(ctx context.Context, root string, lfs []LF[T], execute func(context.Context, *IncrementalResult) error) (res *IncrementalResult, err error) {
 	// Validate the function set before staging a single record: duplicate
 	// names would silently overwrite each other's vote shards on the DFS,
 	// and a doomed run should not commit a corpus first.
 	if err := lf.ValidateNames(lfs); err != nil {
 		return nil, fmt.Errorf("drybell: %w", err)
 	}
-	res := &Result{}
-
-	// Stage 1: write the corpus to the distributed filesystem. A resuming
-	// pipeline trusts a corpus an earlier run already committed — stages
-	// exchange data only through the filesystem (§5.4), so its presence is
-	// the checkpoint — and skips the encode/stage pass entirely.
-	t0 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
-	var n int
-	if p.resume {
-		if staged, serr := mapreduce.StagedCount(p.fs, p.InputPath()); serr == nil {
-			n = staged
-		}
-	}
-	if n == 0 { // nothing committed, or an empty shard set: stage over it
-		n, err = p.Stage(ctx, src)
-	}
-	res.Timings.Stage = p.stageDone("stage", t0, err)
-	if err != nil {
-		return nil, err
-	}
-
-	// Stage 2: execute the labeling functions on the distributed runtime,
-	// validating a resumed vote artifact against the staged record count
-	// without re-scanning the corpus.
-	t1 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
-	res.View, res.LFReport, err = p.execute(ctx, lfs, n)
-	res.Timings.Execute = p.stageDone("execute-lfs", t1, err)
-	if err != nil {
+	delta := root == "pipeline.incremental"
+	ctx, span := obs.StartSpan(p.observer.Context(ctx), root,
+		obs.String("workdir", p.workDir), obs.Int("functions", len(lfs)))
+	defer func() { span.EndErr(err) }()
+	prev, prevView := p.carried.state, p.carried.view
+	res = &IncrementalResult{}
+	if err := execute(ctx, res); err != nil {
 		return nil, err
 	}
 	res.Matrix = res.View.Matrix
 
-	// Stage 2b: compact Λ once, for the analysis and the trainer both.
+	// Stage 2b: compact Λ once, for the analysis and the trainer both,
+	// extending the previous round's compaction by the appended rows only
+	// when it is this view's before them: not when the view's rows shifted
+	// or changed under it, nor when it never was this view's.
+	var carriedCompact *labelmodel.CompactMatrix
+	if prev != nil && prev.Compact != nil && prevView != nil && res.ViewRebuilt == "" &&
+		prev.Compact.NumExamples() == prevView.Matrix.NumExamples() && prev.Compact.NumFuncs() == len(lfs) {
+		carriedCompact = prev.Compact
+	}
 	tc := time.Now() //drybellvet:wallclock — stage metrics only
-	cm, err := compact(ctx, res.Matrix, nil)
+	cm, err := compact(ctx, res.Matrix, carriedCompact)
 	p.stageDone("compact", tc, err)
 	if err != nil {
 		return nil, err
 	}
 
 	// Stage 2c: the development-loop analysis over the compaction —
-	// coverage, overlaps, conflicts, and accuracy against any dev labels.
+	// coverage, overlaps, conflicts, and accuracy against any dev labels,
+	// which align with the batch corpus, not with a view grown by deltas.
+	dev := p.devLabels
+	if delta {
+		dev = nil
+	}
 	ta := time.Now() //drybellvet:wallclock — stage metrics only
 	_, aspan := obs.StartSpan(ctx, "stage.analyze")
-	res.Analysis, err = lf.AnalyzeCompact(cm, lf.Metas(lfs), p.devLabels)
+	res.Analysis, err = lf.AnalyzeCompact(cm, lf.Metas(lfs), dev)
 	aspan.EndErr(err)
 	p.stageDone("analyze-lfs", ta, err)
 	if err != nil {
 		return nil, fmt.Errorf("drybell: analyze labeling functions: %w", err)
 	}
 
-	// Stages 3 and 4, trained the way every round trains.
-	if err := p.denoiseAndPersist(ctx, res, cm); err != nil {
+	// Stage 3: train the generative model on the compaction and turn it into
+	// probabilistic labels.
+	t2 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
+	res.Model, res.State, res.Posteriors, err = denoise(ctx, cm, p.labelModel)
+	res.Timings.TrainLabelModel = p.stageDone("denoise", t2, err)
+	if err != nil {
 		return nil, err
 	}
+	res.WarmIterations = res.State.Iterations
+	res.WarmStarted = prev != nil && len(prev.Alpha) > 0
+
+	// Stage 4: persist the labels for the production ML systems.
+	t3 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
+	res.LabelsPath, err = p.Persist(ctx, res.Posteriors)
+	res.Timings.Persist = p.stageDone("persist", t3, err)
+	if err != nil {
+		return nil, err
+	}
+	if delta {
+		span.SetAttr(
+			obs.Int("delta_examples", res.DeltaExamples),
+			obs.Int("delta_task_attempts", res.DeltaTaskAttempts),
+			obs.Int("generations", len(res.Generations)),
+			obs.Int("warm_iterations", res.WarmIterations),
+			obs.Bool("warm_started", res.WarmStarted),
+			obs.Bool("view_carried", res.ViewRebuilt == ""),
+			obs.Int("segments_scanned", res.SegmentsScanned),
+			obs.Int("rows_scanned", res.RowsScanned))
+	}
+	p.carried = carried{view: res.View, state: res.State}
 	return res, nil
 }
 
@@ -389,26 +437,6 @@ func compact(ctx context.Context, mx *labelmodel.Matrix, prev *labelmodel.Compac
 	}
 	span.EndErr(err)
 	return cm, err
-}
-
-// denoiseAndPersist is stages 3 and 4 — train the generative model on cm,
-// the compaction of res.Matrix, turn it into probabilistic labels, persist
-// them for the production ML systems — filling in res. It is the one
-// train→persist tail: a batch run and an incremental round both compact first
-// and record the same spans and stage metrics here.
-func (p *Pipeline[T]) denoiseAndPersist(ctx context.Context, res *Result, cm *labelmodel.CompactMatrix) error {
-	t2 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
-	var err error
-	res.Model, res.State, res.Posteriors, err = denoise(ctx, cm, p.labelModel)
-	res.Timings.TrainLabelModel = p.stageDone("denoise", t2, err)
-	if err != nil {
-		return err
-	}
-
-	t3 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
-	res.LabelsPath, err = p.Persist(ctx, res.Posteriors)
-	res.Timings.Persist = p.stageDone("persist", t3, err)
-	return err
 }
 
 // Stage consumes the source once, encoding each example onto the filesystem
@@ -603,25 +631,31 @@ func (p *Pipeline[T]) ExecuteLFs(ctx context.Context, lfs []LF[T]) (*Matrix, *Re
 // staged record count when the caller just staged the corpus, 0 otherwise.
 func (p *Pipeline[T]) execute(ctx context.Context, lfs []LF[T], known int) (*internallf.View, *Report, error) {
 	view, report, err := p.executor(known).ExecuteContext(ctx, lfs)
-	// Attempt-outcome counters flow into the shared registry here so both
-	// the composed pipeline and a standalone ExecuteLFs report through the
-	// same pipe as the serving tier.
-	if report != nil && p.observer != nil && p.observer.Metrics != nil {
-		reg := p.observer.Metrics
-		reg.Counter("pipeline_task_attempts_total",
-			"MapReduce task attempts launched by labeling-function execution, including retries.").
-			Add(int64(report.TaskAttempts))
-		reg.Counter("pipeline_tasks_resumed_total",
-			"Tasks satisfied from a prior run's checkpoints instead of re-executing.").
-			Add(int64(report.TasksResumed))
-		//drybellvet:tightloop — bounded by the function set, in-memory metric export
-		for _, r := range report.PerLF {
-			reg.Gauge("pipeline_lf_vote_seconds_total",
-				"Vote time per labeling function, summed over map tasks and corpus-fit passes (only ever added to).",
-				obs.Label{Key: "lf", Value: r.Name}).Add(r.Duration.Seconds())
-		}
-	}
+	p.recordExecution(report)
 	return view, report, err
+}
+
+// recordExecution adds one execution's attempt outcomes and per-function vote
+// time to the shared registry — a batch execution, a standalone ExecuteLFs and
+// each delta job of a round alike, through the same pipe as the serving tier.
+// A nil report (an execution that failed before reporting) records nothing.
+func (p *Pipeline[T]) recordExecution(report *Report) {
+	if report == nil || p.observer == nil || p.observer.Metrics == nil {
+		return
+	}
+	reg := p.observer.Metrics
+	reg.Counter("pipeline_task_attempts_total",
+		"MapReduce task attempts launched by labeling-function execution, including retries.").
+		Add(int64(report.TaskAttempts))
+	reg.Counter("pipeline_tasks_resumed_total",
+		"Tasks satisfied from a prior run's checkpoints instead of re-executing.").
+		Add(int64(report.TasksResumed))
+	//drybellvet:tightloop — bounded by the function set, in-memory metric export
+	for _, r := range report.PerLF {
+		reg.Gauge("pipeline_lf_vote_seconds_total",
+			"Vote time per labeling function, summed over map tasks and corpus-fit passes (only ever added to).",
+			obs.Label{Key: "lf", Value: r.Name}).Add(r.Duration.Seconds())
+	}
 }
 
 // executor is the labeling-function engine over this pipeline's staged input

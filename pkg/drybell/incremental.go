@@ -13,11 +13,12 @@
 // are both "generation 0", so the two ledgers advance in lockstep and the
 // vote store itself records how far execution has progressed.
 //
-// Every round goes through IncrementalRun with what the previous round left.
-// A batch run is the round over an empty store: staging its corpus empties
-// the vote store, it trains as a round does from no state, and it leaves the
-// view it published and its training state (Result.View and State), so the
-// first delta round after it reads and compacts only the delta.
+// Run and IncrementalRun are two execute steps in front of one round body
+// (Pipeline.round), which compacts, analyzes, trains and persists. A batch
+// run is the round over an empty store: staging its corpus empties the vote
+// store, it trains from no state, and it leaves the view it published and its
+// training state (Result.View and State), so the first delta round after it
+// reads and compacts only the delta.
 
 package drybell
 
@@ -238,23 +239,16 @@ func (p *Pipeline[T]) ExecutedGeneration() (int, error) {
 	return internallf.LatestGeneration(p.fs, p.VotesBase())
 }
 
-// IncrementalResult is the output of Pipeline.IncrementalRun: the compacted
-// matrix view, the warm-start-trained model and refreshed labels, plus the
-// run's incremental accounting (published generations, delta sizes, task
-// attempts, staleness).
+// IncrementalResult is the output of Pipeline.IncrementalRun: the round's
+// Result plus its incremental accounting (published generations, delta sizes,
+// task attempts, staleness). A round goes through Run's body, so the Result
+// reads the same, with three differences: Matrix is the merged view after the
+// pending deltas, LFReport is nil (each delta job's report goes to the
+// observer's metrics, as a batch execution's does), and Analysis carries no
+// dev-label accuracy, since dev labels align with the batch corpus, not with
+// a view grown by deltas.
 type IncrementalResult struct {
-	// Matrix is the compacted full view after applying the pending deltas.
-	Matrix *Matrix
-	// Model is the warm-start-trained generative model.
-	Model *Model
-	// Posteriors are the refreshed probabilistic labels over the full view.
-	Posteriors []float64
-	// State feeds the next IncrementalRun's warm start.
-	State *TrainState
-	// View is Matrix with the watermark of what it merged from the vote
-	// store; the Pipeline carries it into the next round, which then reads
-	// only the generations published since.
-	View *internallf.View
+	Result
 	// ViewRebuilt is why this round read the whole vote store instead of
 	// carrying the previous round's view forward (one of lf's Rebuilt*
 	// reasons); empty when only the newer generations were read.
@@ -282,8 +276,6 @@ type IncrementalResult struct {
 	// StalenessSeconds is the age of the oldest pending delta at run start —
 	// how far behind the corpus the labels were before this run.
 	StalenessSeconds float64
-	// LabelsPath is the DFS base of the persisted labels.
-	LabelsPath string
 }
 
 // IncrementalRun advances the pipeline by exactly the staged-but-unexecuted
@@ -313,112 +305,15 @@ type IncrementalResult struct {
 // labelmodel's equivalence tests). The result's Matrix is the carried view:
 // read it, do not write to it.
 func (p *Pipeline[T]) IncrementalRun(ctx context.Context, lfs []LF[T]) (*IncrementalResult, error) {
-	if err := lf.ValidateNames(lfs); err != nil {
-		return nil, fmt.Errorf("drybell: %w", err)
-	}
-	ctx = p.observer.Context(ctx)
-	ctx, span := obs.StartSpan(ctx, "pipeline.incremental",
-		obs.String("workdir", p.workDir), obs.Int("functions", len(lfs)))
-	res, err := p.incrementalRun(ctx, lfs)
-	if res != nil {
-		span.SetAttr(
-			obs.Int("delta_examples", res.DeltaExamples),
-			obs.Int("delta_task_attempts", res.DeltaTaskAttempts),
-			obs.Int("generations", len(res.Generations)),
-			obs.Int("warm_iterations", res.WarmIterations),
-			obs.Bool("warm_started", res.WarmStarted),
-			obs.Bool("view_carried", res.ViewRebuilt == ""),
-			obs.Int("segments_scanned", res.SegmentsScanned),
-			obs.Int("rows_scanned", res.RowsScanned))
-	}
-	span.EndErr(err)
+	res, err := p.round(ctx, "pipeline.incremental", lfs, func(ctx context.Context, res *IncrementalResult) error {
+		t0 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
+		err := p.executeDeltas(ctx, lfs, res)
+		res.Timings.Execute = p.stageDone("execute-lfs", t0, err)
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}
-	p.carried = carried{state: res.State, view: res.View}
-	return res, nil
-}
-
-// incrementalRun is IncrementalRun's body, as run is Run's, starting from
-// what the previous round left.
-func (p *Pipeline[T]) incrementalRun(ctx context.Context, lfs []LF[T]) (*IncrementalResult, error) {
-	exec := p.executor(0)
-	votesBase := p.VotesBase()
-	names := lf.Names(lfs)
-	executed, err := internallf.LatestGeneration(p.fs, votesBase)
-	if err != nil {
-		return nil, err
-	}
-	if executed == 0 && !internallf.HasVotes(p.fs, votesBase) {
-		return nil, fmt.Errorf("drybell: incremental run needs a completed base run (no generation 0 at %s)", votesBase)
-	}
-	gens, _, err := p.corpusLedger()
-	if err != nil {
-		return nil, err
-	}
-
-	res := &IncrementalResult{}
-	prev, view := p.carried.state, p.carried.view
-	compactedRows := 0
-	if view != nil {
-		compactedRows = view.Matrix.NumExamples()
-	}
-	now := time.Now() //drybellvet:wallclock — staleness metric only, never in artifacts
-	for _, g := range gens {
-		if g.Gen <= executed {
-			continue
-		}
-		if age := now.Unix() - g.StagedAtUnix; float64(age) > res.StalenessSeconds {
-			res.StalenessSeconds = float64(age)
-		}
-		d := internallf.Delta{StartRow: g.StartRow, Deleted: g.Deleted}
-		if g.Records > 0 {
-			d.InputBase = p.deltaInputBase(g.Gen)
-		}
-		_, report, gen, err := exec.ExecuteDelta(ctx, lfs, d)
-		if err != nil {
-			return nil, fmt.Errorf("drybell: execute delta generation %d: %w", g.Gen, err)
-		}
-		if gen != g.Gen {
-			return nil, fmt.Errorf("drybell: corpus delta %d published vote generation %d — ledgers out of step", g.Gen, gen)
-		}
-		res.Generations = append(res.Generations, gen)
-		res.DeltaExamples += report.Examples
-		res.DeltaTaskAttempts += report.TaskAttempts
-	}
-
-	view, read, err := internallf.LoadView(p.fs, votesBase, names, view)
-	if err != nil {
-		return nil, err
-	}
-	res.View, res.ViewRebuilt = view, read.Rebuilt
-	res.SegmentsScanned, res.RowsScanned = read.Segments, read.Rows
-
-	// Extend the previous round's compaction by the delta's rows only when it
-	// is this view's before the delta: not when the view's rows shifted or
-	// changed under it, nor when it never was this view's. Otherwise the
-	// round compacts from scratch and saves nothing.
-	var carriedCompact *labelmodel.CompactMatrix
-	if prev != nil && prev.Compact != nil && read.Rebuilt == "" &&
-		prev.Compact.NumExamples() == compactedRows && prev.Compact.NumFuncs() == len(names) {
-		carriedCompact = prev.Compact
-	}
-	tc := time.Now() //drybellvet:wallclock — stage metrics only
-	cm, err := compact(ctx, view.Matrix, carriedCompact)
-	p.stageDone("compact", tc, err)
-	if err != nil {
-		return nil, err
-	}
-	// The batch run's train→persist tail, without its Analyze: dev labels
-	// align with the batch corpus, not with a view grown by deltas.
-	out := &Result{Matrix: view.Matrix}
-	if err := p.denoiseAndPersist(ctx, out, cm); err != nil {
-		return nil, err
-	}
-	res.Matrix, res.Model, res.State, res.Posteriors, res.LabelsPath = out.Matrix, out.Model, out.State, out.Posteriors, out.LabelsPath
-	res.WarmIterations = res.State.Iterations
-	res.WarmStarted = prev != nil && len(prev.Alpha) > 0
-
 	if p.observer != nil && p.observer.Metrics != nil {
 		reg := p.observer.Metrics
 		reg.Counter("pipeline_incremental_runs_total",
@@ -438,4 +333,54 @@ func (p *Pipeline[T]) incrementalRun(ctx context.Context, lfs []LF[T]) (*Increme
 		}
 	}
 	return res, nil
+}
+
+// executeDeltas is IncrementalRun's execute step: it runs every pending delta
+// through the vote job, reporting each as a batch execution reports, then
+// brings the carried view up to date with LoadView.
+func (p *Pipeline[T]) executeDeltas(ctx context.Context, lfs []LF[T], res *IncrementalResult) error {
+	exec := p.executor(0)
+	votesBase := p.VotesBase()
+	executed, err := internallf.LatestGeneration(p.fs, votesBase)
+	if err != nil {
+		return err
+	}
+	if executed == 0 && !internallf.HasVotes(p.fs, votesBase) {
+		return fmt.Errorf("drybell: incremental run needs a completed base run (no generation 0 at %s)", votesBase)
+	}
+	gens, _, err := p.corpusLedger()
+	if err != nil {
+		return err
+	}
+	now := time.Now() //drybellvet:wallclock — staleness metric only, never in artifacts
+	for _, g := range gens {
+		if g.Gen <= executed {
+			continue
+		}
+		if age := now.Unix() - g.StagedAtUnix; float64(age) > res.StalenessSeconds {
+			res.StalenessSeconds = float64(age)
+		}
+		d := internallf.Delta{StartRow: g.StartRow, Deleted: g.Deleted}
+		if g.Records > 0 {
+			d.InputBase = p.deltaInputBase(g.Gen)
+		}
+		_, report, gen, err := exec.ExecuteDelta(ctx, lfs, d)
+		p.recordExecution(report)
+		if err != nil {
+			return fmt.Errorf("drybell: execute delta generation %d: %w", g.Gen, err)
+		}
+		if gen != g.Gen {
+			return fmt.Errorf("drybell: corpus delta %d published vote generation %d — ledgers out of step", g.Gen, gen)
+		}
+		res.Generations = append(res.Generations, gen)
+		res.DeltaExamples += report.Examples
+		res.DeltaTaskAttempts += report.TaskAttempts
+	}
+	view, read, err := internallf.LoadView(p.fs, votesBase, lf.Names(lfs), p.carried.view)
+	if err != nil {
+		return err
+	}
+	res.View, res.ViewRebuilt = view, read.Rebuilt
+	res.SegmentsScanned, res.RowsScanned = read.Segments, read.Rows
+	return nil
 }

@@ -7,6 +7,7 @@ import (
 	"repro/internal/apps"
 	"repro/internal/corpus"
 	"repro/internal/dfs"
+	"repro/internal/labelmodel"
 	"repro/internal/obs"
 )
 
@@ -219,5 +220,117 @@ func TestExecuteTailObservable(t *testing.T) {
 	}
 	if chunks := spanAttr(spansNamed(spans, "stage.compact")[0], "chunks"); chunks != int64(1) {
 		t.Errorf("stage.compact chunks = %v for 300 rows, want 1", chunks)
+	}
+}
+
+// observedRound runs Run over 250 topic documents and a round over a staged
+// 50-document delta on an observed pipeline built with opts. It returns the
+// observer, the task attempts and keyword_celebrity's vote seconds the
+// registry held after Run, and the round's result.
+func observedRound(t *testing.T, opts ...Option) (*obs.Observer, int64, float64, *IncrementalResult) {
+	t.Helper()
+	ctx := context.Background()
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 300, PositiveRate: 0.05, Seed: 67})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	o := obs.NewObserver()
+	p := topicPipeline(t, dfs.NewMem(), append(opts, WithObserver(o))...)
+	if _, err := p.Run(ctx, SliceSource(docs[:250]), lfs); err != nil {
+		t.Fatal(err)
+	}
+	attempts, voteSeconds := taskAttempts(o).Value(), celebrityVoteSeconds(o).Value()
+	if _, err := p.StageDelta(ctx, SliceSource(docs[250:])); err != nil {
+		t.Fatal(err)
+	}
+	res, err := p.IncrementalRun(ctx, lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return o, attempts, voteSeconds, res
+}
+
+func taskAttempts(o *obs.Observer) *obs.Counter {
+	return o.Metrics.Counter("pipeline_task_attempts_total",
+		"MapReduce task attempts launched by labeling-function execution, including retries.")
+}
+
+func celebrityVoteSeconds(o *obs.Observer) *obs.Gauge {
+	return o.Metrics.Gauge("pipeline_lf_vote_seconds_total",
+		"Vote time per labeling function, summed over map tasks and corpus-fit passes (only ever added to).",
+		obs.Label{Key: "lf", Value: "keyword_celebrity"})
+}
+
+// TestRoundReportsThroughBatchTelemetry: a round's delta jobs report through
+// the series a batch execution reports through — task attempts, per-function
+// vote time, the execute-lfs stage — and a round analyzes its view, without
+// the dev labels, which align with the batch corpus and not with the grown
+// view.
+func TestRoundReportsThroughBatchTelemetry(t *testing.T) {
+	o, attempts, voteSeconds, res := observedRound(t)
+	if res.DeltaTaskAttempts == 0 {
+		t.Fatal("the round launched no delta task")
+	}
+	if got := taskAttempts(o).Value(); got != attempts+int64(res.DeltaTaskAttempts) {
+		t.Errorf("pipeline_task_attempts_total = %d after the round, want %d after Run + the round's %d",
+			got, attempts, res.DeltaTaskAttempts)
+	}
+	if got := celebrityVoteSeconds(o).Value(); got <= voteSeconds {
+		t.Errorf(`pipeline_lf_vote_seconds_total{lf="keyword_celebrity"} = %v after the round, %v after Run: the delta's votes went uncounted`,
+			got, voteSeconds)
+	}
+	h := o.Metrics.Histogram("pipeline_stage_seconds", "Pipeline stage wall time in seconds.",
+		obs.DefLatencyBuckets, obs.Label{Key: "stage", Value: "execute-lfs"})
+	if h.Count() != 2 {
+		t.Errorf(`pipeline_stage_seconds{stage="execute-lfs"} has %d observations, want 2 (Run and the round)`, h.Count())
+	}
+	if res.LFReport != nil {
+		t.Error("a round returned an LFReport")
+	}
+
+	dev := make([]labelmodel.Label, 250) // one per document Run staged
+	for i := range dev {
+		dev[i] = labelmodel.Negative
+	}
+	_, _, _, res = observedRound(t, WithDevLabels(dev))
+	if res.Analysis == nil {
+		t.Fatal("the round returned no analysis")
+	}
+	if res.Analysis.DevLabeled != 0 {
+		t.Errorf("the round's analysis counted %d dev labels, want 0: they align with the batch corpus", res.Analysis.DevLabeled)
+	}
+}
+
+// TestIncrementalSpanAttributes pins the attributes of a round's root span.
+func TestIncrementalSpanAttributes(t *testing.T) {
+	o, _, _, res := observedRound(t)
+	roots := spansNamed(o.Trace.Snapshot(), "pipeline.incremental")
+	if len(roots) != 1 {
+		t.Fatalf("%d pipeline.incremental spans, want 1", len(roots))
+	}
+	want := map[string]any{
+		"workdir":             "drybell",
+		"functions":           int64(len(apps.TopicLFs(nil, 0.02, 1))),
+		"delta_examples":      int64(50),
+		"delta_task_attempts": int64(res.DeltaTaskAttempts),
+		"generations":         int64(1),
+		"warm_iterations":     int64(res.WarmIterations),
+		"warm_started":        true,
+		"view_carried":        true,
+		"segments_scanned":    int64(1),
+		"rows_scanned":        int64(50),
+	}
+	got := map[string]any{}
+	for _, a := range roots[0].Attrs {
+		got[a.Key] = a.Value
+	}
+	if len(got) != len(want) {
+		t.Errorf("pipeline.incremental attributes = %v, want %v", got, want)
+	}
+	for key, v := range want {
+		if got[key] != v {
+			t.Errorf("pipeline.incremental %s = %v, want %v", key, got[key], v)
+		}
 	}
 }

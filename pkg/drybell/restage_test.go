@@ -2,6 +2,7 @@ package drybell
 
 import (
 	"context"
+	"sync"
 	"testing"
 
 	"repro/internal/apps"
@@ -13,13 +14,17 @@ import (
 )
 
 // crashFS lets the first budget operations through and fails every one after
-// it: a process that died at that point, seen from the filesystem.
+// it: a process that died at that point, seen from the filesystem. It is safe
+// for the concurrent operations of a vote job's tasks.
 type crashFS struct {
 	dfs.FS
+	mu     sync.Mutex
 	budget int
 }
 
 func (c *crashFS) spend(op, path string) error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.budget <= 0 {
 		return &dfs.PathError{Op: op, Path: path, Err: dfs.ErrInjected}
 	}
@@ -175,4 +180,91 @@ func TestRestageCrashPoints(t *testing.T) {
 			t.Fatalf("crash after %d operations: vote store at generation %d after rerun (%v)", k, g, err)
 		}
 	}
+}
+
+// TestDeltaRoundCrashPoints kills a delta's staging and the round after it
+// after every filesystem operation in turn. Whatever the crash point, the
+// vote store loads as the view before the delta or the view after it, and
+// staging the delta again if the ledger lost it, then running the round,
+// reaches exactly the view and posteriors of an uninterrupted round.
+func TestDeltaRoundCrashPoints(t *testing.T) {
+	ctx := context.Background()
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 200, PositiveRate: 0.05, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	names := lfapi.Names(lfs)
+	// root builds base 120 + an executed 30-document delta and returns the
+	// filesystem with the view a reader sees of it.
+	root := func() (dfs.FS, *labelmodel.Matrix) {
+		fs := dfs.NewMem()
+		p := topicPipeline(t, fs)
+		if _, err := p.Run(ctx, SliceSource(docs[:120]), lfs); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.StageDelta(ctx, SliceSource(docs[120:150]), 7); err != nil {
+			t.Fatal(err)
+		}
+		inc, err := p.IncrementalRun(ctx, lfs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return fs, inc.Matrix
+	}
+	// deltaRound stages the second delta and runs its round.
+	deltaRound := func(fs dfs.FS) (*IncrementalResult, error) {
+		p := topicPipeline(t, fs)
+		if _, err := p.StageDelta(ctx, SliceSource(docs[150:]), 3); err != nil {
+			return nil, err
+		}
+		return p.IncrementalRun(ctx, lfs)
+	}
+
+	// The uninterrupted delta and round, to count their operations and fix
+	// the end state every recovery must reach.
+	fs, _ := root()
+	counter := &crashFS{FS: fs, budget: 1 << 30}
+	want, err := deltaRound(counter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ops := 1<<30 - counter.budget
+
+	for k := 0; k < ops; k++ {
+		fs, old := root()
+		if _, err := deltaRound(&crashFS{FS: fs, budget: k}); err == nil {
+			t.Fatalf("crash after %d of %d operations: the delta round succeeded", k, ops)
+		}
+		p := topicPipeline(t, fs)
+		got, err := p.LoadMatrix(names)
+		if err != nil {
+			t.Fatalf("crash after %d operations: the store no longer loads: %v", k, err)
+		}
+		if !sameMatrix(got, old) && !sameMatrix(got, want.Matrix) {
+			t.Fatalf("crash after %d operations: store loads %d rows that are neither the view before the delta nor after it",
+				k, got.NumExamples())
+		}
+
+		gens, err := p.CorpusGenerations()
+		if err != nil {
+			t.Fatalf("crash after %d operations: corpus ledger: %v", k, err)
+		}
+		if len(gens) < 2 {
+			if _, err := p.StageDelta(ctx, SliceSource(docs[150:]), 3); err != nil {
+				t.Fatalf("crash after %d operations: restage: %v", k, err)
+			}
+		}
+		res, err := p.IncrementalRun(ctx, lfs)
+		if err != nil {
+			t.Fatalf("crash after %d operations: round: %v", k, err)
+		}
+		if !sameMatrix(res.Matrix, want.Matrix) {
+			t.Fatalf("crash after %d operations: the recovered view differs from an uninterrupted round's", k)
+		}
+		if len(res.Posteriors) != len(want.Posteriors) || maxDiff(res.Posteriors, want.Posteriors) != 0 {
+			t.Fatalf("crash after %d operations: recovered posteriors differ from an uninterrupted round's", k)
+		}
+	}
+	t.Logf("%d crash points", ops)
 }
