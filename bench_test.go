@@ -214,10 +214,7 @@ func BenchmarkP2_PipelineThroughput(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	recs, err := corpus.MarshalDocuments(docs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	recs := stagingRecords(b, docs)
 	runners := apps.TopicLFs(nil, 0.02, 7)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -297,10 +294,7 @@ func BenchmarkAblation_Shards(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	recs, err := corpus.MarshalDocuments(docs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	recs := stagingRecords(b, docs)
 	runners := apps.TopicLFs(nil, 0.02, 7)[:4]
 	for _, shards := range []int{1, 4, 16, 64} {
 		b.Run(benchName("shards", shards), func(b *testing.B) {
@@ -444,10 +438,7 @@ func BenchmarkServeLabel(b *testing.B) {
 // through the batch executor, as its one sub-benchmark.
 func BenchmarkExecuteLFs(b *testing.B) {
 	docs := benchDocs(b, 2000)
-	recs, err := corpus.MarshalDocuments(docs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	recs := stagingRecords(b, docs)
 	b.Run("Batch", func(b *testing.B) {
 		fs := dfs.NewMem()
 		if err := mapreduce.WriteInput(fs, "in/docs", recs, 8); err != nil {
@@ -475,10 +466,7 @@ func BenchmarkExecuteLFs(b *testing.B) {
 // for shared-nothing workers.
 func BenchmarkExecuteLFsRemote(b *testing.B) {
 	docs := benchDocs(b, 2000)
-	recs, err := corpus.MarshalDocuments(docs)
-	if err != nil {
-		b.Fatal(err)
-	}
+	recs := stagingRecords(b, docs)
 	fs := dfs.NewMem()
 	if err := mapreduce.WriteInput(fs, "in/docs", recs, 8); err != nil {
 		b.Fatal(err)
@@ -655,4 +643,18 @@ func BenchmarkIncremental(b *testing.B) {
 		b.ReportMetric(float64(deltaDocs)/perOp, "docs/s")
 		b.ReportMetric(fullRerunSecs/perOp, "speedup")
 	})
+}
+
+// stagingRecords encodes documents as staging writes them: Document.Marshal's
+// binary records.
+func stagingRecords(b *testing.B, docs []*corpus.Document) [][]byte {
+	b.Helper()
+	recs := make([][]byte, len(docs))
+	for i, d := range docs {
+		var err error
+		if recs[i], err = d.Marshal(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return recs
 }

@@ -184,21 +184,15 @@ func run(url string, conc int, calib, duration time.Duration, mults string, dead
 	return nil
 }
 
-// makeBodies marshals nDocs synthetic topic documents to cycle through as
-// request payloads, so the NLP/feature path sees varied content instead of
+// makeBodies encodes nDocs synthetic topic documents as JSON request bodies
+// to cycle through, so the NLP/feature path sees varied content instead of
 // one endlessly cached record.
 func makeBodies(nDocs int, seed int64) ([][]byte, error) {
 	all, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: nDocs, PositiveRate: 0.2, Seed: seed})
 	if err != nil {
 		return nil, err
 	}
-	bodies := make([][]byte, len(all))
-	for i, d := range all {
-		if bodies[i], err = d.Marshal(); err != nil {
-			return nil, err
-		}
-	}
-	return bodies, nil
+	return corpus.MarshalDocuments(all)
 }
 
 func parseMultipliers(s string) ([]float64, error) {

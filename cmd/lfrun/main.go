@@ -129,13 +129,11 @@ func run(ctx context.Context, out io.Writer, root, task, name, input string, sha
 	}
 
 	if input != "" {
-		records, err := readJSONL(input)
+		docs, err := readJSONL(input)
 		if err != nil {
 			return err
 		}
-		// The lines were validated by readJSONL and are already in the
-		// pipeline's record format, so stage the raw bytes directly.
-		n, err := p.StageRecords(ctx, drybell.SliceSource(records))
+		n, err := p.Stage(ctx, drybell.SliceSource(docs))
 		if err != nil {
 			return err
 		}
@@ -172,15 +170,15 @@ func run(ctx context.Context, out io.Writer, root, task, name, input string, sha
 	return nil
 }
 
-// readJSONL loads one document per line; each line must be a JSON document
+// readJSONL decodes one document per line; each line must be a JSON document
 // in the corpus.Document schema.
-func readJSONL(path string) ([][]byte, error) {
+func readJSONL(path string) ([]*corpus.Document, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var out [][]byte
+	var out []*corpus.Document
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	lineNo := 0
@@ -190,14 +188,13 @@ func readJSONL(path string) ([][]byte, error) {
 		if len(line) == 0 {
 			continue
 		}
-		// Validate eagerly so a malformed record names its line, rather
+		// Decode eagerly so a malformed record names its line, rather
 		// than surfacing later as an anonymous staging error.
-		if _, err := corpus.UnmarshalDocument(line); err != nil {
+		d, err := corpus.UnmarshalDocument(line)
+		if err != nil {
 			return nil, fmt.Errorf("%s line %d: %w", path, lineNo, err)
 		}
-		cp := make([]byte, len(line))
-		copy(cp, line)
-		out = append(out, cp)
+		out = append(out, d)
 	}
 	return out, sc.Err()
 }

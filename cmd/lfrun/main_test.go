@@ -3,11 +3,16 @@ package main
 import (
 	"bytes"
 	"context"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/apps"
 	"repro/internal/corpus"
+	"repro/internal/mapreduce"
+	"repro/pkg/drybell"
 	"repro/pkg/drybell/lf"
 )
 
@@ -50,5 +55,74 @@ func TestTaskResolution(t *testing.T) {
 				t.Errorf("-task %s (list %v) printed %q before refusing", task, list, out.String())
 			}
 		}
+	}
+}
+
+// TestInputStagesRecords: lfrun decodes each JSONL line of -input and stages
+// the document's binary record, and the votes over that staging are the votes
+// over the JSON lines staged as they are.
+func TestInputStagesRecords(t *testing.T) {
+	ctx := context.Background()
+	docs, err := corpus.GenerateTopic(corpus.DefaultTopicSpec(60, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines, err := corpus.MarshalDocuments(docs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	input := filepath.Join(t.TempDir(), "docs.jsonl")
+	if err := os.WriteFile(input, append(bytes.Join(lines, []byte("\n")), '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const name = "ner_known_celebrity"
+	root := t.TempDir()
+	var out bytes.Buffer
+	if err := run(ctx, &out, root, "topic", name, input, 4, 1, false, ""); err != nil {
+		t.Fatalf("lfrun: %v\n%s", err, out.String())
+	}
+
+	codec := drybell.WithCodec(func(d *corpus.Document) ([]byte, error) { return d.Marshal() }, corpus.UnmarshalDocument)
+	fsys, err := drybell.NewDiskFS(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := drybell.New[*corpus.Document](codec, drybell.WithFS(fsys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, err := mapreduce.ReadStaged(fsys, staged.InputPath())
+	if err != nil || len(recs) != len(docs) {
+		t.Fatalf("staged %d records, %v; want %d", len(recs), err, len(docs))
+	}
+	for i, d := range docs {
+		want, _ := d.Marshal()
+		if !bytes.Equal(recs[i], want) || recs[i][0] == lines[i][0] {
+			t.Fatalf("record %d staged as %.40q, want the binary record %.40q", i, recs[i], want)
+		}
+	}
+	got, err := staged.LoadMatrix([]string{name})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ref, err := drybell.New[*corpus.Document](codec, drybell.WithShards(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ref.StageRecords(ctx, drybell.SliceSource(lines)); err != nil {
+		t.Fatal(err)
+	}
+	set, err := taskSet("topic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	chosen, _ := set.Get(name)
+	want, _, err := ref.ExecuteLFs(ctx, []drybell.LF[*corpus.Document]{chosen})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("votes over the staged records differ from votes over the JSON lines")
 	}
 }

@@ -1,29 +1,29 @@
 package corpus
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 	"strconv"
 	"strings"
-	"sync"
 	"unicode/utf8"
 
 	"repro/internal/jsonenc"
 )
 
-// The record codec. A Document is JSON, and its encoder and scanner need no
-// reflection; the fuzz targets in codec_test.go hold them to encoding/json.
-// The encoder writes exactly the bytes json.Marshal writes; a value holding
-// NaN or ±Inf goes to json.Marshal, which words the refusal. The scanner
-// accepts only the canonical shape — known keys, each at most once, no
-// whitespace, escape-free valid-UTF-8 strings, strict JSON numbers, nothing
-// after the closing brace — and decodes it to the value encoding/json would;
-// anything else it declines, and encoding/json decodes that. The float and
-// string primitives are internal/jsonenc's, which the online wire encoders in
-// pkg/drybell/serve share.
+// The record codec. A Document's staging record (Document.Marshal) is binary:
+// docMagic, a gold byte, the two crawler stats as little-endian float64s, the
+// lengths of title, body, id, url and language as uvarints, then
+// title + " " + body + id + url + language. Its wire format (MarshalDocuments)
+// is JSON, byte for byte json.Marshal's, which also words the refusal of NaN
+// or ±Inf. UnmarshalDocument hands any payload without docMagic to
+// scanDocument, which accepts only the canonical shape — known keys, each at
+// most once, no whitespace, escape-free valid-UTF-8 strings, strict JSON
+// numbers, nothing after the closing brace — and decodes it to the value
+// encoding/json would; anything else it declines, and encoding/json decodes
+// that. The float and string primitives are internal/jsonenc's, which the
+// online wire encoders in pkg/drybell/serve share.
 //
 // An Event's record is fixed-width binary, not float text: eventMagic, a gold
 // byte, the ID's length as a uvarint and its bytes, then Servable, AggStats
@@ -31,15 +31,81 @@ import (
 // bit for bit. UnmarshalEvent gives any other payload to encoding/json: events
 // staged as JSON, and JSONL dumps, still decode.
 
-// encScratch recycles encoder scratch space, so Document.Marshal allocates
-// only the slice it returns.
-var encScratch = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
+// docMagic opens every binary document record. No JSON text starts with it,
+// and it is not eventMagic.
+const docMagic = 0xD0
+
+// docHead is the width of a document record's magic, gold and crawler stats.
+const docHead = 2 + 2*8
 
 func marshalDocument(d *Document) []byte {
-	bp := encScratch.Get().(*[]byte)
-	defer encScratch.Put(bp)
-	*bp = appendDocument((*bp)[:0], d)
-	return bytes.Clone(*bp)
+	fields := [...]string{d.Title, d.Body, d.ID, d.URL, d.Language}
+	var scratch [binary.MaxVarintLen64]byte
+	n := docHead + 1
+	for _, f := range fields {
+		n += binary.PutUvarint(scratch[:], uint64(len(f))) + len(f)
+	}
+	b := append(make([]byte, 0, n), docMagic, 0)
+	if d.Gold {
+		b[1] = 1
+	}
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.Crawler.EngagementScore))
+	b = binary.LittleEndian.AppendUint64(b, math.Float64bits(d.Crawler.DomainAuthority))
+	for _, f := range fields {
+		b = binary.AppendUvarint(b, uint64(len(f)))
+	}
+	b = append(append(b, d.Title...), ' ')
+	for _, f := range fields[1:] {
+		b = append(b, f...)
+	}
+	return b
+}
+
+// decodeDocument reads a binary record. It refuses every payload Marshal could
+// not have written, so whatever it accepts encodes back to the same bytes.
+func decodeDocument(data []byte) (*Document, error) {
+	if len(data) < docHead {
+		return nil, fmt.Errorf("record of %d bytes is truncated", len(data))
+	}
+	if data[1] > 1 {
+		return nil, fmt.Errorf("gold byte is %d, want 0 or 1", data[1])
+	}
+	d := &Document{Gold: data[1] == 1}
+	for k, f := range [...]*float64{&d.Crawler.EngagementScore, &d.Crawler.DomainAuthority} {
+		if *f = math.Float64frombits(binary.LittleEndian.Uint64(data[2+8*k:])); !jsonenc.Finite(*f) {
+			return nil, fmt.Errorf("unsupported value: %v", *f)
+		}
+	}
+	var lens [5]int
+	var canonical [binary.MaxVarintLen64]byte
+	rest, want := data[docHead:], 1 // the space after the title
+	for k, name := range [...]string{"title", "body", "id", "url", "language"} {
+		l, n := binary.Uvarint(rest)
+		if n <= 0 || binary.PutUvarint(canonical[:], l) != n {
+			return nil, fmt.Errorf("%s length is not a minimal uvarint", name)
+		}
+		if rest = rest[n:]; l > uint64(len(rest)) {
+			return nil, fmt.Errorf("%s of %d bytes runs past the end of the record", name, l)
+		}
+		lens[k], want = int(l), want+int(l)
+	}
+	if len(rest) != want {
+		return nil, fmt.Errorf("record is %d bytes, want %d", len(data), len(data)-len(rest)+want)
+	}
+	if rest[lens[0]] != ' ' {
+		return nil, errors.New("no space between title and body")
+	}
+	d.cut(string(rest), lens[0], lens[1], lens[2], lens[3])
+	return d, nil
+}
+
+// cut sets d's five strings to substrings of all, laid out as a record's, so a
+// decoded document is two allocations and its Text() is free.
+func (d *Document) cut(all string, title, body, id, url int) {
+	d.text, all = all[:title+1+body], all[title+1+body:]
+	d.Title, d.Body = d.text[:title], d.text[title+1:]
+	d.ID, all = all[:id], all[id:]
+	d.URL, d.Language = all[:url], all[url:]
 }
 
 func appendDocument(b []byte, d *Document) []byte {
@@ -174,10 +240,8 @@ var (
 	crawlerKeys  = []string{"engagement", "authority"}
 )
 
-// scanDocument is the fast path of UnmarshalDocument. Its five strings are
-// substrings of one, laid out title + " " + body + id + url + language, whose
-// head is the document's text: a decoded document is two allocations, and its
-// Text() is free.
+// scanDocument is the JSON fast path of UnmarshalDocument. Its five strings
+// are cut from one, as a binary record's are.
 func scanDocument(data []byte) (*Document, bool) {
 	s := scanner{data: data, ok: true}
 	var d Document
@@ -202,11 +266,7 @@ func scanDocument(data []byte) (*Document, bool) {
 	for _, f := range [][]byte{title, {' '}, body, id, url, language} {
 		b.Write(f)
 	}
-	all := b.String()
-	d.text, all = all[:len(title)+1+len(body)], all[len(title)+1+len(body):]
-	d.Title, d.Body = d.text[:len(title)], d.text[len(title)+1:]
-	d.ID, all = all[:len(id)], all[len(id):]
-	d.URL, d.Language = all[:len(url)], all[len(url):]
+	d.cut(b.String(), len(title), len(body), len(id), len(url))
 	return &d, true
 }
 

@@ -72,8 +72,8 @@ func seedEvents(tb testing.TB) []*Event {
 	)
 }
 
-// TestMarshalMatchesEncodingJSON pins the document encoder to json.Marshal
-// byte for byte, and to its refusals.
+// TestMarshalMatchesEncodingJSON pins the wire encoder, MarshalDocuments, to
+// json.Marshal byte for byte, and to its refusals.
 func TestMarshalMatchesEncodingJSON(t *testing.T) {
 	check := func(name string, got []byte, gerr error, want []byte, werr error) {
 		t.Helper()
@@ -85,9 +85,85 @@ func TestMarshalMatchesEncodingJSON(t *testing.T) {
 		}
 	}
 	for i, d := range seedDocuments(t) {
-		got, gerr := d.Marshal()
+		var got []byte
+		bodies, gerr := MarshalDocuments([]*Document{d})
+		if gerr == nil {
+			got = bodies[0]
+		}
 		want, werr := json.Marshal(d)
 		check(fmt.Sprintf("document %d", i), got, gerr, want, werr)
+	}
+}
+
+// TestDocumentMarshalRoundTrip: a document with finite crawler stats encodes
+// to a binary record that decodes to it exactly — floats bit for bit and every
+// string as it was, including the seed strings of invalid UTF-8, which
+// encoding/json rewrites to U+FFFD — and Marshal refuses nil and NaN or ±Inf,
+// saying why.
+func TestDocumentMarshalRoundTrip(t *testing.T) {
+	long := strings.Repeat("body text é ", 64<<10/13)
+	docs := append(seedDocuments(t),
+		&Document{ID: "long", Title: "t", Body: long, URL: long[:200], Language: "en"},
+		&Document{ID: "非 ASCII", Title: "日本語", Body: "é 😀", URL: "http://例え.jp/", Language: "ja", Gold: true},
+		&Document{Title: " ", Body: " "}, &Document{ID: "\xff", Body: "\xc0"})
+	for i, d := range docs {
+		rec, err := d.Marshal()
+		var want string
+		if d == nil {
+			want = "corpus: encode document: nil document"
+		} else if _, jerr := json.Marshal(d); jerr != nil {
+			want = "unsupported value: " // NaN or ±Inf, which JSON refuses too
+		}
+		if want != "" {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("document %d: Marshal error %v, want one containing %q", i, err, want)
+			}
+			continue
+		}
+		if err != nil || rec[0] != docMagic {
+			t.Fatalf("document %d: record %.20x, %v", i, rec, err)
+		}
+		decoded := *d
+		decoded.text = d.Title + " " + d.Body // a decoded document carries its text
+		got, err := UnmarshalDocument(rec)
+		if err != nil || !reflect.DeepEqual(got, &decoded) {
+			t.Fatalf("document %d: decoded as %+v, %v; want %+v", i, got, err, d)
+		}
+		if again, _ := got.Marshal(); !bytes.Equal(again, rec) {
+			t.Fatalf("document %d: re-encoded as %x, want %x", i, again, rec)
+		}
+	}
+}
+
+// TestUnmarshalDocumentRejectsMalformedRecords names what is wrong with a
+// binary record Marshal could not have written.
+func TestUnmarshalDocumentRejectsMalformedRecords(t *testing.T) {
+	rec, _ := (&Document{ID: "d1", Title: "T", Body: "B b", URL: "u", Language: "en"}).Marshal()
+	const lens = docHead // where the lengths start: title 1, body 3, id 2, url 1, language 2
+	edit := func(f func(b []byte) []byte) []byte { return f(bytes.Clone(rec)) }
+	for _, c := range []struct {
+		data []byte
+		want string
+	}{
+		{rec[:docHead-1], fmt.Sprintf("record of %d bytes is truncated", docHead-1)},
+		{edit(func(b []byte) []byte { b[1] = 2; return b }), "gold byte is 2, want 0 or 1"},
+		{edit(func(b []byte) []byte { return putFloat(b, 2, math.NaN()) }), "unsupported value: NaN"},
+		{edit(func(b []byte) []byte { return putFloat(b, 10, math.Inf(1)) }), "unsupported value: +Inf"},
+		{rec[:docHead], "title length is not a minimal uvarint"},
+		{edit(func(b []byte) []byte { b[lens+2], b[lens+3] = 0x82, 0; return b }), "id length is not a minimal uvarint"},
+		{edit(func(b []byte) []byte {
+			b[lens] |= 0x80
+			return append(b[:lens+1:lens+1], append([]byte{0}, b[lens+1:]...)...)
+		}), "title length is not a minimal uvarint"},
+		{edit(func(b []byte) []byte { b[lens+1] = 50; return b }), "body of 50 bytes runs past the end of the record"},
+		{edit(func(b []byte) []byte { b[lens+4]--; return b }), fmt.Sprintf("record is %d bytes, want %d", len(rec), len(rec)-1)},
+		{rec[:len(rec)-1], fmt.Sprintf("record is %d bytes, want %d", len(rec)-1, len(rec))},
+		{append(bytes.Clone(rec), 'x'), fmt.Sprintf("record is %d bytes, want %d", len(rec)+1, len(rec))},
+		{edit(func(b []byte) []byte { b[lens+6] = '_'; return b }), "no space between title and body"},
+	} {
+		if _, err := UnmarshalDocument(c.data); err == nil || err.Error() != "corpus: decode document: "+c.want {
+			t.Errorf("%x: error %v, want %q", c.data, err, c.want)
+		}
 	}
 }
 
@@ -144,11 +220,37 @@ var stringCases = []string{
 // the canonical shape: document payloads first, then event payloads.
 func seedPayloads(tb testing.TB) (documents, events [][]byte) {
 	tb.Helper()
+	// Documents: the binary record of every seed document Marshal accepts,
+	// every seventh prefix of one and edits of it, then the JSON bodies.
+	var jsonDocuments [][]byte
 	for _, d := range seedDocuments(tb) {
 		if b, err := d.Marshal(); err == nil {
 			documents = append(documents, b)
 		}
+		if b, err := MarshalDocuments([]*Document{d}); err == nil {
+			jsonDocuments = append(jsonDocuments, b[0])
+		}
 	}
+	rec := documents[0]
+	for i := 0; i < len(rec); i += 7 {
+		documents = append(documents, rec[:i])
+	}
+	for _, edit := range []func(b []byte) []byte{
+		func(b []byte) []byte { b[1] = 2; return b },                   // gold byte
+		func(b []byte) []byte { return putFloat(b, 2, math.NaN()) },    // NaN
+		func(b []byte) []byte { return putFloat(b, 10, math.Inf(-1)) }, // -Inf
+		func(b []byte) []byte { b[docHead]++; return b },               // title length
+		func(b []byte) []byte { b[docHead+1]--; return b },             // body length
+		func(b []byte) []byte { b[docHead] |= 0x80; return b },         // runs on
+		func(b []byte) []byte {
+			b[docHead] |= 0x80
+			return append(b[:docHead+1:docHead+1], append([]byte{0}, b[docHead+1:]...)...)
+		}, // non-minimal
+		func(b []byte) []byte { return append(b, 0) },
+	} {
+		documents = append(documents, edit(bytes.Clone(rec)))
+	}
+	documents = append(documents, jsonDocuments...)
 	// Events: the binary record of every seed event Marshal accepts, the JSON
 	// of every one json.Marshal accepts, and departures from both.
 	var jsonEvents [][]byte
@@ -160,7 +262,7 @@ func seedPayloads(tb testing.TB) (documents, events [][]byte) {
 			jsonEvents = append(jsonEvents, b)
 		}
 	}
-	rec := events[0]
+	rec = events[0]
 	for i := range rec {
 		events = append(events, rec[:i])
 	}
@@ -223,22 +325,40 @@ func seedPayloads(tb testing.TB) (documents, events [][]byte) {
 	return documents, events
 }
 
-// checkDocument is FuzzUnmarshalDocument's property: if the fast path
-// accepts a payload its result is the reference decoder's; whatever the fast
-// path does, the exported decoder answers as the reference does; a decoded
-// document carries its text, Title + " " + Body; and a document that decoded
-// encodes to the bytes json.Marshal gives it. It reports whether the fast
-// path accepted the payload.
-func checkDocument(t *testing.T, data []byte) (accepted bool) {
+// checkDocument is FuzzUnmarshalDocument's property. A payload starting with
+// docMagic decodes only if Marshal encodes the result back to the payload
+// itself, and otherwise errors with the decoder's prefix. For any other
+// payload: if the JSON fast path accepts it its result is the reference
+// decoder's; whatever the fast path does, the exported decoder answers as the
+// reference does; and a document that decoded goes back to the bytes
+// json.Marshal gives it through the wire encoder. Either way a decoded
+// document carries its text, Title + " " + Body, and its binary record decodes
+// to it again. It reports whether the payload took a fast path: a binary
+// record, or the scanner.
+func checkDocument(t *testing.T, data []byte) (fastPath bool) {
 	t.Helper()
+	if len(data) > 0 && data[0] == docMagic {
+		got, err := UnmarshalDocument(data)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "corpus: decode document: ") {
+				t.Fatalf("%q: error %q lacks the decoder's prefix", data, err)
+			}
+			return false
+		}
+		if rec, merr := got.Marshal(); merr != nil || !bytes.Equal(rec, data) {
+			t.Fatalf("%x: decoded as %+v, which re-encodes as %x, %v", data, got, rec, merr)
+		}
+		checkDecoded(t, data, got)
+		return true
+	}
 	want, werr := unmarshalDocumentJSON(data)
 	fast, accepted := scanDocument(data)
 	if accepted && (werr != nil || !reflect.DeepEqual(fast, want)) {
 		t.Fatalf("fast path accepted %q\n as %+v\n reference: %+v, %v", data, fast, want, werr)
 	}
 	for _, d := range []*Document{fast, want} {
-		if d != nil && (d.text != d.Title+" "+d.Body || d.Text() != d.text) {
-			t.Fatalf("%q: decoded with text %q and Text() %q, want %q", data, d.text, d.Text(), d.Title+" "+d.Body)
+		if d != nil {
+			checkDecoded(t, data, d)
 		}
 	}
 	got, gerr := UnmarshalDocument(data)
@@ -251,12 +371,28 @@ func checkDocument(t *testing.T, data []byte) (accepted bool) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("%q: decoded as %+v, reference %+v", data, got, want)
 	}
-	enc, eerr := got.Marshal()
+	enc, eerr := MarshalDocuments([]*Document{got})
 	ref, rerr := json.Marshal(got)
-	if eerr != nil || rerr != nil || !bytes.Equal(enc, ref) {
+	if eerr != nil || rerr != nil || !bytes.Equal(enc[0], ref) {
 		t.Fatalf("%q: re-encoded as %q (%v), json.Marshal %q (%v)", data, enc, eerr, ref, rerr)
 	}
 	return accepted
+}
+
+// checkDecoded: a decoded document carries its text, and its binary record
+// decodes to it again.
+func checkDecoded(t *testing.T, data []byte, d *Document) {
+	t.Helper()
+	if d.text != d.Title+" "+d.Body || d.Text() != d.text {
+		t.Fatalf("%q: decoded with text %q and Text() %q, want %q", data, d.text, d.Text(), d.Title+" "+d.Body)
+	}
+	rec, err := d.Marshal()
+	if err != nil {
+		t.Fatalf("%q: decoded as %+v, which Marshal refuses: %v", data, d, err)
+	}
+	if back, err := decodeDocument(rec); err != nil || !reflect.DeepEqual(back, d) {
+		t.Fatalf("%q: record %x decoded as %+v, %v; want %+v", data, rec, back, err, d)
+	}
 }
 
 // checkEvent is FuzzUnmarshalEvent's property. Whatever the bytes,
@@ -295,8 +431,8 @@ func checkEvent(t *testing.T, data []byte) (asBinary bool) {
 }
 
 // TestUnmarshalMatchesEncodingJSON runs the fuzz properties over the seed set,
-// and checks that generated records take the fast path: the document scanner,
-// and the binary event record.
+// and checks that generated records take the fast paths: a document's binary
+// record and its JSON body through the scanner, and the binary event record.
 func TestUnmarshalMatchesEncodingJSON(t *testing.T) {
 	documents, events := seedPayloads(t)
 	for _, data := range documents {
@@ -307,10 +443,12 @@ func TestUnmarshalMatchesEncodingJSON(t *testing.T) {
 	}
 	topic, _ := GenerateTopic(TopicSpec{NumDocs: 50, PositiveRate: 0.1, Seed: 3})
 	product, _ := GenerateProduct(ProductSpec{NumDocs: 50, PositiveRate: 0.1, Seed: 3})
-	for _, d := range append(topic, product...) {
+	docs := append(topic, product...)
+	bodies, _ := MarshalDocuments(docs)
+	for i, d := range docs {
 		rec, _ := d.Marshal()
-		if !checkDocument(t, rec) {
-			t.Fatalf("fast path declined a generated document: %s", rec)
+		if !checkDocument(t, rec) || !checkDocument(t, bodies[i]) {
+			t.Fatalf("fast path declined a generated document: %x, %s", rec, bodies[i])
 		}
 	}
 	generated, _ := GenerateEvents(DefaultEventsSpec(50, 3))
@@ -371,7 +509,12 @@ func TestUnmarshalEventRejectsWrongDimensions(t *testing.T) {
 
 // putLastFloat overwrites the last float of a binary event record.
 func putLastFloat(rec []byte, f float64) []byte {
-	binary.LittleEndian.PutUint64(rec[len(rec)-8:], math.Float64bits(f))
+	return putFloat(rec, len(rec)-8, f)
+}
+
+// putFloat overwrites the float at offset at of a binary record.
+func putFloat(rec []byte, at int, f float64) []byte {
+	binary.LittleEndian.PutUint64(rec[at:], math.Float64bits(f))
 	return rec
 }
 
@@ -403,16 +546,17 @@ func TestUnmarshalEventRejectsMalformedRecords(t *testing.T) {
 }
 
 // TestCodecAllocationCeilings pins the allocation side of the codec: an
-// encode is its result, a decoded event is the record and its ID, a decoded
-// document is the struct and the one string its five are cut from, and the
-// text of a decoded document is free. (Through encoding/json a decoded event
-// is 19 allocations, a document 13.)
+// encode is its result (and a batch's slice), a decoded event is the record and its ID, a decoded
+// document — binary record or JSON body — is the struct and the one string its
+// five are cut from, and the text of a decoded document is free. (Through
+// encoding/json a decoded event is 19 allocations, a document 13.)
 func TestCodecAllocationCeilings(t *testing.T) {
 	events, _ := GenerateEvents(DefaultEventsSpec(1, 1))
 	docs, _ := GenerateTopic(TopicSpec{NumDocs: 1, PositiveRate: 0.5, Seed: 1})
 	ev, doc := events[0], docs[0]
 	evRec, _ := ev.Marshal()
 	docRec, _ := doc.Marshal()
+	docBody, _ := MarshalDocuments(docs)
 	decoded, _ := UnmarshalDocument(docRec)
 	for _, c := range []struct {
 		name    string
@@ -422,7 +566,9 @@ func TestCodecAllocationCeilings(t *testing.T) {
 		{"Event.Marshal", 1, func() { ev.Marshal() }},
 		{"UnmarshalEvent", 2, func() { UnmarshalEvent(evRec) }},
 		{"Document.Marshal", 1, func() { doc.Marshal() }},
-		{"UnmarshalDocument", 2, func() { UnmarshalDocument(docRec) }},
+		{"MarshalDocuments of one", 2, func() { MarshalDocuments(docs) }},
+		{"UnmarshalDocument/binary", 2, func() { UnmarshalDocument(docRec) }},
+		{"UnmarshalDocument/json", 2, func() { UnmarshalDocument(docBody[0]) }},
 		{"decoded Document.Text", 0, func() { benchText = decoded.Text() }},
 	} {
 		if got := testing.AllocsPerRun(100, c.run); got > c.ceiling {
@@ -436,7 +582,8 @@ func TestCodecAllocationCeilings(t *testing.T) {
 // either is reassigned, Text joins the new pair — on both decoding paths.
 func TestDecodedTextFollowsFields(t *testing.T) {
 	const rec = `{"id":"d1","title":"T","body":"B b","url":"u","language":"en","gold":true,"crawler":{"engagement":0.25,"authority":0.5}}`
-	for _, data := range []string{rec, strings.Replace(rec, `"id":`, `"id" :`, 1)} {
+	record, _ := (&Document{ID: "d1", Title: "T", Body: "B b", URL: "u", Language: "en", Gold: true}).Marshal()
+	for _, data := range []string{rec, strings.Replace(rec, `"id":`, `"id" :`, 1), string(record)} {
 		for _, c := range []struct {
 			edit func(d *Document)
 			want string
@@ -487,12 +634,42 @@ func BenchmarkUnmarshalEvent(b *testing.B) {
 	}
 }
 
-func BenchmarkUnmarshalDocument(b *testing.B) {
+// documentForms are a generated document's binary record and JSON body.
+func documentForms(b *testing.B) (*Document, map[string][]byte) {
 	docs, _ := GenerateTopic(TopicSpec{NumDocs: 1, PositiveRate: 0.5, Seed: 1})
 	rec, _ := docs[0].Marshal()
-	b.ReportAllocs()
-	b.SetBytes(int64(len(rec)))
-	for i := 0; i < b.N; i++ {
-		benchDoc, _ = UnmarshalDocument(rec)
+	bodies, _ := MarshalDocuments(docs)
+	return docs[0], map[string][]byte{"binary": rec, "json": bodies[0]}
+}
+
+func BenchmarkMarshalDocument(b *testing.B) {
+	doc, _ := documentForms(b)
+	for name, enc := range map[string]func(d *Document) ([]byte, error){
+		"binary": (*Document).Marshal,
+		"json": func(d *Document) ([]byte, error) {
+			bodies, err := MarshalDocuments([]*Document{d})
+			return bodies[0], err
+		},
+	} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				benchBytes, _ = enc(doc)
+			}
+			b.SetBytes(int64(len(benchBytes)))
+		})
+	}
+}
+
+func BenchmarkUnmarshalDocument(b *testing.B) {
+	_, forms := documentForms(b)
+	for name, rec := range forms {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(rec)))
+			for i := 0; i < b.N; i++ {
+				benchDoc, _ = UnmarshalDocument(rec)
+			}
+		})
 	}
 }

@@ -15,16 +15,15 @@
 //     labeling function covers, giving the discriminative model headroom to
 //     generalize beyond the generative model (Table 2).
 //
-// A Document's record (what staging writes and map tasks read) is JSON, which
-// is also the wire format (a /v1/label request body is one record), with
-// encoding/json as its reference: Document.Marshal and UnmarshalDocument are
-// fast paths that produce and accept what it does and defer to it otherwise.
-// An Event's record is fixed-width binary; UnmarshalEvent also reads an event
-// staged as JSON (codec.go).
+// A Document has two formats (codec.go): binary for staging (Document.Marshal
+// writes what map tasks read) and JSON for the wire (MarshalDocuments writes a
+// /v1/label request body). UnmarshalDocument reads both, so roots staged as
+// JSON still run. An Event's record is binary; UnmarshalEvent also reads JSON.
 package corpus
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 
 	"repro/internal/jsonenc"
@@ -78,44 +77,60 @@ func (d *Document) Text() string {
 	return d.Title + " " + d.Body
 }
 
-// Marshal encodes the document as a recordio payload, as json.Marshal would.
+// Marshal encodes the document as a binary recordio payload (codec.go) in one
+// allocation, refusing nil and NaN or ±Inf crawler stats. Strings keep their
+// bytes exactly, invalid UTF-8 included, which JSON rewrites to U+FFFD.
 func (d *Document) Marshal() ([]byte, error) {
-	if d == nil || !jsonenc.Finite(d.Crawler.EngagementScore, d.Crawler.DomainAuthority) {
-		return json.Marshal(d)
+	if d == nil {
+		return nil, errors.New("corpus: encode document: nil document")
+	}
+	if !jsonenc.Finite(d.Crawler.EngagementScore, d.Crawler.DomainAuthority) {
+		return nil, fmt.Errorf("corpus: encode document %q: unsupported value: %+v", d.ID, d.Crawler)
 	}
 	return marshalDocument(d), nil
 }
 
-// UnmarshalDocument decodes a recordio payload or a request body.
+// UnmarshalDocument decodes a recordio payload or a request body: a binary
+// record Marshal wrote, or any other payload as JSON.
 func UnmarshalDocument(data []byte) (*Document, error) {
+	if len(data) > 0 && data[0] == docMagic {
+		d, err := decodeDocument(data)
+		if err != nil {
+			return nil, fmt.Errorf("corpus: decode document: %w", err)
+		}
+		return d, nil
+	}
 	if d, ok := scanDocument(data); ok {
 		return d, nil
 	}
 	return unmarshalDocumentJSON(data)
 }
 
-// unmarshalDocumentJSON is the reference decoder, and the path of every
-// payload scanDocument declines.
+// unmarshalDocumentJSON is the JSON reference decoder, and the path of every
+// payload that neither decodeDocument nor scanDocument takes.
 func unmarshalDocumentJSON(data []byte) (*Document, error) {
 	var d Document
 	if err := json.Unmarshal(data, &d); err != nil {
 		return nil, fmt.Errorf("corpus: decode document: %w", err)
 	}
-	// Joined as the fast path joins, so every decoded document has its text.
-	d.text = d.Title + " " + d.Body
-	d.Title, d.Body = d.text[:len(d.Title)], d.text[len(d.Title)+1:]
+	// Joined as the fast paths join, so every decoded document has its text.
+	d.cut(d.Title+" "+d.Body+d.ID+d.URL+d.Language, len(d.Title), len(d.Body), len(d.ID), len(d.URL))
 	return &d, nil
 }
 
-// MarshalDocuments encodes a batch.
+// MarshalDocuments encodes a batch in the wire format: one JSON request body
+// per document, byte for byte what json.Marshal writes.
 func MarshalDocuments(docs []*Document) ([][]byte, error) {
 	out := make([][]byte, len(docs))
 	for i, d := range docs {
-		b, err := d.Marshal()
-		if err != nil {
+		if d != nil && jsonenc.Finite(d.Crawler.EngagementScore, d.Crawler.DomainAuthority) {
+			// One allocation, unless escapes outgrow the estimate.
+			out[i] = appendDocument(make([]byte, 0, 160+len(d.ID)+len(d.Title)+len(d.Body)+len(d.URL)+len(d.Language)), d)
+		} else if b, err := json.Marshal(d); err != nil {
 			return nil, err
+		} else {
+			out[i] = b
 		}
-		out[i] = b
 	}
 	return out, nil
 }

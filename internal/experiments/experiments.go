@@ -173,16 +173,12 @@ func (t *contentTask) votes() (*labelmodel.Matrix, error) {
 	if t.matrix != nil {
 		return t.matrix, nil
 	}
-	recs, err := corpus.MarshalDocuments(t.docs)
-	if err != nil {
-		return nil, err
-	}
 	p, err := docPipeline(8, 4)
 	if err != nil {
 		return nil, err
 	}
 	ctx := context.Background()
-	if _, err := p.StageRecords(ctx, drybell.SliceSource(recs)); err != nil {
+	if _, err := p.Stage(ctx, drybell.SliceSource(t.docs)); err != nil {
 		return nil, err
 	}
 	if t.matrix, _, err = p.ExecuteLFs(ctx, t.runners); err != nil {

@@ -110,10 +110,6 @@ func P2(cfg Config) (*P2Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	recs, err := corpus.MarshalDocuments(docs)
-	if err != nil {
-		return nil, err
-	}
 	runners := apps.TopicLFs(nil, 0.02, cfg.Seed)
 	ctx := context.Background()
 	res := &P2Result{Examples: n, CPUs: runtime.NumCPU(), PerParallelism: map[int]float64{}} //drybellvet:schedule — reported only
@@ -123,7 +119,7 @@ func P2(cfg Config) (*P2Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := p.StageRecords(ctx, drybell.SliceSource(recs)); err != nil {
+		if _, err := p.Stage(ctx, drybell.SliceSource(docs)); err != nil {
 			return nil, err
 		}
 		start := time.Now() //drybellvet:wallclock — the benchmark measurement itself

@@ -306,6 +306,41 @@ func TestHTTPLabelBatchRefusals(t *testing.T) {
 	}
 }
 
+// TestHTTPRefusesBadRecords: a body that starts like a binary staging record
+// but is truncated or garbage is a 400 carrying the record decoder's error, on
+// /v1/label and /v1/predict, and a 400 as an element of a /v1/label/batch
+// array, which must be JSON. A whole record answers as its JSON body does.
+func TestHTTPRefusesBadRecords(t *testing.T) {
+	url, bodies := batchFixture(t)
+	rec, err := celebrityDoc().Marshal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := [][]byte{rec[:1], rec[:5], rec[:len(rec)-1], append(bytes.Clone(rec), 'x'),
+		append([]byte{rec[0]}, bytes.Repeat([]byte{0xff}, 40)...), append([]byte{rec[0], 7}, rec[2:]...)}
+	for _, body := range bad {
+		_, derr := corpus.UnmarshalDocument(body)
+		if derr == nil || !strings.HasPrefix(derr.Error(), "corpus: decode document: ") {
+			t.Fatalf("%x: decoder error %v", body, derr)
+		}
+		for _, path := range []string{"/v1/label", "/v1/predict"} {
+			code, out := postJSON(t, url+path, string(body))
+			if msg, _ := out["error"].(string); code != http.StatusBadRequest || msg != derr.Error() {
+				t.Errorf("%s %x = %d %q, want 400 %q", path, body, code, msg, derr)
+			}
+		}
+		batch := append(append(append(append([]byte("["), bodies[0]...), ','), body...), ']')
+		code, out := postJSON(t, url+"/v1/label/batch", string(batch))
+		if msg, _ := out["error"].(string); code != http.StatusBadRequest || !strings.HasPrefix(msg, "decode batch: ") {
+			t.Errorf("batch with %x = %d %q, want 400 decode batch", body, code, msg)
+		}
+	}
+	_, want := post(t, url+"/v1/label", bodies[len(bodies)-1]) // celebrityDoc's JSON body
+	if code, answer := post(t, url+"/v1/label", rec); code != http.StatusOK || !bytes.Equal(answer, want) {
+		t.Errorf("record = %d %s, want %s", code, answer, want)
+	}
+}
+
 func TestHTTPLabelBatchNotConfigured(t *testing.T) {
 	s, reg := newVecServer(t, serve.Config[vec]{})
 	undecoded, err := serve.New(serve.Config[vec]{Registry: reg, Model: "m", Featurize: identityFeaturizer})
@@ -442,10 +477,11 @@ func TestPredictRoundTripAllocations(t *testing.T) {
 	}
 	s := newDocServer(t, nil, nil)
 	c := newInProcess(s.Handler(), "/v1/predict")
-	payload, err := celebrityDoc().Marshal()
+	bodies, err := corpus.MarshalDocuments([]*corpus.Document{celebrityDoc()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	payload := bodies[0]
 	if code, answer := c.post(payload); code != http.StatusOK || !bytes.Contains(answer, []byte(`"score":`)) {
 		t.Fatalf("predict = %d %s", code, answer)
 	}
