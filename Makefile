@@ -20,9 +20,11 @@ verify: build
 	go test ./...
 
 # Repo-specific invariants: the drybellvet analyzer suite (determinism,
-# ctxflow, dfspath, lockcheck, voteenc). Exits non-zero on any finding.
+# ctxflow, dfspath, lockcheck, voteenc, testonly). Exits non-zero on any
+# finding. It also loads the nested bench/ module, whose calls testonly
+# counts; its go list calls run offline, as bench-check's do.
 vet:
-	go run ./tools/drybellvet ./...
+	GOTOOLCHAIN=local GOPROXY=off go run ./tools/drybellvet ./...
 
 # The root module's non-test Go line count — the number simplicity PRs and
 # ROADMAP quote. One command, so two people cannot measure it differently:

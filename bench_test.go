@@ -182,7 +182,7 @@ func BenchmarkP1_SamplingFreeVsGibbs(b *testing.B) {
 		b.ResetTimer()
 		var last *labelmodel.Model
 		for i := 0; i < b.N; i++ {
-			m, err := labelmodel.TrainSamplingFreeFast(mx, opts)
+			m, _, err := labelmodel.TrainSamplingFreeFastWarm(mx, opts, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -228,7 +228,7 @@ func BenchmarkP2_PipelineThroughput(b *testing.B) {
 			FS: fs, InputBase: "in/docs", OutputPrefix: "labels",
 			Decode: corpus.UnmarshalDocument,
 		}
-		if _, _, err := exec.Execute(runners); err != nil {
+		if _, _, err := exec.ExecuteContext(context.Background(), runners); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -307,7 +307,7 @@ func BenchmarkAblation_Shards(b *testing.B) {
 					FS: fs, InputBase: "in/docs", OutputPrefix: "labels",
 					Decode: corpus.UnmarshalDocument, Parallelism: 4,
 				}
-				if _, _, err := exec.Execute(runners); err != nil {
+				if _, _, err := exec.ExecuteContext(context.Background(), runners); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -450,7 +450,7 @@ func BenchmarkExecuteLFs(b *testing.B) {
 				FS: fs, InputBase: "in/docs", OutputPrefix: "labels",
 				Decode: corpus.UnmarshalDocument, Parallelism: 4,
 			}
-			if _, _, err := e.Execute(apps.TopicLFs(nil, 0, 21)); err != nil {
+			if _, _, err := e.ExecuteContext(context.Background(), apps.TopicLFs(nil, 0, 21)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -512,7 +512,7 @@ func BenchmarkExecuteLFsRemote(b *testing.B) {
 			Decode:  corpus.UnmarshalDocument,
 			Workers: pool.Workers(),
 		}
-		if _, _, err := e.Execute(runners); err != nil {
+		if _, _, err := e.ExecuteContext(context.Background(), runners); err != nil {
 			b.Fatal(err)
 		}
 	}

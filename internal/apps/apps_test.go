@@ -1,6 +1,7 @@
 package apps
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -27,19 +28,23 @@ func executeDocLFs(t *testing.T, docs []*corpus.Document, runners []DocLF) *labe
 		FS: fs, InputBase: "in/d", OutputPrefix: "labels",
 		Decode: corpus.UnmarshalDocument, Parallelism: 4,
 	}
-	mx, _, err := e.Execute(runners)
+	mxView, _, err := e.ExecuteContext(context.Background(), runners)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mx := mxView.Matrix
 	return mx
 }
 
 func executeEventLFs(t *testing.T, events []*corpus.Event, runners []EventLF) *labelmodel.Matrix {
 	t.Helper()
 	fs := dfs.NewMem()
-	recs, err := corpus.MarshalEvents(events)
-	if err != nil {
-		t.Fatal(err)
+	recs := make([][]byte, len(events))
+	for i, e := range events {
+		var err error
+		if recs[i], err = e.Marshal(); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := mapreduce.WriteInput(fs, "in/e", recs, 4); err != nil {
 		t.Fatal(err)
@@ -48,10 +53,11 @@ func executeEventLFs(t *testing.T, events []*corpus.Event, runners []EventLF) *l
 		FS: fs, InputBase: "in/e", OutputPrefix: "labels",
 		Decode: corpus.UnmarshalEvent, Parallelism: 4,
 	}
-	mx, _, err := e.Execute(runners)
+	mxView, _, err := e.ExecuteContext(context.Background(), runners)
 	if err != nil {
 		t.Fatal(err)
 	}
+	mx := mxView.Matrix
 	return mx
 }
 
@@ -61,7 +67,7 @@ func TestTopicLFCountAndCensus(t *testing.T) {
 		t.Fatalf("topic LFs = %d, want 10 (Table 1)", len(runners))
 	}
 	census := lfapi.Census(runners)
-	for _, cat := range []lf.Category{lf.SourceHeuristic, lf.ContentHeuristic, lf.ModelBased, lf.GraphBased} {
+	for _, cat := range []lfapi.Category{lfapi.SourceHeuristic, lfapi.ContentHeuristic, lfapi.ModelBased, lfapi.GraphBased} {
 		if census[cat] == 0 {
 			t.Errorf("no %s LFs", cat)
 		}
@@ -88,7 +94,7 @@ func TestEventLFCountAndFamilies(t *testing.T) {
 		t.Fatalf("event LFs = %d, want %d", len(runners), NumEventLFs)
 	}
 	census := lfapi.Census(runners)
-	if census[lf.ModelBased] < 20 || census[lf.GraphBased] < 30 || census[lf.ContentHeuristic] < 50 {
+	if census[lfapi.ModelBased] < 20 || census[lfapi.GraphBased] < 30 || census[lfapi.ContentHeuristic] < 50 {
 		t.Errorf("family sizes off: %v", census)
 	}
 	for _, r := range runners {
@@ -230,8 +236,8 @@ func TestEventLFFamilyProfiles(t *testing.T) {
 	}
 	runners := EventLFs(140, 1)
 	mx := executeEventLFs(t, events, runners)
-	famRecall := map[lf.Category][]float64{}
-	famPrec := map[lf.Category][]float64{}
+	famRecall := map[lfapi.Category][]float64{}
+	famPrec := map[lfapi.Category][]float64{}
 	totalPos := 0
 	for _, e := range events {
 		if e.Gold {
@@ -262,13 +268,13 @@ func TestEventLFFamilyProfiles(t *testing.T) {
 		}
 		return s / float64(len(xs))
 	}
-	if mean(famRecall[lf.GraphBased]) <= mean(famRecall[lf.ModelBased]) {
+	if mean(famRecall[lfapi.GraphBased]) <= mean(famRecall[lfapi.ModelBased]) {
 		t.Errorf("graph recall %.3f should exceed model recall %.3f",
-			mean(famRecall[lf.GraphBased]), mean(famRecall[lf.ModelBased]))
+			mean(famRecall[lfapi.GraphBased]), mean(famRecall[lfapi.ModelBased]))
 	}
-	if mean(famPrec[lf.GraphBased]) >= mean(famPrec[lf.ModelBased]) {
+	if mean(famPrec[lfapi.GraphBased]) >= mean(famPrec[lfapi.ModelBased]) {
 		t.Errorf("graph precision %.3f should be below model precision %.3f",
-			mean(famPrec[lf.GraphBased]), mean(famPrec[lf.ModelBased]))
+			mean(famPrec[lfapi.GraphBased]), mean(famPrec[lfapi.ModelBased]))
 	}
 }
 

@@ -67,6 +67,8 @@ type Option func(*Breaker)
 
 // WithClock swaps the breaker's clock, making cooldown expiry deterministic
 // in tests.
+//
+//drybellvet:testapi — breaker tests step a fake clock through cooldowns; to fold into one injected clock
 func WithClock(now func() time.Time) Option {
 	return func(b *Breaker) { b.now = now }
 }

@@ -46,12 +46,12 @@ func TestMarshalDocumentsBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := UnmarshalDocuments(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range docs {
-		if back[i].ID != docs[i].ID || back[i].Gold != docs[i].Gold {
+	for i, rec := range recs {
+		back, err := UnmarshalDocument(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.ID != docs[i].ID || back.Gold != docs[i].Gold {
 			t.Fatalf("batch round trip diverged at %d", i)
 		}
 	}
@@ -113,8 +113,10 @@ func TestTopicPlantedSignals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ner := nlp.NewNER(0, 1)
-	tm := nlp.NewTopicModel()
+	srv := nlp.NewServer(0, 1)
+	if err := srv.Launch(); err != nil {
+		t.Fatal(err)
+	}
 	celebKnown := map[string]bool{}
 	for _, n := range nlp.CelebrityNames {
 		celebKnown[n] = true
@@ -123,13 +125,17 @@ func TestTopicPlantedSignals(t *testing.T) {
 	var posEng, negEng float64
 	var posEnt, negEnt float64
 	for _, d := range docs {
+		res, err := srv.Annotate(d.Text())
+		if err != nil {
+			t.Fatal(err)
+		}
 		hasCeleb := false
-		for _, e := range nlp.People(ner.Recognize(d.Text())) {
+		for _, e := range res.People() {
 			if celebKnown[e.Text] {
 				hasCeleb = true
 			}
 		}
-		topTopic, _ := tm.Top(d.Text())
+		topTopic := res.TopTopic()
 		if d.Gold {
 			pos++
 			posEng += d.Crawler.EngagementScore
@@ -296,19 +302,19 @@ func TestEventsAggregatesCleanerThanServable(t *testing.T) {
 
 func TestEventRoundTrip(t *testing.T) {
 	events, _ := GenerateEvents(DefaultEventsSpec(10, 1))
-	recs, err := MarshalEvents(events)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := UnmarshalEvents(recs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range events {
-		if back[i].ID != events[i].ID || back[i].Gold != events[i].Gold {
+	for i, e := range events {
+		rec, err := e.Marshal()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := UnmarshalEvent(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if back.ID != events[i].ID || back.Gold != events[i].Gold {
 			t.Fatal("event round trip diverged")
 		}
-		if back[i].Servable[0] != events[i].Servable[0] {
+		if back.Servable[0] != events[i].Servable[0] {
 			t.Fatal("servable features diverged")
 		}
 	}

@@ -135,19 +135,6 @@ func MarshalDocuments(docs []*Document) ([][]byte, error) {
 	return out, nil
 }
 
-// UnmarshalDocuments decodes a batch.
-func UnmarshalDocuments(records [][]byte) ([]*Document, error) {
-	out := make([]*Document, len(records))
-	for i, r := range records {
-		d, err := UnmarshalDocument(r)
-		if err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-		out[i] = d
-	}
-	return out, nil
-}
-
 // GoldLabels extracts ±1 gold labels (+1 = positive class).
 func GoldLabels(docs []*Document) []int {
 	out := make([]int, len(docs))

@@ -172,32 +172,6 @@ func unmarshalEventJSON(data []byte) (*Event, error) {
 	return &e, nil
 }
 
-// MarshalEvents encodes a batch.
-func MarshalEvents(events []*Event) ([][]byte, error) {
-	out := make([][]byte, len(events))
-	for i, e := range events {
-		b, err := e.Marshal()
-		if err != nil {
-			return nil, err
-		}
-		out[i] = b
-	}
-	return out, nil
-}
-
-// UnmarshalEvents decodes a batch.
-func UnmarshalEvents(records [][]byte) ([]*Event, error) {
-	out := make([]*Event, len(records))
-	for i, r := range records {
-		e, err := UnmarshalEvent(r)
-		if err != nil {
-			return nil, fmt.Errorf("record %d: %w", i, err)
-		}
-		out[i] = e
-	}
-	return out, nil
-}
-
 // EventGoldLabels extracts ±1 gold labels.
 func EventGoldLabels(events []*Event) []int {
 	out := make([]int, len(events))

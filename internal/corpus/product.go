@@ -163,6 +163,7 @@ func genNonBikeDoc(rng *rand.Rand, g *kgraph.Graph, lang string, i int) *Documen
 	}
 }
 
-// SubtleBikeWords exposes the uncovered positive vocabulary (tests verify no
-// LF references it).
+// SubtleBikeWords exposes the uncovered positive vocabulary.
+//
+//drybellvet:testapi — apps tests check that no product LF votes on this held-out vocabulary
 func SubtleBikeWords() []string { return append([]string(nil), subtleBikeWords...) }

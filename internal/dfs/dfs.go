@@ -165,27 +165,10 @@ func (m *Mem) Stat(path string) (int64, error) {
 	return int64(len(data)), nil
 }
 
-// NumFiles returns the number of files stored. For tests and diagnostics.
-func (m *Mem) NumFiles() int {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return len(m.files)
-}
-
-// TotalBytes returns the sum of all file sizes. For tests and diagnostics.
-func (m *Mem) TotalBytes() int64 {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	var n int64
-	//drybellvet:ordered — commutative sum, order-insensitive
-	for _, d := range m.files {
-		n += int64(len(d))
-	}
-	return n
-}
-
 // Corrupt flips one byte of the stored file at the given offset, for failure
 // injection tests. It bypasses the copy-on-read discipline deliberately.
+//
+//drybellvet:testapi — other packages' tests damage stored shards with it
 func (m *Mem) Corrupt(path string, offset int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -191,15 +191,6 @@ func TestMemCorruptFailureInjection(t *testing.T) {
 	}
 }
 
-func TestMemAccounting(t *testing.T) {
-	m := NewMem()
-	m.WriteFile("a", make([]byte, 10))
-	m.WriteFile("b", make([]byte, 5))
-	if m.NumFiles() != 2 || m.TotalBytes() != 15 {
-		t.Errorf("NumFiles=%d TotalBytes=%d", m.NumFiles(), m.TotalBytes())
-	}
-}
-
 func TestShardPathRoundTripProperty(t *testing.T) {
 	f := func(idx, count uint8) bool {
 		n := int(count%50) + 1

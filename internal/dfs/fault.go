@@ -31,6 +31,8 @@ const (
 // a specific path, and latency widens race windows. A fault fires before
 // the wrapped operation runs, so a failed write writes nothing — the same
 // all-or-nothing discipline the real FS contract promises.
+//
+//drybellvet:testapi — the fault-injection double of the runtime, lf, drybelld and SDK tests
 type FaultFS struct {
 	inner FS
 
@@ -59,6 +61,8 @@ type probRule struct {
 
 // NewFaultFS wraps inner with deterministic fault injection under seed.
 // With no configured faults it is a transparent pass-through.
+//
+//drybellvet:testapi — builds the FaultFS test double
 func NewFaultFS(inner FS, seed int64) *FaultFS {
 	return &FaultFS{
 		inner: inner,

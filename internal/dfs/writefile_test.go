@@ -35,7 +35,7 @@ func TestWriteFileKeepsNoReference(t *testing.T) {
 			}
 			srv := httptest.NewServer(pool.Handler())
 			t.Cleanup(func() { srv.Close(); pool.Close() })
-			return remote.NewFSClient(srv.URL, nil)
+			return remote.NewFSClientOpts(srv.URL, nil, remote.FSClientOptions{})
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 	"repro/internal/apps"
 	"repro/internal/corpus"
 	"repro/internal/kgraph"
-	"repro/internal/lf"
 	"repro/internal/model"
 	"repro/pkg/drybell"
 	lfapi "repro/pkg/drybell/lf"
@@ -17,14 +16,14 @@ import (
 // categories, counted by number of labeling functions, per application.
 type Figure2Result struct {
 	// Census maps application → category → LF count.
-	Census map[string]map[lf.Category]int
+	Census map[string]map[lfapi.Category]int
 }
 
 // Figure2 counts the LF census for the three applications.
 func Figure2(cfg Config) (*Figure2Result, error) {
 	cfg = cfg.withDefaults()
 	g := kgraph.Builtin()
-	return &Figure2Result{Census: map[string]map[lf.Category]int{
+	return &Figure2Result{Census: map[string]map[lfapi.Category]int{
 		"topic":   lfapi.Census(apps.TopicLFs(g, 0.02, cfg.Seed)),
 		"product": lfapi.Census(apps.ProductLFs(g, cfg.Seed)),
 		"events":  lfapi.Census(apps.EventLFs(apps.NumEventLFs, cfg.Seed)),
@@ -35,7 +34,7 @@ func Figure2(cfg Config) (*Figure2Result, error) {
 func (r *Figure2Result) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 2: weak supervision categories by number of LFs\n")
-	cats := []lf.Category{lf.SourceHeuristic, lf.ContentHeuristic, lf.ModelBased, lf.GraphBased}
+	cats := []lfapi.Category{lfapi.SourceHeuristic, lfapi.ContentHeuristic, lfapi.ModelBased, lfapi.GraphBased}
 	fmt.Fprintf(&b, "%-10s", "App")
 	for _, c := range cats {
 		fmt.Fprintf(&b, " %18s", c)

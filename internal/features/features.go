@@ -8,9 +8,7 @@ package features
 
 import (
 	"fmt"
-	"math"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -34,9 +32,6 @@ func (v *SparseVector) Dot(w []float64) float64 {
 	}
 	return s
 }
-
-// NNZ returns the number of stored entries.
-func (v *SparseVector) NNZ() int { return len(v.Indices) }
 
 // dotBlockVectors is the fewest vectors a block of DotBatchInto holds: a
 // smaller batch is one block, scored on the caller's goroutine.
@@ -71,15 +66,6 @@ func dotRange(xs []*SparseVector, w []float64, out []float64) {
 	}
 }
 
-// L2 returns the Euclidean norm.
-func (v *SparseVector) L2() float64 {
-	s := 0.0
-	for _, x := range v.Values {
-		s += x * x
-	}
-	return math.Sqrt(s)
-}
-
 // Hasher maps token features into a fixed-dimension space by hashing
 // (the standard production trick for unbounded vocabularies).
 type Hasher struct {
@@ -112,61 +98,13 @@ func fnvAdd(h uint32, s string) uint32 {
 	return h
 }
 
-// The hash states after the feature prefixes of DocumentFeatures.
+// The hash states after the feature prefixes DocumentVector hashes under.
 var (
 	wordSeed   = fnvAdd(fnvOffset, "w:")
 	bigramSeed = fnvAdd(fnvOffset, "b:")
 	domainSeed = fnvAdd(fnvOffset, "d:")
 	langSeed   = fnvAdd(fnvOffset, "lang:")
 )
-
-// Index hashes a feature name to its coordinate.
-func (h *Hasher) Index(feature string) uint32 {
-	return fnvAdd(fnvOffset, feature) & (h.Dim - 1)
-}
-
-// Vector builds a sparse vector from raw feature strings with count values,
-// combining collisions by summation.
-func (h *Hasher) Vector(feats []string) *SparseVector {
-	counts := make(map[uint32]float64, len(feats))
-	for _, f := range feats {
-		counts[h.Index(f)]++
-	}
-	v := &SparseVector{
-		Indices: make([]uint32, 0, len(counts)),
-		Values:  make([]float64, 0, len(counts)),
-	}
-	for idx := range counts {
-		v.Indices = append(v.Indices, idx)
-	}
-	sort.Slice(v.Indices, func(a, b int) bool { return v.Indices[a] < v.Indices[b] })
-	for _, idx := range v.Indices {
-		v.Values = append(v.Values, counts[idx])
-	}
-	return v
-}
-
-// DocumentFeatures extracts the servable feature strings for a document:
-// unigrams and bigrams of title+body, plus the URL domain. The topic task
-// has an order-of-magnitude more features than the product task in the
-// paper; we mirror that by including bigrams only for rich text.
-func DocumentFeatures(d *corpus.Document, bigrams bool) []string {
-	words := nlp.Words(d.Text())
-	feats := make([]string, 0, len(words)*2+1)
-	for _, w := range words {
-		feats = append(feats, "w:"+w)
-	}
-	if bigrams {
-		for _, b := range nlp.Bigrams(words) {
-			feats = append(feats, "b:"+b)
-		}
-	}
-	if dom := URLDomain(d.URL); dom != "" {
-		feats = append(feats, "d:"+dom)
-	}
-	feats = append(feats, "lang:"+d.Language)
-	return feats
-}
 
 // URLDomain extracts the host from a URL-ish string (servable: the URL
 // arrives with the content).
@@ -189,11 +127,15 @@ type docScratch struct {
 
 var docScratchPool = sync.Pool{New: func() any { return new(docScratch) }}
 
-// DocumentVector hashes a document's servable features. The result is
-// Vector(DocumentFeatures(d, bigrams)) — that pair is the definition, and the
-// tests hold this to it — computed without the feature strings: each feature
-// is hashed from its prefix's state over the token bytes, the coordinates are
-// sorted and runs of equal ones counted.
+// DocumentVector hashes a document's servable features: "w:" unigrams and,
+// with bigrams, "b:" bigrams of title+body (the topic task has an order of
+// magnitude more features than the product task in the paper; bigrams only
+// for rich text mirror that), "d:" the URL domain and "lang:" the language.
+// Each coordinate counts the features that 32-bit FNV-1a, masked to Dim,
+// maps to it, and the tests hold this bit for bit to a reference that builds
+// the feature strings. It is computed without them: each feature is hashed
+// from its prefix's state over the token bytes, the coordinates are sorted
+// and runs of equal ones counted.
 func (h *Hasher) DocumentVector(d *corpus.Document, bigrams bool) *SparseVector {
 	sc := docScratchPool.Get().(*docScratch)
 	// Title then body is the token stream of d.Text(): the space that joins

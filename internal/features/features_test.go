@@ -2,15 +2,56 @@ package features
 
 import (
 	"hash/fnv"
-	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/corpus"
 	"repro/internal/israce"
+	"repro/internal/nlp"
 )
+
+// Index hashes a feature name to its coordinate.
+func (h *Hasher) Index(feature string) uint32 {
+	return fnvAdd(fnvOffset, feature) & (h.Dim - 1)
+}
+
+// Vector counts feature strings into a sparse vector over their sorted Index
+// coordinates. Vector(DocumentFeatures(d, bigrams)) is the definition
+// DocumentVector is held to.
+func (h *Hasher) Vector(feats []string) *SparseVector {
+	counts := make(map[uint32]float64)
+	for _, f := range feats {
+		counts[h.Index(f)]++
+	}
+	v := &SparseVector{}
+	for idx := range counts {
+		v.Indices = append(v.Indices, idx)
+	}
+	slices.Sort(v.Indices)
+	for _, idx := range v.Indices {
+		v.Values = append(v.Values, counts[idx])
+	}
+	return v
+}
+
+// DocumentFeatures builds a document's servable feature strings.
+func DocumentFeatures(d *corpus.Document, bigrams bool) []string {
+	words := nlp.AppendWords(nil, d.Text())
+	feats := []string{"lang:" + d.Language}
+	for i, w := range words {
+		feats = append(feats, "w:"+w)
+		if bigrams && i+1 < len(words) {
+			feats = append(feats, "b:"+w+"_"+words[i+1])
+		}
+	}
+	if dom := URLDomain(d.URL); dom != "" {
+		feats = append(feats, "d:"+dom)
+	}
+	return feats
+}
 
 func TestNewHasherValidation(t *testing.T) {
 	if _, err := NewHasher(0); err == nil {
@@ -68,12 +109,6 @@ func TestDotAndNorm(t *testing.T) {
 	w := []float64{9, 4, 9, 5}
 	if got := v.Dot(w); got != 2*4-1*5 {
 		t.Errorf("Dot = %v, want 3", got)
-	}
-	if got := v.L2(); math.Abs(got-math.Sqrt(5)) > 1e-9 {
-		t.Errorf("L2 = %v, want sqrt(5)", got)
-	}
-	if v.NNZ() != 2 {
-		t.Errorf("NNZ = %d", v.NNZ())
 	}
 }
 
@@ -147,7 +182,7 @@ func TestDocumentVectors(t *testing.T) {
 		t.Fatalf("len = %d", len(vecs))
 	}
 	for i, v := range vecs {
-		if v.NNZ() == 0 {
+		if len(v.Indices) == 0 {
 			t.Errorf("doc %d has empty feature vector", i)
 		}
 	}

@@ -77,16 +77,6 @@ func (c *Cache) Translate(keyword, language string) (string, bool) {
 }
 
 // Hits returns cache hits across both query kinds.
+//
+//drybellvet:testapi — lf and serve tests check that repeated graph queries hit the cache
 func (c *Cache) Hits() int64 { return c.occupations.Hits() + c.translations.Hits() }
-
-// Misses returns cache misses across both query kinds.
-func (c *Cache) Misses() int64 { return c.occupations.Misses() + c.translations.Misses() }
-
-// HitRate returns hits/(hits+misses), or 0 before any lookup.
-func (c *Cache) HitRate() float64 {
-	h, m := float64(c.Hits()), float64(c.Misses())
-	if h+m == 0 {
-		return 0
-	}
-	return h / (h + m)
-}

@@ -43,8 +43,8 @@ func TestCacheMemoizesOccupation(t *testing.T) {
 	if inner.occCalls != 1 { // only the first cache miss reaches the graph
 		t.Errorf("graph calls = %d, want 1", inner.occCalls)
 	}
-	if c.Hits() != 4 || c.Misses() != 1 {
-		t.Errorf("hits=%d misses=%d, want 4/1", c.Hits(), c.Misses())
+	if c.Hits() != 4 || c.occupations.Misses() != 1 {
+		t.Errorf("hits=%d misses=%d, want 4/1", c.Hits(), c.occupations.Misses())
 	}
 }
 

@@ -6,7 +6,6 @@
 package kgraph
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 	"sync"
@@ -72,13 +71,6 @@ func (g *Graph) Entity(id string) *Entity {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.entities[id]
-}
-
-// NumEntities returns the node count.
-func (g *Graph) NumEntities() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.entities)
 }
 
 // SetParent records that category child is a subcategory of parent.
@@ -179,25 +171,4 @@ func PersonID(name string) string {
 // CategoryID derives the canonical node id for a product category.
 func CategoryID(name string) string {
 	return "category/" + strings.ReplaceAll(strings.ToLower(name), " ", "_")
-}
-
-// Validate checks referential integrity: every parent edge and translation
-// refers to existing nodes.
-func (g *Graph) Validate() error {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	for child, parent := range g.parents {
-		if g.entities[child] == nil {
-			return fmt.Errorf("kgraph: parent edge from unknown node %q", child)
-		}
-		if g.entities[parent] == nil {
-			return fmt.Errorf("kgraph: parent edge to unknown node %q", parent)
-		}
-	}
-	for kw := range g.translations {
-		if g.entities["keyword/"+kw] == nil {
-			return fmt.Errorf("kgraph: translations for unknown keyword %q", kw)
-		}
-	}
-	return nil
 }

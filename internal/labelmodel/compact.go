@@ -71,40 +71,6 @@ func (c *CompactMatrix) NumExamples() int { return c.m }
 // NumFuncs returns n of the original matrix.
 func (c *CompactMatrix) NumFuncs() int { return c.n }
 
-// PosCount returns the number of positive votes in distinct row r.
-func (c *CompactMatrix) PosCount(r int) int { return int(c.PosEnd[r] - c.Start[r]) }
-
-// NegCount returns the number of negative votes in distinct row r.
-func (c *CompactMatrix) NegCount(r int) int { return int(c.Start[r+1] - c.PosEnd[r]) }
-
-// RowVotes reconstructs distinct row r as a dense vote slice.
-func (c *CompactMatrix) RowVotes(r int) []Label {
-	row := make([]Label, c.n)
-	for _, j := range c.Cols[c.Start[r]:c.PosEnd[r]] {
-		row[j] = Positive
-	}
-	for _, j := range c.Cols[c.PosEnd[r]:c.Start[r+1]] {
-		row[j] = Negative
-	}
-	return row
-}
-
-// Reconstruct rebuilds the original m×n matrix from the compact form using
-// the RowOf mapping. Compact followed by Reconstruct is the identity.
-func (c *CompactMatrix) Reconstruct() *Matrix {
-	mx := NewMatrix(c.m, c.n)
-	for i, r := range c.RowOf {
-		dst := mx.data[i*c.n : (i+1)*c.n]
-		for _, j := range c.Cols[c.Start[r]:c.PosEnd[r]] {
-			dst[j] = Positive
-		}
-		for _, j := range c.Cols[c.PosEnd[r]:c.Start[r+1]] {
-			dst[j] = Negative
-		}
-	}
-	return mx
-}
-
 // voteBad is the sentinel bit voteCode sets for bytes that are not legal
 // votes.
 const voteBad = 1 << 7

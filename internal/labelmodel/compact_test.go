@@ -10,6 +10,28 @@ import (
 	"testing"
 )
 
+// RowVotes reconstructs distinct row r as a dense vote slice.
+func (c *CompactMatrix) RowVotes(r int) []Label {
+	row := make([]Label, c.n)
+	for _, j := range c.Cols[c.Start[r]:c.PosEnd[r]] {
+		row[j] = Positive
+	}
+	for _, j := range c.Cols[c.PosEnd[r]:c.Start[r+1]] {
+		row[j] = Negative
+	}
+	return row
+}
+
+// Reconstruct rebuilds the original m×n matrix from the compact form using
+// the RowOf mapping. Compact followed by Reconstruct is the identity.
+func (c *CompactMatrix) Reconstruct() *Matrix {
+	mx := NewMatrix(c.m, c.n)
+	for i, r := range c.RowOf {
+		copy(mx.data[i*c.n:], c.RowVotes(int(r)))
+	}
+	return mx
+}
+
 // randomMatrix draws an m×n matrix with roughly the given non-abstain rate.
 func randomMatrix(t *testing.T, m, n int, voteRate float64, seed int64) *Matrix {
 	t.Helper()
@@ -116,9 +138,10 @@ func TestCompactMultiplicitiesAndCounts(t *testing.T) {
 					neg++
 				}
 			}
-			if cm.PosCount(int(r)) != pos || cm.NegCount(int(r)) != neg {
+			gotPos, gotNeg := int(cm.PosEnd[r]-cm.Start[r]), int(cm.Start[r+1]-cm.PosEnd[r])
+			if gotPos != pos || gotNeg != neg {
 				t.Fatalf("n=%d: row %d packed counts (%d,%d), want (%d,%d)",
-					n, r, cm.PosCount(int(r)), cm.NegCount(int(r)), pos, neg)
+					n, r, gotPos, gotNeg, pos, neg)
 			}
 		}
 		for r, mult := range cm.Mult {

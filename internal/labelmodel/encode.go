@@ -2,29 +2,19 @@ package labelmodel
 
 import "fmt"
 
-// This file is the checked vote encoder: the only place a Label may legally
-// become a persisted byte. Vote shards and checkpointed map output store
-// one byte per vote and readers reject anything outside {-1, 0, +1}, so an
-// unchecked byte(label) cast elsewhere can truncate a corrupt value into a
-// different legal-looking vote and ship it silently. The drybellvet voteenc
-// analyzer flags every raw conversion
-// from Label to an integer type; the casts below carry its
-// //drybellvet:rawvote allowlist marker because they sit behind the checks.
-
-// VoteByte returns the canonical persisted byte for v, rejecting anything
-// but the three legal votes.
-func VoteByte(v Label) (byte, error) {
-	b := byte(v) //drybellvet:rawvote — the checked encoder's own cast
-	if voteCode[b]&voteBad != 0 {
-		return 0, fmt.Errorf("labelmodel: invalid vote %d (want -1, 0, or +1)", v)
-	}
-	return b, nil
-}
+// This file holds the checked vote encoders, EncodeVotes and
+// VoteCounts.PutColumn: the only places a Label may legally become a
+// persisted byte. Vote shards and checkpointed map output store one byte per
+// vote and readers reject anything outside {-1, 0, +1}, so an unchecked
+// byte(label) cast elsewhere can truncate a corrupt value into a different
+// legal-looking vote and ship it silently. The drybellvet voteenc analyzer
+// flags every raw conversion from Label to an integer type; the casts below
+// carry its //drybellvet:rawvote allowlist marker because they sit behind
+// the checks.
 
 // EncodeVotes fills dst with the canonical vote bytes of row, validating
-// every element. It is the vectorized form of VoteByte: one branch-free
-// table pass over the row, with the error path rescanning only when a bad
-// vote was seen.
+// every element: one branch-free table pass over the row, with the error
+// path rescanning only when a bad vote was seen.
 func EncodeVotes(dst []byte, row []Label) error {
 	if len(dst) != len(row) {
 		return fmt.Errorf("labelmodel: EncodeVotes into %d bytes for %d votes", len(dst), len(row))

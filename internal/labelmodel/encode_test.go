@@ -7,15 +7,14 @@ import (
 
 // TestVoteEncodingRoundTrip pins the range contract of the checked encoder:
 // the three legal votes survive a byte round trip, and every other Label
-// value is refused by both the scalar and the vectorized form instead of
-// being truncated into a legal-looking byte.
+// value is refused instead of being truncated into a legal-looking byte.
 func TestVoteEncodingRoundTrip(t *testing.T) {
 	for _, v := range []Label{Negative, Abstain, Positive} {
-		b, err := VoteByte(v)
-		if err != nil {
-			t.Fatalf("VoteByte(%v): %v", v, err)
+		var b [1]byte
+		if err := EncodeVotes(b[:], []Label{v}); err != nil {
+			t.Fatalf("EncodeVotes(%v): %v", v, err)
 		}
-		if got := Label(int8(b)); got != v {
+		if got := Label(int8(b[0])); got != v {
 			t.Errorf("round trip %v: got %v", v, got)
 		}
 	}
@@ -23,9 +22,6 @@ func TestVoteEncodingRoundTrip(t *testing.T) {
 		v := Label(raw)
 		if v.Valid() {
 			continue
-		}
-		if _, err := VoteByte(v); err == nil {
-			t.Errorf("VoteByte(%d) accepted an out-of-range vote", raw)
 		}
 		row := []Label{Positive, v, Negative}
 		err := EncodeVotes(make([]byte, len(row)), row)
@@ -37,21 +33,19 @@ func TestVoteEncodingRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEncodeVotesMatchesVoteByte: the vectorized encoder writes exactly the
-// bytes the scalar one returns, and refuses a destination of the wrong size.
-func TestEncodeVotesMatchesVoteByte(t *testing.T) {
+// TestEncodeVotesCanonicalBytes: the encoder writes each vote as its int8
+// two's-complement byte (−1 → 0xff), and refuses a destination of the wrong
+// size.
+func TestEncodeVotesCanonicalBytes(t *testing.T) {
 	row := []Label{Negative, Abstain, Positive, Positive, Abstain, Negative, Negative}
 	dst := make([]byte, len(row))
 	if err := EncodeVotes(dst, row); err != nil {
 		t.Fatal(err)
 	}
-	for j, v := range row {
-		want, err := VoteByte(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dst[j] != want {
-			t.Errorf("column %d: EncodeVotes wrote %#x, VoteByte returns %#x", j, dst[j], want)
+	want := []byte{0xff, 0, 1, 1, 0, 0xff, 0xff}
+	for j := range row {
+		if dst[j] != want[j] {
+			t.Errorf("column %d: EncodeVotes wrote %#x, want %#x", j, dst[j], want[j])
 		}
 	}
 	if err := EncodeVotes(make([]byte, len(row)-1), row); err == nil {

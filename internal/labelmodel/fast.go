@@ -6,51 +6,6 @@ import (
 	"repro/internal/par"
 )
 
-// TrainSamplingFreeFast fits the same marginal-likelihood objective as
-// TrainSamplingFree (§5.2) without minibatch sampling or first-order steps.
-// It is the production trainer; the minibatch trainer is the paper's
-// formulation and the P1 baseline.
-//
-// Three structural facts about the objective make a much faster algorithm
-// possible than replaying minibatch SGD:
-//
-//  1. Vote rows repeat. The matrix is compacted once (Matrix.Compact) and
-//     every full-batch pass runs over the U distinct rows weighted by
-//     multiplicity instead of all m examples — the deduplicate-and-aggregate
-//     trick of relational engines, with U ≪ m in practice.
-//
-//  2. The propensity parameters β have a closed-form profile. The posterior
-//     P(Y|Λ) depends only on α, so β's stationarity condition decouples
-//     per-LF into  m·u_j(α_j,β_j) = voted_j  (propensity matches coverage),
-//     solved exactly by β_j = logit(voted_j/m) − log(2·cosh α_j) when L2 is
-//     zero and by a monotone 1-D Newton otherwise. β never needs gradient
-//     steps.
-//
-//  3. The profiled objective F(α) is smooth in just n variables, so damped
-//     projected Newton iterations with the exact analytic gradient and
-//     Hessian (accumulated over compacted rows in up to fastMaxBlocks blocks
-//     that run in parallel) converge to the optimizer in a handful of
-//     full-batch steps — typically 10–20 rather than thousands.
-//
-// Options semantics: Steps caps the Newton iterations (the default is far
-// more than needed: training stops once the projected gradient converges or
-// an accepted step falls inside the objective's rounding floor),
-// BatchSize is ignored (updates are always full-batch and deterministic),
-// LR is ignored (Newton sets its own scale), and Seed is ignored (there is
-// no sampling). L2, PriorPositive and the [0, maxAlpha] accuracy projection
-// behave exactly as in the minibatch trainer. LearnPrior is not supported:
-// training with it set is an error (TrainSamplingFree learns the prior).
-//
-// The result agrees with a converged full-batch run of TrainSamplingFree
-// to within fractions of the equivalence-test tolerance (see
-// fast_test.go). Updates are deterministic and reductions partition by the
-// distinct-row count alone (fastBlockRows), so the result is bit for bit the same
-// on any host. It is TrainSamplingFreeFastWarm's cold start, without the state.
-func TrainSamplingFreeFast(mx *Matrix, opts Options) (*Model, error) {
-	model, _, err := TrainSamplingFreeFastWarm(mx, opts, nil)
-	return model, err
-}
-
 // minCoverage floors the per-LF empirical coverage used by the β profile,
 // keeping β finite for all-abstain (or all-vote) functions — the same floor
 // initBeta applies for the gradient trainers.

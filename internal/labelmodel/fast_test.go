@@ -16,7 +16,7 @@ func maxAbsDiff(a, b []float64) float64 {
 }
 
 // TestFastTrainerMatchesReference is the equivalence contract of the
-// vectorized trainer: with the same options, TrainSamplingFreeFast must
+// vectorized trainer: with the same options, TrainSamplingFreeFastWarm must
 // agree with the minibatch reference, TrainSamplingFree, to within 1e−3 on α
 // and β and 1e−4 on the posterior labels. The reference runs full-batch
 // (BatchSize ≥ m) so its deterministic Adam iterations converge to the
@@ -82,7 +82,7 @@ func TestFastTrainerMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fast, err := TrainSamplingFreeFast(mx, opts)
+			fast, _, err := TrainSamplingFreeFastWarm(mx, opts, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestFastTrainerBoundaryLF(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := TrainSamplingFreeFast(mx, opts)
+	fast, _, err := TrainSamplingFreeFastWarm(mx, opts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,11 +150,11 @@ func TestFastTrainerDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := TrainSamplingFreeFast(mx, Options{})
+	a, _, err := TrainSamplingFreeFastWarm(mx, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := TrainSamplingFreeFast(mx, Options{})
+	b, _, err := TrainSamplingFreeFastWarm(mx, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestFastTrainerDeterministic(t *testing.T) {
 	}
 	// Seed and BatchSize are documented as ignored: changing them must not
 	// change the result.
-	c, err := TrainSamplingFreeFast(mx, Options{Seed: 123, BatchSize: 17})
+	c, _, err := TrainSamplingFreeFastWarm(mx, Options{Seed: 123, BatchSize: 17}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestFastTrainerLabelEquivalenceAtDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fast, err := TrainSamplingFreeFast(mx, Options{Seed: 7})
+	fast, _, err := TrainSamplingFreeFastWarm(mx, Options{Seed: 7}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestFastTrainerRecoversAccuracies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := TrainSamplingFreeFast(mx, Options{})
+	m, _, err := TrainSamplingFreeFastWarm(mx, Options{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,12 +304,12 @@ func TestFastTrainerRecoversAccuracies(t *testing.T) {
 }
 
 func TestFastTrainerRejectsBadMatrix(t *testing.T) {
-	if _, err := TrainSamplingFreeFast(nil, Options{}); err == nil {
+	if _, _, err := TrainSamplingFreeFastWarm(nil, Options{}, nil); err == nil {
 		t.Error("nil matrix accepted")
 	}
 	mx := NewMatrix(3, 2)
 	mx.data[1] = 9
-	if _, err := TrainSamplingFreeFast(mx, Options{}); err == nil {
+	if _, _, err := TrainSamplingFreeFastWarm(mx, Options{}, nil); err == nil {
 		t.Error("invalid vote accepted")
 	}
 }

@@ -6,6 +6,14 @@ import (
 	"testing/quick"
 )
 
+// SetRow sets row i's votes. Tests build matrices with it; the pipeline
+// fills them through Set and the vote-store readers.
+func (mx *Matrix) SetRow(i int, votes []Label) {
+	for j, v := range votes {
+		mx.Set(i, j, v)
+	}
+}
+
 // standardSpec is a moderately hard recovery problem shared by trainer tests.
 func standardSpec(seed int64) SynthSpec {
 	return SynthSpec{
@@ -22,8 +30,11 @@ func standardSpec(seed int64) SynthSpec {
 func trainers() map[string]func(*Matrix, Options) (*Model, error) {
 	return map[string]func(*Matrix, Options) (*Model, error){
 		"samplingfree": TrainSamplingFree,
-		"analytic":     TrainSamplingFreeFast,
-		"gibbs":        TrainGibbs,
+		"analytic": func(mx *Matrix, o Options) (*Model, error) {
+			m, _, err := TrainSamplingFreeFastWarm(mx, o, nil)
+			return m, err
+		},
+		"gibbs": TrainGibbs,
 	}
 }
 
@@ -99,15 +110,6 @@ func TestAccuraciesFormula(t *testing.T) {
 	}
 }
 
-func TestPropensitiesInUnitInterval(t *testing.T) {
-	m := &Model{Alpha: []float64{1, -2, 0}, Beta: []float64{3, -3, 0}}
-	for j, p := range m.Propensities() {
-		if p < 0 || p > 1 {
-			t.Errorf("propensity[%d] = %v out of [0,1]", j, p)
-		}
-	}
-}
-
 // The heart of the reproduction: every trainer must (a) beat majority vote
 // on posterior accuracy, (b) rank LFs by true accuracy, on data drawn from
 // the model family.
@@ -116,7 +118,8 @@ func TestTrainersRecoverAccuracies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mvAcc := PosteriorAccuracy(MajorityVotePosteriors(mx), gold)
+	// Thresholded at 0.5, equal weights is majority vote (ties positive).
+	mvAcc := PosteriorAccuracy(EqualWeightsPosteriors(mx), gold)
 	for name, train := range trainers() {
 		t.Run(name, func(t *testing.T) {
 			model, err := train(mx, Options{Steps: 1500, BatchSize: 64, LR: 0.05, Seed: 5})
@@ -207,15 +210,6 @@ func TestRankByAccuracyWorstFirst(t *testing.T) {
 	}
 }
 
-func TestCloneIndependent(t *testing.T) {
-	m := &Model{Alpha: []float64{1}, Beta: []float64{2}, LogPriorOdds: 3}
-	c := m.Clone()
-	c.Alpha[0] = 9
-	if m.Alpha[0] != 1 {
-		t.Error("Clone aliases Alpha")
-	}
-}
-
 func TestBaselines(t *testing.T) {
 	mx := NewMatrix(4, 3)
 	mx.SetRow(0, []Label{Positive, Positive, Negative})
@@ -236,14 +230,6 @@ func TestBaselines(t *testing.T) {
 	for i := range wantOr {
 		if or[i] != wantOr[i] {
 			t.Errorf("logical OR[%d] = %v, want %v", i, or[i], wantOr[i])
-		}
-	}
-
-	mv := MajorityVotePosteriors(mx)
-	wantMv := []float64{1, 0, 0.5, 0.5}
-	for i := range wantMv {
-		if mv[i] != wantMv[i] {
-			t.Errorf("majority[%d] = %v, want %v", i, mv[i], wantMv[i])
 		}
 	}
 

@@ -94,19 +94,6 @@ func (mx *Matrix) Set(i, j int, l Label) {
 // Row returns example i's votes. The returned slice aliases the matrix.
 func (mx *Matrix) Row(i int) []Label { return mx.data[i*mx.n : (i+1)*mx.n] }
 
-// SetRow copies votes into row i.
-func (mx *Matrix) SetRow(i int, votes []Label) {
-	if len(votes) != mx.n {
-		panic(fmt.Sprintf("labelmodel: SetRow got %d votes, want %d", len(votes), mx.n))
-	}
-	for _, v := range votes {
-		if !v.Valid() {
-			panic(fmt.Sprintf("labelmodel: invalid label %d", v))
-		}
-	}
-	copy(mx.data[i*mx.n:(i+1)*mx.n], votes)
-}
-
 // SubsetColumns returns a new matrix containing only the given LF columns,
 // in the given order. Used by the servable-LFs ablation (Table 3).
 func (mx *Matrix) SubsetColumns(cols []int) *Matrix {

@@ -35,17 +35,6 @@ func (m *Model) Accuracies() []float64 {
 	return out
 }
 
-// Propensities returns each LF's modeled probability of voting (not
-// abstaining): 1 − 1/Z_j.
-func (m *Model) Propensities() []float64 {
-	out := make([]float64, len(m.Alpha))
-	for j := range m.Alpha {
-		z := zj(m.Alpha[j], m.Beta[j])
-		out[j] = 1 - math.Exp(-z)
-	}
-	return out
-}
-
 // zj computes log Z_j = log(exp(α+β) + exp(−α+β) + 1) stably.
 func zj(alpha, beta float64) float64 {
 	return logAddExp(logAddExp(alpha+beta, beta-alpha), 0)
@@ -138,7 +127,9 @@ func (m *Model) CompactPosteriors(c *CompactMatrix) []float64 {
 
 // LogMarginalLikelihood returns log P(Λ) under the model (up to the constant
 // class-prior term for the uniform prior), the quantity all trainers
-// maximize. Exposed for convergence tests.
+// maximize.
+//
+//drybellvet:testapi — the objective convergence tests here and the root bench_test.go score trainers by
 func (m *Model) LogMarginalLikelihood(mx *Matrix) float64 {
 	n := mx.NumFuncs()
 	if n != len(m.Alpha) {
@@ -191,16 +182,4 @@ func (m *Model) RankByAccuracy() []RankedLF {
 		return out[a].Index < out[b].Index
 	})
 	return out
-}
-
-// Clone returns a deep copy of the model.
-func (m *Model) Clone() *Model {
-	c := &Model{
-		Alpha:        make([]float64, len(m.Alpha)),
-		Beta:         make([]float64, len(m.Beta)),
-		LogPriorOdds: m.LogPriorOdds,
-	}
-	copy(c.Alpha, m.Alpha)
-	copy(c.Beta, m.Beta)
-	return c
 }

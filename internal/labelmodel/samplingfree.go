@@ -20,7 +20,7 @@ import (
 //	∂L/∂β_j = u_j − 1[λ_ij ≠ 0]       with u_j = ∂Z_j/∂β_j = P(λ_j ≠ 0)
 //
 // It is the baseline of the P1 experiment; the pipeline trains with
-// TrainSamplingFreeFast. Unlike that trainer it supports LearnPrior.
+// TrainCompact. Unlike that trainer it supports LearnPrior.
 func TrainSamplingFree(mx *Matrix, opts Options) (*Model, error) {
 	opts = opts.withDefaults()
 	if err := validateMatrix(mx); err != nil {

@@ -83,6 +83,8 @@ func Synthesize(spec SynthSpec) (*Matrix, []Label, error) {
 
 // PosteriorAccuracy measures how often thresholded posteriors match gold —
 // a quick quality score for a trained label model.
+//
+//drybellvet:testapi — the accuracy score trainer tests here and in pkg/drybell compare models by
 func PosteriorAccuracy(posteriors []float64, gold []Label) float64 {
 	if len(posteriors) != len(gold) {
 		panic(fmt.Sprintf("labelmodel: %d posteriors, %d gold labels", len(posteriors), len(gold)))

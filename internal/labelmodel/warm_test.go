@@ -143,7 +143,7 @@ func TestWarmStartEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm train: %v", err)
 	}
-	coldModel, err := TrainSamplingFreeFast(full, opts)
+	coldModel, _, err := TrainSamplingFreeFastWarm(full, opts, nil)
 	if err != nil {
 		t.Fatalf("cold full train: %v", err)
 	}
@@ -195,7 +195,7 @@ func TestWarmStartIgnoresCarriedAlpha(t *testing.T) {
 	if err != nil {
 		t.Fatalf("warm train: %v", err)
 	}
-	coldModel, err := TrainSamplingFreeFast(full, opts)
+	coldModel, _, err := TrainSamplingFreeFastWarm(full, opts, nil)
 	if err != nil {
 		t.Fatalf("cold train: %v", err)
 	}
@@ -247,7 +247,7 @@ func TestWarmStartWithoutCompactFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatalf("alpha-only warm train: %v", err)
 	}
-	coldModel, err := TrainSamplingFreeFast(full, Options{Steps: 200})
+	coldModel, _, err := TrainSamplingFreeFastWarm(full, Options{Steps: 200}, nil)
 	if err != nil {
 		t.Fatalf("cold train: %v", err)
 	}

@@ -43,7 +43,7 @@ func TestExecuteDeltaMatchesFullRerun(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, base, 2)
 	e := docExecutor(fs)
-	if _, _, err := e.Execute(lfs); err != nil {
+	if _, _, err := e.ExecuteContext(context.Background(), lfs); err != nil {
 		t.Fatal(err)
 	}
 	stageDelta(t, fs, delta, "in/delta", 2)
@@ -73,10 +73,11 @@ func TestExecuteDeltaMatchesFullRerun(t *testing.T) {
 	// Reference: cold full run over the whole corpus on a fresh filesystem.
 	refFS := dfs.NewMem()
 	stageDocs(t, refFS, append(append([]*corpus.Document(nil), base...), delta...), 2)
-	want, _, err := docExecutor(refFS).Execute([]lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
+	wantView, _, err := docExecutor(refFS).ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantView.Matrix
 	if got.NumExamples() != want.NumExamples() || got.NumFuncs() != want.NumFuncs() {
 		t.Fatalf("incremental view %dx%d, full rerun %dx%d",
 			got.NumExamples(), got.NumFuncs(), want.NumExamples(), want.NumFuncs())
@@ -98,10 +99,11 @@ func TestExecuteDeltaDeletionsOnly(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 2)
 	e := docExecutor(fs)
-	full, _, err := e.Execute(lfs)
+	fullView, _, err := e.ExecuteContext(context.Background(), lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	full := fullView.Matrix
 	_, _, gen, err := e.ExecuteDelta(context.Background(), lfs, Delta{Deleted: []int{1, 3}})
 	if err != nil {
 		t.Fatal(err)
@@ -134,7 +136,7 @@ func TestExecuteDeltaRewrite(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 2)
 	e := docExecutor(fs)
-	if _, _, err := e.Execute(lfs); err != nil {
+	if _, _, err := e.ExecuteContext(context.Background(), lfs); err != nil {
 		t.Fatal(err)
 	}
 	// Doc 1 changes: its new body now matches the keyword function.
@@ -169,7 +171,7 @@ func TestCompactGenerationsMatchesFullRun(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 2)
 	e := docExecutor(fs)
-	if _, _, err := e.Execute(lfs); err != nil {
+	if _, _, err := e.ExecuteContext(context.Background(), lfs); err != nil {
 		t.Fatal(err)
 	}
 	stageDelta(t, fs, deltaDocs(), "in/delta", 2)
@@ -183,7 +185,7 @@ func TestCompactGenerationsMatchesFullRun(t *testing.T) {
 	refFS := dfs.NewMem()
 	all := append(append([]*corpus.Document(nil), testDocs()...), deltaDocs()...)
 	stageDocs(t, refFS, all, 2)
-	if _, _, err := docExecutor(refFS).Execute([]lfapi.LF[*corpus.Document]{keywordLF(), nerLF()}); err != nil {
+	if _, _, err := docExecutor(refFS).ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF(), nerLF()}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := CompactView(refFS, "labels/votes", 2, nil); err != nil {

@@ -17,7 +17,7 @@ import (
 )
 
 // Executor runs a set of labeling functions over a DFS-staged corpus and
-// assembles the label matrix. Every Execute is one fused map-only job: each
+// assembles the label matrix. Every ExecuteContext is one fused map-only job: each
 // task decodes its input shard once, evaluates the whole function set over
 // the decoded records, and emits one packed vote row per record, so votes
 // stay aligned with input records. The assembled matrix is appended to the
@@ -27,7 +27,7 @@ import (
 //
 // DryBell's deployment shape — one independent executable per labeling
 // function, sharing data through the filesystem (§5.4) — is this same engine
-// invoked once per function: a single-function Execute runs the fused job
+// invoked once per function: a single-function ExecuteContext runs the fused job
 // over a one-function set and appends its column as a segment of its own next
 // to the ones earlier or concurrent invocations left (see cmd/lfrun).
 //
@@ -52,7 +52,7 @@ type Executor[T any] struct {
 	// MaxAttempts per task (worker failures are retried).
 	MaxAttempts int
 	// Resume enables checkpoint/resume for vote execution. At the job level
-	// the coordinator records per-task manifests so a crashed Execute
+	// the coordinator records per-task manifests so a crashed ExecuteContext
 	// re-runs only uncommitted tasks; at the stage level a generation 0
 	// covering every requested function is loaded directly without launching
 	// any job.
@@ -76,7 +76,7 @@ type Executor[T any] struct {
 // LFReport describes one labeling function's execution.
 type LFReport struct {
 	Name     string
-	Category Category
+	Category lfapi.Category
 	Servable bool
 	// Votes emitted by value.
 	Positives, Negatives, Abstains int64
@@ -89,7 +89,7 @@ type LFReport struct {
 	CorpusPasses int
 }
 
-// Report summarizes an Execute call.
+// Report summarizes an ExecuteContext call.
 type Report struct {
 	PerLF []LFReport
 	// Examples is the number of input records labeled.
@@ -112,21 +112,13 @@ type Report struct {
 	ResumedFromVotes bool
 }
 
-// Execute runs every labeling function and returns the assembled m×n label
+// ExecuteContext runs every labeling function and assembles the m×n label
 // matrix, with column j holding function j's votes in input-record order.
-func (e *Executor[T]) Execute(lfs []lfapi.LF[T]) (*labelmodel.Matrix, *Report, error) {
-	view, report, err := e.ExecuteContext(context.Background(), lfs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return view.Matrix, report, nil
-}
-
-// ExecuteContext is Execute under a context: cancellation stops between jobs
-// and mid-job (between records or batches), and the partial run commits no
-// label matrix. It returns the matrix as a view a later LoadView can carry
-// forward — a batch run is the first round of the incremental loop — when it
-// is all of generation 0 (see executeFused, resumeFromVotes).
+// Cancellation stops between jobs and mid-job (between records or batches),
+// and the partial run commits no label matrix. It returns the matrix as a
+// view a later LoadView can carry forward — a batch run is the first round of
+// the incremental loop — when it is all of generation 0 (see executeFused,
+// resumeFromVotes).
 func (e *Executor[T]) ExecuteContext(ctx context.Context, lfs []lfapi.LF[T]) (*View, *Report, error) {
 	if e.Decode == nil {
 		return nil, nil, fmt.Errorf("lf: executor has no decoder")
@@ -180,7 +172,7 @@ type Delta struct {
 
 // ExecuteDelta runs the labeling-function set over a staged corpus delta
 // only — through the same fused map-only job, worker seam, and resume
-// machinery as a full Execute — and publishes the resulting votes as a new
+// machinery as a full ExecuteContext — and publishes the resulting votes as a new
 // delta generation over generation 0. The returned matrix covers only the
 // delta rows; LoadMatrix assembles the compacted full view. The generation number of the published delta is
 // returned for staleness accounting.

@@ -1,6 +1,6 @@
 // Versioned vote store: every write appends; none reads, merges and rewrites.
 //
-// An execution over the base corpus (Executor.Execute) publishes a
+// An execution over the base corpus (Executor.ExecuteContext) publishes a
 // generation-0 segment over base rows [0, m), each corpus delta a generation
 // over its row range: a data segment in the columnar shard format (votes.go)
 // plus a CRC'd JSON manifest of row range, columns and tombstones, under
@@ -117,7 +117,7 @@ func manifestCRC(meta GenerationMeta) (uint32, error) {
 // here; the caller sets Gen, Names, StartRow, Shards, and Deleted.
 func WriteGeneration(fs dfs.FS, base string, meta GenerationMeta, mx *labelmodel.Matrix) error {
 	if meta.Gen <= 0 {
-		return fmt.Errorf("lf: vote generation number %d, want >= 1 (generation 0 is what Execute publishes)", meta.Gen)
+		return fmt.Errorf("lf: vote generation number %d, want >= 1 (generation 0 is what ExecuteContext publishes)", meta.Gen)
 	}
 	var hash uint64
 	if mx != nil {
@@ -271,7 +271,7 @@ func listManifests(fs dfs.FS, base string) ([]manifest, error) {
 }
 
 // SegmentOf returns the manifest key of the newest generation-0 segment at
-// base holding exactly mx under names — what an Execute of them published —
+// base holding exactly mx under names — what an ExecuteContext of them published —
 // or "" when none stands.
 func SegmentOf(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string) (string, error) {
 	ms, err := listManifests(fs, base)

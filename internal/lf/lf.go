@@ -6,7 +6,7 @@
 //
 // The paper's loose coupling — "labeling functions are independent
 // executables that use a distributed filesystem to share data" (§5.4) —
-// needs no second engine: an independent executable is an Execute over a
+// needs no second engine: an independent executable is an ExecuteContext over a
 // one-function set, and each invocation appends its column to the shared
 // store as a segment under a key of its own, next to the columns earlier or
 // concurrent invocations wrote (publishSegment; cmd/lfrun is that
@@ -15,19 +15,3 @@
 // The authoring surface (templates, combinators, sets, analysis) lives in
 // the public package; this package owns only execution.
 package lf
-
-import lfapi "repro/pkg/drybell/lf"
-
-// Meta describes one labeling function. It is the public API's Meta.
-type Meta = lfapi.Meta
-
-// Category buckets weak-supervision sources the way Figure 2 does.
-type Category = lfapi.Category
-
-// Figure 2 categories, re-exported from the public API.
-const (
-	SourceHeuristic  = lfapi.SourceHeuristic
-	ContentHeuristic = lfapi.ContentHeuristic
-	ModelBased       = lfapi.ModelBased
-	GraphBased       = lfapi.GraphBased
-)

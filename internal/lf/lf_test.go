@@ -49,7 +49,7 @@ func testDocs() []*corpus.Document {
 
 func keywordLF() lfapi.LF[*corpus.Document] {
 	return lfapi.New(
-		Meta{Name: "keyword_gossip", Category: ContentHeuristic, Servable: true},
+		lfapi.Meta{Name: "keyword_gossip", Category: lfapi.ContentHeuristic, Servable: true},
 		func(d *corpus.Document) labelmodel.Label {
 			if strings.Contains(d.Body, "gossip") {
 				return labelmodel.Positive
@@ -61,7 +61,7 @@ func keywordLF() lfapi.LF[*corpus.Document] {
 
 func nerLF() lfapi.LF[*corpus.Document] {
 	return &lfapi.NLPFunc[*corpus.Document]{
-		Meta:      Meta{Name: "ner_no_person", Category: ModelBased, Servable: false},
+		Meta:      lfapi.Meta{Name: "ner_no_person", Category: lfapi.ModelBased, Servable: false},
 		NewServer: func() *nlp.Server { return nlp.NewServer(0, 1) },
 		GetText:   func(d *corpus.Document) string { return d.Text() },
 		GetValue: func(_ *corpus.Document, res *nlp.Result) labelmodel.Label {
@@ -75,7 +75,7 @@ func nerLF() lfapi.LF[*corpus.Document] {
 
 func topicLF() lfapi.LF[*corpus.Document] {
 	return &lfapi.NLPFunc[*corpus.Document]{
-		Meta:      Meta{Name: "topic_finance", Category: ModelBased, Servable: false},
+		Meta:      lfapi.Meta{Name: "topic_finance", Category: lfapi.ModelBased, Servable: false},
 		NewServer: func() *nlp.Server { return nlp.NewServer(0, 1) },
 		GetText:   func(d *corpus.Document) string { return d.Text() },
 		GetValue: func(_ *corpus.Document, res *nlp.Result) labelmodel.Label {
@@ -146,10 +146,11 @@ func TestExecuteAssemblesMatrixInInputOrder(t *testing.T) {
 	fs := dfs.NewMem()
 	docs := testDocs()
 	stageDocs(t, fs, docs, 2)
-	mx, rep, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
+	mxView, rep, err := docExecutor(fs).ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mx := mxView.Matrix
 	if mx.NumExamples() != 5 || mx.NumFuncs() != 2 {
 		t.Fatalf("matrix %dx%d", mx.NumExamples(), mx.NumFuncs())
 	}
@@ -185,10 +186,11 @@ func TestExecuteOrderInvariantToShardCount(t *testing.T) {
 	for _, shards := range []int{1, 2, 3, 5} {
 		fs := dfs.NewMem()
 		stageDocs(t, fs, docs, shards)
-		mx, _, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{keywordLF()})
+		mxView, _, err := docExecutor(fs).ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF()})
 		if err != nil {
 			t.Fatal(err)
 		}
+		mx := mxView.Matrix
 		votes := make([]labelmodel.Label, mx.NumExamples())
 		for i := range votes {
 			votes[i] = mx.At(i, 0)
@@ -215,7 +217,7 @@ func TestNLPServerLaunchedPerTask(t *testing.T) {
 	lfs := []lfapi.LF[*corpus.Document]{nerLF(), keywordLF(), topicLF()}
 	var log serverLog
 	log.watch(lfs...)
-	_, rep, err := docExecutor(fs).Execute(lfs)
+	_, rep, err := docExecutor(fs).ExecuteContext(context.Background(), lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,21 +238,21 @@ func TestExecuteValidation(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 1)
 	e := docExecutor(fs)
-	if _, _, err := e.Execute(nil); err == nil {
+	if _, _, err := e.ExecuteContext(context.Background(), nil); err == nil {
 		t.Error("empty LF set accepted")
 	}
-	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{keywordLF(), keywordLF()}); err == nil {
+	if _, _, err := e.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF(), keywordLF()}); err == nil {
 		t.Error("duplicate names accepted")
 	} else if !strings.Contains(err.Error(), "keyword_gossip") {
 		t.Errorf("duplicate-name error does not name the function: %v", err)
 	}
-	anon := lfapi.New(Meta{}, func(*corpus.Document) labelmodel.Label { return labelmodel.Abstain })
-	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{anon}); err == nil {
+	anon := lfapi.New(lfapi.Meta{}, func(*corpus.Document) labelmodel.Label { return labelmodel.Abstain })
+	if _, _, err := e.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{anon}); err == nil {
 		t.Error("empty name accepted")
 	}
 	bad := docExecutor(fs)
 	bad.Decode = nil
-	if _, _, err := bad.Execute([]lfapi.LF[*corpus.Document]{keywordLF()}); err == nil {
+	if _, _, err := bad.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF()}); err == nil {
 		t.Error("nil decoder accepted")
 	}
 }
@@ -266,10 +268,11 @@ func TestExecuteSurvivesWorkerFailures(t *testing.T) {
 		}
 		return nil
 	}
-	mx, _, err := e.Execute([]lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
+	mxView, _, err := e.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mx := mxView.Matrix
 	if mx.At(0, 0) != labelmodel.Positive {
 		t.Error("votes wrong after worker failures")
 	}
@@ -281,7 +284,7 @@ func TestExecutePermanentFailure(t *testing.T) {
 	e := docExecutor(fs)
 	e.MaxAttempts = 2
 	e.FailureHook = func(string, int) error { return errors.New("down") }
-	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{keywordLF()}); err == nil {
+	if _, _, err := e.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF()}); err == nil {
 		t.Error("permanent failure not surfaced")
 	}
 }
@@ -289,10 +292,10 @@ func TestExecutePermanentFailure(t *testing.T) {
 func TestInvalidVoteRejected(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 1)
-	bad := lfapi.New(Meta{Name: "bad"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Label(7) })
+	bad := lfapi.New(lfapi.Meta{Name: "bad"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Label(7) })
 	e := docExecutor(fs)
 	e.MaxAttempts = 1
-	_, _, err := e.Execute([]lfapi.LF[*corpus.Document]{bad})
+	_, _, err := e.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{bad})
 	if err == nil {
 		t.Fatal("invalid vote accepted")
 	}
@@ -310,7 +313,7 @@ func TestAssemblyRejectsBadVoteByte(t *testing.T) {
 	e := docExecutor(fs)
 	e.Resume = true
 	lfs := []lfapi.LF[*corpus.Document]{keywordLF(), topicLF()}
-	if _, _, err := e.Execute(lfs); err != nil {
+	if _, _, err := e.ExecuteContext(context.Background(), lfs); err != nil {
 		t.Fatal(err)
 	}
 	votes, err := fs.List("labels/votes")
@@ -339,7 +342,7 @@ func TestAssemblyRejectsBadVoteByte(t *testing.T) {
 	if err := fs.WriteFile(checkpoint, buf.Bytes()); err != nil {
 		t.Fatal(err)
 	}
-	_, report, err := e.Execute(lfs)
+	_, report, err := e.ExecuteContext(context.Background(), lfs)
 	if want := "lf " + topicLF().LFMeta().Name + ": vote byte 5 out of range"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("assembly over a bad vote byte: report %+v, error %v, want one containing %q", report, err, want)
 	}
@@ -352,7 +355,7 @@ func TestDecodeErrorSurfaced(t *testing.T) {
 	}
 	e := docExecutor(fs)
 	e.MaxAttempts = 1
-	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{keywordLF()}); err == nil {
+	if _, _, err := e.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF()}); err == nil {
 		t.Error("decode error swallowed")
 	}
 }
@@ -368,7 +371,7 @@ func TestAggregateTwoPassExecution(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, docs, 2)
 	agg := &lfapi.AggregateFunc[*corpus.Document]{
-		Meta: Meta{Name: "above_mean_engagement", Category: SourceHeuristic},
+		Meta: lfapi.Meta{Name: "above_mean_engagement", Category: lfapi.SourceHeuristic},
 		Extract: func(d *corpus.Document) float64 {
 			time.Sleep(time.Millisecond)
 			return d.Crawler.EngagementScore
@@ -380,10 +383,11 @@ func TestAggregateTwoPassExecution(t *testing.T) {
 			return labelmodel.Negative
 		},
 	}
-	mx, rep, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{agg})
+	mxView, rep, err := docExecutor(fs).ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{agg})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mx := mxView.Matrix
 	if rep.PerLF[0].CorpusPasses != 2 {
 		t.Errorf("corpus passes = %d, want 2", rep.PerLF[0].CorpusPasses)
 	}
@@ -427,17 +431,17 @@ func TestPerLFDurationIsVoteTime(t *testing.T) {
 		return labelmodel.Abstain
 	}
 	lfs := []lfapi.LF[*corpus.Document]{
-		lfapi.New(Meta{Name: "first"}, func(*corpus.Document) labelmodel.Label { return mark(0) }),
+		lfapi.New(lfapi.Meta{Name: "first"}, func(*corpus.Document) labelmodel.Label { return mark(0) }),
 		keywordLF(),
-		lfapi.New(Meta{Name: "slow"}, func(*corpus.Document) labelmodel.Label {
+		lfapi.New(lfapi.Meta{Name: "slow"}, func(*corpus.Document) labelmodel.Label {
 			time.Sleep(2 * time.Millisecond)
 			return labelmodel.Positive
 		}),
-		lfapi.New(Meta{Name: "last"}, func(*corpus.Document) labelmodel.Label { return mark(3) }),
+		lfapi.New(lfapi.Meta{Name: "last"}, func(*corpus.Document) labelmodel.Label { return mark(3) }),
 	}
 	e := docExecutor(fs)
 	e.Parallelism = 1 // tasks run one after another, so their phases do not overlap
-	_, report, err := e.Execute(lfs)
+	_, report, err := e.ExecuteContext(context.Background(), lfs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,10 +479,11 @@ func TestLoadMatrixResumesFromDFS(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 2)
 	e := docExecutor(fs)
-	mx, _, err := e.Execute([]lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
+	mxView, _, err := e.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mx := mxView.Matrix
 	re := docExecutor(fs)
 	got, err := re.LoadMatrix([]string{"keyword_gossip", "ner_no_person"})
 	if err != nil {
@@ -498,7 +503,7 @@ func TestCancellationStopsExecution(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 1)
 	ctx, cancel := context.WithCancel(context.Background())
-	saboteur := lfapi.New(Meta{Name: "saboteur"}, func(*corpus.Document) labelmodel.Label {
+	saboteur := lfapi.New(lfapi.Meta{Name: "saboteur"}, func(*corpus.Document) labelmodel.Label {
 		cancel()
 		return labelmodel.Abstain
 	})
@@ -552,7 +557,7 @@ func TestAssemblyReportsLowestBadShard(t *testing.T) {
 		for i := 0; i < 4; i++ {
 			e.Workers = append(e.Workers, plantingWorker{fs: fs, n: len(lfs), bad: map[int]int{1: 2, 3: 0}})
 		}
-		_, _, err := e.Execute(lfs)
+		_, _, err := e.ExecuteContext(context.Background(), lfs)
 		if want := "lf " + topicLF().LFMeta().Name + ": vote byte 9 out of range"; err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("run %d: error %v, want one containing %q", run, err, want)
 		}

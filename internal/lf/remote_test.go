@@ -19,7 +19,7 @@ import (
 // mean of the documents' engagement scores, which it must fit first.
 func engagementLF() *lfapi.AggregateFunc[*corpus.Document] {
 	return &lfapi.AggregateFunc[*corpus.Document]{
-		Meta:    Meta{Name: "above_mean_engagement", Category: SourceHeuristic},
+		Meta:    lfapi.Meta{Name: "above_mean_engagement", Category: lfapi.SourceHeuristic},
 		Extract: func(d *corpus.Document) float64 { return d.Crawler.EngagementScore },
 		VoteWith: func(_ *corpus.Document, v float64, s lfapi.Summary) labelmodel.Label {
 			if v > s.Mean {
@@ -41,10 +41,11 @@ func TestRemoteWorkerFitsCorpus(t *testing.T) {
 	}
 	local := dfs.NewMem()
 	stageDocs(t, local, docs, 2)
-	want, _, err := docExecutor(local).Execute([]lfapi.LF[*corpus.Document]{engagementLF(), keywordLF()})
+	wantView, _, err := docExecutor(local).ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{engagementLF(), keywordLF()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := wantView.Matrix
 
 	// The worker runs in this process, so it must hold its own instances: a
 	// function the coordinator fitted would report Fitted() and skip the

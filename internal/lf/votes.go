@@ -293,7 +293,7 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 		p.segments = append(p.segments, voteSegment{base: g.key + ".data", meta: meta, startRow: g.StartRow})
 	}
 	if len(p.segments) == 0 {
-		return nil, fmt.Errorf("lf: no vote artifact at %s (run Execute against this root first)", base)
+		return nil, fmt.Errorf("lf: no vote artifact at %s (run ExecuteContext against this root first)", base)
 	}
 
 	var union []string

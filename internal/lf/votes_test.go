@@ -123,10 +123,11 @@ func TestExecutePersistsColumnarVotes(t *testing.T) {
 	docs := testDocs()
 	stageDocs(t, fs, docs, 2)
 	exec := docExecutor(fs)
-	mx, _, err := exec.Execute([]lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
+	mxView, _, err := exec.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF(), nerLF()})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mx := mxView.Matrix
 	// No per-LF recordio shard sets anymore — only the columnar artifact.
 	if _, err := dfs.ListShards(fs, "labels/keyword_gossip"); err == nil {
 		t.Error("per-LF recordio shards still written")
@@ -194,7 +195,7 @@ func TestExecuteMergesAcrossInvocations(t *testing.T) {
 		t.Errorf("keyword vote for doc 0 = %d after merge, want positive", mx.At(0, 0))
 	}
 	// Re-running an existing function keeps one column, not two.
-	if _, _, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{keywordLF()}); err != nil {
+	if _, _, err := docExecutor(fs).ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF()}); err != nil {
 		t.Fatal(err)
 	}
 	names, _ = VoteNames(fs, "labels/votes")
@@ -294,10 +295,11 @@ func TestFusedMatchesDirectVoteOracle(t *testing.T) {
 		lfs := newSet()
 		var log serverLog
 		log.watch(lfs...)
-		got, rep, err := docExecutor(fs).Execute(lfs)
+		gotView, rep, err := docExecutor(fs).ExecuteContext(context.Background(), lfs)
 		if err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
 		}
+		got := gotView.Matrix
 		built, running, calls := log.tally()
 		if rep.ModelServersLaunched != int64(shards) || built != shards || running != 0 {
 			t.Errorf("shards=%d: %d model servers reported, %d built, %d left running; want one per task, all stopped",
@@ -343,7 +345,7 @@ func mixedNLPSet(t *testing.T, log *serverLog) []lfapi.LF[*corpus.Document] {
 	t.Helper()
 	nlpLF := func(name string, vote func(*nlp.Result) labelmodel.Label) lfapi.LF[*corpus.Document] {
 		f := &lfapi.NLPFunc[*corpus.Document]{
-			Meta:      Meta{Name: name, Category: ModelBased},
+			Meta:      lfapi.Meta{Name: name, Category: lfapi.ModelBased},
 			NewServer: func() *nlp.Server { return nlp.NewServer(0.2, 5) },
 			GetText:   func(d *corpus.Document) string { return d.Text() },
 			GetValue:  func(_ *corpus.Document, res *nlp.Result) labelmodel.Label { return vote(res) },
@@ -364,11 +366,11 @@ func mixedNLPSet(t *testing.T, log *serverLog) []lfapi.LF[*corpus.Document] {
 	hasPerson := nlpLF("has_person", when(func(r *nlp.Result) bool { return len(r.People()) > 0 }, labelmodel.Positive))
 	upbeat := nlpLF("upbeat", when(func(r *nlp.Result) bool { return r.Sentiment > 0 }, labelmodel.Positive))
 	finance := nlpLF("finance", when(func(r *nlp.Result) bool { return r.TopTopic() == nlp.TopicFinance }, labelmodel.Negative))
-	all, err := lfapi.All(Meta{Name: "person_and_entertainment"}, hasPerson, entertainment)
+	all, err := lfapi.All(lfapi.Meta{Name: "person_and_entertainment"}, hasPerson, entertainment)
 	if err != nil {
 		t.Fatal(err)
 	}
-	first, err := lfapi.FirstOf(Meta{Name: "gossip_else_finance"}, keywordLF(), finance)
+	first, err := lfapi.FirstOf(lfapi.Meta{Name: "gossip_else_finance"}, keywordLF(), finance)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,10 +410,11 @@ func TestFusedSharesOneNLPServiceAcrossSet(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, docs, shards)
 	var log serverLog
-	got, rep, err := docExecutor(fs).Execute(mixedNLPSet(t, &log))
+	gotView, rep, err := docExecutor(fs).ExecuteContext(context.Background(), mixedNLPSet(t, &log))
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := gotView.Matrix
 	sameVotes("own servers", got)
 	if built, running, calls := log.tally(); built != shards || running != 0 || calls != annotations || rep.ModelServersLaunched != shards {
 		t.Errorf("own servers: %d built (%d reported), %d left running, %d annotations; want %d, 0, %d",
@@ -436,10 +439,11 @@ func TestFusedSharesOneNLPServiceAcrossSet(t *testing.T) {
 	}
 	fs = dfs.NewMem()
 	stageDocs(t, fs, docs, shards)
-	got, rep, err = docExecutor(fs).Execute(injected)
+	gotView, rep, err = docExecutor(fs).ExecuteContext(context.Background(), injected)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got = gotView.Matrix
 	sameVotes("injected cache", got)
 	if built, _, _ := injectedLog.tally(); built != 0 || rep.ModelServersLaunched != 0 || !theirs.Launched() {
 		t.Errorf("injected cache: %d servers built, %d reported, caller's server running %v; want 0, 0, true",
@@ -486,13 +490,13 @@ func TestAnnotationMemoDoesNotRememberErrors(t *testing.T) {
 func TestFailedInvocationKeepsEarlierColumns(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 2)
-	if _, _, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{keywordLF()}); err != nil {
+	if _, _, err := docExecutor(fs).ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF()}); err != nil {
 		t.Fatal(err)
 	}
-	bad := lfapi.New(Meta{Name: "explodes"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Label(9) })
+	bad := lfapi.New(lfapi.Meta{Name: "explodes"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Label(9) })
 	e := docExecutor(fs)
 	e.MaxAttempts = 1
-	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{bad}); err == nil {
+	if _, _, err := e.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{bad}); err == nil {
 		t.Fatal("invalid vote not surfaced")
 	}
 	names, err := VoteNames(fs, "labels/votes")
@@ -525,7 +529,7 @@ func TestLoadMatrixNamesWhatIsMissing(t *testing.T) {
 	}
 	executeKeyword := func(t *testing.T, fs dfs.FS) {
 		stageDocs(t, fs, testDocs(), 2)
-		if _, _, err := docExecutor(fs).Execute([]lfapi.LF[*corpus.Document]{keywordLF()}); err != nil {
+		if _, _, err := docExecutor(fs).ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{keywordLF()}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -634,12 +638,12 @@ func TestFusedSetupFailureTearsDownEarlierLFs(t *testing.T) {
 	var log serverLog
 	log.watch(ner)
 	bad := &lifecycleLF{
-		LF:   lfapi.New(Meta{Name: "doomed"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Abstain }),
+		LF:   lfapi.New(lfapi.Meta{Name: "doomed"}, func(*corpus.Document) labelmodel.Label { return labelmodel.Abstain }),
 		fail: true, setups: &setups, teardowns: &teardowns,
 	}
 	e := docExecutor(fs)
 	e.MaxAttempts = 1
-	if _, _, err := e.Execute([]lfapi.LF[*corpus.Document]{ner, ok, bad}); err == nil {
+	if _, _, err := e.ExecuteContext(context.Background(), []lfapi.LF[*corpus.Document]{ner, ok, bad}); err == nil {
 		t.Fatal("setup failure not surfaced")
 	}
 	if built, running, _ := log.tally(); built == 0 || running != 0 {

@@ -74,13 +74,6 @@ func (c *Cache[K, V]) Add(key K, val V) {
 	c.items[key] = c.ll.PushFront(&entry[K, V]{key: key, val: val})
 }
 
-// Len returns the number of cached entries.
-func (c *Cache[K, V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
-
 // Hits returns the number of Get calls that found their key.
 func (c *Cache[K, V]) Hits() int64 { return c.hits.Load() }
 

@@ -35,8 +35,8 @@ func TestEvictsLeastRecentlyUsed(t *testing.T) {
 	if v, ok := c.Get("c"); !ok || v != 3 {
 		t.Errorf("c = %d, %v", v, ok)
 	}
-	if c.Len() != 2 {
-		t.Errorf("len = %d, want 2", c.Len())
+	if c.ll.Len() != 2 {
+		t.Errorf("len = %d, want 2", c.ll.Len())
 	}
 }
 
@@ -47,8 +47,8 @@ func TestAddRefreshesExisting(t *testing.T) {
 	if v, _ := c.Get("a"); v != 9 {
 		t.Errorf("a = %d, want 9", v)
 	}
-	if c.Len() != 1 {
-		t.Errorf("len = %d, want 1", c.Len())
+	if c.ll.Len() != 1 {
+		t.Errorf("len = %d, want 1", c.ll.Len())
 	}
 }
 
@@ -89,8 +89,8 @@ func TestConcurrentAccess(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if c.Len() > 64 {
-		t.Errorf("len = %d exceeds capacity", c.Len())
+	if c.ll.Len() > 64 {
+		t.Errorf("len = %d exceeds capacity", c.ll.Len())
 	}
 	_ = fmt.Sprintf("%d/%d", c.Hits(), c.Misses())
 }

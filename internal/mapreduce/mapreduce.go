@@ -188,13 +188,6 @@ func (c *CounterSet) Inc(name string, delta int64) {
 	c.mu.Unlock()
 }
 
-// Get returns the named counter's value.
-func (c *CounterSet) Get(name string) int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.m[name]
-}
-
 // Snapshot returns a copy of all counters.
 func (c *CounterSet) Snapshot() map[string]int64 {
 	c.mu.Lock()
@@ -205,11 +198,6 @@ func (c *CounterSet) Snapshot() map[string]int64 {
 		out[k] = v
 	}
 	return out
-}
-
-// Run executes the job to completion and returns its result.
-func Run(job Job) (*Result, error) {
-	return RunContext(context.Background(), job)
 }
 
 // RunContext executes the job under a context. Cancellation is honored

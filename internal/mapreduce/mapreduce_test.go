@@ -90,7 +90,7 @@ func TestDeterministicAcrossParallelismAndShards(t *testing.T) {
 	} {
 		fs := dfs.NewMem()
 		stageWords(t, fs, "in/w", words, cfg.shards)
-		res, err := Run(upperJob(fs, "in/w", cfg.par))
+		res, err := RunContext(context.Background(), upperJob(fs, "in/w", cfg.par))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -110,7 +110,7 @@ func TestMapOnlyPreservesOrder(t *testing.T) {
 	if err := WriteInput(fs, "in/r", recs, 5); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(upperJob(fs, "in/r", 8))
+	res, err := RunContext(context.Background(), upperJob(fs, "in/r", 8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestSetupTeardownPerTask(t *testing.T) {
 			return nil
 		},
 	}
-	if _, err := Run(Job{Name: "hooked", FS: fs, InputBase: "in/w", Mapper: m, Parallelism: 2}); err != nil {
+	if _, err := RunContext(context.Background(), Job{Name: "hooked", FS: fs, InputBase: "in/w", Mapper: m, Parallelism: 2}); err != nil {
 		t.Fatal(err)
 	}
 	if setups != 4 || teardowns != 4 {
@@ -203,7 +203,7 @@ func TestFailureInjectionRetriesAndSucceeds(t *testing.T) {
 		}
 		return nil
 	}
-	res, err := Run(job)
+	res, err := RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestFailureExhaustsAttempts(t *testing.T) {
 	job.FailureHook = func(taskID string, attempt int) error {
 		return errors.New("permanent failure")
 	}
-	if _, err := Run(job); err == nil {
+	if _, err := RunContext(context.Background(), job); err == nil {
 		t.Fatal("job with permanent failures should fail")
 	}
 	onlyInput(t, fs, "in/w")
@@ -242,21 +242,21 @@ func TestMapErrorPropagates(t *testing.T) {
 			return fmt.Errorf("bad record %q", rec)
 		}),
 	}
-	if _, err := Run(job); err == nil || !strings.Contains(err.Error(), "bad record") {
+	if _, err := RunContext(context.Background(), job); err == nil || !strings.Contains(err.Error(), "bad record") {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestValidationErrors(t *testing.T) {
 	fs := dfs.NewMem()
-	if _, err := Run(Job{Name: "x", FS: fs}); err == nil {
+	if _, err := RunContext(context.Background(), Job{Name: "x", FS: fs}); err == nil {
 		t.Error("job without mapper accepted")
 	}
 	m := MapFunc(func(*TaskContext, []byte, Emitter) error { return nil })
-	if _, err := Run(Job{Name: "x", Mapper: m}); err == nil {
+	if _, err := RunContext(context.Background(), Job{Name: "x", Mapper: m}); err == nil {
 		t.Error("job without FS accepted")
 	}
-	if _, err := Run(Job{Name: "x", FS: fs, Mapper: m, InputBase: "missing"}); err == nil {
+	if _, err := RunContext(context.Background(), Job{Name: "x", FS: fs, Mapper: m, InputBase: "missing"}); err == nil {
 		t.Error("job with missing input accepted")
 	}
 }
@@ -274,10 +274,10 @@ func TestCountersConcurrent(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if c.Get("n") != 2000 {
-		t.Errorf("counter = %d, want 2000", c.Get("n"))
-	}
 	snap := c.Snapshot()
+	if snap["n"] != 2000 {
+		t.Errorf("counter = %d, want 2000", snap["n"])
+	}
 	c.Inc("n", 1)
 	if snap["n"] != 2000 {
 		t.Error("Snapshot aliases live counters")
@@ -356,7 +356,7 @@ func TestCorruptShardFailsTask(t *testing.T) {
 	if err := fs.Corrupt(dfs.ShardPath("in/w", 0, 1), 14); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(upperJob(fs, "in/w", 1)); !errors.Is(err, recordio.ErrCorrupt) {
+	if _, err := RunContext(context.Background(), upperJob(fs, "in/w", 1)); !errors.Is(err, recordio.ErrCorrupt) {
 		t.Errorf("job over a corrupt shard: err = %v, want ErrCorrupt", err)
 	}
 	if _, err := CountRecords(fs, "in/w"); !errors.Is(err, recordio.ErrCorrupt) {
@@ -397,7 +397,7 @@ func TestBatchMapperGetsWholeShards(t *testing.T) {
 	words := []string{"alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta"}
 	stageWords(t, fs, "in/w", words, 3)
 	m := &batchUpper{}
-	res, err := Run(Job{Name: "batch-upper", FS: fs, InputBase: "in/w", Mapper: m, Parallelism: 2})
+	res, err := RunContext(context.Background(), Job{Name: "batch-upper", FS: fs, InputBase: "in/w", Mapper: m, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +423,7 @@ func TestCollectOutputReturnsWithoutCommitting(t *testing.T) {
 		words = append(words, fmt.Sprintf("r%03d", i))
 	}
 	stageWords(t, fs, "in/c", words, 4)
-	res, err := Run(upperJob(fs, "in/c", 8))
+	res, err := RunContext(context.Background(), upperJob(fs, "in/c", 8))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,9 +110,6 @@ func (b *Backoff) Next() time.Duration {
 	return time.Duration(d)
 }
 
-// Attempt reports how many sleeps have been taken.
-func (b *Backoff) Attempt() int { return b.attempt }
-
 // Reset rewinds the schedule to the first attempt — called after a success
 // so the next failure starts cheap again.
 func (b *Backoff) Reset() { b.attempt = 0 }

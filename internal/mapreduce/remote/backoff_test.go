@@ -59,8 +59,8 @@ func TestBackoffResetRewinds(t *testing.T) {
 	b := p.Start(1)
 	b.Next()
 	b.Next()
-	if b.Attempt() != 2 {
-		t.Fatalf("Attempt() = %d, want 2", b.Attempt())
+	if b.attempt != 2 {
+		t.Fatalf("attempt = %d, want 2", b.attempt)
 	}
 	b.Reset()
 	if got := b.Next(); got != 10*time.Millisecond {

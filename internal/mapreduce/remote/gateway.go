@@ -163,14 +163,9 @@ type FSClientOptions struct {
 	Metrics *obs.Registry
 }
 
-// NewFSClient returns a client for the gateway served at base (e.g.
-// "http://127.0.0.1:9090") with default resilience (retries on). A nil hc
-// uses http.DefaultClient.
-func NewFSClient(base string, hc *http.Client) *FSClient {
-	return NewFSClientOpts(base, hc, FSClientOptions{})
-}
-
-// NewFSClientOpts is NewFSClient with explicit resilience options.
+// NewFSClientOpts returns a client for the gateway served at base (e.g.
+// "http://127.0.0.1:9090"). Zero options keep retries on with
+// DefaultPolicy. A nil hc uses http.DefaultClient.
 func NewFSClientOpts(base string, hc *http.Client, opts FSClientOptions) *FSClient {
 	if hc == nil {
 		hc = http.DefaultClient

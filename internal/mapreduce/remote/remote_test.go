@@ -69,7 +69,7 @@ func reference(t *testing.T, words []string, shards int) *mapreduce.Result {
 	t.Helper()
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", words, shards)
-	res, err := mapreduce.Run(mapreduce.Job{
+	res, err := mapreduce.RunContext(context.Background(), mapreduce.Job{
 		Name: "upper", FS: fs, InputBase: "in/w", Parallelism: 4, Mapper: upperMapper,
 	})
 	if err != nil {
@@ -220,7 +220,7 @@ func TestRemoteMatchesInProcess(t *testing.T) {
 	stageWords(t, fs, "in/w", words, 6)
 	c := startCluster(t, PoolOptions{FS: fs, Slots: 4}, testRegistry(t), []WorkerHooks{{}, {}})
 
-	res, err := mapreduce.Run(remoteJob(fs, c.pool))
+	res, err := mapreduce.RunContext(context.Background(), remoteJob(fs, c.pool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +267,7 @@ func TestRemoteExactlyOnceUnderFaults(t *testing.T) {
 
 	job := remoteJob(fs, c.pool)
 	job.MaxAttempts = 25
-	res, err := mapreduce.Run(job)
+	res, err := mapreduce.RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatalf("remote job under faults failed: %v (injected %d)", err, fs.Injected())
 	}
@@ -294,7 +294,7 @@ func TestRemoteFaultFSGatewayTraversal(t *testing.T) {
 	defer pool.Close()
 	srv := httptest.NewServer(pool.Handler())
 	defer srv.Close()
-	client := NewFSClient(srv.URL, nil)
+	client := NewFSClientOpts(srv.URL, nil, FSClientOptions{})
 
 	// Not-exist fidelity.
 	if _, err := client.ReadFile("nope"); !dfs.IsNotExist(err) {
@@ -342,7 +342,7 @@ func TestRemoteGatewayRoundTrip(t *testing.T) {
 	defer pool.Close()
 	srv := httptest.NewServer(pool.Handler())
 	defer srv.Close()
-	client := NewFSClient(srv.URL, nil)
+	client := NewFSClientOpts(srv.URL, nil, FSClientOptions{})
 
 	payload := []byte("hello over the wire\x00with binary\xff")
 	if err := client.WriteFile("dir/a", payload); err != nil {
@@ -616,7 +616,7 @@ func TestLeasePartitionedWorkerTaskRequeued(t *testing.T) {
 
 	job := remoteJob(fs, c.pool)
 	job.MaxAttempts = 10
-	res, err := mapreduce.Run(job)
+	res, err := mapreduce.RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -649,7 +649,7 @@ func TestLeaseStalledWorkerKeepsLease(t *testing.T) {
 		LeaseTTL: ttl, SweepEvery: 50 * time.Millisecond,
 	}, testRegistry(t), []WorkerHooks{slow})
 
-	res, err := mapreduce.Run(remoteJob(fs, c.pool))
+	res, err := mapreduce.RunContext(context.Background(), remoteJob(fs, c.pool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +674,7 @@ func TestRemoteResume(t *testing.T) {
 	c := startCluster(t, PoolOptions{FS: fs, Slots: 2}, testRegistry(t), []WorkerHooks{{}, {}})
 
 	job := remoteJob(fs, c.pool)
-	first, err := mapreduce.Run(job)
+	first, err := mapreduce.RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -683,7 +683,7 @@ func TestRemoteResume(t *testing.T) {
 	}
 
 	job.Workers = c.pool.Workers()
-	second, err := mapreduce.Run(job)
+	second, err := mapreduce.RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -743,7 +743,7 @@ func TestRemoteWorkerGracefulDrain(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 		drainNow()
 	}()
-	res, err := mapreduce.Run(remoteJob(fs, pool))
+	res, err := mapreduce.RunContext(context.Background(), remoteJob(fs, pool))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -772,7 +772,7 @@ func TestRemoteDeploymentSkewFailsJob(t *testing.T) {
 	job := remoteJob(fs, c.pool)
 	job.Code = "not-deployed"
 	job.MaxAttempts = 2
-	_, err := mapreduce.Run(job)
+	_, err := mapreduce.RunContext(context.Background(), job)
 	if err == nil {
 		t.Fatal("job with undeployed code key succeeded")
 	}

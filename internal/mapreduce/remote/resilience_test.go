@@ -124,14 +124,14 @@ func TestRemoteByteIdenticalUnderNetworkFaults(t *testing.T) {
 
 	job := remoteJob(fs, pool)
 	job.MaxAttempts = 8 // headroom: dropped writes/completes cost attempts
-	res, err := mapreduce.Run(job)
+	res, err := mapreduce.RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
 	assertSameResult(t, res, want)
 	// The promoted checkpoints hold the same values: a resumed run
 	// returns them without executing anything.
-	resumed, err := mapreduce.Run(job)
+	resumed, err := mapreduce.RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}

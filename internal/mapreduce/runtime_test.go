@@ -65,7 +65,7 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 			}
 			return nil
 		}
-		res, err := Run(job)
+		res, err := RunContext(context.Background(), job)
 		if err != nil {
 			t.Fatalf("job under faults failed: %v (injected %d)", err, fs.Injected())
 		}
@@ -107,11 +107,11 @@ func TestResumeSkipsCommittedTasks(t *testing.T) {
 			}
 			return nil
 		}
-		if _, err := Run(crashJob); err == nil {
+		if _, err := RunContext(context.Background(), crashJob); err == nil {
 			t.Fatal("crashing run reported success")
 		}
 
-		res, err := Run(job)
+		res, err := RunContext(context.Background(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +131,7 @@ func TestResumeSkipsCommittedTasks(t *testing.T) {
 			t.Errorf("clock counter after resume = %d, want 24 (the executed tasks only)", got)
 		}
 		// A third run finds everything checkpointed and executes nothing.
-		res, err = Run(job)
+		res, err = RunContext(context.Background(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,11 +163,11 @@ func TestResumeCollectOutput(t *testing.T) {
 			Parallelism: 1, MaxAttempts: 1,
 			Mapper: upperMapper,
 		}
-		first, err := Run(job)
+		first, err := RunContext(context.Background(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
-		second, err := Run(job)
+		second, err := RunContext(context.Background(), job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -190,11 +190,11 @@ func TestResumeKeyGuardsManifests(t *testing.T) {
 	job := upperJob(fs, "in/w", 2)
 	job.Resume = true
 	job.ResumeKey = "lfset-v1"
-	if _, err := Run(job); err != nil {
+	if _, err := RunContext(context.Background(), job); err != nil {
 		t.Fatal(err)
 	}
 	job.ResumeKey = "lfset-v2"
-	res, err := Run(job)
+	res, err := RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,13 +219,13 @@ func TestFailedRunCommitsNothing(t *testing.T) {
 	}
 	resumable := job
 	resumable.Resume = true
-	if _, err := Run(resumable); err == nil {
+	if _, err := RunContext(context.Background(), resumable); err == nil {
 		t.Fatal("doomed resumable job reported success")
 	}
 	if _, err := fs.Stat("in/w.runtime/_tasks/map-00000.out"); err != nil {
 		t.Fatalf("resumable run kept no checkpoint to clean up: %v", err)
 	}
-	if _, err := Run(job); err == nil {
+	if _, err := RunContext(context.Background(), job); err == nil {
 		t.Fatal("doomed job reported success")
 	}
 	onlyInput(t, fs, "in/w")
@@ -255,7 +255,7 @@ func TestCustomWorkerBackend(t *testing.T) {
 	for _, inner := range newLocalPool(&job, 2) {
 		job.Workers = append(job.Workers, countingWorker{inner: inner, n: &n, mu: &mu})
 	}
-	res, err := Run(job)
+	res, err := RunContext(context.Background(), job)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -166,18 +166,6 @@ func (m *LogReg) PredictAllInto(xs []*features.SparseVector, out []float64) []fl
 	return out
 }
 
-// NonZeroWeights counts coordinates with nonzero weight — FTRL's L1 keeps
-// this far below dim, which is what makes the model cheap to serve.
-func (m *LogReg) NonZeroWeights() int {
-	count := 0
-	for i := uint32(0); i < m.dim; i++ {
-		if m.weight(i) != 0 {
-			count++
-		}
-	}
-	return count
-}
-
 // materialize refreshes the dense weight vector from the FTRL state.
 func (m *LogReg) materialize() {
 	if m.dirty {

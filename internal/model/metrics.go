@@ -146,38 +146,3 @@ func (h *Histogram) Entropy() float64 {
 	}
 	return e
 }
-
-// Brier returns the Brier score (mean squared error of probabilities
-// against {0,1} outcomes); lower is better calibrated.
-func Brier(scores []float64, gold []int) (float64, error) {
-	if len(scores) != len(gold) || len(scores) == 0 {
-		return 0, fmt.Errorf("model: bad Brier input")
-	}
-	s := 0.0
-	for i, p := range scores {
-		y := 0.0
-		if gold[i] > 0 {
-			y = 1
-		}
-		s += (p - y) * (p - y)
-	}
-	return s / float64(len(scores)), nil
-}
-
-// PRPoint is one precision/recall point of a PR curve.
-type PRPoint struct {
-	Threshold, Precision, Recall float64
-}
-
-// PRCurve evaluates the precision/recall trade-off on a threshold grid.
-func PRCurve(scores []float64, gold []int) ([]PRPoint, error) {
-	var out []PRPoint
-	for _, t := range thresholdGrid() {
-		m, err := Evaluate(scores, gold, t)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, PRPoint{Threshold: t, Precision: m.Precision, Recall: m.Recall})
-	}
-	return out, nil
-}

@@ -81,6 +81,18 @@ func TestLogRegSoftLabelPanics(t *testing.T) {
 	m.Update(&features.SparseVector{Indices: []uint32{0}, Values: []float64{1}}, 1.5)
 }
 
+// nonZeroWeights counts coordinates with nonzero weight — FTRL's L1 keeps
+// this far below dim, which is what makes the model cheap to serve.
+func nonZeroWeights(m *LogReg) int {
+	count := 0
+	for i := uint32(0); i < m.dim; i++ {
+		if m.weight(i) != 0 {
+			count++
+		}
+	}
+	return count
+}
+
 func TestFTRLSparsity(t *testing.T) {
 	// With strong L1, untouched and weak coordinates stay exactly zero.
 	xs, soft, _ := sparseProblem(500, 7)
@@ -90,7 +102,7 @@ func TestFTRLSparsity(t *testing.T) {
 	if err := m.Train(xs, soft, TrainConfig{Iterations: 5000, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	nz := m.NonZeroWeights()
+	nz := nonZeroWeights(m)
 	if nz > 16 {
 		t.Errorf("nonzero weights = %d, want small (L1 sparsity)", nz)
 	}
@@ -283,44 +295,6 @@ func TestHistogramEntropy(t *testing.T) {
 	}
 }
 
-func TestBrier(t *testing.T) {
-	b, err := Brier([]float64{1, 0}, []int{1, -1})
-	if err != nil || b != 0 {
-		t.Errorf("perfect Brier = %v, %v", b, err)
-	}
-	b, _ = Brier([]float64{0, 1}, []int{1, -1})
-	if b != 1 {
-		t.Errorf("worst Brier = %v", b)
-	}
-	if _, err := Brier(nil, nil); err == nil {
-		t.Error("empty Brier accepted")
-	}
-}
-
-func TestPRCurveMonotoneRecall(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	scores := make([]float64, 500)
-	gold := make([]int, 500)
-	for i := range scores {
-		if rng.Float64() < 0.3 {
-			gold[i] = 1
-			scores[i] = 0.4 + rng.Float64()*0.6
-		} else {
-			gold[i] = -1
-			scores[i] = rng.Float64() * 0.7
-		}
-	}
-	curve, err := PRCurve(scores, gold)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i+1 < len(curve); i++ {
-		if curve[i+1].Recall > curve[i].Recall+1e-12 {
-			t.Fatal("recall must be non-increasing in threshold")
-		}
-	}
-}
-
 // Property: Evaluate counts always partition the dataset.
 func TestEvaluatePartitionProperty(t *testing.T) {
 	f := func(raw []bool, seed int64) bool {
@@ -361,7 +335,7 @@ func TestLogRegRejectsSoftLabelsOutOfRange(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), "label 3") {
 			t.Errorf("label %v: Train error %v, want one naming label 3", bad, err)
 		}
-		if n := m.NonZeroWeights(); n != 0 {
+		if n := nonZeroWeights(m); n != 0 {
 			t.Errorf("label %v: Train stepped before rejecting it (%d nonzero weights)", bad, n)
 		}
 		func() {

@@ -61,11 +61,6 @@ func NewNER(missRate float64, seed int64) *NER {
 	return &NER{MissRate: missRate, seedHash: fnv1a(fnvOffset64, string(le))}
 }
 
-// Recognize returns the entities found in text, each name once, in order of
-// first mention; at each token a two-token name wins over a one-token name. It
-// is the Entities of the one annotation pass.
-func (n *NER) Recognize(text string) []Entity { return annotate(text, n).Entities }
-
 // missed reports whether n misses the mention of name in text: a uniform draw
 // in [0,1) from FNV-1a(seed ‖ text ‖ 0 ‖ name), whatever was recognized
 // before it. *doc caches the hash of seed ‖ text ‖ 0 (0 until first needed).

@@ -13,7 +13,7 @@ import (
 	"unicode"
 )
 
-// Token and Tokenize are the tokenizer Words was derived from, kept as the
+// Token and Tokenize are the tokenizer AppendWords was derived from, kept as the
 // reference FuzzWords holds it to: a rune-at-a-time scan that lower-cases
 // every token and records offsets nothing outside the tests ever read.
 type Token struct {
@@ -55,7 +55,7 @@ func Tokenize(text string) []Token {
 	return tokens
 }
 
-// FuzzWords: on arbitrary bytes Words returns exactly the reference
+// FuzzWords: on arbitrary bytes AppendWords returns exactly the reference
 // tokenizer's token texts. The seeds run under plain `go test`.
 func FuzzWords(f *testing.F) {
 	for _, seed := range []string{
@@ -67,14 +67,14 @@ func FuzzWords(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, text string) {
-		got := Words(text)
+		got := AppendWords(nil, text)
 		toks := Tokenize(text)
 		if len(got) != len(toks) {
-			t.Fatalf("Words(%q) = %q, reference tokens %v", text, got, toks)
+			t.Fatalf("AppendWords(%q) = %q, reference tokens %v", text, got, toks)
 		}
 		for i, tok := range toks {
 			if got[i] != tok.Text {
-				t.Fatalf("Words(%q)[%d] = %q, reference %q", text, i, got[i], tok.Text)
+				t.Fatalf("AppendWords(%q)[%d] = %q, reference %q", text, i, got[i], tok.Text)
 			}
 		}
 	})
@@ -102,11 +102,11 @@ func generatedText(rng *rand.Rand, words int) string {
 	return b.String()
 }
 
-// TestAnnotateMatchesModels: Annotate equals the three public models run on
-// the text, field for field, and People is the persons among its entities.
+// TestAnnotateMatchesModels: the server's Annotate equals the one pass run on
+// the text with its NER, field for field, and People is the persons among
+// its entities.
 func TestAnnotateMatchesModels(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	tm := NewTopicModel()
 	for _, missRate := range []float64{0, 0.3} {
 		s := NewServer(missRate, 11)
 		if err := s.Launch(); err != nil {
@@ -119,9 +119,9 @@ func TestAnnotateMatchesModels(t *testing.T) {
 				t.Fatal(err)
 			}
 			want := &Result{
-				Entities:  s.ner.Recognize(text),
-				Topics:    tm.Classify(text),
-				Sentiment: ScoreSentiment(text),
+				Entities:  annotate(text, s.ner).Entities,
+				Topics:    annotate(text, &NER{}).Topics,
+				Sentiment: annotate(text, &NER{}).Sentiment,
 			}
 			if !reflect.DeepEqual(res.Entities, want.Entities) || !reflect.DeepEqual(res.Topics, want.Topics) || res.Sentiment != want.Sentiment {
 				t.Fatalf("Annotate(%q) = %+v, models say %+v", text, res, want)
@@ -160,9 +160,9 @@ func refMiss(seed int64, text, name string) float64 {
 }
 
 // refRecognize is the straightforward NER the lexicon scan replaced:
-// pair-then-single map lookups over Words with a seen set.
+// pair-then-single map lookups over AppendWords with a seen set.
 func refRecognize(missRate float64, seed int64, text string) []Entity {
-	words := Words(text)
+	words := AppendWords(nil, text)
 	var out []Entity
 	seen := map[string]bool{}
 	emit := func(name string, typ EntityType) {
@@ -192,7 +192,7 @@ func refRecognize(missRate float64, seed int64, text string) []Entity {
 func refClassify(text string) []TopicScore {
 	counts := map[string]float64{}
 	total := 0.0
-	for _, w := range Words(text) {
+	for _, w := range AppendWords(nil, text) {
 		for topic, vocab := range TopicVocab {
 			for _, v := range vocab {
 				if v == w {
@@ -218,7 +218,7 @@ func refClassify(text string) []TopicScore {
 	return out
 }
 
-// refSentiment counts Words in two maps built from the sentiment lists.
+// refSentiment counts AppendWords tokens in two maps built from the sentiment lists.
 func refSentiment(text string) float64 {
 	positive, negative := map[string]bool{}, map[string]bool{}
 	for _, w := range positiveWords {
@@ -228,7 +228,7 @@ func refSentiment(text string) float64 {
 		negative[w] = true
 	}
 	pos, neg := 0, 0
-	for _, w := range Words(text) {
+	for _, w := range AppendWords(nil, text) {
 		if positive[w] {
 			pos++
 		}
@@ -249,23 +249,22 @@ func TestModelsMatchReference(t *testing.T) {
 		t.Fatalf("TopicVocab has %d topics, AllTopics %d", len(TopicVocab), len(AllTopics))
 	}
 	rng := rand.New(rand.NewSource(6))
-	tm := NewTopicModel()
 	for _, seed := range []int64{0, 1, -7, 1 << 40} {
 		ner := NewNER(0.4, seed)
 		for i := 0; i < 200; i++ {
 			text := generatedText(rng, rng.Intn(50))
-			if got, want := ner.Recognize(text), refRecognize(ner.MissRate, seed, text); !reflect.DeepEqual(got, want) {
-				t.Fatalf("seed %d: Recognize(%q) = %v, reference %v", seed, text, got, want)
+			if got, want := annotate(text, ner).Entities, refRecognize(ner.MissRate, seed, text); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d: entities of %q = %v, reference %v", seed, text, got, want)
 			}
-			if got, want := tm.Classify(text), refClassify(text); !reflect.DeepEqual(got, want) {
-				t.Fatalf("Classify(%q) = %v, reference %v", text, got, want)
+			if got, want := annotate(text, &NER{}).Topics, refClassify(text); !reflect.DeepEqual(got, want) {
+				t.Fatalf("topics of %q = %v, reference %v", text, got, want)
 			}
 		}
 	}
 }
 
 // FuzzAnnotate: on arbitrary bytes Annotate equals the references field for
-// field, at miss rates 0 and 0.4. The references read Words and their own
+// field, at miss rates 0 and 0.4. The references read AppendWords and their own
 // maps, not the lexicon, so they check it independently.
 func FuzzAnnotate(f *testing.F) {
 	for _, seed := range []string{
@@ -308,7 +307,7 @@ func FuzzAnnotate(f *testing.F) {
 var fixedDocument = generatedText(rand.New(rand.NewSource(42)), 120)
 
 // TestAllocationCeilings catches an allocation regression on the annotate
-// path without the repository benchmark. Words allocates its result slice
+// path without the repository benchmark. AppendWords allocates its result slice
 // plus one string per token that needed lower-casing. Annotate allocates the
 // Result and its entity, topic and person slices whatever the text's length,
 // plus two to spill fixedDocument's 27 entities past the 8 it keeps on the
@@ -322,9 +321,9 @@ func TestAllocationCeilings(t *testing.T) {
 			upper++
 		}
 	}
-	words := testing.AllocsPerRun(50, func() { Words(fixedDocument) })
+	words := testing.AllocsPerRun(50, func() { AppendWords(make([]string, 0, len(fixedDocument)/6+1), fixedDocument) })
 	if ceiling := float64(upper + 2); words > ceiling {
-		t.Errorf("Words: %.0f allocs per run, ceiling %.0f (%d capitalized tokens)", words, ceiling, upper)
+		t.Errorf("AppendWords: %.0f allocs per run, ceiling %.0f (%d capitalized tokens)", words, ceiling, upper)
 	}
 	s := NewServer(0.1, 1)
 	if err := s.Launch(); err != nil {
@@ -362,7 +361,7 @@ func BenchmarkWords(b *testing.B) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(fixedDocument)))
 	for i := 0; i < b.N; i++ {
-		benchSink += len(Words(fixedDocument))
+		benchSink += len(AppendWords(nil, fixedDocument))
 	}
 }
 
@@ -429,19 +428,9 @@ func TestTokenizeOffsetsProperty(t *testing.T) {
 	}
 }
 
-func TestBigrams(t *testing.T) {
-	got := Bigrams([]string{"a", "b", "c"})
-	if len(got) != 2 || got[0] != "a_b" || got[1] != "b_c" {
-		t.Errorf("Bigrams = %v", got)
-	}
-	if Bigrams([]string{"solo"}) != nil {
-		t.Error("single word should have no bigrams")
-	}
-}
-
 func TestNERFindsGazetteerEntities(t *testing.T) {
 	ner := NewNER(0, 1)
-	ents := ner.Recognize("Ava Stone visited Quantix Labs in Eastport.")
+	ents := annotate("Ava Stone visited Quantix Labs in Eastport.", ner).Entities
 	byType := map[EntityType][]string{}
 	for _, e := range ents {
 		byType[e.Type] = append(byType[e.Type], e.Text)
@@ -459,7 +448,7 @@ func TestNERFindsGazetteerEntities(t *testing.T) {
 
 func TestNERMissesUnknownNames(t *testing.T) {
 	ner := NewNER(0, 1)
-	ents := ner.Recognize("Tilda Vess gave a speech.")
+	ents := annotate("Tilda Vess gave a speech.", ner).Entities
 	if len(People(ents)) != 0 {
 		t.Errorf("NER should not know held-out names, got %v", ents)
 	}
@@ -467,14 +456,14 @@ func TestNERMissesUnknownNames(t *testing.T) {
 
 func TestNERMissRate(t *testing.T) {
 	ner := NewNER(1.0, 1) // always miss
-	if got := ner.Recognize("Ava Stone arrived."); len(got) != 0 {
+	if got := annotate("Ava Stone arrived.", ner).Entities; len(got) != 0 {
 		t.Errorf("MissRate=1 still recognized %v", got)
 	}
 }
 
 func TestNERDeduplicates(t *testing.T) {
 	ner := NewNER(0, 1)
-	ents := ner.Recognize("ava stone met ava stone")
+	ents := annotate("ava stone met ava stone", ner).Entities
 	if len(ents) != 1 {
 		t.Errorf("duplicate mentions not merged: %v", ents)
 	}
@@ -488,7 +477,7 @@ func TestNERConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				ner.Recognize("Ava Stone and Howard Fleck in Eastport")
+				_ = annotate("Ava Stone and Howard Fleck in Eastport", ner).Entities
 			}
 		}()
 	}
@@ -506,34 +495,29 @@ func TestContainsName(t *testing.T) {
 }
 
 func TestTopicModelClassifies(t *testing.T) {
-	tm := NewTopicModel()
-	topic, score := tm.Top("the premiere drew paparazzi to the redcarpet award show")
-	if topic != TopicEntertainment {
-		t.Errorf("Top = %q, want entertainment", topic)
+	res := annotate("the premiere drew paparazzi to the redcarpet award show", &NER{})
+	if topic := res.TopTopic(); topic != TopicEntertainment {
+		t.Errorf("TopTopic = %q, want entertainment", topic)
 	}
-	if score <= 0 || score > 1 {
+	if score := res.Topics[0].Score; score <= 0 || score > 1 {
 		t.Errorf("score = %v", score)
 	}
-	topic, _ = tm.Top("quarterly earnings and dividend yield beat inflation")
-	if topic != TopicFinance {
-		t.Errorf("Top = %q, want finance", topic)
+	if topic := annotate("quarterly earnings and dividend yield beat inflation", &NER{}).TopTopic(); topic != TopicFinance {
+		t.Errorf("TopTopic = %q, want finance", topic)
 	}
 }
 
 func TestTopicModelUncuedText(t *testing.T) {
-	tm := NewTopicModel()
-	if got := tm.Classify("zzz qqq www"); got != nil {
+	if got := annotate("zzz qqq www", &NER{}).Topics; got != nil {
 		t.Errorf("Classify(uncued) = %v", got)
 	}
-	topic, score := tm.Top("zzz")
-	if topic != "" || score != 0 {
-		t.Errorf("Top(uncued) = %q, %v", topic, score)
+	if topic := annotate("zzz", &NER{}).TopTopic(); topic != "" {
+		t.Errorf("TopTopic(uncued) = %q", topic)
 	}
 }
 
 func TestTopicScoresNormalized(t *testing.T) {
-	tm := NewTopicModel()
-	scores := tm.Classify("premiere league earnings recipe")
+	scores := annotate("premiere league earnings recipe", &NER{}).Topics
 	sum := 0.0
 	for _, s := range scores {
 		sum += s.Score
@@ -549,16 +533,16 @@ func TestTopicScoresNormalized(t *testing.T) {
 }
 
 func TestSentiment(t *testing.T) {
-	if s := ScoreSentiment("an amazing stunning superb show"); s != 1 {
+	if s := annotate("an amazing stunning superb show", &NER{}).Sentiment; s != 1 {
 		t.Errorf("positive sentiment = %v", s)
 	}
-	if s := ScoreSentiment("scandal lawsuit fraud"); s != -1 {
+	if s := annotate("scandal lawsuit fraud", &NER{}).Sentiment; s != -1 {
 		t.Errorf("negative sentiment = %v", s)
 	}
-	if s := ScoreSentiment("the show happened"); s != 0 {
+	if s := annotate("the show happened", &NER{}).Sentiment; s != 0 {
 		t.Errorf("neutral sentiment = %v", s)
 	}
-	if s := ScoreSentiment("amazing scandal"); s != 0 {
+	if s := annotate("amazing scandal", &NER{}).Sentiment; s != 0 {
 		t.Errorf("mixed sentiment = %v", s)
 	}
 }

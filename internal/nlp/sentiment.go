@@ -13,7 +13,3 @@ var negativeWords = []string{
 	"terrible", "scandal", "dreadful", "flop", "lawsuit", "fraud",
 	"outrage", "dismal", "bankrupt", "recall", "disaster", "plunge",
 }
-
-// ScoreSentiment returns a score in [-1, 1]: (pos − neg) / (pos + neg),
-// or 0 for neutral text. It is the Sentiment of the one annotation pass.
-func ScoreSentiment(text string) float64 { return annotate(text, &NER{}).Sentiment }

@@ -14,11 +14,14 @@ import (
 // Result is the full annotation bundle an NLPLabelingFunction receives for
 // one example (the paper's NLPResult).
 type Result struct {
-	// Entities found by the NER model.
+	// Entities found by the NER model, each name once, in order of first
+	// mention; a two-token name wins over a one-token one.
 	Entities []Entity
-	// Topics are the coarse semantic categories, best first.
+	// Topics are the coarse semantic categories scored by their cue words,
+	// best first (ties by name); nil for a text with no cue word.
 	Topics []TopicScore
-	// Sentiment is in [-1, 1].
+	// Sentiment is (pos − neg) / (pos + neg) over the sentiment lexicons, in
+	// [-1, 1]; 0 for neutral text.
 	Sentiment float64
 
 	people []Entity // the persons among Entities, recorded by Annotate
@@ -81,6 +84,8 @@ func (s *Server) Stop() { s.launched.Store(false) }
 func (s *Server) Launched() bool { return s.launched.Load() }
 
 // Calls returns the number of Annotate calls served.
+//
+//drybellvet:testapi — lf and pkg/drybell/lf tests count model-server calls with it
 func (s *Server) Calls() int64 { return s.calls.Load() }
 
 // Annotate runs all models over the text in one token pass (see annotate) and

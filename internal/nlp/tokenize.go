@@ -12,7 +12,7 @@
 //
 // The models share one word-keyed lexicon, built once per process, and run in
 // one token pass (Server.Annotate) that probes it once per token and builds no
-// token slice; NER, TopicModel and ScoreSentiment are views of that pass.
+// token slice.
 package nlp
 
 import (
@@ -23,7 +23,7 @@ import (
 
 // scanner steps through the tokens of a text: maximal runs of letters, digits
 // and '_'. Everything else — punctuation, whitespace, invalid UTF-8 —
-// separates tokens. It allocates nothing; Words and Annotate both stand on it.
+// separates tokens. It allocates nothing; AppendWords and Annotate both stand on it.
 type scanner struct {
 	text string
 	i    int // byte offset where the search for the next token starts
@@ -73,17 +73,11 @@ var asciiClass = func() (c [256]uint8) {
 	return c
 }()
 
-// Words splits text into tokens (maximal runs of letters, digits and '_'),
-// lower-cased. A plain token (most of any corpus) is a substring of text, not a
-// copy; only one with an upper-case or non-ASCII rune goes through
-// strings.ToLower.
-func Words(text string) []string {
-	return AppendWords(make([]string, 0, len(text)/6+1), text)
-}
-
-// AppendWords appends the tokens of text to words and returns it: Words for a
-// caller that brings the slice, such as one tokenizing several fields of a
-// record into one token stream.
+// AppendWords appends the tokens of text (maximal runs of letters, digits and
+// '_'), lower-cased, to words and returns it; a caller tokenizing several
+// fields of a record appends them into one token stream. A plain token (most
+// of any corpus) is a substring of text, not a copy; only one with an
+// upper-case or non-ASCII rune goes through strings.ToLower.
 func AppendWords(words []string, text string) []string {
 	sc := scanner{text: text}
 	for tok, plain := sc.next(); tok != ""; tok, plain = sc.next() {
@@ -93,17 +87,4 @@ func AppendWords(words []string, text string) []string {
 		words = append(words, tok)
 	}
 	return words
-}
-
-// Bigrams returns adjacent token pairs joined by '_', used by the feature
-// extractor.
-func Bigrams(words []string) []string {
-	if len(words) < 2 {
-		return nil
-	}
-	out := make([]string, 0, len(words)-1)
-	for i := 0; i+1 < len(words); i++ {
-		out = append(out, words[i]+"_"+words[i+1])
-	}
-	return out
 }

@@ -63,29 +63,8 @@ var TopicVocab = map[string][]string{
 	},
 }
 
-// TopicModel is a multinomial scorer over the coarse categories, standing in
-// for the internally maintained semantic-categorization model: a view of the
-// lexicon's topic cues, stateless and safe for concurrent use.
-type TopicModel struct{}
-
-// NewTopicModel returns the scorer over TopicVocab.
-func NewTopicModel() *TopicModel { return &TopicModel{} }
-
 // TopicScore is one category with its normalized score.
 type TopicScore struct {
 	Topic string
 	Score float64
-}
-
-// Classify scores text against every coarse category, best first (ties by
-// topic name), or nil for a text with no cue word: the one pass's Topics.
-func (m *TopicModel) Classify(text string) []TopicScore { return annotate(text, &NER{}).Topics }
-
-// Top returns the best category and its score, or ("", 0) for uncued text.
-func (m *TopicModel) Top(text string) (string, float64) {
-	scores := m.Classify(text)
-	if len(scores) == 0 {
-		return "", 0
-	}
-	return scores[0].Topic, scores[0].Score
 }

@@ -64,6 +64,8 @@ type FSCounts struct {
 // Counts reads the counters the wrapper feeds — its registry's, so wrappers
 // over one registry report the same totals — with no op name to misspell and
 // no lookup that answers 0 for a counter nothing feeds.
+//
+//drybellvet:testapi — pkg/drybell tests count filesystem reads with it; bench's countingFS is to move onto it
 func (f *InstrumentedFS) Counts() FSCounts {
 	return FSCounts{f.write.calls.Value(), f.read.calls.Value(), f.rename.calls.Value(), f.remove.calls.Value(),
 		f.list.calls.Value(), f.stat.calls.Value(), f.readBytes.Value(), f.writtenBytes.Value()}

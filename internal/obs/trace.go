@@ -10,7 +10,7 @@ import (
 
 // DefaultMaxSpans bounds a tracer's finished-span buffer. A long-lived
 // daemon with tracing on must not grow without bound; spans past the cap are
-// counted in Dropped and discarded.
+// discarded.
 const DefaultMaxSpans = 1 << 16
 
 // Attr is one span attribute.
@@ -24,9 +24,6 @@ func String(k, v string) Attr { return Attr{Key: k, Value: v} }
 
 // Int builds an integer attribute.
 func Int(k string, v int) Attr { return Attr{Key: k, Value: int64(v)} }
-
-// Int64 builds an integer attribute.
-func Int64(k string, v int64) Attr { return Attr{Key: k, Value: v} }
 
 // Bool builds a boolean attribute.
 func Bool(k string, v bool) Attr { return Attr{Key: k, Value: v} }
@@ -51,20 +48,11 @@ type Tracer struct {
 
 	mu       sync.Mutex
 	finished []SpanData // guarded by mu
-	dropped  int64      // guarded by mu
 }
 
 // NewTracer returns a tracer retaining up to DefaultMaxSpans finished spans.
 func NewTracer() *Tracer {
 	return &Tracer{epoch: time.Now(), max: DefaultMaxSpans}
-}
-
-// Dropped reports how many finished spans were discarded because the buffer
-// was full.
-func (t *Tracer) Dropped() int64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.dropped
 }
 
 // Snapshot returns the finished spans sorted by start time (ID breaks ties).
@@ -86,7 +74,6 @@ func (t *Tracer) record(s SpanData) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.finished) >= t.max {
-		t.dropped++
 		return
 	}
 	t.finished = append(t.finished, s)

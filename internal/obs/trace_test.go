@@ -86,9 +86,6 @@ func TestTracerDropsBeyondMax(t *testing.T) {
 	if got := len(tr.Snapshot()); got != 2 {
 		t.Errorf("kept %d spans, want 2", got)
 	}
-	if tr.Dropped() != 3 {
-		t.Errorf("dropped = %d, want 3", tr.Dropped())
-	}
 }
 
 func TestChromeTraceExport(t *testing.T) {

@@ -1,27 +1,92 @@
 package recordio
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"io"
+	"slices"
 	"testing"
 	"testing/quick"
 )
 
+// Reader decodes records from an io.Reader one frame at a time: the
+// streaming reference Split is held to (TestSplitMatchesReadAll, FuzzSplit).
+type Reader struct {
+	r *bufio.Reader
+	n int
+}
+
+// NewReader returns a Reader consuming r.
+func NewReader(r io.Reader) *Reader {
+	return &Reader{r: bufio.NewReader(r)}
+}
+
+// Next returns the next record's payload, io.EOF at a clean end of stream,
+// or an error wrapping ErrCorrupt for damaged frames. The returned slice is
+// freshly allocated and owned by the caller.
+func (r *Reader) Next() ([]byte, error) {
+	var hdr [HeaderSize]byte
+	if _, err := io.ReadFull(r.r, hdr[:1]); err != nil {
+		if err == io.EOF {
+			return nil, io.EOF // clean end
+		}
+		return nil, fmt.Errorf("recordio: read header: %w", err)
+	}
+	if _, err := io.ReadFull(r.r, hdr[1:]); err != nil {
+		return nil, fmt.Errorf("recordio: truncated header after %d records: %w", r.n, errCorruptFrom(err))
+	}
+	if hdr[0] != magic[0] || hdr[1] != magic[1] || hdr[2] != magic[2] || hdr[3] != magic[3] {
+		return nil, fmt.Errorf("recordio: bad magic %q at record %d: %w", hdr[0:4], r.n, ErrCorrupt)
+	}
+	length := binary.LittleEndian.Uint32(hdr[4:8])
+	if length > MaxRecordSize {
+		return nil, fmt.Errorf("recordio: frame length %d at record %d: %w", length, r.n, ErrTooLarge)
+	}
+	sum := binary.LittleEndian.Uint32(hdr[8:12])
+	payload := make([]byte, length)
+	if _, err := io.ReadFull(r.r, payload); err != nil {
+		return nil, fmt.Errorf("recordio: truncated payload at record %d: %w", r.n, errCorruptFrom(err))
+	}
+	if crc32.ChecksumIEEE(payload) != sum {
+		return nil, fmt.Errorf("recordio: checksum mismatch at record %d: %w", r.n, ErrCorrupt)
+	}
+	r.n++
+	return payload, nil
+}
+
+func errCorruptFrom(err error) error {
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		return ErrCorrupt
+	}
+	return err
+}
+
+// ReadAll decodes every record from r until EOF. It is the streaming
+// reference Split is held to (TestSplitMatchesReadAll, FuzzSplit).
+func ReadAll(r io.Reader) ([][]byte, error) {
+	rd := NewReader(r)
+	var out [][]byte
+	for {
+		rec, err := rd.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
+			return out, err
+		}
+		out = append(out, rec)
+	}
+}
+
 func TestRoundTripBasic(t *testing.T) {
 	var buf bytes.Buffer
-	w := NewWriter(&buf)
 	records := [][]byte{[]byte("hello"), []byte(""), []byte("world"), {0, 1, 2, 255}}
-	for _, r := range records {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Flush(); err != nil {
+	if err := WriteAll(&buf, records); err != nil {
 		t.Fatal(err)
-	}
-	if w.Count() != len(records) {
-		t.Errorf("Count = %d, want %d", w.Count(), len(records))
 	}
 
 	r := NewReader(bytes.NewReader(buf.Bytes()))
@@ -36,9 +101,6 @@ func TestRoundTripBasic(t *testing.T) {
 	}
 	if _, err := r.Next(); err != io.EOF {
 		t.Errorf("after last record: %v, want io.EOF", err)
-	}
-	if r.Count() != len(records) {
-		t.Errorf("reader Count = %d, want %d", r.Count(), len(records))
 	}
 }
 
@@ -118,8 +180,7 @@ func TestHugeLengthRejected(t *testing.T) {
 }
 
 func TestWriterRejectsOversizeRecord(t *testing.T) {
-	w := NewWriter(io.Discard)
-	if err := w.Write(make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrTooLarge) {
+	if err := WriteAll(io.Discard, [][]byte{make([]byte, MaxRecordSize+1)}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }
@@ -134,20 +195,6 @@ func TestBadMagic(t *testing.T) {
 	_, err := ReadAll(bytes.NewReader(data))
 	if !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
-	}
-}
-
-func TestBytesAccounting(t *testing.T) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.Write(make([]byte, 100)); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if w.Bytes() != int64(buf.Len()) {
-		t.Errorf("Bytes() = %d, buffer has %d", w.Bytes(), buf.Len())
 	}
 }
 
@@ -245,15 +292,11 @@ func FuzzSplit(f *testing.F) {
 	})
 }
 
-// TestAppendFrame: AppendFrame writes the frames a Writer writes, in place
-// when the slice has room, and refuses a payload over MaxRecordSize, leaving
-// the slice as it was.
+// TestAppendFrame: AppendFrame writes frames the streaming Reader decodes
+// back to the records, in place when the slice has room, and refuses a
+// payload over MaxRecordSize, leaving the slice as it was.
 func TestAppendFrame(t *testing.T) {
 	records := [][]byte{[]byte("hello"), {}, bytes.Repeat([]byte("x"), 10000)}
-	var want bytes.Buffer
-	if err := WriteAll(&want, records); err != nil {
-		t.Fatal(err)
-	}
 	buf := make([]byte, 0, EncodedSize(records))
 	for _, rec := range records {
 		var err error
@@ -261,8 +304,8 @@ func TestAppendFrame(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if !bytes.Equal(buf, want.Bytes()) || cap(buf) != len(buf) {
-		t.Fatalf("AppendFrame built %d bytes in a %d-byte slice, want the %d WriteAll wrote in place", len(buf), cap(buf), want.Len())
+	if got, err := ReadAll(bytes.NewReader(buf)); err != nil || !slices.EqualFunc(got, records, bytes.Equal) || cap(buf) != len(buf) {
+		t.Fatalf("AppendFrame built %d bytes in a %d-byte slice, decoding to %d records (%v); want %d records in place", len(buf), cap(buf), len(got), err, len(records))
 	}
 	if got, err := AppendFrame(buf, make([]byte, MaxRecordSize+1)); !errors.Is(err, ErrTooLarge) || len(got) != len(buf) {
 		t.Errorf("oversize payload: %d bytes, %v; want the slice unchanged and ErrTooLarge", len(got), err)

@@ -139,11 +139,6 @@ func (s *Server) Score(x *features.SparseVector) float64 {
 	return sigmoid(x.Dot(s.weights))
 }
 
-// Classify applies the artifact's tuned threshold.
-func (s *Server) Classify(x *features.SparseVector) bool {
-	return s.Score(x) >= s.art.Threshold
-}
-
 // ScoreBatchInto scores a micro-batch as one operation over the dense weight
 // vector — the batched-inference entry point of the online serving path —
 // writing into a caller-provided slice of len(xs); the serving hot path

@@ -48,7 +48,7 @@ func TestExportServeRoundTrip(t *testing.T) {
 	if got, want := srv.Score(posX), m.Predict(posX); absf(got-want) > 1e-12 {
 		t.Errorf("served score %v != training score %v", got, want)
 	}
-	if !srv.Classify(posX) || srv.Classify(negX) {
+	if srv.Score(posX) < art.Threshold || srv.Score(negX) >= art.Threshold {
 		t.Error("classification wrong after export")
 	}
 	if srv.Artifact().Name != "clf" {

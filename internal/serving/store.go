@@ -184,37 +184,3 @@ func (r *FSRegistry) versions(name string) []int {
 	sort.Ints(out)
 	return out
 }
-
-// Versions lists all staged versions of a model line, ascending; none for a
-// name checkName refuses.
-func (r *FSRegistry) Versions(name string) []int {
-	if checkName(name) != nil {
-		return nil
-	}
-	return r.versions(name)
-}
-
-// Names lists all model lines, sorted.
-func (r *FSRegistry) Names() []string {
-	prefix := r.prefix + "/models/" //drybellvet:notapath — List prefix; the trailing slash is significant
-	paths, err := r.fs.List(prefix)
-	if err != nil {
-		return nil
-	}
-	seen := map[string]bool{}
-	var out []string
-	for _, p := range paths {
-		rest := strings.TrimPrefix(p, prefix)
-		i := strings.IndexByte(rest, '/')
-		if i <= 0 {
-			continue
-		}
-		name := rest[:i]
-		if !seen[name] {
-			seen[name] = true
-			out = append(out, name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}

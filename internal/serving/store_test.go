@@ -57,8 +57,8 @@ func TestRegistryLifecycle(t *testing.T) {
 	if err := reg.Promote("m", 9); err == nil {
 		t.Error("promote unknown version accepted")
 	}
-	if len(reg.Versions("m")) != 2 || len(reg.Names()) != 1 {
-		t.Errorf("versions=%v names=%v", reg.Versions("m"), reg.Names())
+	if len(reg.versions("m")) != 2 {
+		t.Errorf("versions=%v", reg.versions("m"))
 	}
 }
 
@@ -102,11 +102,8 @@ func TestFSRegistryLifecycle(t *testing.T) {
 	if err := reg.Rollback("m"); err == nil {
 		t.Error("rollback past v1 accepted")
 	}
-	if got := reg.Versions("m"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
+	if got := reg.versions("m"); len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Errorf("versions = %v", got)
-	}
-	if names := reg.Names(); len(names) != 1 || names[0] != "m" {
-		t.Errorf("names = %v", names)
 	}
 }
 
@@ -149,9 +146,6 @@ func TestFSRegistryRejectsBadNames(t *testing.T) {
 		if _, err := reg.Live(name); err == nil {
 			t.Errorf("Live accepted model name %q", name)
 		}
-		if got := reg.Versions(name); len(got) != 0 {
-			t.Errorf("Versions(%q) = %v, want none", name, got)
-		}
 	}
 	paths, err := fs.List("")
 	if err != nil {
@@ -193,7 +187,7 @@ func TestFSRegistrySurvivesRestart(t *testing.T) {
 	} else if srv.Artifact().Version != 2 {
 		t.Errorf("served version = %d", srv.Artifact().Version)
 	}
-	if got := reg2.Versions("m"); len(got) != 2 {
+	if got := reg2.versions("m"); len(got) != 2 {
 		t.Errorf("recovered versions = %v", got)
 	}
 }
@@ -223,7 +217,7 @@ func TestFSRegistryConcurrentStage(t *testing.T) {
 		}
 		seen[v] = true
 	}
-	if got := reg.Versions("m"); len(got) != n {
+	if got := reg.versions("m"); len(got) != n {
 		t.Errorf("staged %d versions, listed %d", n, len(got))
 	}
 }

@@ -99,7 +99,7 @@ func (c *ContentClassifier) Export(name string) (*serving.Artifact, error) {
 		return nil, err
 	}
 	art.Bigrams = c.Bigrams
-	// DocumentFeatures reads exactly these request-time fields.
+	// DocumentVector reads exactly these request-time fields.
 	art.Signals = []string{"text", "url", "language"}
 	return art, nil
 }

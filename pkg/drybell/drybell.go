@@ -544,9 +544,12 @@ func (p *Pipeline[T]) encoded(src Source[T]) Source[[]byte] {
 
 // StageRecords is Stage for already-encoded records: the bytes go to the
 // filesystem as-is, skipping the codec. Use it when the corpus is already
-// in the pipeline's record format — e.g. a validated JSONL dump — to avoid
-// a decode/re-encode round-trip per record. Errors yielded by the source are
-// returned as-is.
+// in the pipeline's record format, to avoid a decode/re-encode round-trip
+// per record. A document pipeline's record format is Document.Marshal's
+// binary record: JSON lines staged here still decode, but every map task
+// then takes the JSON fallback, roughly 6× slower per document, so decode
+// a JSONL dump and Stage the documents instead. Errors yielded by the
+// source are returned as-is.
 func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) (int, error) {
 	p.carried = carried{} // describes the corpus this staging replaces
 	if records == nil {

@@ -29,20 +29,23 @@ func reportPerDoc(b *testing.B, start time.Time, docs int) {
 }
 
 // topicBenchSet is the topic task at the same shape: 3,750 generated
-// documents, decoded as a map task decodes them, and the paper's ten
-// functions, their NLP functions sharing a launched model server.
+// documents, staged as Document.Marshal records and decoded as a map task
+// decodes them, and the paper's ten functions, their NLP functions sharing a
+// launched model server.
 func topicBenchSet(b *testing.B) ([]*corpus.Document, []lf.LF[*corpus.Document], nlp.Annotator) {
 	b.Helper()
 	docs, err := corpus.GenerateTopic(corpus.DefaultTopicSpec(3750, 7))
 	if err != nil {
 		b.Fatal(err)
 	}
-	recs, err := corpus.MarshalDocuments(docs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if docs, err = corpus.UnmarshalDocuments(recs); err != nil {
-		b.Fatal(err)
+	for i, d := range docs {
+		rec, err := d.Marshal()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if docs[i], err = corpus.UnmarshalDocument(rec); err != nil {
+			b.Fatal(err)
+		}
 	}
 	lfs := apps.TopicLFs(nil, 0.02, 7)
 	ann, stop, err := lf.ResolveAnnotator(lfs)

@@ -114,7 +114,7 @@ func genLF(rng *rand.Rand, name string, m, depth int) lf.LF[int] {
 
 // TestVoteAllMatchesVoteOnGeneratedSets is the column loop's contract on
 // generated function sets: every column VoteAll writes into a shared
-// row-major buffer holds exactly per-example Vote → VoteByte, and its counts
+// row-major buffer holds exactly per-example Vote → EncodeVotes, and its counts
 // are that column's histogram — for batches shorter and longer than one
 // context stride.
 func TestVoteAllMatchesVoteOnGeneratedSets(t *testing.T) {
@@ -143,12 +143,12 @@ func TestVoteAllMatchesVoteOnGeneratedSets(t *testing.T) {
 				if err != nil {
 					t.Fatalf("set %d, %s: Vote(%d): %v", set, f.LFMeta().Name, x, err)
 				}
-				b, err := labelmodel.VoteByte(v)
-				if err != nil {
+				var b [1]byte
+				if err := labelmodel.EncodeVotes(b[:], []labelmodel.Label{v}); err != nil {
 					t.Fatal(err)
 				}
-				if buf[i*n+j] != b {
-					t.Fatalf("set %d, %s, example %d: column byte %#x, Vote → VoteByte %#x", set, f.LFMeta().Name, i, buf[i*n+j], b)
+				if buf[i*n+j] != b[0] {
+					t.Fatalf("set %d, %s, example %d: column byte %#x, Vote → EncodeVotes %#x", set, f.LFMeta().Name, i, buf[i*n+j], b[0])
 				}
 				switch v {
 				case lf.Positive:

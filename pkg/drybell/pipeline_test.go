@@ -109,7 +109,10 @@ func TestPipelineAllTrainers(t *testing.T) {
 		train func(*labelmodel.Matrix, labelmodel.Options) (*labelmodel.Model, error)
 	}{
 		{"samplingfree", labelmodel.TrainSamplingFree},
-		{"analytic", labelmodel.TrainSamplingFreeFast},
+		{"analytic", func(mx *labelmodel.Matrix, o labelmodel.Options) (*labelmodel.Model, error) {
+			m, _, err := labelmodel.TrainSamplingFreeFastWarm(mx, o, nil)
+			return m, err
+		}},
 		{"gibbs", labelmodel.TrainGibbs},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -14,6 +14,19 @@ import (
 	"repro/internal/corpus"
 )
 
+// eventRecords encodes each event as Event.Marshal stages it.
+func eventRecords(t *testing.T, events []*corpus.Event) [][]byte {
+	t.Helper()
+	recs := make([][]byte, len(events))
+	for i, e := range events {
+		var err error
+		if recs[i], err = e.Marshal(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return recs
+}
+
 // intPipeline stages ints as one-line decimal records; encode, when set, runs
 // before each example is encoded.
 func intPipeline(t *testing.T, parallelism int, encode func(x int) error) *Pipeline[int] {
@@ -71,10 +84,7 @@ func TestStagingIdenticalAcrossParallelism(t *testing.T) {
 		return eventPipeline(t, WithShards(4), WithParallelism(parallelism))
 	}
 	// The reference is staging without the encoder: records made one by one.
-	recs, err := corpus.MarshalEvents(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := eventRecords(t, events)
 	ref := config(1)
 	if _, err := ref.StageRecords(context.Background(), SliceSource(recs)); err != nil {
 		t.Fatal(err)
@@ -212,10 +222,7 @@ func TestMalformedStagedEventIsAnError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, err := corpus.MarshalEvents(events)
-	if err != nil {
-		t.Fatal(err)
-	}
+	good := eventRecords(t, events)
 	// The record of an event with ID "x" that ends after three floats: its
 	// magic byte, gold byte 0, ID length 1, the ID, 24 bytes of floats.
 	truncated := append([]byte{good[0][0], 0, 1, 'x'}, make([]byte, 3*8)...)

@@ -23,6 +23,10 @@ type Analyzer struct {
 	Doc string
 	// Run applies the check to one package.
 	Run func(*Pass) error
+	// RunModule, set instead of Run, applies the check once to every
+	// loaded package together, for rules about references between
+	// packages. Each Pass still reports and suppresses on its own files.
+	RunModule func([]*Pass) error
 }
 
 // Diagnostic is one finding, positioned inside the analyzed package.

@@ -5,10 +5,12 @@
 //
 //	for k := range m { // want `range over map`
 //
-// Each want comment holds one or more back-quoted or double-quoted regular
-// expressions, all of which must be matched by diagnostics reported on that
-// line. Diagnostics on lines without a matching want, and wants without a
-// matching diagnostic, fail the test.
+// A line that already carries a // comment (a drybellvet marker) takes its
+// want as a /* want "re" */ block comment before it. Each want comment holds
+// one or more back-quoted or double-quoted regular expressions, all of which
+// must be matched by diagnostics reported on that line. Diagnostics on lines
+// without a matching want, and wants without a matching diagnostic, fail the
+// test.
 package analysistest
 
 import (
@@ -111,8 +113,9 @@ type expectation struct {
 	matched bool
 }
 
-// Run applies the analyzer to the named packages under dir/src and checks
-// every diagnostic against the packages' want comments.
+// Run applies the analyzer to the named packages under dir/src (a RunModule
+// analyzer to all of them at once) and checks every diagnostic against the
+// packages' want comments.
 func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 	t.Helper()
 	fset := token.NewFileSet()
@@ -132,30 +135,32 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 	var diags []diag
 	var wants []*expectation
 
+	var passes []*analysis.Pass
 	for _, path := range pkgPaths {
 		p, err := imp.load(path)
 		if err != nil {
 			t.Fatalf("load %s: %v", path, err)
 		}
-		pass := &analysis.Pass{
+		passes = append(passes, &analysis.Pass{
 			Analyzer: a,
 			Fset:     fset,
 			Files:    p.files,
 			Pkg:      p.pkg,
 			Info:     p.info,
 			Path:     path,
-		}
-		pass.Report = func(d analysis.Diagnostic) {
-			pos := fset.Position(d.Pos)
-			diags = append(diags, diag{file: pos.Filename, line: pos.Line, msg: d.Message})
-		}
-		if err := a.Run(pass); err != nil {
-			t.Fatalf("%s on %s: %v", a.Name, path, err)
-		}
+			Report: func(d analysis.Diagnostic) {
+				pos := fset.Position(d.Pos)
+				diags = append(diags, diag{file: pos.Filename, line: pos.Line, msg: d.Message})
+			},
+		})
 		for _, f := range p.files {
 			for _, cg := range f.Comments {
 				for _, c := range cg.List {
-					text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+					text := strings.TrimPrefix(c.Text, "//")
+					if text == c.Text { // a /* */ comment, for lines that carry a // marker
+						text = strings.TrimSuffix(strings.TrimPrefix(text, "/*"), "*/")
+					}
+					text = strings.TrimSpace(text)
 					if !strings.HasPrefix(text, "want ") {
 						continue
 					}
@@ -172,6 +177,18 @@ func Run(t *testing.T, dir string, a *analysis.Analyzer, pkgPaths ...string) {
 						wants = append(wants, &expectation{file: pos.Filename, line: pos.Line, pattern: re})
 					}
 				}
+			}
+		}
+	}
+
+	if a.RunModule != nil {
+		if err := a.RunModule(passes); err != nil {
+			t.Fatalf("%s: %v", a.Name, err)
+		}
+	} else {
+		for _, pass := range passes {
+			if err := a.Run(pass); err != nil {
+				t.Fatalf("%s on %s: %v", a.Name, pass.Path, err)
 			}
 		}
 	}

@@ -170,33 +170,42 @@ func Load(fset *token.FileSet, dir string, patterns ...string) ([]*LoadedPackage
 	return loaded, nil
 }
 
-// RunAnalyzers applies each analyzer to each package and returns every
-// finding sorted by position. The returned strings are ready to print:
-// "file:line:col: analyzer: message".
+// RunAnalyzers applies each analyzer to each package (a RunModule analyzer
+// to all of them at once) and returns every finding sorted by position. The
+// returned strings are ready to print: "file:line:col: analyzer: message".
 func RunAnalyzers(fset *token.FileSet, pkgs []*LoadedPackage, analyzers []*Analyzer) ([]string, error) {
 	type finding struct {
 		pos token.Position
 		msg string
 	}
 	var findings []finding
-	for _, pkg := range pkgs {
-		for _, a := range analyzers {
-			pass := &Pass{
+	for _, a := range analyzers {
+		passes := make([]*Pass, len(pkgs))
+		for i, pkg := range pkgs {
+			passes[i] = &Pass{
 				Analyzer: a,
 				Fset:     fset,
 				Files:    pkg.Files,
 				Pkg:      pkg.Pkg,
 				Info:     pkg.Info,
 				Path:     pkg.Path,
+				Report: func(d Diagnostic) {
+					findings = append(findings, finding{
+						pos: fset.Position(d.Pos),
+						msg: fmt.Sprintf("%s: %s", a.Name, d.Message),
+					})
+				},
 			}
-			pass.Report = func(d Diagnostic) {
-				findings = append(findings, finding{
-					pos: fset.Position(d.Pos),
-					msg: fmt.Sprintf("%s: %s", a.Name, d.Message),
-				})
+		}
+		if a.RunModule != nil {
+			if err := a.RunModule(passes); err != nil {
+				return nil, fmt.Errorf("%s: %v", a.Name, err)
 			}
+			continue
+		}
+		for _, pass := range passes {
 			if err := a.Run(pass); err != nil {
-				return nil, fmt.Errorf("%s on %s: %v", a.Name, pkg.Path, err)
+				return nil, fmt.Errorf("%s on %s: %v", a.Name, pass.Path, err)
 			}
 		}
 	}

@@ -1,16 +1,18 @@
 // Command drybellvet is the repository's invariant checker: a multichecker
-// of five repo-specific analyzers that promote the correctness rules the
+// of six repo-specific analyzers that promote the correctness rules the
 // distributed runtime and artifact encoders rely on — deterministic output,
-// context cancellation flow, forward-slash DFS keys, mutex discipline, and
-// checked vote encoding — from review lore into a compile-time gate.
+// context cancellation flow, forward-slash DFS keys, mutex discipline,
+// checked vote encoding, and a production tree free of test-only code —
+// from review lore into a compile-time gate.
 //
 // Usage:
 //
 //	go run ./tools/drybellvet [-checks name,name] [package patterns]
 //
-// With no patterns it checks ./... . Exit status 1 means findings. CI runs
-// it repo-wide (the drybellvet job) and `make vet` is the local entry
-// point; `make verify` includes it.
+// With no patterns it checks ./... ; the nested bench module is always
+// loaded and checked too. Exit status 1 means findings. CI runs it
+// repo-wide (the drybellvet job) and `make vet` is the local entry point;
+// `make verify` includes it.
 //
 // # Analyzers
 //
@@ -33,9 +35,14 @@
 //     goroutine bodies (which start with nothing held). Writes under only
 //     an RLock are a distinct diagnostic. Methods with a "Locked" name
 //     suffix run with the caller's lock and are exempt.
-//   - voteenc: persisted vote bytes go through the checked encoder. Flags
+//   - testonly: module-wide, so judge it over ./... . Flags an exported
+//     func or method under internal/ that no non-test file of the root
+//     module or bench/ references, unless it satisfies an interface a
+//     loaded package can see. A testapi marker without a reason is a finding.
+//   - voteenc: persisted vote bytes go through a checked encoder. Flags
 //     raw integer conversions of labelmodel.Label (byte(v), int8(v), ...)
-//     that bypass labelmodel.VoteByte's range check.
+//     that bypass the range check of labelmodel.EncodeVotes or
+//     VoteCounts.PutColumn.
 //
 // # Suppression markers
 //
@@ -61,6 +68,8 @@
 //	                          persisted vote byte (hash input, JSON field)
 //	//drybellvet:schedule   — core-count read that a named test pins as not
 //	                          changing results, or that is only reported
+//	//drybellvet:testapi    — a test double or an oracle other packages'
+//	                          tests share (on a type, covers its methods)
 //
 // The analyzers live under passes/, each with an analysistest-style golden
 // suite in testdata/src/. The stdlib-only analysis framework (the subset

@@ -12,6 +12,7 @@ import (
 	"repro/tools/drybellvet/passes/determinism"
 	"repro/tools/drybellvet/passes/dfspath"
 	"repro/tools/drybellvet/passes/lockcheck"
+	"repro/tools/drybellvet/passes/testonly"
 	"repro/tools/drybellvet/passes/voteenc"
 )
 
@@ -20,6 +21,7 @@ var all = []*analysis.Analyzer{
 	determinism.Analyzer,
 	dfspath.Analyzer,
 	lockcheck.Analyzer,
+	testonly.Analyzer,
 	voteenc.Analyzer,
 }
 
@@ -59,6 +61,13 @@ func main() {
 
 	fset := token.NewFileSet()
 	pkgs, err := analysis.Load(fset, ".", patterns...)
+	if err == nil {
+		// bench/ is a nested module that calls into internal/: testonly
+		// counts its calls, and every analyzer checks it.
+		var bench []*analysis.LoadedPackage
+		bench, err = analysis.Load(fset, "bench", "./...")
+		pkgs = append(pkgs, bench...)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "drybellvet: %v\n", err)
 		os.Exit(2)

@@ -4,9 +4,9 @@
 // as exactly one byte, and readers reject anything else. A raw byte(label)
 // or uint8(label) cast silently truncates an out-of-range value into a
 // different legal-looking vote, so every conversion from Label to an
-// integer type must go through the checked encoder
-// (labelmodel.VoteByte / labelmodel.EncodeVotes). The encoder's own
-// internals are allowlisted with //drybellvet:rawvote.
+// integer type must go through a checked encoder (labelmodel.EncodeVotes or
+// labelmodel.VoteCounts.PutColumn). The encoders' own internals are
+// allowlisted with //drybellvet:rawvote.
 package voteenc
 
 import (
@@ -57,7 +57,7 @@ func run(pass *analysis.Pass) error {
 			if pass.Suppressed(call.Pos(), "rawvote") {
 				return true
 			}
-			pass.Reportf(call.Pos(), "raw %s(label) cast bypasses the checked vote encoder; use labelmodel.VoteByte/EncodeVotes (or annotate the encoder internals //drybellvet:rawvote)", dst.Name())
+			pass.Reportf(call.Pos(), "raw %s(label) cast bypasses the checked vote encoder; use labelmodel.EncodeVotes/VoteCounts.PutColumn (or annotate the encoder internals //drybellvet:rawvote)", dst.Name())
 			return true
 		})
 	}
