@@ -28,9 +28,10 @@ vet:
 
 # The root module's non-test Go line count — the number simplicity PRs and
 # ROADMAP quote. One command, so two people cannot measure it differently:
-# bench/ is its own module and .bench_build/ is its build directory.
+# bench/ is its own module, .bench_build/ is its build directory, and the
+# analyzers' testdata/ fixtures are test inputs.
 loc:
-	@find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' -not -path './bench/*' | xargs cat | wc -l
+	@find . -name '*.go' -not -name '*_test.go' -not -path './.bench_build/*' -not -path './bench/*' -not -path '*/testdata/*' | xargs cat | wc -l
 
 # bench/ is a nested module (bench/go.mod replaces repro => ../), so
 # `go build ./...` and `go test ./...` at the root never compile it — yet it

@@ -3,6 +3,7 @@ package dfs
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -251,39 +252,26 @@ func TestListShardsNone(t *testing.T) {
 	}
 }
 
-func TestWriteShardedRoundRobin(t *testing.T) {
+// TestRemoveShards: only base's shards of another count go (all of them for
+// keep 0); a base sharing the prefix and a .partial stay.
+func TestRemoveShards(t *testing.T) {
 	m := NewMem()
-	var records [][]byte
-	for i := 0; i < 10; i++ {
-		records = append(records, []byte{byte(i)})
+	partial, other := ShardPath("out/l", 1, 2)+".partial", ShardPath("out/l-x", 0, 2)
+	for _, p := range []string{ShardPath("out/l", 0, 2), ShardPath("out/l", 1, 2), ShardPath("out/l", 0, 3), ShardPath("out/l", 1, 3), partial, other} {
+		m.WriteFile(p, nil)
 	}
-	encode := func(recs [][]byte) ([]byte, error) {
-		out := []byte{}
-		for _, r := range recs {
-			out = append(out, r...)
+	for _, c := range []struct {
+		keep int
+		want []string
+	}{
+		{3, []string{ShardPath("out/l", 0, 3), partial, ShardPath("out/l", 1, 3), other}},
+		{0, []string{partial, other}},
+	} {
+		if err := RemoveShards(m, "out/l", c.keep); err != nil {
+			t.Fatal(err)
 		}
-		return out, nil
-	}
-	if err := WriteSharded(m, "o/r", records, 3, encode); err != nil {
-		t.Fatal(err)
-	}
-	shards, err := ListShards(m, "o/r")
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 0
-	for _, s := range shards {
-		d, _ := m.ReadFile(s)
-		total += len(d)
-	}
-	if total != 10 {
-		t.Errorf("total bytes across shards = %d, want 10", total)
-	}
-	// No .partial files may remain.
-	all, _ := m.List("")
-	for _, p := range all {
-		if _, _, _, ok := ParseShardPath(p); !ok {
-			t.Errorf("leftover non-shard file %q", p)
+		if got, _ := m.List(""); !slices.Equal(got, c.want) {
+			t.Errorf("after RemoveShards(%d): %q, want %q", c.keep, got, c.want)
 		}
 	}
 }

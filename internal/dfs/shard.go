@@ -101,28 +101,20 @@ func PublishShard(fs FS, base string, i, n int, data []byte) error {
 	return fs.Rename(tmp, ShardPath(base, i, n))
 }
 
-// WriteSharded splits records round-robin into n shard files under base,
-// each committed atomically via PublishShard. Records are recordio
-// payloads; encoding is the caller's concern.
-func WriteSharded(fs FS, base string, records [][]byte, n int, encode func([][]byte) ([]byte, error)) error {
-	if n <= 0 {
-		return fmt.Errorf("dfs: WriteSharded with %d shards", n)
+// RemoveShards removes every shard of base whose shard count is not keep
+// (keep 0 removes them all): a set rewritten with another count, or dropped,
+// leaves no strays behind for ListShards to refuse. It stops at the first
+// failed removal and returns its error.
+func RemoveShards(fs FS, base string, keep int) error {
+	paths, err := fs.List(base + "-")
+	if err != nil {
+		return err
 	}
-	buckets := make([][][]byte, n)
-	for s := range buckets {
-		buckets[s] = make([][]byte, 0, (len(records)+n-1)/n)
-	}
-	for i, rec := range records {
-		s := i % n
-		buckets[s] = append(buckets[s], rec)
-	}
-	for i := 0; i < n; i++ {
-		data, err := encode(buckets[i])
-		if err != nil {
-			return fmt.Errorf("dfs: encode shard %d: %w", i, err)
-		}
-		if err := PublishShard(fs, base, i, n, data); err != nil {
-			return err
+	for _, p := range paths {
+		if b, _, n, ok := ParseShardPath(p); ok && b == base && n != keep {
+			if err := fs.Remove(p); err != nil {
+				return err
+			}
 		}
 	}
 	return nil

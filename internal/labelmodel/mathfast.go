@@ -43,17 +43,8 @@ func softplusSigmoidNeg(x float64) (sp, sig float64) {
 	return y, sig
 }
 
-// Cephes exp coefficients: e^r = 1 + 2·r·P(r²)/(Q(r²) − r·P(r²)) on
-// |r| ≤ ln2/2.
+// Argument-reduction constants of both kernels.
 const (
-	expP0 = 1.26177193074810590878e-4
-	expP1 = 3.02994407707441961300e-2
-	expP2 = 9.99999999999999999910e-1
-	expQ0 = 3.00198505138664455042e-6
-	expQ1 = 2.52448340349684104192e-3
-	expQ2 = 2.27265548208155028766e-1
-	expQ3 = 2.00000000000000000005e0
-
 	log2E = 1.4426950408889634073599 // 1/ln2
 	ln2Hi = 6.93145751953125e-1
 	ln2Lo = 1.42860682030941723212e-6

@@ -412,11 +412,6 @@ func DropGenerations(fs dfs.FS, base string, flat bool) error {
 	if err := fs.Remove(votesMetaPath(base)); err != nil && !dfs.IsNotExist(err) {
 		return fmt.Errorf("lf: drop votes at %s: %w", base, err)
 	}
-	shards, _ := fs.List(base + "-")
-	for _, p := range shards {
-		if b, _, _, ok := dfs.ParseShardPath(p); ok && b == base {
-			_ = fs.Remove(p) // orphaned shards are never read
-		}
-	}
+	_ = dfs.RemoveShards(fs, base, 0) // orphaned shards are never read
 	return nil
 }

@@ -1,7 +1,6 @@
 package lf
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -335,11 +334,10 @@ func TestAssemblyRejectsBadVoteByte(t *testing.T) {
 		t.Fatal(err)
 	}
 	rows[3][1] = 5
-	var buf bytes.Buffer
-	if err := recordio.WriteAll(&buf, rows); err != nil {
+	if data, err = recordio.Encode(rows); err != nil {
 		t.Fatal(err)
 	}
-	if err := fs.WriteFile(checkpoint, buf.Bytes()); err != nil {
+	if err := fs.WriteFile(checkpoint, data); err != nil {
 		t.Fatal(err)
 	}
 	_, report, err := e.ExecuteContext(context.Background(), lfs)

@@ -129,15 +129,9 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 		return fmt.Errorf("lf: write votes meta: %w", err)
 	}
 	// Drop shards left behind by an earlier write with a different shard
-	// count: a mixed set would make ListShards refuse the whole artifact
-	// forever.
-	if stale, err := fs.List(base + "-"); err == nil {
-		for _, p := range stale {
-			if b, _, count, ok := dfs.ParseShardPath(p); ok && b == base && count != shards {
-				_ = fs.Remove(p)
-			}
-		}
-	}
+	// count: a mixed set would make ListShards refuse the whole artifact. The
+	// artifact is committed by now, and the next write drops any stray left.
+	_ = dfs.RemoveShards(fs, base, shards)
 	return nil
 }
 

@@ -519,11 +519,11 @@ func TestFailedInvocationKeepsEarlierColumns(t *testing.T) {
 // panic, or a partial matrix.
 func TestLoadMatrixNamesWhatIsMissing(t *testing.T) {
 	recordioVotes := func(t *testing.T, fs dfs.FS, name string) {
-		var buf bytes.Buffer
-		if err := recordio.WriteAll(&buf, [][]byte{{1}, {0}, {0xff}}); err != nil {
+		data, err := recordio.Encode([][]byte{{1}, {0}, {0xff}})
+		if err != nil {
 			t.Fatal(err)
 		}
-		if err := dfs.PublishShard(fs, "labels/"+name, 0, 1, buf.Bytes()); err != nil {
+		if err := dfs.PublishShard(fs, "labels/"+name, 0, 1, data); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -8,38 +8,36 @@ import (
 	"repro/internal/recordio"
 )
 
-// WriteInput encodes records into n recordio shards under base, committing
-// each shard atomically. It is the standard way to stage a corpus for a job.
+// WriteInput stages records into n recordio shards under base through an
+// InputWriter, in one call.
+//
+//drybellvet:testapi — tests stage fixed record sets with it
 func WriteInput(fs dfs.FS, base string, records [][]byte, n int) error {
-	if n <= 0 {
-		return fmt.Errorf("mapreduce: WriteInput with %d shards", n)
+	w, err := NewInputWriter(fs, base, n)
+	if err != nil {
+		return err
 	}
-	return dfs.WriteSharded(fs, base, records, n, encodeFrames)
-}
-
-// encodeFrames frames recs into one buffer of exactly their encoded size.
-func encodeFrames(recs [][]byte) ([]byte, error) {
-	buf := make([]byte, 0, recordio.EncodedSize(recs))
-	for _, rec := range recs {
-		var err error
-		if buf, err = recordio.AppendFrame(buf, rec); err != nil {
-			return nil, err
+	w.Grow(recordio.EncodedSize(records))
+	for _, rec := range records {
+		if err := w.Append(rec); err != nil {
+			return err
 		}
 	}
-	return buf, nil
+	return w.Commit()
 }
 
 // InputWriter stages a record stream into n recordio shards without holding
-// the records in one slice: record k goes to shard k%n, the same round-robin
-// layout WriteInput produces, so per-shard task outputs restore input order
-// the usual way. Append frames a record once, straight into its shard's
-// current block. A block that has no room for the next frame is kept as it is
-// and a new one started, twice the size of the last (from firstBlock, up to
-// maxBlock), so nothing is ever copied to grow and a small stream allocates
-// little. The FS contract is whole-file writes, so the blocks are held until
-// Commit — peak memory is the encoded corpus, not the decoded examples plus a
-// record slice — and Commit publishes every shard atomically; an abandoned
-// writer leaves no visible files.
+// the records in one slice: record k goes to shard k%n, a round-robin layout
+// from which per-shard task outputs restore input order. It is the one writer
+// of staged shard sets: the input, its deltas and the labels. Append frames a
+// record once, straight into its shard's current block. A block that has no
+// room for the next frame is kept as it is and a new one started, twice the
+// size of the last (from firstBlock, up to maxBlock), so nothing is ever
+// copied to grow and a small stream allocates little. The FS contract is
+// whole-file writes, so the blocks are held until Commit — peak memory is the
+// encoded corpus, not the decoded examples plus a record slice — and Commit
+// publishes every shard atomically; an abandoned writer leaves no visible
+// files, and a cut-off Commit leaves a set without its commit record.
 type InputWriter struct {
 	fs     dfs.FS
 	base   string
@@ -113,22 +111,27 @@ func (w *InputWriter) Append(rec []byte) error {
 // Count returns the number of records appended so far.
 func (w *InputWriter) Count() int { return w.count }
 
-// stagedCount is the sidecar InputWriter.Commit records next to the staged
-// shards: the record count plus each shard's byte size, so a reader can
-// validate that the sidecar describes the shard set actually on the
-// filesystem (a crash between re-staging and sidecar write leaves a stale
-// sidecar, which the size check rejects) with Stat calls instead of a scan.
+// stagedCount is the sidecar InputWriter.Commit writes last: the set's commit
+// record. It holds the record count plus each shard's byte size, so a reader
+// checks with Stat calls, not a scan, that it describes the shards on the
+// filesystem.
 type stagedCount struct {
 	Records int     `json:"records"`
 	Sizes   []int64 `json:"sizes"`
 }
 
-// Commit atomically publishes all n shards, then records the staged record
-// count in a sidecar (see StagedCount) so later runs can learn the corpus size
-// without re-scanning every shard. A one-block shard is published as it is; a
-// longer one is joined into one scratch buffer that every such shard reuses,
-// which dfs.FS.WriteFile, never retaining what it is handed, allows.
+// Commit publishes all n shards, each atomically, under the commit record
+// base+".count": it removes the old record before it replaces any shard, then
+// drops shards of any other shard count, then writes the new record last. A
+// crash part-way leaves no record, so StagedCount reports the set not staged
+// instead of trusting a mix of old and new shards. A one-block shard is
+// published as it is; a longer one is joined into one scratch buffer that
+// every such shard reuses, which dfs.FS.WriteFile, never retaining what it is
+// handed, allows.
 func (w *InputWriter) Commit() error {
+	if err := w.fs.Remove(w.base + ".count"); err != nil && !dfs.IsNotExist(err) {
+		return err
+	}
 	longest := 0
 	for _, b := range w.shards {
 		if len(b.full) > 0 {
@@ -151,6 +154,9 @@ func (w *InputWriter) Commit() error {
 		}
 		sizes[i] = int64(b.size)
 	}
+	if err := dfs.RemoveShards(w.fs, w.base, w.n); err != nil {
+		return err
+	}
 	data, err := json.Marshal(stagedCount{Records: w.count, Sizes: sizes})
 	if err != nil {
 		return err
@@ -158,33 +164,25 @@ func (w *InputWriter) Commit() error {
 	return w.fs.WriteFile(w.base+".count", data)
 }
 
-// StagedCount returns the record count of the staged shard set at base. The
-// cheap path is the sidecar InputWriter.Commit recorded, trusted only while
-// it still matches the committed shards (shard count and per-shard sizes,
-// via Stat); when it is absent, stale, or was never written (WriteInput
-// stagings) the shards are scanned instead (CountRecords).
+// StagedCount returns the record count of the shard set committed at base:
+// the count its commit record holds, trusted only while the record matches
+// the shards (shard count and per-shard sizes, via Stat). A set with no
+// record, or one that no longer matches, is not staged.
 func StagedCount(fs dfs.FS, base string) (int, error) {
-	if n, ok := sidecarCount(fs, base); ok {
-		return n, nil
-	}
-	return CountRecords(fs, base)
-}
-
-func sidecarCount(fs dfs.FS, base string) (int, bool) {
 	data, err := fs.ReadFile(base + ".count")
 	if err != nil {
-		return 0, false
+		return 0, fmt.Errorf("mapreduce: %s is not staged: %w", base, err)
 	}
 	var sc stagedCount
-	if err := json.Unmarshal(data, &sc); err != nil || sc.Records <= 0 || len(sc.Sizes) == 0 {
-		return 0, false
+	if err := json.Unmarshal(data, &sc); err != nil || sc.Records < 0 || len(sc.Sizes) == 0 {
+		return 0, fmt.Errorf("mapreduce: %s is not staged: unreadable commit record", base)
 	}
 	for i, want := range sc.Sizes {
 		if got, err := fs.Stat(dfs.ShardPath(base, i, len(sc.Sizes))); err != nil || got != want {
-			return 0, false
+			return 0, fmt.Errorf("mapreduce: %s is not staged: shard %d of %d does not match its commit record", base, i, len(sc.Sizes))
 		}
 	}
-	return sc.Records, true
+	return sc.Records, nil
 }
 
 // EachShard reads and decodes the committed shard set at base, handing visit
@@ -212,37 +210,30 @@ func EachShard(fs dfs.FS, base string, visit func(s, n int, recs [][]byte) bool)
 	return nil
 }
 
-// ReadStaged reads a round-robin staged shard set (WriteInput, InputWriter)
-// back in staging order: record k is the k/n-th record of shard k%n.
+// ReadStaged reads the shard set committed at base (see StagedCount) back in
+// staging order: record k is the k/n-th record of shard k%n.
 func ReadStaged(fs dfs.FS, base string) ([][]byte, error) {
-	var out [][]byte
-	total := 0
-	err := EachShard(fs, base, func(s, n int, recs [][]byte) bool {
+	count, err := StagedCount(fs, base)
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]byte, count)
+	total, last := 0, -1
+	err = EachShard(fs, base, func(s, n int, recs [][]byte) bool {
 		total += len(recs)
 		for r, rec := range recs {
 			k := s + r*n
-			if k >= len(out) {
-				out = append(out, make([][]byte, k+1-len(out))...)
+			if k < count {
+				out[k] = rec
 			}
-			out[k] = rec
+			last = max(last, k)
 		}
 		return true
 	})
-	// Distinct slots for total records: a highest slot past total-1 means a
-	// shard is longer or shorter than round-robin staging made it.
-	if err == nil && len(out) != total {
-		err = fmt.Errorf("mapreduce: staged shards at %s are inconsistent (%d records, highest index %d)", base, total, len(out)-1)
+	// count records in distinct slots below count, or a shard is longer or
+	// shorter than round-robin staging made it.
+	if err == nil && (total != count || last >= count) {
+		err = fmt.Errorf("mapreduce: staged shards at %s are inconsistent (%d records, highest index %d, commit record %d)", base, total, last, count)
 	}
 	return out, err
-}
-
-// CountRecords returns the total number of records in the shard set at base,
-// holding one decoded shard at a time.
-func CountRecords(fs dfs.FS, base string) (int, error) {
-	total := 0
-	err := EachShard(fs, base, func(_, _ int, recs [][]byte) bool {
-		total += len(recs)
-		return true
-	})
-	return total, err
 }

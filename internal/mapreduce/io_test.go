@@ -41,29 +41,30 @@ func stageStream(tb testing.TB, fs dfs.FS, base string, recs [][]byte, n, grow i
 }
 
 // compareStaging fails unless an InputWriter stages recs into n shards
-// byte-identical to WriteInput's, next to a sidecar recording their count and
-// the shards' sizes.
+// byte-identical to a round-robin reference — record k framed by
+// recordio.AppendFrame onto shard k%n — under a commit record holding their
+// count and the shards' sizes.
 func compareStaging(t *testing.T, recs [][]byte, n, grow int) {
 	t.Helper()
-	fs := dfs.NewMem()
-	if err := WriteInput(fs, "ref", recs, n); err != nil {
-		t.Fatal(err)
+	ref := make([][]byte, n)
+	for k, rec := range recs {
+		var err error
+		if ref[k%n], err = recordio.AppendFrame(ref[k%n], rec); err != nil {
+			t.Fatal(err)
+		}
 	}
+	fs := dfs.NewMem()
 	stageStream(t, fs, "got", recs, n, grow)
 	want := stagedCount{Records: len(recs), Sizes: make([]int64, n)}
 	for i := 0; i < n; i++ {
-		ref, err := fs.ReadFile(dfs.ShardPath("ref", i, n))
-		if err != nil {
-			t.Fatal(err)
-		}
 		got, err := fs.ReadFile(dfs.ShardPath("got", i, n))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, ref) {
-			t.Fatalf("%d records, %d shards, grow %d: shard %d is %d bytes, WriteInput's %d, or differs", len(recs), n, grow, i, len(got), len(ref))
+		if !bytes.Equal(got, ref[i]) {
+			t.Fatalf("%d records, %d shards, grow %d: shard %d is %d bytes, the reference's %d, or differs", len(recs), n, grow, i, len(got), len(ref[i]))
 		}
-		want.Sizes[i] = int64(len(ref))
+		want.Sizes[i] = int64(len(ref[i]))
 	}
 	sidecar, err := fs.ReadFile("got.count")
 	if err != nil {
@@ -84,7 +85,8 @@ func filled(count, size int) [][]byte {
 }
 
 // TestInputWriterMatchesWriteInput: whatever the records and whether Grow
-// sized the first blocks or not, an InputWriter's shards are WriteInput's.
+// sized the first blocks or not, an InputWriter (behind WriteInput too)
+// stages the round-robin reference's shards.
 func TestInputWriterMatchesWriteInput(t *testing.T) {
 	huge := filled(3, maxBlock+1)
 	huge[1] = nil
@@ -133,7 +135,8 @@ func TestInputWriterStagingBytes(t *testing.T) {
 }
 
 // FuzzInputWriter: any record sizes, contents and shard count, with or
-// without a Grow hint, stage shards byte-identical to WriteInput's.
+// without a Grow hint, stage shards byte-identical to the round-robin
+// reference's.
 func FuzzInputWriter(f *testing.F) {
 	f.Add([]byte("abc"), []byte{1, 2, 3}, uint16(0), uint8(2), uint8(noGrow))
 	f.Add([]byte{0, 255}, []byte{200, 0, 17, 255, 90, 90, 90}, uint16(40), uint8(3), uint8(exactGrow))

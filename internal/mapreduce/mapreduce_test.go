@@ -3,6 +3,7 @@ package mapreduce
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -66,7 +67,8 @@ func assertOutputs(t *testing.T, got, want [][][]byte) {
 	}
 }
 
-// onlyInput fails if anything but the staged input under in is on fs.
+// onlyInput fails if anything but the staged input under in — its shards and
+// their commit record — is on fs.
 func onlyInput(t *testing.T, fs dfs.FS, in string) {
 	t.Helper()
 	paths, err := fs.List("")
@@ -74,7 +76,7 @@ func onlyInput(t *testing.T, fs dfs.FS, in string) {
 		t.Fatal(err)
 	}
 	for _, p := range paths {
-		if !strings.HasPrefix(p, in+"-") {
+		if !strings.HasPrefix(p, in+"-") && p != in+".count" {
 			t.Errorf("job left %s behind", p)
 		}
 	}
@@ -284,34 +286,14 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-func TestCountRecords(t *testing.T) {
-	fs := dfs.NewMem()
-	stageWords(t, fs, "in/w", []string{"a", "b", "c", "d", "e"}, 2)
-	n, err := CountRecords(fs, "in/w")
-	if err != nil || n != 5 {
-		t.Errorf("CountRecords = %d, %v", n, err)
-	}
-}
-
-// TestStagedCountAndOrder: StagedCount trusts the sidecar only while it
-// matches the committed shards and scans otherwise, and ReadStaged restores
-// staging order from the round-robin layout — refusing a shard set that
-// round-robin staging could not have produced.
+// TestStagedCountAndOrder: StagedCount trusts the commit record only while it
+// matches the committed shards, a restaging with another shard count leaves
+// none of the old count's, and ReadStaged restores staging order from the
+// round-robin layout — refusing a shard set that round-robin staging could
+// not have produced.
 func TestStagedCountAndOrder(t *testing.T) {
 	fs := dfs.NewMem()
-	words := []string{"a", "b", "c", "d", "e", "f", "g"}
-	w, err := NewInputWriter(fs, "in/w", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, word := range words {
-		if err := w.Append([]byte(word)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Commit(); err != nil {
-		t.Fatal(err)
-	}
+	stageWords(t, fs, "in/w", []string{"a", "b", "c", "d", "e", "f", "g"}, 3)
 	if n, err := StagedCount(fs, "in/w"); err != nil || n != 7 {
 		t.Fatalf("StagedCount = %d, %v", n, err)
 	}
@@ -320,26 +302,45 @@ func TestStagedCountAndOrder(t *testing.T) {
 		t.Fatalf("ReadStaged = %q, %v", recordsToStrings(recs), err)
 	}
 
-	// Restage fewer records without refreshing the sidecar: the stale count
-	// (7) must lose to a scan of what is actually committed (5).
-	stageWords(t, fs, "in/w", words[:5], 3)
-	if n, err := StagedCount(fs, "in/w"); err != nil || n != 5 {
-		t.Fatalf("StagedCount over a stale sidecar = %d, %v; want 5 from the scan", n, err)
+	// Restage with another shard count: the old count's shards go.
+	stageWords(t, fs, "in/w", []string{"v", "w", "x", "y", "z"}, 2)
+	recs, err = ReadStaged(fs, "in/w")
+	if err != nil || strings.Join(recordsToStrings(recs), "") != "vwxyz" {
+		t.Fatalf("ReadStaged after restaging over 2 shards = %q, %v", recordsToStrings(recs), err)
+	}
+
+	// Replace a shard without refreshing the commit record: the set is not
+	// staged, whatever is on disk.
+	one, err := recordio.Encode([][]byte{[]byte("x")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dfs.PublishShard(fs, "in/w", 0, 2, one); err != nil {
+		t.Fatal(err)
+	}
+	for _, read := range []func() error{
+		func() error { _, err := StagedCount(fs, "in/w"); return err },
+		func() error { _, err := ReadStaged(fs, "in/w"); return err },
+	} {
+		if err := read(); err == nil || !strings.Contains(err.Error(), "not staged") {
+			t.Fatalf("read over a stale commit record = %v, want not staged", err)
+		}
 	}
 
 	// Shard 0 of 2 holding one record while shard 1 holds three is not a
-	// round-robin layout.
-	var one, three bytes.Buffer
-	if err := recordio.WriteAll(&one, [][]byte{[]byte("x")}); err != nil {
+	// round-robin layout, though its commit record matches.
+	three, err := recordio.Encode([][]byte{[]byte("p"), []byte("q"), []byte("r")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := recordio.WriteAll(&three, [][]byte{[]byte("p"), []byte("q"), []byte("r")}); err != nil {
+	if err := dfs.PublishShard(fs, "in/bad", 0, 2, one); err != nil {
 		t.Fatal(err)
 	}
-	if err := dfs.PublishShard(fs, "in/bad", 0, 2, one.Bytes()); err != nil {
+	if err := dfs.PublishShard(fs, "in/bad", 1, 2, three); err != nil {
 		t.Fatal(err)
 	}
-	if err := dfs.PublishShard(fs, "in/bad", 1, 2, three.Bytes()); err != nil {
+	record, _ := json.Marshal(stagedCount{Records: 4, Sizes: []int64{int64(len(one)), int64(len(three))}})
+	if err := fs.WriteFile("in/bad.count", record); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadStaged(fs, "in/bad"); err == nil || !strings.Contains(err.Error(), "inconsistent") {
@@ -359,8 +360,8 @@ func TestCorruptShardFailsTask(t *testing.T) {
 	if _, err := RunContext(context.Background(), upperJob(fs, "in/w", 1)); !errors.Is(err, recordio.ErrCorrupt) {
 		t.Errorf("job over a corrupt shard: err = %v, want ErrCorrupt", err)
 	}
-	if _, err := CountRecords(fs, "in/w"); !errors.Is(err, recordio.ErrCorrupt) {
-		t.Errorf("CountRecords over a corrupt shard: err = %v, want ErrCorrupt", err)
+	if _, err := ReadStaged(fs, "in/w"); !errors.Is(err, recordio.ErrCorrupt) {
+		t.Errorf("ReadStaged over a corrupt shard: err = %v, want ErrCorrupt", err)
 	}
 }
 

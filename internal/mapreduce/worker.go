@@ -184,7 +184,7 @@ func runMap(ctx context.Context, fs dfs.FS, mapper Mapper, tctx *TaskContext, sp
 		return nil
 	}
 
-	out, err := encodeFrames(res.Values)
+	out, err := recordio.Encode(res.Values)
 	if err != nil {
 		return err
 	}

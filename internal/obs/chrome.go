@@ -55,7 +55,9 @@ func (t *Tracer) WriteChromeTraceFile(path string) error {
 	return f.Close()
 }
 
-// ChromeTrace renders the trace as Chrome trace-event JSON bytes.
+// ChromeTrace renders the trace as Chrome trace-event JSON bytes. Spans the
+// tracer discarded past its cap show as one "dropped_spans" metadata event
+// carrying their count.
 func (t *Tracer) ChromeTrace() ([]byte, error) {
 	spans := t.Snapshot()
 	events := []chromeEvent{{
@@ -64,6 +66,12 @@ func (t *Tracer) ChromeTrace() ([]byte, error) {
 		PID:   1,
 		Args:  map[string]any{"name": "drybell"},
 	}}
+	t.mu.Lock()
+	dropped := t.dropped
+	t.mu.Unlock()
+	if dropped > 0 {
+		events = append(events, chromeEvent{Name: "dropped_spans", Phase: "M", PID: 1, Args: map[string]any{"count": dropped}})
+	}
 	if len(spans) == 0 {
 		return json.Marshal(chromeTrace{DisplayTimeUnit: "ms", TraceEvents: events})
 	}

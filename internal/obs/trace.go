@@ -10,7 +10,7 @@ import (
 
 // DefaultMaxSpans bounds a tracer's finished-span buffer. A long-lived
 // daemon with tracing on must not grow without bound; spans past the cap are
-// discarded.
+// discarded and counted, and the export reports the count.
 const DefaultMaxSpans = 1 << 16
 
 // Attr is one span attribute.
@@ -48,6 +48,7 @@ type Tracer struct {
 
 	mu       sync.Mutex
 	finished []SpanData // guarded by mu
+	dropped  int        // guarded by mu; spans discarded past max
 }
 
 // NewTracer returns a tracer retaining up to DefaultMaxSpans finished spans.
@@ -74,6 +75,7 @@ func (t *Tracer) record(s SpanData) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.finished) >= t.max {
+		t.dropped++
 		return
 	}
 	t.finished = append(t.finished, s)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -85,6 +86,48 @@ func TestTracerDropsBeyondMax(t *testing.T) {
 	}
 	if got := len(tr.Snapshot()); got != 2 {
 		t.Errorf("kept %d spans, want 2", got)
+	}
+}
+
+// TestChromeTraceCountsDroppedSpans: a tracer capped at 4 that records 7
+// spans exports one dropped_spans metadata event counting 3; one that drops
+// nothing exports none.
+func TestChromeTraceCountsDroppedSpans(t *testing.T) {
+	for _, c := range []struct{ spans, dropped int }{{7, 3}, {4, 0}} {
+		tr := NewTracer()
+		tr.max = 4
+		ctx := WithTracer(context.Background(), tr)
+		for i := 0; i < c.spans; i++ {
+			_, s := StartSpan(ctx, "s")
+			s.End()
+		}
+		raw, err := tr.ChromeTrace()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			TraceEvents []struct {
+				Name  string         `json:"name"`
+				Phase string         `json:"ph"`
+				Args  map[string]any `json:"args"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &trace); err != nil {
+			t.Fatal(err)
+		}
+		var counts []any
+		for _, ev := range trace.TraceEvents {
+			if ev.Name == "dropped_spans" && ev.Phase == "M" {
+				counts = append(counts, ev.Args["count"])
+			}
+		}
+		var want []any
+		if c.dropped > 0 {
+			want = []any{float64(c.dropped)}
+		}
+		if !reflect.DeepEqual(counts, want) {
+			t.Errorf("%d spans over a cap of 4: dropped_spans counts %v, want %d", c.spans, counts, c.dropped)
+		}
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 )
 
 var magic = [4]byte{'S', 'D', 'R', 'B'}
@@ -55,7 +54,7 @@ func AppendFrame(b, payload []byte) ([]byte, error) {
 	return append(b, payload...), nil
 }
 
-// EncodedSize is the size of the stream WriteAll makes of records.
+// EncodedSize is the size of the stream Encode makes of records.
 func EncodedSize(records [][]byte) int {
 	size := HeaderSize * len(records)
 	for _, rec := range records {
@@ -94,17 +93,15 @@ func Split(data []byte) ([][]byte, error) {
 	return out, nil
 }
 
-// WriteAll encodes all records to w in one write.
-//
-//drybellvet:testapi — lf and mapreduce tests write hand-made shards with it
-func WriteAll(w io.Writer, records [][]byte) error {
+// Encode frames records into one stream of exactly EncodedSize(records)
+// bytes.
+func Encode(records [][]byte) ([]byte, error) {
 	buf := make([]byte, 0, EncodedSize(records))
 	for _, rec := range records {
 		var err error
 		if buf, err = AppendFrame(buf, rec); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	_, err := w.Write(buf)
-	return err
+	return buf, nil
 }

@@ -83,13 +83,13 @@ func ReadAll(r io.Reader) ([][]byte, error) {
 }
 
 func TestRoundTripBasic(t *testing.T) {
-	var buf bytes.Buffer
 	records := [][]byte{[]byte("hello"), []byte(""), []byte("world"), {0, 1, 2, 255}}
-	if err := WriteAll(&buf, records); err != nil {
+	data, err := Encode(records)
+	if err != nil {
 		t.Fatal(err)
 	}
 
-	r := NewReader(bytes.NewReader(buf.Bytes()))
+	r := NewReader(bytes.NewReader(data))
 	for i, want := range records {
 		got, err := r.Next()
 		if err != nil {
@@ -106,11 +106,11 @@ func TestRoundTripBasic(t *testing.T) {
 
 func TestRoundTripProperty(t *testing.T) {
 	f := func(records [][]byte) bool {
-		var buf bytes.Buffer
-		if err := WriteAll(&buf, records); err != nil {
+		data, err := Encode(records)
+		if err != nil {
 			return false
 		}
-		got, err := ReadAll(bytes.NewReader(buf.Bytes()))
+		got, err := ReadAll(bytes.NewReader(data))
 		if err != nil {
 			return false
 		}
@@ -130,11 +130,11 @@ func TestRoundTripProperty(t *testing.T) {
 }
 
 func TestCorruptionDetectedAtEveryByte(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteAll(&buf, [][]byte{[]byte("payload-one"), []byte("payload-two")}); err != nil {
+	data, err := Encode([][]byte{[]byte("payload-one"), []byte("payload-two")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	clean := buf.Bytes()
+	clean := data
 	for off := 0; off < len(clean); off++ {
 		dirty := make([]byte, len(clean))
 		copy(dirty, clean)
@@ -147,11 +147,11 @@ func TestCorruptionDetectedAtEveryByte(t *testing.T) {
 }
 
 func TestTruncationDetected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteAll(&buf, [][]byte{[]byte("0123456789")}); err != nil {
+	data, err := Encode([][]byte{[]byte("0123456789")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
+	full := data
 	for cut := 1; cut < len(full); cut++ {
 		_, err := ReadAll(bytes.NewReader(full[:cut]))
 		if err == nil {
@@ -180,20 +180,18 @@ func TestHugeLengthRejected(t *testing.T) {
 }
 
 func TestWriterRejectsOversizeRecord(t *testing.T) {
-	if err := WriteAll(io.Discard, [][]byte{make([]byte, MaxRecordSize+1)}); !errors.Is(err, ErrTooLarge) {
+	if _, err := Encode([][]byte{make([]byte, MaxRecordSize+1)}); !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
 	}
 }
 
 func TestBadMagic(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteAll(&buf, [][]byte{[]byte("x")}); err != nil {
+	data, err := Encode([][]byte{[]byte("x")})
+	if err != nil {
 		t.Fatal(err)
 	}
-	data := buf.Bytes()
 	data[0] = 'X'
-	_, err := ReadAll(bytes.NewReader(data))
-	if !errors.Is(err, ErrCorrupt) {
+	if _, err := ReadAll(bytes.NewReader(data)); !errors.Is(err, ErrCorrupt) {
 		t.Errorf("err = %v, want ErrCorrupt", err)
 	}
 }
@@ -205,11 +203,11 @@ func TestBadMagic(t *testing.T) {
 func splitStreams(tb testing.TB) [][]byte {
 	tb.Helper()
 	records := [][]byte{[]byte("hello"), {}, []byte("a longer third record"), {0, 1, 2, 255}}
-	var buf bytes.Buffer
-	if err := WriteAll(&buf, records); err != nil {
+	data, err := Encode(records)
+	if err != nil {
 		tb.Fatal(err)
 	}
-	intact := buf.Bytes()
+	intact := data
 	streams := [][]byte{intact, nil, {'S', 'D', 'R', 'B', 0xFF, 0xFF, 0xFF, 0x7F, 0, 0, 0, 0}}
 	for i := range intact {
 		flipped := bytes.Clone(intact)

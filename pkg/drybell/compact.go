@@ -32,12 +32,13 @@ import (
 // both ledgers: later generations supersede row ranges, tombstones drop rows
 // unless a later generation rewrites them. A ledger whose tombstones cover
 // every row is refused (lf.ErrAllTombstoned) with the filesystem untouched.
-// Compact is not crash-safe. A crash while it rewrites the base input shards
-// leaves them half-rewritten, and every later Compact and StageDelta fails; a
-// crash while it writes the flat vote artifact can leave shards of two write
-// generations, which no longer load; and a crash just after can leave the new
-// flat artifact under the old delta manifests, a wrong view that loads
-// without error and that a retried Compact persists.
+// Compact is not crash-safe. A crash while it restages the base input leaves
+// the base without its commit record, and every later Compact and StageDelta
+// fails: the base is not staged; a crash while it writes the flat vote
+// artifact can leave shards of two write generations, which no longer load;
+// and a crash just after can leave the new flat artifact under the old delta
+// manifests, a wrong view that loads without error and that a retried Compact
+// persists.
 //
 // The Pipeline's carried state stays valid — compaction changes the layout,
 // never the view — and pays for the fold: when the carried view holds exactly
@@ -153,14 +154,9 @@ func (p *Pipeline[T]) resetCorpusLedger(gens []CorpusGeneration) error {
 		if g.Records == 0 {
 			continue
 		}
-		shards, err := dfs.ListShards(p.fs, p.deltaInputBase(g.Gen))
-		if err != nil {
-			continue // already gone; orphaned inputs are never re-read
-		}
-		for _, s := range shards {
-			_ = p.fs.Remove(s)
-		}
+		// Orphaned inputs are never re-read: what fails to go can stay.
 		_ = p.fs.Remove(p.deltaInputBase(g.Gen) + ".count")
+		_ = dfs.RemoveShards(p.fs, p.deltaInputBase(g.Gen), 0)
 	}
 	return nil
 }

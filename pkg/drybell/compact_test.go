@@ -281,7 +281,7 @@ func TestCompactRefusesAllTombstoned(t *testing.T) {
 	if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 1 {
 		t.Errorf("refused Compact changed the corpus ledger: %+v, %v", gens, err)
 	}
-	if n, err := mapreduce.CountRecords(fs, p.InputPath()); err != nil || n != len(docs) {
+	if n, err := mapreduce.StagedCount(fs, p.InputPath()); err != nil || n != len(docs) {
 		t.Errorf("refused Compact restaged the corpus: %d records, %v", n, err)
 	}
 }

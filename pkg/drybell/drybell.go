@@ -110,6 +110,7 @@ import (
 	internallf "repro/internal/lf"
 	"repro/internal/mapreduce"
 	"repro/internal/obs"
+	"repro/internal/recordio"
 	"repro/pkg/drybell/lf"
 )
 
@@ -767,16 +768,22 @@ func (p *Pipeline[T]) Labels() ([]float64, error) {
 // writeLabels persists probabilistic labels as sharded recordio of
 // little-endian float64, the hand-off format to the training systems.
 func writeLabels(fs dfs.FS, base string, labels []float64, shards int) error {
-	records := make([][]byte, len(labels))
-	slab := make([]byte, 8*len(labels)) // one allocation, not one per label
+	w, err := mapreduce.NewInputWriter(fs, base, shards)
+	if err != nil {
+		return err
+	}
+	w.Grow(len(labels) * (recordio.HeaderSize + 8))
+	var rec [8]byte
 	for i, p := range labels {
 		if p < 0 || p > 1 || math.IsNaN(p) {
 			return fmt.Errorf("drybell: label %d = %v out of [0,1]", i, p)
 		}
-		records[i] = slab[8*i : 8*i+8 : 8*i+8]
-		binary.LittleEndian.PutUint64(records[i], math.Float64bits(p))
+		binary.LittleEndian.PutUint64(rec[:], math.Float64bits(p))
+		if err := w.Append(rec[:]); err != nil {
+			return err
+		}
 	}
-	return mapreduce.WriteInput(fs, base, records, shards)
+	return w.Commit()
 }
 
 // readLabels loads labels persisted by writeLabels, restoring input order.

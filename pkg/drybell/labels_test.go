@@ -142,9 +142,9 @@ func TestReadLabelsRejectsCorruptShard(t *testing.T) {
 }
 
 // TestWriteLabelsAllocationCeiling: persisting labels costs a fixed number of
-// allocations per shard — the record slab, the per-shard record lists and
-// encode buffers, what the filesystem copies — not one per label (50k a
-// persist on the repo benchmark's workloads, once).
+// allocations per shard — each shard's block, the commit record, what the
+// filesystem copies — not one per label (50k a persist on the repo
+// benchmark's workloads, once).
 func TestWriteLabelsAllocationCeiling(t *testing.T) {
 	const shards = 8
 	fs := dfs.NewMem()

@@ -2,6 +2,7 @@ package drybell
 
 import (
 	"context"
+	"slices"
 	"sync"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	"repro/internal/lf"
+	"repro/internal/mapreduce"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -95,7 +97,9 @@ func sameMatrix(a, b *labelmodel.Matrix) bool {
 // never a chain/row mismatch, because the ledgers are reset and the store
 // emptied before the new base's shards commit — and running the new base
 // again on the surviving root ends in exactly the state an uninterrupted run
-// reaches.
+// reaches. A resumed rerun never fails either: it trusts the old base while
+// the old commit record stands, and from the first crash point after its
+// removal it restages and ends in the uninterrupted run's state too.
 func TestRestageCrashPoints(t *testing.T) {
 	ctx := context.Background()
 	first, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 140, PositiveRate: 0.05, Seed: 41})
@@ -143,41 +147,100 @@ func TestRestageCrashPoints(t *testing.T) {
 		t.Fatalf("re-staging took %d operations; the ledger reset is missing from it", ops)
 	}
 
+	removed := false // an earlier crash point left the old base without its commit record
 	for k := 0; k < ops; k++ {
-		fs, oldBase, oldChain := root()
-		if _, err := topicPipeline(t, &crashFS{FS: fs, budget: k}).Stage(ctx, SliceSource(second)); err == nil {
-			t.Fatalf("crash after %d of %d operations: staging succeeded", k, ops)
-		}
-		p := topicPipeline(t, fs)
-		gen, err := lf.LatestGeneration(fs, p.VotesBase())
-		empty := err == nil && gen == 0 && !lf.HasVotes(fs, p.VotesBase())
-		got, err := p.LoadMatrix(names)
-		switch {
-		case empty:
-			// Emptied: the old base's votes are gone, the new base's not in.
-		case err != nil:
-			t.Fatalf("crash after %d operations: the store no longer loads: %v", k, err)
-		case !sameMatrix(got, oldChain) && !sameMatrix(got, oldBase):
-			t.Fatalf("crash after %d operations: store loads %d rows that are neither the old chain's view nor the old base",
-				k, got.NumExamples())
-		}
+		for _, resume := range []bool{false, true} {
+			fs, oldBase, oldChain := root()
+			if _, err := topicPipeline(t, &crashFS{FS: fs, budget: k}).Stage(ctx, SliceSource(second)); err == nil {
+				t.Fatalf("crash after %d of %d operations: staging succeeded", k, ops)
+			}
+			p := topicPipeline(t, fs, WithResume(resume))
+			gen, err := lf.LatestGeneration(fs, p.VotesBase())
+			empty := err == nil && gen == 0 && !lf.HasVotes(fs, p.VotesBase())
+			got, err := p.LoadMatrix(names)
+			switch {
+			case empty:
+				// Emptied: the old base's votes are gone, the new base's not in.
+			case err != nil:
+				t.Fatalf("crash after %d operations: the store no longer loads: %v", k, err)
+			case !sameMatrix(got, oldChain) && !sameMatrix(got, oldBase):
+				t.Fatalf("crash after %d operations: store loads %d rows that are neither the old chain's view nor the old base",
+					k, got.NumExamples())
+			}
+			_, serr := mapreduce.StagedCount(fs, p.InputPath())
+			if serr == nil && removed {
+				t.Fatalf("crash after %d operations: the old base's commit record stands again", k)
+			}
+			removed = serr != nil
 
-		res, err := p.Run(ctx, SliceSource(second), lfs)
+			res, err := p.Run(ctx, SliceSource(second), lfs)
+			if err != nil {
+				t.Fatalf("crash after %d operations: rerun (resume %v): %v", k, resume, err)
+			}
+			if resume && serr == nil {
+				continue // the resumed rerun kept the old base, as the commit record says
+			}
+			got, err = p.LoadMatrix(names)
+			if err != nil {
+				t.Fatalf("crash after %d operations: load after rerun (resume %v): %v", k, resume, err)
+			}
+			if !sameMatrix(got, res.Matrix) || !sameMatrix(got, want.Matrix) || !slices.Equal(res.Posteriors, want.Posteriors) {
+				t.Fatalf("crash after %d operations: the rerun's (resume %v) store differs from an uninterrupted run's", k, resume)
+			}
+			if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 0 {
+				t.Fatalf("crash after %d operations: corpus ledger after rerun (resume %v): %+v, %v", k, resume, gens, err)
+			}
+			if g, err := lf.LatestGeneration(fs, p.VotesBase()); err != nil || g != 0 {
+				t.Fatalf("crash after %d operations: vote store at generation %d after rerun (resume %v, %v)", k, g, resume, err)
+			}
+		}
+	}
+	if !removed {
+		t.Fatal("no crash point left the old base without its commit record")
+	}
+}
+
+// TestRestageWithOtherShardCount runs a base, a delta, its round and Compact
+// with 4 shards, then again on the same filesystem with 2: every step
+// succeeds — no shard set keeps shards of the old count beside the new — and
+// ends with the posteriors and labels of a cold 2-shard run.
+func TestRestageWithOtherShardCount(t *testing.T) {
+	ctx := context.Background()
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 180, PositiveRate: 0.05, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	// rounds returns the posteriors of the base run and of the delta round,
+	// and the labels Compact leaves.
+	rounds := func(fs dfs.FS, shards int) [3][]float64 {
+		p := topicPipeline(t, fs, WithShards(shards))
+		res, err := p.Run(ctx, SliceSource(docs[:150]), lfs)
 		if err != nil {
-			t.Fatalf("crash after %d operations: rerun: %v", k, err)
+			t.Fatalf("%d shards: Run: %v", shards, err)
 		}
-		got, err = p.LoadMatrix(names)
+		if _, err := p.StageDelta(ctx, SliceSource(docs[150:]), 7); err != nil {
+			t.Fatalf("%d shards: StageDelta: %v", shards, err)
+		}
+		inc, err := p.IncrementalRun(ctx, lfs)
 		if err != nil {
-			t.Fatalf("crash after %d operations: load after rerun: %v", k, err)
+			t.Fatalf("%d shards: IncrementalRun: %v", shards, err)
 		}
-		if !sameMatrix(got, res.Matrix) || !sameMatrix(got, want.Matrix) {
-			t.Fatalf("crash after %d operations: the rerun's store differs from an uninterrupted run's", k)
+		if err := p.Compact(); err != nil {
+			t.Fatalf("%d shards: Compact: %v", shards, err)
 		}
-		if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 0 {
-			t.Fatalf("crash after %d operations: corpus ledger after rerun: %+v, %v", k, gens, err)
+		labels, err := p.Labels()
+		if err != nil {
+			t.Fatalf("%d shards: Labels: %v", shards, err)
 		}
-		if g, err := lf.LatestGeneration(fs, p.VotesBase()); err != nil || g != 0 {
-			t.Fatalf("crash after %d operations: vote store at generation %d after rerun (%v)", k, g, err)
+		return [3][]float64{res.Posteriors, inc.Posteriors, labels}
+	}
+	fs := dfs.NewMem()
+	rounds(fs, 4)
+	got, want := rounds(fs, 2), rounds(dfs.NewMem(), 2)
+	for i, what := range []string{"run posteriors", "round posteriors", "labels"} {
+		if !slices.Equal(got[i], want[i]) {
+			t.Errorf("%s after restaging with 2 shards differ from a cold 2-shard run's", what)
 		}
 	}
 }
