@@ -6,8 +6,8 @@
 //   - a flat hierarchical namespace with directory listing,
 //   - whole-file write-then-commit semantics with atomic rename, so a
 //     MapReduce shard is either fully visible or absent,
-//   - sharded file naming ("name-00003-of-00010") with helpers to enumerate
-//     and validate shard sets,
+//   - sharded file naming ("name-00003-of-00010"), and one checksummed
+//     commit record per shard set that names its shards (Record),
 //   - concurrent access from many worker goroutines.
 //
 // The default store is in-memory; a disk-backed store is provided for

@@ -214,11 +214,28 @@ func TestParseShardPathRejectsGarbage(t *testing.T) {
 	}
 }
 
+// commitShards writes one byte-long shard i of n under base for each i in
+// present, and a commit record naming n one-byte shards.
+func commitShards(t *testing.T, m FS, base string, n int, present ...int) {
+	t.Helper()
+	for _, i := range present {
+		if err := m.WriteFile(ShardPath(base, i, n), []byte{byte(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	sums := make([]ShardSum, n)
+	for i := range sums {
+		sums[i] = ShardSum{Size: 1, Digest: uint32(i)}
+	}
+	if err := WriteRecord(m, base, Record{Rows: n, Shards: sums}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestListShardsCompleteSet(t *testing.T) {
 	m := NewMem()
-	for i := 0; i < 4; i++ {
-		m.WriteFile(ShardPath("out/l", i, 4), []byte{byte(i)})
-	}
+	commitShards(t, m, "out/l", 4, 0, 1, 2, 3)
+	m.WriteFile(ShardPath("out/l", 0, 3), nil) // a stray its record does not name
 	got, err := ListShards(m, "out/l")
 	if err != nil {
 		t.Fatal(err)
@@ -230,8 +247,7 @@ func TestListShardsCompleteSet(t *testing.T) {
 
 func TestListShardsMissingShard(t *testing.T) {
 	m := NewMem()
-	m.WriteFile(ShardPath("out/l", 0, 3), nil)
-	m.WriteFile(ShardPath("out/l", 2, 3), nil)
+	commitShards(t, m, "out/l", 3, 0, 2)
 	if _, err := ListShards(m, "out/l"); err == nil {
 		t.Error("incomplete shard set accepted")
 	}
@@ -239,16 +255,24 @@ func TestListShardsMissingShard(t *testing.T) {
 
 func TestListShardsInconsistentCount(t *testing.T) {
 	m := NewMem()
-	m.WriteFile(ShardPath("out/l", 0, 2), nil)
-	m.WriteFile(ShardPath("out/l", 1, 3), nil)
+	commitShards(t, m, "out/l", 3)
+	m.WriteFile(ShardPath("out/l", 0, 2), []byte{0})
+	m.WriteFile(ShardPath("out/l", 1, 2), []byte{1})
+	m.WriteFile(ShardPath("out/l", 2, 3), []byte{2, 2}) // the record says one byte
 	if _, err := ListShards(m, "out/l"); err == nil {
 		t.Error("inconsistent shard counts accepted")
 	}
 }
 
 func TestListShardsNone(t *testing.T) {
-	if _, err := ListShards(NewMem(), "none"); err == nil {
+	m := NewMem()
+	if _, err := ListShards(m, "none"); err == nil {
 		t.Error("no shards accepted")
+	}
+	// Shards without a commit record are not a set.
+	m.WriteFile(ShardPath("none", 0, 1), []byte{0})
+	if _, err := ListShards(m, "none"); err == nil {
+		t.Error("uncommitted shards accepted")
 	}
 }
 

@@ -18,73 +18,38 @@ func ShardPath(base string, i, n int) string {
 // shard count. ok is false for non-shard paths.
 func ParseShardPath(path string) (base string, index, count int, ok bool) {
 	i := strings.LastIndex(path, "-of-")
-	if i < 6 {
+	if i < 6 || len(path) != i+9 || path[i-6] != '-' {
 		return "", 0, 0, false
 	}
-	countStr := path[i+4:]
-	idxStr := path[i-5 : i]
-	if len(countStr) != 5 || path[i-6] != '-' {
-		return "", 0, 0, false
+	digits := func(s string) (n int) { // exactly five ASCII digits, or -1
+		for _, c := range []byte(s) {
+			if c < '0' || c > '9' {
+				return -1
+			}
+			n = n*10 + int(c-'0')
+		}
+		return n
 	}
-	index, ok = parseDigits(idxStr)
-	if !ok {
-		return "", 0, 0, false
-	}
-	count, ok = parseDigits(countStr)
-	if !ok {
-		return "", 0, 0, false
-	}
+	index, count = digits(path[i-5:i]), digits(path[i+4:])
 	if index < 0 || count <= 0 || index >= count {
 		return "", 0, 0, false
 	}
 	return path[:i-6], index, count, true
 }
 
-// parseDigits parses a string of exactly 5 ASCII digits.
-func parseDigits(s string) (int, bool) {
-	n := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c < '0' || c > '9' {
-			return 0, false
-		}
-		n = n*10 + int(c-'0')
-	}
-	return n, true
-}
-
-// ListShards returns the complete, ordered shard set for base. It errors if
-// shards are missing or disagree on the shard count — a partially written
-// output must never be consumed (paper: MapReduce outputs commit atomically).
+// ListShards returns the shard paths of the set committed at base, in shard
+// order, once Stat has confirmed that its commit record describes the shards
+// standing there (Committed). Shards a record does not name are not part of
+// the set: a partially written output is never consumed (paper: MapReduce
+// outputs commit atomically).
 func ListShards(fs FS, base string) ([]string, error) {
-	paths, err := fs.List(base + "-")
+	r, err := Committed(fs, base)
 	if err != nil {
 		return nil, err
 	}
-	count := -1
-	found := map[int]string{}
-	for _, p := range paths {
-		b, idx, n, ok := ParseShardPath(p)
-		if !ok || b != base {
-			continue
-		}
-		if count == -1 {
-			count = n
-		} else if count != n {
-			return nil, fmt.Errorf("dfs: inconsistent shard counts for %q: %d vs %d", base, count, n)
-		}
-		found[idx] = p
-	}
-	if count == -1 {
-		return nil, fmt.Errorf("dfs: no shards found for %q", base)
-	}
-	out := make([]string, count)
-	for i := 0; i < count; i++ {
-		p, ok := found[i]
-		if !ok {
-			return nil, fmt.Errorf("dfs: shard %d of %d missing for %q", i, count, base)
-		}
-		out[i] = p
+	out := make([]string, len(r.Shards))
+	for i := range out {
+		out[i] = ShardPath(base, i, len(out))
 	}
 	return out, nil
 }

@@ -57,11 +57,6 @@ type Executor[T any] struct {
 	// covering every requested function is loaded directly without launching
 	// any job.
 	Resume bool
-	// KnownExamples, when positive, is the staged corpus's record count as
-	// already established by the caller (e.g. the pipeline's staging
-	// stage). The resume fast path then validates generation 0 against it
-	// instead of re-scanning every input shard.
-	KnownExamples int
 	// FailureHook is forwarded to every job, for failure-injection tests.
 	FailureHook func(taskID string, attempt int) error
 	// Workers supplies an execution backend for every vote job — e.g. a
@@ -257,13 +252,8 @@ func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*View, *Report, bool) 
 	if err != nil {
 		return nil, nil, false
 	}
-	staged := e.KnownExamples
-	if staged <= 0 {
-		if staged, err = mapreduce.StagedCount(e.FS, e.InputBase); err != nil {
-			return nil, nil, false
-		}
-	}
-	if plan.chain.Rows != staged {
+	input, err := dfs.Committed(e.FS, e.InputBase)
+	if err != nil || plan.chain.Rows != input.Rows {
 		return nil, nil, false
 	}
 	start := time.Now() //drybellvet:wallclock — times the resume load for the report only
@@ -276,7 +266,7 @@ func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*View, *Report, bool) 
 	// actually executed.
 	report := &Report{
 		PerLF:            make([]LFReport, len(lfs)),
-		Examples:         staged,
+		Examples:         input.Rows,
 		ResumedFromVotes: true,
 	}
 	//drybellvet:tightloop — bounded by the function set, in-memory report assembly
@@ -285,7 +275,7 @@ func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*View, *Report, bool) 
 		report.PerLF[j] = LFReport{Name: meta.Name, Category: meta.Category, Servable: meta.Servable}
 	}
 	//drybellvet:tightloop — one in-memory row-major pass over the loaded matrix
-	for i := 0; i < staged; i++ {
+	for i := 0; i < input.Rows; i++ {
 		for j, v := range mx.Row(i) {
 			switch r := &report.PerLF[j]; v {
 			case labelmodel.Positive:
@@ -327,7 +317,7 @@ func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*Vie
 	if err != nil {
 		return nil, nil, err
 	}
-	if p, err := planVotes(e.FS, e.votesBase(), false, names); err == nil && len(p.segments) == 1 && p.segments[0].meta.Generation == k.hash {
+	if p, err := planVotes(e.FS, e.votesBase(), false, names); err == nil && len(p.segments) == 1 && p.segments[0].rec.Generation == k.hash {
 		return p.view(matrix), report, nil
 	}
 	return &View{Matrix: matrix, Names: names}, report, nil

@@ -3,13 +3,13 @@
 // An execution over the base corpus (Executor.ExecuteContext) publishes a
 // generation-0 segment over base rows [0, m), each corpus delta a generation
 // over its row range: a data segment in the columnar shard format (votes.go)
-// plus a CRC'd JSON manifest of row range, columns and tombstones, under
-// "<prefix>/votes/_gen/". A delta's key is its number ("00001"); a segment's
-// is "00000-<seq>-<hash>", seq one past the highest listed and hash the
-// votes' content-derived write generation, so writers of different votes
-// never share a key. A manifest commits by temp-then-rename after its data
-// segment, so a visible manifest always has readable data. Only compaction
-// writes the flat artifact at "<prefix>/votes".
+// plus a checksummed JSON manifest (dfs.WriteJSON) of row range, columns and
+// tombstones, under "<prefix>/votes/_gen/". A delta's key is its number
+// ("00001"); a segment's is "00000-<seq>-<hash>", seq one past the highest
+// listed and hash the votes' content-derived write generation, so writers of
+// different votes never share a key. A manifest is written, atomically, after
+// its data segment's commit record, so a visible manifest always has readable
+// data. Only compaction writes the flat artifact at "<prefix>/votes".
 //
 // The store is read one way (votes.go: planVotes, then one scan): the flat
 // artifact at row 0, generation-0 segments by (seq, hash), then the deltas in
@@ -21,10 +21,8 @@ package lf
 
 import (
 	"cmp"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"path"
 	"slices"
 	"strconv"
@@ -51,9 +49,6 @@ type GenerationMeta struct {
 	// Deleted lists absolute row indices this generation tombstones. A later
 	// generation whose row range covers a tombstoned row resurrects it.
 	Deleted []int `json:"deleted,omitempty"`
-	// CRC is the IEEE CRC32 of this manifest's JSON with CRC itself zeroed —
-	// a torn or hand-edited manifest is rejected at read time.
-	CRC uint32 `json:"crc"`
 }
 
 // genDir is the DFS directory holding generation manifests and data
@@ -82,7 +77,7 @@ func (k chainKey) path(base string) string { return path.Join(genDir(base), k.St
 
 // parseChainKey parses a name under _gen/ as a manifest key. Only the
 // canonical spelling parses; everything else there (data segment shards and
-// their metas, in-flight .tmp manifests) is not a manifest.
+// their commit records) is not a manifest.
 func parseChainKey(name string) (chainKey, bool) {
 	var k chainKey
 	if strings.Contains(name, ".") {
@@ -99,22 +94,11 @@ func parseChainKey(name string) (chainKey, bool) {
 	return k, err == nil && (k.gen > 0 || k.seq > 0) && k.String() == name
 }
 
-// manifestCRC computes the manifest checksum: the CRC32 of its JSON with the
-// CRC field zeroed. Struct-field order makes the marshaling deterministic.
-func manifestCRC(meta GenerationMeta) (uint32, error) {
-	meta.CRC = 0
-	raw, err := json.Marshal(meta)
-	if err != nil {
-		return 0, err
-	}
-	return crc32.ChecksumIEEE(raw), nil
-}
-
 // WriteGeneration publishes one delta generation: the matrix as a columnar
-// data segment, then the CRC'd manifest via write-temp-and-rename, so
-// concurrent readers see either the previous chain or the full new
-// generation, never a half-written one. meta.Rows and meta.CRC are filled
-// here; the caller sets Gen, Names, StartRow, Shards, and Deleted.
+// data segment, then the checksummed manifest, so concurrent readers see
+// either the previous chain or the full new generation, never a half-written
+// one. meta.Rows is filled here; the caller sets Gen, Names, StartRow, Shards,
+// and Deleted.
 func WriteGeneration(fs dfs.FS, base string, meta GenerationMeta, mx *labelmodel.Matrix) error {
 	if meta.Gen <= 0 {
 		return fmt.Errorf("lf: vote generation number %d, want >= 1 (generation 0 is what ExecuteContext publishes)", meta.Gen)
@@ -170,21 +154,8 @@ func writeManifest(fs dfs.FS, base string, k chainKey, meta GenerationMeta, mx *
 			return fmt.Errorf("lf: write generation %d data: %w", meta.Gen, err)
 		}
 	}
-	crc, err := manifestCRC(meta)
-	if err != nil {
-		return fmt.Errorf("lf: encode generation %d manifest: %w", meta.Gen, err)
-	}
-	meta.CRC = crc
-	raw, err := json.Marshal(meta)
-	if err != nil {
-		return fmt.Errorf("lf: encode generation %d manifest: %w", meta.Gen, err)
-	}
-	tmp := dst + ".tmp"
-	if err := fs.WriteFile(tmp, raw); err != nil {
+	if err := dfs.WriteJSON(fs, dst, meta); err != nil {
 		return fmt.Errorf("lf: write generation %d manifest: %w", meta.Gen, err)
-	}
-	if err := fs.Rename(tmp, dst); err != nil {
-		return fmt.Errorf("lf: promote generation %d manifest: %w", meta.Gen, err)
 	}
 	return nil
 }
@@ -201,7 +172,7 @@ func LatestGeneration(fs dfs.FS, base string) (int, error) {
 }
 
 // listKeys lists the manifest keys under base's _gen/ directory in chain
-// order, and the directory's other keys (data segments, temp manifests).
+// order, and the directory's other keys (data segments and their records).
 func listKeys(fs dfs.FS, base string) ([]chainKey, []string, error) {
 	prefix := genDir(base) + "/" //drybellvet:notapath — List prefix; the trailing "/" is significant
 	names, err := fs.List(prefix)
@@ -223,18 +194,19 @@ func listKeys(fs dfs.FS, base string) ([]chainKey, []string, error) {
 	return keys, others, nil
 }
 
-// manifest is one published manifest: where it stands, its key, and what it
-// says.
+// manifest is one published manifest: where it stands, its key, what it
+// says, and its checksum.
 type manifest struct {
 	GenerationMeta
 	at  chainKey
 	key string
+	crc uint32
 }
 
 // listManifests returns the published manifests in chain order, validating
-// each one's checksum and its consistency with its key. A corrupt manifest
-// fails the whole listing — a reader must never silently skip part of the
-// chain.
+// each one's checksum (dfs.ReadJSON) and its consistency with its key. A
+// corrupt manifest fails the whole listing — a reader must never silently
+// skip part of the chain.
 func listManifests(fs dfs.FS, base string) ([]manifest, error) {
 	keys, _, err := listKeys(fs, base)
 	if err != nil {
@@ -243,20 +215,10 @@ func listManifests(fs dfs.FS, base string) ([]manifest, error) {
 	ms := make([]manifest, 0, len(keys))
 	for _, k := range keys {
 		key := k.path(base)
-		raw, err := fs.ReadFile(key)
+		var meta GenerationMeta
+		crc, err := dfs.ReadJSON(fs, key, &meta)
 		if err != nil {
 			return nil, fmt.Errorf("lf: read vote generation manifest %s: %w", key, err)
-		}
-		var meta GenerationMeta
-		if err := json.Unmarshal(raw, &meta); err != nil {
-			return nil, fmt.Errorf("lf: vote generation manifest %s is corrupt: %w", key, err)
-		}
-		want, err := manifestCRC(meta)
-		if err != nil {
-			return nil, fmt.Errorf("lf: vote generation manifest %s: %w", key, err)
-		}
-		if meta.CRC != want {
-			return nil, fmt.Errorf("lf: vote generation manifest %s is corrupt: checksum %08x does not match contents (want %08x)", key, meta.CRC, want)
 		}
 		if meta.Gen != k.gen {
 			return nil, fmt.Errorf("lf: vote generation manifest %s claims generation %d", key, meta.Gen)
@@ -265,7 +227,7 @@ func listManifests(fs dfs.FS, base string) ([]manifest, error) {
 			return nil, fmt.Errorf("lf: vote generation manifest %s is degenerate (%d rows from %d, %d shards, %d names)",
 				key, meta.Rows, meta.StartRow, meta.Shards, len(meta.Names))
 		}
-		ms = append(ms, manifest{meta, k, key})
+		ms = append(ms, manifest{meta, k, key, crc})
 	}
 	return ms, nil
 }
@@ -389,10 +351,11 @@ func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) 
 // without reading it: what CompactView does once the chain is folded. With
 // flat it then removes the flat artifact as well, leaving an empty store:
 // what staging a new base corpus does, since every vote stored is for the
-// corpus being superseded. Manifests go first, newest first, then the
-// sidecar, so a crash part-way leaves a shorter chain that still reads, with
-// orphaned data segments and shards (ignored by readers) — never a manifest
-// or a sidecar with missing data. A store with no chain costs one List.
+// corpus being superseded. Manifests go first, newest first, then the flat
+// artifact's commit record, so a crash part-way leaves a shorter chain that
+// still reads, with orphaned data segments and shards (ignored by readers) —
+// never a manifest or a commit record with missing data. A store with no
+// chain costs one List.
 func DropGenerations(fs dfs.FS, base string, flat bool) error {
 	keys, data, err := listKeys(fs, base)
 	if err != nil {
@@ -409,7 +372,7 @@ func DropGenerations(fs dfs.FS, base string, flat bool) error {
 	if !flat {
 		return nil
 	}
-	if err := fs.Remove(votesMetaPath(base)); err != nil && !dfs.IsNotExist(err) {
+	if err := fs.Remove(dfs.RecordPath(base)); err != nil && !dfs.IsNotExist(err) {
 		return fmt.Errorf("lf: drop votes at %s: %w", base, err)
 	}
 	_ = dfs.RemoveShards(fs, base, 0) // orphaned shards are never read

@@ -1,7 +1,6 @@
 package lf
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/dfs"
@@ -34,29 +33,25 @@ func VoteNames(fs dfs.FS, base string) ([]string, error) {
 // column order, cell by cell, trusting the bytes (the oracle only ever reads
 // stores the tests wrote intact).
 func oracleReadSegment(fs dfs.FS, base string) (*labelmodel.Matrix, []string, error) {
-	raw, err := fs.ReadFile(votesMetaPath(base))
+	rec, err := dfs.ReadRecord(fs, base)
 	if err != nil {
 		return nil, nil, err
 	}
-	var meta votesMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		return nil, nil, err
-	}
-	n := len(meta.Names)
-	mx := labelmodel.NewMatrix(meta.Examples, n)
-	for s := 0; s < meta.Shards; s++ {
-		data, err := fs.ReadFile(dfs.ShardPath(base, s, meta.Shards))
+	n, nsh := len(rec.Names), len(rec.Shards)
+	mx := labelmodel.NewMatrix(rec.Rows, n)
+	for s := 0; s < nsh; s++ {
+		data, err := fs.ReadFile(dfs.ShardPath(base, s, nsh))
 		if err != nil {
 			return nil, nil, err
 		}
 		payload := data[voteShardHeaderSize:]
 		for k := 0; k*n < len(payload); k++ {
 			for j := 0; j < n; j++ {
-				mx.Set(s+k*meta.Shards, j, labelmodel.Label(int8(payload[k*n+j])))
+				mx.Set(s+k*nsh, j, labelmodel.Label(int8(payload[k*n+j])))
 			}
 		}
 	}
-	return mx, meta.Names, nil
+	return mx, rec.Names, nil
 }
 
 // mergeVotesAt is the row-range merge the store's readers used to share:
@@ -117,7 +112,7 @@ func oracleReadVersioned(fs dfs.FS, base string, names []string) (*labelmodel.Ma
 	var view *labelmodel.Matrix
 	var union []string
 	total := 0
-	if _, err := fs.Stat(votesMetaPath(base)); err == nil {
+	if _, err := fs.Stat(dfs.RecordPath(base)); err == nil {
 		if view, union, err = oracleReadSegment(fs, base); err != nil {
 			return nil, nil, err
 		}

@@ -90,7 +90,7 @@ func fitAll[T any](ctx context.Context, lfs []lfapi.LF[T], fs dfs.FS, inputBase 
 func corpusSeq[T any](fs dfs.FS, inputBase string, decode func([]byte) (T, error)) iter.Seq2[T, error] {
 	return func(yield func(T, error) bool) {
 		var zero T
-		err := mapreduce.EachShard(fs, inputBase, func(_, _ int, recs [][]byte) bool {
+		_, err := mapreduce.EachShard(fs, inputBase, func(_, _ int, recs [][]byte) bool {
 			for _, rec := range recs {
 				x, err := decode(rec)
 				if err != nil {

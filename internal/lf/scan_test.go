@@ -2,7 +2,6 @@ package lf
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -255,7 +254,7 @@ func TestScanMatchesOracleOnGeneratedChains(t *testing.T) {
 		if hadChain && fmt.Sprint(follow.names) == fmt.Sprint(union) {
 			foldedFromView++
 			// Each manifest is read by the listing and by the plan, which
-			// also asks for every sidecar; a shard is one read more.
+			// also asks for every commit record; a shard is one read more.
 			metadata := 1 + 2*len(follow.view.gens)
 			for _, g := range follow.view.gens {
 				if g.data != 0 {
@@ -302,28 +301,19 @@ func TestScanMatchesOracleOnGeneratedChains(t *testing.T) {
 func rewriteManifest(t *testing.T, fs dfs.FS, gen int, edit func(*GenerationMeta)) {
 	t.Helper()
 	key := genManifestPath(storeBase, gen)
-	raw, err := fs.ReadFile(key)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var meta GenerationMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
+	if _, err := dfs.ReadJSON(fs, key, &meta); err != nil {
 		t.Fatal(err)
 	}
 	edit(&meta)
-	if meta.CRC, err = manifestCRC(meta); err != nil {
-		t.Fatal(err)
-	}
-	if raw, err = json.Marshal(meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile(key, raw); err != nil {
+	if err := dfs.WriteJSON(fs, key, meta); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // rewriteShard applies edit to a stored shard and re-seals its payload
-// checksum, so the edit reaches the checks behind the CRC.
+// checksum, in the shard and as its digest in the commit record, so the edit
+// reaches the checks behind the CRC.
 func rewriteShard(t *testing.T, fs dfs.FS, shard string, edit func(data []byte) []byte) {
 	t.Helper()
 	data, err := fs.ReadFile(shard)
@@ -331,27 +321,26 @@ func rewriteShard(t *testing.T, fs dfs.FS, shard string, edit func(data []byte) 
 		t.Fatal(err)
 	}
 	data = edit(data)
-	binary.LittleEndian.PutUint32(data[12:16], crc32.ChecksumIEEE(data[voteShardHeaderSize:]))
+	sum := crc32.ChecksumIEEE(data[voteShardHeaderSize:])
+	binary.LittleEndian.PutUint32(data[12:16], sum)
 	if err := fs.WriteFile(shard, data); err != nil {
 		t.Fatal(err)
 	}
+	base, s, _, _ := dfs.ParseShardPath(shard)
+	rewriteRecord(t, fs, base, func(r *dfs.Record) { r.Shards[s].Digest = sum })
 }
 
-func rewriteMeta(t *testing.T, fs dfs.FS, base string, edit func(*votesMeta)) {
+// rewriteRecord applies edit to the commit record of the shard set at base
+// and re-seals it — set digest and checksum — so the edit reaches the checks
+// behind them.
+func rewriteRecord(t *testing.T, fs dfs.FS, base string, edit func(*dfs.Record)) {
 	t.Helper()
-	raw, err := fs.ReadFile(votesMetaPath(base))
+	rec, err := dfs.ReadRecord(fs, base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var meta votesMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		t.Fatal(err)
-	}
-	edit(&meta)
-	if raw, err = json.Marshal(meta); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.WriteFile(votesMetaPath(base), raw); err != nil {
+	edit(rec)
+	if err := dfs.WriteRecord(fs, base, *rec); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -380,23 +369,45 @@ func TestEveryStoredByteCheckStillFires(t *testing.T) {
 		// One flipped byte.
 		{"shard CRC (flat payload byte)", corrupt(flatShard, voteShardHeaderSize+2), "checksum mismatch"},
 		{"shard magic (generation shard header)", corrupt(genShard, 1), "bad magic"},
-		{"shard columns (generation shard header)", corrupt(genShard, 4), "columns, meta says"},
+		{"shard columns (generation shard header)", corrupt(genShard, 4), "columns, commit record says"},
 		{"shard write generation", corrupt(flatShard, 17), "another write generation"},
-		{"votes.meta unreadable", corrupt(votesMetaPath(storeBase), 0), "decode votes meta"},
+		{"votes.meta unreadable", corrupt(dfs.RecordPath(storeBase), 40), "is corrupt"},
 		{"manifest CRC (flipped byte)", corrupt(genManifestPath(storeBase, 2), 10), "is corrupt"},
 		// Edits re-sealed behind their checksum.
 		{"meta degenerate", func(t *testing.T, fs *dfs.Mem) {
-			rewriteMeta(t, fs, storeBase, func(m *votesMeta) { m.Shards = 0 })
+			rewriteRecord(t, fs, storeBase, func(r *dfs.Record) { r.Shards = nil })
 		}, "is degenerate"},
+		{"record set digest", func(t *testing.T, fs *dfs.Mem) {
+			rec, err := dfs.ReadRecord(fs, storeBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec.Digest++
+			if err := dfs.WriteJSON(fs, dfs.RecordPath(storeBase), rec); err != nil {
+				t.Fatal(err)
+			}
+		}, "does not match its own set digest"},
+		{"record columns", func(t *testing.T, fs *dfs.Mem) {
+			rewriteRecord(t, fs, storeBase, func(r *dfs.Record) { r.Names = nil })
+		}, "names no columns"},
 		{"meta shard count", func(t *testing.T, fs *dfs.Mem) {
-			rewriteMeta(t, fs, genDataBase(storeBase, 1), func(m *votesMeta) { m.Shards = 2 })
-		}, "shards on filesystem, meta says 2"},
+			rewriteRecord(t, fs, genDataBase(storeBase, 1), func(r *dfs.Record) { r.Shards = r.Shards[:2] })
+		}, "shard 0 of 2 is 33 bytes, not 5 rows"},
 		{"meta row total", func(t *testing.T, fs *dfs.Mem) {
-			rewriteMeta(t, fs, storeBase, func(m *votesMeta) { m.Examples = 41 })
-		}, "hold 40 rows, meta says 41"},
+			rewriteRecord(t, fs, storeBase, func(r *dfs.Record) { r.Rows = 41 })
+		}, "shard 0 of 4 is 54 bytes, not 11 rows"},
+		{"record shard size", func(t *testing.T, fs *dfs.Mem) {
+			rewriteRecord(t, fs, storeBase, func(r *dfs.Record) { r.Shards[1].Size-- })
+		}, "shard 1 of 4 is 53 bytes"},
+		{"record shard digest", func(t *testing.T, fs *dfs.Mem) {
+			rewriteRecord(t, fs, genDataBase(storeBase, 2), func(r *dfs.Record) { r.Shards[2].Digest++ })
+		}, "does not match its commit record's digest"},
 		{"shard payload size", func(t *testing.T, fs *dfs.Mem) {
 			rewriteShard(t, fs, flatShard, func(d []byte) []byte { return d[:len(d)-1] })
-		}, "payload is"},
+		}, "does not match its commit record"},
+		{"shard row count", func(t *testing.T, fs *dfs.Mem) {
+			rewriteShard(t, fs, flatShard, func(d []byte) []byte { d[8]++; return d })
+		}, "holds 11 rows, commit record says 10"},
 		{"vote byte range", func(t *testing.T, fs *dfs.Mem) {
 			rewriteShard(t, fs, genShard, func(d []byte) []byte { d[voteShardHeaderSize+1] = 5; return d })
 		}, "stored vote byte 5 out of range"},
@@ -443,12 +454,14 @@ func TestEveryStoredByteCheckStillFires(t *testing.T) {
 	}
 }
 
-// TestOversizedRowClaimFailsTheRead: a sidecar's row count sizes the view, so
-// it is checked against what the segment's shards can hold before anything is
-// allocated. A votes.meta claiming 2^40 rows over a four-row artifact used to
-// end the process out of memory inside labelmodel.NewMatrix — not a panic a
-// caller can recover — and a carried read grew its view by a generation's
-// claim the same way. Every read must fail instead, naming the segment.
+// TestOversizedRowClaimFailsTheRead: a commit record's row count sizes the
+// view, so it is checked against what the segment's shards can hold before
+// anything is allocated. A record claiming 2^40 rows over a four-row
+// artifact used to end the process out of memory inside labelmodel.NewMatrix
+// — not a panic a caller can recover — and a carried read grew its view by a
+// generation's claim the same way. Every read must fail instead, naming the
+// segment: a record whose shard sizes cannot hold its rows is refused as it is
+// read, and one whose sizes would hold them is refused by the shards' Stat.
 func TestOversizedRowClaimFailsTheRead(t *testing.T) {
 	names := []string{"a", "b"}
 	const huge = 1 << 40
@@ -469,35 +482,58 @@ func TestOversizedRowClaimFailsTheRead(t *testing.T) {
 			t.Errorf("%s = %v, want an error containing %q", entry, err, want)
 		}
 	}
+	// claim edits a record to huge rows; with sized, its shard sizes too.
+	claim := func(sized bool) func(*dfs.Record) {
+		return func(r *dfs.Record) {
+			r.Rows = huge
+			for s := range r.Shards {
+				if sized {
+					r.Shards[s].Size = voteShardHeaderSize + int64(shardRows(huge, s, len(r.Shards))*len(r.Names))
+				}
+			}
+		}
+	}
 
-	t.Run("flat meta", func(t *testing.T) {
-		fs, view := store(t)
-		rewriteMeta(t, fs, storeBase, func(m *votesMeta) { m.Examples = huge })
-		want := fmt.Sprintf("votes at %s: its 2 shards hold 4 rows, meta says %d", storeBase, huge)
-		_, err := docExecutor(fs).LoadMatrix(names)
-		requireNamed(t, "LoadMatrix", err, want)
-		_, _, err = ReadVotes(fs, storeBase, nil)
-		requireNamed(t, "ReadVotes", err, want)
-		for _, prev := range []*View{nil, view} {
-			_, _, err = LoadView(fs, storeBase, names, prev)
-			requireNamed(t, "LoadView", err, want)
+	for _, sized := range []bool{false, true} {
+		suffix := "" // the record's sizes cannot hold its rows
+		if sized {
+			suffix = ", sizes to match" // they can: the shards' Stat refuses it
 		}
-	})
-	t.Run("carried generation", func(t *testing.T) {
-		fs, view := store(t)
-		writeGen(t, fs, storeBase, 1, 4, 3, names, nil, 2)
-		seg := genDataBase(storeBase, 1)
-		rewriteMeta(t, fs, seg, func(m *votesMeta) { m.Examples = huge })
-		rewriteManifest(t, fs, 1, func(m *GenerationMeta) { m.Rows = huge })
-		want := fmt.Sprintf("votes at %s: its 3 shards hold 3 rows, meta says %d", seg, huge)
-		_, read, err := LoadView(fs, storeBase, names, view)
-		requireNamed(t, "carried LoadView", err, want)
-		if read.Rebuilt != "" {
-			t.Errorf("the claim was read as a rebuild (%s), not as the append it claims to be", read.Rebuilt)
-		}
-		_, err = docExecutor(fs).LoadMatrix(names)
-		requireNamed(t, "LoadMatrix", err, want)
-	})
+		t.Run("flat meta"+suffix, func(t *testing.T) {
+			fs, view := store(t)
+			rewriteRecord(t, fs, storeBase, claim(sized))
+			want := fmt.Sprintf("votes at %s: shard 0 of 2 is 28 bytes, not %d rows", storeBase, huge/2)
+			if sized {
+				want = fmt.Sprintf("votes at %s: dfs: %s is not staged: shard 0 of 2 does not match its commit record", storeBase, storeBase)
+			}
+			_, err := docExecutor(fs).LoadMatrix(names)
+			requireNamed(t, "LoadMatrix", err, want)
+			_, _, err = ReadVotes(fs, storeBase, nil)
+			requireNamed(t, "ReadVotes", err, want)
+			for _, prev := range []*View{nil, view} {
+				_, _, err = LoadView(fs, storeBase, names, prev)
+				requireNamed(t, "LoadView", err, want)
+			}
+		})
+		t.Run("carried generation"+suffix, func(t *testing.T) {
+			fs, view := store(t)
+			writeGen(t, fs, storeBase, 1, 4, 3, names, nil, 2)
+			seg := genDataBase(storeBase, 1)
+			rewriteRecord(t, fs, seg, claim(sized))
+			rewriteManifest(t, fs, 1, func(m *GenerationMeta) { m.Rows = huge })
+			want := fmt.Sprintf("votes at %s: shard 0 of 3 is 26 bytes, not %d rows", seg, shardRows(huge, 0, 3))
+			if sized {
+				want = fmt.Sprintf("votes at %s: dfs: %s is not staged: shard 0 of 3 does not match its commit record", seg, seg)
+			}
+			_, read, err := LoadView(fs, storeBase, names, view)
+			requireNamed(t, "carried LoadView", err, want)
+			if read.Rebuilt != "" {
+				t.Errorf("the claim was read as a rebuild (%s), not as the append it claims to be", read.Rebuilt)
+			}
+			_, err = docExecutor(fs).LoadMatrix(names)
+			requireNamed(t, "LoadMatrix", err, want)
+		})
+	}
 }
 
 // TestCarriedViewChecksWhatItReads: a carried read is the same scan over fewer
@@ -522,8 +558,11 @@ func TestCarriedViewChecksWhatItReads(t *testing.T) {
 			rewriteShard(t, fs, newShard, func(d []byte) []byte { d[voteShardHeaderSize+4] = 5; return d })
 		}, "stored vote byte 5 out of range for \"b\""},
 		{"meta shard count", func(t *testing.T, fs *dfs.Mem) {
-			rewriteMeta(t, fs, genDataBase(storeBase, 2), func(m *votesMeta) { m.Shards = 2 })
-		}, "shards on filesystem, meta says 2"},
+			rewriteRecord(t, fs, genDataBase(storeBase, 2), func(r *dfs.Record) { r.Shards = r.Shards[:2] })
+		}, "shard 0 of 2 is 33 bytes, not 4 rows"},
+		{"record shard digest", func(t *testing.T, fs *dfs.Mem) {
+			rewriteRecord(t, fs, genDataBase(storeBase, 2), func(r *dfs.Record) { r.Shards[1].Digest++ })
+		}, "does not match its commit record's digest"},
 		{"manifest rows vs segment", func(t *testing.T, fs *dfs.Mem) {
 			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.Rows = 7 })
 		}, "holds 8 rows, manifest says 7"},

@@ -19,7 +19,7 @@ var fuzzNames = []string{"a", "b"}
 // three shards, then of "a" in one), and one delta generation appending three
 // rows in two shards — and returns it with the view carried before the delta
 // and the one after, and the files whose bytes the fuzzer replaces: every
-// sidecar and manifest, and a shard of each segment.
+// commit record and manifest, and a shard of each segment.
 func fuzzStore() (*dfs.Mem, *View, *View, []string, error) {
 	votes := func(m, n, seed int) *labelmodel.Matrix {
 		mx := labelmodel.NewMatrix(m, n)
@@ -34,14 +34,14 @@ func fuzzStore() (*dfs.Mem, *View, *View, []string, error) {
 	if err := WriteVotes(fs, storeBase, votes(6, 2, 0), fuzzNames, 2); err != nil {
 		return nil, nil, nil, nil, err
 	}
-	targets := []string{votesMetaPath(storeBase), dfs.ShardPath(storeBase, 1, 2)}
+	targets := []string{dfs.RecordPath(storeBase), dfs.ShardPath(storeBase, 1, 2)}
 	for _, seg := range []struct{ name, shards, seed int }{{1, 3, 2}, {0, 1, 1}} {
 		k, err := publishSegment(fs, storeBase, votes(6, 1, seg.seed), fuzzNames[seg.name:seg.name+1], seg.shards)
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
 		data := k.path(storeBase) + ".data"
-		targets = append(targets, k.path(storeBase), votesMetaPath(data), dfs.ShardPath(data, 0, seg.shards))
+		targets = append(targets, k.path(storeBase), dfs.RecordPath(data), dfs.ShardPath(data, 0, seg.shards))
 	}
 	before, _, err := LoadView(fs, storeBase, fuzzNames, nil)
 	if err != nil {
@@ -52,7 +52,7 @@ func fuzzStore() (*dfs.Mem, *View, *View, []string, error) {
 		return nil, nil, nil, nil, err
 	}
 	data := genDataBase(storeBase, 1)
-	targets = append(targets, genManifestPath(storeBase, 1), votesMetaPath(data), dfs.ShardPath(data, 0, 2))
+	targets = append(targets, genManifestPath(storeBase, 1), dfs.RecordPath(data), dfs.ShardPath(data, 0, 2))
 	whole, _, err := LoadView(fs, storeBase, fuzzNames, before)
 	return fs, before, whole, targets, err
 }
@@ -62,12 +62,12 @@ func fuzzStore() (*dfs.Mem, *View, *View, []string, error) {
 // VerifyVotes, LoadMatrix, and LoadView without a view, with one carried from
 // before the delta and with one carried from after it — returns an error or a
 // view of the live rows, and never crashes: no panic, and no allocation sized
-// from a claim the stored bytes cannot back (a votes.meta claiming 2^40 rows
+// from a claim the stored bytes cannot back (a record claiming 2^40 rows
 // used to end the process out of memory). A target past the file list moves
 // the first segment's manifest to the key the bytes spell, so key parsing and
 // chain ordering are fuzzed too. With seal set, the checksum guarding the
-// replaced bytes (a manifest's CRC, a shard's payload CRC) is recomputed, so
-// the fuzzer reaches the checks behind it.
+// replaced bytes (a manifest's or commit record's CRC over its JSON, a shard's
+// payload CRC) is recomputed, so the fuzzer reaches the checks behind it.
 func FuzzVoteStore(f *testing.F) {
 	fs, _, _, targets, err := fuzzStore()
 	if err != nil {
@@ -81,14 +81,16 @@ func FuzzVoteStore(f *testing.F) {
 		f.Add(uint8(i), false, raw)
 		f.Add(uint8(i), true, raw[:len(raw)/2])
 	}
-	for _, meta := range []votesMeta{
-		{Names: fuzzNames, Examples: 1 << 40, Shards: 2},
-		{Names: fuzzNames, Examples: 7, Shards: 2},
-		{Names: []string{"b", "a", "a"}, Examples: 6, Shards: 2},
+	const huge = 1 << 40
+	for _, rec := range []dfs.Record{
+		{Names: fuzzNames, Rows: huge, Shards: []dfs.ShardSum{{Size: 28}, {Size: 28}}},
+		{Names: fuzzNames, Rows: huge, Shards: []dfs.ShardSum{{Size: voteShardHeaderSize + huge}, {Size: voteShardHeaderSize + huge}}},
+		{Names: fuzzNames, Rows: 7, Shards: []dfs.ShardSum{{Size: 32}, {Size: 30}}},
+		{Names: []string{"b", "a", "a"}, Rows: 6, Shards: []dfs.ShardSum{{Size: 33}, {Size: 33}}},
 	} {
-		raw, _ := json.Marshal(meta)
+		raw, _ := json.Marshal(rec.Sealed())
 		for _, target := range []uint8{0, 3, 9} {
-			f.Add(target, false, raw)
+			f.Add(target, true, raw)
 		}
 	}
 	first := path.Base(targets[2])
@@ -129,8 +131,9 @@ func FuzzVoteStore(f *testing.F) {
 	})
 }
 
-// sealed re-seals data as the file at key would be: a manifest's CRC over its
-// JSON, a shard's CRC over its payload. Bytes that are neither stay as given.
+// sealed re-seals data as the file at key would be: a shard's CRC over its
+// payload; anything else, a manifest or commit record, as the body of a
+// checksummed JSON file. Bytes that are not JSON stay as given.
 func sealed(key string, data []byte) []byte {
 	if _, _, _, shard := dfs.ParseShardPath(key); shard {
 		if len(data) >= voteShardHeaderSize {
@@ -139,20 +142,13 @@ func sealed(key string, data []byte) []byte {
 		}
 		return data
 	}
-	if _, manifest := parseChainKey(path.Base(key)); !manifest {
+	if !json.Valid(data) {
 		return data
 	}
-	var meta GenerationMeta
-	if json.Unmarshal(data, &meta) != nil {
+	fs := dfs.NewMem()
+	if err := dfs.WriteJSON(fs, "sealed", json.RawMessage(data)); err != nil {
 		return data
 	}
-	var err error
-	if meta.CRC, err = manifestCRC(meta); err != nil {
-		return data
-	}
-	raw, err := json.Marshal(meta)
-	if err != nil {
-		return data
-	}
+	raw, _ := fs.ReadFile("sealed")
 	return raw
 }

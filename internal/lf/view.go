@@ -96,10 +96,10 @@ func LoadView(fs dfs.FS, base string, names []string, prev *View) (*View, ViewRe
 	}
 	read.Segments = len(p.segments)
 	for _, seg := range p.segments {
-		read.Rows += seg.meta.Examples
+		read.Rows += seg.rec.Rows
 	}
 	if carried {
-		if err = p.fits(fs); err == nil {
+		if err = p.statShards(fs); err == nil {
 			next.Matrix = prev.Matrix.Grown(p.chain.Live() - prev.Matrix.NumExamples())
 			err = p.scan(fs, next.Matrix)
 		}

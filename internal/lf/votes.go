@@ -5,11 +5,12 @@
 // A shard set stores a matrix once under its base: shard s holds the vote
 // rows of examples s, s+N, s+2N, … (the same round-robin layout as the staged
 // input), each row exactly n bytes, one byte per vote, with a CRC32 over the
-// payload. A JSON meta file records the labeling-function names in column
-// order, so a reader can select and reorder columns by name. Writers rent
-// shard buffers from a pool. The flat artifact at "<prefix>/votes" is one
-// such set, written by compaction; every generation's data segment is
-// another (generations.go).
+// payload. The set's commit record (dfs.Record) names the labeling functions
+// in column order, so a reader can select and reorder columns by name, and
+// gives the row count, the write generation and each shard's size and payload
+// CRC. Writers rent shard buffers from a pool. The flat artifact at
+// "<prefix>/votes" is one such set, written by compaction; every generation's
+// data segment is another (generations.go).
 //
 // Every read of the store — generation 0 alone (ReadVotes, the resume fast
 // path) or the whole chain (LoadMatrix, VerifyVotes, CompactView) — is the
@@ -19,14 +20,13 @@
 // streams each segment's shards once through every stored-byte check and
 // copies votes straight from the shard payload into the view, which is
 // allocated once at its final size, after the shards' sizes have confirmed
-// the rows the sidecars claim (fits) — no per-record allocation or framing (a
-// recordio record per vote would spend 12 bytes of framing on each 1-byte
-// vote), no intermediate matrix per segment.
+// the rows the commit records claim (statShards) — no per-record allocation
+// or framing (a recordio record per vote would spend 12 bytes of framing on
+// each 1-byte vote), no intermediate matrix per segment.
 package lf
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
@@ -43,24 +43,6 @@ var votesMagic = [4]byte{'D', 'B', 'V', '1'}
 // voteShardHeaderSize is magic + numLFs + numRows + crc32 + generation.
 const voteShardHeaderSize = 24
 
-// votesMeta is the JSON sidecar describing a columnar vote artifact.
-type votesMeta struct {
-	// Names lists the labeling functions in column order.
-	Names []string `json:"names"`
-	// Examples is the total row count across shards.
-	Examples int `json:"examples"`
-	// Shards is the shard count.
-	Shards int `json:"shards"`
-	// Generation tags one WriteVotes call; every shard must carry the
-	// meta's generation, so an artifact torn by interleaved concurrent
-	// writers (per-shard renames are individually atomic, the set is not)
-	// is detected at read time instead of silently mixing columns.
-	Generation uint64 `json:"generation"`
-}
-
-// votesMetaPath returns the meta sidecar path for a votes base.
-func votesMetaPath(base string) string { return base + ".meta" }
-
 // voteBufPool recycles shard payload buffers across WriteVotes calls, so
 // persisting votes allocates amortized nothing beyond what the filesystem
 // copies.
@@ -68,7 +50,7 @@ var voteBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
 // WriteVotes persists the matrix as a columnar vote artifact under base,
 // with names[j] labeling column j. Shards are committed atomically and the
-// meta sidecar is written last, so a partially written artifact is never
+// commit record is written last, so a partially written artifact is never
 // loadable.
 func WriteVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) error {
 	if mx == nil {
@@ -79,7 +61,7 @@ func WriteVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 
 // writeVotes is WriteVotes with the write generation already derived. Shards
 // are encoded, checksummed and published concurrently, one pooled buffer per
-// worker; the meta sidecar follows once every shard stands.
+// worker; the commit record follows once every shard stands.
 func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int, gen uint64) error {
 	m, n := mx.NumExamples(), mx.NumFuncs()
 	if len(names) != n {
@@ -88,6 +70,7 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	if shards <= 0 {
 		return fmt.Errorf("lf: WriteVotes with %d shards", shards)
 	}
+	sums := make([]dfs.ShardSum, shards)
 	if err := par.Each(shards, par.Procs(), func(s int) error {
 		bufp := voteBufPool.Get().(*[]byte)
 		defer voteBufPool.Put(bufp)
@@ -113,7 +96,8 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 				return fmt.Errorf("lf: write votes shard %d row %d: %w", s, k, err)
 			}
 		}
-		binary.LittleEndian.PutUint32(buf[12:16], crc32.ChecksumIEEE(payload))
+		sums[s] = dfs.ShardSum{Size: int64(need), Digest: crc32.ChecksumIEEE(payload)}
+		binary.LittleEndian.PutUint32(buf[12:16], sums[s].Digest)
 		if err := dfs.PublishShard(fs, base, s, shards, buf); err != nil {
 			return fmt.Errorf("lf: write votes shard %d: %w", s, err)
 		}
@@ -121,15 +105,11 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	}); err != nil {
 		return err
 	}
-	meta, err := json.Marshal(votesMeta{Names: names, Examples: m, Shards: shards, Generation: gen})
-	if err != nil {
-		return fmt.Errorf("lf: encode votes meta: %w", err)
-	}
-	if err := fs.WriteFile(votesMetaPath(base), meta); err != nil {
-		return fmt.Errorf("lf: write votes meta: %w", err)
+	if err := dfs.WriteRecord(fs, base, dfs.Record{Rows: m, Shards: sums, Names: names, Generation: gen}); err != nil {
+		return fmt.Errorf("lf: commit votes: %w", err)
 	}
 	// Drop shards left behind by an earlier write with a different shard
-	// count: a mixed set would make ListShards refuse the whole artifact. The
+	// count, which no reader looks at: the commit record names the set. The
 	// artifact is committed by now, and the next write drops any stray left.
 	_ = dfs.RemoveShards(fs, base, shards)
 	return nil
@@ -162,34 +142,43 @@ func HasVotes(fs dfs.FS, base string) bool {
 	return err == nil
 }
 
-// readVotesMeta reads and validates the meta sidecar of the shard set at
-// base. A missing sidecar is (nil, nil) — "no artifact here" — so that only
-// absence, never a failed or corrupt read, can be taken for an empty store.
-func readVotesMeta(fs dfs.FS, base string) (*votesMeta, error) {
-	raw, err := fs.ReadFile(votesMetaPath(base))
+// readVoteRecord reads the commit record of the vote shard set at base and
+// checks that it describes one: columns named, and every shard the size of a
+// header and its round-robin rows' votes, so a claim the sizes cannot back
+// (2^40 rows over four) is refused before any view is sized from it. A
+// missing record is (nil, nil): only absence reads as an empty store.
+func readVoteRecord(fs dfs.FS, base string) (*dfs.Record, error) {
+	rec, err := dfs.ReadRecord(fs, base)
 	if dfs.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
-		return nil, fmt.Errorf("lf: read votes meta: %w", err)
+		return nil, fmt.Errorf("lf: votes at %s: %w", base, err)
 	}
-	var meta votesMeta
-	if err := json.Unmarshal(raw, &meta); err != nil {
-		return nil, fmt.Errorf("lf: decode votes meta at %s: %w", base, err)
+	n, nsh := len(rec.Names), len(rec.Shards)
+	if n == 0 {
+		return nil, fmt.Errorf("lf: votes at %s: commit record names no columns", base)
 	}
-	if meta.Shards <= 0 || meta.Examples < 0 || len(meta.Names) == 0 {
-		return nil, fmt.Errorf("lf: votes meta at %s is degenerate (%d shards, %d examples, %d names)",
-			base, meta.Shards, meta.Examples, len(meta.Names))
+	for s, sum := range rec.Shards {
+		rows, size := int64(shardRows(rec.Rows, s, nsh)), sum.Size-voteShardHeaderSize
+		if size < 0 || size%int64(n) != 0 || size/int64(n) != rows {
+			return nil, fmt.Errorf("lf: votes at %s: shard %d of %d is %d bytes, not %d rows of %d votes (commit record of %d rows)",
+				base, s, nsh, sum.Size, rows, n, rec.Rows)
+		}
 	}
-	return &meta, nil
+	return rec, nil
 }
+
+// shardRows is the number of rows shard s of n holds in the round-robin
+// layout of m rows: those of rows s, s+n, s+2n, ….
+func shardRows(m, s, n int) int { return (m - s + n - 1) / n }
 
 // voteSegment is one stored shard set — the flat artifact or a generation's
 // data segment — and where its rows land in the store's absolute
 // (staging-order) row space.
 type voteSegment struct {
 	base     string
-	meta     *votesMeta
+	rec      *dfs.Record
 	startRow int
 	// cols pairs each wanted stored column with the view column it feeds; a
 	// name requested twice gets two pairs, so every view column is written.
@@ -199,7 +188,7 @@ type voteSegment struct {
 type colPair struct{ src, dst int }
 
 // votePlan is what a read of the vote store will do, decided from metadata
-// alone (sidecars and generation manifests) before any shard is opened.
+// alone (commit records and generation manifests) before any shard is opened.
 type votePlan struct {
 	base string
 	// segments stream oldest first, so a later segment's votes supersede an
@@ -245,13 +234,13 @@ type planGen struct {
 // selects the stored column union. A store with nothing in it is an error.
 func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePlan, error) {
 	p := &votePlan{base: base, names: names}
-	flat, err := readVotesMeta(fs, base)
+	flat, err := readVoteRecord(fs, base)
 	if err != nil {
 		return nil, err
 	}
 	if flat != nil {
-		p.segments = append(p.segments, voteSegment{base: base, meta: flat})
-		p.chain.Rows = flat.Examples
+		p.segments = append(p.segments, voteSegment{base: base, rec: flat})
+		p.chain.Rows = flat.Rows
 		p.flat = flat.Generation
 	}
 	ms, err := listManifests(fs, base)
@@ -266,25 +255,25 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 		if err != nil {
 			return nil, fmt.Errorf("lf: votes at %s: %w", base, err)
 		}
-		p.gens = append(p.gens, planGen{genMark{gen: g.Gen, crc: g.CRC}, appended, g.Rows, len(p.segments)})
+		p.gens = append(p.gens, planGen{genMark{gen: g.Gen, crc: g.crc}, appended, g.Rows, len(p.segments)})
 		if g.Rows == 0 {
 			continue // deletions only: tombstones in the manifest, no data segment
 		}
-		meta, err := readVotesMeta(fs, g.key+".data")
+		rec, err := readVoteRecord(fs, g.key+".data")
 		if err != nil {
 			return nil, fmt.Errorf("lf: vote generation %s: data segment: %w", g.key, err)
 		}
-		if meta == nil {
+		if rec == nil {
 			return nil, fmt.Errorf("lf: vote generation %s: data segment is missing", g.key)
 		}
-		if meta.Examples != g.Rows {
-			return nil, fmt.Errorf("lf: vote generation %s holds %d rows, manifest says %d", g.key, meta.Examples, g.Rows)
+		if rec.Rows != g.Rows {
+			return nil, fmt.Errorf("lf: vote generation %s holds %d rows, manifest says %d", g.key, rec.Rows, g.Rows)
 		}
-		if g.Gen == 0 && meta.Generation != g.at.hash {
+		if g.Gen == 0 && rec.Generation != g.at.hash {
 			return nil, fmt.Errorf("lf: vote generation %s: data segment is from another write generation", g.key)
 		}
-		p.gens[len(p.gens)-1].data = meta.Generation
-		p.segments = append(p.segments, voteSegment{base: g.key + ".data", meta: meta, startRow: g.StartRow})
+		p.gens[len(p.gens)-1].data = rec.Generation
+		p.segments = append(p.segments, voteSegment{base: g.key + ".data", rec: rec, startRow: g.StartRow})
 	}
 	if len(p.segments) == 0 {
 		return nil, fmt.Errorf("lf: no vote artifact at %s (run ExecuteContext against this root first)", base)
@@ -293,7 +282,7 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 	var union []string
 	stored := make(map[string]bool)
 	for _, seg := range p.segments {
-		for _, name := range seg.meta.Names {
+		for _, name := range seg.rec.Names {
 			if !stored[name] {
 				stored[name] = true
 				union = append(union, name)
@@ -312,7 +301,7 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 	}
 	for s := range p.segments {
 		seg := &p.segments[s]
-		for src, name := range seg.meta.Names {
+		for src, name := range seg.rec.Names {
 			for _, dst := range dsts[name] {
 				seg.cols = append(seg.cols, colPair{src, dst})
 			}
@@ -329,7 +318,7 @@ func (p *votePlan) read(fs dfs.FS) (*labelmodel.Matrix, []string, error) {
 	if p.chain.Live() == 0 {
 		return nil, nil, fmt.Errorf("lf: votes at %s: %w (%d rows stored)", p.base, ErrAllTombstoned, p.chain.Rows)
 	}
-	if err := p.fits(fs); err != nil {
+	if err := p.statShards(fs); err != nil {
 		return nil, nil, err
 	}
 	view := labelmodel.NewMatrix(p.chain.Live(), len(p.names))
@@ -339,39 +328,25 @@ func (p *votePlan) read(fs dfs.FS) (*labelmodel.Matrix, []string, error) {
 	return view, p.names, nil
 }
 
-// fits checks, from the sizes of their shards alone, that the planned
-// segments can hold the rows their sidecars claim — the claims a view is
-// sized from, so it runs before any view is. A corrupt votes.meta claiming
-// 2^40 rows over a four-row artifact then fails the read naming the segment,
-// instead of asking the allocator for terabytes and ending the process. A
-// part row counts as a row: a shard whose size is off by less than a row is
-// the scan's to report, precisely.
-func (p *votePlan) fits(fs dfs.FS) error {
+// statShards confirms with one Stat per shard that every planned segment's
+// shards stand at the sizes its commit record gives — sizes readVoteRecord
+// has matched to the rows the record claims, which a view is sized from — so
+// it runs before any view is. A record claiming 2^40 rows over shards that
+// hold four then fails the read naming the segment, instead of asking the
+// allocator for terabytes and ending the process.
+func (p *votePlan) statShards(fs dfs.FS) error {
 	for _, seg := range p.segments {
-		shards, err := dfs.ListShards(fs, seg.base)
-		if err != nil {
-			return fmt.Errorf("lf: list vote shards: %w", err)
-		}
-		n, held := len(seg.meta.Names), 0
-		for _, shard := range shards {
-			size, err := fs.Stat(shard)
-			if err != nil {
-				return fmt.Errorf("lf: stat votes shard: %w", err)
-			}
-			held += (max(0, int(size)-voteShardHeaderSize) + n - 1) / n
-		}
-		if seg.meta.Examples > held {
-			return fmt.Errorf("lf: votes at %s: its %d shards hold %d rows, meta says %d",
-				seg.base, len(shards), held, seg.meta.Examples)
+		if err := seg.rec.Stat(fs, seg.base); err != nil {
+			return fmt.Errorf("lf: votes at %s: %w", seg.base, err)
 		}
 	}
 	return nil
 }
 
 // scan is the one loop over stored vote shards. It streams every planned
-// segment, oldest first, through every stored-byte check — shard count
-// against the sidecar, header, write generation, payload size and checksum
-// (checkVoteShard), vote-byte range, row accounting — and copies each live
+// segment, oldest first, through every stored-byte check — size, header,
+// write generation, row count and checksum against the commit record
+// (checkVoteShard), vote-byte range — and copies each live
 // row's planned columns straight from the shard payload into its view row. A
 // nil view verifies without materializing anything; a non-nil one must have a
 // row per live row of the chain and a column per planned column.
@@ -404,15 +379,8 @@ func (p *votePlan) scan(fs dfs.FS, view *labelmodel.Matrix) error {
 		}
 	}
 	for _, seg := range p.segments {
-		meta := seg.meta
-		shards, err := dfs.ListShards(fs, seg.base)
-		if err != nil {
-			return fmt.Errorf("lf: list vote shards: %w", err)
-		}
-		if len(shards) != meta.Shards {
-			return fmt.Errorf("lf: votes at %s: %d shards on filesystem, meta says %d", seg.base, len(shards), meta.Shards)
-		}
-		stored := len(meta.Names)
+		rec := seg.rec
+		stored, nsh := len(rec.Names), len(rec.Shards)
 		// The normal case — the view's columns are the segment's, in order —
 		// decodes a row in one table pass instead of a store per column pair.
 		identity := view != nil && stored == view.NumFuncs() && len(seg.cols) == stored
@@ -420,23 +388,19 @@ func (p *votePlan) scan(fs dfs.FS, view *labelmodel.Matrix) error {
 			identity = seg.cols[j] == colPair{j, j}
 		}
 		scratch := make([]labelmodel.Label, stored)
-		total := 0
-		for s, shard := range shards {
+		for s := range rec.Shards {
+			shard := dfs.ShardPath(seg.base, s, nsh)
 			data, err := fs.ReadFile(shard)
 			if err != nil {
 				return fmt.Errorf("lf: read votes shard: %w", err)
 			}
-			rows, err := checkVoteShard(shard, data, stored, meta.Generation)
+			rows, err := checkVoteShard(shard, data, rec, s)
 			if err != nil {
 				return err
 			}
-			total += rows
 			payload := data[voteShardHeaderSize:]
 			for k := 0; k < rows; k++ {
-				i := s + k*meta.Shards
-				if i >= meta.Examples {
-					return fmt.Errorf("lf: votes shard %s: row %d maps past %d examples", shard, k, meta.Examples)
-				}
+				i := s + k*nsh
 				// Every stored row is range-checked, kept or not: a tombstoned
 				// or verify-only row decodes into scratch.
 				dst := scratch
@@ -450,10 +414,10 @@ func (p *votePlan) scan(fs dfs.FS, view *labelmodel.Matrix) error {
 						dst = view.Row(r)
 					}
 				}
-				rec := payload[k*stored : (k+1)*stored]
-				if src := labelmodel.DecodeVotes(dst, rec); src >= 0 {
+				votes := payload[k*stored : (k+1)*stored]
+				if src := labelmodel.DecodeVotes(dst, votes); src >= 0 {
 					return fmt.Errorf("lf: votes shard %s: stored vote byte %d out of range for %q",
-						shard, int8(rec[src]), meta.Names[src])
+						shard, int8(votes[src]), rec.Names[src])
 				}
 				if r >= 0 && !identity {
 					row := view.Row(r)
@@ -462,9 +426,6 @@ func (p *votePlan) scan(fs dfs.FS, view *labelmodel.Matrix) error {
 					}
 				}
 			}
-		}
-		if total != meta.Examples {
-			return fmt.Errorf("lf: votes at %s hold %d rows, meta says %d", seg.base, total, meta.Examples)
 		}
 	}
 	return nil
@@ -502,29 +463,32 @@ func VerifyVotes(fs dfs.FS, base string) ([]string, error) {
 	return p.names, p.scan(fs, nil)
 }
 
-// checkVoteShard validates a shard's header, generation, and checksum,
-// returning its row count.
-func checkVoteShard(path string, data []byte, n int, gen uint64) (int, error) {
-	if len(data) < voteShardHeaderSize {
-		return 0, fmt.Errorf("lf: votes shard %s truncated (%d bytes)", path, len(data))
+// checkVoteShard validates shard s of the set rec commits — its size, header,
+// write generation, row count and checksum, and that the checksum is the one
+// rec holds for it — returning its row count.
+func checkVoteShard(path string, data []byte, rec *dfs.Record, s int) (int, error) {
+	if int64(len(data)) != rec.Shards[s].Size {
+		return 0, fmt.Errorf("lf: votes shard %s is %d bytes: does not match its commit record (%d)", path, len(data), rec.Shards[s].Size)
 	}
 	if [4]byte(data[0:4]) != votesMagic {
 		return 0, fmt.Errorf("lf: votes shard %s has bad magic %q", path, data[0:4])
 	}
-	gotLFs := int(binary.LittleEndian.Uint32(data[4:8]))
-	rows := int(binary.LittleEndian.Uint32(data[8:12]))
-	if gotLFs != n {
-		return 0, fmt.Errorf("lf: votes shard %s holds %d columns, meta says %d", path, gotLFs, n)
+	if got := int(binary.LittleEndian.Uint32(data[4:8])); got != len(rec.Names) {
+		return 0, fmt.Errorf("lf: votes shard %s holds %d columns, commit record says %d", path, got, len(rec.Names))
 	}
-	if got := binary.LittleEndian.Uint64(data[16:24]); got != gen {
+	if got := binary.LittleEndian.Uint64(data[16:24]); got != rec.Generation {
 		return 0, fmt.Errorf("lf: votes shard %s is from another write generation (torn concurrent writes)", path)
 	}
-	payload := data[voteShardHeaderSize:]
-	if len(payload) != rows*n {
-		return 0, fmt.Errorf("lf: votes shard %s payload is %d bytes, want %d rows × %d", path, len(payload), rows, n)
+	rows := shardRows(rec.Rows, s, len(rec.Shards))
+	if got := int(binary.LittleEndian.Uint32(data[8:12])); got != rows {
+		return 0, fmt.Errorf("lf: votes shard %s holds %d rows, commit record says %d", path, got, rows)
 	}
-	if crc32.ChecksumIEEE(payload) != binary.LittleEndian.Uint32(data[12:16]) {
+	sum := binary.LittleEndian.Uint32(data[12:16])
+	if crc32.ChecksumIEEE(data[voteShardHeaderSize:]) != sum {
 		return 0, fmt.Errorf("lf: votes shard %s checksum mismatch", path)
+	}
+	if sum != rec.Shards[s].Digest {
+		return 0, fmt.Errorf("lf: votes shard %s does not match its commit record's digest", path)
 	}
 	return rows, nil
 }

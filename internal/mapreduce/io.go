@@ -1,7 +1,7 @@
 package mapreduce
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/dfs"
@@ -48,9 +48,10 @@ type InputWriter struct {
 
 // blocks is one shard's frames: the filled blocks, then the one being filled.
 type blocks struct {
-	full [][]byte
-	cur  []byte
-	size int // bytes in full and cur
+	full   [][]byte
+	cur    []byte
+	size   int    // bytes in full and cur
+	digest uint32 // the frames' checksums so far, folded as Record says
 }
 
 const firstBlock, maxBlock = 4 << 10, 256 << 10
@@ -104,6 +105,7 @@ func (w *InputWriter) Append(rec []byte) error {
 		return err
 	}
 	b.size += recordio.HeaderSize + len(rec)
+	b.digest = (b.digest ^ binary.LittleEndian.Uint32(b.cur[len(b.cur)-len(rec)-4:])) * 16777619
 	w.count++
 	return nil
 }
@@ -111,25 +113,28 @@ func (w *InputWriter) Append(rec []byte) error {
 // Count returns the number of records appended so far.
 func (w *InputWriter) Count() int { return w.count }
 
-// stagedCount is the sidecar InputWriter.Commit writes last: the set's commit
-// record. It holds the record count plus each shard's byte size, so a reader
-// checks with Stat calls, not a scan, that it describes the shards on the
-// filesystem.
-type stagedCount struct {
-	Records int     `json:"records"`
-	Sizes   []int64 `json:"sizes"`
+// Record returns the commit record Commit writes: the record count and each
+// shard's size and digest. A shard's digest folds its frames' checksums in
+// order, d = (d ^ crc) × 16777619 (FNV-1a's prime, a word at a time) from 0,
+// as Append frames them — no pass over the shard's bytes.
+func (w *InputWriter) Record() dfs.Record {
+	shards := make([]dfs.ShardSum, w.n)
+	for i, b := range w.shards {
+		shards[i] = dfs.ShardSum{Size: int64(b.size), Digest: b.digest}
+	}
+	return dfs.Record{Rows: w.count, Shards: shards}.Sealed()
 }
 
-// Commit publishes all n shards, each atomically, under the commit record
-// base+".count": it removes the old record before it replaces any shard, then
-// drops shards of any other shard count, then writes the new record last. A
-// crash part-way leaves no record, so StagedCount reports the set not staged
-// instead of trusting a mix of old and new shards. A one-block shard is
+// Commit publishes all n shards, each atomically, under the set's commit
+// record (dfs.WriteRecord): it removes the old record before it replaces any
+// shard, then drops shards of any other shard count, then writes the new
+// record last. A crash part-way leaves no record, so the set reads as not
+// staged instead of as a mix of old and new shards. A one-block shard is
 // published as it is; a longer one is joined into one scratch buffer that
 // every such shard reuses, which dfs.FS.WriteFile, never retaining what it is
 // handed, allows.
 func (w *InputWriter) Commit() error {
-	if err := w.fs.Remove(w.base + ".count"); err != nil && !dfs.IsNotExist(err) {
+	if err := w.fs.Remove(dfs.RecordPath(w.base)); err != nil && !dfs.IsNotExist(err) {
 		return err
 	}
 	longest := 0
@@ -139,7 +144,6 @@ func (w *InputWriter) Commit() error {
 		}
 	}
 	scratch := make([]byte, 0, longest)
-	sizes := make([]int64, w.n)
 	for i, b := range w.shards {
 		data := b.cur
 		if len(b.full) > 0 {
@@ -152,88 +156,71 @@ func (w *InputWriter) Commit() error {
 		if err := dfs.PublishShard(w.fs, w.base, i, w.n, data); err != nil {
 			return err
 		}
-		sizes[i] = int64(b.size)
 	}
 	if err := dfs.RemoveShards(w.fs, w.base, w.n); err != nil {
 		return err
 	}
-	data, err := json.Marshal(stagedCount{Records: w.count, Sizes: sizes})
-	if err != nil {
-		return err
-	}
-	return w.fs.WriteFile(w.base+".count", data)
+	return dfs.WriteRecord(w.fs, w.base, w.Record())
 }
 
-// StagedCount returns the record count of the shard set committed at base:
-// the count its commit record holds, trusted only while the record matches
-// the shards (shard count and per-shard sizes, via Stat). A set with no
-// record, or one that no longer matches, is not staged.
-func StagedCount(fs dfs.FS, base string) (int, error) {
-	data, err := fs.ReadFile(base + ".count")
+// EachShard reads and decodes the shard set committed at base, handing visit
+// shard s of n and its records in shard order until visit returns false, and
+// returns the set's commit record. Each shard must be the size the record
+// gives it. The records of a shard are checked and handed over in place
+// (recordio.Split): they share the one buffer the shard was read into.
+func EachShard(fs dfs.FS, base string, visit func(s, n int, recs [][]byte) bool) (*dfs.Record, error) {
+	rec, err := dfs.ReadRecord(fs, base)
 	if err != nil {
-		return 0, fmt.Errorf("mapreduce: %s is not staged: %w", base, err)
+		return nil, fmt.Errorf("mapreduce: %s is not staged: %w", base, err)
 	}
-	var sc stagedCount
-	if err := json.Unmarshal(data, &sc); err != nil || sc.Records < 0 || len(sc.Sizes) == 0 {
-		return 0, fmt.Errorf("mapreduce: %s is not staged: unreadable commit record", base)
-	}
-	for i, want := range sc.Sizes {
-		if got, err := fs.Stat(dfs.ShardPath(base, i, len(sc.Sizes))); err != nil || got != want {
-			return 0, fmt.Errorf("mapreduce: %s is not staged: shard %d of %d does not match its commit record", base, i, len(sc.Sizes))
-		}
-	}
-	return sc.Records, nil
-}
-
-// EachShard reads and decodes the committed shard set at base, handing visit
-// shard s of n and its records in shard order until visit returns false. The
-// records of a shard are checked and handed over in place (recordio.Split):
-// they share the one buffer the shard was read into.
-func EachShard(fs dfs.FS, base string, visit func(s, n int, recs [][]byte) bool) error {
-	shards, err := dfs.ListShards(fs, base)
-	if err != nil {
-		return err
-	}
-	for s, shard := range shards {
-		data, err := fs.ReadFile(shard)
+	n := len(rec.Shards)
+	for s, sum := range rec.Shards {
+		data, err := fs.ReadFile(dfs.ShardPath(base, s, n))
 		if err != nil {
-			return err
+			return nil, fmt.Errorf("mapreduce: shard %d of %s: %w", s, base, err)
+		}
+		if int64(len(data)) != sum.Size {
+			return nil, fmt.Errorf("mapreduce: %s is not staged: shard %d of %d does not match its commit record", base, s, n)
 		}
 		recs, err := recordio.Split(data)
 		if err != nil {
-			return fmt.Errorf("mapreduce: shard %s: %w", shard, err)
+			return nil, fmt.Errorf("mapreduce: shard %d of %s: %w", s, base, err)
 		}
-		if !visit(s, len(shards), recs) {
+		if !visit(s, n, recs) {
 			break
 		}
 	}
-	return nil
+	return rec, nil
 }
 
-// ReadStaged reads the shard set committed at base (see StagedCount) back in
-// staging order: record k is the k/n-th record of shard k%n.
+// ReadStaged reads the shard set committed at base back in staging order:
+// record k is the k/n-th record of shard k%n. The set must be exactly what
+// round-robin staging of its commit record's count makes.
 func ReadStaged(fs dfs.FS, base string) ([][]byte, error) {
-	count, err := StagedCount(fs, base)
+	var shards [][][]byte
+	rec, err := EachShard(fs, base, func(_, _ int, recs [][]byte) bool {
+		shards = append(shards, recs)
+		return true
+	})
 	if err != nil {
 		return nil, err
 	}
+	count, n, total, last := rec.Rows, len(shards), 0, -1
 	out := make([][]byte, count)
-	total, last := 0, -1
-	err = EachShard(fs, base, func(s, n int, recs [][]byte) bool {
+	for s, recs := range shards {
 		total += len(recs)
-		for r, rec := range recs {
+		for r, x := range recs {
 			k := s + r*n
 			if k < count {
-				out[k] = rec
+				out[k] = x
 			}
 			last = max(last, k)
 		}
-		return true
-	})
+	}
 	// count records in distinct slots below count, or a shard is longer or
 	// shorter than round-robin staging made it.
-	if err == nil && (total != count || last >= count) {
-		err = fmt.Errorf("mapreduce: staged shards at %s are inconsistent (%d records, highest index %d, commit record %d)", base, total, last, count)
+	if total != count || last >= count {
+		return nil, fmt.Errorf("mapreduce: staged shards at %s are inconsistent (%d records, highest index %d, commit record %d)", base, total, last, count)
 	}
-	return out, err
+	return out, nil
 }

@@ -2,7 +2,8 @@ package mapreduce
 
 import (
 	"bytes"
-	"encoding/json"
+	"hash/crc32"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -43,7 +44,7 @@ func stageStream(tb testing.TB, fs dfs.FS, base string, recs [][]byte, n, grow i
 // compareStaging fails unless an InputWriter stages recs into n shards
 // byte-identical to a round-robin reference — record k framed by
 // recordio.AppendFrame onto shard k%n — under a commit record holding their
-// count and the shards' sizes.
+// count and the shards' sizes and digests (frameDigest).
 func compareStaging(t *testing.T, recs [][]byte, n, grow int) {
 	t.Helper()
 	ref := make([][]byte, n)
@@ -55,7 +56,7 @@ func compareStaging(t *testing.T, recs [][]byte, n, grow int) {
 	}
 	fs := dfs.NewMem()
 	stageStream(t, fs, "got", recs, n, grow)
-	want := stagedCount{Records: len(recs), Sizes: make([]int64, n)}
+	want := dfs.Record{Rows: len(recs), Shards: make([]dfs.ShardSum, n)}
 	for i := 0; i < n; i++ {
 		got, err := fs.ReadFile(dfs.ShardPath("got", i, n))
 		if err != nil {
@@ -64,15 +65,31 @@ func compareStaging(t *testing.T, recs [][]byte, n, grow int) {
 		if !bytes.Equal(got, ref[i]) {
 			t.Fatalf("%d records, %d shards, grow %d: shard %d is %d bytes, the reference's %d, or differs", len(recs), n, grow, i, len(got), len(ref[i]))
 		}
-		want.Sizes[i] = int64(len(ref[i]))
+		want.Shards[i] = dfs.ShardSum{Size: int64(len(ref[i])), Digest: frameDigest(t, ref[i])}
 	}
-	sidecar, err := fs.ReadFile("got.count")
+	got, err := dfs.ReadRecord(fs, "got")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wantJSON, _ := json.Marshal(want); !bytes.Equal(sidecar, wantJSON) {
-		t.Fatalf("sidecar %s, want %s", sidecar, wantJSON)
+	if want = want.Sealed(); !reflect.DeepEqual(*got, want) {
+		t.Fatalf("commit record %+v, want %+v", *got, want)
 	}
+}
+
+// frameDigest is the reference for a recordio shard's digest in its commit
+// record: its frames' checksums, each recomputed here from its payload,
+// folded in frame order as InputWriter.Record says.
+func frameDigest(tb testing.TB, shard []byte) uint32 {
+	tb.Helper()
+	recs, err := recordio.Split(shard)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var d uint32
+	for _, rec := range recs {
+		d = (d ^ crc32.ChecksumIEEE(rec)) * 16777619
+	}
+	return d
 }
 
 // filled returns count records of size bytes each, record i holding byte i.

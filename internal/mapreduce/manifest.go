@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"path"
@@ -71,11 +70,7 @@ func taskOutputPath(scratch, taskID string) string {
 // missing manifest only costs a re-execution on resume, never correctness,
 // so callers ignore the error under fault injection.
 func writeManifest(fs dfs.FS, scratch string, m *manifest) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return err
-	}
-	return fs.WriteFile(manifestPath(scratch, m.Task), data)
+	return dfs.WriteJSON(fs, manifestPath(scratch, m.Task), m)
 }
 
 // loadManifests reads every manifest under the scratch area that matches the
@@ -91,12 +86,8 @@ func loadManifests(fs dfs.FS, scratch, key string) (map[string]*manifest, error)
 		if !strings.HasSuffix(p, ".json") {
 			continue
 		}
-		data, err := fs.ReadFile(p)
-		if err != nil {
-			continue // racing cleanup; treat as absent
-		}
-		var m manifest
-		if err := json.Unmarshal(data, &m); err != nil || m.Key != key || m.Task == "" {
+		var m manifest // unreadable, as after a racing cleanup, is absent
+		if _, err := dfs.ReadJSON(fs, p, &m); err != nil || m.Key != key || m.Task == "" {
 			continue
 		}
 		ok := true
@@ -115,10 +106,11 @@ func loadManifests(fs dfs.FS, scratch, key string) (map[string]*manifest, error)
 }
 
 // resumeKey fingerprints the parts of a job that determine its output: a
-// manifest is only trusted when name, input, sharding and the caller's own
-// key (e.g. the labeling-function set) all match.
-func (job *Job) resumeKey(numInputShards int) string {
+// manifest is only trusted when name, input base, sharding, the input's set
+// digest (its commit record's) and the caller's own key (e.g. the
+// labeling-function set) all match.
+func (job *Job) resumeKey(numInputShards int, digest uint64) string {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%s|%d|%s", job.Name, job.InputBase, numInputShards, job.ResumeKey)
+	fmt.Fprintf(h, "%s|%s|%d|%016x|%s", job.Name, job.InputBase, numInputShards, digest, job.ResumeKey)
 	return fmt.Sprintf("%016x", h.Sum64())
 }

@@ -132,9 +132,9 @@ type Job struct {
 	// Resume enables task-level checkpoint/resume: each completed task's
 	// values are checkpointed to the scratch area's _tasks/ directory and
 	// its manifest (checkpoint path + counters) to _manifest/, and a re-run
-	// of the same job skips every task whose manifest and checkpoint are
-	// still present, re-executing only what's missing. Result.SkippedTasks
-	// reports how many tasks were satisfied from checkpoints.
+	// of the same job over the same committed input (its set digest) skips
+	// every task whose manifest and checkpoint still stand;
+	// Result.SkippedTasks reports how many tasks were satisfied from them.
 	Resume bool
 	// ScratchBase overrides the DFS runtime area holding attempt-scoped
 	// output, task checkpoints and manifests. Defaults to
@@ -240,15 +240,21 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 		job.ScratchBase = job.InputBase + ".runtime"
 	}
 
-	inputShards, err := dfs.ListShards(job.FS, job.InputBase)
+	input, err := dfs.Committed(job.FS, job.InputBase)
+	for a := 1; err != nil && a < job.MaxAttempts; a++ { //drybellvet:tightloop — the input's commit record is read under a task's retry budget
+		input, err = dfs.Committed(job.FS, job.InputBase)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("mapreduce: job %q: %w", job.Name, err)
 	}
+	n := len(input.Shards)
 
 	c := &coordinator{
-		job:      &job,
-		scratch:  job.ScratchBase,
-		key:      job.resumeKey(len(inputShards)),
+		job:     &job,
+		scratch: job.ScratchBase,
+		// Checkpoints are of one input: the committed set whose digest the
+		// key holds. A restaged input under the same base adopts none.
+		key:      job.resumeKey(n, input.Digest),
 		counters: NewCounterSet(),
 	}
 	if job.Workers != nil {
@@ -264,14 +270,14 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 		c.manifests, _ = loadManifests(job.FS, c.scratch, c.key)
 	}
 
-	tasks := make([]*taskState, len(inputShards))
+	tasks := make([]*taskState, n)
 	//drybellvet:tightloop — in-memory task-spec construction, bounded by shard count
-	for i, shard := range inputShards {
+	for i := range tasks {
 		t := &taskState{
 			spec: TaskSpec{
 				Job:       job.Name,
 				Index:     i,
-				Input:     shard,
+				Input:     dfs.ShardPath(job.InputBase, i, n),
 				InputBase: job.InputBase,
 				Code:      job.Code,
 				Scratch:   c.scratch,
@@ -292,7 +298,7 @@ func runJob(ctx context.Context, job Job) (*Result, error) {
 	}
 
 	res := &Result{
-		MapTasks:     len(inputShards),
+		MapTasks:     n,
 		Attempts:     int(c.attempts.Load()),
 		SkippedTasks: c.skipped,
 		MapOutputs:   make([][][]byte, len(tasks)),

@@ -3,7 +3,6 @@ package mapreduce
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -76,7 +75,7 @@ func onlyInput(t *testing.T, fs dfs.FS, in string) {
 		t.Fatal(err)
 	}
 	for _, p := range paths {
-		if !strings.HasPrefix(p, in+"-") && p != in+".count" {
+		if !strings.HasPrefix(p, in+"-") && p != dfs.RecordPath(in) {
 			t.Errorf("job left %s behind", p)
 		}
 	}
@@ -286,16 +285,16 @@ func TestCountersConcurrent(t *testing.T) {
 	}
 }
 
-// TestStagedCountAndOrder: StagedCount trusts the commit record only while it
-// matches the committed shards, a restaging with another shard count leaves
-// none of the old count's, and ReadStaged restores staging order from the
-// round-robin layout — refusing a shard set that round-robin staging could
-// not have produced.
+// TestStagedCountAndOrder: the commit record's count is trusted only while
+// the record matches the committed shards, a restaging with another shard
+// count leaves none of the old count's, and ReadStaged restores staging order
+// from the round-robin layout — refusing a shard set that round-robin staging
+// could not have produced.
 func TestStagedCountAndOrder(t *testing.T) {
 	fs := dfs.NewMem()
 	stageWords(t, fs, "in/w", []string{"a", "b", "c", "d", "e", "f", "g"}, 3)
-	if n, err := StagedCount(fs, "in/w"); err != nil || n != 7 {
-		t.Fatalf("StagedCount = %d, %v", n, err)
+	if rec, err := dfs.Committed(fs, "in/w"); err != nil || rec.Rows != 7 {
+		t.Fatalf("Committed = %+v, %v", rec, err)
 	}
 	recs, err := ReadStaged(fs, "in/w")
 	if err != nil || strings.Join(recordsToStrings(recs), "") != "abcdefg" {
@@ -319,7 +318,7 @@ func TestStagedCountAndOrder(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, read := range []func() error{
-		func() error { _, err := StagedCount(fs, "in/w"); return err },
+		func() error { _, err := dfs.Committed(fs, "in/w"); return err },
 		func() error { _, err := ReadStaged(fs, "in/w"); return err },
 	} {
 		if err := read(); err == nil || !strings.Contains(err.Error(), "not staged") {
@@ -339,13 +338,17 @@ func TestStagedCountAndOrder(t *testing.T) {
 	if err := dfs.PublishShard(fs, "in/bad", 1, 2, three); err != nil {
 		t.Fatal(err)
 	}
-	record, _ := json.Marshal(stagedCount{Records: 4, Sizes: []int64{int64(len(one)), int64(len(three))}})
-	if err := fs.WriteFile("in/bad.count", record); err != nil {
+	record := dfs.Record{Rows: 4, Shards: []dfs.ShardSum{
+		{Size: int64(len(one)), Digest: frameDigest(t, one)},
+		{Size: int64(len(three)), Digest: frameDigest(t, three)},
+	}}
+	if err := dfs.WriteRecord(fs, "in/bad", record); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadStaged(fs, "in/bad"); err == nil || !strings.Contains(err.Error(), "inconsistent") {
 		t.Fatalf("ReadStaged over a non-round-robin set = %v", err)
 	}
+
 }
 
 // TestCorruptShardFailsTask: a damaged input shard fails its task with

@@ -45,8 +45,10 @@ func TestExactlyOnceUnderFaults(t *testing.T) {
 		stageWords(t, fs, "in/w", words, 6)
 		// Faults aim at the files an attempt touches — its input shard, its
 		// checkpoint write, the checkpoint's promoting rename — all of which
-		// sit inside the retry loop. Resume is on so every attempt commits a
-		// checkpoint.
+		// sit inside the retry loop, and at the job's read of the input's
+		// commit record, which the same budget retries. Resume is on so every
+		// attempt commits a checkpoint.
+		fs.FailNext(dfs.OpRead, dfs.RecordPath("in/w"), 2)
 		fs.FailProbPath(dfs.OpRead, "in/w-", 0.1)
 		fs.FailProbPath(dfs.OpWrite, "_attempts/", 0.1)
 		fs.FailProbPath(dfs.OpRename, "_attempts/", 0.1)
@@ -142,6 +144,31 @@ func TestResumeSkipsCommittedTasks(t *testing.T) {
 			t.Errorf("clock counter of a fully resumed run = %d, want 0", got)
 		}
 		assertOutputs(t, res.MapOutputs, want)
+	})
+}
+
+// TestResumeKeysOnTheInputDigest: checkpoints are of the committed input
+// whose set digest they were keyed on. Restaged with other records under the
+// same base and shard count, the input adopts none of them, and the resumed
+// job returns the new records' values.
+func TestResumeKeysOnTheInputDigest(t *testing.T) {
+	eachBackend(t, func(t *testing.T, fs dfs.FS) {
+		job := upperJob(fs, "in/d", 2)
+		job.Resume = true
+		stageWords(t, fs, "in/d", []string{"a", "b", "c", "d", "e", "f"}, 3)
+		if _, err := RunContext(context.Background(), job); err != nil {
+			t.Fatal(err)
+		}
+		other := []string{"u", "v", "w", "x", "y", "z"}
+		stageWords(t, fs, "in/d", other, 3)
+		res, err := RunContext(context.Background(), job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.SkippedTasks != 0 || res.Attempts != 3 {
+			t.Errorf("restaged input: attempts=%d skipped=%d, want 3/0", res.Attempts, res.SkippedTasks)
+		}
+		assertOutputs(t, res.MapOutputs, upperReference(other, 3))
 	})
 }
 

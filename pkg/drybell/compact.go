@@ -10,6 +10,7 @@ package drybell
 
 import (
 	"fmt"
+	"path"
 
 	"repro/internal/dfs"
 	internallf "repro/internal/lf"
@@ -66,7 +67,7 @@ func (p *Pipeline[T]) Compact() error {
 // the watermark of the flat artifact just written.
 func (p *Pipeline[T]) foldLedgers(view *internallf.View) (*internallf.View, error) {
 	votesBase := p.VotesBase()
-	gens, err := p.readCorpusManifest()
+	gens, err := p.CorpusGenerations()
 	if err != nil {
 		return nil, err
 	}
@@ -129,34 +130,33 @@ func (p *Pipeline[T]) foldLedgers(view *internallf.View) (*internallf.View, erro
 	if err := w.Commit(); err != nil {
 		return nil, fmt.Errorf("drybell: compact: restage corpus: %w", err)
 	}
-	if err := p.resetCorpusLedger(gens); err != nil {
+	if err := p.resetCorpusLedger(); err != nil {
 		return nil, err
 	}
 	return internallf.CompactView(p.fs, votesBase, p.shards, view)
 }
 
-// resetCorpusLedger empties the corpus delta ledger, whose entries are gens.
-// Its callers reset the vote generation chain next — Compact folds it into
-// the flat artifact, staging a new base corpus drops it and the flat artifact
-// unread, since the votes they hold are for a corpus about to be superseded —
-// and in that order:
-// if we crash in between, the vote chain still stands over an empty ledger —
-// reads stay correct and a Compact retry folds it — whereas resetting votes
-// first would reset the generation counter under a manifest that still lists
+// resetCorpusLedger empties the corpus delta ledger and removes, unread, the
+// delta inputs and the vote jobs' task checkpoints, all of inputs about to be
+// superseded. Its callers reset the vote
+// generation chain next — Compact folds it into the flat artifact, staging a
+// new base corpus drops it and the flat artifact unread, since the votes they
+// hold are for a corpus about to be superseded — and in that order: if we
+// crash in between, the vote chain still stands over an empty ledger — reads
+// stay correct and a Compact retry folds it — whereas resetting votes first
+// would reset the generation counter under a manifest that still lists
 // deltas.
-func (p *Pipeline[T]) resetCorpusLedger(gens []CorpusGeneration) error {
-	if len(gens) > 0 {
-		if err := p.fs.Remove(p.corpusManifestPath()); err != nil {
-			return fmt.Errorf("drybell: remove corpus manifest: %w", err)
-		}
+func (p *Pipeline[T]) resetCorpusLedger() error {
+	if err := p.fs.Remove(p.corpusManifestPath()); err != nil && !dfs.IsNotExist(err) {
+		return fmt.Errorf("drybell: remove corpus manifest: %w", err)
 	}
-	for _, g := range gens {
-		if g.Records == 0 {
-			continue
+	// Orphaned inputs and checkpoints are never read again (a checkpoint is
+	// keyed on its input's digest): what fails to go can stay.
+	for _, dir := range []string{path.Join(p.workDir, "input", "_delta"), path.Join(p.votesPrefix(), "_runtime")} {
+		stale, _ := p.fs.List(dir + "/") //drybellvet:notapath — List prefix; the trailing "/" is significant
+		for _, key := range stale {
+			_ = p.fs.Remove(key)
 		}
-		// Orphaned inputs are never re-read: what fails to go can stay.
-		_ = p.fs.Remove(p.deltaInputBase(g.Gen) + ".count")
-		_ = dfs.RemoveShards(p.fs, p.deltaInputBase(g.Gen), 0)
 	}
 	return nil
 }

@@ -12,7 +12,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/dfs"
 	"repro/internal/lf"
-	"repro/internal/mapreduce"
 )
 
 // TestCompactRestoresFlatState is the compaction contract, on the in-memory
@@ -102,10 +101,10 @@ func testCompactRestoresFlatState(t *testing.T, newFS func() dfs.FS) {
 	compareShards(t, fs, coldFS, p.InputPath(), "input")
 	compareShards(t, fs, coldFS, votesBase, "votes")
 	compareShards(t, fs, coldFS, p.LabelsPath(), "labels")
-	a, errA := fs.ReadFile(votesBase + ".meta")
-	b, errB := coldFS.ReadFile(votesBase + ".meta")
+	a, errA := fs.ReadFile(dfs.RecordPath(votesBase))
+	b, errB := coldFS.ReadFile(dfs.RecordPath(votesBase))
 	if errA != nil || errB != nil || !bytes.Equal(a, b) {
-		t.Errorf("votes meta differs from the cold run's (%v, %v)", errA, errB)
+		t.Errorf("votes commit record differs from the cold run's (%v, %v)", errA, errB)
 	}
 
 	// The next delta starts a fresh chain at generation 1 on both ledgers.
@@ -186,9 +185,10 @@ func sameFiles(t *testing.T, a, b dfs.FS, prefix, what string) {
 
 // TestJSONStagedEventRootStillRuns: a root whose events were staged as JSON,
 // as they were before events became binary records, still runs. A resumed Run
-// over it, then binary delta rounds and Compact, leave every vote and label
-// file byte-identical to an all-binary root's. (Compact copies record bytes,
-// so the input stays part JSON, part binary.)
+// over it from a source that encodes as JSON — the set it committed, so the
+// run publishes no input — then JSON delta rounds and Compact, leave every
+// vote and label file byte-identical to an all-binary root's. (The vote jobs'
+// task checkpoints are not compared: they key on their input's digest.)
 func TestJSONStagedEventRootStillRuns(t *testing.T) {
 	ctx := context.Background()
 	events, err := corpus.GenerateEvents(corpus.DefaultEventsSpec(700, 21))
@@ -197,10 +197,9 @@ func TestJSONStagedEventRootStillRuns(t *testing.T) {
 	}
 	base := events[:500]
 	lfs := apps.EventLFs(20, 1)
-	config := func() *Pipeline[*corpus.Event] {
-		return eventPipeline(t, WithShards(3), WithResume(true))
-	}
-	jsonP, binP := config(), config()
+	jsonP := eventPipeline(t, WithShards(3), WithResume(true),
+		WithCodec(func(e *corpus.Event) ([]byte, error) { return json.Marshal(e) }, corpus.UnmarshalEvent))
+	binP := eventPipeline(t, WithShards(3), WithResume(true))
 	recs := make([][]byte, len(base))
 	for i, e := range base {
 		if recs[i], err = json.Marshal(e); err != nil {
@@ -224,7 +223,7 @@ func TestJSONStagedEventRootStillRuns(t *testing.T) {
 	}
 	check := func(what string) {
 		t.Helper()
-		sameFiles(t, jsonP.FS(), binP.FS(), jsonP.votesPrefix(), what+": votes")
+		sameFiles(t, jsonP.FS(), binP.FS(), jsonP.VotesBase(), what+": votes")
 		sameFiles(t, jsonP.FS(), binP.FS(), jsonP.LabelsPath(), what+": labels")
 	}
 	check("resumed run")
@@ -281,7 +280,7 @@ func TestCompactRefusesAllTombstoned(t *testing.T) {
 	if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 1 {
 		t.Errorf("refused Compact changed the corpus ledger: %+v, %v", gens, err)
 	}
-	if n, err := mapreduce.StagedCount(fs, p.InputPath()); err != nil || n != len(docs) {
-		t.Errorf("refused Compact restaged the corpus: %d records, %v", n, err)
+	if rec, err := dfs.Committed(fs, p.InputPath()); err != nil || rec.Rows != len(docs) {
+		t.Errorf("refused Compact restaged the corpus: %+v, %v", rec, err)
 	}
 }

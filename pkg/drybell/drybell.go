@@ -71,11 +71,13 @@
 // commit — re-executes without side effects; attempt isolation guarantees
 // a killed attempt never publishes partial output). WithResume turns on
 // checkpoint/resume: the runtime records per-task manifests on the
-// filesystem as tasks complete, and a re-run of a crashed pipeline skips
-// the staged corpus, loads completed vote artifacts, and re-executes only
-// the tasks whose checkpoints are missing — the paper's "re-run only what's
-// missing" recovery (§5.4). Resume requires sharing a durable filesystem
-// (WithFS + NewDiskFS) and the same work directory with the crashed run.
+// filesystem as tasks complete, and a re-run of a crashed pipeline
+// re-encodes its source and publishes nothing when its set digest matches
+// the committed corpus's, loads completed vote artifacts, and re-executes
+// only the tasks with no checkpoint keyed on that input's digest — the
+// paper's "re-run only what's missing" recovery (§5.4). Resume requires
+// sharing a durable filesystem (WithFS + NewDiskFS) and the same work
+// directory with the crashed run.
 //
 // Corpora evolve without full reruns. StageDelta records appended or deleted
 // documents and StageDeltaAt changed ones as corpus generations, and
@@ -199,9 +201,10 @@ func (p *Pipeline[T]) LabelsPath() string { return path.Join(p.workDir, "output/
 
 // VotesBase returns the DFS base path of the vote store ExecuteLFs appends
 // to. Each execution publishes its functions' votes as a generation-0 segment
-// under "<base>/_gen/" — a sharded, byte-per-vote matrix with a ".meta"
-// sidecar naming the columns, next to a CRC'd manifest — and never rewrites
-// another's; Compact folds the store into one such matrix at the base itself.
+// under "<base>/_gen/" — a sharded, byte-per-vote matrix whose ".commit"
+// record names the columns and checksums the shards, next to a checksummed
+// manifest — and never rewrites another's; Compact folds the store into one
+// such matrix at the base itself.
 func (p *Pipeline[T]) VotesBase() string { return path.Join(p.votesPrefix(), "votes") }
 
 // votesPrefix is the DFS prefix of vote state, the executor's output prefix.
@@ -294,29 +297,17 @@ func (p *Pipeline[T]) Run(ctx context.Context, src Source[T], lfs []LF[T]) (*Res
 	p.carried = carried{} // describes the corpus this run replaces
 	res, err := p.round(ctx, "pipeline.run", lfs, func(ctx context.Context, res *IncrementalResult) error {
 		// Stage 1: write the corpus to the distributed filesystem. A
-		// resuming pipeline trusts a corpus an earlier run already committed
-		// — stages exchange data only through the filesystem (§5.4), so its
-		// presence is the checkpoint — and skips the encode/stage pass.
+		// resuming pipeline publishes nothing when the source encodes to the
+		// set already committed there (see stageBase).
 		t0 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
-		var n int
-		var err error
-		if p.resume {
-			if staged, serr := mapreduce.StagedCount(p.fs, p.InputPath()); serr == nil {
-				n = staged
-			}
-		}
-		if n == 0 { // nothing committed, or an empty shard set: stage over it
-			n, err = p.Stage(ctx, src)
-		}
+		_, err := p.stageBase(ctx, p.encoded(src), p.resume)
 		res.Timings.Stage = p.stageDone("stage", t0, err)
 		if err != nil {
 			return err
 		}
-		// Stage 2: execute the labeling functions on the distributed runtime,
-		// validating a resumed vote artifact against the staged record count
-		// without re-scanning the corpus.
+		// Stage 2: execute the labeling functions on the distributed runtime.
 		t1 := time.Now() //drybellvet:wallclock — stage metrics and Result.Timings only
-		res.View, res.LFReport, err = p.execute(ctx, lfs, n)
+		res.View, res.LFReport, err = p.execute(ctx, lfs)
 		res.Timings.Execute = p.stageDone("execute-lfs", t1, err)
 		return err
 	})
@@ -445,13 +436,11 @@ func compact(ctx context.Context, mx *labelmodel.Matrix, prev *labelmodel.Compac
 // in one slice. It returns the number of examples staged; an empty source is
 // an error, and nothing is committed for it. A staged base corpus supersedes
 // the previous one and whatever stood over it: the corpus delta ledger is
-// reset and the vote store emptied before the new shards commit, so the next
-// StageDelta starts a new chain at generation 1.
+// reset, the vote store emptied and the vote jobs' checkpoints removed before
+// the new shards commit, so the next StageDelta starts a new chain at
+// generation 1.
 func (p *Pipeline[T]) Stage(ctx context.Context, src Source[T]) (int, error) {
-	if src == nil {
-		return 0, fmt.Errorf("drybell: nil example source")
-	}
-	return p.StageRecords(ctx, p.encoded(src))
+	return p.stageBase(ctx, p.encoded(src), false)
 }
 
 // encodeChunk is how many examples one encoding goroutine takes at a time:
@@ -472,8 +461,11 @@ type encodeJob struct {
 // on up to Parallelism others, a chunk each, and the consumer sees what a
 // serial encoder would show it: records in source order, ended by the first
 // failure in that order. At most Parallelism+1 chunks exist at once, and
-// every encoder has returned by the time the iteration does.
+// every encoder has returned by the time the iteration does; nil for nil.
 func (p *Pipeline[T]) encoded(src Source[T]) Source[[]byte] {
+	if src == nil {
+		return nil
+	}
 	return func(yield func([]byte, error) bool) {
 		var (
 			encoders sync.WaitGroup
@@ -552,12 +544,18 @@ func (p *Pipeline[T]) encoded(src Source[T]) Source[[]byte] {
 // a JSONL dump and Stage the documents instead. Errors yielded by the
 // source are returned as-is.
 func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) (int, error) {
-	p.carried = carried{} // describes the corpus this staging replaces
+	return p.stageBase(ctx, records, false)
+}
+
+// stageBase stages records as the base corpus. With keep (a resumed Run), a
+// source whose set digest is the committed set's publishes nothing.
+func (p *Pipeline[T]) stageBase(ctx context.Context, records Source[[]byte], keep bool) (int, error) {
 	if records == nil {
-		return 0, fmt.Errorf("drybell: nil record source")
+		return 0, fmt.Errorf("drybell: nil example source")
 	}
+	p.carried = carried{} // describes the corpus this staging replaces
 	_, span := obs.StartSpan(p.observer.Context(ctx), "stage.input")
-	n, err := p.stageRecords(ctx, records, 0)
+	n, err := p.stageRecords(ctx, records, 0, keep)
 	span.SetAttr(obs.Int("examples", n))
 	span.EndErr(err)
 	return n, err
@@ -566,8 +564,8 @@ func (p *Pipeline[T]) StageRecords(ctx context.Context, records Source[[]byte]) 
 // stageRecords is the one staging loop: it writes src as the sharded input of
 // corpus generation gen — 0 is the base corpus, n ≥ 1 the n-th delta, staged
 // exactly like a small base under its own input base, so the execution layer
-// consumes both through one staging contract.
-func (p *Pipeline[T]) stageRecords(ctx context.Context, src Source[[]byte], gen int) (int, error) {
+// consumes both through one staging contract. keep is as for stageBase.
+func (p *Pipeline[T]) stageRecords(ctx context.Context, src Source[[]byte], gen int, keep bool) (int, error) {
 	base := p.InputPath()
 	if gen > 0 {
 		base = p.deltaInputBase(gen)
@@ -593,17 +591,20 @@ func (p *Pipeline[T]) stageRecords(ctx context.Context, src Source[[]byte], gen 
 		return 0, fmt.Errorf("drybell: no examples")
 	}
 	if gen == 0 {
+		// A resumed run over the committed corpus is the checkpoint: the same
+		// set digest means the same shards, so there is nothing to publish.
+		if keep {
+			if rec, err := dfs.Committed(p.fs, base); err == nil && rec.Digest == w.Record().Digest {
+				return w.Count(), nil
+			}
+		}
 		// A new generation 0 supersedes the old one and every generation
 		// layered over it. Reset the ledgers and empty the vote store before
 		// the new shards commit, so a crash leaves the old base (with its
 		// votes, or with none) or the new base without deltas — never a new
 		// base under the old base's deltas, nor under its vote columns, which
 		// a later read over as many rows would take for its own.
-		gens, err := p.readCorpusManifest()
-		if err != nil {
-			return 0, err
-		}
-		if err := p.resetCorpusLedger(gens); err != nil {
+		if err := p.resetCorpusLedger(); err != nil {
 			return 0, err
 		}
 		if err := internallf.DropGenerations(p.fs, p.VotesBase(), true); err != nil {
@@ -623,7 +624,7 @@ func (p *Pipeline[T]) stageRecords(ctx context.Context, src Source[[]byte], gen 
 // have been staged by an earlier run or another process sharing the
 // filesystem.
 func (p *Pipeline[T]) ExecuteLFs(ctx context.Context, lfs []LF[T]) (*Matrix, *Report, error) {
-	view, report, err := p.execute(p.observer.Context(ctx), lfs, 0)
+	view, report, err := p.execute(p.observer.Context(ctx), lfs)
 	if view == nil {
 		return nil, report, err
 	}
@@ -631,10 +632,9 @@ func (p *Pipeline[T]) ExecuteLFs(ctx context.Context, lfs []LF[T]) (*Matrix, *Re
 }
 
 // execute is stage 2: the matrix comes as the view of the vote store it was
-// appended to (see Result.View and lf.Executor.ExecuteContext). known is the
-// staged record count when the caller just staged the corpus, 0 otherwise.
-func (p *Pipeline[T]) execute(ctx context.Context, lfs []LF[T], known int) (*internallf.View, *Report, error) {
-	view, report, err := p.executor(known).ExecuteContext(ctx, lfs)
+// appended to (see Result.View and lf.Executor.ExecuteContext).
+func (p *Pipeline[T]) execute(ctx context.Context, lfs []LF[T]) (*internallf.View, *Report, error) {
+	view, report, err := p.executor().ExecuteContext(ctx, lfs)
 	p.recordExecution(report)
 	return view, report, err
 }
@@ -663,18 +663,17 @@ func (p *Pipeline[T]) recordExecution(report *Report) {
 }
 
 // executor is the labeling-function engine over this pipeline's staged input
-// and vote store; known is as for execute.
-func (p *Pipeline[T]) executor(known int) *internallf.Executor[T] {
+// and vote store.
+func (p *Pipeline[T]) executor() *internallf.Executor[T] {
 	return &internallf.Executor[T]{
-		FS:            p.fs,
-		InputBase:     p.InputPath(),
-		OutputPrefix:  p.votesPrefix(),
-		Decode:        p.codec.Decode,
-		Parallelism:   p.parallelism,
-		MaxAttempts:   p.maxAttempts,
-		Resume:        p.resume,
-		KnownExamples: known,
-		Workers:       p.workers,
+		FS:           p.fs,
+		InputBase:    p.InputPath(),
+		OutputPrefix: p.votesPrefix(),
+		Decode:       p.codec.Decode,
+		Parallelism:  p.parallelism,
+		MaxAttempts:  p.maxAttempts,
+		Resume:       p.resume,
+		Workers:      p.workers,
 	}
 }
 
@@ -699,7 +698,7 @@ func (p *Pipeline[T]) Analyze(matrix *Matrix, metas []Meta) (*Analysis, error) {
 // an error listing the stored columns, and a corrupt manifest or shard fails
 // the load rather than being skipped.
 func (p *Pipeline[T]) LoadMatrix(names []string) (*Matrix, error) {
-	return p.executor(0).LoadMatrix(names)
+	return p.executor().LoadMatrix(names)
 }
 
 // Denoise trains the generative label model on the matrix (stage 3) exactly

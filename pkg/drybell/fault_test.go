@@ -3,12 +3,43 @@ package drybell_test
 import (
 	"bytes"
 	"context"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/dfs"
 	"repro/pkg/drybell"
 )
+
+// mutationLog records the path of every write, rename and removal through it.
+type mutationLog struct {
+	drybell.FS
+	mu    sync.Mutex
+	paths []string
+}
+
+func (m *mutationLog) log(path string) {
+	m.mu.Lock()
+	m.paths = append(m.paths, path)
+	m.mu.Unlock()
+}
+
+func (m *mutationLog) WriteFile(path string, data []byte) error {
+	m.log(path)
+	return m.FS.WriteFile(path, data)
+}
+
+func (m *mutationLog) Rename(oldPath, newPath string) error {
+	m.log(oldPath)
+	m.log(newPath)
+	return m.FS.Rename(oldPath, newPath)
+}
+
+func (m *mutationLog) Remove(path string) error {
+	m.log(path)
+	return m.FS.Remove(path)
+}
 
 // lfNames is the column order of testRunners.
 func lfNames() []string { return []string{"kw_gossip", "kw_redcarpet", "kw_infra"} }
@@ -189,10 +220,12 @@ func TestPipelineResumeReexecutesOnlyUncommitted(t *testing.T) {
 	}
 
 	// Third run: staging resumes from the committed corpus — the source is
-	// never pulled — and the execute stage wholesale from the completed vote
-	// artifact — zero task attempts, same answer.
+	// pulled once, to digest it, and nothing is published under the input —
+	// and the execute stage wholesale from the completed vote artifact — zero
+	// task attempts, same answer.
+	writes := &mutationLog{FS: fault}
 	p2 := newPipeline(t,
-		drybell.WithFS(fault),
+		drybell.WithFS(writes),
 		drybell.WithResume(true),
 		drybell.WithParallelism(1),
 	)
@@ -213,8 +246,13 @@ func TestPipelineResumeReexecutesOnlyUncommitted(t *testing.T) {
 		t.Errorf("third run: ResumedFromVotes=%v TaskAttempts=%d, want true/0",
 			res3.LFReport.ResumedFromVotes, res3.LFReport.TaskAttempts)
 	}
-	if pulled != 0 {
-		t.Errorf("third run pulled %d examples from its source, want staging resumed", pulled)
+	if pulled != len(docs) {
+		t.Errorf("third run pulled %d examples from its source, want each of the %d once", pulled, len(docs))
+	}
+	for _, path := range writes.paths {
+		if strings.HasPrefix(path, p2.WorkDir()+"/input/") {
+			t.Errorf("third run changed %s, want staging resumed", path)
+		}
 	}
 	matricesEqual(t, cleanRes.Matrix, res3.Matrix)
 	// The resumed report counts the loaded votes: the same per-function

@@ -24,7 +24,6 @@ package drybell
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"path"
 	"time"
@@ -32,7 +31,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	internallf "repro/internal/lf"
-	"repro/internal/mapreduce"
 	"repro/internal/obs"
 	"repro/pkg/drybell/lf"
 )
@@ -63,7 +61,8 @@ type CorpusGeneration struct {
 	StagedAtUnix int64 `json:"staged_at_unix"`
 }
 
-// corpusManifest is the JSON document at corpusManifestPath.
+// corpusManifest is the checksummed JSON document (dfs.WriteJSON) at
+// corpusManifestPath.
 type corpusManifest struct {
 	Generations []CorpusGeneration `json:"generations"`
 }
@@ -81,11 +80,8 @@ func (p *Pipeline[T]) deltaInputBase(gen int) string {
 // CorpusGenerations reads the staged corpus deltas in generation order. A
 // corpus with no deltas staged yet has none.
 func (p *Pipeline[T]) CorpusGenerations() ([]CorpusGeneration, error) {
-	return p.readCorpusManifest()
-}
-
-func (p *Pipeline[T]) readCorpusManifest() ([]CorpusGeneration, error) {
-	raw, err := p.fs.ReadFile(p.corpusManifestPath())
+	var m corpusManifest
+	_, err := dfs.ReadJSON(p.fs, p.corpusManifestPath(), &m)
 	if dfs.IsNotExist(err) {
 		// No manifest: no deltas have been staged yet. Only absence means
 		// that — a failed read taken for "no deltas" would restart the ledger
@@ -95,32 +91,12 @@ func (p *Pipeline[T]) readCorpusManifest() ([]CorpusGeneration, error) {
 	if err != nil {
 		return nil, fmt.Errorf("drybell: read corpus manifest: %w", err)
 	}
-	var m corpusManifest
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return nil, fmt.Errorf("drybell: corpus manifest %s is corrupt: %w", p.corpusManifestPath(), err)
-	}
 	for i, g := range m.Generations {
 		if g.Gen != i+1 {
 			return nil, fmt.Errorf("drybell: corpus manifest %s entry %d claims generation %d", p.corpusManifestPath(), i, g.Gen)
 		}
 	}
 	return m.Generations, nil
-}
-
-func (p *Pipeline[T]) writeCorpusManifest(gens []CorpusGeneration) error {
-	raw, err := json.Marshal(corpusManifest{Generations: gens})
-	if err != nil {
-		return fmt.Errorf("drybell: encode corpus manifest: %w", err)
-	}
-	dst := p.corpusManifestPath()
-	tmp := dst + ".tmp"
-	if err := p.fs.WriteFile(tmp, raw); err != nil {
-		return fmt.Errorf("drybell: write corpus manifest: %w", err)
-	}
-	if err := p.fs.Rename(tmp, dst); err != nil {
-		return fmt.Errorf("drybell: promote corpus manifest: %w", err)
-	}
-	return nil
 }
 
 // CorpusRows returns the corpus's absolute row count in staging order — the
@@ -134,15 +110,15 @@ func (p *Pipeline[T]) CorpusRows() (int, error) {
 // corpusLedger reads the corpus ledger and folds it over the staged base
 // corpus.
 func (p *Pipeline[T]) corpusLedger() ([]CorpusGeneration, internallf.Chain, error) {
-	base, err := mapreduce.StagedCount(p.fs, p.InputPath())
+	base, err := dfs.Committed(p.fs, p.InputPath())
 	if err != nil {
 		return nil, internallf.Chain{}, fmt.Errorf("drybell: no staged base corpus at %s: %w", p.InputPath(), err)
 	}
-	gens, err := p.readCorpusManifest()
+	gens, err := p.CorpusGenerations()
 	if err != nil {
 		return nil, internallf.Chain{}, err
 	}
-	chain, err := foldCorpus(base, gens)
+	chain, err := foldCorpus(base.Rows, gens)
 	return gens, chain, err
 }
 
@@ -211,7 +187,7 @@ func (p *Pipeline[T]) stageDelta(ctx context.Context, src Source[T], startRow in
 		StagedAtUnix: time.Now().Unix(), //drybellvet:wallclock — staleness bookkeeping, never in artifacts
 	}
 	if src != nil {
-		n, err := p.stageRecords(ctx, p.encoded(src), g.Gen)
+		n, err := p.stageRecords(ctx, p.encoded(src), g.Gen, false)
 		if err != nil {
 			return CorpusGeneration{}, err
 		}
@@ -223,8 +199,8 @@ func (p *Pipeline[T]) stageDelta(ctx context.Context, src Source[T], startRow in
 	if _, err := chain.Apply(g.Gen, g.StartRow, g.Records, g.Deleted); err != nil {
 		return CorpusGeneration{}, fmt.Errorf("drybell: corpus delta: %w", err)
 	}
-	if err := p.writeCorpusManifest(append(gens, g)); err != nil {
-		return CorpusGeneration{}, err
+	if err := dfs.WriteJSON(p.fs, p.corpusManifestPath(), corpusManifest{Generations: append(gens, g)}); err != nil {
+		return CorpusGeneration{}, fmt.Errorf("drybell: write corpus manifest: %w", err)
 	}
 	return g, nil
 }
@@ -339,7 +315,7 @@ func (p *Pipeline[T]) IncrementalRun(ctx context.Context, lfs []LF[T]) (*Increme
 // through the vote job, reporting each as a batch execution reports, then
 // brings the carried view up to date with LoadView.
 func (p *Pipeline[T]) executeDeltas(ctx context.Context, lfs []LF[T], res *IncrementalResult) error {
-	exec := p.executor(0)
+	exec := p.executor()
 	votesBase := p.VotesBase()
 	executed, err := internallf.LatestGeneration(p.fs, votesBase)
 	if err != nil {

@@ -129,14 +129,15 @@ func WithRetries(n int) Option {
 }
 
 // WithResume makes Run recover a crashed pipeline from filesystem state
-// instead of restarting from zero. Stage by stage: a corpus already staged
-// under the work directory is trusted as-is (the source is not consumed), a
-// completed vote artifact covering the function set is loaded instead of
-// re-executed, and a partially executed vote job re-runs only the tasks
-// whose checkpoints (manifests under the runtime's _manifest/ area) are
-// missing. Requires a durable FS shared with the crashed run — WithFS and
-// the same WithWorkDir. Checkpoints are keyed to the labeling-function set,
-// so changing the set re-executes everything.
+// instead of restarting from zero. Stage by stage: Run re-encodes its source
+// and publishes nothing when the set digest equals the committed corpus's
+// commit record (any other source restages, as without resume), a completed
+// vote artifact covering the function set is loaded instead of re-executed,
+// and a partially executed vote job re-runs only the tasks whose checkpoints
+// (manifests under the runtime's _manifest/ area) are missing. Requires a
+// durable FS shared with the crashed run — WithFS and the same WithWorkDir.
+// Checkpoints are keyed to the labeling-function set and to the input's set
+// digest, so changing either re-executes everything.
 func WithResume(resume bool) Option {
 	return Option{f: func(s *settings) { s.resume = resume }}
 }

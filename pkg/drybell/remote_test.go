@@ -137,8 +137,9 @@ func TestPipelineRemoteWorkersFaultEquivalence(t *testing.T) {
 	// gateway carries is dominated by input-shard reads — fault those (the
 	// read happens worker-side, inside the attempt, so each hit costs one
 	// retried attempt). The scripted faults guarantee the first three
-	// task-input reads fail regardless of seed; the probabilistic layer
-	// keeps later attempts under pressure too.
+	// input reads fail regardless of seed — the job's read of the input's
+	// commit record first, retried under the same budget; the probabilistic
+	// layer keeps later attempts under pressure too.
 	fault.FailNext(dfs.OpRead, "input/examples", 3)
 	fault.FailProbPath(dfs.OpRead, "input/examples", 0.15)
 	fault.FailProbPath(dfs.OpWrite, "_attempts/", 0.05)

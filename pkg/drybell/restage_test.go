@@ -2,6 +2,7 @@ package drybell
 
 import (
 	"context"
+	"path"
 	"slices"
 	"sync"
 	"testing"
@@ -11,7 +12,6 @@ import (
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	"repro/internal/lf"
-	"repro/internal/mapreduce"
 	lfapi "repro/pkg/drybell/lf"
 )
 
@@ -97,9 +97,8 @@ func sameMatrix(a, b *labelmodel.Matrix) bool {
 // never a chain/row mismatch, because the ledgers are reset and the store
 // emptied before the new base's shards commit — and running the new base
 // again on the surviving root ends in exactly the state an uninterrupted run
-// reaches. A resumed rerun never fails either: it trusts the old base while
-// the old commit record stands, and from the first crash point after its
-// removal it restages and ends in the uninterrupted run's state too.
+// reaches. A resumed rerun ends there too: the old commit record, while it
+// stands, digests the old corpus, not the source it is given, so it restages.
 func TestRestageCrashPoints(t *testing.T) {
 	ctx := context.Background()
 	first, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 140, PositiveRate: 0.05, Seed: 41})
@@ -167,7 +166,7 @@ func TestRestageCrashPoints(t *testing.T) {
 				t.Fatalf("crash after %d operations: store loads %d rows that are neither the old chain's view nor the old base",
 					k, got.NumExamples())
 			}
-			_, serr := mapreduce.StagedCount(fs, p.InputPath())
+			_, serr := dfs.Committed(fs, p.InputPath())
 			if serr == nil && removed {
 				t.Fatalf("crash after %d operations: the old base's commit record stands again", k)
 			}
@@ -176,9 +175,6 @@ func TestRestageCrashPoints(t *testing.T) {
 			res, err := p.Run(ctx, SliceSource(second), lfs)
 			if err != nil {
 				t.Fatalf("crash after %d operations: rerun (resume %v): %v", k, resume, err)
-			}
-			if resume && serr == nil {
-				continue // the resumed rerun kept the old base, as the commit record says
 			}
 			got, err = p.LoadMatrix(names)
 			if err != nil {
@@ -330,4 +326,133 @@ func TestDeltaRoundCrashPoints(t *testing.T) {
 		}
 	}
 	t.Logf("%d crash points", ops)
+}
+
+// TestResumedRunOverAnotherSourceRestages: a resumable Run over one corpus,
+// a Stage of another with the same shard count, then a resumed Run over that
+// other corpus. The task checkpoints the first Run kept are of another input
+// digest, so none is adopted: the resumed Run executes, and its matrix and
+// posteriors are a cold Run's over the second corpus. (Keyed on the input
+// base and shard count alone, the resumed Run ran no attempt and returned
+// the first corpus's posteriors.)
+func TestResumedRunOverAnotherSourceRestages(t *testing.T) {
+	ctx := context.Background()
+	first, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 120, PositiveRate: 0.05, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 120, PositiveRate: 0.05, Seed: 43})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	fs := dfs.NewMem()
+	if _, err := topicPipeline(t, fs, WithResume(true)).Run(ctx, SliceSource(first), lfs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := topicPipeline(t, fs).Stage(ctx, SliceSource(second)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := topicPipeline(t, fs, WithResume(true)).Run(ctx, SliceSource(second), lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := topicPipeline(t, dfs.NewMem()).Run(ctx, SliceSource(second), lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.LFReport.TaskAttempts == 0 || got.LFReport.TasksResumed != 0 {
+		t.Errorf("resumed Run over the second corpus ran %d attempts and resumed %d tasks, want its tasks executed",
+			got.LFReport.TaskAttempts, got.LFReport.TasksResumed)
+	}
+	if !sameMatrix(got.Matrix, want.Matrix) || !slices.Equal(got.Posteriors, want.Posteriors) {
+		t.Error("resumed Run over the second corpus differs from a cold Run over it")
+	}
+}
+
+// TestResumedRoundsAfterCompactExecuteTheirDelta: on a resumable root, Run,
+// a delta round, Compact, then a delta of other documents and its round.
+// Compact restarts delta numbering, so the second round's job runs under the
+// same scratch area as the first's; it must adopt none of the first's
+// checkpoints — Compact removes them, and they are of another input digest
+// — and end with a cold Run's matrix and posteriors over every document.
+func TestResumedRoundsAfterCompactExecuteTheirDelta(t *testing.T) {
+	ctx := context.Background()
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 180, PositiveRate: 0.05, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	fs := dfs.NewMem()
+	p := topicPipeline(t, fs, WithResume(true))
+	if _, err := p.Run(ctx, SliceSource(docs[:120]), lfs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.StageDelta(ctx, SliceSource(docs[120:150])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.IncrementalRun(ctx, lfs); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if left, err := fs.List(path.Join(p.votesPrefix(), "_runtime") + "/"); err != nil || len(left) != 0 {
+		t.Errorf("Compact left the vote jobs' checkpoints %v (%v)", left, err)
+	}
+	if _, err := p.StageDelta(ctx, SliceSource(docs[150:])); err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.IncrementalRun(ctx, lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := topicPipeline(t, dfs.NewMem()).Run(ctx, SliceSource(docs), lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.DeltaTaskAttempts == 0 {
+		t.Error("the round after Compact ran no delta attempt")
+	}
+	if !sameMatrix(got.Matrix, want.Matrix) || !slices.Equal(got.Posteriors, want.Posteriors) {
+		t.Error("the round after Compact differs from a cold Run over every document")
+	}
+}
+
+// TestResumableStageStartsOver: on a resumable root, Run, a delta round, then
+// a Stage of the same base corpus. Only a resumed Run keeps a committed base
+// whose digest its source matches; Stage starts over as documented, with the
+// delta ledger reset, the vote store emptied and the checkpoints gone.
+func TestResumableStageStartsOver(t *testing.T) {
+	ctx := context.Background()
+	docs, err := corpus.GenerateTopic(corpus.TopicSpec{NumDocs: 150, PositiveRate: 0.05, Seed: 41})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lfs := apps.TopicLFs(nil, 0.02, 1)
+	fs := dfs.NewMem()
+	p := topicPipeline(t, fs, WithResume(true))
+	if _, err := p.Run(ctx, SliceSource(docs[:120]), lfs); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.StageDelta(ctx, SliceSource(docs[120:])); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.IncrementalRun(ctx, lfs); err != nil {
+		t.Fatal(err)
+	}
+	if n, err := p.Stage(ctx, SliceSource(docs[:120])); err != nil || n != 120 {
+		t.Fatalf("Stage = %d, %v", n, err)
+	}
+	if gens, err := p.CorpusGenerations(); err != nil || len(gens) != 0 {
+		t.Errorf("ledger after Stage = %+v, %v; want it empty", gens, err)
+	}
+	if rows, err := p.CorpusRows(); err != nil || rows != 120 {
+		t.Errorf("CorpusRows after Stage = %d, %v; want 120", rows, err)
+	}
+	for _, prefix := range []string{p.VotesBase(), path.Join(p.votesPrefix(), "_runtime") + "/"} {
+		if left, err := fs.List(prefix); err != nil || len(left) != 0 {
+			t.Errorf("Stage left %v under %s (%v)", left, prefix, err)
+		}
+	}
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -60,12 +61,22 @@ func (s *Server[T]) decodeRecord(w http.ResponseWriter, r *http.Request) (T, boo
 		writeError(w, http.StatusBadRequest, fmt.Errorf("read body: %w", err))
 		return zero, false
 	}
-	rec, err := s.cfg.Decode(body)
+	rec, err := s.decode(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return zero, false
 	}
 	return rec, true
+}
+
+// decode is Config.Decode behind the HTTP boundary's one wire format, JSON:
+// a record that does not open an object is refused before Decode sees it.
+func (s *Server[T]) decode(rec []byte) (T, error) {
+	if trimmed := bytes.TrimLeft(rec, " \t\r\n"); len(trimmed) == 0 || trimmed[0] != '{' {
+		var zero T
+		return zero, errors.New("serve: a request record is a JSON object")
+	}
+	return s.cfg.Decode(rec)
 }
 
 // requestContext derives a handler's context: the client's DeadlineHeader
@@ -181,7 +192,7 @@ func (s *Server[T]) handleLabelBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	recs := make([]T, len(raw))
 	for i, elem := range raw {
-		rec, err := s.cfg.Decode(elem)
+		rec, err := s.decode(elem)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Errorf("record %d: %w", i, err))
 			return

@@ -306,16 +306,19 @@ func TestHTTPLabelBatchRefusals(t *testing.T) {
 	}
 }
 
-// TestHTTPRefusesBadRecords: a body that starts like a binary staging record
-// but is truncated or garbage is a 400 carrying the record decoder's error, on
-// /v1/label and /v1/predict, and a 400 as an element of a /v1/label/batch
-// array, which must be JSON. A whole record answers as its JSON body does.
+// TestHTTPRefusesBadRecords: request records are JSON only. A body that is a
+// binary staging record — truncated, garbage or whole, which the record
+// decoder refuses or reads — is a 400 on /v1/label and /v1/predict before the
+// decoder sees it, and a 400 as an element of a /v1/label/batch array, which
+// must be JSON. A JSON object the decoder refuses is a 400 carrying the
+// decoder's error.
 func TestHTTPRefusesBadRecords(t *testing.T) {
 	url, bodies := batchFixture(t)
 	rec, err := celebrityDoc().Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
+	const notJSON = "serve: a request record is a JSON object"
 	bad := [][]byte{rec[:1], rec[:5], rec[:len(rec)-1], append(bytes.Clone(rec), 'x'),
 		append([]byte{rec[0]}, bytes.Repeat([]byte{0xff}, 40)...), append([]byte{rec[0], 7}, rec[2:]...)}
 	for _, body := range bad {
@@ -325,8 +328,8 @@ func TestHTTPRefusesBadRecords(t *testing.T) {
 		}
 		for _, path := range []string{"/v1/label", "/v1/predict"} {
 			code, out := postJSON(t, url+path, string(body))
-			if msg, _ := out["error"].(string); code != http.StatusBadRequest || msg != derr.Error() {
-				t.Errorf("%s %x = %d %q, want 400 %q", path, body, code, msg, derr)
+			if msg, _ := out["error"].(string); code != http.StatusBadRequest || msg != notJSON {
+				t.Errorf("%s %x = %d %q, want 400 %q", path, body, code, msg, notJSON)
 			}
 		}
 		batch := append(append(append(append([]byte("["), bodies[0]...), ','), body...), ']')
@@ -335,9 +338,26 @@ func TestHTTPRefusesBadRecords(t *testing.T) {
 			t.Errorf("batch with %x = %d %q, want 400 decode batch", body, code, msg)
 		}
 	}
-	_, want := post(t, url+"/v1/label", bodies[len(bodies)-1]) // celebrityDoc's JSON body
-	if code, answer := post(t, url+"/v1/label", rec); code != http.StatusOK || !bytes.Equal(answer, want) {
-		t.Errorf("record = %d %s, want %s", code, answer, want)
+	if _, err := corpus.UnmarshalDocument(rec); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/label", "/v1/predict"} {
+		if code, out := postJSON(t, url+path, string(rec)); code != http.StatusBadRequest || out["error"] != notJSON {
+			t.Errorf("%s with a whole binary record = %d %v, want 400 %q", path, code, out, notJSON)
+		}
+	}
+	// Past the gate, the decoder's own refusal is the answer.
+	body := `{"id":"d","title":5}`
+	_, derr := corpus.UnmarshalDocument([]byte(body))
+	if derr == nil {
+		t.Fatal("the decoder took a numeric title")
+	}
+	if code, out := postJSON(t, url+"/v1/label", " \n"+body); code != http.StatusBadRequest || out["error"] != derr.Error() {
+		t.Errorf("/v1/label %s = %d %v, want 400 %q", body, code, out, derr)
+	}
+	batch := "[" + string(bodies[0]) + ", " + body + "]"
+	if code, out := postJSON(t, url+"/v1/label/batch", batch); code != http.StatusBadRequest || out["error"] != "record 1: "+derr.Error() {
+		t.Errorf("batch with %s = %d %v, want 400 record 1: %q", body, code, out, derr)
 	}
 }
 

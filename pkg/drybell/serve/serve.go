@@ -3,7 +3,8 @@
 // registry, completing the paper's §5.3 story (models are staged, validated,
 // promoted, and then *served in production*).
 //
-// A Server exposes two request paths over HTTP/JSON (see Handler):
+// A Server exposes two request paths over HTTP/JSON (see Handler), whose
+// request records are JSON objects (see Config.Decode):
 //
 //   - /v1/predict featurizes a record and scores it with the promoted
 //     artifact. Requests are micro-batched — collected for up to
@@ -78,13 +79,14 @@ type Config[T any] struct {
 	Registry *serving.FSRegistry
 	Model    string
 
-	// Decode parses one record of an HTTP request body. Required for
-	// Handler; the programmatic Predict/Label paths work without it. For
-	// /v1/predict and /v1/label it is handed the request's body, for
-	// /v1/label/batch one sub-slice per array element of the one buffer the
-	// body was read into (capacity ends with the element). The server never
-	// reuses that buffer, so Decode may keep what it is given, but a slice
-	// kept from a batch keeps the whole body alive.
+	// Decode parses one record of an HTTP request body, a JSON object: a
+	// record whose first non-space byte is not '{' is answered 400 before
+	// Decode sees it. Required for Handler; the programmatic Predict/Label
+	// paths work without it. For /v1/predict and /v1/label it is handed the
+	// request's body, for /v1/label/batch one sub-slice per array element of
+	// the one buffer the body was read into (capacity ends with the element).
+	// The server never reuses that buffer, so Decode may keep what it is
+	// given, but a slice kept from a batch keeps the whole body alive.
 	Decode func([]byte) (T, error)
 
 	// Featurize builds the servable feature extractor from the live
