@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"path"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	"repro/internal/mapreduce"
-	"repro/internal/nlp"
 	"repro/internal/obs"
 	"repro/internal/par"
 	lfapi "repro/pkg/drybell/lf"
@@ -34,9 +34,10 @@ import (
 // The executor consumes public-API lf.LF values and discovers their
 // capabilities by interface: NodeLocal functions get one instance per map
 // task, Annotatable instances share the task's one NLP model server (the
-// per-compute-node server of §5.1) and one annotation per distinct text,
-// Lifecycle brackets each task, and CorpusFitter functions get a first
-// streaming pass over the staged corpus before their vote job launches.
+// per-compute-node server of §5.1) and one annotation per row of the batch,
+// compiled Keywords rules share one scan of each row's text, Lifecycle
+// brackets each task, and CorpusFitter functions get a first streaming pass
+// over the staged corpus before their vote job launches.
 type Executor[T any] struct {
 	// FS holds the staged input and receives the vote artifact.
 	FS dfs.FS
@@ -441,13 +442,17 @@ func attemptCtx(tctx *mapreduce.TaskContext, run context.Context) context.Contex
 // Per task (simulated compute node) it derives a NodeLocal instance of every
 // function, resolves the set's one NLP service the way the online Evaluator
 // does — the paper's "launch a model server on each node in Setup, stop it in
-// Teardown" — and puts a task-private memo in front of it, so each distinct
-// text is annotated once however many functions ask.
+// Teardown" — and puts a task-private column in front of it (taskColumn), so
+// each row's text is annotated once however many functions ask, and the
+// set's Keywords rules read one scan of it through the job's keywordUnion.
 type fusedTask[T any] struct {
 	ctx    context.Context
 	lfs    []lfapi.LF[T]
 	decode func([]byte) (T, error)
-	keys   []voteKeys // per function, built once per job rather than per task
+	keys   []voteKeys      // per function, built once per job rather than per task
+	union  *lfapi.Matcher  // the set's keyword automaton (keywordUnion); nil, as rules is, when it has none
+	rules  []*unionRule[T] // rules[j]: function j's part of union; nil when it is not a Keywords rule
+	cols   sync.Pool       // *taskColumn[T]: a finished task's, for the next task to borrow
 }
 
 // voteKeys names one function's task counters.
@@ -463,38 +468,33 @@ func newFusedTask[T any](ctx context.Context, lfs []lfapi.LF[T], decode func([]b
 		p := "votes/" + f.LFMeta().Name + "/" //drybellvet:notapath — counter name, not a DFS key
 		keys[j] = voteKeys{p + "positive", p + "negative", mapreduce.ClockCounterPrefix + p + "nanos"}
 	}
-	return &fusedTask[T]{ctx: ctx, lfs: lfs, decode: decode, keys: keys}
+	t := &fusedTask[T]{ctx: ctx, lfs: lfs, decode: decode, keys: keys}
+	t.union, t.rules = keywordUnion(lfs)
+	return t
 }
 
 // fusedState is the per-task state: the instance of every function that
-// completed Setup (all of them, unless Setup failed midway) and the task's
-// NLP service.
+// completed Setup (all of them, unless Setup failed midway), the task's
+// column and its NLP service.
 type fusedState[T any] struct {
 	instances []lfapi.LF[T]
-	memo      *annotationMemo // nil when the set has no NLP functions
-	stop      func()          // stops the model server this task launched; nil when it launched none
+	col       *taskColumn[T] // nil when the set has no NLP functions and no keyword union
+	stop      func()         // stops the model server this task launched; nil when it launched none
 }
 
-// annotationMemo is one map task's view of its NLP service: the annotations
-// of the batch being mapped, keyed on the annotated text (MapBatch starts
-// each batch with an empty map). It belongs to one task attempt, which votes
-// on one goroutine, so it takes no lock; a retried attempt builds its own.
-// Errors are not remembered.
-type annotationMemo struct {
-	inner nlp.Annotator
-	seen  map[string]*nlp.Result
-}
-
-func (m *annotationMemo) Annotate(text string) (*nlp.Result, error) {
-	if res, ok := m.seen[text]; ok {
-		return res, nil
+// column borrows a finished task's column, or builds one: its union rules'
+// voters are the column's own, built once.
+func (m *fusedTask[T]) column() *taskColumn[T] {
+	if c, ok := m.cols.Get().(*taskColumn[T]); ok {
+		return c
 	}
-	res, err := m.inner.Annotate(text)
-	if err != nil {
-		return nil, err
+	c := &taskColumn[T]{union: m.union, voters: make([]lfapi.LF[T], len(m.lfs))}
+	for j, r := range m.rules {
+		if r != nil {
+			c.voters[j] = r.voter(c)
+		}
 	}
-	m.seen[text] = res
-	return res, nil
+	return c
 }
 
 // Setup implements mapreduce.Mapper. The engine does not call Teardown
@@ -511,18 +511,26 @@ func (m *fusedTask[T]) Setup(tctx *mapreduce.TaskContext) error {
 	if st.stop = stop; stop != nil {
 		tctx.Counters.Inc(serverCounter, 1)
 	}
-	if ann != nil {
-		st.memo = &annotationMemo{inner: ann}
+	if ann != nil || m.union != nil {
+		st.col = m.column()
+		st.col.ann = ann
 	}
-	for _, f := range m.lfs {
-		inst := f
+	for j, f := range m.lfs {
+		inst, voter := f, f
 		if nl, ok := f.(lfapi.NodeLocal[T]); ok {
 			inst = nl.ForNode()
-			// Only the task's own instance takes the task's memo; f itself is
-			// shared with every other task.
-			if a, ok := inst.(lfapi.Annotatable); ok && st.memo != nil {
-				a.SetAnnotator(st.memo)
+			voter = inst
+			// Only the task's own instance takes the task's column; f itself
+			// is shared with every other task.
+			if a, ok := inst.(lfapi.Annotatable); ok && ann != nil {
+				a.SetAnnotator(st.col)
+				if _, bare := inst.(*lfapi.NLPFunc[T]); !bare {
+					voter = rowStepper[T]{inst, st.col}
+				}
 			}
+		}
+		if st.col != nil && (m.union == nil || m.rules[j] == nil) {
+			st.col.voters[j] = voter
 		}
 		if lc, ok := inst.(lfapi.Lifecycle); ok {
 			if err := lc.Setup(m.ctx); err != nil {
@@ -545,8 +553,10 @@ const decodeCtxStride = 256
 // MapBatch implements mapreduce.Mapper.
 func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, emit mapreduce.Emitter) error {
 	st := tctx.State().(*fusedState[T])
-	if st.memo != nil {
-		st.memo.seen = make(map[string]*nlp.Result, len(records))
+	voters := st.instances
+	if st.col != nil {
+		st.col.rows = append(st.col.rows[:0], make([]taskRow, len(records))...) // zeroed, in the column's storage
+		voters = st.col.voters
 	}
 	ctx := attemptCtx(tctx, m.ctx)
 	xs := make([]T, len(records))
@@ -564,9 +574,12 @@ func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, e
 	}
 	n := len(m.lfs)
 	rows := make([]byte, len(records)*n)
-	for j, inst := range st.instances {
+	for j, voter := range voters {
+		if st.col != nil {
+			st.col.row = 0
+		}
 		start := time.Now() //drybellvet:wallclock — per-function vote time for the report only
-		c, err := lfapi.VoteAll(ctx, inst, xs, rows, n, j)
+		c, err := lfapi.VoteAll(ctx, voter, xs, rows, n, j)
 		if err != nil {
 			return err
 		}
@@ -600,6 +613,9 @@ func (m *fusedTask[T]) Teardown(tctx *mapreduce.TaskContext) error {
 	}
 	if st.stop != nil {
 		st.stop()
+	}
+	if st.col != nil {
+		m.cols.Put(st.col)
 	}
 	return firstErr
 }

@@ -256,6 +256,29 @@ func TestExecuteValidation(t *testing.T) {
 	}
 }
 
+// TestInvalidUTF8NamesRefused: the vote store writes names as JSON, which
+// turns every invalid byte into U+FFFD, so "a\xff" and "a\xfe" would share
+// one stored column and the load of either would fail. The executor and
+// lf.NewSet refuse them before anything runs, naming the index.
+func TestInvalidUTF8NamesRefused(t *testing.T) {
+	abstain := func(*corpus.Document) labelmodel.Label { return labelmodel.Abstain }
+	lfs := []lfapi.LF[*corpus.Document]{
+		lfapi.New(lfapi.Meta{Name: "a\xff"}, abstain),
+		lfapi.New(lfapi.Meta{Name: "a\xfe"}, abstain),
+	}
+	fs := dfs.NewMem()
+	stageDocs(t, fs, testDocs(), 1)
+	if _, _, err := docExecutor(fs).ExecuteContext(context.Background(), lfs); err == nil || !strings.Contains(err.Error(), "index 0") {
+		t.Errorf("executor: error %v, want one naming index 0", err)
+	}
+	if names, err := VoteNames(fs, "labels/votes"); err == nil || len(names) != 0 {
+		t.Errorf("votes stored under a refused set: %q, %v", names, err)
+	}
+	if _, err := lfapi.NewSet("bytes", lfs...); err == nil || !strings.Contains(err.Error(), "index 0") {
+		t.Errorf("NewSet: error %v, want one naming index 0", err)
+	}
+}
+
 func TestExecuteSurvivesWorkerFailures(t *testing.T) {
 	fs := dfs.NewMem()
 	stageDocs(t, fs, testDocs(), 2)

@@ -465,21 +465,38 @@ func (a *flakyAnnotator) Annotate(string) (*nlp.Result, error) {
 	return &nlp.Result{}, nil
 }
 
-// TestAnnotationMemoDoesNotRememberErrors: a failed annotation is asked
-// again, a successful one is not.
-func TestAnnotationMemoDoesNotRememberErrors(t *testing.T) {
+// TestAnnotationColumnDoesNotRememberErrors: a failed annotation is asked
+// again, a successful one is reused for its row — and only for its row and
+// its text: another row, or another text on the same row, is annotated.
+func TestAnnotationColumnDoesNotRememberErrors(t *testing.T) {
 	inner := &flakyAnnotator{}
-	memo := &annotationMemo{inner: inner, seen: map[string]*nlp.Result{}}
-	if _, err := memo.Annotate("text"); err == nil {
+	col := &taskColumn[string]{ann: inner, rows: make([]taskRow, 2)}
+	ask := func(row int, text string) (*nlp.Result, error) {
+		col.row = row
+		return col.Annotate(text)
+	}
+	if _, err := ask(0, "text"); err == nil {
 		t.Fatal("inner error swallowed")
 	}
-	first, err := memo.Annotate("text")
+	first, err := ask(0, "text")
 	if err != nil {
 		t.Fatalf("error remembered: %v", err)
 	}
-	again, err := memo.Annotate("text")
+	again, err := ask(0, "text")
 	if err != nil || again != first || inner.calls != 2 {
 		t.Errorf("repeat lookup: result reused %v, err %v, %d inner calls (want 2)", again == first, err, inner.calls)
+	}
+	for _, a := range []struct {
+		row  int
+		text string
+	}{{1, "text"}, {0, "other text"}, {2, "text"}} {
+		res, err := ask(a.row, a.text)
+		if err != nil || res == first {
+			t.Errorf("row %d, %q: result reused %v, err %v; want a fresh annotation", a.row, a.text, res == first, err)
+		}
+	}
+	if inner.calls != 5 {
+		t.Errorf("%d inner calls, want 5", inner.calls)
 	}
 }
 

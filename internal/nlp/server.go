@@ -115,16 +115,35 @@ type gazName struct {
 	typ    EntityType
 }
 
-// lexicon maps every word the models know to its one entry, so a token is a
-// name's second token exactly when its entry is the name's second. Built once
-// per process, immutable after; lock-free reads are safe.
-var lexicon = func() map[string]*lexEntry {
-	lex := make(map[string]*lexEntry)
+// lexicon holds every word the models know, each with its one entry, so a
+// token is a name's second token exactly when its entry is the name's second.
+// It is a dense trie over 'a'-'z' (every word is made of them) that
+// scanner.next walks as it reads a token: node n's edge on a byte of trie
+// symbol b (see byteClass) is next[n<<lexShift|b]. Node 0 is dead: symbol 0
+// leads there and nothing leads out. Built once per process, immutable after;
+// lock-free reads are safe.
+var lexicon = func() (lex struct {
+	next    []uint16
+	entries []*lexEntry // entries[n]: the entry of the word ending at node n, or nil
+}) {
+	lex.next, lex.entries = make([]uint16, 2<<lexShift), make([]*lexEntry, 2)
 	entry := func(w string) *lexEntry {
-		if lex[w] == nil {
-			lex[w] = new(lexEntry)
+		n := lexRoot
+		for i := range len(w) {
+			e := n<<lexShift | int(byteClass[w[i]]&lexSymbol)
+			if e&lexSymbol == 0 {
+				panic("nlp: lexicon word " + w + " is not made of 'a'-'z'")
+			}
+			if lex.next[e] == 0 {
+				lex.next[e] = uint16(len(lex.entries))
+				lex.next, lex.entries = append(lex.next, make([]uint16, 1<<lexShift)...), append(lex.entries, nil)
+			}
+			n = int(lex.next[e])
 		}
-		return lex[w]
+		if lex.entries[n] == nil {
+			lex.entries[n] = new(lexEntry)
+		}
+		return lex.entries[n]
 	}
 	gazetteers := [...][][]string{EntityPerson: {CelebrityNames, OtherPersonNames}, EntityOrg: {OrgNames}, EntityPlace: {PlaceNames}}
 	for typ, lists := range gazetteers {
@@ -167,12 +186,14 @@ func (e *lexEntry) name(next *lexEntry) *gazName {
 	return one
 }
 
-// annotate is the one pass behind every model: it probes the lexicon once per
-// token, builds no token slice, and resolves the name beginning at a token once
-// the next token's entry is known (the lookahead a two-token name needs).
+// annotate is the one pass behind every model: it reads each token's lexicon
+// entry off the trie node the scanner walked to (a token with a non-ASCII rune
+// is lower-cased rune by rune and looked up), builds no token slice, and
+// resolves the name beginning at a token once the next token's entry is known
+// (the lookahead a two-token name needs).
 func annotate(text string, ner *NER) *Result {
 	var (
-		sc              = scanner{text: text}
+		sc              = scanner{text: text, lex: true}
 		low             = make([]byte, 0, 64)  // the lower-cased token, when it is not plain
 		ents            = make([]Entity, 0, 8) // copied out once, at its final length
 		prev            *lexEntry              // the previous token's entry
@@ -181,17 +202,18 @@ func annotate(text string, ner *NER) *Result {
 		doc             uint64 // FNV-1a of seed ‖ text ‖ 0, hashed at the first mention
 	)
 	for {
-		tok, plain := sc.next()
-		var e *lexEntry
-		if plain {
-			e = lexicon[tok]
-		} else if tok != "" {
+		tok := sc.next()
+		if !sc.ascii {
 			low = low[:0] // tok lower-cased as strings.ToLower would, rune by rune
 			for _, r := range tok {
 				low = utf8.AppendRune(low, unicode.ToLower(r))
 			}
-			e = lexicon[string(low)]
+			sc.node = lexRoot
+			for _, c := range low {
+				sc.node = lexicon.next[int(sc.node)<<lexShift|int(byteClass[c]&lexSymbol)]
+			}
 		}
+		e := lexicon.entries[sc.node]
 		if e != nil {
 			for _, t := range e.topics {
 				counts[t]++

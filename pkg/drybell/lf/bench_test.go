@@ -56,8 +56,8 @@ func topicBenchSet(b *testing.B) ([]*corpus.Document, []lf.LF[*corpus.Document],
 	return docs, lfs, ann
 }
 
-// memoAnnotator annotates each text once per pass, as a map task's
-// per-batch memo does.
+// memoAnnotator annotates each text once per pass. The batch vote job's own
+// per-task row column is internal/lf's; BenchmarkFusedTopic there times it.
 type memoAnnotator struct {
 	inner nlp.Annotator
 	seen  map[string]*nlp.Result
@@ -77,7 +77,8 @@ func (m *memoAnnotator) Annotate(text string) (*nlp.Result, error) {
 // BenchmarkVoteColumns is the batch vote layer: every function writes its
 // column of one row-major buffer (lf.VoteAll), as a fused map task does —
 // over the events set, and over the topic set with its NLP functions
-// injected with a per-pass annotation memo.
+// injected with a per-pass annotation memo and each keyword rule scanning
+// alone.
 func BenchmarkVoteColumns(b *testing.B) {
 	b.Run("events", func(b *testing.B) {
 		events, lfs := voteBenchSet(b)

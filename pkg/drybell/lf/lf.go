@@ -40,6 +40,7 @@ import (
 	"context"
 	"fmt"
 	"iter"
+	"unicode/utf8"
 
 	"repro/internal/labelmodel"
 	"repro/internal/nlp"
@@ -242,8 +243,10 @@ func VoteAll[T any](ctx context.Context, f LF[T], xs []T, dst []byte, stride, co
 }
 
 // ValidateNames checks that the set is non-empty and every function has a
-// unique, non-empty name. Duplicate names would claim the same column of
-// the vote artifact at "labels/votes" on the distributed filesystem.
+// unique, non-empty, valid UTF-8 name. Duplicate names would claim the same
+// column of the vote artifact at "labels/votes" on the distributed
+// filesystem, and so would two names that differ only in invalid bytes: the
+// artifact stores names as JSON, which writes every invalid byte as U+FFFD.
 func ValidateNames[T any](lfs []LF[T]) error {
 	if len(lfs) == 0 {
 		return fmt.Errorf("lf: no labeling functions")
@@ -253,6 +256,9 @@ func ValidateNames[T any](lfs []LF[T]) error {
 		name := f.LFMeta().Name
 		if name == "" {
 			return fmt.Errorf("lf: labeling function at index %d has an empty name", j)
+		}
+		if !utf8.ValidString(name) {
+			return fmt.Errorf("lf: labeling function at index %d has name %q, which is not valid UTF-8", j, name)
 		}
 		if prev, dup := seen[name]; dup {
 			return fmt.Errorf("lf: duplicate labeling function name %q (columns %d and %d); votes would overwrite each other at labels/%s",

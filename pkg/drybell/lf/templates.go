@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/kgraph"
@@ -21,6 +22,8 @@ type Func[T any] struct {
 	Meta Meta
 	// Fn inspects one example and returns a vote or abstains.
 	Fn func(T) Label
+
+	rule *Keywords[T] // the rule Keywords.Compile built Fn from; nil otherwise
 }
 
 // New is shorthand for building a default-pipeline function.
@@ -62,8 +65,9 @@ func (f *Func[T]) voteColumn(xs []T, votes []Label) {
 // when strings.Contains finds it, invalid UTF-8 included. It is read-only
 // once built and safe for concurrent use.
 type Matcher struct {
-	next []uint32 // next[s<<8|b]: the state after byte b in state s
-	out  []uint64 // out[s]: the words ending at state s, as Hits bits
+	next    []uint32 // next[s<<8|b]: the state after byte b in state s
+	out     []uint64 // out[s]: the words ending at state s, as Hits bits
+	longest int      // the longest word's length
 }
 
 // NewMatcher compiles words into a Matcher. It refuses an empty word, a
@@ -72,7 +76,11 @@ func NewMatcher(words []string) (*Matcher, error) {
 	if len(words) > 64 {
 		return nil, fmt.Errorf("%d keywords, want at most 64", len(words))
 	}
-	m := &Matcher{next: make([]uint32, 256), out: make([]uint64, 1)}
+	states := 1 // at most: one per word byte, and the root
+	for _, w := range words {
+		states += len(w)
+	}
+	m := &Matcher{next: make([]uint32, 256, 256*states), out: make([]uint64, 1, states)}
 	for i, w := range words {
 		s := uint32(0)
 		for j := range len(w) {
@@ -88,6 +96,7 @@ func NewMatcher(words []string) (*Matcher, error) {
 			return nil, fmt.Errorf("keyword %d (%q) is empty or a duplicate", i, w)
 		}
 		m.out[s] = 1 << i
+		m.longest = max(m.longest, len(w))
 	}
 	// Breadth first, each state takes its failure state's words, and each
 	// missing edge the failure state's edge, whose row is already complete.
@@ -110,11 +119,19 @@ func NewMatcher(words []string) (*Matcher, error) {
 }
 
 // Hits returns the words occurring in text: bit i is set when word i does.
+// It runs the automaton over the two halves of text at once, so that the two
+// chains of table lookups overlap; the first runs on past the midpoint until
+// every word starting in its half has ended.
 func (m *Matcher) Hits(text string) (hits uint64) {
-	next, out, s := m.next, m.out, uint32(0)
-	for i := range len(text) {
-		s = next[s<<8|uint32(text[i])]
-		hits |= out[s]
+	next, out, mid := m.next, m.out, len(text)/2
+	a, b, i := uint32(0), uint32(0), 0
+	for ; mid+i < len(text); i++ {
+		a, b = next[a<<8|uint32(text[i])], next[b<<8|uint32(text[mid+i])]
+		hits |= out[a] | out[b]
+	}
+	for end := min(mid+m.longest-1, len(text)); i < end; i++ {
+		a = next[a<<8|uint32(text[i])]
+		hits |= out[a]
 	}
 	return hits
 }
@@ -123,6 +140,8 @@ func (m *Matcher) Hits(text string) (hits uint64) {
 // Words occur, and Vote votes from that mask — "any word" is hits != 0,
 // "two or more" bits.OnesCount64(hits) >= 2, and a rule over several word
 // groups masks each group's bits. Compile turns it into the Func that votes.
+// The batch executor scans each text once for all of a set's compiled rules
+// (see Func.Keywords).
 type Keywords[T any] struct {
 	Meta    Meta
 	GetText func(T) string // the text to scan
@@ -139,7 +158,22 @@ func (k Keywords[T]) Compile() (*Func[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("lf %s: %w", k.Meta.Name, err)
 	}
-	return New(k.Meta, func(x T) Label { return k.Vote(x, m.Hits(k.GetText(x))) }), nil
+	k.Words = slices.Clone(k.Words)
+	f := New(k.Meta, func(x T) Label { return k.Vote(x, m.Hits(k.GetText(x))) })
+	f.rule = &k
+	return f, nil
+}
+
+// Keywords returns the rule f was compiled from, if Keywords.Compile built
+// it (its Words are f's own: read them only); a nil f has none. An engine may
+// then vote f from one automaton over the words of several rules, which gives
+// the same vote; so to vote with another Fn, build a new Func rather than
+// replacing f.Fn.
+func (f *Func[T]) Keywords() (k Keywords[T], ok bool) {
+	if f != nil && f.rule != nil {
+		k, ok = *f.rule, true
+	}
+	return k, ok
 }
 
 // ---------------------------------------------------------------------------
