@@ -227,7 +227,7 @@ func commitShards(t *testing.T, m FS, base string, n int, present ...int) {
 	for i := range sums {
 		sums[i] = ShardSum{Size: 1, Digest: uint32(i)}
 	}
-	if err := WriteRecord(m, base, Record{Rows: n, Shards: sums}); err != nil {
+	if _, err := WriteRecord(m, base, Record{Rows: n, Shards: sums}); err != nil {
 		t.Fatal(err)
 	}
 }

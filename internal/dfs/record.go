@@ -10,8 +10,9 @@ import (
 
 // Record is a shard set's commit record, at RecordPath(base): written after
 // every shard it names, read before any. Every shard set — staged input,
-// deltas, labels, vote artifacts and segments — commits through one, and a
-// set without a readable record is not staged, whatever shards stand there.
+// deltas, labels, the flat vote artifact and every vote generation — commits
+// through one, and a set without a readable record is not staged, whatever
+// shards stand there.
 type Record struct {
 	Rows int `json:"rows"` // records, or vote rows
 	// Shards holds each shard's size and digest in shard order; its length
@@ -20,10 +21,15 @@ type Record struct {
 	// Digest is the set digest (see Sealed): two sets with one digest hold
 	// the same bytes.
 	Digest uint64 `json:"digest"`
-	// Names and Generation are a vote set's columns, in order, and the write
-	// generation every one of its shards carries.
-	Names      []string `json:"names,omitempty"`
-	Generation uint64   `json:"generation,omitempty"`
+	// Names, StartRow and Deleted are a vote set's: its columns, in order;
+	// the absolute row its rows begin at; and the absolute rows it tombstones.
+	// A vote generation is its shards and this record, nothing else.
+	Names    []string `json:"names,omitempty"`
+	StartRow int      `json:"start_row,omitempty"`
+	Deleted  []int    `json:"deleted,omitempty"`
+	// Checksum is the record file's own (ReadJSON's), over every field above:
+	// set by ReadRecord and WriteRecord, never stored.
+	Checksum uint32 `json:"-"`
 }
 
 // ShardSum is one shard's size and digest, folded from checksums its writer
@@ -56,9 +62,13 @@ func (r Record) Sealed() Record {
 }
 
 // WriteRecord commits the shard set at base, every shard of which r names
-// and is published: it writes r, sealed, as the set's commit record.
-func WriteRecord(fs FS, base string, r Record) error {
-	return WriteJSON(fs, RecordPath(base), r.Sealed())
+// and is published: it writes r, sealed, as the set's commit record, and
+// returns the record as ReadRecord will read it.
+func WriteRecord(fs FS, base string, r Record) (Record, error) {
+	r = r.Sealed()
+	var err error
+	r.Checksum, err = WriteJSON(fs, RecordPath(base), r)
+	return r, err
 }
 
 // ReadRecord reads the commit record of the shard set at base and checks it
@@ -67,7 +77,8 @@ func WriteRecord(fs FS, base string, r Record) error {
 // IsNotExist tells absence from damage.
 func ReadRecord(fs FS, base string) (*Record, error) {
 	var r Record
-	if _, err := ReadJSON(fs, RecordPath(base), &r); err != nil {
+	var err error
+	if r.Checksum, err = ReadJSON(fs, RecordPath(base), &r); err != nil {
 		return nil, err
 	}
 	if r.Rows < 0 || len(r.Shards) == 0 {
@@ -104,17 +115,19 @@ func Committed(fs FS, base string) (*Record, error) {
 // {"crc":"<IEEE CRC32 of the body, 8 hex digits>","body":<body>}.
 const sealHead, sealMid, sealLen = `{"crc":"`, `","body":`, len(sealHead) + 8 + len(sealMid)
 
-// WriteJSON writes v as a checksummed JSON file at path, atomically.
-func WriteJSON(fs FS, path string, v any) error {
+// WriteJSON writes v as a checksummed JSON file at path, atomically, and
+// returns its checksum.
+func WriteJSON(fs FS, path string, v any) (uint32, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
-		return fmt.Errorf("dfs: encode %s: %w", path, err)
+		return 0, fmt.Errorf("dfs: encode %s: %w", path, err)
 	}
+	sum := crc32.ChecksumIEEE(body)
 	var crc [4]byte
-	binary.BigEndian.PutUint32(crc[:], crc32.ChecksumIEEE(body))
+	binary.BigEndian.PutUint32(crc[:], sum)
 	raw := hex.AppendEncode(append(make([]byte, 0, sealLen+len(body)+1), sealHead...), crc[:])
 	raw = append(append(append(raw, sealMid...), body...), '}')
-	return fs.WriteFile(path, raw)
+	return sum, fs.WriteFile(path, raw)
 }
 
 // ReadJSON reads the checksummed JSON file at path into v and returns its

@@ -8,12 +8,12 @@ import (
 
 // FuzzCommitRecord: whatever bytes stand where a commit record should, a
 // read of them is an error or a record that checks out, never a panic. A
-// record written over published shards reads back as written; with one byte
-// of it flipped — body, checksum or layout — it is refused, and so is the set
-// once a shard it names changes size.
+// record written over published shards reads back as written, its checksum
+// included; with one byte of it flipped — body, checksum or layout — it is
+// refused, and so is the set once a shard it names changes size.
 func FuzzCommitRecord(f *testing.F) {
 	seed := NewMem()
-	if err := WriteRecord(seed, "seed", Record{Rows: 7, Shards: []ShardSum{{3, 1}, {0, 2}}, Names: []string{"a"}, Generation: 9}); err != nil {
+	if _, err := WriteRecord(seed, "seed", Record{Rows: 7, Shards: []ShardSum{{3, 1}, {0, 2}}, Names: []string{"a"}, StartRow: 9, Deleted: []int{2}}); err != nil {
 		f.Fatal(err)
 	}
 	valid, err := seed.ReadFile(RecordPath("seed"))
@@ -41,7 +41,7 @@ func FuzzCommitRecord(f *testing.F) {
 		if len(sizes) == 0 || len(sizes) > 64 {
 			return
 		}
-		want := Record{Rows: int(rows), Generation: uint64(flip)}
+		want := Record{Rows: int(rows), StartRow: int(flip)}
 		for i, size := range sizes {
 			if err := PublishShard(fs, "set", i, len(sizes), make([]byte, size)); err != nil {
 				t.Fatal(err)
@@ -49,16 +49,18 @@ func FuzzCommitRecord(f *testing.F) {
 			want.Shards = append(want.Shards, ShardSum{Size: int64(size), Digest: uint32(i) * 2654435761})
 			if i < 3 {
 				want.Names = append(want.Names, fmt.Sprintf("c%d", i))
+				want.Deleted = append(want.Deleted, int(size))
 			}
 		}
-		if err := WriteRecord(fs, "set", want); err != nil {
+		want, err := WriteRecord(fs, "set", want)
+		if err != nil {
 			t.Fatal(err)
 		}
 		got, err := Committed(fs, "set")
 		if err != nil {
 			t.Fatal(err)
 		}
-		if want = want.Sealed(); !reflect.DeepEqual(*got, want) {
+		if !reflect.DeepEqual(*got, want) {
 			t.Fatalf("read back %+v, wrote %+v", *got, want)
 		}
 

@@ -217,8 +217,8 @@ func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 		if len(d.Deleted) == 0 {
 			return nil, nil, fmt.Errorf("lf: delta has no staged input and no deletions")
 		}
-		// Deletions-only: the generation carries tombstones and no data
-		// segment; the per-function report stays all-zero.
+		// Deletions-only: the generation is a zero-row set carrying
+		// tombstones; the per-function report stays all-zero.
 		//drybellvet:tightloop — bounded by the function set, in-memory report assembly
 		for j, f := range lfs {
 			meta := f.LFMeta()
@@ -234,8 +234,8 @@ func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 			return nil, nil, err
 		}
 	}
-	meta := GenerationMeta{Gen: gen, Names: lfapi.Names(lfs), StartRow: d.StartRow, Shards: nsh, Deleted: d.Deleted}
-	if err := WriteGeneration(e.FS, e.votesBase(), meta, matrix); err != nil {
+	rec := dfs.Record{Names: lfapi.Names(lfs), StartRow: d.StartRow, Deleted: d.Deleted}
+	if err := WriteGeneration(e.FS, e.votesBase(), gen, matrix, nsh, rec); err != nil {
 		return nil, nil, err
 	}
 	return matrix, report, nil
@@ -318,7 +318,7 @@ func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*Vie
 	if err != nil {
 		return nil, nil, err
 	}
-	if p, err := planVotes(e.FS, e.votesBase(), false, names); err == nil && len(p.segments) == 1 && p.segments[0].rec.Generation == k.hash {
+	if p, err := planVotes(e.FS, e.votesBase(), false, names); err == nil && len(p.segments) == 1 && p.segments[0].base == k.path(e.votesBase()) {
 		return p.view(matrix), report, nil
 	}
 	return &View{Matrix: matrix, Names: names}, report, nil
@@ -626,9 +626,9 @@ func (m *fusedTask[T]) Teardown(tctx *mapreduce.TaskContext) error {
 // caller resumes a pipeline from persisted state: labeling functions share
 // data via the filesystem, so their outputs outlive the process that ran
 // them. It is the store's one read over the whole chain (readVotes). A
-// corrupt manifest or shard fails the load, never shortens it; a name with
-// no stored column (a typo, a function never run against this root) is an
-// error listing the stored ones; a root with no vote state at all says so.
+// corrupt commit record or shard fails the load, never shortens it; a name
+// with no stored column (a typo, a function never run against this root) is
+// an error listing the stored ones; a root with no vote state at all says so.
 func (e *Executor[T]) LoadMatrix(names []string) (*labelmodel.Matrix, error) {
 	if len(names) == 0 {
 		return nil, fmt.Errorf("lf: no labeling function names to load")

@@ -2,13 +2,15 @@
 //
 // An execution over the base corpus (Executor.ExecuteContext) publishes a
 // generation-0 segment over base rows [0, m), each corpus delta a generation
-// over its row range: a data segment in the columnar shard format (votes.go)
-// plus a checksummed JSON manifest (dfs.WriteJSON) of row range, columns and
-// tombstones, under "<prefix>/votes/_gen/". A delta's key is its number
-// ("00001"); a segment's is "00000-<seq>-<hash>", seq one past the highest
-// listed and hash the votes' content-derived write generation, so writers of
-// different votes never share a key. A manifest is written, atomically, after
-// its data segment's commit record, so a visible manifest always has readable
+// over its row range, under "<prefix>/votes/_gen/". A generation is one shard
+// set in the columnar format (votes.go) and nothing else: its shards
+// "<key>-SSSSS-of-NNNNN" and its commit record "<key>.commit" (dfs.Record),
+// which names its columns and gives its row range and tombstones next to its
+// rows and shard digests. A deletions-only generation is a zero-row set. A
+// delta's key is its number ("00001"); a segment's is "00000-<seq>-<hash>",
+// seq one past the highest listed and hash derived from the votes' content,
+// so writers of different votes never share a key. The record is written,
+// atomically, after every shard, so a visible record always has readable
 // data. Only compaction writes the flat artifact at "<prefix>/votes".
 //
 // The store is read one way (votes.go: planVotes, then one scan): the flat
@@ -32,30 +34,10 @@ import (
 	"repro/internal/labelmodel"
 )
 
-// GenerationMeta is the manifest of one vote generation.
-type GenerationMeta struct {
-	// Gen is the delta generation number, 1-based and strictly increasing; 0
-	// for a generation-0 segment over the base corpus.
-	Gen int `json:"gen"`
-	// Names lists this generation's labeling functions in column order.
-	Names []string `json:"names"`
-	// StartRow is the absolute row index (in staging order, before any
-	// tombstone compaction) where this generation's rows begin.
-	StartRow int `json:"start_row"`
-	// Rows is the number of vote rows in this generation's data segment.
-	Rows int `json:"rows"`
-	// Shards is the data segment's shard count.
-	Shards int `json:"shards"`
-	// Deleted lists absolute row indices this generation tombstones. A later
-	// generation whose row range covers a tombstoned row resurrects it.
-	Deleted []int `json:"deleted,omitempty"`
-}
-
-// genDir is the DFS directory holding generation manifests and data
-// segments for a votes base.
+// genDir is the DFS directory holding the generations of a votes base.
 func genDir(base string) string { return path.Join(base, "_gen") }
 
-// chainKey is a manifest's place in the chain, spelled as its key under
+// chainKey is a generation's place in the chain, spelled as its key under
 // _gen/: a delta generation's zero-padded number, or a generation-0
 // segment's writer sequence number and content hash.
 type chainKey struct {
@@ -70,19 +52,12 @@ func (k chainKey) String() string {
 	return fmt.Sprintf("%05d-%05d-%016x", 0, k.seq, k.hash)
 }
 
-// path is the manifest key. Its data segment base is the sibling key
-// "<manifest>.data", not a child, so disk-backed filesystems never need a key
-// to be both file and directory.
+// path is the base of the generation's shard set.
 func (k chainKey) path(base string) string { return path.Join(genDir(base), k.String()) }
 
-// parseChainKey parses a name under _gen/ as a manifest key. Only the
-// canonical spelling parses; everything else there (data segment shards and
-// their commit records) is not a manifest.
+// parseChainKey parses a key under _gen/. Only the canonical spelling parses.
 func parseChainKey(name string) (chainKey, bool) {
 	var k chainKey
-	if strings.Contains(name, ".") {
-		return k, false // the common case, decided without allocating: every read lists every shard
-	}
 	var err error
 	if seq, hash, segment := strings.Cut(strings.TrimPrefix(name, "00000-"), "-"); segment {
 		if k.seq, err = strconv.Atoi(seq); err == nil {
@@ -94,20 +69,27 @@ func parseChainKey(name string) (chainKey, bool) {
 	return k, err == nil && (k.gen > 0 || k.seq > 0) && k.String() == name
 }
 
-// WriteGeneration publishes one delta generation: the matrix as a columnar
-// data segment, then the checksummed manifest, so concurrent readers see
-// either the previous chain or the full new generation, never a half-written
-// one. meta.Rows is filled here; the caller sets Gen, Names, StartRow, Shards,
-// and Deleted.
-func WriteGeneration(fs dfs.FS, base string, meta GenerationMeta, mx *labelmodel.Matrix) error {
-	if meta.Gen <= 0 {
-		return fmt.Errorf("lf: vote generation number %d, want >= 1 (generation 0 is what ExecuteContext publishes)", meta.Gen)
+// WriteGeneration publishes delta generation gen of the store at base: mx's
+// votes in shards shards, committed by one record carrying rec's Names (mx's
+// columns, in order), StartRow (the absolute row, in staging order before
+// any tombstone compaction, where mx's rows begin) and Deleted (the absolute
+// rows it tombstones; a later generation whose row range covers one
+// resurrects it). Concurrent readers see either the previous chain or the
+// whole new generation. A nil mx is a deletions-only generation: zero rows.
+func WriteGeneration(fs dfs.FS, base string, gen int, mx *labelmodel.Matrix, shards int, rec dfs.Record) error {
+	if gen <= 0 {
+		return fmt.Errorf("lf: vote generation number %d, want >= 1 (generation 0 is what ExecuteContext publishes)", gen)
 	}
-	var hash uint64
-	if mx != nil {
-		hash = voteGeneration(mx, meta.Names, meta.Shards)
+	if rec.StartRow < 0 || slices.ContainsFunc(rec.Deleted, func(d int) bool { return d < 0 }) {
+		return fmt.Errorf("lf: vote generation %d starts at or tombstones a negative row", gen)
 	}
-	return writeManifest(fs, base, chainKey{gen: meta.Gen}, meta, mx, hash)
+	if mx == nil && len(rec.Deleted) == 0 {
+		return fmt.Errorf("lf: vote generation %d has neither votes nor tombstones", gen)
+	}
+	if _, err := writeVotes(fs, chainKey{gen: gen}.path(base), mx, shards, rec); err != nil {
+		return fmt.Errorf("lf: write vote generation %d: %w", gen, err)
+	}
+	return nil
 }
 
 // publishSegment publishes mx as a generation-0 segment over base rows [0, m)
@@ -115,7 +97,7 @@ func WriteGeneration(fs dfs.FS, base string, meta GenerationMeta, mx *labelmodel
 // keys alone, and its hash from mx, so the only writer it can share a key with
 // is one writing the same bytes.
 func publishSegment(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) (chainKey, error) {
-	keys, _, err := listKeys(fs, base)
+	keys, _, err := listKeys(fs, base, true)
 	if err != nil {
 		return chainKey{}, err
 	}
@@ -125,55 +107,28 @@ func publishSegment(fs dfs.FS, base string, mx *labelmodel.Matrix, names []strin
 			k.seq = max(k.seq, other.seq+1)
 		}
 	}
-	return k, writeManifest(fs, base, k, GenerationMeta{Names: names, Shards: shards}, mx, k.hash)
-}
-
-// writeManifest publishes the manifest at k, after mx — written with write
-// generation hash — as its data segment. A nil matrix is a deletions-only
-// generation: tombstones in the manifest, no data segment.
-func writeManifest(fs dfs.FS, base string, k chainKey, meta GenerationMeta, mx *labelmodel.Matrix, hash uint64) error {
-	if meta.StartRow < 0 {
-		return fmt.Errorf("lf: vote generation %d starts at negative row %d", meta.Gen, meta.StartRow)
-	}
-	if meta.Shards <= 0 {
-		return fmt.Errorf("lf: vote generation %d with %d shards", meta.Gen, meta.Shards)
-	}
-	for _, d := range meta.Deleted {
-		if d < 0 {
-			return fmt.Errorf("lf: vote generation %d tombstones negative row %d", meta.Gen, d)
-		}
-	}
-	if mx == nil && len(meta.Deleted) == 0 {
-		return fmt.Errorf("lf: vote generation %d has neither votes nor tombstones", meta.Gen)
-	}
-	dst := k.path(base)
-	meta.Rows = 0
-	if mx != nil {
-		meta.Rows = mx.NumExamples()
-		if err := writeVotes(fs, dst+".data", mx, meta.Names, meta.Shards, hash); err != nil {
-			return fmt.Errorf("lf: write generation %d data: %w", meta.Gen, err)
-		}
-	}
-	if err := dfs.WriteJSON(fs, dst, meta); err != nil {
-		return fmt.Errorf("lf: write generation %d manifest: %w", meta.Gen, err)
-	}
-	return nil
+	_, err = writeVotes(fs, k.path(base), mx, shards, dfs.Record{Names: names})
+	return k, err
 }
 
 // LatestGeneration returns the highest published delta generation number, or
 // 0 when only generation 0 — the flat artifact and generation-0 segments — or
 // nothing exists.
 func LatestGeneration(fs dfs.FS, base string) (int, error) {
-	ms, err := listManifests(fs, base)
-	if err != nil || len(ms) == 0 {
+	keys, _, err := listKeys(fs, base, true)
+	if err != nil || len(keys) == 0 {
 		return 0, err
 	}
-	return ms[len(ms)-1].Gen, nil
+	return keys[len(keys)-1].gen, nil
 }
 
-// listKeys lists the manifest keys under base's _gen/ directory in chain
-// order, and the directory's other keys (data segments and their records).
-func listKeys(fs dfs.FS, base string) ([]chainKey, []string, error) {
+// listKeys lists the keys of the commit records under base's _gen/ directory
+// in chain order, and the directory's other files. With strict, a file that
+// is neither a generation's commit record nor a shard (published or
+// .partial) fails the listing, naming it: a reader must never read part of a
+// chain as all of it, and a store in an older layout — manifests beside
+// ".data" sets — holds such files.
+func listKeys(fs dfs.FS, base string, strict bool) ([]chainKey, []string, error) {
 	prefix := genDir(base) + "/" //drybellvet:notapath — List prefix; the trailing "/" is significant
 	names, err := fs.List(prefix)
 	if err != nil {
@@ -182,11 +137,16 @@ func listKeys(fs dfs.FS, base string) ([]chainKey, []string, error) {
 	var keys []chainKey
 	var others []string
 	for _, name := range names {
-		if k, ok := parseChainKey(strings.TrimPrefix(name, prefix)); ok {
+		rel := strings.TrimPrefix(name, prefix)
+		key, record := strings.CutSuffix(rel, ".commit")
+		if k, ok := parseChainKey(key); ok && record {
 			keys = append(keys, k)
-		} else {
-			others = append(others, name)
+			continue
 		}
+		if _, _, _, shard := dfs.ParseShardPath(strings.TrimSuffix(rel, ".partial")); strict && (record || !shard) {
+			return nil, nil, fmt.Errorf("lf: votes at %s: %s is not a vote generation's commit record or shard (restage the input to rebuild the store)", base, name)
+		}
+		others = append(others, name)
 	}
 	slices.SortFunc(keys, func(a, b chainKey) int { // generation 0 by (seq, hash), then the deltas
 		return cmp.Or(cmp.Compare(a.gen, b.gen), cmp.Compare(a.seq, b.seq), cmp.Compare(a.hash, b.hash))
@@ -194,55 +154,28 @@ func listKeys(fs dfs.FS, base string) ([]chainKey, []string, error) {
 	return keys, others, nil
 }
 
-// manifest is one published manifest: where it stands, its key, what it
-// says, and its checksum.
-type manifest struct {
-	GenerationMeta
-	at  chainKey
-	key string
-	crc uint32
-}
-
-// listManifests returns the published manifests in chain order, validating
-// each one's checksum (dfs.ReadJSON) and its consistency with its key. A
-// corrupt manifest fails the whole listing — a reader must never silently
-// skip part of the chain.
-func listManifests(fs dfs.FS, base string) ([]manifest, error) {
-	keys, _, err := listKeys(fs, base)
-	if err != nil {
-		return nil, err
-	}
-	ms := make([]manifest, 0, len(keys))
-	for _, k := range keys {
-		key := k.path(base)
-		var meta GenerationMeta
-		crc, err := dfs.ReadJSON(fs, key, &meta)
-		if err != nil {
-			return nil, fmt.Errorf("lf: read vote generation manifest %s: %w", key, err)
-		}
-		if meta.Gen != k.gen {
-			return nil, fmt.Errorf("lf: vote generation manifest %s claims generation %d", key, meta.Gen)
-		}
-		if meta.Rows < 0 || meta.StartRow < 0 || meta.Shards <= 0 || len(meta.Names) == 0 {
-			return nil, fmt.Errorf("lf: vote generation manifest %s is degenerate (%d rows from %d, %d shards, %d names)",
-				key, meta.Rows, meta.StartRow, meta.Shards, len(meta.Names))
-		}
-		ms = append(ms, manifest{meta, k, key, crc})
-	}
-	return ms, nil
-}
-
-// SegmentOf returns the manifest key of the newest generation-0 segment at
-// base holding exactly mx under names — what an ExecuteContext of them published —
+// SegmentOf returns the base of the newest generation-0 segment at base
+// holding exactly mx under names — what an ExecuteContext of them published —
 // or "" when none stands.
 func SegmentOf(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string) (string, error) {
-	ms, err := listManifests(fs, base)
-	for i := len(ms) - 1; i >= 0; i-- {
-		if m := ms[i]; m.Gen == 0 && slices.Equal(m.Names, names) && m.at.hash == voteGeneration(mx, names, m.Shards) {
-			return m.key, nil
+	keys, _, err := listKeys(fs, base, true)
+	if err != nil {
+		return "", err
+	}
+	for i := len(keys) - 1; i >= 0; i-- {
+		if keys[i].gen != 0 {
+			continue
+		}
+		seg := keys[i].path(base)
+		rec, err := readVoteRecord(fs, seg)
+		if err != nil {
+			return "", err
+		}
+		if rec != nil && slices.Equal(rec.Names, names) && keys[i].hash == voteGeneration(mx, names, len(rec.Shards)) {
+			return seg, nil
 		}
 	}
-	return "", err
+	return "", nil
 }
 
 // ErrAllTombstoned is the cause reported when a chain's tombstones cover
@@ -307,9 +240,8 @@ func (c *Chain) Tombstoned(i int) bool {
 // that bounds chain length for readers, and removes the folded files. The
 // resulting artifact is byte-identical to what a from-scratch run over the
 // same (compacted) corpus would publish and compact with the same shard
-// count, because the artifact's write generation is content-derived. A chain
-// whose tombstones cover every row is refused (ErrAllTombstoned) with the
-// store untouched.
+// count: a vote set's bytes are its content's alone. A chain whose tombstones
+// cover every row is refused (ErrAllTombstoned) with the store untouched.
 //
 // view is what the caller carries of the store (LoadView), or nil. When its
 // watermark covers the whole chain and its columns are the stored column
@@ -322,12 +254,9 @@ func (c *Chain) Tombstoned(i int) bool {
 // are the post-compaction staging order; callers that track absolute row
 // positions (corpus manifests) must compact those in the same step.
 func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) {
-	ms, err := listManifests(fs, base)
-	if err != nil {
-		return nil, err
-	}
-	if len(ms) == 0 {
-		return view, nil
+	keys, _, err := listKeys(fs, base, true)
+	if err != nil || len(keys) == 0 {
+		return view, err
 	}
 	p, err := planVotes(fs, base, true, nil)
 	if err != nil {
@@ -339,11 +268,12 @@ func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) 
 	} else if folded.Matrix, _, err = p.read(fs); err != nil {
 		return nil, err
 	}
-	// The flat artifact's write generation is the folded view's watermark.
-	folded.flat = voteGeneration(folded.Matrix, folded.Names, shards)
-	if err := writeVotes(fs, base, folded.Matrix, folded.Names, shards, folded.flat); err != nil {
+	// The flat artifact's commit record is the folded view's watermark.
+	rec, err := writeVotes(fs, base, folded.Matrix, shards, dfs.Record{Names: folded.Names})
+	if err != nil {
 		return nil, fmt.Errorf("lf: compact vote generations at %s: %w", base, err)
 	}
+	folded.flat = rec.Checksum
 	return folded, DropGenerations(fs, base, false)
 }
 
@@ -351,23 +281,23 @@ func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) 
 // without reading it: what CompactView does once the chain is folded. With
 // flat it then removes the flat artifact as well, leaving an empty store:
 // what staging a new base corpus does, since every vote stored is for the
-// corpus being superseded. Manifests go first, newest first, then the flat
-// artifact's commit record, so a crash part-way leaves a shorter chain that
-// still reads, with orphaned data segments and shards (ignored by readers) —
-// never a manifest or a commit record with missing data. A store with no
-// chain costs one List.
+// corpus being superseded. Commit records go first, newest first, then the
+// flat artifact's, so a crash part-way leaves a shorter chain that still
+// reads, with orphaned shards (ignored by readers) — never a commit record
+// with missing shards. Whatever else stands under _gen/ goes too. A store with
+// no chain costs one List.
 func DropGenerations(fs dfs.FS, base string, flat bool) error {
-	keys, data, err := listKeys(fs, base)
+	keys, others, err := listKeys(fs, base, false)
 	if err != nil {
 		return err
 	}
 	for i := len(keys) - 1; i >= 0; i-- {
-		if err := fs.Remove(keys[i].path(base)); err != nil {
+		if err := fs.Remove(dfs.RecordPath(keys[i].path(base))); err != nil {
 			return fmt.Errorf("lf: drop vote generations at %s: %w", base, err)
 		}
 	}
-	for _, key := range data {
-		_ = fs.Remove(key) // orphaned segments are never read
+	for _, key := range others {
+		_ = fs.Remove(key) // orphaned shards are never read
 	}
 	if !flat {
 		return nil

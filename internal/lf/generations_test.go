@@ -1,7 +1,11 @@
 package lf
 
 import (
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
+	"path"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,25 +13,16 @@ import (
 	"repro/internal/labelmodel"
 )
 
-// genManifestPath is the manifest key of delta generation gen.
-func genManifestPath(base string, gen int) string { return chainKey{gen: gen}.path(base) }
-
-// genDataBase is the data segment base of delta generation gen.
-func genDataBase(base string, gen int) string { return genManifestPath(base, gen) + ".data" }
+// genBase is the shard set base of delta generation gen; its commit record
+// is dfs.RecordPath(genBase(base, gen)).
+func genBase(base string, gen int) string { return chainKey{gen: gen}.path(base) }
 
 // writeGen publishes a generation of m rows starting at startRow, with
 // deterministic votes derived from the seed, and returns the matrix written.
 func writeGen(t *testing.T, fs dfs.FS, base string, gen, startRow, m int, names []string, deleted []int, seed int64) *labelmodel.Matrix {
 	t.Helper()
 	mx := randomVotes(t, m, len(names), seed)
-	err := WriteGeneration(fs, base, GenerationMeta{
-		Gen:      gen,
-		Names:    names,
-		StartRow: startRow,
-		Shards:   3,
-		Deleted:  deleted,
-	}, mx)
-	if err != nil {
+	if err := WriteGeneration(fs, base, gen, mx, 3, dfs.Record{Names: names, StartRow: startRow, Deleted: deleted}); err != nil {
 		t.Fatalf("WriteGeneration(%d): %v", gen, err)
 	}
 	return mx
@@ -157,7 +152,8 @@ func TestGenerationTombstones(t *testing.T) {
 }
 
 // TestGenerationCorruptManifestRejected pins that a torn or tampered
-// manifest fails the read with a descriptive error instead of being skipped.
+// generation record — the generation's manifest — fails the read with a
+// descriptive error instead of being skipped.
 func TestGenerationCorruptManifestRejected(t *testing.T) {
 	fs := dfs.NewMem()
 	names := []string{"a", "b"}
@@ -166,14 +162,14 @@ func TestGenerationCorruptManifestRejected(t *testing.T) {
 	}
 	writeGen(t, fs, "labels/votes", 1, 10, 4, names, nil, 10)
 
-	key := "labels/votes/_gen/00001"
+	key := "labels/votes/_gen/00001.commit"
 	raw, err := fs.ReadFile(key)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Flipped payload byte: checksum mismatch.
-	var meta GenerationMeta
+	var meta dfs.Record
 	if err := json.Unmarshal(raw, &meta); err != nil {
 		t.Fatal(err)
 	}
@@ -270,8 +266,8 @@ func TestGenerationColumnUnion(t *testing.T) {
 
 // TestCompactGenerations pins the fold: compaction produces a flat artifact
 // identical to writing the assembled view from scratch — including
-// byte-identical shards, since the artifact's write generation is
-// content-derived — and removes the folded chain.
+// byte-identical shards, since a vote set holds nothing but its content —
+// and removes the folded chain.
 func TestCompactGenerations(t *testing.T) {
 	fs := dfs.NewMem()
 	names := []string{"a", "b", "c"}
@@ -366,5 +362,124 @@ func TestLatestGeneration(t *testing.T) {
 	writeGen(t, fs, "labels/votes", 2, 7, 2, names, nil, 21)
 	if n, err := LatestGeneration(fs, "labels/votes"); err != nil || n != 2 {
 		t.Fatalf("after two generations: gen %d, err %v", n, err)
+	}
+}
+
+// writeV1Set writes mx at base as vote sets were written before a generation
+// was one record: "DBV1" shards whose 24-byte header repeats the column
+// count, row count, payload CRC and write generation, under a commit record
+// that carries the write generation too.
+func writeV1Set(t *testing.T, fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) {
+	t.Helper()
+	m, n := mx.NumExamples(), mx.NumFuncs()
+	rec := dfs.Record{Rows: m, Names: names}
+	for s := 0; s < shards; s++ {
+		rows := shardRows(m, s, shards)
+		buf := make([]byte, 24+rows*n)
+		copy(buf, "DBV1")
+		binary.LittleEndian.PutUint32(buf[4:], uint32(n))
+		binary.LittleEndian.PutUint32(buf[8:], uint32(rows))
+		binary.LittleEndian.PutUint64(buf[16:], 7)
+		for k := 0; k < rows; k++ {
+			if err := labelmodel.EncodeVotes(buf[24+k*n:24+(k+1)*n], mx.Row(s+k*shards)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sum := crc32.ChecksumIEEE(buf[24:])
+		binary.LittleEndian.PutUint32(buf[12:], sum)
+		rec.Shards = append(rec.Shards, dfs.ShardSum{Size: int64(len(buf)), Digest: sum})
+		if err := dfs.PublishShard(fs, base, s, shards, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	v1 := struct {
+		dfs.Record
+		Generation uint64 `json:"generation"`
+	}{rec.Sealed(), 7}
+	if _, err := dfs.WriteJSON(fs, dfs.RecordPath(base), v1); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// writeV1Generation writes a generation as stores did before a generation
+// was one record: a manifest at the bare key, after its votes as a ".data"
+// set (none for a deletions-only generation).
+func writeV1Generation(t *testing.T, fs dfs.FS, key string, gen, startRow int, mx *labelmodel.Matrix, names []string, deleted []int) {
+	t.Helper()
+	rows := 0
+	if mx != nil {
+		rows = mx.NumExamples()
+		writeV1Set(t, fs, key+".data", mx, names, 2)
+	}
+	manifest := map[string]any{"gen": gen, "names": names, "start_row": startRow, "rows": rows, "shards": 2, "deleted": deleted}
+	if _, err := dfs.WriteJSON(fs, key, manifest); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestParentLayoutIsRefused: a store written before a generation was its
+// shards and one commit record — "DBV1" shards, manifests at bare keys and
+// ".data" sets — is refused by every read with an error naming one of its
+// files, never read as a shorter chain (its manifests skipped as strays), and
+// staging a new base clears it.
+func TestParentLayoutIsRefused(t *testing.T) {
+	names := []string{"a", "b"}
+	segment := path.Join(genDir(storeBase), "00000-00001-00000000000000aa")
+	for _, tc := range []struct {
+		what  string
+		chain bool // generations stand over the flat artifact, if any
+		write func(t *testing.T, fs dfs.FS)
+	}{
+		{"after a run", true, func(t *testing.T, fs dfs.FS) {
+			writeV1Generation(t, fs, segment, 0, 0, randomVotes(t, 10, 2, 1), names, nil)
+		}},
+		{"after a run and a delta", true, func(t *testing.T, fs dfs.FS) {
+			writeV1Generation(t, fs, segment, 0, 0, randomVotes(t, 10, 2, 1), names, nil)
+			writeV1Generation(t, fs, genBase(storeBase, 1), 1, 10, randomVotes(t, 4, 2, 2), names, []int{3})
+		}},
+		{"compacted", false, func(t *testing.T, fs dfs.FS) {
+			writeV1Set(t, fs, storeBase, randomVotes(t, 10, 2, 1), names, 2)
+		}},
+		{"compacted, then a deletions-only delta", true, func(t *testing.T, fs dfs.FS) {
+			writeV1Set(t, fs, storeBase, randomVotes(t, 10, 2, 1), names, 2)
+			writeV1Generation(t, fs, genBase(storeBase, 1), 1, 10, nil, names, []int{3})
+		}},
+	} {
+		t.Run(tc.what, func(t *testing.T) {
+			fs := dfs.NewMem()
+			tc.write(t, fs)
+			files, err := fs.List(storeBase)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, loadErr := docExecutor(fs).LoadMatrix(names)
+			_, _, readErr := ReadVotes(fs, storeBase, names)
+			_, verifyErr := VerifyVotes(fs, storeBase)
+			_, _, viewErr := LoadView(fs, storeBase, names, nil)
+			refusals := map[string]error{"LoadMatrix": loadErr, "ReadVotes": readErr, "VerifyVotes": verifyErr, "LoadView": viewErr}
+			if tc.chain { // a fold with no chain reads nothing
+				_, refusals["CompactView"] = CompactView(fs, storeBase, 2, nil)
+			}
+			for entry, err := range refusals {
+				if err == nil || !slices.ContainsFunc(files, func(f string) bool { return strings.Contains(err.Error(), f+" ") }) {
+					t.Errorf("%s = %v, want an error naming one of %v", entry, err, files)
+				}
+			}
+			if HasVotes(fs, storeBase) {
+				t.Error("HasVotes reads the store")
+			}
+			if err := DropGenerations(fs, storeBase, true); err != nil {
+				t.Fatal(err)
+			}
+			if left, err := fs.List(storeBase); err != nil || len(left) != 0 {
+				t.Errorf("staging a new base left %v (%v)", left, err)
+			}
+		})
+	}
+	// Listing alone refuses the older layout's generations.
+	fs := dfs.NewMem()
+	writeV1Generation(t, fs, genBase(storeBase, 1), 1, 0, nil, names, []int{0})
+	if _, err := LatestGeneration(fs, storeBase); err == nil || !strings.Contains(err.Error(), genBase(storeBase, 1)+" ") {
+		t.Errorf("LatestGeneration = %v, want an error naming %s", err, genBase(storeBase, 1))
 	}
 }

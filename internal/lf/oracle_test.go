@@ -15,8 +15,8 @@ import (
 // HasGenerations reports whether any vote generation — a generation-0
 // segment or a delta — is published at base.
 func HasGenerations(fs dfs.FS, base string) bool {
-	ms, err := listManifests(fs, base)
-	return err == nil && len(ms) > 0
+	keys, _, err := listKeys(fs, base, true)
+	return err == nil && len(keys) > 0
 }
 
 // VoteNames returns the store's column union, as the plan of its whole chain
@@ -105,7 +105,7 @@ func mergeVotesAt(old *labelmodel.Matrix, oldNames []string, mx *labelmodel.Matr
 // their keys and merged over base rows [0, m), after the flat artifact and
 // before the deltas.
 func oracleReadVersioned(fs dfs.FS, base string, names []string) (*labelmodel.Matrix, []string, error) {
-	gens, err := listManifests(fs, base)
+	keys, _, err := listKeys(fs, base, true)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -119,12 +119,16 @@ func oracleReadVersioned(fs dfs.FS, base string, names []string) (*labelmodel.Ma
 		total = view.NumExamples()
 	}
 	deleted := make(map[int]bool)
-	for _, g := range gens {
+	for _, k := range keys {
+		g, err := dfs.ReadRecord(fs, k.path(base))
+		if err != nil {
+			return nil, nil, err
+		}
 		if g.StartRow > total {
-			return nil, nil, fmt.Errorf("oracle: generation %d starts at row %d, beyond %d", g.Gen, g.StartRow, total)
+			return nil, nil, fmt.Errorf("oracle: generation %v starts at row %d, beyond %d", k, g.StartRow, total)
 		}
 		if g.Rows > 0 {
-			mx, gnames, err := oracleReadSegment(fs, g.key+".data")
+			mx, gnames, err := oracleReadSegment(fs, k.path(base))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -136,7 +140,7 @@ func oracleReadVersioned(fs dfs.FS, base string, names []string) (*labelmodel.Ma
 		}
 		for _, d := range g.Deleted {
 			if d >= total {
-				return nil, nil, fmt.Errorf("oracle: generation %d tombstones row %d, beyond %d", g.Gen, d, total)
+				return nil, nil, fmt.Errorf("oracle: generation %v tombstones row %d, beyond %d", k, d, total)
 			}
 			deleted[d] = true
 		}

@@ -1,7 +1,6 @@
 package lf
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -73,7 +72,7 @@ func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS, appendOdds int, p
 		published()
 	}
 	for gen, gens := 1, 1+rng.Intn(8); gen <= gens; gen++ {
-		meta := GenerationMeta{Gen: gen, Names: randomColumns(rng, pool), Shards: 1 + rng.Intn(4)}
+		meta, shards := dfs.Record{Names: randomColumns(rng, pool)}, 1+rng.Intn(4)
 		rows := 1 + rng.Intn(10)
 		switch kind := rng.Intn(4); {
 		case total == 0 || kind < appendOdds: // append
@@ -101,7 +100,7 @@ func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS, appendOdds int, p
 		} else if len(meta.Deleted) == 0 {
 			continue // nothing to publish; generation numbers may skip
 		}
-		if err := WriteGeneration(fs, storeBase, meta, mx); err != nil {
+		if err := WriteGeneration(fs, storeBase, gen, mx, shards, meta); err != nil {
 			t.Fatalf("generation %d: %v", gen, err)
 		}
 		published()
@@ -253,14 +252,9 @@ func TestScanMatchesOracleOnGeneratedChains(t *testing.T) {
 		}
 		if hadChain && fmt.Sprint(follow.names) == fmt.Sprint(union) {
 			foldedFromView++
-			// Each manifest is read by the listing and by the plan, which
-			// also asks for every commit record; a shard is one read more.
-			metadata := 1 + 2*len(follow.view.gens)
-			for _, g := range follow.view.gens {
-				if g.data != 0 {
-					metadata++
-				}
-			}
+			// The plan reads the flat artifact's commit record (or finds
+			// none) and each generation's; a shard is one read more.
+			metadata := 1 + len(follow.view.gens)
 			if counted.reads != metadata {
 				t.Fatalf("%s: fold from a caught-up view of the stored columns made %d reads, the metadata is %d", what, counted.reads, metadata)
 			}
@@ -296,24 +290,9 @@ func TestScanMatchesOracleOnGeneratedChains(t *testing.T) {
 	}
 }
 
-// rewriteManifest applies edit to generation gen's manifest and re-seals it
-// with a valid checksum, so the edit reaches the checks behind the CRC.
-func rewriteManifest(t *testing.T, fs dfs.FS, gen int, edit func(*GenerationMeta)) {
-	t.Helper()
-	key := genManifestPath(storeBase, gen)
-	var meta GenerationMeta
-	if _, err := dfs.ReadJSON(fs, key, &meta); err != nil {
-		t.Fatal(err)
-	}
-	edit(&meta)
-	if err := dfs.WriteJSON(fs, key, meta); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // rewriteShard applies edit to a stored shard and re-seals its payload
-// checksum, in the shard and as its digest in the commit record, so the edit
-// reaches the checks behind the CRC.
+// checksum, its digest in the commit record, so the edit reaches the checks
+// behind the CRC.
 func rewriteShard(t *testing.T, fs dfs.FS, shard string, edit func(data []byte) []byte) {
 	t.Helper()
 	data, err := fs.ReadFile(shard)
@@ -322,7 +301,6 @@ func rewriteShard(t *testing.T, fs dfs.FS, shard string, edit func(data []byte) 
 	}
 	data = edit(data)
 	sum := crc32.ChecksumIEEE(data[voteShardHeaderSize:])
-	binary.LittleEndian.PutUint32(data[12:16], sum)
 	if err := fs.WriteFile(shard, data); err != nil {
 		t.Fatal(err)
 	}
@@ -340,7 +318,7 @@ func rewriteRecord(t *testing.T, fs dfs.FS, base string, edit func(*dfs.Record))
 		t.Fatal(err)
 	}
 	edit(rec)
-	if err := dfs.WriteRecord(fs, base, *rec); err != nil {
+	if _, err := dfs.WriteRecord(fs, base, *rec); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -353,7 +331,7 @@ func rewriteRecord(t *testing.T, fs dfs.FS, base string, edit func(*dfs.Record))
 func TestEveryStoredByteCheckStillFires(t *testing.T) {
 	names := []string{"a", "b", "c"}
 	flatShard := dfs.ShardPath(storeBase, 1, 4)
-	genShard := dfs.ShardPath(genDataBase(storeBase, 1), 2, 3)
+	genShard := dfs.ShardPath(genBase(storeBase, 1), 2, 3)
 	corrupt := func(path string, offset int) func(*testing.T, *dfs.Mem) {
 		return func(t *testing.T, fs *dfs.Mem) {
 			if err := fs.Corrupt(path, offset); err != nil {
@@ -369,10 +347,20 @@ func TestEveryStoredByteCheckStillFires(t *testing.T) {
 		// One flipped byte.
 		{"shard CRC (flat payload byte)", corrupt(flatShard, voteShardHeaderSize+2), "checksum mismatch"},
 		{"shard magic (generation shard header)", corrupt(genShard, 1), "bad magic"},
-		{"shard columns (generation shard header)", corrupt(genShard, 4), "columns, commit record says"},
-		{"shard write generation", corrupt(flatShard, 17), "another write generation"},
 		{"votes.meta unreadable", corrupt(dfs.RecordPath(storeBase), 40), "is corrupt"},
-		{"manifest CRC (flipped byte)", corrupt(genManifestPath(storeBase, 2), 10), "is corrupt"},
+		{"manifest CRC (flipped byte)", corrupt(dfs.RecordPath(genBase(storeBase, 2)), 10), "is corrupt"},
+		// A shard of the same size from another write of the same rows.
+		{"shard from another write", func(t *testing.T, fs *dfs.Mem) {
+			other := dfs.NewMem()
+			writeGen(t, other, storeBase, 1, 40, 9, names, []int{3}, 99)
+			data, err := other.ReadFile(genShard)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile(genShard, data); err != nil {
+				t.Fatal(err)
+			}
+		}, "does not match its commit record's digest"},
 		// Edits re-sealed behind their checksum.
 		{"meta degenerate", func(t *testing.T, fs *dfs.Mem) {
 			rewriteRecord(t, fs, storeBase, func(r *dfs.Record) { r.Shards = nil })
@@ -383,7 +371,7 @@ func TestEveryStoredByteCheckStillFires(t *testing.T) {
 				t.Fatal(err)
 			}
 			rec.Digest++
-			if err := dfs.WriteJSON(fs, dfs.RecordPath(storeBase), rec); err != nil {
+			if _, err := dfs.WriteJSON(fs, dfs.RecordPath(storeBase), rec); err != nil {
 				t.Fatal(err)
 			}
 		}, "does not match its own set digest"},
@@ -391,41 +379,41 @@ func TestEveryStoredByteCheckStillFires(t *testing.T) {
 			rewriteRecord(t, fs, storeBase, func(r *dfs.Record) { r.Names = nil })
 		}, "names no columns"},
 		{"meta shard count", func(t *testing.T, fs *dfs.Mem) {
-			rewriteRecord(t, fs, genDataBase(storeBase, 1), func(r *dfs.Record) { r.Shards = r.Shards[:2] })
-		}, "shard 0 of 2 is 33 bytes, not 5 rows"},
+			rewriteRecord(t, fs, genBase(storeBase, 1), func(r *dfs.Record) { r.Shards = r.Shards[:2] })
+		}, "00001-00000-of-00002 is 13 bytes, not 5 rows"},
 		{"meta row total", func(t *testing.T, fs *dfs.Mem) {
 			rewriteRecord(t, fs, storeBase, func(r *dfs.Record) { r.Rows = 41 })
-		}, "shard 0 of 4 is 54 bytes, not 11 rows"},
+		}, "votes-00000-of-00004 is 34 bytes, not 11 rows"},
 		{"record shard size", func(t *testing.T, fs *dfs.Mem) {
 			rewriteRecord(t, fs, storeBase, func(r *dfs.Record) { r.Shards[1].Size-- })
-		}, "shard 1 of 4 is 53 bytes"},
+		}, "votes-00001-of-00004 is 33 bytes"},
 		{"record shard digest", func(t *testing.T, fs *dfs.Mem) {
-			rewriteRecord(t, fs, genDataBase(storeBase, 2), func(r *dfs.Record) { r.Shards[2].Digest++ })
+			rewriteRecord(t, fs, genBase(storeBase, 2), func(r *dfs.Record) { r.Shards[2].Digest++ })
 		}, "does not match its commit record's digest"},
 		{"shard payload size", func(t *testing.T, fs *dfs.Mem) {
 			rewriteShard(t, fs, flatShard, func(d []byte) []byte { return d[:len(d)-1] })
 		}, "does not match its commit record"},
-		{"shard row count", func(t *testing.T, fs *dfs.Mem) {
-			rewriteShard(t, fs, flatShard, func(d []byte) []byte { d[8]++; return d })
-		}, "holds 11 rows, commit record says 10"},
 		{"vote byte range", func(t *testing.T, fs *dfs.Mem) {
 			rewriteShard(t, fs, genShard, func(d []byte) []byte { d[voteShardHeaderSize+1] = 5; return d })
 		}, "stored vote byte 5 out of range"},
+		// A generation's record is its manifest: its key finds its shards.
 		{"manifest key", func(t *testing.T, fs *dfs.Mem) {
-			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.Gen = 3 })
-		}, "claims generation 3"},
+			if err := fs.Rename(dfs.RecordPath(genBase(storeBase, 2)), dfs.RecordPath(genBase(storeBase, 3))); err != nil {
+				t.Fatal(err)
+			}
+		}, "labels/votes/_gen/00003"},
 		{"manifest degenerate", func(t *testing.T, fs *dfs.Mem) {
-			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.Shards = 0 })
+			rewriteRecord(t, fs, genBase(storeBase, 2), func(r *dfs.Record) { r.Shards = nil })
 		}, "is degenerate"},
 		{"generation gap", func(t *testing.T, fs *dfs.Mem) {
-			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.StartRow = 60 })
+			rewriteRecord(t, fs, genBase(storeBase, 2), func(r *dfs.Record) { r.StartRow = 60 })
 		}, "starts at row 60"},
 		{"tombstone range", func(t *testing.T, fs *dfs.Mem) {
-			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.Deleted = []int{99} })
+			rewriteRecord(t, fs, genBase(storeBase, 2), func(r *dfs.Record) { r.Deleted = []int{99} })
 		}, "tombstones row 99"},
 		{"manifest rows vs segment", func(t *testing.T, fs *dfs.Mem) {
-			rewriteManifest(t, fs, 1, func(m *GenerationMeta) { m.Rows = 7 })
-		}, "holds 9 rows, manifest says 7"},
+			rewriteRecord(t, fs, genBase(storeBase, 1), func(r *dfs.Record) { r.Rows = 7 })
+		}, "00001-00001-of-00003 is 13 bytes, not 2 rows"},
 	} {
 		t.Run(tc.check, func(t *testing.T) {
 			fs := dfs.NewMem()
@@ -502,7 +490,7 @@ func TestOversizedRowClaimFailsTheRead(t *testing.T) {
 		t.Run("flat meta"+suffix, func(t *testing.T) {
 			fs, view := store(t)
 			rewriteRecord(t, fs, storeBase, claim(sized))
-			want := fmt.Sprintf("votes at %s: shard 0 of 2 is 28 bytes, not %d rows", storeBase, huge/2)
+			want := fmt.Sprintf("votes at %s: shard %s is 8 bytes, not %d rows", storeBase, dfs.ShardPath(storeBase, 0, 2), huge/2)
 			if sized {
 				want = fmt.Sprintf("votes at %s: dfs: %s is not staged: shard 0 of 2 does not match its commit record", storeBase, storeBase)
 			}
@@ -518,10 +506,9 @@ func TestOversizedRowClaimFailsTheRead(t *testing.T) {
 		t.Run("carried generation"+suffix, func(t *testing.T) {
 			fs, view := store(t)
 			writeGen(t, fs, storeBase, 1, 4, 3, names, nil, 2)
-			seg := genDataBase(storeBase, 1)
+			seg := genBase(storeBase, 1)
 			rewriteRecord(t, fs, seg, claim(sized))
-			rewriteManifest(t, fs, 1, func(m *GenerationMeta) { m.Rows = huge })
-			want := fmt.Sprintf("votes at %s: shard 0 of 3 is 26 bytes, not %d rows", seg, shardRows(huge, 0, 3))
+			want := fmt.Sprintf("votes at %s: shard %s is 6 bytes, not %d rows", seg, dfs.ShardPath(seg, 0, 3), shardRows(huge, 0, 3))
 			if sized {
 				want = fmt.Sprintf("votes at %s: dfs: %s is not staged: shard 0 of 3 does not match its commit record", seg, seg)
 			}
@@ -543,7 +530,7 @@ func TestOversizedRowClaimFailsTheRead(t *testing.T) {
 // touch — turns the read into a rebuild only if the metadata shows it.
 func TestCarriedViewChecksWhatItReads(t *testing.T) {
 	names := []string{"a", "b", "c"}
-	newShard := dfs.ShardPath(genDataBase(storeBase, 2), 1, 3)
+	newShard := dfs.ShardPath(genBase(storeBase, 2), 1, 3)
 	for _, tc := range []struct {
 		check  string
 		damage func(t *testing.T, fs *dfs.Mem)
@@ -558,14 +545,14 @@ func TestCarriedViewChecksWhatItReads(t *testing.T) {
 			rewriteShard(t, fs, newShard, func(d []byte) []byte { d[voteShardHeaderSize+4] = 5; return d })
 		}, "stored vote byte 5 out of range for \"b\""},
 		{"meta shard count", func(t *testing.T, fs *dfs.Mem) {
-			rewriteRecord(t, fs, genDataBase(storeBase, 2), func(r *dfs.Record) { r.Shards = r.Shards[:2] })
-		}, "shard 0 of 2 is 33 bytes, not 4 rows"},
+			rewriteRecord(t, fs, genBase(storeBase, 2), func(r *dfs.Record) { r.Shards = r.Shards[:2] })
+		}, "00002-00000-of-00002 is 13 bytes, not 4 rows"},
 		{"record shard digest", func(t *testing.T, fs *dfs.Mem) {
-			rewriteRecord(t, fs, genDataBase(storeBase, 2), func(r *dfs.Record) { r.Shards[1].Digest++ })
+			rewriteRecord(t, fs, genBase(storeBase, 2), func(r *dfs.Record) { r.Shards[1].Digest++ })
 		}, "does not match its commit record's digest"},
 		{"manifest rows vs segment", func(t *testing.T, fs *dfs.Mem) {
-			rewriteManifest(t, fs, 2, func(m *GenerationMeta) { m.Rows = 7 })
-		}, "holds 8 rows, manifest says 7"},
+			rewriteRecord(t, fs, genBase(storeBase, 2), func(r *dfs.Record) { r.Rows = 7 })
+		}, "00002-00001-of-00003 is 13 bytes, not 2 rows"},
 	} {
 		t.Run(tc.check, func(t *testing.T) {
 			fs := dfs.NewMem()
@@ -596,7 +583,7 @@ func TestCarriedViewChecksWhatItReads(t *testing.T) {
 	}
 
 	// Under the watermark: a flipped payload byte in a merged segment is not
-	// read again; a re-sealed manifest is metadata, and rebuilds.
+	// read again; a re-sealed generation record is metadata, and rebuilds.
 	fs := dfs.NewMem()
 	if err := WriteVotes(fs, storeBase, randomVotes(t, 40, 3, 1), names, 4); err != nil {
 		t.Fatal(err)
@@ -614,15 +601,16 @@ func TestCarriedViewChecksWhatItReads(t *testing.T) {
 	if err != nil || read.Rebuilt != "" || read.Rows != 8 || grown.Matrix.NumExamples() != 57 {
 		t.Fatalf("carried read over an unread damaged byte = %+v, %v", read, err)
 	}
-	rewriteManifest(t, fs, 1, func(m *GenerationMeta) { m.Deleted = []int{3} })
+	rewriteRecord(t, fs, genBase(storeBase, 1), func(r *dfs.Record) { r.Deleted = []int{3} })
 	if _, read, err := LoadView(fs, storeBase, names, grown); err == nil || read.Rebuilt != RebuiltChainChanged {
-		t.Fatalf("read over a changed merged manifest = %+v, %v; want a chain_changed rebuild that meets the damaged byte", read, err)
+		t.Fatalf("read over a changed merged record = %+v, %v; want a chain_changed rebuild that meets the damaged byte", read, err)
 	}
 }
 
 // TestLoadMatrixRejectsTruncatedManifest: a torn generation manifest used to
 // read as "no chain", so LoadMatrix returned the stale 10-row flat artifact
-// of a 14-row store without a word. It must fail naming the manifest.
+// of a 14-row store without a word. A torn generation record — the
+// generation's manifest — must fail naming the record.
 func TestLoadMatrixRejectsTruncatedManifest(t *testing.T) {
 	fs := dfs.NewMem()
 	names := []string{"a", "b"}
@@ -630,7 +618,7 @@ func TestLoadMatrixRejectsTruncatedManifest(t *testing.T) {
 		t.Fatal(err)
 	}
 	writeGen(t, fs, storeBase, 1, 10, 4, names, nil, 2)
-	key := genManifestPath(storeBase, 1)
+	key := dfs.RecordPath(genBase(storeBase, 1))
 	raw, err := fs.ReadFile(key)
 	if err != nil {
 		t.Fatal(err)
@@ -657,7 +645,7 @@ func TestAllRowsTombstonedIsAnError(t *testing.T) {
 	if err := WriteVotes(fs, storeBase, randomVotes(t, 3, 1, 1), names, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteGeneration(fs, storeBase, GenerationMeta{Gen: 1, Names: names, StartRow: 3, Shards: 1, Deleted: []int{0, 1, 2}}, nil); err != nil {
+	if err := WriteGeneration(fs, storeBase, 1, nil, 1, dfs.Record{Names: names, StartRow: 3, Deleted: []int{0, 1, 2}}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := docExecutor(fs).LoadMatrix(names); !errors.Is(err, ErrAllTombstoned) {
@@ -691,7 +679,7 @@ func TestLoadMatrixAllocatesTheViewOnce(t *testing.T) {
 	bases := []string{storeBase}
 	for gen := 1; gen <= 8; gen++ {
 		writeGen(t, fs, storeBase, gen, rows, 100, all, []int{gen, 1000 + gen}, int64(gen+1))
-		bases = append(bases, genDataBase(storeBase, gen))
+		bases = append(bases, genBase(storeBase, gen))
 		rows += 100
 	}
 	stored := int64(0)

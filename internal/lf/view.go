@@ -31,23 +31,20 @@ type View struct {
 	Matrix *labelmodel.Matrix
 	// Names are the matrix's columns, as requested from LoadView.
 	Names []string
-	// flat is the merged flat artifact's content-derived write generation (0
-	// without one) and gens the generations folded over it — generation-0
-	// segments, then deltas — in order: the watermark. A store whose plan
-	// does not start with exactly these holds something the matrix has not
-	// seen.
-	flat uint64
+	// flat is the merged flat artifact's record checksum (0 without one) and
+	// gens the generations folded over it — generation-0 segments, then
+	// deltas — in order: the watermark. A store whose plan does not start
+	// with exactly these holds something the matrix has not seen.
+	flat uint32
 	gens []genMark
 }
 
 // genMark identifies one merged generation: its number (0 for a
-// generation-0 segment), its manifest's CRC (row range, columns, tombstones)
-// and its data segment's content-derived write generation (0 for a
-// deletions-only generation).
+// generation-0 segment) and its commit record's checksum, which covers its
+// columns, rows, shard digests, row range and tombstones.
 type genMark struct {
-	gen  int
-	crc  uint32
-	data uint64
+	gen int
+	crc uint32
 }
 
 // Why LoadView could not carry the previous view, as ViewRead.Rebuilt and the
@@ -92,7 +89,7 @@ func LoadView(fs dfs.FS, base string, names []string, prev *View) (*View, ViewRe
 		if len(p.gens) == len(prev.gens) {
 			return prev, read, nil
 		}
-		p.segments = p.segments[p.gens[len(prev.gens)].firstSeg:]
+		p.segments = p.segments[len(p.segments)-len(p.gens)+len(prev.gens):]
 	}
 	read.Segments = len(p.segments)
 	for _, seg := range p.segments {

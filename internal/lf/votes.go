@@ -4,13 +4,14 @@
 //
 // A shard set stores a matrix once under its base: shard s holds the vote
 // rows of examples s, s+N, s+2N, … (the same round-robin layout as the staged
-// input), each row exactly n bytes, one byte per vote, with a CRC32 over the
-// payload. The set's commit record (dfs.Record) names the labeling functions
-// in column order, so a reader can select and reorder columns by name, and
-// gives the row count, the write generation and each shard's size and payload
-// CRC. Writers rent shard buffers from a pool. The flat artifact at
-// "<prefix>/votes" is one such set, written by compaction; every generation's
-// data segment is another (generations.go).
+// input), each row exactly n bytes, one byte per vote, after a 4-byte magic
+// and nothing else. The set's commit record (dfs.Record) holds everything
+// else: the labeling functions in column order, so a reader can select and
+// reorder columns by name; the row count; each shard's size and payload CRC,
+// which rejects a shard another write left behind; and, for a generation, its
+// row range and tombstones. Writers rent shard buffers from a pool. The flat
+// artifact at "<prefix>/votes" is one such set, written by compaction; every
+// generation is another (generations.go).
 //
 // Every read of the store — generation 0 alone (ReadVotes, the resume fast
 // path) or the whole chain (LoadMatrix, VerifyVotes, CompactView) — is the
@@ -37,11 +38,13 @@ import (
 	"repro/internal/par"
 )
 
-// votesMagic heads every columnar vote shard ("DryBell Votes v1").
-var votesMagic = [4]byte{'D', 'B', 'V', '1'}
+// votesMagic heads every columnar vote shard ("DryBell Votes v2"). Version 1
+// shards, which repeated their record's fields in a 24-byte header, are
+// refused.
+var votesMagic = [4]byte{'D', 'B', 'V', '2'}
 
-// voteShardHeaderSize is magic + numLFs + numRows + crc32 + generation.
-const voteShardHeaderSize = 24
+// voteShardHeaderSize is the magic's: all a shard holds besides its votes.
+const voteShardHeaderSize = 4
 
 // voteBufPool recycles shard payload buffers across WriteVotes calls, so
 // persisting votes allocates amortized nothing beyond what the filesystem
@@ -56,19 +59,26 @@ func WriteVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 	if mx == nil {
 		return fmt.Errorf("lf: WriteVotes with nil matrix")
 	}
-	return writeVotes(fs, base, mx, names, shards, voteGeneration(mx, names, shards))
+	_, err := writeVotes(fs, base, mx, shards, dfs.Record{Names: names})
+	return err
 }
 
-// writeVotes is WriteVotes with the write generation already derived. Shards
-// are encoded, checksummed and published concurrently, one pooled buffer per
-// worker; the commit record follows once every shard stands.
-func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int, gen uint64) error {
-	m, n := mx.NumExamples(), mx.NumFuncs()
-	if len(names) != n {
-		return fmt.Errorf("lf: WriteVotes got %d names for %d matrix columns", len(names), n)
+// writeVotes writes mx as the vote set at base, in shards shards, and commits
+// it with rec — whose Names label mx's columns, and whose StartRow and
+// Deleted a generation sets — returning the record committed. A nil mx is
+// zero rows. Shards are encoded, checksummed and published concurrently, one
+// pooled buffer per worker; the commit record follows once every shard
+// stands.
+func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, shards int, rec dfs.Record) (dfs.Record, error) {
+	m, n := 0, len(rec.Names)
+	if mx != nil {
+		m, n = mx.NumExamples(), mx.NumFuncs()
+	}
+	if len(rec.Names) != n {
+		return rec, fmt.Errorf("lf: WriteVotes got %d names for %d matrix columns", len(rec.Names), n)
 	}
 	if shards <= 0 {
-		return fmt.Errorf("lf: WriteVotes with %d shards", shards)
+		return rec, fmt.Errorf("lf: WriteVotes with %d shards", shards)
 	}
 	sums := make([]dfs.ShardSum, shards)
 	if err := par.Each(shards, par.Procs(), func(s int) error {
@@ -82,10 +92,7 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 			*bufp = buf
 		}
 		buf = buf[:need]
-		copy(buf[0:4], votesMagic[:])
-		binary.LittleEndian.PutUint32(buf[4:8], uint32(n))
-		binary.LittleEndian.PutUint32(buf[8:12], uint32(rows))
-		binary.LittleEndian.PutUint64(buf[16:24], gen)
+		copy(buf, votesMagic[:])
 		payload := buf[voteShardHeaderSize:]
 		for k := 0; k < rows; k++ {
 			row := mx.Row(s + k*shards)
@@ -97,29 +104,29 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, s
 			}
 		}
 		sums[s] = dfs.ShardSum{Size: int64(need), Digest: crc32.ChecksumIEEE(payload)}
-		binary.LittleEndian.PutUint32(buf[12:16], sums[s].Digest)
 		if err := dfs.PublishShard(fs, base, s, shards, buf); err != nil {
 			return fmt.Errorf("lf: write votes shard %d: %w", s, err)
 		}
 		return nil
 	}); err != nil {
-		return err
+		return rec, err
 	}
-	if err := dfs.WriteRecord(fs, base, dfs.Record{Rows: m, Shards: sums, Names: names, Generation: gen}); err != nil {
-		return fmt.Errorf("lf: commit votes: %w", err)
+	rec.Rows, rec.Shards = m, sums
+	rec, err := dfs.WriteRecord(fs, base, rec)
+	if err != nil {
+		return rec, fmt.Errorf("lf: commit votes: %w", err)
 	}
 	// Drop shards left behind by an earlier write with a different shard
 	// count, which no reader looks at: the commit record names the set. The
 	// artifact is committed by now, and the next write drops any stray left.
 	_ = dfs.RemoveShards(fs, base, shards)
-	return nil
+	return rec, nil
 }
 
-// voteGeneration derives a shard set's write generation from its content:
-// shape, column names, and an FNV-1a digest of every vote. Writers of
-// different matrices stamp different generations — so a torn set is detected
-// at read time, and a generation-0 segment's key is its writer's own — while
-// identical content produces identical bytes, re-run after re-run.
+// voteGeneration is a generation-0 segment's content hash, the last part of
+// its key: shard count, column names, and an FNV-1a digest of every vote.
+// Writers of different matrices publish under different keys, while a re-run
+// of the same votes publishes under the same one.
 func voteGeneration(mx *labelmodel.Matrix, names []string, shards int) uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -144,7 +151,7 @@ func HasVotes(fs dfs.FS, base string) bool {
 
 // readVoteRecord reads the commit record of the vote shard set at base and
 // checks that it describes one: columns named, and every shard the size of a
-// header and its round-robin rows' votes, so a claim the sizes cannot back
+// magic and its round-robin rows' votes, so a claim the sizes cannot back
 // (2^40 rows over four) is refused before any view is sized from it. A
 // missing record is (nil, nil): only absence reads as an empty store.
 func readVoteRecord(fs dfs.FS, base string) (*dfs.Record, error) {
@@ -162,8 +169,8 @@ func readVoteRecord(fs dfs.FS, base string) (*dfs.Record, error) {
 	for s, sum := range rec.Shards {
 		rows, size := int64(shardRows(rec.Rows, s, nsh)), sum.Size-voteShardHeaderSize
 		if size < 0 || size%int64(n) != 0 || size/int64(n) != rows {
-			return nil, fmt.Errorf("lf: votes at %s: shard %d of %d is %d bytes, not %d rows of %d votes (commit record of %d rows)",
-				base, s, nsh, sum.Size, rows, n, rec.Rows)
+			return nil, fmt.Errorf("lf: votes at %s: shard %s is %d bytes, not %d rows of %d votes (commit record of %d rows)",
+				base, dfs.ShardPath(base, s, nsh), sum.Size, rows, n, rec.Rows)
 		}
 	}
 	return rec, nil
@@ -173,9 +180,8 @@ func readVoteRecord(fs dfs.FS, base string) (*dfs.Record, error) {
 // layout of m rows: those of rows s, s+n, s+2n, ….
 func shardRows(m, s, n int) int { return (m - s + n - 1) / n }
 
-// voteSegment is one stored shard set — the flat artifact or a generation's
-// data segment — and where its rows land in the store's absolute
-// (staging-order) row space.
+// voteSegment is one stored shard set — the flat artifact or a generation —
+// and where its rows land in the store's absolute (staging-order) row space.
 type voteSegment struct {
 	base     string
 	rec      *dfs.Record
@@ -187,8 +193,8 @@ type voteSegment struct {
 
 type colPair struct{ src, dst int }
 
-// votePlan is what a read of the vote store will do, decided from metadata
-// alone (commit records and generation manifests) before any shard is opened.
+// votePlan is what a read of the vote store will do, decided from its commit
+// records alone before any shard is opened.
 type votePlan struct {
 	base string
 	// segments stream oldest first, so a later segment's votes supersede an
@@ -199,10 +205,11 @@ type votePlan struct {
 	// names are the view's columns: the requested names, or the stored
 	// column union in first-seen order.
 	names []string
-	// flat is the flat artifact's write generation (0 without one) and gens
+	// flat is the flat artifact's record checksum (0 without one) and gens
 	// the generations over it — generation-0 segments, then deltas — in
-	// order: what a view read from this plan has merged (see View).
-	flat uint64
+	// order: what a view read from this plan has merged (see View). Each
+	// generation is one segment, the plan's last len(gens).
+	flat uint32
 	gens []planGen
 }
 
@@ -216,15 +223,13 @@ func (p *votePlan) view(mx *labelmodel.Matrix) *View {
 }
 
 // planGen is one generation of a plan: its identity in a watermark, what the
-// chain rule made of it, and where the plan's segments stood before it.
+// chain rule made of it, and its row count.
 type planGen struct {
 	genMark
 	// appended is Chain.Apply's report: rows at the chain's end and no
 	// tombstones, so every earlier view row survives verbatim.
 	appended bool
-	// rows is the generation's data segment size; firstSeg indexes that
-	// segment in the plan (the next generation's, when rows is zero).
-	rows, firstSeg int
+	rows     int
 }
 
 // planVotes plans a read of the store at base: generation 0 — the flat
@@ -239,41 +244,34 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 		return nil, err
 	}
 	if flat != nil {
+		if _, err := p.chain.Apply(0, flat.StartRow, flat.Rows, flat.Deleted); err != nil {
+			return nil, fmt.Errorf("lf: votes at %s: %w", base, err)
+		}
 		p.segments = append(p.segments, voteSegment{base: base, rec: flat})
-		p.chain.Rows = flat.Rows
-		p.flat = flat.Generation
+		p.flat = flat.Checksum
 	}
-	ms, err := listManifests(fs, base)
+	keys, _, err := listKeys(fs, base, true)
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range ms {
-		if g.Gen > 0 && !wholeChain {
+	for _, k := range keys {
+		if k.gen > 0 && !wholeChain {
 			break // the listing is in chain order: generation 0 is done
 		}
-		appended, err := p.chain.Apply(g.Gen, g.StartRow, g.Rows, g.Deleted)
+		seg := k.path(base)
+		rec, err := readVoteRecord(fs, seg)
+		if err == nil && rec == nil {
+			err = fmt.Errorf("lf: votes at %s: commit record vanished", seg)
+		}
 		if err != nil {
-			return nil, fmt.Errorf("lf: votes at %s: %w", base, err)
+			return nil, err
 		}
-		p.gens = append(p.gens, planGen{genMark{gen: g.Gen, crc: g.crc}, appended, g.Rows, len(p.segments)})
-		if g.Rows == 0 {
-			continue // deletions only: tombstones in the manifest, no data segment
-		}
-		rec, err := readVoteRecord(fs, g.key+".data")
+		appended, err := p.chain.Apply(k.gen, rec.StartRow, rec.Rows, rec.Deleted)
 		if err != nil {
-			return nil, fmt.Errorf("lf: vote generation %s: data segment: %w", g.key, err)
+			return nil, fmt.Errorf("lf: votes at %s: %w", seg, err)
 		}
-		if rec == nil {
-			return nil, fmt.Errorf("lf: vote generation %s: data segment is missing", g.key)
-		}
-		if rec.Rows != g.Rows {
-			return nil, fmt.Errorf("lf: vote generation %s holds %d rows, manifest says %d", g.key, rec.Rows, g.Rows)
-		}
-		if g.Gen == 0 && rec.Generation != g.at.hash {
-			return nil, fmt.Errorf("lf: vote generation %s: data segment is from another write generation", g.key)
-		}
-		p.gens[len(p.gens)-1].data = rec.Generation
-		p.segments = append(p.segments, voteSegment{base: g.key + ".data", rec: rec, startRow: g.StartRow})
+		p.gens = append(p.gens, planGen{genMark{k.gen, rec.Checksum}, appended, rec.Rows})
+		p.segments = append(p.segments, voteSegment{base: seg, rec: rec, startRow: rec.StartRow})
 	}
 	if len(p.segments) == 0 {
 		return nil, fmt.Errorf("lf: no vote artifact at %s (run ExecuteContext against this root first)", base)
@@ -283,7 +281,7 @@ func planVotes(fs dfs.FS, base string, wholeChain bool, names []string) (*votePl
 	stored := make(map[string]bool)
 	for _, seg := range p.segments {
 		for _, name := range seg.rec.Names {
-			if !stored[name] {
+			if !stored[name] && seg.rec.Rows > 0 { // a zero-row set stores no column
 				stored[name] = true
 				union = append(union, name)
 			}
@@ -344,9 +342,9 @@ func (p *votePlan) statShards(fs dfs.FS) error {
 }
 
 // scan is the one loop over stored vote shards. It streams every planned
-// segment, oldest first, through every stored-byte check — size, header,
-// write generation, row count and checksum against the commit record
-// (checkVoteShard), vote-byte range — and copies each live
+// segment, oldest first, through every stored-byte check — size, magic and
+// payload checksum against the commit record (checkVoteShard), vote-byte
+// range — and copies each live
 // row's planned columns straight from the shard payload into its view row. A
 // nil view verifies without materializing anything; a non-nil one must have a
 // row per live row of the chain and a column per planned column.
@@ -463,9 +461,9 @@ func VerifyVotes(fs dfs.FS, base string) ([]string, error) {
 	return p.names, p.scan(fs, nil)
 }
 
-// checkVoteShard validates shard s of the set rec commits — its size, header,
-// write generation, row count and checksum, and that the checksum is the one
-// rec holds for it — returning its row count.
+// checkVoteShard validates shard s of the set rec commits — its size, its
+// magic, and its payload's CRC against the digest rec holds for it —
+// returning its row count.
 func checkVoteShard(path string, data []byte, rec *dfs.Record, s int) (int, error) {
 	if int64(len(data)) != rec.Shards[s].Size {
 		return 0, fmt.Errorf("lf: votes shard %s is %d bytes: does not match its commit record (%d)", path, len(data), rec.Shards[s].Size)
@@ -473,22 +471,8 @@ func checkVoteShard(path string, data []byte, rec *dfs.Record, s int) (int, erro
 	if [4]byte(data[0:4]) != votesMagic {
 		return 0, fmt.Errorf("lf: votes shard %s has bad magic %q", path, data[0:4])
 	}
-	if got := int(binary.LittleEndian.Uint32(data[4:8])); got != len(rec.Names) {
-		return 0, fmt.Errorf("lf: votes shard %s holds %d columns, commit record says %d", path, got, len(rec.Names))
+	if crc32.ChecksumIEEE(data[voteShardHeaderSize:]) != rec.Shards[s].Digest {
+		return 0, fmt.Errorf("lf: votes shard %s checksum mismatch: its payload does not match its commit record's digest", path)
 	}
-	if got := binary.LittleEndian.Uint64(data[16:24]); got != rec.Generation {
-		return 0, fmt.Errorf("lf: votes shard %s is from another write generation (torn concurrent writes)", path)
-	}
-	rows := shardRows(rec.Rows, s, len(rec.Shards))
-	if got := int(binary.LittleEndian.Uint32(data[8:12])); got != rows {
-		return 0, fmt.Errorf("lf: votes shard %s holds %d rows, commit record says %d", path, got, rows)
-	}
-	sum := binary.LittleEndian.Uint32(data[12:16])
-	if crc32.ChecksumIEEE(data[voteShardHeaderSize:]) != sum {
-		return 0, fmt.Errorf("lf: votes shard %s checksum mismatch", path)
-	}
-	if sum != rec.Shards[s].Digest {
-		return 0, fmt.Errorf("lf: votes shard %s does not match its commit record's digest", path)
-	}
-	return rows, nil
+	return shardRows(rec.Rows, s, len(rec.Shards)), nil
 }

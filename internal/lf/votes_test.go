@@ -803,19 +803,18 @@ func TestWriteVotesShardCountChange(t *testing.T) {
 }
 
 // TestReadVotesDetectsTornGenerations: shards from two writes of different
-// content (interleaved concurrent writers) must be rejected, not mixed. The
-// generation is derived from the written content, so the tear is simulated
-// with two genuinely different matrices — identical re-writes are
-// indistinguishable by design (see TestWriteVotesDeterministic).
+// content (interleaved concurrent writers) must be rejected, not mixed: the
+// commit record's digest of each shard is derived from the written content,
+// so the tear is simulated with two genuinely different matrices — identical
+// re-writes are indistinguishable by design (see TestWriteVotesDeterministic).
 func TestReadVotesDetectsTornGenerations(t *testing.T) {
 	fs := dfs.NewMem()
 	mx := randomVotes(t, 24, 2, 13)
 	if err := WriteVotes(fs, "labels/votes", mx, []string{"a", "b"}, 4); err != nil {
 		t.Fatal(err)
 	}
-	// Steal one shard from this write, then write different votes (a new
-	// content generation) and splice the stale shard back in — simulating
-	// a torn set.
+	// Steal one shard from this write, then write different votes and splice
+	// the stale shard back in — simulating a torn set.
 	shard := dfs.ShardPath("labels/votes", 1, 4)
 	old, err := fs.ReadFile(shard)
 	if err != nil {
@@ -832,14 +831,14 @@ func TestReadVotesDetectsTornGenerations(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, _, err := ReadVotes(fs, "labels/votes", nil); err == nil ||
-		!strings.Contains(err.Error(), "generation") {
+		!strings.Contains(err.Error(), "does not match its commit record's digest") {
 		t.Fatalf("torn generations error = %v", err)
 	}
 }
 
 // TestWriteVotesDeterministic: re-running a pipeline over the same corpus
-// must re-create the vote artifact byte for byte — the write generation is
-// a content fingerprint, not a random number, so identical inputs produce
+// must re-create the vote artifact byte for byte — a vote set holds nothing
+// but its content, no random number or clock, so identical inputs produce
 // identical shard files run over run.
 func TestWriteVotesDeterministic(t *testing.T) {
 	mx := randomVotes(t, 37, 3, 7)

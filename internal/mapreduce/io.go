@@ -160,7 +160,8 @@ func (w *InputWriter) Commit() error {
 	if err := dfs.RemoveShards(w.fs, w.base, w.n); err != nil {
 		return err
 	}
-	return dfs.WriteRecord(w.fs, w.base, w.Record())
+	_, err := dfs.WriteRecord(w.fs, w.base, w.Record())
+	return err
 }
 
 // EachShard reads and decodes the shard set committed at base, handing visit

@@ -70,7 +70,8 @@ func taskOutputPath(scratch, taskID string) string {
 // missing manifest only costs a re-execution on resume, never correctness,
 // so callers ignore the error under fault injection.
 func writeManifest(fs dfs.FS, scratch string, m *manifest) error {
-	return dfs.WriteJSON(fs, manifestPath(scratch, m.Task), m)
+	_, err := dfs.WriteJSON(fs, manifestPath(scratch, m.Task), m)
+	return err
 }
 
 // loadManifests reads every manifest under the scratch area that matches the

@@ -342,7 +342,7 @@ func TestStagedCountAndOrder(t *testing.T) {
 		{Size: int64(len(one)), Digest: frameDigest(t, one)},
 		{Size: int64(len(three)), Digest: frameDigest(t, three)},
 	}}
-	if err := dfs.WriteRecord(fs, "in/bad", record); err != nil {
+	if _, err := dfs.WriteRecord(fs, "in/bad", record); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadStaged(fs, "in/bad"); err == nil || !strings.Contains(err.Error(), "inconsistent") {

@@ -1,7 +1,6 @@
 package serving
 
 import (
-	"encoding/json"
 	"fmt"
 	"path"
 	"sort"
@@ -22,7 +21,11 @@ import (
 // Layout under the prefix:
 //
 //	<prefix>/models/<name>/v000042.json   one staged artifact version
-//	<prefix>/models/<name>/live           decimal live version marker
+//	<prefix>/models/<name>/live           the live version's number
+//
+// Both are checksummed JSON files (dfs.WriteJSON), so a flipped byte in a
+// weight or in the marker fails the read naming the file instead of serving
+// changed weights or another version.
 //
 // Every read goes to the FS, so registries in different processes sharing
 // one FS observe each other's stages and promotions. The mutex serializes
@@ -84,11 +87,7 @@ func (r *FSRegistry) Stage(a *Artifact) (*Artifact, error) {
 	}
 	cp := *a
 	cp.Version = next
-	data, err := json.Marshal(&cp)
-	if err != nil {
-		return nil, fmt.Errorf("serving: encode %s v%d: %w", a.Name, next, err)
-	}
-	if err := r.fs.WriteFile(r.versionPath(a.Name, next), data); err != nil {
+	if _, err := dfs.WriteJSON(r.fs, r.versionPath(a.Name, next), &cp); err != nil {
 		return nil, fmt.Errorf("serving: stage %s v%d: %w", a.Name, next, err)
 	}
 	return &cp, nil
@@ -99,14 +98,16 @@ func (r *FSRegistry) Promote(name string, version int) error {
 	if err := checkName(name); err != nil {
 		return err
 	}
-	if _, err := r.artifact(name, version); err != nil {
+	if _, err := r.artifact(name, version); dfs.IsNotExist(err) {
 		return fmt.Errorf("serving: %s has no staged version %d", name, version)
+	} else if err != nil {
+		return err
 	}
 	return r.setLive(name, version)
 }
 
 func (r *FSRegistry) setLive(name string, version int) error {
-	if err := r.fs.WriteFile(r.livePath(name), []byte(strconv.Itoa(version))); err != nil {
+	if _, err := dfs.WriteJSON(r.fs, r.livePath(name), version); err != nil {
 		return fmt.Errorf("serving: mark %s v%d live: %w", name, version, err)
 	}
 	return nil
@@ -118,11 +119,16 @@ func (r *FSRegistry) Rollback(name string) error {
 		return err
 	}
 	cur, err := r.liveVersion(name)
-	if err != nil || cur <= 1 {
+	if err != nil {
+		return err
+	}
+	if cur <= 1 {
 		return fmt.Errorf("serving: %s has no version to roll back to", name)
 	}
-	if _, err := r.artifact(name, cur-1); err != nil {
+	if _, err := r.artifact(name, cur-1); dfs.IsNotExist(err) {
 		return fmt.Errorf("serving: rollback target %s v%d is not staged", name, cur-1)
+	} else if err != nil {
+		return err
 	}
 	return r.setLive(name, cur-1)
 }
@@ -134,31 +140,34 @@ func (r *FSRegistry) Live(name string) (*Artifact, error) {
 	}
 	v, err := r.liveVersion(name)
 	if err != nil {
+		return nil, err
+	}
+	if v == 0 {
 		return nil, fmt.Errorf("serving: %s has no live version", name)
 	}
 	return r.artifact(name, v)
 }
 
+// liveVersion returns the model line's live version, 0 when none is marked.
 func (r *FSRegistry) liveVersion(name string) (int, error) {
-	data, err := r.fs.ReadFile(r.livePath(name))
-	if err != nil {
+	var v int
+	if _, err := dfs.ReadJSON(r.fs, r.livePath(name), &v); dfs.IsNotExist(err) {
+		return 0, nil
+	} else if err != nil {
 		return 0, err
 	}
-	v, err := strconv.Atoi(strings.TrimSpace(string(data)))
-	if err != nil || v < 1 {
-		return 0, fmt.Errorf("serving: corrupt live marker for %s: %q", name, data)
+	if v < 1 {
+		return 0, fmt.Errorf("serving: live marker %s names version %d", r.livePath(name), v)
 	}
 	return v, nil
 }
 
+// artifact reads one staged version; a missing one is the filesystem's
+// error, as is, so dfs.IsNotExist tells absence from damage.
 func (r *FSRegistry) artifact(name string, version int) (*Artifact, error) {
-	data, err := r.fs.ReadFile(r.versionPath(name, version))
-	if err != nil {
-		return nil, err
-	}
 	var a Artifact
-	if err := json.Unmarshal(data, &a); err != nil {
-		return nil, fmt.Errorf("serving: decode %s v%d: %w", name, version, err)
+	if _, err := dfs.ReadJSON(r.fs, r.versionPath(name, version), &a); err != nil {
+		return nil, err
 	}
 	return &a, nil
 }

@@ -2,6 +2,7 @@ package serving
 
 import (
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 
@@ -154,6 +155,56 @@ func TestFSRegistryRejectsBadNames(t *testing.T) {
 	if want := []string{"serving/models/m/live", "serving/models/m/v000001.json"}; !slices.Equal(paths, want) {
 		t.Errorf("files = %v, want %v", paths, want)
 	}
+}
+
+// TestFSRegistryRefusesChangedBytes: an artifact or live marker whose bytes
+// changed after they were written — here one digit of a weight, then of the
+// marker — still parses as JSON, so the registry used to serve the changed
+// weights, or another version, without a word. Every read of it must fail
+// naming the file.
+func TestFSRegistryRefusesChangedBytes(t *testing.T) {
+	fs := dfs.NewMem()
+	reg, _ := OpenFSRegistry(fs, "serving")
+	for range 2 {
+		if _, err := reg.Stage(artifactFixture("m")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := reg.Promote("m", 2); err != nil {
+		t.Fatal(err)
+	}
+	flip := func(path, from, to string) {
+		t.Helper()
+		raw, err := fs.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		changed := strings.Replace(string(raw), from, to, 1)
+		if changed == string(raw) {
+			t.Fatalf("%s holds no %q", path, from)
+		}
+		if err := fs.WriteFile(path, []byte(changed)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	expectNamed := func(what string, err error, path string) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), path) {
+			t.Errorf("%s = %v, want an error naming %s", what, err, path)
+		}
+	}
+
+	artifact := "serving/models/m/v000002.json"
+	flip(artifact, "2.5", "3.5")
+	_, err := reg.Live("m")
+	expectNamed("Live", err, artifact)
+	expectNamed("Promote", reg.Promote("m", 2), artifact)
+
+	marker := "serving/models/m/live"
+	flip(marker, `"body":2`, `"body":1`)
+	_, err = reg.Live("m")
+	expectNamed("Live", err, marker)
+	expectNamed("Rollback", reg.Rollback("m"), marker)
 }
 
 // TestFSRegistrySurvivesRestart is the daemon-restart story: a fresh

@@ -36,10 +36,12 @@ import (
 // Compact is not crash-safe. A crash while it restages the base input leaves
 // the base without its commit record, and every later Compact and StageDelta
 // fails: the base is not staged; a crash while it writes the flat vote
-// artifact can leave shards of two write generations, which no longer load;
-// and a crash just after can leave the new flat artifact under the old delta
-// manifests, a wrong view that loads without error and that a retried Compact
-// persists.
+// artifact can leave shards of two writes under one commit record, which no
+// longer load; and a crash just after can leave the new flat artifact under
+// the old delta generations, a wrong view that loads without error and that a
+// retried Compact persists. Killed after each filesystem operation (ROADMAP
+// item 5a's root), a second Compact of 67 operations shows the three windows
+// at operations 13–22, 53–59 and 60–62, and a first one of 73 at 13–22 and 64.
 //
 // The Pipeline's carried state stays valid — compaction changes the layout,
 // never the view — and pays for the fold: when the carried view holds exactly

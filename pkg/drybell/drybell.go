@@ -201,10 +201,10 @@ func (p *Pipeline[T]) LabelsPath() string { return path.Join(p.workDir, "output/
 
 // VotesBase returns the DFS base path of the vote store ExecuteLFs appends
 // to. Each execution publishes its functions' votes as a generation-0 segment
-// under "<base>/_gen/" — a sharded, byte-per-vote matrix whose ".commit"
-// record names the columns and checksums the shards, next to a checksummed
-// manifest — and never rewrites another's; Compact folds the store into one
-// such matrix at the base itself.
+// under "<base>/_gen/" — a sharded, byte-per-vote matrix and the one ".commit"
+// record that names its columns, gives its row range and checksums its
+// shards — and never rewrites another's; each delta round publishes one more
+// such set, and Compact folds the store into one at the base itself.
 func (p *Pipeline[T]) VotesBase() string { return path.Join(p.votesPrefix(), "votes") }
 
 // votesPrefix is the DFS prefix of vote state, the executor's output prefix.
@@ -695,8 +695,8 @@ func (p *Pipeline[T]) Analyze(matrix *Matrix, metas []Meta) (*Analysis, error) {
 // vote store at VotesBase: the segments ExecuteLFs appended (or the flat
 // artifact Compact folded) and every generation IncrementalRun published over
 // them, with tombstoned rows dropped. A name the store has no column for is
-// an error listing the stored columns, and a corrupt manifest or shard fails
-// the load rather than being skipped.
+// an error listing the stored columns, and a corrupt commit record or shard
+// fails the load rather than being skipped.
 func (p *Pipeline[T]) LoadMatrix(names []string) (*Matrix, error) {
 	return p.executor().LoadMatrix(names)
 }

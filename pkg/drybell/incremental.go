@@ -199,7 +199,7 @@ func (p *Pipeline[T]) stageDelta(ctx context.Context, src Source[T], startRow in
 	if _, err := chain.Apply(g.Gen, g.StartRow, g.Records, g.Deleted); err != nil {
 		return CorpusGeneration{}, fmt.Errorf("drybell: corpus delta: %w", err)
 	}
-	if err := dfs.WriteJSON(p.fs, p.corpusManifestPath(), corpusManifest{Generations: append(gens, g)}); err != nil {
+	if _, err := dfs.WriteJSON(p.fs, p.corpusManifestPath(), corpusManifest{Generations: append(gens, g)}); err != nil {
 		return CorpusGeneration{}, fmt.Errorf("drybell: write corpus manifest: %w", err)
 	}
 	return g, nil
@@ -263,11 +263,11 @@ type IncrementalResult struct {
 //
 // The Pipeline carries two caches from round to round — the only Pipeline
 // state that lives in memory rather than on the filesystem: the merged vote
-// view, with a watermark of exactly what it merged (the flat artifact's write
-// generation and each folded generation's manifest), and the label model's
-// warm-start state over that view. Run is the first round: it leaves the view
-// it published and its training state, so the first IncrementalRun after it
-// reads and compacts only its delta. A round first confirms from the store's
+// view, with a watermark of exactly what it merged (the checksums of the
+// flat artifact's and each folded generation's commit records), and the label
+// model's warm-start state over that view. Run is the first round: it leaves
+// the view it published and its training state, so the first IncrementalRun
+// after it reads and compacts only its delta. A round first confirms from the store's
 // metadata that the watermark is a prefix of the generation chain and that
 // everything after it appends rows under the same functions in the same
 // order; it then reads only the newer

@@ -218,7 +218,7 @@ func TestIncrementalRunRejectsTruncatedManifest(t *testing.T) {
 	if _, err := p.IncrementalRun(ctx, lfs); err != nil {
 		t.Fatal(err)
 	}
-	key := "drybell/labels/votes/_gen/00001"
+	key := "drybell/labels/votes/_gen/00001.commit"
 	raw, err := fs.ReadFile(key)
 	if err != nil {
 		t.Fatal(err)

@@ -203,7 +203,7 @@ func TestExecuteTailObservable(t *testing.T) {
 		attrs map[string]any
 	}{
 		{"lf.assemble", map[string]any{"rows": int64(300), "shards": int64(4), "workers": int64(3)}},
-		{"lf.publish", map[string]any{"shards": int64(4), "bytes": int64(4*24 + 300*len(lfs))}},
+		{"lf.publish", map[string]any{"shards": int64(4), "bytes": int64(4*4 + 300*len(lfs))}}, // a 4-byte magic per shard
 	} {
 		got := spansNamed(spans, tc.name)
 		if len(got) != 1 {
