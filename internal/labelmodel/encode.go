@@ -79,29 +79,3 @@ func DecodeVotes(dst []Label, src []byte) int {
 	}
 	return -1
 }
-
-// Fingerprint returns a deterministic FNV-1a digest of the matrix's
-// dimensions and every vote. Artifact writers fold it into their write
-// generation, so re-running a pipeline over the same corpus re-creates
-// byte-identical artifacts while torn interleaved writes of different
-// content still get distinct generations.
-func (mx *Matrix) Fingerprint() uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	mix := func(v uint64) {
-		for shift := 0; shift < 64; shift += 8 {
-			h ^= (v >> shift) & 0xff
-			h *= prime64
-		}
-	}
-	mix(uint64(mx.m))
-	mix(uint64(mx.n))
-	for _, v := range mx.data {
-		h ^= uint64(byte(v)) //drybellvet:rawvote — digest input, never persisted as a vote
-		h *= prime64
-	}
-	return h
-}

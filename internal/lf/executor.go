@@ -3,7 +3,9 @@ package lf
 import (
 	"context"
 	"fmt"
+	"hash/crc32"
 	"path"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -19,11 +21,11 @@ import (
 // Executor runs a set of labeling functions over a DFS-staged corpus and
 // assembles the label matrix. Every ExecuteContext is one fused map-only job: each
 // task decodes its input shard once, evaluates the whole function set over
-// the decoded records, and emits one packed vote row per record, so votes
-// stay aligned with input records. The assembled matrix is appended to the
-// vote store as a generation-0 segment (see generations.go) — nothing stored
-// is read, merged or rewritten — and LoadMatrix restores it without
-// re-running anything.
+// the decoded records, and emits its vote shard, one packed vote row per
+// record, so votes stay aligned with input records. The shards are appended
+// as emitted to the vote store, a generation-0 segment (generations.go) —
+// nothing stored is read, merged or rewritten — and LoadMatrix restores the
+// matrix without re-running anything.
 //
 // DryBell's deployment shape — one independent executable per labeling
 // function, sharing data through the filesystem (§5.4) — is this same engine
@@ -212,7 +214,7 @@ func (e *Executor[T]) ExecuteDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Delta, gen int) (*labelmodel.Matrix, *Report, error) {
 	var matrix *labelmodel.Matrix
 	report := &Report{PerLF: make([]LFReport, len(lfs))}
-	nsh := 1
+	set := matrixSet(nil, 1, dfs.Record{Names: lfapi.Names(lfs)})
 	if d.InputBase == "" {
 		if len(d.Deleted) == 0 {
 			return nil, nil, fmt.Errorf("lf: delta has no staged input and no deletions")
@@ -229,13 +231,13 @@ func (e *Executor[T]) executeDelta(ctx context.Context, lfs []lfapi.LF[T], d Del
 		// Per-generation scratch: delta jobs must never collide with the base
 		// run's checkpoints (same ResumeKey, different corpus).
 		scratch := path.Join(e.scratch(), fmt.Sprintf("gen-%05d", gen))
-		matrix, report, _, nsh, err = e.runFused(ctx, lfs, d.InputBase, scratch)
+		matrix, report, set, err = e.runFused(ctx, lfs, d.InputBase, scratch)
 		if err != nil {
 			return nil, nil, err
 		}
 	}
-	rec := dfs.Record{Names: lfapi.Names(lfs), StartRow: d.StartRow, Deleted: d.Deleted}
-	if err := WriteGeneration(e.FS, e.votesBase(), gen, matrix, nsh, rec); err != nil {
+	set.rec.StartRow, set.rec.Deleted = d.StartRow, d.Deleted
+	if err := publishGeneration(e.FS, e.votesBase(), gen, set); err != nil {
 		return nil, nil, err
 	}
 	return matrix, report, nil
@@ -296,47 +298,47 @@ func (e *Executor[T]) resumeFromVotes(lfs []lfapi.LF[T]) (*View, *Report, bool) 
 func (e *Executor[T]) scratch() string { return path.Join(e.OutputPrefix, "_runtime") }
 
 // resumeKeyFor fingerprints the executed function set (order matters: it
-// fixes the columnar row layout), so checkpoints from a different set are
-// never reused.
+// fixes the columnar row layout) and the vote-shard output, so checkpoints of
+// a different set, or of one vote row per value, are never reused.
 func resumeKeyFor(names []string) string {
-	return "lfs:" + strings.Join(names, "\x1f")
+	return "vote-blocks:" + strings.Join(names, "\x1f")
 }
 
 // executeFused runs every labeling function inside one map-only job (see
-// runFused) and appends the votes as a generation-0 segment. It returns them
-// at the post-commit plan's watermark when that segment is all of generation
-// 0, and with none otherwise (the next round rebuilds): nothing is read back.
+// runFused) and appends the tasks' vote shards as a generation-0 segment. It
+// returns the votes at the post-commit plan's watermark when that segment is
+// all of generation 0, and with none otherwise: nothing is read back.
 func (e *Executor[T]) executeFused(ctx context.Context, lfs []lfapi.LF[T]) (*View, *Report, error) {
-	matrix, report, names, nsh, err := e.runFused(ctx, lfs, e.InputBase, e.scratch())
+	matrix, report, set, err := e.runFused(ctx, lfs, e.InputBase, e.scratch())
 	if err != nil {
 		return nil, nil, err
 	}
-	_, span := obs.StartSpan(ctx, "lf.publish", obs.Int("shards", nsh),
-		obs.Int("bytes", nsh*voteShardHeaderSize+matrix.NumExamples()*matrix.NumFuncs()))
-	k, err := publishSegment(e.FS, e.votesBase(), matrix, names, nsh)
+	_, span := obs.StartSpan(ctx, "lf.publish", obs.Int("shards", set.shards),
+		obs.Int("bytes", set.shards*voteShardHeaderSize+matrix.NumExamples()*matrix.NumFuncs()))
+	k, err := publishSegment(e.FS, e.votesBase(), set)
 	span.EndErr(err)
 	if err != nil {
 		return nil, nil, err
 	}
-	if p, err := planVotes(e.FS, e.votesBase(), false, names); err == nil && len(p.segments) == 1 && p.segments[0].base == k.path(e.votesBase()) {
+	if p, err := planVotes(e.FS, e.votesBase(), false, set.rec.Names); err == nil && len(p.segments) == 1 && p.segments[0].base == k.path(e.votesBase()) {
 		return p.view(matrix), report, nil
 	}
-	return &View{Matrix: matrix, Names: names}, report, nil
+	return &View{Matrix: matrix, Names: set.rec.Names}, report, nil
 }
 
 // runFused is the fused execution engine shared by full runs and delta runs:
 // one map-only job over inputBase in which each task decodes its shard once,
-// evaluates all functions over the decoded records, and emits one n-byte
-// columnar vote row per record. It assembles and returns the matrix without
-// publishing it — full runs append it as a generation-0 segment, delta runs
-// as a delta generation.
-func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase, scratchBase string) (*labelmodel.Matrix, *Report, []string, int, error) {
+// evaluates all functions over the decoded records, and emits its vote shard:
+// a block of n-byte columnar vote rows, one per record. It returns the blocks
+// and the matrix assembled from them unpublished — full runs append them as a
+// generation-0 segment, delta runs as a delta generation.
+func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase, scratchBase string) (*labelmodel.Matrix, *Report, voteSet, error) {
 	start := time.Now() //drybellvet:wallclock — report durations only, never persisted votes
 	report := &Report{PerLF: make([]LFReport, len(lfs))}
 	names := lfapi.Names(lfs)
 	fits, err := fitAll(ctx, lfs, e.FS, inputBase, e.Decode)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, voteSet{}, err
 	}
 
 	task := newFusedTask(ctx, lfs, e.Decode)
@@ -355,47 +357,16 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 		FailureHook: e.FailureHook,
 	})
 	if err != nil {
-		return nil, nil, nil, 0, fmt.Errorf("lf: execute: %w", err)
+		return nil, nil, voteSet{}, fmt.Errorf("lf: execute: %w", err)
 	}
 	report.TaskAttempts = res.Attempts
 	report.TasksResumed = res.SkippedTasks
 	report.ModelServersLaunched = res.Counters[serverCounter]
-	total := 0
-	for _, shard := range res.MapOutputs {
-		total += len(shard)
-	}
-	if total == 0 {
-		return nil, nil, nil, 0, fmt.Errorf("lf: staged corpus at %s is empty", inputBase)
-	}
-	// Task s emitted the rows of examples s, s+N, … for N tasks (the staged
-	// input's round-robin layout), so shards assemble into disjoint rows.
-	nsh := len(res.MapOutputs)
-	_, span := obs.StartSpan(ctx, "lf.assemble", obs.Int("rows", total), obs.Int("shards", nsh),
-		obs.Int("workers", max(1, min(e.Parallelism, nsh))))
-	matrix := labelmodel.NewMatrix(total, len(lfs))
-	err = par.Each(nsh, e.Parallelism, func(s int) error {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("lf: assemble: %w", err)
-		}
-		for r, rec := range res.MapOutputs[s] {
-			if len(rec) != len(lfs) {
-				return fmt.Errorf("lf: vote row has %d bytes for %d functions", len(rec), len(lfs))
-			}
-			idx := s + r*nsh
-			if idx >= total {
-				return fmt.Errorf("lf: shard layout inconsistent (index %d of %d)", idx, total)
-			}
-			if j := labelmodel.DecodeVotes(matrix.Row(idx), rec); j >= 0 {
-				return fmt.Errorf("lf %s: vote byte %d out of range", names[j], int8(rec[j]))
-			}
-		}
-		return nil
-	})
-	span.EndErr(err)
+	matrix, set, err := assembleVotes(ctx, res.MapOutputs, names, e.Parallelism)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, voteSet{}, err
 	}
-	report.Examples = total
+	report.Examples = set.rec.Rows
 	//drybellvet:tightloop — bounded by the function set, in-memory report assembly
 	for j, f := range lfs {
 		meta, k := f.LFMeta(), task.keys[j]
@@ -408,12 +379,74 @@ func (e *Executor[T]) runFused(ctx context.Context, lfs []lfapi.LF[T], inputBase
 			Name: meta.Name, Category: meta.Category, Servable: meta.Servable,
 			Duration:  fits[j].took + time.Duration(res.Counters[k.nanos]),
 			Positives: pos, Negatives: neg,
-			Abstains:     int64(total) - pos - neg, // every function votes on every record
+			Abstains:     int64(report.Examples) - pos - neg, // every function votes on every record
 			CorpusPasses: passes,
 		}
 	}
 	report.Duration = time.Since(start)
-	return matrix, report, names, nsh, nil
+	return matrix, report, set, nil
+}
+
+// assembleVotes checks every task's output — the vote shard it emitted:
+// votesMagic, then the n-byte vote rows of examples s, s+N, … for N tasks (the
+// staged input's round-robin layout), n = len(names), in one value or, past
+// voteBlockMax, in values of whole rows whose first alone carries the magic —
+// and decodes every row into the matrix, DecodeVotes validating each vote. The
+// same parallel pass folds each shard's payload CRC into the record that
+// commits the blocks, as they stand (a shard in parts joined), as a vote set.
+// It takes outputs over: each task's first value loses its magic in place.
+func assembleVotes(ctx context.Context, outputs [][][]byte, names []string, workers int) (*labelmodel.Matrix, voteSet, error) {
+	n, nsh := len(names), len(outputs)
+	firsts := make([][]byte, nsh) // each task's first value, magic and all
+	rec := dfs.Record{Names: names, Shards: make([]dfs.ShardSum, nsh)}
+	for s, vals := range outputs { //drybellvet:tightloop — header checks, bounded by the values the tasks returned
+		if len(vals) == 0 || len(vals[0]) < voteShardHeaderSize || [4]byte(vals[0][:4]) != votesMagic {
+			return nil, voteSet{}, fmt.Errorf("lf: vote task %d returned %d values, not a vote block: no first value headed by its magic", s, len(vals))
+		}
+		firsts[s], vals[0] = vals[0], vals[0][voteShardHeaderSize:]
+		rec.Shards[s].Size = voteShardHeaderSize
+		for _, p := range vals {
+			if len(p)%n != 0 {
+				return nil, voteSet{}, fmt.Errorf("lf: vote task %d returned %d vote bytes in one value, not whole rows of %d votes", s, len(p), n)
+			}
+			rec.Shards[s].Size += int64(len(p))
+		}
+		rec.Rows += int(rec.Shards[s].Size-voteShardHeaderSize) / n
+	}
+	if rec.Rows == 0 {
+		return nil, voteSet{}, fmt.Errorf("lf: the staged corpus is empty: no vote task returned a row")
+	}
+	_, span := obs.StartSpan(ctx, "lf.assemble", obs.Int("rows", rec.Rows), obs.Int("shards", nsh),
+		obs.Int("workers", max(1, min(workers, nsh))))
+	matrix := labelmodel.NewMatrix(rec.Rows, n)
+	err := par.Each(nsh, workers, func(s int) error {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("lf: assemble: %w", err)
+		}
+		if rows := int(rec.Shards[s].Size-voteShardHeaderSize) / n; rows != shardRows(rec.Rows, s, nsh) {
+			return fmt.Errorf("lf: vote task %d returned %d rows of %d over %d tasks", s, rows, rec.Rows, nsh)
+		}
+		k := 0
+		for _, p := range outputs[s] {
+			rec.Shards[s].Digest = crc32.Update(rec.Shards[s].Digest, crc32.IEEETable, p)
+			for ; len(p) > 0; p, k = p[n:], k+1 {
+				if j := labelmodel.DecodeVotes(matrix.Row(s+k*nsh), p[:n]); j >= 0 {
+					return fmt.Errorf("lf %s: vote byte %d out of range", names[j], int8(p[j]))
+				}
+			}
+		}
+		return nil
+	})
+	span.EndErr(err)
+	if err != nil {
+		return nil, voteSet{}, err
+	}
+	return matrix, voteSet{rec: rec, shards: nsh, block: func(s int, _ *[]byte) ([]byte, dfs.ShardSum, error) {
+		if len(outputs[s]) > 1 {
+			return slices.Concat(append([][]byte{firsts[s]}, outputs[s][1:]...)...), rec.Shards[s], nil
+		}
+		return firsts[s], rec.Shards[s], nil
+	}}, nil
 }
 
 // votesBase is the DFS base of the vote store.
@@ -435,16 +468,17 @@ func attemptCtx(tctx *mapreduce.TaskContext, run context.Context) context.Contex
 
 // fusedTask evaluates the whole labeling-function set inside one map task:
 // records are decoded once, every function writes its column of the task's
-// row buffer over the decoded slice (lfapi.VoteAll), and the task emits one
-// packed n-byte vote row per record — the columnar layout the vote artifact
-// and the matrix assembly consume directly. Each column is timed with one
-// clock pair and counted, and both reach the report through task counters.
-// Per task (simulated compute node) it derives a NodeLocal instance of every
-// function, resolves the set's one NLP service the way the online Evaluator
-// does — the paper's "launch a model server on each node in Setup, stop it in
-// Teardown" — and puts a task-private column in front of it (taskColumn), so
-// each row's text is annotated once however many functions ask, and the
-// set's Keywords rules read one scan of it through the job's keywordUnion.
+// vote block over the decoded slice (lfapi.VoteAll), and the task emits the
+// block — its vote shard, one packed n-byte vote row per record, which the
+// store publishes as it stands and the matrix is assembled from. Each column
+// is timed with one clock pair and counted, and both reach the report through
+// task counters. Per task (simulated compute node) it derives a NodeLocal
+// instance of every function, resolves the set's one NLP service the way the
+// online Evaluator does — the paper's "launch a model server on each node in
+// Setup, stop it in Teardown" — and puts a task-private column in front of it
+// (taskColumn), so each row's text is annotated once however many functions
+// ask, and the set's Keywords rules read one scan of it through the job's
+// keywordUnion.
 type fusedTask[T any] struct {
 	ctx    context.Context
 	lfs    []lfapi.LF[T]
@@ -572,8 +606,12 @@ func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, e
 		}
 		xs[i] = x
 	}
-	n := len(m.lfs)
-	rows := make([]byte, len(records)*n)
+	// The task's output is its vote shard, the magic then a row per record, in
+	// a pooled buffer: emit copies (mapreduce.Emitter). It leaves as one value
+	// or, past voteBlockMax, as values of whole rows of at most that size.
+	n, bufp := len(m.lfs), voteBufPool.Get().(*[]byte)
+	defer voteBufPool.Put(bufp)
+	block, rows := voteBlock(bufp, len(records), n)
 	for j, voter := range voters {
 		if st.col != nil {
 			st.col.row = 0
@@ -590,9 +628,9 @@ func (m *fusedTask[T]) MapBatch(tctx *mapreduce.TaskContext, records [][]byte, e
 		tctx.Counters.Inc(k.positive, c.Positives)
 		tctx.Counters.Inc(k.negative, c.Negatives)
 	}
-	//drybellvet:tightloop — in-memory emit of rows already computed above
-	for i := range records {
-		emit(rows[i*n : (i+1)*n])
+	step := max(1, (voteBlockMax-voteShardHeaderSize)/n) * n
+	for lo, hi := 0, min(voteShardHeaderSize+step, len(block)); lo < len(block); lo, hi = hi, min(hi+step, len(block)) { //drybellvet:tightloop — in-memory emit of the block built above
+		emit(block[lo:hi])
 	}
 	return nil
 }

@@ -8,10 +8,10 @@
 // which names its columns and gives its row range and tombstones next to its
 // rows and shard digests. A deletions-only generation is a zero-row set. A
 // delta's key is its number ("00001"); a segment's is "00000-<seq>-<hash>",
-// seq one past the highest listed and hash derived from the votes' content,
-// so writers of different votes never share a key. The record is written,
-// atomically, after every shard, so a visible record always has readable
-// data. Only compaction writes the flat artifact at "<prefix>/votes".
+// seq one past the highest listed and hash derived from its shards' CRCs
+// (voteGeneration). The record is written, atomically, after every shard, so
+// a visible record always has readable data. Only compaction writes the flat
+// artifact at "<prefix>/votes".
 //
 // The store is read one way (votes.go: planVotes, then one scan): the flat
 // artifact at row 0, generation-0 segments by (seq, hash), then the deltas in
@@ -69,45 +69,49 @@ func parseChainKey(name string) (chainKey, bool) {
 	return k, err == nil && (k.gen > 0 || k.seq > 0) && k.String() == name
 }
 
-// WriteGeneration publishes delta generation gen of the store at base: mx's
-// votes in shards shards, committed by one record carrying rec's Names (mx's
-// columns, in order), StartRow (the absolute row, in staging order before
-// any tombstone compaction, where mx's rows begin) and Deleted (the absolute
-// rows it tombstones; a later generation whose row range covers one
-// resurrects it). Concurrent readers see either the previous chain or the
-// whole new generation. A nil mx is a deletions-only generation: zero rows.
-func WriteGeneration(fs dfs.FS, base string, gen int, mx *labelmodel.Matrix, shards int, rec dfs.Record) error {
+// publishGeneration publishes set as delta generation gen of the store at
+// base, committed by one record carrying the set's Names (its columns, in
+// order), StartRow (the absolute row, in staging order before any tombstone
+// compaction, where its rows begin) and Deleted (the absolute rows it
+// tombstones; a later generation whose row range covers one resurrects it).
+// Concurrent readers see either the previous chain or the whole new
+// generation. A zero-row set is a deletions-only generation.
+func publishGeneration(fs dfs.FS, base string, gen int, set voteSet) error {
+	rec := set.rec
 	if gen <= 0 {
 		return fmt.Errorf("lf: vote generation number %d, want >= 1 (generation 0 is what ExecuteContext publishes)", gen)
 	}
 	if rec.StartRow < 0 || slices.ContainsFunc(rec.Deleted, func(d int) bool { return d < 0 }) {
 		return fmt.Errorf("lf: vote generation %d starts at or tombstones a negative row", gen)
 	}
-	if mx == nil && len(rec.Deleted) == 0 {
+	if rec.Rows == 0 && len(rec.Deleted) == 0 {
 		return fmt.Errorf("lf: vote generation %d has neither votes nor tombstones", gen)
 	}
-	if _, err := writeVotes(fs, chainKey{gen: gen}.path(base), mx, shards, rec); err != nil {
+	if _, err := set.publish(fs, chainKey{gen: gen}.path(base)); err != nil {
 		return fmt.Errorf("lf: write vote generation %d: %w", gen, err)
 	}
 	return nil
 }
 
-// publishSegment publishes mx as a generation-0 segment over base rows [0, m)
-// and returns its key. It reads no votes: the key's seq comes from the listed
-// keys alone, and its hash from mx, so the only writer it can share a key with
-// is one writing the same bytes.
-func publishSegment(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) (chainKey, error) {
+// publishSegment publishes set as a generation-0 segment over base rows
+// [0, m) and returns its key. It reads no votes: the key's seq comes from the
+// listed keys alone, and its hash from the set's CRCs (voteGeneration), so it
+// shares a key only with a writer of shards of the same CRCs.
+func publishSegment(fs dfs.FS, base string, set voteSet) (chainKey, error) {
 	keys, _, err := listKeys(fs, base, true)
 	if err != nil {
 		return chainKey{}, err
 	}
-	k := chainKey{seq: 1, hash: voteGeneration(mx, names, shards)}
+	k := chainKey{seq: 1}
+	if k.hash, err = voteGeneration(set); err != nil {
+		return chainKey{}, err
+	}
 	for _, other := range keys {
 		if other.gen == 0 {
 			k.seq = max(k.seq, other.seq+1)
 		}
 	}
-	_, err = writeVotes(fs, k.path(base), mx, shards, dfs.Record{Names: names})
+	_, err = set.publish(fs, k.path(base))
 	return k, err
 }
 
@@ -171,8 +175,12 @@ func SegmentOf(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string) (s
 		if err != nil {
 			return "", err
 		}
-		if rec != nil && slices.Equal(rec.Names, names) && keys[i].hash == voteGeneration(mx, names, len(rec.Shards)) {
-			return seg, nil
+		if rec != nil && slices.Equal(rec.Names, names) {
+			// The key a run's blocks gave it, from mx's own encoding: none if
+			// mx cannot be encoded, as no segment can hold it.
+			if h, err := voteGeneration(matrixSet(mx, len(rec.Shards), dfs.Record{Names: names})); err == nil && h == keys[i].hash {
+				return seg, nil
+			}
 		}
 	}
 	return "", nil
@@ -269,7 +277,7 @@ func CompactView(fs dfs.FS, base string, shards int, view *View) (*View, error) 
 		return nil, err
 	}
 	// The flat artifact's commit record is the folded view's watermark.
-	rec, err := writeVotes(fs, base, folded.Matrix, shards, dfs.Record{Names: folded.Names})
+	rec, err := matrixSet(folded.Matrix, shards, dfs.Record{Names: folded.Names}).publish(fs, base)
 	if err != nil {
 		return nil, fmt.Errorf("lf: compact vote generations at %s: %w", base, err)
 	}

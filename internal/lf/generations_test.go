@@ -22,8 +22,8 @@ func genBase(base string, gen int) string { return chainKey{gen: gen}.path(base)
 func writeGen(t *testing.T, fs dfs.FS, base string, gen, startRow, m int, names []string, deleted []int, seed int64) *labelmodel.Matrix {
 	t.Helper()
 	mx := randomVotes(t, m, len(names), seed)
-	if err := WriteGeneration(fs, base, gen, mx, 3, dfs.Record{Names: names, StartRow: startRow, Deleted: deleted}); err != nil {
-		t.Fatalf("WriteGeneration(%d): %v", gen, err)
+	if err := publishGeneration(fs, base, gen, matrixSet(mx, 3, dfs.Record{Names: names, StartRow: startRow, Deleted: deleted})); err != nil {
+		t.Fatalf("publishGeneration(%d): %v", gen, err)
 	}
 	return mx
 }

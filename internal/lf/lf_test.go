@@ -1,8 +1,11 @@
 package lf
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -326,7 +329,7 @@ func TestInvalidVoteRejected(t *testing.T) {
 	}
 }
 
-// TestAssemblyRejectsBadVoteByte: a vote row the matrix assembly reads — here
+// TestAssemblyRejectsBadVoteByte: a vote block the matrix assembly reads — here
 // from a resumed task's checkpoint, rewritten with a byte no vote encodes to —
 // fails the run with an error naming the function whose column holds it.
 func TestAssemblyRejectsBadVoteByte(t *testing.T) {
@@ -352,12 +355,15 @@ func TestAssemblyRejectsBadVoteByte(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := recordio.Split(data)
+	blocks, err := recordio.Split(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows[3][1] = 5
-	if data, err = recordio.Encode(rows); err != nil {
+	if len(blocks) != 1 {
+		t.Fatalf("checkpoint holds %d values, want the task's one vote block", len(blocks))
+	}
+	blocks[0][voteShardHeaderSize+3*len(lfs)+1] = 5 // row 3, column 1
+	if data, err = recordio.Encode(blocks); err != nil {
 		t.Fatal(err)
 	}
 	if err := fs.WriteFile(checkpoint, data); err != nil {
@@ -366,6 +372,195 @@ func TestAssemblyRejectsBadVoteByte(t *testing.T) {
 	_, report, err := e.ExecuteContext(context.Background(), lfs)
 	if want := "lf " + topicLF().LFMeta().Name + ": vote byte 5 out of range"; err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("assembly over a bad vote byte: report %+v, error %v, want one containing %q", report, err, want)
+	}
+}
+
+// TestRowLayoutCheckpointIsNeverAssembled: task checkpoints in the earlier
+// output layout — one n-byte vote row per value, under the resume key jobs of
+// that layout used — are never adopted: the run re-executes every task and
+// publishes the votes a fresh run does. The same rows checkpointed under the
+// current key are adopted as the tasks' outputs, and the assembly refuses
+// them: a vote row is never read as a vote block.
+func TestRowLayoutCheckpointIsNeverAssembled(t *testing.T) {
+	ctx := context.Background()
+	lfs := []lfapi.LF[*corpus.Document]{keywordLF(), topicLF()}
+	names := lfapi.Names(lfs)
+	fresh := dfs.NewMem()
+	stageDocs(t, fresh, testDocs(), 2)
+	want, _, err := docExecutor(fresh).ExecuteContext(ctx, lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fs := dfs.NewMem()
+	stageDocs(t, fs, testDocs(), 2)
+	// Checkpoint every task as a row-per-value job would: all-positive rows,
+	// so an adopted one would show in the votes.
+	checkpointRows := func(key string) {
+		t.Helper()
+		if _, err := mapreduce.RunContext(ctx, mapreduce.Job{
+			Name: "lf-votes", FS: fs, InputBase: "in/docs", ScratchBase: "labels/_runtime", Resume: true, ResumeKey: key,
+			Mapper: mapreduce.MapFunc(func(_ *mapreduce.TaskContext, _ []byte, emit mapreduce.Emitter) error {
+				emit(bytes.Repeat([]byte{1}, len(lfs)))
+				return nil
+			}),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpointRows("lfs:" + strings.Join(names, "\x1f"))
+	e := docExecutor(fs)
+	e.Resume = true
+	got, report, err := e.ExecuteContext(ctx, lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.TasksResumed != 0 || report.TaskAttempts != 2 {
+		t.Fatalf("run over row-per-value checkpoints resumed %d tasks in %d attempts, want 0 in 2", report.TasksResumed, report.TaskAttempts)
+	}
+	sameMatrix(t, "votes re-executed over row-per-value checkpoints", got.Matrix, want.Matrix)
+
+	// Drop the votes and the run's own checkpoints, so neither the resume
+	// fast path nor the block checkpoints stand in for the rows.
+	if err := DropGenerations(fs, storeBase, true); err != nil {
+		t.Fatal(err)
+	}
+	runtime, err := fs.List("labels/_runtime/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range runtime {
+		if err := fs.Remove(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checkpointRows(resumeKeyFor(names))
+	if _, report, err := e.ExecuteContext(ctx, lfs); err == nil || !strings.Contains(err.Error(), "not a vote block") {
+		t.Fatalf("run over row-per-value outputs: report %+v, error %v, want the assembly to refuse them", report, err)
+	}
+}
+
+// TestVoteShardInPartsResumes: a vote shard larger than voteBlockMax leaves
+// its task as several values of whole rows, each within the bound a
+// checkpoint's recordio records keep. A run that resumes from those
+// checkpoints assembles them, and every run publishes the bytes a run whose
+// shards each fit one value publishes.
+func TestVoteShardInPartsResumes(t *testing.T) {
+	ctx := context.Background()
+	lfs := []lfapi.LF[*corpus.Document]{keywordLF(), topicLF()}
+	one := dfs.NewMem()
+	stageDocs(t, one, testDocs(), 2)
+	want, _, err := docExecutor(one).ExecuteContext(ctx, lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	defer func(m int) { voteBlockMax = m }(voteBlockMax)
+	voteBlockMax = voteShardHeaderSize + len(lfs) // one row a value
+	fs := dfs.NewMem()
+	stageDocs(t, fs, testDocs(), 2)
+	e := docExecutor(fs)
+	e.Resume = true
+	storedSame := func(what string) {
+		t.Helper()
+		paths, err := one.List(storeBase)
+		if stored, _ := fs.List(storeBase); err != nil || len(stored) != len(paths) {
+			t.Fatalf("%s: stored %d files, the one-value run %d (%v)", what, len(stored), len(paths), err)
+		}
+		for _, p := range paths {
+			a, errA := one.ReadFile(p)
+			b, errB := fs.ReadFile(p)
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Fatalf("%s: %s differs from the one-value run's (%v, %v)", what, p, errA, errB)
+			}
+		}
+	}
+	for round, resumed := range []int{0, 2} {
+		got, report, err := e.ExecuteContext(ctx, lfs)
+		if err != nil {
+			t.Fatalf("round %d: %v", round, err)
+		}
+		if report.TasksResumed != resumed {
+			t.Fatalf("round %d resumed %d tasks, want %d", round, report.TasksResumed, resumed)
+		}
+		sameMatrix(t, fmt.Sprintf("round %d", round), got.Matrix, want.Matrix)
+		storedSame(fmt.Sprintf("round %d", round))
+		// Drop the votes, not the checkpoints, so the next round resumes
+		// from the tasks' outputs rather than from the store.
+		if err := DropGenerations(fs, storeBase, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+	outs, err := fs.List("labels/_runtime/")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpoints := 0
+	for _, p := range outs {
+		if !strings.HasSuffix(p, ".out") {
+			continue
+		}
+		data, err := fs.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals, err := recordio.Split(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(vals) < 2 || slices.ContainsFunc(vals, func(v []byte) bool { return len(v) > voteBlockMax }) {
+			t.Fatalf("checkpoint %s holds %d values, want several of at most %d bytes each", p, len(vals), voteBlockMax)
+		}
+		checkpoints++
+	}
+	if checkpoints != 2 {
+		t.Fatalf("found %d task checkpoints, want 2", checkpoints)
+	}
+}
+
+// TestSegmentOfFindsTheExecutedSegment: the key a run derives from its tasks'
+// vote blocks is the key SegmentOf derives from the matrix, so SegmentOf finds
+// the segment ExecuteContext just published — and none for votes one flip
+// away, or for the same votes stored in another shard count.
+func TestSegmentOfFindsTheExecutedSegment(t *testing.T) {
+	fs := dfs.NewMem()
+	stageDocs(t, fs, testDocs(), 3)
+	lfs := []lfapi.LF[*corpus.Document]{keywordLF(), topicLF()}
+	names := lfapi.Names(lfs)
+	view, _, err := docExecutor(fs).ExecuteContext(context.Background(), lfs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys, _, err := listKeys(fs, storeBase, true)
+	if err != nil || len(keys) != 1 {
+		t.Fatalf("store keys %v (%v), want the one segment just published", keys, err)
+	}
+	published := keys[0].path(storeBase)
+	if seg, err := SegmentOf(fs, storeBase, view.Matrix, names); err != nil || seg != published {
+		t.Fatalf("SegmentOf(executed votes) = %q (%v), want %q", seg, err, published)
+	}
+
+	mx := view.Matrix
+	flipped := labelmodel.NewMatrix(mx.NumExamples(), mx.NumFuncs())
+	for i := 0; i < mx.NumExamples(); i++ {
+		copy(flipped.Row(i), mx.Row(i))
+	}
+	if flipped.At(2, 0) == labelmodel.Positive {
+		flipped.Set(2, 0, labelmodel.Negative)
+	} else {
+		flipped.Set(2, 0, labelmodel.Positive)
+	}
+	if seg, err := SegmentOf(fs, storeBase, flipped, names); err != nil || seg != "" {
+		t.Fatalf("SegmentOf(one vote flipped) = %q (%v), want none", seg, err)
+	}
+
+	// The same votes rewritten in two shards where the segment stands: its
+	// key hashes three shards' digests, which two shards do not reproduce.
+	if err := WriteVotes(fs, published, mx, names, 2); err != nil {
+		t.Fatal(err)
+	}
+	if seg, err := SegmentOf(fs, storeBase, mx, names); err != nil || seg != "" {
+		t.Fatalf("SegmentOf(votes in another shard count) = %q (%v), want none", seg, err)
 	}
 }
 
@@ -535,9 +730,9 @@ func TestCancellationStopsExecution(t *testing.T) {
 	}
 }
 
-// plantingWorker is a vote-job backend that emits an all-abstain row per
-// record and plants out-of-range vote byte 9 in the first row of the shards
-// bad maps to a column.
+// plantingWorker is a vote-job backend that emits a vote block of
+// all-abstain rows and plants out-of-range vote byte 9 in the first row of the
+// shards bad maps to a column.
 type plantingWorker struct {
 	fs  dfs.FS
 	n   int
@@ -554,12 +749,11 @@ func (w plantingWorker) RunTask(_ context.Context, spec mapreduce.TaskSpec) (*ma
 		return nil, err
 	}
 	res := &mapreduce.TaskResult{TaskID: spec.TaskID(), Attempt: spec.Attempt, Records: len(records), Counters: map[string]int64{}}
-	for range records {
-		res.Values = append(res.Values, make([]byte, w.n))
-	}
+	block := append(votesMagic[:], make([]byte, len(records)*w.n)...)
 	if col, ok := w.bad[spec.Index]; ok {
-		res.Values[0][col] = 9
+		block[voteShardHeaderSize+col] = 9
 	}
+	res.Values = [][]byte{block}
 	return res, nil
 }
 

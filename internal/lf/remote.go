@@ -24,9 +24,10 @@ import (
 // producing misaligned votes.
 
 // FusedVoteCode is the job-code key for the fused vote job over the named
-// function set (order-sensitive: it fixes the vote row layout).
+// function set (order-sensitive: it fixes the vote row layout). Its prefix
+// names the one-block-per-task output, so a row-per-value worker is skew.
 func FusedVoteCode(names []string) string {
-	return "lf-votes:" + strings.Join(names, "\x1f")
+	return "lf-vote-blocks:" + strings.Join(names, "\x1f")
 }
 
 // RegisterVoteJobs registers the vote job a coordinator dispatches for this

@@ -66,7 +66,7 @@ func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS, appendOdds int, p
 			total = 1 + rng.Intn(30)
 		}
 		cols := randomColumns(rng, pool)
-		if _, err := publishSegment(fs, storeBase, randomVotes(t, total, len(cols), rng.Int63()), cols, 1+rng.Intn(5)); err != nil {
+		if _, err := publishSegment(fs, storeBase, matrixSet(randomVotes(t, total, len(cols), rng.Int63()), 1+rng.Intn(5), dfs.Record{Names: cols})); err != nil {
 			t.Fatal(err)
 		}
 		published()
@@ -100,7 +100,7 @@ func writeRandomChain(t *testing.T, rng *rand.Rand, fs dfs.FS, appendOdds int, p
 		} else if len(meta.Deleted) == 0 {
 			continue // nothing to publish; generation numbers may skip
 		}
-		if err := WriteGeneration(fs, storeBase, gen, mx, shards, meta); err != nil {
+		if err := publishGeneration(fs, storeBase, gen, matrixSet(mx, shards, meta)); err != nil {
 			t.Fatalf("generation %d: %v", gen, err)
 		}
 		published()
@@ -645,7 +645,7 @@ func TestAllRowsTombstonedIsAnError(t *testing.T) {
 	if err := WriteVotes(fs, storeBase, randomVotes(t, 3, 1, 1), names, 2); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteGeneration(fs, storeBase, 1, nil, 1, dfs.Record{Names: names, StartRow: 3, Deleted: []int{0, 1, 2}}); err != nil {
+	if err := publishGeneration(fs, storeBase, 1, matrixSet(nil, 1, dfs.Record{Names: names, StartRow: 3, Deleted: []int{0, 1, 2}})); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := docExecutor(fs).LoadMatrix(names); !errors.Is(err, ErrAllTombstoned) {

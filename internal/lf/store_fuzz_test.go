@@ -36,7 +36,7 @@ func fuzzStore() (*dfs.Mem, *View, *View, []string, error) {
 	}
 	targets := []string{dfs.RecordPath(storeBase), dfs.ShardPath(storeBase, 1, 2)}
 	for _, seg := range []struct{ name, shards, seed int }{{1, 3, 2}, {0, 1, 1}} {
-		k, err := publishSegment(fs, storeBase, votes(6, 1, seg.seed), fuzzNames[seg.name:seg.name+1], seg.shards)
+		k, err := publishSegment(fs, storeBase, matrixSet(votes(6, 1, seg.seed), seg.shards, dfs.Record{Names: fuzzNames[seg.name : seg.name+1]}))
 		if err != nil {
 			return nil, nil, nil, nil, err
 		}
@@ -46,14 +46,14 @@ func fuzzStore() (*dfs.Mem, *View, *View, []string, error) {
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if err := WriteGeneration(fs, storeBase, 1, votes(3, 2, 1), 2, dfs.Record{Names: fuzzNames, StartRow: 6}); err != nil {
+	if err := publishGeneration(fs, storeBase, 1, matrixSet(votes(3, 2, 1), 2, dfs.Record{Names: fuzzNames, StartRow: 6})); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	after, _, err := LoadView(fs, storeBase, fuzzNames, before)
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
-	if err := WriteGeneration(fs, storeBase, 2, nil, 1, dfs.Record{Names: fuzzNames, StartRow: 9, Deleted: []int{2}}); err != nil {
+	if err := publishGeneration(fs, storeBase, 2, matrixSet(nil, 1, dfs.Record{Names: fuzzNames, StartRow: 9, Deleted: []int{2}})); err != nil {
 		return nil, nil, nil, nil, err
 	}
 	for gen := 1; gen <= 2; gen++ {

@@ -9,9 +9,10 @@
 // else: the labeling functions in column order, so a reader can select and
 // reorder columns by name; the row count; each shard's size and payload CRC,
 // which rejects a shard another write left behind; and, for a generation, its
-// row range and tombstones. Writers rent shard buffers from a pool. The flat
-// artifact at "<prefix>/votes" is one such set, written by compaction; every
-// generation is another (generations.go).
+// row range and tombstones. A vote task emits its shard (assembleVotes) and
+// the store publishes it as it stands; a matrix is encoded into pooled
+// buffers. The flat artifact at "<prefix>/votes" is one such set, written by
+// compaction; every generation is another (generations.go).
 //
 // Every read of the store — generation 0 alone (ReadVotes, the resume fast
 // path) or the whole chain (LoadMatrix, VerifyVotes, CompactView) — is the
@@ -27,15 +28,16 @@
 package lf
 
 import (
-	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
+	"slices"
 	"sync"
 
 	"repro/internal/dfs"
 	"repro/internal/labelmodel"
 	"repro/internal/par"
+	"repro/internal/recordio"
 )
 
 // votesMagic heads every columnar vote shard ("DryBell Votes v2"). Version 1
@@ -46,72 +48,93 @@ var votesMagic = [4]byte{'D', 'B', 'V', '2'}
 // voteShardHeaderSize is the magic's: all a shard holds besides its votes.
 const voteShardHeaderSize = 4
 
-// voteBufPool recycles shard payload buffers across WriteVotes calls, so
-// persisting votes allocates amortized nothing beyond what the filesystem
-// copies.
+// voteBlockMax bounds a value of a vote task's output, one recordio record in
+// its checkpoint: a task emits a larger shard as values of whole rows, only
+// the first carrying the magic (fusedTask.MapBatch).
+var voteBlockMax = recordio.MaxRecordSize
+
+// voteBlock sizes *bufp to a vote shard of rows n-vote rows, votesMagic then
+// the rows the caller fills, and returns it and its payload.
+func voteBlock(bufp *[]byte, rows, n int) (block, payload []byte) {
+	need := voteShardHeaderSize + rows*n
+	block = slices.Grow((*bufp)[:0], need)[:need]
+	*bufp = block
+	copy(block, votesMagic[:])
+	return block, block[voteShardHeaderSize:]
+}
+
+// voteBufPool recycles the buffers vote shards are built in (voteBlock), so
+// building one allocates amortized nothing beyond what emit or a write copies.
 var voteBufPool = sync.Pool{New: func() any { return new([]byte) }}
 
+// voteSet is a vote shard set ready to publish: rec names its columns and
+// holds its rows and, for a generation, its row range and tombstones.
+// block(s, buf) returns shard s with its size and payload CRC: the block a
+// vote task emitted (assembleVotes) or one encoded into buf (matrixSet).
+type voteSet struct {
+	rec    dfs.Record
+	shards int
+	block  func(s int, buf *[]byte) ([]byte, dfs.ShardSum, error)
+}
+
+// matrixSet is mx, or zero rows if nil, as a set of shards shards committed
+// with rec, whose Names label mx's columns. Each block is encoded when asked
+// for, by the checked encoder: an out-of-range vote fails the write.
+func matrixSet(mx *labelmodel.Matrix, shards int, rec dfs.Record) voteSet {
+	n := len(rec.Names)
+	if mx != nil {
+		rec.Rows = mx.NumExamples()
+	}
+	return voteSet{rec: rec, shards: shards, block: func(s int, bufp *[]byte) ([]byte, dfs.ShardSum, error) {
+		if mx != nil && mx.NumFuncs() != n {
+			return nil, dfs.ShardSum{}, fmt.Errorf("lf: WriteVotes got %d names for %d matrix columns", n, mx.NumFuncs())
+		}
+		rows := shardRows(rec.Rows, s, shards)
+		buf, payload := voteBlock(bufp, rows, n)
+		for k := 0; k < rows; k++ {
+			if err := labelmodel.EncodeVotes(payload[k*n:(k+1)*n], mx.Row(s+k*shards)); err != nil {
+				return nil, dfs.ShardSum{}, fmt.Errorf("lf: write votes shard %d row %d: %w", s, k, err)
+			}
+		}
+		return buf, dfs.ShardSum{Size: int64(len(buf)), Digest: crc32.ChecksumIEEE(payload)}, nil
+	}}
+}
+
 // WriteVotes persists the matrix as a columnar vote artifact under base,
-// with names[j] labeling column j. Shards are committed atomically and the
-// commit record is written last, so a partially written artifact is never
-// loadable.
+// with names[j] labeling column j.
 func WriteVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, names []string, shards int) error {
 	if mx == nil {
 		return fmt.Errorf("lf: WriteVotes with nil matrix")
 	}
-	_, err := writeVotes(fs, base, mx, shards, dfs.Record{Names: names})
+	_, err := matrixSet(mx, shards, dfs.Record{Names: names}).publish(fs, base)
 	return err
 }
 
-// writeVotes writes mx as the vote set at base, in shards shards, and commits
-// it with rec — whose Names label mx's columns, and whose StartRow and
-// Deleted a generation sets — returning the record committed. A nil mx is
-// zero rows. Shards are encoded, checksummed and published concurrently, one
-// pooled buffer per worker; the commit record follows once every shard
-// stands.
-func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, shards int, rec dfs.Record) (dfs.Record, error) {
-	m, n := 0, len(rec.Names)
-	if mx != nil {
-		m, n = mx.NumExamples(), mx.NumFuncs()
+// publish is the vote store's one writer: it writes the set's blocks as the
+// shards at base, concurrently and each atomically, then commits them with the
+// set's record, every block's size and CRC added, and returns it. The record
+// comes last, so a partially written set is never loadable.
+func (v voteSet) publish(fs dfs.FS, base string) (dfs.Record, error) {
+	rec := v.rec
+	if v.shards <= 0 {
+		return rec, fmt.Errorf("lf: write votes with %d shards", v.shards)
 	}
-	if len(rec.Names) != n {
-		return rec, fmt.Errorf("lf: WriteVotes got %d names for %d matrix columns", len(rec.Names), n)
-	}
-	if shards <= 0 {
-		return rec, fmt.Errorf("lf: WriteVotes with %d shards", shards)
-	}
-	sums := make([]dfs.ShardSum, shards)
-	if err := par.Each(shards, par.Procs(), func(s int) error {
+	rec.Shards = make([]dfs.ShardSum, v.shards)
+	if err := par.Each(v.shards, par.Procs(), func(s int) error {
 		bufp := voteBufPool.Get().(*[]byte)
 		defer voteBufPool.Put(bufp)
-		rows := (m - s + shards - 1) / shards
-		need := voteShardHeaderSize + rows*n
-		buf := *bufp
-		if cap(buf) < need {
-			buf = make([]byte, need)
-			*bufp = buf
+		block, sum, err := v.block(s, bufp)
+		if err != nil {
+			return err
 		}
-		buf = buf[:need]
-		copy(buf, votesMagic[:])
-		payload := buf[voteShardHeaderSize:]
-		for k := 0; k < rows; k++ {
-			row := mx.Row(s + k*shards)
-			// The checked encoder validates while it packs, so an
-			// out-of-range vote fails the write instead of surfacing as a
-			// reader error on some later run.
-			if err := labelmodel.EncodeVotes(payload[k*n:(k+1)*n], row); err != nil {
-				return fmt.Errorf("lf: write votes shard %d row %d: %w", s, k, err)
-			}
-		}
-		sums[s] = dfs.ShardSum{Size: int64(need), Digest: crc32.ChecksumIEEE(payload)}
-		if err := dfs.PublishShard(fs, base, s, shards, buf); err != nil {
+		rec.Shards[s] = sum
+		if err := dfs.PublishShard(fs, base, s, v.shards, block); err != nil {
 			return fmt.Errorf("lf: write votes shard %d: %w", s, err)
 		}
 		return nil
 	}); err != nil {
 		return rec, err
 	}
-	rec.Rows, rec.Shards = m, sums
 	rec, err := dfs.WriteRecord(fs, base, rec)
 	if err != nil {
 		return rec, fmt.Errorf("lf: commit votes: %w", err)
@@ -119,27 +142,32 @@ func writeVotes(fs dfs.FS, base string, mx *labelmodel.Matrix, shards int, rec d
 	// Drop shards left behind by an earlier write with a different shard
 	// count, which no reader looks at: the commit record names the set. The
 	// artifact is committed by now, and the next write drops any stray left.
-	_ = dfs.RemoveShards(fs, base, shards)
+	_ = dfs.RemoveShards(fs, base, v.shards)
 	return rec, nil
 }
 
 // voteGeneration is a generation-0 segment's content hash, the last part of
-// its key: shard count, column names, and an FNV-1a digest of every vote.
-// Writers of different matrices publish under different keys, while a re-run
-// of the same votes publishes under the same one.
-func voteGeneration(mx *labelmodel.Matrix, names []string, shards int) uint64 {
-	h := fnv.New64a()
-	var b [8]byte
-	binary.LittleEndian.PutUint64(b[:], uint64(shards))
-	h.Write(b[:])
-	for _, name := range names {
-		binary.LittleEndian.PutUint64(b[:], uint64(len(name)))
-		h.Write(b[:])
-		h.Write([]byte(name))
+// its key: FNV-1a over the set's names and its record's set digest (rows,
+// shards, every block's size and payload CRC-32), known before any shard is
+// written. Writers of different votes share a key only if every differing
+// shard's CRC-32 collides (about 2^-32 each; never within 32 consecutive
+// bits), and two such at once would leave shards checkVoteShard takes from
+// either.
+func voteGeneration(v voteSet) (uint64, error) {
+	rec := v.rec
+	if len(rec.Shards) != v.shards {
+		rec.Shards = make([]dfs.ShardSum, v.shards)
+		var buf []byte
+		for s := range rec.Shards {
+			var err error
+			if _, rec.Shards[s], err = v.block(s, &buf); err != nil {
+				return 0, err
+			}
+		}
 	}
-	binary.LittleEndian.PutUint64(b[:], mx.Fingerprint())
-	h.Write(b[:])
-	return h.Sum64()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%q %x", rec.Names, rec.Sealed().Digest)
+	return h.Sum64(), nil
 }
 
 // HasVotes reports whether generation 0 — the flat artifact or a generation-0

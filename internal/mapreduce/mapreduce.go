@@ -38,7 +38,9 @@ import (
 	"repro/internal/recordio"
 )
 
-// Emitter receives the values a map function emits, in order.
+// Emitter receives the values a map function emits, in order. It copies each
+// value, so a mapper may reuse the slice once it returns: the vote job emits
+// from a pooled buffer (lf.fusedTask.MapBatch) that a kept slice would corrupt.
 type Emitter func(value []byte)
 
 // TaskContext carries per-task state into user functions. One TaskContext

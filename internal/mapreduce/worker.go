@@ -164,6 +164,7 @@ func runMap(ctx context.Context, fs dfs.FS, mapper Mapper, tctx *TaskContext, sp
 	if err := mapper.Setup(tctx); err != nil {
 		return fmt.Errorf("setup: %w", err)
 	}
+	// The copy is Emitter's contract: a mapper may reuse value at once.
 	emit := func(value []byte) {
 		cp := make([]byte, len(value))
 		copy(cp, value)
